@@ -47,13 +47,21 @@ RACE_PKGS = ./internal/exec/... ./internal/epoch/... ./internal/server/... \
 EXAMPLES = ./examples/quickstart ./examples/wordsearch ./examples/geosearch \
            ./examples/imagesearch ./examples/cachedsearch
 
-.PHONY: all build test race fuzz bench bench-json bench-baseline bench-gate \
-        staticcheck govulncheck lint fmt vet examples serve-smoke load-smoke ci
+.PHONY: all build benchmark-build test race fuzz bench bench-json bench-baseline \
+        bench-gate staticcheck govulncheck lint fmt vet examples serve-smoke \
+        load-smoke ci
 
 all: build
 
 build:
 	$(GO) build ./...
+
+# The repository benchmark (benchmark/, BENCHMARK.json) is its own module
+# with a `replace metricindex => ../`, so `go build ./...` above never
+# compiles it; build and vet it here so an internal API break that
+# would stop the benchmark from building fails CI.
+benchmark-build:
+	cd benchmark && $(GO) build ./... && $(GO) vet ./...
 
 test:
 	$(GO) test ./...
@@ -161,4 +169,4 @@ load-smoke:
 # job's gate (vet's extra analyzers, staticcheck, govulncheck and
 # bench-gate need module downloads, so an offline run can cherry-pick
 # the other targets individually — lint itself is pure stdlib).
-ci: build vet fmt lint staticcheck govulncheck test race fuzz examples serve-smoke load-smoke bench-gate
+ci: build benchmark-build vet fmt lint staticcheck govulncheck test race fuzz examples serve-smoke load-smoke bench-gate

@@ -31,6 +31,7 @@ import (
 
 	"metricindex/internal/core"
 	"metricindex/internal/dataset"
+	"metricindex/internal/exec"
 	"metricindex/internal/server"
 )
 
@@ -220,7 +221,7 @@ type workload struct {
 }
 
 type localStats struct {
-	lat         []int64 // successful request latencies, micros
+	lat         []time.Duration // successful request latencies
 	ops         int64
 	errors      int64
 	sheds       int64
@@ -246,7 +247,7 @@ func runStep(cfg workload, conc int, dur time.Duration, seed int64) StepResult {
 	elapsed := time.Since(start).Seconds()
 
 	res := StepResult{Concurrency: conc, DurationS: elapsed, Strategies: map[string]int64{}}
-	var all []int64
+	var all []time.Duration
 	for i := range locals {
 		l := &locals[i]
 		res.Ops += l.ops
@@ -260,7 +261,8 @@ func runStep(cfg workload, conc int, dur time.Duration, seed int64) StepResult {
 		all = append(all, l.lat...)
 	}
 	res.QPS = float64(res.Ops) / elapsed
-	res.P50Micros, res.P95Micros, res.P99Micros = percentiles(all)
+	p50, p95, p99 := exec.LatencyPercentiles(all)
+	res.P50Micros, res.P95Micros, res.P99Micros = p50.Microseconds(), p95.Microseconds(), p99.Microseconds()
 	return res
 }
 
@@ -305,7 +307,7 @@ func worker(ctx context.Context, cfg workload, seed int64, st *localStats) {
 		case status != http.StatusOK:
 			st.errors++
 		default:
-			st.lat = append(st.lat, time.Since(begin).Microseconds())
+			st.lat = append(st.lat, time.Since(begin))
 			if strategy != "" {
 				st.strategies[strategy]++
 			}
@@ -442,18 +444,6 @@ func parseFilters(s string) ([]string, error) {
 		return nil, fmt.Errorf("empty filter battery")
 	}
 	return battery, nil
-}
-
-func percentiles(lat []int64) (p50, p95, p99 int64) {
-	if len(lat) == 0 {
-		return 0, 0, 0
-	}
-	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-	at := func(q float64) int64 {
-		i := int(q * float64(len(lat)-1))
-		return lat[i]
-	}
-	return at(0.50), at(0.95), at(0.99)
 }
 
 func waitHealthy(client *http.Client, base string, timeout time.Duration) error {

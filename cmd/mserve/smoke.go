@@ -189,6 +189,23 @@ func runSmoke(srv *server.Server, live *epoch.Live, gen *dataset.Generated, metr
 		if !spanNames["probe_shard0"] || !spanNames["merge"] {
 			return fmt.Errorf("sharded front but trace has no per-shard probe/merge spans: %v", traced.Trace.Spans)
 		}
+		// The accept test and the trace travel through the scatter
+		// together, so a filtered traced query keeps its shard spans.
+		// smokeFiltered tagged enough objects with a stock that this
+		// predicate is planned as a probe, not a pre-filter scan.
+		var ft server.KNNResponse
+		if err := call(base+"/v1/knn", server.KNNRequest{Query: raws[0], K: k, Filter: `stock >= 0`, Trace: true}, &ft); err != nil {
+			return fmt.Errorf("filtered traced knn: %w", err)
+		}
+		filteredSpans := map[string]bool{}
+		if ft.Trace != nil {
+			for _, sp := range ft.Trace.Spans {
+				filteredSpans[sp.Name] = true
+			}
+		}
+		if ft.Strategy != "probe" || !filteredSpans["plan"] || !filteredSpans["probe_shard0"] || !filteredSpans["merge"] {
+			return fmt.Errorf("filtered traced knn on the sharded front (strategy %q) lost its plan/probe/merge spans: %+v", ft.Strategy, ft.Trace)
+		}
 	}
 	if readSection != nil && readSection.CompDists <= 0 {
 		return fmt.Errorf("traced uncached query reported %d compdists in its read section", readSection.CompDists)
@@ -310,8 +327,8 @@ func smokeFiltered(base string, live *epoch.Live, gen *dataset.Generated, radius
 	cats := []string{"red", "green", "blue"}
 	var tagged []int
 	live.View(func(ds *core.Dataset, _ core.Index) { tagged = ds.LiveIDs() })
-	if len(tagged) > 90 {
-		tagged = tagged[:90]
+	if len(tagged) > 400 {
+		tagged = tagged[:400]
 	}
 	for i, id := range tagged {
 		bag, err := json.Marshal(map[string]any{"category": cats[i%3], "stock": i})

@@ -1,7 +1,9 @@
 // Package cache is the epoch-keyed answer cache: a byte-budgeted,
 // sharded LRU that memoizes whole query answers (MRQ id lists, MkNNQ
 // neighbor lists) keyed by the query object, the query kind and
-// parameter, and the index epoch the answer was observed at.
+// parameter, the filter predicate, and the index epoch the answer was
+// observed at. Its whole query surface is Get, Do and Put over one
+// plan.Query → plan.Answer pair.
 //
 // The paper's only cache is the 128 KB page cache that reduces PA for
 // the disk-based indexes; nothing there memoizes answers, so a hot
@@ -15,8 +17,8 @@
 // epoch and serves it only to lookups at the same epoch. Any committed
 // insert, delete or swap bumps the epoch, so every cached answer
 // self-invalidates — there is no explicit invalidation path to get
-// wrong. One entry exists per (query, kind, parameter); a fill at a
-// newer epoch replaces the stale entry in place.
+// wrong. One entry exists per (query, kind, parameter, filter); a fill
+// at a newer epoch replaces the stale entry in place.
 //
 // Concurrent identical misses collapse through a per-shard singleflight:
 // the first caller computes, the rest wait and share the answer (counted
@@ -34,6 +36,7 @@ import (
 	"sync/atomic"
 
 	"metricindex/internal/core"
+	"metricindex/internal/plan"
 )
 
 // errFillPanicked is what singleflight waiters receive when the
@@ -98,58 +101,60 @@ func (s Stats) HitRate() float64 {
 	return float64(s.Hits+s.Collapsed) / float64(total)
 }
 
-// kind discriminates the two query types in cache keys.
-type kind uint8
-
-const (
-	kindRange kind = 1
-	kindKNN   kind = 2
-)
-
-// key identifies one cached query: digest of the query object (and the
-// filter predicate, for filtered searches), the query kind, and the
-// parameter (radius bits or k). The epoch is deliberately NOT part of
-// the map key — one entry lives per query, stamped with the epoch it
-// was observed at, so a fill at a newer epoch replaces the stale answer
-// instead of accumulating dead versions.
+// key identifies one cached query: the query kind, the parameter
+// (radius bits or k), the canonical filter predicate ("" when
+// unfiltered) and a digest of all three plus the query object. Entries
+// are indexed by the digest and guarded by equality of the whole key
+// (and of the query object), so a filtered answer can never be served
+// to an unfiltered lookup or to a different predicate, and a digest
+// collision can only cost a miss, never a wrong answer. The epoch is
+// deliberately NOT part of the key — one entry lives per query, stamped
+// with the epoch it was observed at, so a fill at a newer epoch
+// replaces the stale answer instead of accumulating dead versions.
 type key struct {
 	digest uint64
-	kind   kind
+	kind   plan.Kind
 	param  uint64
+	filter string
+}
+
+func keyOf(q plan.Query) key {
+	k := key{kind: q.Kind, param: uint64(q.K)}
+	if q.Kind == plan.KindRange {
+		k.param = math.Float64bits(q.Radius)
+	}
+	if q.Filter != nil {
+		k.filter = q.Filter.String()
+	}
+	k.digest = digest(q.Object, k.kind, k.param, k.filter)
+	return k
 }
 
 // flightKey identifies one in-flight fill. Unlike entries, flights carry
 // the epoch: a caller at a newer epoch must not wait on (and be handed)
 // a fill for an older dataset version.
 type flightKey struct {
-	key   key
-	epoch uint64
+	digest uint64
+	epoch  uint64
 }
 
 // flight is one in-flight fill other callers can wait on.
 type flight struct {
-	query  core.Object // collision guard, same as entry.query
-	filter string      // collision guard, same as entry.filter
-	done   chan struct{}
-	ids    []int
-	nns    []core.Neighbor
-	epoch  uint64
-	err    error
+	key   key         // collision guards, same as entry.key
+	query core.Object // and entry.query
+	done  chan struct{}
+	ans   plan.Answer
+	err   error
 }
 
-// entry is one resident answer. filter is the canonical predicate of a
-// filtered search ("" for plain searches): it joins the digest in the
-// key and the equality guard here, so a filtered answer can never be
-// served to an unfiltered lookup or to a different predicate.
+// entry is one resident answer, stamped (ans.Epoch) with the dataset
+// version it was observed at.
 type entry struct {
-	key    key
-	query  core.Object
-	filter string
-	epoch  uint64
-	ids    []int           // kindRange answers
-	nns    []core.Neighbor // kindKNN answers
-	bytes  int64
-	elem   *list.Element
+	key   key
+	query core.Object
+	ans   plan.Answer
+	bytes int64
+	elem  *list.Element
 }
 
 // shard is one lock stripe: an LRU over its share of the byte budget
@@ -158,8 +163,8 @@ type shard struct {
 	mu       sync.Mutex
 	maxBytes int64
 	bytes    int64
-	entries  map[key]*entry
-	lru      *list.List // front = most recently used
+	entries  map[uint64]*entry // by key.digest
+	lru      *list.List        // front = most recently used
 	flights  map[flightKey]*flight
 }
 
@@ -184,7 +189,7 @@ func New(opts Options) *Cache {
 	for i := range c.shards {
 		c.shards[i] = &shard{
 			maxBytes: per,
-			entries:  make(map[key]*entry),
+			entries:  make(map[uint64]*entry),
 			lru:      list.New(),
 			flights:  make(map[flightKey]*flight),
 		}
@@ -215,53 +220,44 @@ func (c *Cache) shardFor(k key) *shard {
 	return c.shards[k.digest%uint64(len(c.shards))]
 }
 
-// GetRange returns the cached MRQ answer for (q, r) observed at exactly
-// the given epoch, or ok=false. The returned slice is the caller's to
-// keep (a copy).
-func (c *Cache) GetRange(q core.Object, r float64, epoch uint64) ([]int, bool) {
-	return c.GetRangeFiltered(q, r, "", epoch)
-}
-
-// GetRangeFiltered is GetRange for a filtered search: filter is the
-// canonical predicate ("" means unfiltered) and joins the key.
-func (c *Cache) GetRangeFiltered(q core.Object, r float64, filter string, epoch uint64) ([]int, bool) {
-	k := key{digest: digest(q, kindRange, math.Float64bits(r), filter), kind: kindRange, param: math.Float64bits(r)}
-	e := c.lookup(k, q, filter, epoch)
-	if e == nil {
-		return nil, false
+// memo copies an answer into its memoized form: private slices, marked
+// Cached, and no Strategy (no plan runs for whoever is served it). It
+// is applied on the way in (the stored answer never aliases the
+// filler's slices) and on the way out (callers may keep and mutate
+// what they get).
+func memo(a plan.Answer) plan.Answer {
+	return plan.Answer{
+		IDs:       append([]int(nil), a.IDs...),
+		Neighbors: append([]core.Neighbor(nil), a.Neighbors...),
+		Epoch:     a.Epoch,
+		Cached:    true,
 	}
-	return append([]int(nil), e.ids...), true
 }
 
-// GetKNN returns the cached MkNNQ answer for (q, k) observed at exactly
-// the given epoch, or ok=false. The returned slice is the caller's to
-// keep (a copy).
-func (c *Cache) GetKNN(q core.Object, kq int, epoch uint64) ([]core.Neighbor, bool) {
-	return c.GetKNNFiltered(q, kq, "", epoch)
-}
-
-// GetKNNFiltered is GetKNN for a filtered search; see GetRangeFiltered.
-func (c *Cache) GetKNNFiltered(q core.Object, kq int, filter string, epoch uint64) ([]core.Neighbor, bool) {
-	k := key{digest: digest(q, kindKNN, uint64(kq), filter), kind: kindKNN, param: uint64(kq)}
-	e := c.lookup(k, q, filter, epoch)
-	if e == nil {
-		return nil, false
-	}
-	return append([]core.Neighbor(nil), e.nns...), true
-}
-
-// lookup finds a resident entry matching (k, q, filter, epoch), touching
-// its LRU position and counting the hit. Lookups that miss are not
-// counted — the compute path (Range/KNN) counts exactly one miss per
-// fill, so a peek-then-fill sequence is not double-counted.
-//
-//metriclint:noalloc
-func (c *Cache) lookup(k key, q core.Object, filter string, epoch uint64) *entry {
+// Get returns the cached answer to q observed at exactly the given
+// epoch, or ok=false, computing nothing either way — the traced search
+// path and the batch engine's pre-dispatch peek. Lookups that miss are
+// not counted: the fill that follows (Do or Put) counts exactly one
+// miss, so a peek-then-fill sequence is not double-counted.
+func (c *Cache) Get(q plan.Query, epoch uint64) (plan.Answer, bool) {
+	k := keyOf(q)
 	sh := c.shardFor(k)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	e := sh.entries[k]
-	if e == nil || e.epoch != epoch || e.filter != filter || !objectEqual(e.query, q) {
+	e := c.lookup(sh, k, q.Object, epoch)
+	if e == nil {
+		return plan.Answer{}, false
+	}
+	return memo(e.ans), true
+}
+
+// lookup finds the resident entry matching (k, q, epoch), touching its
+// LRU position and counting the hit. Called with sh.mu held.
+//
+//metriclint:noalloc
+func (c *Cache) lookup(sh *shard, k key, q core.Object, epoch uint64) *entry {
+	e := sh.entries[k.digest]
+	if e == nil || e.key != k || e.ans.Epoch != epoch || !objectEqual(e.query, q) {
 		return nil
 	}
 	sh.lru.MoveToFront(e.elem)
@@ -269,134 +265,50 @@ func (c *Cache) lookup(k key, q core.Object, filter string, epoch uint64) *entry
 	return e
 }
 
-// RangeFill computes a fresh MRQ answer, reporting the epoch it was
-// observed at (epoch.Live.RangeSearchAt has exactly this shape).
-type RangeFill func() ([]int, uint64, error)
-
-// KNNFill computes a fresh MkNNQ answer, reporting the epoch it was
-// observed at.
-type KNNFill func() ([]core.Neighbor, uint64, error)
-
-// Range answers MRQ(q, r) through the cache: a resident entry at the
-// lookup epoch is returned immediately; otherwise concurrent identical
-// misses collapse onto one fetch whose answer is stored under the epoch
-// it observed and shared with every waiter. The returned epoch is the
-// dataset version the answer is exact for (>= the lookup epoch when a
-// write committed between the caller reading its epoch and the fetch
-// running). Returned slices are copies — callers may keep and mutate
-// them.
-func (c *Cache) Range(q core.Object, r float64, epoch uint64, fetch RangeFill) ([]int, uint64, error) {
-	return c.RangeFiltered(q, r, "", epoch, fetch)
-}
-
-// RangeFiltered is Range for a filtered search: filter is the canonical
-// predicate ("" means unfiltered) and joins both the key digest and the
-// collision guard, so answers for different predicates never mix.
-func (c *Cache) RangeFiltered(q core.Object, r float64, filter string, epoch uint64, fetch RangeFill) ([]int, uint64, error) {
-	k := key{digest: digest(q, kindRange, math.Float64bits(r), filter), kind: kindRange, param: math.Float64bits(r)}
-	e, f, leader := c.acquire(k, q, filter, epoch)
+// Do answers q through the cache: a resident entry at the lookup epoch
+// is returned immediately (Cached set); otherwise concurrent identical
+// misses collapse onto one fill whose answer is stored under the epoch
+// it observed (fill reports it in Answer.Epoch — epoch.Live's read
+// section has exactly this shape) and shared with every waiter. The
+// returned epoch is the dataset version the answer is exact for (>= the
+// lookup epoch when a write committed between the caller reading its
+// epoch and the fill running). Only the caller whose fill ran gets the
+// fill's own Answer back, Strategy included.
+func (c *Cache) Do(q plan.Query, epoch uint64, fill func() (plan.Answer, error)) (plan.Answer, error) {
+	k := keyOf(q)
+	e, f, leader := c.acquire(k, q.Object, epoch)
 	switch {
 	case e != nil:
-		return append([]int(nil), e.ids...), e.epoch, nil
+		return memo(e.ans), nil
 	case f != nil && !leader:
 		<-f.done
 		if f.err != nil {
-			return nil, 0, f.err
+			return plan.Answer{}, f.err
 		}
 		c.collapsed.Add(1)
-		return append([]int(nil), f.ids...), f.epoch, nil
+		return memo(f.ans), nil
 	}
-	// The release is deferred so a panicking fetch still wakes every
+	// The release is deferred so a panicking fill still wakes every
 	// waiter (with errFillPanicked, nothing cached) instead of leaving
 	// them blocked on a dead flight; the panic itself propagates.
-	var ids []int
-	var ep uint64
+	var ans plan.Answer
 	err := errFillPanicked
-	defer func() {
-		if f != nil {
-			f.ids, f.epoch, f.err = ids, ep, err
-		}
-		c.release(k, flightKey{key: k, epoch: epoch}, f, q, filter, ep, ids, nil, err)
-	}()
-	ids, ep, err = fetch()
+	defer func() { c.release(k, epoch, f, q.Object, ans, err) }()
+	ans, err = fill()
 	c.misses.Add(1)
 	if err != nil {
-		return nil, 0, err
+		return plan.Answer{}, err
 	}
-	return append([]int(nil), ids...), ep, nil
+	return ans, nil
 }
 
-// KNN answers MkNNQ(q, k) through the cache; see Range.
-func (c *Cache) KNN(q core.Object, kq int, epoch uint64, fetch KNNFill) ([]core.Neighbor, uint64, error) {
-	return c.KNNFiltered(q, kq, "", epoch, fetch)
-}
-
-// KNNFiltered is KNN for a filtered search; see RangeFiltered.
-func (c *Cache) KNNFiltered(q core.Object, kq int, filter string, epoch uint64, fetch KNNFill) ([]core.Neighbor, uint64, error) {
-	k := key{digest: digest(q, kindKNN, uint64(kq), filter), kind: kindKNN, param: uint64(kq)}
-	e, f, leader := c.acquire(k, q, filter, epoch)
-	switch {
-	case e != nil:
-		return append([]core.Neighbor(nil), e.nns...), e.epoch, nil
-	case f != nil && !leader:
-		<-f.done
-		if f.err != nil {
-			return nil, 0, f.err
-		}
-		c.collapsed.Add(1)
-		return append([]core.Neighbor(nil), f.nns...), f.epoch, nil
-	}
-	// Deferred release: see Range.
-	var nns []core.Neighbor
-	var ep uint64
-	err := errFillPanicked
-	defer func() {
-		if f != nil {
-			f.nns, f.epoch, f.err = nns, ep, err
-		}
-		c.release(k, flightKey{key: k, epoch: epoch}, f, q, filter, ep, nil, nns, err)
-	}()
-	nns, ep, err = fetch()
+// Put stores an answer computed outside Do (the traced search path
+// bypasses the singleflight but still wants its answer resident) under
+// the epoch in ans.Epoch. The fill is counted as one miss, mirroring
+// what Do would have recorded. The answer's slices are copied.
+func (c *Cache) Put(q plan.Query, ans plan.Answer) {
 	c.misses.Add(1)
-	if err != nil {
-		return nil, 0, err
-	}
-	return append([]core.Neighbor(nil), nns...), ep, nil
-}
-
-// PutRange stores an MRQ answer computed outside the cache (the traced
-// search path bypasses Range's singleflight but still wants its answer
-// resident). The fill is counted as one miss, mirroring what Range
-// would have recorded. The ids slice is copied.
-func (c *Cache) PutRange(q core.Object, r float64, epoch uint64, ids []int) {
-	c.PutRangeFiltered(q, r, "", epoch, ids)
-}
-
-// PutRangeFiltered is PutRange for a filtered answer; see
-// RangeFiltered.
-func (c *Cache) PutRangeFiltered(q core.Object, r float64, filter string, epoch uint64, ids []int) {
-	k := key{digest: digest(q, kindRange, math.Float64bits(r), filter), kind: kindRange, param: math.Float64bits(r)}
-	c.misses.Add(1)
-	sh := c.shardFor(k)
-	sh.mu.Lock()
-	c.store(sh, k, q, filter, epoch, append([]int(nil), ids...), nil)
-	sh.mu.Unlock()
-}
-
-// PutKNN stores an MkNNQ answer computed outside the cache; see
-// PutRange.
-func (c *Cache) PutKNN(q core.Object, kq int, epoch uint64, nns []core.Neighbor) {
-	c.PutKNNFiltered(q, kq, "", epoch, nns)
-}
-
-// PutKNNFiltered is PutKNN for a filtered answer; see RangeFiltered.
-func (c *Cache) PutKNNFiltered(q core.Object, kq int, filter string, epoch uint64, nns []core.Neighbor) {
-	k := key{digest: digest(q, kindKNN, uint64(kq), filter), kind: kindKNN, param: uint64(kq)}
-	c.misses.Add(1)
-	sh := c.shardFor(k)
-	sh.mu.Lock()
-	c.store(sh, k, q, filter, epoch, nil, append([]core.Neighbor(nil), nns...))
-	sh.mu.Unlock()
+	c.release(keyOf(q), 0, nil, q.Object, ans, nil)
 }
 
 // acquire resolves one cache attempt under the shard lock: a resident
@@ -404,38 +316,41 @@ func (c *Cache) PutKNNFiltered(q core.Object, kq int, filter string, epoch uint6
 // false), or leadership of a new flight (f != nil, leader true). All
 // nil means compute without singleflight — a digest collision is
 // already in flight for a different query, too rare to serialize on.
-func (c *Cache) acquire(k key, q core.Object, filter string, epoch uint64) (e *entry, f *flight, leader bool) {
+func (c *Cache) acquire(k key, q core.Object, epoch uint64) (e *entry, f *flight, leader bool) {
 	sh := c.shardFor(k)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if e = sh.entries[k]; e != nil && e.epoch == epoch && e.filter == filter && objectEqual(e.query, q) {
-		sh.lru.MoveToFront(e.elem)
-		c.hits.Add(1)
+	if e = c.lookup(sh, k, q, epoch); e != nil {
 		return e, nil, false
 	}
-	fk := flightKey{key: k, epoch: epoch}
+	fk := flightKey{digest: k.digest, epoch: epoch}
 	if f = sh.flights[fk]; f != nil {
-		if f.filter == filter && objectEqual(f.query, q) {
+		if f.key == k && objectEqual(f.query, q) {
 			return nil, f, false
 		}
 		return nil, nil, false // digest collision with the in-flight query
 	}
-	f = &flight{query: q, filter: filter, done: make(chan struct{})}
+	f = &flight{key: k, query: q, done: make(chan struct{})}
 	sh.flights[fk] = f
 	return nil, f, true
 }
 
-// release publishes a finished fill: the flight (if any) is closed so
-// waiters wake, and a successful answer is stored under the epoch it
-// observed, evicting LRU entries beyond the shard budget.
-func (c *Cache) release(k key, fk flightKey, f *flight, q core.Object, filter string, epoch uint64, ids []int, nns []core.Neighbor, err error) {
+// release publishes a finished fill: a successful answer is memoized
+// under the epoch it observed, evicting LRU entries beyond the shard
+// budget, and the flight (if any, registered at lookupEpoch) is closed
+// so waiters wake to the same memoized copy.
+func (c *Cache) release(k key, lookupEpoch uint64, f *flight, q core.Object, ans plan.Answer, err error) {
+	if err == nil {
+		ans = memo(ans)
+	}
 	sh := c.shardFor(k)
 	sh.mu.Lock()
 	if f != nil {
-		delete(sh.flights, fk)
+		f.ans, f.err = ans, err
+		delete(sh.flights, flightKey{digest: k.digest, epoch: lookupEpoch})
 	}
 	if err == nil {
-		c.store(sh, k, q, filter, epoch, ids, nns)
+		c.store(sh, &entry{key: k, query: q, ans: ans})
 	}
 	sh.mu.Unlock()
 	if f != nil {
@@ -443,24 +358,23 @@ func (c *Cache) release(k key, fk flightKey, f *flight, q core.Object, filter st
 	}
 }
 
-// store inserts or replaces the entry for k. Called with sh.mu held.
-func (c *Cache) store(sh *shard, k key, q core.Object, filter string, epoch uint64, ids []int, nns []core.Neighbor) {
-	size := entrySize(q, ids, nns) + int64(len(filter))
-	if size > sh.maxBytes {
+// store inserts e, replacing the entry under the same digest. Called
+// with sh.mu held.
+func (c *Cache) store(sh *shard, e *entry) {
+	e.bytes = entrySize(e.query, e.ans) + int64(len(e.key.filter))
+	if e.bytes > sh.maxBytes {
 		return // larger than a whole stripe's budget: not cacheable
 	}
-	if old := sh.entries[k]; old != nil {
-		if old.epoch > epoch {
+	if old := sh.entries[e.key.digest]; old != nil {
+		if old.ans.Epoch > e.ans.Epoch {
 			return // a fill for a newer dataset version already landed
 		}
 		sh.bytes -= old.bytes
 		sh.lru.Remove(old.elem)
-		delete(sh.entries, k)
 	}
-	e := &entry{key: k, query: q, epoch: epoch, ids: ids, nns: nns, bytes: size}
 	e.elem = sh.lru.PushFront(e)
-	sh.entries[k] = e
-	sh.bytes += size
+	sh.entries[e.key.digest] = e
+	sh.bytes += e.bytes
 	for sh.bytes > sh.maxBytes {
 		back := sh.lru.Back()
 		if back == nil {
@@ -468,7 +382,7 @@ func (c *Cache) store(sh *shard, k key, q core.Object, filter string, epoch uint
 		}
 		victim := back.Value.(*entry)
 		sh.lru.Remove(back)
-		delete(sh.entries, victim.key)
+		delete(sh.entries, victim.key.digest)
 		sh.bytes -= victim.bytes
 		c.evictions.Add(1)
 	}
@@ -477,9 +391,9 @@ func (c *Cache) store(sh *shard, k key, q core.Object, filter string, epoch uint
 // entrySize estimates the resident bytes of one answer: a fixed
 // per-entry overhead (map bucket, list element, headers) plus the query
 // and answer payloads.
-func entrySize(q core.Object, ids []int, nns []core.Neighbor) int64 {
+func entrySize(q core.Object, ans plan.Answer) int64 {
 	const overhead = 128
-	return overhead + objectBytes(q) + int64(len(ids))*8 + int64(len(nns))*16
+	return overhead + objectBytes(q) + int64(len(ans.IDs))*8 + int64(len(ans.Neighbors))*16
 }
 
 func objectBytes(q core.Object) int64 {
@@ -526,7 +440,7 @@ func fnvWord(h uint64, w uint64) uint64 {
 // library object kinds stay on the annotated path.)
 //
 //metriclint:noalloc
-func digest(q core.Object, kd kind, param uint64, filter string) uint64 {
+func digest(q core.Object, kd plan.Kind, param uint64, filter string) uint64 {
 	h := uint64(fnvOffset64)
 	h = fnvByte(h, byte(kd))
 	h = fnvWord(h, param)

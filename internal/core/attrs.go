@@ -165,3 +165,45 @@ type AcceptSearcher interface {
 	// k nearest objects among those satisfying accept.
 	KNNSearchAccept(q Object, k int, accept Accept) ([]Neighbor, error)
 }
+
+// PostFilterKNN extracts the k nearest accepted objects from an index
+// without predicate pushdown. Each round probes for the kk nearest
+// objects unfiltered and keeps the accepted ones; because a kNN answer
+// is the top kk of the total (distance, id) order, its accepted subset
+// is a prefix of the true filtered answer. kk starts at the caller's
+// guess (raised to at least 2k) and doubles until k accepted neighbors
+// surface or kk reaches n, the live object count, at which point the
+// probe was exhaustive and the answer exact.
+func PostFilterKNN(probe func(kk int) ([]Neighbor, error), n, k, kk int, accept Accept) ([]Neighbor, error) {
+	if k <= 0 || n == 0 {
+		return []Neighbor{}, nil
+	}
+	if k > n {
+		k = n // no answer is longer than the live set; also bounds kk
+	}
+	if kk < 2*k {
+		kk = 2 * k
+	}
+	for {
+		if kk > n {
+			kk = n
+		}
+		nbrs, err := probe(kk)
+		if err != nil {
+			return nil, err
+		}
+		kept := make([]Neighbor, 0, k)
+		for _, nb := range nbrs {
+			if accept(nb.ID) {
+				kept = append(kept, nb)
+				if len(kept) == k {
+					return kept, nil
+				}
+			}
+		}
+		if kk >= n {
+			return kept, nil
+		}
+		kk *= 2
+	}
+}

@@ -18,6 +18,15 @@
 // memoized under the epoch they were observed at, so every committed
 // write invalidates the whole working set with no flush path at all.
 //
+// There is one query path: Live.Search takes a plan.Query (kind,
+// object, radius or k, optional filter, optional trace) and returns a
+// plan.Answer (ids or neighbors, the epoch read in the same section,
+// the executed plan, whether the cache served it). It is the only code
+// that probes the cache, enters the read section, plans a filter and
+// records spans; RangeSearch/KNNSearch, RangeSearchAt/KNNSearchAt and
+// RangeSearchFiltered/KNNSearchFiltered are adapters that pick fields
+// of its Answer (search.go).
+//
 // Swap is the graceful-rebuild path a long-lived server needs: the
 // current dataset is snapshotted in one write section, the replacement
 // index is built over the snapshot with no locks held (searches and

@@ -59,17 +59,17 @@ type Metrics struct {
 	QueueWait *obs.Histogram
 }
 
-// AnswerCached is the optional interface of indexes that can serve a
-// memoized answer without computing (epoch.Live with an attached
-// answer cache implements it). The engine probes it per query before
-// dispatching a batch: hits are answered inline and never occupy a
-// worker slot, so the pool's concurrency is spent entirely on real
-// misses. Peek methods must be cheap, must not compute distances, and
-// must return answers identical to a fresh search at the moment of the
-// call.
-type AnswerCached interface {
-	PeekRange(q core.Object, r float64) ([]int, bool)
-	PeekKNN(q core.Object, k int) ([]core.Neighbor, bool)
+// Searcher is the optional interface of indexes that answer a whole
+// plan.Query themselves (epoch.Live): filter planning and the answer
+// cache live behind Search, and Peek serves a memoized answer without
+// computing. The engine peeks per query before dispatching a batch:
+// hits are answered inline and never occupy a worker slot, so the
+// pool's concurrency is spent entirely on real misses. Peek must be
+// cheap, must not compute distances, and must return an answer
+// identical to a fresh search at the moment of the call.
+type Searcher interface {
+	Search(q plan.Query) (plan.Answer, error)
+	Peek(q plan.Query) (plan.Answer, bool)
 }
 
 // Options configures an Engine.
@@ -133,9 +133,9 @@ type BatchStats struct {
 	// cache-hit queries alone (zeros when the batch had none).
 	HitP50, HitP95, HitP99 time.Duration
 	// CacheHits is the number of queries answered from the index's
-	// answer cache without computing — before dispatch via AnswerCached,
-	// or (filtered batches) inside the search itself. 0 when the index
-	// has no cache. Cached answers cost no compdists and no page
+	// answer cache without computing — peeked before dispatch, or
+	// resolved inside the dispatched search (Answer.Cached). 0 when the
+	// index has no cache. Cached answers cost no compdists and no page
 	// accesses, which is why a hot batch's per-query averages drop.
 	CacheHits int
 }
@@ -164,11 +164,17 @@ func (s BatchStats) Throughput() float64 {
 	return float64(s.Queries) / s.Wall.Seconds()
 }
 
-// RangeResult is the answer of a batched MRQ workload.
-type RangeResult struct {
+// Result is the answer of one batch. IDs (a range batch) or Neighbors
+// (a kNN batch) is positionally aligned with the queries; the other is
+// nil.
+type Result struct {
 	// IDs[i] is the RangeSearch answer for the i-th query, in the same
 	// ascending-id order the sequential call returns.
 	IDs [][]int
+	// Neighbors[i] is the KNNSearch answer for the i-th query, sorted by
+	// ascending distance (ties by id) exactly as the sequential call
+	// returns.
+	Neighbors [][]core.Neighbor
 	// Plans[i] is the strategy that answered the i-th query of a
 	// filtered batch (the zero value when it came from the answer
 	// cache). Nil for unfiltered batches.
@@ -177,258 +183,134 @@ type RangeResult struct {
 	Stats BatchStats
 }
 
-// KNNResult is the answer of a batched MkNNQ workload.
-type KNNResult struct {
-	// Neighbors[i] is the KNNSearch answer for the i-th query, sorted by
-	// ascending distance (ties by id) exactly as the sequential call
-	// returns.
-	Neighbors [][]core.Neighbor
-	// Plans[i] is the strategy that answered the i-th query of a
-	// filtered batch; see RangeResult.Plans.
-	Plans []plan.Strategy
-	// Stats aggregates the batch cost.
-	Stats BatchStats
-}
+// RangeResult and KNNResult name Result by the batch kind that filled it.
+type (
+	RangeResult = Result
+	KNNResult   = Result
+)
 
-// FilteredSearcher is the interface of indexes that plan and execute
-// predicate-filtered searches (epoch.Live). The returned Strategy is
-// the plan that produced the answer; its zero value means the answer
-// came from the index's answer cache.
-type FilteredSearcher interface {
-	RangeSearchFiltered(q core.Object, r float64, p *plan.Predicate) ([]int, uint64, plan.Strategy, error)
-	KNNSearchFiltered(q core.Object, k int, p *plan.Predicate) ([]core.Neighbor, uint64, plan.Strategy, error)
-}
-
-// BatchRangeSearch answers MRQ(q, r) for every query concurrently.
-// Results are positionally aligned with queries (deterministic regardless
-// of worker interleaving). The first query error or context cancellation
-// stops the batch and is returned; partial results are discarded.
+// BatchRangeSearch answers MRQ(q, r) for every query concurrently; see
+// Batch.
 func (e *Engine) BatchRangeSearch(ctx context.Context, idx core.Index, queries []core.Object, r float64) (*RangeResult, error) {
-	res := &RangeResult{IDs: make([][]int, len(queries))}
-	var peek func(i int) bool
-	if ac, ok := idx.(AnswerCached); ok {
-		peek = func(i int) bool {
-			ids, ok := ac.PeekRange(queries[i], r)
-			if ok {
-				res.IDs[i] = ids
-			}
-			return ok
-		}
-	}
-	stats, _, err := e.run(ctx, idx, len(queries), peek, func(i int) error {
-		ids, err := idx.RangeSearch(queries[i], r)
-		if err != nil {
-			return fmt.Errorf("exec: range query %d: %w", i, err)
-		}
-		res.IDs[i] = ids
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	res.Stats = stats
-	return res, nil
+	return e.Batch(ctx, idx, queries, plan.Query{Kind: plan.KindRange, Radius: r})
 }
 
-// BatchRangeSearchFiltered answers MRQ(q, r) restricted to the
-// predicate for every query concurrently. A nil predicate degrades to
-// BatchRangeSearch; otherwise the index must implement
-// FilteredSearcher. Per-query strategies land in RangeResult.Plans, and
-// queries the answer cache resolved (strategy zero) count as cache hits
-// in the stats.
-func (e *Engine) BatchRangeSearchFiltered(ctx context.Context, idx core.Index, queries []core.Object, r float64, p *plan.Predicate) (*RangeResult, error) {
-	if p == nil {
-		return e.BatchRangeSearch(ctx, idx, queries, r)
-	}
-	fs, ok := idx.(FilteredSearcher)
-	if !ok {
-		return nil, fmt.Errorf("exec: index %s does not support filtered search", idx.Name())
-	}
-	res := &RangeResult{
-		IDs:   make([][]int, len(queries)),
-		Plans: make([]plan.Strategy, len(queries)),
-	}
-	stats, durs, err := e.run(ctx, idx, len(queries), nil, func(i int) error {
-		ids, _, st, err := fs.RangeSearchFiltered(queries[i], r, p)
-		if err != nil {
-			return fmt.Errorf("exec: filtered range query %d: %w", i, err)
-		}
-		res.IDs[i] = ids
-		res.Plans[i] = st
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	res.Stats = reclassifyFiltered(stats, durs, res.Plans)
-	return res, nil
-}
-
-// BatchKNNSearch answers MkNNQ(q, k) for every query concurrently.
-// Results are positionally aligned with queries. The first query error or
-// context cancellation stops the batch and is returned; partial results
-// are discarded.
+// BatchKNNSearch answers MkNNQ(q, k) for every query concurrently; see
+// Batch.
 func (e *Engine) BatchKNNSearch(ctx context.Context, idx core.Index, queries []core.Object, k int) (*KNNResult, error) {
-	res := &KNNResult{Neighbors: make([][]core.Neighbor, len(queries))}
-	var peek func(i int) bool
-	if ac, ok := idx.(AnswerCached); ok {
-		peek = func(i int) bool {
-			nns, ok := ac.PeekKNN(queries[i], k)
-			if ok {
-				res.Neighbors[i] = nns
-			}
-			return ok
-		}
-	}
-	stats, _, err := e.run(ctx, idx, len(queries), peek, func(i int) error {
-		nns, err := idx.KNNSearch(queries[i], k)
-		if err != nil {
-			return fmt.Errorf("exec: knn query %d: %w", i, err)
-		}
-		res.Neighbors[i] = nns
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	res.Stats = stats
-	return res, nil
+	return e.Batch(ctx, idx, queries, plan.Query{Kind: plan.KindKNN, K: k})
 }
 
-// BatchKNNSearchFiltered answers MkNNQ(q, k) over the predicate's
-// matches for every query concurrently; see BatchRangeSearchFiltered.
-func (e *Engine) BatchKNNSearchFiltered(ctx context.Context, idx core.Index, queries []core.Object, k int, p *plan.Predicate) (*KNNResult, error) {
-	if p == nil {
-		return e.BatchKNNSearch(ctx, idx, queries, k)
-	}
-	fs, ok := idx.(FilteredSearcher)
-	if !ok {
+// Batch answers the query q — its Kind, parameter and optional Filter;
+// Object and Trace are ignored — for every object in queries
+// concurrently. Results are positionally aligned with queries
+// (deterministic regardless of worker interleaving). The first query
+// error or context cancellation stops the batch and is returned;
+// partial results are discarded. A filtered batch needs an index that
+// implements Searcher.
+//
+// On a Searcher the answer cache is peeked first: hits are served
+// inline during the sweep, and only the misses are dispatched through
+// Scatter — a hot batch never waits on the worker pool at all. A
+// dispatched query the cache still resolved (filled or joined since the
+// peek) counts as a hit too. Latency percentiles are reported
+// separately for hits and misses (see BatchStats).
+func (e *Engine) Batch(ctx context.Context, idx core.Index, queries []core.Object, q plan.Query) (*Result, error) {
+	sr, _ := idx.(Searcher)
+	if q.Filter != nil && sr == nil {
 		return nil, fmt.Errorf("exec: index %s does not support filtered search", idx.Name())
 	}
-	res := &KNNResult{
-		Neighbors: make([][]core.Neighbor, len(queries)),
-		Plans:     make([]plan.Strategy, len(queries)),
-	}
-	stats, durs, err := e.run(ctx, idx, len(queries), nil, func(i int) error {
-		nns, _, st, err := fs.KNNSearchFiltered(queries[i], k, p)
-		if err != nil {
-			return fmt.Errorf("exec: filtered knn query %d: %w", i, err)
-		}
-		res.Neighbors[i] = nns
-		res.Plans[i] = st
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	res.Stats = reclassifyFiltered(stats, durs, res.Plans)
-	return res, nil
-}
-
-// reclassifyFiltered rebuilds a filtered batch's hit/miss split: cache
-// hits surface only after each search returns (strategy zero), not in a
-// pre-dispatch peek, so the run-level split saw every query as a miss.
-func reclassifyFiltered(stats BatchStats, durs []time.Duration, plans []plan.Strategy) BatchStats {
-	hit := make([]bool, len(plans))
-	hits := 0
-	for i, st := range plans {
-		if st == 0 {
-			hit[i] = true
-			hits++
-		}
-	}
-	stats.CacheHits = hits
-	stats.splitPercentiles(durs, hit)
-	return stats
-}
-
-// run answers n queries and wraps them with the per-batch cost
-// accounting. When peek is non-nil it probes the index's answer cache
-// first: hits are served inline during the sweep, and only the misses
-// are dispatched through Scatter — a hot batch never waits on the
-// worker pool at all. Latency percentiles are reported separately for
-// hits and misses (see BatchStats); callers whose hits surface only
-// after the job ran (filtered batches) reclassify via the returned
-// per-query durations and splitPercentiles.
-func (e *Engine) run(ctx context.Context, idx core.Index, n int, peek func(i int) bool, job func(i int) error) (BatchStats, []time.Duration, error) {
-	if n == 0 {
-		return BatchStats{}, nil, ctx.Err()
-	}
-	var compBase, paBase int64
+	q.Trace = nil
+	var compBase int64
 	if e.space != nil {
 		compBase = e.space.CompDists()
 	}
-	if idx != nil {
-		paBase = idx.PageAccesses()
-	}
+	paBase := idx.PageAccesses()
+	n := len(queries)
+	answers := make([]plan.Answer, n)
 	durs := make([]time.Duration, n)
-	hit := make([]bool, n)
 	start := time.Now()
 	todo := make([]int, 0, n)
-	hits := 0
-	for i := 0; i < n; i++ {
-		if peek != nil {
+	for i := range queries {
+		if sr != nil {
+			q.Object = queries[i]
 			qStart := time.Now()
-			if peek(i) {
-				durs[i] = time.Since(qStart)
-				hit[i] = true
-				hits++
+			if a, ok := sr.Peek(q); ok {
+				answers[i], durs[i] = a, time.Since(qStart)
 				continue
 			}
 		}
 		todo = append(todo, i)
 	}
 	m := e.metrics
-	timed := func(j int) error {
-		i := todo[j]
+	job := func(j int) error {
+		i, q := todo[j], q
+		q.Object = queries[i]
 		qStart := time.Now()
 		if m != nil {
 			// Queue wait: batch arrival to worker pickup for this query.
 			m.QueueWait.Observe(qStart.Sub(start).Seconds())
 		}
-		err := job(i)
+		var err error
+		switch {
+		case sr != nil:
+			answers[i], err = sr.Search(q)
+		case q.Kind == plan.KindRange:
+			answers[i].IDs, err = idx.RangeSearch(q.Object, q.Radius)
+		default:
+			answers[i].Neighbors, err = idx.KNNSearch(q.Object, q.K)
+		}
 		durs[i] = time.Since(qStart)
-		return err
+		if err != nil {
+			return fmt.Errorf("exec: query %d: %w", i, err)
+		}
+		return nil
 	}
-	if err := Scatter(ctx, e.workers, len(todo), timed); err != nil {
-		return BatchStats{}, nil, err
+	if err := Scatter(ctx, e.workers, len(todo), job); err != nil {
+		return nil, err
 	}
 	if m != nil {
 		m.Batches.Inc()
 		m.BatchQueries.Observe(float64(n))
-		m.PredispatchHits.Add(int64(hits))
+		m.PredispatchHits.Add(int64(n - len(todo)))
 	}
-	stats := BatchStats{Queries: n, Wall: time.Since(start), CacheHits: hits}
-	stats.splitPercentiles(durs, hit)
-	if e.space != nil {
-		stats.CompDists = e.space.CompDists() - compBase
+	res := &Result{Stats: BatchStats{Queries: n, Wall: time.Since(start)}}
+	if q.Kind == plan.KindRange {
+		res.IDs = make([][]int, n)
+	} else {
+		res.Neighbors = make([][]core.Neighbor, n)
 	}
-	if idx != nil {
-		// A hot-swappable index (epoch.Live) may replace its structure —
-		// and its counter — mid-batch; clamp rather than report a
-		// negative delta across the cutover.
-		if stats.PageAccesses = idx.PageAccesses() - paBase; stats.PageAccesses < 0 {
-			stats.PageAccesses = 0
-		}
+	if q.Filter != nil {
+		res.Plans = make([]plan.Strategy, n)
 	}
-	return stats, durs, nil
-}
-
-// splitPercentiles fills the stats' miss (P50/P95/P99) and hit
-// (HitP50/HitP95/HitP99) percentile sets from per-query durations and
-// the hit classification mask.
-func (s *BatchStats) splitPercentiles(durs []time.Duration, hit []bool) {
-	missDurs := make([]time.Duration, 0, len(durs))
-	hitDurs := make([]time.Duration, 0, s.CacheHits)
-	for i, d := range durs {
-		if hit[i] {
-			hitDurs = append(hitDurs, d)
+	var hitDurs, missDurs []time.Duration
+	for i, a := range answers {
+		if res.IDs != nil {
+			res.IDs[i] = a.IDs
 		} else {
-			missDurs = append(missDurs, d)
+			res.Neighbors[i] = a.Neighbors
+		}
+		if res.Plans != nil {
+			res.Plans[i] = a.Strategy
+		}
+		if a.Cached {
+			hitDurs = append(hitDurs, durs[i])
+		} else {
+			missDurs = append(missDurs, durs[i])
 		}
 	}
-	s.P50, s.P95, s.P99 = LatencyPercentiles(missDurs)
-	s.HitP50, s.HitP95, s.HitP99 = LatencyPercentiles(hitDurs)
+	st := &res.Stats
+	st.CacheHits = len(hitDurs)
+	st.P50, st.P95, st.P99 = LatencyPercentiles(missDurs)
+	st.HitP50, st.HitP95, st.HitP99 = LatencyPercentiles(hitDurs)
+	if e.space != nil {
+		st.CompDists = e.space.CompDists() - compBase
+	}
+	// A hot-swappable index (epoch.Live) may replace its structure — and
+	// its counter — mid-batch; clamp rather than report a negative delta
+	// across the cutover.
+	st.PageAccesses = max(idx.PageAccesses()-paBase, 0)
+	return res, nil
 }
 
 // Scatter is the engine's dispatch primitive, exported for other

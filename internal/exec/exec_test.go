@@ -15,6 +15,7 @@ import (
 	"metricindex/internal/mvpt"
 	"metricindex/internal/omni"
 	"metricindex/internal/pivot"
+	"metricindex/internal/plan"
 	"metricindex/internal/spb"
 	"metricindex/internal/store"
 	"metricindex/internal/table"
@@ -420,9 +421,9 @@ func TestBatchOverlapsQueries(t *testing.T) {
 	}
 }
 
-// memoIndex is a stub AnswerCached index: queries listed in cached are
-// served by the peek methods, everything else computes through the
-// search methods. It lets the pre-dispatch probe be tested in isolation.
+// memoIndex is a stub Searcher index: queries listed in cached are
+// served by Peek, everything else computes through Search. It lets the
+// pre-dispatch probe be tested in isolation.
 type memoIndex struct {
 	cached   map[int]bool // query index (encoded as the vector's first coord)
 	searches atomic.Int64
@@ -432,19 +433,23 @@ type memoIndex struct {
 func (m *memoIndex) qi(q core.Object) int { return int(q.(core.Vector)[0]) }
 
 func (m *memoIndex) Name() string { return "memo" }
-func (m *memoIndex) PeekRange(q core.Object, r float64) ([]int, bool) {
+func (m *memoIndex) Peek(q plan.Query) (plan.Answer, bool) {
 	m.peeks.Add(1)
-	if m.cached[m.qi(q)] {
-		return []int{m.qi(q), 1000}, true
+	if !m.cached[m.qi(q.Object)] {
+		return plan.Answer{}, false
 	}
-	return nil, false
+	a, _ := m.Search(q)
+	m.searches.Add(-1)
+	a.Cached = true
+	return a, true
 }
-func (m *memoIndex) PeekKNN(q core.Object, k int) ([]core.Neighbor, bool) {
-	m.peeks.Add(1)
-	if m.cached[m.qi(q)] {
-		return []core.Neighbor{{ID: m.qi(q), Dist: 0}}, true
+func (m *memoIndex) Search(q plan.Query) (a plan.Answer, err error) {
+	if q.Kind == plan.KindRange {
+		a.IDs, err = m.RangeSearch(q.Object, q.Radius)
+	} else {
+		a.Neighbors, err = m.KNNSearch(q.Object, q.K)
 	}
-	return nil, false
+	return a, err
 }
 func (m *memoIndex) RangeSearch(q core.Object, r float64) ([]int, error) {
 	m.searches.Add(1)
@@ -461,7 +466,7 @@ func (m *memoIndex) ResetStats()         {}
 func (m *memoIndex) MemBytes() int64     { return 0 }
 func (m *memoIndex) DiskBytes() int64    { return 0 }
 
-// TestBatchConsultsAnswerCache proves the engine probes an AnswerCached
+// TestBatchConsultsAnswerCache proves the engine peeks a Searcher
 // index per query before dispatching: cached queries never reach the
 // worker pool, answers stay positionally aligned and identical either
 // way, and Stats.CacheHits reports the probe hits.

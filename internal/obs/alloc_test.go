@@ -1,8 +1,9 @@
-package obs
+package obs_test
 
 import (
 	"testing"
 
+	"metricindex/internal/obs"
 	"metricindex/internal/testutil"
 )
 
@@ -14,10 +15,10 @@ func TestIncrementAllocs(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("race detector instrumentation allocates; AllocsPerRun is meaningless under -race")
 	}
-	r := NewRegistry()
+	r := obs.NewRegistry()
 	c := r.Counter("mx_test_ops_total", "")
 	g := r.Gauge("mx_test_depth", "")
-	h := r.Histogram("mx_test_seconds", "", DefLatencyBuckets)
+	h := r.Histogram("mx_test_seconds", "", obs.DefLatencyBuckets)
 
 	if allocs := testing.AllocsPerRun(1000, func() {
 		c.Inc()

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"metricindex/internal/core"
+	"metricindex/internal/obs"
 )
 
 // Strategy is the execution shape of one filtered query. All three
@@ -84,14 +85,41 @@ func Choose(sel float64, n int, probeCapable bool) Strategy {
 	return StrategyProbe
 }
 
+// probeRange runs one index probe for ExecRange: through the traced
+// entry point when the query is traced and the index has one, else by
+// pushdown when accept is set (the caller checked Capable), else the
+// plain search.
+func probeRange(idx core.Index, q core.Object, r float64, accept core.Accept, tr *obs.Trace) ([]int, error) {
+	if ts, ok := idx.(TracedSearcher); ok && tr != nil {
+		return ts.RangeSearchTraced(q, r, accept, tr)
+	}
+	if accept != nil {
+		return idx.(core.AcceptSearcher).RangeSearchAccept(q, r, accept)
+	}
+	return idx.RangeSearch(q, r)
+}
+
+// probeKNN is the kNN counterpart of probeRange.
+func probeKNN(idx core.Index, q core.Object, k int, accept core.Accept, tr *obs.Trace) ([]core.Neighbor, error) {
+	if ts, ok := idx.(TracedSearcher); ok && tr != nil {
+		return ts.KNNSearchTraced(q, k, accept, tr)
+	}
+	if accept != nil {
+		return idx.(core.AcceptSearcher).KNNSearchAccept(q, k, accept)
+	}
+	return idx.KNNSearch(q, k)
+}
+
 // ExecRange answers MRQ(q, r) restricted to objects satisfying p,
 // using the given strategy. StrategyProbe silently degrades to
 // StrategyPost when the index cannot push predicates down. The result
 // is in ascending id order, exactly the predicate-filtered subset of
-// the unfiltered range answer.
-func ExecRange(ds *core.Dataset, idx core.Index, p *Predicate, q core.Object, r float64, st Strategy) ([]int, error) {
-	switch st {
-	case StrategyPre:
+// the unfiltered range answer. A nil predicate (strategy zero) is the
+// unfiltered search. A non-nil tr reaches indexes that record spans of
+// their own (TracedSearcher).
+func ExecRange(ds *core.Dataset, idx core.Index, p *Predicate, q core.Object, r float64, st Strategy, tr *obs.Trace) ([]int, error) {
+	switch {
+	case st == StrategyPre:
 		var res []int
 		for id, o := range ds.Objects() {
 			if o == nil || !p.Eval(ds.Attrs(id)) {
@@ -102,42 +130,44 @@ func ExecRange(ds *core.Dataset, idx core.Index, p *Predicate, q core.Object, r 
 			}
 		}
 		return res, nil
-	case StrategyProbe:
-		as, ok := idx.(core.AcceptSearcher)
-		if !ok {
-			return ExecRange(ds, idx, p, q, r, StrategyPost)
-		}
-		ids, err := as.RangeSearchAccept(q, r, func(id int) bool {
-			return p.Eval(ds.Attrs(id))
-		})
+	case st == StrategyProbe && Capable(idx):
+		ids, err := probeRange(idx, q, r, func(id int) bool { return p.Eval(ds.Attrs(id)) }, tr)
 		if err != nil {
 			return nil, err
 		}
 		sort.Ints(ids)
 		return ids, nil
-	default:
-		ids, err := idx.RangeSearch(q, r)
-		if err != nil {
-			return nil, err
-		}
-		res := ids[:0]
-		for _, id := range ids {
-			if p.Eval(ds.Attrs(id)) {
-				res = append(res, id)
-			}
-		}
-		return res, nil
 	}
+	ids, err := probeRange(idx, q, r, nil, tr)
+	if err != nil {
+		return nil, err
+	}
+	if p == nil {
+		return ids, nil
+	}
+	res := ids[:0]
+	for _, id := range ids {
+		if p.Eval(ds.Attrs(id)) {
+			res = append(res, id)
+		}
+	}
+	return res, nil
 }
 
 // ExecKNN answers MkNNQ(q, k) over objects satisfying p, using the
-// given strategy. selHint seeds the post-filter's k inflation (pass the
-// estimated selectivity; any value outside (0, 1] falls back to 0.5).
-// Fewer than k neighbors are returned only when fewer than k live
-// objects match the predicate.
-func ExecKNN(ds *core.Dataset, idx core.Index, p *Predicate, q core.Object, k int, st Strategy, selHint float64) ([]core.Neighbor, error) {
-	switch st {
-	case StrategyPre:
+// given strategy (see ExecRange for nil p and tr). selHint seeds the
+// post-filter's k inflation (pass the estimated selectivity; any value
+// outside (0, 1] falls back to 0.5): the probe asks for k/selHint
+// neighbors first and core.PostFilterKNN doubles from there. Fewer
+// than k neighbors are returned only when fewer than k live objects
+// match the predicate.
+func ExecKNN(ds *core.Dataset, idx core.Index, p *Predicate, q core.Object, k int, st Strategy, selHint float64, tr *obs.Trace) ([]core.Neighbor, error) {
+	if p == nil {
+		return probeKNN(idx, q, k, nil, tr)
+	}
+	accept := func(id int) bool { return p.Eval(ds.Attrs(id)) }
+	switch {
+	case st == StrategyPre:
 		h := core.NewKNNHeap(k)
 		for id, o := range ds.Objects() {
 			if o == nil || !p.Eval(ds.Attrs(id)) {
@@ -146,77 +176,12 @@ func ExecKNN(ds *core.Dataset, idx core.Index, p *Predicate, q core.Object, k in
 			h.Push(id, ds.Space().Distance(q, o))
 		}
 		return h.Result(), nil
-	case StrategyProbe:
-		as, ok := idx.(core.AcceptSearcher)
-		if !ok {
-			return ExecKNN(ds, idx, p, q, k, StrategyPost, selHint)
-		}
-		return as.KNNSearchAccept(q, k, func(id int) bool {
-			return p.Eval(ds.Attrs(id))
-		})
-	default:
-		return postKNN(ds, idx, p, q, k, selHint)
+	case st == StrategyProbe && Capable(idx):
+		return probeKNN(idx, q, k, accept, tr)
 	}
-}
-
-// postKNN is the inflated-k re-probe loop. Each round probes the
-// unfiltered index for kk neighbors and keeps the matches; because the
-// index's kNN answer is the top kk of the total (distance, id) order,
-// its matching subset is a prefix of the true filtered answer. The loop
-// doubles kk until k matches surface or kk reaches the live count, at
-// which point the probe was exhaustive.
-func postKNN(ds *core.Dataset, idx core.Index, p *Predicate, q core.Object, k int, selHint float64) ([]core.Neighbor, error) {
-	n := ds.Count()
-	if k <= 0 || n == 0 {
-		return []core.Neighbor{}, nil
+	if !(selHint > 0) || selHint > 1 {
+		selHint = 0.5
 	}
-	sel := selHint
-	if !(sel > 0) || sel > 1 {
-		sel = 0.5
-	}
-	kk := int(math.Ceil(float64(k) / sel))
-	if kk < 2*k {
-		kk = 2 * k
-	}
-	if kk > n {
-		kk = n
-	}
-	for {
-		nbrs, err := idx.KNNSearch(q, kk)
-		if err != nil {
-			return nil, err
-		}
-		matched := make([]core.Neighbor, 0, k)
-		for _, nb := range nbrs {
-			if p.Eval(ds.Attrs(nb.ID)) {
-				matched = append(matched, nb)
-				if len(matched) == k {
-					return matched, nil
-				}
-			}
-		}
-		if kk >= n {
-			return matched, nil
-		}
-		kk *= 2
-		if kk > n {
-			kk = n
-		}
-	}
-}
-
-// RunRange estimates, chooses, and executes in one call; it returns the
-// strategy it picked so callers can record the plan mix.
-func RunRange(ds *core.Dataset, idx core.Index, st *Stats, p *Predicate, q core.Object, r float64) ([]int, Strategy, error) {
-	strat := Choose(st.Selectivity(p), ds.Count(), Capable(idx))
-	ids, err := ExecRange(ds, idx, p, q, r, strat)
-	return ids, strat, err
-}
-
-// RunKNN is the kNN counterpart of RunRange.
-func RunKNN(ds *core.Dataset, idx core.Index, st *Stats, p *Predicate, q core.Object, k int) ([]core.Neighbor, Strategy, error) {
-	sel := st.Selectivity(p)
-	strat := Choose(sel, ds.Count(), Capable(idx))
-	nbrs, err := ExecKNN(ds, idx, p, q, k, strat, sel)
-	return nbrs, strat, err
+	probe := func(kk int) ([]core.Neighbor, error) { return probeKNN(idx, q, kk, nil, tr) }
+	return core.PostFilterKNN(probe, ds.Count(), k, int(math.Ceil(float64(k)/selHint)), accept)
 }

@@ -197,8 +197,8 @@ func New(live *epoch.Live, opts Options) (*Server, error) {
 	s.registerObs()
 	s.mux = http.NewServeMux()
 	s.hsrv = &http.Server{Handler: s.mux}
-	s.mux.HandleFunc("POST /v1/range", s.handle("range", true, s.handleRange))
-	s.mux.HandleFunc("POST /v1/knn", s.handle("knn", true, s.handleKNN))
+	s.mux.HandleFunc("POST /v1/range", s.handle("range", true, s.handleQuery(plan.KindRange)))
+	s.mux.HandleFunc("POST /v1/knn", s.handle("knn", true, s.handleQuery(plan.KindKNN)))
 	s.mux.HandleFunc("POST /v1/batch", s.handle("batch", true, s.handleBatch))
 	s.mux.HandleFunc("POST /v1/insert", s.handle("insert", true, s.handleInsert))
 	s.mux.HandleFunc("POST /v1/attrs", s.handle("attrs", true, s.handleAttrs))
@@ -453,6 +453,18 @@ func strategyString(st plan.Strategy) string {
 	return st.String()
 }
 
+// checkParam rejects an out-of-domain radius or k — the one parameter
+// check of /v1/range, /v1/knn and /v1/batch.
+func checkParam(q plan.Query) error {
+	if q.Kind == plan.KindRange && q.Radius < 0 {
+		return badRequest("radius must be >= 0")
+	}
+	if q.Kind == plan.KindKNN && q.K <= 0 {
+		return badRequest("k must be >= 1")
+	}
+	return nil
+}
+
 // RangeRequest is the body of POST /v1/range. Filter optionally
 // restricts the answer to objects whose attribute bag satisfies the
 // predicate (see docs/HYBRID.md for the clause language); Trace opts
@@ -478,72 +490,6 @@ type RangeResponse struct {
 	Trace    *TraceResult `json:"trace,omitempty"`
 }
 
-func (s *Server) handleRange(r *http.Request, ri *reqInfo) (any, error) {
-	decStart := time.Now()
-	var req RangeRequest
-	if err := decodeBody(r, &req); err != nil {
-		return nil, err
-	}
-	q, err := decodeObject(req.Query, s.proto)
-	if err != nil {
-		return nil, badRequest("query: %v", err)
-	}
-	if req.Radius < 0 {
-		return nil, badRequest("radius must be >= 0")
-	}
-	pred, err := parseFilter(req.Filter)
-	if err != nil {
-		return nil, err
-	}
-	if !req.Trace {
-		var (
-			ids []int
-			ep  uint64
-			st  plan.Strategy
-		)
-		if pred != nil {
-			ids, ep, st, err = s.live.RangeSearchFiltered(q, req.Radius, pred)
-		} else {
-			ids, ep, err = s.live.RangeSearchAt(q, req.Radius)
-		}
-		if err != nil {
-			return nil, err
-		}
-		if ids == nil {
-			ids = []int{}
-		}
-		resp := RangeResponse{IDs: ids, Epoch: ep}
-		if pred != nil {
-			resp.Strategy = strategyString(st)
-		}
-		return resp, nil
-	}
-	tr := newTrace(ri)
-	tr.Add("decode", decStart, time.Since(decStart), 0, 0)
-	var (
-		ids []int
-		ep  uint64
-		st  plan.Strategy
-	)
-	if pred != nil {
-		ids, ep, st, err = s.live.RangeSearchFilteredTraced(q, req.Radius, pred, tr)
-	} else {
-		ids, ep, err = s.live.RangeSearchTraced(q, req.Radius, tr)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if ids == nil {
-		ids = []int{}
-	}
-	resp := RangeResponse{IDs: ids, Epoch: ep}
-	if pred != nil {
-		resp.Strategy = strategyString(st)
-	}
-	resp.Trace = finishTrace(tr, ri, resp)
-	return resp, nil
-}
-
 // KNNRequest is the body of POST /v1/knn. Filter optionally restricts
 // the answer to objects whose attribute bag satisfies the predicate
 // (see docs/HYBRID.md); Trace opts into the per-query span timeline on
@@ -567,64 +513,68 @@ type KNNResponse struct {
 	Trace     *TraceResult `json:"trace,omitempty"`
 }
 
-func (s *Server) handleKNN(r *http.Request, ri *reqInfo) (any, error) {
-	decStart := time.Now()
-	var req KNNRequest
-	if err := decodeBody(r, &req); err != nil {
-		return nil, err
-	}
-	q, err := decodeObject(req.Query, s.proto)
-	if err != nil {
-		return nil, badRequest("query: %v", err)
-	}
-	if req.K <= 0 {
-		return nil, badRequest("k must be >= 1")
-	}
-	pred, err := parseFilter(req.Filter)
-	if err != nil {
-		return nil, err
-	}
-	if !req.Trace {
-		var (
-			nns []core.Neighbor
-			ep  uint64
-			st  plan.Strategy
-		)
-		if pred != nil {
-			nns, ep, st, err = s.live.KNNSearchFiltered(q, req.K, pred)
+// handleQuery is the one handler body behind POST /v1/range and POST
+// /v1/knn: decode the kind's request struct into a plan.Query, run it
+// through Live.Search, and encode the kind's response struct.
+func (s *Server) handleQuery(kind plan.Kind) func(r *http.Request, ri *reqInfo) (any, error) {
+	return func(r *http.Request, ri *reqInfo) (any, error) {
+		decStart := time.Now()
+		q := plan.Query{Kind: kind}
+		var raw json.RawMessage
+		var filter string
+		var trace bool
+		if kind == plan.KindRange {
+			var req RangeRequest
+			if err := decodeBody(r, &req); err != nil {
+				return nil, err
+			}
+			raw, q.Radius, filter, trace = req.Query, req.Radius, req.Filter, req.Trace
 		} else {
-			nns, ep, err = s.live.KNNSearchAt(q, req.K)
+			var req KNNRequest
+			if err := decodeBody(r, &req); err != nil {
+				return nil, err
+			}
+			raw, q.K, filter, trace = req.Query, req.K, req.Filter, req.Trace
 		}
+		var err error
+		if q.Object, err = decodeObject(raw, s.proto); err != nil {
+			return nil, badRequest("query: %v", err)
+		}
+		if err := checkParam(q); err != nil {
+			return nil, err
+		}
+		if q.Filter, err = parseFilter(filter); err != nil {
+			return nil, err
+		}
+		if trace {
+			q.Trace = newTrace(ri)
+			q.Trace.Add("decode", decStart, time.Since(decStart), 0, 0)
+		}
+		ans, err := s.live.Search(q)
 		if err != nil {
 			return nil, err
 		}
-		resp := KNNResponse{Neighbors: toWire(nns), Epoch: ep}
-		if pred != nil {
-			resp.Strategy = strategyString(st)
+		strategy := ""
+		if q.Filter != nil {
+			strategy = strategyString(ans.Strategy)
+		}
+		var resp any
+		var traceOut **TraceResult
+		if kind == plan.KindRange {
+			rr := &RangeResponse{IDs: ans.IDs, Epoch: ans.Epoch, Strategy: strategy}
+			if rr.IDs == nil {
+				rr.IDs = []int{}
+			}
+			resp, traceOut = rr, &rr.Trace
+		} else {
+			kr := &KNNResponse{Neighbors: toWire(ans.Neighbors), Epoch: ans.Epoch, Strategy: strategy}
+			resp, traceOut = kr, &kr.Trace
+		}
+		if trace {
+			*traceOut = finishTrace(q.Trace, ri, resp)
 		}
 		return resp, nil
 	}
-	tr := newTrace(ri)
-	tr.Add("decode", decStart, time.Since(decStart), 0, 0)
-	var (
-		nns []core.Neighbor
-		ep  uint64
-		st  plan.Strategy
-	)
-	if pred != nil {
-		nns, ep, st, err = s.live.KNNSearchFilteredTraced(q, req.K, pred, tr)
-	} else {
-		nns, ep, err = s.live.KNNSearchTraced(q, req.K, tr)
-	}
-	if err != nil {
-		return nil, err
-	}
-	resp := KNNResponse{Neighbors: toWire(nns), Epoch: ep}
-	if pred != nil {
-		resp.Strategy = strategyString(st)
-	}
-	resp.Trace = finishTrace(tr, ri, resp)
-	return resp, nil
 }
 
 // BatchRequest is the body of POST /v1/batch: a whole workload answered
@@ -726,53 +676,37 @@ func (s *Server) handleBatch(r *http.Request, _ *reqInfo) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	epochLow := s.live.Epoch()
+	q := plan.Query{Radius: req.Radius, K: req.K, Filter: pred}
 	switch req.Type {
 	case "range":
-		if req.Radius < 0 {
-			return nil, badRequest("radius must be >= 0")
-		}
-		var res *exec.RangeResult
-		if pred != nil {
-			res, err = s.eng.BatchRangeSearchFiltered(r.Context(), s.live, qs, req.Radius, pred)
-		} else {
-			res, err = s.eng.BatchRangeSearch(r.Context(), s.live, qs, req.Radius)
-		}
-		if err != nil {
-			return nil, err
-		}
-		ids := res.IDs
-		for i := range ids {
-			if ids[i] == nil {
-				ids[i] = []int{}
-			}
-		}
-		return BatchResponse{IDs: ids, Plans: wirePlans(res.Plans),
-			Stats:    toWireStats(res.Stats),
-			EpochLow: epochLow, EpochHigh: s.live.Epoch()}, nil
+		q.Kind = plan.KindRange
 	case "knn":
-		if req.K <= 0 {
-			return nil, badRequest("k must be >= 1")
-		}
-		var res *exec.KNNResult
-		if pred != nil {
-			res, err = s.eng.BatchKNNSearchFiltered(r.Context(), s.live, qs, req.K, pred)
-		} else {
-			res, err = s.eng.BatchKNNSearch(r.Context(), s.live, qs, req.K)
-		}
-		if err != nil {
-			return nil, err
-		}
-		nns := make([][]Neighbor, len(res.Neighbors))
-		for i, part := range res.Neighbors {
-			nns[i] = toWire(part)
-		}
-		return BatchResponse{Neighbors: nns, Plans: wirePlans(res.Plans),
-			Stats:    toWireStats(res.Stats),
-			EpochLow: epochLow, EpochHigh: s.live.Epoch()}, nil
+		q.Kind = plan.KindKNN
 	default:
 		return nil, badRequest("type must be \"range\" or \"knn\", got %q", req.Type)
 	}
+	if err := checkParam(q); err != nil {
+		return nil, err
+	}
+	epochLow := s.live.Epoch()
+	res, err := s.eng.Batch(r.Context(), s.live, qs, q)
+	if err != nil {
+		return nil, err
+	}
+	resp := BatchResponse{IDs: res.IDs, Plans: wirePlans(res.Plans), Stats: toWireStats(res.Stats),
+		EpochLow: epochLow, EpochHigh: s.live.Epoch()}
+	for i, ids := range resp.IDs {
+		if ids == nil {
+			resp.IDs[i] = []int{}
+		}
+	}
+	if res.Neighbors != nil {
+		resp.Neighbors = make([][]Neighbor, len(res.Neighbors))
+		for i, part := range res.Neighbors {
+			resp.Neighbors[i] = toWire(part)
+		}
+	}
+	return resp, nil
 }
 
 // InsertRequest is the body of POST /v1/insert. Attrs optionally

@@ -560,3 +560,75 @@ func TestCacheOverHTTP(t *testing.T) {
 		t.Fatalf("cacheless server reported cache stats: %+v", st2.Cache)
 	}
 }
+
+// TestFilteredCacheOverHTTP: a filtered kNN repeated at one epoch is
+// served from the answer cache — strategy "cached", same neighbors, same
+// epoch — while a different predicate, or an attrs write in between,
+// runs a plan again.
+func TestFilteredCacheOverHTTP(t *testing.T) {
+	_, live, ts := newTestServer(t, 300, Options{Cache: &cache.Options{MaxBytes: 8 << 20}})
+	var ds *core.Dataset
+	live.View(func(d *core.Dataset, _ core.Index) { ds = d })
+	for id := 0; id < 20; id++ {
+		body := map[string]any{"id": id, "attrs": map[string]any{"category": "a"}}
+		if code := post(t, ts.URL+"/v1/attrs", body, nil); code != http.StatusOK {
+			t.Fatalf("attrs %d: status %d", id, code)
+		}
+	}
+	knn := func(filter string) KNNResponse {
+		t.Helper()
+		var kr KNNResponse
+		body := map[string]any{"query": testutil.RandomQuery(ds, 4), "k": 3, "filter": filter}
+		if code := post(t, ts.URL+"/v1/knn", body, &kr); code != http.StatusOK {
+			t.Fatalf("filtered knn %q: status %d", filter, code)
+		}
+		return kr
+	}
+	first := knn(`category = "a"`)
+	if first.Strategy == "" || first.Strategy == "cached" || len(first.Neighbors) != 3 {
+		t.Fatalf("cold filtered knn: %+v", first)
+	}
+	second := knn(`category = "a"`)
+	if second.Strategy != "cached" || second.Epoch != first.Epoch || !reflect.DeepEqual(second.Neighbors, first.Neighbors) {
+		t.Fatalf("repeated filtered knn was not served from the cache:\n first  %+v\n second %+v", first, second)
+	}
+	if other := knn(`category = "b"`); other.Strategy == "cached" || len(other.Neighbors) != 0 {
+		t.Fatalf("a different predicate was served the cached answer: %+v", other)
+	}
+	moved := map[string]any{"id": first.Neighbors[0].ID, "attrs": map[string]any{"category": "b"}}
+	if code := post(t, ts.URL+"/v1/attrs", moved, nil); code != http.StatusOK {
+		t.Fatalf("attrs: status %d", code)
+	}
+	third := knn(`category = "a"`)
+	if third.Strategy == "cached" || third.Epoch <= first.Epoch || third.Neighbors[0].ID == first.Neighbors[0].ID {
+		t.Fatalf("attrs write did not invalidate the filtered entry: %+v", third)
+	}
+}
+
+// TestClientStatsAreBounded: a caller rotating the client header cannot
+// grow the per-client tracker set past maxTracked (+ the overflow line).
+func TestClientStatsAreBounded(t *testing.T) {
+	srv, _, ts := newTestServer(t, 50, Options{})
+	for i := 0; i < 10*maxTracked; i++ {
+		req := httptest.NewRequest("GET", "/healthz", nil)
+		req.Header.Set("X-Client", fmt.Sprintf("rotating-%d", i))
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("healthz: status %d", rec.Code)
+		}
+	}
+	var st StatsResponse
+	if code := get(t, ts.URL+"/v1/stats", &st); code != http.StatusOK {
+		t.Fatalf("stats: status %d", code)
+	}
+	if len(st.Clients) > maxTracked+1 {
+		t.Fatalf("%d client lines after %d distinct headers; want <= %d", len(st.Clients), 10*maxTracked, maxTracked+1)
+	}
+	if other := st.Clients[overflowKey]; other.Count < int64(9*maxTracked) {
+		t.Fatalf("overflow line counted %d requests, want >= %d: the excess clients must fold into it", other.Count, 9*maxTracked)
+	}
+	if first := st.Clients["rotating-0"]; first.Count != 1 {
+		t.Fatalf("a client seen before the cap lost its own line: %+v", first)
+	}
+}

@@ -102,6 +102,16 @@ func (tr *tracker) stats() TrackerStats {
 	return s
 }
 
+// maxTracked bounds the distinct keys of one statSet. Client keys come
+// from a request header, and a tracker holds two ringSize-slot rings
+// (~33 KB), so an unbounded set would let a caller rotating the header
+// grow the heap without limit; keys arriving once the set is full share
+// the overflowKey line.
+const (
+	maxTracked  = 256
+	overflowKey = "other"
+)
+
 // statSet is a keyed family of trackers (per endpoint, per client).
 type statSet struct {
 	mu sync.RWMutex
@@ -119,6 +129,9 @@ func (s *statSet) get(key string) *tracker {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.m[key] == nil && len(s.m) >= maxTracked {
+		key = overflowKey
+	}
 	if tr = s.m[key]; tr == nil {
 		tr = &tracker{}
 		s.m[key] = tr

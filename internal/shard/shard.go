@@ -69,28 +69,24 @@ type Sharded struct {
 	seq     int // objects routed so far (round-robin state)
 	workers int
 
-	// probeObs[i] and probeNames[i] are the fanout-latency histogram and
-	// trace span name of shard i, set by RegisterObs before the index
-	// starts serving. Nil when uninstrumented.
-	probeObs   []*obs.Histogram
+	// probeNames[i] is the trace span name of shard i. probeObs[i] is its
+	// fanout-latency histogram, set by RegisterObs before the index
+	// starts serving; nil when uninstrumented.
 	probeNames []string
+	probeObs   []*obs.Histogram
 }
 
 // RegisterObs instruments the scatter path: every shard probe observes
-// mx_shard_probe_seconds{shard="i"} and traced queries get one
-// probe_shard<i> span per shard. Call before the index serves queries
+// mx_shard_probe_seconds{shard="i"}. Call before the index serves queries
 // (registration allocates; the probes themselves do not). Registration
 // is idempotent across swaps — a rebuilt Sharded re-registering the
 // same shard labels receives the same histogram handles.
 func (s *Sharded) RegisterObs(reg *obs.Registry) {
 	s.probeObs = make([]*obs.Histogram, len(s.subs))
-	s.probeNames = make([]string, len(s.subs))
 	for i := range s.subs {
-		lbl := strconv.Itoa(i)
 		s.probeObs[i] = reg.Histogram("mx_shard_probe_seconds",
 			"Per-shard fanout latency of scatter-gather probes.",
-			obs.DefLatencyBuckets, obs.Label{Key: "shard", Value: lbl})
-		s.probeNames[i] = "probe_shard" + lbl
+			obs.DefLatencyBuckets, obs.Label{Key: "shard", Value: strconv.Itoa(i)})
 	}
 }
 
@@ -144,8 +140,10 @@ func New(ds *core.Dataset, builder Builder, opts Options) (*Sharded, error) {
 	s.seq = len(live)
 
 	s.subDS = make([]*core.Dataset, n)
+	s.probeNames = make([]string, n)
 	for sh := range mirrors {
 		s.subDS[sh] = core.NewDataset(ds.Space(), mirrors[sh])
+		s.probeNames[sh] = "probe_shard" + strconv.Itoa(sh)
 	}
 
 	// Build the sub-indexes in parallel: shards partition the objects, so
@@ -218,25 +216,39 @@ func (s *Sharded) scatter(tr *obs.Trace, job func(sh int) error) error {
 	return exec.Scatter(context.Background(), s.workers, len(s.subs), wrapped)
 }
 
-// RangeSearch answers MRQ(q, r) as the union of the shard answers: shards
-// partition the live objects, so concatenating the (disjoint) per-shard id
-// lists and sorting yields exactly the unsharded answer.
-func (s *Sharded) RangeSearch(q core.Object, r float64) ([]int, error) {
-	return s.rangeSearch(q, r, nil)
-}
-
-// RangeSearchTraced is RangeSearch with a span per shard probe plus a
-// merge span recorded into tr. A nil tr degrades to RangeSearch.
-func (s *Sharded) RangeSearchTraced(q core.Object, r float64, tr *obs.Trace) ([]int, error) {
-	return s.rangeSearch(q, r, tr)
-}
-
-func (s *Sharded) rangeSearch(q core.Object, r float64, tr *obs.Trace) ([]int, error) {
+// RangeSearchTraced is the one MRQ scatter: the union of the shard
+// answers. Shards partition the live objects, so concatenating the
+// (disjoint) per-shard id lists and sorting yields exactly the
+// unsharded answer. Both options travel with the scatter: a non-nil
+// accept restricts the answer to accepted ids, each shard rejecting
+// non-matching candidates before their distance — concurrently, on the
+// same worker pool — and a non-nil tr records a span per shard probe
+// plus a merge span (plan.TracedSearcher). A shard whose sub-index
+// cannot push the predicate down filters its own answer instead, which
+// keeps the merged answer exact whatever mix of capabilities the
+// shards have.
+func (s *Sharded) RangeSearchTraced(q core.Object, r float64, accept core.Accept, tr *obs.Trace) ([]int, error) {
 	parts := make([][]int, len(s.subs))
 	err := s.scatter(tr, func(sh int) error {
-		ids, err := s.subs[sh].RangeSearch(q, r)
+		var ids []int
+		var err error
+		as, pushdown := s.subs[sh].(core.AcceptSearcher)
+		if accept != nil && pushdown {
+			ids, err = as.RangeSearchAccept(q, r, accept)
+		} else {
+			ids, err = s.subs[sh].RangeSearch(q, r)
+		}
 		if err != nil {
 			return fmt.Errorf("shard %d: %w", sh, err)
+		}
+		if accept != nil && !pushdown {
+			kept := ids[:0]
+			for _, id := range ids {
+				if accept(id) {
+					kept = append(kept, id)
+				}
+			}
+			ids = kept
 		}
 		parts[sh] = ids
 		return nil
@@ -245,15 +257,7 @@ func (s *Sharded) rangeSearch(q core.Object, r float64, tr *obs.Trace) ([]int, e
 		return nil, err
 	}
 	mergeStart := time.Now()
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	if total == 0 {
-		tr.Add("merge", mergeStart, time.Since(mergeStart), 0, 0)
-		return nil, nil
-	}
-	res := make([]int, 0, total)
+	var res []int
 	for _, p := range parts {
 		res = append(res, p...)
 	}
@@ -262,31 +266,32 @@ func (s *Sharded) rangeSearch(q core.Object, r float64, tr *obs.Trace) ([]int, e
 	return res, nil
 }
 
-// KNNSearch answers MkNNQ(q, k) by scatter-gather: every shard reports its
-// own k nearest (any global top-k object is necessarily in its shard's
-// top-k), and the candidates merge through a KNNHeap whose
-// distance-then-id ordering matches the per-index contract exactly.
-func (s *Sharded) KNNSearch(q core.Object, k int) ([]core.Neighbor, error) {
-	return s.knnSearch(q, k, nil)
-}
-
-// KNNSearchTraced is KNNSearch with a span per shard probe plus a merge
-// span recorded into tr. A nil tr degrades to KNNSearch.
-func (s *Sharded) KNNSearchTraced(q core.Object, k int, tr *obs.Trace) ([]core.Neighbor, error) {
-	return s.knnSearch(q, k, tr)
-}
-
-func (s *Sharded) knnSearch(q core.Object, k int, tr *obs.Trace) ([]core.Neighbor, error) {
+// KNNSearchTraced is the one MkNNQ scatter (options as in
+// RangeSearchTraced): every shard reports its own k nearest accepted
+// objects — any member of the global top-k is in its shard's top-k —
+// and the candidates merge through a KNNHeap whose distance-then-id
+// ordering matches the per-index contract exactly. A shard without
+// pushdown re-probes with an inflated k (core.PostFilterKNN).
+func (s *Sharded) KNNSearchTraced(q core.Object, k int, accept core.Accept, tr *obs.Trace) ([]core.Neighbor, error) {
 	if k <= 0 {
 		return nil, nil
 	}
 	parts := make([][]core.Neighbor, len(s.subs))
 	err := s.scatter(tr, func(sh int) error {
-		nns, err := s.subs[sh].KNNSearch(q, k)
+		var err error
+		as, pushdown := s.subs[sh].(core.AcceptSearcher)
+		switch {
+		case accept == nil:
+			parts[sh], err = s.subs[sh].KNNSearch(q, k)
+		case pushdown:
+			parts[sh], err = as.KNNSearchAccept(q, k, accept)
+		default:
+			probe := func(kk int) ([]core.Neighbor, error) { return s.subs[sh].KNNSearch(q, kk) }
+			parts[sh], err = core.PostFilterKNN(probe, s.subDS[sh].Count(), k, 2*k, accept)
+		}
 		if err != nil {
 			return fmt.Errorf("shard %d: %w", sh, err)
 		}
-		parts[sh] = nns
 		return nil
 	})
 	if err != nil {
@@ -302,6 +307,26 @@ func (s *Sharded) knnSearch(q core.Object, k int, tr *obs.Trace) ([]core.Neighbo
 	res := h.Result()
 	tr.Add("merge", mergeStart, time.Since(mergeStart), 0, 0)
 	return res, nil
+}
+
+// RangeSearch, KNNSearch (core.Index) and RangeSearchAccept,
+// KNNSearchAccept (core.AcceptSearcher) are adapters over the two
+// scatters.
+
+func (s *Sharded) RangeSearch(q core.Object, r float64) ([]int, error) {
+	return s.RangeSearchTraced(q, r, nil, nil)
+}
+
+func (s *Sharded) KNNSearch(q core.Object, k int) ([]core.Neighbor, error) {
+	return s.KNNSearchTraced(q, k, nil, nil)
+}
+
+func (s *Sharded) RangeSearchAccept(q core.Object, r float64, accept core.Accept) ([]int, error) {
+	return s.RangeSearchTraced(q, r, accept, nil)
+}
+
+func (s *Sharded) KNNSearchAccept(q core.Object, k int, accept core.Accept) ([]core.Neighbor, error) {
+	return s.KNNSearchTraced(q, k, accept, nil)
 }
 
 // Insert routes the object (already stored in the parent dataset under id)

@@ -102,11 +102,12 @@ func CheckFilterEquivalence(t *testing.T, ed EquivDataset, idx core.Index) {
 			t.Fatalf("%s: Parse(%q): %v", ed.Name, src, err)
 		}
 		sel := stats.Selectivity(p)
+		strat := plan.Choose(sel, ds.Count(), plan.Capable(idx))
 		for qs, pr := range probes {
 			for _, r := range pr.radii {
 				want := bruteFilterRange(ds, p, pr.q, r)
 				for _, st := range plan.Strategies {
-					got, err := plan.ExecRange(ds, idx, p, pr.q, r, st)
+					got, err := plan.ExecRange(ds, idx, p, pr.q, r, st, nil)
 					if err != nil {
 						t.Fatalf("%s: %q: ExecRange(%v, r=%v): %v", ed.Name, src, st, r, err)
 					}
@@ -115,9 +116,9 @@ func CheckFilterEquivalence(t *testing.T, ed EquivDataset, idx core.Index) {
 							ed.Name, src, qs, r, st, got, want)
 					}
 				}
-				got, strat, err := plan.RunRange(ds, idx, stats, p, pr.q, r)
+				got, err := plan.ExecRange(ds, idx, p, pr.q, r, strat, nil)
 				if err != nil {
-					t.Fatalf("%s: %q: RunRange: %v", ed.Name, src, err)
+					t.Fatalf("%s: %q: planned ExecRange: %v", ed.Name, src, err)
 				}
 				if !equalInts(got, want) {
 					t.Fatalf("%s: %q: query %d planner MRQ(r=%v) chose %v:\n got  %v\n want %v",
@@ -127,7 +128,7 @@ func CheckFilterEquivalence(t *testing.T, ed EquivDataset, idx core.Index) {
 			for _, k := range ks {
 				want := bruteFilterKNN(ds, p, pr.q, k)
 				for _, st := range plan.Strategies {
-					got, err := plan.ExecKNN(ds, idx, p, pr.q, k, st, sel)
+					got, err := plan.ExecKNN(ds, idx, p, pr.q, k, st, sel, nil)
 					if err != nil {
 						t.Fatalf("%s: %q: ExecKNN(%v, k=%d): %v", ed.Name, src, st, k, err)
 					}
@@ -136,9 +137,9 @@ func CheckFilterEquivalence(t *testing.T, ed EquivDataset, idx core.Index) {
 							ed.Name, src, qs, k, st, err, got, want)
 					}
 				}
-				got, strat, err := plan.RunKNN(ds, idx, stats, p, pr.q, k)
+				got, err := plan.ExecKNN(ds, idx, p, pr.q, k, strat, sel, nil)
 				if err != nil {
-					t.Fatalf("%s: %q: RunKNN: %v", ed.Name, src, err)
+					t.Fatalf("%s: %q: planned ExecKNN: %v", ed.Name, src, err)
 				}
 				if err := sameNeighbors(got, want); err != nil {
 					t.Fatalf("%s: %q: query %d planner MkNNQ(k=%d) chose %v: %v",

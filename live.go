@@ -4,6 +4,7 @@ import (
 	"metricindex/internal/cache"
 	"metricindex/internal/core"
 	"metricindex/internal/epoch"
+	"metricindex/internal/plan"
 )
 
 // Live is an index whose Insert/Delete are epoch-synchronized with its
@@ -19,6 +20,23 @@ import (
 // correlated against.
 type Live = epoch.Live
 
+// Query and Answer are the one request and result of a Live index:
+// Live.Search(Query) is the single query path — it probes the answer
+// cache, enters the read section, plans the Filter and records the
+// Trace — and RangeSearch/KNNSearch, RangeSearchAt/KNNSearchAt and
+// RangeSearchFiltered/KNNSearchFiltered are adapters over it. Set Kind
+// to QueryRange (with Radius) or QueryKNN (with K).
+type (
+	Query  = plan.Query
+	Answer = plan.Answer
+)
+
+// The two query kinds of the paper: MRQ(q, r) and MkNNQ(q, k).
+const (
+	QueryRange = plan.KindRange
+	QueryKNN   = plan.KindKNN
+)
+
 // IndexBuilder constructs an index over a dataset — the rebuild callback
 // of Live.Swap and ServerOptions.Builder. The shard builders in this
 // package have the same shape, so one function can serve both roles.
@@ -31,7 +49,7 @@ var ErrSwapInProgress = epoch.ErrSwapInProgress
 // CacheOptions configures the epoch-keyed answer cache of a Live index:
 // a byte-budgeted, sharded LRU that memoizes whole query answers with
 // singleflight collapse of concurrent identical misses. Entries are
-// keyed by (query, kind, radius|k, epoch), so every committed
+// keyed by (query, kind, radius|k, filter, epoch), so every committed
 // Add/Remove/Insert/Delete/Swap invalidates the working set for free —
 // a search that starts after a write commits can never be served a
 // pre-write answer. The zero value uses the defaults (32 MB, 16

@@ -96,6 +96,23 @@
 //	live.Add(obj)                              // ...safely interleave with writes
 //	live.Swap(rebuild)                         // graceful re-index under load
 //
+// A Live index has one query path: Live.Search takes a Query — Kind
+// (QueryRange or QueryKNN), Object, Radius or K, an optional Filter
+// predicate — and returns an Answer: the IDs or Neighbors, the Epoch
+// they are exact for (read in the same read section as the answer),
+// the plan Strategy a filter ran under, and whether the answer cache
+// served it (Cached). Search is the only code that probes the cache,
+// enters the read section and plans a filter; the other search methods
+// are adapters over it that pick fields of the Answer — RangeSearch
+// and KNNSearch (the Index interface), RangeSearchAt and KNNSearchAt
+// (plus the epoch), RangeSearchFiltered and KNNSearchFiltered (plus
+// the strategy; zero means served from the cache). Engine.Batch is the
+// batch counterpart, with BatchRangeSearch and BatchKNNSearch as its
+// adapters.
+//
+//	ans, _ := live.Search(metricindex.Query{Kind: metricindex.QueryKNN, Object: q, K: 10})
+//	_ = ans.Neighbors // at dataset version ans.Epoch
+//
 // NewServer exposes a Live index over HTTP/JSON — range/kNN/batch
 // queries, inserts, deletes, graceful swap, per-client and per-endpoint
 // stats (qps, p50/p95/p99 latency, compdists, page accesses) — with
@@ -116,7 +133,7 @@
 //
 // The answer cache (CacheOptions, on NewLive and ServerOptions) sits
 // above the index and memoizes whole query answers. Entries are keyed by
-// (query object, query kind, radius|k, epoch) — the epoch being the
+// (query object, query kind, radius|k, filter, epoch) — the epoch being the
 // monotone write counter a Live index reports from inside every search's
 // read section. That keying makes invalidation free and exact: any
 // committed Add/Remove/Insert/Delete/Swap bumps the epoch, so every
