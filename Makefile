@@ -20,9 +20,6 @@ GOVULNCHECK_VERSION ?= v1.1.4
 # (nilness, shadow) that plain `go vet` does not run.
 XTOOLS_VERSION ?= v0.30.0
 
-# Tolerated q/s regression fraction of the bench gate.
-MAX_REGRESS ?= 0.25
-
 # Seconds each native fuzz target runs in the `make fuzz` smoke (six
 # targets: FuzzLevenshtein, FuzzBatchKernels, FuzzDecodeQuery,
 # FuzzSnapshotHeader, FuzzPredicateParse, FuzzPredicateEval).
@@ -40,16 +37,15 @@ RACE_PKGS = ./internal/exec/... ./internal/epoch/... ./internal/server/... \
             ./internal/mtree/... ./internal/pmtree/... ./internal/persist/... \
             ./internal/bptree/... ./internal/rtree/... ./internal/spb/... \
             ./internal/mindex/... ./internal/pivot/... ./internal/dataset/... \
-            ./internal/obs/... ./internal/plan/... .
+            ./internal/obs/... ./internal/plan/... ./cmd/mserve/... .
 
 # The example programs CI runs end to end so example rot fails the
 # pipeline (each finishes in well under a second).
 EXAMPLES = ./examples/quickstart ./examples/wordsearch ./examples/geosearch \
            ./examples/imagesearch ./examples/cachedsearch
 
-.PHONY: all build benchmark-build test race fuzz bench bench-json bench-baseline \
-        bench-gate staticcheck govulncheck lint fmt vet examples serve-smoke \
-        load-smoke ci
+.PHONY: all build benchmark-build benchmark-test test race fuzz bench \
+        staticcheck govulncheck lint fmt vet examples ci
 
 all: build
 
@@ -62,6 +58,11 @@ build:
 # would stop the benchmark from building fails CI.
 benchmark-build:
 	cd benchmark && $(GO) build ./... && $(GO) vet ./...
+
+# The benchmark's own tests: manifest ↔ metric tables, every workload
+# run short with its answers checked, and -compare (~10 s).
+benchmark-test:
+	cd benchmark && $(GO) test ./...
 
 test:
 	$(GO) test ./...
@@ -81,20 +82,6 @@ fuzz:
 
 bench:
 	$(GO) test -bench='$(BENCH)' -benchtime=$(BENCHTIME) -run=^$$ .
-
-# Machine-readable throughput measurements (cmd/benchjson): BENCH_PR.json
-# is what the CI bench job uploads and gates against the committed
-# BENCH_BASELINE.json. Refresh the baseline with `make bench-baseline`
-# when the CI runner class (or a deliberate perf change) moves the floor.
-bench-json:
-	$(GO) run ./cmd/benchjson -out BENCH_PR.json
-
-bench-baseline:
-	$(GO) run ./cmd/benchjson -out BENCH_BASELINE.json
-
-bench-gate: bench-json
-	$(GO) run ./cmd/benchjson -baseline BENCH_BASELINE.json \
-		-current BENCH_PR.json -max-regress $(MAX_REGRESS)
 
 staticcheck:
 	$(GO) run honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION) ./...
@@ -128,45 +115,9 @@ examples:
 		$(GO) run $$e >/dev/null || exit 1; \
 	done
 
-# Boot mserve on a generated dataset and exercise every endpoint plus a
-# live index swap, verifying each answer against the direct index call
-# and a linear scan (the same check msearch -verify runs, which also
-# gates the dataset first). The last two legs prove durability: the
-# first -data-dir run builds, snapshots, and journals; the second must
-# restore from disk without rebuilding (-require-restore fails the boot
-# otherwise) and still pass every smoke check.
-serve-smoke:
-	$(GO) run ./cmd/datagen -kind LA -n 3000 -queries 10 -out /tmp/mserve-smoke.midx
-	$(GO) run ./cmd/msearch -data /tmp/mserve-smoke.midx -index LAESA -k 5 -verify >/dev/null
-	$(GO) run ./cmd/mserve -data /tmp/mserve-smoke.midx -index LAESA -smoke
-	$(GO) run ./cmd/mserve -data /tmp/mserve-smoke.midx -index SPB-tree -shards 2 -smoke
-	rm -rf /tmp/mserve-smoke-state
-	$(GO) run ./cmd/mserve -data /tmp/mserve-smoke.midx -index LAESA -smoke \
-		-data-dir /tmp/mserve-smoke-state
-	$(GO) run ./cmd/mserve -data /tmp/mserve-smoke.midx -index LAESA -smoke \
-		-data-dir /tmp/mserve-smoke-state -require-restore
-
-# Production load harness smoke: generate an attributed dataset, boot
-# mserve on a loopback port, and drive a short loadgen ramp that must
-# finish error-free with nonzero filtered throughput and all three
-# planner strategies (pre/probe/post) chosen at least once — the
-# end-to-end proof of the filtered-search stack under concurrency.
-# LAESA is deliberate: a probe-capable index is what lets the planner
-# reach all three strategies. See docs/HYBRID.md.
-LOADSMOKE_ADDR ?= 127.0.0.1:18099
-load-smoke:
-	$(GO) build -o /tmp/mx-loadsmoke-mserve ./cmd/mserve
-	$(GO) build -o /tmp/mx-loadsmoke-loadgen ./cmd/loadgen
-	$(GO) run ./cmd/datagen -kind LA -n 8000 -queries 200 -attrs -out /tmp/mx-loadsmoke.midx
-	@/tmp/mx-loadsmoke-mserve -data /tmp/mx-loadsmoke.midx -index LAESA \
-		-addr $(LOADSMOKE_ADDR) & SRV=$$!; \
-	/tmp/mx-loadsmoke-loadgen -addr http://$(LOADSMOKE_ADDR) \
-		-data /tmp/mx-loadsmoke.midx -ramp 4,16,32 -step 10s -assert \
-		-out /tmp/mx-loadsmoke-report.json; \
-	rc=$$?; kill $$SRV 2>/dev/null; wait $$SRV 2>/dev/null; exit $$rc
-
-# The full CI surface: the test and lint jobs' steps plus the bench
-# job's gate (vet's extra analyzers, staticcheck, govulncheck and
-# bench-gate need module downloads, so an offline run can cherry-pick
-# the other targets individually — lint itself is pure stdlib).
-ci: build benchmark-build vet fmt lint staticcheck govulncheck test race fuzz examples serve-smoke load-smoke bench-gate
+# The full CI surface: the test, lint and bench jobs' steps (vet's extra
+# analyzers, staticcheck and govulncheck need module downloads, so an
+# offline run can cherry-pick the other targets individually — lint
+# itself is pure stdlib). Performance numbers come from benchmark/
+# (BENCHMARK.json), not from this target; `bench` is a does-it-run check.
+ci: build benchmark-build vet fmt lint staticcheck govulncheck test benchmark-test race fuzz examples bench

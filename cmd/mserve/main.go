@@ -10,7 +10,6 @@
 //	datagen -kind Words -n 20000 -out words.midx
 //	mserve -data words.midx -index SPB-tree -addr :8080
 //	mserve -data words.midx -index LAESA -shards 4 -workers -1
-//	mserve -data words.midx -index MVPT -smoke        # self-test all endpoints
 //	mserve -data words.midx -index MVPT -data-dir ./state   # durable: snapshot + WAL
 //
 // With -data-dir the server is durable: the built index is snapshotted
@@ -25,7 +24,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"net"
@@ -44,155 +42,45 @@ import (
 	"metricindex/internal/server"
 )
 
+// config is what boot needs to assemble the serving stack: one field per
+// flag except -addr, which only main uses.
+type config struct {
+	data, index             string
+	pivots, shards, workers int
+	inflight, queue         int
+	cacheMB                 int
+	dataDir, fsync          string
+	metrics, pprof          bool
+	slowQueryMS             int
+}
+
 func main() {
-	var (
-		data           = flag.String("data", "", "dataset file from datagen (required)")
-		index          = flag.String("index", "SPB-tree", "index: LAESA, EPT, EPT*, CPT, BKT, FQT, MVPT, PM-tree, OmniR-tree, M-index, M-index*, SPB-tree")
-		pivots         = flag.Int("pivots", 5, "number of pivots |P|")
-		shards         = flag.Int("shards", 0, "partition the dataset across this many sub-indexes (0/1 = unsharded)")
-		workers        = flag.Int("workers", -1, "batch engine and build parallelism (-1 = GOMAXPROCS)")
-		addr           = flag.String("addr", ":8080", "listen address")
-		inflight       = flag.Int("max-inflight", 0, "admission: max concurrently executing requests (0 = 4×GOMAXPROCS)")
-		queue          = flag.Int("max-queue", 0, "admission: max requests waiting for a slot (0 = 4×max-inflight)")
-		cacheMB        = flag.Int("cache-mb", 64, "epoch-keyed answer cache budget in MB; hot queries are served memoized until the next committed write (0 disables)")
-		smoke          = flag.Bool("smoke", false, "boot on a loopback port, exercise every endpoint plus a live swap against a linear scan, and exit")
-		dataDir        = flag.String("data-dir", "", "durability directory: snapshot.mxs + wal.mxl live here; boot restores from them, every committed write is logged, every swap re-snapshots (empty = volatile)")
-		fsync          = flag.String("fsync", "interval", "WAL fsync policy: always (per append), interval (background 200ms), off")
-		requireRestore = flag.Bool("require-restore", false, "fail the boot unless the state was restored from -data-dir (no fresh build) — used by the restart smoke leg")
-		metrics        = flag.Bool("metrics", true, "expose Prometheus text metrics at GET /metrics")
-		pprofOn        = flag.Bool("pprof", false, "mount net/http/pprof under GET /debug/pprof/")
-		slowQueryMS    = flag.Int("slow-query-ms", 0, "log any request slower than this many milliseconds with its compdists and page accesses (0 disables)")
-	)
+	var cfg config
+	flag.StringVar(&cfg.data, "data", "", "dataset file from datagen (required)")
+	flag.StringVar(&cfg.index, "index", "SPB-tree", "index: LAESA, EPT, EPT*, CPT, BKT, FQT, MVPT, PM-tree, OmniR-tree, M-index, M-index*, SPB-tree")
+	flag.IntVar(&cfg.pivots, "pivots", 5, "number of pivots |P|")
+	flag.IntVar(&cfg.shards, "shards", 0, "partition the dataset across this many sub-indexes (0/1 = unsharded)")
+	flag.IntVar(&cfg.workers, "workers", -1, "batch engine and build parallelism (-1 = GOMAXPROCS)")
+	addr := flag.String("addr", ":8080", "listen address")
+	flag.IntVar(&cfg.inflight, "max-inflight", 0, "admission: max concurrently executing requests (0 = 4×GOMAXPROCS)")
+	flag.IntVar(&cfg.queue, "max-queue", 0, "admission: max requests waiting for a slot (0 = 4×max-inflight)")
+	flag.IntVar(&cfg.cacheMB, "cache-mb", 64, "epoch-keyed answer cache budget in MB; hot queries are served memoized until the next committed write (0 disables)")
+	flag.StringVar(&cfg.dataDir, "data-dir", "", "durability directory: snapshot.mxs + wal.mxl live here; boot restores from them, every committed write is logged, every swap re-snapshots (empty = volatile)")
+	flag.StringVar(&cfg.fsync, "fsync", "interval", "WAL fsync policy: always (per append), interval (background 200ms), off")
+	flag.BoolVar(&cfg.metrics, "metrics", true, "expose Prometheus text metrics at GET /metrics")
+	flag.BoolVar(&cfg.pprof, "pprof", false, "mount net/http/pprof under GET /debug/pprof/")
+	flag.IntVar(&cfg.slowQueryMS, "slow-query-ms", 0, "log any request slower than this many milliseconds with its compdists and page accesses (0 disables)")
 	flag.Parse()
-	if *data == "" {
+	if cfg.data == "" {
 		fmt.Fprintln(os.Stderr, "missing -data; generate one with datagen")
 		os.Exit(2)
 	}
 
-	gen, err := dataset.Load(*data)
+	srv, live, cleanup, err := boot(cfg)
 	if err != nil {
 		fail(err)
 	}
-	fmt.Printf("loaded %s: %d objects (%s), %d queries\n",
-		*data, gen.Dataset.Count(), gen.Dataset.Space().Metric().Name(), len(gen.Queries))
-
-	cfg := bench.Config{
-		N: gen.Dataset.Count(), Queries: len(gen.Queries),
-		Pivots: *pivots, Shards: *shards, Workers: *workers,
-	}.WithDefaults()
-	env := &bench.Env{Cfg: cfg, Gen: gen}
-	if env.Pivots, err = bench.SelectHFI(gen.Dataset, cfg.Pivots, cfg.Seed+1); err != nil {
-		fail(err)
-	}
-	builder, err := bench.BuilderByName(*index)
-	if err != nil {
-		fail(err)
-	}
-	if builder.DiscreteOnly && !env.Discrete() {
-		fail(fmt.Errorf("%s requires a discrete metric; %s is continuous",
-			*index, gen.Dataset.Space().Metric().Name()))
-	}
-
-	// One registry for the whole process: the server registers every
-	// layer's instruments on it, and durable adds the persistence push
-	// handles (WAL append/fsync, snapshot timers) as they come online.
-	reg := obs.NewRegistry()
-
-	var dur *durable
-	if *dataDir != "" {
-		if cfg.Shards > 1 {
-			fail(fmt.Errorf("-data-dir does not support -shards > 1 (sharded fronts have no snapshot format yet)"))
-		}
-		mode, err := persist.ParseSyncMode(*fsync)
-		if err != nil {
-			fail(err)
-		}
-		if err := os.MkdirAll(*dataDir, 0o755); err != nil {
-			fail(err)
-		}
-		dur = newDurable(*dataDir, mode, reg)
-	}
-
-	var live *epoch.Live
-	if dur != nil {
-		restored, err := dur.restore(gen.Dataset.Space().Metric().Name())
-		if err != nil {
-			fail(err)
-		}
-		live = restored
-	}
-	if live == nil {
-		if *requireRestore {
-			fail(errors.New("-require-restore: no usable snapshot in " + *dataDir))
-		}
-		built, cost, err := bench.MeasureBuild(env, builder)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Printf("built %s in %v: %d compdists, %d KB memory, %d KB disk\n",
-			built.Index.Name(), cost.Time.Round(time.Millisecond),
-			cost.CompDists, cost.MemBytes/1024, cost.DiskBytes/1024)
-		live = epoch.NewLive(gen.Dataset, built.Index)
-		if dur != nil {
-			if err := dur.attach(live); err != nil {
-				fail(err)
-			}
-		}
-	}
-	defer func() {
-		if dur != nil {
-			dur.close()
-		}
-	}()
-	// The swap rebuild re-runs the same builder (re-sharded if sharded)
-	// over the drifted live dataset, with fresh HFI pivots selected on it.
-	rebuild := func(ds *core.Dataset) (core.Index, error) {
-		renv, err := env.WithDataset(ds)
-		if err != nil {
-			return nil, err
-		}
-		b := builder
-		if renv.Cfg.Shards > 1 {
-			b = bench.ShardedBuilder(builder, renv.Cfg.Shards)
-		}
-		rebuilt, err := b.Build(renv)
-		if err != nil {
-			return nil, err
-		}
-		return rebuilt.Index, nil
-	}
-	sopts := server.Options{
-		MaxInFlight: *inflight, MaxQueue: *queue,
-		Workers: cfg.Workers, Builder: rebuild,
-		Obs:            reg,
-		DisableMetrics: !*metrics,
-		PProf:          *pprofOn,
-	}
-	if *slowQueryMS > 0 {
-		sopts.SlowQueryThreshold = time.Duration(*slowQueryMS) * time.Millisecond
-	}
-	if dur != nil {
-		// Snapshot-on-swap: each graceful rebuild re-snapshots the fresh
-		// structure and truncates the now-redundant WAL prefix.
-		sopts.AfterSwap = dur.afterSwap(live)
-		sopts.PersistStats = dur.stats
-	}
-	if *cacheMB > 0 {
-		sopts.Cache = &cache.Options{MaxBytes: int64(*cacheMB) << 20}
-		fmt.Printf("answer cache: %d MB, epoch-keyed\n", *cacheMB)
-	}
-	srv, err := server.New(live, sopts)
-	if err != nil {
-		fail(err)
-	}
-
-	if *smoke {
-		if err := runSmoke(srv, live, gen, *metrics); err != nil {
-			fail(fmt.Errorf("smoke: %w", err))
-		}
-		fmt.Println("smoke: all endpoints verified ✓")
-		return
-	}
+	defer cleanup()
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
@@ -217,6 +105,121 @@ func main() {
 			fail(err)
 		}
 	}
+}
+
+// boot assembles everything main serves: load the dataset, restore the
+// live index from cfg.dataDir or build it fresh (and make it durable),
+// and wrap it in a server. cleanup closes the write-ahead log; it is
+// non-nil only with a nil error.
+func boot(cfg config) (srv *server.Server, live *epoch.Live, cleanup func(), err error) {
+	gen, err := dataset.Load(cfg.data)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	fmt.Printf("loaded %s: %d objects (%s), %d queries\n",
+		cfg.data, gen.Dataset.Count(), gen.Dataset.Space().Metric().Name(), len(gen.Queries))
+
+	bcfg := bench.Config{
+		N: gen.Dataset.Count(), Queries: len(gen.Queries),
+		Pivots: cfg.pivots, Shards: cfg.shards, Workers: cfg.workers,
+	}.WithDefaults()
+	env := &bench.Env{Cfg: bcfg, Gen: gen}
+	if env.Pivots, err = bench.SelectHFI(gen.Dataset, bcfg.Pivots, bcfg.Seed+1); err != nil {
+		return nil, nil, nil, err
+	}
+	builder, err := bench.BuilderByName(cfg.index)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	if builder.DiscreteOnly && !env.Discrete() {
+		return nil, nil, nil, fmt.Errorf("%s requires a discrete metric; %s is continuous",
+			cfg.index, gen.Dataset.Space().Metric().Name())
+	}
+
+	// One registry for the whole process: the server registers every
+	// layer's instruments on it, and durable adds the persistence push
+	// handles (WAL append/fsync, snapshot timers) as they come online.
+	reg := obs.NewRegistry()
+
+	var dur *durable
+	if cfg.dataDir != "" {
+		if bcfg.Shards > 1 {
+			return nil, nil, nil, fmt.Errorf("-data-dir does not support -shards > 1 (sharded fronts have no snapshot format yet)")
+		}
+		var mode persist.SyncMode
+		if mode, err = persist.ParseSyncMode(cfg.fsync); err != nil {
+			return nil, nil, nil, err
+		}
+		if err = os.MkdirAll(cfg.dataDir, 0o755); err != nil {
+			return nil, nil, nil, err
+		}
+		dur = newDurable(cfg.dataDir, mode, reg)
+		// An error below may leave a WAL open; close it on the way out.
+		defer func() {
+			if err != nil {
+				dur.close()
+			}
+		}()
+		if live, err = dur.restore(gen.Dataset.Space().Metric().Name()); err != nil {
+			return nil, nil, nil, err
+		}
+	}
+	if live == nil {
+		built, cost, err := bench.MeasureBuild(env, builder)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		fmt.Printf("built %s in %v: %d compdists, %d KB memory, %d KB disk\n",
+			built.Index.Name(), cost.Time.Round(time.Millisecond),
+			cost.CompDists, cost.MemBytes/1024, cost.DiskBytes/1024)
+		live = epoch.NewLive(gen.Dataset, built.Index)
+		if dur != nil {
+			if err := dur.attach(live); err != nil {
+				return nil, nil, nil, err
+			}
+		}
+	}
+	// The swap rebuild re-runs the same builder (re-sharded if sharded)
+	// over the drifted live dataset, with fresh HFI pivots selected on it.
+	rebuild := func(ds *core.Dataset) (core.Index, error) {
+		renv, err := env.WithDataset(ds)
+		if err != nil {
+			return nil, err
+		}
+		b := builder
+		if renv.Cfg.Shards > 1 {
+			b = bench.ShardedBuilder(builder, renv.Cfg.Shards)
+		}
+		rebuilt, err := b.Build(renv)
+		if err != nil {
+			return nil, err
+		}
+		return rebuilt.Index, nil
+	}
+	sopts := server.Options{
+		MaxInFlight: cfg.inflight, MaxQueue: cfg.queue,
+		Workers: bcfg.Workers, Builder: rebuild,
+		Obs:                reg,
+		DisableMetrics:     !cfg.metrics,
+		PProf:              cfg.pprof,
+		SlowQueryThreshold: time.Duration(cfg.slowQueryMS) * time.Millisecond,
+	}
+	cleanup = func() {}
+	if dur != nil {
+		// Snapshot-on-swap: each graceful rebuild re-snapshots the fresh
+		// structure and truncates the now-redundant WAL prefix.
+		sopts.AfterSwap = dur.afterSwap(live)
+		sopts.PersistStats = dur.stats
+		cleanup = dur.close
+	}
+	if cfg.cacheMB > 0 {
+		sopts.Cache = &cache.Options{MaxBytes: int64(cfg.cacheMB) << 20}
+		fmt.Printf("answer cache: %d MB, epoch-keyed\n", cfg.cacheMB)
+	}
+	if srv, err = server.New(live, sopts); err != nil {
+		return nil, nil, nil, err
+	}
+	return srv, live, cleanup, nil
 }
 
 func fail(err error) {

@@ -7,8 +7,8 @@ import (
 )
 
 // Benchmark fixtures: one query against a block of rows, the shape every
-// pivot table's hot loop takes. benchDim matches the LA workload used by
-// cmd/benchjson; benchRows is large enough that per-call overhead
+// pivot table's hot loop takes. benchDim is low like the LA workload's
+// vectors; benchRows is large enough that per-call overhead
 // (interface dispatch, bounds checks) is visible next to the arithmetic.
 const (
 	benchDim  = 4

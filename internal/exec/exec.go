@@ -373,9 +373,10 @@ func Scatter(ctx context.Context, workers, n int, job func(i int) error) error {
 
 // LatencyPercentiles computes the nearest-rank p50/p95/p99 of a sample of
 // latencies. The input is not modified (a sorted copy is taken); an empty
-// sample yields zeros. Shared by the batch engine, the bench harness's
-// sequential loop, and the server's per-endpoint stats so all three report
-// the same definition of a percentile.
+// sample yields zeros. Shared by the batch engine and the bench
+// harness's sequential loop so both report the same definition of a
+// percentile — the one exact-sample definition; the server's lifetime
+// request stats are bucket estimates (obs.Histogram.Quantile).
 func LatencyPercentiles(durs []time.Duration) (p50, p95, p99 time.Duration) {
 	if len(durs) == 0 {
 		return 0, 0, 0

@@ -9,9 +9,10 @@
 // internal/cache, the admission controller, the WAL). This package
 // gives those counters one operational surface: every layer registers
 // its numbers here, GET /metrics scrapes them in a format any
-// Prometheus-compatible collector ingests, and cmd/benchjson snapshots
-// the same registry into the CI bench artifact so compdists and
-// allocation trends ride alongside q/s.
+// Prometheus-compatible collector ingests, GET /v1/stats renders the
+// server's request lines from the same handles (Histogram.Quantile is
+// its percentile definition), and the repository benchmark's traced runs
+// read the registry through Snapshot.
 //
 // Design constraints, in order:
 //
@@ -32,8 +33,9 @@
 //     the live epoch) are exposed through CounterFunc/GaugeFunc views
 //     read at scrape time — zero added cost per event and the /v1/stats
 //     JSON surface reads the same sources, so the two can never
-//     disagree. Only genuinely new measurements (latency histograms,
-//     swap durations, fsync times) use the incrementing types.
+//     disagree. Only genuinely new measurements (request counts and
+//     latency histograms, swap durations, fsync times) use the
+//     incrementing types, and those handles are the only copy.
 //
 // Metric names use the mx_ prefix and follow Prometheus conventions:
 // _total suffix on monotone counters, base-unit seconds for durations.

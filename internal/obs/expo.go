@@ -118,7 +118,7 @@ func escapeHelp(s string) string {
 
 // Snapshot flattens the registry into name{labels} -> value. Histograms
 // contribute two entries, <name>_count and <name>_sum. This is the form
-// cmd/benchjson embeds in the CI artifact.
+// the repository benchmark diffs across a traced run.
 func (r *Registry) Snapshot() map[string]float64 {
 	out := make(map[string]float64)
 	for _, m := range r.sorted() {

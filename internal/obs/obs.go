@@ -118,6 +118,36 @@ func (h *Histogram) Sum() float64 {
 	return math.Float64frombits(h.sum.Load())
 }
 
+// Quantile estimates the q-quantile (0 <= q <= 1) of everything observed
+// so far, the way Prometheus' histogram_quantile does: find the bucket
+// the rank q·count falls in and interpolate linearly between its bounds
+// (the first bucket starts at 0). Mass in the +Inf bucket reports the
+// highest finite bound; an empty histogram reports 0. The estimate is
+// within one bucket width of the exact sample quantile.
+func (h *Histogram) Quantile(q float64) float64 {
+	bounds, cumulative, _, count := h.snapshot()
+	if count == 0 || len(bounds) == 0 {
+		return 0
+	}
+	rank := q * float64(count)
+	i := 0
+	for i < len(bounds) && float64(cumulative[i]) < rank {
+		i++
+	}
+	if i == len(bounds) {
+		return bounds[len(bounds)-1]
+	}
+	lo, below := 0.0, int64(0)
+	if i > 0 {
+		lo, below = bounds[i-1], cumulative[i-1]
+	}
+	in := cumulative[i] - below
+	if in == 0 {
+		return lo // q = 0 with an empty leading bucket
+	}
+	return lo + (bounds[i]-lo)*(rank-float64(below))/float64(in)
+}
+
 // snapshot reads bounds plus cumulative bucket counts, the sum and the
 // total count in one sweep. Concurrent Observes may land between bucket
 // reads; each bucket is individually exact and the count is derived

@@ -25,29 +25,27 @@ func TestMetricsEndpoint(t *testing.T) {
 	live.View(func(d *core.Dataset, _ core.Index) { ds = d })
 
 	q := testutil.RandomQuery(ds, 1)
-	for i := 0; i < 3; i++ {
+	const n = 4
+	for i := 0; i < n; i++ {
 		var kr KNNResponse
-		if code := post(t, ts.URL+"/v1/knn", map[string]any{"query": q, "k": 5}, &kr); code != 200 {
+		if code := postAs(t, fmt.Sprintf("tenant-%d", i%2), ts.URL+"/v1/knn", map[string]any{"query": q, "k": 5}, &kr); code != 200 {
 			t.Fatalf("knn: status %d", code)
 		}
 	}
 
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
+	text := scrape(t, ts.URL)
+	// benchmark/trace.go sums every series whose name starts with
+	// mx_server_requests_total into its shed ratio, so the per-client
+	// families must not share that prefix: n requests count n, not 2n.
+	var requests float64
+	for _, line := range strings.Split(text, "\n") {
+		if strings.HasPrefix(line, "mx_server_requests_total") {
+			requests += scrapeValue(t, text, line[:strings.LastIndexByte(line, ' ')])
+		}
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != 200 {
-		t.Fatalf("GET /metrics: status %d", resp.StatusCode)
+	if requests != n || scrapeValue(t, text, `mx_server_client_requests_total{client="tenant-0"}`) != n/2 {
+		t.Fatalf("after %d requests the mx_server_requests_total series sum to %v:\n%s", n, requests, text)
 	}
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
-		t.Fatalf("content type %q", ct)
-	}
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	text := string(body)
 	for _, family := range []string{
 		"mx_server_requests_total", "mx_server_request_seconds_bucket",
 		"mx_server_admitted_total", "mx_server_inflight",
@@ -77,7 +75,29 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
-// scrapeValue pulls one unlabelled sample value out of an exposition.
+// scrape fetches the exposition text of GET /metrics.
+func scrape(t *testing.T, base string) string {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != 200 {
+		t.Fatalf("GET /metrics: status %d", resp.StatusCode)
+	}
+	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
+		t.Fatalf("content type %q", ct)
+	}
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(body)
+}
+
+// scrapeValue pulls one sample value (name with its label set, if any)
+// out of an exposition.
 func scrapeValue(t *testing.T, text, name string) float64 {
 	t.Helper()
 	for _, line := range strings.Split(text, "\n") {

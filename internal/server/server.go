@@ -12,8 +12,9 @@
 // Every answer the server returns is exactly the answer a direct call on
 // the wrapped Index would return — the handlers add transport, accounting
 // and synchronization, never approximation. Per-endpoint and per-client
-// statistics report qps, p50/p95/p99 latency, compdists and page
-// accesses over a sliding window of recent requests.
+// request statistics (count, errors, qps, p50/p95/p99 latency, compdists,
+// page accesses) live in internal/obs handles: GET /metrics scrapes them
+// and GET /v1/stats renders the same handles as JSON.
 package server
 
 import (
@@ -123,8 +124,8 @@ type Server struct {
 	persStats func() PersistenceStats
 	clientHdr string
 	start     time.Time
-	endpoints *statSet
-	clients   *statSet
+	endpoints map[string]*line // filled by handle() in New, read-only after
+	clients   clientLines
 	mux       *http.ServeMux
 	hsrv      *http.Server
 
@@ -174,8 +175,8 @@ func New(live *epoch.Live, opts Options) (*Server, error) {
 		persStats:  opts.PersistStats,
 		clientHdr:  opts.ClientHeader,
 		start:      time.Now(),
-		endpoints:  newStatSet(),
-		clients:    newStatSet(),
+		endpoints:  make(map[string]*line),
+		clients:    clientLines{reg: reg, m: make(map[string]*line)},
 		reg:        reg,
 		slowThresh: opts.SlowQueryThreshold,
 		slowLogf:   opts.SlowQueryLogf,
@@ -196,7 +197,7 @@ func New(live *epoch.Live, opts Options) (*Server, error) {
 	}
 	s.registerObs()
 	s.mux = http.NewServeMux()
-	s.hsrv = &http.Server{Handler: s.mux}
+	s.hsrv = &http.Server{Handler: s.mux, ReadHeaderTimeout: readHeaderTimeout}
 	s.mux.HandleFunc("POST /v1/range", s.handle("range", true, s.handleQuery(plan.KindRange)))
 	s.mux.HandleFunc("POST /v1/knn", s.handle("knn", true, s.handleQuery(plan.KindKNN)))
 	s.mux.HandleFunc("POST /v1/batch", s.handle("batch", true, s.handleBatch))
@@ -281,31 +282,26 @@ type reqInfo struct {
 // seconds and must not occupy a query slot; epoch.Live bounds it to one
 // at a time itself).
 //
-// The per-endpoint metric handles are created once here at registration
-// and captured by the closure, so the per-request cost is atomic
-// increments only — no lookup, no allocation.
+// The endpoint's stats line is created once here at registration and
+// captured by the closure, so the per-request cost is atomic increments
+// plus one read-locked map lookup for the client's line — no exclusive
+// lock, no per-line allocation.
 func (s *Server) handle(name string, admit bool, fn func(r *http.Request, ri *reqInfo) (any, error)) http.HandlerFunc {
-	lbl := obs.Label{Key: "endpoint", Value: name}
-	reqs := s.reg.Counter("mx_server_requests_total",
-		"Requests executed (admitted and run, including errored).", lbl)
-	errsC := s.reg.Counter("mx_server_errors_total",
-		"Executed requests that returned an error.", lbl)
-	sheds := s.reg.Counter("mx_server_sheds_total",
-		"Requests shed at admission, never executed.", lbl)
-	lat := s.reg.Histogram("mx_server_request_seconds",
-		"Handler latency of executed requests (excludes admission wait).",
-		obs.DefLatencyBuckets, lbl)
+	ep := newLine(s.reg, "mx_server", obs.Label{Key: "endpoint", Value: name})
+	s.endpoints[name] = ep
 	return func(w http.ResponseWriter, r *http.Request) {
 		ri := reqInfo{arrived: time.Now()}
+		r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
+		client := s.clientKey(r)
+		cl := s.clients.get(client)
 		if admit {
 			if err := s.adm.acquire(r.Context()); err != nil {
-				// Shed requests never executed: count the error without
-				// feeding a zero-duration sample into the latency window,
-				// which would zero the percentiles exactly when the
-				// operator is diagnosing an overload.
-				sheds.Inc()
-				s.endpoints.get(name).reject()
-				s.clients.get(s.clientKey(r)).reject()
+				// Shed requests never executed: count them without feeding
+				// a zero-duration sample into the latency histogram, which
+				// would zero the percentiles exactly when the operator is
+				// diagnosing an overload.
+				ep.sheds.Inc()
+				cl.sheds.Inc()
 				s.writeError(w, err)
 				return
 			}
@@ -321,16 +317,11 @@ func (s *Server) handle(name string, admit bool, fn func(r *http.Request, ri *re
 		if pa < 0 {
 			pa = 0 // a swap replaced the index (and its counter) mid-request
 		}
-		reqs.Inc()
-		lat.Observe(dur.Seconds())
-		if err != nil {
-			errsC.Inc()
-		}
-		s.endpoints.get(name).record(dur, comp, pa, err != nil)
-		s.clients.get(s.clientKey(r)).record(dur, comp, pa, err != nil)
+		ep.record(dur, comp, pa, err != nil)
+		cl.record(dur, comp, pa, err != nil)
 		if s.slowThresh > 0 && dur >= s.slowThresh {
 			s.slowLogf("slow query: endpoint=%s dur=%s compdists=%d page_accesses=%d client=%s",
-				name, dur, comp, pa, s.clientKey(r))
+				name, dur, comp, pa, client)
 		}
 		if err != nil {
 			s.writeError(w, err)
@@ -340,9 +331,14 @@ func (s *Server) handle(name string, admit bool, fn func(r *http.Request, ri *re
 	}
 }
 
-// clientKey identifies the requester for per-client stats.
+// clientKey identifies the requester for per-client stats. The header
+// is outside input and becomes a map key and a label value, so it is
+// clamped to maxClientKey bytes.
 func (s *Server) clientKey(r *http.Request) string {
 	if c := r.Header.Get(s.clientHdr); c != "" {
+		if len(c) > maxClientKey {
+			c = c[:maxClientKey]
+		}
 		return c
 	}
 	host, _, err := net.SplitHostPort(r.RemoteAddr)
@@ -355,7 +351,10 @@ func (s *Server) clientKey(r *http.Request) string {
 func (s *Server) writeError(w http.ResponseWriter, err error) {
 	code := http.StatusInternalServerError
 	var he *httpError
+	var tooBig *http.MaxBytesError
 	switch {
+	case errors.As(err, &tooBig):
+		code = http.StatusRequestEntityTooLarge
 	case errors.As(err, &he):
 		code = he.code
 	case errors.Is(err, ErrOverloaded):
@@ -374,11 +373,21 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
+// Limits on outside input: handle caps every request body at
+// maxBodyBytes and a larger one is refused with 413 (the largest
+// /v1/batch the benchmark or the tests send is well under it); a
+// connection that has not delivered its headers within readHeaderTimeout
+// is closed.
+const (
+	maxBodyBytes      = 32 << 20
+	readHeaderTimeout = 10 * time.Second
+)
+
 func decodeBody(r *http.Request, into any) error {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(into); err != nil {
-		return badRequest("bad request body: %v", err)
+		return badRequest("bad request body: %w", err)
 	}
 	return nil
 }
@@ -904,14 +913,15 @@ func (s *Server) handleStats(*http.Request, *reqInfo) (any, error) {
 	if s.persStats != nil {
 		pers = s.persStats()
 	}
+	uptime := time.Since(s.start)
 	return StatsResponse{
-		UptimeSeconds: time.Since(s.start).Seconds(),
+		UptimeSeconds: uptime.Seconds(),
 		Index:         info,
 		Cache:         s.cacheStats(),
 		Persistence:   pers,
 		Admission:     s.adm.stats(),
-		Endpoints:     s.endpoints.stats(),
-		Clients:       s.clients.stats(),
+		Endpoints:     lineStats(s.endpoints, uptime),
+		Clients:       s.clients.stats(uptime),
 	}, nil
 }
 

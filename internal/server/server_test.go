@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -57,11 +58,25 @@ func newTestServer(t *testing.T, n int, opts Options) (*Server, *epoch.Live, *ht
 // post sends a JSON body and decodes the JSON response.
 func post(t *testing.T, url string, body, into any) int {
 	t.Helper()
+	return postAs(t, "", url, body, into)
+}
+
+// postAs is post from a named client (the X-Client header; "" sends none).
+func postAs(t *testing.T, client, url string, body, into any) int {
+	t.Helper()
 	raw, err := json.Marshal(body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(url, "application/json", bytes.NewReader(raw))
+	req, err := http.NewRequest("POST", url, bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", "application/json")
+	if client != "" {
+		req.Header.Set("X-Client", client)
+	}
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatalf("POST %s: %v", url, err)
 	}
@@ -367,23 +382,19 @@ func TestAdmissionOverHTTP(t *testing.T) {
 }
 
 // TestStatsEndpoint drives traffic from two named clients and checks the
-// per-endpoint and per-client accounting.
+// per-endpoint and per-client accounting, then sheds one request: it
+// raises count and errors but feeds no latency sample, and /v1/stats
+// agrees with the /metrics series it is a view over.
 func TestStatsEndpoint(t *testing.T) {
-	_, live, ts := newTestServer(t, 300, Options{})
+	srv, live, ts := newTestServer(t, 300, Options{MaxInFlight: 1, MaxQueue: 1})
 	var ds *core.Dataset
 	live.View(func(d *core.Dataset, _ core.Index) { ds = d })
 
-	client := &http.Client{}
 	for i := 0; i < 6; i++ {
-		q, _ := json.Marshal(testutil.RandomQuery(ds, int64(i)))
-		body, _ := json.Marshal(map[string]any{"query": json.RawMessage(q), "k": 4})
-		req, _ := http.NewRequest("POST", ts.URL+"/v1/knn", bytes.NewReader(body))
-		req.Header.Set("X-Client", fmt.Sprintf("tenant-%d", i%2))
-		resp, err := client.Do(req)
-		if err != nil {
-			t.Fatal(err)
+		body := map[string]any{"query": testutil.RandomQuery(ds, int64(i)), "k": 4}
+		if code := postAs(t, fmt.Sprintf("tenant-%d", i%2), ts.URL+"/v1/knn", body, nil); code != 200 {
+			t.Fatalf("knn: status %d", code)
 		}
-		resp.Body.Close()
 	}
 
 	var st StatsResponse
@@ -408,11 +419,53 @@ func TestStatsEndpoint(t *testing.T) {
 	if st.Admission.Admitted != 6 || st.Admission.Rejected != 0 {
 		t.Fatalf("admission stats: %+v", st.Admission)
 	}
+
+	// Fill the slot and the queue seat out-of-band so the next knn sheds.
+	if err := srv.adm.acquire(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	blocked := make(chan error, 1)
+	go func() { blocked <- srv.adm.acquire(context.Background()) }()
+	for srv.adm.waiting.Value() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	body := map[string]any{"query": testutil.RandomQuery(ds, 1), "k": 4}
+	if code := postAs(t, "tenant-0", ts.URL+"/v1/knn", body, nil); code != http.StatusTooManyRequests {
+		t.Fatalf("saturated server: status %d, want 429", code)
+	}
+	srv.adm.release()
+	if err := <-blocked; err != nil {
+		t.Fatal(err)
+	}
+	srv.adm.release()
+
+	if code := get(t, ts.URL+"/v1/stats", &st); code != 200 {
+		t.Fatalf("stats: status %d", code)
+	}
+	shed := st.Endpoints["knn"]
+	if shed.Count != 7 || shed.Errors != 1 || st.Clients["tenant-0"].Count != 4 || st.Clients["tenant-0"].Errors != 1 {
+		t.Fatalf("after one shed request: knn %+v, tenant-0 %+v", shed, st.Clients["tenant-0"])
+	}
+	if n := srv.endpoints["knn"].lat.Count(); n != 6 {
+		t.Fatalf("latency histogram holds %d samples after 6 executed + 1 shed request", n)
+	}
+	if shed.P50Micros != ep.P50Micros || shed.P99Micros != ep.P99Micros {
+		t.Fatalf("a shed request moved the percentiles: %+v then %+v", ep, shed)
+	}
+	text := scrape(t, ts.URL)
+	executed := scrapeValue(t, text, `mx_server_requests_total{endpoint="knn"}`)
+	sheds := scrapeValue(t, text, `mx_server_sheds_total{endpoint="knn"}`)
+	if executed != 6 || sheds != 1 {
+		t.Fatalf("metrics: %v executed + %v shed knn requests, /v1/stats count %d", executed, sheds, shed.Count)
+	}
+	if cd := scrapeValue(t, text, `mx_server_compdists_total{endpoint="knn"}`); cd != float64(shed.CompDists) {
+		t.Fatalf("metrics knn compdists %v, /v1/stats %d", cd, shed.CompDists)
+	}
 }
 
 // TestBadRequests maps malformed inputs to 400s, never 500s.
 func TestBadRequests(t *testing.T) {
-	_, _, ts := newTestServer(t, 100, Options{})
+	srv, _, ts := newTestServer(t, 100, Options{})
 	cases := []struct {
 		path string
 		body string
@@ -426,6 +479,7 @@ func TestBadRequests(t *testing.T) {
 		{"/v1/insert", `{"object": 17}`},
 		{"/v1/delete", `{"id": 99999}`},
 		{"/v1/range", `not json`},
+		{"/v1/range", `{"query": [1,2,3,4], "radius": 1, "filter": "price <"}`},
 	}
 	for _, c := range cases {
 		resp, err := http.Post(ts.URL+c.path, "application/json", bytes.NewReader([]byte(c.body)))
@@ -439,6 +493,19 @@ func TestBadRequests(t *testing.T) {
 	}
 	if code := get(t, ts.URL+"/healthz", nil); code != 200 {
 		t.Fatalf("healthz: %d", code)
+	}
+
+	// Limits on outside input: a body over the cap is 413 however it is
+	// shaped (here a well-formed prefix of an endless query vector), and
+	// slow headers are timed out.
+	huge := httptest.NewRequest("POST", "/v1/range", strings.NewReader(`{"query":[`+strings.Repeat("1,", maxBodyBytes/2)))
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, huge)
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("POST /v1/range with a %d MB body: status %d, want 413", maxBodyBytes>>20, rec.Code)
+	}
+	if srv.hsrv.ReadHeaderTimeout != readHeaderTimeout {
+		t.Fatalf("ReadHeaderTimeout = %v, want %v", srv.hsrv.ReadHeaderTimeout, readHeaderTimeout)
 	}
 }
 
@@ -606,17 +673,25 @@ func TestFilteredCacheOverHTTP(t *testing.T) {
 }
 
 // TestClientStatsAreBounded: a caller rotating the client header cannot
-// grow the per-client tracker set past maxTracked (+ the overflow line).
+// grow the per-client line set past maxTracked (+ the overflow line), and
+// a caller sending huge headers cannot grow a key past maxClientKey.
 func TestClientStatsAreBounded(t *testing.T) {
 	srv, _, ts := newTestServer(t, 50, Options{})
-	for i := 0; i < 10*maxTracked; i++ {
+	hit := func(client string) {
+		t.Helper()
 		req := httptest.NewRequest("GET", "/healthz", nil)
-		req.Header.Set("X-Client", fmt.Sprintf("rotating-%d", i))
+		req.Header.Set("X-Client", client)
 		rec := httptest.NewRecorder()
 		srv.Handler().ServeHTTP(rec, req)
 		if rec.Code != http.StatusOK {
 			t.Fatalf("healthz: status %d", rec.Code)
 		}
+	}
+	prefix := strings.Repeat("x", maxClientKey)
+	hit(prefix + "-one")
+	hit(prefix + "-two" + strings.Repeat("y", 1<<16))
+	for i := 0; i < 10*maxTracked; i++ {
+		hit(fmt.Sprintf("rotating-%d", i))
 	}
 	var st StatsResponse
 	if code := get(t, ts.URL+"/v1/stats", &st); code != http.StatusOK {
@@ -630,5 +705,13 @@ func TestClientStatsAreBounded(t *testing.T) {
 	}
 	if first := st.Clients["rotating-0"]; first.Count != 1 {
 		t.Fatalf("a client seen before the cap lost its own line: %+v", first)
+	}
+	if folded := st.Clients[prefix]; folded.Count != 2 {
+		t.Fatalf("two headers sharing a %d-byte prefix: line %q counted %d, want 2", maxClientKey, prefix, folded.Count)
+	}
+	for key := range st.Clients {
+		if len(key) > maxClientKey {
+			t.Fatalf("client key of %d bytes survived the clamp", len(key))
+		}
 	}
 }

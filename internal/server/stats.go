@@ -4,62 +4,63 @@ import (
 	"sync"
 	"time"
 
-	"metricindex/internal/exec"
+	"metricindex/internal/obs"
 )
 
-// ringSize bounds the latency samples kept per tracker; percentiles and
-// qps are computed over this sliding window of most-recent requests.
-const ringSize = 1024
-
-// tracker accumulates one stats line — totals forever, latencies over a
-// sliding window. One tracker exists per endpoint and per client.
-type tracker struct {
-	mu           sync.Mutex
-	count        int64
-	errors       int64
-	compDists    int64
-	pageAccesses int64
-	when         [ringSize]time.Time
-	durs         [ringSize]time.Duration
-	n            int // samples stored (<= ringSize)
-	next         int // ring cursor
+// line is one request-statistics line: the obs handles both reporting
+// surfaces read. GET /metrics scrapes them as registered; GET /v1/stats
+// renders the same atomics as JSON (stats), so the two cannot disagree.
+// One line exists per endpoint (family prefix mx_server, label endpoint)
+// and per client (prefix mx_server_client, label client).
+type line struct {
+	reqs, errs, sheds       *obs.Counter
+	compDists, pageAccesses *obs.Counter
+	lat                     *obs.Histogram
 }
 
-// record adds one finished request. compDists/pageAccesses are the
+// newLine registers (or, registration being idempotent, finds) the six
+// handles of one line. The client families carry their own prefix rather
+// than a second label on the endpoint families so that summing
+// mx_server_requests_total over its series counts every request once.
+func newLine(reg *obs.Registry, prefix string, lbl obs.Label) *line {
+	return &line{
+		reqs: reg.Counter(prefix+"_requests_total",
+			"Requests executed (admitted and run, including errored).", lbl),
+		errs: reg.Counter(prefix+"_errors_total",
+			"Executed requests that returned an error.", lbl),
+		sheds: reg.Counter(prefix+"_sheds_total",
+			"Requests shed at admission, never executed.", lbl),
+		compDists: reg.Counter(prefix+"_compdists_total",
+			"Distance computations observed across executed requests (inflated by the overlap factor under concurrency).", lbl),
+		pageAccesses: reg.Counter(prefix+"_page_accesses_total",
+			"Page accesses observed across executed requests (inflated by the overlap factor under concurrency).", lbl),
+		lat: reg.Histogram(prefix+"_request_seconds",
+			"Handler latency of executed requests (excludes admission wait).",
+			obs.DefLatencyBuckets, lbl),
+	}
+}
+
+// record adds one executed request. compDists/pageAccesses are the
 // counter deltas observed across the request; under concurrency the
 // shared counters blend across requests (same caveat as exec.BatchStats):
 // overlapping requests each observe the other's work, so attribution —
 // and the summed totals — are inflated by the overlap factor. They are
 // exact whenever requests do not overlap.
-func (tr *tracker) record(dur time.Duration, compDists, pageAccesses int64, failed bool) {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	tr.count++
+func (l *line) record(dur time.Duration, compDists, pageAccesses int64, failed bool) {
+	l.reqs.Inc()
+	l.lat.Observe(dur.Seconds())
 	if failed {
-		tr.errors++
+		l.errs.Inc()
 	}
-	tr.compDists += compDists
-	tr.pageAccesses += pageAccesses
-	tr.when[tr.next] = time.Now()
-	tr.durs[tr.next] = dur
-	tr.next = (tr.next + 1) % ringSize
-	if tr.n < ringSize {
-		tr.n++
-	}
+	l.compDists.Add(compDists)
+	l.pageAccesses.Add(pageAccesses)
 }
 
-// reject counts a request shed by admission control without feeding the
-// latency window — a flood of instant 429s must not drag the reported
-// percentiles to zero while the served requests' latencies still show.
-func (tr *tracker) reject() {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	tr.count++
-	tr.errors++
-}
-
-// TrackerStats is one stats line of /v1/stats. Count includes rejected
-// requests; QPS and the percentiles cover only executed ones.
+// TrackerStats is one stats line of /v1/stats. Count and Errors include
+// requests shed at admission; QPS (executed requests over server uptime)
+// and the percentiles (lifetime bucket estimates, obs.Histogram.Quantile)
+// cover only executed ones, so a flood of instant 429s cannot drag the
+// reported latency to zero.
 type TrackerStats struct {
 	Count        int64   `json:"count"`
 	Errors       int64   `json:"errors"`
@@ -71,86 +72,74 @@ type TrackerStats struct {
 	P99Micros    int64   `json:"p99_us"`
 }
 
-func (tr *tracker) stats() TrackerStats {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	s := TrackerStats{
-		Count:        tr.count,
-		Errors:       tr.errors,
-		CompDists:    tr.compDists,
-		PageAccesses: tr.pageAccesses,
+func (l *line) stats(uptime time.Duration) TrackerStats {
+	executed, sheds := l.reqs.Value(), l.sheds.Value()
+	micros := func(q float64) int64 {
+		return time.Duration(l.lat.Quantile(q) * float64(time.Second)).Microseconds()
 	}
-	if tr.n == 0 {
-		return s
+	st := TrackerStats{
+		Count:        executed + sheds,
+		Errors:       l.errs.Value() + sheds,
+		CompDists:    l.compDists.Value(),
+		PageAccesses: l.pageAccesses.Value(),
+		P50Micros:    micros(0.50),
+		P95Micros:    micros(0.95),
+		P99Micros:    micros(0.99),
 	}
-	durs := make([]time.Duration, tr.n)
-	oldest := time.Now()
-	for i := 0; i < tr.n; i++ {
-		pos := (tr.next - 1 - i + 2*ringSize) % ringSize
-		durs[i] = tr.durs[pos]
-		if tr.when[pos].Before(oldest) {
-			oldest = tr.when[pos]
-		}
+	if uptime > 0 {
+		st.QPS = float64(executed) / uptime.Seconds()
 	}
-	p50, p95, p99 := exec.LatencyPercentiles(durs)
-	s.P50Micros = p50.Microseconds()
-	s.P95Micros = p95.Microseconds()
-	s.P99Micros = p99.Microseconds()
-	if window := time.Since(oldest); window > 0 {
-		s.QPS = float64(tr.n) / window.Seconds()
-	}
-	return s
+	return st
 }
 
-// maxTracked bounds the distinct keys of one statSet. Client keys come
-// from a request header, and a tracker holds two ringSize-slot rings
-// (~33 KB), so an unbounded set would let a caller rotating the header
-// grow the heap without limit; keys arriving once the set is full share
-// the overflowKey line.
+// Client keys come from a request header, so both their number and their
+// size are bounded: a key is clamped to maxClientKey bytes before lookup,
+// and keys arriving once maxTracked lines exist share the overflowKey
+// line — otherwise a caller rotating the header could grow the registry
+// (six series per line) without limit.
 const (
-	maxTracked  = 256
-	overflowKey = "other"
+	maxTracked   = 256
+	maxClientKey = 64
+	overflowKey  = "other"
 )
 
-// statSet is a keyed family of trackers (per endpoint, per client).
-type statSet struct {
-	mu sync.RWMutex
-	m  map[string]*tracker
+// clientLines is the per-client family of lines, registered on first use.
+// (The per-endpoint lines are fixed at mux registration and need no lock.)
+type clientLines struct {
+	reg *obs.Registry
+	mu  sync.RWMutex
+	m   map[string]*line
 }
 
-func newStatSet() *statSet { return &statSet{m: make(map[string]*tracker)} }
-
-func (s *statSet) get(key string) *tracker {
-	s.mu.RLock()
-	tr := s.m[key]
-	s.mu.RUnlock()
-	if tr != nil {
-		return tr
+func (c *clientLines) get(key string) *line {
+	c.mu.RLock()
+	l := c.m[key]
+	c.mu.RUnlock()
+	if l != nil {
+		return l
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.m[key] == nil && len(s.m) >= maxTracked {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.m[key] == nil && len(c.m) >= maxTracked {
 		key = overflowKey
 	}
-	if tr = s.m[key]; tr == nil {
-		tr = &tracker{}
-		s.m[key] = tr
+	if l = c.m[key]; l == nil {
+		l = newLine(c.reg, "mx_server_client", obs.Label{Key: "client", Value: key})
+		c.m[key] = l
 	}
-	return tr
+	return l
 }
 
-func (s *statSet) stats() map[string]TrackerStats {
-	s.mu.RLock()
-	keys := make([]string, 0, len(s.m))
-	trs := make([]*tracker, 0, len(s.m))
-	for k, tr := range s.m {
-		keys = append(keys, k)
-		trs = append(trs, tr)
-	}
-	s.mu.RUnlock()
-	out := make(map[string]TrackerStats, len(keys))
-	for i, k := range keys {
-		out[k] = trs[i].stats()
+func (c *clientLines) stats(uptime time.Duration) map[string]TrackerStats {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return lineStats(c.m, uptime)
+}
+
+func lineStats(lines map[string]*line, uptime time.Duration) map[string]TrackerStats {
+	out := make(map[string]TrackerStats, len(lines))
+	for k, l := range lines {
+		out[k] = l.stats(uptime)
 	}
 	return out
 }
