@@ -1,0 +1,249 @@
+package table_test
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
+	"math"
+	"testing"
+
+	"metricindex/internal/core"
+	"metricindex/internal/cpt"
+	"metricindex/internal/ept"
+	"metricindex/internal/persist"
+	"metricindex/internal/pivot"
+	"metricindex/internal/store"
+	"metricindex/internal/table"
+	"metricindex/internal/testutil"
+)
+
+// goldenCosts is what one table-family index spent and answered on the
+// fixed workload of TestTableFamilyGoldenCosts. The paper's cost model
+// (compdists, page accesses) is deterministic, so these are exact
+// constants: any change to the staged scan, the update path or the
+// table codec that moves one of them changed behaviour, not just code.
+type goldenCosts struct {
+	knnCD, rangeCD             int64 // compdists of the unfiltered queries
+	knnAcceptCD, rangeAcceptCD int64 // compdists of the accept-filtered queries (-1: no pushdown)
+	knnPA, rangePA             int64 // page accesses of the unfiltered queries
+	churnCD, churnPA           int64 // what the deletes and inserts before the queries cost
+	answers                    string
+	snapshot                   string
+}
+
+// golden holds the constants recorded at the parent of the one-table
+// refactor (PR 17), keyed by family/dataset. "vectors" verifies through
+// the flat coordinate mirror, "words" through chunked DistanceMany over
+// objects — the chunked path is alignment-sensitive (which candidates
+// share a chunk decides how stale the pruning radius may be), so both
+// are pinned.
+var golden = map[string]goldenCosts{
+	"LAESA/vectors": {5402, 234, 4480, 183, 0, 0, 300, 0,
+		"4e90a615f3a2a7913708612301682aedc29463c8bce37722996d62f34c55f6c6",
+		"77552ea4c6ee62e1054367dd896495863af27862a46816c731f7a5b5daae14dc"},
+	"LAESA/words": {13802, 9540, 10127, 6400, 0, 0, 300, 0,
+		"9d6fa66c4a5dbc29432ff9c9b6d8656038d30a522bd2257c2d94b847ac873ecd",
+		"15630a59933a1578e13c541d5745766ea4ca6a9c43f207b77e9380d513c5d8ae"},
+	"EPT/vectors": {6490, 645, 5284, 476, 0, 0, 15840, 0,
+		"4e90a615f3a2a7913708612301682aedc29463c8bce37722996d62f34c55f6c6",
+		"e8f0de98a0554936ebae1bc2d2e84f70f39a70aa41ccf1ff186899b45a2a213e"},
+	"EPT/words": {14549, 10570, 10630, 7076, 0, 0, 15840, 0,
+		"9d6fa66c4a5dbc29432ff9c9b6d8656038d30a522bd2257c2d94b847ac873ecd",
+		"a048e3117cf0e41a5d97f4456d20c38847a00f943b2a27ef84b5915b3c631f0b"},
+	"EPT*/vectors": {4848, 936, 4144, 856, 0, 0, 4320, 0,
+		"4e90a615f3a2a7913708612301682aedc29463c8bce37722996d62f34c55f6c6",
+		"dcb0d37eb37284f9b5b4681320c01d70a654c079e89ec1bb14daa15e4f13a373"},
+	"EPT*/words": {12737, 8018, 9591, 5562, 0, 0, 4320, 0,
+		"9d6fa66c4a5dbc29432ff9c9b6d8656038d30a522bd2257c2d94b847ac873ecd",
+		"f58a233ad1bd63c325f284385645048a9e589e6f28cab4d9c0a2dd359a90bacd"},
+	"CPT/vectors": {5402, 234, -1, -1, 5312, 144, 2054, 798,
+		"0fcccafca90262f87b8e4254ae099f71f493ee77357353b924622aa24719d6d1",
+		"3a29cfce97204ae25f33beb6f4646ab64488b21f851d228fcdb85e3f25a5c3a0"},
+	"CPT/words": {13202, 9540, -1, -1, 13112, 9450, 1969, 793,
+		"b9bd71690e32dcab5a872466a3e45bd9450ffe7836ed6dc9c15aa693ee44973d",
+		"9e0fac25c635538a51cdee5a284a90b688a28019fed349fe48df95698c1b7c3d"},
+}
+
+// goldenAccept is the pushed-down predicate of the filtered legs.
+func goldenAccept(id int) bool { return id%3 != 0 }
+
+type goldenIndex interface {
+	core.Index
+	persist.Snapshotter
+}
+
+func goldenBuild(t *testing.T, family string, ds *core.Dataset) goldenIndex {
+	t.Helper()
+	pv, err := pivot.HFI(ds, 5, pivot.Options{Seed: 3})
+	if err != nil {
+		t.Fatalf("HFI: %v", err)
+	}
+	eptOpts := ept.Options{L: 4, Radius: 10, Sel: pivot.Options{Seed: 3, SampleSize: 128}}
+	var idx goldenIndex
+	switch family {
+	case "LAESA":
+		idx, err = table.NewLAESA(ds, pv)
+	case "EPT":
+		idx, err = ept.New(ds, ept.Original, eptOpts)
+	case "EPT*":
+		idx, err = ept.New(ds, ept.Star, eptOpts)
+	case "CPT":
+		idx, err = cpt.New(ds, store.NewPager(1024), pv, cpt.Options{Seed: 7})
+	}
+	if err != nil {
+		t.Fatalf("build %s: %v", family, err)
+	}
+	return idx
+}
+
+// goldenChurn deletes a spread of rows (the last row among them) and
+// inserts fresh objects, so the pinned costs also cover the row order
+// the update path leaves behind.
+func goldenChurn(t *testing.T, idx core.Index, ds *core.Dataset, words bool) {
+	t.Helper()
+	n := ds.Count()
+	victims := []int{n - 1}
+	for id := 0; id < n-1; id += 7 {
+		victims = append(victims, id)
+	}
+	for _, id := range victims {
+		if err := idx.Delete(id); err != nil {
+			t.Fatalf("Delete(%d): %v", id, err)
+		}
+		if err := ds.Delete(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 60; i++ {
+		var o core.Object = core.Vector{float64(i), float64(3*i%100) + 0.5, 50, float64(100 - i)}
+		if words {
+			o = core.Word(fmt.Sprintf("%c%c%c%c", 'a'+i%8, 'a'+i/8%8, 'a'+i%3, 'a'+i%5))
+		}
+		if err := idx.Insert(ds.Insert(o)); err != nil {
+			t.Fatalf("Insert: %v", err)
+		}
+	}
+}
+
+// goldenRun drives the fixed workload and returns what it cost.
+func goldenRun(t *testing.T, family string, words bool) goldenCosts {
+	t.Helper()
+	ds := testutil.VectorDataset(1500, 4, 100, core.L2{}, 7)
+	radii := []float64{2, 8, 20}
+	if words {
+		ds = testutil.WordDataset(1500, 11)
+		radii = []float64{1, 2, 3}
+	}
+	idx := goldenBuild(t, family, ds)
+	var g goldenCosts
+	ds.Space().ResetCompDists()
+	idx.ResetStats()
+	goldenChurn(t, idx, ds, words)
+	g.churnCD, g.churnPA = ds.Space().CompDists(), idx.PageAccesses()
+	var queries []core.Object
+	for qs := int64(0); qs < 6; qs++ {
+		queries = append(queries, testutil.RandomQuery(ds, qs))
+	}
+	ks := []int{1, 10, 100}
+
+	answers := sha256.New()
+	hashIDs := func(ids []int) {
+		for _, id := range ids {
+			_ = binary.Write(answers, binary.LittleEndian, int64(id))
+		}
+		_ = binary.Write(answers, binary.LittleEndian, int64(-1))
+	}
+	hashNeighbors := func(ns []core.Neighbor) {
+		for _, nb := range ns {
+			_ = binary.Write(answers, binary.LittleEndian, int64(nb.ID))
+			_ = binary.Write(answers, binary.LittleEndian, math.Float64bits(nb.Dist))
+		}
+		_ = binary.Write(answers, binary.LittleEndian, int64(-1))
+	}
+	// measure runs one leg of the workload and reports its compdists and
+	// page accesses.
+	measure := func(leg func(q core.Object) error) (cd, pa int64) {
+		ds.Space().ResetCompDists()
+		idx.ResetStats()
+		for _, q := range queries {
+			if err := leg(q); err != nil {
+				t.Fatalf("%s: %v", family, err)
+			}
+		}
+		return ds.Space().CompDists(), idx.PageAccesses()
+	}
+
+	g.knnCD, g.knnPA = measure(func(q core.Object) error {
+		for _, k := range ks {
+			ns, err := idx.KNNSearch(q, k)
+			if err != nil {
+				return err
+			}
+			hashNeighbors(ns)
+		}
+		return nil
+	})
+	g.rangeCD, g.rangePA = measure(func(q core.Object) error {
+		for _, r := range radii {
+			ids, err := idx.RangeSearch(q, r)
+			if err != nil {
+				return err
+			}
+			hashIDs(ids)
+		}
+		return nil
+	})
+	g.knnAcceptCD, g.rangeAcceptCD = -1, -1
+	if as, ok := idx.(core.AcceptSearcher); ok {
+		g.knnAcceptCD, _ = measure(func(q core.Object) error {
+			for _, k := range ks {
+				ns, err := as.KNNSearchAccept(q, k, goldenAccept)
+				if err != nil {
+					return err
+				}
+				hashNeighbors(ns)
+			}
+			return nil
+		})
+		g.rangeAcceptCD, _ = measure(func(q core.Object) error {
+			for _, r := range radii {
+				ids, err := as.RangeSearchAccept(q, r, goldenAccept)
+				if err != nil {
+					return err
+				}
+				hashIDs(ids)
+			}
+			return nil
+		})
+	}
+	g.answers = fmt.Sprintf("%x", answers.Sum(nil))
+
+	w := persist.NewWriter()
+	if err := idx.EncodeSnapshot(w); err != nil {
+		t.Fatalf("%s: EncodeSnapshot: %v", family, err)
+	}
+	g.snapshot = fmt.Sprintf("%x", sha256.Sum256(w.Bytes()))
+	return g
+}
+
+// TestTableFamilyGoldenCosts pins, for LAESA, EPT, EPT* and CPT on both
+// verification paths, the exact compdists and page accesses of a fixed
+// kNN/range workload (unfiltered and accept-filtered), the answers, and
+// the SHA-256 of the snapshot payload written after a round of deletes
+// and inserts.
+func TestTableFamilyGoldenCosts(t *testing.T) {
+	for _, family := range []string{"LAESA", "EPT", "EPT*", "CPT"} {
+		for _, words := range []bool{false, true} {
+			key := family + "/vectors"
+			if words {
+				key = family + "/words"
+			}
+			got := goldenRun(t, family, words)
+			if want, ok := golden[key]; !ok || got != want {
+				t.Errorf("%s: costs moved\n got  %q: {%d, %d, %d, %d, %d, %d, %d, %d,\n\t%q,\n\t%q},\n want %+v",
+					key, key, got.knnCD, got.rangeCD, got.knnAcceptCD, got.rangeAcceptCD, got.knnPA, got.rangePA, got.churnCD, got.churnPA,
+					got.answers, got.snapshot, want)
+			}
+		}
+	}
+}
