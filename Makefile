@@ -45,7 +45,7 @@ EXAMPLES = ./examples/quickstart ./examples/wordsearch ./examples/geosearch \
            ./examples/imagesearch ./examples/cachedsearch
 
 .PHONY: all build benchmark-build benchmark-test test race fuzz bench \
-        staticcheck govulncheck lint fmt vet examples ci
+        staticcheck govulncheck lint fmt vet examples loc ci
 
 all: build
 
@@ -114,6 +114,13 @@ examples:
 		echo "run $$e"; \
 		$(GO) run $$e >/dev/null || exit 1; \
 	done
+
+# Non-test, non-comment, non-blank Go lines outside benchmark/ and
+# testdata/: the figure ROADMAP aim 2 ("net line count goes down") is
+# read off. CI echoes it in the test job.
+loc:
+	@find . -name '*.go' -not -path './benchmark/*' -not -name '*_test.go' \
+		-not -path '*/testdata/*' | xargs cat | grep -v '^\s*//' | grep -v '^\s*$$' | wc -l
 
 # The full CI surface: the test, lint and bench jobs' steps (vet's extra
 # analyzers, staticcheck and govulncheck need module downloads, so an

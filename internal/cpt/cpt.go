@@ -9,26 +9,11 @@ package cpt
 
 import (
 	"fmt"
-	"sort"
 
 	"metricindex/internal/core"
 	"metricindex/internal/mtree"
 	"metricindex/internal/store"
-)
-
-// verifyChunk is the candidate batch size of the chunked DistanceMany
-// verification path of RangeSearch.
-const verifyChunk = 64
-
-// knnBlockMin and knnBlock bound the row-block sizes of the staged kNN
-// scan (see the LAESA twin): each block is swept at the radius current
-// when it starts, so pruning tightens block by block before the
-// per-candidate disk reads.
-// Blocks start small and double, so the loose just-seeded radius only
-// governs short sweeps.
-const (
-	knnBlockMin = 128
-	knnBlock    = 1024
+	"metricindex/internal/table"
 )
 
 // Options tunes construction.
@@ -48,21 +33,13 @@ type Options struct {
 	Workers int
 }
 
-// CPT is the clustered pivot table index. Like LAESA, its distance table
-// is struct-of-arrays — one contiguous column per pivot — scanned
-// sequentially by the Lemma 1 filter; query-pivot distances go through
-// the batch kernel and per-query buffers come from a scratch pool.
+// CPT is the clustered pivot table index: LAESA's table — the
+// shared-pivot layout of table.Table — whose candidates are loaded from
+// the M-tree on disk instead of from memory.
 type CPT struct {
-	ds        *core.Dataset
-	pager     *store.Pager
-	tree      *mtree.Tree
-	pivotIDs  []int
-	pivotVals []core.Object
-	ids       []int32
-	cols      [][]float64    // cols[i][row] = d(object ids[row], pivot i)
-	qcol      *core.QuantCol // quantized shadow of cols[0]; nil mid-build
-	rowOf     map[int]int
-	scratch   core.ScratchPool
+	pager *store.Pager
+	tree  *mtree.Tree
+	tab   *table.Table
 }
 
 // New builds the CPT: the in-memory distance table plus the disk M-tree
@@ -70,43 +47,22 @@ type CPT struct {
 // construction compdists of Table 4 come from — or by the partitioned
 // bulk load when Workers != 0).
 func New(ds *core.Dataset, pager *store.Pager, pivots []int, opts Options) (*CPT, error) {
-	if len(pivots) == 0 {
-		return nil, fmt.Errorf("cpt: no pivots")
-	}
-	c := &CPT{
-		ds:       ds,
-		pager:    pager,
-		pivotIDs: append([]int(nil), pivots...),
-		rowOf:    make(map[int]int),
-	}
-	for _, p := range pivots {
-		v := ds.Object(p)
-		if v == nil {
-			return nil, fmt.Errorf("cpt: pivot %d is not a live object", p)
-		}
-		c.pivotVals = append(c.pivotVals, v)
-	}
-	ids := ds.LiveIDs()
-	c.ids, c.cols = core.BuildDistCols(ds, ids, c.pivotVals, opts.Workers)
-	c.qcol = core.NewQuantCol(c.cols[0])
-	for row, id := range ids {
-		c.rowOf[id] = row
-	}
-	if opts.Workers != 0 {
-		tree, err := mtree.Bulk(ds, pager, nil, mtree.Options{Seed: opts.Seed},
-			mtree.BulkOptions{Workers: opts.Workers})
-		if err != nil {
-			return nil, err
-		}
-		c.tree = tree
-		return c, nil
-	}
-	tree, err := mtree.New(ds, pager, nil, mtree.Options{Seed: opts.Seed})
-	if err != nil {
+	c := &CPT{pager: pager}
+	var err error
+	if c.tab, err = table.Build("cpt", ds, pivots, opts.Workers, c.readObject); err != nil {
 		return nil, err
 	}
-	c.tree = tree
-	for _, id := range ids {
+	if opts.Workers != 0 {
+		if c.tree, err = mtree.Bulk(ds, pager, nil, mtree.Options{Seed: opts.Seed},
+			mtree.BulkOptions{Workers: opts.Workers}); err != nil {
+			return nil, err
+		}
+		return c, nil
+	}
+	if c.tree, err = mtree.New(ds, pager, nil, mtree.Options{Seed: opts.Seed}); err != nil {
+		return nil, err
+	}
+	for _, id := range ds.LiveIDs() {
 		if err := c.tree.Insert(id); err != nil {
 			return nil, err
 		}
@@ -114,172 +70,61 @@ func New(ds *core.Dataset, pager *store.Pager, pivots []int, opts Options) (*CPT
 	return c, nil
 }
 
+// readObject is the table's candidate loader: one M-tree leaf read per
+// verified candidate, the page accesses CPT trades for keeping the
+// objects out of memory.
+func (c *CPT) readObject(id int) (core.Object, error) { return c.tree.ReadObject(id) }
+
 // Name returns "CPT".
 func (c *CPT) Name() string { return "CPT" }
 
 // Len returns the number of indexed objects.
-func (c *CPT) Len() int { return len(c.ids) }
+func (c *CPT) Len() int { return c.tab.Len() }
 
-// queryPrep draws scratch, sizes the survivor and chunk buffers, and
-// computes the query-pivot distances through the batch kernel.
-func (c *CPT) queryPrep(q core.Object) *core.Scratch {
-	sc := c.scratch.Get()
-	qd := sc.GrowQD(len(c.pivotVals))
-	sc.GrowSur(len(c.ids))
-	sc.GrowChunk(verifyChunk)
-	c.ds.Space().DistanceMany(q, c.pivotVals, qd)
-	return sc
-}
-
-// RangeSearch answers MRQ(q, r): a column sweep (core.SurviveColumnsQuant)
-// applies Lemma 1 over the struct-of-arrays table; surviving candidates
-// are loaded from the M-tree on disk and verified through DistanceMany
-// in chunks (§3.3).
+// RangeSearch answers MRQ(q, r): the table's column sweep applies
+// Lemma 1; surviving candidates are loaded from the M-tree on disk and
+// verified through DistanceMany in chunks (§3.3).
 func (c *CPT) RangeSearch(q core.Object, r float64) ([]int, error) {
-	sc := c.queryPrep(q)
-	defer c.scratch.Put(sc)
-	sp := c.ds.Space()
-	sur := core.SurviveColumnsQuant(sc.Sur, sc.QD, c.qcol, c.cols, 0, len(c.ids), r)
-	var res []int
-	m := 0
-	for _, row := range sur {
-		id := c.ids[row]
-		o, err := c.tree.ReadObject(int(id))
-		if err != nil {
-			return nil, err
-		}
-		sc.IDs[m] = id
-		sc.Objs[m] = o
-		m++
-		if m < len(sc.IDs) {
-			continue
-		}
-		sp.DistanceMany(q, sc.Objs[:m], sc.Out[:m])
-		for j := 0; j < m; j++ {
-			if sc.Out[j] <= r {
-				res = append(res, int(sc.IDs[j]))
-			}
-		}
-		m = 0
-	}
-	if m > 0 {
-		sp.DistanceMany(q, sc.Objs[:m], sc.Out[:m])
-		for j := 0; j < m; j++ {
-			if sc.Out[j] <= r {
-				res = append(res, int(sc.IDs[j]))
-			}
-		}
-	}
-	sort.Ints(res)
-	return res, nil
+	return c.tab.Range(q, r, nil)
 }
 
-// KNNSearch answers MkNNQ(q, k) by the LAESA procedure with disk loads,
-// staged like LAESA's scan: seed the heap with the first k rows (the
-// prefix the scalar scan reads unconditionally while its radius is
-// infinite), column-sweep the rest block by block at the tightening
-// radius, then re-apply Lemma 1 per survivor with the fresh radius
-// before its disk read. Verification stays per-candidate — the recheck
-// makes the admitted set exactly the scalar scan's, and for CPT every
-// admission is a disk read, not just a distance.
+// KNNSearch answers MkNNQ(q, k) by the LAESA procedure with disk loads.
+// Verification is per candidate: the fresh-radius recheck makes the
+// admitted set exactly the scalar scan's, and for CPT every admission is
+// a disk read, not just a distance.
 func (c *CPT) KNNSearch(q core.Object, k int) ([]core.Neighbor, error) {
-	if k <= 0 {
-		return nil, nil
-	}
-	sc := c.queryPrep(q)
-	defer c.scratch.Put(sc)
-	sp := c.ds.Space()
-	h := sc.Heap(k)
-	seed := k
-	if seed > len(c.ids) {
-		seed = len(c.ids)
-	}
-	for row := 0; row < seed; row++ {
-		id := c.ids[row]
-		o, err := c.tree.ReadObject(int(id))
-		if err != nil {
-			return nil, err
-		}
-		h.Push(int(id), sp.Distance(q, o))
-	}
-	for base, blk := seed, knnBlockMin; base < len(c.ids); base, blk = base+blk, min(blk*2, knnBlock) {
-		end := base + blk
-		if end > len(c.ids) {
-			end = len(c.ids)
-		}
-		sur := core.SurviveColumnsQuant(sc.Sur, sc.QD, c.qcol, c.cols, base, end, h.Radius())
-		for _, row := range sur {
-			r := h.Radius()
-			if core.PruneRowAt(sc.QD, c.cols, int(row), r) {
-				continue
-			}
-			id := c.ids[row]
-			o, err := c.tree.ReadObject(int(id))
-			if err != nil {
-				return nil, err
-			}
-			h.Push(int(id), sp.Distance(q, o))
-		}
-	}
-	return h.Result(), nil
+	return c.tab.KNN(q, k, nil)
 }
 
-// Insert adds the object to the table and the M-tree, computing its
-// pivot distances through the batch kernel.
+// Insert adds the object to the M-tree and the table.
 func (c *CPT) Insert(id int) error {
-	if _, dup := c.rowOf[id]; dup {
-		return fmt.Errorf("cpt: duplicate insert of %d", id)
+	if _, err := c.tab.Insertable(id); err != nil {
+		return err
 	}
 	if err := c.tree.Insert(id); err != nil {
 		return err
 	}
-	c.rowOf[id] = len(c.ids)
-	c.ids = append(c.ids, int32(id))
-	o := c.ds.Object(id)
-	sc := c.scratch.Get()
-	qd := sc.GrowQD(len(c.pivotVals))
-	c.ds.Space().DistanceMany(o, c.pivotVals, qd)
-	for i := range c.cols {
-		c.cols[i] = append(c.cols[i], qd[i])
-	}
-	if c.qcol != nil {
-		c.qcol.Append(qd[0])
-	}
-	c.scratch.Put(sc)
-	return nil
+	return c.tab.Insert(id)
 }
 
-// Delete removes the object from the table (sequential scan, §6.3) and
-// from the M-tree.
+// Delete removes the object from the M-tree and the table.
 func (c *CPT) Delete(id int) error {
-	row := -1
-	for i, rid := range c.ids {
-		if int(rid) == id {
-			row = i
-			break
-		}
-	}
-	if row < 0 {
+	if c.tab.Row(id) < 0 {
 		return fmt.Errorf("cpt: delete of unindexed object %d", id)
 	}
 	if err := c.tree.Delete(id); err != nil {
 		return err
 	}
-	last := len(c.ids) - 1
-	lastID := c.ids[last]
-	c.ids[row] = lastID
-	c.ids = c.ids[:last]
-	for i := range c.cols {
-		col := c.cols[i]
-		col[row] = col[last]
-		c.cols[i] = col[:last]
+	return c.tab.Remove(id)
+}
+
+// Validate checks the M-tree's invariants (mtree.Tree.Validate) and that
+// the table's row state is in step (table.Table.Validate).
+func (c *CPT) Validate() error {
+	if err := c.tree.Validate(); err != nil {
+		return err
 	}
-	if c.qcol != nil {
-		c.qcol.SwapDelete(row)
-	}
-	c.rowOf[int(lastID)] = row
-	delete(c.rowOf, id)
-	return nil
+	return c.tab.Validate()
 }
 
 // PageAccesses reports the pager's accesses (M-tree reads/writes).
@@ -290,13 +135,7 @@ func (c *CPT) ResetStats() { c.pager.ResetStats() }
 
 // MemBytes reports the in-memory distance table size (the component the
 // paper counts as CPT's memory storage).
-func (c *CPT) MemBytes() int64 {
-	n := int64(len(c.ids))*4 + int64(len(c.pivotIDs))*8
-	for _, col := range c.cols {
-		n += int64(len(col)) * 8
-	}
-	return n
-}
+func (c *CPT) MemBytes() int64 { return c.tab.MemBytes() }
 
 // DiskBytes reports the M-tree's on-disk footprint.
 func (c *CPT) DiskBytes() int64 { return c.pager.DiskBytes() }

@@ -117,10 +117,10 @@ func TestCPTParallelBuildMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatalf("parallel New: %v", err)
 	}
-	if !reflect.DeepEqual(seq.ids, par.ids) {
+	if !reflect.DeepEqual(seq.tab.IDs(), par.tab.IDs()) {
 		t.Fatal("parallel build ids differ")
 	}
-	if !reflect.DeepEqual(seq.cols, par.cols) {
+	if !reflect.DeepEqual(seq.tab.Cols(), par.tab.Cols()) {
 		t.Fatal("parallel build distances differ")
 	}
 	for qs := int64(0); qs < 3; qs++ {

@@ -7,6 +7,7 @@ import (
 	"metricindex/internal/mtree"
 	"metricindex/internal/persist"
 	"metricindex/internal/store"
+	"metricindex/internal/table"
 )
 
 // Snapshot payload encoding for the CPT (spec: docs/PERSISTENCE.md
@@ -25,21 +26,15 @@ func init() {
 	persist.Register("CPT", loadCPT)
 }
 
-// EncodeSnapshot writes the CPT payload.
+// EncodeSnapshot writes the CPT payload; the pivot table is the block
+// LAESA stores.
 func (c *CPT) EncodeSnapshot(w *persist.Writer) error {
 	w.U16(cptFormatVersion)
 	w.Blob(c.pager.Serialize())
 	if err := c.tree.EncodeState(w); err != nil {
 		return err
 	}
-	w.Ints(c.pivotIDs)
-	w.Objects(c.pivotVals)
-	w.Int32s(c.ids)
-	flat := make([]float64, 0, len(c.ids)*len(c.cols))
-	for _, col := range c.cols {
-		flat = append(flat, col...)
-	}
-	w.Floats(flat)
+	c.tab.EncodeBlock(w)
 	return nil
 }
 
@@ -56,51 +51,12 @@ func loadCPT(ds *core.Dataset, r *persist.Reader) (core.Index, *store.Pager, err
 	if err != nil {
 		return nil, nil, err
 	}
-	tree, err := mtree.RestoreState(ds, pager, r)
-	if err != nil {
+	c := &CPT{pager: pager}
+	if c.tree, err = mtree.RestoreState(ds, pager, r); err != nil {
 		return nil, nil, err
 	}
-	c := &CPT{
-		ds:        ds,
-		pager:     pager,
-		tree:      tree,
-		pivotIDs:  r.Ints(),
-		pivotVals: r.Objects(),
-		ids:       r.Int32s(),
-		rowOf:     make(map[int]int),
-	}
-	dists := r.Floats()
-	if err := r.Err(); err != nil {
+	if c.tab, err = table.DecodeBlock("cpt", ds, r, v == 1, c.readObject); err != nil {
 		return nil, nil, err
-	}
-	if len(c.pivotVals) != len(c.pivotIDs) || len(c.pivotIDs) == 0 {
-		return nil, nil, fmt.Errorf("cpt: %d pivot values for %d pivot ids", len(c.pivotVals), len(c.pivotIDs))
-	}
-	if len(dists) != len(c.ids)*len(c.pivotIDs) {
-		return nil, nil, fmt.Errorf("cpt: %d distances for %d rows × %d pivots", len(dists), len(c.ids), len(c.pivotIDs))
-	}
-	c.cols = distColumns(dists, len(c.ids), len(c.pivotIDs), v == 1)
-	c.qcol = core.NewQuantCol(c.cols[0])
-	for row, id := range c.ids {
-		c.rowOf[int(id)] = row
 	}
 	return c, pager, nil
-}
-
-// distColumns splits a flat distance block into per-pivot columns,
-// transposing when the block is the row-major layout of version-1
-// payloads.
-func distColumns(dists []float64, rows, l int, rowMajor bool) [][]float64 {
-	cols := make([][]float64, l)
-	for i := range cols {
-		cols[i] = make([]float64, rows)
-		if rowMajor {
-			for row := 0; row < rows; row++ {
-				cols[i][row] = dists[row*l+i]
-			}
-		} else {
-			copy(cols[i], dists[i*rows:(i+1)*rows])
-		}
-	}
-	return cols
 }

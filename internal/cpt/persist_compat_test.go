@@ -30,12 +30,12 @@ func TestCPTLoadsVersion1Payload(t *testing.T) {
 	if err := idx.tree.EncodeState(w); err != nil {
 		t.Fatal(err)
 	}
-	w.Ints(idx.pivotIDs)
-	w.Objects(idx.pivotVals)
-	w.Int32s(idx.ids)
-	l := len(idx.cols)
-	dists := make([]float64, len(idx.ids)*l)
-	for i, col := range idx.cols {
+	w.Ints(idx.tab.PivotIDs())
+	w.Objects(idx.tab.Pivots())
+	w.Int32s(idx.tab.IDs())
+	l := len(idx.tab.Cols())
+	dists := make([]float64, len(idx.tab.IDs())*l)
+	for i, col := range idx.tab.Cols() {
 		for row, d := range col {
 			dists[row*l+i] = d
 		}
@@ -47,7 +47,7 @@ func TestCPTLoadsVersion1Payload(t *testing.T) {
 		t.Fatalf("load v1 payload: %v", err)
 	}
 	restored := restoredIdx.(*CPT)
-	if !reflect.DeepEqual(restored.cols, idx.cols) {
+	if !reflect.DeepEqual(restored.tab.Cols(), idx.tab.Cols()) {
 		t.Fatal("v1 load did not transpose to the original columns")
 	}
 	for qs := int64(0); qs < 3; qs++ {

@@ -35,8 +35,9 @@ func TestEPTKNNSearchAllocs(t *testing.T) {
 }
 
 // TestEPTFlatKNNHotLoopZeroAllocs witnesses that the flat-path kNN scan
-// (pool batch, indexed lower-bound columns, flat verification) runs
-// without allocating once the scratch pool is warm; see the LAESA twin.
+// (pool batch, indexed column sweep, flat verification) runs without
+// allocating once the scratch pool is warm, with and without a
+// pushed-down accept test; see the LAESA twin.
 func TestEPTFlatKNNHotLoopZeroAllocs(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("race detector instrumentation allocates; AllocsPerRun is meaningless under -race")
@@ -46,24 +47,23 @@ func TestEPTFlatKNNHotLoopZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !idx.useFlat() {
+	if !idx.tab.FlatArmed() {
 		t.Fatal("flat path not armed on a pure-vector dataset")
 	}
 	var q core.Object = ds.Objects()[42]
 	if _, err := idx.KNNSearch(q, 10); err != nil { // warm the scratch pool
 		t.Fatal(err)
 	}
-	allocs := testing.AllocsPerRun(200, func() {
-		sc := idx.queryPrep(q)
-		q64, q32, ok := idx.flat.QueryCoords(q, sc)
-		if !ok {
-			panic("query does not fit the flat mirror")
+	h := core.NewKNNHeap(10)
+	for name, accept := range map[string]core.Accept{"unfiltered": nil, "accept": func(id int) bool { return id%3 != 0 }} {
+		allocs := testing.AllocsPerRun(200, func() {
+			h.Reset(10)
+			if err := idx.tab.ScanKNN(h, q, accept); err != nil {
+				panic(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("%s: flat kNN hot loop allocated %.1f times per query; want 0", name, allocs)
 		}
-		h := sc.Heap(10)
-		idx.knnFlat(q64, q32, sc, h)
-		idx.scratch.Put(sc)
-	})
-	if allocs != 0 {
-		t.Fatalf("flat kNN hot loop allocated %.1f times per query; want 0", allocs)
 	}
 }

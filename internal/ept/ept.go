@@ -7,25 +7,10 @@ package ept
 
 import (
 	"fmt"
-	"sort"
 
 	"metricindex/internal/core"
 	"metricindex/internal/pivot"
-)
-
-// verifyChunk is the candidate batch size of the chunked DistanceMany
-// verification path.
-const verifyChunk = 64
-
-// knnBlockMin and knnBlock bound the row-block sizes of the staged kNN
-// scan (see the LAESA twin): each block is swept at the radius current
-// when it starts, so pruning tightens block by block and the recheck
-// stays cache-resident.
-// Blocks start small and double, so the loose just-seeded radius only
-// governs short sweeps.
-const (
-	knnBlockMin = 128
-	knnBlock    = 1024
+	"metricindex/internal/table"
 )
 
 // Variant selects between the original EPT and the paper's EPT*.
@@ -61,42 +46,32 @@ type Options struct {
 	Workers int
 }
 
-// EPT is the extreme pivot table index. The table is struct-of-arrays:
-// column c holds, for every row, the c-th private pivot (as a dense index
-// into the referenced-pivot pool) and its distance, so Lemma 1 filtering
-// scans contiguous columns. A query computes its distance to the whole
-// referenced pool up front through the batch kernel — replacing the old
-// lazy per-pivot map memoization — then prunes via the columns and
-// verifies survivors through the flat kernel (or chunked DistanceMany).
+// EPT is the extreme pivot table index: the per-row layout of
+// table.Table. Column c holds, for every row, the c-th private pivot (as
+// a dense index into the referenced-pivot pool) and its distance. A query
+// computes its distance to the whole referenced pool up front through
+// the batch kernel, then runs the table's staged scan — the same
+// procedure as LAESA (§3.2), with the indexed column sweep applying
+// Lemma 1 per private pivot set.
 type EPT struct {
 	ds      *core.Dataset
 	variant Variant
 	l       int
-
-	ids   []int32     // row -> object id
-	pcols [][]int32   // pcols[c][row] = dense pool index of the row's c-th pivot
-	dcols [][]float64 // dcols[c][row] = distance to that pivot
-	rowOf map[int]int
+	tab     *table.Table
 
 	// pivotVal snapshots pivot object values so queries keep working if a
 	// pivot object is later deleted from the dataset.
 	pivotVal map[int32]core.Object
 
 	// The referenced-pivot pool: every pivot some row cites, densely
-	// numbered in first-reference order. poolIDs maps dense index back to
-	// the dataset pivot id; poolOf is the inverse.
-	pool    []core.Object
+	// numbered in first-reference order (the values live in the table, as
+	// what a query measures itself against). poolIDs maps dense index back
+	// to the dataset pivot id; poolOf is the inverse.
 	poolIDs []int32
 	poolOf  map[int32]int32
 
 	groups *pivot.Groups   // Original: assignment state for inserts
 	psa    *pivot.PSAState // Star: assignment state for inserts
-
-	flat     *core.FlatVecs // coordinate mirror; nil off the flat path
-	noMirror bool
-	kern     core.PreKernel
-	hasKern  bool
-	scratch  core.ScratchPool
 }
 
 // New builds an EPT or EPT* over all live objects.
@@ -104,7 +79,7 @@ func New(ds *core.Dataset, variant Variant, opts Options) (*EPT, error) {
 	if opts.L <= 0 {
 		return nil, fmt.Errorf("ept: non-positive L %d", opts.L)
 	}
-	e := newEmpty(ds, variant, opts.L)
+	e := newEmpty(ds, variant)
 	sp := ds.Space()
 	// assign computes one object's row; it must be safe to call
 	// concurrently, since construction fans the per-object assignments out
@@ -125,6 +100,7 @@ func New(ds *core.Dataset, variant Variant, opts Options) (*EPT, error) {
 			return nil, err
 		}
 		e.groups = g
+		e.l = opts.L
 		for gi := range g.IDs {
 			for j := range g.IDs[gi] {
 				e.pivotVal[g.IDs[gi][j]] = g.Vals[gi][j]
@@ -138,9 +114,7 @@ func New(ds *core.Dataset, variant Variant, opts Options) (*EPT, error) {
 		if err != nil {
 			return nil, err
 		}
-		e.l = min(e.l, len(st.CandVals))
-		e.pcols = e.pcols[:e.l]
-		e.dcols = e.dcols[:e.l]
+		e.l = min(opts.L, len(st.CandVals))
 		e.psa = st
 		for ci := range st.CandIDs {
 			e.pivotVal[st.CandIDs[ci]] = st.CandVals[ci]
@@ -151,6 +125,7 @@ func New(ds *core.Dataset, variant Variant, opts Options) (*EPT, error) {
 	default:
 		return nil, fmt.Errorf("ept: unknown variant %d", variant)
 	}
+	e.tab = table.NewRefs("ept", ds, e.l)
 	ids := ds.LiveIDs()
 	pvs := make([][]int32, len(ids))
 	dvs := make([][]float64, len(ids))
@@ -167,20 +142,15 @@ func New(ds *core.Dataset, variant Variant, opts Options) (*EPT, error) {
 	return e, nil
 }
 
-// newEmpty prepares an EPT shell shared by New and the snapshot loader.
-func newEmpty(ds *core.Dataset, variant Variant, l int) *EPT {
-	e := &EPT{
+// newEmpty prepares an EPT shell shared by New and the snapshot loader;
+// the caller sets the row width and creates the table.
+func newEmpty(ds *core.Dataset, variant Variant) *EPT {
+	return &EPT{
 		ds:       ds,
 		variant:  variant,
-		l:        l,
-		rowOf:    make(map[int]int),
 		pivotVal: make(map[int32]core.Object),
 		poolOf:   make(map[int32]int32),
-		pcols:    make([][]int32, l),
-		dcols:    make([][]float64, l),
 	}
-	e.kern, e.hasKern = core.PreKernelFor(ds.Space().Metric())
-	return e
 }
 
 // poolIdx returns the dense pool index of a pivot id, admitting it to
@@ -189,57 +159,25 @@ func (e *EPT) poolIdx(p int32) int32 {
 	if i, ok := e.poolOf[p]; ok {
 		return i
 	}
-	i := int32(len(e.pool))
-	e.pool = append(e.pool, e.pivotVal[p])
+	i := e.tab.AddPivot(e.pivotVal[p])
 	e.poolIDs = append(e.poolIDs, p)
 	e.poolOf[p] = i
 	return i
 }
 
-// appendRow adds one object's row across the columns; short assignment
-// rows pad with their last pivot (defensively, as the row-major layout
-// did).
+// appendRow adds one object's row, rewriting the assignment's pivot ids
+// (pv, owned by the caller) into pool references in place; short
+// assignment rows pad with their last pivot (defensively, as the
+// row-major layout did).
 func (e *EPT) appendRow(id int, pv []int32, dv []float64) {
-	row := len(e.ids)
-	e.rowOf[id] = row
-	e.ids = append(e.ids, int32(id))
-	for c := 0; c < e.l; c++ {
-		j := c
-		if j >= len(pv) {
-			j = len(pv) - 1
-		}
-		e.pcols[c] = append(e.pcols[c], e.poolIdx(pv[j]))
-		e.dcols[c] = append(e.dcols[c], dv[j])
+	for len(pv) < e.l {
+		pv = append(pv, pv[len(pv)-1])
+		dv = append(dv, dv[len(dv)-1])
 	}
-	e.mirrorRow(row, e.ds.Object(id))
-}
-
-// mirrorRow appends the object to the coordinate mirror, arming it on
-// row 0 and dropping it permanently on the first object that does not
-// fit (see the LAESA twin).
-func (e *EPT) mirrorRow(row int, o core.Object) {
-	if e.noMirror || !e.hasKern {
-		return
+	for c := range pv[:e.l] {
+		pv[c] = e.poolIdx(pv[c])
 	}
-	if o == nil {
-		e.flat = nil
-		e.noMirror = true
-		return
-	}
-	if e.flat == nil {
-		if row != 0 {
-			e.noMirror = true
-			return
-		}
-		if e.flat = core.NewFlatVecs(o); e.flat == nil {
-			e.noMirror = true
-			return
-		}
-	}
-	if !e.flat.Append(o) {
-		e.flat = nil
-		e.noMirror = true
-	}
+	e.tab.Append(id, e.ds.Object(id), pv, dv)
 }
 
 // Name returns "EPT" or "EPT*".
@@ -251,232 +189,40 @@ func (e *EPT) Name() string {
 }
 
 // Len returns the number of indexed objects.
-func (e *EPT) Len() int { return len(e.ids) }
+func (e *EPT) Len() int { return e.tab.Len() }
 
-// useFlat reports whether the flat verification path is armed.
-func (e *EPT) useFlat() bool {
-	return e.hasKern && e.flat != nil && e.flat.Rows() == len(e.ids)
-}
-
-// queryPrep draws scratch, sizes the survivor and chunk buffers, and
-// computes the query's distance to every pooled pivot through the batch
-// kernel (the m·l term of the query cost). Per-row pruning happens in
-// the search routines via the indexed column sweep.
-func (e *EPT) queryPrep(q core.Object) *core.Scratch {
-	sc := e.scratch.Get()
-	qd := sc.GrowQD(len(e.pool))
-	sc.GrowSur(len(e.ids))
-	sc.GrowChunk(verifyChunk)
-	e.ds.Space().DistanceMany(q, e.pool, qd)
-	return sc
-}
-
-// RangeSearch answers MRQ(q, r) by a filtered table scan (same procedure
-// as LAESA, §3.2): an indexed column sweep applies Lemma 1 per private
-// pivot set, then survivors are verified.
+// RangeSearch answers MRQ(q, r) by a filtered table scan.
 func (e *EPT) RangeSearch(q core.Object, r float64) ([]int, error) {
-	sc := e.queryPrep(q)
-	sur := core.SurviveColumnsIndexed(sc.Sur, sc.QD, e.pcols, e.dcols, 0, len(e.ids), r)
-	var res []int
-	if e.useFlat() {
-		if q64, q32, ok := e.flat.QueryCoords(q, sc); ok {
-			res = e.rangeFlat(q64, q32, sur, r)
-			e.scratch.Put(sc)
-			sort.Ints(res)
-			return res, nil
-		}
-	}
-	res = e.rangeObjs(q, sc, sur, r)
-	e.scratch.Put(sc)
-	sort.Ints(res)
-	return res, nil
-}
-
-// rangeFlat verifies the surviving rows through the flat kernel.
-func (e *EPT) rangeFlat(q64 []float64, q32 []float32, sur []int32, r float64) []int {
-	var res []int
-	for _, row := range sur {
-		pre := e.flat.Pre(&e.kern, q64, q32, int(row))
-		if e.kern.Exceeds(pre, r) {
-			continue
-		}
-		if e.kern.Finish(pre) <= r {
-			res = append(res, int(e.ids[row]))
-		}
-	}
-	e.ds.Space().CountDistances(len(sur))
-	return res
-}
-
-// rangeObjs verifies the surviving rows through DistanceMany in chunks.
-func (e *EPT) rangeObjs(q core.Object, sc *core.Scratch, sur []int32, r float64) []int {
-	objs := e.ds.Objects()
-	sp := e.ds.Space()
-	var res []int
-	m := 0
-	for _, row := range sur {
-		id := e.ids[row]
-		sc.IDs[m] = id
-		sc.Objs[m] = objs[id]
-		m++
-		if m < len(sc.IDs) {
-			continue
-		}
-		sp.DistanceMany(q, sc.Objs[:m], sc.Out[:m])
-		for j := 0; j < m; j++ {
-			if sc.Out[j] <= r {
-				res = append(res, int(sc.IDs[j]))
-			}
-		}
-		m = 0
-	}
-	if m > 0 {
-		sp.DistanceMany(q, sc.Objs[:m], sc.Out[:m])
-		for j := 0; j < m; j++ {
-			if sc.Out[j] <= r {
-				res = append(res, int(sc.IDs[j]))
-			}
-		}
-	}
-	return res
+	return e.tab.Range(q, r, nil)
 }
 
 // KNNSearch answers MkNNQ(q, k) with an infinite start radius tightened by
 // verification, in storage order.
 func (e *EPT) KNNSearch(q core.Object, k int) ([]core.Neighbor, error) {
-	if k <= 0 {
-		return nil, nil
-	}
-	sc := e.queryPrep(q)
-	h := sc.Heap(k)
-	if e.useFlat() {
-		if q64, q32, ok := e.flat.QueryCoords(q, sc); ok {
-			e.knnFlat(q64, q32, sc, h)
-			res := h.Result()
-			e.scratch.Put(sc)
-			return res, nil
-		}
-	}
-	e.knnObjs(q, sc, h)
-	res := h.Result()
-	e.scratch.Put(sc)
-	return res, nil
+	return e.tab.KNN(q, k, nil)
 }
 
-// knnSeed bounds the heap-seeding prefix: the first min(k, n) rows are
-// verified unconditionally (the scalar scan cannot prune them either —
-// the radius stays infinite until the k-th push).
-func (e *EPT) knnSeed(k int) int {
-	if k > len(e.ids) {
-		return len(e.ids)
-	}
-	return k
+// RangeSearchAccept answers MRQ(q, r) restricted to accepted ids
+// (core.AcceptSearcher): the accept test runs on every row that survives
+// the indexed column sweep, before its distance is computed, so rejected
+// candidates cost zero compdists while Lemma 1 pruning is untouched. A
+// nil accept is the unfiltered search.
+func (e *EPT) RangeSearchAccept(q core.Object, r float64, accept core.Accept) ([]int, error) {
+	return e.tab.Range(q, r, accept)
 }
 
-// knnFlat is the zero-allocation kNN hot loop (see the LAESA twin for
-// the staging and equivalence argument): verify the seed prefix, sweep
-// the remaining rows at the seeded radius, then re-apply Lemma 1 per
-// survivor with the fresh radius before verifying through the flat
-// kernel.
-//
-//metriclint:noalloc
-func (e *EPT) knnFlat(q64 []float64, q32 []float32, sc *core.Scratch, h *core.KNNHeap) {
-	seed := e.knnSeed(h.K())
-	for row := 0; row < seed; row++ {
-		pre := e.flat.Pre(&e.kern, q64, q32, row)
-		h.Push(int(e.ids[row]), e.kern.Finish(pre))
-	}
-	ndist := seed
-	for base, blk := seed, knnBlockMin; base < len(e.ids); base, blk = base+blk, min(blk*2, knnBlock) {
-		end := base + blk
-		if end > len(e.ids) {
-			end = len(e.ids)
-		}
-		sur := core.SurviveColumnsIndexed(sc.Sur, sc.QD, e.pcols, e.dcols, base, end, h.Radius())
-		for _, row := range sur {
-			r := h.Radius()
-			if core.PruneRowIndexedAt(sc.QD, e.pcols, e.dcols, int(row), r) {
-				continue
-			}
-			pre := e.flat.Pre(&e.kern, q64, q32, int(row))
-			ndist++
-			if e.kern.Exceeds(pre, r) {
-				continue
-			}
-			h.Push(int(e.ids[row]), e.kern.Finish(pre))
-		}
-	}
-	e.ds.Space().CountDistances(ndist)
-}
-
-// knnObjs is the Object fallback: the same staged scan with candidates
-// gathered into chunks verified through DistanceMany; the chunk-stale
-// radius only admits candidates the heap rejects, so answers match the
-// per-candidate scan.
-//
-//metriclint:noalloc
-func (e *EPT) knnObjs(q core.Object, sc *core.Scratch, h *core.KNNHeap) {
-	objs := e.ds.Objects()
-	seed := e.knnSeed(h.K())
-	m := 0
-	for row := 0; row < seed; row++ {
-		id := e.ids[row]
-		sc.IDs[m] = id
-		sc.Objs[m] = objs[id]
-		m++
-		if m == len(sc.IDs) {
-			e.flushKNN(q, sc, m, h)
-			m = 0
-		}
-	}
-	if m > 0 {
-		e.flushKNN(q, sc, m, h)
-		m = 0
-	}
-	for base, blk := seed, knnBlockMin; base < len(e.ids); base, blk = base+blk, min(blk*2, knnBlock) {
-		end := base + blk
-		if end > len(e.ids) {
-			end = len(e.ids)
-		}
-		sur := core.SurviveColumnsIndexed(sc.Sur, sc.QD, e.pcols, e.dcols, base, end, h.Radius())
-		for _, row := range sur {
-			r := h.Radius()
-			if core.PruneRowIndexedAt(sc.QD, e.pcols, e.dcols, int(row), r) {
-				continue
-			}
-			id := e.ids[row]
-			sc.IDs[m] = id
-			sc.Objs[m] = objs[id]
-			m++
-			if m == len(sc.IDs) {
-				e.flushKNN(q, sc, m, h)
-				m = 0
-			}
-		}
-	}
-	if m > 0 {
-		e.flushKNN(q, sc, m, h)
-	}
-}
-
-//metriclint:noalloc
-func (e *EPT) flushKNN(q core.Object, sc *core.Scratch, m int, h *core.KNNHeap) {
-	e.ds.Space().DistanceMany(q, sc.Objs[:m], sc.Out[:m])
-	for j := 0; j < m; j++ {
-		h.Push(int(sc.IDs[j]), sc.Out[j])
-	}
+// KNNSearchAccept answers MkNNQ(q, k) over accepted ids only.
+func (e *EPT) KNNSearchAccept(q core.Object, k int, accept core.Accept) ([]core.Neighbor, error) {
+	return e.tab.KNN(q, k, accept)
 }
 
 // Insert assigns pivots to the new object (group-extreme for EPT, PSA for
 // EPT*) and appends its row. The assignment distances make EPT updates
 // expensive, as Table 6 reports.
 func (e *EPT) Insert(id int) error {
-	if _, dup := e.rowOf[id]; dup {
-		return fmt.Errorf("ept: duplicate insert of %d", id)
-	}
-	o := e.ds.Object(id)
-	if o == nil {
-		return fmt.Errorf("ept: insert of deleted or out-of-range id %d", id)
+	o, err := e.tab.Insertable(id)
+	if err != nil {
+		return err
 	}
 	var pv []int32
 	var dv []float64
@@ -493,38 +239,12 @@ func (e *EPT) Insert(id int) error {
 	return nil
 }
 
-// Delete locates the row by sequential scan (as §6.3 describes) and
-// removes it by a per-column swap with the last row.
-func (e *EPT) Delete(id int) error {
-	row := -1
-	for i, rid := range e.ids {
-		if int(rid) == id {
-			row = i
-			break
-		}
-	}
-	if row < 0 {
-		return fmt.Errorf("ept: delete of unindexed object %d", id)
-	}
-	last := len(e.ids) - 1
-	lastID := e.ids[last]
-	e.ids[row] = lastID
-	e.ids = e.ids[:last]
-	for c := 0; c < e.l; c++ {
-		pcol := e.pcols[c]
-		pcol[row] = pcol[last]
-		e.pcols[c] = pcol[:last]
-		dcol := e.dcols[c]
-		dcol[row] = dcol[last]
-		e.dcols[c] = dcol[:last]
-	}
-	if e.flat != nil {
-		e.flat.SwapDelete(row)
-	}
-	e.rowOf[int(lastID)] = row
-	delete(e.rowOf, id)
-	return nil
-}
+// Delete removes the object's row.
+func (e *EPT) Delete(id int) error { return e.tab.Remove(id) }
+
+// Validate checks that the table's row state is in step
+// (table.Table.Validate).
+func (e *EPT) Validate() error { return e.tab.Validate() }
 
 // PageAccesses returns 0: EPT is an in-memory index.
 func (e *EPT) PageAccesses() int64 { return 0 }
@@ -533,18 +253,8 @@ func (e *EPT) PageAccesses() int64 { return 0 }
 func (e *EPT) ResetStats() {}
 
 // MemBytes reports the table size: EPT stores a pivot reference next to
-// every distance, so it is larger than LAESA's table (Table 4), plus the
-// coordinate mirror when armed.
-func (e *EPT) MemBytes() int64 {
-	n := int64(len(e.ids)) * 4
-	for c := 0; c < e.l; c++ {
-		n += int64(len(e.pcols[c]))*4 + int64(len(e.dcols[c]))*8
-	}
-	if e.flat != nil {
-		n += e.flat.MemBytes()
-	}
-	return n
-}
+// every distance, so it is larger than LAESA's table (Table 4).
+func (e *EPT) MemBytes() int64 { return e.tab.MemBytes() }
 
 // DiskBytes returns 0.
 func (e *EPT) DiskBytes() int64 { return 0 }

@@ -201,20 +201,22 @@ func TestEPTParallelBuildMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("parallel New(%v): %v", v, err)
 		}
-		if !reflect.DeepEqual(seq.ids, par.ids) {
+		if !reflect.DeepEqual(seq.tab.IDs(), par.tab.IDs()) {
 			t.Fatalf("%v: parallel build ids differ", v)
 		}
-		if !reflect.DeepEqual(seq.pcols, par.pcols) {
+		if !reflect.DeepEqual(seq.tab.Refs(), par.tab.Refs()) {
 			t.Fatalf("%v: parallel build pivot columns differ", v)
 		}
 		if !reflect.DeepEqual(seq.poolIDs, par.poolIDs) {
 			t.Fatalf("%v: parallel build pivot pools differ", v)
 		}
-		if !reflect.DeepEqual(seq.dcols, par.dcols) {
+		if !reflect.DeepEqual(seq.tab.Cols(), par.tab.Cols()) {
 			t.Fatalf("%v: parallel build distances differ", v)
 		}
-		if !reflect.DeepEqual(seq.rowOf, par.rowOf) {
-			t.Fatalf("%v: parallel build row map differs", v)
+		for row, id := range seq.tab.IDs() {
+			if seq.tab.Row(int(id)) != row || par.tab.Row(int(id)) != row {
+				t.Fatalf("%v: parallel build row map differs", v)
+			}
 		}
 	}
 }

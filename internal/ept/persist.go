@@ -8,6 +8,7 @@ import (
 	"metricindex/internal/persist"
 	"metricindex/internal/pivot"
 	"metricindex/internal/store"
+	"metricindex/internal/table"
 )
 
 // Snapshot payload encodings for EPT, EPT* and DiskEPT* (spec:
@@ -146,14 +147,15 @@ func (e *EPT) EncodeSnapshot(w *persist.Writer) error {
 	w.U16(eptFormatVersion)
 	w.U8(uint8(e.variant))
 	w.U32(uint32(e.l))
-	w.Int32s(e.ids)
-	pids := make([]int32, 0, len(e.ids)*e.l)
-	dists := make([]float64, 0, len(e.ids)*e.l)
+	ids, refs, cols := e.tab.IDs(), e.tab.Refs(), e.tab.Cols()
+	w.Int32s(ids)
+	pids := make([]int32, 0, len(ids)*e.l)
+	dists := make([]float64, 0, len(ids)*e.l)
 	for c := 0; c < e.l; c++ {
-		for _, pi := range e.pcols[c] {
+		for _, pi := range refs[c] {
 			pids = append(pids, e.poolIDs[pi])
 		}
-		dists = append(dists, e.dcols[c]...)
+		dists = append(dists, cols[c]...)
 	}
 	w.Int32s(pids)
 	w.Floats(dists)
@@ -189,8 +191,9 @@ func loadMemEPT(ds *core.Dataset, r *persist.Reader) (core.Index, *store.Pager, 
 	if len(pids) != len(ids)*l || len(dists) != len(pids) {
 		return nil, nil, fmt.Errorf("ept: table shape %d ids × %d pivots vs %d/%d entries", len(ids), l, len(pids), len(dists))
 	}
-	e := newEmpty(ds, variant, l)
-	e.ids = ids
+	e := newEmpty(ds, variant)
+	e.l = l
+	e.tab = table.NewRefs("ept", ds, l)
 	e.pivotVal = pivotVal
 	var err error
 	switch e.variant {
@@ -206,35 +209,23 @@ func loadMemEPT(ds *core.Dataset, r *persist.Reader) (core.Index, *store.Pager, 
 	}
 	// Rebuild the dense pool and the struct-of-arrays columns from the
 	// wire's dataset pivot ids; version-1 payloads are row-major and
-	// transpose here. The pool is admitted row by row — the order
-	// appendRow uses — so the dense numbering matches a fresh build.
+	// transpose here. Rows are appended one by one — the order a fresh
+	// build uses — so the dense pool numbering matches it.
 	rows := len(ids)
-	at := func(c, row int) int {
-		if v == 1 {
-			return row*l + c
-		}
-		return c*rows + row
-	}
-	for row := 0; row < rows; row++ {
+	refs := make([]int32, l)
+	row := make([]float64, l)
+	for i, id := range ids {
 		for c := 0; c < l; c++ {
-			p := pids[at(c, row)]
-			if _, ok := e.pivotVal[p]; !ok {
-				return nil, nil, fmt.Errorf("ept: row %d references pivot %d with no stored value", row, p)
+			at := c*rows + i
+			if v == 1 {
+				at = i*l + c
 			}
-			e.poolIdx(p)
+			if _, ok := e.pivotVal[pids[at]]; !ok {
+				return nil, nil, fmt.Errorf("ept: row %d references pivot %d with no stored value", i, pids[at])
+			}
+			refs[c], row[c] = e.poolIdx(pids[at]), dists[at]
 		}
-	}
-	for c := 0; c < l; c++ {
-		e.pcols[c] = make([]int32, rows)
-		e.dcols[c] = make([]float64, rows)
-		for row := 0; row < rows; row++ {
-			e.pcols[c][row] = e.poolIdx(pids[at(c, row)])
-			e.dcols[c][row] = dists[at(c, row)]
-		}
-	}
-	for row, id := range e.ids {
-		e.rowOf[int(id)] = row
-		e.mirrorRow(row, ds.Object(int(id)))
+		e.tab.Append(int(id), ds.Object(int(id)), refs, row)
 	}
 	return e, nil, nil
 }

@@ -25,14 +25,15 @@ func TestEPTLoadsVersion1Payload(t *testing.T) {
 		w.U16(1)
 		w.U8(uint8(idx.variant))
 		w.U32(uint32(idx.l))
-		w.Int32s(idx.ids)
-		rows := len(idx.ids)
+		ids, refs, cols := idx.tab.IDs(), idx.tab.Refs(), idx.tab.Cols()
+		w.Int32s(ids)
+		rows := len(ids)
 		pids := make([]int32, rows*idx.l)
 		dists := make([]float64, rows*idx.l)
 		for c := 0; c < idx.l; c++ {
 			for row := 0; row < rows; row++ {
-				pids[row*idx.l+c] = idx.poolIDs[idx.pcols[c][row]]
-				dists[row*idx.l+c] = idx.dcols[c][row]
+				pids[row*idx.l+c] = idx.poolIDs[refs[c][row]]
+				dists[row*idx.l+c] = cols[c][row]
 			}
 		}
 		w.Int32s(pids)
@@ -49,7 +50,7 @@ func TestEPTLoadsVersion1Payload(t *testing.T) {
 			t.Fatalf("load v1 payload (%v): %v", variant, err)
 		}
 		restored := restoredIdx.(*EPT)
-		if !reflect.DeepEqual(restored.dcols, idx.dcols) {
+		if !reflect.DeepEqual(restored.tab.Cols(), cols) {
 			t.Fatalf("%v: v1 load did not transpose to the original distance columns", variant)
 		}
 		// The pool is rebuilt in first-reference order, which the row-major
@@ -57,10 +58,10 @@ func TestEPTLoadsVersion1Payload(t *testing.T) {
 		if !reflect.DeepEqual(restored.poolIDs, idx.poolIDs) {
 			t.Fatalf("%v: v1 load rebuilt a different pivot pool", variant)
 		}
-		if !reflect.DeepEqual(restored.pcols, idx.pcols) {
+		if !reflect.DeepEqual(restored.tab.Refs(), refs) {
 			t.Fatalf("%v: v1 load rebuilt different pivot columns", variant)
 		}
-		if !restored.useFlat() {
+		if !restored.tab.FlatArmed() {
 			t.Fatalf("%v: v1 load did not arm the flat path", variant)
 		}
 		for qs := int64(0); qs < 3; qs++ {

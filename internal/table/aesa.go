@@ -3,6 +3,7 @@ package table
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"metricindex/internal/core"
 )
@@ -85,7 +86,7 @@ func (a *AESA) RangeSearch(q core.Object, r float64) ([]int, error) {
 			}
 		}
 	}
-	sortInts(res)
+	sort.Ints(res)
 	return res, nil
 }
 

@@ -37,8 +37,9 @@ func TestLAESAKNNSearchAllocs(t *testing.T) {
 // TestLAESAFlatKNNHotLoopZeroAllocs is the steady-state witness of the
 // flat kernel path: with the scratch pool warm, one kNN scan — query-
 // pivot batch, column sweep, flat verification — performs zero
-// allocations. Only assembling the answer slice (Result) allocates, and
-// it stays outside the measured loop. The loop's callees carry
+// allocations, with and without a pushed-down accept test. Only
+// assembling the answer slice (Result) allocates, and it stays outside
+// the measured loop. The scan and its callees carry
 // //metriclint:noalloc, so a regression fails `make lint` too.
 func TestLAESAFlatKNNHotLoopZeroAllocs(t *testing.T) {
 	if testutil.RaceEnabled {
@@ -49,24 +50,23 @@ func TestLAESAFlatKNNHotLoopZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !idx.useFlat() {
+	if !idx.tab.FlatArmed() {
 		t.Fatal("flat path not armed on a pure-vector dataset")
 	}
 	var q core.Object = ds.Objects()[42]
 	if _, err := idx.KNNSearch(q, 10); err != nil { // warm the scratch pool
 		t.Fatal(err)
 	}
-	allocs := testing.AllocsPerRun(200, func() {
-		sc := idx.queryPrep(q)
-		q64, q32, ok := idx.flat.QueryCoords(q, sc)
-		if !ok {
-			panic("query does not fit the flat mirror")
+	h := core.NewKNNHeap(10)
+	for name, accept := range map[string]core.Accept{"unfiltered": nil, "accept": func(id int) bool { return id%3 != 0 }} {
+		allocs := testing.AllocsPerRun(200, func() {
+			h.Reset(10)
+			if err := idx.tab.ScanKNN(h, q, accept); err != nil {
+				panic(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("%s: flat kNN hot loop allocated %.1f times per query; want 0", name, allocs)
 		}
-		h := sc.Heap(10)
-		idx.knnFlat(q64, q32, sc, h)
-		idx.scratch.Put(sc)
-	})
-	if allocs != 0 {
-		t.Fatalf("flat kNN hot loop allocated %.1f times per query; want 0", allocs)
 	}
 }

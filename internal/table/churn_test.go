@@ -1,0 +1,121 @@
+package table_test
+
+import (
+	"math/rand"
+	"testing"
+
+	"metricindex/internal/core"
+	"metricindex/internal/testutil"
+)
+
+// TestTableFamilyChurnLockstep is the update-path property test of the
+// one pivot table, run for every family on it — LAESA, EPT, EPT*, CPT —
+// on the flat (vectors) and the object (words) verification path. A
+// seeded random interleaving of inserts and deletes must keep the row
+// state in step after every single update (Validate: directory, ids,
+// every column, the quantized shadow, the coordinate mirror — and for
+// CPT the M-tree) and every range/kNN answer equal to the linear scan.
+// Besides random inserts and deletes the interleaving covers deleting
+// the last row (the swap-with-last degenerates to a truncate), deleting
+// an object and reinserting the same id, and emptying the table,
+// querying it empty and refilling it. The mirror's own lifecycle (re-arm
+// on refill, drop on a misfit) is TestTableMirrorLifecycle.
+func TestTableFamilyChurnLockstep(t *testing.T) {
+	for _, family := range []string{"LAESA", "EPT", "EPT*", "CPT"} {
+		for _, ed := range testutil.EquivDatasets(false, 200, 17) {
+			t.Run(family+"/"+ed.Name, func(t *testing.T) {
+				churnLockstep(t, ed.DS, goldenBuild(t, family, ed.DS))
+			})
+		}
+	}
+}
+
+func churnLockstep(t *testing.T, ds *core.Dataset, idx goldenIndex) {
+	val := idx.(interface{ Validate() error })
+	rng := rand.New(rand.NewSource(5))
+	// rows models the table's row order: built over the live ids, appended
+	// at the end, the last row swapped into a deleted one's place.
+	rows := ds.LiveIDs()
+	valid := func(what string) {
+		t.Helper()
+		if err := val.Validate(); err != nil {
+			t.Fatalf("after %s: %v", what, err)
+		}
+	}
+	answers := func() {
+		t.Helper()
+		q := testutil.RandomQuery(ds, rng.Int63())
+		radii := testutil.Radii(ds, q)
+		testutil.CheckRange(t, idx, ds, q, radii[1])
+		testutil.CheckRange(t, idx, ds, q, radii[3])
+		testutil.CheckKNN(t, idx, ds, q, 1+rng.Intn(12))
+	}
+	insert := func(id int) {
+		t.Helper()
+		if err := idx.Insert(id); err != nil {
+			t.Fatalf("Insert(%d): %v", id, err)
+		}
+		rows = append(rows, id)
+		valid("insert")
+	}
+	// remove deletes row i's object from the index and, when forget is
+	// set, from the dataset too.
+	remove := func(i int, forget bool) int {
+		t.Helper()
+		id := rows[i]
+		if err := idx.Delete(id); err != nil {
+			t.Fatalf("Delete(%d): %v", id, err)
+		}
+		if forget {
+			if err := ds.Delete(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rows[i] = rows[len(rows)-1]
+		rows = rows[:len(rows)-1]
+		valid("delete")
+		return id
+	}
+	churn := func(ops int) {
+		t.Helper()
+		for i := 0; i < ops; i++ {
+			op := rng.Intn(5)
+			if len(rows) < 20 {
+				op = 0
+			}
+			switch op {
+			case 0, 1:
+				insert(ds.Insert(testutil.RandomQuery(ds, rng.Int63())))
+			case 2:
+				remove(rng.Intn(len(rows)), true)
+			case 3:
+				remove(len(rows)-1, true)
+			case 4:
+				insert(remove(rng.Intn(len(rows)), false))
+			}
+			if i%8 == 7 {
+				answers()
+			}
+		}
+	}
+
+	valid("build")
+	churn(120)
+	emptied := append([]int(nil), rows...)
+	for len(rows) > 0 {
+		remove(len(rows)-1, false)
+	}
+	q := testutil.RandomQuery(ds, rng.Int63())
+	if got, err := idx.RangeSearch(q, testutil.Radii(ds, q)[4]); err != nil || len(got) != 0 {
+		t.Fatalf("range over the emptied table: %v, %v", got, err)
+	}
+	if got, err := idx.KNNSearch(q, 5); err != nil || len(got) != 0 {
+		t.Fatalf("kNN over the emptied table: %v, %v", got, err)
+	}
+	rng.Shuffle(len(emptied), func(i, j int) { emptied[i], emptied[j] = emptied[j], emptied[i] })
+	for _, id := range emptied {
+		insert(id)
+	}
+	answers()
+	churn(60)
+}

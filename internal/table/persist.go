@@ -28,20 +28,11 @@ func init() {
 	persist.Register("AESA", loadAESA)
 }
 
-// EncodeSnapshot writes the LAESA payload: pivots (ids and snapshotted
-// values), the row ids, and the distance table as one flat column-major
-// block. The row directory and the coordinate mirror are derivable and
-// not stored.
+// EncodeSnapshot writes the LAESA payload: the family version, then the
+// shared table block.
 func (t *LAESA) EncodeSnapshot(w *persist.Writer) error {
 	w.U16(tableFormatVersion)
-	w.Ints(t.pivotIDs)
-	w.Objects(t.pivotVals)
-	w.Int32s(t.ids)
-	flat := make([]float64, 0, len(t.ids)*len(t.cols))
-	for _, col := range t.cols {
-		flat = append(flat, col...)
-	}
-	w.Floats(flat)
+	t.tab.EncodeBlock(w)
 	return nil
 }
 
@@ -50,49 +41,11 @@ func loadLAESA(ds *core.Dataset, r *persist.Reader) (core.Index, *store.Pager, e
 	if r.Err() == nil && v != 1 && v != tableFormatVersion {
 		return nil, nil, fmt.Errorf("laesa: unsupported payload version %d", v)
 	}
-	t := &LAESA{
-		ds:        ds,
-		pivotIDs:  r.Ints(),
-		pivotVals: r.Objects(),
-		ids:       r.Int32s(),
-		rowOf:     make(map[int]int),
-	}
-	dists := r.Floats()
-	if err := r.Err(); err != nil {
+	tab, err := DecodeBlock("laesa", ds, r, v == 1, nil)
+	if err != nil {
 		return nil, nil, err
 	}
-	if len(t.pivotVals) != len(t.pivotIDs) || len(t.pivotIDs) == 0 {
-		return nil, nil, fmt.Errorf("laesa: %d pivot values for %d pivot ids", len(t.pivotVals), len(t.pivotIDs))
-	}
-	if len(dists) != len(t.ids)*len(t.pivotIDs) {
-		return nil, nil, fmt.Errorf("laesa: %d distances for %d rows × %d pivots", len(dists), len(t.ids), len(t.pivotIDs))
-	}
-	t.cols = distColumns(dists, len(t.ids), len(t.pivotIDs), v == 1)
-	t.kern, t.hasKern = core.PreKernelFor(ds.Space().Metric())
-	for row, id := range t.ids {
-		t.rowOf[int(id)] = row
-		t.mirrorAt(row)
-	}
-	t.qcol = core.NewQuantCol(t.cols[0])
-	return t, nil, nil
-}
-
-// distColumns splits a flat distance block into per-pivot columns,
-// transposing when the block is the row-major layout of version-1
-// payloads.
-func distColumns(dists []float64, rows, l int, rowMajor bool) [][]float64 {
-	cols := make([][]float64, l)
-	for i := range cols {
-		cols[i] = make([]float64, rows)
-		if rowMajor {
-			for row := 0; row < rows; row++ {
-				cols[i][row] = dists[row*l+i]
-			}
-		} else {
-			copy(cols[i], dists[i*rows:(i+1)*rows])
-		}
-	}
-	return cols
+	return &LAESA{tab: tab}, nil, nil
 }
 
 // EncodeSnapshot writes the AESA payload: the row ids and the full n×n

@@ -21,14 +21,14 @@ func TestLAESALoadsVersion1Payload(t *testing.T) {
 	}
 	w := persist.NewWriter()
 	w.U16(1)
-	w.Ints(idx.pivotIDs)
-	w.Objects(idx.pivotVals)
-	w.Int32s(idx.ids)
-	rows := len(idx.ids)
-	dists := make([]float64, rows*len(idx.cols))
-	for i, col := range idx.cols {
+	w.Ints(idx.tab.pivotIDs)
+	w.Objects(idx.tab.pivots)
+	w.Int32s(idx.tab.ids)
+	rows := len(idx.tab.ids)
+	dists := make([]float64, rows*len(idx.tab.cols))
+	for i, col := range idx.tab.cols {
 		for row, d := range col {
-			dists[row*len(idx.cols)+i] = d
+			dists[row*len(idx.tab.cols)+i] = d
 		}
 	}
 	w.Floats(dists)
@@ -38,10 +38,10 @@ func TestLAESALoadsVersion1Payload(t *testing.T) {
 		t.Fatalf("load v1 payload: %v", err)
 	}
 	restored := restoredIdx.(*LAESA)
-	if !reflect.DeepEqual(restored.cols, idx.cols) {
+	if !reflect.DeepEqual(restored.tab.cols, idx.tab.cols) {
 		t.Fatal("v1 load did not transpose to the original columns")
 	}
-	if !restored.useFlat() {
+	if !restored.tab.FlatArmed() {
 		t.Fatal("v1 load did not arm the flat path")
 	}
 	for qs := int64(0); qs < 3; qs++ {

@@ -114,7 +114,7 @@ func TestLAESAVector32(t *testing.T) {
 		if err != nil {
 			t.Fatalf("NewLAESA: %v", err)
 		}
-		if !idx.useFlat() {
+		if !idx.tab.FlatArmed() {
 			t.Fatalf("%s: flat path not armed on a Vector32 dataset", m.Name())
 		}
 		for qs := int64(0); qs < 4; qs++ {
@@ -138,7 +138,7 @@ func TestLAESAVector32(t *testing.T) {
 				t.Fatalf("Insert(%d): %v", id, err)
 			}
 		}
-		if !idx.useFlat() {
+		if !idx.tab.FlatArmed() {
 			t.Fatalf("%s: flat path lost across updates", m.Name())
 		}
 		q := testutil.RandomQuery(ds, 9)
@@ -303,41 +303,54 @@ func TestParallelLAESAMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestInsertInvalidIDErrors is the regression test for the nil-object
-// panic: inserting a deleted or out-of-range id must return an error, not
-// pass nil into the metric's type assertion.
-func TestInsertInvalidIDErrors(t *testing.T) {
-	ds := testutil.VectorDataset(40, 3, 100, core.L2{}, 31)
-	pv, err := pivot.HFI(ds, 3, pivot.Options{Seed: 3})
-	if err != nil {
-		t.Fatal(err)
+// TestTableMirrorLifecycle follows the coordinate mirror through what the
+// churn property test cannot see from outside: emptying and refilling the
+// table re-arms the flat path, and appending an object the mirror cannot
+// hold (a wrong type; no built-in metric would accept it, so it enters as
+// a bare row and no query runs while it is in) drops the mirror for good
+// with the rest of the row state still in step — the table then answers
+// exactly through the object path.
+func TestTableMirrorLifecycle(t *testing.T) {
+	idx, ds := newVectorLAESA(t, 120)
+	tab := idx.tab
+	valid := func(what string, armed bool) {
+		t.Helper()
+		if err := tab.Validate(); err != nil {
+			t.Fatalf("after %s: %v", what, err)
+		}
+		if tab.FlatArmed() != armed {
+			t.Fatalf("after %s: flat path armed = %v, want %v", what, tab.FlatArmed(), armed)
+		}
 	}
-	laesa, err := NewLAESA(ds, pv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	aesa, err := NewAESA(ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	victim := 11
-	for _, idx := range []core.Index{laesa, aesa} {
-		if err := idx.Delete(victim); err != nil {
+	valid("build", true)
+	ids := ds.LiveIDs()
+	for _, id := range ids {
+		if err := idx.Delete(id); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := ds.Delete(victim); err != nil {
+	valid("emptying", true)
+	for _, id := range ids {
+		if err := idx.Insert(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	valid("refilling", true)
+
+	misfit := ds.Len() + 1
+	tab.Append(misfit, core.Word("misfit"), nil, make([]float64, len(tab.cols)))
+	valid("appending a misfit", false)
+	if err := tab.Remove(misfit); err != nil {
 		t.Fatal(err)
 	}
-	for _, idx := range []core.Index{laesa, aesa} {
-		if err := idx.Insert(victim); err == nil {
-			t.Errorf("%s: Insert of deleted id should error", idx.Name())
-		}
-		if err := idx.Insert(1000); err == nil {
-			t.Errorf("%s: Insert of out-of-range id should error", idx.Name())
-		}
-		if err := idx.Insert(-2); err == nil {
-			t.Errorf("%s: Insert of negative id should error", idx.Name())
-		}
+	valid("removing the misfit", false)
+	if err := idx.Insert(ds.Insert(core.Vector{1, 2, 3, 4})); err != nil {
+		t.Fatal(err)
 	}
+	valid("an insert after the drop", false)
+	q := testutil.RandomQuery(ds, 3)
+	for _, r := range testutil.Radii(ds, q) {
+		testutil.CheckRange(t, idx, ds, q, r)
+	}
+	testutil.CheckKNN(t, idx, ds, q, 9)
 }
