@@ -20,14 +20,16 @@ GOVULNCHECK_VERSION ?= v1.1.4
 # (nilness, shadow) that plain `go vet` does not run.
 XTOOLS_VERSION ?= v0.30.0
 
-# Seconds each native fuzz target runs in the `make fuzz` smoke (six
+# Seconds each native fuzz target runs in the `make fuzz` smoke (seven
 # targets: FuzzLevenshtein, FuzzBatchKernels, FuzzDecodeQuery,
-# FuzzSnapshotHeader, FuzzPredicateParse, FuzzPredicateEval).
+# FuzzSnapshotHeader, FuzzPredicateParse, FuzzPredicateEval,
+# FuzzHilbertDecode).
 FUZZTIME ?= 10s
 
 # Packages with a parallel build, the concurrent query engine, the
-# update/query synchronization layer, the answer cache, or the shared
-# scratch pools of the batched kernel paths: the race-detector gate of
+# update/query synchronization layer, the answer cache, the shared
+# scratch pools of the batched kernel paths, or state memoized across
+# indexes (the Hilbert decode tables): the race-detector gate of
 # `make race`.
 RACE_PKGS = ./internal/exec/... ./internal/epoch/... ./internal/server/... \
             ./internal/shard/... ./internal/table/... ./internal/mvpt/... \
@@ -37,7 +39,8 @@ RACE_PKGS = ./internal/exec/... ./internal/epoch/... ./internal/server/... \
             ./internal/mtree/... ./internal/pmtree/... ./internal/persist/... \
             ./internal/bptree/... ./internal/rtree/... ./internal/spb/... \
             ./internal/mindex/... ./internal/pivot/... ./internal/dataset/... \
-            ./internal/obs/... ./internal/plan/... ./cmd/mserve/... .
+            ./internal/obs/... ./internal/plan/... ./internal/sfc/... \
+            ./cmd/mserve/... .
 
 # The example programs CI runs end to end so example rot fails the
 # pipeline (each finishes in well under a second).
@@ -79,6 +82,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzSnapshotHeader -fuzztime=$(FUZZTIME) ./internal/persist
 	$(GO) test -run='^$$' -fuzz=FuzzPredicateParse -fuzztime=$(FUZZTIME) ./internal/plan
 	$(GO) test -run='^$$' -fuzz=FuzzPredicateEval -fuzztime=$(FUZZTIME) ./internal/plan
+	$(GO) test -run='^$$' -fuzz=FuzzHilbertDecode -fuzztime=$(FUZZTIME) ./internal/sfc
 
 bench:
 	$(GO) test -bench='$(BENCH)' -benchtime=$(BENCHTIME) -run=^$$ .

@@ -29,9 +29,8 @@ type Augmenter interface {
 	Merge(lo1, hi1, lo2, hi2 uint64) (lo, hi uint64)
 }
 
-// Node is the decoded form of a B+-tree page, exposed so indexes can run
-// custom pruning traversals (the SPB-tree walks nodes best-first by MBB
-// distance).
+// Node is the decoded, mutable form of a B+-tree page: what Insert and
+// Delete edit and write back. Read-only paths use a View instead.
 type Node struct {
 	Leaf bool
 	// Keys holds record keys (leaf) or per-child max keys (internal).
@@ -85,41 +84,130 @@ func (t *Tree) Root() store.PageID { return t.root }
 // Len returns the number of records.
 func (t *Tree) Len() int { return t.size }
 
-// ReadNode fetches and decodes a node (one page access, modulo cache).
-func (t *Tree) ReadNode(pid store.PageID) (*Node, error) {
+// View is a read-only node laid over the page bytes the pager returned:
+// entries are fixed-width, so every accessor is offset arithmetic on the
+// page and nothing is decoded or allocated. Indexes use it to run
+// custom pruning traversals (the SPB-tree walks nodes best-first by MBB
+// distance). A View aliases the page: it is valid until the next write
+// to the tree.
+type View struct {
+	entries []byte // the count entries after the node header
+	stride  int    // leafEntrySize or intEntrySize
+	next    store.PageID
+}
+
+// View fetches a node (one page access, modulo cache). A page whose
+// entry count exceeds the node capacity, or an internal node without
+// children, is corrupt and an error.
+//
+//metriclint:noalloc
+func (t *Tree) View(pid store.PageID) (View, error) {
 	buf, err := t.pager.Read(pid)
 	if err != nil {
-		return nil, err
+		return View{}, err
 	}
-	n := &Node{}
-	kind := buf[0]
 	count := int(binary.LittleEndian.Uint16(buf[1:3]))
-	if kind == 0 {
-		n.Leaf = true
-		n.Next = store.PageID(binary.LittleEndian.Uint32(buf[3:7]))
-		off := leafHeader
-		n.Keys = make([]uint64, count)
-		n.Vals = make([]uint64, count)
-		for i := 0; i < count; i++ {
-			n.Keys[i] = binary.LittleEndian.Uint64(buf[off:])
-			n.Vals[i] = binary.LittleEndian.Uint64(buf[off+8:])
-			off += leafEntrySize
+	if buf[0] == 0 {
+		if count > t.leafCap {
+			return View{}, errCorruptNode(pid, count, t.leafCap)
 		}
-		return n, nil
+		return View{
+			entries: buf[leafHeader : leafHeader+count*leafEntrySize],
+			stride:  leafEntrySize,
+			next:    store.PageID(binary.LittleEndian.Uint32(buf[3:7])),
+		}, nil
 	}
-	off := internalHeader
-	n.Keys = make([]uint64, count)
+	if count == 0 || count > t.intCap {
+		return View{}, errCorruptNode(pid, count, t.intCap)
+	}
+	return View{entries: buf[internalHeader : internalHeader+count*intEntrySize], stride: intEntrySize}, nil
+}
+
+func errCorruptNode(pid store.PageID, count, capacity int) error {
+	return fmt.Errorf("bptree: corrupt node in page %d: %d entries (capacity %d)", pid, count, capacity)
+}
+
+// Leaf reports whether the node holds records rather than children.
+//
+//metriclint:noalloc
+func (v View) Leaf() bool { return v.stride == leafEntrySize }
+
+// Len returns the number of records (leaf) or children (internal).
+//
+//metriclint:noalloc
+func (v View) Len() int { return len(v.entries) / v.stride }
+
+// Next returns the right sibling of a leaf (InvalidPage at the end).
+//
+//metriclint:noalloc
+func (v View) Next() store.PageID { return v.next }
+
+// key returns record i's key (leaf) or child i's max key (internal).
+//
+//metriclint:noalloc
+func (v View) key(i int) uint64 {
+	return binary.LittleEndian.Uint64(v.entries[i*v.stride:])
+}
+
+// Record returns record i of a leaf.
+//
+//metriclint:noalloc
+func (v View) Record(i int) (key, val uint64) {
+	e := v.entries[i*leafEntrySize : (i+1)*leafEntrySize]
+	return binary.LittleEndian.Uint64(e), binary.LittleEndian.Uint64(e[8:])
+}
+
+// Child returns child i of an internal node and its augmentation.
+//
+//metriclint:noalloc
+func (v View) Child(i int) (pid store.PageID, auxLo, auxHi uint64) {
+	e := v.entries[i*intEntrySize : (i+1)*intEntrySize]
+	return store.PageID(binary.LittleEndian.Uint32(e[8:])),
+		binary.LittleEndian.Uint64(e[12:]), binary.LittleEndian.Uint64(e[20:])
+}
+
+// childFor returns the first child whose max key is >= key, or the last
+// child.
+func (v View) childFor(key uint64) store.PageID {
+	ci := v.Len() - 1
+	for i := 0; i < ci; i++ {
+		if key <= v.key(i) {
+			ci = i
+			break
+		}
+	}
+	pid, _, _ := v.Child(ci)
+	return pid
+}
+
+// decode copies the node into the mutable form Insert and Delete edit.
+func (v View) decode() *Node {
+	count := v.Len()
+	n := &Node{Leaf: v.Leaf(), Next: v.next, Keys: make([]uint64, count)}
+	if n.Leaf {
+		n.Vals = make([]uint64, count)
+		for i := range n.Keys {
+			n.Keys[i], n.Vals[i] = v.Record(i)
+		}
+		return n
+	}
 	n.Children = make([]store.PageID, count)
 	n.AuxLo = make([]uint64, count)
 	n.AuxHi = make([]uint64, count)
-	for i := 0; i < count; i++ {
-		n.Keys[i] = binary.LittleEndian.Uint64(buf[off:])
-		n.Children[i] = store.PageID(binary.LittleEndian.Uint32(buf[off+8:]))
-		n.AuxLo[i] = binary.LittleEndian.Uint64(buf[off+12:])
-		n.AuxHi[i] = binary.LittleEndian.Uint64(buf[off+20:])
-		off += intEntrySize
+	for i := range n.Keys {
+		n.Keys[i] = v.key(i)
+		n.Children[i], n.AuxLo[i], n.AuxHi[i] = v.Child(i)
 	}
-	return n, nil
+	return n
+}
+
+// readNode fetches a node for editing (one page access, modulo cache).
+func (t *Tree) readNode(pid store.PageID) (*Node, error) {
+	v, err := t.View(pid)
+	if err != nil {
+		return nil, err
+	}
+	return v.decode(), nil
 }
 
 // writeNode encodes and stores a node (one page access).
@@ -214,7 +302,7 @@ func (t *Tree) Insert(key, val uint64) error {
 }
 
 func (t *Tree) insert(pid store.PageID, key, val uint64) (splitResult, error) {
-	n, err := t.ReadNode(pid)
+	n, err := t.readNode(pid)
 	if err != nil {
 		return splitResult{}, err
 	}
@@ -316,23 +404,25 @@ func (t *Tree) Delete(key, val uint64) error {
 		return err
 	}
 	for pid != store.InvalidPage {
-		n, err := t.ReadNode(pid)
+		v, err := t.View(pid)
 		if err != nil {
 			return err
 		}
-		for i := range n.Keys {
-			if n.Keys[i] == key && n.Vals[i] == val {
+		for i, count := 0, v.Len(); i < count; i++ {
+			k, x := v.Record(i)
+			if k == key && x == val {
+				n := v.decode()
 				n.Keys = append(n.Keys[:i], n.Keys[i+1:]...)
 				n.Vals = append(n.Vals[:i], n.Vals[i+1:]...)
 				t.writeNode(pid, n)
 				t.size--
 				return nil
 			}
-			if n.Keys[i] > key {
+			if k > key {
 				return fmt.Errorf("bptree: record (%d,%d) not found", key, val)
 			}
 		}
-		pid = n.Next
+		pid = v.Next()
 	}
 	return fmt.Errorf("bptree: record (%d,%d) not found", key, val)
 }
@@ -341,21 +431,14 @@ func (t *Tree) Delete(key, val uint64) error {
 func (t *Tree) leafFor(key uint64) (store.PageID, error) {
 	pid := t.root
 	for {
-		n, err := t.ReadNode(pid)
+		v, err := t.View(pid)
 		if err != nil {
 			return store.InvalidPage, err
 		}
-		if n.Leaf {
+		if v.Leaf() {
 			return pid, nil
 		}
-		ci := len(n.Keys) - 1
-		for i, mk := range n.Keys {
-			if key <= mk {
-				ci = i
-				break
-			}
-		}
-		pid = n.Children[ci]
+		pid = v.childFor(key)
 	}
 }
 
@@ -367,22 +450,20 @@ func (t *Tree) RangeScan(lo, hi uint64, fn func(key, val uint64) bool) error {
 		return err
 	}
 	for pid != store.InvalidPage {
-		n, err := t.ReadNode(pid)
+		v, err := t.View(pid)
 		if err != nil {
 			return err
 		}
-		for i := range n.Keys {
-			if n.Keys[i] < lo {
+		for i, n := 0, v.Len(); i < n; i++ {
+			key, val := v.Record(i)
+			if key < lo {
 				continue
 			}
-			if n.Keys[i] > hi {
-				return nil
-			}
-			if !fn(n.Keys[i], n.Vals[i]) {
+			if key > hi || !fn(key, val) {
 				return nil
 			}
 		}
-		pid = n.Next
+		pid = v.Next()
 	}
 	return nil
 }
@@ -392,15 +473,15 @@ func (t *Tree) Height() (int, error) {
 	h := 1
 	pid := t.root
 	for {
-		n, err := t.ReadNode(pid)
+		v, err := t.View(pid)
 		if err != nil {
 			return 0, err
 		}
-		if n.Leaf {
+		if v.Leaf() {
 			return h, nil
 		}
 		h++
-		pid = n.Children[0]
+		pid, _, _ = v.Child(0)
 	}
 }
 

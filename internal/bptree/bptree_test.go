@@ -202,7 +202,7 @@ func TestAugmentationMaintained(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	root, err := tr.ReadNode(tr.Root())
+	root, err := tr.readNode(tr.Root())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestAugmentationMaintained(t *testing.T) {
 	// Verify recursively: every internal entry's aux covers its child's.
 	var check func(pid store.PageID) (uint64, uint64)
 	check = func(pid store.PageID) (uint64, uint64) {
-		n, err := tr.ReadNode(pid)
+		n, err := tr.readNode(pid)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Neighbor is one element of a k-nearest-neighbor answer.
@@ -17,11 +18,16 @@ type Neighbor struct {
 // ascending identifier so answers are deterministic and comparable across
 // indexes.
 func SortNeighbors(ns []Neighbor) {
-	sort.Slice(ns, func(i, j int) bool {
-		if ns[i].Dist != ns[j].Dist {
-			return ns[i].Dist < ns[j].Dist
+	slices.SortFunc(ns, func(a, b Neighbor) int {
+		switch {
+		case a.Dist < b.Dist:
+			return -1
+		case a.Dist > b.Dist:
+			return 1
+		case a.Dist == b.Dist:
+			return cmp.Compare(a.ID, b.ID)
 		}
-		return ns[i].ID < ns[j].ID
+		return 0 // a NaN distance orders with nothing
 	})
 }
 

@@ -272,7 +272,7 @@ func loadDiskEPT(ds *core.Dataset, r *persist.Reader) (core.Index, *store.Pager,
 	if err != nil {
 		return nil, nil, err
 	}
-	raf, err := store.LoadRAF(pager, rafBlob)
+	raf, err := store.LoadRAF(pager, rafBlob, ds.Len())
 	if err != nil {
 		return nil, nil, err
 	}

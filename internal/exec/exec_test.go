@@ -234,14 +234,26 @@ func TestConcurrentScratchAnswersExact(t *testing.T) {
 // slowIndex is a stub index whose queries signal and then count; it lets
 // the cancellation test cancel mid-batch deterministically.
 type slowIndex struct {
-	started atomic.Int64
-	cancel  context.CancelFunc
+	started   atomic.Int64
+	cancel    context.CancelFunc
+	cancelled chan struct{} // closed once cancel has returned
+}
+
+func newSlowIndex(cancel context.CancelFunc) *slowIndex {
+	return &slowIndex{cancel: cancel, cancelled: make(chan struct{})}
 }
 
 func (s *slowIndex) Name() string { return "slow" }
 func (s *slowIndex) RangeSearch(q core.Object, r float64) ([]int, error) {
-	if s.started.Add(1) == 3 {
+	switch n := s.started.Add(1); {
+	case n == 3:
 		s.cancel() // cancel the batch from inside the third query
+		close(s.cancelled)
+	case n > 3:
+		// A query behind the trigger returns only after cancel has:
+		// otherwise the other worker could drain the whole batch while
+		// the triggering one is descheduled between Add and cancel.
+		<-s.cancelled
 	}
 	return []int{1}, nil
 }
@@ -260,7 +272,7 @@ func (s *slowIndex) DiskBytes() int64    { return 0 }
 func TestCancellationMidBatch(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	idx := &slowIndex{cancel: cancel}
+	idx := newSlowIndex(cancel)
 	eng := New(nil, Options{Workers: 2})
 
 	const n = 200
@@ -280,7 +292,7 @@ func TestCancellationMidBatch(t *testing.T) {
 // TestQueryErrorAbortsBatch checks that the first query error cancels the
 // remaining work and is returned.
 func TestQueryErrorAbortsBatch(t *testing.T) {
-	idx := &slowIndex{cancel: func() {}}
+	idx := newSlowIndex(func() {})
 	eng := New(nil, Options{Workers: 4})
 	qs := make([]core.Object, 50)
 	for i := range qs {
@@ -297,7 +309,7 @@ func TestQueryErrorAbortsBatch(t *testing.T) {
 func TestPreCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	idx := &slowIndex{cancel: func() {}}
+	idx := newSlowIndex(func() {})
 	eng := New(nil, Options{})
 	_, err := eng.BatchRangeSearch(ctx, idx, []core.Object{core.Vector{0}}, 1)
 	if !errors.Is(err, context.Canceled) {
@@ -322,7 +334,7 @@ func TestDefaultWorkers(t *testing.T) {
 // TestEmptyBatch checks the zero-query edge case.
 func TestEmptyBatch(t *testing.T) {
 	eng := New(nil, Options{Workers: 2})
-	res, err := eng.BatchRangeSearch(context.Background(), &slowIndex{cancel: func() {}}, nil, 1)
+	res, err := eng.BatchRangeSearch(context.Background(), newSlowIndex(func() {}), nil, 1)
 	if err != nil {
 		t.Fatalf("empty batch: %v", err)
 	}

@@ -46,7 +46,7 @@ func decodeBase(ds *core.Dataset, r *persist.Reader) (*base, error) {
 	if err != nil {
 		return nil, err
 	}
-	raf, err := store.LoadRAF(pager, rafBlob)
+	raf, err := store.LoadRAF(pager, rafBlob, ds.Len())
 	if err != nil {
 		return nil, err
 	}

@@ -3,8 +3,8 @@
 // vectors to single integer keys while preserving spatial proximity
 // (§5.4), and the Z-order (Morton) curve as the ablation baseline.
 //
-// Both curves operate on points with Dims coordinates of Bits bits each,
-// with Dims*Bits <= 64 so a key fits in uint64.
+// Both curves operate on points with Dims coordinates of Bits <= 32 bits
+// each, with Dims*Bits <= 64 so a key fits in uint64.
 package sfc
 
 import "fmt"
@@ -25,9 +25,15 @@ type Curve interface {
 }
 
 // Hilbert is the d-dimensional Hilbert curve (Skilling's transpose
-// algorithm, "Programming the Hilbert curve", 2004).
+// algorithm, "Programming the Hilbert curve", 2004). Encode and Decode
+// run Skilling's loops; DecodePacked and Cursor answer the same decode
+// from the level automaton of decode.go when dims <= maxTableDims.
 type Hilbert struct {
 	dims, bits int
+	keyMask    uint64    // the dims*bits key bits
+	step       []uint32  // level automaton; nil above maxTableDims
+	spread     []uint64  // level digit -> its bits in the PackCorner lanes
+	levelOf    [64]uint8 // key bit position -> level (position / dims)
 }
 
 // NewHilbert validates the grid shape and returns the curve.
@@ -35,7 +41,20 @@ func NewHilbert(dims, bits int) (*Hilbert, error) {
 	if err := validate(dims, bits); err != nil {
 		return nil, err
 	}
-	return &Hilbert{dims: dims, bits: bits}, nil
+	h := &Hilbert{dims: dims, bits: bits, keyMask: ^uint64(0) >> uint(64-dims*bits)}
+	if dims <= maxTableDims {
+		h.step = stepTable(dims)
+		for pos := range h.levelOf {
+			h.levelOf[pos] = uint8(pos / dims)
+		}
+		h.spread = make([]uint64, 1<<uint(dims))
+		for v := range h.spread {
+			for j := 0; j < dims; j++ {
+				h.spread[v] |= uint64(v>>uint(j)&1) << uint(j*bits)
+			}
+		}
+	}
+	return h, nil
 }
 
 func validate(dims, bits int) error {
@@ -44,6 +63,9 @@ func validate(dims, bits int) error {
 	}
 	if bits < 1 || dims*bits > 64 {
 		return fmt.Errorf("sfc: dims*bits = %d*%d must be in [1, 64]", dims, bits)
+	}
+	if bits > 32 {
+		return fmt.Errorf("sfc: %d bits per coordinate exceed the 32 a coordinate holds", bits)
 	}
 	return nil
 }
@@ -59,15 +81,19 @@ func (h *Hilbert) Name() string { return "hilbert" }
 
 // Encode maps a point to its Hilbert index.
 func (h *Hilbert) Encode(point []uint32) uint64 {
-	x := make([]uint32, h.dims)
+	var buf [64]uint32
+	x := buf[:h.dims]
 	copy(x, point)
 	axesToTranspose(x, h.bits)
 	return interleave(x, h.bits)
 }
 
-// Decode maps a Hilbert index back to its point.
+// Decode maps a Hilbert index back to its point. It is the
+// specification of the curve: the table-driven decoders are tested
+// against it.
 func (h *Hilbert) Decode(key uint64) []uint32 {
-	x := deinterleave(key, h.dims, h.bits)
+	x := make([]uint32, h.dims)
+	deinterleave(x, key, h.bits)
 	transposeToAxes(x, h.bits)
 	return x
 }
@@ -118,15 +144,24 @@ func transposeToAxes(x []uint32, bits int) {
 	x[0] ^= t
 	// Undo excess work.
 	for q := uint32(2); q != top; q <<= 1 {
-		p := q - 1
-		for i := n - 1; i >= 0; i-- {
-			if x[i]&q != 0 {
-				x[0] ^= p
-			} else {
-				tt := (x[0] ^ x[i]) & p
-				x[0] ^= tt
-				x[i] ^= tt
-			}
+		undoLevel(x, q)
+	}
+}
+
+// undoLevel is one level of Skilling's "undo excess work": bit q of each
+// coordinate decides whether the bits below q of x[0] are inverted or
+// exchanged with those of x[i]. It reads only bit q and writes only the
+// bits below it, which is what makes decode a top-down automaton
+// (decode.go builds its tables by running this on single digits).
+func undoLevel(x []uint32, q uint32) {
+	p := q - 1
+	for i := len(x) - 1; i >= 0; i-- {
+		if x[i]&q != 0 {
+			x[0] ^= p
+		} else {
+			t := (x[0] ^ x[i]) & p
+			x[0] ^= t
+			x[i] ^= t
 		}
 	}
 }
@@ -143,17 +178,16 @@ func interleave(x []uint32, bits int) uint64 {
 	return key
 }
 
-// deinterleave splits a key back into the transposed form.
-func deinterleave(key uint64, dims, bits int) []uint32 {
-	x := make([]uint32, dims)
-	pos := dims*bits - 1
+// deinterleave splits a key back into the transposed form, filling the
+// zeroed x (one entry per dimension).
+func deinterleave(x []uint32, key uint64, bits int) {
+	pos := len(x)*bits - 1
 	for b := bits - 1; b >= 0; b-- {
-		for i := 0; i < dims; i++ {
+		for i := range x {
 			x[i] |= uint32((key>>uint(pos))&1) << uint(b)
 			pos--
 		}
 	}
-	return x
 }
 
 // ZOrder is the Morton (bit-interleaving) curve, the simpler alternative
@@ -192,7 +226,9 @@ func (z *ZOrder) Encode(point []uint32) uint64 {
 
 // Decode de-interleaves the key.
 func (z *ZOrder) Decode(key uint64) []uint32 {
-	return deinterleave(key, z.dims, z.bits)
+	x := make([]uint32, z.dims)
+	deinterleave(x, key, z.bits)
+	return x
 }
 
 // PackCorner packs a coordinate vector into a uint64 by plain
@@ -206,15 +242,4 @@ func PackCorner(point []uint32, bits int) uint64 {
 		key = key<<uint(bits) | uint64(c&((1<<uint(bits))-1))
 	}
 	return key
-}
-
-// UnpackCorner inverts PackCorner.
-func UnpackCorner(key uint64, dims, bits int) []uint32 {
-	out := make([]uint32, dims)
-	mask := uint64(1)<<uint(bits) - 1
-	for i := dims - 1; i >= 0; i-- {
-		out[i] = uint32(key & mask)
-		key >>= uint(bits)
-	}
-	return out
 }

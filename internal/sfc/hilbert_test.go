@@ -134,10 +134,21 @@ func TestHilbertBetterLocalityThanZOrder(t *testing.T) {
 	}
 }
 
+// unpackCorner inverts PackCorner.
+func unpackCorner(key uint64, dims, bits int) []uint32 {
+	out := make([]uint32, dims)
+	mask := uint64(1)<<uint(bits) - 1
+	for i := dims - 1; i >= 0; i-- {
+		out[i] = uint32(key & mask)
+		key >>= uint(bits)
+	}
+	return out
+}
+
 func TestPackCornerRoundTrip(t *testing.T) {
 	f := func(a, b, c uint32) bool {
 		p := []uint32{a & 0x3FF, b & 0x3FF, c & 0x3FF}
-		got := UnpackCorner(PackCorner(p, 10), 3, 10)
+		got := unpackCorner(PackCorner(p, 10), 3, 10)
 		for i := range p {
 			if got[i] != p[i] {
 				return false
@@ -159,5 +170,8 @@ func TestCurveValidation(t *testing.T) {
 	}
 	if _, err := NewZOrder(4, 0); err == nil {
 		t.Fatal("bits=0 must fail")
+	}
+	if _, err := NewHilbert(1, 33); err == nil {
+		t.Fatal("33-bit coordinates do not fit a uint32 and must fail")
 	}
 }

@@ -1,6 +1,7 @@
 package spb
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
@@ -8,6 +9,7 @@ import (
 	"testing"
 
 	"metricindex/internal/core"
+	"metricindex/internal/persist"
 	"metricindex/internal/pivot"
 	"metricindex/internal/store"
 	"metricindex/internal/testutil"
@@ -184,9 +186,67 @@ func goldenRun(t *testing.T, sh goldenShape) (goldenCosts, *SPB) {
 // Insert/Delete run, and every answer.
 func TestSPBGoldenCosts(t *testing.T) {
 	for _, sh := range goldenShapes {
-		got, _ := goldenRun(t, sh)
+		got, idx := goldenRun(t, sh)
 		if want, ok := golden[sh.name]; !ok || got != want {
 			t.Errorf("%s: costs moved\n got  %q: %s\n want %+v", sh.name, sh.name, got.literal(), want)
+		}
+		goldenSnapshot(t, sh, idx, got.churnPages)
+	}
+}
+
+// goldenSnapshots pins the SHA-256 of the EncodeSnapshot payload of each
+// churned tree. It could not be pinned before the rewrite: the RAF
+// directory was serialized in map order, so no two snapshots of one tree
+// were equal.
+var goldenSnapshots = map[string]string{
+	"vectors":  "ddf6aa2e2ab8c05db76c8ba6ddc9074171ebf5f5cbd1929064397250b3acc8bd",
+	"words":    "5588ad849a32af8dd768e4646970ebef3f61334df74d5a0b6b6cd38fe8266e08",
+	"vectors7": "e0324329eb66c15d47a32739d4dca871168ff023714eda16c479cf332de6a88f",
+}
+
+// goldenSnapshot checks that the tree snapshots deterministically to the
+// pinned payload, and that the payload loads into a tree with the same
+// page images and the same answers.
+func goldenSnapshot(t *testing.T, sh goldenShape, idx *SPB, pages string) {
+	t.Helper()
+	if !bytes.Equal(idx.raf.Serialize(), idx.raf.Serialize()) {
+		t.Errorf("%s: two RAF.Serialize calls differ", sh.name)
+	}
+	w := persist.NewWriter()
+	if err := idx.EncodeSnapshot(w); err != nil {
+		t.Fatalf("%s: EncodeSnapshot: %v", sh.name, err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(w.Bytes())); got != goldenSnapshots[sh.name] {
+		t.Errorf("%s: snapshot payload hashes to %q, want %q", sh.name, got, goldenSnapshots[sh.name])
+	}
+	// A payload written before the directory was id-ordered lists the
+	// same entries in map order; reversing them in place stands in for
+	// it. Both must load.
+	old := bytes.Clone(w.Bytes())
+	raf := idx.raf.Serialize()
+	at := bytes.Index(old, raf)
+	if at < 0 {
+		t.Fatalf("%s: RAF state not found in the payload", sh.name)
+	}
+	dir := old[at+len(raf)-16*idx.raf.Len() : at+len(raf)]
+	for i, j := 0, len(dir)-16; i < j; i, j = i+16, j-16 {
+		var e [16]byte
+		copy(e[:], dir[i:])
+		copy(dir[i:i+16], dir[j:j+16])
+		copy(dir[j:], e[:])
+	}
+	for name, payload := range map[string][]byte{"id-ordered": w.Bytes(), "reordered": old} {
+		loaded, pager, err := loadSPB(idx.ds, persist.NewReader(payload))
+		if err != nil {
+			t.Fatalf("%s: load %s payload: %v", sh.name, name, err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(pager.Serialize())); got != pages {
+			t.Errorf("%s: %s payload loads page images hashing to %q, want the pinned %q", sh.name, name, got, pages)
+		}
+		for qs := int64(20); qs < 24; qs++ {
+			q := testutil.RandomQuery(idx.ds, qs)
+			testutil.CheckKNN(t, loaded, idx.ds, q, 10)
+			testutil.CheckRange(t, loaded, idx.ds, q, 5)
 		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"metricindex/internal/bptree"
 	"metricindex/internal/core"
 	"metricindex/internal/persist"
-	"metricindex/internal/sfc"
 	"metricindex/internal/store"
 )
 
@@ -66,11 +65,7 @@ func loadSPB(ds *core.Dataset, r *persist.Reader) (core.Index, *store.Pager, err
 	if err != nil {
 		return nil, nil, err
 	}
-	raf, err := store.LoadRAF(pager, rafBlob)
-	if err != nil {
-		return nil, nil, err
-	}
-	curve, err := sfc.NewHilbert(len(pivotIDs), bits)
+	raf, err := store.LoadRAF(pager, rafBlob, ds.Len())
 	if err != nil {
 		return nil, nil, err
 	}
@@ -80,13 +75,14 @@ func loadSPB(ds *core.Dataset, r *persist.Reader) (core.Index, *store.Pager, err
 		opts:      Options{MaxDistance: maxDist, Bits: bits},
 		pivotIDs:  pivotIDs,
 		pivotVals: pivotVals,
-		curve:     curve,
 		raf:       raf,
-		scale:     float64(uint64(1)<<uint(bits)-1) / maxDist,
 		bits:      bits,
 		size:      size,
 	}
-	s.tree, err = bptree.Restore(pager, cornerAug{curve: curve, bits: bits, dims: len(pivotIDs)}, root, treeLen)
+	if err := s.setGrid(); err != nil {
+		return nil, nil, err
+	}
+	s.tree, err = bptree.Restore(pager, s.aug(), root, treeLen)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -12,9 +12,11 @@
 package spb
 
 import (
-	"container/heap"
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
+	"sync"
 
 	"metricindex/internal/bptree"
 	"metricindex/internal/core"
@@ -42,39 +44,93 @@ type SPB struct {
 	raf       *store.RAF
 	scale     float64 // grid cells per distance unit
 	bits      int
+	laneMask  uint64 // one lane of a packed cell: bits ones
 	size      int
+	// bounds[g] is float64(g)/scale for every grid line of a grid of at
+	// most maxBoundBits bits (empty above that; see bound).
+	bounds []float64
+	pool   sync.Pool // *scratch
+}
+
+// maxBoundBits is the widest grid whose lines are tabulated: 2^16+1
+// float64s are 512 KB, and 16 bits is the most the default grid uses.
+const maxBoundBits = 16
+
+// scratch is the working memory of one query, pooled per index so a
+// steady-state query allocates only its answer.
+type scratch struct {
+	qd     []float64 // d(q, p_i)
+	lo, hi []float64 // range query: qd[i]-r, qd[i]+r
+	valid  []float64 // range query: r-qd[i]
+	cur    sfc.Cursor
+	nodes  []nodeItem     // kNN: best-first node heap
+	cands  []cand         // kNN: one leaf's candidates
+	stack  []store.PageID // range: depth-first stack
+	ids    []int          // range: result ids
+	heap   core.KNNHeap
+	rec    []byte      // RAF record
+	vec    core.Vector // decoded record, when it is a Vector
+	obj    core.Object // vec boxed once, not per candidate
+}
+
+// setGrid derives the curve, the grid scale and the grid-line table from
+// the pivot count, bit width and d⁺.
+func (s *SPB) setGrid() error {
+	curve, err := sfc.NewHilbert(len(s.pivotIDs), s.bits)
+	if err != nil {
+		return err
+	}
+	s.curve = curve
+	s.laneMask = uint64(1)<<uint(s.bits) - 1
+	s.scale = float64(s.laneMask) / s.opts.MaxDistance
+	if s.bits <= maxBoundBits {
+		s.bounds = make([]float64, 1<<uint(s.bits)+1)
+		for g := range s.bounds {
+			s.bounds[g] = float64(g) / s.scale
+		}
+	}
+	return nil
+}
+
+func (s *SPB) aug() cornerAug {
+	return cornerAug{curve: s.curve, bits: uint(s.bits), width: uint(s.bits * len(s.pivotIDs))}
+}
+
+func (s *SPB) getScratch() *scratch {
+	if sc, ok := s.pool.Get().(*scratch); ok {
+		return sc
+	}
+	sc := &scratch{}
+	sc.cur.Reset(s.curve)
+	return sc
 }
 
 // cornerAug packs per-dimension grid corners into the B+-tree's
-// augmentation slots.
+// augmentation slots, one lane of bits per dimension (sfc.PackCorner).
 type cornerAug struct {
 	curve *sfc.Hilbert
-	bits  int
-	dims  int
+	bits  uint // lane width
+	width uint // dims × bits
 }
 
 // Leaf returns the (point) MBB of one record: its decoded grid cell.
+//
+//metriclint:noalloc
 func (a cornerAug) Leaf(key, val uint64) (uint64, uint64) {
-	pt := a.curve.Decode(key)
-	packed := sfc.PackCorner(pt, a.bits)
+	packed := a.curve.DecodePacked(key)
 	return packed, packed
 }
 
-// Merge widens the corner box.
+// Merge widens the corner box lane by lane.
+//
+//metriclint:noalloc
 func (a cornerAug) Merge(lo1, hi1, lo2, hi2 uint64) (uint64, uint64) {
-	l1 := sfc.UnpackCorner(lo1, a.dims, a.bits)
-	h1 := sfc.UnpackCorner(hi1, a.dims, a.bits)
-	l2 := sfc.UnpackCorner(lo2, a.dims, a.bits)
-	h2 := sfc.UnpackCorner(hi2, a.dims, a.bits)
-	for i := 0; i < a.dims; i++ {
-		if l2[i] < l1[i] {
-			l1[i] = l2[i]
-		}
-		if h2[i] > h1[i] {
-			h1[i] = h2[i]
-		}
+	var lo, hi uint64
+	for lane := uint64(1)<<a.bits - 1; lane&(uint64(1)<<a.width-1) != 0; lane <<= a.bits {
+		lo |= min(lo1&lane, lo2&lane)
+		hi |= max(hi1&lane, hi2&lane)
 	}
-	return sfc.PackCorner(l1, a.bits), sfc.PackCorner(h1, a.bits)
+	return lo, hi
 }
 
 // New builds the SPB-tree over all live objects: distances are computed,
@@ -97,21 +153,18 @@ func New(ds *core.Dataset, pager *store.Pager, pivots []int, opts Options) (*SPB
 	if bits < 1 || bits*len(pivots) > 64 {
 		return nil, fmt.Errorf("spb: %d pivots × %d bits exceeds 64-bit keys", len(pivots), bits)
 	}
-	curve, err := sfc.NewHilbert(len(pivots), bits)
-	if err != nil {
-		return nil, err
-	}
 	s := &SPB{
 		ds:       ds,
 		pager:    pager,
 		opts:     opts,
 		pivotIDs: append([]int(nil), pivots...),
-		curve:    curve,
 		raf:      store.NewRAF(pager),
-		scale:    float64(uint64(1)<<uint(bits)-1) / opts.MaxDistance,
 		bits:     bits,
 	}
-	s.tree = bptree.New(pager, cornerAug{curve: curve, bits: bits, dims: len(pivots)})
+	if err := s.setGrid(); err != nil {
+		return nil, err
+	}
+	s.tree = bptree.New(pager, s.aug())
 	for _, p := range pivots {
 		v := ds.Object(p)
 		if v == nil {
@@ -121,21 +174,17 @@ func New(ds *core.Dataset, pager *store.Pager, pivots []int, opts Options) (*SPB
 	}
 
 	// Compute keys, sort in curve order, then load.
-	type rec struct {
-		id  int
-		key uint64
-	}
-	recs := make([]rec, 0, ds.Count())
+	bulk := make([]bptree.Record, 0, ds.Count())
 	for _, id := range ds.LiveIDs() {
-		recs = append(recs, rec{id, s.keyOf(ds.Object(id))})
+		bulk = append(bulk, bptree.Record{Key: s.keyOf(ds.Object(id)), Val: uint64(id)})
 	}
-	sort.Slice(recs, func(i, j int) bool { return recs[i].key < recs[j].key })
-	bulk := make([]bptree.Record, len(recs))
-	for i, r := range recs {
-		if _, err := s.raf.Append(r.id, store.EncodeObject(nil, ds.Object(r.id))); err != nil {
+	slices.SortFunc(bulk, func(a, b bptree.Record) int { return cmp.Compare(a.Key, b.Key) })
+	var enc []byte
+	for _, r := range bulk {
+		enc = store.EncodeObject(enc[:0], ds.Object(int(r.Val)))
+		if _, err := s.raf.Append(int(r.Val), enc); err != nil {
 			return nil, err
 		}
-		bulk[i] = bptree.Record{Key: r.key, Val: uint64(r.id)}
 	}
 	if err := s.tree.BulkLoad(bulk); err != nil {
 		return nil, err
@@ -156,21 +205,30 @@ func (s *SPB) grid(d float64) uint32 {
 		d = 0
 	}
 	g := d * s.scale
-	maxG := float64(uint64(1)<<uint(s.bits) - 1)
-	if g > maxG {
+	if maxG := float64(s.laneMask); g > maxG {
 		g = maxG
 	}
 	return uint32(g)
 }
 
-// cellLo / cellHi bound the true distance of a grid cell.
-func (s *SPB) cellLo(g uint32) float64 { return float64(g) / s.scale }
-func (s *SPB) cellHi(g uint32) float64 { return float64(g+1) / s.scale }
+// bound returns grid line g as a distance: the lower bound of the true
+// distances in cell g and the upper bound of those in cell g-1. The
+// table holds the quotient itself, so a tabulated bound and a computed
+// one are the same float64.
+//
+//metriclint:noalloc
+func (s *SPB) bound(g uint64) float64 {
+	if g < uint64(len(s.bounds)) {
+		return s.bounds[g]
+	}
+	return float64(g) / s.scale
+}
 
 // keyOf computes the Hilbert key of an object (l counted distances).
 func (s *SPB) keyOf(o core.Object) uint64 {
 	sp := s.ds.Space()
-	pt := make([]uint32, len(s.pivotVals))
+	var buf [64]uint32
+	pt := buf[:len(s.pivotVals)]
 	for i, p := range s.pivotVals {
 		pt[i] = s.grid(sp.Distance(o, p))
 	}
@@ -178,63 +236,82 @@ func (s *SPB) keyOf(o core.Object) uint64 {
 }
 
 // queryDists computes d(q, p_i) exactly (the query is not discretized).
-func (s *SPB) queryDists(q core.Object) []float64 {
+func (s *SPB) queryDists(sc *scratch, q core.Object) {
 	sp := s.ds.Space()
-	qd := make([]float64, len(s.pivotVals))
-	for i, p := range s.pivotVals {
-		qd[i] = sp.Distance(q, p)
+	sc.qd = sc.qd[:0]
+	for _, p := range s.pivotVals {
+		sc.qd = append(sc.qd, sp.Distance(q, p))
 	}
-	return qd
 }
 
-// pruneCell applies Lemma 1 conservatively to grid bounds: the cell
+// The three cell tests below read a packed box (sfc.PackCorner lanes,
+// last pivot in the lowest lane) lane by lane from the low end.
+
+// pruneCell applies Lemma 1 conservatively to grid bounds: the box
 // [glo, ghi] survives only if some object distance inside it could fall
 // in [qd−r, qd+r] for every pivot.
-func (s *SPB) pruneCell(qd []float64, glo, ghi []uint32, r float64) bool {
-	for i := range qd {
-		if s.cellLo(glo[i]) > qd[i]+r || s.cellHi(ghi[i]) < qd[i]-r {
+//
+//metriclint:noalloc
+func (s *SPB) pruneCell(sc *scratch, glo, ghi uint64) bool {
+	for i := len(sc.qd) - 1; i >= 0; i-- {
+		if s.bound(glo&s.laneMask) > sc.hi[i] || s.bound(ghi&s.laneMask+1) < sc.lo[i] {
 			return true
 		}
+		glo >>= uint(s.bits)
+		ghi >>= uint(s.bits)
 	}
 	return false
 }
 
 // validateCell applies Lemma 4 conservatively: if the *upper* bound of
 // d(o,p_i) satisfies it for some pivot, the object is certainly a result.
-func (s *SPB) validateCell(qd []float64, g []uint32, r float64) bool {
-	for i := range qd {
-		if s.cellHi(g[i]) <= r-qd[i] {
+//
+//metriclint:noalloc
+func (s *SPB) validateCell(sc *scratch, g uint64) bool {
+	for i := len(sc.qd) - 1; i >= 0; i-- {
+		if s.bound(g&s.laneMask+1) <= sc.valid[i] {
 			return true
 		}
+		g >>= uint(s.bits)
 	}
 	return false
 }
 
 // cellMinDist is the conservative lower bound of d(q, o) for objects in
 // the grid box, used for best-first ordering.
-func (s *SPB) cellMinDist(qd []float64, glo, ghi []uint32) float64 {
+//
+//metriclint:noalloc
+func (s *SPB) cellMinDist(sc *scratch, glo, ghi uint64) float64 {
 	var m float64
-	for i := range qd {
-		lo, hi := s.cellLo(glo[i]), s.cellHi(ghi[i])
+	for i := len(sc.qd) - 1; i >= 0; i-- {
 		var d float64
-		switch {
-		case qd[i] < lo:
-			d = lo - qd[i]
-		case qd[i] > hi:
-			d = qd[i] - hi
+		if lo := s.bound(glo & s.laneMask); sc.qd[i] < lo {
+			d = lo - sc.qd[i]
+		} else if hi := s.bound(ghi&s.laneMask + 1); sc.qd[i] > hi {
+			d = sc.qd[i] - hi
 		}
 		if d > m {
 			m = d
 		}
+		glo >>= uint(s.bits)
+		ghi >>= uint(s.bits)
 	}
 	return m
 }
 
-// loadObject reads an object from the RAF.
-func (s *SPB) loadObject(id int) (core.Object, error) {
-	buf, err := s.raf.Read(id)
+// loadObject reads an object from the RAF into the scratch. A Vector is
+// decoded into the scratch's own vector, valid until the next call.
+func (s *SPB) loadObject(sc *scratch, id int) (core.Object, error) {
+	buf, err := s.raf.ReadInto(id, sc.rec)
 	if err != nil {
 		return nil, err
+	}
+	sc.rec = buf
+	if v, ok := store.DecodeVectorInto(sc.vec, buf); ok {
+		if sc.obj == nil || len(v) != len(sc.vec) {
+			sc.vec, sc.obj = v, v
+		}
+		return sc.obj, nil
 	}
 	o, _, err := store.DecodeObject(buf)
 	return o, err
@@ -245,71 +322,113 @@ func (s *SPB) loadObject(id int) (core.Object, error) {
 // their decoded cells, validated with Lemma 4 where possible, and
 // otherwise verified against the RAF (§5.4).
 func (s *SPB) RangeSearch(q core.Object, r float64) ([]int, error) {
-	qd := s.queryDists(q)
+	sc := s.getScratch()
+	defer s.pool.Put(sc)
+	s.queryDists(sc, q)
+	sc.lo, sc.hi, sc.valid = sc.lo[:0], sc.hi[:0], sc.valid[:0]
+	for _, d := range sc.qd {
+		sc.lo = append(sc.lo, d-r)
+		sc.hi = append(sc.hi, d+r)
+		sc.valid = append(sc.valid, r-d)
+	}
 	sp := s.ds.Space()
-	var res []int
-	var walk func(pid store.PageID) error
-	walk = func(pid store.PageID) error {
-		n, err := s.tree.ReadNode(pid)
+	sc.ids = sc.ids[:0]
+	sc.stack = append(sc.stack[:0], s.tree.Root())
+	for len(sc.stack) > 0 {
+		pid := sc.stack[len(sc.stack)-1]
+		sc.stack = sc.stack[:len(sc.stack)-1]
+		n, err := s.tree.View(pid)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		if n.Leaf {
-			for i := range n.Keys {
-				g := s.curve.Decode(n.Keys[i])
-				if s.pruneCell(qd, g, g, r) {
-					continue
-				}
-				id := int(n.Vals[i])
-				if s.validateCell(qd, g, r) {
-					res = append(res, id)
-					continue
-				}
-				o, err := s.loadObject(id)
-				if err != nil {
-					return err
-				}
-				if sp.Distance(q, o) <= r {
-					res = append(res, id)
+		if !n.Leaf() {
+			// Pushed right to left, so children pop — and their pages
+			// are read — left to right.
+			for i := n.Len() - 1; i >= 0; i-- {
+				child, glo, ghi := n.Child(i)
+				if !s.pruneCell(sc, glo, ghi) {
+					sc.stack = append(sc.stack, child)
 				}
 			}
-			return nil
+			continue
 		}
-		for i := range n.Children {
-			glo := sfc.UnpackCorner(n.AuxLo[i], len(qd), s.bits)
-			ghi := sfc.UnpackCorner(n.AuxHi[i], len(qd), s.bits)
-			if s.pruneCell(qd, glo, ghi, r) {
+		for i, count := 0, n.Len(); i < count; i++ {
+			key, val := n.Record(i)
+			g := sc.cur.DecodePacked(key)
+			if s.pruneCell(sc, g, g) {
 				continue
 			}
-			if err := walk(n.Children[i]); err != nil {
-				return err
+			id := int(val)
+			if s.validateCell(sc, g) {
+				sc.ids = append(sc.ids, id)
+				continue
+			}
+			o, err := s.loadObject(sc, id)
+			if err != nil {
+				return nil, err
+			}
+			if sp.Distance(q, o) <= r {
+				sc.ids = append(sc.ids, id)
 			}
 		}
-		return nil
 	}
-	if err := walk(s.tree.Root()); err != nil {
-		return nil, err
-	}
+	res := append([]int(nil), sc.ids...)
 	sort.Ints(res)
 	return res, nil
 }
 
-type pqItem struct {
+// nodeItem is a B+-tree node queued for the best-first kNN traversal.
+type nodeItem struct {
 	pid store.PageID
 	lb  float64
 }
 
-type nodePQ []pqItem
+// pushNode and popNode are container/heap's Push and Pop on sc.nodes
+// ordered by lb, sift for sift: equal lower bounds are common on a grid,
+// and the order they pop in decides which pages a kNN reads.
+//
+//metriclint:noalloc
+func (sc *scratch) pushNode(it nodeItem) {
+	//metriclint:ignore noalloc grows to the widest frontier once, then the pooled array is reused
+	sc.nodes = append(sc.nodes, it)
+	h := sc.nodes
+	for j := len(h) - 1; ; {
+		i := (j - 1) / 2 // parent
+		if i == j || !(h[j].lb < h[i].lb) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+}
 
-func (p nodePQ) Len() int           { return len(p) }
-func (p nodePQ) Less(i, j int) bool { return p[i].lb < p[j].lb }
-func (p nodePQ) Swap(i, j int)      { p[i], p[j] = p[j], p[i] }
-func (p *nodePQ) Push(x any)        { *p = append(*p, x.(pqItem)) }
-func (p *nodePQ) Pop() any {
-	old := *p
-	it := old[len(old)-1]
-	*p = old[:len(old)-1]
-	return it
+//metriclint:noalloc
+func (sc *scratch) popNode() nodeItem {
+	h := sc.nodes
+	n := len(h) - 1
+	h[0], h[n] = h[n], h[0]
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && h[j2].lb < h[j].lb {
+			j = j2
+		}
+		if !(h[j].lb < h[i].lb) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+	sc.nodes = h[:n]
+	return h[n]
+}
+
+// cand is one leaf record awaiting verification.
+type cand struct {
+	id int
+	lb float64
 }
 
 // KNNSearch answers MkNNQ(q, k) best-first over B+-tree nodes ordered by
@@ -319,53 +438,57 @@ func (s *SPB) KNNSearch(q core.Object, k int) ([]core.Neighbor, error) {
 	if k <= 0 {
 		return nil, nil
 	}
-	qd := s.queryDists(q)
+	sc := s.getScratch()
+	defer s.pool.Put(sc)
+	s.queryDists(sc, q)
 	sp := s.ds.Space()
-	h := core.NewKNNHeap(k)
-	pq := &nodePQ{}
-	heap.Push(pq, pqItem{s.tree.Root(), 0})
-	for pq.Len() > 0 {
-		it := heap.Pop(pq).(pqItem)
+	h := &sc.heap
+	h.Reset(k)
+	sc.nodes = sc.nodes[:0]
+	sc.pushNode(nodeItem{s.tree.Root(), 0})
+	for len(sc.nodes) > 0 {
+		it := sc.popNode()
 		if it.lb > h.Radius() {
 			break
 		}
-		n, err := s.tree.ReadNode(it.pid)
+		n, err := s.tree.View(it.pid)
 		if err != nil {
 			return nil, err
 		}
-		if n.Leaf {
-			type cand struct {
-				id int
-				lb float64
-			}
-			cands := make([]cand, 0, len(n.Keys))
-			for i := range n.Keys {
-				g := s.curve.Decode(n.Keys[i])
-				cands = append(cands, cand{int(n.Vals[i]), s.cellMinDist(qd, g, g)})
-			}
-			sort.Slice(cands, func(i, j int) bool { return cands[i].lb < cands[j].lb })
-			for _, c := range cands {
-				if c.lb > h.Radius() {
-					break
+		if !n.Leaf() {
+			for i, count := 0, n.Len(); i < count; i++ {
+				child, glo, ghi := n.Child(i)
+				lb := s.cellMinDist(sc, glo, ghi)
+				if lb < it.lb {
+					lb = it.lb
 				}
-				o, err := s.loadObject(c.id)
-				if err != nil {
-					return nil, err
+				if lb <= h.Radius() {
+					sc.pushNode(nodeItem{child, lb})
 				}
-				h.Push(c.id, sp.Distance(q, o))
 			}
 			continue
 		}
-		for i := range n.Children {
-			glo := sfc.UnpackCorner(n.AuxLo[i], len(qd), s.bits)
-			ghi := sfc.UnpackCorner(n.AuxHi[i], len(qd), s.bits)
-			lb := s.cellMinDist(qd, glo, ghi)
-			if lb < it.lb {
-				lb = it.lb
+		// Candidates beyond the radius on entering the leaf can never be
+		// verified (the radius only shrinks), so they skip the sort.
+		sc.cands = sc.cands[:0]
+		radius := h.Radius()
+		for i, count := 0, n.Len(); i < count; i++ {
+			key, val := n.Record(i)
+			g := sc.cur.DecodePacked(key)
+			if lb := s.cellMinDist(sc, g, g); lb <= radius {
+				sc.cands = append(sc.cands, cand{int(val), lb})
 			}
-			if lb <= h.Radius() {
-				heap.Push(pq, pqItem{n.Children[i], lb})
+		}
+		slices.SortFunc(sc.cands, func(a, b cand) int { return cmp.Compare(a.lb, b.lb) })
+		for _, c := range sc.cands {
+			if c.lb > h.Radius() {
+				break
 			}
+			o, err := s.loadObject(sc, c.id)
+			if err != nil {
+				return nil, err
+			}
+			h.Push(c.id, sp.Distance(q, o))
 		}
 	}
 	return h.Result(), nil
@@ -407,8 +530,12 @@ func (s *SPB) PageAccesses() int64 { return s.pager.PageAccesses() }
 // ResetStats zeroes the pager counters.
 func (s *SPB) ResetStats() { s.pager.ResetStats() }
 
-// MemBytes is small: pivot table only.
-func (s *SPB) MemBytes() int64 { return int64(len(s.pivotVals)) * 64 }
+// MemBytes reports what the index keeps in memory beside its pages: the
+// pivot table, the RAF's id directory, the Hilbert decode tables and the
+// grid-line table.
+func (s *SPB) MemBytes() int64 {
+	return int64(len(s.pivotVals))*64 + s.raf.MemBytes() + s.curve.TableBytes() + int64(len(s.bounds))*8
+}
 
 // DiskBytes reports the B+-tree + RAF footprint (the family's smallest,
 // per Table 4, thanks to the SFC compression of the distance vectors).

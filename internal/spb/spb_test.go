@@ -1,6 +1,8 @@
 package spb
 
 import (
+	"slices"
+	"sync"
 	"testing"
 
 	"metricindex/internal/core"
@@ -126,5 +128,92 @@ func TestSPBStats(t *testing.T) {
 	}
 	if idx.Name() != "SPB-tree" {
 		t.Fatalf("Name = %q", idx.Name())
+	}
+}
+
+// TestSPBConcurrentQueries runs mixed kNN and range queries from eight
+// goroutines on one tree (under `make race`): the pooled scratch and the
+// decode cursor are per-query state, so every answer must still equal
+// the linear scan.
+func TestSPBConcurrentQueries(t *testing.T) {
+	ds := testutil.VectorDataset(1500, 4, 100, core.L2{}, 17)
+	idx, p := build(t, ds, 300)
+	p.SetCacheBytes(16 * 512) // small enough that the goroutines evict each other's pages
+	type query struct {
+		q   core.Object
+		ids []int
+		nns []core.Neighbor
+	}
+	queries := make([]query, 24)
+	for i := range queries {
+		q := testutil.RandomQuery(ds, int64(100+i))
+		queries[i] = query{q, core.BruteForceRange(ds, q, 15), core.BruteForceKNN(ds, q, 10)}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 60; i++ {
+				c := queries[(g*7+i)%len(queries)]
+				if (g+i)%2 == 0 {
+					ids, err := idx.RangeSearch(c.q, 15)
+					if err != nil || !slices.Equal(ids, c.ids) {
+						t.Errorf("goroutine %d query %d: range answer %v (err %v), want %v", g, i, ids, err, c.ids)
+						return
+					}
+					continue
+				}
+				nns, err := idx.KNNSearch(c.q, 10)
+				if err != nil || !slices.Equal(nns, c.nns) {
+					t.Errorf("goroutine %d query %d: kNN answer %v (err %v), want %v", g, i, nns, err, c.nns)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// TestSPBQueryAllocs is the steady-state allocation witness: with the
+// scratch pool warm, a range or kNN query on vectors allocates its answer
+// slice and nothing per node, key or candidate (budget 2).
+func TestSPBQueryAllocs(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("race detector instrumentation allocates; AllocsPerRun is meaningless under -race")
+	}
+	ds := testutil.VectorDataset(2000, 4, 100, core.L2{}, 7)
+	idx, p := build(t, ds, 300)
+	p.SetCacheBytes(store.DefaultCacheBytes)
+	q := testutil.RandomQuery(ds, 3)
+	for name, query := range map[string]func() error{
+		"range": func() error { _, err := idx.RangeSearch(q, 20); return err },
+		"kNN":   func() error { _, err := idx.KNNSearch(q, 10); return err },
+	} {
+		if err := query(); err != nil { // warm the scratch pool
+			t.Fatal(err)
+		}
+		if allocs := testing.AllocsPerRun(200, func() {
+			if err := query(); err != nil {
+				panic(err)
+			}
+		}); allocs > 2 {
+			t.Errorf("%s query allocated %.1f times; budget is 2 (the answer)", name, allocs)
+		}
+	}
+}
+
+// TestSPBMemBytes: the in-memory footprint covers the RAF's id directory
+// (16 bytes per object id) and the decode and grid-line tables, not just
+// the pivots.
+func TestSPBMemBytes(t *testing.T) {
+	ds := testutil.VectorDataset(1000, 4, 100, core.L2{}, 5)
+	idx, _ := build(t, ds, 300)
+	tables := idx.curve.TableBytes() + int64(len(idx.bounds))*8
+	if tables == 0 {
+		t.Fatal("a 4-pivot tree must have decode and grid-line tables")
+	}
+	if got, floor := idx.MemBytes(), int64(4*64+1000*16)+tables; got < floor {
+		t.Fatalf("MemBytes = %d, want at least pivots + directory + tables = %d", got, floor)
 	}
 }

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"container/list"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -56,9 +55,16 @@ type Pager struct {
 	writes    int64
 	cacheHits int64
 
-	cacheCap int // capacity in pages; 0 disables the cache
-	cacheLL  *list.List
-	cacheMap map[PageID]*list.Element
+	// The LRU cache is an intrusive list over arrays: slot 0 is the
+	// sentinel of a circular doubly linked list (next[0] is the most
+	// recently used slot, prev[0] the eviction victim), slots 1..cacheCap
+	// hold cached pages, and slotOf maps a page to its slot (0 = not
+	// cached), one entry per allocated page.
+	cacheCap   int // capacity in pages; 0 disables the cache
+	cacheLen   int
+	slotOf     []int32
+	prev, next []int32
+	slotPage   []PageID
 }
 
 // NewPager creates a volume with the given page size (DefaultPageSize when
@@ -67,11 +73,7 @@ func NewPager(pageSize int) *Pager {
 	if pageSize <= 0 {
 		pageSize = DefaultPageSize
 	}
-	return &Pager{
-		pageSize: pageSize,
-		cacheLL:  list.New(),
-		cacheMap: make(map[PageID]*list.Element),
-	}
+	return &Pager{pageSize: pageSize}
 }
 
 // PageSize returns the page size in bytes.
@@ -84,13 +86,15 @@ func (p *Pager) PageSize() int { return p.pageSize }
 func (p *Pager) SetCacheBytes(n int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	p.cacheClear()
 	if n <= 0 {
 		p.cacheCap = 0
 	} else {
 		p.cacheCap = (n + p.pageSize - 1) / p.pageSize
 	}
-	p.cacheLL.Init()
-	p.cacheMap = make(map[PageID]*list.Element)
+	p.prev = make([]int32, p.cacheCap+1)
+	p.next = make([]int32, p.cacheCap+1)
+	p.slotPage = make([]PageID, p.cacheCap+1)
 }
 
 // DropCache empties the buffer cache without changing its capacity, so a
@@ -98,8 +102,19 @@ func (p *Pager) SetCacheBytes(n int) {
 func (p *Pager) DropCache() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.cacheLL.Init()
-	p.cacheMap = make(map[PageID]*list.Element)
+	p.cacheClear()
+}
+
+// cacheClear forgets every cached page. Caller holds the lock.
+func (p *Pager) cacheClear() {
+	if p.cacheLen == 0 {
+		return
+	}
+	for s := p.next[0]; s != 0; s = p.next[s] {
+		p.slotOf[p.slotPage[s]] = 0
+	}
+	p.prev[0], p.next[0] = 0, 0
+	p.cacheLen = 0
 }
 
 // Alloc returns a zeroed page, reusing freed pages first.
@@ -113,6 +128,7 @@ func (p *Pager) Alloc() PageID {
 		return id
 	}
 	p.pages = append(p.pages, make([]byte, p.pageSize))
+	p.slotOf = append(p.slotOf, 0)
 	return PageID(len(p.pages) - 1)
 }
 
@@ -120,9 +136,16 @@ func (p *Pager) Alloc() PageID {
 func (p *Pager) Free(id PageID) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if el, ok := p.cacheMap[id]; ok {
-		p.cacheLL.Remove(el)
-		delete(p.cacheMap, id)
+	if s := p.slotOf[id]; s != 0 {
+		p.slotOf[id] = 0
+		p.unlink(s)
+		// Keep slots 1..cacheLen occupied: the last slot fills the hole.
+		if last := int32(p.cacheLen); s != last {
+			p.slotPage[s], p.prev[s], p.next[s] = p.slotPage[last], p.prev[last], p.next[last]
+			p.next[p.prev[s]], p.prev[p.next[s]] = s, s
+			p.slotOf[p.slotPage[s]] = s
+		}
+		p.cacheLen--
 	}
 	p.freeList = append(p.freeList, id)
 }
@@ -130,15 +153,17 @@ func (p *Pager) Free(id PageID) {
 // Read fetches a page. The returned slice aliases the stored page and must
 // be treated as read-only; use Write to modify a page. A cache hit does
 // not count as a page access.
+//
+//metriclint:noalloc
 func (p *Pager) Read(id PageID) ([]byte, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if int(id) >= len(p.pages) {
-		return nil, fmt.Errorf("store: read of unallocated page %d (of %d)", id, len(p.pages))
+		return nil, p.errUnallocated("read", id)
 	}
 	if p.cacheCap > 0 {
-		if el, ok := p.cacheMap[id]; ok {
-			p.cacheLL.MoveToFront(el)
+		if s := p.slotOf[id]; s != 0 {
+			p.cacheTouch(s)
 			p.cacheHits++
 			globalCacheHits.Add(1)
 			return p.pages[id], nil
@@ -150,25 +175,42 @@ func (p *Pager) Read(id PageID) ([]byte, error) {
 	return p.pages[id], nil
 }
 
+func (p *Pager) errUnallocated(op string, id PageID) error {
+	return fmt.Errorf("store: %s of unallocated page %d (of %d)", op, id, len(p.pages))
+}
+
 // Write stores a full page image. Short data is zero-padded; oversized
 // data is an error. Writing always counts as a page access (write-through).
 func (p *Pager) Write(id PageID, data []byte) error {
+	return p.writeAt(id, 0, data, true)
+}
+
+// WriteAt overwrites len(data) bytes of a page starting at byte off and
+// leaves the rest of the page as it is. It is charged exactly like Write:
+// one page access, and the page becomes the most recently used.
+func (p *Pager) WriteAt(id PageID, off int, data []byte) error {
+	return p.writeAt(id, off, data, false)
+}
+
+func (p *Pager) writeAt(id PageID, off int, data []byte, zeroTail bool) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if int(id) >= len(p.pages) {
-		return fmt.Errorf("store: write of unallocated page %d (of %d)", id, len(p.pages))
+		return p.errUnallocated("write", id)
 	}
-	if len(data) > p.pageSize {
-		return fmt.Errorf("store: write of %d bytes exceeds page size %d", len(data), p.pageSize)
+	if off < 0 || len(data) > p.pageSize-off {
+		return fmt.Errorf("store: write of %d bytes at offset %d exceeds page size %d", len(data), off, p.pageSize)
 	}
 	pg := p.pages[id]
-	copy(pg, data)
-	clear(pg[len(data):])
+	copy(pg[off:], data)
+	if zeroTail {
+		clear(pg[off+len(data):])
+	}
 	p.writes++
 	globalPageWrites.Add(1)
 	if p.cacheCap > 0 {
-		if el, ok := p.cacheMap[id]; ok {
-			p.cacheLL.MoveToFront(el)
+		if s := p.slotOf[id]; s != 0 {
+			p.cacheTouch(s)
 		} else {
 			p.cacheInsert(id)
 		}
@@ -176,15 +218,47 @@ func (p *Pager) Write(id PageID, data []byte) error {
 	return nil
 }
 
-// cacheInsert adds id to the cache, evicting the LRU page if needed.
-// Caller holds the lock.
+// cacheInsert makes id the most recently used page, taking over the slot
+// of the least recently used one when the cache is full. Caller holds
+// the lock.
+//
+//metriclint:noalloc
 func (p *Pager) cacheInsert(id PageID) {
-	p.cacheMap[id] = p.cacheLL.PushFront(id)
-	for p.cacheLL.Len() > p.cacheCap {
-		back := p.cacheLL.Back()
-		p.cacheLL.Remove(back)
-		delete(p.cacheMap, back.Value.(PageID))
+	var s int32
+	if p.cacheLen == p.cacheCap {
+		s = p.prev[0]
+		p.slotOf[p.slotPage[s]] = 0
+		p.unlink(s)
+	} else {
+		p.cacheLen++
+		s = int32(p.cacheLen)
 	}
+	p.slotPage[s] = id
+	p.slotOf[id] = s
+	p.pushFront(s)
+}
+
+// cacheTouch makes the page in slot s the most recently used.
+//
+//metriclint:noalloc
+func (p *Pager) cacheTouch(s int32) {
+	if p.next[0] != s {
+		p.unlink(s)
+		p.pushFront(s)
+	}
+}
+
+//metriclint:noalloc
+func (p *Pager) unlink(s int32) {
+	p.next[p.prev[s]] = p.next[s]
+	p.prev[p.next[s]] = p.prev[s]
+}
+
+//metriclint:noalloc
+func (p *Pager) pushFront(s int32) {
+	head := p.next[0]
+	p.prev[s], p.next[s] = 0, head
+	p.prev[head], p.next[0] = s, s
 }
 
 // PageAccesses returns reads+writes since the last ResetStats.

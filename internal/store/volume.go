@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math"
 )
 
 // Volume serialization: a Pager (and the RAF directory laid over it) can
@@ -106,6 +107,7 @@ func LoadPager(data []byte) (*Pager, error) {
 	}
 	p := NewPager(pageSize)
 	p.pages = make([][]byte, nPages)
+	p.slotOf = make([]int32, nPages)
 	for i := range p.pages {
 		pg := make([]byte, pageSize)
 		copy(pg, data[off:off+pageSize])
@@ -123,22 +125,26 @@ func LoadPager(data []byte) (*Pager, error) {
 
 // Serialize writes the RAF state — the page list, append offset and the
 // id directory — relative to its pager (which must be serialized
-// alongside via Pager.Serialize).
+// alongside via Pager.Serialize). Directory entries are written in id
+// order, so equal RAFs serialize to equal bytes.
 //
 // Layout: nPages u32 | pages u32× | size u64 | live u64 | nDir u32 |
 // nDir × (id u32, off u64, n u32).
 func (r *RAF) Serialize() []byte {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	buf := make([]byte, 0, 24+4*len(r.pages)+16*len(r.dir))
+	buf := make([]byte, 0, 24+4*len(r.pages)+16*r.count)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(r.pages)))
 	for _, id := range r.pages {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(id))
 	}
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(r.size))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(r.live))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(r.dir)))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(r.count))
 	for id, rec := range r.dir {
+		if !rec.live {
+			continue
+		}
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(id))
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(rec.off))
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(rec.n))
@@ -146,8 +152,12 @@ func (r *RAF) Serialize() []byte {
 	return buf
 }
 
-// LoadRAF rebinds a serialized RAF to its reopened pager.
-func LoadRAF(p *Pager, data []byte) (*RAF, error) {
+// LoadRAF rebinds a serialized RAF to its reopened pager. Directory
+// entries may come in any order (files written before the id-ordered
+// Serialize have them in map order); every id must be below idLimit —
+// the id range of the dataset the RAF indexes — so a corrupt entry
+// cannot size the directory.
+func LoadRAF(p *Pager, data []byte, idLimit int) (*RAF, error) {
 	if len(data) < 4 {
 		return nil, fmt.Errorf("store: RAF state truncated")
 	}
@@ -178,15 +188,21 @@ func LoadRAF(p *Pager, data []byte) (*RAF, error) {
 	if size < 0 || size > int64(nPages)*int64(p.PageSize()) {
 		return nil, fmt.Errorf("store: RAF size %d exceeds its %d pages", size, nPages)
 	}
-	r := &RAF{pager: p, pages: pages, size: size, live: live, dir: make(map[int]rafRecord, nDir)}
+	r := &RAF{pager: p, pages: pages, size: size, live: live}
 	for i := 0; i < nDir; i++ {
 		id := int(binary.LittleEndian.Uint32(data[off:]))
 		recOff := int64(binary.LittleEndian.Uint64(data[off+4:]))
-		n := int(binary.LittleEndian.Uint32(data[off+12:]))
-		if recOff < 0 || n < 0 || recOff+rafHeaderLen+int64(n) > size {
+		n := int64(binary.LittleEndian.Uint32(data[off+12:]))
+		if id >= idLimit {
+			return nil, fmt.Errorf("store: RAF record for id %d beyond the dataset's %d ids", id, idLimit)
+		}
+		if recOff < 0 || n > math.MaxInt32 || recOff+rafHeaderLen+n > size {
 			return nil, fmt.Errorf("store: RAF record for %d at [%d,+%d) beyond size %d", id, recOff, n, size)
 		}
-		r.dir[id] = rafRecord{off: recOff, n: n}
+		if _, dup := r.lookup(id); dup {
+			return nil, fmt.Errorf("store: RAF directory lists id %d twice", id)
+		}
+		r.setRecord(id, rafRecord{off: recOff, n: int32(n), live: true})
 		off += 16
 	}
 	return r, nil

@@ -2,6 +2,8 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
+	"slices"
 	"testing"
 )
 
@@ -92,7 +94,7 @@ func TestRAFRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := LoadRAF(q, r.Serialize())
+	r2, err := LoadRAF(q, r.Serialize(), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,12 +130,73 @@ func TestLoadRAFRejectsCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := r.Serialize()
-	if _, err := LoadRAF(p, st[:3]); err == nil {
+	if _, err := LoadRAF(p, st, 2); err != nil {
+		t.Fatalf("intact RAF state rejected: %v", err)
+	}
+	if _, err := LoadRAF(p, st[:3], 2); err == nil {
 		t.Error("truncated RAF state loaded")
 	}
 	bad := append([]byte(nil), st...)
 	bad[0] = 0xFF // absurd page count
-	if _, err := LoadRAF(p, bad); err == nil {
+	if _, err := LoadRAF(p, bad, 2); err == nil {
 		t.Error("RAF state with absurd page count loaded")
+	}
+	// The directory is indexed by id: one corrupt id must fail the load,
+	// not size a 64 GB directory. The single entry starts 16 bytes
+	// before the end of the state.
+	bad = append([]byte(nil), st...)
+	binary.LittleEndian.PutUint32(bad[len(bad)-16:], 0xFFFFFFFF)
+	if _, err := LoadRAF(p, bad, 2); err == nil {
+		t.Error("RAF state with an id beyond the dataset loaded")
+	}
+	if _, err := LoadRAF(p, st, 1); err == nil {
+		t.Error("RAF state with id 1 loaded against a one-object dataset")
+	}
+	// The same id twice: the second entry would silently shadow the first.
+	dup := append([]byte(nil), st...)
+	dup = append(dup, st[len(st)-16:]...)
+	binary.LittleEndian.PutUint32(dup[len(st)-20:], 2) // nDir
+	if _, err := LoadRAF(p, dup, 2); err == nil {
+		t.Error("RAF state listing an id twice loaded")
+	}
+}
+
+// TestRAFSerializeDeterministic: the directory is written in id order,
+// whatever order the records were appended and deleted in, so two
+// snapshots of one RAF are equal byte for byte.
+func TestRAFSerializeDeterministic(t *testing.T) {
+	p := NewPager(64)
+	r := NewRAF(p)
+	for _, id := range []int{5, 0, 9, 3, 7, 1} {
+		if _, err := r.Append(id, []byte{byte(id), 1, 2}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := r.Delete(9); err != nil {
+		t.Fatal(err)
+	}
+	st := r.Serialize()
+	if !bytes.Equal(st, r.Serialize()) {
+		t.Fatal("two Serialize calls differ")
+	}
+	var ids []int
+	for off := len(st) - 16*r.Len(); off < len(st); off += 16 {
+		ids = append(ids, int(binary.LittleEndian.Uint32(st[off:])))
+	}
+	if !slices.Equal(ids, []int{0, 1, 3, 5, 7}) {
+		t.Fatalf("directory written as %v, want id order", ids)
+	}
+	// A file with the entries in another order (what the map-backed
+	// directory used to write) still loads.
+	old := append([]byte(nil), st...)
+	first, last := len(st)-16*r.Len(), len(st)-16
+	copy(old[first:], st[last:])
+	copy(old[last:], st[first:first+16])
+	r2, err := LoadRAF(p, old, 10)
+	if err != nil {
+		t.Fatalf("reordered directory rejected: %v", err)
+	}
+	if !bytes.Equal(r2.Serialize(), st) {
+		t.Fatal("reloaded RAF serializes differently")
 	}
 }
