@@ -1,6 +1,9 @@
 package core
 
-import "sync"
+import (
+	"slices"
+	"sync"
+)
 
 // Scratch is the per-query working memory of a pivot-table scan:
 // query-pivot distances, the per-row lower-bound column, candidate
@@ -24,9 +27,11 @@ type Scratch struct {
 	// Rows collects candidate row numbers when they differ from ids.
 	Rows []int32
 	// Sur receives the surviving row numbers of a column sweep
-	// (SurviveColumns) — sized to the whole table, unlike the chunk
-	// buffers.
+	// (SurviveColumns) over one block of rows.
 	Sur []int32
+	// Blocks holds the block numbers a blocked table scan still has to
+	// visit (the pivot table's best-first block heap).
+	Blocks []int32
 	// Objs gathers candidate objects for a DistanceMany chunk.
 	Objs []Object
 	// Q64 and Q32 hold widened query coordinates for the flat kernels.
@@ -65,6 +70,16 @@ func (s *Scratch) GrowSur(n int) []int32 {
 		s.Sur = s.Sur[:n]
 	}
 	return s.Sur
+}
+
+// GrowBlocks sizes and returns the block-number buffer.
+func (s *Scratch) GrowBlocks(n int) []int32 {
+	if cap(s.Blocks) < n {
+		s.Blocks = make([]int32, n)
+	} else {
+		s.Blocks = s.Blocks[:n]
+	}
+	return s.Blocks
 }
 
 // GrowDone sizes and clears the visited-row marks.
@@ -184,30 +199,62 @@ func (f *FlatVecs) Rows() int {
 	return len(f.f64) / f.Dim
 }
 
-// Append mirrors one object as the next row. It reports false — without
-// modifying the mirror — when the object's type or dimension does not
-// match; the owning index then drops the mirror and falls back to
-// Object verification.
-func (f *FlatVecs) Append(o Object) bool {
+// Resize makes the mirror hold rows rows, keeping the first ones; rows
+// it adds hold no object until Set.
+func (f *FlatVecs) Resize(rows int) {
+	if f.is32 {
+		f.f32 = resize(f.f32, rows*f.Dim)
+		return
+	}
+	f.f64 = resize(f.f64, rows*f.Dim)
+}
+
+// resize returns s with length n, growing its backing array the way
+// append does.
+func resize[T any](s []T, n int) []T {
+	if n > len(s) {
+		s = slices.Grow(s, n-len(s))
+	}
+	return s[:n]
+}
+
+// Set mirrors one object into an existing row. It reports false —
+// without modifying the mirror — when the object's type or dimension
+// does not match; the owning index then drops the mirror and falls back
+// to Object verification. Sets of distinct rows may run concurrently.
+func (f *FlatVecs) Set(row int, o Object) bool {
 	switch v := o.(type) {
 	case Vector:
 		if f.is32 || len(v) != f.Dim {
 			return false
 		}
-		f.f64 = append(f.f64, v...)
+		copy(f.f64[row*f.Dim:(row+1)*f.Dim], v)
 	case IntVector:
 		if f.is32 || len(v) != f.Dim {
 			return false
 		}
-		for _, x := range v {
-			f.f64 = append(f.f64, float64(x))
+		dst := f.f64[row*f.Dim : (row+1)*f.Dim]
+		for i, x := range v {
+			dst[i] = float64(x)
 		}
 	case Vector32:
 		if !f.is32 || len(v) != f.Dim {
 			return false
 		}
-		f.f32 = append(f.f32, v...)
+		copy(f.f32[row*f.Dim:(row+1)*f.Dim], v)
 	default:
+		return false
+	}
+	return true
+}
+
+// Append mirrors one object as the next row, reporting false — and
+// leaving the mirror as it was — when Set would.
+func (f *FlatVecs) Append(o Object) bool {
+	row := f.Rows()
+	f.Resize(row + 1)
+	if !f.Set(row, o) {
+		f.Resize(row)
 		return false
 	}
 	return true

@@ -37,6 +37,15 @@ func (s *Space) DistanceMany(q Object, objs []Object, out []float64) {
 		return
 	}
 	s.count.Add(int64(len(objs)))
+	s.distances(q, objs, out)
+}
+
+// distances is DistanceMany without the count, for a caller that books
+// many batches with one CountDistances: parallel builders, whose workers
+// would otherwise contend for the counter's cache line on every row.
+//
+//metriclint:noalloc
+func (s *Space) distances(q Object, objs []Object, out []float64) {
 	if bm, ok := s.metric.(BatchMetric); ok {
 		bm.DistanceMany(q, objs, out)
 		return

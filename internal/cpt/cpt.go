@@ -127,6 +127,9 @@ func (c *CPT) Validate() error {
 	return c.tab.Validate()
 }
 
+// Table returns the index's pivot table, whose row order tests model.
+func (c *CPT) Table() *table.Table { return c.tab }
+
 // PageAccesses reports the pager's accesses (M-tree reads/writes).
 func (c *CPT) PageAccesses() int64 { return c.pager.PageAccesses() }
 

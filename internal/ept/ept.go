@@ -197,7 +197,7 @@ func (e *EPT) RangeSearch(q core.Object, r float64) ([]int, error) {
 }
 
 // KNNSearch answers MkNNQ(q, k) with an infinite start radius tightened by
-// verification, in storage order.
+// verification, in storage order (the per-row layout has no zones).
 func (e *EPT) KNNSearch(q core.Object, k int) ([]core.Neighbor, error) {
 	return e.tab.KNN(q, k, nil)
 }
@@ -245,6 +245,9 @@ func (e *EPT) Delete(id int) error { return e.tab.Remove(id) }
 // Validate checks that the table's row state is in step
 // (table.Table.Validate).
 func (e *EPT) Validate() error { return e.tab.Validate() }
+
+// Table returns the index's pivot table, whose row order tests model.
+func (e *EPT) Table() *table.Table { return e.tab }
 
 // PageAccesses returns 0: EPT is an in-memory index.
 func (e *EPT) PageAccesses() int64 { return 0 }

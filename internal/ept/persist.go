@@ -215,6 +215,9 @@ func loadMemEPT(ds *core.Dataset, r *persist.Reader) (core.Index, *store.Pager, 
 	refs := make([]int32, l)
 	row := make([]float64, l)
 	for i, id := range ids {
+		if id < 0 || int(id) >= ds.Len() || e.tab.Row(int(id)) >= 0 {
+			return nil, nil, fmt.Errorf("ept: row %d holds object %d, outside the dataset's %d ids or stored twice", i, id, ds.Len())
+		}
 		for c := 0; c < l; c++ {
 			at := c*rows + i
 			if v == 1 {

@@ -1,7 +1,8 @@
 // Package sfc implements space-filling curves over d-dimensional integer
 // grids: the Hilbert curve the SPB-tree uses to map pre-computed distance
 // vectors to single integer keys while preserving spatial proximity
-// (§5.4), and the Z-order (Morton) curve as the ablation baseline.
+// (§5.4), and the Z-order (Morton) curve — the ablation baseline, and
+// the row order of the in-memory pivot table.
 //
 // Both curves operate on points with Dims coordinates of Bits <= 32 bits
 // each, with Dims*Bits <= 64 so a key fits in uint64.
@@ -190,10 +191,16 @@ func deinterleave(x []uint32, key uint64, bits int) {
 	}
 }
 
-// ZOrder is the Morton (bit-interleaving) curve, the simpler alternative
-// used by the SFC ablation benchmark.
+// ZOrder is the Morton (bit-interleaving) curve: the simpler alternative
+// used by the SFC ablation benchmark, and the row order of the in-memory
+// pivot table (internal/table), which encodes one key per row at build —
+// where Hilbert's bit-serial Encode would cost more than the rest of the
+// build.
 type ZOrder struct {
 	dims, bits int
+	// spread maps a coordinate byte to its bits dims positions apart —
+	// the interleave of one byte of one coordinate, before its shift.
+	spread [256]uint64
 }
 
 // NewZOrder validates the grid shape and returns the curve.
@@ -201,7 +208,13 @@ func NewZOrder(dims, bits int) (*ZOrder, error) {
 	if err := validate(dims, bits); err != nil {
 		return nil, err
 	}
-	return &ZOrder{dims: dims, bits: bits}, nil
+	z := &ZOrder{dims: dims, bits: bits}
+	for v := range z.spread {
+		for j := 0; j < 8; j++ {
+			z.spread[v] |= uint64(v>>j&1) << uint(j*dims)
+		}
+	}
+	return z, nil
 }
 
 // Dims returns the dimensionality.
@@ -213,12 +226,19 @@ func (z *ZOrder) Bits() int { return z.bits }
 // Name returns "zorder".
 func (z *ZOrder) Name() string { return "zorder" }
 
-// Encode interleaves the coordinate bits.
+// Encode interleaves the coordinate bits, most significant bit level
+// first and coordinate 0 first within a level: bit b of coordinate i
+// lands at key bit b*dims + dims-1-i. It spreads one coordinate byte per
+// table lookup, so a key costs dims*ceil(bits/8) lookups rather than a
+// loop over every key bit.
 func (z *ZOrder) Encode(point []uint32) uint64 {
+	mask := uint32(1)<<uint(z.bits) - 1 // bits = 32 wraps to all ones
 	var key uint64
-	for b := z.bits - 1; b >= 0; b-- {
-		for i := 0; i < z.dims; i++ {
-			key = key<<1 | uint64((point[i]>>uint(b))&1)
+	for i, c := range point[:z.dims] {
+		c &= mask
+		for sh := uint(z.dims - 1 - i); c != 0; sh += uint(8 * z.dims) {
+			key |= z.spread[c&0xFF] << sh
+			c >>= 8
 		}
 	}
 	return key

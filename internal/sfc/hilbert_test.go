@@ -104,6 +104,41 @@ func TestZOrderRoundTrip(t *testing.T) {
 	}
 }
 
+// TestZOrderEncodeMatchesInterleave checks the byte-spread encoder
+// against its specification — the bit-at-a-time interleave of the masked
+// coordinates, which Decode inverts — on every grid shape class: one
+// byte per coordinate (the pivot table's 8 bits), several bytes, a
+// partial top byte, and more dimensions than a byte has bits.
+func TestZOrderEncodeMatchesInterleave(t *testing.T) {
+	shapes := []struct{ dims, bits int }{
+		{1, 32}, {2, 16}, {3, 21}, {5, 8}, {5, 12}, {8, 8}, {7, 9}, {16, 4}, {64, 1},
+	}
+	for _, s := range shapes {
+		z, err := NewZOrder(s.dims, s.bits)
+		if err != nil {
+			t.Fatalf("NewZOrder(%d,%d): %v", s.dims, s.bits, err)
+		}
+		rng := rand.New(rand.NewSource(int64(s.dims*100 + s.bits)))
+		mask := uint32(1)<<uint(s.bits) - 1
+		for trial := 0; trial < 500; trial++ {
+			p, masked := make([]uint32, s.dims), make([]uint32, s.dims)
+			for i := range p {
+				p[i] = rng.Uint32() // stray high bits must be ignored
+				masked[i] = p[i] & mask
+			}
+			if got, want := z.Encode(p), interleave(masked, s.bits); got != want {
+				t.Fatalf("dims=%d bits=%d: Encode(%v) = %#x, want %#x", s.dims, s.bits, p, got, want)
+			}
+			got := z.Decode(z.Encode(p))
+			for i := range masked {
+				if got[i] != masked[i] {
+					t.Fatalf("dims=%d bits=%d: round trip %v -> %v", s.dims, s.bits, masked, got)
+				}
+			}
+		}
+	}
+}
+
 func TestHilbertBetterLocalityThanZOrder(t *testing.T) {
 	// Average L1 jump between consecutive keys: Hilbert is exactly 1;
 	// Z-order must be strictly worse. This is the premise of the paper's

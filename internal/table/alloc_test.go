@@ -8,11 +8,12 @@ import (
 )
 
 // laesaKNNAllocBudget bounds the allocations of one uncached LAESA kNN
-// query (measured 6/op: the query-distance row, the candidate heap, the
-// sorted answer, and sort.Slice internals). The budget leaves modest
-// headroom for toolchain drift; a regression that adds per-candidate
-// allocation blows far past it.
-const laesaKNNAllocBudget = 8
+// query (measured 1/op: the answer; the query distances, the block
+// bounds and heap, the survivors and the candidate heap all come from
+// the scratch pool). The budget leaves headroom for toolchain drift; a
+// regression that adds per-block or per-candidate allocation blows far
+// past it.
+const laesaKNNAllocBudget = 2
 
 func TestLAESAKNNSearchAllocs(t *testing.T) {
 	if testutil.RaceEnabled {
@@ -67,6 +68,45 @@ func TestLAESAFlatKNNHotLoopZeroAllocs(t *testing.T) {
 		})
 		if allocs != 0 {
 			t.Fatalf("%s: flat kNN hot loop allocated %.1f times per query; want 0", name, allocs)
+		}
+	}
+}
+
+// TestLAESAFlatRangeHotLoopZeroAllocs is the range query's witness: with
+// the scratch pool warm and room for the answer, one range scan — query-
+// pivot batch, block bounds, block heap, column sweeps, flat verification
+// — performs zero allocations, with and without a pushed-down accept
+// test, over a table of several blocks. Growing the answer is the range
+// query's one allocation and stays outside the measured loop.
+func TestLAESAFlatRangeHotLoopZeroAllocs(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("race detector instrumentation allocates; AllocsPerRun is meaningless under -race")
+	}
+	ds := testutil.VectorDataset(4*zoneRows, 4, 100, core.L2{}, 7)
+	idx, err := NewLAESA(ds, []int{1, 2, 3, 4, 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab := idx.tab
+	var q core.Object = ds.Objects()[42]
+	answer := make([]int, 0, tab.Len())
+	scanRange := func(accept core.Accept) int {
+		sc := tab.scratch.Get()
+		s := tab.begin(sc, q, accept)
+		s.r, s.res = 20, answer[:0]
+		if err := s.run(); err != nil {
+			panic(err)
+		}
+		tab.scratch.Put(sc)
+		return len(s.res)
+	}
+	if scanRange(nil) == 0 { // warm the scratch pool
+		t.Fatal("the witness query answers nothing")
+	}
+	for name, accept := range map[string]core.Accept{"unfiltered": nil, "accept": func(id int) bool { return id%3 != 0 }} {
+		allocs := testing.AllocsPerRun(200, func() { scanRange(accept) })
+		if allocs != 0 {
+			t.Fatalf("%s: flat range hot loop allocated %.1f times per query; want 0", name, allocs)
 		}
 	}
 }

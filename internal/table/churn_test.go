@@ -5,24 +5,28 @@ import (
 	"testing"
 
 	"metricindex/internal/core"
+	"metricindex/internal/table"
 	"metricindex/internal/testutil"
 )
 
 // TestTableFamilyChurnLockstep is the update-path property test of the
 // one pivot table, run for every family on it — LAESA, EPT, EPT*, CPT —
-// on the flat (vectors) and the object (words) verification path. A
-// seeded random interleaving of inserts and deletes must keep the row
-// state in step after every single update (Validate: directory, ids,
-// every column, the quantized shadow, the coordinate mirror — and for
-// CPT the M-tree) and every range/kNN answer equal to the linear scan.
-// Besides random inserts and deletes the interleaving covers deleting
-// the last row (the swap-with-last degenerates to a truncate), deleting
-// an object and reinserting the same id, and emptying the table,
-// querying it empty and refilling it. The mirror's own lifecycle (re-arm
-// on refill, drop on a misfit) is TestTableMirrorLifecycle.
+// on the flat (vectors) and the object (words) verification path, over
+// four blocks of rows, so that queries skip and visit blocks and updates
+// widen, open and drop zones. A seeded random interleaving of inserts and
+// deletes must keep the row state in step (Validate: directory, ids,
+// every column, the zones, the quantized shadow, the coordinate mirror —
+// and for CPT the M-tree) after every update of the interleaving and
+// every 64th of the bulk empty-and-refill, and every range/kNN answer
+// equal to the linear scan. Besides random inserts and deletes the
+// interleaving covers deleting the last row (the swap-with-last
+// degenerates to a truncate), deleting an object and reinserting the
+// same id, and emptying the table, querying it empty and refilling it.
+// The mirror's own lifecycle (re-arm on refill, drop on a misfit) is
+// TestTableMirrorLifecycle.
 func TestTableFamilyChurnLockstep(t *testing.T) {
 	for _, family := range []string{"LAESA", "EPT", "EPT*", "CPT"} {
-		for _, ed := range testutil.EquivDatasets(false, 200, 17) {
+		for _, ed := range testutil.EquivDatasets(false, 4*table.ZoneRows, 17) {
 			t.Run(family+"/"+ed.Name, func(t *testing.T) {
 				churnLockstep(t, ed.DS, goldenBuild(t, family, ed.DS))
 			})
@@ -31,15 +35,39 @@ func TestTableFamilyChurnLockstep(t *testing.T) {
 }
 
 func churnLockstep(t *testing.T, ds *core.Dataset, idx goldenIndex) {
-	val := idx.(interface{ Validate() error })
+	val := idx.(interface {
+		Validate() error
+		Table() *table.Table
+	})
 	rng := rand.New(rand.NewSource(5))
-	// rows models the table's row order: built over the live ids, appended
-	// at the end, the last row swapped into a deleted one's place.
-	rows := ds.LiveIDs()
+	// rows models the table's row order: the order the build left (a
+	// curve order on the shared-pivot layout), appended at the end, the
+	// last row swapped into a deleted one's place.
+	var rows []int
+	for _, id := range val.Table().IDs() {
+		rows = append(rows, int(id))
+	}
+	updates := 0
 	valid := func(what string) {
 		t.Helper()
 		if err := val.Validate(); err != nil {
 			t.Fatalf("after %s: %v", what, err)
+		}
+		if n := val.Table().Len(); n != len(rows) {
+			t.Fatalf("after %s: the table holds %d rows, the model %d", what, n, len(rows))
+		}
+		for i, id := range val.Table().IDs() {
+			if int(id) != rows[i] {
+				t.Fatalf("after %s: row %d holds object %d, the model %d", what, i, id, rows[i])
+			}
+		}
+	}
+	// bulk validates only every 64th call: emptying and refilling update
+	// every row, and a validation costs a pass over the table.
+	bulk := func(what string) {
+		t.Helper()
+		if updates++; updates%64 == 0 || len(rows) == 0 {
+			valid(what)
 		}
 	}
 	answers := func() {
@@ -50,17 +78,17 @@ func churnLockstep(t *testing.T, ds *core.Dataset, idx goldenIndex) {
 		testutil.CheckRange(t, idx, ds, q, radii[3])
 		testutil.CheckKNN(t, idx, ds, q, 1+rng.Intn(12))
 	}
-	insert := func(id int) {
+	insert := func(id int, check func(string)) {
 		t.Helper()
 		if err := idx.Insert(id); err != nil {
 			t.Fatalf("Insert(%d): %v", id, err)
 		}
 		rows = append(rows, id)
-		valid("insert")
+		check("insert")
 	}
 	// remove deletes row i's object from the index and, when forget is
 	// set, from the dataset too.
-	remove := func(i int, forget bool) int {
+	remove := func(i int, forget bool, check func(string)) int {
 		t.Helper()
 		id := rows[i]
 		if err := idx.Delete(id); err != nil {
@@ -73,7 +101,7 @@ func churnLockstep(t *testing.T, ds *core.Dataset, idx goldenIndex) {
 		}
 		rows[i] = rows[len(rows)-1]
 		rows = rows[:len(rows)-1]
-		valid("delete")
+		check("delete")
 		return id
 	}
 	churn := func(ops int) {
@@ -85,13 +113,13 @@ func churnLockstep(t *testing.T, ds *core.Dataset, idx goldenIndex) {
 			}
 			switch op {
 			case 0, 1:
-				insert(ds.Insert(testutil.RandomQuery(ds, rng.Int63())))
+				insert(ds.Insert(testutil.RandomQuery(ds, rng.Int63())), valid)
 			case 2:
-				remove(rng.Intn(len(rows)), true)
+				remove(rng.Intn(len(rows)), true, valid)
 			case 3:
-				remove(len(rows)-1, true)
+				remove(len(rows)-1, true, valid)
 			case 4:
-				insert(remove(rng.Intn(len(rows)), false))
+				insert(remove(rng.Intn(len(rows)), false, valid), valid)
 			}
 			if i%8 == 7 {
 				answers()
@@ -103,7 +131,7 @@ func churnLockstep(t *testing.T, ds *core.Dataset, idx goldenIndex) {
 	churn(120)
 	emptied := append([]int(nil), rows...)
 	for len(rows) > 0 {
-		remove(len(rows)-1, false)
+		remove(len(rows)-1, false, bulk)
 	}
 	q := testutil.RandomQuery(ds, rng.Int63())
 	if got, err := idx.RangeSearch(q, testutil.Radii(ds, q)[4]); err != nil || len(got) != 0 {
@@ -114,8 +142,9 @@ func churnLockstep(t *testing.T, ds *core.Dataset, idx goldenIndex) {
 	}
 	rng.Shuffle(len(emptied), func(i, j int) { emptied[i], emptied[j] = emptied[j], emptied[i] })
 	for _, id := range emptied {
-		insert(id)
+		insert(id, bulk)
 	}
+	valid("refilling")
 	answers()
 	churn(60)
 }

@@ -12,11 +12,12 @@ type LAESA struct {
 }
 
 // NewLAESA builds the index over all live objects, computing the full
-// distance table through the counted space. The pivot object values are
-// snapshotted, so later deletion of a pivot from the dataset does not
+// distance table through the counted space with GOMAXPROCS workers (the
+// table is identical for every worker count). The pivot object values
+// are snapshotted, so later deletion of a pivot from the dataset does not
 // invalidate the index.
 func NewLAESA(ds *core.Dataset, pivots []int) (*LAESA, error) {
-	return NewLAESAParallel(ds, pivots, 1)
+	return NewLAESAParallel(ds, pivots, 0)
 }
 
 // NewLAESAParallel builds a LAESA distance table with the construction
@@ -50,7 +51,7 @@ func (t *LAESA) RangeSearch(q core.Object, r float64) ([]int, error) {
 	return t.tab.Range(q, r, nil)
 }
 
-// KNNSearch answers MkNNQ(q, k) by the staged storage-order scan.
+// KNNSearch answers MkNNQ(q, k) by the best-first block scan.
 func (t *LAESA) KNNSearch(q core.Object, k int) ([]core.Neighbor, error) {
 	return t.tab.KNN(q, k, nil)
 }
@@ -79,6 +80,9 @@ func (t *LAESA) Delete(id int) error { return t.tab.Remove(id) }
 
 // Validate checks that the table's row state is in step (Table.Validate).
 func (t *LAESA) Validate() error { return t.tab.Validate() }
+
+// Table returns the index's pivot table, whose row order tests model.
+func (t *LAESA) Table() *Table { return t.tab }
 
 // PageAccesses returns 0: LAESA is an in-memory index.
 func (t *LAESA) PageAccesses() int64 { return 0 }

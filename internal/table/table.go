@@ -7,7 +7,9 @@ package table
 
 import (
 	"fmt"
+	"math"
 	"sort"
+	"sync/atomic"
 
 	"metricindex/internal/core"
 	"metricindex/internal/persist"
@@ -17,35 +19,25 @@ import (
 // verification path.
 const verifyChunk = 64
 
-// knnBlockMin and knnBlock bound the row-block sizes of the staged kNN
-// scan: each block is column-swept at the radius current when the block
-// starts, so the effective pruning radius tightens block by block while
-// the block's columns stay cache-resident for the per-survivor recheck.
-// Blocks start small — the first sweeps run at the loose just-seeded
-// radius and would filter almost nothing over a long run — and double
-// to knnBlock once the radius has contracted.
-const (
-	knnBlockMin = 128
-	knnBlock    = 1024
-)
-
 // Table is the pivot table of the paper's table family (§3.1–§3.3): for
 // every indexed object, its distances to l pivots, stored struct-of-
 // arrays — one contiguous column per pivot slot — so Lemma 1 filtering
 // scans columns sequentially. The families differ only in data:
 //
 //   - which pivots a row stores: LAESA and CPT share one pivot set
-//     (column c is pivot c, and a quantized shadow of column 0 pre-filters
-//     the sweep); EPT/EPT* give every row its own l pivots, so refs[c][row]
-//     names the pivot column c holds for that row;
+//     (column c is pivot c, a quantized shadow of column 0 pre-filters
+//     the sweep, rows are in the Z-order of their distances and a zone
+//     map bounds every block of zoneRows rows); EPT/EPT* give every row
+//     its own l pivots, so refs[c][row] names the pivot column c holds
+//     for that row, and rows stay in insertion order with no zones;
 //   - where a candidate's object comes from: a flat coordinate mirror kept
 //     in row lockstep when the dataset is uniform vectors, else the
 //     dataset's objects, else (CPT) a loader that reads it from disk.
 //
 // Everything else — the row directory, the one append and the one remove,
-// the staged range/kNN scan, the memory accounting — is this type.
-// Per-query buffers come from a scratch pool, so steady-state queries
-// allocate nothing beyond the answer itself.
+// the one block loop of range and kNN queries, the memory accounting — is
+// this type. Per-query buffers come from a scratch pool, so steady-state
+// queries allocate nothing beyond the answer itself.
 type Table struct {
 	name     string // the owning family's error prefix
 	ds       *core.Dataset
@@ -56,9 +48,10 @@ type Table struct {
 	// dataset does not invalidate the table.
 	pivots   []core.Object
 	ids      []int32        // row -> object id
-	rowOf    map[int]int    // object id -> row
+	dir      []int32        // object id -> row, -1 when absent; spans the dataset's ids
 	cols     [][]float64    // cols[c][row] = d(object ids[row], the row's c-th pivot)
 	refs     [][]int32      // per-row layout: refs[c][row] indexes pivots; nil when shared
+	zones    zoneMap        // shared layout: per-block bounds of every column
 	qcol     *core.QuantCol // shared layout: quantized shadow of cols[0]
 	flat     *core.FlatVecs // coordinate mirror; nil off the flat path
 	noMirror bool           // mirror never armed, or dropped for good (mixed objects)
@@ -70,7 +63,7 @@ type Table struct {
 }
 
 func newTable(name string, ds *core.Dataset, load func(id int) (core.Object, error)) *Table {
-	t := &Table{name: name, ds: ds, rowOf: make(map[int]int), load: load}
+	t := &Table{name: name, ds: ds, load: load}
 	var hasKern bool
 	t.kern, hasKern = core.PreKernelFor(ds.Space().Metric())
 	t.noMirror = load != nil || !hasKern
@@ -78,9 +71,10 @@ func newTable(name string, ds *core.Dataset, load func(id int) (core.Object, err
 }
 
 // Build computes the shared-pivot table of LAESA and CPT over all live
-// objects through the counted space, the rows fanned out over workers
-// goroutines (core.ParallelFor semantics; the table is identical for
-// every value). A non-nil load keeps the objects out of memory: no
+// objects through the counted space and stores its rows in curve order,
+// the distance rows, the sort keys and the placement fanned out over
+// workers goroutines (core.ParallelFor semantics; the table is identical
+// for every value). A non-nil load keeps the objects out of memory: no
 // coordinate mirror, every candidate fetched through it.
 func Build(name string, ds *core.Dataset, pivots []int, workers int, load func(id int) (core.Object, error)) (*Table, error) {
 	if len(pivots) == 0 {
@@ -95,7 +89,10 @@ func Build(name string, ds *core.Dataset, pivots []int, workers int, load func(i
 		}
 		t.pivots = append(t.pivots, v)
 	}
-	t.adopt(core.BuildDistCols(ds, ds.LiveIDs(), t.pivots, workers))
+	ids, cols := core.BuildDistCols(ds, ds.LiveIDs(), t.pivots, workers)
+	if err := t.adopt(ids, cols, curveOrder(cols, workers), workers); err != nil {
+		return nil, err
+	}
 	return t, nil
 }
 
@@ -109,17 +106,82 @@ func NewRefs(name string, ds *core.Dataset, l int) *Table {
 	return t
 }
 
-// adopt installs bulk-built shared-layout rows (build, snapshot load):
-// the row directory and the mirror in one pass over the rows, then the
-// shadow.
-func (t *Table) adopt(ids []int32, cols [][]float64) {
-	t.ids, t.cols = ids, cols
-	t.rowOf = make(map[int]int, len(ids))
-	for row, id := range ids {
-		t.rowOf[int(id)] = row
-		t.mirrorRow(row, t.ds.Object(int(id)))
+// adopt installs bulk shared-layout rows (build, snapshot load). Table
+// row pos holds input row order[pos] — Build's curve order — or input
+// row pos when order is nil: a snapshot loads in the order it was
+// written.
+//
+// The directory is filled first and refuses an id outside the dataset's
+// span or one that names two rows: a corrupt snapshot is rejected here
+// rather than panicking or answering twice in its first query. The ids
+// and columns (which adopt takes over) are then gathered into place one
+// array at a time: writes in address order, reads at random — the cheap
+// direction of a permutation. The mirror is filled by walking the
+// directory in id order: the objects are read in the order their memory
+// was laid out in, and each lands in its row. Both passes are fanned out
+// over workers; the zones and the shadow are derived from the placed
+// columns.
+func (t *Table) adopt(ids []int32, cols [][]float64, order []int32, workers int) error {
+	n := len(ids)
+	t.dir = make([]int32, t.ds.Len())
+	for id := range t.dir {
+		t.dir[id] = -1
 	}
-	t.qcol = core.NewQuantCol(cols[0])
+	for pos := range ids {
+		i := pos
+		if order != nil {
+			i = int(order[pos])
+		}
+		id := ids[i]
+		if id < 0 || int(id) >= len(t.dir) {
+			return fmt.Errorf("%s: row %d holds object %d, outside the dataset's %d ids", t.name, i, id, len(t.dir))
+		}
+		if t.dir[id] >= 0 {
+			return fmt.Errorf("%s: object %d is stored in two rows", t.name, id)
+		}
+		t.dir[id] = int32(pos)
+	}
+	t.ids, t.cols = ids, cols
+	if order != nil {
+		t.ids = make([]int32, n)
+		core.ParallelFor(n, workers, func(start, end int) {
+			for pos, i := range order[start:end] {
+				t.ids[start+pos] = ids[i]
+			}
+		})
+		// Each column is gathered into the memory the previous one
+		// vacated, so the whole permutation costs one spare column.
+		spare := make([]float64, n)
+		for c, col := range cols {
+			core.ParallelFor(n, workers, func(start, end int) {
+				dst := spare[start:end]
+				for pos, i := range order[start:end] {
+					dst[pos] = col[i]
+				}
+			})
+			cols[c], spare = spare, col
+		}
+	}
+	if !t.noMirror && n > 0 {
+		t.flat = core.NewFlatVecs(t.ds.Object(int(ids[0])))
+		var misfit atomic.Bool
+		if t.flat != nil {
+			t.flat.Resize(n)
+			core.ParallelFor(len(t.dir), workers, func(start, end int) {
+				for id, row := range t.dir[start:end] {
+					if row >= 0 && !t.flat.Set(int(row), t.ds.Object(start+id)) {
+						misfit.Store(true)
+					}
+				}
+			})
+		}
+		if t.flat == nil || misfit.Load() {
+			t.flat, t.noMirror = nil, true
+		}
+	}
+	t.zones = buildZones(t.cols, workers)
+	t.qcol = core.NewQuantCol(t.cols[0])
+	return nil
 }
 
 // mirrorRow appends the object of table row `row` to the coordinate
@@ -164,10 +226,10 @@ func (t *Table) Refs() [][]int32 { return t.refs }
 
 // Row returns the row holding object id, or -1.
 func (t *Table) Row(id int) int {
-	if row, ok := t.rowOf[id]; ok {
-		return row
+	if id < 0 || id >= len(t.dir) {
+		return -1
 	}
-	return -1
+	return int(t.dir[id])
 }
 
 // AddPivot admits one more object to the per-row layout's pivot pool and
@@ -180,7 +242,7 @@ func (t *Table) AddPivot(v core.Object) int32 {
 // Insertable returns the dataset object a new row for id would index, or
 // the reason there cannot be one.
 func (t *Table) Insertable(id int) (core.Object, error) {
-	if _, dup := t.rowOf[id]; dup {
+	if t.Row(id) >= 0 {
 		return nil, fmt.Errorf("%s: duplicate insert of %d", t.name, id)
 	}
 	o := t.ds.Object(id)
@@ -206,11 +268,16 @@ func (t *Table) Insert(id int) error {
 }
 
 // Append is the one way a row enters the table: directory, id, every
-// column, the shadow and the mirror move together. dists (and, on the
-// per-row layout, refs) hold one entry per pivot slot.
+// column, the zones, the shadow and the mirror move together. The row
+// goes last — into the last block, whose zone it widens, or into a new
+// block it opens. dists (and, on the per-row layout, refs) hold one
+// entry per pivot slot; id must not be negative.
 func (t *Table) Append(id int, o core.Object, refs []int32, dists []float64) {
 	row := len(t.ids)
-	t.rowOf[id] = row
+	for id >= len(t.dir) {
+		t.dir = append(t.dir, -1)
+	}
+	t.dir[id] = int32(row)
 	t.ids = append(t.ids, int32(id))
 	for c := range t.cols {
 		t.cols[c] = append(t.cols[c], dists[c])
@@ -218,6 +285,7 @@ func (t *Table) Append(id int, o core.Object, refs []int32, dists []float64) {
 			t.refs[c] = append(t.refs[c], refs[c])
 		}
 	}
+	t.zones.add(row, dists)
 	if t.qcol != nil {
 		t.qcol.Append(dists[0])
 	}
@@ -225,13 +293,16 @@ func (t *Table) Append(id int, o core.Object, refs []int32, dists []float64) {
 }
 
 // Remove is the one way a row leaves: the last row is swapped into its
-// place across every column, the shadow and the mirror. The row is found
-// through the directory — the paper's §6.3 deletion scans the table for
-// it, which costs no distance and no page access, so its cost model is
-// unchanged.
+// place across every column, the shadow and the mirror, the zone of the
+// block it lands in widens to cover it, and a block left empty at the end
+// is dropped. Zones only ever widen here, so they stay conservative — and
+// skipping by them exact — until the next build tightens them. The row is
+// found through the directory — the paper's §6.3 deletion scans the table
+// for it, which costs no distance and no page access, so its cost model
+// is unchanged.
 func (t *Table) Remove(id int) error {
-	row, ok := t.rowOf[id]
-	if !ok {
+	row := t.Row(id)
+	if row < 0 {
 		return fmt.Errorf("%s: delete of unindexed object %d", t.name, id)
 	}
 	last := len(t.ids) - 1
@@ -252,8 +323,14 @@ func (t *Table) Remove(id int) error {
 	if t.flat != nil {
 		t.flat.SwapDelete(row)
 	}
-	t.rowOf[int(lastID)] = row
-	delete(t.rowOf, id)
+	if row < last {
+		for c := range t.zones.lo {
+			t.zones.widen(c, row/zoneRows, t.cols[c][row])
+		}
+	}
+	t.zones.truncate(last)
+	t.dir[lastID] = int32(row)
+	t.dir[id] = -1
 	return nil
 }
 
@@ -266,19 +343,36 @@ func (t *Table) Remove(id int) error {
 //     pivot the slot names;
 //  3. the shadow's lane for a row is its quantized first-column distance —
 //     swept at radius 0 around the row's own distances, the row survives;
-//  4. the mirror's row holds the coordinates of the row's object.
+//  4. the mirror's row holds the coordinates of the row's object;
+//  5. the shared layout has one zone per block of zoneRows rows in every
+//     column, and every row lies inside its block's zone (a NaN distance
+//     inside an infinite one).
 //
 // Checks 2 and 4 skip a row whose object the dataset no longer holds.
 // Distances are recomputed through the raw metric, so compdists do not
 // move.
 func (t *Table) Validate() error {
 	n := len(t.ids)
-	if len(t.rowOf) != n {
-		return fmt.Errorf("%s: directory holds %d objects, table %d rows", t.name, len(t.rowOf), n)
+	indexed := 0
+	for _, row := range t.dir {
+		if row >= 0 {
+			indexed++
+		}
+	}
+	if indexed != n {
+		return fmt.Errorf("%s: directory holds %d objects, table %d rows", t.name, indexed, n)
 	}
 	for c := range t.cols {
 		if len(t.cols[c]) != n || (t.refs != nil && len(t.refs[c]) != n) {
 			return fmt.Errorf("%s: column %d is out of step with %d rows", t.name, c, n)
+		}
+	}
+	if t.refs == nil && (len(t.zones.lo) != len(t.cols) || len(t.zones.hi) != len(t.cols)) {
+		return fmt.Errorf("%s: zone map covers %d of %d columns", t.name, len(t.zones.lo), len(t.cols))
+	}
+	for c, lo := range t.zones.lo {
+		if nb := (n + zoneRows - 1) / zoneRows; len(lo) != nb || len(t.zones.hi[c]) != nb {
+			return fmt.Errorf("%s: column %d has %d zones for %d blocks", t.name, c, len(lo), nb)
 		}
 	}
 	if t.qcol.OK() && t.qcol.Len() != n {
@@ -290,10 +384,10 @@ func (t *Table) Validate() error {
 	sc := t.scratch.Get()
 	defer t.scratch.Put(sc)
 	qd := sc.GrowQD(len(t.pivots))
-	sc.GrowSur(n)
+	sc.GrowSur(1)
 	metric := t.ds.Space().Metric()
 	for row, id := range t.ids {
-		if at, ok := t.rowOf[int(id)]; !ok || at != row {
+		if at := t.Row(int(id)); at != row {
 			return fmt.Errorf("%s: directory says object %d is row %d, table says %d", t.name, id, at, row)
 		}
 		o := t.ds.Object(int(id))
@@ -303,8 +397,15 @@ func (t *Table) Validate() error {
 				p = int(t.refs[c][row])
 			}
 			qd[p] = t.cols[c][row]
-			if o != nil && metric.Distance(o, t.pivots[p]) != qd[p] {
+			if d := qd[p]; o != nil && metric.Distance(o, t.pivots[p]) != d && !math.IsNaN(d) {
 				return fmt.Errorf("%s: row %d slot %d stores %v, not the distance of object %d to its pivot", t.name, row, c, qd[p], id)
+			}
+		}
+		for c := range t.zones.lo {
+			d, b := t.cols[c][row], row/zoneRows
+			lo, hi := t.zones.lo[c][b], t.zones.hi[c][b]
+			if !(lo <= d && d <= hi) && !(math.IsNaN(d) && math.IsInf(lo, -1) && math.IsInf(hi, 1)) {
+				return fmt.Errorf("%s: row %d column %d stores %v, outside its block's zone [%v, %v]", t.name, row, c, d, lo, hi)
 			}
 		}
 		if len(t.sweep(sc, row, row+1, 0)) != 1 {
@@ -320,16 +421,21 @@ func (t *Table) Validate() error {
 	return nil
 }
 
-// MemBytes reports the resident size of the table: ids, distance columns,
-// pivot-reference columns (why EPT is larger than LAESA in Table 4), the
-// quantized shadow and the coordinate mirror.
+// MemBytes reports the resident size of the table: ids, the directory (4
+// bytes per id of the dataset's span — for a shard's mirror, its parent's
+// span), distance columns, pivot-reference columns (why EPT is larger
+// than LAESA in Table 4), the zone map, the quantized shadow and the
+// coordinate mirror.
 func (t *Table) MemBytes() int64 {
-	n := int64(len(t.ids))*4 + int64(len(t.pivotIDs))*8
+	n := int64(len(t.ids))*4 + int64(len(t.dir))*4 + int64(len(t.pivotIDs))*8
 	for c := range t.cols {
 		n += int64(len(t.cols[c])) * 8
 		if t.refs != nil {
 			n += int64(len(t.refs[c])) * 4
 		}
+	}
+	for c := range t.zones.lo {
+		n += int64(len(t.zones.lo[c])+len(t.zones.hi[c])) * 8
 	}
 	if t.qcol != nil {
 		n += t.qcol.MemBytes()
@@ -366,20 +472,30 @@ type scan struct {
 	flat   bool          // verify through the mirror, with q widened into q64/q32
 	q64    []float64
 	q32    []float32
-	chunk  int // object path: candidates gathered per DistanceMany
-	m      int // object path: candidates gathered and not yet verified
-	ndist  int // flat path: distances computed, counted once at the end
+	chunk  int     // object path: candidates gathered per DistanceMany
+	m      int     // object path: candidates gathered and not yet verified
+	ndist  int     // flat path: distances computed, counted once at the end
+	qmax   float64 // largest |d(q, p)| over the pivots, for limit
 }
 
-// begin sizes the survivor and chunk buffers and computes the query's
-// distance to every pivot (for EPT, every pooled pivot: the m·l term of
-// its query cost) through the batch kernel.
+// begin sizes the per-block buffers (bounds, the block heap, one block's
+// survivors, the chunk) and computes the query's distance to every pivot
+// (for EPT, every pooled pivot: the m·l term of its query cost) through
+// the batch kernel.
 func (t *Table) begin(sc *core.Scratch, q core.Object, accept core.Accept) scan {
 	qd := sc.GrowQD(len(t.pivots))
-	sc.GrowSur(len(t.ids))
+	nb := (len(t.ids) + zoneRows - 1) / zoneRows
+	sc.GrowLB(nb)
+	sc.GrowBlocks(nb)
+	sc.GrowSur(zoneRows)
 	sc.GrowChunk(verifyChunk)
 	t.ds.Space().DistanceMany(q, t.pivots, qd)
 	s := scan{t: t, sc: sc, q: q, accept: accept, chunk: verifyChunk}
+	for _, d := range qd {
+		if a := math.Abs(d); a > s.qmax {
+			s.qmax = a
+		}
+	}
 	if t.FlatArmed() {
 		// A query whose type or dimension does not fit the mirror stays on
 		// the object path, where the metric decides whether it is legal.
@@ -394,6 +510,20 @@ func (s *scan) radius() float64 {
 		return s.h.Radius()
 	}
 	return s.r
+}
+
+// limit is the block bound above which no row of the block survives
+// Lemma 1 at the current radius. A zone gap is the rounded lo − q while
+// the row test is d > q + r with q + r rounded; the relative margin of
+// 2⁻⁵⁰ on r and the largest |q| covers both roundings, so a block is cut
+// only where the row test cuts every row. A negative range radius prunes
+// every row with a finite distance and counts as 0 here; a NaN radius
+// prunes nothing, and neither does the limit.
+//
+//metriclint:noalloc
+func (s *scan) limit() float64 {
+	r := max(s.radius(), 0)
+	return r + (r+s.qmax)*0x1p-50
 }
 
 // object fetches a candidate's object for the chunked path.
@@ -416,8 +546,7 @@ func (s *scan) offer(id int, d float64) {
 	}
 }
 
-// block is the one staged loop every table query runs, over rows
-// [base, end):
+// block is the staged pass over one admitted block, rows [base, end):
 //
 //  1. sweep the block's columns at the radius current now;
 //  2. per survivor, in storage order: the optional accept test — before
@@ -431,13 +560,12 @@ func (s *scan) offer(id int, d float64) {
 //  5. collect: heap push, or radius compare.
 //
 // The sweep only pre-filters; step 3 makes the set of verified rows
-// exactly what a row-at-a-time scan verifies — a row survives the stale
-// (larger) sweep radius whenever it survives the fresh one, and the
-// recheck removes the rest — so answers, compdists and disk reads match
-// the scalar algorithm. On the chunked path the recheck radius lags by
-// the candidates still gathered, which only admits extra candidates the
-// heap then rejects: answers stay identical, and chunk 1 (CPT's kNN)
-// removes the lag altogether.
+// exactly what a row-at-a-time scan in the same row order verifies — a
+// row survives the stale (larger) sweep radius whenever it survives the
+// fresh one, and the recheck removes the rest. On the chunked path the
+// recheck radius lags by the candidates still gathered, which only
+// admits extra candidates the heap then rejects: answers stay identical,
+// and chunk 1 (CPT's kNN) removes the lag altogether.
 //
 //metriclint:noalloc
 func (s *scan) block(base, end int) error {
@@ -506,15 +634,72 @@ func (s *scan) finish() {
 	s.t.ds.Space().CountDistances(s.ndist)
 }
 
+// run is the one block loop of every query — range and kNN, filtered or
+// not, on either layout. It bounds every block from its zone
+// (blockBounds), drops the blocks whose bound already exceeds the limit,
+// and visits the rest best-first by bound: each popped block runs block,
+// until the popped bound exceeds the limit at the radius current then.
+// Range queries thus skip every block a zone proves empty (its survivors
+// and compdists are a full sweep's); kNN queries start in the block
+// nearest the query in pivot space, sweep it at +Inf, and stop as soon as
+// no remaining block can hold a row inside the tightened radius. The
+// per-row layout has no zones: all its bounds are 0, and its blocks go in
+// storage order.
+//
+// The nearest block is found by one pass and swept before the others are
+// queued: a kNN radius is +Inf until then, so queueing first would heap
+// every block. Queued after it are only the blocks within the limit the
+// first block left, which the heap would have popped before stopping
+// anyway — the visiting order is the heap's either way.
+//
+//metriclint:noalloc
+func (s *scan) run() error {
+	t, sc := s.t, s.sc
+	n, lb := len(t.ids), sc.LB
+	t.blockBounds(lb, sc.QD)
+	first := 0
+	for b, g := range lb {
+		if g < lb[first] {
+			first = b
+		}
+	}
+	if len(lb) == 0 || lb[first] > s.limit() {
+		s.finish()
+		return nil
+	}
+	if err := s.block(first*zoneRows, min((first+1)*zoneRows, n)); err != nil {
+		return err
+	}
+	limit, m := s.limit(), 0
+	for b, g := range lb {
+		if b != first && !(g > limit) {
+			sc.Blocks[m] = int32(b)
+			m++
+		}
+	}
+	h := blockHeap{lb: lb, b: sc.Blocks[:m]}
+	h.init()
+	for len(h.b) > 0 {
+		b := h.pop()
+		if lb[b] > s.limit() {
+			break
+		}
+		if err := s.block(b*zoneRows, min((b+1)*zoneRows, n)); err != nil {
+			return err
+		}
+	}
+	s.finish()
+	return nil
+}
+
 // Range answers MRQ(q, r) over the accepted ids (nil accept: all of
-// them) as one block: a single sweep at the fixed radius, then
-// verification.
+// them): every block a zone does not rule out is swept at the fixed
+// radius, then its survivors are verified.
 func (t *Table) Range(q core.Object, r float64, accept core.Accept) ([]int, error) {
 	sc := t.scratch.Get()
 	s := t.begin(sc, q, accept)
 	s.r = r
-	err := s.block(0, len(t.ids))
-	s.finish()
+	err := s.run()
 	t.scratch.Put(sc)
 	if err != nil {
 		return nil, err
@@ -525,8 +710,9 @@ func (t *Table) Range(q core.Object, r float64, accept core.Accept) ([]int, erro
 
 // KNN answers MkNNQ(q, k) over the accepted ids (nil accept: all of
 // them): radius starts at infinity and is tightened by each verified
-// object (§2.1, second method), visiting rows in storage order — which
-// the paper notes is suboptimal but is what LAESA does.
+// object (§2.1, second method), visiting blocks best-first by their zone
+// bound — the order the tree families traverse nodes in, which tightens
+// the radius sooner, applied to the table's blocks.
 func (t *Table) KNN(q core.Object, k int, accept core.Accept) ([]core.Neighbor, error) {
 	if k <= 0 {
 		return nil, nil
@@ -552,15 +738,8 @@ func (t *Table) ScanKNN(h *core.KNNHeap, q core.Object, accept core.Accept) erro
 	return err
 }
 
-// scanKNN stages the kNN scan. Unfiltered, the first min(k, n) rows are
-// the seed block: a storage-order scan verifies them unconditionally —
-// its radius is infinite until the k-th push — so they are swept (at
-// +Inf, keeping every row) and verified as one block, and whatever the
-// chunked path has gathered is verified when the block ends, before the
-// now-finite radius is read. With an accept test there is no such prefix
-// (a rejected row must not cost a distance): the radius simply stays
-// +Inf until k accepted candidates have been verified. The remaining
-// rows go block by block, knnBlockMin doubling to knnBlock.
+// scanKNN runs the kNN scan: the radius stays +Inf until k accepted
+// candidates have been verified, so the first block is swept whole.
 func (t *Table) scanKNN(sc *core.Scratch, h *core.KNNHeap, q core.Object, accept core.Accept) error {
 	s := t.begin(sc, q, accept)
 	s.h = h
@@ -569,21 +748,7 @@ func (t *Table) scanKNN(sc *core.Scratch, h *core.KNNHeap, q core.Object, accept
 		// radius: no candidate waits in a chunk while the radius tightens.
 		s.chunk = 1
 	}
-	n, seed := len(t.ids), 0
-	if accept == nil {
-		seed = min(h.K(), n)
-		if err := s.block(0, seed); err != nil {
-			return err
-		}
-		s.flush()
-	}
-	for base, blk := seed, knnBlockMin; base < n; base, blk = base+blk, min(blk*2, knnBlock) {
-		if err := s.block(base, min(base+blk, n)); err != nil {
-			return err
-		}
-	}
-	s.finish()
-	return nil
+	return s.run()
 }
 
 // EncodeBlock writes the shared-layout table block LAESA and CPT store:
@@ -603,7 +768,10 @@ func (t *Table) EncodeBlock(w *persist.Writer) {
 
 // DecodeBlock reads the block EncodeBlock writes. rowMajor selects the
 // version-1 float order (dists[row*l+i]), which loads through a
-// transpose.
+// transpose. Rows load in the order they were written — curve order for
+// a table Build made; an older snapshot keeps its order, and its zones
+// are exact but loose until the index is rebuilt. Row ids outside the
+// dataset or stored twice are rejected.
 func DecodeBlock(name string, ds *core.Dataset, r *persist.Reader, rowMajor bool, load func(id int) (core.Object, error)) (*Table, error) {
 	t := newTable(name, ds, load)
 	t.pivotIDs = r.Ints()
@@ -620,23 +788,27 @@ func DecodeBlock(name string, ds *core.Dataset, r *persist.Reader, rowMajor bool
 	if len(dists) != len(ids)*l {
 		return nil, fmt.Errorf("%s: %d distances for %d rows × %d pivots", name, len(dists), len(ids), l)
 	}
-	t.adopt(ids, distColumns(dists, len(ids), l, rowMajor))
+	if err := t.adopt(ids, distColumns(dists, len(ids), l, rowMajor), nil, -1); err != nil {
+		return nil, err
+	}
 	return t, nil
 }
 
 // distColumns splits a flat distance block into per-pivot columns,
 // transposing when the block is the row-major layout of version-1
-// payloads.
+// payloads. Column-major blocks are split in place: each column is a
+// capacity-capped view, so an append moves it out instead of writing
+// into the next one.
 func distColumns(dists []float64, rows, l int, rowMajor bool) [][]float64 {
 	cols := make([][]float64, l)
 	for i := range cols {
+		if !rowMajor {
+			cols[i] = dists[i*rows : (i+1)*rows : (i+1)*rows]
+			continue
+		}
 		cols[i] = make([]float64, rows)
-		if rowMajor {
-			for row := 0; row < rows; row++ {
-				cols[i][row] = dists[row*l+i]
-			}
-		} else {
-			copy(cols[i], dists[i*rows:(i+1)*rows])
+		for row := 0; row < rows; row++ {
+			cols[i][row] = dists[row*l+i]
 		}
 	}
 	return cols
