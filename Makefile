@@ -20,10 +20,10 @@ GOVULNCHECK_VERSION ?= v1.1.4
 # (nilness, shadow) that plain `go vet` does not run.
 XTOOLS_VERSION ?= v0.30.0
 
-# Seconds each native fuzz target runs in the `make fuzz` smoke (seven
+# Seconds each native fuzz target runs in the `make fuzz` smoke (eight
 # targets: FuzzLevenshtein, FuzzBatchKernels, FuzzDecodeQuery,
 # FuzzSnapshotHeader, FuzzPredicateParse, FuzzPredicateEval,
-# FuzzHilbertDecode).
+# FuzzCompiledPredicate, FuzzHilbertDecode).
 FUZZTIME ?= 10s
 
 # Packages with a parallel build, the concurrent query engine, the
@@ -82,6 +82,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzSnapshotHeader -fuzztime=$(FUZZTIME) ./internal/persist
 	$(GO) test -run='^$$' -fuzz=FuzzPredicateParse -fuzztime=$(FUZZTIME) ./internal/plan
 	$(GO) test -run='^$$' -fuzz=FuzzPredicateEval -fuzztime=$(FUZZTIME) ./internal/plan
+	$(GO) test -run='^$$' -fuzz=FuzzCompiledPredicate -fuzztime=$(FUZZTIME) ./internal/plan
 	$(GO) test -run='^$$' -fuzz=FuzzHilbertDecode -fuzztime=$(FUZZTIME) ./internal/sfc
 
 bench:

@@ -3,10 +3,12 @@ package core
 // Attribute metadata for filtered (hybrid) search: every dataset object
 // may carry a small bag of typed fields — ints, floats, strings, and
 // tag sets — that predicates of the filter clause evaluate against.
-// Attrs ride alongside the object itself: they are stored per slot in
-// the Dataset, cloned by epoch snapshots, and persisted through the
-// snapshot/WAL formats, but they never participate in the metric — the
-// distance function sees only the Object.
+// Attrs ride alongside the object itself: the Dataset stores them
+// column-wise (columns.go), epoch snapshots clone them, and the
+// snapshot/WAL formats persist them, but they never participate in the
+// metric — the distance function sees only the Object. An Attrs map is
+// the exchange form: what callers hand to SetAttrs and what
+// Dataset.Attrs materialises.
 
 // AttrKind discriminates the typed variants of an AttrValue. The
 // numeric values are frozen: they appear in the MXSNAP/MXWAL/MIDX wire

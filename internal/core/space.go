@@ -86,11 +86,9 @@ type Dataset struct {
 	objects []Object
 	free    []int // stack of deleted slots available for reuse
 	live    int   // number of non-nil objects
-	// attrs holds the attribute bag of each slot, parallel to objects
-	// but grown lazily: it may be shorter than objects when no object
-	// past its end carries attributes. attrs[id] is nil for objects
-	// without metadata and for deleted slots.
-	attrs []Attrs
+	// attrs holds the attribute fields of every slot, column-wise
+	// (columns.go). Deleted slots carry none.
+	attrs AttrStore
 }
 
 // NewDataset builds a dataset over the given objects. The slice is owned by
@@ -284,57 +282,104 @@ func (ds *Dataset) Delete(id int) error {
 		return fmt.Errorf("core: delete of already-deleted id %d", id)
 	}
 	ds.objects[id] = nil
-	if id < len(ds.attrs) {
-		ds.attrs[id] = nil
-	}
+	ds.attrs.clearRow(id)
 	ds.free = append(ds.free, id)
 	ds.live--
 	return nil
 }
 
-// SetAttrs attaches an attribute bag to a live object (nil detaches).
-// The map is owned by the dataset afterwards. It errors on a deleted or
-// out-of-range identifier so attrs can never outlive their object.
-func (ds *Dataset) SetAttrs(id int, a Attrs) error {
+// SetAttrs replaces the attribute fields of a live object with those of
+// a (a nil or empty source detaches them all). The dataset keeps its own
+// copy. It errors on a deleted or out-of-range identifier, so attrs can
+// never outlive their object, and on a bag ValidateAttrs rejects; on
+// error the row is unchanged.
+func (ds *Dataset) SetAttrs(id int, a AttrSource) error {
 	if !ds.Live(id) {
 		return fmt.Errorf("core: attrs on non-live id %d", id)
 	}
-	if a == nil && id >= len(ds.attrs) {
+	if err := ValidateAttrs(a); err != nil {
+		return err
+	}
+	switch src := a.(type) {
+	case nil:
+		ds.attrs.clearRow(id)
 		return nil
+	case Attrs:
+		ds.attrs.clearRow(id)
+		for k, v := range src {
+			ds.attrs.setField(id, k, v, len(ds.objects))
+		}
+		return nil
+	case AttrRow:
+		if src.ds == ds && src.id == id {
+			return nil
+		}
 	}
-	for len(ds.attrs) <= id {
-		ds.attrs = append(ds.attrs, nil)
+	ds.attrs.clearRow(id)
+	for k, v := range a.AttrFields() {
+		ds.attrs.setField(id, k, v, len(ds.objects))
 	}
-	ds.attrs[id] = a
 	return nil
 }
 
-// Attrs returns the attribute bag of the given identifier, or nil when
-// the object has none (or the id is deleted/out of range). Callers must
-// not mutate the returned map.
-//
-//metriclint:ignore read-only view by contract, not a defensive copy
-func (ds *Dataset) Attrs(id int) Attrs {
-	if id < 0 || id >= len(ds.attrs) {
-		return nil
+// SetAttr sets one attribute field of a live object, replacing the value
+// the field held. Decoders restore rows field by field through it; the
+// tag slice of v is copied, never retained.
+func (ds *Dataset) SetAttr(id int, name string, v AttrValue) error {
+	if !ds.Live(id) {
+		return fmt.Errorf("core: attrs on non-live id %d", id)
 	}
-	return ds.attrs[id]
+	if err := validateAttr(name, v); err != nil {
+		return err
+	}
+	ds.attrs.setField(id, name, v, len(ds.objects))
+	return nil
 }
 
-// CopyAttrsFrom bulk-copies every attribute bag of src (by identifier)
-// onto this dataset, skipping ids that are not live here. Epoch
-// snapshots and shard mirrors use it to carry metadata across dataset
-// clones; the bags themselves are shared, not deep-copied — both sides
-// treat them as immutable.
+// AttrRow returns a view of the attribute fields of an identifier (none
+// for a deleted or out-of-range one). It allocates nothing: encoders,
+// the journal and the planner's estimator read rows through it.
+func (ds *Dataset) AttrRow(id int) AttrRow { return AttrRow{ds: ds, id: id} }
+
+// AttrStore exposes the attribute columns for reading (compiled
+// predicates scan them). Callers must not retain it across writes.
+func (ds *Dataset) AttrStore() *AttrStore { return &ds.attrs }
+
+// Attrs materialises the attribute fields of an identifier as a bag, or
+// nil when it carries none (or the id is deleted or out of range). It is
+// the reference view — Predicate.Eval over it defines what a filter
+// matches — and allocates a map per call, so no query or write path uses
+// it. Tag slices are shared: callers must not mutate the result.
+func (ds *Dataset) Attrs(id int) Attrs {
+	var a Attrs
+	for k, v := range ds.AttrRow(id).AttrFields() {
+		if a == nil {
+			a = make(Attrs)
+		}
+		a[k] = v
+	}
+	return a
+}
+
+// CopyAttrsFrom copies the attribute fields of every row of src (by
+// identifier) onto this dataset, skipping ids that are not live here.
+// Epoch snapshots and shard mirrors use it to carry metadata across
+// dataset clones; when this dataset carries no attributes yet, the
+// columns are copied wholesale.
 func (ds *Dataset) CopyAttrsFrom(src *Dataset) {
-	for id, a := range src.attrs {
-		if a == nil || !ds.Live(id) {
-			continue
+	if len(ds.attrs.cols) > 0 {
+		for id := range src.objects {
+			if r := src.AttrRow(id); ds.Live(id) && r.AttrLen() > 0 {
+				_ = ds.SetAttrs(id, r) // cannot fail: id is live and a stored row is valid
+			}
 		}
-		for len(ds.attrs) <= id {
-			ds.attrs = append(ds.attrs, nil)
+		return
+	}
+	ds.attrs = src.attrs.clone()
+	for id := range src.objects {
+		if !ds.Live(id) {
+			ds.attrs.clearRow(id)
 		}
-		ds.attrs[id] = a
 	}
 }
 

@@ -45,7 +45,7 @@ func Save(path string, g *Generated) error {
 	// non-empty list upgrades the file to MIDX2.
 	var withAttrs []int
 	for pos, id := range ids {
-		if len(g.Dataset.Attrs(id)) > 0 {
+		if g.Dataset.AttrRow(id).AttrLen() > 0 {
 			withAttrs = append(withAttrs, pos)
 		}
 	}
@@ -77,7 +77,7 @@ func Save(path string, g *Generated) error {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(withAttrs)))
 		for _, pos := range withAttrs {
 			buf = binary.LittleEndian.AppendUint32(buf, uint32(pos))
-			buf = store.EncodeAttrs(buf, g.Dataset.Attrs(ids[pos]))
+			buf = store.EncodeAttrs(buf, g.Dataset.AttrRow(ids[pos]))
 		}
 	}
 	if _, err := w.Write(buf); err != nil {
@@ -159,20 +159,23 @@ func Load(path string) (*Generated, error) {
 		}
 		na := int(binary.LittleEndian.Uint32(raw))
 		raw = raw[4:]
+		dec := store.NewAttrDecoder()
 		for i := 0; i < na; i++ {
 			if len(raw) < 4 {
 				return nil, io.ErrUnexpectedEOF
 			}
 			id := int(binary.LittleEndian.Uint32(raw))
 			raw = raw[4:]
-			a, used, err := store.DecodeAttrs(raw)
+			// Clearing first checks the id and lets a repeated id replace
+			// the earlier bag rather than merge with it.
+			if err := ds.SetAttrs(id, nil); err != nil {
+				return nil, fmt.Errorf("dataset: attrs %d: %w", i, err)
+			}
+			used, err := dec.DecodeInto(raw, ds, id)
 			if err != nil {
 				return nil, fmt.Errorf("dataset: attrs %d: %w", i, err)
 			}
 			raw = raw[used:]
-			if err := ds.SetAttrs(id, a); err != nil {
-				return nil, fmt.Errorf("dataset: attrs %d: %w", i, err)
-			}
 		}
 	}
 	return &Generated{

@@ -51,9 +51,10 @@ const (
 // acknowledged to the caller — the durability contract a write-ahead log
 // needs. An Append error aborts the write: Live rolls the update back
 // and returns the error. internal/persist.WAL is the on-disk
-// implementation.
+// implementation. attrs is the caller's bag or, for OpInsert, a view of
+// the dataset row (core.AttrRow), valid only during the call.
 type Journal interface {
-	Append(op Op, epoch uint64, id int, obj core.Object, attrs core.Attrs) error
+	Append(op Op, epoch uint64, id int, obj core.Object, attrs core.AttrSource) error
 }
 
 // logEntry is one update recorded while a swap builds, for replay onto
@@ -62,8 +63,8 @@ type logEntry struct {
 	insert   bool
 	setAttrs bool // attrs-only update: replace the bag, touch nothing else
 	id       int
-	obj      core.Object // the inserted object; nil for deletes
-	attrs    core.Attrs  // the inserted object's attribute bag, if any
+	obj      core.Object     // the inserted object; nil for deletes
+	attrs    core.AttrSource // the inserted object's attributes, if any
 }
 
 // Live is an index whose updates are epoch-synchronized with its
@@ -103,7 +104,7 @@ func NewLive(ds *core.Dataset, idx core.Index) *Live {
 	st := plan.NewStats()
 	for id, o := range ds.Objects() {
 		if o != nil {
-			st.Observe(ds.Attrs(id))
+			st.ObserveRow(ds, id)
 		}
 	}
 	return &Live{ds: ds, idx: idx, stats: st}
@@ -189,14 +190,12 @@ func (l *Live) Apply(op Op, epoch uint64, id int, obj core.Object, attrs core.At
 		}
 		l.stats.Observe(attrs)
 	case OpRemove:
-		a := l.ds.Attrs(id)
 		if err := l.idx.Delete(id); err != nil {
 			return err
 		}
-		if err := l.ds.Delete(id); err != nil {
+		if err := l.removeRow(id); err != nil {
 			return err
 		}
-		l.stats.Remove(a)
 	case OpInsert:
 		if l.ds.Object(id) == nil {
 			if err := l.ds.InsertAt(id, obj); err != nil {
@@ -211,20 +210,16 @@ func (l *Live) Apply(op Op, epoch uint64, id int, obj core.Object, attrs core.At
 		if err := l.idx.Insert(id); err != nil {
 			return err
 		}
-		l.stats.Observe(l.ds.Attrs(id))
+		l.stats.ObserveRow(l.ds, id)
 	case OpDelete:
-		a := l.ds.Attrs(id)
 		if err := l.idx.Delete(id); err != nil {
 			return err
 		}
-		l.stats.Remove(a)
+		l.stats.RemoveRow(l.ds, id)
 	case OpSetAttrs:
-		old := l.ds.Attrs(id)
-		if err := l.ds.SetAttrs(id, attrs); err != nil {
+		if err := l.setAttrs(id, attrs); err != nil {
 			return err
 		}
-		l.stats.Remove(old)
-		l.stats.Observe(attrs)
 	case OpSwap:
 		// Structure rebuild: answers unchanged, only the epoch moves.
 	default:
@@ -240,7 +235,7 @@ func (l *Live) Apply(op Op, epoch uint64, id int, obj core.Object, attrs core.At
 // at epoch+1. Caller holds the write lock and must roll back on error.
 //
 //metriclint:locked
-func (l *Live) journalAppend(op Op, id int, obj core.Object, attrs core.Attrs) error {
+func (l *Live) journalAppend(op Op, id int, obj core.Object, attrs core.AttrSource) error {
 	if l.journal == nil {
 		return nil
 	}
@@ -296,16 +291,16 @@ func (l *Live) AddAttrsAt(o core.Object, a core.Attrs) (int, uint64, error) {
 	if o == nil {
 		return 0, 0, fmt.Errorf("epoch: add of nil object")
 	}
+	if err := a.Validate(); err != nil {
+		return 0, 0, err
+	}
 	waitStart := time.Now()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.writeWait(time.Since(waitStart))
 	id := l.ds.Insert(o)
 	if a != nil {
-		if err := l.ds.SetAttrs(id, a); err != nil {
-			_ = l.ds.Delete(id)
-			return 0, l.epoch, err
-		}
+		_ = l.ds.SetAttrs(id, a) // cannot fail: id is live and a was validated
 	}
 	if err := l.idx.Insert(id); err != nil {
 		_ = l.ds.Delete(id) // roll the dataset (and its attrs) back
@@ -335,24 +330,20 @@ func (l *Live) RemoveAt(id int) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.writeWait(time.Since(waitStart))
-	o := l.ds.Object(id) // captured for journal-failure rollback
-	a := l.ds.Attrs(id)  // likewise, and for the estimator
 	if err := l.idx.Delete(id); err != nil {
 		return l.epoch, err
 	}
-	if err := l.ds.Delete(id); err != nil {
-		return l.epoch, err
-	}
+	// Journal before the dataset forgets the row, so a failed append
+	// rolls back the index alone and the row's attributes never need a
+	// copy.
 	if err := l.journalAppend(OpRemove, id, nil, nil); err != nil {
-		_ = l.ds.InsertAt(id, o)
-		if a != nil {
-			_ = l.ds.SetAttrs(id, a)
-		}
 		_ = l.idx.Insert(id)
 		return l.epoch, err
 	}
+	if err := l.removeRow(id); err != nil {
+		return l.epoch, err
+	}
 	l.record(logEntry{id: id})
-	l.stats.Remove(a)
 	l.epoch++
 	return l.epoch, nil
 }
@@ -370,7 +361,7 @@ func (l *Live) Insert(id int) error {
 	if o == nil {
 		return fmt.Errorf("epoch: insert of deleted or unknown object %d", id)
 	}
-	a := l.ds.Attrs(id)
+	a := l.ds.AttrRow(id)
 	if err := l.idx.Insert(id); err != nil {
 		return err
 	}
@@ -378,8 +369,11 @@ func (l *Live) Insert(id int) error {
 		_ = l.idx.Delete(id)
 		return err
 	}
+	// The log keeps a view of the row: replay at cutover, still inside
+	// a write section, copies the row as later log entries left it,
+	// which is what replaying them in order reaches anyway.
 	l.record(logEntry{insert: true, id: id, obj: o, attrs: a})
-	l.stats.Observe(a)
+	l.stats.ObserveRow(l.ds, id)
 	l.epoch++
 	return nil
 }
@@ -404,7 +398,7 @@ func (l *Live) Delete(id int) error {
 		return err
 	}
 	l.record(logEntry{id: id})
-	l.stats.Remove(l.ds.Attrs(id))
+	l.stats.RemoveRow(l.ds, id)
 	l.epoch++
 	return nil
 }
@@ -479,8 +473,7 @@ func (l *Live) Swap(build Builder) error {
 }
 
 // snapshot clones the dataset: same Space (compdists accounting stays
-// global), same identifiers, copied object slots and attribute bags
-// (bags are shared, not deep-copied — they are immutable once set).
+// global), same identifiers, copied object slots and attribute columns.
 func snapshot(ds *core.Dataset) *core.Dataset {
 	objs := append([]core.Object(nil), ds.Objects()...)
 	snap := core.NewDataset(ds.Space(), objs)

@@ -1,6 +1,8 @@
 package epoch
 
 import (
+	"fmt"
+
 	"metricindex/internal/core"
 	"metricindex/internal/plan"
 )
@@ -31,24 +33,52 @@ func (l *Live) PlanStats(fn func(s *plan.Stats)) {
 func (l *Live) SetAttrsAt(id int, a core.Attrs) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	old := l.ds.Attrs(id)
-	if err := l.ds.SetAttrs(id, a); err != nil {
+	if !l.ds.Live(id) {
+		return l.epoch, fmt.Errorf("epoch: attrs on non-live id %d", id)
+	}
+	if err := a.Validate(); err != nil {
 		return l.epoch, err
 	}
+	// The checks above are every way the write can fail, so it is
+	// journaled first and a failed append leaves the row untouched.
 	if err := l.journalAppend(OpSetAttrs, id, nil, a); err != nil {
-		_ = l.ds.SetAttrs(id, old)
+		return l.epoch, err
+	}
+	if err := l.setAttrs(id, a); err != nil {
 		return l.epoch, err
 	}
 	l.record(logEntry{setAttrs: true, id: id, attrs: a})
-	l.stats.Remove(old)
-	l.stats.Observe(a)
 	l.epoch++
 	return l.epoch, nil
 }
 
-// Attrs returns the attribute bag of a live object observed in a read
-// section (nil when the object has none or the id is dead). The bag is
-// shared — callers must not mutate it.
+// setAttrs replaces a row's attributes in the dataset and the
+// estimator. Dataset.SetAttrs changes nothing when it fails, so the
+// estimator re-observes the same row then.
+//
+//metriclint:locked
+func (l *Live) setAttrs(id int, a core.Attrs) error {
+	l.stats.RemoveRow(l.ds, id)
+	err := l.ds.SetAttrs(id, a)
+	l.stats.ObserveRow(l.ds, id)
+	return err
+}
+
+// removeRow deletes an object's row from the dataset and the estimator.
+//
+//metriclint:locked
+func (l *Live) removeRow(id int) error {
+	l.stats.RemoveRow(l.ds, id)
+	if err := l.ds.Delete(id); err != nil {
+		l.stats.ObserveRow(l.ds, id)
+		return err
+	}
+	return nil
+}
+
+// Attrs materialises the attribute bag of a live object in a read
+// section (nil when the object has none or the id is dead); see
+// core.Dataset.Attrs. Callers must not mutate its tag slices.
 func (l *Live) Attrs(id int) core.Attrs {
 	l.mu.RLock()
 	defer l.mu.RUnlock()

@@ -611,3 +611,55 @@ func TestWALTruncateThrough(t *testing.T) {
 		}
 	}
 }
+
+// TestWALRejectsUnframableAttrs: a record whose attribute bag holds a
+// value longer than its u16 frame is refused before anything is written.
+// Written anyway, the truncated length misframes the record: it passes
+// its checksum, fails to decode, and the next open takes it for a torn
+// tail and cuts it and every acknowledged record after it.
+func TestWALRejectsUnframableAttrs(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wal.mxl")
+	wal, _, _, err := persist.OpenWAL(path, persist.SyncAlways)
+	if err != nil {
+		t.Fatal(err)
+	}
+	long := core.Attrs{"note": core.StringValue(string(make([]byte, 70000)))}
+	if err := wal.Append(epoch.OpAdd, 1, 0, core.Vector{1, 2}, core.Attrs{"a": core.IntValue(1)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := wal.Append(epoch.OpSetAttrs, 2, 0, nil, long); err == nil {
+		t.Error("a 70 000-byte attribute string was appended")
+	}
+	if err := wal.Append(epoch.OpRemove, 3, 0, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := wal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	wal, recs, truncated, err := persist.OpenWAL(path, persist.SyncAlways)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wal.Close()
+	if truncated || len(recs) != 2 || recs[1].Op != epoch.OpRemove {
+		t.Fatalf("reopened log: %d records, truncated %v; want both acknowledged records", len(recs), truncated)
+	}
+
+	// Through a journaled Live the write fails before it is journaled.
+	ds := testutil.VectorDataset(20, 2, 10, core.L2{}, 1)
+	idx, err := table.NewLAESA(ds, []int{0, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := epoch.NewLive(ds, idx)
+	live.SetJournal(wal)
+	if _, err := live.SetAttrsAt(3, long); err == nil {
+		t.Fatal("Live.SetAttrsAt accepted an unframable bag")
+	}
+	if _, _, err := live.AddAttrsAt(core.Vector{1, 1}, long); err == nil {
+		t.Fatal("Live.AddAttrsAt accepted an unframable bag")
+	}
+	if st := wal.Stats(); st.Records != 2 || live.Epoch() != 0 || ds.Count() != 20 {
+		t.Fatalf("rejected writes left %d records, epoch %d, %d objects", st.Records, live.Epoch(), ds.Count())
+	}
+}

@@ -218,8 +218,8 @@ func readSection(r *Reader) []byte {
 
 // encodeDataset writes every id slot: u32 slot count, then per slot a
 // flags byte followed by the object (store codec) and, when the slot
-// carries one, its attribute bag. Encoding empty slots keeps
-// identifiers stable across restore.
+// carries attributes, its row in the attrs codec. Encoding empty slots
+// keeps identifiers stable across restore.
 func encodeDataset(w *Writer, ds *core.Dataset) {
 	objs := ds.Objects()
 	w.U32(uint32(len(objs)))
@@ -229,18 +229,20 @@ func encodeDataset(w *Writer, ds *core.Dataset) {
 			continue
 		}
 		flags := uint8(slotObject)
-		a := ds.Attrs(id)
-		if len(a) > 0 {
+		if ds.AttrRow(id).AttrLen() > 0 {
 			flags |= slotAttrs
 		}
 		w.U8(flags)
 		w.Object(o)
 		if flags&slotAttrs != 0 {
-			w.Attrs(a)
+			w.RowAttrs(ds, id)
 		}
 	}
 }
 
+// decodeDataset restores the slots, then decodes each attribute span
+// straight into its row's columns: the dataset must exist (with its
+// objects) before a row can take fields.
 func decodeDataset(payload []byte, metric core.Metric) (*core.Dataset, error) {
 	r := NewReader(payload)
 	n := r.Count(1)
@@ -248,7 +250,11 @@ func decodeDataset(payload []byte, metric core.Metric) (*core.Dataset, error) {
 		return nil, r.err
 	}
 	objs := make([]core.Object, n)
-	attrs := make(map[int]core.Attrs)
+	type span struct {
+		id    int
+		attrs []byte
+	}
+	var spans []span
 	for i := range objs {
 		flags := r.U8()
 		if r.err == nil && (flags&slotObject == 0 && flags != 0 || flags&^uint8(slotObject|slotAttrs) != 0) {
@@ -258,7 +264,7 @@ func decodeDataset(payload []byte, metric core.Metric) (*core.Dataset, error) {
 			objs[i] = r.Object()
 		}
 		if flags&slotAttrs != 0 {
-			attrs[i] = r.Attrs()
+			spans = append(spans, span{i, r.AttrsSpan()})
 		}
 		if r.err != nil {
 			return nil, r.err
@@ -269,9 +275,10 @@ func decodeDataset(payload []byte, metric core.Metric) (*core.Dataset, error) {
 		return nil, r.err
 	}
 	ds := core.NewDataset(core.NewSpace(metric), objs)
-	for id, a := range attrs {
-		if err := ds.SetAttrs(id, a); err != nil {
-			return nil, err
+	dec := store.NewAttrDecoder()
+	for _, s := range spans {
+		if _, err := dec.DecodeInto(s.attrs, ds, s.id); err != nil {
+			return nil, fmt.Errorf("slot %d attrs: %w", s.id, err)
 		}
 	}
 	return ds, nil

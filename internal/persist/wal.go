@@ -261,16 +261,16 @@ func decodeWALRecord(payload []byte) (Record, bool) {
 	return rec, r.Err() == nil
 }
 
-func encodeWALRecord(rec Record) []byte {
+func encodeWALRecord(op epoch.Op, ep uint64, id int, obj core.Object, attrs core.AttrSource) []byte {
 	p := NewWriter()
-	p.U8(uint8(rec.Op))
-	p.U64(rec.Epoch)
-	p.U64(uint64(rec.ID))
-	if rec.Op == epoch.OpAdd || rec.Op == epoch.OpInsert {
-		p.Object(rec.Obj)
+	p.U8(uint8(op))
+	p.U64(ep)
+	p.U64(uint64(id))
+	if op == epoch.OpAdd || op == epoch.OpInsert {
+		p.Object(obj)
 	}
-	if len(rec.Attrs) > 0 {
-		p.Attrs(rec.Attrs)
+	if attrs != nil && attrs.AttrLen() > 0 {
+		p.Attrs(attrs)
 	}
 	payload := p.Bytes()
 	f := NewWriter()
@@ -283,9 +283,13 @@ func encodeWALRecord(rec Record) []byte {
 // Append writes one committed update; it is the epoch.Journal hook. With
 // SyncAlways the record is fsynced before returning, so the write
 // section that called us cannot acknowledge a commit the disk has not
-// seen.
-func (w *WAL) Append(op epoch.Op, ep uint64, id int, obj core.Object, attrs core.Attrs) error {
-	frame := encodeWALRecord(Record{Op: op, Epoch: ep, ID: id, Obj: obj, Attrs: attrs})
+// seen. A bag core.ValidateAttrs rejects is refused before anything is
+// written: its lengths do not fit the record's u16 frames.
+func (w *WAL) Append(op epoch.Op, ep uint64, id int, obj core.Object, attrs core.AttrSource) error {
+	if err := core.ValidateAttrs(attrs); err != nil {
+		return fmt.Errorf("persist: WAL record: %w", err)
+	}
+	frame := encodeWALRecord(op, ep, id, obj, attrs)
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.f == nil {
@@ -332,7 +336,7 @@ func (w *WAL) TruncateThrough(ep uint64) error {
 		if rec.Epoch <= ep {
 			continue
 		}
-		out = append(out, encodeWALRecord(rec)...)
+		out = append(out, encodeWALRecord(rec.Op, rec.Epoch, rec.ID, rec.Obj, rec.Attrs)...)
 		kept++
 	}
 	dir := filepath.Dir(w.path)

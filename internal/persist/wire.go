@@ -65,8 +65,12 @@ func (w *Writer) String(s string) {
 func (w *Writer) Object(o core.Object) { w.buf = store.EncodeObject(w.buf, o) }
 
 // Attrs appends one attribute bag in the store attrs codec
-// (self-delimiting; a nil bag encodes as zero fields).
-func (w *Writer) Attrs(a core.Attrs) { w.buf = store.EncodeAttrs(w.buf, a) }
+// (self-delimiting; an empty bag encodes as zero fields).
+func (w *Writer) Attrs(a core.AttrSource) { w.buf = store.EncodeAttrs(w.buf, a) }
+
+// RowAttrs appends the attribute fields of one dataset row, encoded as
+// Attrs encodes the equal bag.
+func (w *Writer) RowAttrs(ds *core.Dataset, id int) { w.buf = store.EncodeAttrs(w.buf, ds.AttrRow(id)) }
 
 // Objects appends a u32 count followed by each object.
 func (w *Writer) Objects(os []core.Object) {
@@ -259,6 +263,21 @@ func (r *Reader) Attrs() core.Attrs {
 	}
 	r.off += n
 	return a
+}
+
+// AttrsSpan validates one store-codec attribute bag and returns its bytes
+// (aliasing the input), for a store.AttrDecoder to decode into a dataset
+// row once the dataset exists.
+func (r *Reader) AttrsSpan() []byte {
+	if r.err != nil {
+		return nil
+	}
+	n, err := store.AttrsLen(r.data[r.off:])
+	if err != nil {
+		r.fail("attrs: %v", err)
+		return nil
+	}
+	return r.take(n)
 }
 
 // Objects reads a u32 count followed by that many objects.

@@ -118,20 +118,23 @@ func probeKNN(idx core.Index, q core.Object, k int, accept core.Accept, tr *obs.
 // unfiltered search. A non-nil tr reaches indexes that record spans of
 // their own (TracedSearcher).
 func ExecRange(ds *core.Dataset, idx core.Index, p *Predicate, q core.Object, r float64, st Strategy, tr *obs.Trace) ([]int, error) {
+	if p == nil {
+		return probeRange(idx, q, r, nil, tr)
+	}
+	m := p.Compile(ds)
+	defer m.Release()
 	switch {
 	case st == StrategyPre:
 		var res []int
-		for id, o := range ds.Objects() {
-			if o == nil || !p.Eval(ds.Attrs(id)) {
-				continue
-			}
-			if ds.Space().Distance(q, o) <= r {
+		objs := ds.Objects()
+		for id := range m.Rows() {
+			if o := objs[id]; o != nil && ds.Space().Distance(q, o) <= r {
 				res = append(res, id)
 			}
 		}
 		return res, nil
 	case st == StrategyProbe && Capable(idx):
-		ids, err := probeRange(idx, q, r, func(id int) bool { return p.Eval(ds.Attrs(id)) }, tr)
+		ids, err := probeRange(idx, q, r, m.Match, tr)
 		if err != nil {
 			return nil, err
 		}
@@ -142,12 +145,9 @@ func ExecRange(ds *core.Dataset, idx core.Index, p *Predicate, q core.Object, r 
 	if err != nil {
 		return nil, err
 	}
-	if p == nil {
-		return ids, nil
-	}
 	res := ids[:0]
 	for _, id := range ids {
-		if p.Eval(ds.Attrs(id)) {
+		if m.Match(id) {
 			res = append(res, id)
 		}
 	}
@@ -165,23 +165,24 @@ func ExecKNN(ds *core.Dataset, idx core.Index, p *Predicate, q core.Object, k in
 	if p == nil {
 		return probeKNN(idx, q, k, nil, tr)
 	}
-	accept := func(id int) bool { return p.Eval(ds.Attrs(id)) }
+	m := p.Compile(ds)
+	defer m.Release()
 	switch {
 	case st == StrategyPre:
 		h := core.NewKNNHeap(k)
-		for id, o := range ds.Objects() {
-			if o == nil || !p.Eval(ds.Attrs(id)) {
-				continue
+		objs := ds.Objects()
+		for id := range m.Rows() {
+			if o := objs[id]; o != nil {
+				h.Push(id, ds.Space().Distance(q, o))
 			}
-			h.Push(id, ds.Space().Distance(q, o))
 		}
 		return h.Result(), nil
 	case st == StrategyProbe && Capable(idx):
-		return probeKNN(idx, q, k, accept, tr)
+		return probeKNN(idx, q, k, m.Match, tr)
 	}
 	if !(selHint > 0) || selHint > 1 {
 		selHint = 0.5
 	}
 	probe := func(kk int) ([]core.Neighbor, error) { return probeKNN(idx, q, kk, nil, tr) }
-	return core.PostFilterKNN(probe, ds.Count(), k, int(math.Ceil(float64(k)/selHint)), accept)
+	return core.PostFilterKNN(probe, ds.Count(), k, int(math.Ceil(float64(k)/selHint)), m.Match)
 }

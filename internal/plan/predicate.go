@@ -74,9 +74,10 @@ type node struct {
 	set   []operand // IN list
 }
 
-// Predicate is a compiled filter expression. Compile once per query
-// (Parse), evaluate per candidate (Eval) — evaluation is zero-alloc so
-// the probe-filter path can call it inside index hot loops.
+// Predicate is a parsed filter expression. Parse it once; the query
+// paths bind it to a dataset's attribute columns per query (Compile) and
+// test rows through the resulting Matcher. Eval over a bag is the
+// reference semantics the Matcher reproduces.
 type Predicate struct {
 	root node
 	src  string // canonical form, the cache-key component
@@ -90,7 +91,8 @@ func (p *Predicate) String() string { return p.src }
 
 // Eval reports whether an object carrying the given attribute bag
 // satisfies the predicate. It is total: any bag (including nil) yields
-// a boolean, never a panic or an error.
+// a boolean, never a panic or an error. It is the reference semantics:
+// Matcher.Match(id) equals Eval(ds.Attrs(id)) for every row.
 //
 //metriclint:noalloc
 func (p *Predicate) Eval(a core.Attrs) bool { return p.root.eval(a) }

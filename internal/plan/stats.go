@@ -107,27 +107,7 @@ func operandKey(f float64) string {
 func (s *Stats) Observe(a core.Attrs) {
 	s.rows++
 	for k, v := range a {
-		f := s.fields[k]
-		if f == nil {
-			f = &fieldStats{vals: make(map[string]int)}
-			s.fields[k] = f
-		}
-		f.count++
-		if x, numeric := v.Numeric(); numeric {
-			f.hist[bucketOf(x)]++
-			f.numN++
-		}
-		switch v.Kind() {
-		case core.AttrTags:
-			for _, t := range v.Tags() {
-				f.addVal(t)
-				f.tagN++
-			}
-		default:
-			if key, ok := discreteKey(v); ok {
-				f.addVal(key)
-			}
-		}
+		s.fold(k, v, 1)
 	}
 }
 
@@ -135,26 +115,62 @@ func (s *Stats) Observe(a core.Attrs) {
 func (s *Stats) Remove(a core.Attrs) {
 	s.rows--
 	for k, v := range a {
-		f := s.fields[k]
-		if f == nil {
-			continue
+		s.fold(k, v, -1)
+	}
+}
+
+// ObserveRow is Observe for the bag row id of ds holds, read from the
+// dataset's columns without building it.
+func (s *Stats) ObserveRow(ds *core.Dataset, id int) {
+	s.rows++
+	for k, v := range ds.AttrRow(id).AttrFields() {
+		s.fold(k, v, 1)
+	}
+}
+
+// RemoveRow is the exact inverse of ObserveRow; call it while the row
+// still holds the fields it was observed with.
+func (s *Stats) RemoveRow(ds *core.Dataset, id int) {
+	s.rows--
+	for k, v := range ds.AttrRow(id).AttrFields() {
+		s.fold(k, v, -1)
+	}
+}
+
+// fold adds (d = 1) or removes (d = -1) one field value. Removing a
+// field the estimator never saw is a no-op.
+func (s *Stats) fold(k string, v core.AttrValue, d int) {
+	f := s.fields[k]
+	if f == nil {
+		if d < 0 {
+			return
 		}
-		f.count--
-		if x, numeric := v.Numeric(); numeric {
-			f.hist[bucketOf(x)]--
-			f.numN--
+		f = &fieldStats{vals: make(map[string]int)}
+		s.fields[k] = f
+	}
+	f.count += d
+	if x, numeric := v.Numeric(); numeric {
+		f.hist[bucketOf(x)] += d
+		f.numN += d
+	}
+	switch v.Kind() {
+	case core.AttrTags:
+		for _, t := range v.Tags() {
+			f.foldVal(t, d)
+			f.tagN += d
 		}
-		switch v.Kind() {
-		case core.AttrTags:
-			for _, t := range v.Tags() {
-				f.delVal(t)
-				f.tagN--
-			}
-		default:
-			if key, ok := discreteKey(v); ok {
-				f.delVal(key)
-			}
+	default:
+		if key, ok := discreteKey(v); ok {
+			f.foldVal(key, d)
 		}
+	}
+}
+
+func (f *fieldStats) foldVal(key string, d int) {
+	if d > 0 {
+		f.addVal(key)
+	} else {
+		f.delVal(key)
 	}
 }
 

@@ -71,7 +71,10 @@ func encodeObject(o core.Object) (json.RawMessage, error) {
 // it is an exact integer literal, AttrFloat otherwise. The int/float
 // split never changes filter semantics — predicates compare numerics in
 // a widened float64 domain — it only preserves the client's type
-// through persistence. An empty or absent bag decodes to nil.
+// through persistence. An empty or absent bag decodes to nil; a bag
+// core.Attrs.Validate rejects (a key, string or tag over 65 535 bytes,
+// or too many fields or tags) is an error, which the handlers answer
+// with 400.
 func decodeAttrs(raw json.RawMessage) (core.Attrs, error) {
 	if len(raw) == 0 {
 		return nil, nil
@@ -116,6 +119,9 @@ func decodeAttrs(raw json.RawMessage) (core.Attrs, error) {
 		default:
 			return nil, fmt.Errorf("attr %q: must be a string, number, or string array", k)
 		}
+	}
+	if err := a.Validate(); err != nil {
+		return nil, err
 	}
 	return a, nil
 }

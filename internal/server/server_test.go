@@ -715,3 +715,29 @@ func TestClientStatsAreBounded(t *testing.T) {
 		}
 	}
 }
+
+// TestAttrsOverFrameAreBadRequests: a key, string or tag longer than the
+// 65 535 bytes the persistence formats can frame is a 400 on both write
+// endpoints, and nothing is committed — not a write that a journal would
+// misframe and a restart would then drop.
+func TestAttrsOverFrameAreBadRequests(t *testing.T) {
+	_, live, ts := newTestServer(t, 50, Options{})
+	long := strings.Repeat("x", 70000)
+	bags := []map[string]any{
+		{"note": long},
+		{long: 1},
+		{"tags": []string{"ok", long}},
+	}
+	for i, bag := range bags {
+		if code := post(t, ts.URL+"/v1/attrs", map[string]any{"id": 3, "attrs": bag}, nil); code != http.StatusBadRequest {
+			t.Errorf("bag %d: /v1/attrs status %d, want 400", i, code)
+		}
+		body := map[string]any{"object": []float64{1, 2, 3, 4}, "attrs": bag}
+		if code := post(t, ts.URL+"/v1/insert", body, nil); code != http.StatusBadRequest {
+			t.Errorf("bag %d: /v1/insert status %d, want 400", i, code)
+		}
+	}
+	if e := live.Epoch(); e != 0 {
+		t.Fatalf("rejected writes committed: epoch %d", e)
+	}
+}

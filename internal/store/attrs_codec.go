@@ -4,7 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"metricindex/internal/core"
 )
@@ -20,118 +20,240 @@ import (
 //	  kind 4 (tags):   uint16 count, count × (uint16 len, raw bytes)
 //
 // Fields are written in sorted key order so the encoding of a given bag
-// is deterministic (snapshot byte-stability tests rely on it).
+// is deterministic (snapshot byte-stability tests rely on it). A bag and
+// a dataset row holding the same fields encode to the same bytes.
 
-// EncodeAttrs appends the serialized form of a to dst and returns the
-// extended slice. A nil or empty bag encodes as a zero field count.
-func EncodeAttrs(dst []byte, a core.Attrs) []byte {
-	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(a)))
-	if len(a) == 0 {
+// EncodeAttrs appends the serialized form of a — a bag or a dataset row —
+// to dst and returns the extended slice. A nil or empty bag encodes as a
+// zero field count. Every length must fit its u16 frame, which
+// core.Attrs.Validate guarantees and every dataset row satisfies: an
+// over-long one panics rather than being truncated into bytes a decoder
+// would misread.
+func EncodeAttrs[S core.AttrSource](dst []byte, a S) []byte {
+	if bag, ok := any(a).(core.Attrs); ok {
+		dst = appendLen(dst, len(bag))
+		if len(bag) == 0 {
+			return dst
+		}
+		keys := make([]string, 0, len(bag))
+		for k := range bag {
+			keys = append(keys, k)
+		}
+		slices.Sort(keys)
+		for _, k := range keys {
+			dst = appendField(dst, k, bag[k])
+		}
 		return dst
 	}
-	keys := make([]string, 0, len(a))
-	for k := range a {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		v := a[k]
-		dst = binary.LittleEndian.AppendUint16(dst, uint16(len(k)))
-		dst = append(dst, k...)
-		dst = append(dst, byte(v.Kind()))
-		switch v.Kind() {
-		case core.AttrInt:
-			dst = binary.LittleEndian.AppendUint64(dst, uint64(v.Int()))
-		case core.AttrFloat:
-			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v.Float()))
-		case core.AttrString:
-			dst = binary.LittleEndian.AppendUint16(dst, uint16(len(v.Str())))
-			dst = append(dst, v.Str()...)
-		case core.AttrTags:
-			tags := v.Tags()
-			dst = binary.LittleEndian.AppendUint16(dst, uint16(len(tags)))
-			for _, t := range tags {
-				dst = binary.LittleEndian.AppendUint16(dst, uint16(len(t)))
-				dst = append(dst, t...)
-			}
-		default:
-			panic(fmt.Sprintf("store: cannot encode attr kind %d", v.Kind()))
-		}
+	return encodeFields(dst, a)
+}
+
+// encodeFields is EncodeAttrs for a row; it is a function of its own
+// because ranging over AttrFields moves the caller's state to the heap.
+func encodeFields[S core.AttrSource](dst []byte, a S) []byte {
+	dst = appendLen(dst, a.AttrLen())
+	for k, v := range a.AttrFields() {
+		dst = appendField(dst, k, v)
 	}
 	return dst
+}
+
+func appendField(dst []byte, k string, v core.AttrValue) []byte {
+	dst = appendLen(dst, len(k))
+	dst = append(dst, k...)
+	dst = append(dst, byte(v.Kind()))
+	switch v.Kind() {
+	case core.AttrInt:
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(v.Int()))
+	case core.AttrFloat:
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v.Float()))
+	case core.AttrString:
+		dst = appendLen(dst, len(v.Str()))
+		dst = append(dst, v.Str()...)
+	case core.AttrTags:
+		tags := v.Tags()
+		dst = appendLen(dst, len(tags))
+		for _, t := range tags {
+			dst = appendLen(dst, len(t))
+			dst = append(dst, t...)
+		}
+	default:
+		panic(fmt.Sprintf("store: cannot encode attr kind %d", v.Kind()))
+	}
+	return dst
+}
+
+func appendLen(dst []byte, n int) []byte {
+	if n > core.MaxAttrLen {
+		panic(fmt.Sprintf("store: attribute length %d exceeds its u16 frame", n))
+	}
+	return binary.LittleEndian.AppendUint16(dst, uint16(n))
 }
 
 // DecodeAttrs parses one attribute bag from the front of buf, returning
 // the bag (nil when it was empty) and the number of bytes consumed.
 func DecodeAttrs(buf []byte) (core.Attrs, int, error) {
+	p := attrParser{mode: parseBag}
+	n, err := p.parse(buf)
+	if err != nil {
+		return nil, 0, err
+	}
+	return p.bag, n, nil
+}
+
+// AttrsLen validates the bag at the front of buf and returns its encoded
+// length, building nothing.
+func AttrsLen(buf []byte) (int, error) {
+	p := attrParser{mode: parseMeasure}
+	return p.parse(buf)
+}
+
+// AttrDecoder decodes bags straight into dataset rows. It interns the
+// keys and strings it reads, so restoring many rows with the same field
+// names and values allocates each string once.
+type AttrDecoder struct {
+	p attrParser
+}
+
+// NewAttrDecoder returns a decoder with an empty string table.
+func NewAttrDecoder() *AttrDecoder {
+	return &AttrDecoder{p: attrParser{mode: parseRow, intern: make(map[string]string)}}
+}
+
+// DecodeInto parses one bag from the front of buf into the attribute
+// fields of row id of ds (which must be live and carry none yet) and
+// returns the number of bytes consumed.
+func (d *AttrDecoder) DecodeInto(buf []byte, ds *core.Dataset, id int) (int, error) {
+	d.p.ds, d.p.id = ds, id
+	return d.p.parse(buf)
+}
+
+type parseMode uint8
+
+const (
+	parseMeasure parseMode = iota
+	parseBag
+	parseRow
+)
+
+// attrParser is the one reader of the attrs codec: it validates the
+// framing and hands each field to a bag, a dataset row, or nowhere.
+type attrParser struct {
+	mode   parseMode
+	bag    core.Attrs        // parseBag: the decoded bag
+	ds     *core.Dataset     // parseRow: the row written
+	id     int               //
+	intern map[string]string // parseRow: strings read so far
+	tags   []string          // parseRow: tag scratch (SetAttr copies it)
+	buf    []byte
+	off    int
+}
+
+func (p *attrParser) str(b []byte) string {
+	if p.intern == nil {
+		return string(b)
+	}
+	if s, ok := p.intern[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	p.intern[s] = s
+	return s
+}
+
+// bytes reads one u16-framed byte string.
+func (p *attrParser) bytes(what string) ([]byte, error) {
+	if len(p.buf)-p.off < 2 {
+		return nil, fmt.Errorf("store: truncated attrs %s header", what)
+	}
+	n := int(binary.LittleEndian.Uint16(p.buf[p.off:]))
+	p.off += 2
+	if len(p.buf)-p.off < n {
+		return nil, fmt.Errorf("store: truncated attrs %s of %d bytes", what, n)
+	}
+	b := p.buf[p.off : p.off+n]
+	p.off += n
+	return b, nil
+}
+
+func (p *attrParser) parse(buf []byte) (int, error) {
+	p.buf, p.off, p.bag = buf, 0, nil
 	if len(buf) < 2 {
-		return nil, 0, fmt.Errorf("store: truncated attrs header (%d bytes)", len(buf))
+		return 0, fmt.Errorf("store: truncated attrs header (%d bytes)", len(buf))
 	}
 	nFields := int(binary.LittleEndian.Uint16(buf))
-	off := 2
-	if nFields == 0 {
-		return nil, off, nil
-	}
-	a := make(core.Attrs, nFields)
-	readStr := func() (string, error) {
-		if len(buf)-off < 2 {
-			return "", fmt.Errorf("store: truncated attrs string header")
-		}
-		n := int(binary.LittleEndian.Uint16(buf[off:]))
-		off += 2
-		if len(buf)-off < n {
-			return "", fmt.Errorf("store: truncated attrs string of %d bytes", n)
-		}
-		s := string(buf[off : off+n])
-		off += n
-		return s, nil
+	p.off = 2
+	if nFields > 0 && p.mode == parseBag {
+		p.bag = make(core.Attrs, nFields)
 	}
 	for i := 0; i < nFields; i++ {
-		key, err := readStr()
+		kb, err := p.bytes("key")
 		if err != nil {
-			return nil, 0, err
+			return 0, err
 		}
-		if len(buf)-off < 1 {
-			return nil, 0, fmt.Errorf("store: truncated attr kind for %q", key)
+		if len(buf)-p.off < 1 {
+			return 0, fmt.Errorf("store: truncated attr kind for %q", kb)
 		}
-		kind := core.AttrKind(buf[off])
-		off++
+		kind := core.AttrKind(buf[p.off])
+		p.off++
+		var v core.AttrValue
 		switch kind {
 		case core.AttrInt, core.AttrFloat:
-			if len(buf)-off < 8 {
-				return nil, 0, fmt.Errorf("store: truncated numeric attr %q", key)
+			if len(buf)-p.off < 8 {
+				return 0, fmt.Errorf("store: truncated numeric attr %q", kb)
 			}
-			bits := binary.LittleEndian.Uint64(buf[off:])
-			off += 8
+			bits := binary.LittleEndian.Uint64(buf[p.off:])
+			p.off += 8
 			if kind == core.AttrInt {
-				a[key] = core.IntValue(int64(bits))
+				v = core.IntValue(int64(bits))
 			} else {
-				a[key] = core.FloatValue(math.Float64frombits(bits))
+				v = core.FloatValue(math.Float64frombits(bits))
 			}
 		case core.AttrString:
-			s, err := readStr()
+			b, err := p.bytes("string")
 			if err != nil {
-				return nil, 0, err
+				return 0, err
 			}
-			a[key] = core.StringValue(s)
+			if p.mode != parseMeasure {
+				v = core.StringValue(p.str(b))
+			}
 		case core.AttrTags:
-			if len(buf)-off < 2 {
-				return nil, 0, fmt.Errorf("store: truncated tag count for %q", key)
+			if len(buf)-p.off < 2 {
+				return 0, fmt.Errorf("store: truncated tag count for %q", kb)
 			}
-			n := int(binary.LittleEndian.Uint16(buf[off:]))
-			off += 2
-			tags := make([]string, n)
+			n := int(binary.LittleEndian.Uint16(buf[p.off:]))
+			p.off += 2
+			var tags []string
+			switch p.mode {
+			case parseBag:
+				tags = make([]string, 0, n)
+			case parseRow:
+				tags = p.tags[:0]
+			}
 			for j := 0; j < n; j++ {
-				t, err := readStr()
+				t, err := p.bytes("tag")
 				if err != nil {
-					return nil, 0, err
+					return 0, err
 				}
-				tags[j] = t
+				if p.mode != parseMeasure {
+					tags = append(tags, p.str(t))
+				}
 			}
-			a[key] = core.TagsValue(tags...)
+			if p.mode == parseRow {
+				p.tags = tags
+			}
+			v = core.TagsValue(tags...)
 		default:
-			return nil, 0, fmt.Errorf("store: unknown attr kind %d for %q", kind, key)
+			return 0, fmt.Errorf("store: unknown attr kind %d for %q", kind, kb)
+		}
+		switch p.mode {
+		case parseBag:
+			p.bag[string(kb)] = v
+		case parseRow:
+			if err := p.ds.SetAttr(p.id, p.str(kb), v); err != nil {
+				return 0, err
+			}
 		}
 	}
-	return a, off, nil
+	return p.off, nil
 }
