@@ -184,8 +184,9 @@ func (c *AttrColumn) EachSparse(fn func(id int, kind AttrKind, val uint64)) {
 	}
 }
 
-// set stores a cell for a row that carries none; slots is the dataset's
-// slot count, beyond which a dense column never reserves room.
+// set stores a cell for a row that carries none; slots is the capacity
+// of the dataset's slot array, beyond which a dense column never
+// reserves room.
 func (c *AttrColumn) set(id int, kind AttrKind, val uint64, slots int) {
 	c.rows++
 	if c.sparse == nil {
@@ -216,9 +217,10 @@ func (c *AttrColumn) setSparse(id int, kind AttrKind, val uint64) {
 	}
 }
 
-// grow extends a dense column to n rows, doubling its capacity (up to
-// the slot count) so a sequential fill reallocates O(log n) times and
-// ends exactly at the dataset's size.
+// grow extends a dense column to n rows, doubling its capacity up to
+// the slot capacity: a fill of a fixed-size dataset reallocates O(log n)
+// times and ends exactly at its size, and rows appended one at a time
+// reallocate as often as the slot array itself does.
 func (c *AttrColumn) grow(n, slots int) {
 	if n <= cap(c.kinds) && n <= cap(c.vals) {
 		c.kinds, c.vals = c.kinds[:n], c.vals[:n]
@@ -294,6 +296,17 @@ func (s *AttrStore) StringCode(str string) (uint32, bool) {
 //
 //metriclint:noalloc
 func (s *AttrStore) String(code uint32) string { return s.strs[code] }
+
+// Strings returns the number of string codes, free ones included: every
+// string payload and tag member is below it.
+func (s *AttrStore) Strings() int { return len(s.strs) }
+
+// TagSets returns the number of tag-set codes, free ones included:
+// every tag-set payload is below it.
+func (s *AttrStore) TagSets() int { return len(s.sets) }
+
+// TagSetLive reports whether a tag-set code is in use (not free).
+func (s *AttrStore) TagSetLive(code uint32) bool { return s.setRefs[code] > 0 }
 
 // TagCodes returns the member string codes of a tag-set code, in the
 // order the tags were set.

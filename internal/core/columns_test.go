@@ -197,6 +197,33 @@ func TestAttrColumnForms(t *testing.T) {
 	}
 }
 
+// TestAttrColumnAppendAmortized: objects appended one at a time, each
+// with attributes, grow their columns by amortized doubling — not by a
+// copy of the whole column per row.
+func TestAttrColumnAppendAmortized(t *testing.T) {
+	ds := attrsDataset(1000)
+	for id := 0; id < 1000; id++ {
+		if err := ds.SetAttrs(id, Attrs{"a": IntValue(1)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c := ds.attrs.Column("a")
+	reallocs := 0
+	for i := 0; i < 20000; i++ {
+		before := cap(c.kinds)
+		id := ds.Insert(Vector{0})
+		if err := ds.SetAttrs(id, Attrs{"a": IntValue(2)}); err != nil {
+			t.Fatal(err)
+		}
+		if cap(c.kinds) != before {
+			reallocs++
+		}
+	}
+	if reallocs > 40 {
+		t.Fatalf("20000 appended rows reallocated the column %d times", reallocs)
+	}
+}
+
 // TestCopyAttrsFromThenGrow: a cloned store's columns accept rows past
 // their length (a clone's two arrays may differ in capacity).
 func TestCopyAttrsFromThenGrow(t *testing.T) {

@@ -307,7 +307,7 @@ func (ds *Dataset) SetAttrs(id int, a AttrSource) error {
 	case Attrs:
 		ds.attrs.clearRow(id)
 		for k, v := range src {
-			ds.attrs.setField(id, k, v, len(ds.objects))
+			ds.attrs.setField(id, k, v, cap(ds.objects))
 		}
 		return nil
 	case AttrRow:
@@ -317,7 +317,7 @@ func (ds *Dataset) SetAttrs(id int, a AttrSource) error {
 	}
 	ds.attrs.clearRow(id)
 	for k, v := range a.AttrFields() {
-		ds.attrs.setField(id, k, v, len(ds.objects))
+		ds.attrs.setField(id, k, v, cap(ds.objects))
 	}
 	return nil
 }
@@ -332,7 +332,7 @@ func (ds *Dataset) SetAttr(id int, name string, v AttrValue) error {
 	if err := validateAttr(name, v); err != nil {
 		return err
 	}
-	ds.attrs.setField(id, name, v, len(ds.objects))
+	ds.attrs.setField(id, name, v, cap(ds.objects))
 	return nil
 }
 

@@ -26,6 +26,9 @@ type Matcher struct {
 	slots int
 	root  cnode
 	bufs  [][]uint64 // one row bitmap per OR depth, reused across queries
+	// strHits and tagHits are the verdicts of the equality leaf being
+	// swept, per string and tag-set code.
+	strHits, tagHits []uint8
 }
 
 type cnode struct {
@@ -280,9 +283,10 @@ func (m *Matcher) refine(n *cnode, out []uint64) {
 	}
 }
 
-// fillLeaf sweeps one column. The common leaf shapes — a numeric
-// interval, one string — get loops of their own; the rest test each
-// cell.
+// fillLeaf sweeps one column 64 rows at a time, building each bitmap
+// word in a register. Numeric intervals and equality leaves get loops of
+// their own (equality reads a per-query verdict for each string and
+// tag-set code); string orderings test each cell.
 func (m *Matcher) fillLeaf(l *leaf, out []uint64) {
 	if l.col == nil {
 		return
@@ -299,35 +303,88 @@ func (m *Matcher) fillLeaf(l *leaf, out []uint64) {
 		})
 		return
 	}
-	vals = vals[:len(kinds)]
-	switch {
-	case l.class == leafNum:
-		for i, k := range kinds {
-			var x float64
-			switch k {
-			case core.AttrInt:
-				x = float64(int64(vals[i]))
-			case core.AttrFloat:
-				x = math.Float64frombits(vals[i])
-			default:
-				continue
-			}
-			if x >= l.lo && x <= l.hi {
-				out[i>>6] |= 1 << (i & 63)
-			}
-		}
-	case l.class == leafEq && !l.neg && len(l.nums) == 0 && len(l.codes) == 1:
-		c := uint64(l.codes[0])
-		for i, k := range kinds {
-			if k == core.AttrString && vals[i] == c || k == core.AttrTags && l.eq(m.store, k, vals[i]) {
-				out[i>>6] |= 1 << (i & 63)
-			}
-		}
-	default:
-		for i, k := range kinds {
-			if k != 0 && l.cell(m.store, k, vals[i]) {
-				out[i>>6] |= 1 << (i & 63)
-			}
+	lo, hi := l.lo, l.hi
+	var neg uint8
+	if l.class == leafEq {
+		m.verdicts(l)
+		if l.neg {
+			neg = 1
 		}
 	}
+	for base := 0; base < len(kinds); base += 64 {
+		ks := kinds[base:min(base+64, len(kinds))]
+		vs := vals[base : base+len(ks)]
+		var word uint64
+		switch l.class {
+		case leafNum:
+			for j, k := range ks {
+				var x float64
+				switch k {
+				case core.AttrInt:
+					x = float64(int64(vs[j]))
+				case core.AttrFloat:
+					x = math.Float64frombits(vs[j])
+				default:
+					continue
+				}
+				if x >= lo && x <= hi {
+					word |= 1 << j
+				}
+			}
+		case leafEq:
+			for j, k := range ks {
+				var hit uint8
+				switch k {
+				case 0:
+					continue
+				case core.AttrString:
+					hit = m.strHits[vs[j]] ^ neg
+				case core.AttrTags:
+					hit = m.tagHits[vs[j]] ^ neg
+				default:
+					hit = uint8(bit(l.eq(m.store, k, vs[j]))) ^ neg
+				}
+				word |= uint64(hit) << j
+			}
+		default:
+			for j, k := range ks {
+				word |= bit(l.cell(m.store, k, vs[j])) << j
+			}
+		}
+		out[base>>6] |= word
+	}
+}
+
+// bit is 1 for true, 0 for false.
+func bit(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// verdicts decides, once per string and tag-set code of the store,
+// whether an equality leaf's members match it, so a sweep reads one byte
+// per row instead of comparing codes.
+func (m *Matcher) verdicts(l *leaf) {
+	m.strHits = resize(m.strHits, m.store.Strings())
+	for _, c := range l.codes {
+		m.strHits[c] = 1
+	}
+	m.tagHits = resize(m.tagHits, m.store.TagSets())
+	for c := range m.tagHits {
+		if m.store.TagSetLive(uint32(c)) && l.eq(m.store, core.AttrTags, uint64(c)) {
+			m.tagHits[c] = 1
+		}
+	}
+}
+
+// resize returns b with length n, zeroed.
+func resize(b []uint8, n int) []uint8 {
+	if cap(b) < n {
+		return make([]uint8, n)
+	}
+	b = b[:n]
+	clear(b)
+	return b
 }
