@@ -151,9 +151,6 @@ type AttrColumn struct {
 	maxID  int
 }
 
-// Name returns the field name.
-func (c *AttrColumn) Name() string { return c.name }
-
 // At returns the kind and payload row id carries (kind 0: none).
 //
 //metriclint:noalloc
