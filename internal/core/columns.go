@@ -3,11 +3,10 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
-	"iter"
 	"maps"
 	"math"
 	"slices"
-	"sort"
+	"sync"
 )
 
 // Column-wise attribute storage. A Dataset keeps one column per field
@@ -23,6 +22,12 @@ import (
 // its id range carries the field, and sparse (a map from id) otherwise,
 // so a field set on a few scattered rows costs memory for those rows
 // only. A column that no row carries any more is dropped.
+//
+// Each row also records its schema — the ids of the columns it carries,
+// ascending — as a code into a dictionary shared by every row with the
+// same fields (four bytes per row). Reading, rewriting or deleting a row
+// therefore touches that row's own columns only, however many columns
+// the store holds.
 
 // MaxAttrLen is the largest field count, tag count and key, string or
 // tag byte length a bag may hold: the attribute codec frames each in a
@@ -34,76 +39,82 @@ const MaxAttrLen = 1<<16 - 1
 // switches to the sparse form.
 const denseFactor = 4
 
-// AttrSource is a read-only attribute bag: a map (Attrs) or a dataset
-// row (AttrRow). The attribute codec, the journal and SetAttrs accept
-// either, so a stored row is persisted or copied without building a map.
+// AttrSource is a read-only attribute bag: a map (Attrs), a dataset row
+// (AttrRow) or an encoded bag being decoded. SetAttrs, ValidateAttrs,
+// the attribute codec and the journal read every source through it, so
+// a stored row is persisted or copied without building a map.
 type AttrSource interface {
 	// AttrLen returns the number of fields.
 	AttrLen() int
-	// AttrFields yields every field in ascending name order. Tag slices
-	// are read-only views.
-	AttrFields() iter.Seq2[string, AttrValue]
+	// AttrFields calls yield with every field, in no particular order,
+	// until it returns false; ranging over the method value works too.
+	// Tag slices are read-only and stay valid until the source is read
+	// again.
+	AttrFields(yield func(name string, v AttrValue) bool)
 }
 
 // AttrLen returns the number of fields of the bag.
 func (a Attrs) AttrLen() int { return len(a) }
 
-// AttrFields yields the bag's fields in ascending name order.
-func (a Attrs) AttrFields() iter.Seq2[string, AttrValue] {
-	return func(yield func(string, AttrValue) bool) {
-		keys := make([]string, 0, len(a))
-		for k := range a {
-			keys = append(keys, k)
-		}
-		slices.Sort(keys)
-		for _, k := range keys {
-			if !yield(k, a[k]) {
-				return
-			}
-		}
-	}
-}
-
-// Validate reports whether the bag can be stored and persisted: every
-// value is one of the four kinds, and no field count, tag count, key,
-// string or tag exceeds MaxAttrLen.
-func (a Attrs) Validate() error {
-	if len(a) > MaxAttrLen {
-		return fmt.Errorf("core: %d attribute fields exceed the limit of %d", len(a), MaxAttrLen)
-	}
+// AttrFields calls yield with every field of the bag.
+func (a Attrs) AttrFields(yield func(string, AttrValue) bool) {
 	for k, v := range a {
-		if err := validateAttr(k, v); err != nil {
-			return err
+		if !yield(k, v) {
+			return
 		}
 	}
-	return nil
 }
 
-// ValidateAttrs is Validate for any source; dataset rows are valid by
-// construction.
+// ValidateAttrs reports whether a (nil: no fields) can be stored and
+// persisted: every value is one of the four kinds, and no field count,
+// tag count, key, string or tag exceeds MaxAttrLen.
 func ValidateAttrs(a AttrSource) error {
-	switch src := a.(type) {
-	case nil, AttrRow:
-		return nil
-	case Attrs:
-		return src.Validate()
-	}
-	return validateFields(a)
+	r := fieldReaders.Get().(*fieldReader)
+	err := r.read(a, false)
+	fieldReaders.Put(r)
+	return err
 }
 
-// validateFields is ValidateAttrs for other sources; it is a function of
-// its own because ranging over AttrFields moves the caller's result to
-// the heap.
-func validateFields(a AttrSource) error {
+var fieldReaders = sync.Pool{New: func() any { return new(fieldReader) }}
+
+// fieldReader reads a source in one pass, validating every field and,
+// when asked to, keeping a copy. Its yield function is bound once, so a
+// store that holds a reader reads without allocating.
+type fieldReader struct {
+	keep   bool
+	fields []attrField
+	err    error
+	fn     func(string, AttrValue) bool
+}
+
+type attrField struct {
+	name string
+	v    AttrValue
+}
+
+func (r *fieldReader) read(a AttrSource, keep bool) error {
+	r.keep, r.fields, r.err = keep, r.fields[:0], nil
+	if a == nil {
+		return nil
+	}
 	if n := a.AttrLen(); n > MaxAttrLen {
 		return fmt.Errorf("core: %d attribute fields exceed the limit of %d", n, MaxAttrLen)
 	}
-	for k, v := range a.AttrFields() {
-		if err := validateAttr(k, v); err != nil {
-			return err
-		}
+	if r.fn == nil {
+		r.fn = r.field
 	}
-	return nil
+	a.AttrFields(r.fn)
+	return r.err
+}
+
+func (r *fieldReader) field(name string, v AttrValue) bool {
+	if r.err = validateAttr(name, v); r.err != nil {
+		return false
+	}
+	if r.keep {
+		r.fields = append(r.fields, attrField{name, v})
+	}
+	return true
 }
 
 func validateAttr(name string, v AttrValue) error {
@@ -142,7 +153,9 @@ type attrCell struct {
 // int or float bits, or a string or tag-set code of the AttrStore.
 type AttrColumn struct {
 	name  string
-	rows  int // rows carrying the field
+	id    uint32 // the column's code in row schemas
+	rows  int    // rows carrying the field
+	held  uint8  // bit k set once a row has held a value of kind k
 	kinds []AttrKind
 	vals  []uint64
 	// sparse holds the cells instead of kinds/vals when the column is
@@ -173,6 +186,10 @@ func (c *AttrColumn) Dense() ([]AttrKind, []uint64, bool) {
 	return c.kinds, c.vals, c.sparse == nil
 }
 
+// HasHeld reports whether a row has ever held a value of kind k in the
+// column (not necessarily still).
+func (c *AttrColumn) HasHeld(k AttrKind) bool { return c.held&(1<<k) != 0 }
+
 // EachSparse calls fn for every row of a sparse column, in no particular
 // order.
 func (c *AttrColumn) EachSparse(fn func(id int, kind AttrKind, val uint64)) {
@@ -186,6 +203,7 @@ func (c *AttrColumn) EachSparse(fn func(id int, kind AttrKind, val uint64)) {
 // reserves room.
 func (c *AttrColumn) set(id int, kind AttrKind, val uint64, slots int) {
 	c.rows++
+	c.held |= 1 << kind
 	if c.sparse == nil {
 		if id >= len(c.kinds) {
 			if c.rows*denseFactor < id+1 {
@@ -193,7 +211,7 @@ func (c *AttrColumn) set(id int, kind AttrKind, val uint64, slots int) {
 				c.setSparse(id, kind, val)
 				return
 			}
-			c.grow(id+1, slots)
+			c.kinds, c.vals = extend(c.kinds, id+1, slots), extend(c.vals, id+1, slots)
 		}
 		c.kinds[id], c.vals[id] = kind, val
 		return
@@ -214,21 +232,18 @@ func (c *AttrColumn) setSparse(id int, kind AttrKind, val uint64) {
 	}
 }
 
-// grow extends a dense column to n rows, doubling its capacity up to
-// the slot capacity: a fill of a fixed-size dataset reallocates O(log n)
+// extend returns b grown to length n, doubling its capacity up to the
+// slot capacity: a fill of a fixed-size dataset reallocates O(log n)
 // times and ends exactly at its size, and rows appended one at a time
-// reallocate as often as the slot array itself does.
-func (c *AttrColumn) grow(n, slots int) {
-	if n <= cap(c.kinds) && n <= cap(c.vals) {
-		c.kinds, c.vals = c.kinds[:n], c.vals[:n]
-		return
+// reallocate as often as the slot array itself does. Arrays are never
+// shortened, so the room past their length is zero.
+func extend[T any](b []T, n, slots int) []T {
+	if n <= cap(b) {
+		return b[:n]
 	}
-	size := max(n, min(slots, 2*cap(c.kinds)))
-	kinds := make([]AttrKind, n, size)
-	vals := make([]uint64, n, size)
-	copy(kinds, c.kinds)
-	copy(vals, c.vals)
-	c.kinds, c.vals = kinds, vals
+	out := make([]T, n, max(n, min(slots, 2*cap(b))))
+	copy(out, b)
+	return out
 }
 
 func (c *AttrColumn) toSparse() {
@@ -258,24 +273,106 @@ func (c *AttrColumn) take(id int) (AttrKind, uint64) {
 	return k, v
 }
 
-// AttrStore holds a dataset's attribute columns and the dictionaries
-// their string and tag-set payloads point into. It is read through
-// Dataset.AttrStore and written only through the Dataset.
+// listDict is a reference-counted dictionary of uint32 lists, one code
+// per distinct list: tag sets (lists of string codes) and row schemas
+// (lists of column ids). Lists are immutable once added.
+type listDict struct {
+	lists [][]uint32
+	refs  []int32           // code → references; 0 marks a free code
+	code  map[string]uint32 // list members, 4 bytes each → code
+	free  []uint32
+	key   []byte // scratch code key
+}
+
+func (d *listDict) keyOf(l []uint32) []byte {
+	d.key = d.key[:0]
+	for _, c := range l {
+		d.key = binary.LittleEndian.AppendUint32(d.key, c)
+	}
+	return d.key
+}
+
+// find returns the code of an equal list, taking a reference, or false.
+func (d *listDict) find(l []uint32) (uint32, bool) {
+	c, ok := d.code[string(d.keyOf(l))]
+	if ok {
+		d.refs[c]++
+	}
+	return c, ok
+}
+
+// add stores a list no code holds yet, which the dictionary owns from
+// then on, and returns its code with one reference.
+func (d *listDict) add(l []uint32) uint32 {
+	var c uint32
+	if n := len(d.free); n > 0 {
+		c, d.free = d.free[n-1], d.free[:n-1]
+		d.lists[c], d.refs[c] = l, 1
+	} else {
+		c = uint32(len(d.lists))
+		d.lists = append(d.lists, l)
+		d.refs = append(d.refs, 1)
+	}
+	if d.code == nil {
+		d.code = make(map[string]uint32)
+	}
+	d.code[string(d.keyOf(l))] = c
+	return c
+}
+
+// release drops a reference. When it was the last, the code is freed
+// and its list returned with true.
+func (d *listDict) release(c uint32) ([]uint32, bool) {
+	if d.refs[c]--; d.refs[c] > 0 {
+		return nil, false
+	}
+	l := d.lists[c]
+	delete(d.code, string(d.keyOf(l)))
+	d.lists[c] = nil
+	d.free = append(d.free, c)
+	return l, true
+}
+
+// clone copies the dictionary; the immutable lists are shared.
+func (d *listDict) clone() listDict {
+	return listDict{
+		lists: slices.Clone(d.lists),
+		refs:  slices.Clone(d.refs),
+		code:  maps.Clone(d.code),
+		free:  slices.Clone(d.free),
+	}
+}
+
+// AttrStore holds a dataset's attribute columns, the schema of every
+// row, and the dictionaries string and tag-set payloads point into. It
+// is read through Dataset.AttrStore and written only through the
+// Dataset.
 type AttrStore struct {
-	cols   []*AttrColumn // ascending name order
 	byName map[string]*AttrColumn
+	byID   []*AttrColumn // column id → column; nil marks a free id
+	idFree []uint32
+
+	// rowSchema is, per row, 1 + the code in schemas of the ascending
+	// ids of the columns the row carries (0: none).
+	rowSchema []uint32
+	schemas   listDict
+	// lastSchema is the code setSchema last resolved: consecutive rows
+	// with the same fields skip the dictionary lookup.
+	lastSchema uint32
+
+	// in holds the fields of the source a row is being set from, read
+	// before the row changes; touched is setRow's scratch.
+	in      fieldReader
+	touched []uint32
 
 	strs    []string // code → string
 	strRefs []int32  // code → payload references; 0 marks a free code
 	strCode map[string]uint32
 	strFree []uint32
 
-	sets    [][]uint32 // tag-set code → member string codes
+	sets    listDict   // tag-set code → member string codes
 	setTags [][]string // tag-set code → members, the AttrValue view
-	setRefs []int32
-	setCode map[string]uint32 // member codes, 4 bytes each → tag-set code
-	setFree []uint32
-	key     []byte // scratch setCode key
+	members []uint32   // internTags scratch
 }
 
 // Column returns the column of the named field, or nil when no row
@@ -300,16 +397,16 @@ func (s *AttrStore) Strings() int { return len(s.strs) }
 
 // TagSets returns the number of tag-set codes, free ones included:
 // every tag-set payload is below it.
-func (s *AttrStore) TagSets() int { return len(s.sets) }
+func (s *AttrStore) TagSets() int { return len(s.sets.lists) }
 
 // TagSetLive reports whether a tag-set code is in use (not free).
-func (s *AttrStore) TagSetLive(code uint32) bool { return s.setRefs[code] > 0 }
+func (s *AttrStore) TagSetLive(code uint32) bool { return s.sets.refs[code] > 0 }
 
 // TagCodes returns the member string codes of a tag-set code, in the
 // order the tags were set.
 //
 //metriclint:ignore read-only view by contract, not a defensive copy
-func (s *AttrStore) TagCodes(code uint32) []uint32 { return s.sets[code] }
+func (s *AttrStore) TagCodes(code uint32) []uint32 { return s.sets.lists[code] }
 
 // value rebuilds the AttrValue a cell holds.
 func (s *AttrStore) value(k AttrKind, v uint64) AttrValue {
@@ -344,7 +441,12 @@ func (s *AttrStore) release(k AttrKind, v uint64) {
 	case AttrString:
 		s.releaseString(uint32(v))
 	case AttrTags:
-		s.releaseTags(uint32(v))
+		if members, freed := s.sets.release(uint32(v)); freed {
+			for _, m := range members {
+				s.releaseString(m)
+			}
+			s.setTags[v] = nil
+		}
 	}
 }
 
@@ -378,77 +480,50 @@ func (s *AttrStore) releaseString(c uint32) {
 	s.strFree = append(s.strFree, c)
 }
 
-// setKey renders member codes as the setCode key into the scratch.
-func (s *AttrStore) setKey(codes []uint32) []byte {
-	s.key = s.key[:0]
-	for _, c := range codes {
-		s.key = binary.LittleEndian.AppendUint32(s.key, c)
-	}
-	return s.key
-}
-
 // internTags returns the code of a tag list (order and duplicates kept),
 // taking a reference. The list is copied, never retained.
 func (s *AttrStore) internTags(tags []string) uint32 {
-	s.key = s.key[:0]
-	known := true
+	s.members = s.members[:0]
 	for _, t := range tags {
 		c, ok := s.strCode[t]
 		if !ok {
-			known = false
 			break
 		}
-		s.key = binary.LittleEndian.AppendUint32(s.key, c)
+		s.members = append(s.members, c)
 	}
-	if known {
-		if c, ok := s.setCode[string(s.key)]; ok {
-			s.setRefs[c]++
+	if len(s.members) == len(tags) {
+		if c, ok := s.sets.find(s.members); ok {
 			return c
 		}
 	}
-	codes := make([]uint32, len(tags))
+	members := make([]uint32, len(tags))
 	view := make([]string, len(tags))
 	for i, t := range tags {
-		codes[i] = s.internString(t)
-		view[i] = s.strs[codes[i]]
+		members[i] = s.internString(t)
+		view[i] = s.strs[members[i]]
 	}
-	var c uint32
-	if n := len(s.setFree); n > 0 {
-		c, s.setFree = s.setFree[n-1], s.setFree[:n-1]
-		s.sets[c], s.setTags[c], s.setRefs[c] = codes, view, 1
-	} else {
-		c = uint32(len(s.sets))
-		s.sets = append(s.sets, codes)
+	c := s.sets.add(members)
+	if int(c) == len(s.setTags) {
 		s.setTags = append(s.setTags, view)
-		s.setRefs = append(s.setRefs, 1)
+	} else {
+		s.setTags[c] = view
 	}
-	if s.setCode == nil {
-		s.setCode = make(map[string]uint32)
-	}
-	s.setCode[string(s.setKey(codes))] = c
 	return c
 }
 
-func (s *AttrStore) releaseTags(c uint32) {
-	if s.setRefs[c]--; s.setRefs[c] > 0 {
-		return
-	}
-	delete(s.setCode, string(s.setKey(s.sets[c])))
-	for _, m := range s.sets[c] {
-		s.releaseString(m)
-	}
-	s.sets[c], s.setTags[c] = nil, nil
-	s.setFree = append(s.setFree, c)
-}
-
-// column returns the named column, creating it in name order.
+// column returns the named column, creating it.
 func (s *AttrStore) column(name string) *AttrColumn {
 	if c := s.byName[name]; c != nil {
 		return c
 	}
 	c := &AttrColumn{name: name}
-	i := sort.Search(len(s.cols), func(i int) bool { return s.cols[i].name >= name })
-	s.cols = slices.Insert(s.cols, i, c)
+	if n := len(s.idFree); n > 0 {
+		c.id, s.idFree = s.idFree[n-1], s.idFree[:n-1]
+		s.byID[c.id] = c
+	} else {
+		c.id = uint32(len(s.byID))
+		s.byID = append(s.byID, c)
+	}
 	if s.byName == nil {
 		s.byName = make(map[string]*AttrColumn)
 	}
@@ -456,51 +531,121 @@ func (s *AttrStore) column(name string) *AttrColumn {
 	return c
 }
 
-// setField stores one field of a row, replacing the value it carried.
-func (s *AttrStore) setField(id int, name string, v AttrValue, slots int) {
-	c := s.column(name)
-	if k, old := c.take(id); k != 0 {
-		s.release(k, old)
+// clearCell removes row id's cell of c, dropping c once no row carries
+// it.
+func (s *AttrStore) clearCell(c *AttrColumn, id int) {
+	if k, v := c.take(id); k != 0 {
+		s.release(k, v)
 	}
-	c.set(id, v.kind, s.payload(v), slots)
+	if c.rows == 0 {
+		delete(s.byName, c.name)
+		s.byID[c.id] = nil
+		s.idFree = append(s.idFree, c.id)
+	}
+}
+
+// schema returns the ascending ids of the columns row id carries.
+func (s *AttrStore) schema(id int) []uint32 {
+	if uint(id) < uint(len(s.rowSchema)) {
+		if code := s.rowSchema[id]; code != 0 {
+			return s.schemas.lists[code-1]
+		}
+	}
+	return nil
+}
+
+// setSchema makes cols (ascending column ids) the schema of row id,
+// releasing the one it had.
+func (s *AttrStore) setSchema(id int, cols []uint32, slots int) {
+	var code uint32
+	switch last := s.lastSchema; {
+	case len(cols) == 0:
+	case int(last) < len(s.schemas.lists) && slices.Equal(s.schemas.lists[last], cols): // a freed code's list is nil
+		s.schemas.refs[last]++
+		code = last + 1
+	default:
+		c, ok := s.schemas.find(cols)
+		if !ok {
+			c = s.schemas.add(slices.Clone(cols))
+		}
+		s.lastSchema, code = c, c+1
+	}
+	if id >= len(s.rowSchema) {
+		if code == 0 {
+			return
+		}
+		s.rowSchema = extend(s.rowSchema, id+1, slots)
+	}
+	if old := s.rowSchema[id]; old != 0 {
+		s.schemas.release(old - 1)
+	}
+	s.rowSchema[id] = code
+}
+
+// setRow replaces the fields of row id with those of a (nil: none);
+// slots is the capacity of the dataset's slot array. It reads a in full
+// first, so a rejected source leaves the row unchanged and a may be a
+// view of the row itself. It then rewrites the cells a carries in place
+// and clears the cells of the columns the row no longer carries.
+func (s *AttrStore) setRow(id int, a AttrSource, slots int) error {
+	if err := s.in.read(a, true); err != nil {
+		return err
+	}
+	s.touched = s.touched[:0]
+	for _, f := range s.in.fields {
+		c := s.column(f.name)
+		if kind, old := c.take(id); kind != 0 {
+			s.release(kind, old)
+		}
+		c.set(id, f.v.kind, s.payload(f.v), slots)
+		s.touched = append(s.touched, c.id)
+	}
+	slices.Sort(s.touched)
+	cols := slices.Compact(s.touched) // an encoded bag may repeat a key; its last value stands
+	j := 0
+	for _, ci := range s.schema(id) {
+		for j < len(cols) && cols[j] < ci {
+			j++
+		}
+		if j == len(cols) || cols[j] != ci {
+			s.clearCell(s.byID[ci], id)
+		}
+	}
+	s.setSchema(id, cols, slots)
+	return nil
 }
 
 // clearRow removes every field of a row, dropping columns left empty.
 func (s *AttrStore) clearRow(id int) {
-	for i := len(s.cols) - 1; i >= 0; i-- {
-		c := s.cols[i]
-		k, v := c.take(id)
-		if k == 0 {
-			continue
-		}
-		s.release(k, v)
-		if c.rows == 0 {
-			s.cols = slices.Delete(s.cols, i, i+1)
-			delete(s.byName, c.name)
-		}
+	for _, ci := range s.schema(id) {
+		s.clearCell(s.byID[ci], id)
 	}
+	s.setSchema(id, nil, 0)
 }
 
-// clone deep-copies the store. Dictionary entries are immutable, so the
-// member slices of tag sets are shared.
+// clone deep-copies the store. Dictionary entries are immutable, so
+// member lists and schemas are shared.
 func (s *AttrStore) clone() AttrStore {
 	out := AttrStore{
-		cols:    make([]*AttrColumn, len(s.cols)),
-		byName:  make(map[string]*AttrColumn, len(s.cols)),
-		strs:    slices.Clone(s.strs),
-		strRefs: slices.Clone(s.strRefs),
-		strCode: maps.Clone(s.strCode),
-		strFree: slices.Clone(s.strFree),
-		sets:    slices.Clone(s.sets),
-		setTags: slices.Clone(s.setTags),
-		setRefs: slices.Clone(s.setRefs),
-		setCode: maps.Clone(s.setCode),
-		setFree: slices.Clone(s.setFree),
+		byName:    make(map[string]*AttrColumn, len(s.byName)),
+		byID:      make([]*AttrColumn, len(s.byID)),
+		idFree:    slices.Clone(s.idFree),
+		rowSchema: slices.Clone(s.rowSchema),
+		schemas:   s.schemas.clone(),
+		strs:      slices.Clone(s.strs),
+		strRefs:   slices.Clone(s.strRefs),
+		strCode:   maps.Clone(s.strCode),
+		strFree:   slices.Clone(s.strFree),
+		sets:      s.sets.clone(),
+		setTags:   slices.Clone(s.setTags),
 	}
-	for i, c := range s.cols {
+	for i, c := range s.byID {
+		if c == nil {
+			continue
+		}
 		cc := *c
 		cc.kinds, cc.vals, cc.sparse = slices.Clone(c.kinds), slices.Clone(c.vals), maps.Clone(c.sparse)
-		out.cols[i] = &cc
+		out.byID[i] = &cc
 		out.byName[cc.name] = &cc
 	}
 	return out
@@ -514,24 +659,15 @@ type AttrRow struct {
 }
 
 // AttrLen returns the number of fields the row carries.
-func (r AttrRow) AttrLen() int {
-	n := 0
-	for _, c := range r.ds.attrs.cols {
-		if k, _ := c.At(r.id); k != 0 {
-			n++
-		}
-	}
-	return n
-}
+func (r AttrRow) AttrLen() int { return len(r.ds.attrs.schema(r.id)) }
 
-// AttrFields yields the row's fields in ascending name order.
-func (r AttrRow) AttrFields() iter.Seq2[string, AttrValue] {
-	return func(yield func(string, AttrValue) bool) {
-		s := &r.ds.attrs
-		for _, c := range s.cols {
-			if k, v := c.At(r.id); k != 0 && !yield(c.name, s.value(k, v)) {
-				return
-			}
+// AttrFields calls yield with every field the row carries.
+func (r AttrRow) AttrFields(yield func(string, AttrValue) bool) {
+	s := &r.ds.attrs
+	for _, ci := range s.schema(r.id) {
+		c := s.byID[ci]
+		if k, v := c.At(r.id); !yield(c.name, s.value(k, v)) {
+			return
 		}
 	}
 }

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 )
 
 func attrsDataset(n int) *Dataset {
@@ -15,8 +17,8 @@ func attrsDataset(n int) *Dataset {
 	return NewDataset(NewSpace(L2{}), objs)
 }
 
-// checkStore recounts what every column and dictionary entry should hold
-// from a model of the bags and compares.
+// checkStore recounts what every column, row schema and dictionary entry
+// should hold from a model of the bags and compares.
 func checkStore(t *testing.T, ds *Dataset, model map[int]Attrs) {
 	t.Helper()
 	for id := 0; id < ds.Len(); id++ {
@@ -27,9 +29,10 @@ func checkStore(t *testing.T, ds *Dataset, model map[int]Attrs) {
 	s := &ds.attrs
 	strRefs := make(map[string]int32)
 	setRefs := make(map[uint32]int32)
-	for _, c := range s.cols {
-		if c.rows == 0 {
-			t.Fatalf("column %q kept with no rows", c.name)
+	carried := make(map[int]int) // row → columns carrying it
+	for name, c := range s.byName {
+		if c.rows == 0 || c.name != name || s.byID[c.id] != c {
+			t.Fatalf("column %q (id %d, %d rows) misfiled", name, c.id, c.rows)
 		}
 		n := 0
 		for id := 0; id < ds.Len(); id++ {
@@ -38,6 +41,7 @@ func checkStore(t *testing.T, ds *Dataset, model map[int]Attrs) {
 				continue
 			}
 			n++
+			carried[id]++
 			switch k {
 			case AttrString:
 				strRefs[s.strs[v]]++
@@ -49,11 +53,32 @@ func checkStore(t *testing.T, ds *Dataset, model map[int]Attrs) {
 			t.Fatalf("column %q counts %d rows, holds %d", c.name, c.rows, n)
 		}
 	}
-	for code, refs := range setRefs {
-		if s.setRefs[code] != refs {
-			t.Fatalf("tag set %v: %d references, %d rows", s.setTags[code], s.setRefs[code], refs)
+	if live := len(s.byName) + len(s.idFree); live != len(s.byID) {
+		t.Fatalf("column ids: %d columns + %d free != %d ids", len(s.byName), len(s.idFree), len(s.byID))
+	}
+	schemaRefs := make(map[uint32]int32)
+	for id := 0; id < ds.Len(); id++ {
+		cols := s.schema(id)
+		if len(cols) != carried[id] {
+			t.Fatalf("row %d: schema lists %d columns, %d carry it", id, len(cols), carried[id])
 		}
-		for _, m := range s.sets[code] {
+		for i, ci := range cols {
+			c := s.byID[ci]
+			if c == nil || i > 0 && cols[i-1] >= ci {
+				t.Fatalf("row %d: schema %v out of order or stale", id, cols)
+			}
+			if k, _ := c.At(id); k == 0 {
+				t.Fatalf("row %d: schema lists column %q the row lacks", id, c.name)
+			}
+		}
+		if id < len(s.rowSchema) && s.rowSchema[id] != 0 {
+			schemaRefs[s.rowSchema[id]-1]++
+		}
+	}
+	checkDict(t, "schema", &s.schemas, schemaRefs)
+	checkDict(t, "tag set", &s.sets, setRefs)
+	for code := range setRefs {
+		for _, m := range s.sets.lists[code] {
 			strRefs[s.strs[m]]++ // one reference per member, held by the set
 		}
 	}
@@ -68,6 +93,25 @@ func checkStore(t *testing.T, ds *Dataset, model map[int]Attrs) {
 	}
 	if live := len(s.strCode) + len(s.strFree); live != len(s.strs) {
 		t.Fatalf("string dictionary: %d entries + %d free != %d codes", len(s.strCode), len(s.strFree), len(s.strs))
+	}
+}
+
+// checkDict compares a list dictionary's reference counts with the uses
+// counted, and checks its key map and free list cover every code once.
+func checkDict(t *testing.T, what string, d *listDict, uses map[uint32]int32) {
+	t.Helper()
+	for code, refs := range d.refs {
+		if refs != uses[uint32(code)] {
+			t.Fatalf("%s %d %v: %d references, %d uses", what, code, d.lists[code], refs, uses[uint32(code)])
+		}
+	}
+	for key, code := range d.code {
+		if d.refs[code] == 0 || string(d.keyOf(d.lists[code])) != key {
+			t.Fatalf("%s %d: key map holds a free or mismatched code", what, code)
+		}
+	}
+	if live := len(d.code) + len(d.free); live != len(d.lists) {
+		t.Fatalf("%s dictionary: %d entries + %d free != %d codes", what, len(d.code), len(d.free), len(d.lists))
 	}
 }
 
@@ -109,7 +153,21 @@ func TestAttrColumnsChurn(t *testing.T) {
 	}
 	for step := 0; step < 4000; step++ {
 		id := rng.Intn(ds.Len())
-		switch r := rng.Intn(10); {
+		switch r := rng.Intn(12); {
+		case r >= 10 && ds.Live(id):
+			// Copy another row (or the row itself) through its view.
+			from := rng.Intn(ds.Len())
+			if r == 10 {
+				from = id
+			}
+			if err := ds.SetAttrs(id, ds.AttrRow(from)); err != nil {
+				t.Fatal(err)
+			}
+			if a := model[from]; a != nil {
+				model[id] = a
+			} else {
+				delete(model, id)
+			}
 		case r < 6 && ds.Live(id):
 			a := bag()
 			if err := ds.SetAttrs(id, a); err != nil {
@@ -139,9 +197,9 @@ func TestAttrColumnsChurn(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if s := &ds.attrs; len(s.cols) != 0 || len(s.strCode) != 0 || len(s.setCode) != 0 {
-		t.Fatalf("store not empty after clearing every row: %d columns, %d strings, %d tag sets",
-			len(s.cols), len(s.strCode), len(s.setCode))
+	if s := &ds.attrs; len(s.byName) != 0 || len(s.strCode) != 0 || len(s.sets.code) != 0 || len(s.schemas.code) != 0 {
+		t.Fatalf("store not empty after clearing every row: %d columns, %d strings, %d tag sets, %d schemas",
+			len(s.byName), len(s.strCode), len(s.sets.code), len(s.schemas.code))
 	}
 }
 
@@ -151,7 +209,7 @@ func TestAttrColumnsChurn(t *testing.T) {
 func TestAttrColumnForms(t *testing.T) {
 	ds := attrsDataset(100000)
 	for id := 0; id < 8; id++ {
-		if err := ds.SetAttr(id, "f", IntValue(int64(id))); err != nil {
+		if err := ds.SetAttrs(id, Attrs{"f": IntValue(int64(id))}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -159,14 +217,14 @@ func TestAttrColumnForms(t *testing.T) {
 	if _, _, dense := c.Dense(); !dense {
 		t.Fatal("a column filled from id 0 is not dense")
 	}
-	if err := ds.SetAttr(99999, "f", IntValue(-1)); err != nil {
+	if err := ds.SetAttrs(99999, Attrs{"f": IntValue(-1)}); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, dense := c.Dense(); dense {
 		t.Fatal("9 rows over 100000 ids stayed dense")
 	}
 	for id := 8; id < 25000; id++ {
-		if err := ds.SetAttr(id, "f", IntValue(int64(id))); err != nil {
+		if err := ds.SetAttrs(id, Attrs{"f": IntValue(int64(id))}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -187,7 +245,7 @@ func TestAttrColumnForms(t *testing.T) {
 	if err := ds.SetAttrs(99998, wide); err != nil {
 		t.Fatal(err)
 	}
-	for _, col := range ds.attrs.cols {
+	for _, col := range ds.attrs.byName {
 		if kinds, _, dense := col.Dense(); dense && col.name != "f" && len(kinds) > 0 {
 			t.Fatalf("column %q of one row at id 99998 is dense (%d slots)", col.name, len(kinds))
 		}
@@ -291,5 +349,69 @@ func TestSetAttrsRejectsUnframable(t *testing.T) {
 	edge := Attrs{long[:MaxAttrLen]: StringValue(long[:MaxAttrLen])}
 	if err := ds.SetAttrs(1, edge); err != nil {
 		t.Fatalf("longest framable bag: %v", err)
+	}
+}
+
+// TestRowWorkIgnoresOtherColumns: deleting, rewriting and walking a row
+// costs in proportion to the row's own fields. A store that also holds
+// one row of 20 000 one-off fields runs a batch of deletes, re-inserts
+// and a full walk of every row (what a snapshot encodes) about as fast
+// as the same store without it.
+func TestRowWorkIgnoresOtherColumns(t *testing.T) {
+	const n = 2000
+	build := func(wide bool) *Dataset {
+		ds := attrsDataset(n + 1)
+		for id := 0; id < n; id++ {
+			if err := ds.SetAttrs(id, Attrs{"a": IntValue(int64(id)), "b": StringValue("x")}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if wide {
+			bag := Attrs{}
+			for f := 0; f < 20000; f++ {
+				bag["w"+strconv.Itoa(f)] = IntValue(int64(f))
+			}
+			if err := ds.SetAttrs(n, bag); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return ds
+	}
+	churn := func(ds *Dataset) time.Duration {
+		start := time.Now()
+		for id := 0; id < n; id += 2 {
+			if err := ds.Delete(id); err != nil {
+				t.Fatal(err)
+			}
+			if got := ds.Insert(Vector{0}); got != id {
+				t.Fatalf("insert reused slot %d, want %d", got, id)
+			}
+			if err := ds.SetAttrs(id, Attrs{"a": IntValue(1), "b": StringValue("y")}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		fields := 0
+		for id := 0; id < n; id++ {
+			r := ds.AttrRow(id)
+			fields += r.AttrLen()
+			for range r.AttrFields {
+				fields--
+			}
+		}
+		if fields != 0 {
+			t.Fatal("AttrLen disagrees with AttrFields")
+		}
+		return time.Since(start)
+	}
+	best := func(wide bool) time.Duration {
+		d := time.Duration(math.MaxInt64)
+		for rep := 0; rep < 5; rep++ {
+			d = min(d, churn(build(wide)))
+		}
+		return d
+	}
+	plain, wide := best(false), best(true)
+	if wide > 4*plain+time.Millisecond {
+		t.Fatalf("one 20 000-field row slows row work on other rows from %v to %v", plain, wide)
 	}
 }

@@ -291,49 +291,13 @@ func (ds *Dataset) Delete(id int) error {
 // SetAttrs replaces the attribute fields of a live object with those of
 // a (a nil or empty source detaches them all). The dataset keeps its own
 // copy. It errors on a deleted or out-of-range identifier, so attrs can
-// never outlive their object, and on a bag ValidateAttrs rejects; on
+// never outlive their object, and on a source ValidateAttrs rejects; on
 // error the row is unchanged.
 func (ds *Dataset) SetAttrs(id int, a AttrSource) error {
 	if !ds.Live(id) {
 		return fmt.Errorf("core: attrs on non-live id %d", id)
 	}
-	if err := ValidateAttrs(a); err != nil {
-		return err
-	}
-	switch src := a.(type) {
-	case nil:
-		ds.attrs.clearRow(id)
-		return nil
-	case Attrs:
-		ds.attrs.clearRow(id)
-		for k, v := range src {
-			ds.attrs.setField(id, k, v, cap(ds.objects))
-		}
-		return nil
-	case AttrRow:
-		if src.ds == ds && src.id == id {
-			return nil
-		}
-	}
-	ds.attrs.clearRow(id)
-	for k, v := range a.AttrFields() {
-		ds.attrs.setField(id, k, v, cap(ds.objects))
-	}
-	return nil
-}
-
-// SetAttr sets one attribute field of a live object, replacing the value
-// the field held. Decoders restore rows field by field through it; the
-// tag slice of v is copied, never retained.
-func (ds *Dataset) SetAttr(id int, name string, v AttrValue) error {
-	if !ds.Live(id) {
-		return fmt.Errorf("core: attrs on non-live id %d", id)
-	}
-	if err := validateAttr(name, v); err != nil {
-		return err
-	}
-	ds.attrs.setField(id, name, v, cap(ds.objects))
-	return nil
+	return ds.attrs.setRow(id, a, cap(ds.objects))
 }
 
 // AttrRow returns a view of the attribute fields of an identifier (none
@@ -352,7 +316,7 @@ func (ds *Dataset) AttrStore() *AttrStore { return &ds.attrs }
 // it. Tag slices are shared: callers must not mutate the result.
 func (ds *Dataset) Attrs(id int) Attrs {
 	var a Attrs
-	for k, v := range ds.AttrRow(id).AttrFields() {
+	for k, v := range ds.AttrRow(id).AttrFields {
 		if a == nil {
 			a = make(Attrs)
 		}
@@ -367,7 +331,7 @@ func (ds *Dataset) Attrs(id int) Attrs {
 // dataset clones; when this dataset carries no attributes yet, the
 // columns are copied wholesale.
 func (ds *Dataset) CopyAttrsFrom(src *Dataset) {
-	if len(ds.attrs.cols) > 0 {
+	if len(ds.attrs.byName) > 0 {
 		for id := range src.objects {
 			if r := src.AttrRow(id); ds.Live(id) && r.AttrLen() > 0 {
 				_ = ds.SetAttrs(id, r) // cannot fail: id is live and a stored row is valid

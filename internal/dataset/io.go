@@ -166,12 +166,10 @@ func Load(path string) (*Generated, error) {
 			}
 			id := int(binary.LittleEndian.Uint32(raw))
 			raw = raw[4:]
-			// Clearing first checks the id and lets a repeated id replace
-			// the earlier bag rather than merge with it.
-			if err := ds.SetAttrs(id, nil); err != nil {
-				return nil, fmt.Errorf("dataset: attrs %d: %w", i, err)
+			used, err := store.AttrsLen(raw)
+			if err == nil {
+				err = dec.DecodeInto(raw[:used], ds, id)
 			}
-			used, err := dec.DecodeInto(raw, ds, id)
 			if err != nil {
 				return nil, fmt.Errorf("dataset: attrs %d: %w", i, err)
 			}

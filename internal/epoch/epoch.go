@@ -291,16 +291,16 @@ func (l *Live) AddAttrsAt(o core.Object, a core.Attrs) (int, uint64, error) {
 	if o == nil {
 		return 0, 0, fmt.Errorf("epoch: add of nil object")
 	}
-	if err := a.Validate(); err != nil {
-		return 0, 0, err
-	}
 	waitStart := time.Now()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.writeWait(time.Since(waitStart))
 	id := l.ds.Insert(o)
 	if a != nil {
-		_ = l.ds.SetAttrs(id, a) // cannot fail: id is live and a was validated
+		if err := l.ds.SetAttrs(id, a); err != nil {
+			_ = l.ds.Delete(id)
+			return 0, l.epoch, err
+		}
 	}
 	if err := l.idx.Insert(id); err != nil {
 		_ = l.ds.Delete(id) // roll the dataset (and its attrs) back

@@ -36,7 +36,7 @@ func (l *Live) SetAttrsAt(id int, a core.Attrs) (uint64, error) {
 	if !l.ds.Live(id) {
 		return l.epoch, fmt.Errorf("epoch: attrs on non-live id %d", id)
 	}
-	if err := a.Validate(); err != nil {
+	if err := core.ValidateAttrs(a); err != nil {
 		return l.epoch, err
 	}
 	// The checks above are every way the write can fail, so it is

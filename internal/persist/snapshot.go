@@ -277,7 +277,7 @@ func decodeDataset(payload []byte, metric core.Metric) (*core.Dataset, error) {
 	ds := core.NewDataset(core.NewSpace(metric), objs)
 	dec := store.NewAttrDecoder()
 	for _, s := range spans {
-		if _, err := dec.DecodeInto(s.attrs, ds, s.id); err != nil {
+		if err := dec.DecodeInto(s.attrs, ds, s.id); err != nil {
 			return nil, fmt.Errorf("slot %d attrs: %w", s.id, err)
 		}
 	}

@@ -338,9 +338,9 @@ func (m *Matcher) fillLeaf(l *leaf, out []uint64) {
 				case 0:
 					continue
 				case core.AttrString:
-					hit = m.strHits[vs[j]] ^ neg
+					hit = verdict(m.strHits, vs[j]) ^ neg
 				case core.AttrTags:
-					hit = m.tagHits[vs[j]] ^ neg
+					hit = verdict(m.tagHits, vs[j]) ^ neg
 				default:
 					hit = uint8(bit(l.eq(m.store, k, vs[j]))) ^ neg
 				}
@@ -363,20 +363,41 @@ func bit(b bool) uint64 {
 	return 0
 }
 
-// verdicts decides, once per string and tag-set code of the store,
-// whether an equality leaf's members match it, so a sweep reads one byte
-// per row instead of comparing codes.
+// verdicts decides, per string and tag-set code, whether an equality
+// leaf's members match it, so a sweep reads one byte per row instead of
+// comparing codes. It builds only the tables the sweep can read: none
+// when the leaf has no string member (then no string or tag set
+// matches), and a kind's table only when the column has held that kind.
 func (m *Matcher) verdicts(l *leaf) {
-	m.strHits = resize(m.strHits, m.store.Strings())
-	for _, c := range l.codes {
-		m.strHits[c] = 1
+	m.strHits, m.tagHits = m.strHits[:0], m.tagHits[:0]
+	if len(l.codes) == 0 {
+		return
 	}
-	m.tagHits = resize(m.tagHits, m.store.TagSets())
-	for c := range m.tagHits {
-		if m.store.TagSetLive(uint32(c)) && l.eq(m.store, core.AttrTags, uint64(c)) {
-			m.tagHits[c] = 1
+	if l.col.HasHeld(core.AttrString) {
+		m.strHits = resize(m.strHits, m.store.Strings())
+		for _, c := range l.codes {
+			m.strHits[c] = 1
 		}
 	}
+	if l.col.HasHeld(core.AttrTags) {
+		m.tagHits = resize(m.tagHits, m.store.TagSets())
+		for c := range m.tagHits {
+			if m.store.TagSetLive(uint32(c)) && l.eq(m.store, core.AttrTags, uint64(c)) {
+				m.tagHits[c] = 1
+			}
+		}
+	}
+}
+
+// verdict reads a code's verdict; codes past a table that was not built
+// match nothing.
+//
+//metriclint:noalloc
+func verdict(table []uint8, code uint64) uint8 {
+	if code < uint64(len(table)) {
+		return table[code]
+	}
+	return 0
 }
 
 // resize returns b with length n, zeroed.

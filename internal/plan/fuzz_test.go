@@ -146,7 +146,12 @@ func fuzzColumnDataset(seed int64, n int, sv string, fv float64) *core.Dataset {
 			panic(err)
 		}
 	}
-	if err := ds.SetAttr(n-1, "name", value()); err != nil {
+	last := ds.Attrs(n - 1)
+	if last == nil {
+		last = core.Attrs{}
+	}
+	last["name"] = value()
+	if err := ds.SetAttrs(n-1, last); err != nil {
 		panic(err)
 	}
 	for id := 0; id < n-1; id++ {

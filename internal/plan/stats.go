@@ -123,7 +123,7 @@ func (s *Stats) Remove(a core.Attrs) {
 // dataset's columns without building it.
 func (s *Stats) ObserveRow(ds *core.Dataset, id int) {
 	s.rows++
-	for k, v := range ds.AttrRow(id).AttrFields() {
+	for k, v := range ds.AttrRow(id).AttrFields {
 		s.fold(k, v, 1)
 	}
 }
@@ -132,7 +132,7 @@ func (s *Stats) ObserveRow(ds *core.Dataset, id int) {
 // still holds the fields it was observed with.
 func (s *Stats) RemoveRow(ds *core.Dataset, id int) {
 	s.rows--
-	for k, v := range ds.AttrRow(id).AttrFields() {
+	for k, v := range ds.AttrRow(id).AttrFields {
 		s.fold(k, v, -1)
 	}
 }

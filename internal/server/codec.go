@@ -120,7 +120,7 @@ func decodeAttrs(raw json.RawMessage) (core.Attrs, error) {
 			return nil, fmt.Errorf("attr %q: must be a string, number, or string array", k)
 		}
 	}
-	if err := a.Validate(); err != nil {
+	if err := core.ValidateAttrs(a); err != nil {
 		return nil, err
 	}
 	return a, nil

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strings"
+	"sync"
 
 	"metricindex/internal/core"
 )
@@ -24,39 +26,46 @@ import (
 // a dataset row holding the same fields encode to the same bytes.
 
 // EncodeAttrs appends the serialized form of a — a bag or a dataset row —
-// to dst and returns the extended slice. A nil or empty bag encodes as a
-// zero field count. Every length must fit its u16 frame, which
-// core.Attrs.Validate guarantees and every dataset row satisfies: an
+// to dst and returns the extended slice. An empty bag encodes as a zero
+// field count. Every length must fit its u16 frame, which
+// core.ValidateAttrs checks and every dataset row satisfies: an
 // over-long one panics rather than being truncated into bytes a decoder
 // would misread.
 func EncodeAttrs[S core.AttrSource](dst []byte, a S) []byte {
-	if bag, ok := any(a).(core.Attrs); ok {
-		dst = appendLen(dst, len(bag))
-		if len(bag) == 0 {
-			return dst
-		}
-		keys := make([]string, 0, len(bag))
-		for k := range bag {
-			keys = append(keys, k)
-		}
-		slices.Sort(keys)
-		for _, k := range keys {
-			dst = appendField(dst, k, bag[k])
-		}
-		return dst
+	e := attrEncoders.Get().(*attrEncoder)
+	a.AttrFields(e.add)
+	slices.SortFunc(e.fields, func(x, y attrField) int { return strings.Compare(x.name, y.name) })
+	dst = appendLen(dst, len(e.fields))
+	for _, f := range e.fields {
+		dst = appendField(dst, f.name, f.v)
 	}
-	return encodeFields(dst, a)
-}
-
-// encodeFields is EncodeAttrs for a row; it is a function of its own
-// because ranging over AttrFields moves the caller's state to the heap.
-func encodeFields[S core.AttrSource](dst []byte, a S) []byte {
-	dst = appendLen(dst, a.AttrLen())
-	for k, v := range a.AttrFields() {
-		dst = appendField(dst, k, v)
-	}
+	clear(e.fields)
+	e.fields = e.fields[:0]
+	attrEncoders.Put(e)
 	return dst
 }
+
+// attrEncoder collects a source's fields, which come in no particular
+// order, for EncodeAttrs to sort. Its add function is bound once, so a
+// pooled encoder encodes without allocating.
+type attrEncoder struct {
+	fields []attrField
+	add    func(string, core.AttrValue) bool
+}
+
+type attrField struct {
+	name string
+	v    core.AttrValue
+}
+
+var attrEncoders = sync.Pool{New: func() any {
+	e := new(attrEncoder)
+	e.add = func(k string, v core.AttrValue) bool {
+		e.fields = append(e.fields, attrField{k, v})
+		return true
+	}
+	return e
+}}
 
 func appendField(dst []byte, k string, v core.AttrValue) []byte {
 	dst = appendLen(dst, len(k))
@@ -93,58 +102,72 @@ func appendLen(dst []byte, n int) []byte {
 // DecodeAttrs parses one attribute bag from the front of buf, returning
 // the bag (nil when it was empty) and the number of bytes consumed.
 func DecodeAttrs(buf []byte) (core.Attrs, int, error) {
-	p := attrParser{mode: parseBag}
-	n, err := p.parse(buf)
+	var bag core.Attrs
+	var p attrParser
+	n, err := p.parse(buf, func(k string, v core.AttrValue) bool {
+		if bag == nil {
+			bag = make(core.Attrs, binary.LittleEndian.Uint16(buf))
+		}
+		bag[k] = v
+		return true
+	})
 	if err != nil {
 		return nil, 0, err
 	}
-	return p.bag, n, nil
+	return bag, n, nil
 }
 
 // AttrsLen validates the bag at the front of buf and returns its encoded
 // length, building nothing.
 func AttrsLen(buf []byte) (int, error) {
-	p := attrParser{mode: parseMeasure}
-	return p.parse(buf)
+	var p attrParser
+	return p.parse(buf, nil)
 }
 
 // AttrDecoder decodes bags straight into dataset rows. It interns the
 // keys and strings it reads, so restoring many rows with the same field
 // names and values allocates each string once.
 type AttrDecoder struct {
-	p attrParser
+	src encodedAttrs
 }
 
 // NewAttrDecoder returns a decoder with an empty string table.
 func NewAttrDecoder() *AttrDecoder {
-	return &AttrDecoder{p: attrParser{mode: parseRow, intern: make(map[string]string)}}
+	return &AttrDecoder{src: encodedAttrs{p: attrParser{intern: make(map[string]string)}}}
 }
 
-// DecodeInto parses one bag from the front of buf into the attribute
-// fields of row id of ds (which must be live and carry none yet) and
-// returns the number of bytes consumed.
-func (d *AttrDecoder) DecodeInto(buf []byte, ds *core.Dataset, id int) (int, error) {
-	d.p.ds, d.p.id = ds, id
-	return d.p.parse(buf)
+// DecodeInto makes the bag at the front of span — one whose framing
+// AttrsLen has checked — the attribute fields of row id of ds (which
+// must be live).
+func (d *AttrDecoder) DecodeInto(span []byte, ds *core.Dataset, id int) error {
+	d.src.buf, d.src.err = span, nil
+	if err := ds.SetAttrs(id, &d.src); err != nil {
+		return err
+	}
+	return d.src.err
 }
 
-type parseMode uint8
+// encodedAttrs reads one encoded bag as a core.AttrSource.
+type encodedAttrs struct {
+	p   attrParser
+	buf []byte
+	err error // the parse error, had the framing not been checked
+}
 
-const (
-	parseMeasure parseMode = iota
-	parseBag
-	parseRow
-)
+func (e *encodedAttrs) AttrLen() int { return int(binary.LittleEndian.Uint16(e.buf)) }
 
-// attrParser is the one reader of the attrs codec: it validates the
-// framing and hands each field to a bag, a dataset row, or nowhere.
+func (e *encodedAttrs) AttrFields(yield func(string, core.AttrValue) bool) {
+	_, e.err = e.p.parse(e.buf, yield)
+}
+
+// attrParser is the one reader of the attrs codec: it checks the framing
+// and hands each field to a yield function, if any.
 type attrParser struct {
-	mode   parseMode
-	bag    core.Attrs        // parseBag: the decoded bag
-	ds     *core.Dataset     // parseRow: the row written
-	id     int               //
-	intern map[string]string // parseRow: strings read so far
-	tags   []string          // parseRow: tag scratch (SetAttr copies it)
+	// intern holds the strings read so far; nil builds each afresh. An
+	// interning parser also keeps every tag of a bag in one scratch
+	// slice, reused by the next bag (as AttrSource allows).
+	intern map[string]string
+	tags   []string
 	buf    []byte
 	off    int
 }
@@ -176,16 +199,16 @@ func (p *attrParser) bytes(what string) ([]byte, error) {
 	return b, nil
 }
 
-func (p *attrParser) parse(buf []byte) (int, error) {
-	p.buf, p.off, p.bag = buf, 0, nil
+// parse reads one bag from the front of buf, passing each field to
+// yield (nil: check the framing only) until it returns false, and
+// returns the number of bytes the bag takes.
+func (p *attrParser) parse(buf []byte, yield func(string, core.AttrValue) bool) (int, error) {
+	p.buf, p.off, p.tags = buf, 0, p.tags[:0]
 	if len(buf) < 2 {
 		return 0, fmt.Errorf("store: truncated attrs header (%d bytes)", len(buf))
 	}
 	nFields := int(binary.LittleEndian.Uint16(buf))
 	p.off = 2
-	if nFields > 0 && p.mode == parseBag {
-		p.bag = make(core.Attrs, nFields)
-	}
 	for i := 0; i < nFields; i++ {
 		kb, err := p.bytes("key")
 		if err != nil {
@@ -214,7 +237,7 @@ func (p *attrParser) parse(buf []byte) (int, error) {
 			if err != nil {
 				return 0, err
 			}
-			if p.mode != parseMeasure {
+			if yield != nil {
 				v = core.StringValue(p.str(b))
 			}
 		case core.AttrTags:
@@ -224,35 +247,32 @@ func (p *attrParser) parse(buf []byte) (int, error) {
 			n := int(binary.LittleEndian.Uint16(buf[p.off:]))
 			p.off += 2
 			var tags []string
-			switch p.mode {
-			case parseBag:
+			if yield != nil && p.intern == nil {
 				tags = make([]string, 0, n)
-			case parseRow:
-				tags = p.tags[:0]
 			}
+			start := len(p.tags)
 			for j := 0; j < n; j++ {
 				t, err := p.bytes("tag")
 				if err != nil {
 					return 0, err
 				}
-				if p.mode != parseMeasure {
+				switch {
+				case yield == nil:
+				case p.intern != nil:
+					p.tags = append(p.tags, p.str(t))
+				default:
 					tags = append(tags, p.str(t))
 				}
 			}
-			if p.mode == parseRow {
-				p.tags = tags
+			if p.intern != nil {
+				tags = p.tags[start:len(p.tags):len(p.tags)]
 			}
 			v = core.TagsValue(tags...)
 		default:
 			return 0, fmt.Errorf("store: unknown attr kind %d for %q", kind, kb)
 		}
-		switch p.mode {
-		case parseBag:
-			p.bag[string(kb)] = v
-		case parseRow:
-			if err := p.ds.SetAttr(p.id, p.str(kb), v); err != nil {
-				return 0, err
-			}
+		if yield != nil && !yield(p.str(kb), v) {
+			break
 		}
 	}
 	return p.off, nil
