@@ -9,6 +9,7 @@ import (
 
 	"metricindex/internal/core"
 	"metricindex/internal/cpt"
+	"metricindex/internal/dataset"
 	"metricindex/internal/ept"
 	"metricindex/internal/persist"
 	"metricindex/internal/pivot"
@@ -230,6 +231,114 @@ func goldenRun(t *testing.T, family string, words bool) goldenCosts {
 	}
 	g.snapshot = fmt.Sprintf("%x", sha256.Sum256(w.Bytes()))
 	return g
+}
+
+// largeCosts is what LAESA or CPT spent and answered on the workload of
+// TestTableGoldenCostsManySupers: compdists of the kNN and range legs,
+// their page accesses with the page cache off and at DefaultCacheBytes,
+// and the SHA-256 of every answer.
+type largeCosts struct {
+	knnCD, rangeCD             int64
+	knnPA, rangePA             int64 // cache off
+	knnPACached, rangePACached int64 // cache at store.DefaultCacheBytes
+	answers                    string
+}
+
+// goldenLarge holds the constants of a table many blocks long — LA at
+// n = 72 000 is 141 blocks — recorded before the block loop gained its
+// second zone level. The block sequence decides the kNN compdists, the
+// order of CPT's candidate reads and so its page accesses under the
+// cache; the tables of TestTableFamilyGoldenCosts are a few blocks long.
+var goldenLarge = map[string]largeCosts{
+	"LAESA": {21114, 90284, 0, 0, 0, 0,
+		"d7ef7f926e0a0fdc4adba240b8100feef59942015e3dc3be3fef6419be18310a"},
+	"CPT": {21114, 90284, 20754, 89924, 1884, 4162,
+		"d7ef7f926e0a0fdc4adba240b8100feef59942015e3dc3be3fef6419be18310a"},
+}
+
+// TestTableGoldenCostsManySupers pins LAESA and CPT on a 72 000-point LA
+// table: kNN at k = 1, 10, 100 and range at three radii for 24 held-out
+// queries, run with CPT's page cache off and then at DefaultCacheBytes.
+func TestTableGoldenCostsManySupers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds two 72 000-row tables")
+	}
+	g, err := dataset.Generate(dataset.LA, dataset.Config{N: 72000, Queries: 24, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds := g.Dataset
+	pv, err := pivot.HFI(ds, 5, pivot.Options{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, family := range []string{"LAESA", "CPT"} {
+		pager := store.NewPager(0)
+		var idx core.Index
+		switch family {
+		case "LAESA":
+			idx, err = table.NewLAESA(ds, pv)
+		case "CPT":
+			idx, err = cpt.New(ds, pager, pv, cpt.Options{Seed: 7, Workers: 2})
+		}
+		if err != nil {
+			t.Fatalf("build %s: %v", family, err)
+		}
+		if tl := idx.(interface{ Table() *table.Table }).Table().Len(); tl < 4*32*table.ZoneRows {
+			t.Fatalf("%s: %d rows fill fewer than four super-zones", family, tl)
+		}
+		answers := sha256.New()
+		// measure runs one leg over every query and reports its compdists
+		// and page accesses.
+		measure := func(leg func(q core.Object) error) (cd, pa int64) {
+			ds.Space().ResetCompDists()
+			idx.ResetStats()
+			for _, q := range g.Queries {
+				if err := leg(q); err != nil {
+					t.Fatalf("%s: %v", family, err)
+				}
+			}
+			return ds.Space().CompDists(), idx.PageAccesses()
+		}
+		knn := func(q core.Object) error {
+			for _, k := range []int{1, 10, 100} {
+				ns, err := idx.KNNSearch(q, k)
+				if err != nil {
+					return err
+				}
+				for _, nb := range ns {
+					_ = binary.Write(answers, binary.LittleEndian, int64(nb.ID))
+					_ = binary.Write(answers, binary.LittleEndian, math.Float64bits(nb.Dist))
+				}
+				_ = binary.Write(answers, binary.LittleEndian, int64(-1))
+			}
+			return nil
+		}
+		rng := func(q core.Object) error {
+			for _, r := range []float64{40, 250, 900} {
+				ids, err := idx.RangeSearch(q, r)
+				if err != nil {
+					return err
+				}
+				for _, id := range ids {
+					_ = binary.Write(answers, binary.LittleEndian, int64(id))
+				}
+				_ = binary.Write(answers, binary.LittleEndian, int64(-1))
+			}
+			return nil
+		}
+		var got largeCosts
+		got.knnCD, got.knnPA = measure(knn)
+		got.rangeCD, got.rangePA = measure(rng)
+		pager.SetCacheBytes(store.DefaultCacheBytes)
+		_, got.knnPACached = measure(knn)
+		_, got.rangePACached = measure(rng)
+		got.answers = fmt.Sprintf("%x", answers.Sum(nil))
+		if want := goldenLarge[family]; got != want {
+			t.Errorf("%s: costs moved\n got  %q: {%d, %d, %d, %d, %d, %d,\n\t%q},\n want %+v",
+				family, family, got.knnCD, got.rangeCD, got.knnPA, got.rangePA, got.knnPACached, got.rangePACached, got.answers, want)
+		}
+	}
 }
 
 // TestTableFamilyGoldenCosts pins, for LAESA, EPT, EPT* and CPT on both
