@@ -18,7 +18,8 @@ import (
 type Scratch struct {
 	// QD holds d(q, p_i) for every pivot of the scan.
 	QD []float64
-	// LB holds the per-row Lemma-1 lower bounds of a column scan.
+	// LB holds the per-row Lemma-1 lower bounds of an elimination scan
+	// (AESA).
 	LB []float64
 	// Out receives batched verification distances for one chunk.
 	Out []float64
@@ -29,9 +30,13 @@ type Scratch struct {
 	// Sur receives the surviving row numbers of a column sweep
 	// (SurviveColumns) over one block of rows.
 	Sur []int32
-	// Blocks holds the block numbers a blocked table scan still has to
-	// visit (the pivot table's best-first block heap).
-	Blocks []int32
+	// Zones is the best-first heap of a blocked table scan: the
+	// super-zones and blocks of the pivot table it still has to visit.
+	Zones []ZoneRef
+	// Keys collects the ids of a range answer; KeyBuf and Digits are the
+	// second buffer and the digit counters of the radix sort ordering it.
+	Keys, KeyBuf []uint64
+	Digits       []int
 	// Objs gathers candidate objects for a DistanceMany chunk.
 	Objs []Object
 	// Q64 and Q32 hold widened query coordinates for the flat kernels.
@@ -72,14 +77,33 @@ func (s *Scratch) GrowSur(n int) []int32 {
 	return s.Sur
 }
 
-// GrowBlocks sizes and returns the block-number buffer.
-func (s *Scratch) GrowBlocks(n int) []int32 {
-	if cap(s.Blocks) < n {
-		s.Blocks = make([]int32, n)
-	} else {
-		s.Blocks = s.Blocks[:n]
+// ZoneRef is one entry of a blocked table scan's heap: a lower bound of
+// d(q, o) for every row o under the zone, and the zone, numbered by the
+// table.
+type ZoneRef struct {
+	LB  float64
+	Ref uint32
+}
+
+// GrowZones returns the zone heap emptied, with room for n entries.
+func (s *Scratch) GrowZones(n int) []ZoneRef {
+	if cap(s.Zones) < n {
+		s.Zones = make([]ZoneRef, 0, n)
 	}
-	return s.Blocks
+	s.Zones = s.Zones[:0]
+	return s.Zones
+}
+
+// GrowRadix sizes and returns the radix sort's second key buffer (n keys)
+// and its digit counters (digits of them).
+func (s *Scratch) GrowRadix(n, digits int) ([]uint64, []int) {
+	if cap(s.KeyBuf) < n {
+		s.KeyBuf = make([]uint64, n)
+	}
+	if cap(s.Digits) < digits {
+		s.Digits = make([]int, digits)
+	}
+	return s.KeyBuf[:n], s.Digits[:digits]
 }
 
 // GrowDone sizes and clears the visited-row marks.

@@ -67,3 +67,30 @@ func TestEPTFlatKNNHotLoopZeroAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestEPTRangeAllocsOnce witnesses that a range query allocates exactly
+// its answer, here over 1 000 ids: the ids are collected and radix-ordered
+// in the scratch and copied out once; see the LAESA twin.
+func TestEPTRangeAllocsOnce(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("race detector instrumentation allocates; AllocsPerRun is meaningless under -race")
+	}
+	ds := testutil.VectorDataset(3000, 4, 100, core.L2{}, 7)
+	idx, err := New(ds, Original, Options{L: 5, Radius: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var q core.Object = ds.Objects()[42]
+	const r = 75
+	if ids, err := idx.RangeSearch(q, r); err != nil || len(ids) < 1000 { // warms the scratch pool
+		t.Fatalf("the witness query answers %d ids (%v); want at least 1 000", len(ids), err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := idx.RangeSearch(q, r); err != nil {
+			panic(err)
+		}
+	})
+	if allocs != 1 {
+		t.Fatalf("EPT.RangeSearch allocated %.1f times per query; want 1, the answer", allocs)
+	}
+}

@@ -44,13 +44,15 @@ type Options struct {
 }
 
 // cluster is a node of the (in-memory) cluster tree. A leaf owns a key
-// slot in the B+-tree; an internal cluster has children keyed by the
-// next-nearest pivot index.
+// slot in the B+-tree; an internal cluster has children indexed by the
+// next-nearest pivot index, nil where no object has gone yet — walked in
+// pivot order, so every traversal, and with it compdists and page
+// accesses, is the same on every run.
 type cluster struct {
 	pivotIdx int // defining pivot of this cluster (-1 at the root)
 	depth    int
 	// internal
-	children map[int]*cluster
+	children []*cluster
 	// leaf
 	slot   int
 	count  int
@@ -103,7 +105,7 @@ func New(ds *core.Dataset, pager *store.Pager, pivots []int, opts Options) (*MIn
 		m.pivotVals = append(m.pivotVals, v)
 	}
 	l := len(pivots)
-	m.root = &cluster{pivotIdx: -1, depth: 0, children: make(map[int]*cluster, l)}
+	m.root = &cluster{pivotIdx: -1, depth: 0, children: make([]*cluster, l)}
 	for i := 0; i < l; i++ {
 		m.root.children[i] = m.newLeaf(i, 1, otherPivots(l, []int{i}))
 	}
@@ -214,8 +216,8 @@ func (m *MIndex) leafFor(dv []float64) *cluster {
 				best, bestD = i, dv[i]
 			}
 		}
-		child, ok := c.children[best]
-		if !ok {
+		child := c.children[best]
+		if child == nil {
 			child = m.newLeaf(best, c.depth+1, otherPivots(len(m.pivotVals), append(append([]int{}, used...), best)))
 			c.children[best] = child
 		}
@@ -297,7 +299,7 @@ func (m *MIndex) split(c *cluster) error {
 	}); err != nil {
 		return err
 	}
-	c.children = make(map[int]*cluster)
+	c.children = make([]*cluster, len(m.pivotVals))
 	for _, r := range members {
 		dvec, _, err := m.loadCandidate(r.id)
 		if err != nil {
@@ -349,7 +351,9 @@ func (m *MIndex) MemBytes() int64 {
 		}
 		bytes += 48
 		for _, ch := range c.children {
-			walk(ch)
+			if ch != nil {
+				walk(ch)
+			}
 		}
 	}
 	walk(m.root)

@@ -1,6 +1,7 @@
 package mindex
 
 import (
+	"reflect"
 	"testing"
 
 	"metricindex/internal/core"
@@ -152,5 +153,69 @@ func TestMIndexRequiresTwoPivots(t *testing.T) {
 	}
 	if _, err := New(ds, p, []int{0, 1}, Options{}); err == nil {
 		t.Fatal("missing MaxDistance must be rejected")
+	}
+}
+
+// TestMIndexCostsRepeatable: the cluster tree is walked in pivot order, so
+// two builds over the same data, each queried twice by the same battery,
+// spend identical compdists and page accesses — with the page cache off
+// and at DefaultCacheBytes, where page accesses depend on the order pages
+// are read in — and return identical answers, for M-index and M-index*.
+func TestMIndexCostsRepeatable(t *testing.T) {
+	type costs struct {
+		cd, pa  []int64
+		answers [][]int
+	}
+	battery := func(idx *MIndex, p *store.Pager, ds *core.Dataset) costs {
+		var c costs
+		record := func(ids []int) {
+			c.cd = append(c.cd, ds.Space().CompDists())
+			c.pa = append(c.pa, p.PageAccesses())
+			c.answers = append(c.answers, ids)
+		}
+		for _, cache := range []int{0, store.DefaultCacheBytes} {
+			p.SetCacheBytes(cache)
+			for qs := int64(0); qs < 6; qs++ {
+				q := testutil.RandomQuery(ds, qs)
+				for _, k := range []int{1, 10, 60} {
+					ds.Space().ResetCompDists()
+					p.ResetStats()
+					ns, err := idx.KNNSearch(q, k)
+					if err != nil {
+						t.Fatal(err)
+					}
+					ids := make([]int, len(ns))
+					for i, nb := range ns {
+						ids[i] = nb.ID
+					}
+					record(ids)
+				}
+				for _, r := range []float64{8, 25} {
+					ds.Space().ResetCompDists()
+					p.ResetStats()
+					ids, err := idx.RangeSearch(q, r)
+					if err != nil {
+						t.Fatal(err)
+					}
+					record(ids)
+				}
+			}
+		}
+		return c
+	}
+	for _, star := range []bool{false, true} {
+		var runs []costs
+		for b := 0; b < 2; b++ {
+			ds := testutil.VectorDataset(1200, 4, 100, core.L2{}, 23)
+			idx, p := build(t, ds, star, 48)
+			for range 2 {
+				runs = append(runs, battery(idx, p, ds))
+			}
+		}
+		for i, run := range runs[1:] {
+			if !reflect.DeepEqual(run, runs[0]) {
+				t.Fatalf("star=%v: run %d spent or answered differently from run 0:\n%v\n%v", star, i+1, run, runs[0])
+			}
+		}
 	}
 }

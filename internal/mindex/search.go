@@ -46,7 +46,7 @@ func (m *MIndex) collectLeaves(qd []float64, r float64, prune bool) []leafRef {
 			}
 		}
 		for pi, child := range c.children {
-			if prune && core.PruneHyperplane(qd[pi], dqmin, r) {
+			if child == nil || prune && core.PruneHyperplane(qd[pi], dqmin, r) {
 				continue
 			}
 			walk(child, append(append([]int{}, used...), pi))

@@ -27,6 +27,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"runtime"
+	"runtime/debug"
 	"time"
 
 	"metricindex/internal/cache"
@@ -277,7 +278,9 @@ type reqInfo struct {
 }
 
 // handle wraps an endpoint with admission control, cost accounting,
-// metrics, the slow-query log, and error mapping. admit=false exempts
+// metrics, the slow-query log, panic recovery, and error mapping. A
+// handler that panics is answered 500 with the error JSON and counted as
+// an endpoint error and in mx_server_panics_total (see call). admit=false exempts
 // control-plane endpoints (stats/health, and swap — a swap runs for
 // seconds and must not occupy a query slot; epoch.Live bounds it to one
 // at a time itself).
@@ -289,6 +292,9 @@ type reqInfo struct {
 func (s *Server) handle(name string, admit bool, fn func(r *http.Request, ri *reqInfo) (any, error)) http.HandlerFunc {
 	ep := newLine(s.reg, "mx_server", obs.Label{Key: "endpoint", Value: name})
 	s.endpoints[name] = ep
+	panics := s.reg.Counter("mx_server_panics_total",
+		"Handler panics recovered and answered 500 (each also counts as an endpoint error).",
+		obs.Label{Key: "endpoint", Value: name})
 	return func(w http.ResponseWriter, r *http.Request) {
 		ri := reqInfo{arrived: time.Now()}
 		r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
@@ -310,7 +316,7 @@ func (s *Server) handle(name string, admit bool, fn func(r *http.Request, ri *re
 		ri.admitted = time.Now()
 		compBase := s.space.CompDists()
 		paBase := s.live.PageAccesses()
-		res, err := fn(r, &ri)
+		res, err := call(fn, r, &ri, panics)
 		dur := time.Since(ri.admitted)
 		comp := s.space.CompDists() - compBase
 		pa := s.live.PageAccesses() - paBase
@@ -329,6 +335,25 @@ func (s *Server) handle(name string, admit bool, fn func(r *http.Request, ri *re
 		}
 		writeJSON(w, http.StatusOK, res)
 	}
+}
+
+// call runs one endpoint handler and turns a panic into its error, so
+// the request is answered and recorded like any failed one, the deferred
+// admission release runs, and the connection survives. The panic is
+// counted and logged with its stack. http.ErrAbortHandler, the
+// deliberate abort of a response, is re-raised for net/http.
+func call(fn func(r *http.Request, ri *reqInfo) (any, error), r *http.Request, ri *reqInfo, panics *obs.Counter) (res any, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			if p == http.ErrAbortHandler {
+				panic(p)
+			}
+			panics.Inc()
+			log.Printf("server: panic serving %s: %v\n%s", r.URL.Path, p, debug.Stack())
+			err = fmt.Errorf("server: internal error: %v", p)
+		}
+	}()
+	return fn(r, ri)
 }
 
 // clientKey identifies the requester for per-client stats. The header

@@ -741,3 +741,66 @@ func TestAttrsOverFrameAreBadRequests(t *testing.T) {
 		t.Fatalf("rejected writes committed: epoch %d", e)
 	}
 }
+
+// panicMetric is L2 that panics when either object is the sentinel query
+// (first coordinate −1; the dataset's coordinates lie in [0, 100)).
+type panicMetric struct{}
+
+func (panicMetric) Distance(a, b core.Object) float64 {
+	if a.(core.Vector)[0] == -1 || b.(core.Vector)[0] == -1 {
+		panic("sentinel query")
+	}
+	return core.L2{}.Distance(a, b)
+}
+
+func (panicMetric) Name() string   { return "panicky-l2" }
+func (panicMetric) Discrete() bool { return false }
+
+// TestHandlerPanicAnswers500: a handler that panics is answered 500 with
+// the error JSON on the same connection, counted once in
+// mx_server_panics_total and as an endpoint error, its in-flight slot is
+// released, and the next request is served.
+func TestHandlerPanicAnswers500(t *testing.T) {
+	ds := testutil.VectorDataset(300, 4, 100, panicMetric{}, 9)
+	idx, err := laesaBuilder(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(epoch.NewLive(ds, idx), Options{Builder: laesaBuilder})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	resp, err := http.Post(ts.URL+"/v1/knn", "application/json", strings.NewReader(`{"query":[-1,-1,-1,-1],"k":3}`))
+	if err != nil {
+		t.Fatalf("the panicking request got no answer: %v", err)
+	}
+	var body map[string]string
+	decErr := json.NewDecoder(resp.Body).Decode(&body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError || decErr != nil || !strings.Contains(body["error"], "sentinel query") {
+		t.Fatalf("panic answered %d %v (%v); want 500 with the error JSON", resp.StatusCode, body, decErr)
+	}
+
+	text := scrape(t, ts.URL)
+	if p := scrapeValue(t, text, `mx_server_panics_total{endpoint="knn"}`); p != 1 {
+		t.Fatalf("mx_server_panics_total{endpoint=\"knn\"} = %v; want 1", p)
+	}
+	if g := scrapeValue(t, text, "mx_server_inflight"); g != 0 {
+		t.Fatalf("mx_server_inflight = %v after the panic; want 0", g)
+	}
+	var st StatsResponse
+	if code := get(t, ts.URL+"/v1/stats", &st); code != 200 {
+		t.Fatalf("stats: status %d", code)
+	}
+	if ep := st.Endpoints["knn"]; ep.Count != 1 || ep.Errors != 1 || st.Admission.InFlight != 0 {
+		t.Fatalf("after the panic: knn %+v, in flight %d; want one request, one error, none in flight", ep, st.Admission.InFlight)
+	}
+
+	var kr KNNResponse
+	if code := post(t, ts.URL+"/v1/knn", map[string]any{"query": testutil.RandomQuery(ds, 1), "k": 3}, &kr); code != 200 || len(kr.Neighbors) != 3 {
+		t.Fatalf("the request after the panic: status %d, %d neighbors", code, len(kr.Neighbors))
+	}
+}

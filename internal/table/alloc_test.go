@@ -73,11 +73,12 @@ func TestLAESAFlatKNNHotLoopZeroAllocs(t *testing.T) {
 }
 
 // TestLAESAFlatRangeHotLoopZeroAllocs is the range query's witness: with
-// the scratch pool warm and room for the answer, one range scan — query-
-// pivot batch, block bounds, block heap, column sweeps, flat verification
-// — performs zero allocations, with and without a pushed-down accept
-// test, over a table of several blocks. Growing the answer is the range
-// query's one allocation and stays outside the measured loop.
+// the scratch pool warm, one range scan — query-pivot batch, zone heap,
+// column sweeps, flat verification, the ids collected into the scratch —
+// performs zero allocations, with and without a pushed-down accept test,
+// over a table of several blocks. The answer slice is the range query's
+// one allocation (TestLAESARangeAllocsOnce) and stays outside the
+// measured loop.
 func TestLAESAFlatRangeHotLoopZeroAllocs(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("race detector instrumentation allocates; AllocsPerRun is meaningless under -race")
@@ -89,14 +90,14 @@ func TestLAESAFlatRangeHotLoopZeroAllocs(t *testing.T) {
 	}
 	tab := idx.tab
 	var q core.Object = ds.Objects()[42]
-	answer := make([]int, 0, tab.Len())
 	scanRange := func(accept core.Accept) int {
 		sc := tab.scratch.Get()
 		s := tab.begin(sc, q, accept)
-		s.r, s.res = 20, answer[:0]
+		s.r, s.res = 20, sc.Keys[:0]
 		if err := s.run(); err != nil {
 			panic(err)
 		}
+		sc.Keys = s.res[:0]
 		tab.scratch.Put(sc)
 		return len(s.res)
 	}
@@ -108,5 +109,32 @@ func TestLAESAFlatRangeHotLoopZeroAllocs(t *testing.T) {
 		if allocs != 0 {
 			t.Fatalf("%s: flat range hot loop allocated %.1f times per query; want 0", name, allocs)
 		}
+	}
+}
+
+// TestLAESARangeAllocsOnce witnesses that a range query allocates exactly
+// its answer, here over 1 000 ids: the ids are collected in the scratch,
+// radix-ordered there, and copied into one slice of their length.
+func TestLAESARangeAllocsOnce(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("race detector instrumentation allocates; AllocsPerRun is meaningless under -race")
+	}
+	ds := testutil.VectorDataset(8*zoneRows, 4, 100, core.L2{}, 7)
+	idx, err := NewLAESA(ds, []int{1, 2, 3, 4, 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var q core.Object = ds.Objects()[42]
+	const r = 70
+	if ids, err := idx.RangeSearch(q, r); err != nil || len(ids) < 1000 { // warms the scratch pool
+		t.Fatalf("the witness query answers %d ids (%v); want at least 1 000", len(ids), err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := idx.RangeSearch(q, r); err != nil {
+			panic(err)
+		}
+	})
+	if allocs != 1 {
+		t.Fatalf("LAESA.RangeSearch allocated %.1f times per query; want 1, the answer", allocs)
 	}
 }

@@ -1,5 +1,8 @@
 package table
 
-// ZoneRows is the block size, for the external tests to size tables that
-// span several blocks.
-const ZoneRows = zoneRows
+// ZoneRows and SuperBlocks are the block and super-zone sizes, for the
+// external tests to size tables that span several of them.
+const (
+	ZoneRows    = zoneRows
+	SuperBlocks = superBlocks
+)

@@ -284,7 +284,7 @@ func TestTableGoldenCostsManySupers(t *testing.T) {
 		if err != nil {
 			t.Fatalf("build %s: %v", family, err)
 		}
-		if tl := idx.(interface{ Table() *table.Table }).Table().Len(); tl < 4*32*table.ZoneRows {
+		if tl := idx.(interface{ Table() *table.Table }).Table().Len(); tl < 4*table.SuperBlocks*table.ZoneRows {
 			t.Fatalf("%s: %d rows fill fewer than four super-zones", family, tl)
 		}
 		answers := sha256.New()

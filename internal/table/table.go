@@ -8,7 +8,8 @@ package table
 import (
 	"fmt"
 	"math"
-	"sort"
+	"math/bits"
+	"slices"
 	"sync/atomic"
 
 	"metricindex/internal/core"
@@ -51,7 +52,7 @@ type Table struct {
 	dir      []int32        // object id -> row, -1 when absent; spans the dataset's ids
 	cols     [][]float64    // cols[c][row] = d(object ids[row], the row's c-th pivot)
 	refs     [][]int32      // per-row layout: refs[c][row] indexes pivots; nil when shared
-	zones    zoneMap        // shared layout: per-block bounds of every column
+	zones    zoneMap        // shared layout: per-block and per-super-zone bounds of every column
 	qcol     *core.QuantCol // shared layout: quantized shadow of cols[0]
 	flat     *core.FlatVecs // coordinate mirror; nil off the flat path
 	noMirror bool           // mirror never armed, or dropped for good (mixed objects)
@@ -346,7 +347,9 @@ func (t *Table) Remove(id int) error {
 //  4. the mirror's row holds the coordinates of the row's object;
 //  5. the shared layout has one zone per block of zoneRows rows in every
 //     column, and every row lies inside its block's zone (a NaN distance
-//     inside an infinite one).
+//     inside an infinite one);
+//  6. it has one super-zone per superBlocks blocks in every column, and
+//     every super-zone covers the zone of each of its blocks.
 //
 // Checks 2 and 4 skip a row whose object the dataset no longer holds.
 // Distances are recomputed through the raw metric, so compdists do not
@@ -367,13 +370,8 @@ func (t *Table) Validate() error {
 			return fmt.Errorf("%s: column %d is out of step with %d rows", t.name, c, n)
 		}
 	}
-	if t.refs == nil && (len(t.zones.lo) != len(t.cols) || len(t.zones.hi) != len(t.cols)) {
-		return fmt.Errorf("%s: zone map covers %d of %d columns", t.name, len(t.zones.lo), len(t.cols))
-	}
-	for c, lo := range t.zones.lo {
-		if nb := (n + zoneRows - 1) / zoneRows; len(lo) != nb || len(t.zones.hi[c]) != nb {
-			return fmt.Errorf("%s: column %d has %d zones for %d blocks", t.name, c, len(lo), nb)
-		}
+	if err := t.validateZones(); err != nil {
+		return err
 	}
 	if t.qcol.OK() && t.qcol.Len() != n {
 		return fmt.Errorf("%s: shadow holds %d rows, table %d", t.name, t.qcol.Len(), n)
@@ -421,11 +419,39 @@ func (t *Table) Validate() error {
 	return nil
 }
 
+// validateZones is Validate's check of the zone map's shape: one zone per
+// block and one super-zone per superBlocks blocks in every column, each
+// super-zone covering the zones of its blocks.
+func (t *Table) validateZones() error {
+	n := len(t.ids)
+	if t.refs == nil && (len(t.zones.lo) != len(t.cols) || len(t.zones.hi) != len(t.cols) ||
+		len(t.zones.slo) != len(t.cols) || len(t.zones.shi) != len(t.cols)) {
+		return fmt.Errorf("%s: zone map covers %d of %d columns", t.name, len(t.zones.lo), len(t.cols))
+	}
+	nb := (n + zoneRows - 1) / zoneRows
+	for c, lo := range t.zones.lo {
+		if len(lo) != nb || len(t.zones.hi[c]) != nb {
+			return fmt.Errorf("%s: column %d has %d zones for %d blocks", t.name, c, len(lo), nb)
+		}
+		ns := (nb + superBlocks - 1) / superBlocks
+		if len(t.zones.slo[c]) != ns || len(t.zones.shi[c]) != ns {
+			return fmt.Errorf("%s: column %d has %d super-zones for %d blocks", t.name, c, len(t.zones.slo[c]), nb)
+		}
+		for b := range lo {
+			s := b / superBlocks
+			if slo, shi := t.zones.slo[c][s], t.zones.shi[c][s]; !(slo <= lo[b] && t.zones.hi[c][b] <= shi) {
+				return fmt.Errorf("%s: column %d super-zone %d [%v, %v] does not cover block %d's zone [%v, %v]", t.name, c, s, slo, shi, b, lo[b], t.zones.hi[c][b])
+			}
+		}
+	}
+	return nil
+}
+
 // MemBytes reports the resident size of the table: ids, the directory (4
 // bytes per id of the dataset's span — for a shard's mirror, its parent's
 // span), distance columns, pivot-reference columns (why EPT is larger
-// than LAESA in Table 4), the zone map, the quantized shadow and the
-// coordinate mirror.
+// than LAESA in Table 4), the zone map (both levels), the quantized shadow
+// and the coordinate mirror.
 func (t *Table) MemBytes() int64 {
 	n := int64(len(t.ids))*4 + int64(len(t.dir))*4 + int64(len(t.pivotIDs))*8
 	for c := range t.cols {
@@ -435,7 +461,7 @@ func (t *Table) MemBytes() int64 {
 		}
 	}
 	for c := range t.zones.lo {
-		n += int64(len(t.zones.lo[c])+len(t.zones.hi[c])) * 8
+		n += int64(len(t.zones.lo[c])+len(t.zones.hi[c])+len(t.zones.slo[c])+len(t.zones.shi[c])) * 8
 	}
 	if t.qcol != nil {
 		n += t.qcol.MemBytes()
@@ -468,7 +494,7 @@ type scan struct {
 	accept core.Accept   // nil = every id
 	h      *core.KNNHeap // kNN: the collector, whose radius tightens; nil for range
 	r      float64       // range: the fixed radius
-	res    []int         // range: the answer
+	res    []uint64      // range: the answer's ids, in the scratch's Keys
 	flat   bool          // verify through the mirror, with q widened into q64/q32
 	q64    []float64
 	q32    []float32
@@ -478,15 +504,14 @@ type scan struct {
 	qmax   float64 // largest |d(q, p)| over the pivots, for limit
 }
 
-// begin sizes the per-block buffers (bounds, the block heap, one block's
+// begin sizes the per-block buffers (the zone heap, one block's
 // survivors, the chunk) and computes the query's distance to every pivot
 // (for EPT, every pooled pivot: the m·l term of its query cost) through
 // the batch kernel.
 func (t *Table) begin(sc *core.Scratch, q core.Object, accept core.Accept) scan {
 	qd := sc.GrowQD(len(t.pivots))
 	nb := (len(t.ids) + zoneRows - 1) / zoneRows
-	sc.GrowLB(nb)
-	sc.GrowBlocks(nb)
+	sc.GrowZones(nb + (nb+superBlocks-1)/superBlocks)
 	sc.GrowSur(zoneRows)
 	sc.GrowChunk(verifyChunk)
 	t.ds.Space().DistanceMany(q, t.pivots, qd)
@@ -541,8 +566,8 @@ func (s *scan) offer(id int, d float64) {
 	if s.h != nil {
 		s.h.Push(id, d)
 	} else if d <= s.r {
-		//metriclint:ignore noalloc the range answer itself
-		s.res = append(s.res, id)
+		//metriclint:ignore noalloc grows the scratch's Keys, which keeps the capacity for the next query
+		s.res = append(s.res, uint64(id))
 	}
 }
 
@@ -635,55 +660,21 @@ func (s *scan) finish() {
 }
 
 // run is the one block loop of every query — range and kNN, filtered or
-// not, on either layout. It bounds every block from its zone
-// (blockBounds), drops the blocks whose bound already exceeds the limit,
-// and visits the rest best-first by bound: each popped block runs block,
-// until the popped bound exceeds the limit at the radius current then.
-// Range queries thus skip every block a zone proves empty (its survivors
-// and compdists are a full sweep's); kNN queries start in the block
-// nearest the query in pivot space, sweep it at +Inf, and stop as soon as
-// no remaining block can hold a row inside the tightened radius. The
-// per-row layout has no zones: all its bounds are 0, and its blocks go in
-// storage order.
-//
-// The nearest block is found by one pass and swept before the others are
-// queued: a kNN radius is +Inf until then, so queueing first would heap
-// every block. Queued after it are only the blocks within the limit the
-// first block left, which the heap would have popped before stopping
-// anyway — the visiting order is the heap's either way.
+// not, on either layout. It visits blocks best-first by their zone bound
+// (visitor: super-zones first, then the blocks of those reached), each
+// popped block running block, until the least bound left exceeds the
+// limit at the radius current then. Range queries thus skip every block a
+// zone proves empty (their survivors and compdists are a full sweep's);
+// kNN queries start in the block nearest the query in pivot space, sweep
+// it at +Inf, and stop as soon as no remaining block can hold a row inside
+// the tightened radius. The per-row layout has no zones: all its bounds
+// are 0, and its blocks go in storage order.
 //
 //metriclint:noalloc
 func (s *scan) run() error {
-	t, sc := s.t, s.sc
-	n, lb := len(t.ids), sc.LB
-	t.blockBounds(lb, sc.QD)
-	first := 0
-	for b, g := range lb {
-		if g < lb[first] {
-			first = b
-		}
-	}
-	if len(lb) == 0 || lb[first] > s.limit() {
-		s.finish()
-		return nil
-	}
-	if err := s.block(first*zoneRows, min((first+1)*zoneRows, n)); err != nil {
-		return err
-	}
-	limit, m := s.limit(), 0
-	for b, g := range lb {
-		if b != first && !(g > limit) {
-			sc.Blocks[m] = int32(b)
-			m++
-		}
-	}
-	h := blockHeap{lb: lb, b: sc.Blocks[:m]}
-	h.init()
-	for len(h.b) > 0 {
-		b := h.pop()
-		if lb[b] > s.limit() {
-			break
-		}
+	n := len(s.t.ids)
+	v := s.t.zones.visit(s.sc.Zones, s.sc.QD, (n+zoneRows-1)/zoneRows, s.limit())
+	for b := v.next(s.limit()); b >= 0; b = v.next(s.limit()) {
 		if err := s.block(b*zoneRows, min((b+1)*zoneRows, n)); err != nil {
 			return err
 		}
@@ -692,20 +683,49 @@ func (s *scan) run() error {
 	return nil
 }
 
+// radixMin and answerDigit size the ordering of a range answer: from
+// radixMin ids on, an LSD radix sort of answerDigit bits a pass over the
+// scratch's buffers; below, a comparison sort in place. See
+// docs/KERNELS.md "Zone maps and curve order".
+const (
+	radixMin    = 64
+	answerDigit = 11
+)
+
 // Range answers MRQ(q, r) over the accepted ids (nil accept: all of
 // them): every block a zone does not rule out is swept at the fixed
-// radius, then its survivors are verified.
+// radius, then its survivors are verified. The ids are collected in the
+// scratch, in table order, and ordered into the answer — the query's one
+// allocation.
 func (t *Table) Range(q core.Object, r float64, accept core.Accept) ([]int, error) {
 	sc := t.scratch.Get()
 	s := t.begin(sc, q, accept)
-	s.r = r
+	s.r, s.res = r, sc.Keys[:0]
 	err := s.run()
-	t.scratch.Put(sc)
-	if err != nil {
-		return nil, err
+	sc.Keys = s.res[:0]
+	var res []int
+	if err == nil && len(s.res) > 0 {
+		res = t.answer(sc, s.res)
 	}
-	sort.Ints(s.res)
-	return s.res, nil
+	t.scratch.Put(sc)
+	return res, err
+}
+
+// answer returns ids ascending, in one slice of their length.
+func (t *Table) answer(sc *core.Scratch, ids []uint64) []int {
+	if len(ids) >= radixMin {
+		// Every id lies below the directory's span.
+		buf, digits := sc.GrowRadix(len(ids), 1<<answerDigit)
+		ids = radixSort(ids, buf, digits, 0, bits.Len(uint(len(t.dir)-1)), answerDigit)
+	}
+	res := make([]int, len(ids))
+	for i, id := range ids {
+		res[i] = int(id)
+	}
+	if len(ids) < radixMin {
+		slices.Sort(res)
+	}
+	return res
 }
 
 // KNN answers MkNNQ(q, k) over the accepted ids (nil accept: all of

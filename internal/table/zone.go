@@ -14,6 +14,11 @@ import (
 // sweeps. See docs/KERNELS.md "Zone maps and curve order" for why 512.
 const zoneRows = 512
 
+// superBlocks is the block count of one super-zone, the zone map's second
+// level: a query bounds every super-zone, and the blocks of only those it
+// reaches. See docs/KERNELS.md "Zone maps and curve order" for why 32.
+const superBlocks = 32
+
 // curveDims and curveBits shape the Z-order key Build sorts rows by: 8
 // bits of quantized distance for each of the first min(l, curveDims)
 // pivot columns.
@@ -26,8 +31,9 @@ const (
 // their quantized distances: entry pos is the input row that goes to
 // table row pos (ties, and rows whose keys agree in every bit kept, stay
 // in input order). The keys are encoded across workers (core.ParallelFor
-// semantics) and sorted once by an LSD radix sort on key<<rowBits | row;
-// the result is the same for every worker count.
+// semantics) and sorted once by an LSD radix sort on key<<rowBits | row,
+// a byte a pass, each pass split into one run per worker; the result is
+// the same for every worker count.
 func curveOrder(cols [][]float64, workers int) []int32 {
 	n := len(cols[0])
 	dims := min(len(cols), curveDims)
@@ -54,7 +60,11 @@ func curveOrder(cols [][]float64, workers int) []int32 {
 			keys[row] = z.Encode(p[:dims])>>uint(drop)<<uint(rowBits) | uint64(row)
 		}
 	})
-	keys = radixSort(keys, rowBits, keyBits, workers)
+	if workers < 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	runs := max(1, min(workers, n>>16)) // at least 64 Ki keys a run
+	keys = radixSort(keys, make([]uint64, n), make([]int, runs<<8), rowBits, keyBits, 8)
 	order := make([]int32, n)
 	rowMask := uint64(1)<<uint(rowBits) - 1
 	for pos, k := range keys {
@@ -98,90 +108,115 @@ func quantize(d, lo, scale float64) uint32 {
 }
 
 // radixSort sorts keys by bits [shift, shift+nbits) with a stable LSD
-// radix sort, one byte per pass, so keys equal there keep their order.
-// Each pass splits the keys into one contiguous run per worker
-// (core.ParallelFor semantics, at least 64 Ki keys a run): the
-// workers count their runs' digits, and then scatter them, each from its
-// own offsets — digit-major, run-minor, which is what keeps the sort
-// stable and its result the same for every worker count. A pass whose
-// digit is the same for every key is skipped. It returns the sorted
-// slice, which is keys or a buffer of the same length.
-func radixSort(keys []uint64, shift, nbits, workers int) []uint64 {
-	n := len(keys)
-	if workers < 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	runs := max(1, min(workers, n/(1<<16)))
+// radix sort of digit bits a pass, so keys equal there keep their order.
+// It allocates nothing: buf is a second buffer of len(keys), and the
+// sorted slice returned is one of the two. counts holds runs × 2^digit
+// digit counters, and its length chooses runs: each pass splits the keys
+// into that many contiguous runs, counts every run's digits, and then
+// scatters every run from its own offsets — digit-major, run-minor, which
+// keeps the sort stable and its result the same for every run count.
+// A pass whose digit is the same for every key is skipped.
+//
+//metriclint:noalloc
+func radixSort(keys, buf []uint64, counts []int, shift, nbits, digit int) []uint64 {
+	n, radix := len(keys), 1<<digit
+	runs := len(counts) / radix
 	run := (n + runs - 1) / runs
-	counts := make([][256]int, runs)
-	var buf []uint64
-	for p := 0; p < (nbits+7)/8 && n > 1; p++ {
-		sh := uint(shift + 8*p)
-		core.ParallelFor(runs, runs, func(first, last int) {
-			for w := first; w < last; w++ {
-				c := &counts[w]
-				*c = [256]int{}
-				for _, k := range keys[w*run : min(n, (w+1)*run)] {
-					c[byte(k>>sh)]++
-				}
-			}
-		})
-		same, d0 := 0, byte(keys[0]>>sh)
-		for w := range counts {
-			same += counts[w][d0]
+	for sh := shift; sh < shift+nbits && n > 1; sh += digit {
+		mask := uint64(1)<<min(digit, shift+nbits-sh) - 1
+		radixStep(keys, nil, counts, run, radix, uint(sh), mask)
+		same, d0 := 0, int(keys[0]>>uint(sh)&mask)
+		for w := 0; w < runs; w++ {
+			same += counts[w*radix+d0]
 		}
 		if same == n {
 			continue // one digit for every key: the pass would copy
 		}
 		sum := 0
-		for d := range 256 {
-			for w := range counts {
-				counts[w][d], sum = sum, sum+counts[w][d]
+		for d := 0; d < radix; d++ {
+			for w := d; w < len(counts); w += radix {
+				counts[w], sum = sum, sum+counts[w]
 			}
 		}
-		if buf == nil {
-			buf = make([]uint64, n)
-		}
-		core.ParallelFor(runs, runs, func(first, last int) {
-			for w := first; w < last; w++ {
-				c := &counts[w]
-				for _, k := range keys[w*run : min(n, (w+1)*run)] {
-					d := byte(k >> sh)
-					buf[c[d]] = k
-					c[d]++
-				}
-			}
-		})
+		radixStep(keys, buf, counts, run, radix, uint(sh), mask)
 		keys, buf = buf, keys
 	}
 	return keys
 }
 
-// zoneMap is the shared layout's zone map: lo[c][b] and hi[c][b] bound
-// column c over block b, rows [b·zoneRows, (b+1)·zoneRows) — column-major,
-// like the columns. It is exact when built and only ever widened by
-// updates, so it stays conservative. The per-row layout has none (nil).
+// radixStep runs one stage of a radix pass over every run of run keys:
+// with dst nil it counts each run's digits into its counters, else it
+// scatters each run into dst from its offsets. One run goes inline; more
+// go out one goroutine each (core.ParallelFor).
+func radixStep(keys, dst []uint64, counts []int, run, radix int, sh uint, mask uint64) {
+	runs := len(counts) / radix
+	if runs == 1 {
+		radixRun(keys, dst, counts, sh, mask)
+		return
+	}
+	n := len(keys)
+	core.ParallelFor(runs, runs, func(first, last int) {
+		for w := first; w < last; w++ {
+			radixRun(keys[min(n, w*run):min(n, (w+1)*run)], dst, counts[w*radix:(w+1)*radix], sh, mask)
+		}
+	})
+}
+
+// radixRun is radixStep's work on one run and its counters c.
+//
+//metriclint:noalloc
+func radixRun(keys, dst []uint64, c []int, sh uint, mask uint64) {
+	if dst == nil {
+		clear(c)
+		for _, k := range keys {
+			c[k>>sh&mask]++
+		}
+		return
+	}
+	for _, k := range keys {
+		d := k >> sh & mask
+		dst[c[d]] = k
+		c[d]++
+	}
+}
+
+// zoneMap is the shared layout's zone map, two levels deep. lo[c][b] and
+// hi[c][b] bound column c over block b, rows [b·zoneRows, (b+1)·zoneRows);
+// slo[c][s] and shi[c][s] bound it over super-zone s, blocks
+// [s·superBlocks, (s+1)·superBlocks), and cover every block zone under
+// them. Both levels are column-major, like the columns. They are exact
+// when built and only ever widened by updates, so they stay conservative.
+// The per-row layout has none (nil).
 type zoneMap struct {
-	lo, hi [][]float64
+	lo, hi   [][]float64
+	slo, shi [][]float64
 }
 
 // buildZones computes the zone map of the columns from scratch, the
-// blocks fanned out over workers (core.ParallelFor semantics).
+// super-zones fanned out over workers (core.ParallelFor semantics).
 func buildZones(cols [][]float64, workers int) zoneMap {
 	n := len(cols[0])
 	nb := (n + zoneRows - 1) / zoneRows
-	z := zoneMap{lo: make([][]float64, len(cols)), hi: make([][]float64, len(cols))}
+	ns := (nb + superBlocks - 1) / superBlocks
+	l := len(cols)
+	z := zoneMap{lo: make([][]float64, l), hi: make([][]float64, l), slo: make([][]float64, l), shi: make([][]float64, l)}
 	for c := range cols {
 		z.lo[c], z.hi[c] = make([]float64, nb), make([]float64, nb)
+		z.slo[c], z.shi[c] = make([]float64, ns), make([]float64, ns)
 	}
-	core.ParallelFor(nb, workers, func(start, end int) {
+	core.ParallelFor(ns, workers, func(start, end int) {
 		for c, col := range cols {
-			for b := start; b < end; b++ {
-				lo, hi := math.Inf(1), math.Inf(-1)
-				for _, d := range col[b*zoneRows : min(n, (b+1)*zoneRows)] {
-					lo, hi = cover(lo, hi, d)
+			for s := start; s < end; s++ {
+				slo, shi := math.Inf(1), math.Inf(-1)
+				for b := s * superBlocks; b < min(nb, (s+1)*superBlocks); b++ {
+					lo, hi := math.Inf(1), math.Inf(-1)
+					for _, d := range col[b*zoneRows : min(n, (b+1)*zoneRows)] {
+						lo, hi = cover(lo, hi, d)
+					}
+					z.lo[c][b], z.hi[c][b] = lo, hi
+					slo, shi = min(slo, lo), max(shi, hi)
 				}
-				z.lo[c][b], z.hi[c][b] = lo, hi
+				z.slo[c][s], z.shi[c][s] = slo, shi
 			}
 		}
 	})
@@ -205,36 +240,50 @@ func cover(lo, hi, d float64) (float64, float64) {
 	return lo, hi
 }
 
-// widen grows block b's zone in column c to cover distance d.
-func (z zoneMap) widen(c, b int, d float64) {
+// widen grows block b's zone in column c, and its super-zone's, to cover
+// distance d.
+func (z *zoneMap) widen(c, b int, d float64) {
 	z.lo[c][b], z.hi[c][b] = cover(z.lo[c][b], z.hi[c][b], d)
+	s := b / superBlocks
+	z.slo[c][s], z.shi[c][s] = cover(z.slo[c][s], z.shi[c][s], d)
 }
 
 // add covers row's distances: the row widens its block's zone, or opens
-// the block when it is the block's first row.
+// the block when it is the block's first row — and the super-zone, when
+// the block is its first.
 func (z *zoneMap) add(row int, dists []float64) {
 	b := row / zoneRows
 	for c := range z.lo {
 		if b == len(z.lo[c]) {
 			z.lo[c] = append(z.lo[c], math.Inf(1))
 			z.hi[c] = append(z.hi[c], math.Inf(-1))
+			if b%superBlocks == 0 {
+				z.slo[c] = append(z.slo[c], math.Inf(1))
+				z.shi[c] = append(z.shi[c], math.Inf(-1))
+			}
 		}
 		z.widen(c, b, dists[c])
 	}
 }
 
-// truncate keeps the zones of the blocks rows [0, n) occupy.
+// truncate keeps the zones of the blocks, and super-zones, rows [0, n)
+// occupy. A kept super-zone keeps its width: it still covers its blocks.
 func (z *zoneMap) truncate(n int) {
 	nb := (n + zoneRows - 1) / zoneRows
+	if len(z.lo) == 0 || len(z.lo[0]) == nb {
+		return // the per-row layout, or no block emptied
+	}
+	ns := (nb + superBlocks - 1) / superBlocks
 	for c := range z.lo {
 		z.lo[c], z.hi[c] = z.lo[c][:nb], z.hi[c][:nb]
+		z.slo[c], z.shi[c] = z.slo[c][:ns], z.shi[c][:ns]
 	}
 }
 
-// zoneGap is Lemma 1 applied to one column of a block: how far the
-// query's pivot distance q lies outside the block's [lo, hi] (at most 0
-// inside, NaN when q is NaN). Every row of the block is at least that
-// far from the query.
+// zoneGap is Lemma 1 applied to one column of a zone: how far the query's
+// pivot distance q lies outside the zone's [lo, hi] (at most 0 inside,
+// NaN when q is NaN). Every row under the zone is at least that far from
+// the query.
 //
 //metriclint:noalloc
 func zoneGap(q, lo, hi float64) float64 {
@@ -244,78 +293,155 @@ func zoneGap(q, lo, hi float64) float64 {
 	return lo - q
 }
 
-// blockBounds writes into lb, for every block, the largest zoneGap over
-// the columns, and at least 0 — core.MBB.MinDist of the block's zone, a
-// lower bound of d(q, o) for every row o of the block. A NaN gap bounds
-// nothing. The per-row layout has no zones (column c holds a different
-// pivot on every row), so its bounds are all 0 and its blocks go in
-// storage order.
+// bounds writes into lb the bounds of zones [first, first+len(lb)) of one
+// level (lo, hi): for each, the largest zoneGap over the columns, and at
+// least 0 — core.MBB.MinDist of the zone, a lower bound of d(q, o) for
+// every row o under it. A NaN gap bounds nothing. A super-zone covers its
+// blocks, so its bound is at most each of theirs.
 //
 //metriclint:noalloc
-func (t *Table) blockBounds(lb, qd []float64) {
+func bounds(lb []float64, lo, hi [][]float64, qd []float64, first int) {
 	clear(lb)
-	for c, lo := range t.zones.lo {
+	for c, lo := range lo {
 		q := qd[c]
-		lo, hi := lo[:len(lb)], t.zones.hi[c][:len(lb)]
-		for b := range lb {
-			if g := zoneGap(q, lo[b], hi[b]); g > lb[b] {
-				lb[b] = g
+		lo, hi := lo[first:first+len(lb)], hi[c][first:first+len(lb)]
+		for i := range lb {
+			if g := zoneGap(q, lo[i], hi[i]); g > lb[i] {
+				lb[i] = g
 			}
 		}
 	}
 }
 
-// blockHeap is the best-first order of a scan's blocks: a binary
-// min-heap of block numbers keyed by their lower bound, ties broken by
-// block number, so equal bounds keep storage order. Its buffer is the
-// scratch's; it never grows.
-type blockHeap struct {
-	lb []float64
-	b  []int32
+// blockRef marks a heap entry as a block; an entry without it is a
+// super-zone. Refs are compared whole, so at equal bounds super-zones pop
+// before blocks, and each level in storage order.
+const blockRef = 1 << 31
+
+// visitor is a scan's best-first walk over the blocks of the table: one
+// binary min-heap of super-zones and blocks, ordered by (bound, super-zone
+// before block, number). It starts with every super-zone; a super-zone is
+// expanded — its blocks bounded and pushed — only when it pops, and a
+// popped block is the next one to scan.
+//
+// The blocks come out in exactly the order of one heap over every block,
+// (bound, number): a super-zone's bound is at most each of its blocks', so
+// when a block pops, every super-zone bounded at or below it has popped
+// before it and every block that order puts first is in the heap already.
+// A query thus bounds every super-zone and the blocks of those it reaches,
+// not every block. The per-row layout has no zones: its heap starts with
+// every block at bound 0, in storage order, which is its scan order.
+type visitor struct {
+	z  *zoneMap
+	qd []float64
+	h  []core.ZoneRef // within the capacity begin reserved: every super-zone and block
+	nb int
 }
 
+// visit starts the walk over the nb blocks of a query with pivot
+// distances qd in the heap buffer h. An entry bounded above limit is never
+// pushed: limit only falls, so it could only have stopped the walk.
+//
 //metriclint:noalloc
-func (h *blockHeap) less(i, j int) bool {
-	x, y := h.b[i], h.b[j]
-	return h.lb[x] < h.lb[y] || h.lb[x] == h.lb[y] && x < y
+func (z *zoneMap) visit(h []core.ZoneRef, qd []float64, nb int, limit float64) visitor {
+	v := visitor{z: z, qd: qd, h: h[:0], nb: nb}
+	if len(z.lo) == 0 {
+		v.h = h[:nb]
+		for b := range v.h {
+			v.h[b] = core.ZoneRef{Ref: blockRef | uint32(b)}
+		}
+		return v
+	}
+	v.push(z.slo, z.shi, 0, (nb+superBlocks-1)/superBlocks, 0, limit)
+	return v
 }
 
+// next returns the next block to scan, expanding every super-zone that
+// pops before it, or -1 once the heap is empty or its least bound exceeds
+// limit: no row of a remaining block survives Lemma 1 then.
+//
 //metriclint:noalloc
-func (h *blockHeap) down(i int) {
-	n := len(h.b)
+func (v *visitor) next(limit float64) int {
+	for len(v.h) > 0 {
+		e := v.h[0]
+		if e.LB > limit {
+			return -1
+		}
+		v.pop()
+		if e.Ref&blockRef != 0 {
+			return int(e.Ref &^ blockRef)
+		}
+		s := int(e.Ref) * superBlocks
+		v.push(v.z.lo, v.z.hi, s, min(s+superBlocks, v.nb), blockRef, limit)
+	}
+	return -1
+}
+
+// push bounds zones [first, end) of one level (lo, hi), superBlocks at a
+// time, and pushes those within limit as ref | number.
+//
+//metriclint:noalloc
+func (v *visitor) push(lo, hi [][]float64, first, end int, ref uint32, limit float64) {
+	var lb [superBlocks]float64
+	for ; first < end; first += superBlocks {
+		m := min(superBlocks, end-first)
+		bounds(lb[:m], lo, hi, v.qd, first)
+		for i, g := range lb[:m] {
+			if !(g > limit) {
+				v.up(core.ZoneRef{LB: g, Ref: ref | uint32(first+i)})
+			}
+		}
+	}
+}
+
+// zoneLess is the heap order: bound, then ref.
+//
+//metriclint:noalloc
+func zoneLess(a, b core.ZoneRef) bool {
+	return a.LB < b.LB || a.LB == b.LB && a.Ref < b.Ref
+}
+
+// up adds e to the heap.
+//
+//metriclint:noalloc
+func (v *visitor) up(e core.ZoneRef) {
+	i := len(v.h)
+	v.h = v.h[:i+1]
+	for i > 0 {
+		p := (i - 1) / 2
+		if !zoneLess(e, v.h[p]) {
+			break
+		}
+		v.h[i] = v.h[p]
+		i = p
+	}
+	v.h[i] = e
+}
+
+// pop removes the least entry from the heap.
+//
+//metriclint:noalloc
+func (v *visitor) pop() {
+	n := len(v.h) - 1
+	e := v.h[n]
+	v.h = v.h[:n]
+	if n == 0 {
+		return
+	}
+	i := 0
 	for {
 		m := 2*i + 1
 		if m >= n {
-			return
+			break
 		}
-		if m+1 < n && h.less(m+1, m) {
+		if m+1 < n && zoneLess(v.h[m+1], v.h[m]) {
 			m++
 		}
-		if !h.less(m, i) {
-			return
+		if !zoneLess(v.h[m], e) {
+			break
 		}
-		h.b[i], h.b[m] = h.b[m], h.b[i]
+		v.h[i] = v.h[m]
 		i = m
 	}
-}
-
-// init establishes the heap order over the whole buffer.
-//
-//metriclint:noalloc
-func (h *blockHeap) init() {
-	for i := len(h.b)/2 - 1; i >= 0; i-- {
-		h.down(i)
-	}
-}
-
-// pop removes and returns the block with the smallest bound.
-//
-//metriclint:noalloc
-func (h *blockHeap) pop() int {
-	top := h.b[0]
-	last := len(h.b) - 1
-	h.b[0] = h.b[last]
-	h.b = h.b[:last]
-	h.down(0)
-	return int(top)
+	v.h[i] = e
 }

@@ -1,6 +1,7 @@
 package table
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -60,16 +61,23 @@ func wildObject(rng *rand.Rand) core.Vector {
 }
 
 // TestZoneExactness is the property test of the zone map and the block
-// loop, on random data whose stored distances include NaN and ±Inf.
-// After the build and after every round of deletes and inserts (which
-// widen, open and drop zones), Validate must hold — every row inside its
-// block's zone, one zone per block — and at random radii the
+// loop, on random data whose stored distances include NaN and ±Inf, over
+// one super-zone of seven blocks and over three super-zones. After the
+// build and after every round of deletes and inserts (which widen, open
+// and drop zones and super-zones), Validate must hold — every row inside
+// its block's zone, one zone per block, one super-zone per superBlocks
+// blocks covering each of their zones — and at random radii the
 // zone-skipping range scan must return exactly the survivors and the
 // compdists of a full Lemma 1 sweep over every row, and kNN must match
-// the linear scan.
+// the linear scan. Validate must also catch each kind of tampering.
 func TestZoneExactness(t *testing.T) {
+	for _, n := range []int{6*zoneRows + 77, 2*superBlocks*zoneRows + 3*zoneRows + 77} {
+		t.Run(fmt.Sprint(n), func(t *testing.T) { testZoneExactness(t, n) })
+	}
+}
+
+func testZoneExactness(t *testing.T, n int) {
 	rng := rand.New(rand.NewSource(11))
-	const n = 6*zoneRows + 77
 	objs := make([]core.Object, n)
 	for i := range objs {
 		objs[i] = wildObject(rng)
@@ -127,6 +135,24 @@ func TestZoneExactness(t *testing.T) {
 			}
 		}
 	}
+	// Validate must notice a super-zone that no longer covers its blocks,
+	// and one missing.
+	z := &tab.zones
+	s := len(z.shi[0]) - 1
+	hi := z.shi[0][s]
+	z.shi[0][s] = math.Inf(-1)
+	if err := tab.Validate(); err == nil {
+		t.Fatal("Validate accepted a super-zone that excludes its blocks' zones")
+	}
+	z.shi[0][s] = hi
+	if err := tab.Validate(); err != nil {
+		t.Fatalf("untampered: %v", err)
+	}
+	z.slo[2], z.shi[2] = z.slo[2][:s], z.shi[2][:s]
+	if err := tab.Validate(); err == nil {
+		t.Fatal("Validate accepted a zone map with a super-zone missing")
+	}
+	z.slo[2], z.shi[2] = z.slo[2][:s+1], z.shi[2][:s+1]
 	// Validate must notice a zone that no longer covers its rows.
 	tab.zones.lo[1][2] = math.Inf(1)
 	if err := tab.Validate(); err == nil {
@@ -208,11 +234,13 @@ func TestZoneSkipMatchesRowTest(t *testing.T) {
 	}
 }
 
-// TestRadixSortStableAcrossWorkers checks the build's sort where it
+// TestRadixSortStableAcrossWorkers checks the radix sort where the build
 // splits each pass into runs — at least 64 Ki keys a run, so no table in
 // the other tests reaches it — against a stable comparison sort, for
-// every worker count: keys are ordered by their sort bits alone, and keys
-// equal there keep their input order.
+// several run counts and both digit widths in use (the build's byte, the
+// range answer's 11 bits, neither of which divides the 21 key bits): keys
+// are ordered by their sort bits alone, and keys equal there keep their
+// input order.
 func TestRadixSortStableAcrossWorkers(t *testing.T) {
 	const n, rowBits, keyBits = 5<<16 + 7, 19, 21
 	rng := rand.New(rand.NewSource(3))
@@ -226,9 +254,294 @@ func TestRadixSortStableAcrossWorkers(t *testing.T) {
 	}
 	want := slices.Clone(input)
 	slices.SortStableFunc(want, func(a, b uint64) int { return int(a>>rowBits) - int(b>>rowBits) })
-	for _, workers := range []int{0, 1, 2, 3, 8, -1} {
-		if got := radixSort(slices.Clone(input), rowBits, keyBits, workers); !slices.Equal(got, want) {
-			t.Fatalf("workers %d: radix order differs from the stable sort", workers)
+	for _, digit := range []int{8, answerDigit} {
+		for _, runs := range []int{1, 2, 3, 8} {
+			got := radixSort(slices.Clone(input), make([]uint64, n), make([]int, runs<<digit), rowBits, keyBits, digit)
+			if !slices.Equal(got, want) {
+				t.Fatalf("%d-bit digits, %d runs: radix order differs from the stable sort", digit, runs)
+			}
+		}
+	}
+}
+
+// flatBlockBounds is the one-level block loop's bound pass, kept as the
+// reference model of the two-level visitor: for every block, the largest
+// zoneGap over the columns, and at least 0.
+func flatBlockBounds(z *zoneMap, lb, qd []float64) {
+	clear(lb)
+	for c, lo := range z.lo {
+		q := qd[c]
+		lo, hi := lo[:len(lb)], z.hi[c][:len(lb)]
+		for b := range lb {
+			if g := zoneGap(q, lo[b], hi[b]); g > lb[b] {
+				lb[b] = g
+			}
+		}
+	}
+}
+
+// flatHeap is the one-level loop's heap: block numbers keyed by their
+// bound, ties broken by block number.
+type flatHeap struct {
+	lb []float64
+	b  []int32
+}
+
+func (h *flatHeap) less(i, j int) bool {
+	x, y := h.b[i], h.b[j]
+	return h.lb[x] < h.lb[y] || h.lb[x] == h.lb[y] && x < y
+}
+
+func (h *flatHeap) down(i int) {
+	n := len(h.b)
+	for {
+		m := 2*i + 1
+		if m >= n {
+			return
+		}
+		if m+1 < n && h.less(m+1, m) {
+			m++
+		}
+		if !h.less(m, i) {
+			return
+		}
+		h.b[i], h.b[m] = h.b[m], h.b[i]
+		i = m
+	}
+}
+
+func (h *flatHeap) pop() int {
+	top := h.b[0]
+	last := len(h.b) - 1
+	h.b[0] = h.b[last]
+	h.b = h.b[:last]
+	h.down(0)
+	return int(top)
+}
+
+// flatSequence is the block sequence of the one-level loop: bound every
+// block, scan the least first, queue the rest within the limit it left,
+// and pop until a bound exceeds the limit current then. limit(k) is the
+// limit after k blocks have been scanned.
+func flatSequence(z *zoneMap, qd []float64, nb int, limit func(k int) float64) []int {
+	lb := make([]float64, nb)
+	flatBlockBounds(z, lb, qd)
+	first := 0
+	for b, g := range lb {
+		if g < lb[first] {
+			first = b
+		}
+	}
+	seq := []int{}
+	if nb == 0 || lb[first] > limit(0) {
+		return seq
+	}
+	seq = append(seq, first)
+	h := flatHeap{lb: lb}
+	for b, g := range lb {
+		if b != first && !(g > limit(1)) {
+			h.b = append(h.b, int32(b))
+		}
+	}
+	for i := len(h.b)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+	for len(h.b) > 0 {
+		b := h.pop()
+		if lb[b] > limit(len(seq)) {
+			break
+		}
+		seq = append(seq, b)
+	}
+	return seq
+}
+
+// twoLevelSequence is the block sequence of the visitor under the same
+// limits.
+func twoLevelSequence(z *zoneMap, qd []float64, nb int, limit func(k int) float64) []int {
+	h := make([]core.ZoneRef, 0, nb+(nb+superBlocks-1)/superBlocks)
+	v := z.visit(h, qd, nb, limit(0))
+	seq := []int{}
+	for b := v.next(limit(0)); b >= 0; b = v.next(limit(len(seq))) {
+		seq = append(seq, b)
+	}
+	return seq
+}
+
+// TestVisitMatchesFlatHeap is the exactness test of the two-level
+// visitor: on random zone maps of up to five super-zones, each a box of
+// its own in pivot space, it must yield
+// the block sequence of the one-level loop it replaced — same first
+// block, same order, same stop — for random query distances (NaN and ±Inf
+// among them) under range limits (radius 0, −1, NaN, random, +Inf) and
+// kNN limits (+Inf until the first block, then shrinking, or NaN). Zone
+// values are small integers, so bounds tie often; a few rows hold NaN or
+// ±Inf; and the maps are churned through add, widen and truncate the way
+// Table.Append and Table.Remove drive them, so zones and super-zones are
+// wider than their rows. The zone-less layout must come out in storage
+// order.
+func TestVisitMatchesFlatHeap(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	special := func(v float64) float64 {
+		switch rng.Intn(600) {
+		case 0:
+			return math.NaN()
+		case 1:
+			return math.Inf(1)
+		case 2:
+			return math.Inf(-1)
+		}
+		return v
+	}
+	limitOf := func(r, qmax float64) float64 {
+		r = max(r, 0)
+		return r + (r+qmax)*0x1p-50
+	}
+	for trial := 0; trial < 40; trial++ {
+		l := 1 + rng.Intn(4)
+		n := rng.Intn(5*superBlocks*zoneRows + 1)
+		cols := make([][]float64, l)
+		for c := range cols {
+			// Curve-like data: every super-zone a box of its own, every
+			// block a smaller box inside it.
+			// NaN and ±Inf rows go into one super-zone in four, so that
+			// finite super-zone bounds differ and tie.
+			cols[c] = make([]float64, n)
+			var base, centre int
+			var wild bool
+			for row := range cols[c] {
+				if row%(superBlocks*zoneRows) == 0 {
+					base, wild = rng.Intn(40), rng.Intn(4) == 0
+				}
+				if row%zoneRows == 0 {
+					centre = base + rng.Intn(8)
+				}
+				cols[c][row] = float64(centre + rng.Intn(3))
+				if wild {
+					cols[c][row] = special(cols[c][row])
+				}
+			}
+		}
+		var z zoneMap
+		if n > 0 {
+			z = buildZones(cols, 1+rng.Intn(3))
+		}
+		// Churn: swap-deletes and appends, as the table drives them.
+		for op := 0; op < rng.Intn(3)*400 && n > 0; op++ {
+			if rng.Intn(2) == 0 && n > 1 {
+				row, last := rng.Intn(n), n-1
+				for c := range cols {
+					cols[c][row] = cols[c][last]
+					cols[c] = cols[c][:last]
+				}
+				if row < last {
+					for c := range cols {
+						z.widen(c, row/zoneRows, cols[c][row])
+					}
+				}
+				z.truncate(last)
+				n = last
+				continue
+			}
+			dists := make([]float64, l)
+			for c := range dists {
+				dists[c] = special(float64(rng.Intn(50)))
+				cols[c] = append(cols[c], dists[c])
+			}
+			z.add(n, dists)
+			n++
+		}
+		nb := (n + zoneRows - 1) / zoneRows
+		if n > 0 {
+			tab := &Table{cols: cols, zones: z}
+			tab.ids = make([]int32, n)
+			if err := tab.validateZones(); err != nil {
+				t.Fatalf("trial %d: %v", trial, err)
+			}
+		}
+		for qs := 0; qs < 25; qs++ {
+			qd := make([]float64, l)
+			qmax := 0.0
+			for c := range qd {
+				qd[c] = float64(rng.Intn(56))
+				if rng.Intn(8) == 0 {
+					qd[c] = []float64{math.NaN(), math.Inf(1), math.Inf(-1)}[rng.Intn(3)]
+				}
+				if a := math.Abs(qd[c]); a > qmax {
+					qmax = a
+				}
+			}
+			schedules := map[string]func(int) float64{}
+			for _, r := range []float64{0, -1, math.NaN(), math.Inf(1), float64(rng.Intn(12)), rng.Float64() * 6} {
+				lim := limitOf(r, qmax)
+				schedules[fmt.Sprintf("range r=%v", r)] = func(int) float64 { return lim }
+			}
+			shrink := make([]float64, nb+2)
+			shrink[0], shrink[1] = math.Inf(1), limitOf(float64(rng.Intn(20)), qmax)
+			for k := 2; k < len(shrink); k++ {
+				shrink[k] = shrink[k-1]
+				if rng.Intn(3) == 0 {
+					shrink[k] *= rng.Float64()
+				}
+			}
+			schedules["knn"] = func(k int) float64 { return shrink[k] }
+			schedules["knn NaN"] = func(k int) float64 {
+				if k == 0 {
+					return math.Inf(1)
+				}
+				return math.NaN()
+			}
+			for name, limit := range schedules {
+				want := flatSequence(&z, qd, nb, limit)
+				if got := twoLevelSequence(&z, qd, nb, limit); !slices.Equal(got, want) {
+					t.Fatalf("trial %d (%d rows, %d columns) query %v %s:\n two-level %v\n flat      %v", trial, n, l, qd, name, got, want)
+				}
+				var none zoneMap
+				storage := make([]int, nb)
+				for b := range storage {
+					storage[b] = b
+				}
+				if got := twoLevelSequence(&none, qd, nb, limit); !slices.Equal(got, storage) {
+					t.Fatalf("trial %d: the zone-less layout visits %v, not storage order", trial, got)
+				}
+			}
+		}
+	}
+}
+
+// TestRangeAnswerOrder is the property test of the range answer's
+// ordering: for id spans whose widths are and are not multiples of the
+// radix digit, and answers empty, of one id, on both sides of radixMin
+// and of thousands of ids — the span's last id among them — the answer
+// must be slices.Sort of the ids, in a slice exactly their length.
+func TestRangeAnswerOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	sc := &core.Scratch{}
+	for _, span := range []int{1, 2, 3, 64, 1000, 1 << answerDigit, 1<<answerDigit + 1, 1<<17 + 3, 1 << 22, 5_000_011} {
+		tab := &Table{dir: make([]int32, span)}
+		for _, m := range []int{0, 1, radixMin - 1, radixMin, radixMin + 1, 1000, 6000} {
+			m = min(m, span)
+			seen := map[uint64]bool{}
+			var ids []uint64
+			if m > 0 {
+				ids = append(ids, uint64(span-1))
+				seen[uint64(span-1)] = true
+			}
+			for len(ids) < m {
+				if id := uint64(rng.Intn(span)); !seen[id] {
+					seen[id] = true
+					ids = append(ids, id)
+				}
+			}
+			want := make([]int, len(ids))
+			for i, id := range ids {
+				want[i] = int(id)
+			}
+			slices.Sort(want)
+			got := tab.answer(sc, ids)
+			if !slices.Equal(got, want) || cap(got) != len(want) {
+				t.Fatalf("span %d, %d ids: answer (cap %d) is not the sorted ids", span, m, cap(got))
+			}
 		}
 	}
 }
