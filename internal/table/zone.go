@@ -340,7 +340,9 @@ type visitor struct {
 
 // visit starts the walk over the nb blocks of a query with pivot
 // distances qd in the heap buffer h. An entry bounded above limit is never
-// pushed: limit only falls, so it could only have stopped the walk.
+// pushed: the limit never loosens (a kNN one falls, or turns NaN and
+// prunes nothing from then on), so the entry could only have stopped the
+// walk.
 //
 //metriclint:noalloc
 func (z *zoneMap) visit(h []core.ZoneRef, qd []float64, nb int, limit float64) visitor {
