@@ -98,9 +98,12 @@ govulncheck:
 # cmd/metriclint): epoch lock-section discipline, wire-codec symmetry +
 # frozen on-disk constants, noalloc hot-path annotations, and error
 # consumption in the durability packages. Pure stdlib — runs offline.
-# See docs/STATIC_ANALYSIS.md.
+# See docs/STATIC_ANALYSIS.md. It also fails when a non-test file imports
+# container/heap: best-first traversals queue on core.MinHeap.
 lint:
 	$(GO) run ./cmd/metriclint ./...
+	@! grep -rl --include='*.go' --exclude='*_test.go' '"container/heap"' . || \
+		{ echo 'lint: container/heap imported above; use core.MinHeap'; exit 1; }
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \

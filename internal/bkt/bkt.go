@@ -16,7 +16,6 @@
 package bkt
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"sort"
@@ -234,21 +233,6 @@ func (t *BKT) RangeSearch(q core.Object, r float64) ([]int, error) {
 	return res, nil
 }
 
-// pqItem orders nodes by their lower-bound distance for best-first kNN.
-type pqItem struct {
-	n  *node
-	lb float64
-}
-
-type nodePQ []pqItem
-
-func (p nodePQ) Len() int                  { return len(p) }
-func (p nodePQ) Less(i, j int) bool        { return p[i].lb < p[j].lb }
-func (p nodePQ) Swap(i, j int)             { p[i], p[j] = p[j], p[i] }
-func (p *nodePQ) Push(x any)               { *p = append(*p, x.(pqItem)) }
-func (p *nodePQ) Pop() any                 { old := *p; it := old[len(old)-1]; *p = old[:len(old)-1]; return it }
-func (p *nodePQ) push(n *node, lb float64) { heap.Push(p, pqItem{n, lb}) }
-
 // KNNSearch answers MkNNQ(q, k) by best-first traversal in ascending
 // lower-bound order, with the radius tightened by verified objects (§4.1).
 func (t *BKT) KNNSearch(q core.Object, k int) ([]core.Neighbor, error) {
@@ -257,14 +241,10 @@ func (t *BKT) KNNSearch(q core.Object, k int) ([]core.Neighbor, error) {
 	}
 	h := core.NewKNNHeap(k)
 	sp := t.ds.Space()
-	pq := &nodePQ{}
-	pq.push(t.root, 0)
-	for pq.Len() > 0 {
-		it := heap.Pop(pq).(pqItem)
-		if it.lb > h.Radius() {
-			break
-		}
-		n := it.n
+	var pq core.MinHeap[*node]
+	pq.Push(0, 0, t.root)
+	for it, ok := pq.PopWithin(h.Radius()); ok; it, ok = pq.PopWithin(h.Radius()) {
+		n := it.V
 		if n.leaf() {
 			for _, id := range n.ids {
 				h.Push(int(id), sp.Distance(q, t.ds.Object(int(id))))
@@ -278,28 +258,16 @@ func (t *BKT) KNNSearch(q core.Object, k int) ([]core.Neighbor, error) {
 		for b, child := range n.children {
 			lo := float64(b) * n.width
 			hi := lo + n.width
-			lb := intervalDist(dq, lo, hi)
-			if lb < it.lb {
-				lb = it.lb
+			lb := core.IntervalDist(dq, lo, hi)
+			if lb < it.LB {
+				lb = it.LB
 			}
 			if lb <= h.Radius() {
-				pq.push(child, lb)
+				pq.Push(lb, 0, child)
 			}
 		}
 	}
 	return h.Result(), nil
-}
-
-// intervalDist is the distance from x to the interval [lo, hi].
-func intervalDist(x, lo, hi float64) float64 {
-	switch {
-	case x < lo:
-		return lo - x
-	case x > hi:
-		return x - hi
-	default:
-		return 0
-	}
 }
 
 // Insert descends by bucket and appends to a leaf, splitting it when it

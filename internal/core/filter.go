@@ -360,20 +360,39 @@ func (m MBB) MinDist(qd []float64) float64 {
 	if m.Empty() {
 		return math.Inf(1)
 	}
-	var best float64
-	for i := range qd {
-		var d float64
-		switch {
-		case qd[i] < m.Lo[i]:
-			d = m.Lo[i] - qd[i]
-		case qd[i] > m.Hi[i]:
-			d = qd[i] - m.Hi[i]
-		}
-		if d > best {
-			best = d
+	return BoxMinDist(qd, m.Lo, m.Hi)
+}
+
+// IntervalDist is the distance from x to the interval [lo, hi]: 0 inside
+// (and for a NaN x), else how far x lies outside. With x = d(q, p) and
+// [lo, hi] bounding d(o, p) over a region, it is Lemma 1's lower bound of
+// d(q, o) from pivot p for every object o of the region.
+//
+//metriclint:noalloc
+func IntervalDist(x, lo, hi float64) float64 {
+	switch {
+	case x < lo:
+		return lo - x
+	case x > hi:
+		return x - hi
+	default:
+		return 0
+	}
+}
+
+// BoxMinDist is the largest IntervalDist(qd[i], lo[i], hi[i]), and at
+// least 0: the L∞ distance from the query's pivot-space image to the box
+// [lo, hi], a lower bound of d(q, o) for every object o inside it.
+//
+//metriclint:noalloc
+func BoxMinDist(qd, lo, hi []float64) float64 {
+	var m float64
+	for i, q := range qd {
+		if d := IntervalDist(q, lo[i], hi[i]); d > m {
+			m = d
 		}
 	}
-	return best
+	return m
 }
 
 // PruneBall implements Lemma 2 (range-pivot filtering) for ball regions:

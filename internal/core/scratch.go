@@ -32,7 +32,7 @@ type Scratch struct {
 	Sur []int32
 	// Zones is the best-first heap of a blocked table scan: the
 	// super-zones and blocks of the pivot table it still has to visit.
-	Zones []ZoneRef
+	Zones MinHeap[struct{}]
 	// Keys collects the ids of a range answer; KeyBuf and Digits are the
 	// second buffer and the digit counters of the radix sort ordering it.
 	Keys, KeyBuf []uint64
@@ -75,23 +75,6 @@ func (s *Scratch) GrowSur(n int) []int32 {
 		s.Sur = s.Sur[:n]
 	}
 	return s.Sur
-}
-
-// ZoneRef is one entry of a blocked table scan's heap: a lower bound of
-// d(q, o) for every row o under the zone, and the zone, numbered by the
-// table.
-type ZoneRef struct {
-	LB  float64
-	Ref uint32
-}
-
-// GrowZones returns the zone heap emptied, with room for n entries.
-func (s *Scratch) GrowZones(n int) []ZoneRef {
-	if cap(s.Zones) < n {
-		s.Zones = make([]ZoneRef, 0, n)
-	}
-	s.Zones = s.Zones[:0]
-	return s.Zones
 }
 
 // GrowRadix sizes and returns the radix sort's second key buffer (n keys)

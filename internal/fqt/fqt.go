@@ -7,7 +7,6 @@
 package fqt
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"sort"
@@ -201,23 +200,10 @@ func (t *FQT) RangeSearch(q core.Object, r float64) ([]int, error) {
 	return res, nil
 }
 
-type pqItem struct {
+// nodeAt is a node queued for best-first kNN, with its level.
+type nodeAt struct {
 	n     *node
 	level int
-	lb    float64
-}
-
-type nodePQ []pqItem
-
-func (p nodePQ) Len() int           { return len(p) }
-func (p nodePQ) Less(i, j int) bool { return p[i].lb < p[j].lb }
-func (p nodePQ) Swap(i, j int)      { p[i], p[j] = p[j], p[i] }
-func (p *nodePQ) Push(x any)        { *p = append(*p, x.(pqItem)) }
-func (p *nodePQ) Pop() any {
-	old := *p
-	it := old[len(old)-1]
-	*p = old[:len(old)-1]
-	return it
 }
 
 // KNNSearch answers MkNNQ(q, k) best-first in ascending lower-bound order.
@@ -228,43 +214,29 @@ func (t *FQT) KNNSearch(q core.Object, k int) ([]core.Neighbor, error) {
 	qd := t.queryDists(q)
 	sp := t.ds.Space()
 	h := core.NewKNNHeap(k)
-	pq := &nodePQ{}
-	heap.Push(pq, pqItem{t.root, 0, 0})
-	for pq.Len() > 0 {
-		it := heap.Pop(pq).(pqItem)
-		if it.lb > h.Radius() {
-			break
-		}
-		if it.n.leaf() {
-			for _, id := range it.n.ids {
+	var pq core.MinHeap[nodeAt]
+	pq.Push(0, 0, nodeAt{t.root, 0})
+	for it, ok := pq.PopWithin(h.Radius()); ok; it, ok = pq.PopWithin(h.Radius()) {
+		n, level := it.V.n, it.V.level
+		if n.leaf() {
+			for _, id := range n.ids {
 				h.Push(int(id), sp.Distance(q, t.ds.Object(int(id))))
 			}
 			continue
 		}
-		for b, child := range it.n.children {
+		for b, child := range n.children {
 			lo := float64(b) * t.width
 			hi := lo + t.width
-			lb := intervalDist(qd[it.level], lo, hi)
-			if lb < it.lb {
-				lb = it.lb
+			lb := core.IntervalDist(qd[level], lo, hi)
+			if lb < it.LB {
+				lb = it.LB
 			}
 			if lb <= h.Radius() {
-				heap.Push(pq, pqItem{child, it.level + 1, lb})
+				pq.Push(lb, 0, nodeAt{child, level + 1})
 			}
 		}
 	}
 	return h.Result(), nil
-}
-
-func intervalDist(x, lo, hi float64) float64 {
-	switch {
-	case x < lo:
-		return lo - x
-	case x > hi:
-		return x - hi
-	default:
-		return 0
-	}
 }
 
 // Insert descends by bucket, appending to (and possibly splitting) a leaf.

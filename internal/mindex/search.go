@@ -1,7 +1,6 @@
 package mindex
 
 import (
-	"container/heap"
 	"math"
 	"sort"
 
@@ -192,26 +191,6 @@ func (m *MIndex) knnIncremental(q core.Object, k int) ([]core.Neighbor, error) {
 	}
 }
 
-// clusterItem prioritizes clusters by lower bound for the M-index*
-// best-first traversal.
-type clusterItem struct {
-	c  *cluster
-	lb float64
-}
-
-type clusterPQ []clusterItem
-
-func (p clusterPQ) Len() int           { return len(p) }
-func (p clusterPQ) Less(i, j int) bool { return p[i].lb < p[j].lb }
-func (p clusterPQ) Swap(i, j int)      { p[i], p[j] = p[j], p[i] }
-func (p *clusterPQ) Push(x any)        { *p = append(*p, x.(clusterItem)) }
-func (p *clusterPQ) Pop() any {
-	old := *p
-	it := old[len(old)-1]
-	*p = old[:len(old)-1]
-	return it
-}
-
 // knnBestFirst is the M-index* strategy: clusters are visited once, in
 // ascending MBB lower-bound order, with the radius tightening as
 // candidates verify.
@@ -219,21 +198,16 @@ func (m *MIndex) knnBestFirst(q core.Object, k int) ([]core.Neighbor, error) {
 	qd := m.queryDists(q)
 	sp := m.ds.Space()
 	h := core.NewKNNHeap(k)
-	pq := &clusterPQ{}
+	var pq core.MinHeap[*cluster]
 	for _, lr := range m.collectLeaves(qd, math.Inf(1), false) {
-		lb := lr.c.mbb.MinDist(qd)
-		heap.Push(pq, clusterItem{lr.c, lb})
+		pq.Push(lr.c.mbb.MinDist(qd), 0, lr.c)
 	}
-	for pq.Len() > 0 {
-		it := heap.Pop(pq).(clusterItem)
-		if it.lb > h.Radius() {
-			break
-		}
+	for it, ok := pq.PopWithin(h.Radius()); ok; it, ok = pq.PopWithin(h.Radius()) {
 		// While the heap is not yet full the radius is unbounded, so the
 		// whole cluster band must be scanned (scanLeaf clamps the band to
 		// [minD, maxD], so an infinite radius is safe and exact).
 		r := h.Radius()
-		err := m.scanLeaf(it.c, qd, r, func(id int) error {
+		err := m.scanLeaf(it.V, qd, r, func(id int) error {
 			cur := h.Radius()
 			dv, o, err := m.loadCandidate(id)
 			if err != nil {

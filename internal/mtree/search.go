@@ -1,7 +1,6 @@
 package mtree
 
 import (
-	"container/heap"
 	"math"
 	"sort"
 
@@ -20,19 +19,12 @@ func ringsPrune(rings, qd []float64, r float64) bool {
 	return false
 }
 
-// ringsMinDist is the L∞ lower bound from the query's pivot image to the
-// rings, for best-first ordering.
+// ringsMinDist is core.BoxMinDist over the interleaved rings: the L∞ lower
+// bound from the query's pivot image to the rings, for best-first ordering.
 func ringsMinDist(rings, qd []float64) float64 {
 	var m float64
-	for i := range qd {
-		var d float64
-		switch {
-		case qd[i] < rings[2*i]:
-			d = rings[2*i] - qd[i]
-		case qd[i] > rings[2*i+1]:
-			d = qd[i] - rings[2*i+1]
-		}
-		if d > m {
+	for i, q := range qd {
+		if d := core.IntervalDist(q, rings[2*i], rings[2*i+1]); d > m {
 			m = d
 		}
 	}
@@ -117,24 +109,10 @@ func (t *Tree) RangeSearch(q core.Object, r float64, qd []float64) ([]int, error
 	return res, nil
 }
 
-// knnItem is a prioritized subtree for best-first traversal.
-type knnItem struct {
+// subtree is a subtree queued for best-first traversal.
+type subtree struct {
 	pid store.PageID
-	lb  float64
 	dp  float64 // d(q, routing object) of the entry leading here
-}
-
-type knnPQ []knnItem
-
-func (p knnPQ) Len() int           { return len(p) }
-func (p knnPQ) Less(i, j int) bool { return p[i].lb < p[j].lb }
-func (p knnPQ) Swap(i, j int)      { p[i], p[j] = p[j], p[i] }
-func (p *knnPQ) Push(x any)        { *p = append(*p, x.(knnItem)) }
-func (p *knnPQ) Pop() any {
-	old := *p
-	it := old[len(old)-1]
-	*p = old[:len(old)-1]
-	return it
 }
 
 // KNNSearch answers MkNNQ(q, k) best-first: subtrees are visited in
@@ -146,14 +124,11 @@ func (t *Tree) KNNSearch(q core.Object, k int, qd []float64) ([]core.Neighbor, e
 	}
 	sp := t.ds.Space()
 	h := core.NewKNNHeap(k)
-	pq := &knnPQ{}
-	heap.Push(pq, knnItem{pid: t.root, lb: 0, dp: math.Inf(1)})
-	for pq.Len() > 0 {
-		it := heap.Pop(pq).(knnItem)
-		if it.lb > h.Radius() {
-			break
-		}
-		n, err := t.readNode(it.pid)
+	var pq core.MinHeap[subtree]
+	pq.Push(0, 0, subtree{t.root, math.Inf(1)})
+	for it, ok := pq.PopWithin(h.Radius()); ok; it, ok = pq.PopWithin(h.Radius()) {
+		dp := it.V.dp
+		n, err := t.readNode(it.V.pid)
 		if err != nil {
 			return nil, err
 		}
@@ -162,8 +137,8 @@ func (t *Tree) KNNSearch(q core.Object, k int, qd []float64) ([]core.Neighbor, e
 			r := h.Radius()
 			if n.leaf {
 				if !math.IsInf(r, 1) {
-					if !math.IsInf(it.dp, 1) && !math.IsInf(e.pd, 1) &&
-						math.Abs(it.dp-e.pd) > r {
+					if !math.IsInf(dp, 1) && !math.IsInf(e.pd, 1) &&
+						math.Abs(dp-e.pd) > r {
 						continue
 					}
 					if qd != nil && pdistPrune(e.pdists, qd, r) {
@@ -174,8 +149,8 @@ func (t *Tree) KNNSearch(q core.Object, k int, qd []float64) ([]core.Neighbor, e
 				continue
 			}
 			if !math.IsInf(r, 1) {
-				if !math.IsInf(it.dp, 1) && !math.IsInf(e.pd, 1) &&
-					math.Abs(it.dp-e.pd) > r+e.radius {
+				if !math.IsInf(dp, 1) && !math.IsInf(e.pd, 1) &&
+					math.Abs(dp-e.pd) > r+e.radius {
 					continue
 				}
 				if qd != nil && ringsPrune(e.rings, qd, r) {
@@ -189,11 +164,11 @@ func (t *Tree) KNNSearch(q core.Object, k int, qd []float64) ([]core.Neighbor, e
 					lb = rb
 				}
 			}
-			if lb < it.lb {
-				lb = it.lb
+			if lb < it.LB {
+				lb = it.LB
 			}
 			if lb <= h.Radius() {
-				heap.Push(pq, knnItem{pid: e.child, lb: lb, dp: d})
+				pq.Push(lb, 0, subtree{e.child, d})
 			}
 		}
 	}

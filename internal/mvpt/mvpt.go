@@ -10,7 +10,6 @@
 package mvpt
 
 import (
-	"container/heap"
 	"fmt"
 	"runtime"
 	"sort"
@@ -219,23 +218,10 @@ func (t *MVPT) RangeSearch(q core.Object, r float64) ([]int, error) {
 	return res, nil
 }
 
-type pqItem struct {
+// nodeAt is a node queued for best-first kNN, with its level.
+type nodeAt struct {
 	n     *node
 	level int
-	lb    float64
-}
-
-type nodePQ []pqItem
-
-func (p nodePQ) Len() int           { return len(p) }
-func (p nodePQ) Less(i, j int) bool { return p[i].lb < p[j].lb }
-func (p nodePQ) Swap(i, j int)      { p[i], p[j] = p[j], p[i] }
-func (p *nodePQ) Push(x any)        { *p = append(*p, x.(pqItem)) }
-func (p *nodePQ) Pop() any {
-	old := *p
-	it := old[len(old)-1]
-	*p = old[:len(old)-1]
-	return it
 }
 
 // KNNSearch answers MkNNQ(q, k) best-first in ascending lower-bound order
@@ -247,42 +233,28 @@ func (t *MVPT) KNNSearch(q core.Object, k int) ([]core.Neighbor, error) {
 	qd := t.queryDists(q)
 	sp := t.ds.Space()
 	h := core.NewKNNHeap(k)
-	pq := &nodePQ{}
-	heap.Push(pq, pqItem{t.root, 0, 0})
-	for pq.Len() > 0 {
-		it := heap.Pop(pq).(pqItem)
-		if it.lb > h.Radius() {
-			break
-		}
-		if it.n.leaf() {
-			for _, id := range it.n.ids {
+	var pq core.MinHeap[nodeAt]
+	pq.Push(0, 0, nodeAt{t.root, 0})
+	for it, ok := pq.PopWithin(h.Radius()); ok; it, ok = pq.PopWithin(h.Radius()) {
+		n, level := it.V.n, it.V.level
+		if n.leaf() {
+			for _, id := range n.ids {
 				h.Push(int(id), sp.Distance(q, t.ds.Object(int(id))))
 			}
 			continue
 		}
-		dq := qd[it.level%len(qd)]
-		for c, child := range it.n.children {
-			lb := intervalDist(dq, it.n.lo[c], it.n.hi[c])
-			if lb < it.lb {
-				lb = it.lb
+		dq := qd[level%len(qd)]
+		for c, child := range n.children {
+			lb := core.IntervalDist(dq, n.lo[c], n.hi[c])
+			if lb < it.LB {
+				lb = it.LB
 			}
 			if lb <= h.Radius() {
-				heap.Push(pq, pqItem{child, it.level + 1, lb})
+				pq.Push(lb, 0, nodeAt{child, level + 1})
 			}
 		}
 	}
 	return h.Result(), nil
-}
-
-func intervalDist(x, lo, hi float64) float64 {
-	switch {
-	case x < lo:
-		return lo - x
-	case x > hi:
-		return x - hi
-	default:
-		return 0
-	}
 }
 
 // Insert descends into the child whose band contains (or is nearest to)
@@ -325,9 +297,9 @@ func (t *MVPT) childFor(n *node, d float64) int {
 			return c
 		}
 	}
-	best, bestGap := 0, intervalDist(d, n.lo[0], n.hi[0])
+	best, bestGap := 0, core.IntervalDist(d, n.lo[0], n.hi[0])
 	for c := 1; c < len(n.children); c++ {
-		if g := intervalDist(d, n.lo[c], n.hi[c]); g < bestGap {
+		if g := core.IntervalDist(d, n.lo[c], n.hi[c]); g < bestGap {
 			best, bestGap = c, g
 		}
 	}

@@ -1,7 +1,6 @@
 package omni
 
 import (
-	"container/heap"
 	"fmt"
 	"sort"
 
@@ -96,45 +95,9 @@ func (t *RTree) RangeSearch(q core.Object, r float64) ([]int, error) {
 	return res, nil
 }
 
-// knnNode prioritizes R-tree subtrees by their pivot-space MINDIST, a
-// lower bound of the true distance by Lemma 1.
-type knnNode struct {
-	pid store.PageID
-	lb  float64
-}
-
-type knnPQ []knnNode
-
-func (p knnPQ) Len() int           { return len(p) }
-func (p knnPQ) Less(i, j int) bool { return p[i].lb < p[j].lb }
-func (p knnPQ) Swap(i, j int)      { p[i], p[j] = p[j], p[i] }
-func (p *knnPQ) Push(x any)        { *p = append(*p, x.(knnNode)) }
-func (p *knnPQ) Pop() any {
-	old := *p
-	it := old[len(old)-1]
-	*p = old[:len(old)-1]
-	return it
-}
-
-func boxMinDist(qd, lo, hi []float64) float64 {
-	var m float64
-	for i := range qd {
-		var d float64
-		switch {
-		case qd[i] < lo[i]:
-			d = lo[i] - qd[i]
-		case qd[i] > hi[i]:
-			d = qd[i] - hi[i]
-		}
-		if d > m {
-			m = d
-		}
-	}
-	return m
-}
-
-// KNNSearch answers MkNNQ(q, k) best-first: nodes in ascending MINDIST
-// order, leaf candidates verified against the RAF with a tightening
+// KNNSearch answers MkNNQ(q, k) best-first: R-tree nodes in ascending
+// pivot-space MINDIST order (a lower bound of the true distance by
+// Lemma 1), leaf candidates verified against the RAF with a tightening
 // radius (§5.2).
 func (t *RTree) KNNSearch(q core.Object, k int) ([]core.Neighbor, error) {
 	if k <= 0 {
@@ -143,14 +106,10 @@ func (t *RTree) KNNSearch(q core.Object, k int) ([]core.Neighbor, error) {
 	sc, qd := t.queryPoint(q)
 	defer t.scratch.Put(sc)
 	h := sc.Heap(k)
-	pq := &knnPQ{}
-	heap.Push(pq, knnNode{t.tree.Root(), 0})
-	for pq.Len() > 0 {
-		it := heap.Pop(pq).(knnNode)
-		if it.lb > h.Radius() {
-			break
-		}
-		n, err := t.tree.ReadNode(it.pid)
+	var pq core.MinHeap[store.PageID]
+	pq.Push(0, 0, t.tree.Root())
+	for it, ok := pq.PopWithin(h.Radius()); ok; it, ok = pq.PopWithin(h.Radius()) {
+		n, err := t.tree.ReadNode(it.V)
 		if err != nil {
 			return nil, err
 		}
@@ -180,12 +139,12 @@ func (t *RTree) KNNSearch(q core.Object, k int) ([]core.Neighbor, error) {
 			continue
 		}
 		for i := range n.Children {
-			lb := boxMinDist(qd, n.Lo[i], n.Hi[i])
-			if lb < it.lb {
-				lb = it.lb
+			lb := core.BoxMinDist(qd, n.Lo[i], n.Hi[i])
+			if lb < it.LB {
+				lb = it.LB
 			}
 			if lb <= h.Radius() {
-				heap.Push(pq, knnNode{n.Children[i], lb})
+				pq.Push(lb, 0, n.Children[i])
 			}
 		}
 	}

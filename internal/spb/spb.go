@@ -63,10 +63,10 @@ type scratch struct {
 	lo, hi []float64 // range query: qd[i]-r, qd[i]+r
 	valid  []float64 // range query: r-qd[i]
 	cur    sfc.Cursor
-	nodes  []nodeItem     // kNN: best-first node heap
-	cands  []cand         // kNN: one leaf's candidates
-	stack  []store.PageID // range: depth-first stack
-	ids    []int          // range: result ids
+	nodes  core.MinHeap[store.PageID] // kNN: best-first node heap
+	cands  []cand                     // kNN: one leaf's candidates
+	stack  []store.PageID             // range: depth-first stack
+	ids    []int                      // range: result ids
 	heap   core.KNNHeap
 	rec    []byte      // RAF record
 	vec    core.Vector // decoded record, when it is a Vector
@@ -377,54 +377,6 @@ func (s *SPB) RangeSearch(q core.Object, r float64) ([]int, error) {
 	return res, nil
 }
 
-// nodeItem is a B+-tree node queued for the best-first kNN traversal.
-type nodeItem struct {
-	pid store.PageID
-	lb  float64
-}
-
-// pushNode and popNode are container/heap's Push and Pop on sc.nodes
-// ordered by lb, sift for sift: equal lower bounds are common on a grid,
-// and the order they pop in decides which pages a kNN reads.
-//
-//metriclint:noalloc
-func (sc *scratch) pushNode(it nodeItem) {
-	//metriclint:ignore noalloc grows to the widest frontier once, then the pooled array is reused
-	sc.nodes = append(sc.nodes, it)
-	h := sc.nodes
-	for j := len(h) - 1; ; {
-		i := (j - 1) / 2 // parent
-		if i == j || !(h[j].lb < h[i].lb) {
-			break
-		}
-		h[i], h[j] = h[j], h[i]
-		j = i
-	}
-}
-
-//metriclint:noalloc
-func (sc *scratch) popNode() nodeItem {
-	h := sc.nodes
-	n := len(h) - 1
-	h[0], h[n] = h[n], h[0]
-	for i := 0; ; {
-		j := 2*i + 1
-		if j >= n {
-			break
-		}
-		if j2 := j + 1; j2 < n && h[j2].lb < h[j].lb {
-			j = j2
-		}
-		if !(h[j].lb < h[i].lb) {
-			break
-		}
-		h[i], h[j] = h[j], h[i]
-		i = j
-	}
-	sc.nodes = h[:n]
-	return h[n]
-}
-
 // cand is one leaf record awaiting verification.
 type cand struct {
 	id int
@@ -433,7 +385,9 @@ type cand struct {
 
 // KNNSearch answers MkNNQ(q, k) best-first over B+-tree nodes ordered by
 // their conservative MBB lower bounds, verifying leaf candidates against
-// the RAF with a tightening radius (§5.4).
+// the RAF with a tightening radius (§5.4). Equal lower bounds are common
+// on a grid; the node heap pops them in container/heap's order, which
+// decides the pages a kNN reads.
 func (s *SPB) KNNSearch(q core.Object, k int) ([]core.Neighbor, error) {
 	if k <= 0 {
 		return nil, nil
@@ -444,14 +398,10 @@ func (s *SPB) KNNSearch(q core.Object, k int) ([]core.Neighbor, error) {
 	sp := s.ds.Space()
 	h := &sc.heap
 	h.Reset(k)
-	sc.nodes = sc.nodes[:0]
-	sc.pushNode(nodeItem{s.tree.Root(), 0})
-	for len(sc.nodes) > 0 {
-		it := sc.popNode()
-		if it.lb > h.Radius() {
-			break
-		}
-		n, err := s.tree.View(it.pid)
+	sc.nodes.Reset()
+	sc.nodes.Push(0, 0, s.tree.Root())
+	for it, ok := sc.nodes.PopWithin(h.Radius()); ok; it, ok = sc.nodes.PopWithin(h.Radius()) {
+		n, err := s.tree.View(it.V)
 		if err != nil {
 			return nil, err
 		}
@@ -459,11 +409,11 @@ func (s *SPB) KNNSearch(q core.Object, k int) ([]core.Neighbor, error) {
 			for i, count := 0, n.Len(); i < count; i++ {
 				child, glo, ghi := n.Child(i)
 				lb := s.cellMinDist(sc, glo, ghi)
-				if lb < it.lb {
-					lb = it.lb
+				if lb < it.LB {
+					lb = it.LB
 				}
 				if lb <= h.Radius() {
-					sc.pushNode(nodeItem{child, lb})
+					sc.nodes.Push(lb, 0, child)
 				}
 			}
 			continue

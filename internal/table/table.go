@@ -511,7 +511,7 @@ type scan struct {
 func (t *Table) begin(sc *core.Scratch, q core.Object, accept core.Accept) scan {
 	qd := sc.GrowQD(len(t.pivots))
 	nb := (len(t.ids) + zoneRows - 1) / zoneRows
-	sc.GrowZones(nb + (nb+superBlocks-1)/superBlocks)
+	sc.Zones.Reserve(nb + (nb+superBlocks-1)/superBlocks)
 	sc.GrowSur(zoneRows)
 	sc.GrowChunk(verifyChunk)
 	t.ds.Space().DistanceMany(q, t.pivots, qd)
@@ -673,7 +673,7 @@ func (s *scan) finish() {
 //metriclint:noalloc
 func (s *scan) run() error {
 	n := len(s.t.ids)
-	v := s.t.zones.visit(s.sc.Zones, s.sc.QD, (n+zoneRows-1)/zoneRows, s.limit())
+	v := s.t.zones.visit(&s.sc.Zones, s.sc.QD, (n+zoneRows-1)/zoneRows, s.limit())
 	for b := v.next(s.limit()); b >= 0; b = v.next(s.limit()) {
 		if err := s.block(b*zoneRows, min((b+1)*zoneRows, n)); err != nil {
 			return err

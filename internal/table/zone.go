@@ -319,10 +319,10 @@ func bounds(lb []float64, lo, hi [][]float64, qd []float64, first int) {
 const blockRef = 1 << 31
 
 // visitor is a scan's best-first walk over the blocks of the table: one
-// binary min-heap of super-zones and blocks, ordered by (bound, super-zone
-// before block, number). It starts with every super-zone; a super-zone is
-// expanded — its blocks bounded and pushed — only when it pops, and a
-// popped block is the next one to scan.
+// core.MinHeap of super-zones and blocks, ordered by (bound, super-zone
+// before block, number) — the entry's tie is its ref. It starts with every
+// super-zone; a super-zone is expanded — its blocks bounded and pushed —
+// only when it pops, and a popped block is the next one to scan.
 //
 // The blocks come out in exactly the order of one heap over every block,
 // (bound, number): a super-zone's bound is at most each of its blocks', so
@@ -330,27 +330,28 @@ const blockRef = 1 << 31
 // before it and every block that order puts first is in the heap already.
 // A query thus bounds every super-zone and the blocks of those it reaches,
 // not every block. The per-row layout has no zones: its heap starts with
-// every block at bound 0, in storage order, which is its scan order.
+// every block at bound 0, pushed in storage order — already a heap, so
+// nothing sifts — which is its scan order.
 type visitor struct {
 	z  *zoneMap
 	qd []float64
-	h  []core.ZoneRef // within the capacity begin reserved: every super-zone and block
+	h  *core.MinHeap[struct{}] // within the capacity begin reserved: every super-zone and block
 	nb int
 }
 
 // visit starts the walk over the nb blocks of a query with pivot
-// distances qd in the heap buffer h. An entry bounded above limit is never
+// distances qd in the heap h. An entry bounded above limit is never
 // pushed: the limit never loosens (a kNN one falls, or turns NaN and
 // prunes nothing from then on), so the entry could only have stopped the
 // walk.
 //
 //metriclint:noalloc
-func (z *zoneMap) visit(h []core.ZoneRef, qd []float64, nb int, limit float64) visitor {
-	v := visitor{z: z, qd: qd, h: h[:0], nb: nb}
+func (z *zoneMap) visit(h *core.MinHeap[struct{}], qd []float64, nb int, limit float64) visitor {
+	h.Reset()
+	v := visitor{z: z, qd: qd, h: h, nb: nb}
 	if len(z.lo) == 0 {
-		v.h = h[:nb]
-		for b := range v.h {
-			v.h[b] = core.ZoneRef{Ref: blockRef | uint32(b)}
+		for b := range nb {
+			h.Push(0, blockRef|uint32(b), struct{}{})
 		}
 		return v
 	}
@@ -364,19 +365,17 @@ func (z *zoneMap) visit(h []core.ZoneRef, qd []float64, nb int, limit float64) v
 //
 //metriclint:noalloc
 func (v *visitor) next(limit float64) int {
-	for len(v.h) > 0 {
-		e := v.h[0]
-		if e.LB > limit {
+	for {
+		e, ok := v.h.PopWithin(limit)
+		if !ok {
 			return -1
 		}
-		v.pop()
-		if e.Ref&blockRef != 0 {
-			return int(e.Ref &^ blockRef)
+		if e.Tie&blockRef != 0 {
+			return int(e.Tie &^ blockRef)
 		}
-		s := int(e.Ref) * superBlocks
+		s := int(e.Tie) * superBlocks
 		v.push(v.z.lo, v.z.hi, s, min(s+superBlocks, v.nb), blockRef, limit)
 	}
-	return -1
 }
 
 // push bounds zones [first, end) of one level (lo, hi), superBlocks at a
@@ -390,60 +389,8 @@ func (v *visitor) push(lo, hi [][]float64, first, end int, ref uint32, limit flo
 		bounds(lb[:m], lo, hi, v.qd, first)
 		for i, g := range lb[:m] {
 			if !(g > limit) {
-				v.up(core.ZoneRef{LB: g, Ref: ref | uint32(first+i)})
+				v.h.Push(g, ref|uint32(first+i), struct{}{})
 			}
 		}
 	}
-}
-
-// zoneLess is the heap order: bound, then ref.
-//
-//metriclint:noalloc
-func zoneLess(a, b core.ZoneRef) bool {
-	return a.LB < b.LB || a.LB == b.LB && a.Ref < b.Ref
-}
-
-// up adds e to the heap.
-//
-//metriclint:noalloc
-func (v *visitor) up(e core.ZoneRef) {
-	i := len(v.h)
-	v.h = v.h[:i+1]
-	for i > 0 {
-		p := (i - 1) / 2
-		if !zoneLess(e, v.h[p]) {
-			break
-		}
-		v.h[i] = v.h[p]
-		i = p
-	}
-	v.h[i] = e
-}
-
-// pop removes the least entry from the heap.
-//
-//metriclint:noalloc
-func (v *visitor) pop() {
-	n := len(v.h) - 1
-	e := v.h[n]
-	v.h = v.h[:n]
-	if n == 0 {
-		return
-	}
-	i := 0
-	for {
-		m := 2*i + 1
-		if m >= n {
-			break
-		}
-		if m+1 < n && zoneLess(v.h[m+1], v.h[m]) {
-			m++
-		}
-		if !zoneLess(v.h[m], e) {
-			break
-		}
-		v.h[i] = v.h[m]
-		i = m
-	}
-	v.h[i] = e
 }

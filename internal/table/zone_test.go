@@ -359,8 +359,9 @@ func flatSequence(z *zoneMap, qd []float64, nb int, limit func(k int) float64) [
 // twoLevelSequence is the block sequence of the visitor under the same
 // limits.
 func twoLevelSequence(z *zoneMap, qd []float64, nb int, limit func(k int) float64) []int {
-	h := make([]core.ZoneRef, 0, nb+(nb+superBlocks-1)/superBlocks)
-	v := z.visit(h, qd, nb, limit(0))
+	var h core.MinHeap[struct{}]
+	h.Reserve(nb + (nb+superBlocks-1)/superBlocks)
+	v := z.visit(&h, qd, nb, limit(0))
 	seq := []int{}
 	for b := v.next(limit(0)); b >= 0; b = v.next(limit(len(seq))) {
 		seq = append(seq, b)
