@@ -12,12 +12,13 @@ type Ranked[T any] struct {
 	V   T
 }
 
-// before is the heap order: bound, then tie. Only the concrete fields are
-// compared, so the comparison inlines whatever T is.
+// ahead is the heap order — bound, then tie: whether an entry of bound lb
+// and tie-break tie pops before one of bound lb2 and tie-break tie2. It
+// reads the concrete fields alone, so it inlines whatever T is.
 //
 //metriclint:noalloc
-func (a *Ranked[T]) before(b *Ranked[T]) bool {
-	return a.LB < b.LB || a.LB == b.LB && a.Tie < b.Tie
+func ahead(lb float64, tie uint32, lb2 float64, tie2 uint32) bool {
+	return lb < lb2 || lb == lb2 && tie < tie2
 }
 
 // MinHeap is the priority queue of every best-first traversal — the tree
@@ -52,23 +53,25 @@ func (h *MinHeap[T]) Reserve(n int) {
 	}
 }
 
-// Push adds v with bound lb and tie-break tie.
+// Push adds v with bound lb and tie-break tie. It sits at the inliner's
+// budget (go build -gcflags=-m=2 reports its cost), so a call inlines
+// into the traversal loops as the hand-written heaps it replaced did;
+// adding to it makes every push a call.
 //
 //metriclint:noalloc
 func (h *MinHeap[T]) Push(lb float64, tie uint32, v T) {
-	e := Ranked[T]{LB: lb, Tie: tie, V: v}
 	i := len(h.h)
 	//metriclint:ignore noalloc grows past the reserved capacity only; a reused heap stops at its widest frontier
-	h.h = append(h.h, e)
+	h.h = append(h.h, Ranked[T]{})
 	for i > 0 {
 		p := (i - 1) / 2
-		if !e.before(&h.h[p]) {
+		if !ahead(lb, tie, h.h[p].LB, h.h[p].Tie) {
 			break
 		}
 		h.h[i] = h.h[p]
 		i = p
 	}
-	h.h[i] = e
+	h.h[i] = Ranked[T]{LB: lb, Tie: tie, V: v}
 }
 
 // PopWithin removes and returns the least entry, unless the heap is empty
@@ -96,10 +99,10 @@ func (h *MinHeap[T]) PopWithin(limit float64) (Ranked[T], bool) {
 		if m >= n {
 			break
 		}
-		if m+1 < n && h.h[m+1].before(&h.h[m]) {
+		if m+1 < n && ahead(h.h[m+1].LB, h.h[m+1].Tie, h.h[m].LB, h.h[m].Tie) {
 			m++
 		}
-		if !h.h[m].before(&e) {
+		if !ahead(h.h[m].LB, h.h[m].Tie, e.LB, e.Tie) {
 			break
 		}
 		h.h[i] = h.h[m]
