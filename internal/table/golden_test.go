@@ -362,3 +362,130 @@ func TestTableFamilyGoldenCosts(t *testing.T) {
 		}
 	}
 }
+
+// wideCosts is what one flat-path family spent and answered on a
+// dataset wide enough to cross the distance kernels' 32-coordinate
+// checkpoints: compdists of the kNN and range legs, and the SHA-256 of
+// every answer id and every kNN distance's bits.
+type wideCosts struct {
+	knnCD, rangeCD int64
+	answers        string
+}
+
+// goldenWide pins LAESA and EPT* on the wide datasets of
+// TestTableGoldenCostsWide, keyed by family/dataset. Recorded before the
+// flat kernels learned to stop early: a candidate's verification may
+// read less of its row since, but never moves a count or an answer bit.
+var goldenWide = map[string]wideCosts{
+	"LAESA/color": {15231, 9338, "226862cad2430878bbae9feb883251e773a145f03dfd3fdded85a8eb85ee1165"},
+	"EPT*/color":  {16384, 7864, "226862cad2430878bbae9feb883251e773a145f03dfd3fdded85a8eb85ee1165"},
+	"LAESA/l2":    {63414, 59456, "b0a77c3e92546301c52870ac5e62269a650f3bff0af9f90ab1ed22a558903201"},
+	"EPT*/l2":     {63790, 53485, "b0a77c3e92546301c52870ac5e62269a650f3bff0af9f90ab1ed22a558903201"},
+	"LAESA/linf":  {66914, 66100, "d9520dad8f0630bae6bb336230ec24a6a762e0893b4af17e354a736ef8da13d9"},
+	"EPT*/linf":   {67518, 61131, "d9520dad8f0630bae6bb336230ec24a6a762e0893b4af17e354a736ef8da13d9"},
+	"LAESA/l1f32": {58414, 50800, "3c96386ee7b4712b691e2ae588640b91728080d00b1b80e07e8928df5252cd91"},
+	"EPT*/l1f32":  {62464, 48820, "3c96386ee7b4712b691e2ae588640b91728080d00b1b80e07e8928df5252cd91"},
+}
+
+// wideDataset returns one of the wide golden datasets and its range
+// radii: Color (282-D, L1) from the generator, 64-D uniform vectors under
+// L2 and L∞, and 64-D float32 vectors under L1.
+func wideDataset(t *testing.T, name string) (*core.Dataset, []core.Object, []float64) {
+	t.Helper()
+	var ds *core.Dataset
+	var radii []float64
+	switch name {
+	case "color":
+		g, err := dataset.Generate(dataset.Color, dataset.Config{N: 4000, Queries: 8, Seed: 9})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g.Dataset, g.Queries, []float64{7000, 10000, 14000}
+	case "l2":
+		ds = testutil.VectorDataset(3000, 64, 100, core.L2{}, 13)
+		radii = []float64{50, 265, 285}
+	case "linf":
+		ds = testutil.VectorDataset(3000, 64, 100, core.LInf{}, 17)
+		radii = []float64{20, 70, 76}
+	case "l1f32":
+		ds = testutil.Vector32Dataset(3000, 64, 100, core.L1{}, 19)
+		radii = []float64{250, 1620, 1760}
+	}
+	var queries []core.Object
+	for qs := int64(0); qs < 8; qs++ {
+		queries = append(queries, testutil.RandomQuery(ds, qs))
+	}
+	return ds, queries, radii
+}
+
+// TestTableGoldenCostsWide pins LAESA and EPT* where the flat kernels
+// run whole 32-coordinate windows: kNN at k = 1, 10, 100 and range at
+// three radii per query, with the kNN distances hashed bit for bit.
+func TestTableGoldenCostsWide(t *testing.T) {
+	for _, name := range []string{"color", "l2", "linf", "l1f32"} {
+		for _, family := range []string{"LAESA", "EPT*"} {
+			key := family + "/" + name
+			ds, queries, radii := wideDataset(t, name)
+			idx := goldenBuild(t, family, ds)
+			if name == "l2" {
+				// Rows holding a NaN coordinate past the first window, so
+				// candidates whose distance is NaN are verified too. (Under
+				// L∞ a NaN lane is dropped, which breaks the triangle
+				// inequality the pivot filter relies on.)
+				for i := 0; i < 20; i++ {
+					v := ds.Object(i * 131).(core.Vector).Clone()
+					v[40+i] = math.NaN()
+					if err := idx.Insert(ds.Insert(v)); err != nil {
+						t.Fatalf("%s: Insert: %v", key, err)
+					}
+				}
+			}
+			if !idx.(interface{ Table() *table.Table }).Table().FlatArmed() {
+				t.Fatalf("%s: the flat path is not armed", key)
+			}
+			answers := sha256.New()
+			measure := func(leg func(q core.Object) error) int64 {
+				ds.Space().ResetCompDists()
+				for _, q := range queries {
+					if err := leg(q); err != nil {
+						t.Fatalf("%s: %v", key, err)
+					}
+				}
+				return ds.Space().CompDists()
+			}
+			var got wideCosts
+			got.knnCD = measure(func(q core.Object) error {
+				for _, k := range []int{1, 10, 100} {
+					ns, err := idx.KNNSearch(q, k)
+					if err != nil {
+						return err
+					}
+					for _, nb := range ns {
+						_ = binary.Write(answers, binary.LittleEndian, int64(nb.ID))
+						_ = binary.Write(answers, binary.LittleEndian, math.Float64bits(nb.Dist))
+					}
+					_ = binary.Write(answers, binary.LittleEndian, int64(-1))
+				}
+				return nil
+			})
+			got.rangeCD = measure(func(q core.Object) error {
+				for _, r := range radii {
+					ids, err := idx.RangeSearch(q, r)
+					if err != nil {
+						return err
+					}
+					for _, id := range ids {
+						_ = binary.Write(answers, binary.LittleEndian, int64(id))
+					}
+					_ = binary.Write(answers, binary.LittleEndian, int64(-1))
+				}
+				return nil
+			})
+			got.answers = fmt.Sprintf("%x", answers.Sum(nil))
+			if want, ok := goldenWide[key]; !ok || got != want {
+				t.Errorf("%s: costs moved\n got  %q: {%d, %d,\n\t%q},\n want %+v",
+					key, key, got.knnCD, got.rangeCD, got.answers, want)
+			}
+		}
+	}
+}
