@@ -20,8 +20,8 @@ GOVULNCHECK_VERSION ?= v1.1.4
 # (nilness, shadow) that plain `go vet` does not run.
 XTOOLS_VERSION ?= v0.30.0
 
-# Seconds each native fuzz target runs in the `make fuzz` smoke (eight
-# targets: FuzzLevenshtein, FuzzBatchKernels, FuzzDecodeQuery,
+# Seconds each native fuzz target runs in the `make fuzz` smoke (nine
+# targets: FuzzLevenshtein, FuzzBatchKernels, FuzzWithinKernels, FuzzDecodeQuery,
 # FuzzSnapshotHeader, FuzzPredicateParse, FuzzPredicateEval,
 # FuzzCompiledPredicate, FuzzHilbertDecode).
 FUZZTIME ?= 10s
@@ -78,6 +78,7 @@ race:
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzLevenshtein -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzBatchKernels -fuzztime=$(FUZZTIME) ./internal/core
+	$(GO) test -run='^$$' -fuzz=FuzzWithinKernels -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeQuery -fuzztime=$(FUZZTIME) ./internal/server
 	$(GO) test -run='^$$' -fuzz=FuzzSnapshotHeader -fuzztime=$(FUZZTIME) ./internal/persist
 	$(GO) test -run='^$$' -fuzz=FuzzPredicateParse -fuzztime=$(FUZZTIME) ./internal/plan
@@ -99,11 +100,17 @@ govulncheck:
 # frozen on-disk constants, noalloc hot-path annotations, and error
 # consumption in the durability packages. Pure stdlib — runs offline.
 # See docs/STATIC_ANALYSIS.md. It also fails when a non-test file imports
-# container/heap: best-first traversals queue on core.MinHeap.
+# container/heap (best-first traversals queue on core.MinHeap), and when
+# the compiler keeps a per-element bounds check (IsInBounds) in the
+# distance kernels of internal/core/kernels.go.
 lint:
 	$(GO) run ./cmd/metriclint ./...
 	@! grep -rl --include='*.go' --exclude='*_test.go' '"container/heap"' . || \
 		{ echo 'lint: container/heap imported above; use core.MinHeap'; exit 1; }
+	@out="$$($(GO) build -gcflags='metricindex/internal/core=-d=ssa/check_bce/debug=1' ./internal/core 2>&1)" || \
+		{ echo "$$out"; exit 1; }; \
+	! echo "$$out" | grep 'kernels\.go:.*IsInBounds' || \
+		{ echo 'lint: bounds check left in a distance kernel above'; exit 1; }
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \

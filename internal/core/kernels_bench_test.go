@@ -104,7 +104,7 @@ func BenchmarkL2Flat32(b *testing.B) {
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
 		for row := 0; row < benchRows; row++ {
-			out[row] = math.Sqrt(l2SqKernel32(q32, flat32[row*dim:(row+1)*dim]))
+			out[row] = math.Sqrt(l2SqKernel(q32, flat32[row*dim:(row+1)*dim], math.Inf(1)))
 		}
 	}
 	sinkFloats(b, out)
@@ -159,5 +159,46 @@ func sinkFloats(b *testing.B, out []float64) {
 	}
 	if math.IsNaN(s) {
 		b.Fatal("NaN in benchmark output")
+	}
+}
+
+// BenchmarkL1Within times one L1 kernel call on a 282-D row (the Color
+// workload's width), with the rows hot in cache (64 rows, cycled) and
+// cold (50 000 rows visited in a permuted order, as a table's verified
+// candidates are), at stop = +Inf — a full distance — and at a stop half
+// the mean distance, which a uniform row passes about mid-row.
+func BenchmarkL1Within(b *testing.B) {
+	const dim = 282
+	rng := rand.New(rand.NewSource(42))
+	q := make([]float64, dim)
+	for d := range q {
+		q[d] = rng.Float64() * 100
+	}
+	for _, set := range []struct {
+		name string
+		rows int
+	}{{"hot", 64}, {"cold", 50000}} {
+		flat := make([]float64, set.rows*dim)
+		for i := range flat {
+			flat[i] = rng.Float64() * 100
+		}
+		order := rng.Perm(set.rows)
+		var mean float64
+		for row := 0; row < set.rows; row++ {
+			mean += l1Kernel(q, flat[row*dim:(row+1)*dim], math.Inf(1)) / float64(set.rows)
+		}
+		for _, st := range []struct {
+			name string
+			stop float64
+		}{{"inf", math.Inf(1)}, {"mid", mean / 2}} {
+			b.Run(set.name+"/"+st.name, func(b *testing.B) {
+				var s float64
+				for n := 0; n < b.N; n++ {
+					row := order[n%len(order)]
+					s += l1Kernel(q, flat[row*dim:(row+1)*dim], st.stop)
+				}
+				sinkFloats(b, []float64{s})
+			})
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"strings"
@@ -256,6 +257,76 @@ func FuzzBatchKernels(f *testing.F) {
 			m.DistanceFlat(q, o, 2, out)
 			if !sameBits(out[0], want) {
 				t.Fatalf("%s: DistanceFlat = %x, scalar = %x", m.Name(), math.Float64bits(out[0]), math.Float64bits(want))
+			}
+		}
+	})
+}
+
+// FuzzWithinKernels fuzzes the stop contract of the six flat kernels (L1,
+// L2², L∞, each over float64 and float32) with raw-bit coordinates,
+// dimensions 0–100 — across the 4-wide groups and the stopStride windows
+// — and a raw-bit stop, plus stops cut from the full value and the
+// partials at each window's end (and their float neighbours). A result
+// not above stop (within it, NaN, or against a NaN stop) must be the
+// full result bit for bit; a result above stop must be a lower bound of
+// a full result above stop, or come from a NaN one.
+func FuzzWithinKernels(f *testing.F) {
+	f.Add([]byte{}, uint8(33), int64(1), math.Float64bits(100))
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0xF8, 0x7F}, uint8(64), int64(2), math.Float64bits(math.Inf(1)))
+	f.Add([]byte{1, 0, 0, 0, 0, 0, 0xF0, 0x7F, 0, 0, 0, 0, 0, 0, 0xF0, 0xFF}, uint8(100), int64(3), math.Float64bits(-1))
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xEF, 0x7F}, uint8(97), int64(4), math.Float64bits(math.NaN()))
+	type kernel struct {
+		name string
+		k64  func(x, y []float64, stop float64) float64
+		k32  func(x, y []float32, stop float64) float64
+	}
+	kernels := []kernel{
+		{"L1", l1Kernel[float64], l1Kernel[float32]},
+		{"L2sq", l2SqKernel[float64], l2SqKernel[float32]},
+		{"Linf", linfKernel[float64], linfKernel[float32]},
+	}
+	f.Fuzz(func(t *testing.T, raw []byte, dim uint8, seed int64, stopBits uint64) {
+		n := int(dim) % 101
+		rng := rand.New(rand.NewSource(seed))
+		c64 := make([]float64, 2*n)
+		c32 := make([]float32, 2*n)
+		for i := range c64 {
+			if 8*(i+1) <= len(raw) {
+				bits := binary.LittleEndian.Uint64(raw[8*i:])
+				c64[i], c32[i] = math.Float64frombits(bits), math.Float32frombits(uint32(bits))
+			} else {
+				v := rng.NormFloat64() * 100
+				c64[i], c32[i] = v, float32(v)
+			}
+		}
+		check := func(name string, full, stop float64, within func(stop float64) float64) {
+			switch got := within(stop); {
+			case !(got > stop):
+				if !sameBits(got, full) {
+					t.Fatalf("%s dim %d stop %v: %x not above stop, full result %x", name, n, stop, math.Float64bits(got), math.Float64bits(full))
+				}
+			case !math.IsNaN(full) && !(full > stop && got <= full):
+				t.Fatalf("%s dim %d stop %v: stopped at %v, full result %v", name, n, stop, got, full)
+			}
+		}
+		for _, k := range kernels {
+			x64, y64 := c64[:n], c64[n:]
+			x32, y32 := c32[:n], c32[n:]
+			full64 := k.k64(x64, y64, math.Inf(1))
+			full32 := k.k32(x32, y32, math.Inf(1))
+			stops := []float64{math.Float64frombits(stopBits)}
+			for _, u := range []float64{0, 0.25, 0.5, 0.75, 1} {
+				stops = append(stops, full64*u, full32*u)
+			}
+			// A window's partial is the full result over the prefix it ends.
+			for end := stopStride; end <= n; end += stopStride {
+				for _, p := range []float64{k.k64(x64[:end], y64[:end], math.Inf(1)), k.k32(x32[:end], y32[:end], math.Inf(1))} {
+					stops = append(stops, p, math.Nextafter(p, math.Inf(-1)), math.Nextafter(p, math.Inf(1)))
+				}
+			}
+			for _, stop := range stops {
+				check(k.name+"/64", full64, stop, func(stop float64) float64 { return k.k64(x64, y64, stop) })
+				check(k.name+"/32", full32, stop, func(stop float64) float64 { return k.k32(x32, y32, stop) })
 			}
 		}
 	})

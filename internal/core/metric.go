@@ -32,11 +32,11 @@ func (L1) Distance(a, b Object) float64 {
 	if x, ok := a.(Vector32); ok {
 		y := b.(Vector32)
 		checkDim("L1", len(x), len(y))
-		return l1Kernel32(x, y)
+		return l1Kernel(x, y, math.Inf(1))
 	}
 	x, y := a.(Vector), b.(Vector)
 	checkDim("L1", len(x), len(y))
-	return l1Kernel64(x, y)
+	return l1Kernel(x, y, math.Inf(1))
 }
 
 // Name returns "L1".
@@ -57,11 +57,11 @@ func (L2) Distance(a, b Object) float64 {
 	if x, ok := a.(Vector32); ok {
 		y := b.(Vector32)
 		checkDim("L2", len(x), len(y))
-		return math.Sqrt(l2SqKernel32(x, y))
+		return math.Sqrt(l2SqKernel(x, y, math.Inf(1)))
 	}
 	x, y := a.(Vector), b.(Vector)
 	checkDim("L2", len(x), len(y))
-	return math.Sqrt(l2SqKernel64(x, y))
+	return math.Sqrt(l2SqKernel(x, y, math.Inf(1)))
 }
 
 // Name returns "L2".
@@ -79,11 +79,11 @@ func (LInf) Distance(a, b Object) float64 {
 	if x, ok := a.(Vector32); ok {
 		y := b.(Vector32)
 		checkDim("Linf", len(x), len(y))
-		return linfKernel32(x, y)
+		return linfKernel(x, y, math.Inf(1))
 	}
 	x, y := a.(Vector), b.(Vector)
 	checkDim("Linf", len(x), len(y))
-	return linfKernel64(x, y)
+	return linfKernel(x, y, math.Inf(1))
 }
 
 // Name returns "Linf".
@@ -108,9 +108,9 @@ func (m Lp) Distance(a, b Object) float64 {
 	checkDim("Lp", len(x), len(y))
 	switch m.P {
 	case 1:
-		return l1Kernel64(x, y)
+		return l1Kernel(x, y, math.Inf(1))
 	case 2:
-		return math.Sqrt(l2SqKernel64(x, y))
+		return math.Sqrt(l2SqKernel(x, y, math.Inf(1)))
 	case 3:
 		var s float64
 		for i := range x {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"slices"
 	"sync"
 )
@@ -320,15 +321,40 @@ func (f *FlatVecs) QueryCoords(q Object, sc *Scratch) (q64 []float64, q32 []floa
 
 // Pre computes the pre-distance of the widened query against one mirror
 // row through the resolved kernel (no Object indirection, no interface
-// dispatch). Exactly one of q64/q32 is non-nil, matching the mirror
-// width.
+// dispatch), stopping early once it exceeds stop (see PreKernel).
+// Exactly one of q64/q32 is non-nil, matching the mirror width.
 //
 //metriclint:noalloc
-func (f *FlatVecs) Pre(k *PreKernel, q64 []float64, q32 []float32, row int) float64 {
+func (f *FlatVecs) Pre(k *PreKernel, q64 []float64, q32 []float32, row int, stop float64) float64 {
 	if f.is32 {
-		return k.Pre32(q32, f.f32[row*f.Dim:(row+1)*f.Dim])
+		return k.Pre32(q32, f.f32[row*f.Dim:(row+1)*f.Dim], stop)
 	}
-	return k.Pre64(q64, f.f64[row*f.Dim:(row+1)*f.Dim])
+	return k.Pre64(q64, f.f64[row*f.Dim:(row+1)*f.Dim], stop)
+}
+
+// Holds reports whether row mirrors o bit for bit — what Set would have
+// written. Unlike a self-distance, which is NaN for a row holding a NaN
+// coordinate, it holds for every row Set mirrored.
+func (f *FlatVecs) Holds(row int, o Object) bool {
+	probe := FlatVecs{Dim: f.Dim, is32: f.is32}
+	probe.Resize(1)
+	if !probe.Set(0, o) {
+		return false
+	}
+	if f.is32 {
+		for i, x := range f.f32[row*f.Dim : (row+1)*f.Dim] {
+			if math.Float32bits(x) != math.Float32bits(probe.f32[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	for i, x := range f.f64[row*f.Dim : (row+1)*f.Dim] {
+		if math.Float64bits(x) != math.Float64bits(probe.f64[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // MemBytes reports the resident size of the mirror.

@@ -410,8 +410,7 @@ func (t *Table) Validate() error {
 			return fmt.Errorf("%s: the shadow prunes row %d at its own distances", t.name, row)
 		}
 		if t.flat != nil && o != nil {
-			q64, q32, ok := t.flat.QueryCoords(o, sc)
-			if !ok || t.kern.Finish(t.flat.Pre(&t.kern, q64, q32, row)) != 0 {
+			if !t.flat.Holds(row, o) {
 				return fmt.Errorf("%s: mirror row %d does not hold object %d", t.name, row, id)
 			}
 		}
@@ -617,9 +616,13 @@ func (s *scan) block(base, end int) error {
 			}
 		}
 		if s.flat {
-			pre := t.flat.Pre(&t.kern, s.q64, s.q32, int(row))
+			// The kernel stops reading the row once its partial passes the
+			// bound; such a partial is a reject as the full pre-distance
+			// would have been (see core.PreKernel).
+			bound := t.kern.Bound(r)
+			pre := t.flat.Pre(&t.kern, s.q64, s.q32, int(row), bound)
 			s.ndist++
-			if !t.kern.Exceeds(pre, r) {
+			if !(pre > bound) {
 				s.offer(int(t.ids[row]), t.kern.Finish(pre))
 			}
 			continue

@@ -1,6 +1,7 @@
 package table
 
 import (
+	"math"
 	"testing"
 
 	"metricindex/internal/core"
@@ -353,4 +354,33 @@ func TestTableMirrorLifecycle(t *testing.T) {
 		testutil.CheckRange(t, idx, ds, q, r)
 	}
 	testutil.CheckKNN(t, idx, ds, q, 9)
+}
+
+// TestValidateMirrorWithNaNCoordinate checks that Validate compares the
+// coordinate mirror with the objects bit for bit: a row holding a NaN
+// coordinate is mirrored faithfully although its self-distance is NaN,
+// while a row that mirrors another object is still caught.
+func TestValidateMirrorWithNaNCoordinate(t *testing.T) {
+	objs := make([]core.Object, 40)
+	for i := range objs {
+		objs[i] = core.Vector{float64(i), float64(i * i % 17), float64(40 - i)}
+	}
+	objs[7].(core.Vector)[1] = math.NaN()
+	ds := core.NewDataset(core.NewSpace(core.L1{}), objs)
+	idx, err := NewLAESA(ds, []int{0, 13, 26})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab := idx.tab
+	if !tab.FlatArmed() {
+		t.Fatal("the flat path is not armed")
+	}
+	if err := tab.Validate(); err != nil {
+		t.Fatalf("a healthy table with a NaN coordinate: %v", err)
+	}
+	row := tab.Row(7)
+	tab.flat.Set(row, core.Vector{7, 0, 33})
+	if err := tab.Validate(); err == nil {
+		t.Fatal("Validate accepted a mirror row holding another object")
+	}
 }
