@@ -332,25 +332,22 @@ func (f *FlatVecs) Pre(k *PreKernel, q64 []float64, q32 []float32, row int, stop
 	return k.Pre64(q64, f.f64[row*f.Dim:(row+1)*f.Dim], stop)
 }
 
-// Holds reports whether row mirrors o bit for bit — what Set would have
-// written. Unlike a self-distance, which is NaN for a row holding a NaN
-// coordinate, it holds for every row Set mirrored.
-func (f *FlatVecs) Holds(row int, o Object) bool {
-	probe := FlatVecs{Dim: f.Dim, is32: f.is32}
-	probe.Resize(1)
-	if !probe.Set(0, o) {
-		return false
-	}
+// Holds reports whether row holds, bit for bit, the coordinates
+// QueryCoords widened from an object — what Set mirrors of it. Unlike a
+// self-distance, which is NaN for a row with a NaN coordinate, it holds
+// for every row Set mirrored. Exactly one of q64/q32 is non-nil,
+// matching the mirror width.
+func (f *FlatVecs) Holds(row int, q64 []float64, q32 []float32) bool {
 	if f.is32 {
 		for i, x := range f.f32[row*f.Dim : (row+1)*f.Dim] {
-			if math.Float32bits(x) != math.Float32bits(probe.f32[i]) {
+			if math.Float32bits(x) != math.Float32bits(q32[i]) {
 				return false
 			}
 		}
 		return true
 	}
 	for i, x := range f.f64[row*f.Dim : (row+1)*f.Dim] {
-		if math.Float64bits(x) != math.Float64bits(probe.f64[i]) {
+		if math.Float64bits(x) != math.Float64bits(q64[i]) {
 			return false
 		}
 	}

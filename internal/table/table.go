@@ -410,7 +410,8 @@ func (t *Table) Validate() error {
 			return fmt.Errorf("%s: the shadow prunes row %d at its own distances", t.name, row)
 		}
 		if t.flat != nil && o != nil {
-			if !t.flat.Holds(row, o) {
+			q64, q32, ok := t.flat.QueryCoords(o, sc)
+			if !ok || !t.flat.Holds(row, q64, q32) {
 				return fmt.Errorf("%s: mirror row %d does not hold object %d", t.name, row, id)
 			}
 		}
