@@ -75,7 +75,7 @@ type float interface{ float32 | float64 }
 // non-negative (or NaN) and rounding is monotone, so the full sum would
 // exceed stop too, or be NaN: a caller that rejects pre-distances above
 // stop, and NaN, rejects the same candidates as one that read the whole
-// row. A result within stop is the full sum, bit for bit; stop = +Inf
+// row. A result not above stop is the full sum, bit for bit; stop = +Inf
 // never stops.
 //
 //metriclint:noalloc
@@ -296,27 +296,13 @@ func (L2) DistanceFlat(q []float64, flat []float64, dim int, out []float64) {
 
 // DistanceSqFlat is the squared-distance fast path: it fills out with
 // squared Euclidean distances, leaving the sqrt to the caller. Pruning
-// comparisons against a radius r can run in squared space via
-// L2SqExceeds and only pay the sqrt for surviving candidates.
+// comparisons against a radius r can run in squared space against L2's
+// PreKernel Bound(r) and only pay the sqrt for surviving candidates.
 func (L2) DistanceSqFlat(q []float64, flat []float64, dim int, out []float64) {
 	out = out[:checkFlat("L2", q, flat, dim, out)]
 	for i := range out {
 		out[i] = l2SqKernel(q, flat[i*dim:(i+1)*dim], math.Inf(1))
 	}
-}
-
-// L2SqExceeds conservatively reports whether a squared distance sq
-// provably exceeds radius r, i.e. sqrt(sq) > r with margin for the
-// rounding of r*r and the sqrt. False means "maybe within r": the caller
-// must still compare the exact sqrt. It never returns true for a
-// candidate whose true distance is <= r.
-//
-//metriclint:noalloc
-func L2SqExceeds(sq, r float64) bool {
-	if r < 0 {
-		return true // distances are non-negative; anything exceeds
-	}
-	return sq > boundSq(r)
 }
 
 // DistanceMany implements BatchMetric for LInf.
@@ -414,9 +400,11 @@ type PreKernel struct {
 //metriclint:noalloc
 func boundIdentity(r float64) float64 { return r }
 
-// boundSq is L2's Bound: r² with a relative margin for the rounding of
-// r*r and of the sqrt — L2SqExceeds's threshold — and -Inf for a
-// negative radius, which no distance is within.
+// boundSq is L2's Bound: r² with a one-sided relative margin for the
+// rounding of r*r and of the sqrt, so it may keep a candidate a hair
+// outside r (the exact compare of its Finish then rejects it) but never
+// rejects a true d <= r; and -Inf for a negative radius, which no
+// distance is within.
 //
 //metriclint:noalloc
 func boundSq(r float64) float64 {

@@ -77,7 +77,7 @@ func BenchmarkL2Flat(b *testing.B) {
 }
 
 // BenchmarkL2SqFlat skips the per-row sqrt — the pruning fast path used
-// with L2SqExceeds.
+// with L2's Bound.
 func BenchmarkL2SqFlat(b *testing.B) {
 	q, _, flat, dim := benchVectors(b)
 	out := make([]float64, benchRows)

@@ -187,25 +187,26 @@ func TestBatchDimMismatchPanics(t *testing.T) {
 	}
 }
 
-// TestL2SqExceedsNeverRejectsWithin checks the squared-space prune is
-// conservative: for any candidate with true distance <= r it must return
-// false, whatever rounding r*r suffered.
-func TestL2SqExceedsNeverRejectsWithin(t *testing.T) {
+// TestL2BoundNeverRejectsWithin checks L2's Bound, the radius in squared
+// space, is conservative: for any candidate with true distance <= r the
+// squared distance must not exceed it, whatever rounding r*r suffered.
+func TestL2BoundNeverRejectsWithin(t *testing.T) {
+	k, _ := PreKernelFor(L2{})
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 20000; trial++ {
 		d := rng.Float64() * 1e3
 		sq := d * d
 		// Any radius at or above the true distance must keep the candidate.
 		r := d * (1 + rng.Float64())
-		if L2SqExceeds(sq, r) {
-			t.Fatalf("L2SqExceeds(%v, %v) rejected a candidate with true distance %v <= r", sq, r, d)
+		if sq > k.Bound(r) {
+			t.Fatalf("Bound(%v) = %v rejects a candidate with true distance %v <= r", r, k.Bound(r), d)
 		}
-		if L2SqExceeds(sq, d) {
-			t.Fatalf("L2SqExceeds(%v, %v) rejected the boundary candidate", sq, d)
+		if sq > k.Bound(d) {
+			t.Fatalf("Bound(%v) = %v rejects the boundary candidate", d, k.Bound(d))
 		}
 	}
-	if !L2SqExceeds(1, -1) {
-		t.Fatal("negative radius must exceed")
+	if !(0 > k.Bound(-1)) {
+		t.Fatal("a negative radius must reject every distance")
 	}
 }
 

@@ -579,9 +579,10 @@ func (s *scan) offer(id int, d float64) {
 //     distance and no disk read;
 //  3. re-apply Lemma 1 at the fresh radius (kNN only: a range radius
 //     never tightens, so its sweep was already exact);
-//  4. verify: through the flat kernel at once (squared-space reject for
-//     clear misses, exact distance for the rest), or by fetching the
-//     object and gathering it into the DistanceMany chunk;
+//  4. verify: through the flat kernel at once, which stops reading the
+//     row once its partial passes the radius's bound in pre-distance
+//     space (exact distance for the rest), or by fetching the object and
+//     gathering it into the DistanceMany chunk;
 //  5. collect: heap push, or radius compare.
 //
 // The sweep only pre-filters; step 3 makes the set of verified rows
