@@ -47,7 +47,7 @@ RACE_PKGS = ./internal/exec/... ./internal/epoch/... ./internal/server/... \
 EXAMPLES = ./examples/quickstart ./examples/wordsearch ./examples/geosearch \
            ./examples/imagesearch ./examples/cachedsearch
 
-.PHONY: all build benchmark-build benchmark-test test race fuzz bench \
+.PHONY: all build benchmark-build benchmark-test test race fuzz bench bench-plan \
         staticcheck govulncheck lint fmt vet examples loc ci
 
 all: build
@@ -88,6 +88,11 @@ fuzz:
 
 bench:
 	$(GO) test -bench='$(BENCH)' -benchtime=$(BENCHTIME) -run=^$$ .
+
+# The planner's strategy-cost table (docs/HYBRID.md), one query per leg
+# so it keeps compiling and running; raise -benchtime to measure.
+bench-plan:
+	$(GO) test -bench=BenchmarkFilteredStrategies -benchtime=1x -run=^$$ ./internal/plan
 
 staticcheck:
 	$(GO) run honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION) ./...
@@ -142,4 +147,4 @@ loc:
 # offline run can cherry-pick the other targets individually — lint
 # itself is pure stdlib). Performance numbers come from benchmark/
 # (BENCHMARK.json), not from this target; `bench` is a does-it-run check.
-ci: build benchmark-build vet fmt lint staticcheck govulncheck test benchmark-test race fuzz examples bench
+ci: build benchmark-build vet fmt lint staticcheck govulncheck test benchmark-test race fuzz examples bench bench-plan

@@ -83,7 +83,7 @@ func (l *Live) section(q plan.Query) (plan.Answer, error) {
 	if q.Filter != nil {
 		planStart := time.Now()
 		sel = l.stats.Selectivity(q.Filter)
-		ans.Strategy = plan.Choose(sel, l.ds.Count(), plan.Capable(l.idx))
+		ans.Strategy = plan.Choose(q.Kind, q.K, sel, l.ds.Count(), plan.PushdownOf(l.idx))
 		tr.Add("plan", planStart, time.Since(planStart), 0, 0)
 		l.planCount(ans.Strategy)
 	}

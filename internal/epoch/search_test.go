@@ -21,17 +21,36 @@ import (
 )
 
 // matrixFilters are the filter column of the option matrix: none, and
-// one predicate per strategy the planner picks over AttachTestAttrs'
-// distributions at n=1500 (≈2%, ≈25% and ≈90% selectivity). They test
-// different fields so one bag (matrixMarkerBag) satisfies all three.
+// three predicates over AttachTestAttrs' distributions at n=1500 (≈2%,
+// ≈25% and ≈90% selectivity, K = 8) whose plans differ by kind and by
+// whether the index pushes the accept test down. On LAESA a kNN plans
+// pre, probe and post, and a range probe or post (a range never plans
+// pre there); over SPB-tree shards, which cannot push down, both kinds
+// plan pre or post. So each strategy is planned for each kind it
+// applies to. They test different fields so one bag (matrixMarkerBag)
+// satisfies all three.
 var matrixFilters = []struct {
-	src  string
-	want plan.Strategy
+	src string
+	// The planned strategy on LAESA (plan.PushdownPruned), by kind, and
+	// over SPB-tree shards (plan.PushdownNone; either kind).
+	capableRange, capableKNN, incapable plan.Strategy
 }{
-	{"", 0},
-	{`category = "rare" AND level >= 8`, plan.StrategyPre},
-	{`tags = "hot"`, plan.StrategyProbe},
-	{`level != 0`, plan.StrategyPost},
+	{"", 0, 0, 0},
+	{`category = "rare" AND level >= 8`, plan.StrategyProbe, plan.StrategyPre, plan.StrategyPre},
+	{`tags = "hot"`, plan.StrategyProbe, plan.StrategyProbe, plan.StrategyPost},
+	{`level != 0`, plan.StrategyPost, plan.StrategyPost, plan.StrategyPost},
+}
+
+// matrixPlan is the strategy the matrix expects for filter f.
+func matrixPlan(f int, kind plan.Kind, capable bool) plan.Strategy {
+	switch mf := matrixFilters[f]; {
+	case !capable:
+		return mf.incapable
+	case kind == plan.KindRange:
+		return mf.capableRange
+	default:
+		return mf.capableKNN
+	}
 }
 
 var matrixMarkerBag = core.Attrs{
@@ -122,10 +141,11 @@ func viaAdapter(l *epoch.Live, q plan.Query) (plan.Answer, []error) {
 }
 
 // TestSearchOptionMatrix drives the one query path through every
-// combination of its options — {range, kNN} × {no filter, a pre-, a
-// probe-, a post-planned predicate} × {trace off/on} × {cache off/on} ×
-// {LAESA, 2-shard SPB-tree} — and requires of every cell: the answer
-// equals the linear scan; a filtered cell ran the expected plan; a
+// combination of its options — {range, kNN} × {no filter, three
+// predicates} × {trace off/on} × {cache off/on} × {LAESA, 2-shard
+// SPB-tree} — and requires of every cell: the answer equals the linear
+// scan; a filtered cell ran the expected plan (matrixPlan), and every
+// strategy is planned for each kind somewhere in the matrix; a
 // traced cell carries read_wait and read_section (plus cache_probe,
 // plan, and the per-shard probe and merge spans where they apply —
 // filtered or not); with the cache on the repeat is served Cached at
@@ -136,18 +156,18 @@ func viaAdapter(l *epoch.Live, q plan.Query) (plan.Answer, []error) {
 func TestSearchOptionMatrix(t *testing.T) {
 	sel := func(ds *core.Dataset) ([]int, error) { return pivot.HFI(ds, 4, pivot.Options{Seed: 3}) }
 	indexes := []struct {
-		name    string
-		sharded bool
-		build   epoch.Builder
+		name             string
+		sharded, capable bool
+		build            epoch.Builder
 	}{
-		{"LAESA", false, func(ds *core.Dataset) (core.Index, error) {
+		{"LAESA", false, true, func(ds *core.Dataset) (core.Index, error) {
 			pv, err := sel(ds)
 			if err != nil {
 				return nil, err
 			}
 			return table.NewLAESA(ds, pv)
 		}},
-		{"Sharded[2×SPB-tree]", true, func(ds *core.Dataset) (core.Index, error) {
+		{"Sharded[2×SPB-tree]", true, false, func(ds *core.Dataset) (core.Index, error) {
 			return shard.New(ds, func(sub *core.Dataset) (core.Index, error) {
 				pv, err := sel(sub)
 				if err != nil {
@@ -158,6 +178,7 @@ func TestSearchOptionMatrix(t *testing.T) {
 		}},
 	}
 	cell := int64(0)
+	planned := map[plan.Kind]map[plan.Strategy]bool{plan.KindRange: {}, plan.KindKNN: {}}
 	for _, ix := range indexes {
 		for _, cacheOn := range []bool{false, true} {
 			ds := testutil.VectorDataset(1500, 4, 100, core.L2{}, 9)
@@ -171,7 +192,7 @@ func TestSearchOptionMatrix(t *testing.T) {
 				l.SetCache(cache.New(cache.Options{}))
 			}
 			for _, kind := range []plan.Kind{plan.KindRange, plan.KindKNN} {
-				for _, f := range matrixFilters {
+				for fi, f := range matrixFilters {
 					for _, traced := range []bool{false, true} {
 						cell++
 						// A fresh query object per cell: every cell starts cold.
@@ -180,10 +201,19 @@ func TestSearchOptionMatrix(t *testing.T) {
 							q.Filter = mustParsePlan(t, f.src)
 						}
 						name := fmt.Sprintf("%s/cache=%v/kind=%d/filter=%q/trace=%v", ix.name, cacheOn, kind, f.src, traced)
-						checkCell(t, name, l, q, f.want, traced, cacheOn, ix.sharded)
+						want := matrixPlan(fi, kind, ix.capable)
+						planned[kind][want] = true
+						checkCell(t, name, l, q, want, traced, cacheOn, ix.sharded)
 						checkOneReadSection(t, name, l, q, traced)
 					}
 				}
+			}
+		}
+	}
+	for kind, got := range planned {
+		for _, st := range plan.Strategies {
+			if !got[st] {
+				t.Errorf("kind %d: no cell plans %v", kind, st)
 			}
 		}
 	}

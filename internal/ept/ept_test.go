@@ -1,6 +1,7 @@
 package ept
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -252,6 +253,42 @@ func TestDiskEPTParallelBuildMatchesSequential(t *testing.T) {
 		}
 		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("MRQ answers differ: %v vs %v", a, b)
+		}
+	}
+}
+
+// TestEPTStarInfiniteCoordinate builds EPT* and DiskEPT* over L1
+// vectors one of which holds a +Inf coordinate, then inserts a second
+// such object. Every PSA score of an object at infinite distance from
+// the probes is NaN, so the greedy assignment found no pivot for it and
+// the build indexed row −1. Both indexes must build, insert and answer
+// exactly.
+func TestEPTStarInfiniteCoordinate(t *testing.T) {
+	ds := testutil.VectorDataset(500, 8, 100, core.L1{}, 5)
+	ds.Object(17).(core.Vector)[3] = math.Inf(1)
+	star, err := New(ds, Star, Options{L: 5})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	disk, err := NewDisk(ds, store.NewPager(4096), Options{L: 5})
+	if err != nil {
+		t.Fatalf("NewDisk: %v", err)
+	}
+	o := append(core.Vector(nil), ds.Object(40).(core.Vector)...)
+	o[0] = math.Inf(1)
+	id := ds.Insert(o)
+	for _, idx := range []core.Index{star, disk} {
+		if err := idx.Insert(id); err != nil {
+			t.Fatalf("%s: Insert: %v", idx.Name(), err)
+		}
+		for qs := int64(0); qs < 3; qs++ {
+			q := testutil.RandomQuery(ds, qs)
+			for _, r := range testutil.Radii(ds, q) {
+				testutil.CheckRange(t, idx, ds, q, r)
+			}
+			for _, k := range []int{1, 10, ds.Count()} {
+				testutil.CheckKNN(t, idx, ds, q, k)
+			}
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"metricindex/internal/core"
 )
@@ -98,7 +99,11 @@ func (st *PSAState) Assign(sp *core.Space, o core.Object, l int) ([]int32, []flo
 			}
 		}
 		if bestCi < 0 {
-			break
+			// No candidate scores: every score is NaN, as for an object at
+			// an infinite or NaN distance from the probes, so none beats
+			// another. Take the first one left; the row stays exact, since
+			// Lemma 1 holds for whatever pivots a row keeps.
+			bestCi = slices.Index(used, false)
 		}
 		used[bestCi] = true
 		pv = append(pv, st.CandIDs[bestCi])

@@ -48,38 +48,92 @@ func (s Strategy) String() string {
 // Strategies lists all strategies, for tests and metric registration.
 var Strategies = []Strategy{StrategyPre, StrategyProbe, StrategyPost}
 
-// Planner decision thresholds. A pre-filter costs one predicate
-// evaluation per live object plus one distance per match, so it wins
-// when matches are few in absolute terms or rare in relative terms.
-// Past half the dataset matching, probe-side rejection saves little and
-// post-filtering an ordinary probe keeps the index path hottest.
+// Pushdown is how far an index takes a filtered query's accept test
+// into its own search, which decides what a probe costs against the
+// pre-filter's sweep of the attribute columns.
+type Pushdown uint8
+
 const (
-	// preMaxMatches: expected match count at or below which the linear
-	// pre-filter scan is chosen outright.
+	// PushdownNone: the index cannot test the predicate while it
+	// searches, so a forced probe is a post-filter.
+	PushdownNone Pushdown = iota
+	// PushdownScan: the accept test runs inside a scan that reads every
+	// row (EPT/EPT*'s per-row table, which has no zone map). The probe
+	// computes no distance for a rejected candidate, but it costs at
+	// least one full pass, as the attribute sweep does.
+	PushdownScan
+	// PushdownPruned: the accept test runs only on the candidates the
+	// index's pruning leaves (LAESA's zone-skipped blocks), so a probe
+	// costs less than sweeping the attribute columns.
+	PushdownPruned
+)
+
+// Planner decision thresholds. A pre-filter sweeps the predicate's
+// columns over every live row, then computes one distance per match.
+const (
+	// preMatchesPerNeighbor: on a PushdownPruned index a kNN plans pre
+	// only while the expected matches are at most this many per
+	// requested neighbour; past that, the probe's search for k accepted
+	// neighbours costs less than verifying every match. Measured on
+	// LAESA by BenchmarkFilteredStrategies (table in docs/HYBRID.md).
+	preMatchesPerNeighbor = 20
+	// preMaxMatches and preMaxSel: on the other indexes a probe costs a
+	// full pass at least (or is a post-filter, whose re-probes cost most
+	// when matches are rare), so pre wins at a few matches in absolute
+	// terms (at most preMaxMatches) or in relative terms (selectivity at
+	// most preMaxSel).
 	preMaxMatches = 128
-	// preMaxSel: selectivity at or below which pre-filter is chosen
-	// regardless of dataset size.
-	preMaxSel = 0.05
-	// postMinSel: selectivity at or above which post-filter is chosen
-	// (most answers survive the filter anyway).
+	preMaxSel     = 0.05
+	// postMinSel: selectivity at or above which post is planned (most
+	// answers survive the filter anyway), and below which an index that
+	// pushes down plans probe.
 	postMinSel = 0.5
 )
 
-// Capable reports whether the index supports predicate pushdown
-// (probe-filtering).
-func Capable(idx core.Index) bool {
-	_, ok := idx.(core.AcceptSearcher)
-	return ok
+// pushdownReporter is the optional method of a core.AcceptSearcher that
+// knows its Pushdown. An AcceptSearcher without it is PushdownScan. A
+// front over sub-indexes (shard.Sharded) reports the least of its
+// shards: it takes an accept test whatever they are, but post-filters
+// the answers of those that cannot push down.
+type pushdownReporter interface {
+	Pushdown() Pushdown
 }
 
-// Choose picks the strategy for a filtered query from the estimated
-// selectivity sel, the live object count n, and whether the index can
-// probe-filter. The choice never affects the answer, only its cost.
-func Choose(sel float64, n int, probeCapable bool) Strategy {
-	if sel <= preMaxSel || sel*float64(n) <= preMaxMatches {
-		return StrategyPre
+// PushdownOf reports how far idx pushes an accept test down.
+func PushdownOf(idx core.Index) Pushdown {
+	if _, ok := idx.(core.AcceptSearcher); !ok {
+		return PushdownNone
 	}
-	if sel >= postMinSel || !probeCapable {
+	if pr, ok := idx.(pushdownReporter); ok {
+		return pr.Pushdown()
+	}
+	return PushdownScan
+}
+
+// Capable reports whether the index pushes the accept test into its own
+// search at all (predicate pushdown, probe-filtering).
+func Capable(idx core.Index) bool { return PushdownOf(idx) != PushdownNone }
+
+// Choose picks the strategy for a filtered query of the given kind and
+// answer size k (kNN only) from the estimated selectivity sel, the live
+// object count n, and the index's pushdown (PushdownOf). The choice
+// never affects the answer, only its cost.
+//
+// On a PushdownPruned index a range query never plans pre: its probe
+// prices only the candidates the pruning leaves, which costs less than
+// the attribute sweep at any selectivity. A kNN there plans pre while
+// the expected matches are at most preMatchesPerNeighbor·k. Elsewhere
+// the rule is selectivity alone: pre for rare predicates, then probe
+// where the index pushes down, post where it cannot or when most rows
+// match.
+func Choose(kind Kind, k int, sel float64, n int, pd Pushdown) Strategy {
+	matches := sel * float64(n)
+	switch {
+	case pd == PushdownPruned && kind == KindKNN && matches <= preMatchesPerNeighbor*float64(k):
+		return StrategyPre
+	case pd != PushdownPruned && (sel <= preMaxSel || matches <= preMaxMatches):
+		return StrategyPre
+	case sel >= postMinSel || pd == PushdownNone:
 		return StrategyPost
 	}
 	return StrategyProbe
@@ -112,7 +166,8 @@ func probeKNN(idx core.Index, q core.Object, k int, accept core.Accept, tr *obs.
 
 // ExecRange answers MRQ(q, r) restricted to objects satisfying p,
 // using the given strategy. StrategyProbe silently degrades to
-// StrategyPost when the index cannot push predicates down. The result
+// StrategyPost when the index cannot push predicates down (Capable).
+// The result
 // is in ascending id order, exactly the predicate-filtered subset of
 // the unfiltered range answer. A nil predicate (strategy zero) is the
 // unfiltered search. A non-nil tr reaches indexes that record spans of

@@ -142,25 +142,71 @@ func TestObserveRemoveInverse(t *testing.T) {
 	}
 }
 
+// TestChoose walks the planner's policy over (kind, k, pushdown). On a
+// PushdownPruned index a range query never plans pre, and a kNN plans
+// pre only up to preMatchesPerNeighbor expected matches per requested
+// neighbour; on the others the rule is selectivity alone.
 func TestChoose(t *testing.T) {
+	const n = 100000
+	// perK is the selectivity at which the expected matches are exactly
+	// preMatchesPerNeighbor·k.
+	perK := func(k int) float64 { return preMatchesPerNeighbor * float64(k) / n }
 	cases := []struct {
-		sel     float64
-		n       int
-		capable bool
-		want    Strategy
+		kind Kind
+		k    int
+		sel  float64
+		n    int
+		pd   Pushdown
+		want Strategy
 	}{
-		{0.01, 100000, true, StrategyPre},  // rare: linear pre-filter scan
-		{0.01, 100000, false, StrategyPre}, // capability irrelevant for pre
-		{0.2, 500, true, StrategyPre},      // 100 expected matches ≤ preMaxMatches
-		{0.2, 100000, true, StrategyProbe}, // mid selectivity, pushdown available
-		{0.2, 100000, false, StrategyPost}, // mid selectivity, no pushdown
-		{0.5, 100000, true, StrategyPost},  // half the data matches: filter after
-		{0.9, 100000, false, StrategyPost},
-		{0.05, 100000, false, StrategyPre}, // boundary: sel == preMaxSel
+		// 1 000 rare matches: with pruned pushdown the probe beats
+		// sweeping every row, at k = 1 and 10 and for a range; at
+		// k = 100 the matches are few enough for pre.
+		{KindKNN, 10, 0.01, n, PushdownPruned, StrategyProbe},
+		{KindKNN, 1, 0.01, n, PushdownPruned, StrategyProbe},
+		{KindKNN, 100, 0.01, n, PushdownPruned, StrategyPre},
+		{KindRange, 0, 0.01, n, PushdownPruned, StrategyProbe},
+		// A probe that reads every row, or none at all: 1 % is rare
+		// enough for pre whatever the kind.
+		{KindKNN, 10, 0.01, n, PushdownScan, StrategyPre},
+		{KindRange, 0, 0.01, n, PushdownScan, StrategyPre},
+		{KindKNN, 10, 0.01, n, PushdownNone, StrategyPre},
+		{KindRange, 0, 0.01, n, PushdownNone, StrategyPre},
+		// The pruned kNN boundary: pre at exactly preMatchesPerNeighbor·k
+		// matches, probe past it.
+		{KindKNN, 10, perK(10), n, PushdownPruned, StrategyPre},
+		{KindKNN, 10, 1.5 * perK(10), n, PushdownPruned, StrategyProbe},
+		{KindKNN, 1, perK(1), n, PushdownPruned, StrategyPre},
+		// A range query never plans pre on a pruned index, even over a
+		// handful of matches.
+		{KindRange, 0, 0.0001, n, PushdownPruned, StrategyProbe},
+		{KindRange, 0, 0.2, 500, PushdownPruned, StrategyProbe},
+		// 100 expected matches at n = 500: pre for a kNN of 10 on a
+		// pruned index, and pre elsewhere (≤ preMaxMatches).
+		{KindKNN, 10, 0.2, 500, PushdownPruned, StrategyPre},
+		{KindRange, 0, 0.2, 500, PushdownScan, StrategyPre},
+		{KindRange, 0, 0.2, 500, PushdownNone, StrategyPre},
+		// Mid selectivity: probe with pushdown of either kind, post
+		// without.
+		{KindKNN, 10, 0.2, n, PushdownPruned, StrategyProbe},
+		{KindRange, 0, 0.2, n, PushdownPruned, StrategyProbe},
+		{KindKNN, 10, 0.2, n, PushdownScan, StrategyProbe},
+		{KindRange, 0, 0.2, n, PushdownScan, StrategyProbe},
+		{KindKNN, 10, 0.2, n, PushdownNone, StrategyPost},
+		{KindRange, 0, 0.2, n, PushdownNone, StrategyPost},
+		// Half the data matches: filter after, on any index.
+		{KindKNN, 10, 0.5, n, PushdownPruned, StrategyPost},
+		{KindRange, 0, 0.5, n, PushdownPruned, StrategyPost},
+		{KindKNN, 10, 0.5, n, PushdownScan, StrategyPost},
+		{KindKNN, 10, 0.9, n, PushdownNone, StrategyPost},
+		// The selectivity boundary off the pruned path: sel == preMaxSel.
+		{KindKNN, 10, 0.05, n, PushdownScan, StrategyPre},
+		{KindRange, 0, 0.05, n, PushdownNone, StrategyPre},
 	}
 	for _, c := range cases {
-		if got := Choose(c.sel, c.n, c.capable); got != c.want {
-			t.Errorf("Choose(%v, %d, %v) = %v, want %v", c.sel, c.n, c.capable, got, c.want)
+		if got := Choose(c.kind, c.k, c.sel, c.n, c.pd); got != c.want {
+			t.Errorf("Choose(kind %d, k %d, sel %v, n %d, pushdown %d) = %v, want %v",
+				c.kind, c.k, c.sel, c.n, c.pd, got, c.want)
 		}
 	}
 }

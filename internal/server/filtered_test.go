@@ -19,8 +19,9 @@ import (
 )
 
 // filterBattery targets the bags dataset.AttachAttrs writes and spans the
-// planner's range: rare predicates (tail category, price tail) plan as
-// pre, mid-selectivity ones as probe, broad ones as post.
+// planner's range: on LAESA the rarest predicates (tail category, price
+// tail) plan kNN as pre and range as probe, mid-selectivity ones as
+// probe, broad ones as post.
 var filterBattery = []string{
 	`stock < 25`,
 	`stock < 90`,

@@ -33,6 +33,7 @@ import (
 	"metricindex/internal/core"
 	"metricindex/internal/exec"
 	"metricindex/internal/obs"
+	"metricindex/internal/plan"
 )
 
 // Builder constructs the sub-index for one shard. The shard dataset shares
@@ -307,6 +308,19 @@ func (s *Sharded) KNNSearchTraced(q core.Object, k int, accept core.Accept, tr *
 	res := h.Result()
 	tr.Add("merge", mergeStart, time.Since(mergeStart), 0, 0)
 	return res, nil
+}
+
+// Pushdown reports the least pushdown of the shards (plan.PushdownOf).
+// Sharded takes an accept test whatever its shards are, but a shard
+// without pushdown answers it by post-filtering — for a kNN, by
+// re-probing with a doubled k — so the planner must price the front as
+// its weakest shard.
+func (s *Sharded) Pushdown() plan.Pushdown {
+	pd := plan.PushdownPruned
+	for _, sub := range s.subs {
+		pd = min(pd, plan.PushdownOf(sub))
+	}
+	return pd
 }
 
 // RangeSearch, KNNSearch (core.Index) and RangeSearchAccept,

@@ -1,6 +1,9 @@
 package table
 
-import "metricindex/internal/core"
+import (
+	"metricindex/internal/core"
+	"metricindex/internal/plan"
+)
 
 // LAESA is the linear AESA of [19]: it stores d(o, p) for every object o
 // and every pivot p of one shared pivot set (Fig 3) — the shared-pivot
@@ -71,6 +74,11 @@ func (t *LAESA) RangeSearchAccept(q core.Object, r float64, accept core.Accept) 
 func (t *LAESA) KNNSearchAccept(q core.Object, k int, accept core.Accept) ([]core.Neighbor, error) {
 	return t.tab.KNN(q, k, accept)
 }
+
+// Pushdown reports plan.PushdownPruned: the accept test runs only on
+// the rows that survive the zone-skipping best-first sweep, never on a
+// block the zone map rules out.
+func (t *LAESA) Pushdown() plan.Pushdown { return plan.PushdownPruned }
 
 // Insert adds one object's row.
 func (t *LAESA) Insert(id int) error { return t.tab.Insert(id) }

@@ -574,11 +574,14 @@ func (s *scan) offer(id int, d float64) {
 // block is the staged pass over one admitted block, rows [base, end):
 //
 //  1. sweep the block's columns at the radius current now;
-//  2. per survivor, in storage order: the optional accept test — before
+//  2. per survivor, in storage order: re-apply Lemma 1 at the fresh
+//     radius (kNN only: a range radius never tightens, so its sweep was
+//     already exact);
+//  3. the optional accept test on what the recheck keeps — before
 //     anything is spent on the row, so a rejected candidate costs no
-//     distance and no disk read;
-//  3. re-apply Lemma 1 at the fresh radius (kNN only: a range radius
-//     never tightens, so its sweep was already exact);
+//     distance and no disk read, and a row the recheck prunes costs no
+//     predicate call (the radius cannot change between the two tests,
+//     so the order moves no verified row);
 //  4. verify: through the flat kernel at once, which stops reading the
 //     row once its partial passes the radius's bound in pre-distance
 //     space (exact distance for the rest), or by fetching the object and
@@ -597,11 +600,6 @@ func (s *scan) offer(id int, d float64) {
 func (s *scan) block(base, end int) error {
 	t, sc := s.t, s.sc
 	for _, row := range t.sweep(sc, base, end, s.radius()) {
-		// ids[row] is a scattered read, one likely cache miss per survivor:
-		// each stage loads it only once it needs it.
-		if s.accept != nil && !s.accept(int(t.ids[row])) {
-			continue
-		}
 		r := s.radius()
 		if s.h != nil {
 			// The layout's recheck, written out rather than behind a helper:
@@ -616,6 +614,11 @@ func (s *scan) block(base, end int) error {
 			if pruned {
 				continue
 			}
+		}
+		// ids[row] is a scattered read, one likely cache miss per survivor:
+		// each stage loads it only once it needs it.
+		if s.accept != nil && !s.accept(int(t.ids[row])) {
+			continue
 		}
 		if s.flat {
 			// The kernel stops reading the row once its partial passes the

@@ -95,6 +95,7 @@ func CheckFilterEquivalence(t *testing.T, ed EquivDataset, idx core.Index) {
 		probes[qs] = probe{q: q, radii: Radii(ds, q)}
 	}
 	ks := []int{1, 5, 20}
+	pd := plan.PushdownOf(idx)
 
 	for _, src := range FilterPredicates() {
 		p, err := plan.Parse(src)
@@ -102,7 +103,6 @@ func CheckFilterEquivalence(t *testing.T, ed EquivDataset, idx core.Index) {
 			t.Fatalf("%s: Parse(%q): %v", ed.Name, src, err)
 		}
 		sel := stats.Selectivity(p)
-		strat := plan.Choose(sel, ds.Count(), plan.Capable(idx))
 		for qs, pr := range probes {
 			for _, r := range pr.radii {
 				want := bruteFilterRange(ds, p, pr.q, r)
@@ -116,6 +116,7 @@ func CheckFilterEquivalence(t *testing.T, ed EquivDataset, idx core.Index) {
 							ed.Name, src, qs, r, st, got, want)
 					}
 				}
+				strat := plan.Choose(plan.KindRange, 0, sel, ds.Count(), pd)
 				got, err := plan.ExecRange(ds, idx, p, pr.q, r, strat, nil)
 				if err != nil {
 					t.Fatalf("%s: %q: planned ExecRange: %v", ed.Name, src, err)
@@ -137,6 +138,7 @@ func CheckFilterEquivalence(t *testing.T, ed EquivDataset, idx core.Index) {
 							ed.Name, src, qs, k, st, err, got, want)
 					}
 				}
+				strat := plan.Choose(plan.KindKNN, k, sel, ds.Count(), pd)
 				got, err := plan.ExecKNN(ds, idx, p, pr.q, k, strat, sel, nil)
 				if err != nil {
 					t.Fatalf("%s: %q: planned ExecKNN: %v", ed.Name, src, err)
