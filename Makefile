@@ -20,9 +20,9 @@ GOVULNCHECK_VERSION ?= v1.1.4
 # (nilness, shadow) that plain `go vet` does not run.
 XTOOLS_VERSION ?= v0.30.0
 
-# Seconds each native fuzz target runs in the `make fuzz` smoke (nine
+# Seconds each native fuzz target runs in the `make fuzz` smoke (ten
 # targets: FuzzLevenshtein, FuzzBatchKernels, FuzzWithinKernels, FuzzDecodeQuery,
-# FuzzSnapshotHeader, FuzzPredicateParse, FuzzPredicateEval,
+# FuzzSnapshotHeader, FuzzTreePayload, FuzzPredicateParse, FuzzPredicateEval,
 # FuzzCompiledPredicate, FuzzHilbertDecode).
 FUZZTIME ?= 10s
 
@@ -32,10 +32,10 @@ FUZZTIME ?= 10s
 # indexes (the Hilbert decode tables): the race-detector gate of
 # `make race`.
 RACE_PKGS = ./internal/exec/... ./internal/epoch/... ./internal/server/... \
-            ./internal/shard/... ./internal/table/... ./internal/mvpt/... \
+            ./internal/shard/... ./internal/table/... ./internal/ptree/... \
             ./internal/ept/... ./internal/cpt/... ./internal/omni/... \
             ./internal/core/... ./internal/store/... ./internal/bench/... \
-            ./internal/cache/... ./internal/bkt/... ./internal/fqt/... \
+            ./internal/cache/... ./internal/fqt/... \
             ./internal/mtree/... ./internal/pmtree/... ./internal/persist/... \
             ./internal/bptree/... ./internal/rtree/... ./internal/spb/... \
             ./internal/mindex/... ./internal/pivot/... ./internal/dataset/... \
@@ -81,6 +81,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzWithinKernels -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeQuery -fuzztime=$(FUZZTIME) ./internal/server
 	$(GO) test -run='^$$' -fuzz=FuzzSnapshotHeader -fuzztime=$(FUZZTIME) ./internal/persist
+	$(GO) test -run='^$$' -fuzz=FuzzTreePayload -fuzztime=$(FUZZTIME) ./internal/ptree
 	$(GO) test -run='^$$' -fuzz=FuzzPredicateParse -fuzztime=$(FUZZTIME) ./internal/plan
 	$(GO) test -run='^$$' -fuzz=FuzzPredicateEval -fuzztime=$(FUZZTIME) ./internal/plan
 	$(GO) test -run='^$$' -fuzz=FuzzCompiledPredicate -fuzztime=$(FUZZTIME) ./internal/plan

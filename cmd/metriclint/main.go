@@ -3,7 +3,7 @@
 //
 //	metriclint ./...          # every package under the module root
 //	metriclint ./internal/... # every package under a subtree
-//	metriclint ./internal/bkt # one package
+//	metriclint ./internal/ptree # one package
 //
 // The four analyzers machine-check invariants the type system cannot:
 // epoch lock-section discipline (epochsection), encoder/decoder wire

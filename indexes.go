@@ -1,15 +1,14 @@
 package metricindex
 
 import (
-	"metricindex/internal/bkt"
 	"metricindex/internal/cpt"
 	"metricindex/internal/ept"
 	"metricindex/internal/fqt"
 	"metricindex/internal/mindex"
-	"metricindex/internal/mvpt"
 	"metricindex/internal/omni"
 	"metricindex/internal/pivot"
 	"metricindex/internal/pmtree"
+	"metricindex/internal/ptree"
 	"metricindex/internal/spb"
 	"metricindex/internal/store"
 	"metricindex/internal/table"
@@ -151,42 +150,27 @@ func NewCPTParallel(ds *Dataset, pivots []int, opts DiskOptions, workers int) (*
 	return &DiskIndex{Index: idx, pager: p}, nil
 }
 
-// TreeOptions configures the in-memory pivot trees.
-type TreeOptions struct {
-	// LeafCapacity is the bucket size (16 when zero).
-	LeafCapacity int
-	// MaxChildren caps BKT/FQT fanout (64 when zero).
-	MaxChildren int
-	// Arity is the MVPT fanout m (5 when zero, per §4.3).
-	Arity int
-	// MaxDistance is the distance-domain bound d+ (required by BKT/FQT).
-	MaxDistance float64
-	// Seed drives BKT's random pivot choice.
-	Seed int64
-	// Workers parallelizes construction of all three trees node-level
-	// (per-node pivot distances fan out and sibling subtrees build
-	// concurrently, total concurrency bounded by a shared token pool):
-	// 0 or 1 builds sequentially, negative uses GOMAXPROCS. The tree is
-	// identical either way.
-	Workers int
-}
+// TreeOptions configures the in-memory pivot trees — BKT, FQT and
+// MVPT/VPT are one tree (internal/ptree), and each family reads the
+// fields it needs: LeafCapacity (16 when zero), MaxChildren (BKT/FQT
+// fanout, 64 when zero), MaxDistance (the distance-domain bound d+ that
+// sizes BKT/FQT buckets), Arity (the MVPT fanout m, 5 when zero per
+// §4.3), Seed (BKT's pivot choice) and Workers (node-level parallel
+// construction bounded by a shared token pool: 0 or 1 builds
+// sequentially, negative uses GOMAXPROCS; the tree is identical either
+// way).
+type TreeOptions = ptree.Options
 
 // NewBKT builds the Burkhard-Keller tree (§4.1); the metric must be
 // discrete.
 func NewBKT(ds *Dataset, opts TreeOptions) (Index, error) {
-	return bkt.New(ds, bkt.Options{
-		LeafCapacity: opts.LeafCapacity, MaxChildren: opts.MaxChildren,
-		Seed: opts.Seed, MaxDistance: opts.MaxDistance, Workers: opts.Workers,
-	})
+	return ptree.NewBKT(ds, opts)
 }
 
 // NewFQT builds the Fixed Queries Tree (§4.2); the metric must be
 // discrete.
 func NewFQT(ds *Dataset, pivots []int, opts TreeOptions) (Index, error) {
-	return fqt.New(ds, pivots, fqt.Options{
-		LeafCapacity: opts.LeafCapacity, MaxChildren: opts.MaxChildren,
-		MaxDistance: opts.MaxDistance, Workers: opts.Workers,
-	})
+	return ptree.NewFQT(ds, pivots, opts)
 }
 
 // NewFQA builds the Fixed Queries Array [11], the compact form of FQT.
@@ -197,9 +181,7 @@ func NewFQA(ds *Dataset, pivots []int) (Index, error) {
 // NewMVPT builds the multi-vantage-point tree (§4.3) with the configured
 // arity (5 by default; 2 yields the classic VPT).
 func NewMVPT(ds *Dataset, pivots []int, opts TreeOptions) (Index, error) {
-	return mvpt.New(ds, pivots, mvpt.Options{
-		Arity: opts.Arity, LeafCapacity: opts.LeafCapacity, Workers: opts.Workers,
-	})
+	return ptree.NewMVPT(ds, pivots, opts)
 }
 
 // NewPMTree builds the PM-tree (§5.1): an M-tree with per-entry pivot

@@ -18,7 +18,6 @@ import (
 	"sync"
 	"time"
 
-	"metricindex/internal/bkt"
 	"metricindex/internal/cache"
 	"metricindex/internal/core"
 	"metricindex/internal/cpt"
@@ -26,12 +25,11 @@ import (
 	"metricindex/internal/epoch"
 	"metricindex/internal/ept"
 	"metricindex/internal/exec"
-	"metricindex/internal/fqt"
 	"metricindex/internal/mindex"
-	"metricindex/internal/mvpt"
 	"metricindex/internal/omni"
 	"metricindex/internal/pivot"
 	"metricindex/internal/pmtree"
+	"metricindex/internal/ptree"
 	"metricindex/internal/shard"
 	"metricindex/internal/spb"
 	"metricindex/internal/store"
@@ -221,19 +219,19 @@ func Builders() []Builder {
 			return &Built{Name: "CPT", Index: idx, Pager: p}, err
 		}},
 		{Name: "BKT", DiscreteOnly: true, Build: func(e *Env) (*Built, error) {
-			idx, err := bkt.New(e.Gen.Dataset, bkt.Options{
+			idx, err := ptree.NewBKT(e.Gen.Dataset, ptree.Options{
 				Seed: e.Cfg.Seed, MaxDistance: e.Gen.MaxDistance, Workers: e.Cfg.Workers,
 			})
 			return &Built{Name: "BKT", Index: idx}, err
 		}},
 		{Name: "FQT", DiscreteOnly: true, Build: func(e *Env) (*Built, error) {
-			idx, err := fqt.New(e.Gen.Dataset, e.Pivots, fqt.Options{
+			idx, err := ptree.NewFQT(e.Gen.Dataset, e.Pivots, ptree.Options{
 				MaxDistance: e.Gen.MaxDistance, Workers: e.Cfg.Workers,
 			})
 			return &Built{Name: "FQT", Index: idx}, err
 		}},
 		{Name: "MVPT", Build: func(e *Env) (*Built, error) {
-			idx, err := mvpt.New(e.Gen.Dataset, e.Pivots, mvpt.Options{Workers: e.Cfg.Workers})
+			idx, err := ptree.NewMVPT(e.Gen.Dataset, e.Pivots, ptree.Options{Workers: e.Cfg.Workers})
 			return &Built{Name: "MVPT", Index: idx}, err
 		}},
 		{Name: "PM-tree", Build: func(e *Env) (*Built, error) {

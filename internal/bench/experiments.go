@@ -6,8 +6,8 @@ import (
 	"text/tabwriter"
 
 	"metricindex/internal/dataset"
-	"metricindex/internal/mvpt"
 	"metricindex/internal/pivot"
+	"metricindex/internal/ptree"
 	"metricindex/internal/spb"
 	"metricindex/internal/table"
 )
@@ -339,7 +339,7 @@ func AblationPivotSelection(w io.Writer, cfg Config) error {
 		if err != nil {
 			return err
 		}
-		mv, err := mvpt.New(ds, pv, mvpt.Options{})
+		mv, err := ptree.NewMVPT(ds, pv, ptree.Options{})
 		if err != nil {
 			return err
 		}
@@ -375,7 +375,7 @@ func AblationMVPTArity(w io.Writer, cfg Config) error {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "m\tcompdists\tCPU")
 	for _, m := range []int{2, 3, 5, 8, 16} {
-		idx, err := mvpt.New(e.Gen.Dataset, e.Pivots, mvpt.Options{Arity: m})
+		idx, err := ptree.NewMVPT(e.Gen.Dataset, e.Pivots, ptree.Options{Arity: m})
 		if err != nil {
 			return err
 		}

@@ -8,14 +8,12 @@ import (
 	"math"
 	"testing"
 
-	"metricindex/internal/bkt"
 	"metricindex/internal/core"
-	"metricindex/internal/fqt"
 	"metricindex/internal/mindex"
-	"metricindex/internal/mvpt"
 	"metricindex/internal/omni"
 	"metricindex/internal/pivot"
 	"metricindex/internal/pmtree"
+	"metricindex/internal/ptree"
 	"metricindex/internal/store"
 	"metricindex/internal/testutil"
 )
@@ -41,15 +39,15 @@ type treeFamily struct {
 
 var treeFamilies = []treeFamily{
 	{"BKT", func(ds *core.Dataset, _ []int, maxD float64) (testutil.Searcher, *store.Pager, error) {
-		idx, err := bkt.New(ds, bkt.Options{Seed: 5, MaxDistance: maxD})
+		idx, err := ptree.NewBKT(ds, ptree.Options{Seed: 5, MaxDistance: maxD})
 		return idx, nil, err
 	}},
 	{"FQT", func(ds *core.Dataset, pv []int, maxD float64) (testutil.Searcher, *store.Pager, error) {
-		idx, err := fqt.New(ds, pv, fqt.Options{MaxDistance: maxD})
+		idx, err := ptree.NewFQT(ds, pv, ptree.Options{MaxDistance: maxD})
 		return idx, nil, err
 	}},
 	{"MVPT", func(ds *core.Dataset, pv []int, _ float64) (testutil.Searcher, *store.Pager, error) {
-		idx, err := mvpt.New(ds, pv, mvpt.Options{})
+		idx, err := ptree.NewMVPT(ds, pv, ptree.Options{})
 		return idx, nil, err
 	}},
 	{"PM-tree", func(ds *core.Dataset, pv []int, _ float64) (testutil.Searcher, *store.Pager, error) {

@@ -9,13 +9,11 @@ import (
 	"strings"
 	"testing"
 
-	"metricindex/internal/bkt"
 	"metricindex/internal/core"
 	"metricindex/internal/dataset"
-	"metricindex/internal/fqt"
-	"metricindex/internal/mvpt"
 	"metricindex/internal/persist"
 	"metricindex/internal/pivot"
+	"metricindex/internal/ptree"
 	"metricindex/internal/testutil"
 )
 
@@ -34,16 +32,16 @@ type pivotTreeFamily struct {
 
 var pivotTreeFamilies = []pivotTreeFamily{
 	{"BKT", func(ds *core.Dataset, _ []int, maxD float64, workers int) (snapshotTree, error) {
-		return bkt.New(ds, bkt.Options{Seed: 5, MaxDistance: maxD, Workers: workers})
+		return ptree.NewBKT(ds, ptree.Options{Seed: 5, MaxDistance: maxD, Workers: workers})
 	}},
 	{"FQT", func(ds *core.Dataset, pv []int, maxD float64, workers int) (snapshotTree, error) {
-		return fqt.New(ds, pv, fqt.Options{MaxDistance: maxD, Workers: workers})
+		return ptree.NewFQT(ds, pv, ptree.Options{MaxDistance: maxD, Workers: workers})
 	}},
 	{"VPT", func(ds *core.Dataset, pv []int, _ float64, workers int) (snapshotTree, error) {
-		return mvpt.New(ds, pv, mvpt.Options{Arity: 2, Workers: workers})
+		return ptree.NewMVPT(ds, pv, ptree.Options{Arity: 2, Workers: workers})
 	}},
 	{"MVPT", func(ds *core.Dataset, pv []int, _ float64, workers int) (snapshotTree, error) {
-		return mvpt.New(ds, pv, mvpt.Options{Workers: workers})
+		return ptree.NewMVPT(ds, pv, ptree.Options{Workers: workers})
 	}},
 }
 

@@ -1,17 +1,21 @@
-package bkt
+// Package bkt_test holds the Burkhard-Keller tree's behaviour tests. The
+// tree is the BKT family of internal/ptree; its build-identity,
+// concurrency and allocation tests are ptree's, table-driven over the
+// three families.
+package bkt_test
 
 import (
-	"fmt"
 	"testing"
 
 	"metricindex/internal/core"
+	"metricindex/internal/ptree"
 	"metricindex/internal/testutil"
 )
 
-func newIntBKT(t *testing.T, n int) (*BKT, *core.Dataset) {
+func newIntBKT(t *testing.T, n int) (*ptree.Tree, *core.Dataset) {
 	t.Helper()
 	ds := testutil.IntVectorDataset(n, 4, 100, 7)
-	idx, err := New(ds, Options{Seed: 3, MaxDistance: 100})
+	idx, err := ptree.NewBKT(ds, ptree.Options{Seed: 3, MaxDistance: 100})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -20,7 +24,7 @@ func newIntBKT(t *testing.T, n int) (*BKT, *core.Dataset) {
 
 func TestBKTRejectsContinuousMetric(t *testing.T) {
 	ds := testutil.VectorDataset(20, 2, 10, core.L2{}, 1)
-	if _, err := New(ds, Options{MaxDistance: 10}); err == nil {
+	if _, err := ptree.NewBKT(ds, ptree.Options{MaxDistance: 10}); err == nil {
 		t.Fatal("BKT must reject continuous metrics")
 	}
 }
@@ -32,7 +36,7 @@ func TestBKTRejectsContinuousMetric(t *testing.T) {
 func TestBKTEquivalence(t *testing.T) {
 	for _, ed := range testutil.EquivDatasets(true, 400, 7) {
 		build := func(ds *core.Dataset, workers int) (testutil.EquivIndex, error) {
-			return New(ds, Options{Seed: 3, MaxDistance: ed.MaxDistance, Workers: workers})
+			return ptree.NewBKT(ds, ptree.Options{Seed: 3, MaxDistance: ed.MaxDistance, Workers: workers})
 		}
 		testutil.CheckEquivalence(t, ed, build, testutil.EquivOptions{})
 	}
@@ -64,75 +68,6 @@ func TestBKTDeleteThenInsertMixed(t *testing.T) {
 	}
 }
 
-// sameTree deep-compares two BKT nodes: pivot, bucket width, child
-// bucket keys, and the exact identifier sequence of every leaf.
-func sameTree(a, b *node) error {
-	if a.leaf() != b.leaf() {
-		return fmt.Errorf("leaf/internal mismatch")
-	}
-	if a.leaf() {
-		if len(a.ids) != len(b.ids) {
-			return fmt.Errorf("leaf sizes %d vs %d", len(a.ids), len(b.ids))
-		}
-		for i := range a.ids {
-			if a.ids[i] != b.ids[i] {
-				return fmt.Errorf("leaf id %d: %d vs %d", i, a.ids[i], b.ids[i])
-			}
-		}
-		return nil
-	}
-	if a.pivotID != b.pivotID || a.width != b.width || a.pivotLive != b.pivotLive {
-		return fmt.Errorf("pivot %d/%v/%v vs %d/%v/%v", a.pivotID, a.width, a.pivotLive, b.pivotID, b.width, b.pivotLive)
-	}
-	if len(a.children) != len(b.children) {
-		return fmt.Errorf("fanout %d vs %d", len(a.children), len(b.children))
-	}
-	for bkey, ac := range a.children {
-		bc, ok := b.children[bkey]
-		if !ok {
-			return fmt.Errorf("bucket %d missing", bkey)
-		}
-		if err := sameTree(ac, bc); err != nil {
-			return fmt.Errorf("bucket %d: %w", bkey, err)
-		}
-	}
-	return nil
-}
-
-// TestBKTParallelBuildIdentical checks the node-level parallel build
-// produces exactly the sequential tree: the content-hashed pivot choice
-// is order-independent, so worker scheduling cannot change the result.
-func TestBKTParallelBuildIdentical(t *testing.T) {
-	ds := testutil.IntVectorDataset(3000, 4, 100, 7)
-	seq, err := New(ds, Options{Seed: 3, MaxDistance: 100, LeafCapacity: 4})
-	if err != nil {
-		t.Fatalf("sequential New: %v", err)
-	}
-	for _, workers := range []int{-1, 4} {
-		par, err := New(ds, Options{Seed: 3, MaxDistance: 100, LeafCapacity: 4, Workers: workers})
-		if err != nil {
-			t.Fatalf("parallel New(workers=%d): %v", workers, err)
-		}
-		if err := sameTree(seq.root, par.root); err != nil {
-			t.Fatalf("workers=%d tree differs from sequential: %v", workers, err)
-		}
-	}
-}
-
-// TestBKTBuildConcurrencyBounded asserts the token pool keeps the
-// build's total concurrency at Workers — not Workers per tree level (the
-// MVPT lesson from the serving-layer PR).
-func TestBKTBuildConcurrencyBounded(t *testing.T) {
-	const workers = 3
-	ds, probe := testutil.ProbeDataset(testutil.IntVectorDataset(1500, 4, 100, 7), 0)
-	if _, err := New(ds, Options{Seed: 3, MaxDistance: 100, Workers: workers}); err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	if got := probe.Max(); got > workers {
-		t.Fatalf("observed %d concurrent distance computations, Workers=%d", got, workers)
-	}
-}
-
 func TestBKTDeletePivotKeepsRouting(t *testing.T) {
 	idx, ds := newIntBKT(t, 150)
 	// Delete every object in turn until half are gone, including pivots.
@@ -157,7 +92,7 @@ func TestBKTDuplicateObjects(t *testing.T) {
 		objs[i] = core.IntVector{int32(i % 3), 1} // heavy duplication
 	}
 	ds := core.NewDataset(core.NewSpace(core.IntLInf{}), objs)
-	idx, err := New(ds, Options{Seed: 1, MaxDistance: 3, LeafCapacity: 4})
+	idx, err := ptree.NewBKT(ds, ptree.Options{Seed: 1, MaxDistance: 3, LeafCapacity: 4})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}

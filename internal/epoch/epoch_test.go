@@ -12,8 +12,8 @@ import (
 	"metricindex/internal/core"
 	"metricindex/internal/epoch"
 	"metricindex/internal/exec"
-	"metricindex/internal/mvpt"
 	"metricindex/internal/pivot"
+	"metricindex/internal/ptree"
 	"metricindex/internal/shard"
 	"metricindex/internal/spb"
 	"metricindex/internal/store"
@@ -43,7 +43,7 @@ func builders() map[string]epoch.Builder {
 			if err != nil {
 				return nil, err
 			}
-			return mvpt.New(ds, pv, mvpt.Options{})
+			return ptree.NewMVPT(ds, pv, ptree.Options{})
 		},
 		"SPB-tree": func(ds *core.Dataset) (core.Index, error) {
 			pv, err := sel(ds)

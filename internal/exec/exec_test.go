@@ -12,10 +12,10 @@ import (
 	"time"
 
 	"metricindex/internal/core"
-	"metricindex/internal/mvpt"
 	"metricindex/internal/omni"
 	"metricindex/internal/pivot"
 	"metricindex/internal/plan"
+	"metricindex/internal/ptree"
 	"metricindex/internal/spb"
 	"metricindex/internal/store"
 	"metricindex/internal/table"
@@ -40,7 +40,7 @@ func buildLineup(t *testing.T, ds *core.Dataset, maxD float64) map[string]core.I
 	}
 	out["LAESA"] = la
 
-	mv, err := mvpt.New(ds, pv, mvpt.Options{})
+	mv, err := ptree.NewMVPT(ds, pv, ptree.Options{})
 	if err != nil {
 		t.Fatalf("mvpt.New: %v", err)
 	}

@@ -1,3 +1,6 @@
+// Package fqt implements the Fixed Queries Array (FQA [11]), the compact
+// array form of the Fixed Queries Tree for discrete distance functions.
+// The FQT itself is the FQT family of internal/ptree.
 package fqt
 
 import (

@@ -1,22 +1,22 @@
 package fqt
 
 import (
-	"fmt"
 	"testing"
 
 	"metricindex/internal/core"
 	"metricindex/internal/pivot"
+	"metricindex/internal/ptree"
 	"metricindex/internal/testutil"
 )
 
-func newIntFQT(t *testing.T, n int) (*FQT, *core.Dataset) {
+func newIntFQT(t *testing.T, n int) (*ptree.Tree, *core.Dataset) {
 	t.Helper()
 	ds := testutil.IntVectorDataset(n, 4, 100, 7)
 	pv, err := pivot.HFI(ds, 4, pivot.Options{Seed: 3})
 	if err != nil {
 		t.Fatalf("HFI: %v", err)
 	}
-	idx, err := New(ds, pv, Options{MaxDistance: 100})
+	idx, err := ptree.NewFQT(ds, pv, ptree.Options{MaxDistance: 100})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -25,7 +25,7 @@ func newIntFQT(t *testing.T, n int) (*FQT, *core.Dataset) {
 
 func TestFQTRejectsContinuousMetric(t *testing.T) {
 	ds := testutil.VectorDataset(20, 2, 10, core.L2{}, 1)
-	if _, err := New(ds, []int{0, 1}, Options{MaxDistance: 10}); err == nil {
+	if _, err := ptree.NewFQT(ds, []int{0, 1}, ptree.Options{MaxDistance: 10}); err == nil {
 		t.Fatal("FQT must reject continuous metrics")
 	}
 }
@@ -37,7 +37,7 @@ func TestFQTRejectsContinuousMetric(t *testing.T) {
 func TestFQTEquivalence(t *testing.T) {
 	for _, ed := range testutil.EquivDatasets(true, 400, 7) {
 		build := func(ds *core.Dataset, workers int) (testutil.EquivIndex, error) {
-			return New(ds, ed.Pivots, Options{MaxDistance: ed.MaxDistance, Workers: workers})
+			return ptree.NewFQT(ds, ed.Pivots, ptree.Options{MaxDistance: ed.MaxDistance, Workers: workers})
 		}
 		testutil.CheckEquivalence(t, ed, build, testutil.EquivOptions{})
 	}
@@ -64,74 +64,6 @@ func TestFQTDeleteThenInsertMixed(t *testing.T) {
 		testutil.CheckRange(t, idx, ds, q, r)
 	}
 	testutil.CheckKNN(t, idx, ds, q, 17)
-}
-
-// sameTree deep-compares two FQT nodes: child bucket keys and the exact
-// identifier sequence of every leaf.
-func sameTree(a, b *node) error {
-	if a.leaf() != b.leaf() {
-		return fmt.Errorf("leaf/internal mismatch")
-	}
-	if a.leaf() {
-		if len(a.ids) != len(b.ids) {
-			return fmt.Errorf("leaf sizes %d vs %d", len(a.ids), len(b.ids))
-		}
-		for i := range a.ids {
-			if a.ids[i] != b.ids[i] {
-				return fmt.Errorf("leaf id %d: %d vs %d", i, a.ids[i], b.ids[i])
-			}
-		}
-		return nil
-	}
-	if len(a.children) != len(b.children) {
-		return fmt.Errorf("fanout %d vs %d", len(a.children), len(b.children))
-	}
-	for bkey, ac := range a.children {
-		bc, ok := b.children[bkey]
-		if !ok {
-			return fmt.Errorf("bucket %d missing", bkey)
-		}
-		if err := sameTree(ac, bc); err != nil {
-			return fmt.Errorf("bucket %d: %w", bkey, err)
-		}
-	}
-	return nil
-}
-
-// TestFQTParallelBuildIdentical checks the node-level parallel build
-// produces exactly the sequential tree.
-func TestFQTParallelBuildIdentical(t *testing.T) {
-	ds := testutil.IntVectorDataset(3000, 4, 100, 7)
-	pv, err := pivot.HFI(ds, 5, pivot.Options{Seed: 3})
-	if err != nil {
-		t.Fatalf("HFI: %v", err)
-	}
-	seq, err := New(ds, pv, Options{MaxDistance: 100, LeafCapacity: 4})
-	if err != nil {
-		t.Fatalf("sequential New: %v", err)
-	}
-	for _, workers := range []int{-1, 4} {
-		par, err := New(ds, pv, Options{MaxDistance: 100, LeafCapacity: 4, Workers: workers})
-		if err != nil {
-			t.Fatalf("parallel New(workers=%d): %v", workers, err)
-		}
-		if err := sameTree(seq.root, par.root); err != nil {
-			t.Fatalf("workers=%d tree differs from sequential: %v", workers, err)
-		}
-	}
-}
-
-// TestFQTBuildConcurrencyBounded asserts the token pool keeps the
-// build's total concurrency at Workers — not Workers per tree level.
-func TestFQTBuildConcurrencyBounded(t *testing.T) {
-	const workers = 3
-	ds, probe := testutil.ProbeDataset(testutil.IntVectorDataset(1500, 4, 100, 7), 0)
-	if _, err := New(ds, testutil.SpreadPivots(ds, 4), Options{MaxDistance: 100, Workers: workers}); err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	if got := probe.Max(); got > workers {
-		t.Fatalf("observed %d concurrent distance computations, Workers=%d", got, workers)
-	}
 }
 
 func TestFQAMatchesBruteForce(t *testing.T) {

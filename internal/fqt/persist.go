@@ -2,131 +2,24 @@ package fqt
 
 import (
 	"fmt"
-	"sort"
 
 	"metricindex/internal/core"
 	"metricindex/internal/persist"
 	"metricindex/internal/store"
 )
 
-// Snapshot payload encodings for the FQT and FQA (spec:
-// docs/PERSISTENCE.md §FQT, §FQA).
+// Snapshot payload encoding for the FQA (spec: docs/PERSISTENCE.md §FQA).
 
-const fqtFormatVersion = 1
-
-// maxTreeDepth bounds node-decoding recursion so corrupt payloads cannot
-// exhaust the stack.
-const maxTreeDepth = 10000
+const fqaFormatVersion = 1
 
 func init() {
-	persist.Register("FQT", loadFQT)
 	persist.Register("FQA", loadFQA)
-}
-
-// EncodeSnapshot writes the FQT payload: the (defaulted) build options,
-// the per-level pivots, the bucket width, the object count and the tree.
-func (t *FQT) EncodeSnapshot(w *persist.Writer) error {
-	w.U16(fqtFormatVersion)
-	w.U32(uint32(t.opts.LeafCapacity))
-	w.U32(uint32(t.opts.MaxChildren))
-	w.F64(t.opts.MaxDistance)
-	w.I64(int64(t.opts.Workers))
-	w.Ints(t.pivotIDs)
-	w.Objects(t.pivotVals)
-	w.F64(t.width)
-	w.U32(uint32(t.size))
-	encodeFQTNode(w, t.root)
-	return nil
-}
-
-// Node tags shared by the FQT tree encoding: 0 = nil, 1 = leaf bucket,
-// 2 = internal node with bucket-keyed children.
-func encodeFQTNode(w *persist.Writer, n *node) {
-	switch {
-	case n == nil:
-		w.U8(0)
-	case n.children == nil:
-		w.U8(1)
-		w.Int32s(n.ids)
-	default:
-		w.U8(2)
-		keys := make([]int, 0, len(n.children))
-		for k := range n.children {
-			keys = append(keys, k)
-		}
-		sort.Ints(keys)
-		w.U32(uint32(len(keys)))
-		for _, k := range keys {
-			w.U32(uint32(k))
-			encodeFQTNode(w, n.children[k])
-		}
-	}
-}
-
-func decodeFQTNode(r *persist.Reader, depth int) (*node, error) {
-	if depth > maxTreeDepth {
-		return nil, fmt.Errorf("fqt: tree deeper than %d", maxTreeDepth)
-	}
-	switch tag := r.U8(); tag {
-	case 0:
-		return nil, r.Err()
-	case 1:
-		return &node{ids: r.Int32s()}, r.Err()
-	case 2:
-		cnt := r.Count(5) // key + at least a tag byte per child
-		if r.Err() != nil {
-			return nil, r.Err()
-		}
-		n := &node{children: make(map[int]*node, cnt)}
-		for i := 0; i < cnt; i++ {
-			k := int(r.U32())
-			child, err := decodeFQTNode(r, depth+1)
-			if err != nil {
-				return nil, err
-			}
-			n.children[k] = child
-		}
-		return n, r.Err()
-	default:
-		return nil, fmt.Errorf("fqt: unknown node tag %d", tag)
-	}
-}
-
-func loadFQT(ds *core.Dataset, r *persist.Reader) (core.Index, *store.Pager, error) {
-	if v := r.U16(); r.Err() == nil && v != fqtFormatVersion {
-		return nil, nil, fmt.Errorf("fqt: unsupported payload version %d", v)
-	}
-	t := &FQT{ds: ds}
-	t.opts.LeafCapacity = int(r.U32())
-	t.opts.MaxChildren = int(r.U32())
-	t.opts.MaxDistance = r.F64()
-	t.opts.Workers = int(r.I64())
-	t.pivotIDs = r.Ints()
-	t.pivotVals = r.Objects()
-	t.width = r.F64()
-	t.size = int(r.U32())
-	if err := r.Err(); err != nil {
-		return nil, nil, err
-	}
-	if len(t.pivotVals) != len(t.pivotIDs) || len(t.pivotIDs) == 0 {
-		return nil, nil, fmt.Errorf("fqt: %d pivot values for %d pivot ids", len(t.pivotVals), len(t.pivotIDs))
-	}
-	if t.width <= 0 {
-		return nil, nil, fmt.Errorf("fqt: non-positive bucket width %v", t.width)
-	}
-	root, err := decodeFQTNode(r, 0)
-	if err != nil {
-		return nil, nil, err
-	}
-	t.root = root
-	t.tokens = core.NewTokenPool(t.opts.Workers)
-	return t, nil, nil
 }
 
 // EncodeSnapshot writes the FQA payload: pivots, row ids and the
 // discrete distance vectors, row by row.
 func (t *FQA) EncodeSnapshot(w *persist.Writer) error {
-	w.U16(fqtFormatVersion)
+	w.U16(fqaFormatVersion)
 	w.Ints(t.pivotIDs)
 	w.Objects(t.pivotVals)
 	w.Int32s(t.ids)
@@ -137,7 +30,7 @@ func (t *FQA) EncodeSnapshot(w *persist.Writer) error {
 }
 
 func loadFQA(ds *core.Dataset, r *persist.Reader) (core.Index, *store.Pager, error) {
-	if v := r.U16(); r.Err() == nil && v != fqtFormatVersion {
+	if v := r.U16(); r.Err() == nil && v != fqaFormatVersion {
 		return nil, nil, fmt.Errorf("fqa: unsupported payload version %d", v)
 	}
 	t := &FQA{

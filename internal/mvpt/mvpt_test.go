@@ -1,22 +1,26 @@
-package mvpt
+// Package mvpt_test holds the vantage-point trees' behaviour tests. VPT
+// and MVPT are the MVPT family of internal/ptree; its build-identity,
+// concurrency and allocation tests are ptree's, table-driven over the
+// three families.
+package mvpt_test
 
 import (
-	"fmt"
 	"testing"
 
 	"metricindex/internal/core"
 	"metricindex/internal/pivot"
+	"metricindex/internal/ptree"
 	"metricindex/internal/testutil"
 )
 
-func newVPT(t *testing.T, n, arity int) (*MVPT, *core.Dataset) {
+func newVPT(t *testing.T, n, arity int) (*ptree.Tree, *core.Dataset) {
 	t.Helper()
 	ds := testutil.VectorDataset(n, 4, 100, core.L2{}, 7)
 	pv, err := pivot.HFI(ds, 5, pivot.Options{Seed: 3})
 	if err != nil {
 		t.Fatalf("HFI: %v", err)
 	}
-	idx, err := New(ds, pv, Options{Arity: arity})
+	idx, err := ptree.NewMVPT(ds, pv, ptree.Options{Arity: arity})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -64,7 +68,7 @@ func TestMVPTNames(t *testing.T) {
 func TestMVPTEquivalence(t *testing.T) {
 	for _, ed := range testutil.EquivDatasets(false, 400, 7) {
 		build := func(ds *core.Dataset, workers int) (testutil.EquivIndex, error) {
-			return New(ds, ed.Pivots, Options{Workers: workers})
+			return ptree.NewMVPT(ds, ed.Pivots, ptree.Options{Workers: workers})
 		}
 		testutil.CheckEquivalence(t, ed, build, testutil.EquivOptions{})
 	}
@@ -96,20 +100,6 @@ func TestMVPTDeleteThenInsertMixed(t *testing.T) {
 	}
 }
 
-// TestMVPTBuildConcurrencyBounded is the regression guard that the build
-// bounds *total* concurrency to Workers via the shared token pool — not
-// Workers per tree level.
-func TestMVPTBuildConcurrencyBounded(t *testing.T) {
-	const workers = 3
-	ds, probe := testutil.ProbeDataset(testutil.VectorDataset(1500, 4, 100, core.L2{}, 7), 0)
-	if _, err := New(ds, testutil.SpreadPivots(ds, 5), Options{Workers: workers}); err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	if got := probe.Max(); got > workers {
-		t.Fatalf("observed %d concurrent distance computations, Workers=%d", got, workers)
-	}
-}
-
 func TestMVPTDuplicates(t *testing.T) {
 	objs := make([]core.Object, 120)
 	for i := range objs {
@@ -117,7 +107,7 @@ func TestMVPTDuplicates(t *testing.T) {
 	}
 	ds := core.NewDataset(core.NewSpace(core.L2{}), objs)
 	pv := []int{0, 1}
-	idx, err := New(ds, pv, Options{LeafCapacity: 4})
+	idx, err := ptree.NewMVPT(ds, pv, ptree.Options{LeafCapacity: 4})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -136,7 +126,7 @@ func TestMVPTHeavyTiesTerminate(t *testing.T) {
 		objs[i] = core.Vector{float64(i % 4), float64(i % 3)}
 	}
 	ds := core.NewDataset(core.NewSpace(core.L2{}), objs)
-	idx, err := New(ds, []int{0, 1, 2}, Options{LeafCapacity: 8})
+	idx, err := ptree.NewMVPT(ds, []int{0, 1, 2}, ptree.Options{LeafCapacity: 8})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -156,78 +146,12 @@ func TestMVPTHeavyTiesTerminate(t *testing.T) {
 	testutil.CheckRange(t, idx, ds, q, 1.5)
 }
 
-// sameTree deep-compares two nodes: band count, cut values, and the exact
-// identifier sequence of every leaf.
-func sameTree(a, b *node) error {
-	if a.leaf() != b.leaf() {
-		return fmt.Errorf("leaf/internal mismatch")
-	}
-	if a.leaf() {
-		if len(a.ids) != len(b.ids) {
-			return fmt.Errorf("leaf sizes %d vs %d", len(a.ids), len(b.ids))
-		}
-		for i := range a.ids {
-			if a.ids[i] != b.ids[i] {
-				return fmt.Errorf("leaf id %d: %d vs %d", i, a.ids[i], b.ids[i])
-			}
-		}
-		return nil
-	}
-	if len(a.children) != len(b.children) {
-		return fmt.Errorf("fanout %d vs %d", len(a.children), len(b.children))
-	}
-	for c := range a.children {
-		if a.lo[c] != b.lo[c] || a.hi[c] != b.hi[c] {
-			return fmt.Errorf("band %d range [%v,%v] vs [%v,%v]", c, a.lo[c], a.hi[c], b.lo[c], b.hi[c])
-		}
-		if err := sameTree(a.children[c], b.children[c]); err != nil {
-			return fmt.Errorf("child %d: %w", c, err)
-		}
-	}
-	return nil
-}
-
-// TestMVPTParallelBuildIdentical checks the node-level parallel build
-// produces exactly the sequential tree — same bands, same cut values,
-// same leaf id order — and stays correct.
-func TestMVPTParallelBuildIdentical(t *testing.T) {
-	// 3000 objects with LeafCapacity 4 forces subtree recursion above and
-	// below the parallel cutoff.
-	ds := testutil.VectorDataset(3000, 4, 100, core.L2{}, 7)
-	pv, err := pivot.HFI(ds, 5, pivot.Options{Seed: 3})
-	if err != nil {
-		t.Fatalf("HFI: %v", err)
-	}
-	seq, err := New(ds, pv, Options{LeafCapacity: 4})
-	if err != nil {
-		t.Fatalf("sequential New: %v", err)
-	}
-	for _, workers := range []int{-1, 4} {
-		par, err := New(ds, pv, Options{LeafCapacity: 4, Workers: workers})
-		if err != nil {
-			t.Fatalf("parallel New(workers=%d): %v", workers, err)
-		}
-		if err := sameTree(seq.root, par.root); err != nil {
-			t.Fatalf("workers=%d tree differs from sequential: %v", workers, err)
-		}
-	}
-	par, err := New(ds, pv, Options{LeafCapacity: 4, Workers: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for qs := int64(0); qs < 3; qs++ {
-		q := testutil.RandomQuery(ds, qs)
-		testutil.CheckRange(t, par, ds, q, 20)
-		testutil.CheckKNN(t, par, ds, q, 9)
-	}
-}
-
 func TestMVPTErrors(t *testing.T) {
 	ds := testutil.VectorDataset(30, 2, 10, core.L2{}, 1)
-	if _, err := New(ds, nil, Options{}); err == nil {
+	if _, err := ptree.NewMVPT(ds, nil, ptree.Options{}); err == nil {
 		t.Fatal("no pivots must fail")
 	}
-	idx, err := New(ds, []int{0, 1}, Options{})
+	idx, err := ptree.NewMVPT(ds, []int{0, 1}, ptree.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

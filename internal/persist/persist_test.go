@@ -10,18 +10,17 @@ import (
 	"path/filepath"
 	"testing"
 
-	"metricindex/internal/bkt"
 	"metricindex/internal/core"
 	"metricindex/internal/cpt"
 	"metricindex/internal/epoch"
 	"metricindex/internal/ept"
 	"metricindex/internal/fqt"
 	"metricindex/internal/mindex"
-	"metricindex/internal/mvpt"
 	"metricindex/internal/omni"
 	"metricindex/internal/persist"
 	"metricindex/internal/pivot"
 	"metricindex/internal/pmtree"
+	"metricindex/internal/ptree"
 	"metricindex/internal/spb"
 	"metricindex/internal/store"
 	"metricindex/internal/table"
@@ -83,19 +82,19 @@ var snapshotKinds = []snapshotKind{
 		return table.NewAESA(ds)
 	}},
 	{"FQT", true, func(ed testutil.EquivDataset, ds *core.Dataset, workers int) (core.Index, error) {
-		return fqt.New(ds, ed.Pivots, fqt.Options{MaxDistance: ed.MaxDistance, Workers: workers})
+		return ptree.NewFQT(ds, ed.Pivots, ptree.Options{MaxDistance: ed.MaxDistance, Workers: workers})
 	}},
 	{"FQA", true, func(ed testutil.EquivDataset, ds *core.Dataset, _ int) (core.Index, error) {
 		return fqt.NewFQA(ds, ed.Pivots)
 	}},
 	{"BKT", true, func(ed testutil.EquivDataset, ds *core.Dataset, workers int) (core.Index, error) {
-		return bkt.New(ds, bkt.Options{MaxDistance: ed.MaxDistance, Seed: 5, Workers: workers})
+		return ptree.NewBKT(ds, ptree.Options{MaxDistance: ed.MaxDistance, Seed: 5, Workers: workers})
 	}},
 	{"VPT", false, func(ed testutil.EquivDataset, ds *core.Dataset, workers int) (core.Index, error) {
-		return mvpt.New(ds, ed.Pivots, mvpt.Options{Arity: 2, Workers: workers})
+		return ptree.NewMVPT(ds, ed.Pivots, ptree.Options{Arity: 2, Workers: workers})
 	}},
 	{"MVPT", false, func(ed testutil.EquivDataset, ds *core.Dataset, workers int) (core.Index, error) {
-		return mvpt.New(ds, ed.Pivots, mvpt.Options{Arity: 5, Workers: workers})
+		return ptree.NewMVPT(ds, ed.Pivots, ptree.Options{Arity: 5, Workers: workers})
 	}},
 	{"EPT", false, func(_ testutil.EquivDataset, ds *core.Dataset, workers int) (core.Index, error) {
 		return ept.New(ds, ept.Original, eptOptions(workers))

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"metricindex/internal/core"
 )
@@ -210,7 +211,11 @@ func HFI(ds *core.Dataset, numPivots int, opts Options) ([]int, error) {
 			}
 		}
 		if bestCi < 0 {
-			break
+			// No candidate scores: every score is NaN, as when a sampled
+			// pair holds a NaN row, so none beats another. Take the first
+			// one left, as PSAState.Assign does; any pivot keeps Lemma 1
+			// exact.
+			bestCi = slices.Index(used, false)
 		}
 		used[bestCi] = true
 		chosen = append(chosen, cands[bestCi])

@@ -1,6 +1,7 @@
 package pivot
 
 import (
+	"math"
 	"testing"
 
 	"metricindex/internal/core"
@@ -102,6 +103,32 @@ func TestHFIErrors(t *testing.T) {
 	empty := core.NewDataset(core.NewSpace(core.L2{}), nil)
 	if _, err := HFI(empty, 2, Options{}); err == nil {
 		t.Fatal("empty dataset must fail")
+	}
+}
+
+// TestHFINaNRows selects pivots over L2 points holding NaN rows. A
+// sampled pair with a NaN row scores NaN against every candidate, so no
+// candidate won and HFI returned no pivots and no error; the builds
+// behind it then failed with "no pivots". It must return the pivots
+// asked for, distinct and live.
+func TestHFINaNRows(t *testing.T) {
+	ds := testutil.VectorDataset(505, 3, 100, core.L2{}, 4)
+	for id := 500; id < 505; id++ {
+		ds.Object(id).(core.Vector)[1] = math.NaN()
+	}
+	pv, err := HFI(ds, 5, Options{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pv) != 5 {
+		t.Fatalf("HFI returned %d pivots, want 5", len(pv))
+	}
+	seen := map[int]bool{}
+	for _, p := range pv {
+		if seen[p] || !ds.Live(p) {
+			t.Fatalf("pivots %v: repeated or dead", pv)
+		}
+		seen[p] = true
 	}
 }
 

@@ -6,8 +6,8 @@ import (
 	"testing"
 
 	"metricindex/internal/core"
-	"metricindex/internal/mvpt"
 	"metricindex/internal/pivot"
+	"metricindex/internal/ptree"
 	"metricindex/internal/spb"
 	"metricindex/internal/store"
 	"metricindex/internal/table"
@@ -40,7 +40,7 @@ func builders() []subBuilder {
 			if err != nil {
 				return nil, err
 			}
-			return mvpt.New(sub, pv, mvpt.Options{})
+			return ptree.NewMVPT(sub, pv, ptree.Options{})
 		}},
 		{"SPB-tree", func(sub *core.Dataset) (core.Index, error) {
 			pv, err := pivotsFor(sub)
