@@ -11,7 +11,7 @@ import (
 // TestInsertInvalidIDErrors is the regression test for the nil-object
 // panic: inserting a deleted or out-of-range id must return an error, not
 // pass nil into the metric's type assertion — for AESA and for every
-// family on the shared pivot table.
+// family on the shared pivot table, paged or not.
 func TestInsertInvalidIDErrors(t *testing.T) {
 	ds := testutil.VectorDataset(40, 3, 100, core.L2{}, 31)
 	aesa, err := table.NewAESA(ds)
@@ -19,7 +19,7 @@ func TestInsertInvalidIDErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	indexes := []core.Index{aesa}
-	for _, family := range []string{"LAESA", "EPT", "EPT*", "CPT"} {
+	for _, family := range []string{"LAESA", "EPT", "EPT*", "CPT", "Omni-seq", "DiskEPT*"} {
 		indexes = append(indexes, goldenBuild(t, family, ds))
 	}
 	victim := 11

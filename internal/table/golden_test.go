@@ -11,6 +11,7 @@ import (
 	"metricindex/internal/cpt"
 	"metricindex/internal/dataset"
 	"metricindex/internal/ept"
+	"metricindex/internal/omni"
 	"metricindex/internal/persist"
 	"metricindex/internal/pivot"
 	"metricindex/internal/store"
@@ -43,7 +44,9 @@ type goldenCosts struct {
 // verified in), the kNN compdists of EPT/EPT* on words (chunk alignment
 // under 512-row blocks) and the LAESA/CPT snapshot hashes (the stored
 // row order). Every answer, every range cost, every churn cost and every
-// EPT/EPT* vector constant is the one-table parent's.
+// EPT/EPT* vector constant is the one-table parent's. Omni-seq and
+// DiskEPT* were recorded at the parent of the one paged table, whose
+// rows they then moved onto.
 var golden = map[string]goldenCosts{
 	"LAESA/vectors": {5824, 234, 4935, 183, 0, 0, 300, 0,
 		"4e90a615f3a2a7913708612301682aedc29463c8bce37722996d62f34c55f6c6",
@@ -69,6 +72,33 @@ var golden = map[string]goldenCosts{
 	"CPT/words": {13484, 9540, -1, -1, 13394, 9450, 1969, 793,
 		"b9bd71690e32dcab5a872466a3e45bd9450ffe7836ed6dc9c15aa693ee44973d",
 		"f2828f71de481d8581b23dd1d948c179c1ad6dcb04b94839b556a84263736766"},
+	"Omni-seq/vectors": {5452, 234, -1, -1, 12141, 1516, 300, 798,
+		"0fcccafca90262f87b8e4254ae099f71f493ee77357353b924622aa24719d6d1",
+		"bdf98a058c7d8b8419bb1eedd7936b351d77744159ae18b8ffc0853c6b80dddc"},
+	"Omni-seq/words": {13518, 9540, -1, -1, 28264, 20247, 300, 794,
+		"b9bd71690e32dcab5a872466a3e45bd9450ffe7836ed6dc9c15aa693ee44973d",
+		"30072eb64501b963d1a34952afec59b7a8aae02455bec610d35f8252a08e5a67"},
+	"DiskEPT*/vectors": {4848, 936, -1, -1, 9898, 1938, 4320, 798,
+		"0fcccafca90262f87b8e4254ae099f71f493ee77357353b924622aa24719d6d1",
+		"fe058354c576e7843fd3f4b064aa9da7d247862b942b56f65a9213c0e0536d71"},
+	"DiskEPT*/words": {12322, 8018, -1, -1, 24870, 16187, 4320, 794,
+		"b9bd71690e32dcab5a872466a3e45bd9450ffe7836ed6dc9c15aa693ee44973d",
+		"6e50fd1b20d46548e703a36960296069453fd3e87eb425c332ba169fa14f36b2"},
+}
+
+// goldenCached holds the kNN and range page accesses of the disk
+// families' unfiltered legs rerun with the page cache at
+// store.DefaultCacheBytes, keyed like golden. Recorded at the parent of
+// the one paged table: a cache hit depends on the order the scan reads
+// table pages and candidates in, which the page-access counts of the
+// cache-off legs do not see.
+var goldenCached = map[string][2]int64{
+	"CPT/vectors":      {118, 52},
+	"CPT/words":        {63, 63},
+	"Omni-seq/vectors": {590, 123},
+	"Omni-seq/words":   {96, 96},
+	"DiskEPT*/vectors": {1314, 166},
+	"DiskEPT*/words":   {111, 111},
 }
 
 // goldenAccept is the pushed-down predicate of the filtered legs.
@@ -80,6 +110,13 @@ type goldenIndex interface {
 }
 
 func goldenBuild(t *testing.T, family string, ds *core.Dataset) goldenIndex {
+	t.Helper()
+	return goldenBuildOn(t, family, ds, store.NewPager(1024))
+}
+
+// goldenBuildOn builds family over ds; the disk families (CPT, Omni-seq,
+// DiskEPT*) put their pages on pager.
+func goldenBuildOn(t *testing.T, family string, ds *core.Dataset, pager *store.Pager) goldenIndex {
 	t.Helper()
 	pv, err := pivot.HFI(ds, 5, pivot.Options{Seed: 3})
 	if err != nil {
@@ -95,7 +132,11 @@ func goldenBuild(t *testing.T, family string, ds *core.Dataset) goldenIndex {
 	case "EPT*":
 		idx, err = ept.New(ds, ept.Star, eptOpts)
 	case "CPT":
-		idx, err = cpt.New(ds, store.NewPager(1024), pv, cpt.Options{Seed: 7})
+		idx, err = cpt.New(ds, pager, pv, cpt.Options{Seed: 7})
+	case "Omni-seq":
+		idx, err = omni.NewSeqFile(ds, pager, pv, 0)
+	case "DiskEPT*":
+		idx, err = ept.NewDisk(ds, pager, eptOpts)
 	}
 	if err != nil {
 		t.Fatalf("build %s: %v", family, err)
@@ -132,8 +173,10 @@ func goldenChurn(t *testing.T, idx core.Index, ds *core.Dataset, words bool) {
 	}
 }
 
-// goldenRun drives the fixed workload and returns what it cost.
-func goldenRun(t *testing.T, family string, words bool) goldenCosts {
+// goldenRun drives the fixed workload and returns what it cost, and the
+// kNN and range page accesses rerun at store.DefaultCacheBytes (0 for
+// the in-memory families).
+func goldenRun(t *testing.T, family string, words bool) (goldenCosts, [2]int64) {
 	t.Helper()
 	ds := testutil.VectorDataset(1500, 4, 100, core.L2{}, 7)
 	radii := []float64{2, 8, 20}
@@ -141,7 +184,8 @@ func goldenRun(t *testing.T, family string, words bool) goldenCosts {
 		ds = testutil.WordDataset(1500, 11)
 		radii = []float64{1, 2, 3}
 	}
-	idx := goldenBuild(t, family, ds)
+	pager := store.NewPager(1024)
+	idx := goldenBuildOn(t, family, ds, pager)
 	var g goldenCosts
 	ds.Space().ResetCompDists()
 	idx.ResetStats()
@@ -180,7 +224,7 @@ func goldenRun(t *testing.T, family string, words bool) goldenCosts {
 		return ds.Space().CompDists(), idx.PageAccesses()
 	}
 
-	g.knnCD, g.knnPA = measure(func(q core.Object) error {
+	knn := func(q core.Object) error {
 		for _, k := range ks {
 			ns, err := idx.KNNSearch(q, k)
 			if err != nil {
@@ -189,8 +233,8 @@ func goldenRun(t *testing.T, family string, words bool) goldenCosts {
 			hashNeighbors(ns)
 		}
 		return nil
-	})
-	g.rangeCD, g.rangePA = measure(func(q core.Object) error {
+	}
+	rng := func(q core.Object) error {
 		for _, r := range radii {
 			ids, err := idx.RangeSearch(q, r)
 			if err != nil {
@@ -199,7 +243,9 @@ func goldenRun(t *testing.T, family string, words bool) goldenCosts {
 			hashIDs(ids)
 		}
 		return nil
-	})
+	}
+	g.knnCD, g.knnPA = measure(knn)
+	g.rangeCD, g.rangePA = measure(rng)
 	g.knnAcceptCD, g.rangeAcceptCD = -1, -1
 	if as, ok := idx.(core.AcceptSearcher); ok {
 		g.knnAcceptCD, _ = measure(func(q core.Object) error {
@@ -230,7 +276,18 @@ func goldenRun(t *testing.T, family string, words bool) goldenCosts {
 		t.Fatalf("%s: EncodeSnapshot: %v", family, err)
 	}
 	g.snapshot = fmt.Sprintf("%x", sha256.Sum256(w.Bytes()))
-	return g
+
+	// The disk families rerun the unfiltered legs with the page cache on,
+	// each leg from a cold cache: which pages a hit saves depends on the
+	// order the scan reads them in.
+	var cached [2]int64
+	if pager.Pages() > 0 {
+		pager.SetCacheBytes(store.DefaultCacheBytes)
+		_, cached[0] = measure(knn)
+		pager.DropCache()
+		_, cached[1] = measure(rng)
+	}
+	return g, cached
 }
 
 // largeCosts is what LAESA or CPT spent and answered on the workload of
@@ -341,23 +398,28 @@ func TestTableGoldenCostsManySupers(t *testing.T) {
 	}
 }
 
-// TestTableFamilyGoldenCosts pins, for LAESA, EPT, EPT* and CPT on both
-// verification paths, the exact compdists and page accesses of a fixed
-// kNN/range workload (unfiltered and accept-filtered), the answers, and
-// the SHA-256 of the snapshot payload written after a round of deletes
-// and inserts.
+// TestTableFamilyGoldenCosts pins, for LAESA, EPT, EPT*, CPT, Omni-seq
+// and DiskEPT* on both verification paths, the exact compdists and page
+// accesses of a fixed kNN/range workload (unfiltered and
+// accept-filtered), the answers, the SHA-256 of the snapshot payload
+// written after a round of deletes and inserts — for the disk families
+// it holds the page images — and the disk families' unfiltered page
+// accesses with the page cache on.
 func TestTableFamilyGoldenCosts(t *testing.T) {
-	for _, family := range []string{"LAESA", "EPT", "EPT*", "CPT"} {
+	for _, family := range []string{"LAESA", "EPT", "EPT*", "CPT", "Omni-seq", "DiskEPT*"} {
 		for _, words := range []bool{false, true} {
 			key := family + "/vectors"
 			if words {
 				key = family + "/words"
 			}
-			got := goldenRun(t, family, words)
+			got, cached := goldenRun(t, family, words)
 			if want, ok := golden[key]; !ok || got != want {
 				t.Errorf("%s: costs moved\n got  %q: {%d, %d, %d, %d, %d, %d, %d, %d,\n\t%q,\n\t%q},\n want %+v",
 					key, key, got.knnCD, got.rangeCD, got.knnAcceptCD, got.rangeAcceptCD, got.knnPA, got.rangePA, got.churnCD, got.churnPA,
 					got.answers, got.snapshot, want)
+			}
+			if want := goldenCached[key]; cached != want {
+				t.Errorf("%s: cached page accesses moved\n got  %q: {%d, %d},\n want %v", key, key, cached[0], cached[1], want)
 			}
 		}
 	}
