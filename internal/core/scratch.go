@@ -45,6 +45,12 @@ type Scratch struct {
 	Q32 []float32
 	// Done marks visited rows for elimination-style scans (AESA).
 	Done []bool
+	// BlockIDs, BlockCols and BlockRefs hold one page of a paged pivot
+	// table decoded for the block loop: its live rows' ids, distance
+	// columns and (per-row pivots) pivot-reference columns.
+	BlockIDs  []int32
+	BlockCols [][]float64
+	BlockRefs [][]int32
 
 	heap *KNNHeap
 }
@@ -122,6 +128,22 @@ func (s *Scratch) GrowChunk(n int) {
 		s.Objs = s.Objs[:n]
 	}
 	s.Out = growF64(s.Out, n)
+}
+
+// GrowBlock sizes the block columns to l distance and l pivot-reference
+// columns of n rows.
+func (s *Scratch) GrowBlock(l, n int) {
+	if cap(s.BlockIDs) < n {
+		s.BlockIDs = make([]int32, n)
+	}
+	s.BlockIDs = s.BlockIDs[:n]
+	if len(s.BlockCols) != l || len(s.BlockCols[0]) < n {
+		s.BlockCols = make([][]float64, l)
+		s.BlockRefs = make([][]int32, l)
+		for c := range s.BlockCols {
+			s.BlockCols[c], s.BlockRefs[c] = make([]float64, n), make([]int32, n)
+		}
+	}
 }
 
 // Heap returns the scratch kNN heap re-armed for capacity k.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"sync/atomic"
 )
 
@@ -124,6 +125,25 @@ func (ds *Dataset) Object(id int) Object {
 		return nil
 	}
 	return ds.objects[id]
+}
+
+// Sample returns the first stored object, or nil when there is none: the
+// reference SameKind checks a decoded object against.
+func (ds *Dataset) Sample() Object {
+	for _, o := range ds.objects {
+		if o != nil {
+			return o
+		}
+	}
+	return nil
+}
+
+// SameKind reports whether one metric can measure o against ref, a
+// stored object of the dataset: the same type and, for vectors, the same
+// dimensionality. A nil ref (an empty dataset) accepts anything.
+func SameKind(ref, o Object) bool {
+	a, b := reflect.ValueOf(ref), reflect.ValueOf(o)
+	return ref == nil || b.IsValid() && a.Type() == b.Type() && (a.Kind() != reflect.Slice || a.Len() == b.Len())
 }
 
 // Objects exposes the raw object slice as a read-only view: callers must

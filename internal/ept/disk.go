@@ -1,14 +1,9 @@
 package ept
 
 import (
-	"encoding/binary"
-	"fmt"
-	"math"
-	"sort"
-
 	"metricindex/internal/core"
-	"metricindex/internal/pivot"
 	"metricindex/internal/store"
+	"metricindex/internal/table"
 )
 
 // DiskEPT is the disk-based EPT* the paper's conclusion names as a
@@ -19,288 +14,96 @@ import (
 // dataset no longer has to fit in main memory (EPT*'s stated limitation,
 // §3.1/§7).
 //
-// Row format on the table pages: id u32 | l × (pivotID u32, dist f64).
+// It is an EPT* — assignment, referenced-pivot pool, insert path — over
+// the per-row layout of a paged table.Table whose candidates come from
+// the RAF, each loaded right after its page.
 type DiskEPT struct {
-	ds       *core.Dataset
-	pager    *store.Pager
-	raf      *store.RAF
-	l        int
-	pivotVal map[int32]core.Object
-	psa      *pivot.PSAState
-
-	pages   []store.PageID
-	rows    int
-	rowOf   map[int]int
-	rowSize int
+	e     *EPT
+	pager *store.Pager
+	raf   *store.RAF
 }
-
-const deptTombstone = 0xFFFFFFFF
 
 // NewDisk builds a disk-based EPT* over all live objects.
 func NewDisk(ds *core.Dataset, pager *store.Pager, opts Options) (*DiskEPT, error) {
-	if opts.L <= 0 {
-		return nil, fmt.Errorf("ept: non-positive L %d", opts.L)
-	}
-	st, err := pivot.NewPSAState(ds, opts.Sel)
+	e, assign, err := prepare(ds, Star, opts)
 	if err != nil {
 		return nil, err
 	}
-	l := opts.L
-	if l > len(st.CandVals) {
-		l = len(st.CandVals)
+	d, err := newDisk(e, pager, store.NewRAF(pager))
+	if err != nil {
+		return nil, err
 	}
-	t := &DiskEPT{
-		ds:       ds,
-		pager:    pager,
-		raf:      store.NewRAF(pager),
-		l:        l,
-		pivotVal: make(map[int32]core.Object),
-		psa:      st,
-		rowOf:    make(map[int]int),
-		rowSize:  4 + l*12,
+	if err := e.fill(assign, opts.Workers, d.appendRAF); err != nil {
+		return nil, err
 	}
-	if t.rowsPerPage() < 1 {
-		return nil, fmt.Errorf("ept: page size %d below one row (%d bytes)", pager.PageSize(), t.rowSize)
-	}
-	for ci := range st.CandIDs {
-		t.pivotVal[st.CandIDs[ci]] = st.CandVals[ci]
-	}
-	// Per-object PSA assignment is the dominant build cost; fan it out
-	// across Options.Workers goroutines (Assign is read-only on the PSA
-	// state), then write the table pages and RAF sequentially so the
-	// on-disk layout is identical to a sequential build.
-	ids := ds.LiveIDs()
-	sp := ds.Space()
-	pvs := make([][]int32, len(ids))
-	dvs := make([][]float64, len(ids))
-	core.ParallelFor(len(ids), opts.Workers, func(start, end int) {
-		for i := start; i < end; i++ {
-			pvs[i], dvs[i] = st.Assign(sp, ds.Object(ids[i]), l)
-		}
-	})
-	for i, id := range ids {
-		if _, err := t.raf.Append(id, store.EncodeObject(nil, ds.Object(id))); err != nil {
-			return nil, err
-		}
-		pv, dv := pvs[i], dvs[i]
-		for len(pv) < l { // defensive padding (tiny candidate pools)
-			pv = append(pv, pv[len(pv)-1])
-			dv = append(dv, dv[len(dv)-1])
-		}
-		if err := t.writeRow(t.rows, uint32(id), pv, dv); err != nil {
-			return nil, err
-		}
-		t.rowOf[id] = t.rows
-		t.rows++
-	}
-	return t, nil
+	return d, nil
 }
 
-func (t *DiskEPT) rowsPerPage() int { return (t.pager.PageSize() - 2) / t.rowSize }
+// newDisk lays an empty paged table under e.
+func newDisk(e *EPT, pager *store.Pager, raf *store.RAF) (*DiskEPT, error) {
+	var err error
+	e.tab, err = table.NewPaged("ept", e.ds, pager, nil, e.l, raf.ReadObject, 1)
+	return &DiskEPT{e: e, pager: pager, raf: raf}, err
+}
+
+func (d *DiskEPT) appendRAF(id int) error {
+	_, err := d.raf.Append(id, store.EncodeObject(nil, d.e.ds.Object(id)))
+	return err
+}
 
 // Name returns "DiskEPT*".
-func (t *DiskEPT) Name() string { return "DiskEPT*" }
+func (d *DiskEPT) Name() string { return "DiskEPT*" }
 
 // Len returns the number of indexed objects.
-func (t *DiskEPT) Len() int { return len(t.rowOf) }
-
-func (t *DiskEPT) writeRow(row int, id uint32, pv []int32, dv []float64) error {
-	rpp := t.rowsPerPage()
-	pageIdx := row / rpp
-	for pageIdx >= len(t.pages) {
-		t.pages = append(t.pages, t.pager.Alloc())
-	}
-	pid := t.pages[pageIdx]
-	page, err := t.pager.Read(pid)
-	if err != nil {
-		return err
-	}
-	buf := make([]byte, len(page))
-	copy(buf, page)
-	off := 2 + (row%rpp)*t.rowSize
-	binary.LittleEndian.PutUint32(buf[off:], id)
-	for i := 0; i < t.l; i++ {
-		binary.LittleEndian.PutUint32(buf[off+4+12*i:], uint32(pv[i]))
-		binary.LittleEndian.PutUint64(buf[off+8+12*i:], math.Float64bits(dv[i]))
-	}
-	if cnt := binary.LittleEndian.Uint16(buf[0:2]); uint16(row%rpp)+1 > cnt {
-		binary.LittleEndian.PutUint16(buf[0:2], uint16(row%rpp)+1)
-	}
-	return t.pager.Write(pid, buf)
-}
-
-// scan streams the live rows, paying one page access per table page.
-func (t *DiskEPT) scan(fn func(id int, pv []int32, dv []float64) (bool, error)) error {
-	pv := make([]int32, t.l)
-	dv := make([]float64, t.l)
-	for _, pid := range t.pages {
-		page, err := t.pager.Read(pid)
-		if err != nil {
-			return err
-		}
-		cnt := int(binary.LittleEndian.Uint16(page[0:2]))
-		for rI := 0; rI < cnt; rI++ {
-			off := 2 + rI*t.rowSize
-			id := binary.LittleEndian.Uint32(page[off:])
-			if id == deptTombstone {
-				continue
-			}
-			for i := 0; i < t.l; i++ {
-				pv[i] = int32(binary.LittleEndian.Uint32(page[off+4+12*i:]))
-				dv[i] = math.Float64frombits(binary.LittleEndian.Uint64(page[off+8+12*i:]))
-			}
-			cont, err := fn(int(id), pv, dv)
-			if err != nil {
-				return err
-			}
-			if !cont {
-				return nil
-			}
-		}
-	}
-	return nil
-}
-
-// qstate memoizes d(q, pivot) per distinct pivot of the candidate pool.
-type qstate struct {
-	t  *DiskEPT
-	q  core.Object
-	qd map[int32]float64
-}
-
-func (s *qstate) dist(p int32) float64 {
-	if d, ok := s.qd[p]; ok {
-		return d
-	}
-	d := s.t.ds.Space().Distance(s.q, s.t.pivotVal[p])
-	s.qd[p] = d
-	return d
-}
-
-func (s *qstate) prune(pv []int32, dv []float64, r float64) bool {
-	for i := range pv {
-		if math.Abs(s.dist(pv[i])-dv[i]) > r {
-			return true
-		}
-	}
-	return false
-}
-
-// loadObject fetches the object from the RAF.
-func (t *DiskEPT) loadObject(id int) (core.Object, error) {
-	buf, err := t.raf.Read(id)
-	if err != nil {
-		return nil, err
-	}
-	o, _, err := store.DecodeObject(buf)
-	return o, err
-}
+func (d *DiskEPT) Len() int { return d.e.Len() }
 
 // RangeSearch answers MRQ(q, r): a sequential table scan with Lemma 1 on
 // each row's private pivots; survivors are fetched from the RAF and
 // verified.
-func (t *DiskEPT) RangeSearch(q core.Object, r float64) ([]int, error) {
-	st := &qstate{t: t, q: q, qd: make(map[int32]float64, 2*t.l)}
-	sp := t.ds.Space()
-	var res []int
-	err := t.scan(func(id int, pv []int32, dv []float64) (bool, error) {
-		if st.prune(pv, dv, r) {
-			return true, nil
-		}
-		o, err := t.loadObject(id)
-		if err != nil {
-			return false, err
-		}
-		if sp.Distance(q, o) <= r {
-			res = append(res, id)
-		}
-		return true, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	sort.Ints(res)
-	return res, nil
+func (d *DiskEPT) RangeSearch(q core.Object, r float64) ([]int, error) {
+	return d.e.RangeSearch(q, r)
 }
 
 // KNNSearch answers MkNNQ(q, k) by the table scan with a tightening
 // radius.
-func (t *DiskEPT) KNNSearch(q core.Object, k int) ([]core.Neighbor, error) {
-	if k <= 0 {
-		return nil, nil
-	}
-	st := &qstate{t: t, q: q, qd: make(map[int32]float64, 2*t.l)}
-	sp := t.ds.Space()
-	h := core.NewKNNHeap(k)
-	err := t.scan(func(id int, pv []int32, dv []float64) (bool, error) {
-		r := h.Radius()
-		if !math.IsInf(r, 1) && st.prune(pv, dv, r) {
-			return true, nil
-		}
-		o, err := t.loadObject(id)
-		if err != nil {
-			return false, err
-		}
-		h.Push(id, sp.Distance(q, o))
-		return true, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return h.Result(), nil
+func (d *DiskEPT) KNNSearch(q core.Object, k int) ([]core.Neighbor, error) {
+	return d.e.KNNSearch(q, k)
 }
 
-// Insert assigns PSA pivots to the object and appends its row and RAF
-// record.
-func (t *DiskEPT) Insert(id int) error {
-	if _, dup := t.rowOf[id]; dup {
-		return fmt.Errorf("ept: duplicate insert of %d", id)
-	}
-	o := t.ds.Object(id)
-	if o == nil {
-		return fmt.Errorf("ept: insert of deleted object %d", id)
-	}
-	if _, err := t.raf.Append(id, store.EncodeObject(nil, o)); err != nil {
+// Insert appends the RAF record, assigns PSA pivots to the object and
+// appends its row.
+func (d *DiskEPT) Insert(id int) error {
+	if _, err := d.e.tab.Insertable(id); err != nil {
 		return err
 	}
-	pv, dv := t.psa.Assign(t.ds.Space(), o, t.l)
-	for len(pv) < t.l { // defensive padding (tiny candidate pools)
-		pv = append(pv, pv[len(pv)-1])
-		dv = append(dv, dv[len(dv)-1])
-	}
-	row := t.rows
-	if err := t.writeRow(row, uint32(id), pv, dv); err != nil {
+	if err := d.appendRAF(id); err != nil {
 		return err
 	}
-	t.rows++
-	t.rowOf[id] = row
-	return nil
+	return d.e.Insert(id)
 }
 
 // Delete tombstones the row and drops the RAF record.
-func (t *DiskEPT) Delete(id int) error {
-	row, ok := t.rowOf[id]
-	if !ok {
-		return fmt.Errorf("ept: delete of unindexed object %d", id)
-	}
-	if err := t.writeRow(row, deptTombstone, make([]int32, t.l), make([]float64, t.l)); err != nil {
+func (d *DiskEPT) Delete(id int) error {
+	if err := d.e.Delete(id); err != nil {
 		return err
 	}
-	delete(t.rowOf, id)
-	return t.raf.Delete(id)
+	return d.raf.Delete(id)
 }
+
+// Validate checks that the table's rows are in step (table.Table.Validate).
+func (d *DiskEPT) Validate() error { return d.e.Validate() }
+
+// Table returns the index's paged pivot table.
+func (d *DiskEPT) Table() *table.Table { return d.e.tab }
 
 // PageAccesses reports the pager's accesses (table + RAF).
-func (t *DiskEPT) PageAccesses() int64 { return t.pager.PageAccesses() }
+func (d *DiskEPT) PageAccesses() int64 { return d.pager.PageAccesses() }
 
 // ResetStats zeroes the pager counters.
-func (t *DiskEPT) ResetStats() { t.pager.ResetStats() }
+func (d *DiskEPT) ResetStats() { d.pager.ResetStats() }
 
-// MemBytes reports the small in-memory state (pivot pool and row
-// directory).
-func (t *DiskEPT) MemBytes() int64 {
-	return int64(len(t.rowOf))*16 + int64(len(t.pivotVal))*64
-}
+// MemBytes reports the small in-memory state (the row directory).
+func (d *DiskEPT) MemBytes() int64 { return d.e.MemBytes() }
 
 // DiskBytes reports the table + RAF footprint.
-func (t *DiskEPT) DiskBytes() int64 { return t.pager.DiskBytes() }
+func (d *DiskEPT) DiskBytes() int64 { return d.pager.DiskBytes() }

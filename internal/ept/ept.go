@@ -60,15 +60,9 @@ type EPT struct {
 	tab     *table.Table
 
 	// pivotVal snapshots pivot object values so queries keep working if a
-	// pivot object is later deleted from the dataset.
+	// pivot object is later deleted from the dataset. The pivots rows cite
+	// form the table's referenced-pivot pool (poolIdx).
 	pivotVal map[int32]core.Object
-
-	// The referenced-pivot pool: every pivot some row cites, densely
-	// numbered in first-reference order (the values live in the table, as
-	// what a query measures itself against). poolIDs maps dense index back
-	// to the dataset pivot id; poolOf is the inverse.
-	poolIDs []int32
-	poolOf  map[int32]int32
 
 	groups *pivot.Groups   // Original: assignment state for inserts
 	psa    *pivot.PSAState // Star: assignment state for inserts
@@ -76,14 +70,28 @@ type EPT struct {
 
 // New builds an EPT or EPT* over all live objects.
 func New(ds *core.Dataset, variant Variant, opts Options) (*EPT, error) {
+	e, assign, err := prepare(ds, variant, opts)
+	if err != nil {
+		return nil, err
+	}
+	e.tab = table.NewRefs("ept", ds, e.l)
+	if err := e.fill(assign, opts.Workers, nil); err != nil {
+		return nil, err
+	}
+	return e, nil
+}
+
+// prepare selects the variant's pivots and returns an EPT shell with its
+// row width and assignment state, and the function assigning one object
+// its row — safe to call concurrently, since construction fans the
+// per-object assignments out across Options.Workers goroutines (§6.2:
+// objects are independent). The caller creates the table.
+func prepare(ds *core.Dataset, variant Variant, opts Options) (*EPT, func(o core.Object) ([]int32, []float64), error) {
 	if opts.L <= 0 {
-		return nil, fmt.Errorf("ept: non-positive L %d", opts.L)
+		return nil, nil, fmt.Errorf("ept: non-positive L %d", opts.L)
 	}
 	e := newEmpty(ds, variant)
 	sp := ds.Space()
-	// assign computes one object's row; it must be safe to call
-	// concurrently, since construction fans the per-object assignments out
-	// across Options.Workers goroutines (§6.2: objects are independent).
 	var assign func(o core.Object) ([]int32, []float64)
 	switch variant {
 	case Original:
@@ -97,7 +105,7 @@ func New(ds *core.Dataset, variant Variant, opts Options) (*EPT, error) {
 		}
 		g, err := pivot.SelectGroups(ds, opts.L, m, opts.Sel)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		e.groups = g
 		e.l = opts.L
@@ -112,7 +120,7 @@ func New(ds *core.Dataset, variant Variant, opts Options) (*EPT, error) {
 	case Star:
 		st, err := pivot.NewPSAState(ds, opts.Sel)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		e.l = min(opts.L, len(st.CandVals))
 		e.psa = st
@@ -123,61 +131,65 @@ func New(ds *core.Dataset, variant Variant, opts Options) (*EPT, error) {
 			return st.Assign(sp, o, e.l)
 		}
 	default:
-		return nil, fmt.Errorf("ept: unknown variant %d", variant)
+		return nil, nil, fmt.Errorf("ept: unknown variant %d", variant)
 	}
-	e.tab = table.NewRefs("ept", ds, e.l)
-	ids := ds.LiveIDs()
-	pvs := make([][]int32, len(ids))
-	dvs := make([][]float64, len(ids))
-	core.ParallelFor(len(ids), opts.Workers, func(start, end int) {
-		for i := start; i < end; i++ {
-			pvs[i], dvs[i] = assign(ds.Object(ids[i]))
-		}
-	})
-	// Rows are appended in LiveIDs order regardless of worker count, so the
-	// table is identical to a sequential build.
-	for i, id := range ids {
-		e.appendRow(id, pvs[i], dvs[i])
-	}
-	return e, nil
+	return e, assign, nil
 }
 
-// newEmpty prepares an EPT shell shared by New and the snapshot loader;
-// the caller sets the row width and creates the table.
+// fill assigns every live object its row, fanned out over workers, and
+// appends the rows in LiveIDs order regardless of worker count, so the
+// table is identical to a sequential build. before, when set, runs ahead
+// of each row's append (DiskEPT*: the object's RAF record).
+func (e *EPT) fill(assign func(o core.Object) ([]int32, []float64), workers int, before func(id int) error) error {
+	ids := e.ds.LiveIDs()
+	pvs := make([][]int32, len(ids))
+	dvs := make([][]float64, len(ids))
+	core.ParallelFor(len(ids), workers, func(start, end int) {
+		for i := start; i < end; i++ {
+			pvs[i], dvs[i] = assign(e.ds.Object(ids[i]))
+		}
+	})
+	for i, id := range ids {
+		if before != nil {
+			if err := before(id); err != nil {
+				return err
+			}
+		}
+		if err := e.appendRow(id, pvs[i], dvs[i]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// newEmpty prepares an EPT shell shared by the constructors and the
+// snapshot loaders; the caller sets the row width and creates the table.
 func newEmpty(ds *core.Dataset, variant Variant) *EPT {
 	return &EPT{
 		ds:       ds,
 		variant:  variant,
 		pivotVal: make(map[int32]core.Object),
-		poolOf:   make(map[int32]int32),
 	}
 }
 
 // poolIdx returns the dense pool index of a pivot id, admitting it to
-// the pool on first reference.
+// the table's referenced-pivot pool on first reference.
 func (e *EPT) poolIdx(p int32) int32 {
-	if i, ok := e.poolOf[p]; ok {
+	if i := e.tab.Ref(p); i >= 0 {
 		return i
 	}
-	i := e.tab.AddPivot(e.pivotVal[p])
-	e.poolIDs = append(e.poolIDs, p)
-	e.poolOf[p] = i
-	return i
+	return e.tab.AddPivot(p, e.pivotVal[p])
 }
 
 // appendRow adds one object's row, rewriting the assignment's pivot ids
-// (pv, owned by the caller) into pool references in place; short
-// assignment rows pad with their last pivot (defensively, as the
-// row-major layout did).
-func (e *EPT) appendRow(id int, pv []int32, dv []float64) {
-	for len(pv) < e.l {
-		pv = append(pv, pv[len(pv)-1])
-		dv = append(dv, dv[len(dv)-1])
-	}
-	for c := range pv[:e.l] {
+// (pv, owned by the caller, one per slot: PSAState.Assign returns
+// min(l, candidates) = l of them and AssignExtreme the groups' L = l)
+// into pool references in place.
+func (e *EPT) appendRow(id int, pv []int32, dv []float64) error {
+	for c := range pv {
 		pv[c] = e.poolIdx(pv[c])
 	}
-	e.tab.Append(id, e.ds.Object(id), pv, dv)
+	return e.tab.Append(id, e.ds.Object(id), pv, dv)
 }
 
 // Name returns "EPT" or "EPT*".
@@ -235,8 +247,7 @@ func (e *EPT) Insert(id int) error {
 	} else {
 		pv, dv = e.psa.Assign(e.ds.Space(), o, e.l)
 	}
-	e.appendRow(id, pv, dv)
-	return nil
+	return e.appendRow(id, pv, dv)
 }
 
 // Delete removes the object's row.

@@ -208,7 +208,7 @@ func TestEPTParallelBuildMatchesSequential(t *testing.T) {
 		if !reflect.DeepEqual(seq.tab.Refs(), par.tab.Refs()) {
 			t.Fatalf("%v: parallel build pivot columns differ", v)
 		}
-		if !reflect.DeepEqual(seq.poolIDs, par.poolIDs) {
+		if !reflect.DeepEqual(seq.tab.PoolIDs(), par.tab.PoolIDs()) {
 			t.Fatalf("%v: parallel build pivot pools differ", v)
 		}
 		if !reflect.DeepEqual(seq.tab.Cols(), par.tab.Cols()) {

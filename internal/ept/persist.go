@@ -51,20 +51,17 @@ func encodePivotVals(w *persist.Writer, m map[int32]core.Object) {
 	}
 }
 
-func decodePivotVals(r *persist.Reader) map[int32]core.Object {
+func decodePivotVals(r *persist.Reader, ds *core.Dataset) (map[int32]core.Object, error) {
 	n := r.Count(6) // key + smallest object per entry
-	if r.Err() != nil {
-		return nil
-	}
 	m := make(map[int32]core.Object, n)
-	for i := 0; i < n; i++ {
+	for i := 0; i < n && r.Err() == nil; i++ {
 		k := int32(r.U32())
 		m[k] = r.Object()
-		if r.Err() != nil {
-			return nil
+		if r.Err() == nil && !core.SameKind(ds.Sample(), m[k]) {
+			return nil, fmt.Errorf("ept: pivot %d is not an object of the dataset's kind", k)
 		}
 	}
-	return m
+	return m, r.Err()
 }
 
 func encodeGroups(w *persist.Writer, g *pivot.Groups) {
@@ -94,8 +91,8 @@ func decodeGroups(r *persist.Reader) (*pivot.Groups, error) {
 		if r.Err() != nil {
 			return nil, r.Err()
 		}
-		if len(g.Vals[gi]) != len(g.IDs[gi]) || len(g.Mu[gi]) != len(g.IDs[gi]) {
-			return nil, fmt.Errorf("ept: group %d has mismatched id/value/mu lengths", gi)
+		if len(g.Vals[gi]) != len(g.IDs[gi]) || len(g.Mu[gi]) != len(g.IDs[gi]) || len(g.IDs[gi]) == 0 {
+			return nil, fmt.Errorf("ept: group %d is empty or has mismatched id/value/mu lengths", gi)
 		}
 	}
 	return g, nil
@@ -111,7 +108,7 @@ func encodePSA(w *persist.Writer, st *pivot.PSAState) {
 	}
 }
 
-func decodePSA(r *persist.Reader) (*pivot.PSAState, error) {
+func decodePSA(r *persist.Reader, ds *core.Dataset) (*pivot.PSAState, error) {
 	st := &pivot.PSAState{
 		CandIDs:   r.Int32s(),
 		CandVals:  r.Objects(),
@@ -126,6 +123,11 @@ func decodePSA(r *persist.Reader) (*pivot.PSAState, error) {
 	}
 	if n != len(st.ProbeVals) {
 		return nil, fmt.Errorf("ept: %d probe-distance rows for %d probes", n, len(st.ProbeVals))
+	}
+	for _, o := range append(st.CandVals[:len(st.CandVals):len(st.CandVals)], st.ProbeVals...) {
+		if !core.SameKind(ds.Sample(), o) {
+			return nil, fmt.Errorf("ept: a candidate or probe is not an object of the dataset's kind")
+		}
 	}
 	st.ProbeCand = make([][]float64, n)
 	for i := range st.ProbeCand {
@@ -153,7 +155,7 @@ func (e *EPT) EncodeSnapshot(w *persist.Writer) error {
 	dists := make([]float64, 0, len(ids)*e.l)
 	for c := 0; c < e.l; c++ {
 		for _, pi := range refs[c] {
-			pids = append(pids, e.poolIDs[pi])
+			pids = append(pids, e.tab.PoolIDs()[pi])
 		}
 		dists = append(dists, cols[c]...)
 	}
@@ -181,8 +183,8 @@ func loadMemEPT(ds *core.Dataset, r *persist.Reader) (core.Index, *store.Pager, 
 	ids := r.Int32s()
 	pids := r.Int32s()
 	dists := r.Floats()
-	pivotVal := decodePivotVals(r)
-	if err := r.Err(); err != nil {
+	pivotVal, err := decodePivotVals(r, ds)
+	if err != nil {
 		return nil, nil, err
 	}
 	if l <= 0 {
@@ -195,14 +197,16 @@ func loadMemEPT(ds *core.Dataset, r *persist.Reader) (core.Index, *store.Pager, 
 	e.l = l
 	e.tab = table.NewRefs("ept", ds, l)
 	e.pivotVal = pivotVal
-	var err error
 	switch e.variant {
 	case Original:
 		e.groups, err = decodeGroups(r)
 	case Star:
-		e.psa, err = decodePSA(r)
+		e.psa, err = decodePSA(r, ds)
 	default:
 		err = fmt.Errorf("ept: unknown variant %d", e.variant)
+	}
+	if err == nil {
+		err = e.checkWidth()
 	}
 	if err != nil {
 		return nil, nil, err
@@ -228,33 +232,35 @@ func loadMemEPT(ds *core.Dataset, r *persist.Reader) (core.Index, *store.Pager, 
 			}
 			refs[c], row[c] = e.poolIdx(pids[at]), dists[at]
 		}
-		e.tab.Append(int(id), ds.Object(int(id)), refs, row)
+		if err := e.tab.Append(int(id), ds.Object(int(id)), refs, row); err != nil {
+			return nil, nil, err
+		}
 	}
 	return e, nil, nil
 }
 
-// EncodeSnapshot writes the DiskEPT* payload: the pager volume image, the
-// RAF state, the table page list and row count, the row directory, the
-// pivot pool and the PSA state.
-func (t *DiskEPT) EncodeSnapshot(w *persist.Writer) error {
+// checkWidth rejects a row width the assignment state cannot fill for an
+// insert: an EPT row holds one pivot from each of the l groups, an EPT*
+// row l of the PSA candidates.
+func (e *EPT) checkWidth() error {
+	if e.variant == Original && (e.l != e.groups.L || len(e.groups.IDs) != e.l) ||
+		e.variant == Star && e.l > len(e.psa.CandIDs) {
+		return fmt.Errorf("ept: %d pivots a row do not fit the pivot assignment", e.l)
+	}
+	return nil
+}
+
+// EncodeSnapshot writes the DiskEPT* payload: the row width, the pager
+// volume image, the RAF state, the paged table's section
+// (table.Table.EncodeFile), the pivot pool and the PSA state.
+func (d *DiskEPT) EncodeSnapshot(w *persist.Writer) error {
 	w.U16(diskEPTFormatVersion)
-	w.U32(uint32(t.l))
-	w.Blob(t.pager.Serialize())
-	w.Blob(t.raf.Serialize())
-	w.PageIDs(t.pages)
-	w.U32(uint32(t.rows))
-	rowIDs := make([]int, 0, len(t.rowOf))
-	for id := range t.rowOf {
-		rowIDs = append(rowIDs, id)
-	}
-	sort.Ints(rowIDs)
-	w.U32(uint32(len(rowIDs)))
-	for _, id := range rowIDs {
-		w.U32(uint32(id))
-		w.U32(uint32(t.rowOf[id]))
-	}
-	encodePivotVals(w, t.pivotVal)
-	encodePSA(w, t.psa)
+	w.U32(uint32(d.e.l))
+	w.Blob(d.pager.Serialize())
+	w.Blob(d.raf.Serialize())
+	d.e.tab.EncodeFile(w)
+	encodePivotVals(w, d.e.pivotVal)
+	encodePSA(w, d.e.psa)
 	return nil
 }
 
@@ -262,63 +268,38 @@ func loadDiskEPT(ds *core.Dataset, r *persist.Reader) (core.Index, *store.Pager,
 	if v := r.U16(); r.Err() == nil && v != diskEPTFormatVersion {
 		return nil, nil, fmt.Errorf("ept: unsupported payload version %d", v)
 	}
-	l := int(r.U32())
-	pagerBlob := r.Blob()
-	rafBlob := r.Blob()
-	if err := r.Err(); err != nil {
-		return nil, nil, err
+	e := newEmpty(ds, Star)
+	e.l = int(r.U32())
+	pagerBlob, rafBlob := r.Blob(), r.Blob()
+	sec := table.DecodeFile(r)
+	pivotVal, err := decodePivotVals(r, ds)
+	if err == nil {
+		e.pivotVal = pivotVal
+		e.psa, err = decodePSA(r, ds)
 	}
-	if l <= 0 {
-		return nil, nil, fmt.Errorf("ept: non-positive row width %d", l)
+	if err == nil && e.l <= 0 {
+		err = fmt.Errorf("ept: non-positive row width %d", e.l)
 	}
-	pager, err := store.LoadPager(pagerBlob)
+	if err == nil {
+		err = e.checkWidth()
+	}
+	var pager *store.Pager
+	var raf *store.RAF
+	if err == nil {
+		pager, err = store.LoadPager(pagerBlob)
+	}
+	if err == nil {
+		raf, err = store.LoadRAF(pager, rafBlob, ds.Len())
+	}
+	var d *DiskEPT
+	if err == nil {
+		d, err = newDisk(e, pager, raf)
+	}
+	if err == nil {
+		err = e.tab.Open(sec, func(p int32) core.Object { return pivotVal[p] })
+	}
 	if err != nil {
 		return nil, nil, err
 	}
-	raf, err := store.LoadRAF(pager, rafBlob, ds.Len())
-	if err != nil {
-		return nil, nil, err
-	}
-	t := &DiskEPT{
-		ds:      ds,
-		pager:   pager,
-		raf:     raf,
-		l:       l,
-		rowSize: 4 + l*12,
-	}
-	t.pages = r.PageIDs()
-	t.rows = int(r.U32())
-	n := r.Count(8)
-	if err := r.Err(); err != nil {
-		return nil, nil, err
-	}
-	if t.rowsPerPage() < 1 {
-		return nil, nil, fmt.Errorf("ept: page size %d below one row (%d bytes)", pager.PageSize(), t.rowSize)
-	}
-	for _, pid := range t.pages {
-		if int(pid) >= pager.Pages() {
-			return nil, nil, fmt.Errorf("ept: table page %d beyond volume (%d pages)", pid, pager.Pages())
-		}
-	}
-	if t.rows < 0 || (len(t.pages) > 0 && (t.rows+t.rowsPerPage()-1)/t.rowsPerPage() > len(t.pages)) {
-		return nil, nil, fmt.Errorf("ept: %d rows overflow %d table pages", t.rows, len(t.pages))
-	}
-	t.rowOf = make(map[int]int, n)
-	for i := 0; i < n; i++ {
-		id := int(r.U32())
-		row := int(r.U32())
-		if row < 0 || row >= t.rows {
-			return nil, nil, fmt.Errorf("ept: directory row %d out of range (%d rows)", row, t.rows)
-		}
-		t.rowOf[id] = row
-	}
-	t.pivotVal = decodePivotVals(r)
-	if err := r.Err(); err != nil {
-		return nil, nil, err
-	}
-	t.psa, err = decodePSA(r)
-	if err != nil {
-		return nil, nil, err
-	}
-	return t, pager, nil
+	return d, pager, nil
 }

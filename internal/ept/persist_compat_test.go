@@ -32,7 +32,7 @@ func TestEPTLoadsVersion1Payload(t *testing.T) {
 		dists := make([]float64, rows*idx.l)
 		for c := 0; c < idx.l; c++ {
 			for row := 0; row < rows; row++ {
-				pids[row*idx.l+c] = idx.poolIDs[refs[c][row]]
+				pids[row*idx.l+c] = idx.tab.PoolIDs()[refs[c][row]]
 				dists[row*idx.l+c] = cols[c][row]
 			}
 		}
@@ -55,7 +55,7 @@ func TestEPTLoadsVersion1Payload(t *testing.T) {
 		}
 		// The pool is rebuilt in first-reference order, which the row-major
 		// walk visits identically, so the dense indices must match too.
-		if !reflect.DeepEqual(restored.poolIDs, idx.poolIDs) {
+		if !reflect.DeepEqual(restored.tab.PoolIDs(), idx.tab.PoolIDs()) {
 			t.Fatalf("%v: v1 load rebuilt a different pivot pool", variant)
 		}
 		if !reflect.DeepEqual(restored.tab.Refs(), refs) {

@@ -137,7 +137,7 @@ func (t *BPlus) KNNSearch(q core.Object, k int) ([]core.Neighbor, error) {
 				continue
 			}
 			seen[id] = true
-			o, err := t.loadObject(id)
+			o, err := t.raf.ReadObject(id)
 			if err != nil {
 				return nil, err
 			}

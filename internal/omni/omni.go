@@ -84,20 +84,9 @@ func (b *base) appendRAF(id int) (int64, error) {
 	return b.raf.Append(id, store.EncodeObject(nil, b.ds.Object(id)))
 }
 
-// loadObject fetches and decodes the object from the RAF (paying the page
-// accesses its record spans).
-func (b *base) loadObject(id int) (core.Object, error) {
-	buf, err := b.raf.Read(id)
-	if err != nil {
-		return nil, err
-	}
-	o, _, err := store.DecodeObject(buf)
-	return o, err
-}
-
 // verifyRange fetches a candidate and checks d(q, o) <= r.
 func (b *base) verifyRange(q core.Object, id int, r float64) (bool, error) {
-	o, err := b.loadObject(id)
+	o, err := b.raf.ReadObject(id)
 	if err != nil {
 		return false, err
 	}

@@ -9,6 +9,7 @@ import (
 	"metricindex/internal/persist"
 	"metricindex/internal/rtree"
 	"metricindex/internal/store"
+	"metricindex/internal/table"
 )
 
 // Snapshot payload encodings for the Omni family (spec:
@@ -42,6 +43,11 @@ func decodeBase(ds *core.Dataset, r *persist.Reader) (*base, error) {
 	if len(pivotVals) != len(pivotIDs) || len(pivotIDs) == 0 {
 		return nil, fmt.Errorf("omni: %d pivot values for %d pivot ids", len(pivotVals), len(pivotIDs))
 	}
+	for i, v := range pivotVals {
+		if !core.SameKind(ds.Sample(), v) {
+			return nil, fmt.Errorf("omni: pivot %d is not an object of the dataset's kind", pivotIDs[i])
+		}
+	}
 	pager, err := store.LoadPager(pagerBlob)
 	if err != nil {
 		return nil, err
@@ -53,23 +59,12 @@ func decodeBase(ds *core.Dataset, r *persist.Reader) (*base, error) {
 	return &base{ds: ds, pager: pager, raf: raf, pivotIDs: pivotIDs, pivotVals: pivotVals}, nil
 }
 
-// EncodeSnapshot writes the Omni-sequential-file payload: base state, the
-// table page list, the row count and the row directory.
+// EncodeSnapshot writes the Omni-sequential-file payload: base state,
+// then the paged table's section (table.Table.EncodeFile).
 func (t *SeqFile) EncodeSnapshot(w *persist.Writer) error {
 	w.U16(omniFormatVersion)
 	t.encodeBase(w)
-	w.PageIDs(t.pages)
-	w.U32(uint32(t.rows))
-	ids := make([]int, 0, len(t.rowOf))
-	for id := range t.rowOf {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	w.U32(uint32(len(ids)))
-	for _, id := range ids {
-		w.U32(uint32(id))
-		w.U32(uint32(t.rowOf[id]))
-	}
+	t.tab.EncodeFile(w)
 	return nil
 }
 
@@ -81,37 +76,15 @@ func loadSeqFile(ds *core.Dataset, r *persist.Reader) (core.Index, *store.Pager,
 	if err != nil {
 		return nil, nil, err
 	}
-	t := &SeqFile{
-		base:    b,
-		rowOf:   make(map[int]int),
-		rowSize: 4 + 8*len(b.pivotIDs),
-	}
-	if t.rowsPerPage() < 1 {
-		return nil, nil, fmt.Errorf("omni: page size %d below one row (%d bytes)", b.pager.PageSize(), t.rowSize)
-	}
-	t.pages = r.PageIDs()
-	t.rows = int(r.U32())
-	n := r.Count(8)
+	sec := table.DecodeFile(r)
 	if err := r.Err(); err != nil {
 		return nil, nil, err
 	}
-	for _, pid := range t.pages {
-		if int(pid) >= b.pager.Pages() {
-			return nil, nil, fmt.Errorf("omni: table page %d beyond volume (%d pages)", pid, b.pager.Pages())
-		}
+	t, err := newSeqFile(b)
+	if err == nil {
+		err = t.tab.Open(sec, nil)
 	}
-	if t.rows < 0 || (len(t.pages) > 0 && (t.rows+t.rowsPerPage()-1)/t.rowsPerPage() > len(t.pages)) {
-		return nil, nil, fmt.Errorf("omni: %d rows overflow %d table pages", t.rows, len(t.pages))
-	}
-	for i := 0; i < n; i++ {
-		id := int(r.U32())
-		row := int(r.U32())
-		if row < 0 || row >= t.rows {
-			return nil, nil, fmt.Errorf("omni: directory row %d out of range (%d rows)", row, t.rows)
-		}
-		t.rowOf[id] = row
-	}
-	if err := r.Err(); err != nil {
+	if err != nil {
 		return nil, nil, err
 	}
 	return t, b.pager, nil

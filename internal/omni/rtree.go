@@ -130,7 +130,7 @@ func (t *RTree) KNNSearch(q core.Object, k int) ([]core.Neighbor, error) {
 				if c.lb > h.Radius() {
 					break
 				}
-				o, err := t.loadObject(c.id)
+				o, err := t.raf.ReadObject(c.id)
 				if err != nil {
 					return nil, err
 				}

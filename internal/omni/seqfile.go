@@ -1,28 +1,24 @@
 package omni
 
 import (
-	"encoding/binary"
-	"fmt"
 	"math"
-	"sort"
 
 	"metricindex/internal/core"
 	"metricindex/internal/store"
+	"metricindex/internal/table"
 )
 
 // SeqFile is the Omni-sequential-file (§5.2): the pivot-space coordinates
 // stored row-by-row on disk pages, scanned in full by every query — "LAESA
 // stored on disk", as the paper puts it, with the accompanying page-access
-// bill because nothing is clustered.
+// bill because nothing is clustered. It is the shared-pivot layout of a
+// paged table.Table whose candidates come from the RAF. A range query
+// reads every table page before it loads its first candidate; a kNN query
+// loads each candidate right after its page.
 type SeqFile struct {
 	*base
-	pages   []store.PageID
-	rows    int
-	rowOf   map[int]int
-	rowSize int
+	tab *table.Table
 }
-
-const seqTombstone = 0xFFFFFFFF
 
 // NewSeqFile builds the sequential file over all live objects. workers
 // parallelizes the pivot-table precompute (0 or 1 = sequential, negative =
@@ -32,189 +28,70 @@ func NewSeqFile(ds *core.Dataset, pager *store.Pager, pivots []int, workers int)
 	if err != nil {
 		return nil, err
 	}
-	t := &SeqFile{
-		base:    b,
-		rowOf:   make(map[int]int),
-		rowSize: 4 + 8*len(pivots),
-	}
-	if t.rowsPerPage() < 1 {
-		return nil, fmt.Errorf("omni: page size %d below one row (%d bytes)", pager.PageSize(), t.rowSize)
+	t, err := newSeqFile(b)
+	if err != nil {
+		return nil, err
 	}
 	ids := ds.LiveIDs()
-	pts := t.buildPoints(ids, workers)
-	for i, id := range ids {
-		if _, dup := t.rowOf[id]; dup {
-			return nil, fmt.Errorf("omni: duplicate insert of %d", id)
-		}
-		if _, err := t.appendRAF(id); err != nil {
+	for i, pt := range b.buildPoints(ids, workers) {
+		if _, err := t.appendRAF(ids[i]); err != nil {
 			return nil, err
 		}
-		if err := t.writeRow(t.rows, uint32(id), pts[i]); err != nil {
+		if err := t.tab.Append(ids[i], nil, nil, pt); err != nil {
 			return nil, err
 		}
-		t.rowOf[id] = t.rows
-		t.rows++
 	}
 	return t, nil
 }
 
-func (t *SeqFile) rowsPerPage() int { return (t.pager.PageSize() - 2) / t.rowSize }
+// newSeqFile lays an empty paged table over the base's pivots.
+func newSeqFile(b *base) (*SeqFile, error) {
+	tab, err := table.NewPaged("omni", b.ds, b.pager, b.pivotVals, len(b.pivotVals), b.raf.ReadObject, math.MaxInt)
+	return &SeqFile{base: b, tab: tab}, err
+}
 
 // Name returns "Omni-seq".
 func (t *SeqFile) Name() string { return "Omni-seq" }
 
 // Len returns the number of indexed objects.
-func (t *SeqFile) Len() int { return len(t.rowOf) }
-
-// writeRow stores one row, extending the file as needed.
-func (t *SeqFile) writeRow(row int, id uint32, pt []float64) error {
-	rpp := t.rowsPerPage()
-	pageIdx := row / rpp
-	for pageIdx >= len(t.pages) {
-		t.pages = append(t.pages, t.pager.Alloc())
-	}
-	pid := t.pages[pageIdx]
-	page, err := t.pager.Read(pid)
-	if err != nil {
-		return err
-	}
-	buf := make([]byte, len(page))
-	copy(buf, page)
-	off := 2 + (row%rpp)*t.rowSize
-	binary.LittleEndian.PutUint32(buf[off:], id)
-	for i, v := range pt {
-		binary.LittleEndian.PutUint64(buf[off+4+8*i:], math.Float64bits(v))
-	}
-	// Track row count in the page header.
-	cnt := binary.LittleEndian.Uint16(buf[0:2])
-	if uint16(row%rpp)+1 > cnt {
-		binary.LittleEndian.PutUint16(buf[0:2], uint16(row%rpp)+1)
-	}
-	return t.pager.Write(pid, buf)
-}
-
-// scan invokes fn(id, point) for every live row, paying one page access
-// per file page.
-func (t *SeqFile) scan(fn func(id int, pt []float64) bool) error {
-	l := len(t.pivotVals)
-	pt := make([]float64, l)
-	for _, pid := range t.pages {
-		page, err := t.pager.Read(pid)
-		if err != nil {
-			return err
-		}
-		cnt := int(binary.LittleEndian.Uint16(page[0:2]))
-		for rI := 0; rI < cnt; rI++ {
-			off := 2 + rI*t.rowSize
-			id := binary.LittleEndian.Uint32(page[off:])
-			if id == seqTombstone {
-				continue
-			}
-			for i := 0; i < l; i++ {
-				pt[i] = math.Float64frombits(binary.LittleEndian.Uint64(page[off+4+8*i:]))
-			}
-			if !fn(int(id), pt) {
-				return nil
-			}
-		}
-	}
-	return nil
-}
+func (t *SeqFile) Len() int { return t.tab.Len() }
 
 // RangeSearch answers MRQ(q, r) with a full scan (Lemma 1 filter) plus
 // RAF verification of survivors.
 func (t *SeqFile) RangeSearch(q core.Object, r float64) ([]int, error) {
-	sc, qd := t.queryPoint(q)
-	defer t.scratch.Put(sc)
-	var cands []int
-	if err := t.scan(func(id int, pt []float64) bool {
-		if !core.PruneObject(qd, pt, r) {
-			cands = append(cands, id)
-		}
-		return true
-	}); err != nil {
-		return nil, err
-	}
-	var res []int
-	for _, id := range cands {
-		ok, err := t.verifyRange(q, id, r)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			res = append(res, id)
-		}
-	}
-	sort.Ints(res)
-	return res, nil
+	return t.tab.Range(q, r, nil)
 }
 
 // KNNSearch answers MkNNQ(q, k) with the same scan and a tightening
 // radius.
 func (t *SeqFile) KNNSearch(q core.Object, k int) ([]core.Neighbor, error) {
-	if k <= 0 {
-		return nil, nil
-	}
-	sc, qd := t.queryPoint(q)
-	defer t.scratch.Put(sc)
-	h := sc.Heap(k)
-	var scanErr error
-	if err := t.scan(func(id int, pt []float64) bool {
-		r := h.Radius()
-		if !math.IsInf(r, 1) && core.PruneObject(qd, pt, r) {
-			return true
-		}
-		o, err := t.loadObject(id)
-		if err != nil {
-			scanErr = err
-			return false
-		}
-		h.Push(id, t.ds.Space().Distance(q, o))
-		return true
-	}); err != nil {
-		return nil, err
-	}
-	if scanErr != nil {
-		return nil, scanErr
-	}
-	return h.Result(), nil
+	return t.tab.KNN(q, k, nil)
 }
 
-// Insert appends a row and the RAF record.
+// Insert appends the RAF record and a row.
 func (t *SeqFile) Insert(id int) error {
-	if _, dup := t.rowOf[id]; dup {
-		return fmt.Errorf("omni: duplicate insert of %d", id)
-	}
-	o := t.ds.Object(id)
-	if o == nil {
-		return fmt.Errorf("omni: insert of deleted or out-of-range id %d", id)
+	if _, err := t.tab.Insertable(id); err != nil {
+		return err
 	}
 	if _, err := t.appendRAF(id); err != nil {
 		return err
 	}
-	pt := t.point(o)
-	row := t.rows
-	if err := t.writeRow(row, uint32(id), pt); err != nil {
-		return err
-	}
-	t.rows++
-	t.rowOf[id] = row
-	return nil
+	return t.tab.Insert(id)
 }
 
 // Delete tombstones the row and drops the RAF record.
 func (t *SeqFile) Delete(id int) error {
-	row, ok := t.rowOf[id]
-	if !ok {
-		return fmt.Errorf("omni: delete of unindexed object %d", id)
-	}
-	zero := make([]float64, len(t.pivotVals))
-	if err := t.writeRow(row, seqTombstone, zero); err != nil {
+	if err := t.tab.Remove(id); err != nil {
 		return err
 	}
-	delete(t.rowOf, id)
 	return t.raf.Delete(id)
 }
+
+// Validate checks that the table's rows are in step (table.Table.Validate).
+func (t *SeqFile) Validate() error { return t.tab.Validate() }
+
+// Table returns the index's paged pivot table.
+func (t *SeqFile) Table() *table.Table { return t.tab }
 
 // PageAccesses reports the pager's accesses.
 func (t *SeqFile) PageAccesses() int64 { return t.pager.PageAccesses() }
@@ -223,7 +100,7 @@ func (t *SeqFile) PageAccesses() int64 { return t.pager.PageAccesses() }
 func (t *SeqFile) ResetStats() { t.pager.ResetStats() }
 
 // MemBytes reports the small in-memory directory.
-func (t *SeqFile) MemBytes() int64 { return int64(len(t.rowOf)) * 16 }
+func (t *SeqFile) MemBytes() int64 { return t.tab.MemBytes() }
 
 // DiskBytes reports the file + RAF footprint.
 func (t *SeqFile) DiskBytes() int64 { return t.pager.DiskBytes() }

@@ -3,7 +3,6 @@ package ptree
 import (
 	"fmt"
 	"math"
-	"reflect"
 
 	"metricindex/internal/core"
 	"metricindex/internal/persist"
@@ -156,13 +155,7 @@ func (f *family) loadTree(ds *core.Dataset, r *persist.Reader) (core.Index, *sto
 	if err := r.Err(); err != nil {
 		return nil, nil, err
 	}
-	var ref core.Object
-	for _, o := range ds.Objects() {
-		if o != nil {
-			ref = o
-			break
-		}
-	}
+	ref := ds.Sample()
 	if err := t.checkHeader(ref); err != nil {
 		return nil, nil, err
 	}
@@ -189,7 +182,7 @@ func (t *Tree) checkHeader(ref core.Object) error {
 			if err := t.checkID("pivot", t.pivotIDs[i]); err != nil {
 				return err
 			}
-			if !sameKind(ref, p) {
+			if !core.SameKind(ref, p) {
 				return fmt.Errorf("%s: pivot %d is not an object of the dataset's kind", f.tag(), t.pivotIDs[i])
 			}
 		}
@@ -204,14 +197,6 @@ func (t *Tree) checkHeader(ref core.Object) error {
 		return fmt.Errorf("%s: bucket width %v is not positive and finite", f.tag(), t.width)
 	}
 	return nil
-}
-
-// sameKind reports whether one metric can measure o against ref, a
-// stored object of the dataset: the same type and, for vectors, the same
-// dimensionality. A nil ref (an empty dataset) accepts anything.
-func sameKind(ref, o core.Object) bool {
-	a, b := reflect.ValueOf(ref), reflect.ValueOf(o)
-	return ref == nil || b.IsValid() && a.Type() == b.Type() && (a.Kind() != reflect.Slice || a.Len() == b.Len())
 }
 
 // checkID reports an identifier naming no slot of the dataset, or, for a
@@ -261,7 +246,7 @@ func (t *Tree) decodeNode(r *persist.Reader, ref core.Object, depth int) (*node,
 			if err := t.checkID("pivot", int(n.pivotID)); err != nil {
 				return nil, err
 			}
-			if n.pivot == nil || !sameKind(ref, n.pivot) {
+			if n.pivot == nil || !core.SameKind(ref, n.pivot) {
 				return nil, fmt.Errorf("%s: node pivot %d is not an object of the dataset's kind", tag, n.pivotID)
 			}
 			if width != t.width {

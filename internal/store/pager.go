@@ -182,26 +182,34 @@ func (p *Pager) errUnallocated(op string, id PageID) error {
 // Write stores a full page image. Short data is zero-padded; oversized
 // data is an error. Writing always counts as a page access (write-through).
 func (p *Pager) Write(id PageID, data []byte) error {
-	return p.writeAt(id, 0, data, true)
+	return p.writeAt(id, nil, 0, data, true)
 }
 
 // WriteAt overwrites len(data) bytes of a page starting at byte off and
 // leaves the rest of the page as it is. It is charged exactly like Write:
 // one page access, and the page becomes the most recently used.
 func (p *Pager) WriteAt(id PageID, off int, data []byte) error {
-	return p.writeAt(id, off, data, false)
+	return p.writeAt(id, nil, off, data, false)
 }
 
-func (p *Pager) writeAt(id PageID, off int, data []byte, zeroTail bool) error {
+// WriteHeadAt is WriteAt that also overwrites the page's first len(head)
+// bytes, which must end at or before off: a record and the page header
+// counting it, charged as the one write they are.
+func (p *Pager) WriteHeadAt(id PageID, head []byte, off int, data []byte) error {
+	return p.writeAt(id, head, off, data, false)
+}
+
+func (p *Pager) writeAt(id PageID, head []byte, off int, data []byte, zeroTail bool) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if int(id) >= len(p.pages) {
 		return p.errUnallocated("write", id)
 	}
-	if off < 0 || len(data) > p.pageSize-off {
+	if off < len(head) || len(data) > p.pageSize-off {
 		return fmt.Errorf("store: write of %d bytes at offset %d exceeds page size %d", len(data), off, p.pageSize)
 	}
 	pg := p.pages[id]
+	copy(pg, head)
 	copy(pg[off:], data)
 	if zeroTail {
 		clear(pg[off+len(data):])

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"sync"
+
+	"metricindex/internal/core"
 )
 
 // RAF is the random-access file of the Omni-family, M-index, and SPB-tree:
@@ -125,7 +127,8 @@ func (r *RAF) Read(id int) ([]byte, error) {
 
 // ReadInto fetches the payload of object id into dst's backing array
 // (grown when too small) and returns it. It touches every page the
-// record spans: the header's, then the payload's.
+// record spans: the header's, then the payload's. A header naming
+// another object — a corrupt directory entry — is an error.
 //
 //metriclint:noalloc
 func (r *RAF) ReadInto(id int, dst []byte) ([]byte, error) {
@@ -135,17 +138,32 @@ func (r *RAF) ReadInto(id int, dst []byte) ([]byte, error) {
 	if !ok {
 		return nil, errNoObject(id)
 	}
-	return r.readRecord(rec.off, dst)
+	return r.readRecord(rec.off, id, dst)
+}
+
+// ReadObject fetches and decodes object id: the candidate loader of the
+// paged tables.
+func (r *RAF) ReadObject(id int) (core.Object, error) {
+	buf, err := r.Read(id)
+	if err != nil {
+		return nil, err
+	}
+	o, _, err := DecodeObject(buf)
+	return o, err
 }
 
 func errNoObject(id int) error { return fmt.Errorf("store: RAF has no object %d", id) }
+
+func errWrongObject(off int64, got uint32, id int) error {
+	return fmt.Errorf("store: RAF record at %d holds object %d, not %d", off, got, id)
+}
 
 // ReadAt fetches the record starting at the given byte offset and returns
 // its payload.
 func (r *RAF) ReadAt(off int64) ([]byte, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.readRecord(off, nil)
+	return r.readRecord(off, -1, nil)
 }
 
 // IDAt returns the object id of the record starting at the given offset.
@@ -160,13 +178,17 @@ func (r *RAF) IDAt(off int64) (int, error) {
 }
 
 // readRecord reads the header at off, then the payload it announces,
-// into dst. Caller holds mu.
+// into dst; a header naming an object other than id (unless id < 0) is
+// an error. Caller holds mu.
 //
 //metriclint:noalloc
-func (r *RAF) readRecord(off int64, dst []byte) ([]byte, error) {
+func (r *RAF) readRecord(off int64, id int, dst []byte) ([]byte, error) {
 	var hdr [rafHeaderLen]byte
 	if err := r.readBytes(hdr[:], off); err != nil {
 		return nil, err
+	}
+	if got := binary.LittleEndian.Uint32(hdr[0:4]); id >= 0 && got != uint32(id) {
+		return nil, errWrongObject(off, got, id)
 	}
 	n := int(binary.LittleEndian.Uint32(hdr[4:8]))
 	if off+rafHeaderLen+int64(n) > r.size { // before n sizes a buffer

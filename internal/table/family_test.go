@@ -43,3 +43,34 @@ func TestInsertInvalidIDErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestPagedRangeAllocs witnesses that a range query over a paged table
+// allocates nothing when no candidate survives the sweep: every page is
+// read and decoded into the scratch's block columns, and the answer is
+// empty. (Before the paged table, Omni-seq allocated once here and
+// DiskEPT* eleven times.)
+func TestPagedRangeAllocs(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("race detector instrumentation allocates; AllocsPerRun is meaningless under -race")
+	}
+	ds := testutil.VectorDataset(1500, 4, 100, core.L2{}, 7)
+	var q core.Object = core.Vector{1000, 1000, 1000, 1000}
+	for _, family := range []string{"Omni-seq", "DiskEPT*"} {
+		idx := goldenBuild(t, family, ds)
+		if ids, err := idx.RangeSearch(q, 1); err != nil || len(ids) != 0 { // warms the scratch pool
+			t.Fatalf("%s: the witness query answers %v (%v); want nothing", family, ids, err)
+		}
+		idx.ResetStats()
+		allocs := testing.AllocsPerRun(50, func() {
+			if _, err := idx.RangeSearch(q, 1); err != nil {
+				panic(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: a range query verifying no candidate allocated %.1f times; want 0", family, allocs)
+		}
+		if idx.PageAccesses() == 0 {
+			t.Errorf("%s: the range query read no page", family)
+		}
+	}
+}

@@ -1,11 +1,13 @@
 // Package table implements the pivot-based table indexes of paper §3:
 // AESA (the O(n²) theoretical baseline), LAESA (the linear pivot table),
 // and Table, the one pivot table — row state, update path, staged scan
-// and codec — that LAESA, EPT/EPT* (internal/ept) and CPT (internal/cpt)
-// all share.
+// and codec — that LAESA, EPT/EPT* (internal/ept), CPT (internal/cpt),
+// and, with its rows on disk pages, the Omni-sequential-file
+// (internal/omni) and DiskEPT* all share.
 package table
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/bits"
@@ -14,6 +16,7 @@ import (
 
 	"metricindex/internal/core"
 	"metricindex/internal/persist"
+	"metricindex/internal/store"
 )
 
 // verifyChunk is the candidate batch size of the chunked DistanceMany
@@ -33,7 +36,11 @@ const verifyChunk = 64
 //     for that row, and rows stay in insertion order with no zones;
 //   - where a candidate's object comes from: a flat coordinate mirror kept
 //     in row lockstep when the dataset is uniform vectors, else the
-//     dataset's objects, else (CPT) a loader that reads it from disk.
+//     dataset's objects, else (CPT, Omni-seq, DiskEPT*) a loader that
+//     reads it from disk;
+//   - where the rows live: in memory, or (Omni-seq, DiskEPT*) in a
+//     store.RowFile, one page a block — such a paged table has no zones,
+//     shadow or mirror, and a delete leaves a tombstone in place.
 //
 // Everything else — the row directory, the one append and the one remove,
 // the one block loop of range and kNN queries, the memory accounting — is
@@ -57,17 +64,39 @@ type Table struct {
 	flat     *core.FlatVecs // coordinate mirror; nil off the flat path
 	noMirror bool           // mirror never armed, or dropped for good (mixed objects)
 	kern     core.PreKernel
+	// The per-row layout's referenced-pivot pool: every pivot some row
+	// cites, densely numbered in first-reference order (the values are
+	// pivots). poolIDs maps an index back to the pivot's dataset id, poolOf
+	// is the inverse; nil on the shared layout.
+	poolIDs []int32
+	poolOf  map[int32]int32
+	// file holds a paged table's rows: ids, cols and refs stay nil, dir
+	// maps an id to its record, and a scan decodes one page, its block, at
+	// a time. nil in memory.
+	file *store.RowFile
+	l    int    // paged: pivot slots per row
+	live int    // paged: records not tombstoned
+	rec  []byte // paged: the record Append and Remove write
 	// load fetches a candidate's object from outside the dataset (CPT's
-	// M-tree leaves); nil verifies against the in-memory objects.
-	load    func(id int) (core.Object, error)
+	// M-tree leaves, a RAF); nil verifies against the in-memory objects.
+	load func(id int) (core.Object, error)
+	// gather is how many candidates a range (gather[0]) and a kNN query
+	// (gather[1]) gather before loading and verifying them, which for a
+	// loader is the order of its disk reads: a kNN query admits each at
+	// the fresh radius (1), a paged range loads them after each page (1,
+	// DiskEPT*) or after the whole file (Omni-seq).
+	gather  [2]int
 	scratch core.ScratchPool
 }
 
 func newTable(name string, ds *core.Dataset, load func(id int) (core.Object, error)) *Table {
-	t := &Table{name: name, ds: ds, load: load}
+	t := &Table{name: name, ds: ds, load: load, gather: [2]int{verifyChunk, verifyChunk}}
 	var hasKern bool
 	t.kern, hasKern = core.PreKernelFor(ds.Space().Metric())
 	t.noMirror = load != nil || !hasKern
+	if load != nil {
+		t.gather[1] = 1
+	}
 	return t
 }
 
@@ -104,6 +133,7 @@ func NewRefs(name string, ds *core.Dataset, l int) *Table {
 	t := newTable(name, ds, nil)
 	t.cols = make([][]float64, l)
 	t.refs = make([][]int32, l)
+	t.poolOf = make(map[int32]int32)
 	return t
 }
 
@@ -208,7 +238,12 @@ func (t *Table) mirrorRow(row int, o core.Object) {
 func (t *Table) FlatArmed() bool { return t.flat != nil }
 
 // Len returns the number of rows.
-func (t *Table) Len() int { return len(t.ids) }
+func (t *Table) Len() int {
+	if t.file != nil {
+		return t.live
+	}
+	return len(t.ids)
+}
 
 // PivotIDs returns the dataset ids of the shared pivots.
 func (t *Table) PivotIDs() []int { return t.pivotIDs }
@@ -216,8 +251,19 @@ func (t *Table) PivotIDs() []int { return t.pivotIDs }
 // Pivots returns the objects a query measures itself against.
 func (t *Table) Pivots() []core.Object { return t.pivots }
 
-// IDs returns the row -> object id column.
-func (t *Table) IDs() []int32 { return t.ids }
+// IDs returns the row -> object id column; a paged table's is decoded
+// from its records, −1 for a tombstone.
+func (t *Table) IDs() []int32 {
+	if t.file == nil {
+		return t.ids
+	}
+	ids := make([]int32, 0, t.file.Rows())
+	_ = t.eachRecord(func(_ int, id uint32, _ []int32, _ []float64) error {
+		ids = append(ids, int32(id))
+		return nil
+	})
+	return ids
+}
 
 // Cols returns the distance columns.
 func (t *Table) Cols() [][]float64 { return t.cols }
@@ -233,12 +279,26 @@ func (t *Table) Row(id int) int {
 	return int(t.dir[id])
 }
 
-// AddPivot admits one more object to the per-row layout's pivot pool and
-// returns the index rows refer to it by.
-func (t *Table) AddPivot(v core.Object) int32 {
+// AddPivot admits pivot p (a dataset id) with its value v to the per-row
+// layout's pool and returns the index rows refer to it by.
+func (t *Table) AddPivot(p int32, v core.Object) int32 {
+	i := int32(len(t.pivots))
 	t.pivots = append(t.pivots, v)
-	return int32(len(t.pivots) - 1)
+	t.poolIDs = append(t.poolIDs, p)
+	t.poolOf[p] = i
+	return i
 }
+
+// Ref returns the pool index of pivot p, or −1 when no row cites it.
+func (t *Table) Ref(p int32) int32 {
+	if i, ok := t.poolOf[p]; ok {
+		return i
+	}
+	return -1
+}
+
+// PoolIDs returns the dataset ids of the per-row layout's pool, by index.
+func (t *Table) PoolIDs() []int32 { return t.poolIDs }
 
 // Insertable returns the dataset object a new row for id would index, or
 // the reason there cannot be one.
@@ -263,22 +323,33 @@ func (t *Table) Insert(id int) error {
 	sc := t.scratch.Get()
 	qd := sc.GrowQD(len(t.pivots))
 	t.ds.Space().DistanceMany(o, t.pivots, qd)
-	t.Append(id, o, nil, qd)
+	err = t.Append(id, o, nil, qd)
 	t.scratch.Put(sc)
-	return nil
+	return err
 }
 
 // Append is the one way a row enters the table: directory, id, every
 // column, the zones, the shadow and the mirror move together. The row
 // goes last — into the last block, whose zone it widens, or into a new
-// block it opens. dists (and, on the per-row layout, refs) hold one
-// entry per pivot slot; id must not be negative.
-func (t *Table) Append(id int, o core.Object, refs []int32, dists []float64) {
+// block it opens; on a paged table, into the file's next record. dists
+// (and, on the per-row layout, refs) hold one entry per pivot slot; id
+// must not be negative.
+func (t *Table) Append(id int, o core.Object, refs []int32, dists []float64) error {
 	row := len(t.ids)
+	if t.file != nil {
+		var err error
+		if row, err = t.file.Append(t.record(uint32(id), refs, dists)); err != nil {
+			return err
+		}
+		t.live++
+	}
 	for id >= len(t.dir) {
 		t.dir = append(t.dir, -1)
 	}
 	t.dir[id] = int32(row)
+	if t.file != nil {
+		return nil
+	}
 	t.ids = append(t.ids, int32(id))
 	for c := range t.cols {
 		t.cols[c] = append(t.cols[c], dists[c])
@@ -291,6 +362,7 @@ func (t *Table) Append(id int, o core.Object, refs []int32, dists []float64) {
 		t.qcol.Append(dists[0])
 	}
 	t.mirrorRow(row, o)
+	return nil
 }
 
 // Remove is the one way a row leaves: the last row is swapped into its
@@ -300,11 +372,22 @@ func (t *Table) Append(id int, o core.Object, refs []int32, dists []float64) {
 // skipping by them exact — until the next build tightens them. The row is
 // found through the directory — the paper's §6.3 deletion scans the table
 // for it, which costs no distance and no page access, so its cost model
-// is unchanged.
+// is unchanged. A paged table overwrites the row's record with a
+// tombstone instead, which costs the page's read and write.
 func (t *Table) Remove(id int) error {
 	row := t.Row(id)
 	if row < 0 {
 		return fmt.Errorf("%s: delete of unindexed object %d", t.name, id)
+	}
+	if t.file != nil {
+		clear(t.rec)
+		binary.LittleEndian.PutUint32(t.rec, tombstone)
+		if err := t.file.Set(row, t.rec); err != nil {
+			return err
+		}
+		t.dir[id] = -1
+		t.live--
+		return nil
 	}
 	last := len(t.ids) - 1
 	lastID := t.ids[last]
@@ -353,9 +436,10 @@ func (t *Table) Remove(id int) error {
 //
 // Checks 2 and 4 skip a row whose object the dataset no longer holds.
 // Distances are recomputed through the raw metric, so compdists do not
-// move.
+// move. A paged table has checks 1 and 2, over its records
+// (validateFile).
 func (t *Table) Validate() error {
-	n := len(t.ids)
+	n := t.Len()
 	indexed := 0
 	for _, row := range t.dir {
 		if row >= 0 {
@@ -364,6 +448,9 @@ func (t *Table) Validate() error {
 	}
 	if indexed != n {
 		return fmt.Errorf("%s: directory holds %d objects, table %d rows", t.name, indexed, n)
+	}
+	if t.file != nil {
+		return t.validateFile()
 	}
 	for c := range t.cols {
 		if len(t.cols[c]) != n || (t.refs != nil && len(t.refs[c]) != n) {
@@ -406,7 +493,7 @@ func (t *Table) Validate() error {
 				return fmt.Errorf("%s: row %d column %d stores %v, outside its block's zone [%v, %v]", t.name, row, c, d, lo, hi)
 			}
 		}
-		if len(t.sweep(sc, row, row+1, 0)) != 1 {
+		if s := (scan{t: t, sc: sc, refs: t.refs, cols: t.cols}); len(s.sweep(row, row+1, 0)) != 1 {
 			return fmt.Errorf("%s: the shadow prunes row %d at its own distances", t.name, row)
 		}
 		if t.flat != nil && o != nil {
@@ -472,19 +559,6 @@ func (t *Table) MemBytes() int64 {
 	return n
 }
 
-// sweep compacts into sc.Sur the rows of [base, end) that pass Lemma 1 at
-// radius r — the layout's column sweep (shared pivots: a SWAR pass over
-// the quantized shadow, then exact unit-stride float64 columns; per-row
-// pivots: the indexed sweep).
-//
-//metriclint:noalloc
-func (t *Table) sweep(sc *core.Scratch, base, end int, r float64) []int32 {
-	if t.refs != nil {
-		return core.SurviveColumnsIndexed(sc.Sur, sc.QD, t.refs, t.cols, base, end, r)
-	}
-	return core.SurviveColumnsQuant(sc.Sur, sc.QD, t.qcol, t.cols, base, end, r)
-}
-
 // scan is the state of one query's pass over the table. It lives on the
 // query's stack; its buffers are the scratch's.
 type scan struct {
@@ -498,24 +572,46 @@ type scan struct {
 	flat   bool          // verify through the mirror, with q widened into q64/q32
 	q64    []float64
 	q32    []float32
-	chunk  int     // object path: candidates gathered per DistanceMany
+	chunk  int     // object path: candidates gathered before they are verified
 	m      int     // object path: candidates gathered and not yet verified
 	ndist  int     // flat path: distances computed, counted once at the end
 	qmax   float64 // largest |d(q, p)| over the pivots, for limit
+	// The rows block sweeps: the table's own columns, or on a paged
+	// table the scratch's block columns its page is decoded into. refs is
+	// nil on the shared layout.
+	ids  []int32
+	refs [][]int32
+	cols [][]float64
+}
+
+// blocks returns the table's block count and the rows a block holds at
+// most: zoneRows in memory, a page's records on file.
+func (t *Table) blocks() (int, int) {
+	if t.file != nil {
+		return len(t.file.PageIDs()), t.file.PerPage()
+	}
+	return (len(t.ids) + zoneRows - 1) / zoneRows, zoneRows
 }
 
 // begin sizes the per-block buffers (the zone heap, one block's
-// survivors, the chunk) and computes the query's distance to every pivot
-// (for EPT, every pooled pivot: the m·l term of its query cost) through
-// the batch kernel.
+// survivors, the chunk, a paged table's block columns) and computes the
+// query's distance to every pivot (for EPT, every pooled pivot: the m·l
+// term of its query cost) through the batch kernel.
 func (t *Table) begin(sc *core.Scratch, q core.Object, accept core.Accept) scan {
 	qd := sc.GrowQD(len(t.pivots))
-	nb := (len(t.ids) + zoneRows - 1) / zoneRows
+	nb, rows := t.blocks()
 	sc.Zones.Reserve(nb + (nb+superBlocks-1)/superBlocks)
-	sc.GrowSur(zoneRows)
+	sc.GrowSur(rows)
 	sc.GrowChunk(verifyChunk)
 	t.ds.Space().DistanceMany(q, t.pivots, qd)
-	s := scan{t: t, sc: sc, q: q, accept: accept, chunk: verifyChunk}
+	s := scan{t: t, sc: sc, q: q, accept: accept, chunk: t.gather[0], ids: t.ids, refs: t.refs, cols: t.cols}
+	if t.file != nil {
+		sc.GrowBlock(t.l, rows)
+		s.ids, s.cols = sc.BlockIDs, sc.BlockCols
+		if t.poolOf != nil {
+			s.refs = sc.BlockRefs
+		}
+	}
 	for _, d := range qd {
 		if a := math.Abs(d); a > s.qmax {
 			s.qmax = a
@@ -551,6 +647,19 @@ func (s *scan) limit() float64 {
 	return r + (r+s.qmax)*0x1p-50
 }
 
+// sweep compacts into the scratch's Sur the rows of [base, end) that pass
+// Lemma 1 at radius r — the layout's column sweep (shared pivots: a SWAR
+// pass over the quantized shadow, when there is one, then exact
+// unit-stride float64 columns; per-row pivots: the indexed sweep).
+//
+//metriclint:noalloc
+func (s *scan) sweep(base, end int, r float64) []int32 {
+	if s.refs != nil {
+		return core.SurviveColumnsIndexed(s.sc.Sur, s.sc.QD, s.refs, s.cols, base, end, r)
+	}
+	return core.SurviveColumnsQuant(s.sc.Sur, s.sc.QD, s.t.qcol, s.cols, base, end, r)
+}
+
 // object fetches a candidate's object for the chunked path.
 func (s *scan) object(id int) (core.Object, error) {
 	if s.t.load != nil {
@@ -584,8 +693,8 @@ func (s *scan) offer(id int, d float64) {
 //     so the order moves no verified row);
 //  4. verify: through the flat kernel at once, which stops reading the
 //     row once its partial passes the radius's bound in pre-distance
-//     space (exact distance for the rest), or by fetching the object and
-//     gathering it into the DistanceMany chunk;
+//     space (exact distance for the rest), or by gathering it for flush,
+//     which fetches the objects and verifies them through DistanceMany;
 //  5. collect: heap push, or radius compare.
 //
 // The sweep only pre-filters; step 3 makes the set of verified rows
@@ -594,22 +703,22 @@ func (s *scan) offer(id int, d float64) {
 // fresh one, and the recheck removes the rest. On the chunked path the
 // recheck radius lags by the candidates still gathered, which only
 // admits extra candidates the heap then rejects: answers stay identical,
-// and chunk 1 (CPT's kNN) removes the lag altogether.
+// and chunk 1 (a loader's kNN) removes the lag altogether.
 //
 //metriclint:noalloc
 func (s *scan) block(base, end int) error {
 	t, sc := s.t, s.sc
-	for _, row := range t.sweep(sc, base, end, s.radius()) {
+	for _, row := range s.sweep(base, end, s.radius()) {
 		r := s.radius()
 		if s.h != nil {
 			// The layout's recheck, written out rather than behind a helper:
 			// each inlines here, a helper holding both would not, and this
 			// runs once per survivor.
 			var pruned bool
-			if t.refs != nil {
-				pruned = core.PruneRowIndexedAt(sc.QD, t.refs, t.cols, int(row), r)
+			if s.refs != nil {
+				pruned = core.PruneRowIndexedAt(sc.QD, s.refs, s.cols, int(row), r)
 			} else {
-				pruned = core.PruneRowAt(sc.QD, t.cols, int(row), r)
+				pruned = core.PruneRowAt(sc.QD, s.cols, int(row), r)
 			}
 			if pruned {
 				continue
@@ -617,7 +726,7 @@ func (s *scan) block(base, end int) error {
 		}
 		// ids[row] is a scattered read, one likely cache miss per survivor:
 		// each stage loads it only once it needs it.
-		if s.accept != nil && !s.accept(int(t.ids[row])) {
+		if s.accept != nil && !s.accept(int(s.ids[row])) {
 			continue
 		}
 		if s.flat {
@@ -628,43 +737,58 @@ func (s *scan) block(base, end int) error {
 			pre := t.flat.Pre(&t.kern, s.q64, s.q32, int(row), bound)
 			s.ndist++
 			if !(pre > bound) {
-				s.offer(int(t.ids[row]), t.kern.Finish(pre))
+				s.offer(int(s.ids[row]), t.kern.Finish(pre))
 			}
 			continue
 		}
-		id := t.ids[row]
-		o, err := s.object(int(id))
-		if err != nil {
-			return err
+		if s.m == len(sc.IDs) {
+			//metriclint:ignore noalloc grows the scratch's IDs past one chunk for a range that gathers the whole file; the capacity stays for the next query
+			sc.IDs = append(sc.IDs, 0)
 		}
-		sc.IDs[s.m], sc.Objs[s.m] = id, o
+		sc.IDs[s.m] = s.ids[row]
 		if s.m++; s.m == s.chunk {
-			s.flush()
+			if err := s.flush(); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
 }
 
-// flush verifies the gathered chunk through one DistanceMany and offers
-// every candidate in storage order.
+// flush verifies the gathered candidates, verifyChunk at a time: it
+// fetches their objects — a loader's disk reads happen here, in storage
+// order — then verifies them through one DistanceMany and offers them.
 //
 //metriclint:noalloc
-func (s *scan) flush() {
+func (s *scan) flush() error {
 	sc := s.sc
-	s.t.ds.Space().DistanceMany(s.q, sc.Objs[:s.m], sc.Out[:s.m])
-	for j := 0; j < s.m; j++ {
-		s.offer(int(sc.IDs[j]), sc.Out[j])
+	for lo := 0; lo < s.m; lo += verifyChunk {
+		ids := sc.IDs[lo:min(s.m, lo+verifyChunk)]
+		objs, out := sc.Objs[:len(ids)], sc.Out[:len(ids)]
+		for j, id := range ids {
+			o, err := s.object(int(id))
+			if err != nil {
+				return err
+			}
+			objs[j] = o
+		}
+		s.t.ds.Space().DistanceMany(s.q, objs, out)
+		for j, id := range ids {
+			s.offer(int(id), out[j])
+		}
 	}
 	s.m = 0
+	return nil
 }
 
 // finish verifies what is still gathered and books the flat path's
 // distances: one CountDistances covers the whole scan.
 //
 //metriclint:noalloc
-func (s *scan) finish() {
-	s.flush()
+func (s *scan) finish() error {
+	err := s.flush()
 	s.t.ds.Space().CountDistances(s.ndist)
+	return err
 }
 
 // run is the one block loop of every query — range and kNN, filtered or
@@ -675,20 +799,28 @@ func (s *scan) finish() {
 // zone proves empty (their survivors and compdists are a full sweep's);
 // kNN queries start in the block nearest the query in pivot space, sweep
 // it at +Inf, and stop as soon as no remaining block can hold a row inside
-// the tightened radius. The per-row layout has no zones: all its bounds
-// are 0, and its blocks go in storage order.
+// the tightened radius. The per-row layout and a paged table have no
+// zones: all their bounds are 0, and their blocks go in storage order.
 //
 //metriclint:noalloc
 func (s *scan) run() error {
-	n := len(s.t.ids)
-	v := s.t.zones.visit(&s.sc.Zones, s.sc.QD, (n+zoneRows-1)/zoneRows, s.limit())
+	nb, _ := s.t.blocks()
+	v := s.t.zones.visit(&s.sc.Zones, s.sc.QD, nb, s.limit())
 	for b := v.next(s.limit()); b >= 0; b = v.next(s.limit()) {
-		if err := s.block(b*zoneRows, min((b+1)*zoneRows, n)); err != nil {
+		base, end := b*zoneRows, min((b+1)*zoneRows, len(s.ids))
+		var err error
+		if s.t.file != nil {
+			base = 0
+			end, err = s.t.decodePage(b, s.ids, s.refs, s.cols)
+		}
+		if err == nil {
+			err = s.block(base, end)
+		}
+		if err != nil {
 			return err
 		}
 	}
-	s.finish()
-	return nil
+	return s.finish()
 }
 
 // radixMin and answerDigit size the ordering of a range answer: from
@@ -770,12 +902,7 @@ func (t *Table) ScanKNN(h *core.KNNHeap, q core.Object, accept core.Accept) erro
 // candidates have been verified, so the first block is swept whole.
 func (t *Table) scanKNN(sc *core.Scratch, h *core.KNNHeap, q core.Object, accept core.Accept) error {
 	s := t.begin(sc, q, accept)
-	s.h = h
-	if t.load != nil {
-		// Every admission is a disk read, so it is decided at the fresh
-		// radius: no candidate waits in a chunk while the radius tightens.
-		s.chunk = 1
-	}
+	s.h, s.chunk = h, t.gather[1]
 	return s.run()
 }
 
