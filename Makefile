@@ -20,10 +20,10 @@ GOVULNCHECK_VERSION ?= v1.1.4
 # (nilness, shadow) that plain `go vet` does not run.
 XTOOLS_VERSION ?= v0.30.0
 
-# Seconds each native fuzz target runs in the `make fuzz` smoke (ten
+# Seconds each native fuzz target runs in the `make fuzz` smoke (eleven
 # targets: FuzzLevenshtein, FuzzBatchKernels, FuzzWithinKernels, FuzzDecodeQuery,
-# FuzzSnapshotHeader, FuzzTreePayload, FuzzPredicateParse, FuzzPredicateEval,
-# FuzzCompiledPredicate, FuzzHilbertDecode).
+# FuzzSnapshotHeader, FuzzTreePayload, FuzzPagedTablePayload, FuzzPredicateParse,
+# FuzzPredicateEval, FuzzCompiledPredicate, FuzzHilbertDecode).
 FUZZTIME ?= 10s
 
 # Packages with a parallel build, the concurrent query engine, the
@@ -82,6 +82,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeQuery -fuzztime=$(FUZZTIME) ./internal/server
 	$(GO) test -run='^$$' -fuzz=FuzzSnapshotHeader -fuzztime=$(FUZZTIME) ./internal/persist
 	$(GO) test -run='^$$' -fuzz=FuzzTreePayload -fuzztime=$(FUZZTIME) ./internal/ptree
+	$(GO) test -run='^$$' -fuzz=FuzzPagedTablePayload -fuzztime=$(FUZZTIME) ./internal/table
 	$(GO) test -run='^$$' -fuzz=FuzzPredicateParse -fuzztime=$(FUZZTIME) ./internal/plan
 	$(GO) test -run='^$$' -fuzz=FuzzPredicateEval -fuzztime=$(FUZZTIME) ./internal/plan
 	$(GO) test -run='^$$' -fuzz=FuzzCompiledPredicate -fuzztime=$(FUZZTIME) ./internal/plan

@@ -26,8 +26,6 @@ type Scratch struct {
 	Out []float64
 	// IDs collects the candidate ids of one verification chunk.
 	IDs []int32
-	// Rows collects candidate row numbers when they differ from ids.
-	Rows []int32
 	// Sur receives the surviving row numbers of a column sweep
 	// (SurviveColumns) over one block of rows.
 	Sur []int32
@@ -109,18 +107,13 @@ func (s *Scratch) GrowDone(n int) []bool {
 	return s.Done
 }
 
-// GrowChunk sizes the verification-chunk buffers (IDs, Rows, Objs, Out)
+// GrowChunk sizes the verification-chunk buffers (IDs, Objs, Out)
 // to hold n candidates.
 func (s *Scratch) GrowChunk(n int) {
 	if cap(s.IDs) < n {
 		s.IDs = make([]int32, n)
 	} else {
 		s.IDs = s.IDs[:n]
-	}
-	if cap(s.Rows) < n {
-		s.Rows = make([]int32, n)
-	} else {
-		s.Rows = s.Rows[:n]
 	}
 	if cap(s.Objs) < n {
 		s.Objs = make([]Object, n)
@@ -130,16 +123,11 @@ func (s *Scratch) GrowChunk(n int) {
 	s.Out = growF64(s.Out, n)
 }
 
-// GrowBlock sizes the block columns to l distance and l pivot-reference
-// columns of n rows.
+// GrowBlock sizes the block columns to at least n rows of l distance
+// and l pivot-reference columns.
 func (s *Scratch) GrowBlock(l, n int) {
-	if cap(s.BlockIDs) < n {
-		s.BlockIDs = make([]int32, n)
-	}
-	s.BlockIDs = s.BlockIDs[:n]
-	if len(s.BlockCols) != l || len(s.BlockCols[0]) < n {
-		s.BlockCols = make([][]float64, l)
-		s.BlockRefs = make([][]int32, l)
+	if len(s.BlockCols) != l || len(s.BlockIDs) < n {
+		s.BlockIDs, s.BlockCols, s.BlockRefs = make([]int32, n), make([][]float64, l), make([][]int32, l)
 		for c := range s.BlockCols {
 			s.BlockCols[c], s.BlockRefs[c] = make([]float64, n), make([]int32, n)
 		}

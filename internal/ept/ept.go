@@ -61,7 +61,7 @@ type EPT struct {
 
 	// pivotVal snapshots pivot object values so queries keep working if a
 	// pivot object is later deleted from the dataset. The pivots rows cite
-	// form the table's referenced-pivot pool (poolIdx).
+	// form the table's referenced-pivot pool (table.Table.PivotRef).
 	pivotVal map[int32]core.Object
 
 	groups *pivot.Groups   // Original: assignment state for inserts
@@ -172,22 +172,14 @@ func newEmpty(ds *core.Dataset, variant Variant) *EPT {
 	}
 }
 
-// poolIdx returns the dense pool index of a pivot id, admitting it to
-// the table's referenced-pivot pool on first reference.
-func (e *EPT) poolIdx(p int32) int32 {
-	if i := e.tab.Ref(p); i >= 0 {
-		return i
-	}
-	return e.tab.AddPivot(p, e.pivotVal[p])
-}
-
 // appendRow adds one object's row, rewriting the assignment's pivot ids
 // (pv, owned by the caller, one per slot: PSAState.Assign returns
 // min(l, candidates) = l of them and AssignExtreme the groups' L = l)
-// into pool references in place.
+// into pool references in place, admitting a pivot to the pool on its
+// first reference.
 func (e *EPT) appendRow(id int, pv []int32, dv []float64) error {
-	for c := range pv {
-		pv[c] = e.poolIdx(pv[c])
+	for c, p := range pv {
+		pv[c] = e.tab.PivotRef(p, e.pivotVal[p])
 	}
 	return e.tab.Append(id, e.ds.Object(id), pv, dv)
 }

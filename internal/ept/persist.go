@@ -108,7 +108,7 @@ func encodePSA(w *persist.Writer, st *pivot.PSAState) {
 	}
 }
 
-func decodePSA(r *persist.Reader, ds *core.Dataset) (*pivot.PSAState, error) {
+func decodePSA(r *persist.Reader) (*pivot.PSAState, error) {
 	st := &pivot.PSAState{
 		CandIDs:   r.Int32s(),
 		CandVals:  r.Objects(),
@@ -123,11 +123,6 @@ func decodePSA(r *persist.Reader, ds *core.Dataset) (*pivot.PSAState, error) {
 	}
 	if n != len(st.ProbeVals) {
 		return nil, fmt.Errorf("ept: %d probe-distance rows for %d probes", n, len(st.ProbeVals))
-	}
-	for _, o := range append(st.CandVals[:len(st.CandVals):len(st.CandVals)], st.ProbeVals...) {
-		if !core.SameKind(ds.Sample(), o) {
-			return nil, fmt.Errorf("ept: a candidate or probe is not an object of the dataset's kind")
-		}
 	}
 	st.ProbeCand = make([][]float64, n)
 	for i := range st.ProbeCand {
@@ -187,21 +182,17 @@ func loadMemEPT(ds *core.Dataset, r *persist.Reader) (core.Index, *store.Pager, 
 	if err != nil {
 		return nil, nil, err
 	}
-	if l <= 0 {
-		return nil, nil, fmt.Errorf("ept: non-positive row width %d", l)
-	}
 	if len(pids) != len(ids)*l || len(dists) != len(pids) {
 		return nil, nil, fmt.Errorf("ept: table shape %d ids × %d pivots vs %d/%d entries", len(ids), l, len(pids), len(dists))
 	}
 	e := newEmpty(ds, variant)
 	e.l = l
-	e.tab = table.NewRefs("ept", ds, l)
 	e.pivotVal = pivotVal
 	switch e.variant {
 	case Original:
 		e.groups, err = decodeGroups(r)
 	case Star:
-		e.psa, err = decodePSA(r, ds)
+		e.psa, err = decodePSA(r)
 	default:
 		err = fmt.Errorf("ept: unknown variant %d", e.variant)
 	}
@@ -211,6 +202,7 @@ func loadMemEPT(ds *core.Dataset, r *persist.Reader) (core.Index, *store.Pager, 
 	if err != nil {
 		return nil, nil, err
 	}
+	e.tab = table.NewRefs("ept", ds, l)
 	// Rebuild the dense pool and the struct-of-arrays columns from the
 	// wire's dataset pivot ids; version-1 payloads are row-major and
 	// transpose here. Rows are appended one by one — the order a fresh
@@ -230,7 +222,7 @@ func loadMemEPT(ds *core.Dataset, r *persist.Reader) (core.Index, *store.Pager, 
 			if _, ok := e.pivotVal[pids[at]]; !ok {
 				return nil, nil, fmt.Errorf("ept: row %d references pivot %d with no stored value", i, pids[at])
 			}
-			refs[c], row[c] = e.poolIdx(pids[at]), dists[at]
+			refs[c], row[c] = e.tab.PivotRef(pids[at], e.pivotVal[pids[at]]), dists[at]
 		}
 		if err := e.tab.Append(int(id), ds.Object(int(id)), refs, row); err != nil {
 			return nil, nil, err
@@ -240,10 +232,10 @@ func loadMemEPT(ds *core.Dataset, r *persist.Reader) (core.Index, *store.Pager, 
 }
 
 // checkWidth rejects a row width the assignment state cannot fill for an
-// insert: an EPT row holds one pivot from each of the l groups, an EPT*
-// row l of the PSA candidates.
+// insert: a row holds at least one pivot, an EPT row one from each of the
+// l groups, an EPT* row l of the PSA candidates.
 func (e *EPT) checkWidth() error {
-	if e.variant == Original && (e.l != e.groups.L || len(e.groups.IDs) != e.l) ||
+	if e.l < 1 || e.variant == Original && (e.l != e.groups.L || len(e.groups.IDs) != e.l) ||
 		e.variant == Star && e.l > len(e.psa.CandIDs) {
 		return fmt.Errorf("ept: %d pivots a row do not fit the pivot assignment", e.l)
 	}
@@ -272,31 +264,27 @@ func loadDiskEPT(ds *core.Dataset, r *persist.Reader) (core.Index, *store.Pager,
 	e.l = int(r.U32())
 	pagerBlob, rafBlob := r.Blob(), r.Blob()
 	sec := table.DecodeFile(r)
-	pivotVal, err := decodePivotVals(r, ds)
-	if err == nil {
-		e.pivotVal = pivotVal
-		e.psa, err = decodePSA(r, ds)
+	var err error
+	if e.pivotVal, err = decodePivotVals(r, ds); err != nil {
+		return nil, nil, err
 	}
-	if err == nil && e.l <= 0 {
-		err = fmt.Errorf("ept: non-positive row width %d", e.l)
+	if e.psa, err = decodePSA(r); err != nil {
+		return nil, nil, err
 	}
-	if err == nil {
-		err = e.checkWidth()
+	if err := e.checkWidth(); err != nil {
+		return nil, nil, err
 	}
-	var pager *store.Pager
-	var raf *store.RAF
-	if err == nil {
-		pager, err = store.LoadPager(pagerBlob)
+	pager, err := store.LoadPager(pagerBlob)
+	if err != nil {
+		return nil, nil, err
 	}
-	if err == nil {
-		raf, err = store.LoadRAF(pager, rafBlob, ds.Len())
+	raf, err := store.LoadRAF(pager, rafBlob, ds.Len())
+	if err != nil {
+		return nil, nil, err
 	}
-	var d *DiskEPT
+	d, err := newDisk(e, pager, raf)
 	if err == nil {
-		d, err = newDisk(e, pager, raf)
-	}
-	if err == nil {
-		err = e.tab.Open(sec, func(p int32) core.Object { return pivotVal[p] })
+		err = e.tab.Open(sec, func(p int32) core.Object { return e.pivotVal[p] })
 	}
 	if err != nil {
 		return nil, nil, err

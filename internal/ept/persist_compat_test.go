@@ -91,3 +91,44 @@ func TestEPTLoadsVersion1Payload(t *testing.T) {
 		}
 	}
 }
+
+// TestLoadRejectsRowWidth crafts in-memory EPT and EPT* payloads whose
+// row width the pivot assignment cannot fill — an EPT whose groups number
+// other than l, an EPT* with fewer candidates than l — and requires the
+// loader to refuse them: an insert after the load would assign a row of
+// another width than the table's.
+func TestLoadRejectsRowWidth(t *testing.T) {
+	opts := Options{L: 4, Radius: 10, Sel: pivot.Options{Seed: 3, SampleSize: 128}}
+	for name, craft := range map[string]func(e *EPT){
+		"EPT with a fifth group": func(e *EPT) {
+			g := e.groups
+			g.L++
+			g.IDs, g.Vals, g.Mu = append(g.IDs, g.IDs[0]), append(g.Vals, g.Vals[0]), append(g.Mu, g.Mu[0])
+		},
+		"EPT* with three candidates": func(e *EPT) {
+			st := e.psa
+			st.CandIDs, st.CandVals = st.CandIDs[:3], st.CandVals[:3]
+			for i := range st.ProbeCand {
+				st.ProbeCand[i] = st.ProbeCand[i][:3]
+			}
+		},
+	} {
+		ds := testutil.VectorDataset(300, 4, 100, core.L2{}, 7)
+		variant := Original
+		if name[3] == '*' {
+			variant = Star
+		}
+		e, err := New(ds, variant, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		craft(e)
+		w := persist.NewWriter()
+		if err := e.EncodeSnapshot(w); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := loadMemEPT(ds, persist.NewReader(w.Bytes())); err == nil {
+			t.Errorf("%s: the payload loaded", name)
+		}
+	}
+}

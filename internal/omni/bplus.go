@@ -207,22 +207,5 @@ func (t *BPlus) Delete(id int) error {
 	return t.raf.Delete(id)
 }
 
-// PageAccesses reports the pager's accesses.
-func (t *BPlus) PageAccesses() int64 { return t.pager.PageAccesses() }
-
-// ResetStats zeroes the pager counters.
-func (t *BPlus) ResetStats() { t.pager.ResetStats() }
-
 // MemBytes reports the id directory size.
 func (t *BPlus) MemBytes() int64 { return int64(len(t.ids)) * 9 }
-
-// DiskBytes reports the trees + RAF footprint (l trees, hence the
-// redundant storage the paper flags).
-func (t *BPlus) DiskBytes() int64 { return t.pager.DiskBytes() }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -93,6 +93,17 @@ func (b *base) verifyRange(q core.Object, id int, r float64) (bool, error) {
 	return b.ds.Space().Distance(q, o) <= r, nil
 }
 
+// PageAccesses reports the pager's accesses: the member's structure and
+// the RAF.
+func (b *base) PageAccesses() int64 { return b.pager.PageAccesses() }
+
+// ResetStats zeroes the pager counters.
+func (b *base) ResetStats() { b.pager.ResetStats() }
+
+// DiskBytes reports the structure + RAF footprint (for the OmniB+-tree
+// l trees, hence the redundant storage the paper flags).
+func (b *base) DiskBytes() int64 { return b.pager.DiskBytes() }
+
 // searchBox is the Lemma 1 search region SR(q) as a box in pivot space.
 func searchBox(qd []float64, r float64) (lo, hi []float64) {
 	lo = make([]float64, len(qd))

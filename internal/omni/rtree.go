@@ -183,17 +183,8 @@ func (t *RTree) Delete(id int) error {
 	return t.raf.Delete(id)
 }
 
-// PageAccesses reports the pager's accesses (R-tree + RAF).
-func (t *RTree) PageAccesses() int64 { return t.pager.PageAccesses() }
-
-// ResetStats zeroes the pager counters.
-func (t *RTree) ResetStats() { t.pager.ResetStats() }
-
 // MemBytes reports the in-memory footprint (pivot table and the
 // coordinate directory used for deletes).
 func (t *RTree) MemBytes() int64 {
 	return int64(len(t.points)) * int64(8+8*len(t.pivotVals))
 }
-
-// DiskBytes reports the on-disk footprint (R-tree pages + RAF pages).
-func (t *RTree) DiskBytes() int64 { return t.pager.DiskBytes() }

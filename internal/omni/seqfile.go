@@ -93,14 +93,5 @@ func (t *SeqFile) Validate() error { return t.tab.Validate() }
 // Table returns the index's paged pivot table.
 func (t *SeqFile) Table() *table.Table { return t.tab }
 
-// PageAccesses reports the pager's accesses.
-func (t *SeqFile) PageAccesses() int64 { return t.pager.PageAccesses() }
-
-// ResetStats zeroes the pager counters.
-func (t *SeqFile) ResetStats() { t.pager.ResetStats() }
-
 // MemBytes reports the small in-memory directory.
 func (t *SeqFile) MemBytes() int64 { return t.tab.MemBytes() }
-
-// DiskBytes reports the file + RAF footprint.
-func (t *SeqFile) DiskBytes() int64 { return t.pager.DiskBytes() }

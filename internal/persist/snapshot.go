@@ -113,7 +113,8 @@ func Kinds() []string {
 	return ks
 }
 
-func loaderFor(kind string) (Loader, bool) {
+// LoaderFor returns the payload loader registered for an index kind.
+func LoaderFor(kind string) (Loader, bool) {
 	regMu.RLock()
 	defer regMu.RUnlock()
 	l, ok := loaders[kind]
@@ -161,7 +162,7 @@ func Encode(ds *core.Dataset, idx core.Index, epoch uint64) ([]byte, error) {
 		idx = u.Unwrap()
 		snap, ok = idx.(Snapshotter)
 	}
-	if _, ok := loaderFor(kind); !ok {
+	if _, ok := LoaderFor(kind); !ok {
 		return nil, Unsupported(kind)
 	}
 
@@ -317,7 +318,7 @@ func Decode(data []byte) (*Snapshot, error) {
 	if !ok {
 		return nil, fmt.Errorf("persist: unknown metric %q (RegisterMetric it before loading)", metricName)
 	}
-	loader, ok := loaderFor(kind)
+	loader, ok := LoaderFor(kind)
 	if !ok {
 		return nil, Unsupported(kind)
 	}

@@ -34,23 +34,22 @@ func NewRowFile(p *Pager, width int) (*RowFile, error) {
 }
 
 // Restore reopens the empty file f as rows records on pages, checking
-// them against the volume: every page exists and is named once, the
-// pages are exactly those rows fill, and every page counts PerPage
-// records but the last, which counts the rest. Reading the counts costs
-// no page access.
+// them against the volume: every page exists, the pages are exactly
+// those rows fill, and every page counts PerPage records but the last,
+// which counts the rest. (Two names for one page then make its records
+// repeat, which the caller's check of the record ids catches.) Reading
+// the counts costs no page access.
 func (f *RowFile) Restore(pages []PageID, rows int) error {
 	pp := f.PerPage()
 	if rows < 0 || (rows+pp-1)/pp != len(pages) {
 		return fmt.Errorf("store: %d rows of %d a page do not fill %d pages", rows, pp, len(pages))
 	}
 	f.pages, f.rows = pages, rows
-	seen := make(map[PageID]bool, len(pages))
 	for i, pid := range pages {
-		if int(pid) >= f.pager.Pages() || seen[pid] {
-			return fmt.Errorf("store: row page %d beyond the volume's %d pages or named twice", pid, f.pager.Pages())
+		if int(pid) >= f.pager.Pages() {
+			return fmt.Errorf("store: row page %d beyond the volume's %d pages", pid, f.pager.Pages())
 		}
-		seen[pid] = true
-		if n, want := f.count(f.peek(i)), min(pp, rows-i*pp); n != want {
+		if n, want := int(binary.LittleEndian.Uint16(f.peek(i))), min(pp, rows-i*pp); n != want {
 			return fmt.Errorf("store: row page %d counts %d records, want %d", i, n, want)
 		}
 	}
@@ -85,13 +84,8 @@ func (f *RowFile) Append(rec []byte) (int, error) {
 	return row, nil
 }
 
-// Set overwrites record row with rec.
-func (f *RowFile) Set(row int, rec []byte) error {
-	if row < 0 || row >= f.rows {
-		return fmt.Errorf("store: record %d outside the file's %d", row, f.rows)
-	}
-	return f.write(row, nil, rec)
-}
+// Set overwrites record row, one of the Rows appended, with rec.
+func (f *RowFile) Set(row int, rec []byte) error { return f.write(row, nil, rec) }
 
 // write reads record row's page and writes rec into its slot, and count
 // (when not nil) into the page header, as one write.
@@ -127,9 +121,7 @@ func (f *RowFile) peek(i int) []byte {
 	return f.pager.pages[f.pages[i]]
 }
 
-func (f *RowFile) count(pg []byte) int { return int(binary.LittleEndian.Uint16(pg)) }
-
 //metriclint:noalloc
 func (f *RowFile) records(pg []byte) []byte {
-	return pg[rowCountLen : rowCountLen+f.count(pg)*f.width]
+	return pg[rowCountLen : rowCountLen+int(binary.LittleEndian.Uint16(pg))*f.width]
 }

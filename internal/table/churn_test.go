@@ -10,10 +10,11 @@ import (
 )
 
 // TestTableFamilyChurnLockstep is the update-path property test of the
-// one pivot table, run for every family on it — LAESA, EPT, EPT*, CPT —
-// on the flat (vectors) and the object (words) verification path, over
-// four blocks of rows, so that queries skip and visit blocks and updates
-// widen, open and drop zones. A seeded random interleaving of inserts and
+// one pivot table, run for every family on it — LAESA, EPT, EPT*, CPT,
+// and the paged Omni-seq and DiskEPT* — on the flat (vectors) and the
+// object (words) verification path, over four blocks of rows, so that
+// queries skip and visit blocks and updates widen, open and drop zones
+// (a paged table's pages fill and gain tombstones). A seeded random interleaving of inserts and
 // deletes must keep the row state in step (Validate: directory, ids,
 // every column, the zones, the quantized shadow, the coordinate mirror —
 // and for CPT the M-tree) after every update of the interleaving and
@@ -25,16 +26,17 @@ import (
 // The mirror's own lifecycle (re-arm on refill, drop on a misfit) is
 // TestTableMirrorLifecycle.
 func TestTableFamilyChurnLockstep(t *testing.T) {
-	for _, family := range []string{"LAESA", "EPT", "EPT*", "CPT"} {
+	for _, family := range []string{"LAESA", "EPT", "EPT*", "CPT", "Omni-seq", "DiskEPT*"} {
+		paged := family == "Omni-seq" || family == "DiskEPT*"
 		for _, ed := range testutil.EquivDatasets(false, 4*table.ZoneRows, 17) {
 			t.Run(family+"/"+ed.Name, func(t *testing.T) {
-				churnLockstep(t, ed.DS, goldenBuild(t, family, ed.DS))
+				churnLockstep(t, ed.DS, goldenBuild(t, family, ed.DS), paged)
 			})
 		}
 	}
 }
 
-func churnLockstep(t *testing.T, ds *core.Dataset, idx goldenIndex) {
+func churnLockstep(t *testing.T, ds *core.Dataset, idx goldenIndex, paged bool) {
 	val := idx.(interface {
 		Validate() error
 		Table() *table.Table
@@ -42,10 +44,30 @@ func churnLockstep(t *testing.T, ds *core.Dataset, idx goldenIndex) {
 	rng := rand.New(rand.NewSource(5))
 	// rows models the table's row order: the order the build left (a
 	// curve order on the shared-pivot layout), appended at the end, the
-	// last row swapped into a deleted one's place.
+	// last row swapped into a deleted one's place — or, on a paged table,
+	// a tombstone (−1) left in the deleted row's record. live counts the
+	// rows that are not tombstones.
+	ids := val.Table().IDs
+	if paged {
+		ids = val.Table().RecordIDs
+	}
 	var rows []int
-	for _, id := range val.Table().IDs() {
+	for _, id := range ids() {
 		rows = append(rows, int(id))
+	}
+	live := len(rows)
+	// nth returns the position in rows of the k-th live row.
+	nth := func(k int) int {
+		for i, id := range rows {
+			if id >= 0 {
+				if k == 0 {
+					return i
+				}
+				k--
+			}
+		}
+		t.Fatalf("the model holds no live row %d", k)
+		return -1
 	}
 	updates := 0
 	valid := func(what string) {
@@ -53,10 +75,14 @@ func churnLockstep(t *testing.T, ds *core.Dataset, idx goldenIndex) {
 		if err := val.Validate(); err != nil {
 			t.Fatalf("after %s: %v", what, err)
 		}
-		if n := val.Table().Len(); n != len(rows) {
-			t.Fatalf("after %s: the table holds %d rows, the model %d", what, n, len(rows))
+		if n := val.Table().Len(); n != live {
+			t.Fatalf("after %s: the table holds %d rows, the model %d", what, n, live)
 		}
-		for i, id := range val.Table().IDs() {
+		got := ids()
+		if len(got) != len(rows) {
+			t.Fatalf("after %s: the table holds %d records, the model %d", what, len(got), len(rows))
+		}
+		for i, id := range got {
 			if int(id) != rows[i] {
 				t.Fatalf("after %s: row %d holds object %d, the model %d", what, i, id, rows[i])
 			}
@@ -66,7 +92,7 @@ func churnLockstep(t *testing.T, ds *core.Dataset, idx goldenIndex) {
 	// every row, and a validation costs a pass over the table.
 	bulk := func(what string) {
 		t.Helper()
-		if updates++; updates%64 == 0 || len(rows) == 0 {
+		if updates++; updates%64 == 0 || live == 0 {
 			valid(what)
 		}
 	}
@@ -84,12 +110,14 @@ func churnLockstep(t *testing.T, ds *core.Dataset, idx goldenIndex) {
 			t.Fatalf("Insert(%d): %v", id, err)
 		}
 		rows = append(rows, id)
+		live++
 		check("insert")
 	}
-	// remove deletes row i's object from the index and, when forget is
-	// set, from the dataset too.
-	remove := func(i int, forget bool, check func(string)) int {
+	// remove deletes the k-th live row's object from the index and, when
+	// forget is set, from the dataset too.
+	remove := func(k int, forget bool, check func(string)) int {
 		t.Helper()
+		i := nth(k)
 		id := rows[i]
 		if err := idx.Delete(id); err != nil {
 			t.Fatalf("Delete(%d): %v", id, err)
@@ -99,8 +127,13 @@ func churnLockstep(t *testing.T, ds *core.Dataset, idx goldenIndex) {
 				t.Fatal(err)
 			}
 		}
-		rows[i] = rows[len(rows)-1]
-		rows = rows[:len(rows)-1]
+		if paged {
+			rows[i] = -1
+		} else {
+			rows[i] = rows[len(rows)-1]
+			rows = rows[:len(rows)-1]
+		}
+		live--
 		check("delete")
 		return id
 	}
@@ -108,18 +141,18 @@ func churnLockstep(t *testing.T, ds *core.Dataset, idx goldenIndex) {
 		t.Helper()
 		for i := 0; i < ops; i++ {
 			op := rng.Intn(5)
-			if len(rows) < 20 {
+			if live < 20 {
 				op = 0
 			}
 			switch op {
 			case 0, 1:
 				insert(ds.Insert(testutil.RandomQuery(ds, rng.Int63())), valid)
 			case 2:
-				remove(rng.Intn(len(rows)), true, valid)
+				remove(rng.Intn(live), true, valid)
 			case 3:
-				remove(len(rows)-1, true, valid)
+				remove(live-1, true, valid)
 			case 4:
-				insert(remove(rng.Intn(len(rows)), false, valid), valid)
+				insert(remove(rng.Intn(live), false, valid), valid)
 			}
 			if i%8 == 7 {
 				answers()
@@ -129,9 +162,14 @@ func churnLockstep(t *testing.T, ds *core.Dataset, idx goldenIndex) {
 
 	valid("build")
 	churn(120)
-	emptied := append([]int(nil), rows...)
-	for len(rows) > 0 {
-		remove(len(rows)-1, false, bulk)
+	var emptied []int
+	for _, id := range rows {
+		if id >= 0 {
+			emptied = append(emptied, id)
+		}
+	}
+	for live > 0 {
+		remove(live-1, false, bulk)
 	}
 	q := testutil.RandomQuery(ds, rng.Int63())
 	if got, err := idx.RangeSearch(q, testutil.Radii(ds, q)[4]); err != nil || len(got) != 0 {

@@ -47,8 +47,7 @@ func TestInsertInvalidIDErrors(t *testing.T) {
 // TestPagedRangeAllocs witnesses that a range query over a paged table
 // allocates nothing when no candidate survives the sweep: every page is
 // read and decoded into the scratch's block columns, and the answer is
-// empty. (Before the paged table, Omni-seq allocated once here and
-// DiskEPT* eleven times.)
+// empty.
 func TestPagedRangeAllocs(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("race detector instrumentation allocates; AllocsPerRun is meaningless under -race")

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"metricindex/internal/core"
 	"metricindex/internal/persist"
@@ -170,17 +171,23 @@ type FileSection struct {
 func (t *Table) EncodeFile(w *persist.Writer) {
 	w.PageIDs(t.file.PageIDs())
 	w.U32(uint32(t.file.Rows()))
+	dir := t.directory()
+	w.U32(uint32(len(dir)))
+	for _, e := range dir {
+		w.U32(e[0])
+		w.U32(e[1])
+	}
+}
+
+// directory lists every indexed id with its record, ids ascending.
+func (t *Table) directory() [][2]uint32 {
 	dir := make([][2]uint32, 0, t.live)
 	for id, row := range t.dir {
 		if row >= 0 {
 			dir = append(dir, [2]uint32{uint32(id), uint32(row)})
 		}
 	}
-	w.U32(uint32(len(dir)))
-	for _, e := range dir {
-		w.U32(e[0])
-		w.U32(e[1])
-	}
+	return dir
 }
 
 // DecodeFile reads the section EncodeFile writes; the reader's error
@@ -220,29 +227,21 @@ func (t *Table) Open(sec FileSection, pool func(p int32) core.Object) error {
 		t.dir[id] = int32(row)
 		t.live++
 		for _, p := range pivots {
-			if t.poolOf == nil || t.Ref(p) >= 0 {
-				continue
+			if t.poolOf == nil {
+				break
 			}
 			v := pool(p)
 			if v == nil {
 				return fmt.Errorf("%s: record %d cites pivot %d, which has no stored value", t.name, row, p)
 			}
-			t.AddPivot(p, v)
+			t.PivotRef(p, v)
 		}
 		return nil
 	}); err != nil {
 		return err
 	}
-	if len(sec.dir) != t.live {
-		return fmt.Errorf("%s: directory lists %d objects, the records %d", t.name, len(sec.dir), t.live)
-	}
-	prev := -1
-	for _, e := range sec.dir {
-		id, row := int(e[0]), int(e[1])
-		if id <= prev || id >= len(t.dir) || int(t.dir[id]) != row {
-			return fmt.Errorf("%s: directory puts object %d in record %d, which the records do not", t.name, id, row)
-		}
-		prev = id
+	if !slices.Equal(sec.dir, t.directory()) {
+		return fmt.Errorf("%s: the directory's %d entries disagree with the %d live records", t.name, len(sec.dir), t.live)
 	}
 	return nil
 }

@@ -127,7 +127,7 @@ func Build(name string, ds *core.Dataset, pivots []int, workers int, load func(i
 }
 
 // NewRefs returns an empty table in the per-row layout of EPT: l pivot
-// slots per row, each naming its pivot by index into the pool AddPivot
+// slots per row, each naming its pivot by index into the pool PivotRef
 // grows.
 func NewRefs(name string, ds *core.Dataset, l int) *Table {
 	t := newTable(name, ds, nil)
@@ -251,19 +251,9 @@ func (t *Table) PivotIDs() []int { return t.pivotIDs }
 // Pivots returns the objects a query measures itself against.
 func (t *Table) Pivots() []core.Object { return t.pivots }
 
-// IDs returns the row -> object id column; a paged table's is decoded
-// from its records, −1 for a tombstone.
-func (t *Table) IDs() []int32 {
-	if t.file == nil {
-		return t.ids
-	}
-	ids := make([]int32, 0, t.file.Rows())
-	_ = t.eachRecord(func(_ int, id uint32, _ []int32, _ []float64) error {
-		ids = append(ids, int32(id))
-		return nil
-	})
-	return ids
-}
+// IDs returns the row -> object id column; nil on a paged table, whose
+// rows are its file's records.
+func (t *Table) IDs() []int32 { return t.ids }
 
 // Cols returns the distance columns.
 func (t *Table) Cols() [][]float64 { return t.cols }
@@ -279,22 +269,17 @@ func (t *Table) Row(id int) int {
 	return int(t.dir[id])
 }
 
-// AddPivot admits pivot p (a dataset id) with its value v to the per-row
-// layout's pool and returns the index rows refer to it by.
-func (t *Table) AddPivot(p int32, v core.Object) int32 {
-	i := int32(len(t.pivots))
-	t.pivots = append(t.pivots, v)
-	t.poolIDs = append(t.poolIDs, p)
-	t.poolOf[p] = i
-	return i
-}
-
-// Ref returns the pool index of pivot p, or −1 when no row cites it.
-func (t *Table) Ref(p int32) int32 {
+// PivotRef returns the index rows refer to pivot p (a dataset id) by,
+// admitting p with its value v to the per-row layout's pool on first
+// reference.
+func (t *Table) PivotRef(p int32, v core.Object) int32 {
 	if i, ok := t.poolOf[p]; ok {
 		return i
 	}
-	return -1
+	t.pivots = append(t.pivots, v)
+	t.poolIDs = append(t.poolIDs, p)
+	t.poolOf[p] = int32(len(t.pivots) - 1)
+	return t.poolOf[p]
 }
 
 // PoolIDs returns the dataset ids of the per-row layout's pool, by index.
@@ -335,21 +320,19 @@ func (t *Table) Insert(id int) error {
 // (and, on the per-row layout, refs) hold one entry per pivot slot; id
 // must not be negative.
 func (t *Table) Append(id int, o core.Object, refs []int32, dists []float64) error {
-	row := len(t.ids)
-	if t.file != nil {
-		var err error
-		if row, err = t.file.Append(t.record(uint32(id), refs, dists)); err != nil {
-			return err
-		}
-		t.live++
-	}
 	for id >= len(t.dir) {
 		t.dir = append(t.dir, -1)
 	}
-	t.dir[id] = int32(row)
 	if t.file != nil {
-		return nil
+		row, err := t.file.Append(t.record(uint32(id), refs, dists))
+		if err == nil {
+			t.dir[id] = int32(row)
+			t.live++
+		}
+		return err
 	}
+	row := len(t.ids)
+	t.dir[id] = int32(row)
 	t.ids = append(t.ids, int32(id))
 	for c := range t.cols {
 		t.cols[c] = append(t.cols[c], dists[c])
