@@ -20,10 +20,10 @@ GOVULNCHECK_VERSION ?= v1.1.4
 # (nilness, shadow) that plain `go vet` does not run.
 XTOOLS_VERSION ?= v0.30.0
 
-# Seconds each native fuzz target runs in the `make fuzz` smoke (eleven
+# Seconds each native fuzz target runs in the `make fuzz` smoke (twelve
 # targets: FuzzLevenshtein, FuzzBatchKernels, FuzzWithinKernels, FuzzDecodeQuery,
 # FuzzSnapshotHeader, FuzzTreePayload, FuzzPagedTablePayload, FuzzPredicateParse,
-# FuzzPredicateEval, FuzzCompiledPredicate, FuzzHilbertDecode).
+# FuzzPredicateEval, FuzzCompiledPredicate, FuzzHilbertDecode, FuzzWritePaths).
 FUZZTIME ?= 10s
 
 # Packages with a parallel build, the concurrent query engine, the
@@ -87,6 +87,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzPredicateEval -fuzztime=$(FUZZTIME) ./internal/plan
 	$(GO) test -run='^$$' -fuzz=FuzzCompiledPredicate -fuzztime=$(FUZZTIME) ./internal/plan
 	$(GO) test -run='^$$' -fuzz=FuzzHilbertDecode -fuzztime=$(FUZZTIME) ./internal/sfc
+	$(GO) test -run='^$$' -fuzz=FuzzWritePaths -fuzztime=$(FUZZTIME) ./internal/epoch
 
 bench:
 	$(GO) test -bench='$(BENCH)' -benchtime=$(BENCHTIME) -run=^$$ .

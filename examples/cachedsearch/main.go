@@ -60,7 +60,7 @@ func main() {
 
 	// A committed write bumps the epoch: every cached answer
 	// self-invalidates, and the next search sees the new object.
-	id, err := live.Add(q.Clone())
+	id, _, err := live.AddAttrsAt(q.Clone(), nil)
 	if err != nil {
 		log.Fatal(err)
 	}

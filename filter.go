@@ -14,7 +14,7 @@ import (
 // cost differs. See docs/HYBRID.md for the grammar and the planner.
 
 // Attrs is an object's attribute bag: field name → typed value. Attach
-// bags with Dataset.SetAttrs (or Live.AddAttrs / Live.SetAttrsAt on a
+// bags with Dataset.SetAttrs (or Live.AddAttrsAt / Live.SetAttrsAt on a
 // live front); they ride through snapshots, the WAL, and dataset files.
 type Attrs = core.Attrs
 

@@ -131,13 +131,13 @@ func TestCacheInvalidatedByEveryWritePath(t *testing.T) {
 	expectAnswer("initial", false)
 	expectAnswer("initial (cached)", false)
 
-	id, err := l.Add(marker)
+	id, _, err := l.AddAttrsAt(marker, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	expectAnswer("after Add", true)
 
-	if err := l.Remove(id); err != nil {
+	if _, err := l.RemoveAt(id); err != nil {
 		t.Fatal(err)
 	}
 	expectAnswer("after Remove", false)
@@ -252,7 +252,7 @@ func TestCacheNoStaleAnswersUnderChurn(t *testing.T) {
 				defer wg.Done()
 				defer stop.Store(true)
 				for i := 0; readersDone.Load() < int64(len(samples)) && !stop.Load() && i < 50000; i++ {
-					id, ep, err := l.AddAt(marker)
+					id, ep, err := l.AddAttrsAt(marker, nil)
 					if err != nil {
 						abort(fmt.Errorf("AddAt: %w", err))
 						return
@@ -357,7 +357,7 @@ func TestCachedLiveThroughBatchEngine(t *testing.T) {
 	}
 
 	// A write invalidates: the next batch recomputes.
-	if _, err := l.Add(core.Vector{1, 2, 3, 4}); err != nil {
+	if _, _, err := l.AddAttrsAt(core.Vector{1, 2, 3, 4}, nil); err != nil {
 		t.Fatal(err)
 	}
 	post, err := eng.BatchKNNSearch(context.Background(), l, queries, 5)

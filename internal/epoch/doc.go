@@ -10,10 +10,11 @@
 // structure state (which is what lets internal/exec run whole batches
 // concurrently), but none of them synchronize updates with searches; the
 // historical contract was "finish the batch, then update". Live removes
-// that caveat. Searches run in shared read sections; Add/Remove (and the
-// core.Index Insert/Delete) run in exclusive write sections; every
-// committed write advances the epoch, a monotone counter that names the
-// dataset version a search observed. The answer cache keys off exactly
+// that caveat. Searches run in shared read sections; writes —
+// AddAttrsAt, RemoveAt, SetAttrsAt and the core.Index Insert/Delete —
+// run in exclusive write sections; every committed write advances the
+// epoch, a monotone counter that names the dataset version a search
+// observed. The answer cache keys off exactly
 // that counter (SetCache attaches one from internal/cache): answers are
 // memoized under the epoch they were observed at, so every committed
 // write invalidates the whole working set with no flush path at all.
@@ -27,6 +28,18 @@
 // RangeSearchFiltered/KNNSearchFiltered are adapters that pick fields
 // of its Answer (search.go).
 //
+// There is one write path too (write.go). Every write is a Write value
+// (op, id, object, bag) committed by one write section, commit: it
+// stages the change on the index (an add also stores the object), then
+// journals it — a failed append unstages it, so the write never
+// happened — then finishes it on the dataset and the planner's
+// estimator, logs it for a running swap and bumps the epoch. The
+// committed Write is also what is redone later, by one function, redo:
+// Apply redoes a WAL record at recovery, and a swap's cutover redoes
+// its log onto the replacement, skipping only what the snapshot
+// already reflects. An index-only Delete therefore leaves its object in
+// the dataset on all three paths.
+//
 // Swap is the graceful-rebuild path a long-lived server needs: the
 // current dataset is snapshotted in one write section, the replacement
 // index is built over the snapshot with no locks held (searches and
@@ -35,7 +48,10 @@
 // final write section replays the log onto the replacement and flips it
 // in. Searches before the flip see the old index with every update
 // applied; searches after see the new index with every update applied;
-// there is no window in which either misses a committed write.
+// there is no window in which either misses a committed write. The
+// build indexes every object of the snapshot, so an object removed from
+// the index only (Delete) but left in the dataset before the swap
+// started is indexed again.
 //
 // Durability hooks onto the same write sections: SetJournal attaches a
 // Journal (internal/persist provides the write-ahead log), every

@@ -158,11 +158,11 @@ func TestMixedReadWrite(t *testing.T) {
 				defer wg.Done()
 				defer stop.Store(true)
 				for i := 0; i < 60; i++ {
-					if err := l.Remove(i * 3); err != nil {
+					if _, err := l.RemoveAt(i * 3); err != nil {
 						fail(fmt.Errorf("Remove(%d): %w", i*3, err))
 						return
 					}
-					if _, err := l.Add(core.Vector{float64(i), 50, 50, 50}); err != nil {
+					if _, _, err := l.AddAttrsAt(core.Vector{float64(i), 50, 50, 50}, nil); err != nil {
 						fail(fmt.Errorf("Add: %w", err))
 						return
 					}
@@ -222,11 +222,11 @@ func TestSwapUnderLoad(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				for i := 0; !stop.Load() && i < 200; i++ {
-					if err := l.Remove(i); err != nil {
+					if _, err := l.RemoveAt(i); err != nil {
 						fail(fmt.Errorf("Remove(%d) during swap: %w", i, err))
 						return
 					}
-					if _, err := l.Add(core.Vector{float64(i % 7), 42, 42, 42}); err != nil {
+					if _, _, err := l.AddAttrsAt(core.Vector{float64(i % 7), 42, 42, 42}, nil); err != nil {
 						fail(fmt.Errorf("Add during swap: %w", err))
 						return
 					}
@@ -291,19 +291,19 @@ func TestSwapReplaysUpdates(t *testing.T) {
 	// Commit updates while the build is in flight: remove 10 snapshot
 	// objects, add 5 new ones (one of which is removed again).
 	for id := 0; id < 10; id++ {
-		if err := l.Remove(id); err != nil {
+		if _, err := l.RemoveAt(id); err != nil {
 			t.Fatalf("Remove(%d): %v", id, err)
 		}
 	}
 	var added []int
 	for i := 0; i < 5; i++ {
-		id, err := l.Add(core.Vector{float64(1000 + i), 0, 0, 0})
+		id, _, err := l.AddAttrsAt(core.Vector{float64(1000 + i), 0, 0, 0}, nil)
 		if err != nil {
 			t.Fatalf("Add: %v", err)
 		}
 		added = append(added, id)
 	}
-	if err := l.Remove(added[4]); err != nil {
+	if _, err := l.RemoveAt(added[4]); err != nil {
 		t.Fatalf("Remove(added): %v", err)
 	}
 	close(finish)
@@ -389,11 +389,11 @@ func TestLiveThroughBatchEngine(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 50; i++ {
-			if err := l.Remove(i * 2); err != nil {
+			if _, err := l.RemoveAt(i * 2); err != nil {
 				t.Errorf("Remove: %v", err)
 				return
 			}
-			if _, err := l.Add(core.Vector{float64(i), 1, 2, 3}); err != nil {
+			if _, _, err := l.AddAttrsAt(core.Vector{float64(i), 1, 2, 3}, nil); err != nil {
 				t.Errorf("Add: %v", err)
 				return
 			}

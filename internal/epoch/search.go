@@ -54,7 +54,7 @@ func (l *Live) Search(q plan.Query) (plan.Answer, error) {
 // observe one dataset version.
 //
 // The pre-filter strategy scans the dataset, so filtered search assumes
-// the dataset-managed write paths (Add/Remove): after an index-only
+// the dataset-managed write paths (AddAttrsAt/RemoveAt): after an index-only
 // Insert/Delete the dataset and index disagree about liveness and the
 // strategies would disagree about the answer.
 //

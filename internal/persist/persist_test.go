@@ -356,12 +356,12 @@ func TestCrashRecoveryExactEpochs(t *testing.T) {
 	// committing at the next epoch.
 	var wantEpochs []uint64
 	obj := func(seed int64) core.Object { return testutil.RandomQuery(ds, seed) }
-	id1, e, err := live.AddAt(obj(1000))
+	id1, e, err := live.AddAttrsAt(obj(1000), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantEpochs = append(wantEpochs, e)
-	_, e, err = live.AddAt(obj(1001))
+	_, e, err = live.AddAttrsAt(obj(1001), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +370,7 @@ func TestCrashRecoveryExactEpochs(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantEpochs = append(wantEpochs, e)
-	_, e, err = live.AddAt(obj(1002))
+	_, e, err = live.AddAttrsAt(obj(1002), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -439,7 +439,7 @@ func TestReplaySkipsSnapshottedPrefix(t *testing.T) {
 	live.SetJournal(wal)
 
 	for i := int64(0); i < 3; i++ {
-		if _, err := live.Add(testutil.RandomQuery(ds, 2000+i)); err != nil {
+		if _, _, err := live.AddAttrsAt(testutil.RandomQuery(ds, 2000+i), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -448,7 +448,7 @@ func TestReplaySkipsSnapshottedPrefix(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := int64(3); i < 5; i++ {
-		if _, err := live.Add(testutil.RandomQuery(ds, 2000+i)); err != nil {
+		if _, _, err := live.AddAttrsAt(testutil.RandomQuery(ds, 2000+i), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -512,7 +512,7 @@ func TestWALTornTail(t *testing.T) {
 			}
 			live.SetJournal(wal)
 			for i := int64(0); i < 4; i++ {
-				if _, err := live.Add(testutil.RandomQuery(ds, 3000+i)); err != nil {
+				if _, _, err := live.AddAttrsAt(testutil.RandomQuery(ds, 3000+i), nil); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -574,7 +574,7 @@ func TestWALTruncateThrough(t *testing.T) {
 	}
 	live.SetJournal(wal)
 	for i := int64(0); i < 5; i++ {
-		if _, err := live.Add(testutil.RandomQuery(ds, 4000+i)); err != nil {
+		if _, _, err := live.AddAttrsAt(testutil.RandomQuery(ds, 4000+i), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -585,7 +585,7 @@ func TestWALTruncateThrough(t *testing.T) {
 		t.Fatalf("after TruncateThrough(3): %d records, want 2", st.Records)
 	}
 	// The truncated log must stay appendable…
-	if _, err := live.Add(testutil.RandomQuery(ds, 4005)); err != nil {
+	if _, _, err := live.AddAttrsAt(testutil.RandomQuery(ds, 4005), nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := wal.Close(); err != nil {

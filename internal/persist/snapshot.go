@@ -418,7 +418,7 @@ func Replay(l *epoch.Live, recs []Record) (int, error) {
 		if rec.Epoch <= l.Epoch() {
 			continue
 		}
-		if err := l.Apply(rec.Op, rec.Epoch, rec.ID, rec.Obj, rec.Attrs); err != nil {
+		if err := l.Apply(rec.Epoch, rec.Write); err != nil {
 			return applied, fmt.Errorf("persist: replay of op %d at epoch %d: %w", rec.Op, rec.Epoch, err)
 		}
 		applied++

@@ -43,13 +43,11 @@ const (
 )
 
 // Record is one decoded WAL entry: a committed Live write and the epoch
-// it committed at.
+// it committed at. A decoded bag is a core.Attrs; Attrs is nil when the
+// record carries none.
 type Record struct {
-	Op    epoch.Op
 	Epoch uint64
-	ID    int
-	Obj   core.Object
-	Attrs core.Attrs
+	epoch.Write
 }
 
 // SyncMode selects the WAL's fsync policy — the durability/latency
@@ -242,11 +240,10 @@ func scanWAL(data []byte) ([]Record, int64) {
 
 func decodeWALRecord(payload []byte) (Record, bool) {
 	r := NewReader(payload)
-	rec := Record{
-		Op:    epoch.Op(r.U8()),
-		Epoch: r.U64(),
-		ID:    int(r.U64()),
-	}
+	var rec Record
+	rec.Op = epoch.Op(r.U8())
+	rec.Epoch = r.U64()
+	rec.ID = int(r.U64())
 	switch rec.Op {
 	case epoch.OpAdd, epoch.OpInsert:
 		rec.Obj = r.Object()

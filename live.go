@@ -14,8 +14,9 @@ import (
 // cut over atomically) with Swap. Live implements Index, so it composes
 // with the batch engine and anything else that consumes one.
 //
-// Live owns its dataset: mutate only through Add and Remove so dataset
-// and index always change inside the same write section. Every committed
+// Live owns its dataset: mutate only through AddAttrsAt, RemoveAt and
+// SetAttrsAt so dataset and index always change inside the same write
+// section. Every committed
 // write advances Epoch, a monotone version counter searches can be
 // correlated against.
 type Live = epoch.Live
@@ -50,7 +51,7 @@ var ErrSwapInProgress = epoch.ErrSwapInProgress
 // a byte-budgeted, sharded LRU that memoizes whole query answers with
 // singleflight collapse of concurrent identical misses. Entries are
 // keyed by (query, kind, radius|k, filter, epoch), so every committed
-// Add/Remove/Insert/Delete/Swap invalidates the working set for free —
+// write or swap invalidates the working set for free —
 // a search that starts after a write commits can never be served a
 // pre-write answer. The zero value uses the defaults (32 MB, 16
 // shards).
@@ -66,8 +67,8 @@ type CacheStats = cache.Stats
 //
 //	idx, _ := metricindex.NewLAESA(ds, pivots)
 //	live := metricindex.NewLive(ds, idx)
-//	go func() { _, _ = live.KNNSearch(q, 10) }()       // searches...
-//	_, _ = live.Add(metricindex.Vector{1, 2})          // ...interleave with updates
+//	go func() { _, _ = live.KNNSearch(q, 10) }()             // searches...
+//	_, _, _ = live.AddAttrsAt(metricindex.Vector{1, 2}, nil) // ...interleave with updates
 //	_ = live.Swap(func(ds *metricindex.Dataset) (metricindex.Index, error) {
 //		pv, err := metricindex.SelectPivots(ds, 5, 1)  // graceful rebuild:
 //		if err != nil {                                // queries keep flowing,

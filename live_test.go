@@ -49,10 +49,10 @@ func TestLivePublicAPI(t *testing.T) {
 		}()
 	}
 	for i := 0; i < 20; i++ {
-		if err := live.Remove(i); err != nil {
+		if _, err := live.RemoveAt(i); err != nil {
 			t.Fatalf("Remove(%d): %v", i, err)
 		}
-		if _, err := live.Add(metricindex.Vector{float64(i), 0}); err != nil {
+		if _, _, err := live.AddAttrsAt(metricindex.Vector{float64(i), 0}, nil); err != nil {
 			t.Fatalf("Add: %v", err)
 		}
 	}
@@ -177,7 +177,7 @@ func TestCachedLivePublicAPI(t *testing.T) {
 	}
 
 	// A write invalidates; the inserted object must be served.
-	id, err := live.Add(q)
+	id, _, err := live.AddAttrsAt(q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -82,7 +82,7 @@
 // # Live updates and serving
 //
 // NewLive wraps any Index (including a Sharded one) behind reader/writer
-// epochs, making it safe to interleave Add/Remove with in-flight
+// epochs, making it safe to interleave writes with in-flight
 // searches — the epoch contract: searches run in shared read sections,
 // updates in exclusive write sections, every committed write advances a
 // monotone Epoch naming the dataset version a search observed. A Live
@@ -93,7 +93,7 @@
 //
 //	live := metricindex.NewLive(ds, idx)
 //	go live.KNNSearch(q, 10)                   // reads...
-//	live.Add(obj)                              // ...safely interleave with writes
+//	live.AddAttrsAt(obj, nil)                  // ...safely interleave with writes
 //	live.Swap(rebuild)                         // graceful re-index under load
 //
 // A Live index has one query path: Live.Search takes a Query — Kind
@@ -136,7 +136,7 @@
 // (query object, query kind, radius|k, filter, epoch) — the epoch being the
 // monotone write counter a Live index reports from inside every search's
 // read section. That keying makes invalidation free and exact: any
-// committed Add/Remove/Insert/Delete/Swap bumps the epoch, so every
+// committed write or swap bumps the epoch, so every
 // cached answer self-invalidates at once, and a search that starts after
 // a write commits can never be served a pre-write answer. A hit is
 // byte-identical to a fresh search and costs zero compdists and zero
@@ -145,9 +145,9 @@
 // before dispatching, so hot batches never wait on the worker pool:
 //
 //	live := metricindex.NewLive(ds, idx, metricindex.CacheOptions{MaxBytes: 64 << 20})
-//	live.KNNSearch(q, 10)  // computes and fills
-//	live.KNNSearch(q, 10)  // served memoized, 0 compdists
-//	live.Add(obj)          // epoch bump: every entry invalid
+//	live.KNNSearch(q, 10)     // computes and fills
+//	live.KNNSearch(q, 10)     // served memoized, 0 compdists
+//	live.AddAttrsAt(obj, nil) // epoch bump: every entry invalid
 //	st, _ := live.CacheStats()
 //
 // # Batched distance kernels

@@ -18,7 +18,7 @@ import (
 var ErrUnsupportedSnapshot = persist.ErrUnsupported
 
 // WAL is the write-ahead log of a Live index: attach it with
-// Live.SetJournal and every committed Add/Remove/Insert/Delete/Swap is
+// Live.SetJournal and every committed write or swap is
 // appended (with its commit epoch) before the write is acknowledged,
 // subject to the SyncMode. See OpenWAL.
 type WAL = persist.WAL
