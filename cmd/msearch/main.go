@@ -8,6 +8,11 @@
 //	msearch -data words.midx -index SPB-tree -k 10
 //	msearch -data words.midx -index MVPT -radius 2
 //	msearch -data words.midx -index LAESA -k 5 -verify
+//
+// -index takes any of the 18 kinds of the family registry (internal/bench):
+// AESA, LAESA, EPT, EPT*, DiskEPT*, CPT, BKT, FQT, FQA, MVPT, VPT,
+// PM-tree, Omni-seq, OmniB+-tree, OmniR-tree, M-index, M-index* and
+// SPB-tree. BKT, FQT and FQA need a discrete metric (Words).
 package main
 
 import (
@@ -26,7 +31,7 @@ import (
 func main() {
 	var (
 		data    = flag.String("data", "", "dataset file from datagen (required)")
-		index   = flag.String("index", "SPB-tree", "index: LAESA, EPT, EPT*, CPT, BKT, FQT, MVPT, PM-tree, OmniR-tree, M-index, M-index*, SPB-tree")
+		index   = flag.String("index", "SPB-tree", "index: "+bench.Names())
 		pivots  = flag.Int("pivots", 5, "number of pivots |P|")
 		k       = flag.Int("k", 0, "run MkNNQ with this k")
 		radius  = flag.Float64("radius", 0, "run MRQ with this radius")
@@ -53,21 +58,13 @@ func main() {
 	fmt.Printf("loaded %s: %d objects (%s), %d queries\n",
 		*data, gen.Dataset.Count(), gen.Dataset.Space().Metric().Name(), len(gen.Queries))
 
-	cfg := bench.Config{N: gen.Dataset.Count(), Queries: len(gen.Queries), Pivots: *pivots, Workers: *workers, Shards: *shards, CacheMB: *cacheMB}.WithDefaults()
-	env := &bench.Env{Cfg: cfg, Gen: gen}
-	pv, err := selectPivots(env)
-	if err != nil {
-		fail(err)
-	}
-	env.Pivots = pv
-
 	builder, err := bench.BuilderByName(*index)
 	if err != nil {
 		fail(err)
 	}
-	if builder.DiscreteOnly && !env.Discrete() {
-		fail(fmt.Errorf("%s requires a discrete metric; %s is continuous",
-			*index, gen.Dataset.Space().Metric().Name()))
+	env, err := bench.EnvFor(gen, bench.Config{N: gen.Dataset.Count(), Queries: len(gen.Queries), Pivots: *pivots, Workers: *workers, Shards: *shards, CacheMB: *cacheMB})
+	if err != nil {
+		fail(err)
 	}
 	if *shards > 1 {
 		fmt.Printf("building %s over %d pivots, sharded %d ways…\n", *index, *pivots, *shards)
@@ -289,12 +286,6 @@ func runBatch(gen *dataset.Generated, built *bench.Built, k int, radius float64,
 			st.CacheHits, st.PerQueryCompDists())
 	}
 	return nil
-}
-
-func selectPivots(env *bench.Env) ([]int, error) {
-	// Reuse the harness's HFI selection by building a throwaway env-like
-	// call: bench.NewEnv would regenerate the dataset, so select directly.
-	return bench.SelectHFI(env.Gen.Dataset, env.Cfg.Pivots, env.Cfg.Seed+1)
 }
 
 func fail(err error) {

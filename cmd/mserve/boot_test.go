@@ -134,10 +134,12 @@ func (s *stack) answers() [][]server.Neighbor {
 
 // exercise is the boot-assembly check every leg runs: right index behind
 // /healthz, exact answers before and after a swap through boot's rebuild
-// closure, the trace and plan surfaces wired through, and one /metrics
-// family per subsystem boot put on the shared registry.
-func (s *stack) exercise(wantIndex string, sharded, durable bool) {
+// closure, the trace and plan surfaces wired through (a filtered kNN
+// planned as wantPlan), and one /metrics family per subsystem boot put on
+// the shared registry.
+func (s *stack) exercise(wantIndex, wantPlan string, durable bool) {
 	s.t.Helper()
+	sharded := strings.HasPrefix(wantIndex, "Sharded[")
 	var health server.HealthResponse
 	s.call("/healthz", nil, &health)
 	if health.Status != "ok" || !strings.HasPrefix(health.Index, wantIndex) {
@@ -146,13 +148,7 @@ func (s *stack) exercise(wantIndex string, sharded, durable bool) {
 	s.answers()
 
 	// A traced filtered kNN keeps its plan span, and on a sharded front
-	// the trace travels through the scatter. The SPB-tree shards cannot
-	// push the filter down, so the planner post-filters the front's
-	// answer there instead of probing.
-	wantPlan := "probe"
-	if sharded {
-		wantPlan = "post"
-	}
+	// the trace travels through the scatter.
 	q0 := rawQuery(s.t, s.gen.Queries[0])
 	var ft server.KNNResponse
 	s.call("/v1/knn", server.KNNRequest{Query: q0, K: testK, Filter: probeFilter, Trace: true}, &ft)
@@ -217,13 +213,15 @@ func (s *stack) exercise(wantIndex string, sharded, durable bool) {
 func TestBootLAESA(t *testing.T) {
 	s, stop := bootStack(t, config{data: writeDataset(t), index: "LAESA"})
 	defer stop()
-	s.exercise("LAESA", false, false)
+	s.exercise("LAESA", "probe", false)
 }
 
 func TestBootShardedSPBTree(t *testing.T) {
 	s, stop := bootStack(t, config{data: writeDataset(t), index: "SPB-tree", shards: 2})
 	defer stop()
-	s.exercise("Sharded[", true, false)
+	// The SPB-tree shards cannot push the filter down, so the planner
+	// post-filters the front's answer instead of probing.
+	s.exercise("Sharded[", "post", false)
 }
 
 // TestBootRestoresExactState: the first boot on an empty -data-dir
@@ -231,9 +229,20 @@ func TestBootShardedSPBTree(t *testing.T) {
 // boot must come back restored — no rebuild, no new snapshot — at the
 // same epoch with the same objects, bags and answers.
 func TestBootRestoresExactState(t *testing.T) {
-	cfg := config{data: writeDataset(t), index: "LAESA", dataDir: filepath.Join(t.TempDir(), "state")}
+	restartLeg(t, "LAESA", "probe")
+}
+
+// TestBootRestoresDiskEPTStar runs the restart leg on a disk family the
+// paper's tables leave out: its table pages and RAF come back from the
+// snapshot. DiskEPT* cannot push a filter down, so it post-filters.
+func TestBootRestoresDiskEPTStar(t *testing.T) {
+	restartLeg(t, "DiskEPT*", "post")
+}
+
+func restartLeg(t *testing.T, index, wantPlan string) {
+	cfg := config{data: writeDataset(t), index: index, dataDir: filepath.Join(t.TempDir(), "state")}
 	s, stop := bootStack(t, cfg)
-	s.exercise("LAESA", false, true)
+	s.exercise(index, wantPlan, true)
 
 	// Three journaled writes on top of the swap's snapshot: an insert
 	// with a bag only it carries, a delete, and an attrs rewrite.

@@ -12,6 +12,12 @@
 //	mserve -data words.midx -index LAESA -shards 4 -workers -1
 //	mserve -data words.midx -index MVPT -data-dir ./state   # durable: snapshot + WAL
 //
+// -index takes any of the 18 kinds of the family registry (internal/bench):
+// AESA, LAESA, EPT, EPT*, DiskEPT*, CPT, BKT, FQT, FQA, MVPT, VPT,
+// PM-tree, Omni-seq, OmniB+-tree, OmniR-tree, M-index, M-index* and
+// SPB-tree. BKT, FQT and FQA need a discrete metric (Words); M-index and
+// M-index* have no snapshot, so they cannot serve with -data-dir.
+//
 // With -data-dir the server is durable: the built index is snapshotted
 // to <dir>/snapshot.mxs, every committed write is appended to
 // <dir>/wal.mxl before it is acknowledged, and a restart restores the
@@ -57,7 +63,7 @@ type config struct {
 func main() {
 	var cfg config
 	flag.StringVar(&cfg.data, "data", "", "dataset file from datagen (required)")
-	flag.StringVar(&cfg.index, "index", "SPB-tree", "index: LAESA, EPT, EPT*, CPT, BKT, FQT, MVPT, PM-tree, OmniR-tree, M-index, M-index*, SPB-tree")
+	flag.StringVar(&cfg.index, "index", "SPB-tree", "index: "+bench.Names())
 	flag.IntVar(&cfg.pivots, "pivots", 5, "number of pivots |P|")
 	flag.IntVar(&cfg.shards, "shards", 0, "partition the dataset across this many sub-indexes (0/1 = unsharded)")
 	flag.IntVar(&cfg.workers, "workers", -1, "batch engine and build parallelism (-1 = GOMAXPROCS)")
@@ -119,21 +125,16 @@ func boot(cfg config) (srv *server.Server, live *epoch.Live, cleanup func(), err
 	fmt.Printf("loaded %s: %d objects (%s), %d queries\n",
 		cfg.data, gen.Dataset.Count(), gen.Dataset.Space().Metric().Name(), len(gen.Queries))
 
-	bcfg := bench.Config{
-		N: gen.Dataset.Count(), Queries: len(gen.Queries),
-		Pivots: cfg.pivots, Shards: cfg.shards, Workers: cfg.workers,
-	}.WithDefaults()
-	env := &bench.Env{Cfg: bcfg, Gen: gen}
-	if env.Pivots, err = bench.SelectHFI(gen.Dataset, bcfg.Pivots, bcfg.Seed+1); err != nil {
-		return nil, nil, nil, err
-	}
 	builder, err := bench.BuilderByName(cfg.index)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	if builder.DiscreteOnly && !env.Discrete() {
-		return nil, nil, nil, fmt.Errorf("%s requires a discrete metric; %s is continuous",
-			cfg.index, gen.Dataset.Space().Metric().Name())
+	env, err := bench.EnvFor(gen, bench.Config{
+		N: gen.Dataset.Count(), Queries: len(gen.Queries),
+		Pivots: cfg.pivots, Shards: cfg.shards, Workers: cfg.workers,
+	})
+	if err != nil {
+		return nil, nil, nil, err
 	}
 
 	// One registry for the whole process: the server registers every
@@ -143,7 +144,7 @@ func boot(cfg config) (srv *server.Server, live *epoch.Live, cleanup func(), err
 
 	var dur *durable
 	if cfg.dataDir != "" {
-		if bcfg.Shards > 1 {
+		if env.Cfg.Shards > 1 {
 			return nil, nil, nil, fmt.Errorf("-data-dir does not support -shards > 1 (sharded fronts have no snapshot format yet)")
 		}
 		var mode persist.SyncMode
@@ -179,18 +180,14 @@ func boot(cfg config) (srv *server.Server, live *epoch.Live, cleanup func(), err
 			}
 		}
 	}
-	// The swap rebuild re-runs the same builder (re-sharded if sharded)
+	// The swap rebuild re-runs the same build (re-sharded if sharded)
 	// over the drifted live dataset, with fresh HFI pivots selected on it.
 	rebuild := func(ds *core.Dataset) (core.Index, error) {
 		renv, err := env.WithDataset(ds)
 		if err != nil {
 			return nil, err
 		}
-		b := builder
-		if renv.Cfg.Shards > 1 {
-			b = bench.ShardedBuilder(builder, renv.Cfg.Shards)
-		}
-		rebuilt, err := b.Build(renv)
+		rebuilt, err := bench.Build(renv, builder)
 		if err != nil {
 			return nil, err
 		}
@@ -198,7 +195,7 @@ func boot(cfg config) (srv *server.Server, live *epoch.Live, cleanup func(), err
 	}
 	sopts := server.Options{
 		MaxInFlight: cfg.inflight, MaxQueue: cfg.queue,
-		Workers: bcfg.Workers, Builder: rebuild,
+		Workers: env.Cfg.Workers, Builder: rebuild,
 		Obs:                reg,
 		DisableMetrics:     !cfg.metrics,
 		PProf:              cfg.pprof,

@@ -15,6 +15,7 @@ package bench
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"time"
 
@@ -25,6 +26,7 @@ import (
 	"metricindex/internal/epoch"
 	"metricindex/internal/ept"
 	"metricindex/internal/exec"
+	"metricindex/internal/fqt"
 	"metricindex/internal/mindex"
 	"metricindex/internal/omni"
 	"metricindex/internal/pivot"
@@ -55,13 +57,14 @@ type Config struct {
 	// MVPT node-level builds, CPT/PM-tree partitioned bulk loads): 0
 	// keeps the sequential per-query loop and builds (the paper's
 	// single-threaded methodology), negative uses GOMAXPROCS, otherwise
-	// that many worker goroutines. Answers are identical either way, and
-	// for every structure except the two bulk-loaded ones so are
-	// per-query compdists and PA (only CPU moves). The exceptions are
-	// the PM-tree and CPT: Workers != 0 selects the partitioned M-tree
-	// *bulk load*, which clusters objects onto different pages than
-	// one-by-one insertion, so their per-query and update costs shift
-	// slightly.
+	// that many worker goroutines. LAESA is the exception at 0: its
+	// distance precompute always fans out, over GOMAXPROCS, and builds
+	// the same table. Answers are identical either way, and for every
+	// structure except the two bulk-loaded ones so are per-query
+	// compdists and PA (only CPU moves). The exceptions are the PM-tree
+	// and CPT: Workers != 0 selects the partitioned M-tree *bulk load*,
+	// which clusters objects onto different pages than one-by-one
+	// insertion, so their per-query and update costs shift slightly.
 	Workers int
 	// Shards partitions the dataset across that many sub-indexes behind a
 	// scatter-gather front (internal/shard): every build wraps the chosen
@@ -112,6 +115,13 @@ func NewEnv(kind dataset.Kind, cfg Config) (*Env, error) {
 	if err != nil {
 		return nil, err
 	}
+	return EnvFor(gen, cfg)
+}
+
+// EnvFor prepares the environment over an already generated (or loaded)
+// dataset: the shared HFI pivot set, selected with seed Seed+1.
+func EnvFor(gen *dataset.Generated, cfg Config) (*Env, error) {
+	cfg = cfg.WithDefaults()
 	pv, err := pivot.HFI(gen.Dataset, cfg.Pivots, pivot.Options{Seed: cfg.Seed + 1})
 	if err != nil {
 		return nil, err
@@ -125,25 +135,13 @@ func (e *Env) Radius(selectivity float64) float64 {
 	return dataset.CalibrateRadius(e.Gen, selectivity)
 }
 
-// Discrete reports whether the dataset's metric supports BKT/FQT.
-func (e *Env) Discrete() bool {
-	return e.Gen.Dataset.Space().Metric().Discrete()
-}
-
-// bigObjects reports whether CPT/PM-tree need the 40 KB page (§6.1: used
-// on Color and Synthetic).
-func (e *Env) bigObjects() bool {
-	return e.Gen.Kind == dataset.Color || e.Gen.Kind == dataset.Synthetic
-}
-
-// Built is an index plus its pager (nil for in-memory indexes). A sharded
-// disk index spans one pager per shard, carried in Pagers. When
-// Config.CacheMB is set, Index is the epoch.Live front (with the answer
-// cache attached) over the built structure, and Live names it.
+// Built is an index plus the pagers it lives on (none for in-memory
+// indexes, one per shard for a sharded disk index). When Config.CacheMB
+// is set, Index is the epoch.Live front (with the answer cache attached)
+// over the built structure, and Live names it.
 type Built struct {
 	Name   string
 	Index  core.Index
-	Pager  *store.Pager
 	Pagers []*store.Pager
 	Live   *epoch.Live
 }
@@ -157,115 +155,105 @@ func (b *Built) CacheStats() (cache.Stats, bool) {
 	return b.Live.CacheStats()
 }
 
-// SetCacheBytes adjusts the buffer cache for disk indexes; no-op for
-// in-memory structures. Sharded disk indexes get the cache on every
-// shard's pager.
+// SetCacheBytes adjusts the buffer cache of every pager the index lives
+// on; no-op for in-memory structures.
 func (b *Built) SetCacheBytes(n int) {
-	if b.Pager != nil {
-		b.Pager.SetCacheBytes(n)
-	}
 	for _, p := range b.Pagers {
 		p.SetCacheBytes(n)
 	}
 }
 
-// Builder constructs one index over an environment.
+// PageRule is where a family keeps its data (§6.1).
+type PageRule uint8
+
+const (
+	InMemory   PageRule = iota // no pager
+	SmallPages                 // 4 KB pages
+	LargePages                 // 40 KB pages on Color and Synthetic, 4 KB elsewhere
+)
+
+// Builder is one index family of the registry.
 type Builder struct {
-	Name string
-	// DiscreteOnly marks BKT/FQT, skipped on continuous metrics.
-	DiscreteOnly bool
-	Build        func(e *Env) (*Built, error)
+	Name  string
+	Pages PageRule
+	// Paper marks the twelve kinds of Tables 4 and 6.
+	Paper bool
+	// New builds the index over e, on p (nil for InMemory).
+	New func(e *Env, p *store.Pager) (core.Index, error)
 }
 
-// pagerFor allocates the per-index pager with the §6.1 page-size rule.
-func pagerFor(e *Env, large bool) *store.Pager {
-	size := store.DefaultPageSize
-	if large && e.bigObjects() {
-		size = store.LargePageSize
-	}
-	return store.NewPager(size)
-}
-
-// Builders returns the paper's index lineup keyed by name.
+// Builders is the family registry: every index kind, each once, the
+// paper's lineup in the order of Tables 4 and 6. Snapshot loaders stay
+// registered by each family package's init (persist.Register), since
+// persist cannot import the families.
 func Builders() []Builder {
 	return []Builder{
-		{Name: "LAESA", Build: func(e *Env) (*Built, error) {
-			var idx core.Index
-			var err error
-			if e.Cfg.Workers != 0 {
-				idx, err = table.NewLAESAParallel(e.Gen.Dataset, e.Pivots, e.Cfg.Workers)
-			} else {
-				idx, err = table.NewLAESA(e.Gen.Dataset, e.Pivots)
-			}
-			return &Built{Name: "LAESA", Index: idx}, err
+		{Name: "AESA", New: func(e *Env, _ *store.Pager) (core.Index, error) {
+			return table.NewAESA(e.Gen.Dataset)
 		}},
-		{Name: "EPT", Build: func(e *Env) (*Built, error) {
-			idx, err := ept.New(e.Gen.Dataset, ept.Original, ept.Options{
+		{Name: "LAESA", Paper: true, New: func(e *Env, _ *store.Pager) (core.Index, error) {
+			return table.NewLAESAParallel(e.Gen.Dataset, e.Pivots, e.Cfg.Workers)
+		}},
+		{Name: "EPT", Paper: true, New: func(e *Env, _ *store.Pager) (core.Index, error) {
+			return ept.New(e.Gen.Dataset, ept.Original, ept.Options{
 				L: e.Cfg.Pivots, Radius: e.Radius(0.16),
 				Sel: pivot.Options{Seed: e.Cfg.Seed + 2}, Workers: e.Cfg.Workers,
 			})
-			return &Built{Name: "EPT", Index: idx}, err
 		}},
-		{Name: "EPT*", Build: func(e *Env) (*Built, error) {
-			idx, err := ept.New(e.Gen.Dataset, ept.Star, ept.Options{
-				L: e.Cfg.Pivots, Sel: pivot.Options{Seed: e.Cfg.Seed + 2},
-				Workers: e.Cfg.Workers,
+		{Name: "EPT*", Paper: true, New: func(e *Env, _ *store.Pager) (core.Index, error) {
+			return ept.New(e.Gen.Dataset, ept.Star, ept.Options{
+				L: e.Cfg.Pivots, Sel: pivot.Options{Seed: e.Cfg.Seed + 2}, Workers: e.Cfg.Workers,
 			})
-			return &Built{Name: "EPT*", Index: idx}, err
 		}},
-		{Name: "CPT", Build: func(e *Env) (*Built, error) {
-			p := pagerFor(e, true)
-			idx, err := cpt.New(e.Gen.Dataset, p, e.Pivots, cpt.Options{Seed: e.Cfg.Seed, Workers: e.Cfg.Workers})
-			return &Built{Name: "CPT", Index: idx, Pager: p}, err
+		{Name: "DiskEPT*", Pages: SmallPages, New: func(e *Env, p *store.Pager) (core.Index, error) {
+			return ept.NewDisk(e.Gen.Dataset, p, ept.Options{
+				L: e.Cfg.Pivots, Sel: pivot.Options{Seed: e.Cfg.Seed + 2}, Workers: e.Cfg.Workers,
+			})
 		}},
-		{Name: "BKT", DiscreteOnly: true, Build: func(e *Env) (*Built, error) {
-			idx, err := ptree.NewBKT(e.Gen.Dataset, ptree.Options{
+		{Name: "CPT", Pages: LargePages, Paper: true, New: func(e *Env, p *store.Pager) (core.Index, error) {
+			return cpt.New(e.Gen.Dataset, p, e.Pivots, cpt.Options{Seed: e.Cfg.Seed, Workers: e.Cfg.Workers})
+		}},
+		{Name: "BKT", Paper: true, New: func(e *Env, _ *store.Pager) (core.Index, error) {
+			return ptree.NewBKT(e.Gen.Dataset, ptree.Options{
 				Seed: e.Cfg.Seed, MaxDistance: e.Gen.MaxDistance, Workers: e.Cfg.Workers,
 			})
-			return &Built{Name: "BKT", Index: idx}, err
 		}},
-		{Name: "FQT", DiscreteOnly: true, Build: func(e *Env) (*Built, error) {
-			idx, err := ptree.NewFQT(e.Gen.Dataset, e.Pivots, ptree.Options{
+		{Name: "FQT", Paper: true, New: func(e *Env, _ *store.Pager) (core.Index, error) {
+			return ptree.NewFQT(e.Gen.Dataset, e.Pivots, ptree.Options{
 				MaxDistance: e.Gen.MaxDistance, Workers: e.Cfg.Workers,
 			})
-			return &Built{Name: "FQT", Index: idx}, err
 		}},
-		{Name: "MVPT", Build: func(e *Env) (*Built, error) {
-			idx, err := ptree.NewMVPT(e.Gen.Dataset, e.Pivots, ptree.Options{Workers: e.Cfg.Workers})
-			return &Built{Name: "MVPT", Index: idx}, err
+		{Name: "FQA", New: func(e *Env, _ *store.Pager) (core.Index, error) {
+			return fqt.NewFQA(e.Gen.Dataset, e.Pivots)
 		}},
-		{Name: "PM-tree", Build: func(e *Env) (*Built, error) {
-			p := pagerFor(e, true)
-			idx, err := pmtree.New(e.Gen.Dataset, p, e.Pivots, pmtree.Options{
-				Seed: e.Cfg.Seed, Workers: e.Cfg.Workers,
-			})
-			return &Built{Name: "PM-tree", Index: idx, Pager: p}, err
+		{Name: "MVPT", Paper: true, New: func(e *Env, _ *store.Pager) (core.Index, error) {
+			return ptree.NewMVPT(e.Gen.Dataset, e.Pivots, ptree.Options{Workers: e.Cfg.Workers})
 		}},
-		{Name: "OmniR-tree", Build: func(e *Env) (*Built, error) {
-			p := pagerFor(e, false)
-			idx, err := omni.NewRTree(e.Gen.Dataset, p, e.Pivots, omni.Options{
+		{Name: "VPT", New: func(e *Env, _ *store.Pager) (core.Index, error) {
+			return ptree.NewMVPT(e.Gen.Dataset, e.Pivots, ptree.Options{Arity: 2, Workers: e.Cfg.Workers})
+		}},
+		{Name: "PM-tree", Pages: LargePages, Paper: true, New: func(e *Env, p *store.Pager) (core.Index, error) {
+			return pmtree.New(e.Gen.Dataset, p, e.Pivots, pmtree.Options{Seed: e.Cfg.Seed, Workers: e.Cfg.Workers})
+		}},
+		{Name: "Omni-seq", Pages: SmallPages, New: func(e *Env, p *store.Pager) (core.Index, error) {
+			return omni.NewSeqFile(e.Gen.Dataset, p, e.Pivots, e.Cfg.Workers)
+		}},
+		{Name: "OmniB+-tree", Pages: SmallPages, New: func(e *Env, p *store.Pager) (core.Index, error) {
+			return omni.NewBPlus(e.Gen.Dataset, p, e.Pivots, e.Cfg.Workers)
+		}},
+		{Name: "OmniR-tree", Pages: SmallPages, Paper: true, New: func(e *Env, p *store.Pager) (core.Index, error) {
+			return omni.NewRTree(e.Gen.Dataset, p, e.Pivots, omni.Options{
 				MaxDistance: e.Gen.MaxDistance, Workers: e.Cfg.Workers,
 			})
-			return &Built{Name: "OmniR-tree", Index: idx, Pager: p}, err
 		}},
-		{Name: "M-index", Build: func(e *Env) (*Built, error) {
-			p := pagerFor(e, false)
-			idx, err := mindex.New(e.Gen.Dataset, p, e.Pivots, mindex.Options{
-				MaxDistance: e.Gen.MaxDistance,
-			})
-			return &Built{Name: "M-index", Index: idx, Pager: p}, err
+		{Name: "M-index", Pages: SmallPages, Paper: true, New: func(e *Env, p *store.Pager) (core.Index, error) {
+			return mindex.New(e.Gen.Dataset, p, e.Pivots, mindex.Options{MaxDistance: e.Gen.MaxDistance})
 		}},
-		{Name: "M-index*", Build: func(e *Env) (*Built, error) {
-			p := pagerFor(e, false)
-			idx, err := mindex.New(e.Gen.Dataset, p, e.Pivots, mindex.Options{
-				Star: true, MaxDistance: e.Gen.MaxDistance,
-			})
-			return &Built{Name: "M-index*", Index: idx, Pager: p}, err
+		{Name: "M-index*", Pages: SmallPages, Paper: true, New: func(e *Env, p *store.Pager) (core.Index, error) {
+			return mindex.New(e.Gen.Dataset, p, e.Pivots, mindex.Options{Star: true, MaxDistance: e.Gen.MaxDistance})
 		}},
-		{Name: "SPB-tree", Build: func(e *Env) (*Built, error) {
-			p := pagerFor(e, false)
-			idx, err := spb.New(e.Gen.Dataset, p, e.Pivots, spb.Options{MaxDistance: e.Gen.MaxDistance})
-			return &Built{Name: "SPB-tree", Index: idx, Pager: p}, err
+		{Name: "SPB-tree", Pages: SmallPages, Paper: true, New: func(e *Env, p *store.Pager) (core.Index, error) {
+			return spb.New(e.Gen.Dataset, p, e.Pivots, spb.Options{MaxDistance: e.Gen.MaxDistance})
 		}},
 	}
 }
@@ -275,6 +263,16 @@ var QueryLineup = []string{
 	"EPT*", "CPT", "BKT", "FQT", "MVPT", "SPB-tree", "M-index*", "PM-tree", "OmniR-tree",
 }
 
+// Names lists the registry's kinds, comma-separated: the commands' -index
+// help text and the unknown-name error.
+func Names() string {
+	var names []string
+	for _, b := range Builders() {
+		names = append(names, b.Name)
+	}
+	return strings.Join(names, ", ")
+}
+
 // BuilderByName finds a builder.
 func BuilderByName(name string) (Builder, error) {
 	for _, b := range Builders() {
@@ -282,7 +280,46 @@ func BuilderByName(name string) (Builder, error) {
 			return b, nil
 		}
 	}
-	return Builder{}, fmt.Errorf("bench: unknown index %q", name)
+	return Builder{}, fmt.Errorf("bench: unknown index %q (one of %s)", name, Names())
+}
+
+// Build constructs b's index over e on a fresh pager of b's page rule.
+// Config.Shards > 1 builds one per shard instead, each over its own
+// environment, behind a scatter-gather front.
+func Build(e *Env, b Builder) (*Built, error) {
+	var mu sync.Mutex
+	var pagers []*store.Pager
+	build := func(e *Env) (core.Index, error) {
+		var p *store.Pager
+		if b.Pages != InMemory {
+			size := store.DefaultPageSize
+			if b.Pages == LargePages && (e.Gen.Kind == dataset.Color || e.Gen.Kind == dataset.Synthetic) {
+				size = store.LargePageSize
+			}
+			p = store.NewPager(size)
+			mu.Lock()
+			pagers = append(pagers, p)
+			mu.Unlock()
+		}
+		return b.New(e, p)
+	}
+	var idx core.Index
+	var err error
+	if e.Cfg.Shards > 1 {
+		idx, err = shard.New(e.Gen.Dataset, func(sub *core.Dataset) (core.Index, error) {
+			se, err := e.shardEnv(sub)
+			if err != nil {
+				return nil, err
+			}
+			return build(se)
+		}, shard.Options{Shards: e.Cfg.Shards, Workers: e.Cfg.Workers})
+	} else {
+		idx, err = build(e)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return &Built{Name: idx.Name(), Index: idx, Pagers: pagers}, nil
 }
 
 // WithDataset derives the environment for a build over a replacement
@@ -291,19 +328,14 @@ func BuilderByName(name string) (Builder, error) {
 // through this (the live dataset has drifted from the one the process
 // loaded), and the shard sub-builds specialize it below.
 func (e *Env) WithDataset(sub *core.Dataset) (*Env, error) {
-	pv, err := pivot.HFI(sub, e.Cfg.Pivots, pivot.Options{Seed: e.Cfg.Seed + 1})
-	if err != nil {
-		return nil, err
-	}
 	cfg := e.Cfg
 	cfg.N = sub.Count()
-	gen := &dataset.Generated{
+	return EnvFor(&dataset.Generated{
 		Kind:        e.Gen.Kind,
 		Dataset:     sub,
 		Queries:     e.Gen.Queries,
 		MaxDistance: e.Gen.MaxDistance,
-	}
-	return &Env{Cfg: cfg, Gen: gen, Pivots: pv}, nil
+	}, cfg)
 }
 
 // shardEnv derives the environment one shard builds in. Shards and
@@ -317,40 +349,6 @@ func (e *Env) shardEnv(sub *core.Dataset) (*Env, error) {
 	se.Cfg.Shards = 0
 	se.Cfg.Workers = 0
 	return se, nil
-}
-
-// ShardedBuilder wraps a builder so it constructs a scatter-gather sharded
-// index instead: the dataset is partitioned across `shards` sub-indexes,
-// each built by the wrapped builder over its own shard environment.
-func ShardedBuilder(b Builder, shards int) Builder {
-	return Builder{
-		Name:         b.Name,
-		DiscreteOnly: b.DiscreteOnly,
-		Build: func(e *Env) (*Built, error) {
-			var mu sync.Mutex
-			var pagers []*store.Pager
-			idx, err := shard.New(e.Gen.Dataset, func(sub *core.Dataset) (core.Index, error) {
-				se, err := e.shardEnv(sub)
-				if err != nil {
-					return nil, err
-				}
-				built, err := b.Build(se)
-				if err != nil {
-					return nil, err
-				}
-				if built.Pager != nil {
-					mu.Lock()
-					pagers = append(pagers, built.Pager)
-					mu.Unlock()
-				}
-				return built.Index, nil
-			}, shard.Options{Shards: shards, Workers: e.Cfg.Workers})
-			if err != nil {
-				return nil, err
-			}
-			return &Built{Name: idx.Name(), Index: idx, Pagers: pagers}, nil
-		},
-	}
 }
 
 // QueryCost aggregates per-query averages, plus the latency percentiles
@@ -488,19 +486,15 @@ type BuildCost struct {
 	DiskBytes int64
 }
 
-// MeasureBuild constructs an index and records its cost. Config.Shards > 1
-// transparently swaps in the sharded variant of the builder;
+// MeasureBuild constructs an index through Build and records its cost;
 // Config.CacheMB > 0 wraps the result in an epoch.Live front with an
 // answer cache of that budget (answers are identical, hot queries are
 // memoized).
 func MeasureBuild(e *Env, builder Builder) (*Built, BuildCost, error) {
-	if e.Cfg.Shards > 1 {
-		builder = ShardedBuilder(builder, e.Cfg.Shards)
-	}
 	sp := e.Gen.Dataset.Space()
 	sp.ResetCompDists()
 	start := time.Now()
-	b, err := builder.Build(e)
+	b, err := Build(e, builder)
 	if err != nil {
 		return nil, BuildCost{}, err
 	}
@@ -566,8 +560,3 @@ const (
 	usec = time.Microsecond
 	msec = time.Millisecond
 )
-
-// SelectHFI exposes the harness's pivot selection for external tools.
-func SelectHFI(ds *core.Dataset, k int, seed int64) ([]int, error) {
-	return pivot.HFI(ds, k, pivot.Options{Seed: seed})
-}

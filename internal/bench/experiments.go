@@ -1,14 +1,17 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"text/tabwriter"
 
+	"metricindex/internal/core"
 	"metricindex/internal/dataset"
 	"metricindex/internal/pivot"
 	"metricindex/internal/ptree"
 	"metricindex/internal/spb"
+	"metricindex/internal/store"
 	"metricindex/internal/table"
 )
 
@@ -37,11 +40,14 @@ func Table4(w io.Writer, cfg Config) error {
 		tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 		fmt.Fprintln(tw, "index\tPA\tcompdists\ttime\tmemory(KB)\tdisk(KB)")
 		for _, builder := range Builders() {
-			if builder.DiscreteOnly && !e.Discrete() {
-				fmt.Fprintf(tw, "%s\t-\t-\t-\t-\t-\n", builder.Name)
+			if !builder.Paper {
 				continue
 			}
 			_, cost, err := MeasureBuild(e, builder)
+			if errors.Is(err, core.ErrNotDiscrete) {
+				fmt.Fprintf(tw, "%s\t-\t-\t-\t-\t-\n", builder.Name)
+				continue
+			}
 			if err != nil {
 				return fmt.Errorf("%s/%s: %w", kind, builder.Name, err)
 			}
@@ -63,16 +69,19 @@ func Table6(w io.Writer, cfg Config) error {
 		tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 		fmt.Fprintln(tw, "index\tPA\tcompdists\ttime")
 		for _, builder := range Builders() {
+			if !builder.Paper {
+				continue
+			}
 			// Fresh environment per index: updates mutate the dataset.
 			e, err := NewEnv(kind, cfg)
 			if err != nil {
 				return err
 			}
-			if builder.DiscreteOnly && !e.Discrete() {
+			b, _, err := MeasureBuild(e, builder)
+			if errors.Is(err, core.ErrNotDiscrete) {
 				fmt.Fprintf(tw, "%s\t-\t-\t-\n", builder.Name)
 				continue
 			}
-			b, _, err := MeasureBuild(e, builder)
 			if err != nil {
 				return fmt.Errorf("%s/%s: %w", kind, builder.Name, err)
 			}
@@ -142,16 +151,25 @@ func pairFigure(w io.Writer, cfg Config, title, nameA, nameB string) error {
 	return nil
 }
 
-// lineupFor filters the nine-index query lineup for a dataset.
-func lineupFor(e *Env) ([]Builder, error) {
-	var out []Builder
+// buildLineup builds the nine-index query lineup over e, leaving out the
+// kinds its metric cannot index, and the M-index* below two pivots
+// (hyperplane partitioning needs two, as the paper notes).
+func buildLineup(e *Env) ([]*Built, error) {
+	var out []*Built
 	for _, name := range QueryLineup {
-		b, err := BuilderByName(name)
+		if name == "M-index*" && e.Cfg.Pivots < 2 {
+			continue
+		}
+		builder, err := BuilderByName(name)
 		if err != nil {
 			return nil, err
 		}
-		if b.DiscreteOnly && !e.Discrete() {
+		b, _, err := MeasureBuild(e, builder)
+		if errors.Is(err, core.ErrNotDiscrete) {
 			continue
+		}
+		if err != nil {
+			return nil, fmt.Errorf("%s/%s/|P|=%d: %w", e.Gen.Kind, name, e.Cfg.Pivots, err)
 		}
 		out = append(out, b)
 	}
@@ -166,17 +184,9 @@ func Fig16(w io.Writer, cfg Config) error {
 		if err != nil {
 			return err
 		}
-		lineup, err := lineupFor(e)
+		built, err := buildLineup(e)
 		if err != nil {
 			return err
-		}
-		built := make([]*Built, len(lineup))
-		for i, builder := range lineup {
-			b, _, err := MeasureBuild(e, builder)
-			if err != nil {
-				return fmt.Errorf("%s/%s: %w", kind, builder.Name, err)
-			}
-			built[i] = b
 		}
 		for _, metric := range []string{"compdists", "PA", "CPU"} {
 			header(w, fmt.Sprintf("Fig 16 — MRQ %s vs radius (%s)", metric, kind))
@@ -219,17 +229,9 @@ func Fig17(w io.Writer, cfg Config) error {
 		if err != nil {
 			return err
 		}
-		lineup, err := lineupFor(e)
+		built, err := buildLineup(e)
 		if err != nil {
 			return err
-		}
-		built := make([]*Built, len(lineup))
-		for i, builder := range lineup {
-			b, _, err := MeasureBuild(e, builder)
-			if err != nil {
-				return fmt.Errorf("%s/%s: %w", kind, builder.Name, err)
-			}
-			built[i] = b
 		}
 		for _, metric := range []string{"compdists", "PA", "CPU"} {
 			header(w, fmt.Sprintf("Fig 17 — MkNNQ %s vs k (%s)", metric, kind))
@@ -284,23 +286,16 @@ func Fig18(w io.Writer, cfg Config) error {
 			if err != nil {
 				return err
 			}
-			lineup, err := lineupFor(e)
+			built, err := buildLineup(e)
 			if err != nil {
 				return err
 			}
-			for _, builder := range lineup {
-				if builder.Name == "M-index*" && np < 2 {
-					continue
-				}
-				b, _, err := MeasureBuild(e, builder)
-				if err != nil {
-					return fmt.Errorf("%s/%s/|P|=%d: %w", kind, builder.Name, np, err)
-				}
+			for _, b := range built {
 				c, err := MeasureKNN(e, b, k)
 				if err != nil {
 					return err
 				}
-				fmt.Fprintf(tw, "%d\t%s\t%.0f\t%.0f\t%v\n", np, builder.Name, c.CompDists, c.PA, c.CPU.Round(usec))
+				fmt.Fprintf(tw, "%d\t%s\t%.0f\t%.0f\t%v\n", np, b.Name, c.CompDists, c.PA, c.CPU.Round(usec))
 			}
 		}
 		tw.Flush()
@@ -321,12 +316,7 @@ func AblationPivotSelection(w io.Writer, cfg Config) error {
 		return err
 	}
 	ds := e.Gen.Dataset
-	strategies := map[string][]int{}
-	hfi, err := pivot.HFI(ds, cfg.Pivots, pivot.Options{Seed: cfg.Seed + 1})
-	if err != nil {
-		return err
-	}
-	strategies["HFI"] = hfi
+	strategies := map[string][]int{"HFI": e.Pivots}
 	strategies["HF"] = pivot.HF(ds, pivot.Sample(ds, pivot.Options{Seed: cfg.Seed + 2}), cfg.Pivots, cfg.Seed+2)
 	strategies["random"] = pivot.Random(ds, cfg.Pivots, cfg.Seed+3)
 
@@ -410,16 +400,13 @@ func AblationSFC(w io.Writer, cfg Config) error {
 		if bits*cfg.Pivots > 64 {
 			continue
 		}
-		p := pagerFor(e, false)
-		idx, err := spb.New(e.Gen.Dataset, p, e.Pivots, spb.Options{
+		idx, err := spb.New(e.Gen.Dataset, store.NewPager(store.DefaultPageSize), e.Pivots, spb.Options{
 			MaxDistance: e.Gen.MaxDistance, Bits: bits,
 		})
 		if err != nil {
 			return err
 		}
-		b := &Built{Name: "SPB-tree", Index: idx, Pager: p}
-		b.Index.ResetStats()
-		c, err := MeasureRange(e, b, r)
+		c, err := MeasureRange(e, &Built{Name: "SPB-tree", Index: idx}, r)
 		if err != nil {
 			return err
 		}

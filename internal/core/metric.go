@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"unicode/utf8"
@@ -20,6 +21,10 @@ type Metric interface {
 	// distances. BKT and FQT require a discrete metric.
 	Discrete() bool
 }
+
+// ErrNotDiscrete is what a constructor that needs a discrete metric (BKT,
+// FQT, FQA) wraps when given a continuous one.
+var ErrNotDiscrete = errors.New("metric is not discrete")
 
 // L1 is the Manhattan distance over Vector objects (the paper uses it for
 // the Color dataset).

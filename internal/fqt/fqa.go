@@ -29,7 +29,7 @@ type FQA struct {
 // NewFQA builds the sorted array over all live objects.
 func NewFQA(ds *core.Dataset, pivots []int) (*FQA, error) {
 	if !ds.Space().Metric().Discrete() {
-		return nil, fmt.Errorf("fqa: metric %q is not discrete", ds.Space().Metric().Name())
+		return nil, fmt.Errorf("fqa: %w: %s", core.ErrNotDiscrete, ds.Space().Metric().Name())
 	}
 	if len(pivots) == 0 {
 		return nil, fmt.Errorf("fqa: no pivots")

@@ -147,7 +147,7 @@ func NewMVPT(ds *core.Dataset, pivots []int, opts Options) (*Tree, error) {
 
 func newTree(ds *core.Dataset, f *family, pivots []int, opts Options) (*Tree, error) {
 	if f.discrete && !ds.Space().Metric().Discrete() {
-		return nil, fmt.Errorf("%s: metric %q is not discrete", f.tag(), ds.Space().Metric().Name())
+		return nil, fmt.Errorf("%s: %w: %s", f.tag(), core.ErrNotDiscrete, ds.Space().Metric().Name())
 	}
 	if !f.ownPivot && len(pivots) == 0 {
 		return nil, fmt.Errorf("%s: no pivots", f.tag())
