@@ -20,10 +20,11 @@ GOVULNCHECK_VERSION ?= v1.1.4
 # (nilness, shadow) that plain `go vet` does not run.
 XTOOLS_VERSION ?= v0.30.0
 
-# Seconds each native fuzz target runs in the `make fuzz` smoke (twelve
+# Seconds each native fuzz target runs in the `make fuzz` smoke (thirteen
 # targets: FuzzLevenshtein, FuzzBatchKernels, FuzzWithinKernels, FuzzDecodeQuery,
-# FuzzSnapshotHeader, FuzzTreePayload, FuzzPagedTablePayload, FuzzPredicateParse,
-# FuzzPredicateEval, FuzzCompiledPredicate, FuzzHilbertDecode, FuzzWritePaths).
+# FuzzSnapshotHeader, FuzzWALRecord, FuzzTreePayload, FuzzPagedTablePayload,
+# FuzzPredicateParse, FuzzPredicateEval, FuzzCompiledPredicate,
+# FuzzHilbertDecode, FuzzWritePaths).
 FUZZTIME ?= 10s
 
 # Packages with a parallel build, the concurrent query engine, the
@@ -81,6 +82,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzWithinKernels -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeQuery -fuzztime=$(FUZZTIME) ./internal/server
 	$(GO) test -run='^$$' -fuzz=FuzzSnapshotHeader -fuzztime=$(FUZZTIME) ./internal/persist
+	$(GO) test -run='^$$' -fuzz=FuzzWALRecord -fuzztime=$(FUZZTIME) ./internal/persist
 	$(GO) test -run='^$$' -fuzz=FuzzTreePayload -fuzztime=$(FUZZTIME) ./internal/ptree
 	$(GO) test -run='^$$' -fuzz=FuzzPagedTablePayload -fuzztime=$(FUZZTIME) ./internal/table
 	$(GO) test -run='^$$' -fuzz=FuzzPredicateParse -fuzztime=$(FUZZTIME) ./internal/plan

@@ -23,8 +23,10 @@ import (
 	"time"
 
 	"metricindex/internal/bench"
+	"metricindex/internal/cache"
 	"metricindex/internal/core"
 	"metricindex/internal/dataset"
+	"metricindex/internal/epoch"
 	"metricindex/internal/exec"
 )
 
@@ -62,7 +64,7 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	env, err := bench.EnvFor(gen, bench.Config{N: gen.Dataset.Count(), Queries: len(gen.Queries), Pivots: *pivots, Workers: *workers, Shards: *shards, CacheMB: *cacheMB})
+	env, err := bench.EnvFor(gen, bench.Config{N: gen.Dataset.Count(), Queries: len(gen.Queries), Pivots: *pivots, Workers: *workers, Shards: *shards})
 	if err != nil {
 		fail(err)
 	}
@@ -79,25 +81,35 @@ func main() {
 		cost.Time.Round(time.Millisecond), cost.CompDists, cost.PA,
 		cost.MemBytes/1024, cost.DiskBytes/1024)
 
+	// With -cache-mb the workload queries a Live front over the built
+	// index with the answer cache attached; answers are identical.
+	var idx core.Reader = built.Index
+	var live *epoch.Live
+	if *cacheMB > 0 {
+		live = epoch.NewLive(gen.Dataset, built.Index)
+		live.SetCache(cache.New(cache.Options{MaxBytes: int64(*cacheMB) << 20}))
+		idx = live
+	}
+
 	if *workers != 0 {
-		if err := runBatch(gen, built, *k, *radius, *verify, *maxShow, *workers, *repeat); err != nil {
+		if err := runBatch(gen, idx, *k, *radius, *verify, *maxShow, *workers, *repeat); err != nil {
 			fail(err)
 		}
-		printCacheStats(built)
+		printCacheStats(live)
 		return
 	}
 
 	sp := gen.Dataset.Space()
 	for qi, q := range gen.Queries {
 		sp.ResetCompDists()
-		built.Index.ResetStats()
+		idx.ResetStats()
 		start := time.Now()
 		var ids []int
 		var nns []core.Neighbor
 		if *k > 0 {
-			nns, err = built.Index.KNNSearch(q, *k)
+			nns, err = idx.KNNSearch(q, *k)
 		} else {
-			ids, err = built.Index.RangeSearch(q, *radius)
+			ids, err = idx.RangeSearch(q, *radius)
 		}
 		if err != nil {
 			fail(err)
@@ -108,7 +120,7 @@ func main() {
 		} else {
 			printMRQ(qi, *radius, *maxShow, ids)
 		}
-		fmt.Printf("   [%d dists, %d PA, %v]\n", sp.CompDists(), built.Index.PageAccesses(), elapsed.Round(time.Microsecond))
+		fmt.Printf("   [%d dists, %d PA, %v]\n", sp.CompDists(), idx.PageAccesses(), elapsed.Round(time.Microsecond))
 
 		if *verify {
 			if *k > 0 {
@@ -128,22 +140,22 @@ func main() {
 	// dists column collapse to zero).
 	for pass := 1; pass < *repeat; pass++ {
 		sp.ResetCompDists()
-		built.Index.ResetStats()
+		idx.ResetStats()
 		allIDs := make([][]int, len(gen.Queries))
 		allNNs := make([][]core.Neighbor, len(gen.Queries))
 		start := time.Now()
 		for qi, q := range gen.Queries {
 			if *k > 0 {
-				allNNs[qi], err = built.Index.KNNSearch(q, *k)
+				allNNs[qi], err = idx.KNNSearch(q, *k)
 			} else {
-				allIDs[qi], err = built.Index.RangeSearch(q, *radius)
+				allIDs[qi], err = idx.RangeSearch(q, *radius)
 			}
 			if err != nil {
 				fail(err)
 			}
 		}
 		elapsed := time.Since(start)
-		dists, pa := sp.CompDists(), built.Index.PageAccesses()
+		dists, pa := sp.CompDists(), idx.PageAccesses()
 		if *verify { // brute-force scans, after the counters are read
 			for qi := range gen.Queries {
 				if *k > 0 {
@@ -159,16 +171,16 @@ func main() {
 		fmt.Printf("\npass %d: %d queries in %v (%d dists, %d PA)\n",
 			pass+1, len(gen.Queries), elapsed.Round(time.Microsecond), dists, pa)
 	}
-	printCacheStats(built)
+	printCacheStats(live)
 }
 
 // printCacheStats reports the answer cache's counters when -cache-mb
-// enabled one.
-func printCacheStats(built *bench.Built) {
-	st, ok := built.CacheStats()
-	if !ok {
+// enabled one (live is nil otherwise).
+func printCacheStats(live *epoch.Live) {
+	if live == nil {
 		return
 	}
+	st, _ := live.CacheStats()
 	fmt.Printf("cache: %d served, %d computed, %.0f%% hit rate, %d KB resident\n",
 		st.Hits+st.Collapsed, st.Misses, 100*st.HitRate(), st.Bytes/1024)
 }
@@ -220,13 +232,13 @@ func verifyMRQ(gen *dataset.Generated, qi int, radius float64, ids []int) error 
 // and prints per-query answers plus aggregate batch stats. Repeat passes
 // re-run the same batch; with an answer cache they are served before
 // dispatch (Stats.CacheHits).
-func runBatch(gen *dataset.Generated, built *bench.Built, k int, radius float64, verify bool, maxShow, workers, repeat int) error {
+func runBatch(gen *dataset.Generated, idx core.Reader, k int, radius float64, verify bool, maxShow, workers, repeat int) error {
 	eng := exec.New(gen.Dataset.Space(), exec.Options{Workers: workers})
 	fmt.Printf("batch mode: %d queries across %d workers\n", len(gen.Queries), eng.Workers())
 	ctx := context.Background()
 	var stats exec.BatchStats
 	if k > 0 {
-		res, err := eng.BatchKNNSearch(ctx, built.Index, gen.Queries, k)
+		res, err := eng.BatchKNNSearch(ctx, idx, gen.Queries, k)
 		if err != nil {
 			return err
 		}
@@ -241,7 +253,7 @@ func runBatch(gen *dataset.Generated, built *bench.Built, k int, radius float64,
 			}
 		}
 	} else {
-		res, err := eng.BatchRangeSearch(ctx, built.Index, gen.Queries, radius)
+		res, err := eng.BatchRangeSearch(ctx, idx, gen.Queries, radius)
 		if err != nil {
 			return err
 		}
@@ -269,13 +281,13 @@ func runBatch(gen *dataset.Generated, built *bench.Built, k int, radius float64,
 	for pass := 1; pass < repeat; pass++ {
 		var st exec.BatchStats
 		if k > 0 {
-			res, err := eng.BatchKNNSearch(ctx, built.Index, gen.Queries, k)
+			res, err := eng.BatchKNNSearch(ctx, idx, gen.Queries, k)
 			if err != nil {
 				return err
 			}
 			st = res.Stats
 		} else {
-			res, err := eng.BatchRangeSearch(ctx, built.Index, gen.Queries, radius)
+			res, err := eng.BatchRangeSearch(ctx, idx, gen.Queries, radius)
 			if err != nil {
 				return err
 			}

@@ -10,9 +10,10 @@ import (
 // sequential loop, order-normalized) and per-batch aggregate cost stats.
 //
 // Queries are read-only on every index in the library, so a single index
-// can serve a batch concurrently. A raw index must not interleave
-// Insert/Delete with a running batch; wrap it in NewLive to run batches
-// and updates concurrently under the epoch contract.
+// can serve a batch concurrently; a batch takes any Reader. A raw index
+// must not interleave Insert/Delete with a running batch; wrap it in
+// NewLive to run batches and updates concurrently under the epoch
+// contract.
 type Engine = exec.Engine
 
 // EngineOptions configures an Engine.

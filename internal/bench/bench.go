@@ -19,11 +19,9 @@ import (
 	"sync"
 	"time"
 
-	"metricindex/internal/cache"
 	"metricindex/internal/core"
 	"metricindex/internal/cpt"
 	"metricindex/internal/dataset"
-	"metricindex/internal/epoch"
 	"metricindex/internal/ept"
 	"metricindex/internal/exec"
 	"metricindex/internal/fqt"
@@ -72,12 +70,6 @@ type Config struct {
 	// keeps the single unsharded structure. Answers are identical either
 	// way; each shard selects its own HFI pivot set.
 	Shards int
-	// CacheMB wraps every build in an epoch-synchronized front with an
-	// answer cache of that many megabytes (internal/cache): repeated
-	// queries are then served memoized, and the measure functions report
-	// the hit rate next to compdists/PA. 0 disables. Answers are
-	// identical either way.
-	CacheMB int
 }
 
 // WithDefaults fills unset fields.
@@ -136,23 +128,11 @@ func (e *Env) Radius(selectivity float64) float64 {
 }
 
 // Built is an index plus the pagers it lives on (none for in-memory
-// indexes, one per shard for a sharded disk index). When Config.CacheMB
-// is set, Index is the epoch.Live front (with the answer cache attached)
-// over the built structure, and Live names it.
+// indexes, one per shard for a sharded disk index).
 type Built struct {
 	Name   string
 	Index  core.Index
 	Pagers []*store.Pager
-	Live   *epoch.Live
-}
-
-// CacheStats snapshots the answer cache's counters; ok is false when the
-// build carries no cache (Config.CacheMB was 0).
-func (b *Built) CacheStats() (cache.Stats, bool) {
-	if b.Live == nil {
-		return cache.Stats{}, false
-	}
-	return b.Live.CacheStats()
 }
 
 // SetCacheBytes adjusts the buffer cache of every pager the index lives
@@ -354,31 +334,11 @@ func (e *Env) shardEnv(sub *core.Dataset) (*Env, error) {
 // QueryCost aggregates per-query averages, plus the latency percentiles
 // a serving layer's SLOs are written against (nearest-rank, identical
 // definition in the sequential loop, the batch engine, and the server).
-// CacheHits/CacheHitRate cover the measured workload when the build
-// carries an answer cache (Config.CacheMB): hits cost zero compdists
-// and zero PA, which is exactly what the averages then show.
 type QueryCost struct {
 	CompDists     float64
 	PA            float64
 	CPU           time.Duration
 	P50, P95, P99 time.Duration
-	CacheHits     int64
-	CacheHitRate  float64
-}
-
-// cacheDelta fills the cache columns of a QueryCost from the counter
-// movement across the measured workload.
-func cacheDelta(b *Built, before cache.Stats, cost *QueryCost) {
-	after, ok := b.CacheStats()
-	if !ok {
-		return
-	}
-	served := (after.Hits + after.Collapsed) - (before.Hits + before.Collapsed)
-	computed := after.Misses - before.Misses
-	cost.CacheHits = served
-	if total := served + computed; total > 0 {
-		cost.CacheHitRate = float64(served) / float64(total)
-	}
 }
 
 // engine returns the batch engine configured by Config.Workers, or nil
@@ -396,7 +356,6 @@ func MeasureRange(e *Env, b *Built, r float64) (QueryCost, error) {
 	sp := e.Gen.Dataset.Space()
 	sp.ResetCompDists()
 	b.Index.ResetStats()
-	cacheBefore, _ := b.CacheStats()
 	n := float64(len(e.Gen.Queries))
 	if eng := e.engine(); eng != nil {
 		res, err := eng.BatchRangeSearch(context.Background(), b.Index, e.Gen.Queries, r)
@@ -409,7 +368,6 @@ func MeasureRange(e *Env, b *Built, r float64) (QueryCost, error) {
 			CPU:       time.Duration(float64(res.Stats.Wall) / n),
 			P50:       res.Stats.P50, P95: res.Stats.P95, P99: res.Stats.P99,
 		}
-		cacheDelta(b, cacheBefore, &cost)
 		return cost, nil
 	}
 	durs := make([]time.Duration, 0, len(e.Gen.Queries))
@@ -428,7 +386,6 @@ func MeasureRange(e *Env, b *Built, r float64) (QueryCost, error) {
 		CPU:       time.Duration(float64(elapsed) / n),
 	}
 	cost.P50, cost.P95, cost.P99 = exec.LatencyPercentiles(durs)
-	cacheDelta(b, cacheBefore, &cost)
 	return cost, nil
 }
 
@@ -441,7 +398,6 @@ func MeasureKNN(e *Env, b *Built, k int) (QueryCost, error) {
 	sp := e.Gen.Dataset.Space()
 	sp.ResetCompDists()
 	b.Index.ResetStats()
-	cacheBefore, _ := b.CacheStats()
 	n := float64(len(e.Gen.Queries))
 	if eng := e.engine(); eng != nil {
 		res, err := eng.BatchKNNSearch(context.Background(), b.Index, e.Gen.Queries, k)
@@ -454,7 +410,6 @@ func MeasureKNN(e *Env, b *Built, k int) (QueryCost, error) {
 			CPU:       time.Duration(float64(res.Stats.Wall) / n),
 			P50:       res.Stats.P50, P95: res.Stats.P95, P99: res.Stats.P99,
 		}
-		cacheDelta(b, cacheBefore, &cost)
 		return cost, nil
 	}
 	durs := make([]time.Duration, 0, len(e.Gen.Queries))
@@ -473,7 +428,6 @@ func MeasureKNN(e *Env, b *Built, k int) (QueryCost, error) {
 		CPU:       time.Duration(float64(elapsed) / n),
 	}
 	cost.P50, cost.P95, cost.P99 = exec.LatencyPercentiles(durs)
-	cacheDelta(b, cacheBefore, &cost)
 	return cost, nil
 }
 
@@ -486,10 +440,7 @@ type BuildCost struct {
 	DiskBytes int64
 }
 
-// MeasureBuild constructs an index through Build and records its cost;
-// Config.CacheMB > 0 wraps the result in an epoch.Live front with an
-// answer cache of that budget (answers are identical, hot queries are
-// memoized).
+// MeasureBuild constructs an index through Build and records its cost.
 func MeasureBuild(e *Env, builder Builder) (*Built, BuildCost, error) {
 	sp := e.Gen.Dataset.Space()
 	sp.ResetCompDists()
@@ -506,11 +457,6 @@ func MeasureBuild(e *Env, builder Builder) (*Built, BuildCost, error) {
 	}
 	cost.PA = b.Index.PageAccesses()
 	b.Index.ResetStats()
-	if e.Cfg.CacheMB > 0 {
-		b.Live = epoch.NewLive(e.Gen.Dataset, b.Index)
-		b.Live.SetCache(cache.New(cache.Options{MaxBytes: int64(e.Cfg.CacheMB) << 20}))
-		b.Index = b.Live
-	}
 	return b, cost, nil
 }
 

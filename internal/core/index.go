@@ -5,6 +5,21 @@ package core
 // interact with all eleven structures through this interface, which keeps
 // the paper's "equal footing" methodology honest.
 type Index interface {
+	Reader
+
+	// Insert indexes the object already stored in the dataset under id.
+	Insert(id int) error
+
+	// Delete removes the object with the given id from the index (the
+	// object must still be present in the dataset when Delete is called,
+	// since several structures need its distances to locate it).
+	Delete(id int) error
+}
+
+// Reader is the read half of Index: searches and cost counters. A
+// front that owns its dataset's writes (epoch.Live) is a Reader, not an
+// Index, so nothing can change its index without its dataset.
+type Reader interface {
 	// Name identifies the index in experiment output (e.g. "LAESA").
 	Name() string
 
@@ -16,14 +31,6 @@ type Index interface {
 	// ascending distance (ties by id). Fewer than k are returned only when
 	// the dataset holds fewer than k live objects.
 	KNNSearch(q Object, k int) ([]Neighbor, error)
-
-	// Insert indexes the object already stored in the dataset under id.
-	Insert(id int) error
-
-	// Delete removes the object with the given id from the index (the
-	// object must still be present in the dataset when Delete is called,
-	// since several structures need its distances to locate it).
-	Delete(id int) error
 
 	// PageAccesses reports the cumulative number of page reads+writes
 	// performed by the index since the last ResetStats. In-memory indexes

@@ -100,8 +100,7 @@ func TestCachedAnswerIdentical(t *testing.T) {
 }
 
 // TestCacheInvalidatedByEveryWritePath proves that each write path —
-// Add, Remove, the Index-compat Insert/Delete, and Swap — bumps the
-// epoch and makes the next lookup recompute rather than serve the
+// Add, Remove and Swap — bumps the epoch and makes the next lookup recompute rather than serve the
 // pre-write answer.
 func TestCacheInvalidatedByEveryWritePath(t *testing.T) {
 	build := builders()["LAESA"]
@@ -141,22 +140,6 @@ func TestCacheInvalidatedByEveryWritePath(t *testing.T) {
 		t.Fatal(err)
 	}
 	expectAnswer("after Remove", false)
-
-	// Index-compat paths: the dataset is mutated by the caller.
-	l.View(func(ds *core.Dataset, _ core.Index) { id = ds.Insert(marker) })
-	if err := l.Insert(id); err != nil {
-		t.Fatal(err)
-	}
-	expectAnswer("after Insert", true)
-	if err := l.Delete(id); err != nil {
-		t.Fatal(err)
-	}
-	l.View(func(ds *core.Dataset, _ core.Index) {
-		if err := ds.Delete(id); err != nil {
-			t.Fatal(err)
-		}
-	})
-	expectAnswer("after Delete", false)
 
 	// Swap: prime the cache, cut over, and require a recompute (the new
 	// structure answers, not the memo of the old one).

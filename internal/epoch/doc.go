@@ -1,7 +1,7 @@
 // Package epoch synchronizes index updates with in-flight searches, and
 // makes the index itself a hot-swappable, journalable artifact: Live
 // wraps any core.Index (tables, trees, disk structures, the sharded
-// scatter-gather front) behind reader/writer epochs so Insert/Delete
+// scatter-gather front) behind reader/writer epochs so writes
 // interleave safely with concurrent queries, and Swap replaces the
 // structure wholesale — rebuilt in the background, cut over atomically —
 // without dropping or corrupting a single answer.
@@ -11,8 +11,8 @@
 // concurrently), but none of them synchronize updates with searches; the
 // historical contract was "finish the batch, then update". Live removes
 // that caveat. Searches run in shared read sections; writes —
-// AddAttrsAt, RemoveAt, SetAttrsAt and the core.Index Insert/Delete —
-// run in exclusive write sections; every committed write advances the
+// AddAttrsAt, RemoveAt and SetAttrsAt, the only ones — run in
+// exclusive write sections; every committed write advances the
 // epoch, a monotone counter that names the dataset version a search
 // observed. The answer cache keys off exactly
 // that counter (SetCache attaches one from internal/cache): answers are
@@ -36,9 +36,9 @@
 // estimator, logs it for a running swap and bumps the epoch. The
 // committed Write is also what is redone later, by one function, redo:
 // Apply redoes a WAL record at recovery, and a swap's cutover redoes
-// its log onto the replacement, skipping only what the snapshot
-// already reflects. An index-only Delete therefore leaves its object in
-// the dataset on all three paths.
+// its log onto the replacement, skipping exactly what the snapshot's
+// dataset already reflects. Every write changes dataset and index
+// together, so all three paths leave the same state.
 //
 // Swap is the graceful-rebuild path a long-lived server needs: the
 // current dataset is snapshotted in one write section, the replacement
@@ -48,10 +48,7 @@
 // final write section replays the log onto the replacement and flips it
 // in. Searches before the flip see the old index with every update
 // applied; searches after see the new index with every update applied;
-// there is no window in which either misses a committed write. The
-// build indexes every object of the snapshot, so an object removed from
-// the index only (Delete) but left in the dataset before the swap
-// started is indexed again.
+// there is no window in which either misses a committed write.
 //
 // Durability hooks onto the same write sections: SetJournal attaches a
 // Journal (internal/persist provides the write-ahead log), every

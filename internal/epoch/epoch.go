@@ -21,15 +21,14 @@ type Builder func(ds *core.Dataset) (core.Index, error)
 var ErrSwapInProgress = errors.New("epoch: swap already in progress")
 
 // Live is an index whose updates are epoch-synchronized with its
-// searches. It implements core.Index, so it drops into everything that
-// consumes one — the batch engine, the sharded front, the bench harness —
-// while lifting the library-wide "do not interleave updates with
-// searches" restriction for the structure it wraps.
+// searches. It is a core.Reader, so it drops into everything that only
+// searches — the batch engine, the server — while lifting the
+// library-wide "do not interleave updates with searches" restriction
+// for the structure it wraps.
 //
-// Live owns its dataset: mutate it only through AddAttrsAt, RemoveAt
-// and SetAttrsAt (or the Insert/Delete compatibility methods), never
-// directly, so that dataset and index always change inside the same
-// write section.
+// Live owns its writes: AddAttrsAt, RemoveAt and SetAttrsAt are its
+// only ones, and each changes dataset, index and estimator inside the
+// same write section, so the three always hold the same objects.
 type Live struct {
 	mu       sync.RWMutex
 	ds       *core.Dataset

@@ -53,11 +53,6 @@ func (l *Live) Search(q plan.Query) (plan.Answer, error) {
 // the selectivity estimate, the strategy choice and the answer all
 // observe one dataset version.
 //
-// The pre-filter strategy scans the dataset, so filtered search assumes
-// the dataset-managed write paths (AddAttrsAt/RemoveAt): after an index-only
-// Insert/Delete the dataset and index disagree about liveness and the
-// strategies would disagree about the answer.
-//
 // A traced query records read_wait (time to acquire the read lock),
 // plan (selectivity estimate and strategy choice, filtered queries
 // only) and read_section with the compdists and page accesses the

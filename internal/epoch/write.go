@@ -20,12 +20,11 @@ const (
 	// OpRemove is a Live.RemoveAt: object deleted from index and
 	// dataset.
 	OpRemove Op = 2
-	// OpInsert is the index-only Live.Insert compatibility path. The
-	// record carries the object (fetched from the dataset at append
-	// time) so replay can restore it even if the snapshot predates it.
+	// OpInsert and OpDelete are read-only legacy ops: older builds
+	// journaled index-only writes under them. The WAL still decodes
+	// them, and redo redoes them as OpAdd and OpRemove; nothing writes
+	// them any more.
 	OpInsert Op = 3
-	// OpDelete is the index-only Live.Delete compatibility path: the
-	// object stays in the dataset.
 	OpDelete Op = 4
 	// OpSwap marks a committed Swap. The structure rebuild changes no
 	// answers, so replay only advances the epoch.
@@ -41,10 +40,9 @@ type Write struct {
 	Op Op
 	// ID is the object's identifier; an add's is chosen when it commits.
 	ID int
-	// Obj is the object of an OpAdd or OpInsert.
+	// Obj is the object of an OpAdd.
 	Obj core.Object
-	// Attrs is the bag of an OpAdd or OpSetAttrs (nil or empty: none),
-	// or for an OpInsert a view of the dataset row (core.AttrRow).
+	// Attrs is the bag of an OpAdd or OpSetAttrs (nil or empty: none).
 	Attrs core.AttrSource
 }
 
@@ -89,25 +87,6 @@ func (l *Live) SetAttrsAt(id int, a core.Attrs) (uint64, error) {
 	return ep, err
 }
 
-// Insert implements core.Index for callers that manage the dataset
-// themselves (the object must already be stored under id). AddAttrsAt
-// is the fully synchronized path: a direct dataset mutation is not
-// covered by the write section and must itself not race with in-flight
-// searches.
-func (l *Live) Insert(id int) error {
-	_, _, err := l.commit(Write{Op: OpInsert, ID: id})
-	return err
-}
-
-// Delete implements core.Index for callers that manage the dataset
-// themselves: it removes the object from the index only (per the Index
-// contract the object stays in the dataset until the caller deletes it).
-// RemoveAt is the fully synchronized path.
-func (l *Live) Delete(id int) error {
-	_, _, err := l.commit(Write{Op: OpDelete, ID: id})
-	return err
-}
-
 // commit runs one write section: it stages w on the index (an add also
 // on the dataset), journals it at the next epoch — a failed append
 // unstages it — then finishes it on the dataset and the estimator, logs
@@ -121,14 +100,6 @@ func (l *Live) commit(w Write) (int, uint64, error) {
 	switch w.Op {
 	case OpAdd:
 		w.ID = l.ds.Insert(w.Obj)
-	case OpInsert:
-		if w.Obj = l.ds.Object(w.ID); w.Obj == nil {
-			return 0, l.epoch, fmt.Errorf("epoch: insert of deleted or unknown object %d", w.ID)
-		}
-		// A view, not a copy: a swap's replay at cutover, still inside
-		// a write section, copies the row as later writes left it,
-		// which is what replaying them in order reaches anyway.
-		w.Attrs = l.ds.AttrRow(w.ID)
 	case OpSetAttrs:
 		if !l.ds.Live(w.ID) {
 			return 0, l.epoch, fmt.Errorf("epoch: attrs on non-live id %d", w.ID)
@@ -174,9 +145,7 @@ func stage(ds *core.Dataset, idx core.Index, w Write) error {
 		if err != nil {
 			_ = ds.Delete(w.ID)
 		}
-	case OpInsert:
-		err = idx.Insert(w.ID)
-	case OpRemove, OpDelete:
+	case OpRemove:
 		err = idx.Delete(w.ID)
 	case OpSetAttrs, OpSwap:
 	default:
@@ -191,9 +160,7 @@ func unstage(ds *core.Dataset, idx core.Index, w Write) {
 	case OpAdd:
 		_ = idx.Delete(w.ID)
 		_ = ds.Delete(w.ID)
-	case OpInsert:
-		_ = idx.Delete(w.ID)
-	case OpRemove, OpDelete:
+	case OpRemove:
 		if ds.Object(w.ID) != nil {
 			_ = idx.Insert(w.ID)
 		}
@@ -207,10 +174,8 @@ func unstage(ds *core.Dataset, idx core.Index, w Write) {
 func finish(ds *core.Dataset, st *plan.Stats, w Write) error {
 	var err error
 	switch w.Op {
-	case OpAdd, OpInsert:
+	case OpAdd:
 		st.ObserveRow(ds, w.ID)
-	case OpDelete:
-		st.RemoveRow(ds, w.ID)
 	case OpRemove:
 		st.RemoveRow(ds, w.ID)
 		if err = ds.Delete(w.ID); err != nil {
@@ -225,12 +190,16 @@ func finish(ds *core.Dataset, st *plan.Stats, w Write) error {
 }
 
 // redo applies a committed write again, onto ds, idx and the estimator
-// st. An add stores its object under its recorded id; so does an
-// insert whose object ds lacks (the snapshot predates it), which makes
-// it an add.
+// st. An add stores its object under its recorded id. A legacy
+// index-only record is redone as its dataset-managed counterpart: an
+// OpInsert (which carries its object and bag) as an add, an OpDelete as
+// a remove.
 func redo(ds *core.Dataset, idx core.Index, st *plan.Stats, w Write) error {
-	if w.Op == OpInsert && ds.Object(w.ID) == nil {
+	switch w.Op {
+	case OpInsert:
 		w.Op = OpAdd
+	case OpDelete:
+		w.Op = OpRemove
 	}
 	if w.Op == OpAdd {
 		if err := ds.InsertAt(w.ID, w.Obj); err != nil {
@@ -260,37 +229,17 @@ func (l *Live) Apply(epoch uint64, w Write) error {
 }
 
 // replay redoes the writes logged while a swap built onto the
-// replacement dataset and index, skipping what the replacement already
-// reflects: an add or insert of an object its index holds, a remove or
-// delete of one it lacks, and a set on an object its dataset lacks. The
-// build indexed every object of the snapshot; from there, indexed
-// follows the logged writes (an index-only delete leaves the object in
-// the dataset, so the dataset alone cannot tell). The live estimator
-// counted every logged write when it committed, so replay counts them
-// on a scratch one.
+// replacement dataset and index, skipping exactly what the replacement's
+// dataset already reflects: an add of an object it holds, a remove or a
+// set of one it lacks. The build indexed every object of the dataset,
+// and every write changes both together, so the dataset alone tells.
+// The live estimator counted every logged write when it committed, so
+// replay counts them on a scratch one.
 func replay(ds *core.Dataset, idx core.Index, log []Write) error {
 	scratch := plan.NewStats()
-	indexed := make(map[int]bool)
 	for _, w := range log {
-		in, ok := indexed[w.ID]
-		if !ok {
-			in = ds.Object(w.ID) != nil
-		}
-		switch w.Op {
-		case OpAdd, OpInsert:
-			if in {
-				continue
-			}
-			indexed[w.ID] = true
-		case OpRemove, OpDelete:
-			if !in {
-				continue
-			}
-			indexed[w.ID] = false
-		case OpSetAttrs:
-			if ds.Object(w.ID) == nil {
-				continue
-			}
+		if (ds.Object(w.ID) != nil) == (w.Op == OpAdd) {
+			continue
 		}
 		if err := redo(ds, idx, scratch, w); err != nil {
 			return err

@@ -24,15 +24,12 @@ type writeStep struct {
 }
 
 // writeOps are the ops a fuzz byte selects, in selector order.
-var writeOps = []epoch.Op{epoch.OpAdd, epoch.OpRemove, epoch.OpInsert, epoch.OpDelete, epoch.OpSetAttrs}
+var writeOps = []epoch.Op{epoch.OpAdd, epoch.OpRemove, epoch.OpSetAttrs}
 
 // writePathsSequence covers every op: adds with and without a bag, a
-// remove whose slot the next add reuses, an index-only delete whose
-// object an insert indexes again, one left deleted to the end, and a
-// set and a clear of a bag.
+// remove whose slot the next add reuses, and a set and a clear of a bag.
 var writePathsSequence = []writeStep{
-	{epoch.OpAdd, 1}, {epoch.OpRemove, 7}, {epoch.OpAdd, 2}, {epoch.OpDelete, 11},
-	{epoch.OpInsert, 0}, {epoch.OpDelete, 12}, {epoch.OpSetAttrs, 13}, {epoch.OpSetAttrs, 8},
+	{epoch.OpAdd, 1}, {epoch.OpRemove, 7}, {epoch.OpAdd, 2}, {epoch.OpSetAttrs, 13}, {epoch.OpSetAttrs, 8},
 	{epoch.OpAdd, 4}, {epoch.OpRemove, 40}, {epoch.OpAdd, 3}, {epoch.OpSetAttrs, 9},
 }
 
@@ -92,43 +89,23 @@ func pick(set map[int]bool, arg byte) (int, bool) {
 // a step no id can take, and returns the ids the index holds afterwards.
 func commitWrites(t *testing.T, l *epoch.Live, steps []writeStep) map[int]bool {
 	t.Helper()
-	held, indexed := map[int]bool{}, map[int]bool{}
+	indexed := map[int]bool{}
 	l.View(func(ds *core.Dataset, _ core.Index) {
 		for _, id := range ds.LiveIDs() {
-			held[id], indexed[id] = true, true
+			indexed[id] = true
 		}
 	})
-	unindexed := func() map[int]bool {
-		out := map[int]bool{}
-		for id := range held {
-			if !indexed[id] {
-				out[id] = true
-			}
-		}
-		return out
-	}
 	for _, s := range steps {
 		var err error
 		switch s.op {
 		case epoch.OpAdd:
 			var id int
 			if id, _, err = l.AddAttrsAt(writeObject(s.arg), writeBag(s.arg)); err == nil {
-				held[id], indexed[id] = true, true
+				indexed[id] = true
 			}
 		case epoch.OpRemove:
 			if id, ok := pick(indexed, s.arg); ok {
 				_, err = l.RemoveAt(id)
-				delete(held, id)
-				delete(indexed, id)
-			}
-		case epoch.OpInsert:
-			if id, ok := pick(unindexed(), s.arg); ok {
-				err = l.Insert(id)
-				indexed[id] = true
-			}
-		case epoch.OpDelete:
-			if id, ok := pick(indexed, s.arg); ok {
-				err = l.Delete(id)
 				delete(indexed, id)
 			}
 		case epoch.OpSetAttrs:
@@ -303,9 +280,7 @@ func checkWritePathsAgree(t *testing.T, steps []writeStep) {
 }
 
 // TestWritePathsAgree: a write committed plainly, replayed at a swap's
-// cutover and redone by WAL recovery leaves the same state — in
-// particular an index-only Delete keeps its object in the dataset on
-// all three paths.
+// cutover and redone by WAL recovery leaves the same state.
 func TestWritePathsAgree(t *testing.T) {
 	checkWritePathsAgree(t, writePathsSequence)
 }
@@ -349,11 +324,8 @@ func (failingJournal) Append(epoch.Op, uint64, int, core.Object, core.AttrSource
 // the answers and the epoch as they were, on every op.
 func TestFailedJournalRollsBack(t *testing.T) {
 	l := newLive(t, "LAESA", builders()["LAESA"], 40)
-	// Bags on the targets, and object 5 held by the dataset only, so the
-	// insert has a target.
-	indexed := commitWrites(t, l, []writeStep{
-		{epoch.OpSetAttrs, 3}, {epoch.OpSetAttrs, 5}, {epoch.OpDelete, 5},
-	})
+	// A bag on the target.
+	indexed := commitWrites(t, l, []writeStep{{epoch.OpSetAttrs, 3}})
 	before, ep := stateOf(l), l.Epoch()
 	l.SetJournal(failingJournal{})
 	writes := []struct {
@@ -362,8 +334,6 @@ func TestFailedJournalRollsBack(t *testing.T) {
 	}{
 		{"add", func() error { _, _, err := l.AddAttrsAt(writeObject(9), writeBag(9)); return err }},
 		{"remove", func() error { _, err := l.RemoveAt(3); return err }},
-		{"insert", func() error { return l.Insert(5) }},
-		{"delete", func() error { return l.Delete(3) }},
 		{"set-attrs", func() error { _, err := l.SetAttrsAt(3, writeBag(2)); return err }},
 	}
 	for _, w := range writes {

@@ -1,5 +1,5 @@
 // Package exec is the concurrent batch query engine: it runs MRQ and
-// MkNNQ workloads over any core.Index from a pool of worker goroutines,
+// MkNNQ workloads over any core.Reader from a pool of worker goroutines,
 // preserving the input order of the answers and aggregating the paper's
 // cost metrics (compdists, page accesses, wall time) per batch.
 //
@@ -191,13 +191,13 @@ type (
 
 // BatchRangeSearch answers MRQ(q, r) for every query concurrently; see
 // Batch.
-func (e *Engine) BatchRangeSearch(ctx context.Context, idx core.Index, queries []core.Object, r float64) (*RangeResult, error) {
+func (e *Engine) BatchRangeSearch(ctx context.Context, idx core.Reader, queries []core.Object, r float64) (*RangeResult, error) {
 	return e.Batch(ctx, idx, queries, plan.Query{Kind: plan.KindRange, Radius: r})
 }
 
 // BatchKNNSearch answers MkNNQ(q, k) for every query concurrently; see
 // Batch.
-func (e *Engine) BatchKNNSearch(ctx context.Context, idx core.Index, queries []core.Object, k int) (*KNNResult, error) {
+func (e *Engine) BatchKNNSearch(ctx context.Context, idx core.Reader, queries []core.Object, k int) (*KNNResult, error) {
 	return e.Batch(ctx, idx, queries, plan.Query{Kind: plan.KindKNN, K: k})
 }
 
@@ -215,7 +215,7 @@ func (e *Engine) BatchKNNSearch(ctx context.Context, idx core.Index, queries []c
 // dispatched query the cache still resolved (filled or joined since the
 // peek) counts as a hit too. Latency percentiles are reported
 // separately for hits and misses (see BatchStats).
-func (e *Engine) Batch(ctx context.Context, idx core.Index, queries []core.Object, q plan.Query) (*Result, error) {
+func (e *Engine) Batch(ctx context.Context, idx core.Reader, queries []core.Object, q plan.Query) (*Result, error) {
 	sr, _ := idx.(Searcher)
 	if q.Filter != nil && sr == nil {
 		return nil, fmt.Errorf("exec: index %s does not support filtered search", idx.Name())

@@ -13,6 +13,7 @@ import (
 
 	"metricindex/internal/core"
 	"metricindex/internal/dataset"
+	"metricindex/internal/epoch"
 	"metricindex/internal/persist"
 	"metricindex/internal/plan"
 	"metricindex/internal/spb"
@@ -371,12 +372,20 @@ func TestAttrStorageGolden(t *testing.T) {
 			t.Fatalf("RemoveAt(%d): %v", id, err)
 		}
 	}
+	// Two delete/insert pairs as an older build journaled them: the
+	// legacy index-only records, redone as a remove and an add.
 	for _, id := range []int{14, 15} {
-		if err := live.Delete(id); err != nil {
-			t.Fatalf("Delete(%d): %v", id, err)
-		}
-		if err := live.Insert(id); err != nil {
-			t.Fatalf("Insert(%d): %v", id, err)
+		var obj core.Object
+		live.View(func(lds *core.Dataset, _ core.Index) { obj = lds.Object(id) })
+		bag := live.Attrs(id)
+		for _, w := range []epoch.Write{{Op: epoch.OpDelete, ID: id}, {Op: epoch.OpInsert, ID: id, Obj: obj, Attrs: bag}} {
+			ep := live.Epoch() + 1
+			if err := wal.Append(w.Op, ep, w.ID, w.Obj, w.Attrs); err != nil {
+				t.Fatal(err)
+			}
+			if err := live.Apply(ep, w); err != nil {
+				t.Fatalf("Apply(op %d, %d): %v", w.Op, id, err)
+			}
 		}
 	}
 	if err := wal.Close(); err != nil {

@@ -7,18 +7,17 @@ import (
 	"metricindex/internal/plan"
 )
 
-// Live is an index whose Insert/Delete are epoch-synchronized with its
+// Live is an index whose writes are epoch-synchronized with its
 // searches, lifting the library's historical "do not interleave updates
 // with a running batch" restriction for the structure it wraps, and
 // whose whole structure can be hot-swapped (rebuilt in the background,
-// cut over atomically) with Swap. Live implements Index, so it composes
-// with the batch engine and anything else that consumes one.
+// cut over atomically) with Swap. Live is a Reader, so it composes with
+// the batch engine and anything else that only searches.
 //
-// Live owns its dataset: mutate only through AddAttrsAt, RemoveAt and
-// SetAttrsAt so dataset and index always change inside the same write
-// section. Every committed
-// write advances Epoch, a monotone version counter searches can be
-// correlated against.
+// Live owns its dataset: its only writes are AddAttrsAt, RemoveAt and
+// SetAttrsAt, each changing dataset and index inside the same write
+// section. Every committed write advances Epoch, a monotone version
+// counter searches can be correlated against.
 type Live = epoch.Live
 
 // Query and Answer are the one request and result of a Live index:
@@ -92,5 +91,5 @@ func NewLive(ds *Dataset, idx Index, cacheOpts ...CacheOptions) *Live {
 	return l
 }
 
-// ensure the alias stays an Index.
-var _ core.Index = (*Live)(nil)
+// ensure the alias stays a Reader.
+var _ core.Reader = (*Live)(nil)

@@ -104,7 +104,7 @@
 // served it (Cached). Search is the only code that probes the cache,
 // enters the read section and plans a filter; the other search methods
 // are adapters over it that pick fields of the Answer — RangeSearch
-// and KNNSearch (the Index interface), RangeSearchAt and KNNSearchAt
+// and KNNSearch (the Reader interface), RangeSearchAt and KNNSearchAt
 // (plus the epoch), RangeSearchFiltered and KNNSearchFiltered (plus
 // the strategy; zero means served from the cache). Engine.Batch is the
 // batch counterpart, with BatchRangeSearch and BatchKNNSearch as its
@@ -244,6 +244,11 @@ type Neighbor = core.Neighbor
 // MRQ (RangeSearch), MkNNQ (KNNSearch), updates, and the cost counters
 // the paper's experiments record.
 type Index = core.Index
+
+// Reader is the read half of Index: searches and cost counters. A Live
+// index is a Reader; its writes are its own (AddAttrsAt, RemoveAt,
+// SetAttrsAt).
+type Reader = core.Reader
 
 // BruteForceRange answers MRQ(q, r) by exhaustive scan — the correctness
 // baseline.

@@ -145,7 +145,5 @@ type JournalOp = epoch.Op
 const (
 	OpAdd    = epoch.OpAdd
 	OpRemove = epoch.OpRemove
-	OpInsert = epoch.OpInsert
-	OpDelete = epoch.OpDelete
 	OpSwap   = epoch.OpSwap
 )
