@@ -52,20 +52,9 @@ func New(ds *core.Dataset, pager *store.Pager, pivots []int, opts Options) (*CPT
 	if c.tab, err = table.Build("cpt", ds, pivots, opts.Workers, c.readObject); err != nil {
 		return nil, err
 	}
-	if opts.Workers != 0 {
-		if c.tree, err = mtree.Bulk(ds, pager, nil, mtree.Options{Seed: opts.Seed},
-			mtree.BulkOptions{Workers: opts.Workers}); err != nil {
-			return nil, err
-		}
-		return c, nil
-	}
-	if c.tree, err = mtree.New(ds, pager, nil, mtree.Options{Seed: opts.Seed}); err != nil {
+	if c.tree, err = mtree.Bulk(ds, pager, nil, mtree.Options{Seed: opts.Seed},
+		mtree.BulkOptions{Workers: opts.Workers}); err != nil {
 		return nil, err
-	}
-	for _, id := range ds.LiveIDs() {
-		if err := c.tree.Insert(id); err != nil {
-			return nil, err
-		}
 	}
 	return c, nil
 }

@@ -1,174 +1,221 @@
 package mtree
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
+	"sort"
 
 	"metricindex/internal/core"
 	"metricindex/internal/store"
 )
 
-// Insert adds the dataset object with the given id to the tree: descend
-// along the subtree whose covering ball needs the least enlargement,
-// append to the reached leaf, and split bottom-up on page overflow
-// (promotion: far-pair sampling; partition: generalized hyperplane).
+// Insert adds the dataset object with the given id: descend by the
+// family's choose-subtree rule, widening each region on the way, append
+// to the reached leaf, and split bottom-up on page overflow. An R-tree
+// first appends the object to its RAF.
 func (t *Tree) Insert(id int) error {
 	o := t.ds.Object(id)
 	if o == nil {
-		return fmt.Errorf("mtree: insert of deleted object %d", id)
+		return fmt.Errorf("mtree: insert of deleted or out-of-range object %d", id)
 	}
-	pdists := t.pivotDists(o)
-	sp, err := t.insert(t.root, o, id, pdists, math.Inf(1))
+	_, inM := t.leafOf[id]
+	if _, inR := t.points[id]; inM || inR {
+		return fmt.Errorf("mtree: duplicate insert of %d", id)
+	}
+	e := entry{id: int32(id), v: t.point(o), obj: o}
+	if !t.fam.ball {
+		off, err := t.raf.Append(id, store.EncodeObject(nil, o))
+		if err != nil {
+			return err
+		}
+		e.obj, e.raf = nil, uint64(off)
+		t.points[id] = e.v
+	}
+	sp, err := t.insert(t.root, &e, math.Inf(1))
 	if err != nil {
 		return err
 	}
 	if sp != nil {
 		// Root split: grow the tree by one level.
-		for i := range sp.entries {
-			sp.entries[i].pd = math.Inf(1)
+		root, err := t.pack(sp[:], false)
+		if err != nil {
+			return err
 		}
-		root := &node{leaf: false, entries: sp.entries}
-		if t.nodeSize(root) > t.pager.PageSize() {
-			return fmt.Errorf("mtree: two routing entries (%d bytes) exceed the %d-byte page; increase the page size (§6.1 uses 40KB for high-dimensional data)",
-				t.nodeSize(root), t.pager.PageSize())
-		}
-		newRoot := t.pager.Alloc()
-		t.writeNode(newRoot, root)
-		t.root = newRoot
+		t.root = root
 	}
 	t.size++
 	return nil
 }
 
-// splitOut carries the two routing entries that replace an overflowed
-// child in its parent.
-type splitOut struct {
-	entries []entry // exactly two routing entries (pd unset)
-}
-
-// insert descends recursively. dFromParent is d(newObject, parent routing
-// object) — the new entry's parent distance at the level it lands.
-func (t *Tree) insert(pid store.PageID, o core.Object, id int, pdists []float64, dFromParent float64) (*splitOut, error) {
-	n, err := t.readNode(pid)
+// insert descends recursively. dParent is the distance from the new
+// object to the routing object of the entry leading to pid — the parent
+// distance the new entry gets when pid is its leaf. A split child
+// returns the two routing entries that replace its own.
+func (t *Tree) insert(pid store.PageID, e *entry, dParent float64) (*[2]entry, error) {
+	n, err := t.read(pid)
 	if err != nil {
 		return nil, err
 	}
 	if n.leaf {
-		n.entries = append(n.entries, entry{obj: o, pd: dFromParent, id: int32(id), pdists: pdists})
-		t.leafOf[id] = pid
-		if t.nodeSize(n) <= t.pager.PageSize() {
-			t.writeNode(pid, n)
+		e.pd = dParent
+		n.entries = append(n.entries, *e)
+		if t.fam.ball {
+			t.leafOf[int(e.id)] = pid
+		}
+		if t.fits(n) {
+			t.write(pid, n)
 			return nil, nil
 		}
 		return t.split(pid, n)
 	}
-
-	// Choose the child: among covering entries the closest routing
-	// object; otherwise the one with minimal radius enlargement (the
-	// classic M-tree heuristic).
-	sp := t.ds.Space()
-	bestIdx, bestD := -1, math.Inf(1)
-	bestEnl := math.Inf(1)
-	dists := make([]float64, len(n.entries))
-	covered := false
-	for i := range n.entries {
-		e := &n.entries[i]
-		d := sp.Distance(o, e.obj)
-		dists[i] = d
-		if d <= e.radius {
-			if !covered || d < bestD {
-				covered = true
-				bestIdx, bestD = i, d
-			}
-		} else if !covered {
-			if enl := d - e.radius; enl < bestEnl {
-				bestEnl = enl
-				bestIdx, bestD = i, d
-			}
-		}
+	i, d := t.fam.choose(t, n, e)
+	if i < 0 {
+		return nil, fmt.Errorf("mtree: page %d has no routing entry to descend into", pid)
 	}
-	e := &n.entries[bestIdx]
-	if bestD > e.radius {
-		e.radius = bestD
+	c := &n.entries[i]
+	if t.fam.ball && d > c.radius {
+		c.radius = d
 	}
-	if t.opts.NumPivots > 0 {
-		mergeRingPoint(e.rings, pdists)
-	}
-	childSplit, err := t.insert(e.child, o, id, pdists, bestD)
+	extend(c.v, e.v, e.v)
+	sp, err := t.insert(c.child, e, d)
 	if err != nil {
 		return nil, err
 	}
-	if childSplit == nil {
-		t.writeNode(pid, n)
-		return nil, nil
+	if sp != nil {
+		// The promoted entries' distances to this node's routing object
+		// are unknown here, so their parent-distance filter stays off (∞).
+		// The M-tree keeps the second half beside the first; the R-tree
+		// appends it.
+		n.entries[i] = sp[0]
+		if t.fam.ball {
+			n.entries = slices.Insert(n.entries, i+1, sp[1])
+		} else {
+			n.entries = append(n.entries, sp[1])
+		}
+		if !t.fits(n) {
+			return t.split(pid, n)
+		}
 	}
-	// Replace entry bestIdx with the two promoted routing entries,
-	// computing their parent distances lazily at the caller level (set
-	// below via this node's own parent; here pd is the distance to this
-	// node's routing object, which the caller knows — so we compute it
-	// when the caller writes us. Instead we compute pd now against the
-	// parent object by convention: the caller passes it via recursion, so
-	// at this level the new entries' pd must be distance to *our* parent
-	// object; we do not know it here. We therefore recompute pd for the
-	// two new entries when they are placed: at this node they are
-	// children, and their pd is the distance to this node's own routing
-	// object in the parent — not stored in the node. The M-tree handles
-	// this by computing pd against the routing object of the parent
-	// *entry*; since we replace in place, we approximate pd with ∞, which
-	// disables (never breaks) the parent-distance filter for these two
-	// entries.
-	for i := range childSplit.entries {
-		childSplit.entries[i].pd = math.Inf(1)
-	}
-	n.entries[bestIdx] = childSplit.entries[0]
-	n.entries = append(n.entries, entry{})
-	copy(n.entries[bestIdx+2:], n.entries[bestIdx+1:])
-	n.entries[bestIdx+1] = childSplit.entries[1]
-	if t.nodeSize(n) <= t.pager.PageSize() {
-		t.writeNode(pid, n)
-		return nil, nil
-	}
-	return t.split(pid, n)
+	t.write(pid, n)
+	return nil, nil
 }
 
-// split divides an overflowed node into two, reusing pid for the first
-// half, and returns the two promoted routing entries.
-func (t *Tree) split(pid store.PageID, n *node) (*splitOut, error) {
+// chooseBall is the M-tree's rule: among the covering balls the closest
+// routing object, otherwise the ball needing the least radius
+// enlargement.
+func chooseBall(t *Tree, n *node, e *entry) (int, float64) {
+	sp := t.ds.Space()
+	best, bestD, bestEnl := -1, math.Inf(1), math.Inf(1)
+	covered := false
+	for i := range n.entries {
+		c := &n.entries[i]
+		d := sp.Distance(e.obj, c.obj)
+		if d <= c.radius {
+			if !covered || d < bestD {
+				covered = true
+				best, bestD = i, d
+			}
+		} else if !covered {
+			if enl := d - c.radius; enl < bestEnl {
+				bestEnl = enl
+				best, bestD = i, d
+			}
+		}
+	}
+	return best, bestD
+}
+
+// chooseBox is the R-tree's rule: the least perimeter enlargement, ties
+// to the smaller perimeter.
+func chooseBox(_ *Tree, n *node, e *entry) (int, float64) {
+	best, bestEnl, bestPer := -1, math.Inf(1), math.Inf(1)
+	for i := range n.entries {
+		blo, bhi := n.entries[i].box(false)
+		var enl, per float64
+		for d, x := range e.v {
+			lo, hi := blo[d], bhi[d]
+			nlo, nhi := math.Min(lo, x), math.Max(hi, x)
+			enl += (nhi - nlo) - (hi - lo)
+			per += nhi - nlo
+		}
+		if enl < bestEnl || (enl == bestEnl && per < bestPer) {
+			best, bestEnl, bestPer = i, enl, per
+		}
+	}
+	return best, math.Inf(1)
+}
+
+// split divides an overflowed node by the family's rule, reusing pid for
+// the first half, and returns the routing entries of the two halves.
+func (t *Tree) split(pid store.PageID, n *node) (*[2]entry, error) {
 	if len(n.entries) < 2 {
 		return nil, fmt.Errorf("mtree: node overflows page size %d with %d entries; increase the page size (paper §6.1 uses 40KB for high-dimensional data)",
 			t.pager.PageSize(), len(n.entries))
 	}
+	a, b, ao, bo := t.fam.split(t, n)
+	left, right := &node{leaf: n.leaf, entries: a}, &node{leaf: n.leaf, entries: b}
+	rightPID := t.pager.Alloc()
+	// Objects bigger than half a page can defeat the M-tree's hyperplane
+	// partition, so move entries until both halves fit.
+	if !t.fits(left) || !t.fits(right) {
+		if err := t.rebalance(left, right); err != nil {
+			return nil, err
+		}
+	}
+	sp := [2]entry{t.routing(ao, pid, left), t.routing(bo, rightPID, right)}
+	t.write(pid, left)
+	t.write(rightPID, right)
+	for k, h := range []*node{left, right} {
+		for i := 0; h.leaf && t.fam.ball && i < len(h.entries); i++ {
+			t.leafOf[int(h.entries[i].id)] = sp[k].child
+		}
+	}
+	return &sp, nil
+}
+
+// routing returns the entry for child page pid holding n: its bounding
+// box and, around routing object ro (nil without balls), the covering
+// radius, which needs the parent distances still unknown (∞) in n.
+func (t *Tree) routing(ro core.Object, pid store.PageID, n *node) entry {
+	e := entry{child: pid, obj: ro, pd: math.Inf(1), v: t.bound(n)}
+	for i := 0; ro != nil && i < len(n.entries); i++ {
+		c := &n.entries[i]
+		if math.IsInf(c.pd, 1) {
+			c.pd = t.ds.Space().Distance(ro, c.obj)
+		}
+		if d := c.pd + c.radius; d > e.radius {
+			e.radius = d
+		}
+	}
+	return e
+}
+
+// splitHyperplane is the M-tree's split. Promotion: a far pair by two
+// linear passes (random anchor → farthest a; farthest from a → b), O(3·c)
+// distance computations. Partition: the generalized hyperplane (the
+// nearer promoted object wins), by position when every entry ties.
+func splitHyperplane(t *Tree, n *node) (a, b []entry, ao, bo core.Object) {
 	sp := t.ds.Space()
-	// Promotion: pick a far pair with two linear passes (random anchor →
-	// farthest a; farthest from a → b). O(3·c) distance computations.
 	anchor := t.rng.Intn(len(n.entries))
-	ai, ad := anchor, -1.0
-	for i := range n.entries {
-		if i == anchor {
-			continue
+	farthest := func(from int) (int, float64) {
+		j, dj := anchor, -1.0
+		for i := range n.entries {
+			if i == from {
+				continue
+			}
+			if d := sp.Distance(n.entries[from].obj, n.entries[i].obj); d > dj {
+				j, dj = i, d
+			}
 		}
-		if d := sp.Distance(n.entries[anchor].obj, n.entries[i].obj); d > ad {
-			ai, ad = i, d
-		}
+		return j, dj
 	}
-	bi, bd := anchor, -1.0
-	for i := range n.entries {
-		if i == ai {
-			continue
-		}
-		if d := sp.Distance(n.entries[ai].obj, n.entries[i].obj); d > bd {
-			bi, bd = i, d
-		}
-	}
+	ai, _ := farthest(anchor)
+	bi, bd := farthest(ai)
 	if ai == bi {
 		bi = (ai + 1) % len(n.entries)
 	}
-
-	// Partition: generalized hyperplane (nearer promoted object wins),
-	// with a balance fallback so neither side is empty.
-	aObj, bObj := n.entries[ai].obj, n.entries[bi].obj
-	var aEnt, bEnt []entry
+	ao, bo = n.entries[ai].obj, n.entries[bi].obj
 	for i := range n.entries {
 		e := n.entries[i]
 		var da, db float64
@@ -178,170 +225,128 @@ func (t *Tree) split(pid store.PageID, n *node) (*splitOut, error) {
 		case bi:
 			da, db = bd, 0
 		default:
-			da = sp.Distance(aObj, e.obj)
-			db = sp.Distance(bObj, e.obj)
+			da = sp.Distance(ao, e.obj)
+			db = sp.Distance(bo, e.obj)
 		}
 		if da <= db {
 			e.pd = da
-			aEnt = append(aEnt, e)
+			a = append(a, e)
 		} else {
 			e.pd = db
-			bEnt = append(bEnt, e)
+			b = append(b, e)
 		}
 	}
-	if len(aEnt) == 0 || len(bEnt) == 0 {
-		// Degenerate metric (all ties): split by position.
-		aEnt, bEnt = nil, nil
+	if len(a) == 0 || len(b) == 0 {
+		a, b = nil, nil
 		mid := len(n.entries) / 2
 		for i, e := range n.entries {
 			if i < mid {
-				e.pd = sp.Distance(aObj, e.obj)
-				aEnt = append(aEnt, e)
+				e.pd = sp.Distance(ao, e.obj)
+				a = append(a, e)
 			} else {
-				e.pd = sp.Distance(bObj, e.obj)
-				bEnt = append(bEnt, e)
+				e.pd = sp.Distance(bo, e.obj)
+				b = append(b, e)
 			}
 		}
 	}
-
-	left := &node{leaf: n.leaf, entries: aEnt}
-	right := &node{leaf: n.leaf, entries: bEnt}
-	rightPID := t.pager.Alloc()
-	// Verify both halves fit; objects bigger than half a page can defeat
-	// the hyperplane partition, so rebalance by moving entries if needed.
-	if t.nodeSize(left) > t.pager.PageSize() || t.nodeSize(right) > t.pager.PageSize() {
-		if err := t.rebalance(left, right); err != nil {
-			return nil, err
-		}
-	}
-	// Covering radii from the (now final) membership: parent distances of
-	// moved entries are recomputed on demand.
-	finalRadius := func(promoted core.Object, nd *node) float64 {
-		var r float64
-		for i := range nd.entries {
-			e := &nd.entries[i]
-			if math.IsInf(e.pd, 1) {
-				e.pd = sp.Distance(promoted, e.obj)
-			}
-			d := e.pd
-			if !nd.leaf {
-				d += e.radius
-			}
-			if d > r {
-				r = d
-			}
-		}
-		return r
-	}
-	leftRadius := finalRadius(aObj, left)
-	rightRadius := finalRadius(bObj, right)
-	t.writeNode(pid, left)
-	t.writeNode(rightPID, right)
-	if n.leaf {
-		for i := range left.entries {
-			t.leafOf[int(left.entries[i].id)] = pid
-		}
-		for i := range right.entries {
-			t.leafOf[int(right.entries[i].id)] = rightPID
-		}
-	}
-
-	var leftRings, rightRings []float64
-	if t.opts.NumPivots > 0 {
-		if n.leaf {
-			leftRings = ringsOfLeaf(t.opts.NumPivots, left.entries)
-			rightRings = ringsOfLeaf(t.opts.NumPivots, right.entries)
-		} else {
-			leftRings = ringsOfRouting(t.opts.NumPivots, left.entries)
-			rightRings = ringsOfRouting(t.opts.NumPivots, right.entries)
-		}
-	}
-	return &splitOut{entries: []entry{
-		{obj: aObj, child: pid, radius: leftRadius, rings: leftRings},
-		{obj: bObj, child: rightPID, radius: rightRadius, rings: rightRings},
-	}}, nil
+	return a, b, ao, bo
 }
 
-// rebalance moves entries between halves until both fit, recomputing
-// parent distances of moved entries lazily as ∞ (filter-safe).
-func (t *Tree) rebalance(a, b *node) error {
-	for t.nodeSize(a) > t.pager.PageSize() {
-		if len(a.entries) <= 1 {
-			return fmt.Errorf("mtree: entry larger than page (%d bytes); increase the page size", t.nodeSize(a))
+// splitMedian is the R-tree's split: sort along the dimension of widest
+// spread (points, or box centres) and cut at the median.
+func splitMedian(t *Tree, n *node) (a, b []entry, _, _ core.Object) {
+	dim, spread := 0, -1.0
+	for d := range t.pivots {
+		lo, hi := math.Inf(1), math.Inf(-1)
+		for i := range n.entries {
+			elo, ehi := n.entries[i].box(n.leaf)
+			lo, hi = math.Min(lo, elo[d]), math.Max(hi, ehi[d])
 		}
-		e := a.entries[len(a.entries)-1]
-		e.pd = math.Inf(1)
-		a.entries = a.entries[:len(a.entries)-1]
-		b.entries = append(b.entries, e)
+		if s := hi - lo; s > spread {
+			dim, spread = d, s
+		}
 	}
-	for t.nodeSize(b) > t.pager.PageSize() {
-		if len(b.entries) <= 1 {
-			return fmt.Errorf("mtree: entry larger than page (%d bytes); increase the page size", t.nodeSize(b))
+	key := func(e *entry) float64 {
+		if n.leaf {
+			return e.v[dim]
 		}
-		e := b.entries[len(b.entries)-1]
-		e.pd = math.Inf(1)
-		b.entries = b.entries[:len(b.entries)-1]
-		a.entries = append(a.entries, e)
+		lo, hi := e.box(false)
+		return (lo[dim] + hi[dim]) / 2
+	}
+	es := n.entries
+	sort.Slice(es, func(i, j int) bool { return key(&es[i]) < key(&es[j]) })
+	mid := len(es) / 2
+	return append([]entry(nil), es[:mid]...), append([]entry(nil), es[mid:]...), nil, nil
+}
+
+// rebalance moves entries between halves until both fit; a moved entry's
+// parent distance becomes unknown (∞), which routing recomputes.
+func (t *Tree) rebalance(a, b *node) error {
+	for _, p := range [2][2]*node{{a, b}, {b, a}} {
+		from, to := p[0], p[1]
+		for !t.fits(from) {
+			if len(from.entries) <= 1 {
+				return fmt.Errorf("mtree: entry larger than page (%d bytes); increase the page size", t.nodeSize(from))
+			}
+			e := from.entries[len(from.entries)-1]
+			e.pd = math.Inf(1)
+			from.entries = from.entries[:len(from.entries)-1]
+			to.entries = append(to.entries, e)
+		}
 	}
 	return nil
 }
 
-// Delete removes the object from its leaf (located via the directory).
-// Covering radii and rings stay conservative, which preserves search
-// correctness; no rebalancing is performed (§6.3 measures delete+reinsert).
+// Delete removes the object from its leaf: the one the M-tree's directory
+// names, or the first the R-tree reaches descending into every box that
+// contains the object's point (an R-tree then drops it from its RAF).
+// Regions stay as they are — conservative, which preserves search
+// correctness; no rebalancing is performed (§6.3 measures
+// delete+reinsert).
 func (t *Tree) Delete(id int) error {
-	pid, ok := t.leafOf[id]
-	if !ok {
+	pid, inM := t.leafOf[id]
+	pt, inR := t.points[id]
+	if !inM && !inR {
 		return fmt.Errorf("mtree: delete of unindexed object %d", id)
 	}
-	n, err := t.readNode(pid)
+	if inR {
+		pid = t.root
+	}
+	found, err := t.remove(pid, id, pt)
+	if err == nil && !found {
+		err = fmt.Errorf("mtree: object %d is missing from the leaves", id)
+	}
 	if err != nil {
 		return err
 	}
-	for i := range n.entries {
-		if int(n.entries[i].id) == id {
-			n.entries = append(n.entries[:i], n.entries[i+1:]...)
-			t.writeNode(pid, n)
-			delete(t.leafOf, id)
-			t.size--
-			return nil
-		}
+	t.size--
+	if inM {
+		delete(t.leafOf, id)
+		return nil
 	}
-	return fmt.Errorf("mtree: directory points to leaf %d but object %d is missing", pid, id)
+	delete(t.points, id)
+	return t.raf.Delete(id)
 }
 
-// ReadObject fetches the stored object by id, paying the leaf page access
-// (this is how CPT loads candidates for verification, §3.3). Only the
-// matching entry is decoded — the equivalent of the paper's direct
-// pointers from CPT's distance table into the M-tree leaves.
-func (t *Tree) ReadObject(id int) (core.Object, error) {
-	pid, ok := t.leafOf[id]
-	if !ok {
-		return nil, fmt.Errorf("mtree: no object %d", id)
-	}
-	buf, err := t.pager.Read(pid)
+// remove deletes id from the leaf at pid, or below pid from the first
+// leaf holding it among the subtrees whose boxes contain pt.
+func (t *Tree) remove(pid store.PageID, id int, pt []float64) (bool, error) {
+	n, err := t.read(pid)
 	if err != nil {
-		return nil, err
+		return false, err
 	}
-	if buf[0] != 0 {
-		return nil, fmt.Errorf("mtree: directory points to non-leaf page %d", pid)
-	}
-	count := int(binary.LittleEndian.Uint16(buf[1:3]))
-	off := 3
-	l := t.opts.NumPivots
-	for i := 0; i < count; i++ {
-		eid := int(binary.LittleEndian.Uint32(buf[off:]))
-		off += 12 + 8*l // id, parent distance, pivot distances
-		objLen := int(binary.LittleEndian.Uint32(buf[off:]))
-		off += 4
-		if eid == id {
-			obj, _, err := store.DecodeObject(buf[off : off+objLen])
-			return obj, err
+	for i := range n.entries {
+		e := &n.entries[i]
+		switch {
+		case n.leaf && int(e.id) == id:
+			n.entries = slices.Delete(n.entries, i, i+1)
+			t.write(pid, n)
+			return true, nil
+		case !n.leaf && !far(e, false, math.Inf(1), pt, 0): // the box contains pt
+			if found, err := t.remove(e.child, id, pt); err != nil || found {
+				return found, err
+			}
 		}
-		off += objLen
 	}
-	return nil, fmt.Errorf("mtree: directory points to leaf %d but object %d is missing", pid, id)
+	return false, nil
 }
-
-// rebalanceRings is unused for plain M-trees; kept for symmetry.
-var _ = mergeRings

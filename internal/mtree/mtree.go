@@ -1,22 +1,30 @@
-// Package mtree implements a disk-resident M-tree [13] over the simulated
-// page store, with optional per-entry pivot rings that turn it into the
-// PM-tree of [26] (§5.1).
+// Package mtree implements the paged region tree behind the disk trees of
+// §5: the M-tree of [13], the PM-tree of [26] (§5.1) and the R-tree of
+// the OmniR-tree (§5.2), as two families of one tree over the simulated
+// page store.
 //
-// Nodes store entries with the *actual objects* inside (routing objects in
-// internal nodes, data objects in leaves) — the design property the paper
-// repeatedly calls out: it forces large pages for high-dimensional data
-// and inflates storage (Table 4) but saves a separate object file.
+// An entry's region is an optional ball — routing object, covering
+// radius, distance to the parent's routing object — plus an optional box
+// in the pivot space of l shared pivots; a leaf entry carries its object
+// id and its point ⟨d(o,p₁),…,d(o,p_l)⟩. The two families:
 //
-// With NumPivots = 0 the tree is a plain M-tree: CPT (§3.3) uses it to
-// cluster objects on disk. With NumPivots = l > 0 every entry additionally
-// carries hyper-ring intervals [min,max] of the subtree's distances to
-// each of the l shared pivots, and leaf entries carry their objects' pivot
-// distances — the PM-tree, pruned by Lemma 1 (rings) and Lemma 2 (covering
-// radii) plus the classic parent-distance filter.
+//   - The M-tree family keeps balls, and leaves hold their objects inline —
+//     the design property the paper repeatedly calls out: it forces large
+//     pages for high-dimensional data and inflates storage (Table 4) but
+//     saves a separate object file. With l = 0 it is the plain M-tree CPT
+//     (§3.3) clusters its objects with; with l > 0 every region also has a
+//     box (the PM-tree's hyper-rings), pruned by Lemma 1 on the box and
+//     Lemma 2 on the ball plus the classic parent-distance filter.
+//   - The R-tree family keeps the box alone (the MBB of its points), and
+//     the objects live in a random-access file (store.RAF).
+//
+// One node codec, insert descent, delete, range walk, kNN loop, Validate
+// and handle-state codec serve both. A family supplies only its
+// choose-subtree rule, its split and its bulk load; where a leaf's object
+// comes from (inline or the RAF) follows from whether it has balls.
 package mtree
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -25,28 +33,62 @@ import (
 	"metricindex/internal/store"
 )
 
-// Options tunes the tree.
+// Options tunes an M-tree family tree.
 type Options struct {
 	// NumPivots enables PM-tree rings when > 0.
 	NumPivots int
-	// Seed drives split promotion sampling.
+	// Seed drives split promotion and bulk-load sampling.
 	Seed int64
 }
 
-// entry is a decoded node entry. Exactly one of the leaf/routing field
-// groups is meaningful depending on the owning node's kind.
+// BulkOptions tunes Bulk.
+type BulkOptions struct {
+	// Workers selects the build: 0 inserts one object at a time (the
+	// paper's sequential build, §6.2); any other value runs the
+	// partitioned bulk load with that much concurrency (negative =
+	// GOMAXPROCS). The bulk load's page image is byte-identical for every
+	// nonzero value — parallelism only touches phases whose outputs are
+	// order-independent, and every page write happens in the sequential
+	// merge phase.
+	Workers int
+}
+
+// family is what differs between the two region trees.
+type family struct {
+	// ball: regions carry a covering ball and leaves hold their objects
+	// inline (the M-tree); otherwise a region is its box alone and the
+	// objects live in the RAF (the R-tree).
+	ball bool
+	// choose picks the routing entry of n to descend into with leaf entry
+	// e, and returns the distance from e's object to its routing object
+	// (∞ without balls).
+	choose func(t *Tree, n *node, e *entry) (int, float64)
+	// split divides an overflowed node's entries in two, returning the
+	// routing objects of the halves (nil without balls).
+	split func(t *Tree, n *node) (a, b []entry, ao, bo core.Object)
+	// bulk indexes ids into a tree without pages.
+	bulk func(t *Tree, ids []int, workers int) error
+}
+
+var (
+	mFamily = &family{ball: true, choose: chooseBall, split: splitHyperplane, bulk: bulkPartitioned}
+	rFamily = &family{choose: chooseBox, split: splitMedian, bulk: bulkHilbert}
+)
+
+// entry is a decoded node entry.
 type entry struct {
-	obj core.Object
-	pd  float64 // parent distance (∞ at root level)
+	id    int32        // leaf: the object
+	child store.PageID // routing: the subtree
+	// v is a leaf's point (l values) or a routing entry's box (its low
+	// corner, then its high corner: 2l values).
+	v []float64
 
-	// leaf
-	id     int32
-	pdists []float64 // distances to the l shared pivots
+	// M-tree only.
+	obj    core.Object // the leaf's object, or the routing object
+	pd     float64     // distance to the parent's routing object (∞ = unknown)
+	radius float64     // routing: covering radius
 
-	// routing
-	child  store.PageID
-	radius float64
-	rings  []float64 // 2l values: lo/hi interleaved per pivot
+	raf uint64 // R-tree leaf: the object's RAF offset
 }
 
 type node struct {
@@ -54,238 +96,131 @@ type node struct {
 	entries []entry
 }
 
-// Tree is the (P)M-tree handle.
+// Tree is a region-tree handle.
 type Tree struct {
-	ds     *core.Dataset
-	pager  *store.Pager
-	opts   Options
-	pivots []core.Object // values of the l shared pivots (nil when plain)
-	root   store.PageID
-	size   int
-	rng    *rand.Rand
-	leafOf map[int]store.PageID // object id -> leaf page (CPT's pointers)
+	ds       *core.Dataset
+	pager    *store.Pager
+	fam      *family
+	seed     int64
+	pivots   []core.Object // the l pivots spanning every box (nil when l = 0)
+	raf      *store.RAF    // R-tree: the objects
+	maxCoord float64       // R-tree: d+, the Hilbert bulk load's quantization bound
+	root     store.PageID
+	size     int
+	rng      *rand.Rand
+	leafOf   map[int]store.PageID // M-tree: object id -> leaf page (CPT's pointers)
+	points   map[int][]float64    // R-tree: object id -> point, for deletes
 }
 
-// New creates an empty tree. For the PM-tree variant, pivotIDs supplies
-// the shared pivot set whose values are snapshotted.
-func New(ds *core.Dataset, pager *store.Pager, pivotIDs []int, opts Options) (*Tree, error) {
-	t, err := newTree(ds, pager, pivotIDs, opts)
-	if err != nil {
-		return nil, err
-	}
-	t.root = pager.Alloc()
-	t.writeNode(t.root, &node{leaf: true})
-	return t, nil
-}
-
-// newTree builds the handle — pivot snapshot, directory, split rng — but
-// allocates no pages; New adds the empty root leaf, Bulk writes its own.
-func newTree(ds *core.Dataset, pager *store.Pager, pivotIDs []int, opts Options) (*Tree, error) {
+// Bulk builds an M-tree — a PM-tree when opts.NumPivots > 0, the pivots
+// taken from pivotIDs — over every live object of ds: one object at a
+// time when bo.Workers is 0 or the input is too small to partition,
+// otherwise by the partitioned bulk load.
+func Bulk(ds *core.Dataset, pager *store.Pager, pivotIDs []int, opts Options, bo BulkOptions) (*Tree, error) {
 	if opts.NumPivots > 0 && len(pivotIDs) < opts.NumPivots {
 		return nil, fmt.Errorf("mtree: need %d pivots, got %d", opts.NumPivots, len(pivotIDs))
 	}
-	t := &Tree{
-		ds:     ds,
-		pager:  pager,
-		opts:   opts,
-		rng:    rand.New(rand.NewSource(opts.Seed)),
-		leafOf: make(map[int]store.PageID),
-	}
-	for i := 0; i < opts.NumPivots; i++ {
-		v := ds.Object(pivotIDs[i])
+	var pivots []core.Object
+	for _, id := range pivotIDs[:opts.NumPivots] {
+		v := ds.Object(id)
 		if v == nil {
-			return nil, fmt.Errorf("mtree: pivot %d is not a live object", pivotIDs[i])
+			return nil, fmt.Errorf("mtree: pivot %d is not a live object", id)
 		}
-		t.pivots = append(t.pivots, v)
+		pivots = append(pivots, v)
 	}
-	return t, nil
+	t := newTree(ds, pager, mFamily, pivots, opts.Seed)
+	return t, t.build(ds.LiveIDs(), bo.Workers)
+}
+
+// BulkRTree builds an R-tree over the points of every live object of ds
+// in the pivot space of pivots, appending the objects to raf. It always
+// bulk loads (Hilbert-packed); workers parallelizes the points.
+// maxCoord bounds the coordinates (d+).
+func BulkRTree(ds *core.Dataset, pager *store.Pager, pivots []core.Object, raf *store.RAF, maxCoord float64, workers int) (*Tree, error) {
+	t := newTree(ds, pager, rFamily, pivots, 0)
+	t.raf, t.maxCoord = raf, maxCoord
+	return t, t.build(ds.LiveIDs(), workers)
+}
+
+// newTree returns a handle without pages.
+func newTree(ds *core.Dataset, pager *store.Pager, fam *family, pivots []core.Object, seed int64) *Tree {
+	t := &Tree{ds: ds, pager: pager, fam: fam, seed: seed, pivots: pivots, rng: rand.New(rand.NewSource(seed))}
+	if fam.ball {
+		t.leafOf = make(map[int]store.PageID)
+	} else {
+		t.points = make(map[int][]float64)
+	}
+	return t
+}
+
+// build indexes ids into a tree without pages: one object at a time for
+// an M-tree asked for no workers or too few objects to partition,
+// otherwise by the family's bulk load.
+func (t *Tree) build(ids []int, workers int) error {
+	if t.fam.ball && (workers == 0 || len(ids)/minPartitionSize <= 1) {
+		t.root = t.pager.Alloc()
+		t.write(t.root, &node{leaf: true})
+		for _, id := range ids {
+			if err := t.Insert(id); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	return t.fam.bulk(t, ids, workers)
 }
 
 // Len returns the number of indexed objects.
 func (t *Tree) Len() int { return t.size }
 
 // NumPivots returns l (0 for a plain M-tree).
-func (t *Tree) NumPivots() int { return t.opts.NumPivots }
+func (t *Tree) NumPivots() int { return len(t.pivots) }
 
-// PivotValues returns the snapshotted pivot objects.
-func (t *Tree) PivotValues() []core.Object { return t.pivots }
+// point computes an object's (or a query's) pivot-space point through
+// the batch kernel: l counted distances, none when l = 0.
+func (t *Tree) point(o core.Object) []float64 {
+	if len(t.pivots) == 0 {
+		return nil
+	}
+	pt := make([]float64, len(t.pivots))
+	t.ds.Space().DistanceMany(o, t.pivots, pt)
+	return pt
+}
 
-// ---- serialization ----
+// bound returns the box covering every point or box of n (nil when l = 0).
+func (t *Tree) bound(n *node) []float64 {
+	l := len(t.pivots)
+	if l == 0 {
+		return nil
+	}
+	box := make([]float64, 2*l)
+	for i := range l {
+		box[i], box[l+i] = math.Inf(1), math.Inf(-1)
+	}
+	for j := range n.entries {
+		lo, hi := n.entries[j].box(n.leaf)
+		extend(box, lo, hi)
+	}
+	return box
+}
 
-func (t *Tree) entrySize(leaf bool, e *entry) int {
-	objLen := store.EncodedObjectSize(e.obj)
+// box returns the entry's low and high corners; a leaf's point is both.
+func (e *entry) box(leaf bool) (lo, hi []float64) {
 	if leaf {
-		return 4 + 8 + 8*t.opts.NumPivots + 4 + objLen
+		return e.v, e.v
 	}
-	return 4 + 8 + 8 + 16*t.opts.NumPivots + 4 + objLen
+	return e.v[:len(e.v)/2], e.v[len(e.v)/2:]
 }
 
-func (t *Tree) nodeSize(n *node) int {
-	sz := 3
-	for i := range n.entries {
-		sz += t.entrySize(n.leaf, &n.entries[i])
-	}
-	return sz
-}
-
-func (t *Tree) writeNode(pid store.PageID, n *node) {
-	buf := make([]byte, 0, t.pager.PageSize())
-	kind := byte(1)
-	if n.leaf {
-		kind = 0
-	}
-	buf = append(buf, kind)
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(n.entries)))
-	for i := range n.entries {
-		e := &n.entries[i]
-		if n.leaf {
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(e.id))
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(e.pd))
-			buf = store.EncodeFloats(buf, e.pdists)
-		} else {
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(e.child))
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(e.radius))
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(e.pd))
-			buf = store.EncodeFloats(buf, e.rings)
+// extend widens box to cover the box [lo, hi].
+func extend(box, lo, hi []float64) {
+	l := len(lo)
+	for i := range l {
+		if lo[i] < box[i] {
+			box[i] = lo[i]
 		}
-		objBytes := store.EncodeObject(nil, e.obj)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(objBytes)))
-		buf = append(buf, objBytes...)
-	}
-	if err := t.pager.Write(pid, buf); err != nil {
-		panic(fmt.Sprintf("mtree: node write overflow: %v (size %d)", err, len(buf)))
-	}
-}
-
-func (t *Tree) readNode(pid store.PageID) (*node, error) {
-	buf, err := t.pager.Read(pid)
-	if err != nil {
-		return nil, err
-	}
-	n := &node{leaf: buf[0] == 0}
-	count := int(binary.LittleEndian.Uint16(buf[1:3]))
-	off := 3
-	l := t.opts.NumPivots
-	n.entries = make([]entry, count)
-	for i := 0; i < count; i++ {
-		e := &n.entries[i]
-		if n.leaf {
-			e.id = int32(binary.LittleEndian.Uint32(buf[off:]))
-			e.pd = math.Float64frombits(binary.LittleEndian.Uint64(buf[off+4:]))
-			off += 12
-			if l > 0 {
-				e.pdists, _, err = store.DecodeFloats(buf[off:], l)
-				if err != nil {
-					return nil, fmt.Errorf("mtree: leaf entry decode: %w", err)
-				}
-				off += 8 * l
-			}
-		} else {
-			e.child = store.PageID(binary.LittleEndian.Uint32(buf[off:]))
-			e.radius = math.Float64frombits(binary.LittleEndian.Uint64(buf[off+4:]))
-			e.pd = math.Float64frombits(binary.LittleEndian.Uint64(buf[off+12:]))
-			off += 20
-			if l > 0 {
-				e.rings, _, err = store.DecodeFloats(buf[off:], 2*l)
-				if err != nil {
-					return nil, fmt.Errorf("mtree: routing entry decode: %w", err)
-				}
-				off += 16 * l
-			}
-		}
-		objLen := int(binary.LittleEndian.Uint32(buf[off:]))
-		off += 4
-		obj, n2, err := store.DecodeObject(buf[off : off+objLen])
-		if err != nil {
-			return nil, fmt.Errorf("mtree: object decode: %w", err)
-		}
-		e.obj = obj
-		off += n2
-		_ = n2
-	}
-	return n, nil
-}
-
-// pivotDists computes the l shared-pivot distances of an object through
-// the counted space.
-func (t *Tree) pivotDists(o core.Object) []float64 {
-	if t.opts.NumPivots == 0 {
-		return nil
-	}
-	sp := t.ds.Space()
-	pd := make([]float64, len(t.pivots))
-	for i, p := range t.pivots {
-		pd[i] = sp.Distance(o, p)
-	}
-	return pd
-}
-
-// ringsOfLeaf builds the ring intervals covering a set of leaf pivot
-// distances.
-func ringsOfLeaf(l int, entries []entry) []float64 {
-	if l == 0 {
-		return nil
-	}
-	rings := make([]float64, 2*l)
-	for i := 0; i < l; i++ {
-		rings[2*i] = math.Inf(1)
-		rings[2*i+1] = math.Inf(-1)
-	}
-	for _, e := range entries {
-		for i := 0; i < l; i++ {
-			if e.pdists[i] < rings[2*i] {
-				rings[2*i] = e.pdists[i]
-			}
-			if e.pdists[i] > rings[2*i+1] {
-				rings[2*i+1] = e.pdists[i]
-			}
-		}
-	}
-	return rings
-}
-
-// ringsOfRouting merges child ring intervals.
-func ringsOfRouting(l int, entries []entry) []float64 {
-	if l == 0 {
-		return nil
-	}
-	rings := make([]float64, 2*l)
-	for i := 0; i < l; i++ {
-		rings[2*i] = math.Inf(1)
-		rings[2*i+1] = math.Inf(-1)
-	}
-	for _, e := range entries {
-		for i := 0; i < l; i++ {
-			if e.rings[2*i] < rings[2*i] {
-				rings[2*i] = e.rings[2*i]
-			}
-			if e.rings[2*i+1] > rings[2*i+1] {
-				rings[2*i+1] = e.rings[2*i+1]
-			}
-		}
-	}
-	return rings
-}
-
-// mergeRingsInto widens dst to cover src (either rings or point dists).
-func mergeRingPoint(rings, pdists []float64) {
-	for i := 0; i < len(pdists); i++ {
-		if pdists[i] < rings[2*i] {
-			rings[2*i] = pdists[i]
-		}
-		if pdists[i] > rings[2*i+1] {
-			rings[2*i+1] = pdists[i]
-		}
-	}
-}
-
-func mergeRings(dst, src []float64) {
-	for i := 0; i*2 < len(dst); i++ {
-		if src[2*i] < dst[2*i] {
-			dst[2*i] = src[2*i]
-		}
-		if src[2*i+1] > dst[2*i+1] {
-			dst[2*i+1] = src[2*i+1]
+		if hi[i] > box[l+i] {
+			box[l+i] = hi[i]
 		}
 	}
 }

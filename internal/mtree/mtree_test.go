@@ -20,14 +20,9 @@ func buildTree(t *testing.T, ds *core.Dataset, numPivots int, pageSize int) (*Tr
 			t.Fatalf("HFI: %v", err)
 		}
 	}
-	tr, err := New(ds, p, pv, Options{NumPivots: numPivots, Seed: 7})
+	tr, err := Bulk(ds, p, pv, Options{NumPivots: numPivots, Seed: 7}, BulkOptions{})
 	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	for _, id := range ds.LiveIDs() {
-		if err := tr.Insert(id); err != nil {
-			t.Fatalf("Insert(%d): %v", id, err)
-		}
+		t.Fatalf("Bulk: %v", err)
 	}
 	return tr, p
 }
@@ -37,10 +32,10 @@ type searcherAdapter struct {
 }
 
 func (s searcherAdapter) RangeSearch(q core.Object, r float64) ([]int, error) {
-	return s.tr.RangeSearch(q, r, s.tr.QueryDists(q))
+	return s.tr.RangeSearch(q, r)
 }
 func (s searcherAdapter) KNNSearch(q core.Object, k int) ([]core.Neighbor, error) {
-	return s.tr.KNNSearch(q, k, s.tr.QueryDists(q))
+	return s.tr.KNNSearch(q, k)
 }
 func (s searcherAdapter) Insert(id int) error { return s.tr.Insert(id) }
 func (s searcherAdapter) Delete(id int) error { return s.tr.Delete(id) }
@@ -104,9 +99,8 @@ func TestPMTreeRingsPruneMoreThanMTree(t *testing.T) {
 		ds := testutil.VectorDataset(600, 4, 100, core.L2{}, 21)
 		tr, _ := buildTree(t, ds, numPivots, pageSize)
 		q := testutil.RandomQuery(ds, 3)
-		qd := tr.QueryDists(q)
 		ds.Space().ResetCompDists()
-		if _, err := tr.RangeSearch(q, 8, qd); err != nil {
+		if _, err := tr.RangeSearch(q, 8); err != nil {
 			t.Fatal(err)
 		}
 		return ds.Space().CompDists()
@@ -171,19 +165,7 @@ func TestMTreeReadObject(t *testing.T) {
 
 func TestMTreePageTooSmall(t *testing.T) {
 	ds := testutil.VectorDataset(50, 64, 100, core.L2{}, 17) // 517-byte objects
-	p := store.NewPager(512)
-	tr, err := New(ds, p, nil, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sawErr error
-	for _, id := range ds.LiveIDs() {
-		if err := tr.Insert(id); err != nil {
-			sawErr = err
-			break
-		}
-	}
-	if sawErr == nil {
+	if _, err := Bulk(ds, store.NewPager(512), nil, Options{}, BulkOptions{}); err == nil {
 		t.Fatal("inserting 517-byte objects into 512-byte pages must fail with advice")
 	}
 }

@@ -2,83 +2,104 @@ package mtree
 
 import (
 	"fmt"
-	"math/rand"
-	"sort"
+	"maps"
+	"slices"
 
 	"metricindex/internal/core"
 	"metricindex/internal/persist"
 	"metricindex/internal/store"
 )
 
-// Snapshot state encoding for the (P)M-tree handle (spec:
-// docs/PERSISTENCE.md §M-tree). The nodes themselves already live on
-// pager pages in their own format; what a snapshot adds is the handle
-// state — options, pivot values, root page, size, and the id→leaf
-// directory. The split rng is reseeded from Options.Seed: future splits
-// may promote differently than an uninterrupted run, but every resulting
-// tree is valid and answers identically.
+// Snapshot state of a tree handle (spec: docs/PERSISTENCE.md §M-tree and
+// §Omni). The nodes already live on pager pages, which the owning index
+// writes (it may share the volume with other structures); the state adds
+// the root page, the size and the per-object table — the M-tree's leaf
+// directory or the R-tree's point table — after, for the M-tree, its
+// options and pivot values, and for the R-tree, its coordinate bound. The
+// M-tree's split rng is reseeded from the seed: future splits may promote
+// differently than an uninterrupted run, but every resulting tree is
+// valid and answers identically.
 
 const mtreeFormatVersion = 1
 
-// EncodeState writes the handle state. The pager volume itself is written
-// by the owning index (PM-tree, CPT), which may share the volume with
-// other structures.
+// EncodeState writes the handle state.
 func (t *Tree) EncodeState(w *persist.Writer) error {
-	w.U16(mtreeFormatVersion)
-	w.U32(uint32(t.opts.NumPivots))
-	w.I64(t.opts.Seed)
-	w.Objects(t.pivots)
+	if t.fam.ball {
+		w.U16(mtreeFormatVersion)
+		w.U32(uint32(len(t.pivots)))
+		w.I64(t.seed)
+		w.Objects(t.pivots)
+	}
 	w.U32(uint32(t.root))
 	w.U32(uint32(t.size))
-	ids := make([]int, 0, len(t.leafOf))
-	for id := range t.leafOf {
-		ids = append(ids, id)
+	if !t.fam.ball {
+		w.F64(t.maxCoord)
 	}
-	sort.Ints(ids)
+	ids := slices.Sorted(maps.Keys(t.leafOf))
+	if !t.fam.ball {
+		ids = slices.Sorted(maps.Keys(t.points))
+	}
 	w.U32(uint32(len(ids)))
 	for _, id := range ids {
 		w.U32(uint32(id))
-		w.U32(uint32(t.leafOf[id]))
+		if t.fam.ball {
+			w.U32(uint32(t.leafOf[id]))
+		} else {
+			w.Floats(t.points[id])
+		}
 	}
 	return nil
 }
 
-// RestoreState rebinds a tree handle over an already-reopened pager.
+// RestoreState rebinds an M-tree handle over an already-reopened pager.
 func RestoreState(ds *core.Dataset, pager *store.Pager, r *persist.Reader) (*Tree, error) {
 	if v := r.U16(); r.Err() == nil && v != mtreeFormatVersion {
 		return nil, fmt.Errorf("mtree: unsupported payload version %d", v)
 	}
-	t := &Tree{ds: ds, pager: pager}
-	t.opts.NumPivots = int(r.U32())
-	t.opts.Seed = r.I64()
-	t.pivots = r.Objects()
+	l := int(r.U32())
+	seed := r.I64()
+	pivots := r.Objects()
+	if r.Err() == nil && len(pivots) != l {
+		return nil, fmt.Errorf("mtree: %d pivot values for NumPivots=%d", len(pivots), l)
+	}
+	t := newTree(ds, pager, mFamily, pivots, seed)
+	return t, t.restore(r)
+}
+
+// RestoreRTree rebinds an R-tree handle over an already-reopened pager
+// whose objects are in raf.
+func RestoreRTree(ds *core.Dataset, pager *store.Pager, pivots []core.Object, raf *store.RAF, r *persist.Reader) (*Tree, error) {
+	t := newTree(ds, pager, rFamily, pivots, 0)
+	t.raf = raf
+	return t, t.restore(r)
+}
+
+// restore reads the state after the family's header and checks it
+// against the pages (check).
+func (t *Tree) restore(r *persist.Reader) error {
+	for _, p := range t.pivots {
+		if !core.SameKind(t.ds.Sample(), p) {
+			return fmt.Errorf("mtree: a pivot is not an object of the dataset's kind")
+		}
+	}
 	t.root = store.PageID(r.U32())
 	t.size = int(r.U32())
+	if !t.fam.ball {
+		t.maxCoord = r.F64()
+	}
 	n := r.Count(8)
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	if len(t.pivots) != t.opts.NumPivots {
-		return nil, fmt.Errorf("mtree: %d pivot values for NumPivots=%d", len(t.pivots), t.opts.NumPivots)
-	}
-	if len(t.pivots) == 0 {
-		t.pivots = nil // plain M-tree: keep the nil sentinel
-	}
-	if int(t.root) >= pager.Pages() {
-		return nil, fmt.Errorf("mtree: root page %d beyond volume (%d pages)", t.root, pager.Pages())
-	}
-	t.leafOf = make(map[int]store.PageID, n)
-	for i := 0; i < n; i++ {
+	for i := 0; i < n && r.Err() == nil; i++ {
 		id := int(r.U32())
-		pid := store.PageID(r.U32())
-		if int(pid) >= pager.Pages() {
-			return nil, fmt.Errorf("mtree: leaf page %d beyond volume (%d pages)", pid, pager.Pages())
+		if t.fam.ball {
+			t.leafOf[id] = store.PageID(r.U32())
+		} else if pt := r.Floats(); len(pt) == len(t.pivots) {
+			t.points[id] = pt
+		} else if r.Err() == nil {
+			return fmt.Errorf("mtree: point %d has %d coordinates, want %d", id, len(pt), len(t.pivots))
 		}
-		t.leafOf[id] = pid
 	}
 	if err := r.Err(); err != nil {
-		return nil, err
+		return err
 	}
-	t.rng = rand.New(rand.NewSource(t.opts.Seed))
-	return t, nil
+	return t.check(false)
 }

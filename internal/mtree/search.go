@@ -8,93 +8,55 @@ import (
 	"metricindex/internal/store"
 )
 
-// ringsPrune applies Lemma 1 to a ring set (PM-tree): true when the rings
-// cannot intersect the search region.
-func ringsPrune(rings, qd []float64, r float64) bool {
-	for i := range qd {
-		if rings[2*i] > qd[i]+r || rings[2*i+1] < qd[i]-r {
-			return true
-		}
+// far reports whether an entry's region lies beyond radius r of the
+// query by the tests that cost no distance computation: the M-tree's
+// parent-distance filter |d(q,par) − d(o,par)| > r + radius (dp =
+// d(q,par), ∞ when unknown), then Lemma 1 on the leaf's point or the
+// routing entry's box against the query's point qd.
+func far(e *entry, leaf bool, dp float64, qd []float64, r float64) bool {
+	if !math.IsInf(dp, 1) && !math.IsInf(e.pd, 1) && math.Abs(dp-e.pd) > r+e.radius {
+		return true
 	}
-	return false
-}
-
-// ringsMinDist is core.BoxMinDist over the interleaved rings: the L∞ lower
-// bound from the query's pivot image to the rings, for best-first ordering.
-func ringsMinDist(rings, qd []float64) float64 {
-	var m float64
+	lo, hi := e.box(leaf)
 	for i, q := range qd {
-		if d := core.IntervalDist(q, rings[2*i], rings[2*i+1]); d > m {
-			m = d
-		}
-	}
-	return m
-}
-
-// pdistPrune applies Lemma 1 to a leaf entry's exact pivot distances.
-func pdistPrune(pdists, qd []float64, r float64) bool {
-	for i := range qd {
-		if d := math.Abs(qd[i] - pdists[i]); d > r {
+		if leaf {
+			if math.Abs(q-lo[i]) > r {
+				return true
+			}
+		} else if lo[i] > q+r || hi[i] < q-r {
 			return true
 		}
 	}
 	return false
 }
 
-// QueryDists computes d(q, p_i) for the shared pivots (nil for a plain
-// M-tree). Call once per query and pass to the searches.
-func (t *Tree) QueryDists(q core.Object) []float64 {
-	if t.opts.NumPivots == 0 {
-		return nil
-	}
-	sp := t.ds.Space()
-	qd := make([]float64, len(t.pivots))
-	for i, p := range t.pivots {
-		qd[i] = sp.Distance(q, p)
-	}
-	return qd
-}
-
-// RangeSearch answers MRQ(q, r) with depth-first traversal: the
-// parent-distance filter skips entries without computing d(q, RO); rings
-// (Lemma 1) and covering radii (Lemma 2) prune subtrees; leaf entries are
-// verified on their decoded objects.
-func (t *Tree) RangeSearch(q core.Object, r float64, qd []float64) ([]int, error) {
-	sp := t.ds.Space()
-	var res []int
+// RangeSearch answers MRQ(q, r) depth first: far's tests skip entries
+// without a distance computation, covering balls prune by Lemma 2, and
+// the surviving leaf entries are verified on their objects once the walk
+// is done.
+func (t *Tree) RangeSearch(q core.Object, r float64) ([]int, error) {
+	sp, qd := t.ds.Space(), t.point(q)
+	var cands []entry
 	var walk func(pid store.PageID, dParent float64) error
 	walk = func(pid store.PageID, dParent float64) error {
-		n, err := t.readNode(pid)
+		n, err := t.read(pid)
 		if err != nil {
 			return err
 		}
 		for i := range n.entries {
 			e := &n.entries[i]
+			if far(e, n.leaf, dParent, qd, r) {
+				continue
+			}
 			if n.leaf {
-				// Parent-distance filter: |d(q,par) − d(o,par)| > r.
-				if !math.IsInf(dParent, 1) && !math.IsInf(e.pd, 1) &&
-					math.Abs(dParent-e.pd) > r {
+				cands = append(cands, *e)
+				continue
+			}
+			d := math.Inf(1)
+			if t.fam.ball {
+				if d = sp.Distance(q, e.obj); core.PruneBall(d, e.radius, r) {
 					continue
 				}
-				if qd != nil && pdistPrune(e.pdists, qd, r) {
-					continue
-				}
-				if sp.Distance(q, e.obj) <= r {
-					res = append(res, int(e.id))
-				}
-				continue
-			}
-			// Routing entry: parent-distance filter on the ball.
-			if !math.IsInf(dParent, 1) && !math.IsInf(e.pd, 1) &&
-				math.Abs(dParent-e.pd) > r+e.radius {
-				continue
-			}
-			if qd != nil && ringsPrune(e.rings, qd, r) {
-				continue
-			}
-			d := sp.Distance(q, e.obj)
-			if core.PruneBall(d, e.radius, r) { // Lemma 2
-				continue
 			}
 			if err := walk(e.child, d); err != nil {
 				return err
@@ -105,6 +67,18 @@ func (t *Tree) RangeSearch(q core.Object, r float64, qd []float64) ([]int, error
 	if err := walk(t.root, math.Inf(1)); err != nil {
 		return nil, err
 	}
+	var res []int
+	for _, c := range cands {
+		var err error
+		if !t.fam.ball { // the object lives in the RAF
+			if c.obj, err = t.raf.ReadObject(int(c.id)); err != nil {
+				return nil, err
+			}
+		}
+		if sp.Distance(q, c.obj) <= r {
+			res = append(res, int(c.id))
+		}
+	}
 	sort.Ints(res)
 	return res, nil
 }
@@ -112,65 +86,80 @@ func (t *Tree) RangeSearch(q core.Object, r float64, qd []float64) ([]int, error
 // subtree is a subtree queued for best-first traversal.
 type subtree struct {
 	pid store.PageID
-	dp  float64 // d(q, routing object) of the entry leading here
+	dp  float64 // d(q, routing object) of the entry leading here (∞ without balls)
 }
 
-// KNNSearch answers MkNNQ(q, k) best-first: subtrees are visited in
-// ascending lower-bound order (the maximum of the ball bound and the ring
-// bound), with the radius tightened by verified objects (§5.1).
-func (t *Tree) KNNSearch(q core.Object, k int, qd []float64) ([]core.Neighbor, error) {
+// KNNSearch answers MkNNQ(q, k) best first:
+// subtrees in ascending lower-bound order (the larger of the ball's and
+// the box's bounds), the radius tightened by verified objects (§5.1,
+// §5.2). The M-tree runs far's tests before paying a routing or leaf
+// distance; the R-tree verifies a leaf's entries in ascending point
+// lower-bound order, each a RAF read, until the bound passes the radius.
+func (t *Tree) KNNSearch(q core.Object, k int) ([]core.Neighbor, error) {
 	if k <= 0 {
 		return nil, nil
 	}
-	sp := t.ds.Space()
+	sp, qd := t.ds.Space(), t.point(q)
 	h := core.NewKNNHeap(k)
 	var pq core.MinHeap[subtree]
 	pq.Push(0, 0, subtree{t.root, math.Inf(1)})
 	for it, ok := pq.PopWithin(h.Radius()); ok; it, ok = pq.PopWithin(h.Radius()) {
-		dp := it.V.dp
-		n, err := t.readNode(it.V.pid)
+		n, err := t.read(it.V.pid)
 		if err != nil {
 			return nil, err
 		}
+		if n.leaf && !t.fam.ball {
+			if err := t.verifyLeaf(n, q, qd, h); err != nil {
+				return nil, err
+			}
+			continue
+		}
 		for i := range n.entries {
 			e := &n.entries[i]
-			r := h.Radius()
+			if t.fam.ball && far(e, n.leaf, it.V.dp, qd, h.Radius()) {
+				continue
+			}
 			if n.leaf {
-				if !math.IsInf(r, 1) {
-					if !math.IsInf(dp, 1) && !math.IsInf(e.pd, 1) &&
-						math.Abs(dp-e.pd) > r {
-						continue
-					}
-					if qd != nil && pdistPrune(e.pdists, qd, r) {
-						continue
-					}
-				}
 				h.Push(int(e.id), sp.Distance(q, e.obj))
 				continue
 			}
-			if !math.IsInf(r, 1) {
-				if !math.IsInf(dp, 1) && !math.IsInf(e.pd, 1) &&
-					math.Abs(dp-e.pd) > r+e.radius {
-					continue
-				}
-				if qd != nil && ringsPrune(e.rings, qd, r) {
-					continue
-				}
+			d, lb := math.Inf(1), 0.0
+			if t.fam.ball {
+				d = sp.Distance(q, e.obj)
+				lb = core.BallMinDist(d, e.radius)
 			}
-			d := sp.Distance(q, e.obj)
-			lb := core.BallMinDist(d, e.radius)
-			if qd != nil {
-				if rb := ringsMinDist(e.rings, qd); rb > lb {
-					lb = rb
-				}
-			}
-			if lb < it.LB {
-				lb = it.LB
-			}
+			lo, hi := e.box(false)
+			lb = max(lb, core.BoxMinDist(qd, lo, hi), it.LB)
 			if lb <= h.Radius() {
 				pq.Push(lb, 0, subtree{e.child, d})
 			}
 		}
 	}
 	return h.Result(), nil
+}
+
+// verifyLeaf verifies an R-tree leaf's entries against the RAF in
+// ascending lower-bound order, so the radius tightens as early as
+// possible.
+func (t *Tree) verifyLeaf(n *node, q core.Object, qd []float64, h *core.KNNHeap) error {
+	type cand struct {
+		id int
+		lb float64
+	}
+	cands := make([]cand, 0, len(n.entries))
+	for i := range n.entries {
+		cands = append(cands, cand{int(n.entries[i].id), core.PivotLowerBound(qd, n.entries[i].v)})
+	}
+	sort.Slice(cands, func(i, j int) bool { return cands[i].lb < cands[j].lb })
+	for _, c := range cands {
+		if c.lb > h.Radius() {
+			break
+		}
+		o, err := t.raf.ReadObject(c.id)
+		if err != nil {
+			return err
+		}
+		h.Push(c.id, t.ds.Space().Distance(q, o))
+	}
+	return nil
 }

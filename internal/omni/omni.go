@@ -103,17 +103,3 @@ func (b *base) ResetStats() { b.pager.ResetStats() }
 // DiskBytes reports the structure + RAF footprint (for the OmniB+-tree
 // l trees, hence the redundant storage the paper flags).
 func (b *base) DiskBytes() int64 { return b.pager.DiskBytes() }
-
-// searchBox is the Lemma 1 search region SR(q) as a box in pivot space.
-func searchBox(qd []float64, r float64) (lo, hi []float64) {
-	lo = make([]float64, len(qd))
-	hi = make([]float64, len(qd))
-	for i := range qd {
-		lo[i] = qd[i] - r
-		if lo[i] < 0 {
-			lo[i] = 0
-		}
-		hi[i] = qd[i] + r
-	}
-	return lo, hi
-}

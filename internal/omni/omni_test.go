@@ -1,6 +1,7 @@
 package omni
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -90,7 +91,18 @@ func TestOmniFamilyInsertDelete(t *testing.T) {
 	for _, name := range []string{"rtree", "seq", "bplus"} {
 		ds := testutil.VectorDataset(200, 4, 100, core.L2{}, 13)
 		idx := builders(t, ds)[name]
+		// The members with a Validate (the R-tree, the sequential file's
+		// table) check their invariants after every update.
+		validate := func(t *testing.T, after string) {
+			t.Helper()
+			if v, ok := idx.(interface{ Validate() error }); ok {
+				if err := v.Validate(); err != nil {
+					t.Fatalf("after %s: %v", after, err)
+				}
+			}
+		}
 		t.Run(name, func(t *testing.T) {
+			validate(t, "build")
 			for id := 0; id < 200; id += 4 {
 				if err := idx.Delete(id); err != nil {
 					t.Fatalf("Delete(%d): %v", id, err)
@@ -98,12 +110,14 @@ func TestOmniFamilyInsertDelete(t *testing.T) {
 				if err := ds.Delete(id); err != nil {
 					t.Fatal(err)
 				}
+				validate(t, fmt.Sprintf("Delete(%d)", id))
 			}
 			for i := 0; i < 30; i++ {
 				id := ds.Insert(core.Vector{float64(i), 50, 50, 50})
 				if err := idx.Insert(id); err != nil {
 					t.Fatalf("Insert(%d): %v", id, err)
 				}
+				validate(t, fmt.Sprintf("Insert(%d)", id))
 			}
 			q := testutil.RandomQuery(ds, 2)
 			for _, r := range testutil.Radii(ds, q) {

@@ -6,8 +6,8 @@ import (
 
 	"metricindex/internal/bptree"
 	"metricindex/internal/core"
+	"metricindex/internal/mtree"
 	"metricindex/internal/persist"
-	"metricindex/internal/rtree"
 	"metricindex/internal/store"
 	"metricindex/internal/table"
 )
@@ -145,25 +145,13 @@ func loadBPlus(ds *core.Dataset, r *persist.Reader) (core.Index, *store.Pager, e
 	return t, b.pager, nil
 }
 
-// EncodeSnapshot writes the OmniR-tree payload: base state, the R-tree
-// root/size/bound, and the id→coordinates table used by deletes.
+// EncodeSnapshot writes the OmniR-tree payload: base state, then the
+// R-tree's handle state (mtree.Tree.EncodeState: root, size, bound and
+// the id→point table used by deletes).
 func (t *RTree) EncodeSnapshot(w *persist.Writer) error {
 	w.U16(omniFormatVersion)
 	t.encodeBase(w)
-	w.U32(uint32(t.tree.Root()))
-	w.U32(uint32(t.tree.Len()))
-	w.F64(t.tree.MaxCoord())
-	ids := make([]int, 0, len(t.points))
-	for id := range t.points {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	w.U32(uint32(len(ids)))
-	for _, id := range ids {
-		w.U32(uint32(id))
-		w.Floats(t.points[id])
-	}
-	return nil
+	return t.tree.EncodeState(w)
 }
 
 func loadRTree(ds *core.Dataset, r *persist.Reader) (core.Index, *store.Pager, error) {
@@ -174,28 +162,9 @@ func loadRTree(ds *core.Dataset, r *persist.Reader) (core.Index, *store.Pager, e
 	if err != nil {
 		return nil, nil, err
 	}
-	root := store.PageID(r.U32())
-	sz := int(r.U32())
-	maxCoord := r.F64()
-	n := r.Count(8)
-	if err := r.Err(); err != nil {
-		return nil, nil, err
-	}
-	tree, err := rtree.Restore(b.pager, len(b.pivotIDs), maxCoord, root, sz)
+	tree, err := mtree.RestoreRTree(ds, b.pager, b.pivotVals, b.raf, r)
 	if err != nil {
 		return nil, nil, err
 	}
-	t := &RTree{base: b, tree: tree, points: make(map[int][]float64, n)}
-	for i := 0; i < n; i++ {
-		id := int(r.U32())
-		pt := r.Floats()
-		if r.Err() != nil {
-			return nil, nil, r.Err()
-		}
-		if len(pt) != len(b.pivotIDs) {
-			return nil, nil, fmt.Errorf("omni: point %d has %d coordinates, want %d", id, len(pt), len(b.pivotIDs))
-		}
-		t.points[id] = pt
-	}
-	return t, b.pager, nil
+	return &RTree{base: b, tree: tree}, b.pager, nil
 }

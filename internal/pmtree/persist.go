@@ -44,5 +44,5 @@ func loadPMTree(ds *core.Dataset, r *persist.Reader) (core.Index, *store.Pager, 
 	if tree.NumPivots() == 0 {
 		return nil, nil, fmt.Errorf("pmtree: snapshot holds a plain M-tree (no rings)")
 	}
-	return &PMTree{ds: ds, pager: pager, tree: tree}, pager, nil
+	return &PMTree{pager: pager, tree: tree}, pager, nil
 }

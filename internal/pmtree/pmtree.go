@@ -25,45 +25,27 @@ type Options struct {
 	// GOMAXPROCS). The bulk load's page image is byte-identical for every
 	// nonzero Workers value.
 	Workers int
-	// Partitions tunes the bulk load's partition count (0 = default).
-	Partitions int
 }
 
 // PMTree is the pivoting metric tree index.
 type PMTree struct {
-	ds    *core.Dataset
 	pager *store.Pager
 	tree  *mtree.Tree
 }
 
 // New builds a PM-tree over all live objects using the shared pivots.
 // Objects are stored inside the tree nodes (which is why high-dimensional
-// datasets need the 40 KB page size, §6.1). Options.Workers != 0 switches
-// from one-by-one insertion to the partitioned bulk load.
+// datasets need the 40 KB page size, §6.1).
 func New(ds *core.Dataset, pager *store.Pager, pivots []int, opts Options) (*PMTree, error) {
 	if len(pivots) == 0 {
 		return nil, fmt.Errorf("pmtree: no pivots")
 	}
-	mopts := mtree.Options{NumPivots: len(pivots), Seed: opts.Seed}
-	if opts.Workers != 0 {
-		tree, err := mtree.Bulk(ds, pager, pivots, mopts,
-			mtree.BulkOptions{Workers: opts.Workers, Partitions: opts.Partitions})
-		if err != nil {
-			return nil, err
-		}
-		return &PMTree{ds: ds, pager: pager, tree: tree}, nil
-	}
-	tree, err := mtree.New(ds, pager, pivots, mopts)
+	tree, err := mtree.Bulk(ds, pager, pivots, mtree.Options{NumPivots: len(pivots), Seed: opts.Seed},
+		mtree.BulkOptions{Workers: opts.Workers})
 	if err != nil {
 		return nil, err
 	}
-	t := &PMTree{ds: ds, pager: pager, tree: tree}
-	for _, id := range ds.LiveIDs() {
-		if err := tree.Insert(id); err != nil {
-			return nil, err
-		}
-	}
-	return t, nil
+	return &PMTree{pager: pager, tree: tree}, nil
 }
 
 // Name returns "PM-tree".
@@ -75,16 +57,13 @@ func (t *PMTree) Len() int { return t.tree.Len() }
 // RangeSearch answers MRQ(q, r) by depth-first traversal with ring
 // (Lemma 1) and ball (Lemma 2) pruning.
 func (t *PMTree) RangeSearch(q core.Object, r float64) ([]int, error) {
-	return t.tree.RangeSearch(q, r, t.tree.QueryDists(q))
+	return t.tree.RangeSearch(q, r)
 }
 
 // KNNSearch answers MkNNQ(q, k) by best-first traversal in ascending
 // lower-bound order.
 func (t *PMTree) KNNSearch(q core.Object, k int) ([]core.Neighbor, error) {
-	if k <= 0 {
-		return nil, nil
-	}
-	return t.tree.KNNSearch(q, k, t.tree.QueryDists(q))
+	return t.tree.KNNSearch(q, k)
 }
 
 // Insert adds the dataset object with the given id.

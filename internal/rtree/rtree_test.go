@@ -1,203 +1,120 @@
+// Package rtree tests the R-tree family of internal/mtree — the
+// OmniR-tree's R-tree over pivot-space points, with its objects in a
+// RAF — on its own: Hilbert bulk load, dynamic insert, delete by point,
+// and the page-size floor.
 package rtree
 
 import (
-	"math/rand"
-	"sort"
 	"testing"
 
+	"metricindex/internal/core"
+	"metricindex/internal/mtree"
 	"metricindex/internal/store"
+	"metricindex/internal/testutil"
 )
 
-func randomEntries(n, dims int, span float64, seed int64) []Entry {
-	rng := rand.New(rand.NewSource(seed))
-	es := make([]Entry, n)
-	for i := range es {
-		p := make([]float64, dims)
-		for d := range p {
-			p[d] = rng.Float64() * span
-		}
-		es[i] = Entry{ID: int32(i), RAFOff: uint64(i * 100), Point: p}
-	}
-	return es
+// searcher adapts a tree to testutil.Searcher by computing each query's
+// point.
+type searcher struct{ tr *mtree.Tree }
+
+func (s searcher) RangeSearch(q core.Object, r float64) ([]int, error) {
+	return s.tr.RangeSearch(q, r)
 }
 
-func bruteRange(es []Entry, lo, hi []float64) []int {
-	var out []int
-	for i := range es {
-		if boxContains(lo, hi, es[i].Point) {
-			out = append(out, int(es[i].ID))
-		}
-	}
-	sort.Ints(out)
-	return out
+func (s searcher) KNNSearch(q core.Object, k int) ([]core.Neighbor, error) {
+	return s.tr.KNNSearch(q, k)
 }
 
-func searchIDs(t *testing.T, tr *Tree, lo, hi []float64) []int {
+// pivotValues spreads dims pivots over src.
+func pivotValues(src *core.Dataset, dims int) []core.Object {
+	var pv []core.Object
+	for _, id := range testutil.SpreadPivots(src, dims) {
+		pv = append(pv, src.Object(id))
+	}
+	return pv
+}
+
+// bulk loads an R-tree over every live object of ds on 512-byte pages.
+func bulk(t *testing.T, ds *core.Dataset, pv []core.Object) *mtree.Tree {
 	t.Helper()
-	var got []int
-	if err := tr.Search(lo, hi, func(e *Entry) bool {
-		got = append(got, int(e.ID))
-		return true
-	}); err != nil {
-		t.Fatalf("Search: %v", err)
+	p := store.NewPager(512)
+	tr, err := mtree.BulkRTree(ds, p, pv, store.NewRAF(p), 200, 0)
+	if err != nil {
+		t.Fatalf("BulkRTree(dims=%d): %v", len(pv), err)
 	}
-	sort.Ints(got)
-	return got
+	return tr
 }
 
-func queryBoxes(dims int, span float64, seed int64) [][2][]float64 {
-	rng := rand.New(rand.NewSource(seed))
-	var boxes [][2][]float64
-	for i := 0; i < 12; i++ {
-		lo := make([]float64, dims)
-		hi := make([]float64, dims)
-		for d := range lo {
-			a := rng.Float64() * span
-			b := a + rng.Float64()*span/3
-			lo[d], hi[d] = a, b
+// check validates the tree and compares range and kNN answers with a
+// linear scan.
+func check(t *testing.T, tr *mtree.Tree, ds *core.Dataset, seed int64) {
+	t.Helper()
+	if err := tr.Validate(); err != nil {
+		t.Fatalf("Validate: %v", err)
+	}
+	if tr.Len() != ds.Count() {
+		t.Fatalf("Len = %d, want %d", tr.Len(), ds.Count())
+	}
+	for qs := seed; qs < seed+3; qs++ {
+		q := testutil.RandomQuery(ds, qs)
+		for _, r := range testutil.Radii(ds, q) {
+			testutil.CheckRange(t, searcher{tr}, ds, q, r)
 		}
-		boxes = append(boxes, [2][]float64{lo, hi})
+		testutil.CheckKNN(t, searcher{tr}, ds, q, 10)
 	}
-	return boxes
-}
-
-func equal(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 func TestBulkLoadSearch(t *testing.T) {
 	for _, dims := range []int{1, 3, 5, 9} {
-		es := randomEntries(2000, dims, 100, int64(dims))
-		p := store.NewPager(512)
-		tr, err := New(p, dims, 100)
-		if err != nil {
-			t.Fatalf("New(dims=%d): %v", dims, err)
-		}
-		if err := tr.BulkLoad(es); err != nil {
-			t.Fatalf("BulkLoad: %v", err)
-		}
-		if tr.Len() != 2000 {
-			t.Fatalf("Len=%d", tr.Len())
-		}
-		for _, box := range queryBoxes(dims, 100, int64(dims)+7) {
-			want := bruteRange(es, box[0], box[1])
-			got := searchIDs(t, tr, box[0], box[1])
-			if !equal(got, want) {
-				t.Fatalf("dims=%d: search mismatch got %d want %d entries", dims, len(got), len(want))
-			}
-		}
+		ds := testutil.VectorDataset(2000, 4, 100, core.L2{}, int64(dims))
+		check(t, bulk(t, ds, pivotValues(ds, dims)), ds, int64(dims))
 	}
 }
 
 func TestDynamicInsertSearch(t *testing.T) {
-	dims := 4
-	es := randomEntries(1500, dims, 100, 9)
-	p := store.NewPager(512)
-	tr, err := New(p, dims, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range es {
-		if err := tr.Insert(e); err != nil {
+	src := testutil.VectorDataset(1500, 4, 100, core.L2{}, 9)
+	ds := core.NewDataset(core.NewSpace(core.L2{}), nil)
+	tr := bulk(t, ds, pivotValues(src, 4))
+	for _, o := range src.Objects() {
+		if err := tr.Insert(ds.Insert(o)); err != nil {
 			t.Fatalf("Insert: %v", err)
 		}
 	}
-	for _, box := range queryBoxes(dims, 100, 11) {
-		want := bruteRange(es, box[0], box[1])
-		got := searchIDs(t, tr, box[0], box[1])
-		if !equal(got, want) {
-			t.Fatalf("search mismatch: got %d want %d entries", len(got), len(want))
-		}
-	}
+	check(t, tr, ds, 11)
 }
 
 func TestDeleteThenSearch(t *testing.T) {
-	dims := 3
-	es := randomEntries(800, dims, 100, 13)
-	p := store.NewPager(512)
-	tr, _ := New(p, dims, 100)
-	if err := tr.BulkLoad(es); err != nil {
-		t.Fatal(err)
-	}
-	// Delete every third entry.
-	var live []Entry
-	for i := range es {
-		if i%3 == 0 {
-			if err := tr.Delete(int(es[i].ID), es[i].Point); err != nil {
-				t.Fatalf("Delete(%d): %v", es[i].ID, err)
-			}
-		} else {
-			live = append(live, es[i])
+	ds := testutil.VectorDataset(800, 4, 100, core.L2{}, 13)
+	tr := bulk(t, ds, pivotValues(ds, 3))
+	for id := 0; id < 800; id += 3 {
+		if err := tr.Delete(id); err != nil {
+			t.Fatalf("Delete(%d): %v", id, err)
+		}
+		if err := ds.Delete(id); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if tr.Len() != len(live) {
-		t.Fatalf("Len=%d want %d", tr.Len(), len(live))
-	}
-	for _, box := range queryBoxes(dims, 100, 17) {
-		want := bruteRange(live, box[0], box[1])
-		got := searchIDs(t, tr, box[0], box[1])
-		if !equal(got, want) {
-			t.Fatalf("post-delete mismatch: got %d want %d entries", len(got), len(want))
-		}
-	}
-	if err := tr.Delete(int(es[0].ID), es[0].Point); err == nil {
+	check(t, tr, ds, 17)
+	if err := tr.Delete(0); err == nil {
 		t.Fatal("double delete should fail")
 	}
 }
 
 func TestMixedBulkAndDynamic(t *testing.T) {
-	dims := 5
-	base := randomEntries(1000, dims, 100, 19)
-	extra := randomEntries(500, dims, 100, 23)
-	for i := range extra {
-		extra[i].ID += 1000
-	}
-	p := store.NewPager(512)
-	tr, _ := New(p, dims, 100)
-	if err := tr.BulkLoad(base); err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range extra {
-		if err := tr.Insert(e); err != nil {
+	ds := testutil.VectorDataset(1000, 4, 100, core.L2{}, 19)
+	tr := bulk(t, ds, pivotValues(ds, 5))
+	for _, o := range testutil.VectorDataset(500, 4, 100, core.L2{}, 23).Objects() {
+		if err := tr.Insert(ds.Insert(o)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	all := append(append([]Entry(nil), base...), extra...)
-	for _, box := range queryBoxes(dims, 100, 29) {
-		want := bruteRange(all, box[0], box[1])
-		got := searchIDs(t, tr, box[0], box[1])
-		if !equal(got, want) {
-			t.Fatalf("mixed mismatch: got %d want %d entries", len(got), len(want))
-		}
-	}
+	check(t, tr, ds, 29)
 }
 
 func TestPageTooSmall(t *testing.T) {
+	ds := testutil.VectorDataset(50, 4, 100, core.L2{}, 31)
 	p := store.NewPager(64)
-	if _, err := New(p, 9, 100); err == nil {
+	if _, err := mtree.BulkRTree(ds, p, pivotValues(ds, 9), store.NewRAF(p), 200, 0); err == nil {
 		t.Fatal("9-dim entries cannot fit a 64-byte page")
-	}
-}
-
-func TestSearchEarlyStop(t *testing.T) {
-	es := randomEntries(500, 2, 100, 31)
-	p := store.NewPager(512)
-	tr, _ := New(p, 2, 100)
-	tr.BulkLoad(es)
-	count := 0
-	tr.Search([]float64{0, 0}, []float64{100, 100}, func(e *Entry) bool {
-		count++
-		return count < 10
-	})
-	if count != 10 {
-		t.Fatalf("early stop visited %d entries", count)
 	}
 }

@@ -175,6 +175,14 @@ func (p *Pager) Read(id PageID) ([]byte, error) {
 	return p.pages[id], nil
 }
 
+// Peek is Read of an allocated page without the page access or the
+// cache: for checking a restored volume, never for a query.
+func (p *Pager) Peek(id PageID) []byte {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.pages[id]
+}
+
 func (p *Pager) errUnallocated(op string, id PageID) error {
 	return fmt.Errorf("store: %s of unallocated page %d (of %d)", op, id, len(p.pages))
 }

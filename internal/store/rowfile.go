@@ -49,7 +49,7 @@ func (f *RowFile) Restore(pages []PageID, rows int) error {
 		if int(pid) >= f.pager.Pages() {
 			return fmt.Errorf("store: row page %d beyond the volume's %d pages", pid, f.pager.Pages())
 		}
-		if n, want := int(binary.LittleEndian.Uint16(f.peek(i))), min(pp, rows-i*pp); n != want {
+		if n, want := int(binary.LittleEndian.Uint16(f.pager.Peek(pid))), min(pp, rows-i*pp); n != want {
 			return fmt.Errorf("store: row page %d counts %d records, want %d", i, n, want)
 		}
 	}
@@ -113,13 +113,7 @@ func (f *RowFile) Page(i int) ([]byte, error) {
 
 // Peek is Page without the page access: for checking a restored file or
 // validating a table, never for a query.
-func (f *RowFile) Peek(i int) []byte { return f.records(f.peek(i)) }
-
-func (f *RowFile) peek(i int) []byte {
-	f.pager.mu.Lock()
-	defer f.pager.mu.Unlock()
-	return f.pager.pages[f.pages[i]]
-}
+func (f *RowFile) Peek(i int) []byte { return f.records(f.pager.Peek(f.pages[i])) }
 
 //metriclint:noalloc
 func (f *RowFile) records(pg []byte) []byte {
