@@ -20,11 +20,11 @@ GOVULNCHECK_VERSION ?= v1.1.4
 # (nilness, shadow) that plain `go vet` does not run.
 XTOOLS_VERSION ?= v0.30.0
 
-# Seconds each native fuzz target runs in the `make fuzz` smoke (thirteen
+# Seconds each native fuzz target runs in the `make fuzz` smoke (fourteen
 # targets: FuzzLevenshtein, FuzzBatchKernels, FuzzWithinKernels, FuzzDecodeQuery,
-# FuzzSnapshotHeader, FuzzWALRecord, FuzzTreePayload, FuzzPagedTablePayload,
-# FuzzPredicateParse, FuzzPredicateEval, FuzzCompiledPredicate,
-# FuzzHilbertDecode, FuzzWritePaths).
+# FuzzSnapshotHeader, FuzzWALRecord, FuzzTreePayload, FuzzRegionTreePayload,
+# FuzzPagedTablePayload, FuzzPredicateParse, FuzzPredicateEval,
+# FuzzCompiledPredicate, FuzzHilbertDecode, FuzzWritePaths).
 FUZZTIME ?= 10s
 
 # Packages with a parallel build, the concurrent query engine, the
@@ -38,7 +38,7 @@ RACE_PKGS = ./internal/exec/... ./internal/epoch/... ./internal/server/... \
             ./internal/core/... ./internal/store/... ./internal/bench/... \
             ./internal/cache/... ./internal/fqt/... \
             ./internal/mtree/... ./internal/pmtree/... ./internal/persist/... \
-            ./internal/bptree/... ./internal/rtree/... ./internal/spb/... \
+            ./internal/bptree/... ./internal/spb/... \
             ./internal/mindex/... ./internal/pivot/... ./internal/dataset/... \
             ./internal/obs/... ./internal/plan/... ./internal/sfc/... \
             ./cmd/mserve/... .
@@ -84,6 +84,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzSnapshotHeader -fuzztime=$(FUZZTIME) ./internal/persist
 	$(GO) test -run='^$$' -fuzz=FuzzWALRecord -fuzztime=$(FUZZTIME) ./internal/persist
 	$(GO) test -run='^$$' -fuzz=FuzzTreePayload -fuzztime=$(FUZZTIME) ./internal/ptree
+	$(GO) test -run='^$$' -fuzz=FuzzRegionTreePayload -fuzztime=$(FUZZTIME) ./internal/mtree
 	$(GO) test -run='^$$' -fuzz=FuzzPagedTablePayload -fuzztime=$(FUZZTIME) ./internal/table
 	$(GO) test -run='^$$' -fuzz=FuzzPredicateParse -fuzztime=$(FUZZTIME) ./internal/plan
 	$(GO) test -run='^$$' -fuzz=FuzzPredicateEval -fuzztime=$(FUZZTIME) ./internal/plan

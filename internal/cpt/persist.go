@@ -52,7 +52,7 @@ func loadCPT(ds *core.Dataset, r *persist.Reader) (core.Index, *store.Pager, err
 		return nil, nil, err
 	}
 	c := &CPT{pager: pager}
-	if c.tree, err = mtree.RestoreState(ds, pager, r); err != nil {
+	if c.tree, err = mtree.RestoreState(ds, pager, nil, nil, r); err != nil {
 		return nil, nil, err
 	}
 	if c.tab, err = table.DecodeBlock("cpt", ds, r, v == 1, c.readObject); err != nil {

@@ -63,39 +63,35 @@ func (t *Tree) insert(pid store.PageID, e *entry, dParent float64) (*[2]entry, e
 		if t.fam.ball {
 			t.leafOf[int(e.id)] = pid
 		}
-		if t.fits(n) {
-			t.write(pid, n)
-			return nil, nil
+	} else {
+		i, d := t.fam.choose(t, n, e)
+		if i < 0 {
+			return nil, fmt.Errorf("mtree: page %d has no routing entry to descend into", pid)
 		}
+		c := &n.entries[i]
+		if t.fam.ball && d > c.radius {
+			c.radius = d
+		}
+		extend(c.v, e.v, e.v)
+		sp, err := t.insert(c.child, e, d)
+		if err != nil {
+			return nil, err
+		}
+		// A split child's two promoted entries replace its own; their
+		// distances to this node's routing object are unknown here, so
+		// their parent-distance filter stays off (∞). The M-tree keeps
+		// the second beside the first; the R-tree appends it.
+		if sp != nil {
+			n.entries[i] = sp[0]
+			if t.fam.ball {
+				n.entries = slices.Insert(n.entries, i+1, sp[1])
+			} else {
+				n.entries = append(n.entries, sp[1])
+			}
+		}
+	}
+	if !t.fits(n) {
 		return t.split(pid, n)
-	}
-	i, d := t.fam.choose(t, n, e)
-	if i < 0 {
-		return nil, fmt.Errorf("mtree: page %d has no routing entry to descend into", pid)
-	}
-	c := &n.entries[i]
-	if t.fam.ball && d > c.radius {
-		c.radius = d
-	}
-	extend(c.v, e.v, e.v)
-	sp, err := t.insert(c.child, e, d)
-	if err != nil {
-		return nil, err
-	}
-	if sp != nil {
-		// The promoted entries' distances to this node's routing object
-		// are unknown here, so their parent-distance filter stays off (∞).
-		// The M-tree keeps the second half beside the first; the R-tree
-		// appends it.
-		n.entries[i] = sp[0]
-		if t.fam.ball {
-			n.entries = slices.Insert(n.entries, i+1, sp[1])
-		} else {
-			n.entries = append(n.entries, sp[1])
-		}
-		if !t.fits(n) {
-			return t.split(pid, n)
-		}
 	}
 	t.write(pid, n)
 	return nil, nil

@@ -102,7 +102,7 @@ type Tree struct {
 	pager    *store.Pager
 	fam      *family
 	seed     int64
-	pivots   []core.Object // the l pivots spanning every box (nil when l = 0)
+	pivots   []core.Object // the l pivots spanning every box (none for a plain M-tree)
 	raf      *store.RAF    // R-tree: the objects
 	maxCoord float64       // R-tree: d+, the Hilbert bulk load's quantization bound
 	root     store.PageID
@@ -110,6 +110,7 @@ type Tree struct {
 	rng      *rand.Rand
 	leafOf   map[int]store.PageID // M-tree: object id -> leaf page (CPT's pointers)
 	points   map[int][]float64    // R-tree: object id -> point, for deletes
+	scratch  core.ScratchPool     // per-query point and heap
 }
 
 // Bulk builds an M-tree — a PM-tree when opts.NumPivots > 0, the pivots
@@ -144,13 +145,8 @@ func BulkRTree(ds *core.Dataset, pager *store.Pager, pivots []core.Object, raf *
 
 // newTree returns a handle without pages.
 func newTree(ds *core.Dataset, pager *store.Pager, fam *family, pivots []core.Object, seed int64) *Tree {
-	t := &Tree{ds: ds, pager: pager, fam: fam, seed: seed, pivots: pivots, rng: rand.New(rand.NewSource(seed))}
-	if fam.ball {
-		t.leafOf = make(map[int]store.PageID)
-	} else {
-		t.points = make(map[int][]float64)
-	}
-	return t
+	return &Tree{ds: ds, pager: pager, fam: fam, seed: seed, pivots: pivots, rng: rand.New(rand.NewSource(seed)),
+		leafOf: make(map[int]store.PageID), points: make(map[int][]float64)}
 }
 
 // build indexes ids into a tree without pages: one object at a time for
@@ -179,9 +175,6 @@ func (t *Tree) NumPivots() int { return len(t.pivots) }
 // point computes an object's (or a query's) pivot-space point through
 // the batch kernel: l counted distances, none when l = 0.
 func (t *Tree) point(o core.Object) []float64 {
-	if len(t.pivots) == 0 {
-		return nil
-	}
 	pt := make([]float64, len(t.pivots))
 	t.ds.Space().DistanceMany(o, t.pivots, pt)
 	return pt

@@ -12,13 +12,13 @@ import (
 
 // Snapshot state of a tree handle (spec: docs/PERSISTENCE.md §M-tree and
 // §Omni). The nodes already live on pager pages, which the owning index
-// writes (it may share the volume with other structures); the state adds
-// the root page, the size and the per-object table — the M-tree's leaf
-// directory or the R-tree's point table — after, for the M-tree, its
-// options and pivot values, and for the R-tree, its coordinate bound. The
-// M-tree's split rng is reseeded from the seed: future splits may promote
-// differently than an uninterrupted run, but every resulting tree is
-// valid and answers identically.
+// writes (it may share the volume with other structures). The state is,
+// for the M-tree, its version, options and pivot values; then the root
+// page and the size; for the R-tree, its coordinate bound; and the
+// per-object table — the M-tree's leaf directory or the R-tree's point
+// table. The M-tree's split rng is reseeded from the seed: future splits
+// may promote differently than an uninterrupted run, but every resulting
+// tree is valid and answers identically.
 
 const mtreeFormatVersion = 1
 
@@ -30,6 +30,12 @@ func (t *Tree) EncodeState(w *persist.Writer) error {
 		w.I64(t.seed)
 		w.Objects(t.pivots)
 	}
+	t.encodeTable(w)
+	return nil
+}
+
+// encodeTable writes the root page, the size and the per-object table.
+func (t *Tree) encodeTable(w *persist.Writer) {
 	w.U32(uint32(t.root))
 	w.U32(uint32(t.size))
 	if !t.fam.ball {
@@ -48,40 +54,36 @@ func (t *Tree) EncodeState(w *persist.Writer) error {
 			w.Floats(t.points[id])
 		}
 	}
-	return nil
 }
 
-// RestoreState rebinds an M-tree handle over an already-reopened pager.
-func RestoreState(ds *core.Dataset, pager *store.Pager, r *persist.Reader) (*Tree, error) {
-	if v := r.U16(); r.Err() == nil && v != mtreeFormatVersion {
-		return nil, fmt.Errorf("mtree: unsupported payload version %d", v)
-	}
-	l := int(r.U32())
-	seed := r.I64()
-	pivots := r.Objects()
-	if r.Err() == nil && len(pivots) != l {
-		return nil, fmt.Errorf("mtree: %d pivot values for NumPivots=%d", len(pivots), l)
-	}
-	t := newTree(ds, pager, mFamily, pivots, seed)
-	return t, t.restore(r)
-}
-
-// RestoreRTree rebinds an R-tree handle over an already-reopened pager
-// whose objects are in raf.
-func RestoreRTree(ds *core.Dataset, pager *store.Pager, pivots []core.Object, raf *store.RAF, r *persist.Reader) (*Tree, error) {
-	t := newTree(ds, pager, rFamily, pivots, 0)
-	t.raf = raf
-	return t, t.restore(r)
-}
-
-// restore reads the state after the family's header and checks it
+// RestoreState rebinds a handle over an already-reopened pager: an
+// M-tree's when raf is nil (its pivots come from the state), otherwise an
+// R-tree's over pivots, whose objects are in raf. It checks the state
 // against the pages (check).
-func (t *Tree) restore(r *persist.Reader) error {
-	for _, p := range t.pivots {
-		if !core.SameKind(t.ds.Sample(), p) {
-			return fmt.Errorf("mtree: a pivot is not an object of the dataset's kind")
+func RestoreState(ds *core.Dataset, pager *store.Pager, raf *store.RAF, pivots []core.Object, r *persist.Reader) (*Tree, error) {
+	fam, seed := rFamily, int64(0)
+	if raf == nil {
+		if v := r.U16(); r.Err() == nil && v != mtreeFormatVersion {
+			return nil, fmt.Errorf("mtree: unsupported payload version %d", v)
+		}
+		l := int(r.U32())
+		fam, seed, pivots = mFamily, r.I64(), r.Objects()
+		if r.Err() == nil && len(pivots) != l {
+			return nil, fmt.Errorf("mtree: %d pivot values for NumPivots=%d", len(pivots), l)
 		}
 	}
+	for _, p := range pivots {
+		if !core.SameKind(ds.Sample(), p) {
+			return nil, fmt.Errorf("mtree: a pivot is not an object of the dataset's kind")
+		}
+	}
+	t := newTree(ds, pager, fam, pivots, seed)
+	t.raf = raf
+	return t, t.decodeTable(r)
+}
+
+// decodeTable reads what encodeTable wrote and checks the tree against it.
+func (t *Tree) decodeTable(r *persist.Reader) error {
 	t.root = store.PageID(r.U32())
 	t.size = int(r.U32())
 	if !t.fam.ball {

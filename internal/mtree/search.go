@@ -1,7 +1,9 @@
 package mtree
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 
 	"metricindex/internal/core"
@@ -35,7 +37,9 @@ func far(e *entry, leaf bool, dp float64, qd []float64, r float64) bool {
 // the surviving leaf entries are verified on their objects once the walk
 // is done.
 func (t *Tree) RangeSearch(q core.Object, r float64) ([]int, error) {
-	sp, qd := t.ds.Space(), t.point(q)
+	sc, qd := t.query(q)
+	defer t.scratch.Put(sc)
+	sp := t.ds.Space()
 	var cands []entry
 	var walk func(pid store.PageID, dParent float64) error
 	walk = func(pid store.PageID, dParent float64) error {
@@ -99,9 +103,11 @@ func (t *Tree) KNNSearch(q core.Object, k int) ([]core.Neighbor, error) {
 	if k <= 0 {
 		return nil, nil
 	}
-	sp, qd := t.ds.Space(), t.point(q)
-	h := core.NewKNNHeap(k)
+	sc, qd := t.query(q)
+	defer t.scratch.Put(sc)
+	sp, h := t.ds.Space(), sc.Heap(k)
 	var pq core.MinHeap[subtree]
+	var cands []cand
 	pq.Push(0, 0, subtree{t.root, math.Inf(1)})
 	for it, ok := pq.PopWithin(h.Radius()); ok; it, ok = pq.PopWithin(h.Radius()) {
 		n, err := t.read(it.V.pid)
@@ -109,7 +115,7 @@ func (t *Tree) KNNSearch(q core.Object, k int) ([]core.Neighbor, error) {
 			return nil, err
 		}
 		if n.leaf && !t.fam.ball {
-			if err := t.verifyLeaf(n, q, qd, h); err != nil {
+			if cands, err = t.verifyLeaf(n, q, qd, h, cands[:0]); err != nil {
 				return nil, err
 			}
 			continue
@@ -138,28 +144,38 @@ func (t *Tree) KNNSearch(q core.Object, k int) ([]core.Neighbor, error) {
 	return h.Result(), nil
 }
 
+// cand is an R-tree leaf entry awaiting verification.
+type cand struct {
+	id int
+	lb float64
+}
+
 // verifyLeaf verifies an R-tree leaf's entries against the RAF in
 // ascending lower-bound order, so the radius tightens as early as
-// possible.
-func (t *Tree) verifyLeaf(n *node, q core.Object, qd []float64, h *core.KNNHeap) error {
-	type cand struct {
-		id int
-		lb float64
-	}
-	cands := make([]cand, 0, len(n.entries))
+// possible; cands is the buffer it sorts them in, returned for reuse.
+func (t *Tree) verifyLeaf(n *node, q core.Object, qd []float64, h *core.KNNHeap, cands []cand) ([]cand, error) {
 	for i := range n.entries {
 		cands = append(cands, cand{int(n.entries[i].id), core.PivotLowerBound(qd, n.entries[i].v)})
 	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].lb < cands[j].lb })
+	slices.SortFunc(cands, func(a, b cand) int { return cmp.Compare(a.lb, b.lb) })
 	for _, c := range cands {
 		if c.lb > h.Radius() {
 			break
 		}
 		o, err := t.raf.ReadObject(c.id)
 		if err != nil {
-			return err
+			return cands, err
 		}
 		h.Push(c.id, t.ds.Space().Distance(q, o))
 	}
-	return nil
+	return cands, nil
+}
+
+// query computes q's point into pooled scratch, which the caller puts
+// back when the query is done.
+func (t *Tree) query(q core.Object) (*core.Scratch, []float64) {
+	sc := t.scratch.Get()
+	qd := sc.GrowQD(len(t.pivots))
+	t.ds.Space().DistanceMany(q, t.pivots, qd)
+	return sc, qd
 }

@@ -29,7 +29,7 @@ func (t *Tree) Validate() error { return t.check(true) }
 // computations.
 func (t *Tree) check(geometry bool) error {
 	const eps = 1e-9
-	sp := t.ds.Space()
+	sp, sample := t.ds.Space(), t.ds.Sample()
 	seen := make([]bool, t.pager.Pages())
 	held := 0
 	var walk func(pid store.PageID, parent *entry) ([]core.Object, error)
@@ -48,7 +48,7 @@ func (t *Tree) check(geometry bool) error {
 		var objs []core.Object
 		for i := range n.entries {
 			e := &n.entries[i]
-			if e.obj != nil && !core.SameKind(t.ds.Sample(), e.obj) {
+			if e.obj != nil && !core.SameKind(sample, e.obj) {
 				return nil, fmt.Errorf("mtree: page %d entry %d holds an object of another kind", pid, i)
 			}
 			if geometry && parent != nil {

@@ -162,7 +162,7 @@ func loadRTree(ds *core.Dataset, r *persist.Reader) (core.Index, *store.Pager, e
 	if err != nil {
 		return nil, nil, err
 	}
-	tree, err := mtree.RestoreRTree(ds, b.pager, b.pivotVals, b.raf, r)
+	tree, err := mtree.RestoreState(ds, b.pager, b.raf, b.pivotVals, r)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -37,7 +37,7 @@ func loadPMTree(ds *core.Dataset, r *persist.Reader) (core.Index, *store.Pager, 
 	if err != nil {
 		return nil, nil, err
 	}
-	tree, err := mtree.RestoreState(ds, pager, r)
+	tree, err := mtree.RestoreState(ds, pager, nil, nil, r)
 	if err != nil {
 		return nil, nil, err
 	}
