@@ -180,12 +180,9 @@ func (t *Tree) point(o core.Object) []float64 {
 	return pt
 }
 
-// bound returns the box covering every point or box of n (nil when l = 0).
+// bound returns the box covering every point or box of n.
 func (t *Tree) bound(n *node) []float64 {
 	l := len(t.pivots)
-	if l == 0 {
-		return nil
-	}
 	box := make([]float64, 2*l)
 	for i := range l {
 		box[i], box[l+i] = math.Inf(1), math.Inf(-1)

@@ -22,7 +22,7 @@ func (t *Tree) Validate() error { return t.check(true) }
 
 // check walks every node once from the root without charging page
 // accesses. It rejects a child page outside the volume or reached twice,
-// a page the codec rejects, a routing node without entries, an entry id
+// a page the codec rejects, an entry id
 // outside the dataset, an inline object of another kind, and a leaf
 // directory, point table or size that disagrees with the leaves. With
 // geometry it also checks Validate's invariants, paying distance
@@ -41,9 +41,6 @@ func (t *Tree) check(geometry bool) error {
 		n, err := t.decode(pid, t.pager.Peek(pid))
 		if err != nil {
 			return nil, err
-		}
-		if !n.leaf && len(n.entries) == 0 {
-			return nil, fmt.Errorf("mtree: routing page %d has no entries", pid)
 		}
 		var objs []core.Object
 		for i := range n.entries {

@@ -52,7 +52,9 @@ func (t *RTree) Len() int { return t.tree.Len() }
 // RangeSearch answers MRQ(q, r): the R-tree reports every point inside
 // SR(q) (Lemma 1), and each candidate is fetched from the RAF and
 // verified (§5.2).
-func (t *RTree) RangeSearch(q core.Object, r float64) ([]int, error) { return t.tree.RangeSearch(q, r) }
+func (t *RTree) RangeSearch(q core.Object, r float64) ([]int, error) {
+	return t.tree.RangeSearch(q, r)
+}
 
 // KNNSearch answers MkNNQ(q, k) best-first: R-tree nodes in ascending
 // pivot-space MINDIST order (a lower bound of the true distance by
