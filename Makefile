@@ -20,11 +20,12 @@ GOVULNCHECK_VERSION ?= v1.1.4
 # (nilness, shadow) that plain `go vet` does not run.
 XTOOLS_VERSION ?= v0.30.0
 
-# Seconds each native fuzz target runs in the `make fuzz` smoke (fourteen
+# Seconds each native fuzz target runs in the `make fuzz` smoke (fifteen
 # targets: FuzzLevenshtein, FuzzBatchKernels, FuzzWithinKernels, FuzzDecodeQuery,
 # FuzzSnapshotHeader, FuzzWALRecord, FuzzTreePayload, FuzzRegionTreePayload,
-# FuzzPagedTablePayload, FuzzPredicateParse, FuzzPredicateEval,
-# FuzzCompiledPredicate, FuzzHilbertDecode, FuzzWritePaths).
+# FuzzBPlusPayload, FuzzPagedTablePayload, FuzzPredicateParse,
+# FuzzPredicateEval, FuzzCompiledPredicate, FuzzHilbertDecode,
+# FuzzWritePaths).
 FUZZTIME ?= 10s
 
 # Packages with a parallel build, the concurrent query engine, the
@@ -85,6 +86,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzWALRecord -fuzztime=$(FUZZTIME) ./internal/persist
 	$(GO) test -run='^$$' -fuzz=FuzzTreePayload -fuzztime=$(FUZZTIME) ./internal/ptree
 	$(GO) test -run='^$$' -fuzz=FuzzRegionTreePayload -fuzztime=$(FUZZTIME) ./internal/mtree
+	$(GO) test -run='^$$' -fuzz=FuzzBPlusPayload -fuzztime=$(FUZZTIME) ./internal/bptree
 	$(GO) test -run='^$$' -fuzz=FuzzPagedTablePayload -fuzztime=$(FUZZTIME) ./internal/table
 	$(GO) test -run='^$$' -fuzz=FuzzPredicateParse -fuzztime=$(FUZZTIME) ./internal/plan
 	$(GO) test -run='^$$' -fuzz=FuzzPredicateEval -fuzztime=$(FUZZTIME) ./internal/plan

@@ -82,7 +82,7 @@ var opNames = map[string]string{
 	"U64": "U64", "I64": "I64", "F64": "F64",
 	"Blob": "Blob", "String": "String",
 	"Object": "Object", "Objects": "Objects",
-	"Ints": "Ints", "Int32s": "Int32s",
+	"Ints": "Ints", "Int32s": "Int32s", "Pivots": "Pivots",
 	"PageIDs": "PageIDs", "Floats": "Floats",
 }
 

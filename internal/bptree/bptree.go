@@ -106,6 +106,13 @@ func (t *Tree) View(pid store.PageID) (View, error) {
 	if err != nil {
 		return View{}, err
 	}
+	return t.view(pid, buf)
+}
+
+// view lays a View over page pid's bytes buf.
+//
+//metriclint:noalloc
+func (t *Tree) view(pid store.PageID, buf []byte) (View, error) {
 	count := int(binary.LittleEndian.Uint16(buf[1:3]))
 	if buf[0] == 0 {
 		if count > t.leafCap {
@@ -493,9 +500,6 @@ func KeyFromFloat(f float64) uint64 {
 	}
 	return math.Float64bits(f)
 }
-
-// FloatFromKey inverts KeyFromFloat.
-func FloatFromKey(k uint64) float64 { return math.Float64frombits(k) }
 
 func upperBound(xs []uint64, key uint64) int {
 	lo, hi := 0, len(xs)

@@ -240,9 +240,6 @@ func TestFilterLemmasSound(t *testing.T) {
 		if lb := PivotLowerBound(qd, od); lb > d+1e-9 {
 			t.Fatalf("lower bound %v exceeds true distance %v", lb, d)
 		}
-		if ub := PivotUpperBound(qd, od); ub < d-1e-9 {
-			t.Fatalf("upper bound %v below true distance %v", ub, d)
-		}
 	}
 }
 
@@ -273,9 +270,6 @@ func TestPartitionLemmasSound(t *testing.T) {
 			dqmin := math.Min(dqi, dqj)
 			if PruneHyperplane(dqi, dqmin, r) && d <= r {
 				t.Fatalf("Lemma 3 pruned a true result")
-			}
-			if hm := HyperplaneMinDist(dqi, dqmin); hm > d+1e-9 {
-				t.Fatalf("hyperplane min-dist %v exceeds %v", hm, d)
 			}
 		}
 	}
@@ -308,18 +302,6 @@ func TestMBBOperations(t *testing.T) {
 	}
 	if d := m.MinDist([]float64{5, 3}); d != 2 {
 		t.Fatalf("outside MinDist=%v", d)
-	}
-	c := m.Clone()
-	c.Extend([]float64{100, 100})
-	if m.Hi[0] == 100 {
-		t.Fatal("Clone must not alias")
-	}
-	var o MBB
-	o = NewMBB(2)
-	o.Extend([]float64{0, 0})
-	o.ExtendMBB(m)
-	if o.Hi[1] != 5 {
-		t.Fatalf("ExtendMBB: %v", o.Hi)
 	}
 }
 

@@ -21,20 +21,6 @@ func PivotLowerBound(qd, od []float64) float64 {
 	return m
 }
 
-// PivotUpperBound returns min_i d(q,p_i) + d(o,p_i), an upper bound of
-// d(q, o) by the triangle inequality.
-//
-//metriclint:noalloc
-func PivotUpperBound(qd, od []float64) float64 {
-	m := math.Inf(1)
-	for i := range qd {
-		if s := qd[i] + od[i]; s < m {
-			m = s
-		}
-	}
-	return m
-}
-
 // PruneObject implements Lemma 1 (pivot filtering) for a single object:
 // it reports true when the object provably lies outside MRQ(q, r), i.e.
 // when its pivot-space image falls outside the search region SR(q).
@@ -109,7 +95,7 @@ func SurviveColumns(sur []int32, qd []float64, cols [][]float64, base, rows int,
 
 // compactColumn filters the first m survivors in sur against one column's
 // [lo, hi] interval, compacting in place (reads run ahead of writes), and
-// returns the new count. Shared by SurviveColumns and SurviveColumnsQuant.
+// returns the new count.
 //
 //metriclint:noalloc
 func compactColumn(sur []int32, m int, col []float64, hi, lo float64) int {
@@ -306,14 +292,6 @@ func (m MBB) Reset() {
 // Empty reports whether the box contains no points.
 func (m MBB) Empty() bool { return len(m.Lo) == 0 || m.Lo[0] > m.Hi[0] }
 
-// Clone deep-copies the box.
-func (m MBB) Clone() MBB {
-	c := MBB{Lo: make([]float64, len(m.Lo)), Hi: make([]float64, len(m.Hi))}
-	copy(c.Lo, m.Lo)
-	copy(c.Hi, m.Hi)
-	return c
-}
-
 // Extend grows the box to cover the pivot-space point od.
 func (m MBB) Extend(od []float64) {
 	for i, v := range od {
@@ -322,18 +300,6 @@ func (m MBB) Extend(od []float64) {
 		}
 		if v > m.Hi[i] {
 			m.Hi[i] = v
-		}
-	}
-}
-
-// ExtendMBB grows the box to cover another box.
-func (m MBB) ExtendMBB(o MBB) {
-	for i := range m.Lo {
-		if o.Lo[i] < m.Lo[i] {
-			m.Lo[i] = o.Lo[i]
-		}
-		if o.Hi[i] > m.Hi[i] {
-			m.Hi[i] = o.Hi[i]
 		}
 	}
 }
@@ -417,14 +383,4 @@ func BallMinDist(dqp, rad float64) float64 {
 // dqmin = min_j d(q,p_j), the check reduces to dqi - dqmin > 2r.
 func PruneHyperplane(dqi, dqmin, r float64) bool {
 	return dqi-dqmin > 2*r
-}
-
-// HyperplaneMinDist returns the Lemma 3 lower bound (d(q,p_i)-d(q,p_j))/2
-// maximized over j, clamped at zero, for best-first traversal of
-// hyperplane partitions.
-func HyperplaneMinDist(dqi, dqmin float64) float64 {
-	if d := (dqi - dqmin) / 2; d > 0 {
-		return d
-	}
-	return 0
 }

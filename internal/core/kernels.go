@@ -294,17 +294,6 @@ func (L2) DistanceFlat(q []float64, flat []float64, dim int, out []float64) {
 	}
 }
 
-// DistanceSqFlat is the squared-distance fast path: it fills out with
-// squared Euclidean distances, leaving the sqrt to the caller. Pruning
-// comparisons against a radius r can run in squared space against L2's
-// PreKernel Bound(r) and only pay the sqrt for surviving candidates.
-func (L2) DistanceSqFlat(q []float64, flat []float64, dim int, out []float64) {
-	out = out[:checkFlat("L2", q, flat, dim, out)]
-	for i := range out {
-		out[i] = l2SqKernel(q, flat[i*dim:(i+1)*dim], math.Inf(1))
-	}
-}
-
 // DistanceMany implements BatchMetric for LInf.
 func (m LInf) DistanceMany(q Object, objs []Object, out []float64) {
 	distanceManyVec(m, q, objs, out)

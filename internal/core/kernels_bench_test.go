@@ -76,18 +76,6 @@ func BenchmarkL2Flat(b *testing.B) {
 	sinkFloats(b, out)
 }
 
-// BenchmarkL2SqFlat skips the per-row sqrt — the pruning fast path used
-// with L2's Bound.
-func BenchmarkL2SqFlat(b *testing.B) {
-	q, _, flat, dim := benchVectors(b)
-	out := make([]float64, benchRows)
-	b.ResetTimer()
-	for n := 0; n < b.N; n++ {
-		L2{}.DistanceSqFlat(q, flat, dim, out)
-	}
-	sinkFloats(b, out)
-}
-
 // BenchmarkL2Flat32 is the float32 kernel over a widened query: half the
 // memory traffic per row at the same answer precision contract.
 func BenchmarkL2Flat32(b *testing.B) {

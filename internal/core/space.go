@@ -151,7 +151,7 @@ func SameKind(ref, o Object) bool {
 // coordinate mirrors alias both). Returning the live slice instead of a
 // copy is deliberate — the brute-force baselines and batch verifiers scan
 // it on every query. For a safe bulk copy of vector coordinates use
-// FlatVectors / FlatVectors32.
+// FlatVectors.
 //
 //metriclint:ignore read-only view by contract, not a defensive copy
 func (ds *Dataset) Objects() []Object { return ds.objects }
@@ -196,37 +196,6 @@ func (ds *Dataset) FlatVectors() ([]float64, int, bool) {
 			for i, x := range v {
 				row[i] = float64(x)
 			}
-		}
-	}
-	return flat, dim, true
-}
-
-// FlatVectors32 is the Vector32 counterpart of FlatVectors: a row-major
-// copy of the float32 coordinates of every slot, zero-filled where
-// deleted, or ok=false when the live objects are not uniform Vector32s.
-func (ds *Dataset) FlatVectors32() ([]float32, int, bool) {
-	dim := -1
-	for _, o := range ds.objects {
-		v, ok := o.(Vector32)
-		if o == nil {
-			continue
-		}
-		if !ok {
-			return nil, 0, false
-		}
-		if dim == -1 {
-			dim = len(v)
-		} else if len(v) != dim {
-			return nil, 0, false
-		}
-	}
-	if dim <= 0 {
-		return nil, 0, false
-	}
-	flat := make([]float32, len(ds.objects)*dim)
-	for id, o := range ds.objects {
-		if v, ok := o.(Vector32); ok {
-			copy(flat[id*dim:(id+1)*dim], v)
 		}
 	}
 	return flat, dim, true

@@ -75,7 +75,7 @@ func encodeGroups(w *persist.Writer, g *pivot.Groups) {
 	}
 }
 
-func decodeGroups(r *persist.Reader) (*pivot.Groups, error) {
+func decodeGroups(r *persist.Reader, ds *core.Dataset) (*pivot.Groups, error) {
 	g := &pivot.Groups{M: int(r.U32()), L: int(r.U32())}
 	n := r.Count(12) // three u32 counts per group at minimum
 	if r.Err() != nil {
@@ -86,7 +86,7 @@ func decodeGroups(r *persist.Reader) (*pivot.Groups, error) {
 	g.Mu = make([][]float64, n)
 	for gi := 0; gi < n; gi++ {
 		g.IDs[gi] = r.Int32s()
-		g.Vals[gi] = r.Objects()
+		g.Vals[gi] = r.Objects(ds.Sample())
 		g.Mu[gi] = r.Floats()
 		if r.Err() != nil {
 			return nil, r.Err()
@@ -108,11 +108,11 @@ func encodePSA(w *persist.Writer, st *pivot.PSAState) {
 	}
 }
 
-func decodePSA(r *persist.Reader) (*pivot.PSAState, error) {
+func decodePSA(r *persist.Reader, ds *core.Dataset) (*pivot.PSAState, error) {
 	st := &pivot.PSAState{
 		CandIDs:   r.Int32s(),
-		CandVals:  r.Objects(),
-		ProbeVals: r.Objects(),
+		CandVals:  r.Objects(ds.Sample()),
+		ProbeVals: r.Objects(ds.Sample()),
 	}
 	n := r.Count(4)
 	if r.Err() != nil {
@@ -190,9 +190,9 @@ func loadMemEPT(ds *core.Dataset, r *persist.Reader) (core.Index, *store.Pager, 
 	e.pivotVal = pivotVal
 	switch e.variant {
 	case Original:
-		e.groups, err = decodeGroups(r)
+		e.groups, err = decodeGroups(r, ds)
 	case Star:
-		e.psa, err = decodePSA(r)
+		e.psa, err = decodePSA(r, ds)
 	default:
 		err = fmt.Errorf("ept: unknown variant %d", e.variant)
 	}
@@ -268,7 +268,7 @@ func loadDiskEPT(ds *core.Dataset, r *persist.Reader) (core.Index, *store.Pager,
 	if e.pivotVal, err = decodePivotVals(r, ds); err != nil {
 		return nil, nil, err
 	}
-	if e.psa, err = decodePSA(r); err != nil {
+	if e.psa, err = decodePSA(r, ds); err != nil {
 		return nil, nil, err
 	}
 	if err := e.checkWidth(); err != nil {

@@ -132,3 +132,30 @@ func TestLoadRejectsRowWidth(t *testing.T) {
 		}
 	}
 }
+
+// TestEPTLoadRejectsForeignPivotCandidate writes an EPT payload whose
+// first group pivot, and an EPT* payload whose first PSA candidate, is a
+// Word over L2 vectors, and requires each load to fail. Accepted, the
+// first insert panicked converting the Word to a Vector. DiskEPT* reads
+// its PSA state through the same decoder.
+func TestEPTLoadRejectsForeignPivotCandidate(t *testing.T) {
+	for _, variant := range []Variant{Original, Star} {
+		ds := testutil.VectorDataset(300, 4, 100, core.L2{}, 7)
+		e, err := New(ds, variant, Options{L: 3, Radius: 10, Sel: pivot.Options{Seed: 3, SampleSize: 64}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if variant == Original {
+			e.groups.Vals[0][0] = core.Word("foreign")
+		} else {
+			e.psa.CandVals[0] = core.Word("foreign")
+		}
+		w := persist.NewWriter()
+		if err := e.EncodeSnapshot(w); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := loadMemEPT(ds, persist.NewReader(w.Bytes())); err == nil {
+			t.Errorf("%s loaded a payload with a Word pivot candidate over L2 vectors", e.Name())
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"metricindex/internal/core"
+	"metricindex/internal/persist"
 	"metricindex/internal/pivot"
 	"metricindex/internal/ptree"
 	"metricindex/internal/testutil"
@@ -113,4 +114,24 @@ func TestFQAInsertDelete(t *testing.T) {
 		testutil.CheckRange(t, idx, ds, q, r)
 	}
 	testutil.CheckKNN(t, idx, ds, q, 11)
+}
+
+// TestFQASnapshotRejectsForeignPivot writes an FQA payload over integer
+// vectors whose first pivot value is a Word and requires the load to
+// fail. Accepted, the first query measured an integer vector against the
+// Word.
+func TestFQASnapshotRejectsForeignPivot(t *testing.T) {
+	ds := testutil.IntVectorDataset(100, 4, 100, 7)
+	idx, err := NewFQA(ds, []int{0, 1, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx.pivotVals[0] = core.Word("foreign")
+	w := persist.NewWriter()
+	if err := idx.EncodeSnapshot(w); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := loadFQA(ds, persist.NewReader(w.Bytes())); err == nil {
+		t.Fatal("FQA loaded a payload whose first pivot is a Word over integer vectors")
+	}
 }

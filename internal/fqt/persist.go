@@ -20,8 +20,7 @@ func init() {
 // discrete distance vectors, row by row.
 func (t *FQA) EncodeSnapshot(w *persist.Writer) error {
 	w.U16(fqaFormatVersion)
-	w.Ints(t.pivotIDs)
-	w.Objects(t.pivotVals)
+	w.Pivots(t.pivotIDs, t.pivotVals)
 	w.Int32s(t.ids)
 	for _, vec := range t.vecs {
 		w.Int32s(vec)
@@ -33,17 +32,11 @@ func loadFQA(ds *core.Dataset, r *persist.Reader) (core.Index, *store.Pager, err
 	if v := r.U16(); r.Err() == nil && v != fqaFormatVersion {
 		return nil, nil, fmt.Errorf("fqa: unsupported payload version %d", v)
 	}
-	t := &FQA{
-		ds:        ds,
-		pivotIDs:  r.Ints(),
-		pivotVals: r.Objects(),
-		ids:       r.Int32s(),
-	}
+	t := &FQA{ds: ds}
+	t.pivotIDs, t.pivotVals = r.Pivots(ds.Sample())
+	t.ids = r.Int32s()
 	if err := r.Err(); err != nil {
 		return nil, nil, err
-	}
-	if len(t.pivotVals) != len(t.pivotIDs) || len(t.pivotIDs) == 0 {
-		return nil, nil, fmt.Errorf("fqa: %d pivot values for %d pivot ids", len(t.pivotVals), len(t.pivotIDs))
 	}
 	t.vecs = make([][]int32, len(t.ids))
 	for i := range t.vecs {

@@ -71,12 +71,12 @@ func (g region) root(t testing.TB) store.PageID {
 	if g.kind == "OmniR-tree" {
 		r.Blob()
 		r.Ints()
-		r.Objects()
+		r.Objects(nil)
 	} else {
 		r.U16()
 		r.U32()
 		r.I64()
-		r.Objects()
+		r.Objects(nil)
 	}
 	root := store.PageID(r.U32())
 	if err := r.Err(); err != nil {

@@ -67,14 +67,9 @@ func RestoreState(ds *core.Dataset, pager *store.Pager, raf *store.RAF, pivots [
 			return nil, fmt.Errorf("mtree: unsupported payload version %d", v)
 		}
 		l := int(r.U32())
-		fam, seed, pivots = mFamily, r.I64(), r.Objects()
+		fam, seed, pivots = mFamily, r.I64(), r.Objects(ds.Sample())
 		if r.Err() == nil && len(pivots) != l {
 			return nil, fmt.Errorf("mtree: %d pivot values for NumPivots=%d", len(pivots), l)
-		}
-	}
-	for _, p := range pivots {
-		if !core.SameKind(ds.Sample(), p) {
-			return nil, fmt.Errorf("mtree: a pivot is not an object of the dataset's kind")
 		}
 	}
 	t := newTree(ds, pager, fam, pivots, seed)

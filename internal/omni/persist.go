@@ -28,25 +28,15 @@ func init() {
 func (b *base) encodeBase(w *persist.Writer) {
 	w.Blob(b.pager.Serialize())
 	w.Blob(b.raf.Serialize())
-	w.Ints(b.pivotIDs)
-	w.Objects(b.pivotVals)
+	w.Pivots(b.pivotIDs, b.pivotVals)
 }
 
 func decodeBase(ds *core.Dataset, r *persist.Reader) (*base, error) {
 	pagerBlob := r.Blob()
 	rafBlob := r.Blob()
-	pivotIDs := r.Ints()
-	pivotVals := r.Objects()
+	pivotIDs, pivotVals := r.Pivots(ds.Sample())
 	if err := r.Err(); err != nil {
 		return nil, err
-	}
-	if len(pivotVals) != len(pivotIDs) || len(pivotIDs) == 0 {
-		return nil, fmt.Errorf("omni: %d pivot values for %d pivot ids", len(pivotVals), len(pivotIDs))
-	}
-	for i, v := range pivotVals {
-		if !core.SameKind(ds.Sample(), v) {
-			return nil, fmt.Errorf("omni: pivot %d is not an object of the dataset's kind", pivotIDs[i])
-		}
 	}
 	pager, err := store.LoadPager(pagerBlob)
 	if err != nil {

@@ -285,6 +285,28 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsMixedKindDataset encodes a LAESA snapshot whose
+// dataset section holds a Word in slot 2 among L2 vectors and requires
+// Decode to fail. Accepted, the first range query panicked measuring a
+// vector against the Word.
+func TestDecodeRejectsMixedKindDataset(t *testing.T) {
+	ds := testutil.VectorDataset(40, 3, 100, core.L2{}, 5)
+	idx, err := table.NewLAESA(ds, []int{0, 1, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	objs := append([]core.Object(nil), ds.Objects()...)
+	objs[2] = core.Word("foreign")
+	mixed := core.NewDataset(core.NewSpace(core.L2{}), objs)
+	data, err := persist.Encode(mixed, idx, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := persist.Decode(data); err == nil {
+		t.Fatal("Decode accepted a dataset whose slot 2 is a Word among L2 vectors")
+	}
+}
+
 // buildLive makes a small durable Live front for the WAL tests.
 func buildLive(t *testing.T, n int) (*epoch.Live, *core.Dataset) {
 	t.Helper()

@@ -256,6 +256,7 @@ func decodeDataset(payload []byte, metric core.Metric) (*core.Dataset, error) {
 		attrs []byte
 	}
 	var spans []span
+	var ref core.Object // the first stored object, every other one's kind
 	for i := range objs {
 		flags := r.U8()
 		if r.err == nil && (flags&slotObject == 0 && flags != 0 || flags&^uint8(slotObject|slotAttrs) != 0) {
@@ -263,6 +264,11 @@ func decodeDataset(payload []byte, metric core.Metric) (*core.Dataset, error) {
 		}
 		if flags&slotObject != 0 {
 			objs[i] = r.Object()
+			if ref == nil {
+				ref = objs[i]
+			} else if r.err == nil && !core.SameKind(ref, objs[i]) {
+				return nil, fmt.Errorf("persist: dataset slot %d holds an object of another kind than the first stored one", i)
+			}
 		}
 		if flags&slotAttrs != 0 {
 			spans = append(spans, span{i, r.AttrsSpan()})

@@ -97,6 +97,13 @@ func (w *Writer) Int32s(xs []int32) {
 	}
 }
 
+// Pivots appends a pivot list: the pivots' dataset ids (Ints), then
+// their values (Objects).
+func (w *Writer) Pivots(ids []int, vals []core.Object) {
+	w.Ints(ids)
+	w.Objects(vals)
+}
+
 // PageIDs appends a u32 count followed by each page id as u32.
 func (w *Writer) PageIDs(xs []store.PageID) {
 	w.U32(uint32(len(xs)))
@@ -280,8 +287,12 @@ func (r *Reader) AttrsSpan() []byte {
 	return r.take(n)
 }
 
-// Objects reads a u32 count followed by that many objects.
-func (r *Reader) Objects() []core.Object {
+// Objects reads a u32 count followed by that many objects, each of which
+// must be of ref's kind (core.SameKind; ref is a stored object of the
+// dataset, nil for an empty one) or the reader is poisoned: every list a
+// payload stores (pivots, pivot candidates, probes) is measured against
+// the dataset's objects, and a metric cannot take another kind.
+func (r *Reader) Objects(ref core.Object) []core.Object {
 	n := r.Count(5) // smallest object is tag + u32 length
 	if r.err != nil {
 		return nil
@@ -289,6 +300,9 @@ func (r *Reader) Objects() []core.Object {
 	os := make([]core.Object, n)
 	for i := range os {
 		os[i] = r.Object()
+		if r.err == nil && !core.SameKind(ref, os[i]) {
+			r.fail("object %d of %d is not of the dataset's kind", i, n)
+		}
 		if r.err != nil {
 			return nil
 		}
@@ -320,6 +334,20 @@ func (r *Reader) Int32s() []int32 {
 		xs[i] = int32(r.U32())
 	}
 	return xs
+}
+
+// Pivots reads a pivot list Writer.Pivots wrote, its values of ref's
+// kind (Objects). The list must be non-empty and hold one value per id,
+// or the reader is poisoned.
+func (r *Reader) Pivots(ref core.Object) ([]int, []core.Object) {
+	ids, vals := r.Ints(), r.Objects(ref)
+	if r.err == nil && (len(ids) == 0 || len(vals) != len(ids)) {
+		r.fail("%d pivot values for %d pivot ids", len(vals), len(ids))
+	}
+	if r.err != nil {
+		return nil, nil
+	}
+	return ids, vals
 }
 
 // PageIDs reads a u32 count followed by that many page ids.

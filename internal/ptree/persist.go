@@ -75,8 +75,7 @@ func (t *Tree) EncodeSnapshot(w *persist.Writer) error {
 		case fWorkers:
 			w.I64(int64(t.opts.Workers))
 		case fPivots:
-			w.Ints(t.pivotIDs)
-			w.Objects(t.pivots)
+			w.Pivots(t.pivotIDs, t.pivots)
 		case fWidth:
 			w.F64(t.width)
 		}
@@ -145,8 +144,7 @@ func (f *family) loadTree(ds *core.Dataset, r *persist.Reader) (core.Index, *sto
 		case fWorkers:
 			t.opts.Workers = int(r.I64())
 		case fPivots:
-			t.pivotIDs = r.Ints()
-			t.pivots = r.Objects()
+			t.pivotIDs, t.pivots = r.Pivots(ds.Sample())
 		case fWidth:
 			t.width = r.F64()
 		}
@@ -155,11 +153,10 @@ func (f *family) loadTree(ds *core.Dataset, r *persist.Reader) (core.Index, *sto
 	if err := r.Err(); err != nil {
 		return nil, nil, err
 	}
-	ref := ds.Sample()
-	if err := t.checkHeader(ref); err != nil {
+	if err := t.checkHeader(); err != nil {
 		return nil, nil, err
 	}
-	root, err := t.decodeNode(r, ref, 0)
+	root, err := t.decodeNode(r, ds.Sample(), 0)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -168,22 +165,16 @@ func (f *family) loadTree(ds *core.Dataset, r *persist.Reader) (core.Index, *sto
 	return t, nil, nil
 }
 
-// checkHeader validates the decoded header against ref, a stored object
-// of the dataset, and derives BKT's width.
-func (t *Tree) checkHeader(ref core.Object) error {
+// checkHeader validates the decoded header (Reader.Pivots has already
+// checked the pivots' count and kind) and derives BKT's width.
+func (t *Tree) checkHeader() error {
 	f := t.fam
 	if f.ownPivot {
 		t.width = bucketWidth(t.opts.MaxDistance, t.opts.MaxChildren)
 	} else {
-		if len(t.pivots) != len(t.pivotIDs) || len(t.pivotIDs) == 0 {
-			return fmt.Errorf("%s: %d pivot values for %d pivot ids", f.tag(), len(t.pivots), len(t.pivotIDs))
-		}
-		for i, p := range t.pivots {
-			if err := t.checkID("pivot", t.pivotIDs[i]); err != nil {
+		for _, id := range t.pivotIDs {
+			if err := t.checkID("pivot", id); err != nil {
 				return err
-			}
-			if !core.SameKind(ref, p) {
-				return fmt.Errorf("%s: pivot %d is not an object of the dataset's kind", f.tag(), t.pivotIDs[i])
 			}
 		}
 	}

@@ -28,8 +28,7 @@ func (s *SPB) EncodeSnapshot(w *persist.Writer) error {
 	w.Blob(s.raf.Serialize())
 	w.F64(s.opts.MaxDistance)
 	w.U32(uint32(s.bits))
-	w.Ints(s.pivotIDs)
-	w.Objects(s.pivotVals)
+	w.Pivots(s.pivotIDs, s.pivotVals)
 	w.U32(uint32(s.tree.Root()))
 	w.U32(uint32(s.tree.Len()))
 	w.U32(uint32(s.size))
@@ -44,16 +43,12 @@ func loadSPB(ds *core.Dataset, r *persist.Reader) (core.Index, *store.Pager, err
 	rafBlob := r.Blob()
 	maxDist := r.F64()
 	bits := int(r.U32())
-	pivotIDs := r.Ints()
-	pivotVals := r.Objects()
+	pivotIDs, pivotVals := r.Pivots(ds.Sample())
 	root := store.PageID(r.U32())
 	treeLen := int(r.U32())
 	size := int(r.U32())
 	if err := r.Err(); err != nil {
 		return nil, nil, err
-	}
-	if len(pivotVals) != len(pivotIDs) || len(pivotIDs) == 0 {
-		return nil, nil, fmt.Errorf("spb: %d pivot values for %d pivot ids", len(pivotVals), len(pivotIDs))
 	}
 	if maxDist <= 0 {
 		return nil, nil, fmt.Errorf("spb: non-positive MaxDistance %v", maxDist)

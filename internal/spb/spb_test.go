@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"metricindex/internal/core"
+	"metricindex/internal/persist"
 	"metricindex/internal/pivot"
 	"metricindex/internal/store"
 	"metricindex/internal/testutil"
@@ -215,5 +216,22 @@ func TestSPBMemBytes(t *testing.T) {
 	}
 	if got, floor := idx.MemBytes(), int64(4*64+1000*16)+tables; got < floor {
 		t.Fatalf("MemBytes = %d, want at least pivots + directory + tables = %d", got, floor)
+	}
+}
+
+// TestSPBSnapshotRejectsForeignPivot writes an SPB-tree payload over L2
+// vectors whose first pivot value is a Word and requires the load to
+// fail. Accepted, the first kNN query panicked converting the Word to a
+// Vector.
+func TestSPBSnapshotRejectsForeignPivot(t *testing.T) {
+	ds := testutil.VectorDataset(200, 4, 100, core.L2{}, 7)
+	idx, _ := build(t, ds, 300)
+	idx.pivotVals[0] = core.Word("foreign")
+	w := persist.NewWriter()
+	if err := idx.EncodeSnapshot(w); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := loadSPB(ds, persist.NewReader(w.Bytes())); err == nil {
+		t.Fatal("SPB-tree loaded a payload whose first pivot is a Word over L2 vectors")
 	}
 }

@@ -16,7 +16,7 @@ import (
 // queries skip and visit blocks and updates widen, open and drop zones
 // (a paged table's pages fill and gain tombstones). A seeded random interleaving of inserts and
 // deletes must keep the row state in step (Validate: directory, ids,
-// every column, the zones, the quantized shadow, the coordinate mirror —
+// every column, the zones, the coordinate mirror —
 // and for CPT the M-tree) after every update of the interleaving and
 // every 64th of the bulk empty-and-refill, and every range/kNN answer
 // equal to the linear scan. Besides random inserts and deletes the

@@ -148,3 +148,21 @@ func TestPagedTableRejectsCraftedPayloads(t *testing.T) {
 		}
 	}
 }
+
+// TestTableSnapshotRejectsForeignPivot writes a LAESA payload over L2
+// vectors whose first pivot value is a Word and requires the load to
+// fail. Accepted, the first kNN query panicked converting the Word to a
+// Vector. The check is Reader.Pivots in DecodeBlock, which CPT shares.
+func TestTableSnapshotRejectsForeignPivot(t *testing.T) {
+	ds := testutil.VectorDataset(200, 4, 100, core.L2{}, 7)
+	idx := goldenBuild(t, "LAESA", ds)
+	idx.(interface{ Table() *table.Table }).Table().Pivots()[0] = core.Word("foreign")
+	w := persist.NewWriter()
+	if err := idx.EncodeSnapshot(w); err != nil {
+		t.Fatal(err)
+	}
+	load, _ := persist.LoaderFor("LAESA")
+	if _, _, err := load(ds, persist.NewReader(w.Bytes())); err == nil {
+		t.Fatal("LAESA loaded a payload whose first pivot is a Word over L2 vectors")
+	}
+}

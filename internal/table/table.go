@@ -29,18 +29,18 @@ const verifyChunk = 64
 // scans columns sequentially. The families differ only in data:
 //
 //   - which pivots a row stores: LAESA and CPT share one pivot set
-//     (column c is pivot c, a quantized shadow of column 0 pre-filters
-//     the sweep, rows are in the Z-order of their distances and a zone
-//     map bounds every block of zoneRows rows); EPT/EPT* give every row
-//     its own l pivots, so refs[c][row] names the pivot column c holds
-//     for that row, and rows stay in insertion order with no zones;
+//     (column c is pivot c, rows are in the Z-order of their distances
+//     and a zone map bounds every block of zoneRows rows); EPT/EPT* give
+//     every row its own l pivots, so refs[c][row] names the pivot column
+//     c holds for that row, and rows stay in insertion order with no
+//     zones;
 //   - where a candidate's object comes from: a flat coordinate mirror kept
 //     in row lockstep when the dataset is uniform vectors, else the
 //     dataset's objects, else (CPT, Omni-seq, DiskEPT*) a loader that
 //     reads it from disk;
 //   - where the rows live: in memory, or (Omni-seq, DiskEPT*) in a
-//     store.RowFile, one page a block — such a paged table has no zones,
-//     shadow or mirror, and a delete leaves a tombstone in place.
+//     store.RowFile, one page a block — such a paged table has no zones
+//     or mirror, and a delete leaves a tombstone in place.
 //
 // Everything else — the row directory, the one append and the one remove,
 // the one block loop of range and kNN queries, the memory accounting — is
@@ -60,7 +60,6 @@ type Table struct {
 	cols     [][]float64    // cols[c][row] = d(object ids[row], the row's c-th pivot)
 	refs     [][]int32      // per-row layout: refs[c][row] indexes pivots; nil when shared
 	zones    zoneMap        // shared layout: per-block and per-super-zone bounds of every column
-	qcol     *core.QuantCol // shared layout: quantized shadow of cols[0]
 	flat     *core.FlatVecs // coordinate mirror; nil off the flat path
 	noMirror bool           // mirror never armed, or dropped for good (mixed objects)
 	kern     core.PreKernel
@@ -150,8 +149,7 @@ func NewRefs(name string, ds *core.Dataset, l int) *Table {
 // direction of a permutation. The mirror is filled by walking the
 // directory in id order: the objects are read in the order their memory
 // was laid out in, and each lands in its row. Both passes are fanned out
-// over workers; the zones and the shadow are derived from the placed
-// columns.
+// over workers; the zones are derived from the placed columns.
 func (t *Table) adopt(ids []int32, cols [][]float64, order []int32, workers int) error {
 	n := len(ids)
 	t.dir = make([]int32, t.ds.Len())
@@ -211,7 +209,6 @@ func (t *Table) adopt(ids []int32, cols [][]float64, order []int32, workers int)
 		}
 	}
 	t.zones = buildZones(t.cols, workers)
-	t.qcol = core.NewQuantCol(t.cols[0])
 	return nil
 }
 
@@ -314,7 +311,7 @@ func (t *Table) Insert(id int) error {
 }
 
 // Append is the one way a row enters the table: directory, id, every
-// column, the zones, the shadow and the mirror move together. The row
+// column, the zones and the mirror move together. The row
 // goes last — into the last block, whose zone it widens, or into a new
 // block it opens; on a paged table, into the file's next record. dists
 // (and, on the per-row layout, refs) hold one entry per pivot slot; id
@@ -341,15 +338,12 @@ func (t *Table) Append(id int, o core.Object, refs []int32, dists []float64) err
 		}
 	}
 	t.zones.add(row, dists)
-	if t.qcol != nil {
-		t.qcol.Append(dists[0])
-	}
 	t.mirrorRow(row, o)
 	return nil
 }
 
 // Remove is the one way a row leaves: the last row is swapped into its
-// place across every column, the shadow and the mirror, the zone of the
+// place across every column and the mirror, the zone of the
 // block it lands in widens to cover it, and a block left empty at the end
 // is dropped. Zones only ever widen here, so they stay conservative — and
 // skipping by them exact — until the next build tightens them. The row is
@@ -384,9 +378,6 @@ func (t *Table) Remove(id int) error {
 			t.refs[c] = t.refs[c][:last]
 		}
 	}
-	if t.qcol != nil {
-		t.qcol.SwapDelete(row)
-	}
 	if t.flat != nil {
 		t.flat.SwapDelete(row)
 	}
@@ -408,16 +399,14 @@ func (t *Table) Remove(id int) error {
 //     has one entry per row;
 //  2. every stored distance is the distance from the row's object to the
 //     pivot the slot names;
-//  3. the shadow's lane for a row is its quantized first-column distance —
-//     swept at radius 0 around the row's own distances, the row survives;
-//  4. the mirror's row holds the coordinates of the row's object;
-//  5. the shared layout has one zone per block of zoneRows rows in every
+//  3. the mirror's row holds the coordinates of the row's object;
+//  4. the shared layout has one zone per block of zoneRows rows in every
 //     column, and every row lies inside its block's zone (a NaN distance
 //     inside an infinite one);
-//  6. it has one super-zone per superBlocks blocks in every column, and
+//  5. it has one super-zone per superBlocks blocks in every column, and
 //     every super-zone covers the zone of each of its blocks.
 //
-// Checks 2 and 4 skip a row whose object the dataset no longer holds.
+// Checks 2 and 3 skip a row whose object the dataset no longer holds.
 // Distances are recomputed through the raw metric, so compdists do not
 // move. A paged table has checks 1 and 2, over its records
 // (validateFile).
@@ -443,16 +432,12 @@ func (t *Table) Validate() error {
 	if err := t.validateZones(); err != nil {
 		return err
 	}
-	if t.qcol.OK() && t.qcol.Len() != n {
-		return fmt.Errorf("%s: shadow holds %d rows, table %d", t.name, t.qcol.Len(), n)
-	}
 	if t.flat != nil && t.flat.Rows() != n {
 		return fmt.Errorf("%s: mirror holds %d rows, table %d", t.name, t.flat.Rows(), n)
 	}
 	sc := t.scratch.Get()
 	defer t.scratch.Put(sc)
 	qd := sc.GrowQD(len(t.pivots))
-	sc.GrowSur(1)
 	metric := t.ds.Space().Metric()
 	for row, id := range t.ids {
 		if at := t.Row(int(id)); at != row {
@@ -475,9 +460,6 @@ func (t *Table) Validate() error {
 			if !(lo <= d && d <= hi) && !(math.IsNaN(d) && math.IsInf(lo, -1) && math.IsInf(hi, 1)) {
 				return fmt.Errorf("%s: row %d column %d stores %v, outside its block's zone [%v, %v]", t.name, row, c, d, lo, hi)
 			}
-		}
-		if s := (scan{t: t, sc: sc, refs: t.refs, cols: t.cols}); len(s.sweep(row, row+1, 0)) != 1 {
-			return fmt.Errorf("%s: the shadow prunes row %d at its own distances", t.name, row)
 		}
 		if t.flat != nil && o != nil {
 			q64, q32, ok := t.flat.QueryCoords(o, sc)
@@ -520,8 +502,8 @@ func (t *Table) validateZones() error {
 // MemBytes reports the resident size of the table: ids, the directory (4
 // bytes per id of the dataset's span — for a shard's mirror, its parent's
 // span), distance columns, pivot-reference columns (why EPT is larger
-// than LAESA in Table 4), the zone map (both levels), the quantized shadow
-// and the coordinate mirror.
+// than LAESA in Table 4), the zone map (both levels) and the coordinate
+// mirror.
 func (t *Table) MemBytes() int64 {
 	n := int64(len(t.ids))*4 + int64(len(t.dir))*4 + int64(len(t.pivotIDs))*8
 	for c := range t.cols {
@@ -532,9 +514,6 @@ func (t *Table) MemBytes() int64 {
 	}
 	for c := range t.zones.lo {
 		n += int64(len(t.zones.lo[c])+len(t.zones.hi[c])+len(t.zones.slo[c])+len(t.zones.shi[c])) * 8
-	}
-	if t.qcol != nil {
-		n += t.qcol.MemBytes()
 	}
 	if t.flat != nil {
 		n += t.flat.MemBytes()
@@ -631,8 +610,7 @@ func (s *scan) limit() float64 {
 }
 
 // sweep compacts into the scratch's Sur the rows of [base, end) that pass
-// Lemma 1 at radius r — the layout's column sweep (shared pivots: a SWAR
-// pass over the quantized shadow, when there is one, then exact
+// Lemma 1 at radius r — the layout's column sweep (shared pivots:
 // unit-stride float64 columns; per-row pivots: the indexed sweep).
 //
 //metriclint:noalloc
@@ -640,7 +618,7 @@ func (s *scan) sweep(base, end int, r float64) []int32 {
 	if s.refs != nil {
 		return core.SurviveColumnsIndexed(s.sc.Sur, s.sc.QD, s.refs, s.cols, base, end, r)
 	}
-	return core.SurviveColumnsQuant(s.sc.Sur, s.sc.QD, s.t.qcol, s.cols, base, end, r)
+	return core.SurviveColumns(s.sc.Sur, s.sc.QD, s.cols, base, end, r)
 }
 
 // object fetches a candidate's object for the chunked path.
@@ -891,11 +869,10 @@ func (t *Table) scanKNN(sc *core.Scratch, h *core.KNNHeap, q core.Object, accept
 
 // EncodeBlock writes the shared-layout table block LAESA and CPT store:
 // pivots (ids and snapshotted values), the row ids, and the distance
-// table as one flat column-major block. The row directory, the shadow
-// and the coordinate mirror are derivable and not stored.
+// table as one flat column-major block. The row directory and the
+// coordinate mirror are derivable and not stored.
 func (t *Table) EncodeBlock(w *persist.Writer) {
-	w.Ints(t.pivotIDs)
-	w.Objects(t.pivots)
+	w.Pivots(t.pivotIDs, t.pivots)
 	w.Int32s(t.ids)
 	flat := make([]float64, 0, len(t.ids)*len(t.cols))
 	for _, col := range t.cols {
@@ -912,17 +889,13 @@ func (t *Table) EncodeBlock(w *persist.Writer) {
 // dataset or stored twice are rejected.
 func DecodeBlock(name string, ds *core.Dataset, r *persist.Reader, rowMajor bool, load func(id int) (core.Object, error)) (*Table, error) {
 	t := newTable(name, ds, load)
-	t.pivotIDs = r.Ints()
-	t.pivots = r.Objects()
+	t.pivotIDs, t.pivots = r.Pivots(ds.Sample())
 	ids := r.Int32s()
 	dists := r.Floats()
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
 	l := len(t.pivotIDs)
-	if len(t.pivots) != l || l == 0 {
-		return nil, fmt.Errorf("%s: %d pivot values for %d pivot ids", name, len(t.pivots), l)
-	}
 	if len(dists) != len(ids)*l {
 		return nil, fmt.Errorf("%s: %d distances for %d rows × %d pivots", name, len(dists), len(ids), l)
 	}

@@ -157,8 +157,7 @@
 // BatchMetric: DistanceMany evaluates one query against a slice of
 // objects, and DistanceFlat runs directly over packed row-major
 // coordinates with unrolled, bounds-check-hoisted loops (L2 keeps the
-// square root out of the accumulation loop, and exposes a
-// squared-distance path for pruning). The pivot tables detect the
+// square root out of the accumulation loop). The pivot tables detect the
 // capability automatically: query-pivot distances go through
 // DistanceMany, candidate verification runs over a flat coordinate
 // mirror of the table rows, and per-query buffers come from a scratch
