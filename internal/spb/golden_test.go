@@ -94,9 +94,23 @@ func goldenChurnObject(sh goldenShape, i int) core.Object {
 	return core.Vector{float64(i), float64(3*i%100) + 0.5, 50, float64(100 - i), float64(7 * i % 100)}
 }
 
-// goldenRun builds the tree and drives the fixed workload. It returns
-// the tree as well so the caller can pin what is derived from it.
-func goldenRun(t *testing.T, sh goldenShape) (goldenCosts, *SPB) {
+// goldenIndex is what the golden workload drives.
+type goldenIndex interface {
+	core.Index
+	Insert(id int) error
+	Delete(id int) error
+}
+
+// goldenBuild builds one keyed index over ds on pager.
+type goldenBuild func(ds *core.Dataset, pager *store.Pager, pv []int, maxD float64) (goldenIndex, error)
+
+func buildSPB(ds *core.Dataset, pager *store.Pager, pv []int, maxD float64) (goldenIndex, error) {
+	return New(ds, pager, pv, Options{MaxDistance: maxD})
+}
+
+// goldenRun builds the index and drives the fixed workload. It returns
+// the index as well so the caller can pin what is derived from it.
+func goldenRun(t *testing.T, sh goldenShape, build goldenBuild) (goldenCosts, goldenIndex) {
 	t.Helper()
 	ds, maxD, radii := goldenDataset(sh)
 	pv, err := pivot.HFI(ds, sh.pivots, pivot.Options{Seed: 3})
@@ -104,7 +118,7 @@ func goldenRun(t *testing.T, sh goldenShape) (goldenCosts, *SPB) {
 		t.Fatalf("HFI: %v", err)
 	}
 	pager := store.NewPager(512)
-	idx, err := New(ds, pager, pv, Options{MaxDistance: maxD})
+	idx, err := build(ds, pager, pv, maxD)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -186,11 +200,11 @@ func goldenRun(t *testing.T, sh goldenShape) (goldenCosts, *SPB) {
 // Insert/Delete run, and every answer.
 func TestSPBGoldenCosts(t *testing.T) {
 	for _, sh := range goldenShapes {
-		got, idx := goldenRun(t, sh)
+		got, idx := goldenRun(t, sh, buildSPB)
 		if want, ok := golden[sh.name]; !ok || got != want {
 			t.Errorf("%s: costs moved\n got  %q: %s\n want %+v", sh.name, sh.name, got.literal(), want)
 		}
-		goldenSnapshot(t, sh, idx, got.churnPages)
+		goldenSnapshot(t, sh, idx.(*SPB), got.churnPages)
 	}
 }
 
