@@ -97,8 +97,8 @@ var treeGolden = map[string]treeCosts{
 	"OmniR-tree/words": {[2]int64{36345, 36345}, [2]int64{79258, 5494}, treeAnswersWords},
 	"M-index/ints":     {[2]int64{10378, 10378}, [2]int64{105635, 34780}, treeAnswersInts},
 	"M-index/words":    {[2]int64{40544, 40544}, [2]int64{344073, 105496}, treeAnswersWords},
-	"M-index*/ints":    {[2]int64{5541, 5541}, [2]int64{53694, 18683}, treeAnswersInts},
-	"M-index*/words":   {[2]int64{44565, 44565}, [2]int64{172916, 52621}, treeAnswersWords},
+	"M-index*/ints":    {[2]int64{5584, 5584}, [2]int64{54151, 17952}, treeAnswersInts},
+	"M-index*/words":   {[2]int64{44599, 44599}, [2]int64{174059, 52681}, treeAnswersWords},
 }
 
 // Every family answers the battery identically: kNN ties break by id.

@@ -406,7 +406,7 @@ func (t *Tree) insert(pid store.PageID, key, val uint64) (splitResult, error) {
 // underflow (no rebalancing): search correctness is unaffected and the
 // paper's update experiment measures delete+reinsert, not compaction.
 func (t *Tree) Delete(key, val uint64) error {
-	pid, err := t.leafFor(key)
+	pid, err := t.LeafFor(key)
 	if err != nil {
 		return err
 	}
@@ -434,8 +434,9 @@ func (t *Tree) Delete(key, val uint64) error {
 	return fmt.Errorf("bptree: record (%d,%d) not found", key, val)
 }
 
-// leafFor descends to the first leaf that may contain key.
-func (t *Tree) leafFor(key uint64) (store.PageID, error) {
+// LeafFor descends to the first leaf that may contain key, viewing
+// every page on the way (the leaf too).
+func (t *Tree) LeafFor(key uint64) (store.PageID, error) {
 	pid := t.root
 	for {
 		v, err := t.View(pid)
@@ -452,7 +453,7 @@ func (t *Tree) leafFor(key uint64) (store.PageID, error) {
 // RangeScan invokes fn for every record with lo <= key <= hi, in key
 // order, until fn returns false.
 func (t *Tree) RangeScan(lo, hi uint64, fn func(key, val uint64) bool) error {
-	pid, err := t.leafFor(lo)
+	pid, err := t.LeafFor(lo)
 	if err != nil {
 		return err
 	}

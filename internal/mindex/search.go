@@ -1,10 +1,14 @@
 package mindex
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 
+	"metricindex/internal/bptree"
 	"metricindex/internal/core"
+	"metricindex/internal/store"
 )
 
 // leafRef pairs a leaf cluster with the pivot indexes already used on its
@@ -193,37 +197,133 @@ func (m *MIndex) knnIncremental(q core.Object, k int) ([]core.Neighbor, error) {
 
 // knnBestFirst is the M-index* strategy: clusters are visited once, in
 // ascending MBB lower-bound order, with the radius tightening as
-// candidates verify.
+// candidates verify. A cluster's band is scanned outwards from
+// d(q, p_c): first the keys at or above it, then those below. A key's
+// lower bound |d(q, p_c) − d(o, p_c)| is tested at the current radius
+// before its record is read, and a leaf's surviving records are read in
+// lower-bound order.
 func (m *MIndex) knnBestFirst(q core.Object, k int) ([]core.Neighbor, error) {
 	qd := m.queryDists(q)
-	sp := m.ds.Space()
 	h := core.NewKNNHeap(k)
 	var pq core.MinHeap[*cluster]
 	for _, lr := range m.collectLeaves(qd, math.Inf(1), false) {
 		pq.Push(lr.c.mbb.MinDist(qd), 0, lr.c)
 	}
+	var cands []cand
 	for it, ok := pq.PopWithin(h.Radius()); ok; it, ok = pq.PopWithin(h.Radius()) {
-		// While the heap is not yet full the radius is unbounded, so the
-		// whole cluster band must be scanned (scanLeaf clamps the band to
-		// [minD, maxD], so an infinite radius is safe and exact).
-		r := h.Radius()
-		err := m.scanLeaf(it.V, qd, r, func(id int) error {
-			cur := h.Radius()
-			dv, o, err := m.loadCandidate(id)
-			if err != nil {
-				return err
-			}
-			if !math.IsInf(cur, 1) && core.PruneObject(qd, dv, cur) {
-				return nil
-			}
-			h.Push(id, sp.Distance(q, o))
-			return nil
-		})
+		c := it.V
+		b := band{m: m, c: c, dq: qd[c.pivotIdx], origin: float64(c.slot) * m.opts.MaxDistance, end: m.bandEnd(c.slot)}
+		b.start = b.key(b.dq)
+		var err error
+		if b.dq <= c.maxD {
+			cands, err = m.walk(q, qd, h, &b, b.start, b.key(c.maxD), cands)
+		}
+		if err == nil && b.start > b.key(c.minD) {
+			cands, err = m.walk(q, qd, h, &b, b.key(b.dq-h.Radius()), b.start-1, cands)
+		}
 		if err != nil {
 			return nil, err
 		}
 	}
 	return h.Result(), nil
+}
+
+// band is one cluster's key band as a kNN scans it.
+type band struct {
+	m      *MIndex
+	c      *cluster
+	dq     float64 // d(q, p_c)
+	origin float64 // slot · d⁺
+	end    uint64  // bandEnd(slot)
+	start  uint64  // key of dq: the forward half is [start, end]
+}
+
+// key is the band's key of distance d, clamped to the cluster's
+// [minD, ...] and to the band.
+func (b *band) key(d float64) uint64 {
+	return min(b.m.key(b.c.slot, max(d, b.c.minD)), b.end)
+}
+
+// lb is Lemma 1 on a key: a lower bound of |d(q, p_c) − d(o, p_c)|.
+// The distance read back from the key is off by at most an ulp of the
+// key, and a key at the band's end stands for every distance from there
+// up, so the bound is widened by a slack above both.
+func (b *band) lb(key uint64) float64 {
+	k := math.Float64frombits(key)
+	d := k - b.origin
+	slack := (k + b.dq) * 0x1p-50
+	switch {
+	case d > b.dq:
+		return d - b.dq - slack
+	case key == b.end:
+		return 0
+	}
+	return b.dq - d - slack
+}
+
+// cand is one record awaiting verification.
+type cand struct {
+	id int
+	lb float64
+}
+
+// walk scans the band's keys in [lo, hi] leaf by leaf. A leaf's keys
+// whose lower bound exceeds the radius are passed over — in the forward
+// half (keys from b.start) that ends the band, as the bounds only grow
+// there — and the rest are read in lower-bound order, each retested at
+// the then-current radius.
+func (m *MIndex) walk(q core.Object, qd []float64, h *core.KNNHeap, b *band, lo, hi uint64, cands []cand) ([]cand, error) {
+	sp := m.ds.Space()
+	forward := lo >= b.start
+	pid, err := m.tree.LeafFor(lo)
+	for err == nil && pid != store.InvalidPage {
+		var v bptree.View
+		if v, err = m.tree.View(pid); err != nil {
+			break
+		}
+		cands = cands[:0]
+		more := true
+		radius := h.Radius()
+		for i, n := 0, v.Len(); i < n; i++ {
+			key, val := v.Record(i)
+			if key < lo {
+				continue
+			}
+			if key > hi {
+				more = false
+				break
+			}
+			lb := b.lb(key)
+			if lb > radius {
+				if forward {
+					more = false
+					break
+				}
+				continue
+			}
+			cands = append(cands, cand{int(val), lb})
+		}
+		slices.SortFunc(cands, func(x, y cand) int { return cmp.Compare(x.lb, y.lb) })
+		for _, c := range cands {
+			if c.lb > h.Radius() {
+				more = more && !forward
+				break
+			}
+			dv, o, lerr := m.loadCandidate(c.id)
+			if lerr != nil {
+				return cands, lerr
+			}
+			if core.PruneObject(qd, dv, h.Radius()) {
+				continue
+			}
+			h.Push(c.id, sp.Distance(q, o))
+		}
+		if !more {
+			break
+		}
+		pid = v.Next()
+	}
+	return cands, err
 }
 
 func minInt(a, b int) int {

@@ -39,17 +39,17 @@ var mindexGolden = map[string]goldenCosts{
 		"ee6b1514a28295d22bfc2555eb9feb0565946da1d22361ac6830167e65a555e3"},
 	"M-index*/vectors": {40314,
 		"88b877dfaced1e6ce810fea665cae522ec6057711cee6089e2905d4a9b164b33",
-		goldenLeg{15192, 149684, 149684, 0}, goldenLeg{15192, 61652, 61652, 88032},
+		goldenLeg{15157, 153205, 153205, 0}, goldenLeg{15157, 61390, 61390, 91815},
 		8436,
 		"81a1bb83e35e8d5a3f3eaeeb63664a744d910bdd19698ec7c36e5418267db02c",
-		goldenLeg{14566, 57790, 57790, 83165},
+		goldenLeg{14578, 57587, 57587, 87138},
 		"de2baceccc227f46a2fdf59a36b51f57451e96fa69e541c2d0b52219c4828a3e"},
 	"M-index*/words": {23494,
 		"48fd08f816d059e594aa268ec94e27169e6822387d8d3b6012ae7de92803239a",
-		goldenLeg{61485, 246822, 246822, 0}, goldenLeg{61485, 55538, 55538, 191284},
+		goldenLeg{60901, 246369, 246369, 0}, goldenLeg{60901, 55069, 55069, 191300},
 		5224,
 		"83b4eb5e1820677a93513216f815ffc58fe73422a3d770c7d3f27f9cb9a913fe",
-		goldenLeg{58740, 56912, 56912, 177045},
+		goldenLeg{58360, 56634, 56634, 177710},
 		"ee6b1514a28295d22bfc2555eb9feb0565946da1d22361ac6830167e65a555e3"},
 }
 
