@@ -40,7 +40,7 @@ RACE_PKGS = ./internal/exec/... ./internal/epoch/... ./internal/server/... \
             ./internal/cache/... ./internal/fqt/... \
             ./internal/mtree/... ./internal/pmtree/... ./internal/persist/... \
             ./internal/bptree/... ./internal/spb/... \
-            ./internal/mindex/... ./internal/pivot/... ./internal/dataset/... \
+            ./internal/pivot/... ./internal/dataset/... \
             ./internal/obs/... ./internal/plan/... ./internal/sfc/... \
             ./cmd/mserve/... .
 

@@ -4,7 +4,6 @@ import (
 	"metricindex/internal/cpt"
 	"metricindex/internal/ept"
 	"metricindex/internal/fqt"
-	"metricindex/internal/mindex"
 	"metricindex/internal/omni"
 	"metricindex/internal/pivot"
 	"metricindex/internal/pmtree"
@@ -279,7 +278,7 @@ func NewMIndexStar(ds *Dataset, pivots []int, opts MIndexOptions) (*DiskIndex, e
 
 func newMIndex(ds *Dataset, pivots []int, opts MIndexOptions, star bool) (*DiskIndex, error) {
 	p := opts.pager()
-	idx, err := mindex.New(ds, p, pivots, mindex.Options{
+	idx, err := spb.NewMIndex(ds, p, pivots, spb.MIndexOptions{
 		Star: star, MaxNum: opts.MaxNum, MaxDistance: opts.MaxDistance,
 	})
 	if err != nil {

@@ -25,7 +25,6 @@ import (
 	"metricindex/internal/ept"
 	"metricindex/internal/exec"
 	"metricindex/internal/fqt"
-	"metricindex/internal/mindex"
 	"metricindex/internal/omni"
 	"metricindex/internal/pivot"
 	"metricindex/internal/pmtree"
@@ -227,10 +226,10 @@ func Builders() []Builder {
 			})
 		}},
 		{Name: "M-index", Pages: SmallPages, Paper: true, New: func(e *Env, p *store.Pager) (core.Index, error) {
-			return mindex.New(e.Gen.Dataset, p, e.Pivots, mindex.Options{MaxDistance: e.Gen.MaxDistance})
+			return spb.NewMIndex(e.Gen.Dataset, p, e.Pivots, spb.MIndexOptions{MaxDistance: e.Gen.MaxDistance})
 		}},
 		{Name: "M-index*", Pages: SmallPages, Paper: true, New: func(e *Env, p *store.Pager) (core.Index, error) {
-			return mindex.New(e.Gen.Dataset, p, e.Pivots, mindex.Options{Star: true, MaxDistance: e.Gen.MaxDistance})
+			return spb.NewMIndex(e.Gen.Dataset, p, e.Pivots, spb.MIndexOptions{Star: true, MaxDistance: e.Gen.MaxDistance})
 		}},
 		{Name: "SPB-tree", Pages: SmallPages, Paper: true, New: func(e *Env, p *store.Pager) (core.Index, error) {
 			return spb.New(e.Gen.Dataset, p, e.Pivots, spb.Options{MaxDistance: e.Gen.MaxDistance})

@@ -48,16 +48,15 @@ var paperKinds = []string{
 // small LA environment: the kind builds (or, where it needs a discrete
 // metric, fails with core.ErrNotDiscrete), answers like a linear scan
 // before and after a delete/reinsert churn, and round-trips through a
-// snapshot with the same answers — except M-index and M-index*, which
-// have no snapshot yet. The registry's kinds are persist's plus those two.
+// snapshot with the same answers. The registry's kinds are persist's.
 func TestRegistryFamilies(t *testing.T) {
 	var names []string
 	for _, b := range Builders() {
 		names = append(names, b.Name)
 	}
-	want := append(persist.Kinds(), "M-index", "M-index*")
+	want := persist.Kinds()
 	if slices.Sort(names); !slices.Equal(names, slices.Sorted(slices.Values(want))) {
-		t.Fatalf("registry kinds %v, want persist's plus the M-indexes %v", names, want)
+		t.Fatalf("registry kinds %v, want persist's %v", names, want)
 	}
 	if _, err := BuilderByName("nope"); err == nil || !strings.Contains(err.Error(), "SPB-tree") {
 		t.Fatalf("unknown kind: error %v, want one listing the registry", err)
@@ -99,12 +98,6 @@ func TestRegistryFamilies(t *testing.T) {
 				}
 				check("after churn", built.Index, e.Gen.Dataset)
 				data, err := persist.Encode(e.Gen.Dataset, built.Index, 1)
-				if b.Name == "M-index" || b.Name == "M-index*" {
-					if !errors.Is(err, persist.ErrUnsupported) {
-						t.Fatalf("snapshot: error %v, want persist.ErrUnsupported", err)
-					}
-					return
-				}
 				if err != nil {
 					t.Fatal(err)
 				}

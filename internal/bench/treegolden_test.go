@@ -9,11 +9,11 @@ import (
 	"testing"
 
 	"metricindex/internal/core"
-	"metricindex/internal/mindex"
 	"metricindex/internal/omni"
 	"metricindex/internal/pivot"
 	"metricindex/internal/pmtree"
 	"metricindex/internal/ptree"
+	"metricindex/internal/spb"
 	"metricindex/internal/store"
 	"metricindex/internal/testutil"
 )
@@ -62,12 +62,12 @@ var treeFamilies = []treeFamily{
 	}},
 	{"M-index", func(ds *core.Dataset, pv []int, maxD float64) (testutil.Searcher, *store.Pager, error) {
 		p := store.NewPager(512)
-		idx, err := mindex.New(ds, p, pv, mindex.Options{MaxNum: 48, MaxDistance: maxD})
+		idx, err := spb.NewMIndex(ds, p, pv, spb.MIndexOptions{MaxNum: 48, MaxDistance: maxD})
 		return idx, p, err
 	}},
 	{"M-index*", func(ds *core.Dataset, pv []int, maxD float64) (testutil.Searcher, *store.Pager, error) {
 		p := store.NewPager(512)
-		idx, err := mindex.New(ds, p, pv, mindex.Options{Star: true, MaxNum: 48, MaxDistance: maxD})
+		idx, err := spb.NewMIndex(ds, p, pv, spb.MIndexOptions{Star: true, MaxNum: 48, MaxDistance: maxD})
 		return idx, p, err
 	}},
 }

@@ -19,8 +19,10 @@ type bplus struct {
 	payload []byte
 }
 
-// newBPlus builds kind ("SPB-tree" or "OmniB+-tree") over n integer
-// vectors on 256-byte pages and encodes its payload.
+// newBPlus builds kind ("SPB-tree", "M-index", "M-index*" or
+// "OmniB+-tree") over n integer vectors on 256-byte pages and encodes
+// its payload. The M-indexes split at 32 objects, so their payloads
+// carry a cluster tree two levels deep.
 func newBPlus(t testing.TB, kind string, n int) bplus {
 	t.Helper()
 	ds := testutil.IntVectorDataset(n, 4, 64, 7)
@@ -30,9 +32,12 @@ func newBPlus(t testing.TB, kind string, n int) bplus {
 		EncodeSnapshot(w *persist.Writer) error
 	}
 	var err error
-	if kind == "SPB-tree" {
+	switch kind {
+	case "SPB-tree":
 		idx, err = spb.New(ds, p, pv, spb.Options{MaxDistance: 64})
-	} else {
+	case "M-index", "M-index*":
+		idx, err = spb.NewMIndex(ds, p, pv, spb.MIndexOptions{Star: kind == "M-index*", MaxNum: 32, MaxDistance: 64})
+	default:
 		idx, err = omni.NewBPlus(ds, p, pv, 0)
 	}
 	if err != nil {
@@ -58,14 +63,15 @@ func (b bplus) query(payload []byte) {
 	_, _ = idx.KNNSearch(q, 5)
 }
 
-// FuzzBPlusPayload runs the SPB-tree and OmniB+-tree loaders over a
-// payload whose volume has one page replaced (pid, page; the volume's
-// checksum is recomputed, so the page reaches the B+-tree) and whose
-// state after the volume is arbitrary, then one range and one kNN query:
+// FuzzBPlusPayload runs the keyed B+-tree loaders (SPB-tree, M-index,
+// M-index*) and the OmniB+-tree's over a payload whose volume has one
+// page replaced (pid, page; the volume's checksum is recomputed, so the
+// page reaches the B+-tree) and whose state after the volume is
+// arbitrary, then one range and one kNN query:
 // no input may panic or loop.
 func FuzzBPlusPayload(f *testing.F) {
 	var trees []bplus
-	for i, kind := range []string{"SPB-tree", "OmniB+-tree"} {
+	for i, kind := range []string{"SPB-tree", "OmniB+-tree", "M-index", "M-index*"} {
 		b := newBPlus(f, kind, 300)
 		trees = append(trees, b)
 		r := persist.NewReader(b.payload)

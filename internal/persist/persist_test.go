@@ -4,10 +4,11 @@
 package persist_test
 
 import (
-	"errors"
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"metricindex/internal/core"
@@ -15,7 +16,6 @@ import (
 	"metricindex/internal/epoch"
 	"metricindex/internal/ept"
 	"metricindex/internal/fqt"
-	"metricindex/internal/mindex"
 	"metricindex/internal/omni"
 	"metricindex/internal/persist"
 	"metricindex/internal/pivot"
@@ -113,6 +113,12 @@ var snapshotKinds = []snapshotKind{
 	}},
 	{"SPB-tree", false, func(ed testutil.EquivDataset, ds *core.Dataset, _ int) (core.Index, error) {
 		return spb.New(ds, store.NewPager(512), ed.Pivots, spb.Options{MaxDistance: ed.MaxDistance})
+	}},
+	{"M-index", false, func(ed testutil.EquivDataset, ds *core.Dataset, _ int) (core.Index, error) {
+		return spb.NewMIndex(ds, store.NewPager(512), ed.Pivots, spb.MIndexOptions{MaxNum: 24, MaxDistance: ed.MaxDistance})
+	}},
+	{"M-index*", false, func(ed testutil.EquivDataset, ds *core.Dataset, _ int) (core.Index, error) {
+		return spb.NewMIndex(ds, store.NewPager(512), ed.Pivots, spb.MIndexOptions{Star: true, MaxNum: 24, MaxDistance: ed.MaxDistance})
 	}},
 	{"Omni-seq", false, func(ed testutil.EquivDataset, ds *core.Dataset, workers int) (core.Index, error) {
 		return omni.NewSeqFile(ds, store.NewPager(512), ed.Pivots, workers)
@@ -223,20 +229,45 @@ func TestSaveLoadFile(t *testing.T) {
 	}
 }
 
-// TestSnapshotUnsupported: M-index keeps its cluster tree in memory and
-// rebuilds it from the dataset — it deliberately has no snapshot codec,
-// and Encode must say so with ErrUnsupported rather than something vague.
-func TestSnapshotUnsupported(t *testing.T) {
-	ds := testutil.VectorDataset(80, 4, 100, core.L2{}, 11)
-	pv := testutil.SpreadPivots(ds, 4)
-	for _, star := range []bool{false, true} {
-		idx, err := mindex.New(ds, store.NewPager(512), pv, mindex.Options{Star: star, MaxDistance: 200})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := persist.Encode(ds, idx, 0); !errors.Is(err, persist.ErrUnsupported) {
-			t.Fatalf("Encode(%s) = %v, want ErrUnsupported", idx.Name(), err)
-		}
+// TestEncodeRejectsNonSnapshotter: an index with no snapshot codec
+// fails to encode with an error naming it.
+func TestEncodeRejectsNonSnapshotter(t *testing.T) {
+	ds := testutil.VectorDataset(40, 3, 100, core.L2{}, 11)
+	if _, err := persist.Encode(ds, linearIndex{}, 0); err == nil || !strings.Contains(err.Error(), "linear") {
+		t.Fatalf("Encode of an index with no codec = %v, want an error naming it", err)
+	}
+}
+
+// linearIndex is a core.Index with no snapshot codec.
+type linearIndex struct{}
+
+func (linearIndex) Name() string                                        { return "linear" }
+func (linearIndex) RangeSearch(core.Object, float64) ([]int, error)     { return nil, nil }
+func (linearIndex) KNNSearch(core.Object, int) ([]core.Neighbor, error) { return nil, nil }
+func (linearIndex) Len() int                                            { return 0 }
+func (linearIndex) PageAccesses() int64                                 { return 0 }
+func (linearIndex) ResetStats()                                         {}
+func (linearIndex) MemBytes() int64                                     { return 0 }
+func (linearIndex) DiskBytes() int64                                    { return 0 }
+func (linearIndex) Insert(int) error                                    { return nil }
+func (linearIndex) Delete(int) error                                    { return nil }
+
+// TestDecodeRejectsUnregisteredKind: an image whose kind has no loader
+// fails to decode with an error naming the kind.
+func TestDecodeRejectsUnregisteredKind(t *testing.T) {
+	ds := testutil.VectorDataset(40, 3, 100, core.L2{}, 11)
+	idx, err := table.NewLAESA(ds, testutil.SpreadPivots(ds, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := persist.Encode(ds, idx, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Same length, so the header's framing still holds.
+	forged := bytes.Replace(data, []byte("LAESA"), []byte("NOSUC"), 1)
+	if _, err := persist.Decode(forged); err == nil || !strings.Contains(err.Error(), "NOSUC") {
+		t.Fatalf("Decode of an unregistered kind = %v, want an error naming it", err)
 	}
 }
 

@@ -1,7 +1,6 @@
 package persist
 
 import (
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -47,15 +46,6 @@ const (
 // header cannot demand more memory than the file actually holds, and
 // this guards the int64→int conversions besides.
 const maxSectionBytes = int64(1) << 40
-
-// ErrUnsupported reports an index kind with no snapshot support (wrap it
-// via Unsupported; test with errors.Is).
-var ErrUnsupported = errors.New("kind does not support snapshots")
-
-// Unsupported returns an ErrUnsupported for the given index kind.
-func Unsupported(kind string) error {
-	return fmt.Errorf("persist: index %s: %w", kind, ErrUnsupported)
-}
 
 // Snapshotter is implemented by every index structure that can serialize
 // itself into a snapshot's index section. The encoded payload must be
@@ -150,20 +140,20 @@ type Unwrapper interface {
 // Encode serializes the dataset, the index and the epoch they are
 // consistent at into a version-1 snapshot image. The index must
 // implement Snapshotter (directly or through an Unwrapper chain) and
-// have a registered loader, else ErrUnsupported.
+// have a registered loader.
 func Encode(ds *core.Dataset, idx core.Index, epoch uint64) ([]byte, error) {
 	kind := idx.Name()
 	snap, ok := idx.(Snapshotter)
 	for !ok {
 		u, isWrap := idx.(Unwrapper)
 		if !isWrap {
-			return nil, Unsupported(kind)
+			return nil, fmt.Errorf("persist: index %s has no snapshot codec", kind)
 		}
 		idx = u.Unwrap()
 		snap, ok = idx.(Snapshotter)
 	}
 	if _, ok := LoaderFor(kind); !ok {
-		return nil, Unsupported(kind)
+		return nil, fmt.Errorf("persist: no loader registered for index %s", kind)
 	}
 
 	h := NewWriter()
@@ -326,7 +316,7 @@ func Decode(data []byte) (*Snapshot, error) {
 	}
 	loader, ok := LoaderFor(kind)
 	if !ok {
-		return nil, Unsupported(kind)
+		return nil, fmt.Errorf("persist: no loader registered for index %s", kind)
 	}
 	ds, err := decodeDataset(dsPayload, metric)
 	if err != nil {

@@ -204,7 +204,7 @@ func TestSPBGoldenCosts(t *testing.T) {
 		if want, ok := golden[sh.name]; !ok || got != want {
 			t.Errorf("%s: costs moved\n got  %q: %s\n want %+v", sh.name, sh.name, got.literal(), want)
 		}
-		goldenSnapshot(t, sh, idx.(*SPB), got.churnPages)
+		goldenSnapshot(t, sh, idx.(*Index), got.churnPages)
 	}
 }
 
@@ -221,7 +221,7 @@ var goldenSnapshots = map[string]string{
 // goldenSnapshot checks that the tree snapshots deterministically to the
 // pinned payload, and that the payload loads into a tree with the same
 // page images and the same answers.
-func goldenSnapshot(t *testing.T, sh goldenShape, idx *SPB, pages string) {
+func goldenSnapshot(t *testing.T, sh goldenShape, idx *Index, pages string) {
 	t.Helper()
 	if !bytes.Equal(idx.raf.Serialize(), idx.raf.Serialize()) {
 		t.Errorf("%s: two RAF.Serialize calls differ", sh.name)
@@ -250,7 +250,7 @@ func goldenSnapshot(t *testing.T, sh goldenShape, idx *SPB, pages string) {
 		copy(dir[j:], e[:])
 	}
 	for name, payload := range map[string][]byte{"id-ordered": w.Bytes(), "reordered": old} {
-		loaded, pager, err := loadSPB(idx.ds, persist.NewReader(payload))
+		loaded, pager, err := loadIndex("SPB-tree", idx.ds, persist.NewReader(payload))
 		if err != nil {
 			t.Fatalf("%s: load %s payload: %v", sh.name, name, err)
 		}

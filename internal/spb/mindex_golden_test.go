@@ -1,11 +1,14 @@
 package spb
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"testing"
 
 	"metricindex/internal/core"
-	"metricindex/internal/mindex"
+	"metricindex/internal/persist"
 	"metricindex/internal/store"
+	"metricindex/internal/testutil"
 )
 
 // mindexGoldenMaxNum is the split threshold of the pinned M-indexes: low
@@ -15,7 +18,7 @@ const mindexGoldenMaxNum = 100
 
 func buildMIndex(star bool) goldenBuild {
 	return func(ds *core.Dataset, pager *store.Pager, pv []int, maxD float64) (goldenIndex, error) {
-		return mindex.New(ds, pager, pv, mindex.Options{Star: star, MaxNum: mindexGoldenMaxNum, MaxDistance: maxD})
+		return NewMIndex(ds, pager, pv, MIndexOptions{Star: star, MaxNum: mindexGoldenMaxNum, MaxDistance: maxD})
 	}
 }
 
@@ -66,10 +69,51 @@ func TestMIndexGoldenCosts(t *testing.T) {
 			if star {
 				name = "M-index*/" + sh.name
 			}
-			got, _ := goldenRun(t, sh, buildMIndex(star))
+			got, idx := goldenRun(t, sh, buildMIndex(star))
 			if want, ok := mindexGolden[name]; !ok || got != want {
 				t.Errorf("%s: costs moved\n got  %q: %s\n want %+v", name, name, got.literal(), want)
 			}
+			mindexSnapshot(t, name, idx.(*Index), got.churnPages)
 		}
+	}
+}
+
+// mindexGoldenSnapshots pins the SHA-256 of the EncodeSnapshot payload of
+// each churned M-index: the SPB-tree's handle plus the cluster tree.
+// The payload holds no kind (the snapshot header does), so the two kinds
+// of one shape write the same bytes.
+var mindexGoldenSnapshots = map[string]string{
+	"M-index/vectors":  "01f8b46eb1765a0586b2f1d896b04cb3506815bf90d9ea5aaeb32ffc2457b7e7",
+	"M-index/words":    "f8642170756a07cadde8c0ef47771aa4cbda55f79f2567b77668d732ad2f73bb",
+	"M-index*/vectors": "01f8b46eb1765a0586b2f1d896b04cb3506815bf90d9ea5aaeb32ffc2457b7e7",
+	"M-index*/words":   "f8642170756a07cadde8c0ef47771aa4cbda55f79f2567b77668d732ad2f73bb",
+}
+
+// mindexSnapshot checks that the index snapshots to the pinned payload,
+// and that the payload loads into an index with the same page images, the
+// same cluster tree footprint and the answers of a linear scan.
+func mindexSnapshot(t *testing.T, name string, idx *Index, pages string) {
+	t.Helper()
+	w := persist.NewWriter()
+	if err := idx.EncodeSnapshot(w); err != nil {
+		t.Fatalf("%s: EncodeSnapshot: %v", name, err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(w.Bytes())); got != mindexGoldenSnapshots[name] {
+		t.Errorf("%s: snapshot payload hashes to %q, want %q", name, got, mindexGoldenSnapshots[name])
+	}
+	loaded, pager, err := loadIndex(idx.Name(), idx.ds, persist.NewReader(w.Bytes()))
+	if err != nil {
+		t.Fatalf("%s: load: %v", name, err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(pager.Serialize())); got != pages {
+		t.Errorf("%s: payload loads page images hashing to %q, want the pinned %q", name, got, pages)
+	}
+	if got, want := loaded.(*Index).fam.memBytes(), idx.fam.memBytes(); got != want {
+		t.Errorf("%s: loaded cluster tree is %d bytes, built one %d", name, got, want)
+	}
+	for qs := int64(20); qs < 24; qs++ {
+		q := testutil.RandomQuery(idx.ds, qs)
+		testutil.CheckKNN(t, loaded, idx.ds, q, 10)
+		testutil.CheckRange(t, loaded, idx.ds, q, 5)
 	}
 }

@@ -1,14 +1,18 @@
-// Package spb implements the SPB-tree of [12] (§5.4): pre-computed pivot
-// distances are discretized onto an integer grid, mapped to a single
-// integer by a Hilbert space-filling curve (preserving proximity), and
-// indexed by a B+-tree whose non-leaf entries carry packed MBB corners;
-// the objects live in a RAF laid out in SFC order for locality.
+// Package spb is the keyed B+-tree engine behind the SPB-tree of [12]
+// (§5.4) and the M-index and M-index* of [23] (§5.3). All three map an
+// object's pivot distances to one uint64 key in a B+-tree, keep the
+// object in a RAF, turn a query into key intervals, and apply Lemma 1 to
+// what a key says before a record is read and a distance computed.
 //
-// The SFC compression is why the SPB-tree has the smallest storage and
-// I/O costs in Table 4, and the discretization is why its pruning is
-// slightly weaker than exact-distance indexes on continuous metrics
-// (§5.4, §6.5.2): all filtering here widens distances to the enclosing
-// grid cell, staying conservative.
+// What differs between them is data, a family: its key map and its
+// interval source. The SPB-tree (grid.go) keys an object by the Hilbert
+// value of its grid cell and descends the B+-tree on the MBB corners its
+// non-leaf entries carry; the M-indexes (cluster.go) key it by its
+// cluster's slot ⊕ d(o, p_c) and find the key bands of the clusters that
+// survive Lemma 3 (and, for M-index*, their MBB). The engine owns the
+// rest: the RAF record codec, the band scan, the best-first kNN loop,
+// the pooled per-query scratch, Insert/Delete and the snapshot codec
+// (persist.go).
 package spb
 
 import (
@@ -20,11 +24,12 @@ import (
 
 	"metricindex/internal/bptree"
 	"metricindex/internal/core"
+	"metricindex/internal/persist"
 	"metricindex/internal/sfc"
 	"metricindex/internal/store"
 )
 
-// Options tunes construction.
+// Options tunes an SPB-tree build.
 type Options struct {
 	// MaxDistance is d⁺, the discretization range. Required.
 	MaxDistance float64
@@ -32,461 +37,347 @@ type Options struct {
 	Bits int
 }
 
-// SPB is the SPB-tree handle.
-type SPB struct {
+// Index is one keyed B+-tree index: an SPB-tree, M-index or M-index*.
+type Index struct {
+	kind string
+	// word is the family's header word in the snapshot payload: the
+	// grid's bit width, or the cluster split threshold.
+	word uint32
+	// stored: a RAF record carries the object's l pivot distances before
+	// the object (the M-indexes), read back for Lemma 1 and Lemma 4.
+	stored bool
+	// validate: a range query admits a record on Lemma 4 over its stored
+	// distances without computing its distance (M-index*).
+	validate  bool
+	fam       family
 	ds        *core.Dataset
 	pager     *store.Pager
-	opts      Options
+	maxDist   float64 // d⁺
 	pivotIDs  []int
 	pivotVals []core.Object
-	curve     *sfc.Hilbert
 	tree      *bptree.Tree
 	raf       *store.RAF
-	scale     float64 // grid cells per distance unit
-	bits      int
-	laneMask  uint64 // one lane of a packed cell: bits ones
-	size      int
-	// bounds[g] is float64(g)/scale for every grid line of a grid of at
-	// most maxBoundBits bits (empty above that; see bound).
-	bounds []float64
-	pool   sync.Pool // *scratch
+	pool      sync.Pool // *scratch
 }
 
-// maxBoundBits is the widest grid whose lines are tabulated: 2^16+1
-// float64s are 512 KB, and 16 bits is the most the default grid uses.
-const maxBoundBits = 16
+// family is what one keyed kind supplies to the engine: its key map
+// (insert, remove), the test a key passes before its record is read,
+// and its interval source (ranges for a range query, seed and expand for
+// the best-first kNN loop).
+type family interface {
+	prepare(sc *scratch)
+	insert(s *Index, id int, dv []float64) error
+	remove(s *Index, id int, dv []float64) error
+	// test is Lemma 1 on what a key says at a range query's radius r —
+	// and Lemma 4, where the key allows it; in a kNN, it gives the key's
+	// lower bound of d(q, o), which the engine tests at the kNN's radius
+	// and orders the reads by.
+	test(sc *scratch, key uint64, r float64) (verdict, float64)
+	ranges(s *Index, sc *scratch, q core.Object, r float64) error
+	seed(s *Index, sc *scratch)
+	expand(s *Index, sc *scratch, q core.Object, it core.Ranked[uint32]) error
+	knn(s *Index, sc *scratch, q core.Object, k int) error
+	memBytes() int64
+	// section writes the family's own state after the handle's (see
+	// docs/PERSISTENCE.md).
+	section(w *persist.Writer)
+}
+
+// verdict is what a key says about its record before the record is read.
+type verdict uint8
+
+const (
+	skip verdict = iota // ruled out (Lemma 1)
+	read                // read and verify
+	take                // admitted unread (Lemma 4)
+)
 
 // scratch is the working memory of one query, pooled per index so a
 // steady-state query allocates only its answer.
 type scratch struct {
-	qd     []float64 // d(q, p_i)
-	lo, hi []float64 // range query: qd[i]-r, qd[i]+r
-	valid  []float64 // range query: r-qd[i]
-	cur    sfc.Cursor
-	nodes  core.MinHeap[store.PageID] // kNN: best-first node heap
-	cands  []cand                     // kNN: one leaf's candidates
-	stack  []store.PageID             // range: depth-first stack
-	ids    []int                      // range: result ids
-	heap   core.KNNHeap
-	rec    []byte      // RAF record
-	vec    core.Vector // decoded record, when it is a Vector
-	obj    core.Object // vec boxed once, not per candidate
+	qd    []float64 // d(q, p_i)
+	cur   sfc.Cursor
+	nodes core.MinHeap[uint32] // kNN: best-first queue
+	cands []cand               // one leaf's records to read
+	stack []store.PageID       // SPB-tree range: depth-first stack
+	ids   []int                // range: result ids
+	heap  core.KNNHeap
+	rec   []byte      // RAF record
+	dv    []float64   // its stored distances
+	vec   core.Vector // its object, when a Vector
+	obj   core.Object // vec boxed once, not per record
+	// The query's mode: a range query at r; a best-first kNN (knn); or a
+	// growing-radius kNN round at r (seen is non-nil and holds the ids an
+	// earlier round verified).
+	r    float64
+	knn  bool
+	seen map[int]bool
+	// forward is set while a kNN scans keys whose lower bounds only grow
+	// (an M-index band above d(q, p_c)): the first key out ends the band.
+	forward bool
+	band    band
 }
 
-// setGrid derives the curve, the grid scale and the grid-line table from
-// the pivot count, bit width and d⁺.
-func (s *SPB) setGrid() error {
-	curve, err := sfc.NewHilbert(len(s.pivotIDs), s.bits)
-	if err != nil {
-		return err
-	}
-	s.curve = curve
-	s.laneMask = uint64(1)<<uint(s.bits) - 1
-	s.scale = float64(s.laneMask) / s.opts.MaxDistance
-	if s.bits <= maxBoundBits {
-		s.bounds = make([]float64, 1<<uint(s.bits)+1)
-		for g := range s.bounds {
-			s.bounds[g] = float64(g) / s.scale
-		}
-	}
-	return nil
+// cand is one leaf record awaiting its read.
+type cand struct {
+	id int
+	lb float64
 }
 
-func (s *SPB) aug() cornerAug {
-	return cornerAug{curve: s.curve, bits: uint(s.bits), width: uint(s.bits * len(s.pivotIDs))}
-}
-
-func (s *SPB) getScratch() *scratch {
+func (s *Index) getScratch() *scratch {
 	if sc, ok := s.pool.Get().(*scratch); ok {
 		return sc
 	}
 	sc := &scratch{}
-	sc.cur.Reset(s.curve)
+	s.fam.prepare(sc)
 	return sc
 }
 
-// cornerAug packs per-dimension grid corners into the B+-tree's
-// augmentation slots, one lane of bits per dimension (sfc.PackCorner).
-type cornerAug struct {
-	curve *sfc.Hilbert
-	bits  uint // lane width
-	width uint // dims × bits
-}
-
-// Leaf returns the (point) MBB of one record: its decoded grid cell.
-//
-//metriclint:noalloc
-func (a cornerAug) Leaf(key, val uint64) (uint64, uint64) {
-	packed := a.curve.DecodePacked(key)
-	return packed, packed
-}
-
-// Merge widens the corner box lane by lane.
-//
-//metriclint:noalloc
-func (a cornerAug) Merge(lo1, hi1, lo2, hi2 uint64) (uint64, uint64) {
-	var lo, hi uint64
-	for lane := uint64(1)<<a.bits - 1; lane&(uint64(1)<<a.width-1) != 0; lane <<= a.bits {
-		lo |= min(lo1&lane, lo2&lane)
-		hi |= max(hi1&lane, hi2&lane)
-	}
-	return lo, hi
-}
-
-// New builds the SPB-tree over all live objects: distances are computed,
-// discretized, Hilbert-mapped, and bulk-inserted in key order so the RAF
-// is laid out along the curve.
-func New(ds *core.Dataset, pager *store.Pager, pivots []int, opts Options) (*SPB, error) {
-	if len(pivots) == 0 {
-		return nil, fmt.Errorf("spb: no pivots")
-	}
-	if opts.MaxDistance <= 0 {
+// newIndex completes s, which names its kind, family, dataset, pager
+// and d⁺, with the parts every family shares.
+func newIndex(s *Index, pivots []int, aug bptree.Augmenter) (*Index, error) {
+	if !(s.maxDist > 0) {
 		return nil, fmt.Errorf("spb: MaxDistance (d+) must be positive")
 	}
-	bits := opts.Bits
-	if bits <= 0 {
-		bits = 62 / len(pivots)
-		if bits > 16 {
-			bits = 16
-		}
-	}
-	if bits < 1 || bits*len(pivots) > 64 {
-		return nil, fmt.Errorf("spb: %d pivots × %d bits exceeds 64-bit keys", len(pivots), bits)
-	}
-	s := &SPB{
-		ds:       ds,
-		pager:    pager,
-		opts:     opts,
-		pivotIDs: append([]int(nil), pivots...),
-		raf:      store.NewRAF(pager),
-		bits:     bits,
-	}
-	if err := s.setGrid(); err != nil {
-		return nil, err
-	}
-	s.tree = bptree.New(pager, s.aug())
+	s.pivotIDs = append([]int(nil), pivots...)
 	for _, p := range pivots {
-		v := ds.Object(p)
+		v := s.ds.Object(p)
 		if v == nil {
 			return nil, fmt.Errorf("spb: pivot %d is not a live object", p)
 		}
 		s.pivotVals = append(s.pivotVals, v)
 	}
-
-	// Compute keys, sort in curve order, then load.
-	bulk := make([]bptree.Record, 0, ds.Count())
-	for _, id := range ds.LiveIDs() {
-		bulk = append(bulk, bptree.Record{Key: s.keyOf(ds.Object(id)), Val: uint64(id)})
-	}
-	slices.SortFunc(bulk, func(a, b bptree.Record) int { return cmp.Compare(a.Key, b.Key) })
-	var enc []byte
-	for _, r := range bulk {
-		enc = store.EncodeObject(enc[:0], ds.Object(int(r.Val)))
-		if _, err := s.raf.Append(int(r.Val), enc); err != nil {
-			return nil, err
-		}
-	}
-	if err := s.tree.BulkLoad(bulk); err != nil {
-		return nil, err
-	}
-	s.size = len(bulk)
+	s.raf = store.NewRAF(s.pager)
+	s.tree = bptree.New(s.pager, aug)
 	return s, nil
 }
 
-// Name returns "SPB-tree".
-func (s *SPB) Name() string { return "SPB-tree" }
+// Name returns the kind: "SPB-tree", "M-index" or "M-index*".
+func (s *Index) Name() string { return s.kind }
 
 // Len returns the number of indexed objects.
-func (s *SPB) Len() int { return s.size }
+func (s *Index) Len() int { return s.tree.Len() }
 
-// grid discretizes a distance to its cell index.
-func (s *SPB) grid(d float64) uint32 {
-	if d < 0 {
-		d = 0
-	}
-	g := d * s.scale
-	if maxG := float64(s.laneMask); g > maxG {
-		g = maxG
-	}
-	return uint32(g)
-}
-
-// bound returns grid line g as a distance: the lower bound of the true
-// distances in cell g and the upper bound of those in cell g-1. The
-// table holds the quotient itself, so a tabulated bound and a computed
-// one are the same float64.
-//
-//metriclint:noalloc
-func (s *SPB) bound(g uint64) float64 {
-	if g < uint64(len(s.bounds)) {
-		return s.bounds[g]
-	}
-	return float64(g) / s.scale
-}
-
-// keyOf computes the Hilbert key of an object (l counted distances).
-func (s *SPB) keyOf(o core.Object) uint64 {
+// distances computes d(o, p_i) for every pivot into dv.
+func (s *Index) distances(dv []float64, o core.Object) []float64 {
 	sp := s.ds.Space()
-	var buf [64]uint32
-	pt := buf[:len(s.pivotVals)]
-	for i, p := range s.pivotVals {
-		pt[i] = s.grid(sp.Distance(o, p))
-	}
-	return s.curve.Encode(pt)
-}
-
-// queryDists computes d(q, p_i) exactly (the query is not discretized).
-func (s *SPB) queryDists(sc *scratch, q core.Object) {
-	sp := s.ds.Space()
-	sc.qd = sc.qd[:0]
+	dv = dv[:0]
 	for _, p := range s.pivotVals {
-		sc.qd = append(sc.qd, sp.Distance(q, p))
+		dv = append(dv, sp.Distance(o, p))
 	}
+	return dv
 }
 
-// The three cell tests below read a packed box (sfc.PackCorner lanes,
-// last pivot in the lowest lane) lane by lane from the low end.
-
-// pruneCell applies Lemma 1 conservatively to grid bounds: the box
-// [glo, ghi] survives only if some object distance inside it could fall
-// in [qd−r, qd+r] for every pivot.
-//
-//metriclint:noalloc
-func (s *SPB) pruneCell(sc *scratch, glo, ghi uint64) bool {
-	for i := len(sc.qd) - 1; i >= 0; i-- {
-		if s.bound(glo&s.laneMask) > sc.hi[i] || s.bound(ghi&s.laneMask+1) < sc.lo[i] {
-			return true
-		}
-		glo >>= uint(s.bits)
-		ghi >>= uint(s.bits)
+// encode appends the RAF record of o: its pivot distances dv when the
+// family stores them, then the object.
+func (s *Index) encode(buf []byte, dv []float64, o core.Object) []byte {
+	if s.stored {
+		buf = store.EncodeFloats(buf, dv)
 	}
-	return false
+	return store.EncodeObject(buf, o)
 }
 
-// validateCell applies Lemma 4 conservatively: if the *upper* bound of
-// d(o,p_i) satisfies it for some pivot, the object is certainly a result.
-//
-//metriclint:noalloc
-func (s *SPB) validateCell(sc *scratch, g uint64) bool {
-	for i := len(sc.qd) - 1; i >= 0; i-- {
-		if s.bound(g&s.laneMask+1) <= sc.valid[i] {
-			return true
-		}
-		g >>= uint(s.bits)
-	}
-	return false
-}
-
-// cellMinDist is the conservative lower bound of d(q, o) for objects in
-// the grid box, used for best-first ordering.
-//
-//metriclint:noalloc
-func (s *SPB) cellMinDist(sc *scratch, glo, ghi uint64) float64 {
-	var m float64
-	for i := len(sc.qd) - 1; i >= 0; i-- {
-		var d float64
-		if lo := s.bound(glo & s.laneMask); sc.qd[i] < lo {
-			d = lo - sc.qd[i]
-		} else if hi := s.bound(ghi&s.laneMask + 1); sc.qd[i] > hi {
-			d = sc.qd[i] - hi
-		}
-		if d > m {
-			m = d
-		}
-		glo >>= uint(s.bits)
-		ghi >>= uint(s.bits)
-	}
-	return m
-}
-
-// loadObject reads an object from the RAF into the scratch. A Vector is
-// decoded into the scratch's own vector, valid until the next call.
-func (s *SPB) loadObject(sc *scratch, id int) (core.Object, error) {
+// load reads record id into the scratch: its stored distances (none
+// unless the family stores them) and its object. Both stay valid until
+// the next load into the same scratch.
+func (s *Index) load(sc *scratch, id int) ([]float64, core.Object, error) {
 	buf, err := s.raf.ReadInto(id, sc.rec)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	sc.rec = buf
+	if s.stored {
+		var n int
+		if sc.dv, n, err = store.DecodeFloats(sc.dv, buf, len(s.pivotVals)); err != nil {
+			return nil, nil, err
+		}
+		buf = buf[n:]
+	}
 	if v, ok := store.DecodeVectorInto(sc.vec, buf); ok {
 		if sc.obj == nil || len(v) != len(sc.vec) {
 			sc.vec, sc.obj = v, v
 		}
-		return sc.obj, nil
+		return sc.dv, sc.obj, nil
 	}
 	o, _, err := store.DecodeObject(buf)
-	return o, err
+	return sc.dv, o, err
 }
 
-// RangeSearch answers MRQ(q, r) by depth-first B+-tree traversal: non-leaf
-// entries are pruned on their MBB corners (Lemma 1), leaf entries on
-// their decoded cells, validated with Lemma 4 where possible, and
-// otherwise verified against the RAF (§5.4).
-func (s *SPB) RangeSearch(q core.Object, r float64) ([]int, error) {
-	sc := s.getScratch()
-	defer s.pool.Put(sc)
-	s.queryDists(sc, q)
-	sc.lo, sc.hi, sc.valid = sc.lo[:0], sc.hi[:0], sc.valid[:0]
-	for _, d := range sc.qd {
-		sc.lo = append(sc.lo, d-r)
-		sc.hi = append(sc.hi, d+r)
-		sc.valid = append(sc.valid, r-d)
+// scan is the band scan of one leaf: it decides the records of leaf n
+// keyed in [lo, hi] and reports whether the band goes on in the next
+// leaf. Every key first passes the family's test — at a range query's
+// radius, or at a kNN's radius on entering the leaf — and only the
+// survivors' records are read: a kNN's in lower-bound order, each
+// retested at the then-current radius. A read record is tested on its
+// stored distances (Lemma 1, and Lemma 4 in a validating range query)
+// before its distance is computed.
+func (s *Index) scan(sc *scratch, q core.Object, n bptree.View, lo, hi uint64) (bool, error) {
+	sc.cands = sc.cands[:0]
+	r := sc.r
+	if sc.knn {
+		r = sc.heap.Radius()
 	}
-	sp := s.ds.Space()
-	sc.ids = sc.ids[:0]
-	sc.stack = append(sc.stack[:0], s.tree.Root())
-	for len(sc.stack) > 0 {
-		pid := sc.stack[len(sc.stack)-1]
-		sc.stack = sc.stack[:len(sc.stack)-1]
-		n, err := s.tree.View(pid)
-		if err != nil {
-			return nil, err
-		}
-		if !n.Leaf() {
-			// Pushed right to left, so children pop — and their pages
-			// are read — left to right.
-			for i := n.Len() - 1; i >= 0; i-- {
-				child, glo, ghi := n.Child(i)
-				if !s.pruneCell(sc, glo, ghi) {
-					sc.stack = append(sc.stack, child)
-				}
-			}
+	more := true
+	for i, count := 0, n.Len(); i < count && more; i++ {
+		key, val := n.Record(i)
+		if key < lo || key <= hi && sc.seen[int(val)] {
 			continue
 		}
-		for i, count := 0, n.Len(); i < count; i++ {
-			key, val := n.Record(i)
-			g := sc.cur.DecodePacked(key)
-			if s.pruneCell(sc, g, g) {
-				continue
-			}
-			id := int(val)
-			if s.validateCell(sc, g) {
-				sc.ids = append(sc.ids, id)
-				continue
-			}
-			o, err := s.loadObject(sc, id)
-			if err != nil {
-				return nil, err
-			}
-			if sp.Distance(q, o) <= r {
-				sc.ids = append(sc.ids, id)
+		switch v, lb := s.fam.test(sc, key, r); {
+		case key > hi:
+			more = false
+		case v == skip || sc.knn && lb > r:
+			more = !sc.forward
+		case v == read:
+			sc.cands = append(sc.cands, cand{int(val), lb})
+		default:
+			sc.ids = append(sc.ids, int(val))
+		}
+	}
+	if sc.knn {
+		slices.SortFunc(sc.cands, func(a, b cand) int { return cmp.Compare(a.lb, b.lb) })
+	}
+	sp := s.ds.Space()
+	for _, c := range sc.cands {
+		if sc.knn {
+			if r = sc.heap.Radius(); c.lb > r {
+				more = more && !sc.forward
+				break
 			}
 		}
+		dv, o, err := s.load(sc, c.id)
+		switch {
+		case err != nil:
+			return false, err
+		case s.stored && core.PruneObject(sc.qd, dv, r):
+		case s.validate && !sc.knn && core.ValidateObject(sc.qd, dv, r):
+			sc.ids = append(sc.ids, c.id)
+		case sc.knn || sc.seen != nil:
+			if sc.seen != nil {
+				sc.seen[c.id] = true
+			}
+			sc.heap.Push(c.id, sp.Distance(q, o))
+		case sp.Distance(q, o) <= r:
+			sc.ids = append(sc.ids, c.id)
+		}
+	}
+	return more, nil
+}
+
+// scanBand runs the band scan over the keys in [lo, hi], leaf by leaf
+// along the leaf chain.
+func (s *Index) scanBand(sc *scratch, q core.Object, lo, hi uint64) error {
+	pid, err := s.tree.LeafFor(lo)
+	for err == nil && pid != store.InvalidPage {
+		var n bptree.View
+		if n, err = s.tree.View(pid); err != nil {
+			break
+		}
+		var more bool
+		if more, err = s.scan(sc, q, n, lo, hi); !more {
+			break
+		}
+		pid = n.Next()
+	}
+	return err
+}
+
+// RangeSearch answers MRQ(q, r): the family turns the query into key
+// intervals, and the band scan decides their records.
+func (s *Index) RangeSearch(q core.Object, r float64) ([]int, error) {
+	sc := s.getScratch()
+	defer s.pool.Put(sc)
+	sc.qd = s.distances(sc.qd, q)
+	sc.r, sc.knn, sc.seen, sc.forward = r, false, nil, false
+	sc.ids = sc.ids[:0]
+	if err := s.fam.ranges(s, sc, q, r); err != nil {
+		return nil, err
 	}
 	res := append([]int(nil), sc.ids...)
 	sort.Ints(res)
 	return res, nil
 }
 
-// cand is one leaf record awaiting verification.
-type cand struct {
-	id int
-	lb float64
-}
-
-// KNNSearch answers MkNNQ(q, k) best-first over B+-tree nodes ordered by
-// their conservative MBB lower bounds, verifying leaf candidates against
-// the RAF with a tightening radius (§5.4). Equal lower bounds are common
-// on a grid; the node heap pops them in container/heap's order, which
-// decides the pages a kNN reads.
-func (s *SPB) KNNSearch(q core.Object, k int) ([]core.Neighbor, error) {
+// KNNSearch answers MkNNQ(q, k) by the family's kNN rule: best first
+// (bestFirst) but for the plain M-index's growing radius.
+func (s *Index) KNNSearch(q core.Object, k int) ([]core.Neighbor, error) {
 	if k <= 0 {
 		return nil, nil
 	}
 	sc := s.getScratch()
 	defer s.pool.Put(sc)
-	s.queryDists(sc, q)
-	sp := s.ds.Space()
-	h := &sc.heap
-	h.Reset(k)
-	sc.nodes.Reset()
-	sc.nodes.Push(0, 0, s.tree.Root())
-	for it, ok := sc.nodes.PopWithin(h.Radius()); ok; it, ok = sc.nodes.PopWithin(h.Radius()) {
-		n, err := s.tree.View(it.V)
-		if err != nil {
-			return nil, err
-		}
-		if !n.Leaf() {
-			for i, count := 0, n.Len(); i < count; i++ {
-				child, glo, ghi := n.Child(i)
-				lb := s.cellMinDist(sc, glo, ghi)
-				if lb < it.LB {
-					lb = it.LB
-				}
-				if lb <= h.Radius() {
-					sc.nodes.Push(lb, 0, child)
-				}
-			}
-			continue
-		}
-		// Candidates beyond the radius on entering the leaf can never be
-		// verified (the radius only shrinks), so they skip the sort.
-		sc.cands = sc.cands[:0]
-		radius := h.Radius()
-		for i, count := 0, n.Len(); i < count; i++ {
-			key, val := n.Record(i)
-			g := sc.cur.DecodePacked(key)
-			if lb := s.cellMinDist(sc, g, g); lb <= radius {
-				sc.cands = append(sc.cands, cand{int(val), lb})
-			}
-		}
-		slices.SortFunc(sc.cands, func(a, b cand) int { return cmp.Compare(a.lb, b.lb) })
-		for _, c := range sc.cands {
-			if c.lb > h.Radius() {
-				break
-			}
-			o, err := s.loadObject(sc, c.id)
-			if err != nil {
-				return nil, err
-			}
-			h.Push(c.id, sp.Distance(q, o))
-		}
+	sc.qd = s.distances(sc.qd, q)
+	sc.heap.Reset(k)
+	if err := s.fam.knn(s, sc, q, k); err != nil {
+		return nil, err
 	}
-	return h.Result(), nil
+	return sc.heap.Result(), nil
 }
 
-// Insert computes the object's key, appends it to the RAF (end of curve
-// order), and inserts into the B+-tree.
-func (s *SPB) Insert(id int) error {
+// bestFirst is the best-first kNN loop: the family seeds the queue with
+// its intervals under their lower bounds and expands what pops within
+// the shrinking radius, until nothing does.
+func (s *Index) bestFirst(sc *scratch, q core.Object) error {
+	sc.knn, sc.seen, sc.forward = true, nil, false
+	sc.nodes.Reset()
+	s.fam.seed(s, sc)
+	for it, ok := sc.nodes.PopWithin(sc.heap.Radius()); ok; it, ok = sc.nodes.PopWithin(sc.heap.Radius()) {
+		if err := s.fam.expand(s, sc, q, it); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Insert stores the object's RAF record and keys it into the B+-tree.
+func (s *Index) Insert(id int) error {
 	o := s.ds.Object(id)
 	if o == nil {
 		return fmt.Errorf("spb: insert of deleted object %d", id)
 	}
-	if _, err := s.raf.Append(id, store.EncodeObject(nil, o)); err != nil {
+	dv := s.distances(nil, o)
+	if _, err := s.raf.Append(id, s.encode(nil, dv, o)); err != nil {
 		return err
 	}
-	if err := s.tree.Insert(s.keyOf(o), uint64(id)); err != nil {
-		return err
-	}
-	s.size++
-	return nil
+	return s.fam.insert(s, id, dv)
 }
 
-// Delete recomputes the object's key and removes the record.
-func (s *SPB) Delete(id int) error {
+// Delete removes the object's key and its RAF record. Its pivot
+// distances come from its record where the family stores them, and are
+// recomputed otherwise.
+func (s *Index) Delete(id int) error {
 	o := s.ds.Object(id)
 	if o == nil {
 		return fmt.Errorf("spb: delete needs the object still present in the dataset (id %d)", id)
 	}
-	if err := s.tree.Delete(s.keyOf(o), uint64(id)); err != nil {
+	var dv []float64
+	if s.stored {
+		sc := s.getScratch()
+		defer s.pool.Put(sc)
+		var err error
+		if dv, _, err = s.load(sc, id); err != nil {
+			return fmt.Errorf("spb: delete of unindexed object %d: %w", id, err)
+		}
+	} else {
+		dv = s.distances(nil, o)
+	}
+	if err := s.fam.remove(s, id, dv); err != nil {
 		return err
 	}
-	s.size--
 	return s.raf.Delete(id)
 }
 
-// PageAccesses reports the pager's accesses.
-func (s *SPB) PageAccesses() int64 { return s.pager.PageAccesses() }
+// PageAccesses reports the pager's accesses (B+-tree + RAF).
+func (s *Index) PageAccesses() int64 { return s.pager.PageAccesses() }
 
 // ResetStats zeroes the pager counters.
-func (s *SPB) ResetStats() { s.pager.ResetStats() }
+func (s *Index) ResetStats() { s.pager.ResetStats() }
 
 // MemBytes reports what the index keeps in memory beside its pages: the
-// pivot table, the RAF's id directory, the Hilbert decode tables and the
-// grid-line table.
-func (s *SPB) MemBytes() int64 {
-	return int64(len(s.pivotVals))*64 + s.raf.MemBytes() + s.curve.TableBytes() + int64(len(s.bounds))*8
+// pivots, the RAF's id directory and the family's own tables.
+func (s *Index) MemBytes() int64 {
+	return int64(len(s.pivotVals))*64 + s.raf.MemBytes() + s.fam.memBytes()
 }
 
-// DiskBytes reports the B+-tree + RAF footprint (the family's smallest,
-// per Table 4, thanks to the SFC compression of the distance vectors).
-func (s *SPB) DiskBytes() int64 { return s.pager.DiskBytes() }
+// DiskBytes reports the B+-tree + RAF footprint.
+func (s *Index) DiskBytes() int64 { return s.pager.DiskBytes() }

@@ -12,7 +12,7 @@ import (
 	"metricindex/internal/testutil"
 )
 
-func build(t *testing.T, ds *core.Dataset, maxD float64) (*SPB, *store.Pager) {
+func build(t *testing.T, ds *core.Dataset, maxD float64) (*Index, *store.Pager) {
 	t.Helper()
 	p := store.NewPager(512)
 	pv, err := pivot.HFI(ds, 4, pivot.Options{Seed: 3})
@@ -210,7 +210,7 @@ func TestSPBQueryAllocs(t *testing.T) {
 func TestSPBMemBytes(t *testing.T) {
 	ds := testutil.VectorDataset(1000, 4, 100, core.L2{}, 5)
 	idx, _ := build(t, ds, 300)
-	tables := idx.curve.TableBytes() + int64(len(idx.bounds))*8
+	tables := idx.fam.memBytes()
 	if tables == 0 {
 		t.Fatal("a 4-pivot tree must have decode and grid-line tables")
 	}
@@ -231,7 +231,7 @@ func TestSPBSnapshotRejectsForeignPivot(t *testing.T) {
 	if err := idx.EncodeSnapshot(w); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := loadSPB(ds, persist.NewReader(w.Bytes())); err == nil {
+	if _, _, err := loadIndex("SPB-tree", ds, persist.NewReader(w.Bytes())); err == nil {
 		t.Fatal("SPB-tree loaded a payload whose first pivot is a Word over L2 vectors")
 	}
 }

@@ -127,14 +127,15 @@ func EncodeFloats(dst []byte, fs []float64) []byte {
 	return dst
 }
 
-// DecodeFloats parses l float64 values from the front of buf.
-func DecodeFloats(buf []byte, l int) ([]float64, int, error) {
+// DecodeFloats parses l float64 values from the front of buf into dst's
+// backing array (grown when too small).
+func DecodeFloats(dst []float64, buf []byte, l int) ([]float64, int, error) {
 	if len(buf) < 8*l {
 		return nil, 0, fmt.Errorf("store: truncated float vector of %d entries", l)
 	}
-	fs := make([]float64, l)
+	dst = dst[:0]
 	for i := 0; i < l; i++ {
-		fs[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
+		dst = append(dst, math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:])))
 	}
-	return fs, 8 * l, nil
+	return dst, 8 * l, nil
 }

@@ -163,7 +163,7 @@ func TestObjectCodecErrors(t *testing.T) {
 func TestFloatsCodec(t *testing.T) {
 	f := func(a, b, c float64) bool {
 		buf := EncodeFloats(nil, []float64{a, b, c})
-		got, used, err := DecodeFloats(buf, 3)
+		got, used, err := DecodeFloats(nil, buf, 3)
 		if err != nil || used != 24 {
 			return false
 		}
@@ -172,7 +172,7 @@ func TestFloatsCodec(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := DecodeFloats([]byte{1, 2}, 1); err == nil {
+	if _, _, err := DecodeFloats(nil, []byte{1, 2}, 1); err == nil {
 		t.Fatal("short buffer must fail")
 	}
 }

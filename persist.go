@@ -12,11 +12,6 @@ import (
 // checksummed sections, and loaders reject corrupt or torn input with an
 // error, never a panic.
 
-// ErrUnsupportedSnapshot reports an index kind with no snapshot support
-// (currently M-index and M-index*, whose cluster tree is rebuilt from the
-// dataset instead). Test with errors.Is.
-var ErrUnsupportedSnapshot = persist.ErrUnsupported
-
 // WAL is the write-ahead log of a Live index: attach it with
 // Live.SetJournal and every committed write or swap is
 // appended (with its commit epoch) before the write is acknowledged,
@@ -66,8 +61,7 @@ func toRestored(s *persist.Snapshot) *Restored {
 // Save writes a snapshot of the index and the dataset it was built over,
 // atomically (temp file + rename). epoch tags the image; pass 0 for
 // standalone indexes, or the Live epoch when saving a consistent cut of
-// an updatable front (SaveLive does this for you). Returns
-// ErrUnsupportedSnapshot for kinds without snapshot support.
+// an updatable front (SaveLive does this for you).
 func Save(path string, ds *Dataset, idx Index, epoch uint64) error {
 	data, err := persist.Encode(ds, idx, epoch)
 	if err != nil {
