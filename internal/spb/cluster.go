@@ -129,9 +129,11 @@ func (f *clusters) newLeaf(pivotIdx, depth int) *cluster {
 	return c
 }
 
-// key maps (slot, pivot distance) to the B+-tree key.
+// key maps (slot, pivot distance) to the B+-tree key. A distance of d⁺
+// or more is clamped to the band's last key, which stands for every
+// distance from there up.
 func (f *clusters) key(slot int, d float64) uint64 {
-	return bptree.KeyFromFloat(float64(slot)*f.maxDist + d)
+	return min(bptree.KeyFromFloat(float64(slot)*f.maxDist+d), f.bandEnd(slot))
 }
 
 // bandEnd is the largest key inside a slot's band: one ulp below the next
@@ -261,7 +263,7 @@ func (f *clusters) ranges(s *Index, sc *scratch, q core.Object, r float64) error
 		if lo > hi {
 			return nil
 		}
-		return s.scanBand(sc, q, f.key(c.slot, lo), min(f.key(c.slot, hi), f.bandEnd(c.slot)))
+		return s.scanBand(sc, q, f.key(c.slot, lo), f.key(c.slot, hi))
 	})
 }
 
@@ -311,18 +313,23 @@ func (f *clusters) knn(s *Index, sc *scratch, q core.Object, k int) error {
 		return s.bestFirst(sc, q)
 	}
 	sc.knn, sc.seen = false, make(map[int]bool)
-	h := &sc.heap
+	h, far := &sc.heap, f.maxDist
+	for _, c := range f.leaves {
+		if c != nil && c.count > 0 {
+			far = max(far, slices.Max(c.mbb.Hi))
+		}
+	}
 	for r := f.maxDist / 64; ; r *= 2 {
 		sc.r = r
 		if err := f.ranges(s, sc, q, r); err != nil || h.Len() >= min(k, s.Len()) && h.Radius() <= r {
 			return err
 		}
-		// Completion bound: once r >= max_i d(q,p_i) + d+, every band
-		// covers all of its cluster (|d(q,p_c) − d(o,p_c)| can never
-		// exceed that), so the scan above was exhaustive. This matters
-		// for query objects far outside the data domain, where d(q,p)
-		// exceeds d+.
-		if r >= slices.Max(sc.qd)+f.maxDist {
+		// Completion bound: once r >= max_i d(q,p_i) + far, where far
+		// bounds every stored distance (d⁺, or more beyond d⁺), no
+		// lemma can prune and every band covers all of its cluster, so
+		// the scan above was exhaustive. This matters for query objects
+		// far outside the data domain, where d(q,p) exceeds d⁺.
+		if r >= slices.Max(sc.qd)+far {
 			return nil
 		}
 	}

@@ -23,7 +23,9 @@ import (
 // I/O costs in Table 4, and the discretization is why its pruning is
 // slightly weaker than exact-distance indexes on continuous metrics
 // (§5.4, §6.5.2): all filtering here widens distances to the enclosing
-// grid cell, staying conservative.
+// grid cell, staying conservative. The top cell of every axis is
+// open-ended: a distance of d⁺ or more is clamped into it, so its upper
+// line is +Inf and the key of any object, however far, still bounds it.
 
 // grid is the SPB-tree family.
 type grid struct {
@@ -31,8 +33,8 @@ type grid struct {
 	scale    float64 // grid cells per distance unit
 	bits     int
 	laneMask uint64 // one lane of a packed cell: bits ones
-	// bounds[g] is float64(g)/scale for every grid line of a grid of at
-	// most maxBoundBits bits (empty above that; see bound).
+	// bounds[g] is bound(g) for every grid line of a grid of at most
+	// maxBoundBits bits (empty above that).
 	bounds []float64
 }
 
@@ -57,6 +59,7 @@ func newGrid(l, bits int, maxDist float64) (*grid, error) {
 		for i := range g.bounds {
 			g.bounds[i] = float64(i) / g.scale
 		}
+		g.bounds[g.laneMask+1] = math.Inf(1)
 	}
 	return g, nil
 }
@@ -122,7 +125,8 @@ func (g *grid) remove(s *Index, id int, dv []float64) error {
 
 func (g *grid) knn(s *Index, sc *scratch, q core.Object, _ int) error { return s.bestFirst(sc, q) }
 
-// cell discretizes a distance to its cell index.
+// cell discretizes a distance to its cell index; d⁺ and beyond fall in
+// the top cell.
 func (g *grid) cell(d float64) uint32 {
 	return uint32(min(max(d, 0)*g.scale, float64(g.laneMask)))
 }
@@ -138,14 +142,17 @@ func (g *grid) key(dv []float64) uint64 {
 }
 
 // bound returns grid line i as a distance: the lower bound of the true
-// distances in cell i and the upper bound of those in cell i-1. The
-// table holds the quotient itself, so a tabulated bound and a computed
-// one are the same float64.
+// distances in cell i and the upper bound of those in cell i-1; above
+// the top cell, +Inf. The table holds the quotient itself, so a
+// tabulated bound and a computed one are the same float64.
 //
 //metriclint:noalloc
 func (g *grid) bound(i uint64) float64 {
-	if i < uint64(len(g.bounds)) {
+	switch {
+	case i < uint64(len(g.bounds)):
 		return g.bounds[i]
+	case i > g.laneMask:
+		return math.Inf(1)
 	}
 	return float64(i) / g.scale
 }

@@ -268,16 +268,12 @@ func (s *Index) scan(sc *scratch, q core.Object, n bptree.View, lo, hi uint64) (
 // along the leaf chain.
 func (s *Index) scanBand(sc *scratch, q core.Object, lo, hi uint64) error {
 	pid, err := s.tree.LeafFor(lo)
-	for err == nil && pid != store.InvalidPage {
+	for more := true; more && err == nil && pid != store.InvalidPage; {
 		var n bptree.View
-		if n, err = s.tree.View(pid); err != nil {
-			break
+		if n, err = s.tree.View(pid); err == nil {
+			more, err = s.scan(sc, q, n, lo, hi)
+			pid = n.Next()
 		}
-		var more bool
-		if more, err = s.scan(sc, q, n, lo, hi); !more {
-			break
-		}
-		pid = n.Next()
 	}
 	return err
 }

@@ -235,3 +235,49 @@ func TestSPBSnapshotRejectsForeignPivot(t *testing.T) {
 		t.Fatal("SPB-tree loaded a payload whose first pivot is a Word over L2 vectors")
 	}
 }
+
+// TestKeyedBeyondMaxDistance inserts an object far beyond d⁺ from every
+// pivot into each keyed kind and requires it to be found — by a range
+// query at radius 0 around it and by a 1-NN — and every other answer to
+// stay a linear scan's. The grid's top cell and the cluster band's last
+// key are open-ended, so a key clamped there still bounds the distance.
+func TestKeyedBeyondMaxDistance(t *testing.T) {
+	for _, kind := range []string{"SPB-tree", "M-index", "M-index*"} {
+		t.Run(kind, func(t *testing.T) { keyedBeyondMaxDistance(t, kind) })
+	}
+}
+
+func keyedBeyondMaxDistance(t *testing.T, kind string) {
+	ds := testutil.VectorDataset(400, 4, 100, core.L2{}, 7)
+	pv, err := pivot.HFI(ds, 4, pivot.Options{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var idx *Index
+	if kind == "SPB-tree" {
+		idx, err = New(ds, store.NewPager(512), pv, Options{MaxDistance: 300})
+	} else {
+		idx, err = NewMIndex(ds, store.NewPager(512), pv, MIndexOptions{Star: kind == "M-index*", MaxNum: 64, MaxDistance: 300})
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	far := core.Vector{5000, 5000, 5000, 5000}
+	id := ds.Insert(far)
+	if err := idx.Insert(id); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := idx.RangeSearch(far, 0); err != nil || !slices.Equal(got, []int{id}) {
+		t.Errorf("%s: RangeSearch(far, 0) = %v (err %v), want [%d]", kind, got, err, id)
+	}
+	for _, q := range []core.Object{far, core.Vector{4000, 4500, 5000, 5200}, testutil.RandomQuery(ds, 3)} {
+		testutil.CheckKNN(t, idx, ds, q, 1)
+		testutil.CheckKNN(t, idx, ds, q, 12)
+		for _, r := range []float64{0, 50, 2000, 9000} {
+			testutil.CheckRange(t, idx, ds, q, r)
+		}
+	}
+	if err := idx.Delete(id); err != nil {
+		t.Errorf("%s: Delete(far): %v", kind, err)
+	}
+}
