@@ -267,13 +267,28 @@ func (f *clusters) ranges(s *Index, sc *scratch, q core.Object, r float64) error
 	})
 }
 
-// test reads every record of a range band (the band is the key test);
-// a kNN's bound is the key's band bound.
-func (f *clusters) test(sc *scratch, key uint64, _ float64) (verdict, float64) {
-	if !sc.knn {
-		return read, 0
+// keys keeps every record of a range band keyed in [lo, hi] (the band is
+// the key test) that an earlier growing-radius round did not verify; a
+// kNN keeps those whose band bound is within r, and in the forward half
+// the first key beyond r ends the band.
+func (f *clusters) keys(sc *scratch, n bptree.View, lo, hi uint64, r float64) bool {
+	for i, count := 0, n.Len(); i < count; i++ {
+		key, val := n.Record(i)
+		switch {
+		case key > hi:
+			return false
+		case key < lo || sc.seen != nil && sc.seen[int(val)]:
+		case !sc.knn:
+			sc.cands = append(sc.cands, cand{id: int(val)})
+		default:
+			if lb := sc.band.lb(key); lb <= r {
+				sc.cands = append(sc.cands, cand{int(val), lb})
+			} else if sc.forward {
+				return false
+			}
+		}
 	}
-	return read, sc.band.lb(key)
+	return true
 }
 
 // seed queues every non-empty cluster under its MBB lower bound.

@@ -240,19 +240,27 @@ func (g *grid) cellMinDist(sc *scratch, glo, ghi uint64) float64 {
 	return m
 }
 
-// test reads a key as its grid cell: a kNN's bound is the cell's, and a
-// range query prunes and validates the cell.
-func (g *grid) test(sc *scratch, key uint64, _ float64) (verdict, float64) {
-	c := sc.cur.DecodePacked(key)
-	switch {
-	case sc.knn:
-		return read, g.cellMinDist(sc, c, c)
-	case g.pruneCell(sc, c, c):
-		return skip, 0
-	case g.validateCell(sc, c):
-		return take, 0
+// keys reads each key of a leaf as its grid cell: a kNN keeps the
+// records whose cell bound is within r, and a range query prunes and
+// validates each cell. The SPB-tree scans whole leaves (lo and hi span
+// every key).
+func (g *grid) keys(sc *scratch, n bptree.View, _, _ uint64, r float64) bool {
+	for i, count := 0, n.Len(); i < count; i++ {
+		key, val := n.Record(i)
+		c := sc.cur.DecodePacked(key)
+		switch {
+		case sc.knn:
+			if lb := g.cellMinDist(sc, c, c); lb <= r {
+				sc.cands = append(sc.cands, cand{int(val), lb})
+			}
+		case g.pruneCell(sc, c, c):
+		case g.validateCell(sc, c):
+			sc.ids = append(sc.ids, int(val))
+		default:
+			sc.cands = append(sc.cands, cand{id: int(val)})
+		}
 	}
-	return read, 0
+	return true
 }
 
 // ranges descends the B+-tree depth first: non-leaf entries are pruned

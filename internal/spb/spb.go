@@ -68,11 +68,13 @@ type family interface {
 	prepare(sc *scratch)
 	insert(s *Index, id int, dv []float64) error
 	remove(s *Index, id int, dv []float64) error
-	// test is Lemma 1 on what a key says at a range query's radius r —
-	// and Lemma 4, where the key allows it; in a kNN, it gives the key's
-	// lower bound of d(q, o), which the engine tests at the kNN's radius
-	// and orders the reads by.
-	test(sc *scratch, key uint64, r float64) (verdict, float64)
+	// keys is the key half of the band scan over leaf n: Lemma 1 — and
+	// Lemma 4, where a key allows it — on what each key in [lo, hi] says
+	// at radius r, before any record is read. It appends the records to
+	// read to sc.cands, with, in a kNN, the key's lower bound of d(q, o),
+	// and the records admitted unread to sc.ids; it reports whether the
+	// band goes on in the next leaf.
+	keys(sc *scratch, n bptree.View, lo, hi uint64, r float64) bool
 	ranges(s *Index, sc *scratch, q core.Object, r float64) error
 	seed(s *Index, sc *scratch)
 	expand(s *Index, sc *scratch, q core.Object, it core.Ranked[uint32]) error
@@ -82,15 +84,6 @@ type family interface {
 	// docs/PERSISTENCE.md).
 	section(w *persist.Writer)
 }
-
-// verdict is what a key says about its record before the record is read.
-type verdict uint8
-
-const (
-	skip verdict = iota // ruled out (Lemma 1)
-	read                // read and verify
-	take                // admitted unread (Lemma 4)
-)
 
 // scratch is the working memory of one query, pooled per index so a
 // steady-state query allocates only its answer.
@@ -205,35 +198,19 @@ func (s *Index) load(sc *scratch, id int) ([]float64, core.Object, error) {
 
 // scan is the band scan of one leaf: it decides the records of leaf n
 // keyed in [lo, hi] and reports whether the band goes on in the next
-// leaf. Every key first passes the family's test — at a range query's
-// radius, or at a kNN's radius on entering the leaf — and only the
-// survivors' records are read: a kNN's in lower-bound order, each
-// retested at the then-current radius. A read record is tested on its
-// stored distances (Lemma 1, and Lemma 4 in a validating range query)
-// before its distance is computed.
+// leaf. Every key first passes the family's key test (keys) — at a
+// range query's radius, or at a kNN's radius on entering the leaf — and
+// only the survivors' records are read: a kNN's in lower-bound order,
+// each retested at the then-current radius. A read record is tested on
+// its stored distances (Lemma 1, and Lemma 4 in a validating range
+// query) before its distance is computed.
 func (s *Index) scan(sc *scratch, q core.Object, n bptree.View, lo, hi uint64) (bool, error) {
 	sc.cands = sc.cands[:0]
 	r := sc.r
 	if sc.knn {
 		r = sc.heap.Radius()
 	}
-	more := true
-	for i, count := 0, n.Len(); i < count && more; i++ {
-		key, val := n.Record(i)
-		if key < lo || key <= hi && sc.seen[int(val)] {
-			continue
-		}
-		switch v, lb := s.fam.test(sc, key, r); {
-		case key > hi:
-			more = false
-		case v == skip || sc.knn && lb > r:
-			more = !sc.forward
-		case v == read:
-			sc.cands = append(sc.cands, cand{int(val), lb})
-		default:
-			sc.ids = append(sc.ids, int(val))
-		}
-	}
+	more := s.fam.keys(sc, n, lo, hi, r)
 	if sc.knn {
 		slices.SortFunc(sc.cands, func(a, b cand) int { return cmp.Compare(a.lb, b.lb) })
 	}
