@@ -133,13 +133,15 @@ func TestSPBStats(t *testing.T) {
 }
 
 // TestSPBConcurrentQueries runs mixed kNN and range queries from eight
-// goroutines on one tree (under `make race`): the pooled scratch and the
-// decode cursor are per-query state, so every answer must still equal
-// the linear scan.
+// goroutines on one index of each keyed kind (under `make race`): the
+// pooled scratch, the decode cursor and the M-index band are per-query
+// state, so every answer must still equal the linear scan.
 func TestSPBConcurrentQueries(t *testing.T) {
 	ds := testutil.VectorDataset(1500, 4, 100, core.L2{}, 17)
-	idx, p := build(t, ds, 300)
-	p.SetCacheBytes(16 * 512) // small enough that the goroutines evict each other's pages
+	pv, err := pivot.HFI(ds, 4, pivot.Options{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
 	type query struct {
 		q   core.Object
 		ids []int
@@ -150,30 +152,43 @@ func TestSPBConcurrentQueries(t *testing.T) {
 		q := testutil.RandomQuery(ds, int64(100+i))
 		queries[i] = query{q, core.BruteForceRange(ds, q, 15), core.BruteForceKNN(ds, q, 10)}
 	}
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 60; i++ {
-				c := queries[(g*7+i)%len(queries)]
-				if (g+i)%2 == 0 {
-					ids, err := idx.RangeSearch(c.q, 15)
-					if err != nil || !slices.Equal(ids, c.ids) {
-						t.Errorf("goroutine %d query %d: range answer %v (err %v), want %v", g, i, ids, err, c.ids)
+	for _, kind := range []string{"SPB-tree", "M-index", "M-index*"} {
+		p := store.NewPager(512)
+		var idx *Index
+		if kind == "SPB-tree" {
+			idx, err = New(ds, p, pv, Options{MaxDistance: 300})
+		} else {
+			idx, err = NewMIndex(ds, p, pv, MIndexOptions{Star: kind == "M-index*", MaxNum: 64, MaxDistance: 300})
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.SetCacheBytes(16 * 512) // small enough that the goroutines evict each other's pages
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := 0; i < 60; i++ {
+					c := queries[(g*7+i)%len(queries)]
+					if (g+i)%2 == 0 {
+						ids, err := idx.RangeSearch(c.q, 15)
+						if err != nil || !slices.Equal(ids, c.ids) {
+							t.Errorf("%s: goroutine %d query %d: range answer %v (err %v), want %v", kind, g, i, ids, err, c.ids)
+							return
+						}
+						continue
+					}
+					nns, err := idx.KNNSearch(c.q, 10)
+					if err != nil || !slices.Equal(nns, c.nns) {
+						t.Errorf("%s: goroutine %d query %d: kNN answer %v (err %v), want %v", kind, g, i, nns, err, c.nns)
 						return
 					}
-					continue
 				}
-				nns, err := idx.KNNSearch(c.q, 10)
-				if err != nil || !slices.Equal(nns, c.nns) {
-					t.Errorf("goroutine %d query %d: kNN answer %v (err %v), want %v", g, i, nns, err, c.nns)
-					return
-				}
-			}
-		}(g)
+			}(g)
+		}
+		wg.Wait()
 	}
-	wg.Wait()
 }
 
 // TestSPBQueryAllocs is the steady-state allocation witness: with the
