@@ -15,8 +15,7 @@
 // -index takes any of the 18 kinds of the family registry (internal/bench):
 // AESA, LAESA, EPT, EPT*, DiskEPT*, CPT, BKT, FQT, FQA, MVPT, VPT,
 // PM-tree, Omni-seq, OmniB+-tree, OmniR-tree, M-index, M-index* and
-// SPB-tree. BKT, FQT and FQA need a discrete metric (Words); M-index and
-// M-index* have no snapshot, so they cannot serve with -data-dir.
+// SPB-tree. BKT, FQT and FQA need a discrete metric (Words).
 //
 // With -data-dir the server is durable: the built index is snapshotted
 // to <dir>/snapshot.mxs, every committed write is appended to
