@@ -74,6 +74,56 @@ func TestRangeScanBounds(t *testing.T) {
 	}
 }
 
+// TestRangeScanReadsEachPageOnce: a scan reads every page of its descent
+// and every leaf it visits once — the first leaf, where the descent ends,
+// included.
+func TestRangeScanReadsEachPageOnce(t *testing.T) {
+	p := store.NewPager(512)
+	tr := New(p, nil)
+	for k := uint64(0); k < 10; k++ {
+		if err := tr.Insert(k, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p.ResetStats()
+	if got := collect(t, tr, 0, ^uint64(0)); len(got) != 10 {
+		t.Fatalf("scan returned %d keys, want 10", len(got))
+	}
+	if got := p.Reads(); got != 1 {
+		t.Fatalf("scan of a one-leaf tree read %d pages, want 1", got)
+	}
+
+	for k := uint64(10); k < 2000; k++ {
+		if err := tr.Insert(k, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h, err := tr.Height()
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaves := 0
+	for pid := tr.Root(); pid != store.InvalidPage; {
+		v, err := tr.View(pid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !v.Leaf() {
+			pid, _, _ = v.Child(0)
+			continue
+		}
+		leaves++
+		pid = v.Next()
+	}
+	p.ResetStats()
+	if got := collect(t, tr, 0, ^uint64(0)); len(got) != 2000 {
+		t.Fatalf("scan returned %d keys, want 2000", len(got))
+	}
+	if got, want := p.Reads(), int64(h-1+leaves); got != want {
+		t.Fatalf("full scan of a height-%d tree with %d leaves read %d pages, want %d", h, leaves, got, want)
+	}
+}
+
 func TestDuplicateKeys(t *testing.T) {
 	p := store.NewPager(512)
 	tr := New(p, nil)
