@@ -29,8 +29,8 @@ var builderGolden = map[string]builderCosts{
 	"MVPT/Words":       {[2]int64{1800, 0}, [2]int64{1214, 0}, [2]int64{1332, 0}},
 	"PM-tree/Words":    {[2]int64{13432, 2285}, [2]int64{1003, 15}, [2]int64{1240, 44}},
 	"OmniR-tree/Words": {[2]int64{2400, 2413}, [2]int64{1015, 11}, [2]int64{1229, 2456}},
-	"M-index/Words":    {[2]int64{2400, 4307}, [2]int64{952, 13}, [2]int64{1229, 2532}},
-	"M-index*/Words":   {[2]int64{2400, 4307}, [2]int64{958, 13}, [2]int64{1227, 2489}},
+	"M-index/Words":    {[2]int64{2400, 4307}, [2]int64{952, 13}, [2]int64{1229, 2528}},
+	"M-index*/Words":   {[2]int64{2400, 4307}, [2]int64{958, 13}, [2]int64{1227, 2486}},
 	"SPB-tree/Words":   {[2]int64{2400, 2411}, [2]int64{932, 7}, [2]int64{1229, 2451}},
 	"LAESA/LA":         {[2]int64{2400, 0}, [2]int64{144, 0}, [2]int64{302, 0}},
 	"EPT/LA":           {[2]int64{5688, 0}, [2]int64{122, 0}, [2]int64{322, 0}},
@@ -39,8 +39,8 @@ var builderGolden = map[string]builderCosts{
 	"MVPT/LA":          {[2]int64{1800, 0}, [2]int64{55, 0}, [2]int64{358, 0}},
 	"PM-tree/LA":       {[2]int64{10022, 2296}, [2]int64{113, 7}, [2]int64{311, 17}},
 	"OmniR-tree/LA":    {[2]int64{2400, 2417}, [2]int64{28, 9}, [2]int64{302, 597}},
-	"M-index/LA":       {[2]int64{2400, 4309}, [2]int64{32, 13}, [2]int64{302, 847}},
-	"M-index*/LA":      {[2]int64{2400, 4309}, [2]int64{57, 13}, [2]int64{231, 847}},
+	"M-index/LA":       {[2]int64{2400, 4309}, [2]int64{32, 13}, [2]int64{302, 841}},
+	"M-index*/LA":      {[2]int64{2400, 4309}, [2]int64{57, 13}, [2]int64{231, 841}},
 	"SPB-tree/LA":      {[2]int64{2400, 2413}, [2]int64{28, 4}, [2]int64{231, 451}},
 }
 

@@ -95,10 +95,10 @@ var treeGolden = map[string]treeCosts{
 	"PM-tree/words":    {[2]int64{53429, 53429}, [2]int64{21755, 21303}, treeAnswersWords},
 	"OmniR-tree/ints":  {[2]int64{3275, 3275}, [2]int64{7926, 1685}, treeAnswersInts},
 	"OmniR-tree/words": {[2]int64{36345, 36345}, [2]int64{79258, 5494}, treeAnswersWords},
-	"M-index/ints":     {[2]int64{10378, 10378}, [2]int64{105635, 34780}, treeAnswersInts},
-	"M-index/words":    {[2]int64{40544, 40544}, [2]int64{344073, 105496}, treeAnswersWords},
-	"M-index*/ints":    {[2]int64{5584, 5584}, [2]int64{54151, 17952}, treeAnswersInts},
-	"M-index*/words":   {[2]int64{44599, 44599}, [2]int64{174059, 52681}, treeAnswersWords},
+	"M-index/ints":     {[2]int64{10378, 10378}, [2]int64{104093, 34780}, treeAnswersInts},
+	"M-index/words":    {[2]int64{40544, 40544}, [2]int64{341776, 105496}, treeAnswersWords},
+	"M-index*/ints":    {[2]int64{5584, 5584}, [2]int64{52839, 17952}, treeAnswersInts},
+	"M-index*/words":   {[2]int64{44599, 44599}, [2]int64{172711, 52681}, treeAnswersWords},
 }
 
 // Every family answers the battery identically: kNN ties break by id.

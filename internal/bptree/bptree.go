@@ -406,7 +406,7 @@ func (t *Tree) insert(pid store.PageID, key, val uint64) (splitResult, error) {
 // underflow (no rebalancing): search correctness is unaffected and the
 // paper's update experiment measures delete+reinsert, not compaction.
 func (t *Tree) Delete(key, val uint64) error {
-	pid, err := t.LeafFor(key)
+	pid, _, err := t.LeafFor(key)
 	if err != nil {
 		return err
 	}
@@ -435,16 +435,19 @@ func (t *Tree) Delete(key, val uint64) error {
 }
 
 // LeafFor descends to the first leaf that may contain key, viewing
-// every page on the way (the leaf too).
-func (t *Tree) LeafFor(key uint64) (store.PageID, error) {
+// every page on the way, and returns that leaf's page and view: a scan
+// starts on the view and reads the first leaf once.
+//
+//metriclint:noalloc
+func (t *Tree) LeafFor(key uint64) (store.PageID, View, error) {
 	pid := t.root
 	for {
 		v, err := t.View(pid)
 		if err != nil {
-			return store.InvalidPage, err
+			return store.InvalidPage, View{}, err
 		}
 		if v.Leaf() {
-			return pid, nil
+			return pid, v, nil
 		}
 		pid = v.childFor(key)
 	}
@@ -453,15 +456,8 @@ func (t *Tree) LeafFor(key uint64) (store.PageID, error) {
 // RangeScan invokes fn for every record with lo <= key <= hi, in key
 // order, until fn returns false.
 func (t *Tree) RangeScan(lo, hi uint64, fn func(key, val uint64) bool) error {
-	pid, err := t.LeafFor(lo)
-	if err != nil {
-		return err
-	}
-	for pid != store.InvalidPage {
-		v, err := t.View(pid)
-		if err != nil {
-			return err
-		}
+	_, v, err := t.LeafFor(lo)
+	for err == nil {
 		for i, n := 0, v.Len(); i < n; i++ {
 			key, val := v.Record(i)
 			if key < lo {
@@ -471,9 +467,12 @@ func (t *Tree) RangeScan(lo, hi uint64, fn func(key, val uint64) bool) error {
 				return nil
 			}
 		}
-		pid = v.Next()
+		if v.Next() == store.InvalidPage {
+			return nil
+		}
+		v, err = t.View(v.Next())
 	}
-	return nil
+	return err
 }
 
 // Height returns the tree height (1 for a lone leaf).

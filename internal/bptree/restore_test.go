@@ -56,7 +56,7 @@ func TestRestoreRejectsSelfChild(t *testing.T) {
 // forever.
 func TestRestoreRejectsSelfNext(t *testing.T) {
 	err := restoreTree(t, func(tr *Tree) {
-		leaf, err := tr.LeafFor(0)
+		leaf, _, err := tr.LeafFor(0)
 		if err != nil {
 			t.Fatal(err)
 		}

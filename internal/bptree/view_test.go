@@ -136,7 +136,7 @@ func TestViewRejectsCorruptCount(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	leaf, err := tr.LeafFor(0)
+	leaf, _, err := tr.LeafFor(0)
 	if err != nil {
 		t.Fatal(err)
 	}

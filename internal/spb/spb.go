@@ -244,13 +244,13 @@ func (s *Index) scan(sc *scratch, q core.Object, n bptree.View, lo, hi uint64) (
 // scanBand runs the band scan over the keys in [lo, hi], leaf by leaf
 // along the leaf chain.
 func (s *Index) scanBand(sc *scratch, q core.Object, lo, hi uint64) error {
-	pid, err := s.tree.LeafFor(lo)
-	for more := true; more && err == nil && pid != store.InvalidPage; {
-		var n bptree.View
-		if n, err = s.tree.View(pid); err == nil {
-			more, err = s.scan(sc, q, n, lo, hi)
-			pid = n.Next()
+	_, n, err := s.tree.LeafFor(lo)
+	for err == nil {
+		var more bool
+		if more, err = s.scan(sc, q, n, lo, hi); err != nil || !more || n.Next() == store.InvalidPage {
+			break
 		}
+		n, err = s.tree.View(n.Next())
 	}
 	return err
 }
