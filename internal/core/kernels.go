@@ -78,6 +78,9 @@ type float interface{ float32 | float64 }
 // row. A result not above stop is the full sum, bit for bit; stop = +Inf
 // never stops.
 //
+// Float64 rows reach it through l1Kernel64, which on amd64 runs the SSE2
+// body of kernels_amd64.s instead: the same sums, bit for bit.
+//
 //metriclint:noalloc
 func l1Kernel[T float](x, y []T, stop float64) float64 {
 	y = y[:len(x)]
@@ -267,16 +270,21 @@ func absInt32(d int32) int32 {
 	return d
 }
 
-// DistanceMany implements BatchMetric for L1.
+// DistanceMany implements BatchMetric for L1: pair by pair through
+// Distance, so float64 rows run l1Kernel64 like every other float64 L1
+// call.
 func (m L1) DistanceMany(q Object, objs []Object, out []float64) {
-	distanceManyVec(m, q, objs, out)
+	out = out[:len(objs)]
+	for i, o := range objs {
+		out[i] = m.Distance(q, o)
+	}
 }
 
 // DistanceFlat implements BatchMetric for L1.
 func (L1) DistanceFlat(q []float64, flat []float64, dim int, out []float64) {
 	out = out[:checkFlat("L1", q, flat, dim, out)]
 	for i := range out {
-		out[i] = l1Kernel(q, flat[i*dim:(i+1)*dim], math.Inf(1))
+		out[i] = l1Kernel64(q, flat[i*dim:(i+1)*dim], math.Inf(1))
 	}
 }
 
@@ -354,8 +362,6 @@ func distanceManyVec(m Metric, q Object, objs []Object, out []float64) {
 //metriclint:noalloc
 func vecKernel[T float](m Metric, x, y []T) float64 {
 	switch m.(type) {
-	case L1:
-		return l1Kernel(x, y, math.Inf(1))
 	case L2:
 		return math.Sqrt(l2SqKernel(x, y, math.Inf(1)))
 	case LInf:
@@ -417,7 +423,7 @@ func finishSqrt(pre float64) float64 { return math.Sqrt(pre) }
 func PreKernelFor(m Metric) (PreKernel, bool) {
 	switch m.(type) {
 	case L1:
-		return PreKernel{Pre64: l1Kernel[float64], Pre32: l1Kernel[float32], Bound: boundIdentity, Finish: finishIdentity}, true
+		return PreKernel{Pre64: l1Kernel64, Pre32: l1Kernel[float32], Bound: boundIdentity, Finish: finishIdentity}, true
 	case L2:
 		return PreKernel{Pre64: l2SqKernel[float64], Pre32: l2SqKernel[float32], Bound: boundSq, Finish: finishSqrt}, true
 	case LInf, IntLInf:

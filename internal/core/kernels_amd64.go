@@ -1,0 +1,23 @@
+package core
+
+import "unsafe"
+
+// l1Kernel64 is l1Kernel over float64 rows, run by the SSE2 body in
+// kernels_amd64.s: bit for bit l1Kernel[float64], stop contract
+// included, without math.Abs's round trip through a general register.
+//
+//metriclint:noalloc
+func l1Kernel64(x, y []float64, stop float64) float64 {
+	return l1SSE2(x, y[:len(x)], stop)
+}
+
+// l1SSE2 is l1Kernel64's body; len(y) must be len(x).
+//
+//go:noescape
+func l1SSE2(x, y []float64, stop float64) float64
+
+// prefetchLines asks the CPU to load the n > 0 bytes at p into its
+// caches, one PREFETCHT0 per 64-byte line.
+//
+//go:noescape
+func prefetchLines(p unsafe.Pointer, n uintptr)

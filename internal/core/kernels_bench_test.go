@@ -154,7 +154,8 @@ func sinkFloats(b *testing.B, out []float64) {
 // workload's width), with the rows hot in cache (64 rows, cycled) and
 // cold (50 000 rows visited in a permuted order, as a table's verified
 // candidates are), at stop = +Inf — a full distance — and at a stop half
-// the mean distance, which a uniform row passes about mid-row.
+// the mean distance, which a uniform row passes about mid-row; each for
+// the generic body and for l1Kernel64, the body float64 rows run.
 func BenchmarkL1Within(b *testing.B) {
 	const dim = 282
 	rng := rand.New(rand.NewSource(42))
@@ -179,14 +180,19 @@ func BenchmarkL1Within(b *testing.B) {
 			name string
 			stop float64
 		}{{"inf", math.Inf(1)}, {"mid", mean / 2}} {
-			b.Run(set.name+"/"+st.name, func(b *testing.B) {
-				var s float64
-				for n := 0; n < b.N; n++ {
-					row := order[n%len(order)]
-					s += l1Kernel(q, flat[row*dim:(row+1)*dim], st.stop)
-				}
-				sinkFloats(b, []float64{s})
-			})
+			for _, body := range []struct {
+				name string
+				k    func(x, y []float64, stop float64) float64
+			}{{"generic", l1Kernel[float64]}, {"l1Kernel64", l1Kernel64}} {
+				b.Run(set.name+"/"+st.name+"/"+body.name, func(b *testing.B) {
+					var s float64
+					for n := 0; n < b.N; n++ {
+						row := order[n%len(order)]
+						s += body.k(q, flat[row*dim:(row+1)*dim], st.stop)
+					}
+					sinkFloats(b, []float64{s})
+				})
+			}
 		}
 	}
 }

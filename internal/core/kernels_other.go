@@ -1,0 +1,16 @@
+//go:build !amd64
+
+package core
+
+import "unsafe"
+
+// l1Kernel64 is l1Kernel over float64 rows; off amd64 it is the generic
+// body itself.
+//
+//metriclint:noalloc
+func l1Kernel64(x, y []float64, stop float64) float64 {
+	return l1Kernel(x, y, stop)
+}
+
+// prefetchLines does nothing off amd64.
+func prefetchLines(unsafe.Pointer, uintptr) {}

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"runtime/debug"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -41,6 +43,23 @@ func randVector32(rng *rand.Rand, dim int) Vector32 {
 // the agreement contract of BatchMetric, stronger than ==.
 func sameBits(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b)
+}
+
+// sameValue is sameBits up to a NaN's payload. Where two NaNs meet in
+// an add, the one kept depends on the operand order the compiler picks
+// for the generic kernel, and its -race and fuzzing builds pick other
+// orders than the default build: l1Kernel64 agrees with the default
+// build's NaN payloads, but no fixed body can agree with all of them.
+func sameValue(a, b float64) bool {
+	return sameBits(a, b) || math.IsNaN(a) && math.IsNaN(b)
+}
+
+// raceBuild reports whether the test binary was built with -race.
+func raceBuild() bool {
+	bi, ok := debug.ReadBuildInfo()
+	return ok && slices.ContainsFunc(bi.Settings, func(s debug.BuildSetting) bool {
+		return s.Key == "-race" && s.Value == "true"
+	})
 }
 
 // TestDistanceManyMatchesScalar checks every built-in BatchMetric against
@@ -270,21 +289,26 @@ func FuzzBatchKernels(f *testing.F) {
 // partials at each window's end (and their float neighbours). A result
 // not above stop (within it, NaN, or against a NaN stop) must be the
 // full result bit for bit; a result above stop must be a lower bound of
-// a full result above stop, or come from a NaN one.
+// a full result above stop, or come from a NaN one. The row "L1asm" is
+// l1Kernel64, the float64 L1 body of every float64 L1 call (assembly on
+// amd64): besides the contract, each of its results must be
+// l1Kernel[float64]'s bit for bit, up to a NaN's payload (sameValue).
 func FuzzWithinKernels(f *testing.F) {
 	f.Add([]byte{}, uint8(33), int64(1), math.Float64bits(100))
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0xF8, 0x7F}, uint8(64), int64(2), math.Float64bits(math.Inf(1)))
 	f.Add([]byte{1, 0, 0, 0, 0, 0, 0xF0, 0x7F, 0, 0, 0, 0, 0, 0, 0xF0, 0xFF}, uint8(100), int64(3), math.Float64bits(-1))
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xEF, 0x7F}, uint8(97), int64(4), math.Float64bits(math.NaN()))
 	type kernel struct {
-		name string
-		k64  func(x, y []float64, stop float64) float64
-		k32  func(x, y []float32, stop float64) float64
+		name  string
+		k64   func(x, y []float64, stop float64) float64
+		k32   func(x, y []float32, stop float64) float64 // nil: no float32 twin
+		ref64 func(x, y []float64, stop float64) float64 // non-nil: k64 must match it bit for bit
 	}
 	kernels := []kernel{
-		{"L1", l1Kernel[float64], l1Kernel[float32]},
-		{"L2sq", l2SqKernel[float64], l2SqKernel[float32]},
-		{"Linf", linfKernel[float64], linfKernel[float32]},
+		{"L1", l1Kernel[float64], l1Kernel[float32], nil},
+		{"L2sq", l2SqKernel[float64], l2SqKernel[float32], nil},
+		{"Linf", linfKernel[float64], linfKernel[float32], nil},
+		{"L1asm", l1Kernel64, nil, l1Kernel[float64]},
 	}
 	f.Fuzz(func(t *testing.T, raw []byte, dim uint8, seed int64, stopBits uint64) {
 		n := int(dim) % 101
@@ -314,21 +338,92 @@ func FuzzWithinKernels(f *testing.F) {
 			x64, y64 := c64[:n], c64[n:]
 			x32, y32 := c32[:n], c32[n:]
 			full64 := k.k64(x64, y64, math.Inf(1))
-			full32 := k.k32(x32, y32, math.Inf(1))
 			stops := []float64{math.Float64frombits(stopBits)}
 			for _, u := range []float64{0, 0.25, 0.5, 0.75, 1} {
-				stops = append(stops, full64*u, full32*u)
+				stops = append(stops, full64*u)
 			}
 			// A window's partial is the full result over the prefix it ends.
 			for end := stopStride; end <= n; end += stopStride {
-				for _, p := range []float64{k.k64(x64[:end], y64[:end], math.Inf(1)), k.k32(x32[:end], y32[:end], math.Inf(1))} {
+				p := k.k64(x64[:end], y64[:end], math.Inf(1))
+				stops = append(stops, p, math.Nextafter(p, math.Inf(-1)), math.Nextafter(p, math.Inf(1)))
+			}
+			var full32 float64
+			if k.k32 != nil {
+				full32 = k.k32(x32, y32, math.Inf(1))
+				for _, u := range []float64{0, 0.25, 0.5, 0.75, 1} {
+					stops = append(stops, full32*u)
+				}
+				for end := stopStride; end <= n; end += stopStride {
+					p := k.k32(x32[:end], y32[:end], math.Inf(1))
 					stops = append(stops, p, math.Nextafter(p, math.Inf(-1)), math.Nextafter(p, math.Inf(1)))
 				}
 			}
 			for _, stop := range stops {
 				check(k.name+"/64", full64, stop, func(stop float64) float64 { return k.k64(x64, y64, stop) })
-				check(k.name+"/32", full32, stop, func(stop float64) float64 { return k.k32(x32, y32, stop) })
+				if k.ref64 != nil {
+					if got, want := k.k64(x64, y64, stop), k.ref64(x64, y64, stop); !sameValue(got, want) {
+						t.Fatalf("%s dim %d stop %v: %x, reference %x", k.name, n, stop, math.Float64bits(got), math.Float64bits(want))
+					}
+				}
+				if k.k32 != nil {
+					check(k.name+"/32", full32, stop, func(stop float64) float64 { return k.k32(x32, y32, stop) })
+				}
 			}
 		}
 	})
+}
+
+// TestL1KernelAsmMatchesGeneric holds l1Kernel64 — the float64 L1 body
+// every float64 L1 call site runs, in assembly on amd64 — to
+// l1Kernel[float64] bit for bit (under -race up to a NaN's payload, see
+// sameValue): every dim 0–300, so every 4-wide group
+// and 32-wide window boundary is crossed; coordinates mixing finite
+// values with NaNs of random payload and both signs (quiet and
+// signalling), ±Inf, ±0 and subnormals, several NaNs meeting in one
+// lane; stops NaN, ±Inf, −1, 0, cuts of the full value, and each
+// window's partial with its float neighbours, so every stop is taken
+// and missed at each window's end.
+func TestL1KernelAsmMatchesGeneric(t *testing.T) {
+	same := sameBits
+	if raceBuild() {
+		same = sameValue
+	}
+	rng := rand.New(rand.NewSource(42))
+	coord := func(special int) float64 {
+		if rng.Intn(special) != 0 {
+			return rng.NormFloat64() * 100
+		}
+		sign := uint64(rng.Intn(2)) << 63
+		switch rng.Intn(4) {
+		case 0: // a NaN: any non-zero mantissa, quiet or signalling
+			return math.Float64frombits(sign | 0x7FF0000000000000 | (rng.Uint64()&0x000FFFFFFFFFFFFF | 1))
+		case 1:
+			return math.Inf(1 - 2*rng.Intn(2))
+		case 2: // a subnormal or ±0
+			return math.Float64frombits(sign | rng.Uint64()&0x000FFFFFFFFFFFFF>>uint(rng.Intn(53)))
+		}
+		return math.Float64frombits(sign | uint64(rng.Intn(3))<<52 | rng.Uint64()&0x000FFFFFFFFFFFFF)
+	}
+	for dim := 0; dim <= 300; dim++ {
+		// From (almost) no specials to one coordinate in two, where NaNs
+		// of different payloads meet in one lane.
+		for _, special := range []int{1 << 30, 40, 8, 2} {
+			x, y := make([]float64, dim), make([]float64, dim)
+			for i := range x {
+				x[i], y[i] = coord(special), coord(special)
+			}
+			full := l1Kernel(x, y, math.Inf(1))
+			stops := []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1, 0, full, full / 2}
+			for end := stopStride; end <= dim; end += stopStride {
+				p := l1Kernel(x[:end], y[:end], math.Inf(1))
+				stops = append(stops, p, math.Nextafter(p, math.Inf(-1)), math.Nextafter(p, math.Inf(1)))
+			}
+			for _, stop := range stops {
+				if got, want := l1Kernel64(x, y, stop), l1Kernel(x, y, stop); !same(got, want) {
+					t.Fatalf("dim %d stop %v (1 in %d special): l1Kernel64 = %x, l1Kernel[float64] = %x",
+						dim, stop, special, math.Float64bits(got), math.Float64bits(want))
+				}
+			}
+		}
+	}
 }

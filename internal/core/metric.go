@@ -41,7 +41,7 @@ func (L1) Distance(a, b Object) float64 {
 	}
 	x, y := a.(Vector), b.(Vector)
 	checkDim("L1", len(x), len(y))
-	return l1Kernel(x, y, math.Inf(1))
+	return l1Kernel64(x, y, math.Inf(1))
 }
 
 // Name returns "L1".
@@ -113,7 +113,7 @@ func (m Lp) Distance(a, b Object) float64 {
 	checkDim("Lp", len(x), len(y))
 	switch m.P {
 	case 1:
-		return l1Kernel(x, y, math.Inf(1))
+		return l1Kernel64(x, y, math.Inf(1))
 	case 2:
 		return math.Sqrt(l2SqKernel(x, y, math.Inf(1)))
 	case 3:
