@@ -4,6 +4,7 @@ import (
 	"math"
 	"slices"
 	"sync"
+	"unsafe"
 )
 
 // Scratch is the per-query working memory of a pivot-table scan:
@@ -340,6 +341,28 @@ func (f *FlatVecs) Pre(k *PreKernel, q64 []float64, q32 []float32, row int, stop
 		return k.Pre32(q32, f.f32[row*f.Dim:(row+1)*f.Dim], stop)
 	}
 	return k.Pre64(q64, f.f64[row*f.Dim:(row+1)*f.Dim], stop)
+}
+
+// cacheLine is the byte width of a CPU cache line.
+const cacheLine = 64
+
+// Prefetch asks the CPU to start loading row's coordinates (PREFETCHT0
+// per cache line), so a Pre on the row soon after finds them in cache.
+// A row within one cache line skips it: its one miss overlaps little
+// with the work before it, while the call is paid per candidate. Off
+// amd64 it does nothing.
+//
+//metriclint:noalloc
+func (f *FlatVecs) Prefetch(row int) {
+	if f.is32 {
+		if n := f.Dim * 4; n > cacheLine {
+			prefetchLines(unsafe.Pointer(&f.f32[row*f.Dim]), uintptr(n))
+		}
+		return
+	}
+	if n := f.Dim * 8; n > cacheLine {
+		prefetchLines(unsafe.Pointer(&f.f64[row*f.Dim]), uintptr(n))
+	}
 }
 
 // Holds reports whether row holds, bit for bit, the coordinates

@@ -38,36 +38,43 @@ func TestLAESAKNNSearchAllocs(t *testing.T) {
 // TestLAESAFlatKNNHotLoopZeroAllocs is the steady-state witness of the
 // flat kernel path: with the scratch pool warm, one kNN scan — query-
 // pivot batch, column sweep, flat verification — performs zero
-// allocations, with and without a pushed-down accept test. Only
-// assembling the answer slice (Result) allocates, and it stays outside
-// the measured loop. The scan and its callees carry
-// //metriclint:noalloc, so a regression fails `make lint` too.
+// allocations, with and without a pushed-down accept test, on 4-D L2
+// rows (one cache line each) and on 20-D L1 rows, wide enough that each
+// verification prefetches the next survivor's row. Only assembling the
+// answer slice (Result) allocates, and it stays outside the measured
+// loop. The scan and its callees carry //metriclint:noalloc, so a
+// regression fails `make lint` too.
 func TestLAESAFlatKNNHotLoopZeroAllocs(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("race detector instrumentation allocates; AllocsPerRun is meaningless under -race")
 	}
-	ds := testutil.VectorDataset(500, 4, 100, core.L2{}, 7)
-	idx, err := NewLAESA(ds, []int{1, 2, 3, 4, 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !idx.tab.FlatArmed() {
-		t.Fatal("flat path not armed on a pure-vector dataset")
-	}
-	var q core.Object = ds.Objects()[42]
-	if _, err := idx.KNNSearch(q, 10); err != nil { // warm the scratch pool
-		t.Fatal(err)
-	}
-	h := core.NewKNNHeap(10)
-	for name, accept := range map[string]core.Accept{"unfiltered": nil, "accept": func(id int) bool { return id%3 != 0 }} {
-		allocs := testing.AllocsPerRun(200, func() {
-			h.Reset(10)
-			if err := idx.tab.ScanKNN(h, q, accept); err != nil {
-				panic(err)
+	for _, c := range []struct {
+		dim int
+		m   core.Metric
+	}{{4, core.L2{}}, {20, core.L1{}}} {
+		ds := testutil.VectorDataset(500, c.dim, 100, c.m, 7)
+		idx, err := NewLAESA(ds, []int{1, 2, 3, 4, 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !idx.tab.FlatArmed() {
+			t.Fatal("flat path not armed on a pure-vector dataset")
+		}
+		var q core.Object = ds.Objects()[42]
+		if _, err := idx.KNNSearch(q, 10); err != nil { // warm the scratch pool
+			t.Fatal(err)
+		}
+		h := core.NewKNNHeap(10)
+		for name, accept := range map[string]core.Accept{"unfiltered": nil, "accept": func(id int) bool { return id%3 != 0 }} {
+			allocs := testing.AllocsPerRun(200, func() {
+				h.Reset(10)
+				if err := idx.tab.ScanKNN(h, q, accept); err != nil {
+					panic(err)
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("%d-D %s: flat kNN hot loop allocated %.1f times per query; want 0", c.dim, name, allocs)
 			}
-		})
-		if allocs != 0 {
-			t.Fatalf("%s: flat kNN hot loop allocated %.1f times per query; want 0", name, allocs)
 		}
 	}
 }

@@ -654,7 +654,9 @@ func (s *scan) offer(id int, d float64) {
 //     so the order moves no verified row);
 //  4. verify: through the flat kernel at once, which stops reading the
 //     row once its partial passes the radius's bound in pre-distance
-//     space (exact distance for the rest), or by gathering it for flush,
+//     space (exact distance for the rest), after asking the CPU for the
+//     next survivor's mirror row (core.FlatVecs.Prefetch), or by
+//     gathering it for flush,
 //     which fetches the objects and verifies them through DistanceMany;
 //  5. collect: heap push, or radius compare.
 //
@@ -669,7 +671,8 @@ func (s *scan) offer(id int, d float64) {
 //metriclint:noalloc
 func (s *scan) block(base, end int) error {
 	t, sc := s.t, s.sc
-	for _, row := range s.sweep(base, end, s.radius()) {
+	sur := s.sweep(base, end, s.radius())
+	for i, row := range sur {
 		r := s.radius()
 		if s.h != nil {
 			// The layout's recheck, written out rather than behind a helper:
@@ -691,6 +694,10 @@ func (s *scan) block(base, end int) error {
 			continue
 		}
 		if s.flat {
+			// The next survivor's row loads while this one is verified.
+			if i+1 < len(sur) {
+				t.flat.Prefetch(int(sur[i+1]))
+			}
 			// The kernel stops reading the row once its partial passes the
 			// bound; such a partial is a reject as the full pre-distance
 			// would have been (see core.PreKernel).
