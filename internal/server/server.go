@@ -198,7 +198,12 @@ func New(live *epoch.Live, opts Options) (*Server, error) {
 	}
 	s.registerObs()
 	s.mux = http.NewServeMux()
-	s.hsrv = &http.Server{Handler: s.mux, ReadHeaderTimeout: readHeaderTimeout}
+	s.hsrv = &http.Server{
+		Handler:           s.mux,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	s.mux.HandleFunc("POST /v1/range", s.handle("range", true, s.handleQuery(plan.KindRange)))
 	s.mux.HandleFunc("POST /v1/knn", s.handle("knn", true, s.handleQuery(plan.KindKNN)))
 	s.mux.HandleFunc("POST /v1/batch", s.handle("batch", true, s.handleBatch))
@@ -401,11 +406,17 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 // Limits on outside input: handle caps every request body at
 // maxBodyBytes and a larger one is refused with 413 (the largest
 // /v1/batch the benchmark or the tests send is well under it); a
-// connection that has not delivered its headers within readHeaderTimeout
-// is closed.
+// connection that has not delivered its headers within readHeaderTimeout,
+// or its whole request within readTimeout (a full-size body at about
+// 5 Mbit/s), is closed, and so is a kept-alive connection idle for
+// idleTimeout. There is no write timeout: a /v1/swap or a large batch
+// legitimately runs long, and a handler's own deadline is what should
+// bound it.
 const (
 	maxBodyBytes      = 32 << 20
 	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 60 * time.Second
+	idleTimeout       = 120 * time.Second
 )
 
 func decodeBody(r *http.Request, into any) error {

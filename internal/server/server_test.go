@@ -496,8 +496,9 @@ func TestBadRequests(t *testing.T) {
 	}
 
 	// Limits on outside input: a body over the cap is 413 however it is
-	// shaped (here a well-formed prefix of an endless query vector), and
-	// slow headers are timed out.
+	// shaped (here a well-formed prefix of an endless query vector), slow
+	// headers and slow requests are timed out, and so are idle
+	// connections.
 	huge := httptest.NewRequest("POST", "/v1/range", strings.NewReader(`{"query":[`+strings.Repeat("1,", maxBodyBytes/2)))
 	rec := httptest.NewRecorder()
 	srv.Handler().ServeHTTP(rec, huge)
@@ -506,6 +507,15 @@ func TestBadRequests(t *testing.T) {
 	}
 	if srv.hsrv.ReadHeaderTimeout != readHeaderTimeout {
 		t.Fatalf("ReadHeaderTimeout = %v, want %v", srv.hsrv.ReadHeaderTimeout, readHeaderTimeout)
+	}
+	if srv.hsrv.ReadTimeout != readTimeout {
+		t.Fatalf("ReadTimeout = %v, want %v", srv.hsrv.ReadTimeout, readTimeout)
+	}
+	if srv.hsrv.IdleTimeout != idleTimeout {
+		t.Fatalf("IdleTimeout = %v, want %v", srv.hsrv.IdleTimeout, idleTimeout)
+	}
+	if srv.hsrv.WriteTimeout != 0 {
+		t.Fatalf("WriteTimeout = %v, want none", srv.hsrv.WriteTimeout)
 	}
 }
 
