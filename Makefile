@@ -49,13 +49,20 @@ RACE_PKGS = ./internal/exec/... ./internal/epoch/... ./internal/server/... \
 EXAMPLES = ./examples/quickstart ./examples/wordsearch ./examples/geosearch \
            ./examples/imagesearch ./examples/cachedsearch
 
-.PHONY: all build benchmark-build benchmark-test test race fuzz bench bench-plan \
+.PHONY: all build cross benchmark-build benchmark-test test race fuzz bench bench-plan \
         staticcheck govulncheck lint fmt vet examples loc ci
 
 all: build
 
 build:
 	$(GO) build ./...
+
+# The portable build: on arm64 and 386 the float64 L1 kernel is the
+# generic Go body (kernels_other.go) and the row prefetch a no-op, so
+# build and vet there too, or only amd64 would ever compile them.
+cross:
+	GOARCH=arm64 $(GO) build ./... && GOARCH=arm64 $(GO) vet ./internal/core ./internal/table
+	GOARCH=386 $(GO) build ./... && GOARCH=386 $(GO) vet ./internal/core ./internal/table
 
 # The repository benchmark (benchmark/, BENCHMARK.json) is its own module
 # with a `replace metricindex => ../`, so `go build ./...` above never
@@ -115,7 +122,9 @@ govulncheck:
 # See docs/STATIC_ANALYSIS.md. It also fails when a non-test file imports
 # container/heap (best-first traversals queue on core.MinHeap), and when
 # the compiler keeps a per-element bounds check (IsInBounds) in the
-# distance kernels of internal/core/kernels.go.
+# distance kernels. That gate covers the Go kernels of
+# internal/core/kernels.go only: it cannot see the amd64 assembly body
+# (kernels_amd64.s), which the bit-identity tests hold instead.
 lint:
 	$(GO) run ./cmd/metriclint ./...
 	@! grep -rl --include='*.go' --exclude='*_test.go' '"container/heap"' . || \
@@ -155,4 +164,4 @@ loc:
 # offline run can cherry-pick the other targets individually — lint
 # itself is pure stdlib). Performance numbers come from benchmark/
 # (BENCHMARK.json), not from this target; `bench` is a does-it-run check.
-ci: build benchmark-build vet fmt lint staticcheck govulncheck test benchmark-test race fuzz examples bench bench-plan
+ci: build cross benchmark-build vet fmt lint staticcheck govulncheck test benchmark-test race fuzz examples bench bench-plan
