@@ -354,15 +354,28 @@ const cacheLine = 64
 //
 //metriclint:noalloc
 func (f *FlatVecs) Prefetch(row int) {
+	if f.rowBytes() > cacheLine { // inlined: a narrow row costs no call
+		f.prefetch(row)
+	}
+}
+
+//metriclint:noalloc
+func (f *FlatVecs) prefetch(row int) {
 	if f.is32 {
-		if n := f.Dim * 4; n > cacheLine {
-			prefetchLines(unsafe.Pointer(&f.f32[row*f.Dim]), uintptr(n))
-		}
+		prefetchLines(unsafe.Pointer(&f.f32[row*f.Dim]), uintptr(f.rowBytes()))
 		return
 	}
-	if n := f.Dim * 8; n > cacheLine {
-		prefetchLines(unsafe.Pointer(&f.f64[row*f.Dim]), uintptr(n))
+	prefetchLines(unsafe.Pointer(&f.f64[row*f.Dim]), uintptr(f.rowBytes()))
+}
+
+// rowBytes is the byte width of one mirror row.
+//
+//metriclint:noalloc
+func (f *FlatVecs) rowBytes() int {
+	if f.is32 {
+		return f.Dim * 4
 	}
+	return f.Dim * 8
 }
 
 // Holds reports whether row holds, bit for bit, the coordinates
