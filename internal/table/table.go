@@ -654,10 +654,10 @@ func (s *scan) offer(id int, d float64) {
 //     so the order moves no verified row);
 //  4. verify: through the flat kernel at once, which stops reading the
 //     row once its partial passes the radius's bound in pre-distance
-//     space (exact distance for the rest), after asking the CPU for the
-//     next survivor's mirror row (core.FlatVecs.Prefetch), or by
-//     gathering it for flush,
-//     which fetches the objects and verifies them through DistanceMany;
+//     space (exact distance for the rest), the next survivor's mirror
+//     row prefetched first (core.FlatVecs.Prefetch); or by gathering it
+//     for flush, which fetches the objects and verifies them through
+//     DistanceMany;
 //  5. collect: heap push, or radius compare.
 //
 // The sweep only pre-filters; step 3 makes the set of verified rows
