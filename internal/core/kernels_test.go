@@ -291,8 +291,9 @@ func FuzzBatchKernels(f *testing.F) {
 // full result bit for bit; a result above stop must be a lower bound of
 // a full result above stop, or come from a NaN one. The row "L1asm" is
 // l1Kernel64, the float64 L1 body of every float64 L1 call (assembly on
-// amd64): besides the contract, each of its results must be
-// l1Kernel[float64]'s bit for bit, up to a NaN's payload (sameValue).
+// amd64; its float32 twin is the L1 row's): besides the contract, each
+// of its results must be l1Kernel[float64]'s bit for bit, up to a NaN's
+// payload (sameValue).
 func FuzzWithinKernels(f *testing.F) {
 	f.Add([]byte{}, uint8(33), int64(1), math.Float64bits(100))
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0xF8, 0x7F}, uint8(64), int64(2), math.Float64bits(math.Inf(1)))
@@ -301,14 +302,14 @@ func FuzzWithinKernels(f *testing.F) {
 	type kernel struct {
 		name  string
 		k64   func(x, y []float64, stop float64) float64
-		k32   func(x, y []float32, stop float64) float64 // nil: no float32 twin
-		ref64 func(x, y []float64, stop float64) float64 // non-nil: k64 must match it bit for bit
+		k32   func(x, y []float32, stop float64) float64
+		ref64 func(x, y []float64, stop float64) float64 // non-nil: k64 must match it
 	}
 	kernels := []kernel{
 		{"L1", l1Kernel[float64], l1Kernel[float32], nil},
 		{"L2sq", l2SqKernel[float64], l2SqKernel[float32], nil},
 		{"Linf", linfKernel[float64], linfKernel[float32], nil},
-		{"L1asm", l1Kernel64, nil, l1Kernel[float64]},
+		{"L1asm", l1Kernel64, l1Kernel[float32], l1Kernel[float64]},
 	}
 	f.Fuzz(func(t *testing.T, raw []byte, dim uint8, seed int64, stopBits uint64) {
 		n := int(dim) % 101
@@ -338,35 +339,25 @@ func FuzzWithinKernels(f *testing.F) {
 			x64, y64 := c64[:n], c64[n:]
 			x32, y32 := c32[:n], c32[n:]
 			full64 := k.k64(x64, y64, math.Inf(1))
+			full32 := k.k32(x32, y32, math.Inf(1))
 			stops := []float64{math.Float64frombits(stopBits)}
 			for _, u := range []float64{0, 0.25, 0.5, 0.75, 1} {
-				stops = append(stops, full64*u)
+				stops = append(stops, full64*u, full32*u)
 			}
 			// A window's partial is the full result over the prefix it ends.
 			for end := stopStride; end <= n; end += stopStride {
-				p := k.k64(x64[:end], y64[:end], math.Inf(1))
-				stops = append(stops, p, math.Nextafter(p, math.Inf(-1)), math.Nextafter(p, math.Inf(1)))
-			}
-			var full32 float64
-			if k.k32 != nil {
-				full32 = k.k32(x32, y32, math.Inf(1))
-				for _, u := range []float64{0, 0.25, 0.5, 0.75, 1} {
-					stops = append(stops, full32*u)
-				}
-				for end := stopStride; end <= n; end += stopStride {
-					p := k.k32(x32[:end], y32[:end], math.Inf(1))
+				for _, p := range []float64{k.k64(x64[:end], y64[:end], math.Inf(1)), k.k32(x32[:end], y32[:end], math.Inf(1))} {
 					stops = append(stops, p, math.Nextafter(p, math.Inf(-1)), math.Nextafter(p, math.Inf(1)))
 				}
 			}
 			for _, stop := range stops {
 				check(k.name+"/64", full64, stop, func(stop float64) float64 { return k.k64(x64, y64, stop) })
-				if k.ref64 != nil {
-					if got, want := k.k64(x64, y64, stop), k.ref64(x64, y64, stop); !sameValue(got, want) {
-						t.Fatalf("%s dim %d stop %v: %x, reference %x", k.name, n, stop, math.Float64bits(got), math.Float64bits(want))
-					}
+				check(k.name+"/32", full32, stop, func(stop float64) float64 { return k.k32(x32, y32, stop) })
+				if k.ref64 == nil {
+					continue
 				}
-				if k.k32 != nil {
-					check(k.name+"/32", full32, stop, func(stop float64) float64 { return k.k32(x32, y32, stop) })
+				if got, want := k.k64(x64, y64, stop), k.ref64(x64, y64, stop); !sameValue(got, want) {
+					t.Fatalf("%s dim %d stop %v: %x, reference %x", k.name, n, stop, math.Float64bits(got), math.Float64bits(want))
 				}
 			}
 		}
