@@ -548,6 +548,149 @@ func TestTableGoldenCostsWide(t *testing.T) {
 				t.Errorf("%s: costs moved\n got  %q: {%d, %d,\n\t%q},\n want %+v",
 					key, key, got.knnCD, got.rangeCD, got.answers, want)
 			}
+			if name == "color" {
+				got := wideChurn(t, key, idx, ds, queries, radii)
+				if want, ok := goldenWideChurn[key]; !ok || got != want {
+					t.Errorf("%s: churn costs moved\n got  %q: {%d, %d, %d,\n\t%q},\n want %+v",
+						key, key, got.churnCD, got.knnCD, got.rangeCD, got.answers, want)
+				}
+			}
 		}
 	}
+}
+
+// wideChurnCosts is what the Color tables spent and answered after the
+// churn leg of TestTableGoldenCostsWide: compdists of its inserts and of
+// the kNN and range legs that follow, and the SHA-256 of every answer id
+// and every kNN distance's bits (a NaN distance hashed as one NaN, as
+// its payload follows the build's operand order).
+type wideChurnCosts struct {
+	churnCD, knnCD, rangeCD int64
+	answers                 string
+}
+
+// goldenWideChurn pins the churn leg of TestTableGoldenCostsWide, keyed
+// like goldenWide.
+var goldenWideChurn = map[string]wideChurnCosts{
+	"LAESA/color": {350, 104293, 24463, "70afe54517c3424f64002425e8f3c108e9faa36cb9933695538fc9f737df2b53"},
+	"EPT*/color":  {5040, 102135, 23392, "da50f9fa5b138d79161e2bd45220bf837aa25960926854e28fb1e04c4da63ddd"},
+}
+
+// wideSpecial returns a copy of v holding, by i, a coordinate the
+// generator never makes: NaN, ±Inf, float64 and float32 subnormals, a
+// value past math.MaxFloat32 (and one past it that rounds back), or
+// math.MaxFloat32 itself; i%7 == 6 keeps v finite and ordinary.
+func wideSpecial(v core.Vector, i int) core.Vector {
+	v = v.Clone()
+	j, k := i*37%len(v), (i*37+101)%len(v)
+	switch i % 7 {
+	case 0:
+		v[j] = math.NaN()
+	case 1:
+		v[j] = math.Inf(1)
+	case 2:
+		v[j] = math.Inf(-1)
+	case 3:
+		v[j], v[k] = 1e-310, -3e-42
+	case 4:
+		v[j], v[k] = 4e38, -1e300
+	case 5:
+		v[j], v[k] = math.MaxFloat32, -math.MaxFloat32*(1+0x1p-30)
+	case 6:
+		v[j] += 0.001
+	}
+	return v
+}
+
+// wideChurn inserts 282-D rows holding wideSpecial's coordinates,
+// deletes a spread of ordinary and special rows (the last row among
+// them), inserts more into the freed ids, validates the table, and
+// reruns the kNN and range legs over the given queries plus queries
+// holding a NaN, an infinite, a huge and a subnormal coordinate.
+func wideChurn(t *testing.T, key string, idx goldenIndex, ds *core.Dataset, queries []core.Object, radii []float64) wideChurnCosts {
+	t.Helper()
+	var got wideChurnCosts
+	ds.Space().ResetCompDists()
+	insert := func(o core.Object) int {
+		id := ds.Insert(o)
+		if err := idx.Insert(id); err != nil {
+			t.Fatalf("%s: Insert: %v", key, err)
+		}
+		return id
+	}
+	var special []int
+	for i := 0; i < 42; i++ {
+		special = append(special, insert(wideSpecial(ds.Object(i*89).(core.Vector), i)))
+	}
+	victims := []int{special[len(special)-1]}
+	for i := 0; i < len(special)-1; i += 5 {
+		victims = append(victims, special[i])
+	}
+	for id := 3; id < 4000; id += 61 {
+		victims = append(victims, id)
+	}
+	for _, id := range victims {
+		if err := idx.Delete(id); err != nil {
+			t.Fatalf("%s: Delete(%d): %v", key, id, err)
+		}
+		if err := ds.Delete(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	live := ds.LiveIDs()
+	for i := 42; i < 70; i++ {
+		special = append(special, insert(wideSpecial(ds.Object(live[i*53]).(core.Vector), i)))
+	}
+	got.churnCD = ds.Space().CompDists()
+	if err := idx.(interface{ Validate() error }).Validate(); err != nil {
+		t.Fatalf("%s: after the churn: %v", key, err)
+	}
+	queries = append([]core.Object(nil), queries...)
+	for i := 0; i < 7; i++ {
+		queries = append(queries, wideSpecial(queries[i].(core.Vector), i))
+	}
+	queries = append(queries, ds.Object(special[len(special)-2]), ds.Object(special[len(special)-3]))
+	answers := sha256.New()
+	measure := func(leg func(q core.Object) error) int64 {
+		ds.Space().ResetCompDists()
+		for _, q := range queries {
+			if err := leg(q); err != nil {
+				t.Fatalf("%s: %v", key, err)
+			}
+		}
+		return ds.Space().CompDists()
+	}
+	got.knnCD = measure(func(q core.Object) error {
+		for _, k := range []int{1, 10, 100} {
+			ns, err := idx.KNNSearch(q, k)
+			if err != nil {
+				return err
+			}
+			for _, nb := range ns {
+				bits := math.Float64bits(nb.Dist)
+				if math.IsNaN(nb.Dist) {
+					bits = math.Float64bits(math.NaN())
+				}
+				_ = binary.Write(answers, binary.LittleEndian, int64(nb.ID))
+				_ = binary.Write(answers, binary.LittleEndian, bits)
+			}
+			_ = binary.Write(answers, binary.LittleEndian, int64(-1))
+		}
+		return nil
+	})
+	got.rangeCD = measure(func(q core.Object) error {
+		for _, r := range radii {
+			ids, err := idx.RangeSearch(q, r)
+			if err != nil {
+				return err
+			}
+			for _, id := range ids {
+				_ = binary.Write(answers, binary.LittleEndian, int64(id))
+			}
+			_ = binary.Write(answers, binary.LittleEndian, int64(-1))
+		}
+		return nil
+	})
+	got.answers = fmt.Sprintf("%x", answers.Sum(nil))
+	return got
 }
