@@ -406,15 +406,8 @@ func (t *Tree) insert(pid store.PageID, key, val uint64) (splitResult, error) {
 // underflow (no rebalancing): search correctness is unaffected and the
 // paper's update experiment measures delete+reinsert, not compaction.
 func (t *Tree) Delete(key, val uint64) error {
-	pid, _, err := t.LeafFor(key)
-	if err != nil {
-		return err
-	}
-	for pid != store.InvalidPage {
-		v, err := t.View(pid)
-		if err != nil {
-			return err
-		}
+	pid, v, err := t.LeafFor(key)
+	for err == nil {
 		for i, count := 0, v.Len(); i < count; i++ {
 			k, x := v.Record(i)
 			if k == key && x == val {
@@ -429,9 +422,12 @@ func (t *Tree) Delete(key, val uint64) error {
 				return fmt.Errorf("bptree: record (%d,%d) not found", key, val)
 			}
 		}
-		pid = v.Next()
+		if pid = v.Next(); pid == store.InvalidPage {
+			return fmt.Errorf("bptree: record (%d,%d) not found", key, val)
+		}
+		v, err = t.View(pid)
 	}
-	return fmt.Errorf("bptree: record (%d,%d) not found", key, val)
+	return err
 }
 
 // LeafFor descends to the first leaf that may contain key, viewing

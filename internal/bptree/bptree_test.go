@@ -124,6 +124,32 @@ func TestRangeScanReadsEachPageOnce(t *testing.T) {
 	}
 }
 
+// TestDeleteReadsLeafOnce witnesses that a delete reads the leaf
+// LeafFor descended to once: the record is found on the view the
+// descent returned.
+func TestDeleteReadsLeafOnce(t *testing.T) {
+	p := store.NewPager(512)
+	tr := New(p, nil)
+	for k := uint64(0); k < 10; k++ {
+		if err := tr.Insert(k, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p.ResetStats()
+	if err := tr.Delete(7, 7); err != nil {
+		t.Fatal(err)
+	}
+	if got := p.Reads(); got != 1 {
+		t.Fatalf("delete in a one-leaf tree read %d pages, want 1", got)
+	}
+	if err := tr.Delete(7, 7); err == nil {
+		t.Fatal("a second delete of the record should fail")
+	}
+	if got := collect(t, tr, 0, ^uint64(0)); len(got) != 9 {
+		t.Fatalf("scan after the delete returned %d keys, want 9", len(got))
+	}
+}
+
 func TestDuplicateKeys(t *testing.T) {
 	p := store.NewPager(512)
 	tr := New(p, nil)

@@ -60,21 +60,21 @@ var golden = map[string]goldenCosts{
 	"vectors": {8560,
 		"3b451949f3389d5e9a33683d1a9079d4bf170bb08556f0662e341adb8793e159",
 		goldenLeg{12557, 27935, 27935, 0}, goldenLeg{12557, 2170, 2170, 25765},
-		3456,
+		3010,
 		"3b260dbef8ce214ff61e0a897a9a270ac9a70af8fed1d24aee0dd58f716429f9",
 		goldenLeg{11574, 2105, 2105, 23764},
 		"de2baceccc227f46a2fdf59a36b51f57451e96fa69e541c2d0b52219c4828a3e"},
 	"words": {6216,
 		"a79ccaecc258cca53896cc11b1c750dee67600cd117ec7ad57596e3e024e6110",
 		goldenLeg{56216, 116804, 116804, 0}, goldenLeg{56216, 228, 228, 116576},
-		2932,
+		2597,
 		"696ecae6e6a8a232df2e8c335b6dd0a5dc19df3e26b46fa52961298183530ea3",
 		goldenLeg{54125, 237, 237, 112508},
 		"ee6b1514a28295d22bfc2555eb9feb0565946da1d22361ac6830167e65a555e3"},
 	"vectors7": {8560,
 		"9d0b4dba33f6358bb7fcde87c76ceaae60eed239b22d9fcc6a5aa0618c51e92a",
 		goldenLeg{6505, 14856, 14856, 0}, goldenLeg{6505, 1100, 1100, 13756},
-		3455,
+		3009,
 		"a49d641138d85b93940cbb731838c98eb1cdedc8c72e9ad3fb773a7561c9d95f",
 		goldenLeg{6105, 1163, 1163, 12886},
 		"de2baceccc227f46a2fdf59a36b51f57451e96fa69e541c2d0b52219c4828a3e"},

@@ -29,28 +29,28 @@ var mindexGolden = map[string]goldenCosts{
 	"M-index/vectors": {40314,
 		"88b877dfaced1e6ce810fea665cae522ec6057711cee6089e2905d4a9b164b33",
 		goldenLeg{22226, 229827, 229827, 0}, goldenLeg{22226, 93243, 93243, 136584},
-		8434,
+		7786,
 		"81a1bb83e35e8d5a3f3eaeeb63664a744d910bdd19698ec7c36e5418267db02c",
 		goldenLeg{20386, 85845, 85845, 125944},
 		"de2baceccc227f46a2fdf59a36b51f57451e96fa69e541c2d0b52219c4828a3e"},
 	"M-index/words": {23494,
 		"48fd08f816d059e594aa268ec94e27169e6822387d8d3b6012ae7de92803239a",
 		goldenLeg{59715, 341269, 341269, 0}, goldenLeg{59715, 78796, 78796, 262473},
-		5224,
+		4889,
 		"83b4eb5e1820677a93513216f815ffc58fe73422a3d770c7d3f27f9cb9a913fe",
 		goldenLeg{56926, 80992, 80992, 246656},
 		"ee6b1514a28295d22bfc2555eb9feb0565946da1d22361ac6830167e65a555e3"},
 	"M-index*/vectors": {40314,
 		"88b877dfaced1e6ce810fea665cae522ec6057711cee6089e2905d4a9b164b33",
 		goldenLeg{15157, 150777, 150777, 0}, goldenLeg{15157, 61390, 61390, 89387},
-		8434,
+		7786,
 		"81a1bb83e35e8d5a3f3eaeeb63664a744d910bdd19698ec7c36e5418267db02c",
 		goldenLeg{14578, 57587, 57587, 84609},
 		"de2baceccc227f46a2fdf59a36b51f57451e96fa69e541c2d0b52219c4828a3e"},
 	"M-index*/words": {23494,
 		"48fd08f816d059e594aa268ec94e27169e6822387d8d3b6012ae7de92803239a",
 		goldenLeg{60901, 244971, 244971, 0}, goldenLeg{60901, 55069, 55069, 189902},
-		5224,
+		4889,
 		"83b4eb5e1820677a93513216f815ffc58fe73422a3d770c7d3f27f9cb9a913fe",
 		goldenLeg{58360, 56634, 56634, 176294},
 		"ee6b1514a28295d22bfc2555eb9feb0565946da1d22361ac6830167e65a555e3"},
