@@ -16,6 +16,21 @@ func l1Kernel64(x, y []float64, stop float64) float64 {
 //go:noescape
 func l1SSE2(x, y []float64, stop float64) float64
 
+// l1Widen is l1Kernel over a float64 query and a float32 row — the
+// narrowed mirror's filter — run by the SSE2 body in kernels_amd64.s
+// (CVTPS2PD, then l1SSE2's arithmetic): bit for bit l1Kernel[float64,
+// float32], stop contract included.
+//
+//metriclint:noalloc
+func l1Widen(x []float64, y []float32, stop float64) float64 {
+	return l1WidenSSE2(x, y[:len(x)], stop)
+}
+
+// l1WidenSSE2 is l1Widen's body; len(y) must be len(x).
+//
+//go:noescape
+func l1WidenSSE2(x []float64, y []float32, stop float64) float64
+
 // prefetchLines asks the CPU to load the n > 0 bytes at p into its
 // caches, one PREFETCHT0 per 64-byte line.
 //

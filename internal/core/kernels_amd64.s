@@ -128,6 +128,107 @@ stopped:
 	MOVSD	X2, ret+56(FP)
 	RET
 
+// The widening body (l1Widen in kernels_amd64.go): l1SSE2 with a
+// float32 row y, each pair of y's coordinates loaded by CVTPS2PD (one
+// by CVTSS2SD in the tail), which widens exactly, as float64(y[i])
+// does. y advances half as far as x; lanes, merges, stop checks and
+// the destination of every add are l1SSE2's.
+
+// W1PAIR adds |x-y| of the two coordinates at x offset xoff (y offset
+// yoff) into the lane pair acc, the accumulator taking the sum.
+#define W1PAIR(xoff, yoff, acc) \
+	MOVUPD	xoff(SI), X2 \
+	CVTPS2PD	yoff(DI), X3 \
+	SUBPD	X3, X2 \
+	ANDPD	X6, X2 \
+	ADDPD	X2, acc
+
+// W1WINDOW4 is one group of 4 coordinates of a 32-wide window.
+#define W1WINDOW4(xoff, yoff) \
+	W1PAIR(xoff, yoff, X0) \
+	W1PAIR(xoff+16, yoff+8, X1)
+
+// func l1WidenSSE2(x []float64, y []float32, stop float64) float64
+TEXT ·l1WidenSSE2(SB), NOSPLIT, $0-64
+	MOVQ	x_base+0(FP), SI
+	MOVQ	x_len+8(FP), CX
+	MOVQ	y_base+24(FP), DI
+	MOVSD	stop+48(FP), X7
+	MOVQ	$0x7FFFFFFFFFFFFFFF, AX
+	MOVQ	AX, X6
+	PUNPCKLQDQ	X6, X6
+	XORPD	X0, X0
+	XORPD	X1, X1
+	CMPQ	CX, $32
+	JLT	wgroups
+
+wwindow:
+	W1WINDOW4(0, 0)
+	W1WINDOW4(32, 16)
+	W1WINDOW4(64, 32)
+	W1WINDOW4(96, 48)
+	W1WINDOW4(128, 64)
+	W1WINDOW4(160, 80)
+	W1WINDOW4(192, 96)
+	W1WINDOW4(224, 112)
+	ADDQ	$256, SI
+	ADDQ	$128, DI
+	SUBQ	$32, CX
+	L1MERGE
+	ADDSD	X4, X2
+	UCOMISD	X7, X2
+	JHI	wstopped
+	CMPQ	CX, $32
+	JGE	wwindow
+
+wgroups:
+	CMPQ	CX, $4
+	JLT	wtail
+
+wgroup:
+	MOVUPD	(SI), X2
+	CVTPS2PD	(DI), X3
+	SUBPD	X3, X2
+	ANDPD	X6, X2
+	ADDPD	X0, X2
+	MOVAPD	X2, X0
+	MOVUPD	16(SI), X4
+	CVTPS2PD	8(DI), X5
+	SUBPD	X5, X4
+	ANDPD	X6, X4
+	ADDPD	X1, X4
+	MOVAPD	X4, X1
+	ADDQ	$32, SI
+	ADDQ	$16, DI
+	SUBQ	$4, CX
+	CMPQ	CX, $4
+	JGE	wgroup
+
+wtail:
+	TESTQ	CX, CX
+	JEQ	wdone
+
+wtailloop:
+	MOVSD	(SI), X2
+	CVTSS2SD	(DI), X3
+	SUBSD	X3, X2
+	ANDPD	X6, X2
+	ADDSD	X2, X0
+	ADDQ	$8, SI
+	ADDQ	$4, DI
+	DECQ	CX
+	JNZ	wtailloop
+
+wdone:
+	L1MERGE
+	ADDSD	X2, X4
+	MOVSD	X4, ret+56(FP)
+	RET
+
+wstopped:
+	MOVSD	X2, ret+56(FP)
+	RET
+
 // func prefetchLines(p unsafe.Pointer, n uintptr)
 //
 // PREFETCHT0 over every 64-byte line of [p, p+n), n > 0.

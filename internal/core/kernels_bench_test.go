@@ -155,7 +155,9 @@ func sinkFloats(b *testing.B, out []float64) {
 // cold (50 000 rows visited in a permuted order, as a table's verified
 // candidates are), at stop = +Inf — a full distance — and at a stop half
 // the mean distance, which a uniform row passes about mid-row; each for
-// the generic body and for l1Kernel64, the body float64 rows run.
+// the generic body, for l1Kernel64, the body float64 rows run, and for
+// l1Widen, the narrowed mirror's filter over the rows rounded to
+// float32.
 func BenchmarkL1Within(b *testing.B) {
 	const dim = 282
 	rng := rand.New(rand.NewSource(42))
@@ -171,6 +173,10 @@ func BenchmarkL1Within(b *testing.B) {
 		for i := range flat {
 			flat[i] = rng.Float64() * 100
 		}
+		flat32 := make([]float32, len(flat))
+		for i, x := range flat {
+			flat32[i] = float32(x)
+		}
 		order := rng.Perm(set.rows)
 		var mean float64
 		for row := 0; row < set.rows; row++ {
@@ -182,13 +188,16 @@ func BenchmarkL1Within(b *testing.B) {
 		}{{"inf", math.Inf(1)}, {"mid", mean / 2}} {
 			for _, body := range []struct {
 				name string
-				k    func(x, y []float64, stop float64) float64
-			}{{"generic", l1Kernel[float64]}, {"l1Kernel64", l1Kernel64}} {
+				k    func(row int, stop float64) float64
+			}{
+				{"generic", func(row int, stop float64) float64 { return l1Kernel(q, flat[row*dim:(row+1)*dim], stop) }},
+				{"l1Kernel64", func(row int, stop float64) float64 { return l1Kernel64(q, flat[row*dim:(row+1)*dim], stop) }},
+				{"l1Widen", func(row int, stop float64) float64 { return l1Widen(q, flat32[row*dim:(row+1)*dim], stop) }},
+			} {
 				b.Run(set.name+"/"+st.name+"/"+body.name, func(b *testing.B) {
 					var s float64
 					for n := 0; n < b.N; n++ {
-						row := order[n%len(order)]
-						s += body.k(q, flat[row*dim:(row+1)*dim], st.stop)
+						s += body.k(order[n%len(order)], st.stop)
 					}
 					sinkFloats(b, []float64{s})
 				})

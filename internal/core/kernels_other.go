@@ -12,5 +12,13 @@ func l1Kernel64(x, y []float64, stop float64) float64 {
 	return l1Kernel(x, y, stop)
 }
 
+// l1Widen is l1Kernel over a float64 query and a float32 row; off amd64
+// it is the generic body itself.
+//
+//metriclint:noalloc
+func l1Widen(x []float64, y []float32, stop float64) float64 {
+	return l1Kernel(x, y, stop)
+}
+
 // prefetchLines does nothing off amd64.
 func prefetchLines(unsafe.Pointer, uintptr) {}

@@ -292,8 +292,11 @@ func FuzzBatchKernels(f *testing.F) {
 // a full result above stop, or come from a NaN one. The row "L1asm" is
 // l1Kernel64, the float64 L1 body of every float64 L1 call (assembly on
 // amd64; its float32 twin is the L1 row's): besides the contract, each
-// of its results must be l1Kernel[float64]'s bit for bit, up to a NaN's
-// payload (sameValue).
+// of its results must be l1Kernel[float64, float64]'s bit for bit, up to
+// a NaN's payload (sameValue). The row "L1widen" is l1Widen, the
+// narrowed mirror's filter (assembly on amd64), with the second row
+// rounded to float32: it keeps the contract and matches
+// l1Kernel[float64, float32] the same way.
 func FuzzWithinKernels(f *testing.F) {
 	f.Add([]byte{}, uint8(33), int64(1), math.Float64bits(100))
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0xF8, 0x7F}, uint8(64), int64(2), math.Float64bits(math.Inf(1)))
@@ -305,11 +308,22 @@ func FuzzWithinKernels(f *testing.F) {
 		k32   func(x, y []float32, stop float64) float64
 		ref64 func(x, y []float64, stop float64) float64 // non-nil: k64 must match it
 	}
+	// widened runs a widening kernel on y rounded to float32.
+	widened := func(k func(x []float64, y []float32, stop float64) float64) func(x, y []float64, stop float64) float64 {
+		return func(x, y []float64, stop float64) float64 {
+			y32 := make([]float32, len(y))
+			for i, v := range y {
+				y32[i] = float32(v)
+			}
+			return k(x, y32, stop)
+		}
+	}
 	kernels := []kernel{
-		{"L1", l1Kernel[float64], l1Kernel[float32], nil},
+		{"L1", l1Kernel[float64, float64], l1Kernel[float32, float32], nil},
 		{"L2sq", l2SqKernel[float64], l2SqKernel[float32], nil},
 		{"Linf", linfKernel[float64], linfKernel[float32], nil},
-		{"L1asm", l1Kernel64, l1Kernel[float32], l1Kernel[float64]},
+		{"L1asm", l1Kernel64, l1Kernel[float32, float32], l1Kernel[float64, float64]},
+		{"L1widen", widened(l1Widen), l1Kernel[float32, float32], widened(l1Kernel[float64, float32])},
 	}
 	f.Fuzz(func(t *testing.T, raw []byte, dim uint8, seed int64, stopBits uint64) {
 		n := int(dim) % 101
@@ -366,8 +380,10 @@ func FuzzWithinKernels(f *testing.F) {
 
 // TestL1KernelAsmMatchesGeneric holds l1Kernel64 — the float64 L1 body
 // every float64 L1 call site runs, in assembly on amd64 — to
-// l1Kernel[float64] bit for bit (under -race up to a NaN's payload, see
-// sameValue): every dim 0–300, so every 4-wide group
+// l1Kernel[float64, float64], and l1Widen — the narrowed mirror's
+// filter, a float64 query against y rounded to float32 — to
+// l1Kernel[float64, float32], bit for bit (under -race up to a NaN's
+// payload, see sameValue): every dim 0–300, so every 4-wide group
 // and 32-wide window boundary is crossed; coordinates mixing finite
 // values with NaNs of random payload and both signs (quiet and
 // signalling), ±Inf, ±0 and subnormals, several NaNs meeting in one
@@ -403,16 +419,32 @@ func TestL1KernelAsmMatchesGeneric(t *testing.T) {
 			for i := range x {
 				x[i], y[i] = coord(special), coord(special)
 			}
-			full := l1Kernel(x, y, math.Inf(1))
-			stops := []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1, 0, full, full / 2}
-			for end := stopStride; end <= dim; end += stopStride {
-				p := l1Kernel(x[:end], y[:end], math.Inf(1))
-				stops = append(stops, p, math.Nextafter(p, math.Inf(-1)), math.Nextafter(p, math.Inf(1)))
+			y32 := make([]float32, dim)
+			for i, v := range y {
+				y32[i] = float32(v)
 			}
-			for _, stop := range stops {
-				if got, want := l1Kernel64(x, y, stop), l1Kernel(x, y, stop); !same(got, want) {
-					t.Fatalf("dim %d stop %v (1 in %d special): l1Kernel64 = %x, l1Kernel[float64] = %x",
-						dim, stop, special, math.Float64bits(got), math.Float64bits(want))
+			for _, body := range []struct {
+				name         string
+				asm, generic func(end int, stop float64) float64
+			}{
+				{"l1Kernel64",
+					func(end int, stop float64) float64 { return l1Kernel64(x[:end], y[:end], stop) },
+					func(end int, stop float64) float64 { return l1Kernel(x[:end], y[:end], stop) }},
+				{"l1Widen",
+					func(end int, stop float64) float64 { return l1Widen(x[:end], y32[:end], stop) },
+					func(end int, stop float64) float64 { return l1Kernel(x[:end], y32[:end], stop) }},
+			} {
+				full := body.generic(dim, math.Inf(1))
+				stops := []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1, 0, full, full / 2}
+				for end := stopStride; end <= dim; end += stopStride {
+					p := body.generic(end, math.Inf(1))
+					stops = append(stops, p, math.Nextafter(p, math.Inf(-1)), math.Nextafter(p, math.Inf(1)))
+				}
+				for _, stop := range stops {
+					if got, want := body.asm(dim, stop), body.generic(dim, stop); !same(got, want) {
+						t.Fatalf("dim %d stop %v (1 in %d special): %s = %x, the generic body = %x",
+							dim, stop, special, body.name, math.Float64bits(got), math.Float64bits(want))
+					}
 				}
 			}
 		}

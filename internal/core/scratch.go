@@ -178,22 +178,41 @@ func (sp *ScratchPool) Put(s *Scratch) {
 // block per candidate with no Object indirection. Vector and IntVector
 // objects mirror into float64 (int32 widens exactly); Vector32 objects
 // mirror into float32.
+//
+// A narrowed mirror holds Vector rows wider than one cache line, under a
+// metric with a widening kernel (PreKernel.Narrow), as float32: half the
+// bytes of a float64 copy of rows the dataset already holds. Each row
+// keeps a bound on what the rounding moved it by, so Rejects proves a
+// row's exact pre-distance above a bound from the float32 row alone; a
+// row it cannot reject is verified on its object's float64 coordinates.
 type FlatVecs struct {
 	// Dim is the common coordinate count of every mirrored row.
 	Dim  int
 	f64  []float64
 	f32  []float32
-	is32 bool
+	is32 bool // rows are float32: Vector32 objects, or narrowed Vector rows
+	// narrow marks a narrowed mirror: float32 rows of Vector objects,
+	// errs[row] ≥ Σ|x − float64(float32(x))| over the row's coordinates
+	// (+Inf for a row holding a NaN, an infinity or a coordinate float32
+	// cannot hold), rel the stop's relative margin for rounding.
+	narrow bool
+	errs   []float64
+	rel    float64
 }
 
 // NewFlatVecs builds an empty mirror shaped like the sample object, or
 // nil when the sample is not a vector type the flat kernels understand
-// (the caller then stays on the Object verification path).
-func NewFlatVecs(sample Object) *FlatVecs {
+// (the caller then stays on the Object verification path). A Vector
+// sample wider than one cache line under a kernel set with a widening
+// kernel builds a narrowed mirror.
+func NewFlatVecs(sample Object, k *PreKernel) *FlatVecs {
 	switch v := sample.(type) {
 	case Vector:
 		if len(v) == 0 {
 			return nil
+		}
+		if len(v)*8 > cacheLine && k.Narrow != nil {
+			return &FlatVecs{Dim: len(v), is32: true, narrow: true, rel: float64(len(v)+1) * 0x1p-50}
 		}
 		return &FlatVecs{Dim: len(v)}
 	case IntVector:
@@ -221,6 +240,9 @@ func (f *FlatVecs) Rows() int {
 // Resize makes the mirror hold rows rows, keeping the first ones; rows
 // it adds hold no object until Set.
 func (f *FlatVecs) Resize(rows int) {
+	if f.narrow {
+		f.errs = resize(f.errs, rows)
+	}
 	if f.is32 {
 		f.f32 = resize(f.f32, rows*f.Dim)
 		return
@@ -244,8 +266,12 @@ func resize[T any](s []T, n int) []T {
 func (f *FlatVecs) Set(row int, o Object) bool {
 	switch v := o.(type) {
 	case Vector:
-		if f.is32 || len(v) != f.Dim {
+		if f.is32 && !f.narrow || len(v) != f.Dim {
 			return false
+		}
+		if f.narrow {
+			f.errs[row] = narrowRow(f.f32[row*f.Dim:(row+1)*f.Dim], v)
+			break
 		}
 		copy(f.f64[row*f.Dim:(row+1)*f.Dim], v)
 	case IntVector:
@@ -257,7 +283,7 @@ func (f *FlatVecs) Set(row int, o Object) bool {
 			dst[i] = float64(x)
 		}
 	case Vector32:
-		if !f.is32 || len(v) != f.Dim {
+		if !f.is32 || f.narrow || len(v) != f.Dim {
 			return false
 		}
 		copy(f.f32[row*f.Dim:(row+1)*f.Dim], v)
@@ -265,6 +291,23 @@ func (f *FlatVecs) Set(row int, o Object) bool {
 		return false
 	}
 	return true
+}
+
+// narrowRow rounds v into dst and returns the row's error bound: the sum
+// of each coordinate's rounding error, each exact, or +Inf where that
+// sum is not finite — a NaN or infinite coordinate (Inf − Inf is NaN),
+// or one past what float32 holds.
+func narrowRow(dst []float32, v []float64) float64 {
+	dst = dst[:len(v)]
+	var e float64
+	for i, x := range v {
+		dst[i] = float32(x)
+		e += math.Abs(x - float64(dst[i]))
+	}
+	if !(e <= math.MaxFloat64) {
+		return math.Inf(1)
+	}
+	return e
 }
 
 // Append mirrors one object as the next row, reporting false — and
@@ -283,6 +326,10 @@ func (f *FlatVecs) Append(o Object) bool {
 // swap-with-last deletion of the pivot tables.
 func (f *FlatVecs) SwapDelete(row int) {
 	last := f.Rows() - 1
+	if f.narrow {
+		f.errs[row] = f.errs[last]
+		f.errs = f.errs[:last]
+	}
 	if f.is32 {
 		copy(f.f32[row*f.Dim:(row+1)*f.Dim], f.f32[last*f.Dim:(last+1)*f.Dim])
 		f.f32 = f.f32[:last*f.Dim]
@@ -300,14 +347,14 @@ func (f *FlatVecs) SwapDelete(row int) {
 func (f *FlatVecs) QueryCoords(q Object, sc *Scratch) (q64 []float64, q32 []float32, ok bool) {
 	switch v := q.(type) {
 	case Vector:
-		if f.is32 || len(v) != f.Dim {
+		if f.is32 && !f.narrow || len(v) != f.Dim {
 			return nil, nil, false
 		}
 		sc.Q64 = growF64(sc.Q64, f.Dim)
 		copy(sc.Q64, v)
 		return sc.Q64, nil, true
 	case IntVector:
-		if f.is32 || len(v) != f.Dim {
+		if f.is32 && !f.narrow || len(v) != f.Dim {
 			return nil, nil, false
 		}
 		sc.Q64 = growF64(sc.Q64, f.Dim)
@@ -316,7 +363,7 @@ func (f *FlatVecs) QueryCoords(q Object, sc *Scratch) (q64 []float64, q32 []floa
 		}
 		return sc.Q64, nil, true
 	case Vector32:
-		if !f.is32 || len(v) != f.Dim {
+		if !f.is32 || f.narrow || len(v) != f.Dim {
 			return nil, nil, false
 		}
 		if cap(sc.Q32) < f.Dim {
@@ -333,7 +380,8 @@ func (f *FlatVecs) QueryCoords(q Object, sc *Scratch) (q64 []float64, q32 []floa
 // Pre computes the pre-distance of the widened query against one mirror
 // row through the resolved kernel (no Object indirection, no interface
 // dispatch), stopping early once it exceeds stop (see PreKernel).
-// Exactly one of q64/q32 is non-nil, matching the mirror width.
+// Exactly one of q64/q32 is non-nil, matching the mirror width. A
+// narrowed mirror has no exact rows to compute it on: see Rejects.
 //
 //metriclint:noalloc
 func (f *FlatVecs) Pre(k *PreKernel, q64 []float64, q32 []float32, row int, stop float64) float64 {
@@ -341,6 +389,48 @@ func (f *FlatVecs) Pre(k *PreKernel, q64 []float64, q32 []float32, row int, stop
 		return k.Pre32(q32, f.f32[row*f.Dim:(row+1)*f.Dim], stop)
 	}
 	return k.Pre64(q64, f.f64[row*f.Dim:(row+1)*f.Dim], stop)
+}
+
+// Narrowed reports whether the mirror is narrowed: its rows are verified
+// by Rejects, then on their objects.
+//
+//metriclint:noalloc
+func (f *FlatVecs) Narrowed() bool { return f.narrow }
+
+// Filters reports whether Rejects may be asked about the widened query
+// q64: the mirror is narrowed and every coordinate of q64 is finite. A
+// NaN or infinite query coordinate can make a row's exact pre-distance
+// NaN, which no bound rejects, while the narrowed partial passes a stop
+// before it reaches that coordinate.
+func (f *FlatVecs) Filters(q64 []float64) bool {
+	if !f.narrow {
+		return false
+	}
+	for _, x := range q64 {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return false
+		}
+	}
+	return true
+}
+
+// Rejects reports whether the exact pre-distance of q64 against the
+// float64 coordinates narrowed row was built from — k.Pre64 over the
+// row's object — provably exceeds bound, reading only the float32 row;
+// q64 must pass Filters. The widening kernel's pre-distance N of the
+// float32 row and the exact one D differ by at most the row's error
+// bound E (each term |q−y| is within |x−y| of |q−x|), so the kernel runs
+// with the stop e + |e|·rel, e = bound + E: rel = (Dim+1)·2⁻⁵⁰ covers
+// the rounding of N, of D, of E and of e, so a row whose computed D is
+// not above bound never has a partial N above the stop. A row holding a
+// NaN or an infinity has E = +Inf and is never rejected; neither is any
+// row against a NaN bound.
+//
+//metriclint:noalloc
+func (f *FlatVecs) Rejects(k *PreKernel, q64 []float64, row int, bound float64) bool {
+	e := bound + f.errs[row]
+	stop := e + math.Abs(e)*f.rel
+	return k.Narrow(q64, f.f32[row*f.Dim:(row+1)*f.Dim], stop) > stop
 }
 
 // cacheLine is the byte width of a CPU cache line.
@@ -382,8 +472,19 @@ func (f *FlatVecs) rowBytes() int {
 // QueryCoords widened from an object — what Set mirrors of it. Unlike a
 // self-distance, which is NaN for a row with a NaN coordinate, it holds
 // for every row Set mirrored. Exactly one of q64/q32 is non-nil,
-// matching the mirror width.
+// matching the mirror width. A narrowed row must hold float32 of each of
+// q64's coordinates, and its error bound must cover them.
 func (f *FlatVecs) Holds(row int, q64 []float64, q32 []float32) bool {
+	if f.narrow {
+		var e float64
+		for i, y := range f.f32[row*f.Dim : (row+1)*f.Dim] {
+			if math.Float32bits(y) != math.Float32bits(float32(q64[i])) {
+				return false
+			}
+			e += math.Abs(q64[i] - float64(y))
+		}
+		return f.errs[row] >= e || math.IsInf(f.errs[row], 1)
+	}
 	if f.is32 {
 		for i, x := range f.f32[row*f.Dim : (row+1)*f.Dim] {
 			if math.Float32bits(x) != math.Float32bits(q32[i]) {
@@ -400,7 +501,8 @@ func (f *FlatVecs) Holds(row int, q64 []float64, q32 []float32) bool {
 	return true
 }
 
-// MemBytes reports the resident size of the mirror.
+// MemBytes reports the resident size of the mirror, a narrowed one's
+// error bounds included.
 func (f *FlatVecs) MemBytes() int64 {
-	return int64(len(f.f64))*8 + int64(len(f.f32))*4
+	return int64(len(f.f64))*8 + int64(len(f.f32))*4 + int64(len(f.errs))*8
 }

@@ -39,8 +39,11 @@ func TestLAESAKNNSearchAllocs(t *testing.T) {
 // flat kernel path: with the scratch pool warm, one kNN scan — query-
 // pivot batch, column sweep, flat verification — performs zero
 // allocations, with and without a pushed-down accept test, on 4-D L2
-// rows (one cache line each) and on 20-D L1 rows, wide enough that each
-// verification prefetches the next survivor's row. Only assembling the
+// rows (one cache line each) and on 20-D and 282-D L1 rows, wide enough
+// that each verification prefetches the next survivor's row and that the
+// mirror is narrowed: a candidate is rejected on its float32 row or
+// verified on its object's float64 coordinates, and the 282-D case
+// witnesses both. Only assembling the
 // answer slice (Result) allocates, and it stays outside the measured
 // loop. The scan and its callees carry //metriclint:noalloc, so a
 // regression fails `make lint` too.
@@ -51,7 +54,7 @@ func TestLAESAFlatKNNHotLoopZeroAllocs(t *testing.T) {
 	for _, c := range []struct {
 		dim int
 		m   core.Metric
-	}{{4, core.L2{}}, {20, core.L1{}}} {
+	}{{4, core.L2{}}, {20, core.L1{}}, {282, core.L1{}}} {
 		ds := testutil.VectorDataset(500, c.dim, 100, c.m, 7)
 		idx, err := NewLAESA(ds, []int{1, 2, 3, 4, 5})
 		if err != nil {
@@ -60,9 +63,28 @@ func TestLAESAFlatKNNHotLoopZeroAllocs(t *testing.T) {
 		if !idx.tab.FlatArmed() {
 			t.Fatal("flat path not armed on a pure-vector dataset")
 		}
+		if narrowed := idx.tab.flat.Narrowed(); narrowed != (c.dim > 8) {
+			t.Fatalf("%d-D: mirror narrowed = %v", c.dim, narrowed)
+		}
 		var q core.Object = ds.Objects()[42]
-		if _, err := idx.KNNSearch(q, 10); err != nil { // warm the scratch pool
-			t.Fatal(err)
+		ns, err := idx.KNNSearch(q, 10) // warm the scratch pool
+		if err != nil || len(ns) != 10 {
+			t.Fatalf("%d-D: the witness query answers %d neighbours (%v)", c.dim, len(ns), err)
+		}
+		if c.dim == 282 {
+			// Every answer was offered by the exact fallback; some row
+			// must be one the float32 rows reject at the final radius.
+			q64 := []float64(q.(core.Vector))
+			bound := idx.tab.kern.Bound(ns[len(ns)-1].Dist)
+			rejected := 0
+			for row := range idx.tab.Len() {
+				if idx.tab.flat.Rejects(&idx.tab.kern, q64, row, bound) {
+					rejected++
+				}
+			}
+			if rejected == 0 {
+				t.Fatalf("%d-D: no row is rejected on its float32 row", c.dim)
+			}
 		}
 		h := core.NewKNNHeap(10)
 		for name, accept := range map[string]core.Accept{"unfiltered": nil, "accept": func(id int) bool { return id%3 != 0 }} {

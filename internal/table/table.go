@@ -35,9 +35,11 @@ const verifyChunk = 64
 //     c holds for that row, and rows stay in insertion order with no
 //     zones;
 //   - where a candidate's object comes from: a flat coordinate mirror kept
-//     in row lockstep when the dataset is uniform vectors, else the
-//     dataset's objects, else (CPT, Omni-seq, DiskEPT*) a loader that
-//     reads it from disk;
+//     in row lockstep when the dataset is uniform vectors (for wide L1
+//     rows a narrowed one, whose float32 rows reject most candidates
+//     and the dataset's objects verify the rest), else the dataset's
+//     objects, else (CPT, Omni-seq, DiskEPT*) a loader that reads it
+//     from disk;
 //   - where the rows live: in memory, or (Omni-seq, DiskEPT*) in a
 //     store.RowFile, one page a block — such a paged table has no zones
 //     or mirror, and a delete leaves a tombstone in place.
@@ -192,7 +194,7 @@ func (t *Table) adopt(ids []int32, cols [][]float64, order []int32, workers int)
 		}
 	}
 	if !t.noMirror && n > 0 {
-		t.flat = core.NewFlatVecs(t.ds.Object(int(ids[0])))
+		t.flat = core.NewFlatVecs(t.ds.Object(int(ids[0])), &t.kern)
 		var misfit atomic.Bool
 		if t.flat != nil {
 			t.flat.Resize(n)
@@ -221,7 +223,7 @@ func (t *Table) mirrorRow(row int, o core.Object) {
 		return
 	}
 	if t.flat == nil && row == 0 {
-		t.flat = core.NewFlatVecs(o)
+		t.flat = core.NewFlatVecs(o, &t.kern)
 	}
 	if t.flat == nil || !t.flat.Append(o) {
 		t.flat, t.noMirror = nil, true
@@ -399,7 +401,9 @@ func (t *Table) Remove(id int) error {
 //     has one entry per row;
 //  2. every stored distance is the distance from the row's object to the
 //     pivot the slot names;
-//  3. the mirror's row holds the coordinates of the row's object;
+//  3. the mirror's row holds the coordinates of the row's object (a
+//     narrowed row: their float32 roundings, and an error bound that
+//     covers them);
 //  4. the shared layout has one zone per block of zoneRows rows in every
 //     column, and every row lies inside its block's zone (a NaN distance
 //     inside an infinite one);
@@ -532,6 +536,8 @@ type scan struct {
 	r      float64       // range: the fixed radius
 	res    []uint64      // range: the answer's ids, in the scratch's Keys
 	flat   bool          // verify through the mirror, with q widened into q64/q32
+	narrow bool          // flat on a narrowed mirror: filter, then verify on the object
+	filter bool          // narrow, and q64 finite: the mirror's Rejects may run
 	q64    []float64
 	q32    []float32
 	chunk  int     // object path: candidates gathered before they are verified
@@ -583,6 +589,8 @@ func (t *Table) begin(sc *core.Scratch, q core.Object, accept core.Accept) scan 
 		// A query whose type or dimension does not fit the mirror stays on
 		// the object path, where the metric decides whether it is legal.
 		s.q64, s.q32, s.flat = t.flat.QueryCoords(q, sc)
+		s.narrow = s.flat && t.flat.Narrowed()
+		s.filter = s.narrow && t.flat.Filters(s.q64)
 	}
 	return s
 }
@@ -702,7 +710,12 @@ func (s *scan) block(base, end int) error {
 			// bound; such a partial is a reject as the full pre-distance
 			// would have been (see core.PreKernel).
 			bound := t.kern.Bound(r)
-			pre := t.flat.Pre(&t.kern, s.q64, s.q32, int(row), bound)
+			var pre float64
+			if s.narrow {
+				pre = s.narrowPre(int(row), bound)
+			} else {
+				pre = t.flat.Pre(&t.kern, s.q64, s.q32, int(row), bound)
+			}
 			s.ndist++
 			if !(pre > bound) {
 				s.offer(int(s.ids[row]), t.kern.Finish(pre))
@@ -721,6 +734,22 @@ func (s *scan) block(base, end int) error {
 		}
 	}
 	return nil
+}
+
+// narrowPre is the pre-distance of a row of a narrowed mirror, or +Inf
+// for a row the float32 row proves above bound (core.FlatVecs.Rejects):
+// +Inf is above every bound Rejects rejects at, so the caller rejects
+// the same rows a float64 mirror's Pre would. The rest are verified by
+// Pre64 on the row's object — the dataset's float64 coordinates, the
+// ones the row was narrowed from — so every distance offered keeps its
+// bits. Either way it is one distance.
+//
+//metriclint:noalloc
+func (s *scan) narrowPre(row int, bound float64) float64 {
+	if s.filter && s.t.flat.Rejects(&s.t.kern, s.q64, row, bound) {
+		return math.Inf(1)
+	}
+	return s.t.kern.Pre64(s.q64, s.t.ds.Objects()[s.ids[row]].(core.Vector), bound)
 }
 
 // flush verifies the gathered candidates, verifyChunk at a time: it
