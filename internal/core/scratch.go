@@ -424,11 +424,15 @@ func (f *FlatVecs) Filters(q64 []float64) bool {
 // the rounding of N, of D, of E and of e, so a row whose computed D is
 // not above bound never has a partial N above the stop. A row holding a
 // NaN or an infinity has E = +Inf and is never rejected; neither is any
-// row against a NaN bound.
+// row against a NaN or +Inf bound (a kNN scan's until its heap fills),
+// and for those the row is not read.
 //
 //metriclint:noalloc
 func (f *FlatVecs) Rejects(k *PreKernel, q64 []float64, row int, bound float64) bool {
 	e := bound + f.errs[row]
+	if !(e < math.Inf(1)) {
+		return false
+	}
 	stop := e + math.Abs(e)*f.rel
 	return k.Narrow(q64, f.f32[row*f.Dim:(row+1)*f.Dim], stop) > stop
 }
