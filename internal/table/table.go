@@ -536,8 +536,7 @@ type scan struct {
 	r      float64       // range: the fixed radius
 	res    []uint64      // range: the answer's ids, in the scratch's Keys
 	flat   bool          // verify through the mirror, with q widened into q64/q32
-	narrow bool          // flat on a narrowed mirror: filter, then verify on the object
-	filter bool          // narrow, and q64 finite: the mirror's Rejects may run
+	filter bool          // flat on a narrowed mirror, q64 finite: the mirror's Rejects may run
 	q64    []float64
 	q32    []float32
 	chunk  int     // object path: candidates gathered before they are verified
@@ -589,8 +588,7 @@ func (t *Table) begin(sc *core.Scratch, q core.Object, accept core.Accept) scan 
 		// A query whose type or dimension does not fit the mirror stays on
 		// the object path, where the metric decides whether it is legal.
 		s.q64, s.q32, s.flat = t.flat.QueryCoords(q, sc)
-		s.narrow = s.flat && t.flat.Narrowed()
-		s.filter = s.narrow && t.flat.Filters(s.q64)
+		s.filter = s.flat && t.flat.Filters(s.q64)
 	}
 	return s
 }
@@ -711,7 +709,7 @@ func (s *scan) block(base, end int) error {
 			// would have been (see core.PreKernel).
 			bound := t.kern.Bound(r)
 			var pre float64
-			if s.narrow {
+			if t.flat.Narrowed() {
 				pre = s.narrowPre(int(row), bound)
 			} else {
 				pre = t.flat.Pre(&t.kern, s.q64, s.q32, int(row), bound)
