@@ -179,40 +179,45 @@ func (sp *ScratchPool) Put(s *Scratch) {
 // objects mirror into float64 (int32 widens exactly); Vector32 objects
 // mirror into float32.
 //
-// A narrowed mirror holds Vector rows wider than one cache line, under a
-// metric with a widening kernel (PreKernel.Narrow), as float32: half the
-// bytes of a float64 copy of rows the dataset already holds. Each row
-// keeps a bound on what the rounding moved it by, so Rejects proves a
-// row's exact pre-distance above a bound from the float32 row alone; a
-// row it cannot reject is verified on its object's float64 coordinates.
+// A narrowed mirror holds Vector rows under a metric with a widening
+// kernel (PreKernel.Narrow) as float32: half the bytes of a float64 copy
+// of rows the dataset already holds. Each row keeps a bound on what the
+// rounding moved it by, so Rejects proves a row's exact pre-distance
+// above a bound from the float32 row alone; a row it cannot reject is
+// verified on its object's float64 coordinates.
 type FlatVecs struct {
 	// Dim is the common coordinate count of every mirrored row.
 	Dim  int
-	f64  []float64
-	f32  []float32
-	is32 bool // rows are float32: Vector32 objects, or narrowed Vector rows
-	// narrow marks a narrowed mirror: float32 rows of Vector objects,
-	// errs[row] ≥ Σ|x − float64(float32(x))| over the row's coordinates
-	// (+Inf for a row holding a NaN, an infinity or a coordinate float32
-	// cannot hold), rel the stop's relative margin for rounding.
-	narrow bool
-	errs   []float64
-	rel    float64
+	mode mirrorMode
+	f64  []float64 // mode64 rows
+	f32  []float32 // mode32 and modeNarrow rows
+	// errs[row] is a modeNarrow row's error bound, rowErr of the
+	// coordinates it was narrowed from.
+	errs []float64
 }
+
+// mirrorMode is what a FlatVecs row holds.
+type mirrorMode uint8
+
+const (
+	mode64     mirrorMode = iota // float64 coordinates of Vector or IntVector objects
+	mode32                       // float32 coordinates of Vector32 objects
+	modeNarrow                   // float32 rounding of Vector objects, with an error bound
+)
 
 // NewFlatVecs builds an empty mirror shaped like the sample object, or
 // nil when the sample is not a vector type the flat kernels understand
 // (the caller then stays on the Object verification path). A Vector
-// sample wider than one cache line under a kernel set with a widening
-// kernel builds a narrowed mirror.
+// sample under a kernel set with a widening kernel builds a narrowed
+// mirror.
 func NewFlatVecs(sample Object, k *PreKernel) *FlatVecs {
 	switch v := sample.(type) {
 	case Vector:
 		if len(v) == 0 {
 			return nil
 		}
-		if len(v)*8 > cacheLine && k.Narrow != nil {
-			return &FlatVecs{Dim: len(v), is32: true, narrow: true, rel: float64(len(v)+1) * 0x1p-50}
+		if k.Narrow != nil {
+			return &FlatVecs{Dim: len(v), mode: modeNarrow}
 		}
 		return &FlatVecs{Dim: len(v)}
 	case IntVector:
@@ -224,14 +229,14 @@ func NewFlatVecs(sample Object, k *PreKernel) *FlatVecs {
 		if len(v) == 0 {
 			return nil
 		}
-		return &FlatVecs{Dim: len(v), is32: true}
+		return &FlatVecs{Dim: len(v), mode: mode32}
 	}
 	return nil
 }
 
 // Rows returns the number of mirrored rows.
 func (f *FlatVecs) Rows() int {
-	if f.is32 {
+	if f.mode != mode64 {
 		return len(f.f32) / f.Dim
 	}
 	return len(f.f64) / f.Dim
@@ -240,14 +245,15 @@ func (f *FlatVecs) Rows() int {
 // Resize makes the mirror hold rows rows, keeping the first ones; rows
 // it adds hold no object until Set.
 func (f *FlatVecs) Resize(rows int) {
-	if f.narrow {
+	switch f.mode {
+	case mode64:
+		f.f64 = resize(f.f64, rows*f.Dim)
+	case modeNarrow:
 		f.errs = resize(f.errs, rows)
-	}
-	if f.is32 {
+		fallthrough
+	case mode32:
 		f.f32 = resize(f.f32, rows*f.Dim)
-		return
 	}
-	f.f64 = resize(f.f64, rows*f.Dim)
 }
 
 // resize returns s with length n, growing its backing array the way
@@ -266,16 +272,20 @@ func resize[T any](s []T, n int) []T {
 func (f *FlatVecs) Set(row int, o Object) bool {
 	switch v := o.(type) {
 	case Vector:
-		if f.is32 && !f.narrow || len(v) != f.Dim {
+		if f.mode == mode32 || len(v) != f.Dim {
 			return false
 		}
-		if f.narrow {
-			f.errs[row] = narrowRow(f.f32[row*f.Dim:(row+1)*f.Dim], v)
+		if f.mode == modeNarrow {
+			dst := f.f32[row*f.Dim : (row+1)*f.Dim]
+			for i, x := range v {
+				dst[i] = float32(x)
+			}
+			f.errs[row] = rowErr(v)
 			break
 		}
 		copy(f.f64[row*f.Dim:(row+1)*f.Dim], v)
 	case IntVector:
-		if f.is32 || len(v) != f.Dim {
+		if f.mode != mode64 || len(v) != f.Dim {
 			return false
 		}
 		dst := f.f64[row*f.Dim : (row+1)*f.Dim]
@@ -283,7 +293,7 @@ func (f *FlatVecs) Set(row int, o Object) bool {
 			dst[i] = float64(x)
 		}
 	case Vector32:
-		if !f.is32 || f.narrow || len(v) != f.Dim {
+		if f.mode != mode32 || len(v) != f.Dim {
 			return false
 		}
 		copy(f.f32[row*f.Dim:(row+1)*f.Dim], v)
@@ -293,16 +303,14 @@ func (f *FlatVecs) Set(row int, o Object) bool {
 	return true
 }
 
-// narrowRow rounds v into dst and returns the row's error bound: the sum
-// of each coordinate's rounding error, each exact, or +Inf where that
-// sum is not finite — a NaN or infinite coordinate (Inf − Inf is NaN),
-// or one past what float32 holds.
-func narrowRow(dst []float32, v []float64) float64 {
-	dst = dst[:len(v)]
+// rowErr is the error bound of v rounded to float32: the sum of each
+// coordinate's rounding error, each exact, or +Inf where that sum is not
+// finite — a NaN or infinite coordinate (Inf − Inf is NaN), or one past
+// what float32 holds.
+func rowErr(v []float64) float64 {
 	var e float64
-	for i, x := range v {
-		dst[i] = float32(x)
-		e += math.Abs(x - float64(dst[i]))
+	for _, x := range v {
+		e += math.Abs(x - float64(float32(x)))
 	}
 	if !(e <= math.MaxFloat64) {
 		return math.Inf(1)
@@ -326,17 +334,18 @@ func (f *FlatVecs) Append(o Object) bool {
 // swap-with-last deletion of the pivot tables.
 func (f *FlatVecs) SwapDelete(row int) {
 	last := f.Rows() - 1
-	if f.narrow {
+	switch f.mode {
+	case mode64:
+		copy(f.f64[row*f.Dim:(row+1)*f.Dim], f.f64[last*f.Dim:(last+1)*f.Dim])
+		f.f64 = f.f64[:last*f.Dim]
+	case modeNarrow:
 		f.errs[row] = f.errs[last]
 		f.errs = f.errs[:last]
-	}
-	if f.is32 {
+		fallthrough
+	case mode32:
 		copy(f.f32[row*f.Dim:(row+1)*f.Dim], f.f32[last*f.Dim:(last+1)*f.Dim])
 		f.f32 = f.f32[:last*f.Dim]
-		return
 	}
-	copy(f.f64[row*f.Dim:(row+1)*f.Dim], f.f64[last*f.Dim:(last+1)*f.Dim])
-	f.f64 = f.f64[:last*f.Dim]
 }
 
 // QueryCoords widens the query object into the scratch coordinate
@@ -347,14 +356,14 @@ func (f *FlatVecs) SwapDelete(row int) {
 func (f *FlatVecs) QueryCoords(q Object, sc *Scratch) (q64 []float64, q32 []float32, ok bool) {
 	switch v := q.(type) {
 	case Vector:
-		if f.is32 && !f.narrow || len(v) != f.Dim {
+		if f.mode == mode32 || len(v) != f.Dim {
 			return nil, nil, false
 		}
 		sc.Q64 = growF64(sc.Q64, f.Dim)
 		copy(sc.Q64, v)
 		return sc.Q64, nil, true
 	case IntVector:
-		if f.is32 && !f.narrow || len(v) != f.Dim {
+		if f.mode == mode32 || len(v) != f.Dim {
 			return nil, nil, false
 		}
 		sc.Q64 = growF64(sc.Q64, f.Dim)
@@ -363,7 +372,7 @@ func (f *FlatVecs) QueryCoords(q Object, sc *Scratch) (q64 []float64, q32 []floa
 		}
 		return sc.Q64, nil, true
 	case Vector32:
-		if !f.is32 || f.narrow || len(v) != f.Dim {
+		if f.mode != mode32 || len(v) != f.Dim {
 			return nil, nil, false
 		}
 		if cap(sc.Q32) < f.Dim {
@@ -385,7 +394,7 @@ func (f *FlatVecs) QueryCoords(q Object, sc *Scratch) (q64 []float64, q32 []floa
 //
 //metriclint:noalloc
 func (f *FlatVecs) Pre(k *PreKernel, q64 []float64, q32 []float32, row int, stop float64) float64 {
-	if f.is32 {
+	if f.mode == mode32 {
 		return k.Pre32(q32, f.f32[row*f.Dim:(row+1)*f.Dim], stop)
 	}
 	return k.Pre64(q64, f.f64[row*f.Dim:(row+1)*f.Dim], stop)
@@ -395,17 +404,14 @@ func (f *FlatVecs) Pre(k *PreKernel, q64 []float64, q32 []float32, row int, stop
 // by Rejects, then on their objects.
 //
 //metriclint:noalloc
-func (f *FlatVecs) Narrowed() bool { return f.narrow }
+func (f *FlatVecs) Narrowed() bool { return f.mode == modeNarrow }
 
 // Filters reports whether Rejects may be asked about the widened query
-// q64: the mirror is narrowed and every coordinate of q64 is finite. A
-// NaN or infinite query coordinate can make a row's exact pre-distance
-// NaN, which no bound rejects, while the narrowed partial passes a stop
-// before it reaches that coordinate.
+// q64: every coordinate of q64 is finite. A NaN or infinite query
+// coordinate can make a row's exact pre-distance NaN, which no bound
+// rejects, while the narrowed partial passes a stop before it reaches
+// that coordinate.
 func (f *FlatVecs) Filters(q64 []float64) bool {
-	if !f.narrow {
-		return false
-	}
 	for _, x := range q64 {
 		if math.IsNaN(x) || math.IsInf(x, 0) {
 			return false
@@ -416,10 +422,11 @@ func (f *FlatVecs) Filters(q64 []float64) bool {
 
 // Rejects reports whether the exact pre-distance of q64 against the
 // float64 coordinates narrowed row was built from — k.Pre64 over the
-// row's object — provably exceeds bound, reading only the float32 row;
-// q64 must pass Filters. The widening kernel's pre-distance N of the
-// float32 row and the exact one D differ by at most the row's error
-// bound E (each term |q−y| is within |x−y| of |q−x|), so the kernel runs
+// row's object — provably exceeds bound, reading only the float32 row of
+// a narrowed mirror; q64 must pass Filters. The widening kernel's
+// pre-distance N of the float32 row and the exact one D differ by at
+// most the row's error bound E (each term |q−y| is within |x−y| of
+// |q−x|), so the kernel runs
 // with the stop e + |e|·rel, e = bound + E: rel = (Dim+1)·2⁻⁵⁰ covers
 // the rounding of N, of D, of E and of e, so a row whose computed D is
 // not above bound never has a partial N above the stop. A row holding a
@@ -433,7 +440,7 @@ func (f *FlatVecs) Rejects(k *PreKernel, q64 []float64, row int, bound float64) 
 	if !(e < math.Inf(1)) {
 		return false
 	}
-	stop := e + math.Abs(e)*f.rel
+	stop := e + math.Abs(e)*(float64(f.Dim+1)*0x1p-50)
 	return k.Narrow(q64, f.f32[row*f.Dim:(row+1)*f.Dim], stop) > stop
 }
 
@@ -455,7 +462,7 @@ func (f *FlatVecs) Prefetch(row int) {
 
 //metriclint:noalloc
 func (f *FlatVecs) prefetch(row int) {
-	if f.is32 {
+	if f.mode != mode64 {
 		prefetchLines(unsafe.Pointer(&f.f32[row*f.Dim]), uintptr(f.rowBytes()))
 		return
 	}
@@ -466,7 +473,7 @@ func (f *FlatVecs) prefetch(row int) {
 //
 //metriclint:noalloc
 func (f *FlatVecs) rowBytes() int {
-	if f.is32 {
+	if f.mode != mode64 {
 		return f.Dim * 4
 	}
 	return f.Dim * 8
@@ -477,19 +484,17 @@ func (f *FlatVecs) rowBytes() int {
 // self-distance, which is NaN for a row with a NaN coordinate, it holds
 // for every row Set mirrored. Exactly one of q64/q32 is non-nil,
 // matching the mirror width. A narrowed row must hold float32 of each of
-// q64's coordinates, and its error bound must cover them.
+// q64's coordinates, and its error bound must be theirs.
 func (f *FlatVecs) Holds(row int, q64 []float64, q32 []float32) bool {
-	if f.narrow {
-		var e float64
+	if f.mode == modeNarrow {
 		for i, y := range f.f32[row*f.Dim : (row+1)*f.Dim] {
 			if math.Float32bits(y) != math.Float32bits(float32(q64[i])) {
 				return false
 			}
-			e += math.Abs(q64[i] - float64(y))
 		}
-		return f.errs[row] >= e || math.IsInf(f.errs[row], 1)
+		return f.errs[row] == rowErr(q64)
 	}
-	if f.is32 {
+	if f.mode == mode32 {
 		for i, x := range f.f32[row*f.Dim : (row+1)*f.Dim] {
 			if math.Float32bits(x) != math.Float32bits(q32[i]) {
 				return false

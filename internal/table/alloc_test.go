@@ -39,11 +39,11 @@ func TestLAESAKNNSearchAllocs(t *testing.T) {
 // flat kernel path: with the scratch pool warm, one kNN scan — query-
 // pivot batch, column sweep, flat verification — performs zero
 // allocations, with and without a pushed-down accept test, on 4-D L2
-// rows (one cache line each) and on 20-D and 282-D L1 rows, wide enough
-// that each verification prefetches the next survivor's row and that the
-// mirror is narrowed: a candidate is rejected on its float32 row or
-// verified on its object's float64 coordinates, and the 282-D case
-// witnesses both. Only assembling the
+// rows (one cache line each), on 20-D L2 rows (a float64 mirror wide
+// enough that each verification prefetches the next survivor's row) and
+// on 20-D and 282-D L1 rows, whose mirror is narrowed: a candidate is
+// rejected on its float32 row or verified on its object's float64
+// coordinates, and the 282-D case witnesses both. Only assembling the
 // answer slice (Result) allocates, and it stays outside the measured
 // loop. The scan and its callees carry //metriclint:noalloc, so a
 // regression fails `make lint` too.
@@ -54,7 +54,7 @@ func TestLAESAFlatKNNHotLoopZeroAllocs(t *testing.T) {
 	for _, c := range []struct {
 		dim int
 		m   core.Metric
-	}{{4, core.L2{}}, {20, core.L1{}}, {282, core.L1{}}} {
+	}{{4, core.L2{}}, {20, core.L2{}}, {20, core.L1{}}, {282, core.L1{}}} {
 		ds := testutil.VectorDataset(500, c.dim, 100, c.m, 7)
 		idx, err := NewLAESA(ds, []int{1, 2, 3, 4, 5})
 		if err != nil {
@@ -63,8 +63,9 @@ func TestLAESAFlatKNNHotLoopZeroAllocs(t *testing.T) {
 		if !idx.tab.FlatArmed() {
 			t.Fatal("flat path not armed on a pure-vector dataset")
 		}
-		if narrowed := idx.tab.flat.Narrowed(); narrowed != (c.dim > 8) {
-			t.Fatalf("%d-D: mirror narrowed = %v", c.dim, narrowed)
+		_, l1 := c.m.(core.L1)
+		if narrowed := idx.tab.flat.Narrowed(); narrowed != l1 {
+			t.Fatalf("%d-D %T: mirror narrowed = %v", c.dim, c.m, narrowed)
 		}
 		var q core.Object = ds.Objects()[42]
 		ns, err := idx.KNNSearch(q, 10) // warm the scratch pool
@@ -95,7 +96,7 @@ func TestLAESAFlatKNNHotLoopZeroAllocs(t *testing.T) {
 				}
 			})
 			if allocs != 0 {
-				t.Fatalf("%d-D %s: flat kNN hot loop allocated %.1f times per query; want 0", c.dim, name, allocs)
+				t.Fatalf("%d-D %T %s: flat kNN hot loop allocated %.1f times per query; want 0", c.dim, c.m, name, allocs)
 			}
 		}
 	}

@@ -35,9 +35,9 @@ const verifyChunk = 64
 //     c holds for that row, and rows stay in insertion order with no
 //     zones;
 //   - where a candidate's object comes from: a flat coordinate mirror kept
-//     in row lockstep when the dataset is uniform vectors (for wide L1
-//     rows a narrowed one, whose float32 rows reject most candidates
-//     and the dataset's objects verify the rest), else the dataset's
+//     in row lockstep when the dataset is uniform vectors (for L1 rows
+//     a narrowed one, whose float32 rows reject most candidates and
+//     the dataset's objects verify the rest), else the dataset's
 //     objects, else (CPT, Omni-seq, DiskEPT*) a loader that reads it
 //     from disk;
 //   - where the rows live: in memory, or (Omni-seq, DiskEPT*) in a
@@ -402,8 +402,8 @@ func (t *Table) Remove(id int) error {
 //  2. every stored distance is the distance from the row's object to the
 //     pivot the slot names;
 //  3. the mirror's row holds the coordinates of the row's object (a
-//     narrowed row: their float32 roundings, and an error bound that
-//     covers them);
+//     narrowed row: their float32 roundings, and the error bound of
+//     that rounding);
 //  4. the shared layout has one zone per block of zoneRows rows in every
 //     column, and every row lies inside its block's zone (a NaN distance
 //     inside an infinite one);
@@ -536,7 +536,8 @@ type scan struct {
 	r      float64       // range: the fixed radius
 	res    []uint64      // range: the answer's ids, in the scratch's Keys
 	flat   bool          // verify through the mirror, with q widened into q64/q32
-	filter bool          // flat on a narrowed mirror, q64 finite: the mirror's Rejects may run
+	narrow bool          // flat on a narrowed mirror: rows are verified by narrowPre
+	filter bool          // narrow, and q64 finite: the mirror's Rejects may run
 	q64    []float64
 	q32    []float32
 	chunk  int     // object path: candidates gathered before they are verified
@@ -588,7 +589,8 @@ func (t *Table) begin(sc *core.Scratch, q core.Object, accept core.Accept) scan 
 		// A query whose type or dimension does not fit the mirror stays on
 		// the object path, where the metric decides whether it is legal.
 		s.q64, s.q32, s.flat = t.flat.QueryCoords(q, sc)
-		s.filter = s.flat && t.flat.Filters(s.q64)
+		s.narrow = s.flat && t.flat.Narrowed()
+		s.filter = s.narrow && t.flat.Filters(s.q64)
 	}
 	return s
 }
@@ -709,7 +711,7 @@ func (s *scan) block(base, end int) error {
 			// would have been (see core.PreKernel).
 			bound := t.kern.Bound(r)
 			var pre float64
-			if t.flat.Narrowed() {
+			if s.narrow {
 				pre = s.narrowPre(int(row), bound)
 			} else {
 				pre = t.flat.Pre(&t.kern, s.q64, s.q32, int(row), bound)
