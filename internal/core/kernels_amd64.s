@@ -19,21 +19,34 @@
 // too: the accumulator in the 32-wide windows and the tail, the new term
 // in the groups of 4, (s0+s1) in the window's merge and (s2+s3) in the
 // final one. TestL1KernelAsmMatchesGeneric and FuzzWithinKernels hold
-// this body to l1Kernel[float64].
+// this body to l1Kernel[float64, float64], and the widening one below to
+// l1Kernel[float64, float32].
 
-// L1PAIR adds |x-y| of the two coordinates at off into the lane pair
-// acc, the accumulator taking the sum.
-#define L1PAIR(off, acc) \
+// Both L1 bodies are L1BODY: l1SSE2 over a float64 row y, and
+// l1WidenSSE2 (l1Widen in kernels_amd64.go) over a float32 row y, which
+// LOADY widens exactly, as float64(y[i]) does. Lanes, merges, stop
+// checks and the destination of every add are the same in both; only
+// y's loads and strides differ.
+//
+//   - LOADY loads two of y's coordinates into a float64 lane pair
+//     (MOVUPD, or CVTPS2PD from a float32 row) and LOADY1 one (MOVSD,
+//     or CVTSS2SD);
+//   - YB is the byte width of one y coordinate (8 or 4), so y's offsets
+//     and strides are x's scaled by YB/8.
+
+// L1PAIR adds |x-y| of the two coordinates at x offset off into the
+// lane pair acc, the accumulator taking the sum.
+#define L1PAIR(LOADY, YB, off, acc) \
 	MOVUPD	off(SI), X2 \
-	MOVUPD	off(DI), X3 \
+	LOADY	((off)*YB/8)(DI), X3 \
 	SUBPD	X3, X2 \
 	ANDPD	X6, X2 \
 	ADDPD	X2, acc
 
 // L1WINDOW4 is one group of 4 coordinates of a 32-wide window.
-#define L1WINDOW4(off) \
-	L1PAIR(off, X0) \
-	L1PAIR(off+16, X1)
+#define L1WINDOW4(LOADY, YB, off) \
+	L1PAIR(LOADY, YB, off, X0) \
+	L1PAIR(LOADY, YB, off+16, X1)
 
 // L1MERGE leaves s0+s1 in X2 and s2+s3 in X4, each sum taking the
 // first-named lane as its destination.
@@ -47,187 +60,88 @@
 	UNPCKHPD	X5, X5 \
 	ADDSD	X5, X4
 
-// func l1SSE2(x, y []float64, stop float64) float64
-TEXT ·l1SSE2(SB), NOSPLIT, $0-64
-	MOVQ	x_base+0(FP), SI
-	MOVQ	x_len+8(FP), CX
-	MOVQ	y_base+24(FP), DI
-	MOVSD	stop+48(FP), X7
-	MOVQ	$0x7FFFFFFFFFFFFFFF, AX
-	MOVQ	AX, X6
-	PUNPCKLQDQ	X6, X6
-	XORPD	X0, X0
-	XORPD	X1, X1
-	CMPQ	CX, $32
-	JLT	groups
-
-window:
-	L1WINDOW4(0)
-	L1WINDOW4(32)
-	L1WINDOW4(64)
-	L1WINDOW4(96)
-	L1WINDOW4(128)
-	L1WINDOW4(160)
-	L1WINDOW4(192)
-	L1WINDOW4(224)
-	ADDQ	$256, SI
-	ADDQ	$256, DI
-	SUBQ	$32, CX
-	L1MERGE
-	ADDSD	X4, X2
-	UCOMISD	X7, X2
-	JHI	stopped
-	CMPQ	CX, $32
-	JGE	window
-
-groups:
-	CMPQ	CX, $4
-	JLT	tail
-
-group:
-	MOVUPD	(SI), X2
-	MOVUPD	(DI), X3
-	SUBPD	X3, X2
-	ANDPD	X6, X2
-	ADDPD	X0, X2
-	MOVAPD	X2, X0
-	MOVUPD	16(SI), X4
-	MOVUPD	16(DI), X5
-	SUBPD	X5, X4
-	ANDPD	X6, X4
-	ADDPD	X1, X4
-	MOVAPD	X4, X1
-	ADDQ	$32, SI
-	ADDQ	$32, DI
-	SUBQ	$4, CX
-	CMPQ	CX, $4
-	JGE	group
-
-tail:
-	TESTQ	CX, CX
-	JEQ	done
-
-tailloop:
-	MOVSD	(SI), X2
-	MOVSD	(DI), X3
-	SUBSD	X3, X2
-	ANDPD	X6, X2
-	ADDSD	X2, X0
-	ADDQ	$8, SI
-	ADDQ	$8, DI
-	DECQ	CX
-	JNZ	tailloop
-
-done:
-	L1MERGE
-	ADDSD	X2, X4
-	MOVSD	X4, ret+56(FP)
-	RET
-
-stopped:
-	MOVSD	X2, ret+56(FP)
-	RET
-
-// The widening body (l1Widen in kernels_amd64.go): l1SSE2 with a
-// float32 row y, each pair of y's coordinates loaded by CVTPS2PD (one
-// by CVTSS2SD in the tail), which widens exactly, as float64(y[i])
-// does. y advances half as far as x; lanes, merges, stop checks and
-// the destination of every add are l1SSE2's.
-
-// W1PAIR adds |x-y| of the two coordinates at x offset xoff (y offset
-// yoff) into the lane pair acc, the accumulator taking the sum.
-#define W1PAIR(xoff, yoff, acc) \
-	MOVUPD	xoff(SI), X2 \
-	CVTPS2PD	yoff(DI), X3 \
+// L1BODY is a whole L1 body; both functions share its frame layout
+// (x+0, y+24, stop+48, ret+56).
+#define L1BODY(LOADY, LOADY1, YB) \
+	MOVQ	x_base+0(FP), SI \
+	MOVQ	x_len+8(FP), CX \
+	MOVQ	y_base+24(FP), DI \
+	MOVSD	stop+48(FP), X7 \
+	MOVQ	$0x7FFFFFFFFFFFFFFF, AX \
+	MOVQ	AX, X6 \
+	PUNPCKLQDQ	X6, X6 \
+	XORPD	X0, X0 \
+	XORPD	X1, X1 \
+	CMPQ	CX, $32 \
+	JLT	groups \
+window: \
+	L1WINDOW4(LOADY, YB, 0) \
+	L1WINDOW4(LOADY, YB, 32) \
+	L1WINDOW4(LOADY, YB, 64) \
+	L1WINDOW4(LOADY, YB, 96) \
+	L1WINDOW4(LOADY, YB, 128) \
+	L1WINDOW4(LOADY, YB, 160) \
+	L1WINDOW4(LOADY, YB, 192) \
+	L1WINDOW4(LOADY, YB, 224) \
+	ADDQ	$256, SI \
+	ADDQ	$(32*YB), DI \
+	SUBQ	$32, CX \
+	L1MERGE \
+	ADDSD	X4, X2 \
+	UCOMISD	X7, X2 \
+	JHI	stopped \
+	CMPQ	CX, $32 \
+	JGE	window \
+groups: \
+	CMPQ	CX, $4 \
+	JLT	tail \
+group: \
+	MOVUPD	(SI), X2 \
+	LOADY	(DI), X3 \
 	SUBPD	X3, X2 \
 	ANDPD	X6, X2 \
-	ADDPD	X2, acc
+	ADDPD	X0, X2 \
+	MOVAPD	X2, X0 \
+	MOVUPD	16(SI), X4 \
+	LOADY	(2*YB)(DI), X5 \
+	SUBPD	X5, X4 \
+	ANDPD	X6, X4 \
+	ADDPD	X1, X4 \
+	MOVAPD	X4, X1 \
+	ADDQ	$32, SI \
+	ADDQ	$(4*YB), DI \
+	SUBQ	$4, CX \
+	CMPQ	CX, $4 \
+	JGE	group \
+tail: \
+	TESTQ	CX, CX \
+	JEQ	done \
+tailloop: \
+	MOVSD	(SI), X2 \
+	LOADY1	(DI), X3 \
+	SUBSD	X3, X2 \
+	ANDPD	X6, X2 \
+	ADDSD	X2, X0 \
+	ADDQ	$8, SI \
+	ADDQ	$YB, DI \
+	DECQ	CX \
+	JNZ	tailloop \
+done: \
+	L1MERGE \
+	ADDSD	X2, X4 \
+	MOVSD	X4, ret+56(FP) \
+	RET \
+stopped: \
+	MOVSD	X2, ret+56(FP) \
+	RET
 
-// W1WINDOW4 is one group of 4 coordinates of a 32-wide window.
-#define W1WINDOW4(xoff, yoff) \
-	W1PAIR(xoff, yoff, X0) \
-	W1PAIR(xoff+16, yoff+8, X1)
+// func l1SSE2(x, y []float64, stop float64) float64
+TEXT ·l1SSE2(SB), NOSPLIT, $0-64
+	L1BODY(MOVUPD, MOVSD, 8)
 
 // func l1WidenSSE2(x []float64, y []float32, stop float64) float64
 TEXT ·l1WidenSSE2(SB), NOSPLIT, $0-64
-	MOVQ	x_base+0(FP), SI
-	MOVQ	x_len+8(FP), CX
-	MOVQ	y_base+24(FP), DI
-	MOVSD	stop+48(FP), X7
-	MOVQ	$0x7FFFFFFFFFFFFFFF, AX
-	MOVQ	AX, X6
-	PUNPCKLQDQ	X6, X6
-	XORPD	X0, X0
-	XORPD	X1, X1
-	CMPQ	CX, $32
-	JLT	wgroups
-
-wwindow:
-	W1WINDOW4(0, 0)
-	W1WINDOW4(32, 16)
-	W1WINDOW4(64, 32)
-	W1WINDOW4(96, 48)
-	W1WINDOW4(128, 64)
-	W1WINDOW4(160, 80)
-	W1WINDOW4(192, 96)
-	W1WINDOW4(224, 112)
-	ADDQ	$256, SI
-	ADDQ	$128, DI
-	SUBQ	$32, CX
-	L1MERGE
-	ADDSD	X4, X2
-	UCOMISD	X7, X2
-	JHI	wstopped
-	CMPQ	CX, $32
-	JGE	wwindow
-
-wgroups:
-	CMPQ	CX, $4
-	JLT	wtail
-
-wgroup:
-	MOVUPD	(SI), X2
-	CVTPS2PD	(DI), X3
-	SUBPD	X3, X2
-	ANDPD	X6, X2
-	ADDPD	X0, X2
-	MOVAPD	X2, X0
-	MOVUPD	16(SI), X4
-	CVTPS2PD	8(DI), X5
-	SUBPD	X5, X4
-	ANDPD	X6, X4
-	ADDPD	X1, X4
-	MOVAPD	X4, X1
-	ADDQ	$32, SI
-	ADDQ	$16, DI
-	SUBQ	$4, CX
-	CMPQ	CX, $4
-	JGE	wgroup
-
-wtail:
-	TESTQ	CX, CX
-	JEQ	wdone
-
-wtailloop:
-	MOVSD	(SI), X2
-	CVTSS2SD	(DI), X3
-	SUBSD	X3, X2
-	ANDPD	X6, X2
-	ADDSD	X2, X0
-	ADDQ	$8, SI
-	ADDQ	$4, DI
-	DECQ	CX
-	JNZ	wtailloop
-
-wdone:
-	L1MERGE
-	ADDSD	X2, X4
-	MOVSD	X4, ret+56(FP)
-	RET
-
-wstopped:
-	MOVSD	X2, ret+56(FP)
-	RET
+	L1BODY(CVTPS2PD, CVTSS2SD, 4)
 
 // func prefetchLines(p unsafe.Pointer, n uintptr)
 //
