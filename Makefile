@@ -20,8 +20,9 @@ GOVULNCHECK_VERSION ?= v1.1.4
 # (nilness, shadow) that plain `go vet` does not run.
 XTOOLS_VERSION ?= v0.30.0
 
-# Seconds each native fuzz target runs in the `make fuzz` smoke (fifteen
-# targets: FuzzLevenshtein, FuzzBatchKernels, FuzzWithinKernels, FuzzDecodeQuery,
+# Seconds each native fuzz target runs in the `make fuzz` smoke (sixteen
+# targets: FuzzLevenshtein, FuzzBatchKernels, FuzzWithinKernels,
+# FuzzSurviveColumns, FuzzDecodeQuery,
 # FuzzSnapshotHeader, FuzzWALRecord, FuzzTreePayload, FuzzRegionTreePayload,
 # FuzzBPlusPayload, FuzzPagedTablePayload, FuzzPredicateParse,
 # FuzzPredicateEval, FuzzCompiledPredicate, FuzzHilbertDecode,
@@ -49,7 +50,7 @@ RACE_PKGS = ./internal/exec/... ./internal/epoch/... ./internal/server/... \
 EXAMPLES = ./examples/quickstart ./examples/wordsearch ./examples/geosearch \
            ./examples/imagesearch ./examples/cachedsearch
 
-.PHONY: all build cross benchmark-build benchmark-test test race fuzz bench bench-plan \
+.PHONY: all build cross benchmark-build benchmark-test test race fuzz bench bench-plan bench-sweep \
         staticcheck govulncheck lint fmt vet examples loc ci
 
 all: build
@@ -88,6 +89,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzLevenshtein -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzBatchKernels -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzWithinKernels -fuzztime=$(FUZZTIME) ./internal/core
+	$(GO) test -run='^$$' -fuzz=FuzzSurviveColumns -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeQuery -fuzztime=$(FUZZTIME) ./internal/server
 	$(GO) test -run='^$$' -fuzz=FuzzSnapshotHeader -fuzztime=$(FUZZTIME) ./internal/persist
 	$(GO) test -run='^$$' -fuzz=FuzzWALRecord -fuzztime=$(FUZZTIME) ./internal/persist
@@ -108,6 +110,12 @@ bench:
 # so it keeps compiling and running; raise -benchtime to measure.
 bench-plan:
 	$(GO) test -bench=BenchmarkFilteredStrategies -benchtime=1x -run=^$$ ./internal/plan
+
+# The pivot table's column sweep on the blocks and radii pool queries
+# visit (BenchmarkTableSweep, docs/KERNELS.md "Columns and the sweep"),
+# once so it keeps compiling and running; raise -benchtime to measure.
+bench-sweep:
+	$(GO) test -bench=BenchmarkTableSweep -benchtime=1x -run=^$$ ./internal/table
 
 staticcheck:
 	$(GO) run honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION) ./...
@@ -164,4 +172,4 @@ loc:
 # offline run can cherry-pick the other targets individually — lint
 # itself is pure stdlib). Performance numbers come from benchmark/
 # (BENCHMARK.json), not from this target; `bench` is a does-it-run check.
-ci: build cross benchmark-build vet fmt lint staticcheck govulncheck test benchmark-test race fuzz examples bench bench-plan
+ci: build cross benchmark-build vet fmt lint staticcheck govulncheck test benchmark-test race fuzz examples bench bench-plan bench-sweep

@@ -1,6 +1,9 @@
 package core
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // This file implements the pivot-filtering machinery of paper §2.3 as
 // reusable primitives. All functions operate on pivot-space coordinates:
@@ -38,98 +41,43 @@ func PruneObject(qd, od []float64, r float64) bool {
 // SurviveColumns compacts into sur the table rows of [base, rows) that
 // pass Lemma 1 at radius r over struct-of-arrays pivot columns: a row
 // survives iff no pivot i has |qd[i] - cols[i][row]| definitely above r
-// (the same NaN-keeping sense as PruneObject). The first column is
-// scanned at unit stride over the whole range; each later column is
-// checked only for the rows still standing, so the total work matches
-// PruneObject's per-row early exit while every memory access stays a
-// sequential column read. sur must hold rows-base entries; the returned
-// slice aliases it, with absolute row numbers in increasing order.
+// (the same NaN-keeping sense as PruneObject). It works one 64-row word
+// of the range at a time: keepMask gives each column's survival bitmap
+// of the word, read at unit stride, and the bitmaps are ANDed across the
+// columns; a word that reaches 0 reads none of its later columns. sur
+// must hold rows-base entries; the returned slice aliases it, with
+// absolute row numbers in increasing order.
 //
 //metriclint:noalloc
 func SurviveColumns(sur []int32, qd []float64, cols [][]float64, base, rows int, r float64) []int32 {
 	m := 0
-	if len(cols) == 0 {
-		for row := base; row < rows; row++ {
-			sur[m] = int32(row)
+	for w := base; w < rows; w += 64 {
+		end := min(w+64, rows)
+		keep := ^uint64(0) >> uint(64-(end-w))
+		for c := 0; c < len(cols) && keep != 0; c++ {
+			keep &= keepMask(cols[c][w:end], qd[c]+r, qd[c]-r)
+		}
+		for ; keep != 0; keep &= keep - 1 {
+			sur[m] = int32(w + bits.TrailingZeros64(keep))
 			m++
 		}
-		return sur[:m]
-	}
-	hi, lo := qd[0]+r, qd[0]-r
-	col := cols[0][:rows]
-	row := base
-	// Manual 4-way unroll: the rolled loop retires ~4 cycles/row on the
-	// dependent load-compare-branch chain; unrolling overlaps four rows
-	// and runs ~3x faster at every survival rate.
-	for ; row+4 <= rows; row += 4 {
-		d0, d1, d2, d3 := col[row], col[row+1], col[row+2], col[row+3]
-		if !(d0 > hi || d0 < lo) {
-			sur[m] = int32(row)
-			m++
-		}
-		if !(d1 > hi || d1 < lo) {
-			sur[m] = int32(row + 1)
-			m++
-		}
-		if !(d2 > hi || d2 < lo) {
-			sur[m] = int32(row + 2)
-			m++
-		}
-		if !(d3 > hi || d3 < lo) {
-			sur[m] = int32(row + 3)
-			m++
-		}
-	}
-	for ; row < rows; row++ {
-		if d := col[row]; d > hi || d < lo {
-			continue
-		}
-		sur[m] = int32(row)
-		m++
-	}
-	for c := 1; c < len(cols); c++ {
-		m = compactColumn(sur, m, cols[c], qd[c]+r, qd[c]-r)
 	}
 	return sur[:m]
 }
 
-// compactColumn filters the first m survivors in sur against one column's
-// [lo, hi] interval, compacting in place (reads run ahead of writes), and
-// returns the new count.
+// keepMaskGo is keepMask's Go body: bit i of the result is set iff row
+// i of col, at most 64 rows, passes Lemma 1 against [lo, hi] —
+// !(d > hi || d < lo), so a NaN on either side keeps the row.
 //
 //metriclint:noalloc
-func compactColumn(sur []int32, m int, col []float64, hi, lo float64) int {
-	w := 0
-	i := 0
-	for ; i+4 <= m; i += 4 {
-		r0, r1, r2, r3 := sur[i], sur[i+1], sur[i+2], sur[i+3]
-		d0, d1, d2, d3 := col[r0], col[r1], col[r2], col[r3]
-		if !(d0 > hi || d0 < lo) {
-			sur[w] = r0
-			w++
-		}
-		if !(d1 > hi || d1 < lo) {
-			sur[w] = r1
-			w++
-		}
-		if !(d2 > hi || d2 < lo) {
-			sur[w] = r2
-			w++
-		}
-		if !(d3 > hi || d3 < lo) {
-			sur[w] = r3
-			w++
+func keepMaskGo(col []float64, hi, lo float64) uint64 {
+	var keep uint64
+	for i, d := range col {
+		if !(d > hi || d < lo) {
+			keep |= 1 << uint(i)
 		}
 	}
-	for ; i < m; i++ {
-		row := sur[i]
-		if d := col[row]; d > hi || d < lo {
-			continue
-		}
-		sur[w] = row
-		w++
-	}
-	return w
+	return keep
 }
 
 // SurviveColumnsIndexed is SurviveColumns for tables whose columns store
@@ -359,6 +307,45 @@ func BoxMinDist(qd, lo, hi []float64) float64 {
 		}
 	}
 	return m
+}
+
+// ZoneGap is Lemma 1 applied to one column of a zone — a table block's
+// [lo, hi] bounds of one pivot column: how far the query's pivot
+// distance q lies outside the zone (at most 0 inside, NaN when q is
+// NaN). Every row under the zone is at least that far from the query.
+//
+//metriclint:noalloc
+func ZoneGap(q, lo, hi float64) float64 {
+	if g := q - hi; g > lo-q {
+		return g
+	}
+	return lo - q
+}
+
+// ZoneBounds writes into lb the bounds of zones [first, first+len(lb))
+// of one level of a zone map, held column-major in lo and hi: for each
+// zone, the largest ZoneGap over the columns, and at least 0 —
+// MBB.MinDist of the zone, a lower bound of d(q, o) for every row o
+// under it. A NaN gap bounds nothing.
+//
+//metriclint:noalloc
+func ZoneBounds(lb []float64, lo, hi [][]float64, qd []float64, first int) {
+	clear(lb)
+	for c, lo := range lo {
+		zoneGaps(lb, lo[first:first+len(lb)], hi[c][first:first+len(lb)], qd[c])
+	}
+}
+
+// zoneGapsGo is zoneGaps's Go body: it raises each lb[i] to
+// ZoneGap(q, lo[i], hi[i]) where that is larger.
+//
+//metriclint:noalloc
+func zoneGapsGo(lb, lo, hi []float64, q float64) {
+	for i := range lb {
+		if g := ZoneGap(q, lo[i], hi[i]); g > lb[i] {
+			lb[i] = g
+		}
+	}
 }
 
 // PruneBall implements Lemma 2 (range-pivot filtering) for ball regions:

@@ -31,6 +31,39 @@ func l1Widen(x []float64, y []float32, stop float64) float64 {
 //go:noescape
 func l1WidenSSE2(x []float64, y []float32, stop float64) float64
 
+// keepMask is one column's Lemma 1 bitmap over at most 64 rows, bit for
+// bit keepMaskGo: the SSE2 body in kernels_amd64.s runs the rows in
+// groups of 8, and the Go body the tail of fewer than 8.
+//
+//metriclint:noalloc
+func keepMask(col []float64, hi, lo float64) uint64 {
+	n := len(col) &^ 7
+	keep := keepMaskGo(col[n:], hi, lo) << uint(n)
+	if n > 0 {
+		keep |= keepMaskSSE2(col[:n], hi, lo)
+	}
+	return keep
+}
+
+// keepMaskSSE2 is keepMask's body over a positive multiple of 8 rows,
+// at most 64.
+//
+//go:noescape
+func keepMaskSSE2(col []float64, hi, lo float64) uint64
+
+// zoneGaps raises lb to one column's zone gaps, bit for bit zoneGapsGo,
+// two zones at a time in the SSE2 body in kernels_amd64.s.
+//
+//metriclint:noalloc
+func zoneGaps(lb, lo, hi []float64, q float64) {
+	zoneGapsSSE2(lb, lo[:len(lb)], hi[:len(lb)], q)
+}
+
+// zoneGapsSSE2 is zoneGaps's body; lo and hi must be as long as lb.
+//
+//go:noescape
+func zoneGapsSSE2(lb, lo, hi []float64, q float64)
+
 // prefetchLines asks the CPU to load the n > 0 bytes at p into its
 // caches, one PREFETCHT0 per 64-byte line.
 //

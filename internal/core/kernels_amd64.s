@@ -143,6 +143,112 @@ TEXT ·l1SSE2(SB), NOSPLIT, $0-64
 TEXT ·l1WidenSSE2(SB), NOSPLIT, $0-64
 	L1BODY(CVTPS2PD, CVTSS2SD, 4)
 
+// The two column passes of the pivot table's scan, SSE2 too, both exact
+// by the operand rules of the packed instructions (docs/KERNELS.md
+// "Columns and the sweep" and "Zone bounds").
+
+// KEEP2 turns the two distances d holds into their keep masks, using t:
+// !(hi < d) AND !(d < lo), CMPPD predicate 5 (NLT), which is true on
+// unordered operands. That is PruneObject's !(d > hi || d < lo), a NaN
+// on either side keeping the row. X8 holds hi and X9 lo, broadcast.
+#define KEEP2(d, t) \
+	MOVAPD	X8, t \
+	CMPPD	d, t, $5 \
+	CMPPD	X9, d, $5 \
+	ANDPD	t, d
+
+// func keepMaskSSE2(col []float64, hi, lo float64) uint64
+//
+// Bit i of the result keeps row i of col; len(col) is a positive
+// multiple of 8, at most 64. Each group of 8 rows makes 8 bits, shifted
+// to the group's place by CX.
+TEXT ·keepMaskSSE2(SB), NOSPLIT, $0-48
+	MOVQ	col_base+0(FP), SI
+	MOVQ	col_len+8(FP), BX
+	MOVSD	hi+24(FP), X8
+	UNPCKLPD	X8, X8
+	MOVSD	lo+32(FP), X9
+	UNPCKLPD	X9, X9
+	XORQ	DX, DX
+	XORQ	CX, CX
+
+group:
+	MOVUPD	(SI), X0
+	MOVUPD	16(SI), X1
+	MOVUPD	32(SI), X2
+	MOVUPD	48(SI), X3
+	KEEP2(X0, X4)
+	KEEP2(X1, X5)
+	KEEP2(X2, X6)
+	KEEP2(X3, X7)
+	MOVMSKPD	X0, AX
+	MOVMSKPD	X1, R8
+	SHLQ	$2, R8
+	ORQ	R8, AX
+	MOVMSKPD	X2, R8
+	SHLQ	$4, R8
+	ORQ	R8, AX
+	MOVMSKPD	X3, R8
+	SHLQ	$6, R8
+	ORQ	R8, AX
+	SHLQ	CX, AX
+	ORQ	AX, DX
+	ADDQ	$64, SI
+	ADDQ	$8, CX
+	SUBQ	$8, BX
+	JNZ	group
+	MOVQ	DX, ret+40(FP)
+	RET
+
+// ZONEGAP raises the lane(s) of lb at (DI) to the zone gaps of the lo at
+// (SI) and hi at (DX), q broadcast in X7: g = q-hi and x = lo-q, each
+// subtraction's destination its minuend as in Go's; then g > x ? g : x
+// and gap > lb ? gap : lb, each a MAX whose destination is the first
+// operand — MAX returns its source when the operands are unordered or
+// both zero, so both are zoneGapsGo's selections bit for bit. MOV, SUB
+// and MAX are MOVUPD, SUBPD and MAXPD for two zones, or MOVSD, SUBSD and
+// MAXSD for one.
+#define ZONEGAP(MOV, SUB, MAX) \
+	MOVAPD	X7, X0 \
+	MOV	(DX), X1 \
+	SUB	X1, X0 \
+	MOV	(SI), X2 \
+	SUB	X7, X2 \
+	MAX	X2, X0 \
+	MOV	(DI), X3 \
+	MAX	X3, X0 \
+	MOV	X0, (DI)
+
+// func zoneGapsSSE2(lb, lo, hi []float64, q float64)
+//
+// Two zones a step, then the odd one.
+TEXT ·zoneGapsSSE2(SB), NOSPLIT, $0-80
+	MOVQ	lb_base+0(FP), DI
+	MOVQ	lb_len+8(FP), CX
+	MOVQ	lo_base+24(FP), SI
+	MOVQ	hi_base+48(FP), DX
+	MOVSD	q+72(FP), X7
+	UNPCKLPD	X7, X7
+	CMPQ	CX, $2
+	JLT	odd
+
+pair:
+	ZONEGAP(MOVUPD, SUBPD, MAXPD)
+	ADDQ	$16, SI
+	ADDQ	$16, DX
+	ADDQ	$16, DI
+	SUBQ	$2, CX
+	CMPQ	CX, $2
+	JGE	pair
+
+odd:
+	TESTQ	CX, CX
+	JEQ	done
+	ZONEGAP(MOVSD, SUBSD, MAXSD)
+
+done:
+	RET
+
 // func prefetchLines(p unsafe.Pointer, n uintptr)
 //
 // PREFETCHT0 over every 64-byte line of [p, p+n), n > 0.

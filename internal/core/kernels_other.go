@@ -20,5 +20,21 @@ func l1Widen(x []float64, y []float32, stop float64) float64 {
 	return l1Kernel(x, y, stop)
 }
 
+// keepMask is one column's Lemma 1 bitmap over at most 64 rows; off
+// amd64 it is the Go body itself.
+//
+//metriclint:noalloc
+func keepMask(col []float64, hi, lo float64) uint64 {
+	return keepMaskGo(col, hi, lo)
+}
+
+// zoneGaps raises lb to one column's zone gaps; off amd64 it is the Go
+// body itself.
+//
+//metriclint:noalloc
+func zoneGaps(lb, lo, hi []float64, q float64) {
+	zoneGapsGo(lb, lo, hi, q)
+}
+
 // prefetchLines does nothing off amd64.
 func prefetchLines(unsafe.Pointer, uintptr) {}

@@ -378,6 +378,26 @@ func FuzzWithinKernels(f *testing.F) {
 	})
 }
 
+// specialFloat draws a finite value of either sign, except one draw in
+// special on average, which is a raw-bit special: a NaN of random
+// payload and either sign (quiet or signalling), ±Inf, a subnormal or
+// ±0, or a tiny value just above the subnormals.
+func specialFloat(rng *rand.Rand, special int) float64 {
+	if rng.Intn(special) != 0 {
+		return rng.NormFloat64() * 100
+	}
+	sign := uint64(rng.Intn(2)) << 63
+	switch rng.Intn(4) {
+	case 0: // a NaN: any non-zero mantissa, quiet or signalling
+		return math.Float64frombits(sign | 0x7FF0000000000000 | (rng.Uint64()&0x000FFFFFFFFFFFFF | 1))
+	case 1:
+		return math.Inf(1 - 2*rng.Intn(2))
+	case 2: // a subnormal or ±0
+		return math.Float64frombits(sign | rng.Uint64()&0x000FFFFFFFFFFFFF>>uint(rng.Intn(53)))
+	}
+	return math.Float64frombits(sign | uint64(rng.Intn(3))<<52 | rng.Uint64()&0x000FFFFFFFFFFFFF)
+}
+
 // TestL1KernelAsmMatchesGeneric holds l1Kernel64 — the float64 L1 body
 // every float64 L1 call site runs, in assembly on amd64 — to
 // l1Kernel[float64, float64], and l1Widen — the narrowed mirror's
@@ -396,21 +416,7 @@ func TestL1KernelAsmMatchesGeneric(t *testing.T) {
 		same = sameValue
 	}
 	rng := rand.New(rand.NewSource(42))
-	coord := func(special int) float64 {
-		if rng.Intn(special) != 0 {
-			return rng.NormFloat64() * 100
-		}
-		sign := uint64(rng.Intn(2)) << 63
-		switch rng.Intn(4) {
-		case 0: // a NaN: any non-zero mantissa, quiet or signalling
-			return math.Float64frombits(sign | 0x7FF0000000000000 | (rng.Uint64()&0x000FFFFFFFFFFFFF | 1))
-		case 1:
-			return math.Inf(1 - 2*rng.Intn(2))
-		case 2: // a subnormal or ±0
-			return math.Float64frombits(sign | rng.Uint64()&0x000FFFFFFFFFFFFF>>uint(rng.Intn(53)))
-		}
-		return math.Float64frombits(sign | uint64(rng.Intn(3))<<52 | rng.Uint64()&0x000FFFFFFFFFFFFF)
-	}
+	coord := func(special int) float64 { return specialFloat(rng, special) }
 	for dim := 0; dim <= 300; dim++ {
 		// From (almost) no specials to one coordinate in two, where NaNs
 		// of different payloads meet in one lane.

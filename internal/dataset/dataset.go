@@ -305,25 +305,32 @@ func CalibrateRadius(g *Generated, selectivity float64) float64 {
 }
 
 // IntrinsicDimensionality estimates ρ = μ²/(2σ²) from sampled pairwise
-// distances, the statistic of Table 2.
+// distances, the statistic of Table 2. Pairs are drawn over the live
+// objects — a dataset with deletions has empty slots — and a draw of one
+// object twice is skipped, so μ and σ² average the distances actually
+// sampled. Fewer than two live objects give +Inf.
 func IntrinsicDimensionality(g *Generated) float64 {
 	m := g.Dataset.Space().Metric()
-	objs := g.Dataset.Objects()
+	ids := g.Dataset.LiveIDs()
 	rng := rand.New(rand.NewSource(1))
-	n := len(objs)
-	pairs := min(20000, n*(n-1)/2)
+	n := len(ids)
 	var sum, sumSq float64
-	for i := 0; i < pairs; i++ {
+	used := 0
+	for range min(20000, n*(n-1)/2) {
 		a, b := rng.Intn(n), rng.Intn(n)
 		if a == b {
 			continue
 		}
-		d := m.Distance(objs[a], objs[b])
+		d := m.Distance(g.Dataset.Object(ids[a]), g.Dataset.Object(ids[b]))
 		sum += d
 		sumSq += d * d
+		used++
 	}
-	mean := sum / float64(pairs)
-	varr := sumSq/float64(pairs) - mean*mean
+	if used == 0 {
+		return math.Inf(1)
+	}
+	mean := sum / float64(used)
+	varr := sumSq/float64(used) - mean*mean
 	if varr <= 0 {
 		return math.Inf(1)
 	}

@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -126,6 +127,56 @@ func TestIntrinsicDimensionalityOrdering(t *testing.T) {
 	// Table 2: Words has by far the lowest intrinsic dimensionality.
 	if wID >= laID {
 		t.Fatalf("Words intrinsic dim %.2f should be below LA %.2f", wID, laID)
+	}
+}
+
+// TestIntrinsicDimensionalityGenerators pins each generator's ρ at
+// n = 20 000 (seed 42) within ±15 % of the values measured when this
+// test was written, and their order: Words < LA < Color < Synthetic, as
+// in Table 2. LA's 2.0 is a known divergence from the paper's 5.4: the
+// generator clusters its 2-D points more tightly than the real
+// Los Angeles set. The test pins it rather than retuning the generator.
+func TestIntrinsicDimensionalityGenerators(t *testing.T) {
+	want := map[Kind]float64{LA: 2.00, Words: 0.95, Color: 5.58, Synthetic: 6.65}
+	got := map[Kind]float64{}
+	for _, kind := range AllKinds {
+		g, err := Generate(kind, Config{N: 20000, Seed: 42})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got[kind] = IntrinsicDimensionality(g)
+		if rho := got[kind]; !(rho >= 0.85*want[kind] && rho <= 1.15*want[kind]) {
+			t.Errorf("%s: ρ = %.3f, want %.2f ± 15 %%", kind, rho, want[kind])
+		}
+	}
+	if !(got[Words] < got[LA] && got[LA] < got[Color] && got[Color] < got[Synthetic]) {
+		t.Errorf("ρ out of Table 2's order: %v", got)
+	}
+}
+
+// TestIntrinsicDimensionalityWithHoles samples a dataset with deleted
+// objects over its live ones (drawing over every slot met a nil object
+// and panicked), and gives +Inf below two live objects.
+func TestIntrinsicDimensionalityWithHoles(t *testing.T) {
+	g, err := Generate(LA, Config{N: 50, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id := range 40 {
+		if err := g.Dataset.Delete(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if rho := IntrinsicDimensionality(g); math.IsInf(rho, 0) || math.IsNaN(rho) || rho <= 0 {
+		t.Fatalf("ρ over 10 live objects = %v, want a positive finite estimate", rho)
+	}
+	for id := 40; id < 49; id++ {
+		if err := g.Dataset.Delete(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if rho := IntrinsicDimensionality(g); !math.IsInf(rho, 1) {
+		t.Fatalf("ρ over one live object = %v, want +Inf", rho)
 	}
 }
 

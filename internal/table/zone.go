@@ -280,39 +280,6 @@ func (z *zoneMap) truncate(n int) {
 	}
 }
 
-// zoneGap is Lemma 1 applied to one column of a zone: how far the query's
-// pivot distance q lies outside the zone's [lo, hi] (at most 0 inside,
-// NaN when q is NaN). Every row under the zone is at least that far from
-// the query.
-//
-//metriclint:noalloc
-func zoneGap(q, lo, hi float64) float64 {
-	if g := q - hi; g > lo-q {
-		return g
-	}
-	return lo - q
-}
-
-// bounds writes into lb the bounds of zones [first, first+len(lb)) of one
-// level (lo, hi): for each, the largest zoneGap over the columns, and at
-// least 0 — core.MBB.MinDist of the zone, a lower bound of d(q, o) for
-// every row o under it. A NaN gap bounds nothing. A super-zone covers its
-// blocks, so its bound is at most each of theirs.
-//
-//metriclint:noalloc
-func bounds(lb []float64, lo, hi [][]float64, qd []float64, first int) {
-	clear(lb)
-	for c, lo := range lo {
-		q := qd[c]
-		lo, hi := lo[first:first+len(lb)], hi[c][first:first+len(lb)]
-		for i := range lb {
-			if g := zoneGap(q, lo[i], hi[i]); g > lb[i] {
-				lb[i] = g
-			}
-		}
-	}
-}
-
 // blockRef marks a heap entry as a block; an entry without it is a
 // super-zone. Refs are compared whole, so at equal bounds super-zones pop
 // before blocks, and each level in storage order.
@@ -386,7 +353,7 @@ func (v *visitor) push(lo, hi [][]float64, first, end int, ref uint32, limit flo
 	var lb [superBlocks]float64
 	for ; first < end; first += superBlocks {
 		m := min(superBlocks, end-first)
-		bounds(lb[:m], lo, hi, v.qd, first)
+		core.ZoneBounds(lb[:m], lo, hi, v.qd, first)
 		for i, g := range lb[:m] {
 			if !(g > limit) {
 				v.h.Push(g, ref|uint32(first+i), struct{}{})

@@ -266,14 +266,14 @@ func TestRadixSortStableAcrossWorkers(t *testing.T) {
 
 // flatBlockBounds is the one-level block loop's bound pass, kept as the
 // reference model of the two-level visitor: for every block, the largest
-// zoneGap over the columns, and at least 0.
+// core.ZoneGap over the columns, and at least 0.
 func flatBlockBounds(z *zoneMap, lb, qd []float64) {
 	clear(lb)
 	for c, lo := range z.lo {
 		q := qd[c]
 		lo, hi := lo[:len(lb)], z.hi[c][:len(lb)]
 		for b := range lb {
-			if g := zoneGap(q, lo[b], hi[b]); g > lb[b] {
+			if g := core.ZoneGap(q, lo[b], hi[b]); g > lb[b] {
 				lb[b] = g
 			}
 		}
