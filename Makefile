@@ -162,10 +162,12 @@ examples:
 
 # Non-test, non-comment, non-blank Go lines outside benchmark/ and
 # testdata/: the figure ROADMAP aim 2 ("net line count goes down") is
-# read off. CI echoes it in the test job.
+# read off; then the number of packages holding non-test Go code (a
+# directory of tests only is not one). CI echoes both in the test job.
 loc:
 	@find . -name '*.go' -not -path './benchmark/*' -not -name '*_test.go' \
 		-not -path '*/testdata/*' | xargs cat | grep -v '^\s*//' | grep -v '^\s*$$' | wc -l
+	@echo "packages with non-test Go code: $$($(GO) list -f '{{if .GoFiles}}{{.ImportPath}}{{end}}' ./... | grep -c .)"
 
 # The full CI surface: the test, lint and bench jobs' steps (vet's extra
 # analyzers, staticcheck and govulncheck need module downloads, so an

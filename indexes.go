@@ -1,12 +1,11 @@
 package metricindex
 
 import (
-	"metricindex/internal/cpt"
 	"metricindex/internal/ept"
 	"metricindex/internal/fqt"
+	"metricindex/internal/mtree"
 	"metricindex/internal/omni"
 	"metricindex/internal/pivot"
-	"metricindex/internal/pmtree"
 	"metricindex/internal/ptree"
 	"metricindex/internal/spb"
 	"metricindex/internal/store"
@@ -30,12 +29,18 @@ const DefaultCacheBytes = store.DefaultCacheBytes
 // on high-dimensional datasets.
 const LargePageSize = store.LargePageSize
 
-func (o DiskOptions) pager() *store.Pager {
+// onDisk builds an index on a fresh pager configured by o and binds the
+// two.
+func (o DiskOptions) onDisk(build func(p *store.Pager) (Index, error)) (*DiskIndex, error) {
 	p := store.NewPager(o.PageSize)
 	if o.CacheBytes > 0 {
 		p.SetCacheBytes(o.CacheBytes)
 	}
-	return p
+	idx, err := build(p)
+	if err != nil {
+		return nil, err
+	}
+	return &DiskIndex{Index: idx, pager: p}, nil
 }
 
 // DiskIndex is an Index bound to its simulated disk, exposing cache
@@ -110,26 +115,20 @@ func NewEPTStar(ds *Dataset, opts EPTOptions) (Index, error) {
 // pivots with the table on sequential disk pages and objects in a RAF,
 // removing the in-memory table's dataset-size limit.
 func NewDiskEPTStar(ds *Dataset, opts EPTOptions, disk DiskOptions) (*DiskIndex, error) {
-	p := disk.pager()
-	idx, err := ept.NewDisk(ds, p, ept.Options{
-		L: opts.L, Sel: pivot.Options{Seed: opts.Seed}, Workers: opts.Workers,
+	return disk.onDisk(func(p *store.Pager) (Index, error) {
+		return ept.NewDisk(ds, p, ept.Options{
+			L: opts.L, Sel: pivot.Options{Seed: opts.Seed}, Workers: opts.Workers,
+		})
 	})
-	if err != nil {
-		return nil, err
-	}
-	return &DiskIndex{Index: idx, pager: p}, nil
 }
 
 // NewCPT builds the Clustered Pivot Table (§3.3): in-memory distance
 // table plus a disk M-tree clustering the objects, both built
 // sequentially (the paper's methodology).
 func NewCPT(ds *Dataset, pivots []int, opts DiskOptions) (*DiskIndex, error) {
-	p := opts.pager()
-	idx, err := cpt.New(ds, p, pivots, cpt.Options{Seed: 1})
-	if err != nil {
-		return nil, err
-	}
-	return &DiskIndex{Index: idx, pager: p}, nil
+	return opts.onDisk(func(p *store.Pager) (Index, error) {
+		return table.NewCPT(ds, p, pivots, 1, 0)
+	})
 }
 
 // NewCPTParallel builds the same CPT with the distance-table precompute
@@ -139,14 +138,11 @@ func NewCPT(ds *Dataset, pivots []int, opts DiskOptions) (*DiskIndex, error) {
 // clustering on disk (and the build time) differs.
 func NewCPTParallel(ds *Dataset, pivots []int, opts DiskOptions, workers int) (*DiskIndex, error) {
 	if workers <= 0 {
-		workers = -1 // cpt: negative means GOMAXPROCS
+		workers = -1 // table.NewCPT: negative means GOMAXPROCS
 	}
-	p := opts.pager()
-	idx, err := cpt.New(ds, p, pivots, cpt.Options{Seed: 1, Workers: workers})
-	if err != nil {
-		return nil, err
-	}
-	return &DiskIndex{Index: idx, pager: p}, nil
+	return opts.onDisk(func(p *store.Pager) (Index, error) {
+		return table.NewCPT(ds, p, pivots, 1, workers)
+	})
 }
 
 // TreeOptions configures the in-memory pivot trees — BKT, FQT and
@@ -188,12 +184,9 @@ func NewMVPT(ds *Dataset, pivots []int, opts TreeOptions) (Index, error) {
 // Objects live inside the tree pages, so high-dimensional data needs
 // LargePageSize.
 func NewPMTree(ds *Dataset, pivots []int, opts DiskOptions) (*DiskIndex, error) {
-	p := opts.pager()
-	idx, err := pmtree.New(ds, p, pivots, pmtree.Options{Seed: 1})
-	if err != nil {
-		return nil, err
-	}
-	return &DiskIndex{Index: idx, pager: p}, nil
+	return opts.onDisk(func(p *store.Pager) (Index, error) {
+		return mtree.NewPMTree(ds, p, pivots, 1, 0)
+	})
 }
 
 // NewPMTreeParallel builds the same PM-tree with the partitioned bulk
@@ -204,14 +197,11 @@ func NewPMTree(ds *Dataset, pivots []int, opts DiskOptions) (*DiskIndex, error) 
 // only page clustering and build time differ.
 func NewPMTreeParallel(ds *Dataset, pivots []int, opts DiskOptions, workers int) (*DiskIndex, error) {
 	if workers <= 0 {
-		workers = -1 // pmtree: negative means GOMAXPROCS
+		workers = -1 // mtree.NewPMTree: negative means GOMAXPROCS
 	}
-	p := opts.pager()
-	idx, err := pmtree.New(ds, p, pivots, pmtree.Options{Seed: 1, Workers: workers})
-	if err != nil {
-		return nil, err
-	}
-	return &DiskIndex{Index: idx, pager: p}, nil
+	return opts.onDisk(func(p *store.Pager) (Index, error) {
+		return mtree.NewPMTree(ds, p, pivots, 1, workers)
+	})
 }
 
 // OmniOptions configures the Omni-family.
@@ -228,32 +218,23 @@ type OmniOptions struct {
 
 // NewOmniRTree builds the OmniR-tree (§5.2), the family's best performer.
 func NewOmniRTree(ds *Dataset, pivots []int, opts OmniOptions) (*DiskIndex, error) {
-	p := opts.pager()
-	idx, err := omni.NewRTree(ds, p, pivots, omni.Options{MaxDistance: opts.MaxDistance, Workers: opts.Workers})
-	if err != nil {
-		return nil, err
-	}
-	return &DiskIndex{Index: idx, pager: p}, nil
+	return opts.onDisk(func(p *store.Pager) (Index, error) {
+		return mtree.NewOmniRTree(ds, p, pivots, opts.MaxDistance, opts.Workers)
+	})
 }
 
 // NewOmniSeqFile builds the Omni-sequential-file (§5.2).
 func NewOmniSeqFile(ds *Dataset, pivots []int, opts DiskOptions) (*DiskIndex, error) {
-	p := opts.pager()
-	idx, err := omni.NewSeqFile(ds, p, pivots, 0)
-	if err != nil {
-		return nil, err
-	}
-	return &DiskIndex{Index: idx, pager: p}, nil
+	return opts.onDisk(func(p *store.Pager) (Index, error) {
+		return table.NewOmniSeq(ds, p, pivots, 0)
+	})
 }
 
 // NewOmniBPlus builds the OmniB+-tree (§5.2): one B+-tree per pivot.
 func NewOmniBPlus(ds *Dataset, pivots []int, opts DiskOptions) (*DiskIndex, error) {
-	p := opts.pager()
-	idx, err := omni.NewBPlus(ds, p, pivots, 0)
-	if err != nil {
-		return nil, err
-	}
-	return &DiskIndex{Index: idx, pager: p}, nil
+	return opts.onDisk(func(p *store.Pager) (Index, error) {
+		return omni.NewBPlus(ds, p, pivots, 0)
+	})
 }
 
 // MIndexOptions configures the M-index.
@@ -277,14 +258,11 @@ func NewMIndexStar(ds *Dataset, pivots []int, opts MIndexOptions) (*DiskIndex, e
 }
 
 func newMIndex(ds *Dataset, pivots []int, opts MIndexOptions, star bool) (*DiskIndex, error) {
-	p := opts.pager()
-	idx, err := spb.NewMIndex(ds, p, pivots, spb.MIndexOptions{
-		Star: star, MaxNum: opts.MaxNum, MaxDistance: opts.MaxDistance,
+	return opts.onDisk(func(p *store.Pager) (Index, error) {
+		return spb.NewMIndex(ds, p, pivots, spb.MIndexOptions{
+			Star: star, MaxNum: opts.MaxNum, MaxDistance: opts.MaxDistance,
+		})
 	})
-	if err != nil {
-		return nil, err
-	}
-	return &DiskIndex{Index: idx, pager: p}, nil
 }
 
 // SPBOptions configures the SPB-tree.
@@ -299,12 +277,9 @@ type SPBOptions struct {
 // NewSPBTree builds the SPB-tree (§5.4): Hilbert-mapped distance vectors
 // in an augmented B+-tree plus an SFC-ordered RAF.
 func NewSPBTree(ds *Dataset, pivots []int, opts SPBOptions) (*DiskIndex, error) {
-	p := opts.pager()
-	idx, err := spb.New(ds, p, pivots, spb.Options{
-		MaxDistance: opts.MaxDistance, Bits: opts.Bits,
+	return opts.onDisk(func(p *store.Pager) (Index, error) {
+		return spb.New(ds, p, pivots, spb.Options{
+			MaxDistance: opts.MaxDistance, Bits: opts.Bits,
+		})
 	})
-	if err != nil {
-		return nil, err
-	}
-	return &DiskIndex{Index: idx, pager: p}, nil
 }

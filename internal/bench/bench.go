@@ -20,14 +20,13 @@ import (
 	"time"
 
 	"metricindex/internal/core"
-	"metricindex/internal/cpt"
 	"metricindex/internal/dataset"
 	"metricindex/internal/ept"
 	"metricindex/internal/exec"
 	"metricindex/internal/fqt"
+	"metricindex/internal/mtree"
 	"metricindex/internal/omni"
 	"metricindex/internal/pivot"
-	"metricindex/internal/pmtree"
 	"metricindex/internal/ptree"
 	"metricindex/internal/shard"
 	"metricindex/internal/spb"
@@ -163,8 +162,8 @@ type Builder struct {
 
 // Builders is the family registry: every index kind, each once, the
 // paper's lineup in the order of Tables 4 and 6. Snapshot loaders stay
-// registered by each family package's init (persist.Register), since
-// persist cannot import the families.
+// registered by each engine package's init (persist.Register), since
+// persist cannot import the engines.
 func Builders() []Builder {
 	return []Builder{
 		{Name: "AESA", New: func(e *Env, _ *store.Pager) (core.Index, error) {
@@ -190,7 +189,7 @@ func Builders() []Builder {
 			})
 		}},
 		{Name: "CPT", Pages: LargePages, Paper: true, New: func(e *Env, p *store.Pager) (core.Index, error) {
-			return cpt.New(e.Gen.Dataset, p, e.Pivots, cpt.Options{Seed: e.Cfg.Seed, Workers: e.Cfg.Workers})
+			return table.NewCPT(e.Gen.Dataset, p, e.Pivots, e.Cfg.Seed, e.Cfg.Workers)
 		}},
 		{Name: "BKT", Paper: true, New: func(e *Env, _ *store.Pager) (core.Index, error) {
 			return ptree.NewBKT(e.Gen.Dataset, ptree.Options{
@@ -212,18 +211,16 @@ func Builders() []Builder {
 			return ptree.NewMVPT(e.Gen.Dataset, e.Pivots, ptree.Options{Arity: 2, Workers: e.Cfg.Workers})
 		}},
 		{Name: "PM-tree", Pages: LargePages, Paper: true, New: func(e *Env, p *store.Pager) (core.Index, error) {
-			return pmtree.New(e.Gen.Dataset, p, e.Pivots, pmtree.Options{Seed: e.Cfg.Seed, Workers: e.Cfg.Workers})
+			return mtree.NewPMTree(e.Gen.Dataset, p, e.Pivots, e.Cfg.Seed, e.Cfg.Workers)
 		}},
 		{Name: "Omni-seq", Pages: SmallPages, New: func(e *Env, p *store.Pager) (core.Index, error) {
-			return omni.NewSeqFile(e.Gen.Dataset, p, e.Pivots, e.Cfg.Workers)
+			return table.NewOmniSeq(e.Gen.Dataset, p, e.Pivots, e.Cfg.Workers)
 		}},
 		{Name: "OmniB+-tree", Pages: SmallPages, New: func(e *Env, p *store.Pager) (core.Index, error) {
 			return omni.NewBPlus(e.Gen.Dataset, p, e.Pivots, e.Cfg.Workers)
 		}},
 		{Name: "OmniR-tree", Pages: SmallPages, Paper: true, New: func(e *Env, p *store.Pager) (core.Index, error) {
-			return omni.NewRTree(e.Gen.Dataset, p, e.Pivots, omni.Options{
-				MaxDistance: e.Gen.MaxDistance, Workers: e.Cfg.Workers,
-			})
+			return mtree.NewOmniRTree(e.Gen.Dataset, p, e.Pivots, e.Gen.MaxDistance, e.Cfg.Workers)
 		}},
 		{Name: "M-index", Pages: SmallPages, Paper: true, New: func(e *Env, p *store.Pager) (core.Index, error) {
 			return spb.NewMIndex(e.Gen.Dataset, p, e.Pivots, spb.MIndexOptions{MaxDistance: e.Gen.MaxDistance})

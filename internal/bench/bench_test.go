@@ -105,6 +105,9 @@ func TestRegistryFamilies(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				if snap.Index.Name() != b.Name {
+					t.Fatalf("restored %q", snap.Index.Name())
+				}
 				check("restored", snap.Index, snap.Dataset)
 			})
 		}

@@ -9,12 +9,11 @@ import (
 	"testing"
 
 	"metricindex/internal/core"
-	"metricindex/internal/cpt"
-	"metricindex/internal/omni"
+	"metricindex/internal/mtree"
 	"metricindex/internal/persist"
 	"metricindex/internal/pivot"
-	"metricindex/internal/pmtree"
 	"metricindex/internal/store"
+	"metricindex/internal/table"
 	"metricindex/internal/testutil"
 )
 
@@ -40,22 +39,22 @@ type regionFamily struct {
 
 var regionFamilies = []regionFamily{
 	{"PM-tree/w0", func(ds *core.Dataset, p *store.Pager, pv []int, _ float64) (core.Index, error) {
-		return pmtree.New(ds, p, pv, pmtree.Options{Seed: 7})
+		return mtree.NewPMTree(ds, p, pv, 7, 0)
 	}},
 	{"PM-tree/w1", func(ds *core.Dataset, p *store.Pager, pv []int, _ float64) (core.Index, error) {
-		return pmtree.New(ds, p, pv, pmtree.Options{Seed: 7, Workers: 1})
+		return mtree.NewPMTree(ds, p, pv, 7, 1)
 	}},
 	{"PM-tree/w4", func(ds *core.Dataset, p *store.Pager, pv []int, _ float64) (core.Index, error) {
-		return pmtree.New(ds, p, pv, pmtree.Options{Seed: 7, Workers: 4})
+		return mtree.NewPMTree(ds, p, pv, 7, 4)
 	}},
 	{"CPT/w0", func(ds *core.Dataset, p *store.Pager, pv []int, _ float64) (core.Index, error) {
-		return cpt.New(ds, p, pv, cpt.Options{Seed: 7})
+		return table.NewCPT(ds, p, pv, 7, 0)
 	}},
 	{"CPT/w4", func(ds *core.Dataset, p *store.Pager, pv []int, _ float64) (core.Index, error) {
-		return cpt.New(ds, p, pv, cpt.Options{Seed: 7, Workers: 4})
+		return table.NewCPT(ds, p, pv, 7, 4)
 	}},
 	{"OmniR-tree", func(ds *core.Dataset, p *store.Pager, pv []int, maxD float64) (core.Index, error) {
-		return omni.NewRTree(ds, p, pv, omni.Options{MaxDistance: maxD})
+		return mtree.NewOmniRTree(ds, p, pv, maxD, 0)
 	}},
 }
 

@@ -9,9 +9,8 @@ import (
 	"testing"
 
 	"metricindex/internal/core"
-	"metricindex/internal/omni"
+	"metricindex/internal/mtree"
 	"metricindex/internal/pivot"
-	"metricindex/internal/pmtree"
 	"metricindex/internal/ptree"
 	"metricindex/internal/spb"
 	"metricindex/internal/store"
@@ -52,12 +51,12 @@ var treeFamilies = []treeFamily{
 	}},
 	{"PM-tree", func(ds *core.Dataset, pv []int, _ float64) (testutil.Searcher, *store.Pager, error) {
 		p := store.NewPager(512)
-		idx, err := pmtree.New(ds, p, pv, pmtree.Options{Seed: 7})
+		idx, err := mtree.NewPMTree(ds, p, pv, 7, 0)
 		return idx, p, err
 	}},
 	{"OmniR-tree", func(ds *core.Dataset, pv []int, maxD float64) (testutil.Searcher, *store.Pager, error) {
 		p := store.NewPager(512)
-		idx, err := omni.NewRTree(ds, p, pv, omni.Options{MaxDistance: maxD})
+		idx, err := mtree.NewOmniRTree(ds, p, pv, maxD, 0)
 		return idx, p, err
 	}},
 	{"M-index", func(ds *core.Dataset, pv []int, maxD float64) (testutil.Searcher, *store.Pager, error) {

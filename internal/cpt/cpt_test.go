@@ -7,17 +7,18 @@ import (
 	"metricindex/internal/core"
 	"metricindex/internal/pivot"
 	"metricindex/internal/store"
+	"metricindex/internal/table"
 	"metricindex/internal/testutil"
 )
 
-func build(t *testing.T, ds *core.Dataset) (*CPT, *store.Pager) {
+func build(t *testing.T, ds *core.Dataset) (*table.Index, *store.Pager) {
 	t.Helper()
 	p := store.NewPager(1024)
 	pv, err := pivot.HFI(ds, 4, pivot.Options{Seed: 3})
 	if err != nil {
 		t.Fatalf("HFI: %v", err)
 	}
-	idx, err := New(ds, p, pv, Options{Seed: 7})
+	idx, err := table.NewCPT(ds, p, pv, 7, 0)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -109,18 +110,18 @@ func TestCPTParallelBuildMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatalf("HFI: %v", err)
 	}
-	seq, err := New(seqDS, store.NewPager(1024), pv, Options{Seed: 7})
+	seq, err := table.NewCPT(seqDS, store.NewPager(1024), pv, 7, 0)
 	if err != nil {
 		t.Fatalf("sequential New: %v", err)
 	}
-	par, err := New(parDS, store.NewPager(1024), pv, Options{Seed: 7, Workers: 4})
+	par, err := table.NewCPT(parDS, store.NewPager(1024), pv, 7, 4)
 	if err != nil {
 		t.Fatalf("parallel New: %v", err)
 	}
-	if !reflect.DeepEqual(seq.tab.IDs(), par.tab.IDs()) {
+	if !reflect.DeepEqual(seq.Table().IDs(), par.Table().IDs()) {
 		t.Fatal("parallel build ids differ")
 	}
-	if !reflect.DeepEqual(seq.tab.Cols(), par.tab.Cols()) {
+	if !reflect.DeepEqual(seq.Table().Cols(), par.Table().Cols()) {
 		t.Fatal("parallel build distances differ")
 	}
 	for qs := int64(0); qs < 3; qs++ {

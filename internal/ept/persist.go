@@ -274,11 +274,7 @@ func loadDiskEPT(ds *core.Dataset, r *persist.Reader) (core.Index, *store.Pager,
 	if err := e.checkWidth(); err != nil {
 		return nil, nil, err
 	}
-	pager, err := store.LoadPager(pagerBlob)
-	if err != nil {
-		return nil, nil, err
-	}
-	raf, err := store.LoadRAF(pager, rafBlob, ds.Len())
+	pager, raf, err := store.LoadVolume(pagerBlob, rafBlob, ds.Len())
 	if err != nil {
 		return nil, nil, err
 	}

@@ -12,7 +12,7 @@ import (
 	"time"
 
 	"metricindex/internal/core"
-	"metricindex/internal/omni"
+	"metricindex/internal/mtree"
 	"metricindex/internal/pivot"
 	"metricindex/internal/plan"
 	"metricindex/internal/ptree"
@@ -47,9 +47,9 @@ func buildLineup(t *testing.T, ds *core.Dataset, maxD float64) map[string]core.I
 	out["MVPT"] = mv
 
 	op := store.NewPager(512)
-	ot, err := omni.NewRTree(ds, op, pv, omni.Options{MaxDistance: maxD})
+	ot, err := mtree.NewOmniRTree(ds, op, pv, maxD, 0)
 	if err != nil {
-		t.Fatalf("omni.NewRTree: %v", err)
+		t.Fatalf("mtree.NewOmniRTree: %v", err)
 	}
 	out["OmniR-tree"] = ot
 

@@ -5,11 +5,10 @@ import (
 	"testing"
 
 	"metricindex/internal/core"
-	"metricindex/internal/cpt"
-	"metricindex/internal/omni"
+	"metricindex/internal/mtree"
 	"metricindex/internal/persist"
-	"metricindex/internal/pmtree"
 	"metricindex/internal/store"
+	"metricindex/internal/table"
 	"metricindex/internal/testutil"
 )
 
@@ -39,11 +38,11 @@ func newRegion(t testing.TB, kind string, n int) region {
 	var err error
 	switch kind {
 	case "PM-tree":
-		idx, err = pmtree.New(ds, p, pv, pmtree.Options{Seed: 7})
+		idx, err = mtree.NewPMTree(ds, p, pv, 7, 0)
 	case "CPT":
-		idx, err = cpt.New(ds, p, pv, cpt.Options{Seed: 7})
+		idx, err = table.NewCPT(ds, p, pv, 7, 0)
 	default:
-		idx, err = omni.NewRTree(ds, p, pv, omni.Options{MaxDistance: 64})
+		idx, err = mtree.NewOmniRTree(ds, p, pv, 64, 0)
 	}
 	if err != nil {
 		t.Fatalf("%s: build: %v", kind, err)

@@ -22,6 +22,11 @@
 // and handle-state codec serve both. A family supplies only its
 // choose-subtree rule, its split and its bulk load; where a leaf's object
 // comes from (inline or the RAF) follows from whether it has balls.
+//
+// The handle, Tree, is itself the PM-tree's and the OmniR-tree's
+// core.Index (NewPMTree, NewOmniRTree) and registers both snapshot
+// kinds; a plain M-tree is CPT's object store (internal/table), which
+// writes the tree's handle state inside its own payload.
 package mtree
 
 import (
@@ -30,6 +35,7 @@ import (
 	"math/rand"
 
 	"metricindex/internal/core"
+	"metricindex/internal/persist"
 	"metricindex/internal/store"
 )
 
@@ -103,6 +109,7 @@ type Tree struct {
 	fam      *family
 	seed     int64
 	pivots   []core.Object // the l pivots spanning every box (none for a plain M-tree)
+	pivotIDs []int         // R-tree: the pivots' dataset ids, for the Omni base
 	raf      *store.RAF    // R-tree: the objects
 	maxCoord float64       // R-tree: d+, the Hilbert bulk load's quantization bound
 	root     store.PageID
@@ -143,6 +150,42 @@ func BulkRTree(ds *core.Dataset, pager *store.Pager, pivots []core.Object, raf *
 	return t, t.build(ds.LiveIDs(), workers)
 }
 
+// NewPMTree builds the PM-tree of [26] (§5.1) over every live object of
+// ds: an M-tree whose every region also has the hyper-rings of all of
+// pivots, pruned by Lemma 1 on the rings and Lemma 2 on the covering
+// balls. workers selects the build as BulkOptions.Workers does: 0 keeps
+// the paper's one-by-one insertion (§6.2), any other value the
+// partitioned bulk load, whose page image is the same for every nonzero
+// value. Objects are stored inside the tree nodes, which is why
+// high-dimensional datasets need the 40 KB page size (§6.1).
+func NewPMTree(ds *core.Dataset, pager *store.Pager, pivots []int, seed int64, workers int) (*Tree, error) {
+	if len(pivots) == 0 {
+		return nil, fmt.Errorf("pmtree: no pivots")
+	}
+	return Bulk(ds, pager, pivots, Options{NumPivots: len(pivots), Seed: seed}, BulkOptions{Workers: workers})
+}
+
+// NewOmniRTree builds the OmniR-tree (§5.2) over every live object of ds:
+// an R-tree over the objects' Omni-coordinates in the pivot space of
+// pivots, with the objects in a RAF on the same pager. maxDistance (d+;
+// 1 when not positive) quantizes the Hilbert bulk load; workers
+// parallelizes the coordinates.
+func NewOmniRTree(ds *core.Dataset, pager *store.Pager, pivots []int, maxDistance float64, workers int) (*Tree, error) {
+	b, err := persist.NewOmni(ds, pager, pivots)
+	if err != nil {
+		return nil, err
+	}
+	if maxDistance <= 0 {
+		maxDistance = 1
+	}
+	t, err := BulkRTree(ds, pager, b.Pivots, b.RAF, maxDistance, workers)
+	if err != nil {
+		return nil, err
+	}
+	t.pivotIDs = b.PivotIDs
+	return t, nil
+}
+
 // newTree returns a handle without pages.
 func newTree(ds *core.Dataset, pager *store.Pager, fam *family, pivots []core.Object, seed int64) *Tree {
 	return &Tree{ds: ds, pager: pager, fam: fam, seed: seed, pivots: pivots, rng: rand.New(rand.NewSource(seed)),
@@ -171,6 +214,39 @@ func (t *Tree) Len() int { return t.size }
 
 // NumPivots returns l (0 for a plain M-tree).
 func (t *Tree) NumPivots() int { return len(t.pivots) }
+
+// Name returns the index family, the snapshot kind: "PM-tree",
+// "OmniR-tree", or "M-tree" for CPT's plain object store.
+func (t *Tree) Name() string {
+	switch {
+	case !t.fam.ball:
+		return "OmniR-tree"
+	case len(t.pivots) > 0:
+		return "PM-tree"
+	}
+	return "M-tree"
+}
+
+// PageAccesses reports the pager's accesses: the nodes', and the
+// R-tree's RAF reads.
+func (t *Tree) PageAccesses() int64 { return t.pager.PageAccesses() }
+
+// ResetStats zeroes the pager counters.
+func (t *Tree) ResetStats() { t.pager.ResetStats() }
+
+// MemBytes is small: an M-tree keeps only its leaf directory in memory,
+// an R-tree the point table its deletes descend by.
+func (t *Tree) MemBytes() int64 {
+	if t.fam.ball {
+		return int64(t.size) * 12
+	}
+	return int64(t.size) * int64(8+8*len(t.pivots))
+}
+
+// DiskBytes reports the volume's footprint: for an M-tree the objects
+// are in it (hence the PM-tree's, the largest of Table 4), for an
+// R-tree its RAF is.
+func (t *Tree) DiskBytes() int64 { return t.pager.DiskBytes() }
 
 // point computes an object's (or a query's) pivot-space point through
 // the batch kernel: l counted distances, none when l = 0.

@@ -11,8 +11,9 @@ import (
 )
 
 // Snapshot state of a tree handle (spec: docs/PERSISTENCE.md §M-tree and
-// §Omni). The nodes already live on pager pages, which the owning index
-// writes (it may share the volume with other structures). The state is,
+// §Omni). The nodes already live on pager pages, which the payload
+// writes first: the PM-tree's and the OmniR-tree's own (EncodeSnapshot),
+// or CPT's, whose volume the tree shares. The state is,
 // for the M-tree, its version, options and pivot values; then the root
 // page and the size; for the R-tree, its coordinate bound; and the
 // per-object table — the M-tree's leaf directory or the R-tree's point
@@ -21,6 +22,61 @@ import (
 // tree is valid and answers identically.
 
 const mtreeFormatVersion = 1
+
+// The PM-tree's and the OmniR-tree's payloads (spec: docs/PERSISTENCE.md
+// §PM-tree and §Omni): the PM-tree's version and volume image, or the
+// Omni base section (persist.EncodeOmni); then the handle state.
+
+const pmtreeFormatVersion = 1
+
+func init() {
+	for _, kind := range []string{"PM-tree", "OmniR-tree"} {
+		persist.Register(kind, func(ds *core.Dataset, r *persist.Reader) (core.Index, *store.Pager, error) {
+			return loadTree(kind, ds, r)
+		})
+	}
+}
+
+// EncodeSnapshot writes the PM-tree's or the OmniR-tree's payload.
+func (t *Tree) EncodeSnapshot(w *persist.Writer) error {
+	if t.fam.ball {
+		w.U16(pmtreeFormatVersion)
+		w.Blob(t.pager.Serialize())
+	} else {
+		persist.EncodeOmni(w, persist.Omni{Pager: t.pager, RAF: t.raf, PivotIDs: t.pivotIDs, Pivots: t.pivots})
+	}
+	return t.EncodeState(w)
+}
+
+// loadTree reads the payload of kind. A PM-tree payload must hold rings:
+// a plain M-tree is no index of its own.
+func loadTree(kind string, ds *core.Dataset, r *persist.Reader) (core.Index, *store.Pager, error) {
+	var b persist.Omni
+	var err error
+	if kind == "PM-tree" {
+		if v := r.U16(); r.Err() == nil && v != pmtreeFormatVersion {
+			return nil, nil, fmt.Errorf("pmtree: unsupported payload version %d", v)
+		}
+		image := r.Blob()
+		if err = r.Err(); err == nil {
+			b.Pager, err = store.LoadPager(image)
+		}
+	} else {
+		b, err = persist.DecodeOmni(ds, r)
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	t, err := RestoreState(ds, b.Pager, b.RAF, b.Pivots, r)
+	if err != nil {
+		return nil, nil, err
+	}
+	if t.NumPivots() == 0 {
+		return nil, nil, fmt.Errorf("pmtree: snapshot holds a plain M-tree (no rings)")
+	}
+	t.pivotIDs = b.PivotIDs
+	return t, b.Pager, nil
+}
 
 // EncodeState writes the handle state.
 func (t *Tree) EncodeState(w *persist.Writer) error {

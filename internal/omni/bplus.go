@@ -6,6 +6,7 @@ import (
 
 	"metricindex/internal/bptree"
 	"metricindex/internal/core"
+	"metricindex/internal/persist"
 	"metricindex/internal/store"
 )
 
@@ -14,27 +15,29 @@ import (
 // intersects the candidate sets — which is why the paper notes the family
 // member suffers redundant storage and I/O compared to the OmniR-tree.
 type BPlus struct {
-	*base
-	trees []*bptree.Tree
-	size  int
-	ids   map[int]bool
+	base    persist.Omni
+	ds      *core.Dataset
+	trees   []*bptree.Tree
+	size    int
+	ids     map[int]bool
+	scratch core.ScratchPool // per-query coordinates and heap
 }
 
 // NewBPlus builds the per-pivot B+-trees over all live objects. workers
 // parallelizes the pivot-table precompute (0 or 1 = sequential, negative =
 // GOMAXPROCS).
 func NewBPlus(ds *core.Dataset, pager *store.Pager, pivots []int, workers int) (*BPlus, error) {
-	b, err := newBase(ds, pager, pivots)
+	b, err := persist.NewOmni(ds, pager, pivots)
 	if err != nil {
 		return nil, err
 	}
-	t := &BPlus{base: b, ids: make(map[int]bool)}
+	t := &BPlus{base: b, ds: ds, ids: make(map[int]bool)}
 	for range pivots {
 		t.trees = append(t.trees, bptree.New(pager, nil))
 	}
-	ids := ds.LiveIDs()
-	pts := t.buildPoints(ids, workers)
-	for i, id := range ids {
+	ids, cols := core.BuildDistCols(ds, ds.LiveIDs(), b.Pivots, workers)
+	for i, id32 := range ids {
+		id := int(id32)
 		if t.ids[id] {
 			return nil, fmt.Errorf("omni: duplicate insert of %d", id)
 		}
@@ -42,7 +45,7 @@ func NewBPlus(ds *core.Dataset, pager *store.Pager, pivots []int, workers int) (
 			return nil, err
 		}
 		for j, tr := range t.trees {
-			if err := tr.Insert(bptree.KeyFromFloat(pts[i][j]), uint64(id)); err != nil {
+			if err := tr.Insert(bptree.KeyFromFloat(cols[j][i]), uint64(id)); err != nil {
 				return nil, err
 			}
 		}
@@ -137,7 +140,7 @@ func (t *BPlus) KNNSearch(q core.Object, k int) ([]core.Neighbor, error) {
 				continue
 			}
 			seen[id] = true
-			o, err := t.raf.ReadObject(id)
+			o, err := t.base.RAF.ReadObject(id)
 			if err != nil {
 				return nil, err
 			}
@@ -204,7 +207,7 @@ func (t *BPlus) Delete(id int) error {
 	}
 	delete(t.ids, id)
 	t.size--
-	return t.raf.Delete(id)
+	return t.base.RAF.Delete(id)
 }
 
 // MemBytes reports the id directory size.

@@ -6,8 +6,10 @@ import (
 	"testing"
 
 	"metricindex/internal/core"
+	"metricindex/internal/mtree"
 	"metricindex/internal/pivot"
 	"metricindex/internal/store"
+	"metricindex/internal/table"
 	"metricindex/internal/testutil"
 )
 
@@ -32,17 +34,17 @@ func builders(t *testing.T, ds *core.Dataset) map[string]member {
 	out := make(map[string]member)
 	{
 		p := store.NewPager(512)
-		idx, err := NewRTree(ds, p, pv, Options{MaxDistance: 250})
+		idx, err := mtree.NewOmniRTree(ds, p, pv, 250, 0)
 		if err != nil {
-			t.Fatalf("NewRTree: %v", err)
+			t.Fatalf("mtree.NewOmniRTree: %v", err)
 		}
 		out["rtree"] = idx
 	}
 	{
 		p := store.NewPager(512)
-		idx, err := NewSeqFile(ds, p, pv, 0)
+		idx, err := table.NewOmniSeq(ds, p, pv, 0)
 		if err != nil {
-			t.Fatalf("NewSeqFile: %v", err)
+			t.Fatalf("table.NewOmniSeq: %v", err)
 		}
 		out["seq"] = idx
 	}
@@ -181,11 +183,11 @@ func TestOmniParallelBuildMatchesSequential(t *testing.T) {
 	pairs := map[string]pair{}
 	{
 		sp, pp := store.NewPager(512), store.NewPager(512)
-		s, err := NewRTree(seqDS, sp, pv, Options{MaxDistance: 300})
+		s, err := mtree.NewOmniRTree(seqDS, sp, pv, 300, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := NewRTree(parDS, pp, pv, Options{MaxDistance: 300, Workers: 4})
+		p, err := mtree.NewOmniRTree(parDS, pp, pv, 300, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -193,11 +195,11 @@ func TestOmniParallelBuildMatchesSequential(t *testing.T) {
 	}
 	{
 		sp, pp := store.NewPager(512), store.NewPager(512)
-		s, err := NewSeqFile(seqDS, sp, pv, 0)
+		s, err := table.NewOmniSeq(seqDS, sp, pv, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := NewSeqFile(parDS, pp, pv, 4)
+		p, err := table.NewOmniSeq(parDS, pp, pv, 4)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -12,14 +12,13 @@ import (
 	"testing"
 
 	"metricindex/internal/core"
-	"metricindex/internal/cpt"
 	"metricindex/internal/epoch"
 	"metricindex/internal/ept"
 	"metricindex/internal/fqt"
+	"metricindex/internal/mtree"
 	"metricindex/internal/omni"
 	"metricindex/internal/persist"
 	"metricindex/internal/pivot"
-	"metricindex/internal/pmtree"
 	"metricindex/internal/ptree"
 	"metricindex/internal/spb"
 	"metricindex/internal/store"
@@ -106,10 +105,10 @@ var snapshotKinds = []snapshotKind{
 		return ept.NewDisk(ds, store.NewPager(512), eptOptions(workers))
 	}},
 	{"CPT", false, func(ed testutil.EquivDataset, ds *core.Dataset, workers int) (core.Index, error) {
-		return cpt.New(ds, store.NewPager(512), ed.Pivots, cpt.Options{Workers: workers})
+		return table.NewCPT(ds, store.NewPager(512), ed.Pivots, 0, workers)
 	}},
 	{"PM-tree", false, func(ed testutil.EquivDataset, ds *core.Dataset, workers int) (core.Index, error) {
-		return pmtree.New(ds, store.NewPager(512), ed.Pivots, pmtree.Options{Workers: workers})
+		return mtree.NewPMTree(ds, store.NewPager(512), ed.Pivots, 0, workers)
 	}},
 	{"SPB-tree", false, func(ed testutil.EquivDataset, ds *core.Dataset, _ int) (core.Index, error) {
 		return spb.New(ds, store.NewPager(512), ed.Pivots, spb.Options{MaxDistance: ed.MaxDistance})
@@ -121,13 +120,13 @@ var snapshotKinds = []snapshotKind{
 		return spb.NewMIndex(ds, store.NewPager(512), ed.Pivots, spb.MIndexOptions{Star: true, MaxNum: 24, MaxDistance: ed.MaxDistance})
 	}},
 	{"Omni-seq", false, func(ed testutil.EquivDataset, ds *core.Dataset, workers int) (core.Index, error) {
-		return omni.NewSeqFile(ds, store.NewPager(512), ed.Pivots, workers)
+		return table.NewOmniSeq(ds, store.NewPager(512), ed.Pivots, workers)
 	}},
 	{"OmniB+-tree", false, func(ed testutil.EquivDataset, ds *core.Dataset, workers int) (core.Index, error) {
 		return omni.NewBPlus(ds, store.NewPager(512), ed.Pivots, workers)
 	}},
 	{"OmniR-tree", false, func(ed testutil.EquivDataset, ds *core.Dataset, workers int) (core.Index, error) {
-		return omni.NewRTree(ds, store.NewPager(512), ed.Pivots, omni.Options{MaxDistance: ed.MaxDistance, Workers: workers})
+		return mtree.NewOmniRTree(ds, store.NewPager(512), ed.Pivots, ed.MaxDistance, workers)
 	}},
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"metricindex/internal/core"
+	"metricindex/internal/mtree"
 	"metricindex/internal/store"
 	"metricindex/internal/testutil"
 )
@@ -16,7 +17,7 @@ import (
 func TestPMTreeEquivalence(t *testing.T) {
 	for _, ed := range testutil.EquivDatasets(false, 400, 7) {
 		build := func(ds *core.Dataset, workers int) (testutil.EquivIndex, error) {
-			return New(ds, store.NewPager(1024), ed.Pivots, Options{Seed: 7, Workers: workers})
+			return mtree.NewPMTree(ds, store.NewPager(1024), ed.Pivots, 7, workers)
 		}
 		testutil.CheckEquivalence(t, ed, build, testutil.EquivOptions{})
 	}
@@ -29,16 +30,16 @@ func TestPMTreeBulkPageImageIdentical(t *testing.T) {
 	ds := testutil.VectorDataset(900, 4, 100, core.L2{}, 7)
 	pv := testutil.SpreadPivots(ds, 4)
 	seqPager := store.NewPager(1024)
-	seq, err := New(ds, seqPager, pv, Options{Seed: 7, Workers: 1})
+	seq, err := mtree.NewPMTree(ds, seqPager, pv, 7, 1)
 	if err != nil {
 		t.Fatalf("sequential bulk New: %v", err)
 	}
-	if err := seq.tree.Validate(); err != nil {
+	if err := seq.Validate(); err != nil {
 		t.Fatalf("bulk-loaded PM-tree invariants: %v", err)
 	}
 	for _, workers := range []int{-1, 2, 4} {
 		parPager := store.NewPager(1024)
-		if _, err := New(ds, parPager, pv, Options{Seed: 7, Workers: workers}); err != nil {
+		if _, err := mtree.NewPMTree(ds, parPager, pv, 7, workers); err != nil {
 			t.Fatalf("parallel bulk New(workers=%d): %v", workers, err)
 		}
 		if seqPager.Pages() != parPager.Pages() {
@@ -66,11 +67,11 @@ func TestPMTreeBulkPageImageIdentical(t *testing.T) {
 func TestPMTreeBulkMatchesInsertionAnswers(t *testing.T) {
 	ds := testutil.VectorDataset(600, 4, 100, core.L2{}, 9)
 	pv := testutil.SpreadPivots(ds, 4)
-	ins, err := New(ds, store.NewPager(1024), pv, Options{Seed: 7})
+	ins, err := mtree.NewPMTree(ds, store.NewPager(1024), pv, 7, 0)
 	if err != nil {
 		t.Fatalf("insertion New: %v", err)
 	}
-	blk, err := New(ds, store.NewPager(1024), pv, Options{Seed: 7, Workers: 4})
+	blk, err := mtree.NewPMTree(ds, store.NewPager(1024), pv, 7, 4)
 	if err != nil {
 		t.Fatalf("bulk New: %v", err)
 	}

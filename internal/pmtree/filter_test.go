@@ -3,6 +3,7 @@ package pmtree
 import (
 	"testing"
 
+	"metricindex/internal/mtree"
 	"metricindex/internal/plan"
 	"metricindex/internal/store"
 	"metricindex/internal/testutil"
@@ -15,7 +16,7 @@ import (
 // adopting the harness here.
 func TestPMTreeFilterEquivalence(t *testing.T) {
 	for _, ed := range testutil.EquivDatasets(false, 250, 7) {
-		idx, err := New(ed.DS, store.NewPager(0), ed.Pivots, Options{Seed: 7})
+		idx, err := mtree.NewPMTree(ed.DS, store.NewPager(0), ed.Pivots, 7, 0)
 		if err != nil {
 			t.Fatalf("%s: New: %v", ed.Name, err)
 		}

@@ -4,19 +4,20 @@ import (
 	"testing"
 
 	"metricindex/internal/core"
+	"metricindex/internal/mtree"
 	"metricindex/internal/pivot"
 	"metricindex/internal/store"
 	"metricindex/internal/testutil"
 )
 
-func build(t *testing.T, ds *core.Dataset, pageSize int) (*PMTree, *store.Pager) {
+func build(t *testing.T, ds *core.Dataset, pageSize int) (*mtree.Tree, *store.Pager) {
 	t.Helper()
 	p := store.NewPager(pageSize)
 	pv, err := pivot.HFI(ds, 4, pivot.Options{Seed: 3})
 	if err != nil {
 		t.Fatalf("HFI: %v", err)
 	}
-	idx, err := New(ds, p, pv, Options{Seed: 7})
+	idx, err := mtree.NewPMTree(ds, p, pv, 7, 0)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}

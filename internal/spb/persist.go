@@ -72,10 +72,7 @@ func loadIndex(kind string, ds *core.Dataset, r *persist.Reader) (core.Index, *s
 	if err != nil {
 		return nil, nil, err
 	}
-	if s.pager, err = store.LoadPager(pagerBlob); err != nil {
-		return nil, nil, err
-	}
-	if s.raf, err = store.LoadRAF(s.pager, rafBlob, ds.Len()); err != nil {
+	if s.pager, s.raf, err = store.LoadVolume(pagerBlob, rafBlob, ds.Len()); err != nil {
 		return nil, nil, err
 	}
 	if s.tree, err = bptree.Restore(s.pager, aug, root, records); err != nil {

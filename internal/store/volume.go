@@ -152,6 +152,21 @@ func (r *RAF) Serialize() []byte {
 	return buf
 }
 
+// LoadVolume reopens a pager volume image (LoadPager) and the RAF state
+// laid over it (LoadRAF), the pair every disk index that keeps its
+// objects in a RAF stores; idLimit is the dataset's id range.
+func LoadVolume(pagerImage, rafState []byte, idLimit int) (*Pager, *RAF, error) {
+	p, err := LoadPager(pagerImage)
+	if err != nil {
+		return nil, nil, err
+	}
+	r, err := LoadRAF(p, rafState, idLimit)
+	if err != nil {
+		return nil, nil, err
+	}
+	return p, r, nil
+}
+
 // LoadRAF rebinds a serialized RAF to its reopened pager. Directory
 // entries may come in any order (files written before the id-ordered
 // Serialize have them in map order); every id must be below idLimit —

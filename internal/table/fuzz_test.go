@@ -5,10 +5,10 @@ import (
 
 	"metricindex/internal/core"
 	"metricindex/internal/ept"
-	"metricindex/internal/omni"
 	"metricindex/internal/persist"
 	"metricindex/internal/pivot"
 	"metricindex/internal/store"
+	"metricindex/internal/table"
 	"metricindex/internal/testutil"
 )
 
@@ -33,7 +33,7 @@ func FuzzPagedTablePayload(f *testing.F) {
 			}
 			var idx goldenIndex
 			if fi == 0 {
-				idx, err = omni.NewSeqFile(ds, store.NewPager(512), pv, 0)
+				idx, err = table.NewOmniSeq(ds, store.NewPager(512), pv, 0)
 			} else {
 				idx, err = ept.NewDisk(ds, store.NewPager(512), ept.Options{L: 3, Sel: pivot.Options{Seed: 3, SampleSize: 32}})
 			}

@@ -8,10 +8,8 @@ import (
 	"testing"
 
 	"metricindex/internal/core"
-	"metricindex/internal/cpt"
 	"metricindex/internal/dataset"
 	"metricindex/internal/ept"
-	"metricindex/internal/omni"
 	"metricindex/internal/persist"
 	"metricindex/internal/pivot"
 	"metricindex/internal/store"
@@ -132,9 +130,9 @@ func goldenBuildOn(t *testing.T, family string, ds *core.Dataset, pager *store.P
 	case "EPT*":
 		idx, err = ept.New(ds, ept.Star, eptOpts)
 	case "CPT":
-		idx, err = cpt.New(ds, pager, pv, cpt.Options{Seed: 7})
+		idx, err = table.NewCPT(ds, pager, pv, 7, 0)
 	case "Omni-seq":
-		idx, err = omni.NewSeqFile(ds, pager, pv, 0)
+		idx, err = table.NewOmniSeq(ds, pager, pv, 0)
 	case "DiskEPT*":
 		idx, err = ept.NewDisk(ds, pager, eptOpts)
 	}
@@ -336,7 +334,7 @@ func TestTableGoldenCostsManySupers(t *testing.T) {
 		case "LAESA":
 			idx, err = table.NewLAESA(ds, pv)
 		case "CPT":
-			idx, err = cpt.New(ds, pager, pv, cpt.Options{Seed: 7, Workers: 2})
+			idx, err = table.NewCPT(ds, pager, pv, 7, 2)
 		}
 		if err != nil {
 			t.Fatalf("build %s: %v", family, err)

@@ -2,17 +2,21 @@ package table
 
 import (
 	"fmt"
+	"strings"
 
 	"metricindex/internal/core"
+	"metricindex/internal/mtree"
 	"metricindex/internal/persist"
 	"metricindex/internal/store"
 )
 
 // Snapshot payload encodings for the table family (spec:
-// docs/PERSISTENCE.md §LAESA, §AESA). Both payloads begin with a u16
-// family version.
+// docs/PERSISTENCE.md §LAESA, §CPT, §Omni, §AESA). LAESA's and CPT's
+// payloads begin with a u16 family version, then CPT's pager volume
+// image and clustering M-tree handle state; then the shared table block.
+// Omni-seq's is the Omni base section, then the paged table's section.
 //
-// LAESA version history:
+// LAESA and CPT version history:
 //   - 1: distance table row-major (dists[row*l+i]).
 //   - 2: distance table column-major (the in-memory struct-of-arrays
 //     layout: column i's rows, then column i+1's). Same fields, same
@@ -24,28 +28,81 @@ const (
 )
 
 func init() {
-	persist.Register("LAESA", loadLAESA)
+	for _, kind := range []string{"LAESA", "CPT", "Omni-seq"} {
+		persist.Register(kind, func(ds *core.Dataset, r *persist.Reader) (core.Index, *store.Pager, error) {
+			return loadIndex(kind, ds, r)
+		})
+	}
 	persist.Register("AESA", loadAESA)
 }
 
-// EncodeSnapshot writes the LAESA payload: the family version, then the
-// shared table block.
-func (t *LAESA) EncodeSnapshot(w *persist.Writer) error {
+// EncodeSnapshot writes the family's payload.
+func (t *Index) EncodeSnapshot(w *persist.Writer) error {
+	if t.omni.RAF != nil {
+		persist.EncodeOmni(w, t.omni)
+		t.tab.EncodeFile(w)
+		return nil
+	}
 	w.U16(tableFormatVersion)
+	if t.tree != nil {
+		w.Blob(t.pager.Serialize())
+		if err := t.tree.EncodeState(w); err != nil {
+			return err
+		}
+	}
 	t.tab.EncodeBlock(w)
 	return nil
 }
 
-func loadLAESA(ds *core.Dataset, r *persist.Reader) (core.Index, *store.Pager, error) {
+// loadIndex reads the payload of kind.
+func loadIndex(kind string, ds *core.Dataset, r *persist.Reader) (core.Index, *store.Pager, error) {
+	if kind == "Omni-seq" {
+		b, err := persist.DecodeOmni(ds, r)
+		if err != nil {
+			return nil, nil, err
+		}
+		sec := DecodeFile(r)
+		if err := r.Err(); err != nil {
+			return nil, nil, err
+		}
+		t, err := newOmniSeq(ds, b)
+		if err == nil {
+			err = t.tab.Open(sec, nil)
+		}
+		if err != nil {
+			return nil, nil, err
+		}
+		return t, t.pager, nil
+	}
+	name := strings.ToLower(kind)
 	v := r.U16()
 	if r.Err() == nil && v != 1 && v != tableFormatVersion {
-		return nil, nil, fmt.Errorf("laesa: unsupported payload version %d", v)
+		return nil, nil, fmt.Errorf("%s: unsupported payload version %d", name, v)
 	}
-	tab, err := DecodeBlock("laesa", ds, r, v == 1, nil)
-	if err != nil {
+	l := &LAESA{Index{kind: kind}}
+	t := &l.Index
+	var load func(id int) (core.Object, error)
+	var err error
+	if kind == "CPT" {
+		image := r.Blob()
+		if err = r.Err(); err == nil {
+			t.pager, err = store.LoadPager(image)
+		}
+		if err == nil {
+			t.tree, err = mtree.RestoreState(ds, t.pager, nil, nil, r)
+		}
+		if err != nil {
+			return nil, nil, err
+		}
+		load = t.readObject
+	}
+	if t.tab, err = DecodeBlock(name, ds, r, v == 1, load); err != nil {
 		return nil, nil, err
 	}
-	return &LAESA{tab: tab}, nil, nil
+	if kind == "LAESA" {
+		return l, nil, nil
+	}
+	return t, t.pager, nil
 }
 
 // EncodeSnapshot writes the AESA payload: the row ids and the full n×n

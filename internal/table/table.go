@@ -1,9 +1,10 @@
-// Package table implements the pivot-based table indexes of paper §3:
-// AESA (the O(n²) theoretical baseline), LAESA (the linear pivot table),
-// and Table, the one pivot table — row state, update path, staged scan
-// and codec — that LAESA, EPT/EPT* (internal/ept), CPT (internal/cpt),
-// and, with its rows on disk pages, the Omni-sequential-file
-// (internal/omni) and DiskEPT* all share.
+// Package table implements the pivot-based table indexes: AESA (the
+// O(n²) theoretical baseline of §3.1); LAESA (§3.1), CPT (§3.3) and the
+// Omni-sequential-file (§5.2), the three shared-pivot families of one
+// handle, Index; and Table, the one pivot table — row state, update
+// path, staged scan and codec — that those three, EPT/EPT*
+// (internal/ept) and, with its rows on disk pages, Omni-seq and
+// DiskEPT* all share.
 package table
 
 import (
