@@ -17,8 +17,9 @@ type builderCosts struct {
 }
 
 // builderGolden holds the constants recorded before the builders became
-// one family registry. BKT and FQT need a discrete metric, so they run
-// on Words only.
+// one family registry (M-index*/Words' kNN re-pinned when equal
+// candidate bounds began to verify in leaf order). BKT and FQT need a
+// discrete metric, so they run on Words only.
 var builderGolden = map[string]builderCosts{
 	"LAESA/Words":      {[2]int64{2400, 0}, [2]int64{1131, 0}, [2]int64{1229, 0}},
 	"EPT/Words":        {[2]int64{21624, 0}, [2]int64{1161, 0}, [2]int64{1222, 0}},
@@ -30,7 +31,7 @@ var builderGolden = map[string]builderCosts{
 	"PM-tree/Words":    {[2]int64{13432, 2285}, [2]int64{1003, 15}, [2]int64{1240, 44}},
 	"OmniR-tree/Words": {[2]int64{2400, 2413}, [2]int64{1015, 11}, [2]int64{1229, 2456}},
 	"M-index/Words":    {[2]int64{2400, 4307}, [2]int64{952, 13}, [2]int64{1229, 2528}},
-	"M-index*/Words":   {[2]int64{2400, 4307}, [2]int64{958, 13}, [2]int64{1227, 2486}},
+	"M-index*/Words":   {[2]int64{2400, 4307}, [2]int64{953, 13}, [2]int64{1227, 2486}},
 	"SPB-tree/Words":   {[2]int64{2400, 2411}, [2]int64{932, 7}, [2]int64{1229, 2451}},
 	"LAESA/LA":         {[2]int64{2400, 0}, [2]int64{144, 0}, [2]int64{302, 0}},
 	"EPT/LA":           {[2]int64{5688, 0}, [2]int64{122, 0}, [2]int64{322, 0}},

@@ -212,7 +212,7 @@ func (s *Index) scan(sc *scratch, q core.Object, n bptree.View, lo, hi uint64) (
 	}
 	more := s.fam.keys(sc, n, lo, hi, r)
 	if sc.knn {
-		slices.SortFunc(sc.cands, func(a, b cand) int { return cmp.Compare(a.lb, b.lb) })
+		slices.SortStableFunc(sc.cands, func(a, b cand) int { return cmp.Compare(a.lb, b.lb) })
 	}
 	sp := s.ds.Space()
 	for _, c := range sc.cands {
