@@ -279,10 +279,10 @@ func (f *clusters) keys(sc *scratch, n bptree.View, lo, hi uint64, r float64) bo
 			return false
 		case key < lo || sc.seen != nil && sc.seen[int(val)]:
 		case !sc.knn:
-			sc.cands = append(sc.cands, cand{id: int(val)})
+			sc.cands = append(sc.cands, int(val))
 		default:
 			if lb := sc.band.lb(key); lb <= r {
-				sc.cands = append(sc.cands, cand{int(val), lb})
+				sc.lazy.Push(lb, uint32(i), int(val))
 			} else if sc.forward {
 				return false
 			}

@@ -251,13 +251,13 @@ func (g *grid) keys(sc *scratch, n bptree.View, _, _ uint64, r float64) bool {
 		switch {
 		case sc.knn:
 			if lb := g.cellMinDist(sc, c, c); lb <= r {
-				sc.cands = append(sc.cands, cand{int(val), lb})
+				sc.lazy.Push(lb, uint32(i), int(val))
 			}
 		case g.pruneCell(sc, c, c):
 		case g.validateCell(sc, c):
 			sc.ids = append(sc.ids, int(val))
 		default:
-			sc.cands = append(sc.cands, cand{id: int(val)})
+			sc.cands = append(sc.cands, int(val))
 		}
 	}
 	return true

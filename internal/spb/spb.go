@@ -16,9 +16,7 @@
 package spb
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 	"sort"
 	"sync"
 
@@ -70,10 +68,11 @@ type family interface {
 	remove(s *Index, id int, dv []float64) error
 	// keys is the key half of the band scan over leaf n: Lemma 1 — and
 	// Lemma 4, where a key allows it — on what each key in [lo, hi] says
-	// at radius r, before any record is read. It appends the records to
-	// read to sc.cands, with, in a kNN, the key's lower bound of d(q, o),
-	// and the records admitted unread to sc.ids; it reports whether the
-	// band goes on in the next leaf.
+	// at radius r, before any record is read. It queues the records to
+	// read — in a kNN on sc.lazy under the key's lower bound of d(q, o)
+	// and the record's position in the leaf, otherwise on sc.cands — and
+	// appends the records admitted unread to sc.ids; it reports whether
+	// the band goes on in the next leaf.
 	keys(sc *scratch, n bptree.View, lo, hi uint64, r float64) bool
 	ranges(s *Index, sc *scratch, q core.Object, r float64) error
 	seed(s *Index, sc *scratch)
@@ -91,7 +90,8 @@ type scratch struct {
 	qd    []float64 // d(q, p_i)
 	cur   sfc.Cursor
 	nodes core.MinHeap[uint32] // kNN: best-first queue
-	cands []cand               // one leaf's records to read
+	lazy  core.MinHeap[int]    // kNN: one leaf's records to read, by bound
+	cands []int                // range: one leaf's records to read
 	stack []store.PageID       // SPB-tree range: depth-first stack
 	ids   []int                // range: result ids
 	heap  core.KNNHeap
@@ -109,12 +109,6 @@ type scratch struct {
 	// (an M-index band above d(q, p_c)): the first key out ends the band.
 	forward bool
 	band    band
-}
-
-// cand is one leaf record awaiting its read.
-type cand struct {
-	id int
-	lb float64
 }
 
 func (s *Index) getScratch() *scratch {
@@ -200,45 +194,57 @@ func (s *Index) load(sc *scratch, id int) ([]float64, core.Object, error) {
 // keyed in [lo, hi] and reports whether the band goes on in the next
 // leaf. Every key first passes the family's key test (keys) — at a
 // range query's radius, or at a kNN's radius on entering the leaf — and
-// only the survivors' records are read: a kNN's in lower-bound order,
-// each retested at the then-current radius. A read record is tested on
-// its stored distances (Lemma 1, and Lemma 4 in a validating range
-// query) before its distance is computed.
+// only the survivors' records are read. A kNN pops its survivors from
+// sc.lazy in (lower bound, leaf position) order, each within the
+// then-current radius: the first bound past it ends the leaf, so the
+// survivors it leaves are never ordered. A read record is tested on its
+// stored distances (Lemma 1, and Lemma 4 in a validating range query)
+// before its distance is computed.
 func (s *Index) scan(sc *scratch, q core.Object, n bptree.View, lo, hi uint64) (bool, error) {
-	sc.cands = sc.cands[:0]
-	r := sc.r
-	if sc.knn {
-		r = sc.heap.Radius()
-	}
-	more := s.fam.keys(sc, n, lo, hi, r)
-	if sc.knn {
-		slices.SortStableFunc(sc.cands, func(a, b cand) int { return cmp.Compare(a.lb, b.lb) })
-	}
-	sp := s.ds.Space()
-	for _, c := range sc.cands {
-		if sc.knn {
-			if r = sc.heap.Radius(); c.lb > r {
-				more = more && !sc.forward
-				break
+	if !sc.knn {
+		sc.cands = sc.cands[:0]
+		more := s.fam.keys(sc, n, lo, hi, sc.r)
+		for _, id := range sc.cands {
+			if err := s.verify(sc, q, id, sc.r); err != nil {
+				return false, err
 			}
 		}
-		dv, o, err := s.load(sc, c.id)
-		switch {
-		case err != nil:
+		return more, nil
+	}
+	sc.lazy.Reset()
+	more := s.fam.keys(sc, n, lo, hi, sc.heap.Radius())
+	for it, ok := sc.lazy.PopWithin(sc.heap.Radius()); ok; it, ok = sc.lazy.PopWithin(sc.heap.Radius()) {
+		if err := s.verify(sc, q, it.V, sc.heap.Radius()); err != nil {
 			return false, err
-		case s.stored && core.PruneObject(sc.qd, dv, r):
-		case s.validate && !sc.knn && core.ValidateObject(sc.qd, dv, r):
-			sc.ids = append(sc.ids, c.id)
-		case sc.knn || sc.seen != nil:
-			if sc.seen != nil {
-				sc.seen[c.id] = true
-			}
-			sc.heap.Push(c.id, sp.Distance(q, o))
-		case sp.Distance(q, o) <= r:
-			sc.ids = append(sc.ids, c.id)
 		}
+	}
+	if sc.lazy.Len() > 0 {
+		more = more && !sc.forward
 	}
 	return more, nil
+}
+
+// verify reads record id and decides it at radius r: pruned or admitted
+// on its stored distances, else by its distance — pushed on the kNN heap
+// in a kNN or a growing-radius round, admitted within r in a range
+// query.
+func (s *Index) verify(sc *scratch, q core.Object, id int, r float64) error {
+	dv, o, err := s.load(sc, id)
+	switch {
+	case err != nil:
+		return err
+	case s.stored && core.PruneObject(sc.qd, dv, r):
+	case s.validate && !sc.knn && core.ValidateObject(sc.qd, dv, r):
+		sc.ids = append(sc.ids, id)
+	case sc.knn || sc.seen != nil:
+		if sc.seen != nil {
+			sc.seen[id] = true
+		}
+		sc.heap.Push(id, s.ds.Space().Distance(q, o))
+	case s.ds.Space().Distance(q, o) <= r:
+		sc.ids = append(sc.ids, id)
+	}
+	return nil
 }
 
 // scanBand runs the band scan over the keys in [lo, hi], leaf by leaf
