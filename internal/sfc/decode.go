@@ -205,3 +205,44 @@ func (c *Cursor) run(g uint64, top int, state uint32, packed uint64) uint64 {
 	}
 	return packed
 }
+
+// Sub-cubes. Level L of a key is its L-th digit from the bottom, and
+// its level-L prefix is what lies above: key >> (L·dims). A coordinate
+// bit at level b depends only on the digits at levels b and above (each
+// level of the decode reads its own digit and rewrites only the bits
+// below it), so the 2^(L·dims) keys of one level-L prefix are the cells
+// of one aligned sub-cube: every lane shares its high bits with the
+// prefix's first key and runs through all values of its low L bits. A
+// sorted key list (a B+-tree leaf) thus holds a sub-cube's keys as one
+// contiguous run.
+
+// SharedLevel returns the least level L at which keys a and b share
+// their level-L prefix: 0 when they are equal, at most Bits.
+//
+//metriclint:noalloc
+func (h *Hilbert) SharedLevel(a, b uint64) int {
+	diff := (a ^ b) & h.keyMask
+	if diff == 0 {
+		return 0
+	}
+	return int(h.levelOf[63-mathbits.LeadingZeros64(diff)]) + 1
+}
+
+// PrefixRun returns the first and the last key of key's level-L prefix.
+//
+//metriclint:noalloc
+func (h *Hilbert) PrefixRun(key uint64, level int) (first, last uint64) {
+	low := uint64(1)<<uint(level*h.dims) - 1 // all ones at 64 bits
+	key &= h.keyMask
+	return key &^ low, key | low&h.keyMask
+}
+
+// SubCube returns the box, in the PackCorner lanes, of the cells of the
+// level-L prefix of the key whose cell is packed (its DecodePacked):
+// packed with each lane's low L bits cleared (lo) and set (hi).
+//
+//metriclint:noalloc
+func (h *Hilbert) SubCube(packed uint64, level int) (lo, hi uint64) {
+	low := (uint64(1)<<uint(level) - 1) * h.laneOnes
+	return packed &^ low, packed | low
+}

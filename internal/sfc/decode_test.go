@@ -82,14 +82,66 @@ func TestDecodePackedMatchesSkilling(t *testing.T) {
 	}
 }
 
+// checkSubCubes asserts, at every level L, that key's level-L prefix
+// run (PrefixRun) decodes inside the box SubCube gives for key's cell,
+// and that SharedLevel names the level: a run of up to 256 keys is
+// walked whole and must fill its box, one key per cell; a longer one is
+// sampled at its ends, at key and at a few points between.
+func checkSubCubes(t testing.TB, h *Hilbert, cur *Cursor, key uint64) {
+	t.Helper()
+	packed := PackCorner(h.Decode(key), h.bits)
+	lane := uint64(1)<<uint(h.bits) - 1
+	inside := func(level int, lo, hi, k uint64) uint64 {
+		p := PackCorner(checkDecoders(t, h, cur, k), h.bits)
+		for j := 0; j < h.dims; j++ {
+			sh := uint(j * h.bits)
+			if v := p >> sh & lane; v < lo>>sh&lane || v > hi>>sh&lane {
+				t.Fatalf("dims=%d bits=%d key=%#x level %d: run key %#x decodes to %#x, outside [%#x, %#x]",
+					h.dims, h.bits, key, level, k, p, lo, hi)
+			}
+		}
+		return p
+	}
+	for level := 0; level <= h.bits; level++ {
+		first, last := h.PrefixRun(key, level)
+		if first > key&h.keyMask || last < key&h.keyMask {
+			t.Fatalf("dims=%d bits=%d key=%#x level %d: run [%#x, %#x] misses the key", h.dims, h.bits, key, level, first, last)
+		}
+		if got := h.SharedLevel(first, last); got != level {
+			t.Fatalf("dims=%d bits=%d key=%#x level %d: SharedLevel of the run's ends is %d", h.dims, h.bits, key, level, got)
+		}
+		lo, hi := h.SubCube(packed, level)
+		if last-first < 256 {
+			cells := map[uint64]bool{}
+			for k := first; ; k++ {
+				cells[inside(level, lo, hi, k)] = true
+				if k == last {
+					break
+				}
+			}
+			if uint64(len(cells)) != last-first+1 || len(cells) != 1<<uint(level*h.dims) {
+				t.Fatalf("dims=%d bits=%d key=%#x level %d: %d keys decode to %d cells of a %d-cell box",
+					h.dims, h.bits, key, level, last-first+1, len(cells), 1<<uint(level*h.dims))
+			}
+			continue
+		}
+		for _, k := range []uint64{first, last, key & h.keyMask, first + (last-first)/3, first + (last-first)/3*2, first + (last-first)/2 + 1} {
+			inside(level, lo, hi, k)
+		}
+	}
+}
+
 // FuzzHilbertDecode: on any grid shape and key, the table decode, the
 // cursor (cold, and resuming from a neighbouring key) and Skilling's
-// loop agree, and Encode inverts them.
+// loop agree, and Encode inverts them; at every level, the key's prefix
+// run decodes inside its sub-cube (checkSubCubes), on the table path and
+// on Skilling's (seven dimensions and more).
 func FuzzHilbertDecode(f *testing.F) {
 	f.Add(uint64(0), uint8(5), uint8(12))
 	f.Add(uint64(0x0123456789abcdef), uint8(2), uint8(32))
 	f.Add(^uint64(0), uint8(6), uint8(10))
 	f.Add(uint64(1)<<59, uint8(7), uint8(9))
+	f.Add(uint64(0x2f6e1b9d4c3a8157), uint8(6), uint8(7))
 	f.Fuzz(func(t *testing.T, key uint64, dims, bits uint8) {
 		d := 1 + int(dims)%9
 		b := 1 + int(bits)%min(32, 64/d)
@@ -106,6 +158,7 @@ func FuzzHilbertDecode(f *testing.F) {
 		checkDecoders(t, h, &cur, key+1)
 		checkDecoders(t, h, &cur, key)
 		checkDecoders(t, h, &cur, key^uint64(bits)<<uint(dims%64))
+		checkSubCubes(t, h, &cur, key)
 	})
 }
 

@@ -35,6 +35,7 @@ type Hilbert struct {
 	step       []uint32  // level automaton; nil above maxTableDims
 	spread     []uint64  // level digit -> its bits in the PackCorner lanes
 	levelOf    [64]uint8 // key bit position -> level (position / dims)
+	laneOnes   uint64    // bit 0 of every PackCorner lane
 }
 
 // NewHilbert validates the grid shape and returns the curve.
@@ -43,11 +44,14 @@ func NewHilbert(dims, bits int) (*Hilbert, error) {
 		return nil, err
 	}
 	h := &Hilbert{dims: dims, bits: bits, keyMask: ^uint64(0) >> uint(64-dims*bits)}
+	for pos := range h.levelOf {
+		h.levelOf[pos] = uint8(pos / dims)
+	}
+	for j := 0; j < dims; j++ {
+		h.laneOnes |= 1 << uint(j*bits)
+	}
 	if dims <= maxTableDims {
 		h.step = stepTable(dims)
-		for pos := range h.levelOf {
-			h.levelOf[pos] = uint8(pos / dims)
-		}
 		h.spread = make([]uint64, 1<<uint(dims))
 		for v := range h.spread {
 			for j := 0; j < dims; j++ {

@@ -242,25 +242,88 @@ func (g *grid) cellMinDist(sc *scratch, glo, ghi uint64) float64 {
 
 // keys reads each key of a leaf as its grid cell: a kNN keeps the
 // records whose cell bound is within r, and a range query prunes and
-// validates each cell. The SPB-tree scans whole leaves (lo and hi span
-// every key).
+// validates each cell. A key whose cell fails skips the keys after it
+// that lie in the widest failing sub-cube around it (skip). The
+// SPB-tree scans whole leaves (lo and hi span every key).
 func (g *grid) keys(sc *scratch, n bptree.View, _, _ uint64, r float64) bool {
 	for i, count := 0, n.Len(); i < count; i++ {
 		key, val := n.Record(i)
 		c := sc.cur.DecodePacked(key)
-		switch {
-		case sc.knn:
+		if sc.knn {
 			if lb := g.cellMinDist(sc, c, c); lb <= r {
 				sc.lazy.Push(lb, uint32(i), int(val))
+				continue
 			}
-		case g.pruneCell(sc, c, c):
-		case g.validateCell(sc, c):
-			sc.ids = append(sc.ids, int(val))
-		default:
-			sc.cands = append(sc.cands, int(val))
+		} else if !g.pruneCell(sc, c, c) {
+			if g.validateCell(sc, c) {
+				sc.ids = append(sc.ids, int(val))
+			} else {
+				sc.cands = append(sc.cands, int(val))
+			}
+			continue
 		}
+		i = g.skip(sc, n, i, key, c, r)
 	}
 	return true
+}
+
+// fails is the key test's verdict on the grid box [glo, ghi] at r: a
+// kNN drops a box whose lower bound is not within r, a range query one
+// that Lemma 1 prunes.
+//
+//metriclint:noalloc
+func (g *grid) fails(sc *scratch, glo, ghi uint64, r float64) bool {
+	if sc.knn {
+		return !(g.cellMinDist(sc, glo, ghi) <= r)
+	}
+	return g.pruneCell(sc, glo, ghi)
+}
+
+// skip is called on record i of leaf n, whose key's cell c failed the
+// key test at r. The keys of one level-L prefix fill one sub-cube of the
+// grid (sfc.Hilbert.SubCube) and sit together in the leaf, so skip
+// widens the box around c a level at a time while it still fails —
+// from the first level whose sub-cube holds the next key, out to the
+// one that holds the leaf's last — and returns the position of the last
+// key inside the widest failing sub-cube. The keys it passes need no
+// decode and are exactly those the test would drop one by one: a box's
+// lower bound is never larger than that of a cell inside it, and a box
+// Lemma 1 prunes holds only cells it prunes.
+//
+//metriclint:noalloc
+func (g *grid) skip(sc *scratch, n bptree.View, i int, key, c uint64, r float64) int {
+	count := n.Len()
+	if i+1 == count {
+		return i
+	}
+	next, _ := n.Record(i + 1)
+	last, _ := n.Record(count - 1)
+	from, top := g.curve.SharedLevel(key, next), g.curve.SharedLevel(key, last)
+	level := -1
+	for l := from; l <= top; l++ {
+		if glo, ghi := g.curve.SubCube(c, l); !g.fails(sc, glo, ghi, r) {
+			break
+		}
+		level = l
+	}
+	switch level {
+	case -1:
+		return i
+	case top:
+		return count - 1
+	}
+	// The last key in the sub-cube, by binary search over (i, count).
+	_, end := g.curve.PrefixRun(key, level)
+	lo, hi := i+1, count-1 // the key at lo is inside, the one at hi past it
+	for hi-lo > 1 {
+		mid := int(uint(lo+hi) >> 1)
+		if k, _ := n.Record(mid); k <= end {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }
 
 // ranges descends the B+-tree depth first: non-leaf entries are pruned
