@@ -50,7 +50,7 @@ RACE_PKGS = ./internal/exec/... ./internal/epoch/... ./internal/server/... \
 EXAMPLES = ./examples/quickstart ./examples/wordsearch ./examples/geosearch \
            ./examples/imagesearch ./examples/cachedsearch
 
-.PHONY: all build cross benchmark-build benchmark-test test race fuzz bench bench-plan bench-sweep \
+.PHONY: all build cross benchmark-build benchmark-test test race fuzz bench bench-plan bench-sweep bench-spb \
         staticcheck govulncheck lint fmt vet examples loc ci
 
 all: build
@@ -117,6 +117,12 @@ bench-plan:
 bench-sweep:
 	$(GO) test -bench=BenchmarkTableSweep -benchtime=1x -run=^$$ ./internal/table
 
+# The SPB-tree's kNN and range queries at disk-spb-la's shape
+# (BenchmarkSPBSearch, with compdists/op and PA/op), once so it keeps
+# compiling and running; raise -benchtime to measure.
+bench-spb:
+	$(GO) test -bench=BenchmarkSPBSearch -benchtime=1x -run=^$$ ./internal/spb
+
 staticcheck:
 	$(GO) run honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION) ./...
 
@@ -174,4 +180,4 @@ loc:
 # offline run can cherry-pick the other targets individually — lint
 # itself is pure stdlib). Performance numbers come from benchmark/
 # (BENCHMARK.json), not from this target; `bench` is a does-it-run check.
-ci: build cross benchmark-build vet fmt lint staticcheck govulncheck test benchmark-test race fuzz examples bench bench-plan bench-sweep
+ci: build cross benchmark-build vet fmt lint staticcheck govulncheck test benchmark-test race fuzz examples bench bench-plan bench-sweep bench-spb
