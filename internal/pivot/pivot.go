@@ -142,11 +142,17 @@ func Sample(ds *core.Dataset, opts Options) []int {
 // HF over a sample, and pivots are added greedily to maximize the mean
 // ratio between the pivot-space lower bound and the true distance over
 // sampled object pairs — i.e. to make the mapped vector space resemble the
-// original metric space as closely as possible.
+// original metric space as closely as possible. It chooses among CPScale
+// candidates, so a request for CPScale pivots or more is an error; on a
+// sample smaller than that, a request for every candidate or more gets the
+// candidates.
 func HFI(ds *core.Dataset, numPivots int, opts Options) ([]int, error) {
 	opts = opts.withDefaults()
 	if numPivots <= 0 {
 		return nil, fmt.Errorf("pivot: non-positive pivot count %d", numPivots)
+	}
+	if numPivots >= CPScale {
+		return nil, fmt.Errorf("pivot: HFI selects fewer pivots than its %d candidates (CPScale); %d requested", CPScale, numPivots)
 	}
 	if ds.Count() == 0 {
 		return nil, fmt.Errorf("pivot: empty dataset")

@@ -2,6 +2,8 @@ package pivot
 
 import (
 	"math"
+	"slices"
+	"strings"
 	"testing"
 
 	"metricindex/internal/core"
@@ -103,6 +105,25 @@ func TestHFIErrors(t *testing.T) {
 	empty := core.NewDataset(core.NewSpace(core.L2{}), nil)
 	if _, err := HFI(empty, 2, Options{}); err == nil {
 		t.Fatal("empty dataset must fail")
+	}
+}
+
+// TestHFIOverLargeRequest: HFI chooses among CPScale candidates, so a
+// request for 40 pivots or more is an error naming the limit (it used to
+// return the candidates in HF order), and a request for 39 selects what
+// it always selected.
+func TestHFIOverLargeRequest(t *testing.T) {
+	ds := testutil.VectorDataset(500, 4, 100, core.L2{}, 7)
+	for _, k := range []int{40, 80} {
+		if pv, err := HFI(ds, k, Options{Seed: 3}); err == nil || !strings.Contains(err.Error(), "40 candidates") {
+			t.Errorf("HFI(%d) = %v, %v; want an error naming the 40 candidates", k, pv, err)
+		}
+	}
+	pv, err := HFI(ds, 39, Options{Seed: 3})
+	want := []int{352, 234, 39, 425, 129, 390, 28, 181, 241, 111, 364, 147, 153, 284, 175, 171, 31, 335, 165, 51,
+		5, 383, 444, 114, 332, 180, 91, 405, 415, 109, 235, 360, 151, 59, 486, 40, 379, 487, 30}
+	if err != nil || !slices.Equal(pv, want) {
+		t.Fatalf("HFI(39) = %v, %v; want %v", pv, err, want)
 	}
 }
 

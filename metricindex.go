@@ -262,7 +262,8 @@ func BruteForceKNN(ds *Dataset, q Object, k int) []Neighbor {
 
 // SelectPivots picks k pivots with HFI — the state-of-the-art strategy
 // the paper applies to every index for its equal-footing comparison
-// (§6.1). The returned ids index into the dataset.
+// (§6.1). The returned ids index into the dataset. HFI chooses among 40
+// candidates, so k must be below 40.
 func SelectPivots(ds *Dataset, k int, seed int64) ([]int, error) {
 	return pivot.HFI(ds, k, pivot.Options{Seed: seed})
 }
