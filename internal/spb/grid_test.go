@@ -1,6 +1,7 @@
 package spb
 
 import (
+	"cmp"
 	"math"
 	"slices"
 	"testing"
@@ -40,15 +41,7 @@ func perKeyKeys(g *grid, sc *scratch, n bptree.View, r float64) (knn []keyCand, 
 			cands = append(cands, int(val))
 		}
 	}
-	slices.SortStableFunc(knn, func(a, b keyCand) int {
-		switch {
-		case a.lb < b.lb:
-			return -1
-		case a.lb > b.lb:
-			return 1
-		}
-		return 0
-	})
+	slices.SortStableFunc(knn, func(a, b keyCand) int { return cmp.Compare(a.lb, b.lb) })
 	return knn, cands, ids
 }
 
