@@ -153,19 +153,49 @@ func (a Attrs) Clone() Attrs {
 // computation, so non-matching objects cost no compdists.
 type Accept func(id int) bool
 
+// Match reports a(id): an Accept is a Filter.
+func (a Accept) Match(id int) bool { return a(id) }
+
+// Filter is the accept test an AcceptSearcher is handed: a bare Accept,
+// or a predicate compiled against the dataset's attribute columns
+// (plan.Matcher), which an index holding a row-ordered copy of those
+// columns (AttrRows) evaluates over its own rows, 64 at a time, instead
+// of calling Match per candidate.
+type Filter interface {
+	Match(id int) bool
+}
+
 // AcceptSearcher is the probe-filter capability: an index that can push
 // an attribute predicate into its candidate-verification step. Answers
 // must be exactly the filtered subset of the unfiltered answers — the
 // accept test may only ever be applied before (or instead of) a
 // distance computation, never in place of the geometric pruning
-// guarantees. A nil accept means "match everything" and must behave
-// exactly like the unfiltered search.
+// guarantees. A nil accept (or a nil Accept inside it) means "match
+// everything" and must behave exactly like the unfiltered search.
 type AcceptSearcher interface {
 	// RangeSearchAccept answers MRQ(q, r) restricted to accepted ids.
-	RangeSearchAccept(q Object, r float64, accept Accept) ([]int, error)
+	RangeSearchAccept(q Object, r float64, accept Filter) ([]int, error)
 	// KNNSearchAccept answers MkNNQ(q, k) over accepted ids only: the
 	// k nearest objects among those satisfying accept.
-	KNNSearchAccept(q Object, k int, accept Accept) ([]Neighbor, error)
+	KNNSearchAccept(q Object, k int, accept Filter) ([]Neighbor, error)
+}
+
+// NoFilter reports whether f accepts every id: it is nil, or a nil
+// Accept.
+//
+//metriclint:noalloc
+func NoFilter(f Filter) bool {
+	a, ok := f.(Accept)
+	return f == nil || ok && a == nil
+}
+
+// AttrRefresher is the optional method of an index that keeps a copy of
+// the dataset's attribute cells (AttrRows): after Dataset.SetAttrs on
+// an indexed object, RefreshAttrs copies the object's new cells. An
+// epoch.Live write calls it; a write that skips it leaves the copy out
+// of step, and the index falls back to the dataset's columns.
+type AttrRefresher interface {
+	RefreshAttrs(id int)
 }
 
 // PostFilterKNN extracts the k nearest accepted objects from an index

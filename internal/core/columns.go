@@ -186,6 +186,10 @@ func (c *AttrColumn) Dense() ([]AttrKind, []uint64, bool) {
 	return c.kinds, c.vals, c.sparse == nil
 }
 
+// ID returns the column's id, stable while any row carries the field:
+// the index of its cells in an AttrRows copy.
+func (c *AttrColumn) ID() uint32 { return c.id }
+
 // HasHeld reports whether a row has ever held a value of kind k in the
 // column (not necessarily still).
 func (c *AttrColumn) HasHeld(k AttrKind) bool { return c.held&(1<<k) != 0 }
@@ -373,6 +377,12 @@ type AttrStore struct {
 	sets    listDict   // tag-set code → member string codes
 	setTags [][]string // tag-set code → members, the AttrValue view
 	members []uint32   // internTags scratch
+
+	// writes counts the rows setRow has rewritten and lastWrite is the
+	// row it rewrote last: from them a copy of the cells (AttrRows)
+	// tells whether a write it was not shown has happened.
+	writes    uint64
+	lastWrite int
 }
 
 // Column returns the column of the named field, or nil when no row
@@ -612,6 +622,8 @@ func (s *AttrStore) setRow(id int, a AttrSource, slots int) error {
 		}
 	}
 	s.setSchema(id, cols, slots)
+	s.writes++
+	s.lastWrite = id
 	return nil
 }
 

@@ -328,7 +328,10 @@ func (ds *Dataset) CopyAttrsFrom(src *Dataset) {
 		}
 		return
 	}
+	writes := ds.attrs.writes
 	ds.attrs = src.attrs.clone()
+	// Every row may have changed: a copy stamped before is out of step.
+	ds.attrs.writes, ds.attrs.lastWrite = writes+1, -1
 	for id := range src.objects {
 		if !ds.Live(id) {
 			ds.attrs.clearRow(id)

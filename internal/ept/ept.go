@@ -211,12 +211,12 @@ func (e *EPT) KNNSearch(q core.Object, k int) ([]core.Neighbor, error) {
 // the indexed column sweep, before its distance is computed, so rejected
 // candidates cost zero compdists while Lemma 1 pruning is untouched. A
 // nil accept is the unfiltered search.
-func (e *EPT) RangeSearchAccept(q core.Object, r float64, accept core.Accept) ([]int, error) {
+func (e *EPT) RangeSearchAccept(q core.Object, r float64, accept core.Filter) ([]int, error) {
 	return e.tab.Range(q, r, accept)
 }
 
 // KNNSearchAccept answers MkNNQ(q, k) over accepted ids only.
-func (e *EPT) KNNSearchAccept(q core.Object, k int, accept core.Accept) ([]core.Neighbor, error) {
+func (e *EPT) KNNSearchAccept(q core.Object, k int, accept core.Filter) ([]core.Neighbor, error) {
 	return e.tab.KNN(q, k, accept)
 }
 

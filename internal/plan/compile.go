@@ -4,6 +4,7 @@ import (
 	"iter"
 	"math"
 	"math/bits"
+	"slices"
 	"strings"
 	"sync"
 
@@ -17,18 +18,23 @@ import (
 // It answers exactly what Predicate.Eval answers on Dataset.Attrs (the
 // reference semantics; FuzzCompiledPredicate holds the two equal).
 //
-// Match tests one row (the probe and post strategies' accept test) and
-// Rows evaluates the whole predicate column-at-a-time (the pre
-// strategy). A Matcher is valid while the dataset is not written — one
-// epoch read section — and is returned with Release.
+// Match tests one row (the post strategy's accept test, and the probe's
+// where the index has no copy of the cells), Word evaluates 64 rows of
+// an index's row-ordered copy of the cells (core.AttrRows) at once (the
+// probe on a pivot table), and Rows evaluates the whole predicate
+// column-at-a-time (the pre strategy). Match and Word only read the
+// Matcher, so goroutines may share it; Rows may not run beside them. A
+// Matcher is valid while the dataset is not written — one epoch read
+// section — and is returned with Release.
 type Matcher struct {
 	store *core.AttrStore
 	slots int
 	root  cnode
 	bufs  [][]uint64 // one row bitmap per OR depth, reused across queries
-	// strHits and tagHits are the verdicts of the equality leaf being
-	// swept, per string and tag-set code.
-	strHits, tagHits []uint8
+	// hits holds the equality leaves' verdict tables, reused across
+	// queries; nhits of them are in use.
+	hits  [][]uint8
+	nhits int
 }
 
 type cnode struct {
@@ -56,6 +62,10 @@ type leaf struct {
 	hi    float64
 	op    opCode
 	str   string
+	// strHits and tagHits are an equality leaf's verdicts per string and
+	// tag-set code (verdicts); nil when the column cannot hold the kind
+	// or no string member exists.
+	strHits, tagHits []uint8
 }
 
 var matcherPool = sync.Pool{New: func() any { return new(Matcher) }}
@@ -63,7 +73,7 @@ var matcherPool = sync.Pool{New: func() any { return new(Matcher) }}
 // Compile binds p to the attribute columns of ds.
 func (p *Predicate) Compile(ds *core.Dataset) *Matcher {
 	m := matcherPool.Get().(*Matcher)
-	m.store, m.slots = ds.AttrStore(), ds.Len()
+	m.store, m.slots, m.nhits = ds.AttrStore(), ds.Len(), 0
 	m.root = m.compile(&p.root)
 	return m
 }
@@ -73,6 +83,10 @@ func (m *Matcher) Release() {
 	m.store, m.root = nil, cnode{}
 	matcherPool.Put(m)
 }
+
+// Store returns the attribute store the matcher was compiled against:
+// Word reads a copy of its cells, and only of its cells.
+func (m *Matcher) Store() *core.AttrStore { return m.store }
 
 func (m *Matcher) compile(n *node) cnode {
 	if n.kind != nodeLeaf {
@@ -108,6 +122,9 @@ func (m *Matcher) compile(n *node) cnode {
 		}
 	default:
 		l.class, l.str = leafStr, n.val.str
+	}
+	if l.class == leafEq && l.col != nil {
+		m.verdicts(&l)
 	}
 	return cnode{kind: nodeLeaf, leaf: l}
 }
@@ -283,16 +300,11 @@ func (m *Matcher) refine(n *cnode, out []uint64) {
 	}
 }
 
-// fillLeaf sweeps one column 64 rows at a time, building each bitmap
-// word in a register. Numeric intervals and equality leaves get loops of
-// their own (equality reads a per-query verdict for each string and
-// tag-set code); string orderings test each cell.
+// fillLeaf sweeps one column 64 rows at a time (leafWord), building
+// each bitmap word in a register.
 func (m *Matcher) fillLeaf(l *leaf, out []uint64) {
 	if l.col == nil {
 		return
-	}
-	if l.class == leafEq && !l.neg && len(l.nums) == 0 && len(l.codes) == 0 {
-		return // only literals no row holds
 	}
 	kinds, vals, dense := l.col.Dense()
 	if !dense {
@@ -303,59 +315,109 @@ func (m *Matcher) fillLeaf(l *leaf, out []uint64) {
 		})
 		return
 	}
-	lo, hi := l.lo, l.hi
-	var neg uint8
-	if l.class == leafEq {
-		m.verdicts(l)
-		if l.neg {
-			neg = 1
-		}
-	}
 	for base := 0; base < len(kinds); base += 64 {
-		ks := kinds[base:min(base+64, len(kinds))]
-		vs := vals[base : base+len(ks)]
-		var word uint64
-		switch l.class {
-		case leafNum:
-			for j, k := range ks {
-				var x float64
-				switch k {
-				case core.AttrInt:
-					x = float64(int64(vs[j]))
-				case core.AttrFloat:
-					x = math.Float64frombits(vs[j])
-				default:
-					continue
-				}
-				if x >= lo && x <= hi {
-					word |= 1 << j
-				}
-			}
-		case leafEq:
-			for j, k := range ks {
-				var hit uint8
-				switch k {
-				case 0:
-					continue
-				case core.AttrString:
-					hit = verdict(m.strHits, vs[j]) ^ neg
-				case core.AttrTags:
-					hit = verdict(m.tagHits, vs[j]) ^ neg
-				default:
-					hit = uint8(bit(l.eq(m.store, k, vs[j]))) ^ neg
-				}
-				word |= uint64(hit) << j
-			}
-		default:
-			for j, k := range ks {
-				word |= bit(l.cell(m.store, k, vs[j])) << j
-			}
-		}
-		out[base>>6] |= word
+		end := min(base+64, len(kinds))
+		out[base>>6] |= m.leafWord(l, kinds[base:end], vals[base:end])
 	}
 }
 
+// Word evaluates the predicate over rows [base, end) of rows, a copy of
+// the cells of the store the matcher was compiled against, with end −
+// base at most 64: bit i is set iff row base+i matches. Leaves sweep
+// their field's copied column at unit stride (leafWord); an AND is the
+// AND of its terms' words, stopping at a zero word, and an OR the OR.
+// It answers what Match answers for each row's id, provided the copy
+// is in step with the store (core.AttrRows.InStep).
+//
+//metriclint:noalloc
+func (m *Matcher) Word(rows *core.AttrRows, base, end int) uint64 {
+	return m.word(&m.root, rows, base, end)
+}
+
+//metriclint:noalloc
+func (m *Matcher) word(n *cnode, rows *core.AttrRows, base, end int) uint64 {
+	switch n.kind {
+	case nodeAnd:
+		w := ^uint64(0) >> uint(64-(end-base))
+		for i := 0; i < len(n.kids) && w != 0; i++ {
+			w &= m.word(&n.kids[i], rows, base, end)
+		}
+		return w
+	case nodeOr:
+		var w uint64
+		for i := range n.kids {
+			w |= m.word(&n.kids[i], rows, base, end)
+		}
+		return w
+	}
+	if n.col == nil {
+		return 0
+	}
+	kinds, vals := rows.Column(n.col.ID())
+	return m.leafWord(&n.leaf, kinds[base:end], vals[base:end])
+}
+
+// leafWord tests at most 64 cells of one field — kinds[j] and vals[j]
+// are row j's — into a word whose bit j is the verdict of row j.
+// Numeric intervals and equality leaves get loops of their own
+// (equality reads the leaf's verdict for each string and tag-set code;
+// a numeric interval excludes NaN, as cmpFloat orders it against
+// nothing); string orderings test each cell.
+//
+//metriclint:noalloc
+func (m *Matcher) leafWord(l *leaf, kinds []core.AttrKind, vals []uint64) uint64 {
+	var word uint64
+	vals = vals[:len(kinds)]
+	switch l.class {
+	case leafNum:
+		lo, hi := l.lo, l.hi
+		for j, k := range kinds {
+			var x float64
+			switch k {
+			case core.AttrInt:
+				x = float64(int64(vals[j]))
+			case core.AttrFloat:
+				x = math.Float64frombits(vals[j])
+			default:
+				continue
+			}
+			if x >= lo && x <= hi {
+				word |= 1 << j
+			}
+		}
+	case leafEq:
+		if !l.neg && len(l.nums) == 0 && len(l.codes) == 0 {
+			return 0 // only literals no row holds
+		}
+		var neg uint8
+		if l.neg {
+			neg = 1
+		}
+		for j, k := range kinds {
+			var hit uint8
+			switch k {
+			case 0:
+				continue
+			case core.AttrString:
+				hit = verdict(l.strHits, vals[j]) ^ neg
+			case core.AttrTags:
+				hit = verdict(l.tagHits, vals[j]) ^ neg
+			default:
+				hit = uint8(bit(l.eq(m.store, k, vals[j]))) ^ neg
+			}
+			word |= uint64(hit) << j
+		}
+	default:
+		for j, k := range kinds {
+			word |= bit(l.cell(m.store, k, vals[j])) << j
+		}
+	}
+	return word
+}
+
 // bit is 1 for true, 0 for false.
+//
+//metriclint:noalloc
 func bit(b bool) uint64 {
 	if b {
 		return 1
@@ -365,28 +427,46 @@ func bit(b bool) uint64 {
 
 // verdicts decides, per string and tag-set code, whether an equality
 // leaf's members match it, so a sweep reads one byte per row instead of
-// comparing codes. It builds only the tables the sweep can read: none
+// comparing codes. It builds only the tables a sweep can read: none
 // when the leaf has no string member (then no string or tag set
-// matches), and a kind's table only when the column has held that kind.
+// matches), the string table only up to the largest member's code
+// (verdict reads the codes past it as no match), and a kind's table
+// only when the column has held that kind. The tables are the matcher's
+// reused buffers.
 func (m *Matcher) verdicts(l *leaf) {
-	m.strHits, m.tagHits = m.strHits[:0], m.tagHits[:0]
 	if len(l.codes) == 0 {
 		return
 	}
 	if l.col.HasHeld(core.AttrString) {
-		m.strHits = resize(m.strHits, m.store.Strings())
+		l.strHits = m.table(int(slices.Max(l.codes)) + 1)
 		for _, c := range l.codes {
-			m.strHits[c] = 1
+			l.strHits[c] = 1
 		}
 	}
 	if l.col.HasHeld(core.AttrTags) {
-		m.tagHits = resize(m.tagHits, m.store.TagSets())
-		for c := range m.tagHits {
+		l.tagHits = m.table(m.store.TagSets())
+		for c := range l.tagHits {
 			if m.store.TagSetLive(uint32(c)) && l.eq(m.store, core.AttrTags, uint64(c)) {
-				m.tagHits[c] = 1
+				l.tagHits[c] = 1
 			}
 		}
 	}
+}
+
+// table returns the matcher's next verdict table, n codes long, zeroed.
+func (m *Matcher) table(n int) []uint8 {
+	if m.nhits == len(m.hits) {
+		m.hits = append(m.hits, nil)
+	}
+	b := m.hits[m.nhits]
+	if cap(b) < n {
+		b = make([]uint8, n)
+	}
+	b = b[:n]
+	clear(b)
+	m.hits[m.nhits] = b
+	m.nhits++
+	return b
 }
 
 // verdict reads a code's verdict; codes past a table that was not built
@@ -398,14 +478,4 @@ func verdict(table []uint8, code uint64) uint8 {
 		return table[code]
 	}
 	return 0
-}
-
-// resize returns b with length n, zeroed.
-func resize(b []uint8, n int) []uint8 {
-	if cap(b) < n {
-		return make([]uint8, n)
-	}
-	b = b[:n]
-	clear(b)
-	return b
 }

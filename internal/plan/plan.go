@@ -143,7 +143,7 @@ func Choose(kind Kind, k int, sel float64, n int, pd Pushdown) Strategy {
 // entry point when the query is traced and the index has one, else by
 // pushdown when accept is set (the caller checked Capable), else the
 // plain search.
-func probeRange(idx core.Index, q core.Object, r float64, accept core.Accept, tr *obs.Trace) ([]int, error) {
+func probeRange(idx core.Index, q core.Object, r float64, accept core.Filter, tr *obs.Trace) ([]int, error) {
 	if ts, ok := idx.(TracedSearcher); ok && tr != nil {
 		return ts.RangeSearchTraced(q, r, accept, tr)
 	}
@@ -154,7 +154,7 @@ func probeRange(idx core.Index, q core.Object, r float64, accept core.Accept, tr
 }
 
 // probeKNN is the kNN counterpart of probeRange.
-func probeKNN(idx core.Index, q core.Object, k int, accept core.Accept, tr *obs.Trace) ([]core.Neighbor, error) {
+func probeKNN(idx core.Index, q core.Object, k int, accept core.Filter, tr *obs.Trace) ([]core.Neighbor, error) {
 	if ts, ok := idx.(TracedSearcher); ok && tr != nil {
 		return ts.KNNSearchTraced(q, k, accept, tr)
 	}
@@ -189,7 +189,7 @@ func ExecRange(ds *core.Dataset, idx core.Index, p *Predicate, q core.Object, r 
 		}
 		return res, nil
 	case st == StrategyProbe && Capable(idx):
-		ids, err := probeRange(idx, q, r, m.Match, tr)
+		ids, err := probeRange(idx, q, r, m, tr)
 		if err != nil {
 			return nil, err
 		}
@@ -233,7 +233,7 @@ func ExecKNN(ds *core.Dataset, idx core.Index, p *Predicate, q core.Object, k in
 		}
 		return h.Result(), nil
 	case st == StrategyProbe && Capable(idx):
-		return probeKNN(idx, q, k, m.Match, tr)
+		return probeKNN(idx, q, k, m, tr)
 	}
 	if !(selHint > 0) || selHint > 1 {
 		selHint = 0.5

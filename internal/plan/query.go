@@ -56,6 +56,6 @@ type Answer struct {
 // the merge). The accept test rides in the same call, so a filtered
 // traced query keeps its spans; nil accept is the unfiltered search.
 type TracedSearcher interface {
-	RangeSearchTraced(q core.Object, r float64, accept core.Accept, tr *obs.Trace) ([]int, error)
-	KNNSearchTraced(q core.Object, k int, accept core.Accept, tr *obs.Trace) ([]core.Neighbor, error)
+	RangeSearchTraced(q core.Object, r float64, accept core.Filter, tr *obs.Trace) ([]int, error)
+	KNNSearchTraced(q core.Object, k int, accept core.Filter, tr *obs.Trace) ([]core.Neighbor, error)
 }

@@ -228,7 +228,10 @@ func (s *Sharded) scatter(tr *obs.Trace, job func(sh int) error) error {
 // cannot push the predicate down filters its own answer instead, which
 // keeps the merged answer exact whatever mix of capabilities the
 // shards have.
-func (s *Sharded) RangeSearchTraced(q core.Object, r float64, accept core.Accept, tr *obs.Trace) ([]int, error) {
+func (s *Sharded) RangeSearchTraced(q core.Object, r float64, accept core.Filter, tr *obs.Trace) ([]int, error) {
+	if core.NoFilter(accept) {
+		accept = nil
+	}
 	parts := make([][]int, len(s.subs))
 	err := s.scatter(tr, func(sh int) error {
 		var ids []int
@@ -245,7 +248,7 @@ func (s *Sharded) RangeSearchTraced(q core.Object, r float64, accept core.Accept
 		if accept != nil && !pushdown {
 			kept := ids[:0]
 			for _, id := range ids {
-				if accept(id) {
+				if accept.Match(id) {
 					kept = append(kept, id)
 				}
 			}
@@ -273,9 +276,12 @@ func (s *Sharded) RangeSearchTraced(q core.Object, r float64, accept core.Accept
 // and the candidates merge through a KNNHeap whose distance-then-id
 // ordering matches the per-index contract exactly. A shard without
 // pushdown re-probes with an inflated k (core.PostFilterKNN).
-func (s *Sharded) KNNSearchTraced(q core.Object, k int, accept core.Accept, tr *obs.Trace) ([]core.Neighbor, error) {
+func (s *Sharded) KNNSearchTraced(q core.Object, k int, accept core.Filter, tr *obs.Trace) ([]core.Neighbor, error) {
 	if k <= 0 {
 		return nil, nil
+	}
+	if core.NoFilter(accept) {
+		accept = nil
 	}
 	parts := make([][]core.Neighbor, len(s.subs))
 	err := s.scatter(tr, func(sh int) error {
@@ -288,7 +294,7 @@ func (s *Sharded) KNNSearchTraced(q core.Object, k int, accept core.Accept, tr *
 			parts[sh], err = as.KNNSearchAccept(q, k, accept)
 		default:
 			probe := func(kk int) ([]core.Neighbor, error) { return s.subs[sh].KNNSearch(q, kk) }
-			parts[sh], err = core.PostFilterKNN(probe, s.subDS[sh].Count(), k, 2*k, accept)
+			parts[sh], err = core.PostFilterKNN(probe, s.subDS[sh].Count(), k, 2*k, accept.Match)
 		}
 		if err != nil {
 			return fmt.Errorf("shard %d: %w", sh, err)
@@ -335,11 +341,11 @@ func (s *Sharded) KNNSearch(q core.Object, k int) ([]core.Neighbor, error) {
 	return s.KNNSearchTraced(q, k, nil, nil)
 }
 
-func (s *Sharded) RangeSearchAccept(q core.Object, r float64, accept core.Accept) ([]int, error) {
+func (s *Sharded) RangeSearchAccept(q core.Object, r float64, accept core.Filter) ([]int, error) {
 	return s.RangeSearchTraced(q, r, accept, nil)
 }
 
-func (s *Sharded) KNNSearchAccept(q core.Object, k int, accept core.Accept) ([]core.Neighbor, error) {
+func (s *Sharded) KNNSearchAccept(q core.Object, k int, accept core.Filter) ([]core.Neighbor, error) {
 	return s.KNNSearchTraced(q, k, accept, nil)
 }
 

@@ -28,7 +28,7 @@ func TestAcceptRunsAfterRecheck(t *testing.T) {
 			}
 			idx := goldenBuild(t, family, ds).(acceptSearcher)
 			var calls, yes int64
-			accept := func(id int) bool {
+			var accept core.Accept = func(id int) bool {
 				calls++
 				if id%3 != 0 {
 					yes++
@@ -41,7 +41,7 @@ func TestAcceptRunsAfterRecheck(t *testing.T) {
 				// The query's own pivot distances: what a scan accepting
 				// nothing spends.
 				ds.Space().ResetCompDists()
-				if _, err := idx.KNNSearchAccept(q, 1, func(int) bool { return false }); err != nil {
+				if _, err := idx.KNNSearchAccept(q, 1, core.Accept(func(int) bool { return false })); err != nil {
 					t.Fatalf("%s: KNNSearchAccept: %v", family, err)
 				}
 				base := ds.Space().CompDists()

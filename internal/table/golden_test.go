@@ -100,7 +100,7 @@ var goldenCached = map[string][2]int64{
 }
 
 // goldenAccept is the pushed-down predicate of the filtered legs.
-func goldenAccept(id int) bool { return id%3 != 0 }
+var goldenAccept core.Accept = func(id int) bool { return id%3 != 0 }
 
 type goldenIndex interface {
 	core.Index

@@ -162,12 +162,12 @@ func (t *Index) KNNSearch(q core.Object, k int) ([]core.Neighbor, error) {
 // whole point of the probe-filter strategy — while the geometric pruning
 // is untouched, so the answer is exactly the accepted subset of the
 // unfiltered answer. A nil accept is the unfiltered search.
-func (t *LAESA) RangeSearchAccept(q core.Object, r float64, accept core.Accept) ([]int, error) {
+func (t *LAESA) RangeSearchAccept(q core.Object, r float64, accept core.Filter) ([]int, error) {
 	return t.tab.Range(q, r, accept)
 }
 
 // KNNSearchAccept answers MkNNQ(q, k) over accepted ids only.
-func (t *LAESA) KNNSearchAccept(q core.Object, k int, accept core.Accept) ([]core.Neighbor, error) {
+func (t *LAESA) KNNSearchAccept(q core.Object, k int, accept core.Filter) ([]core.Neighbor, error) {
 	return t.tab.KNN(q, k, accept)
 }
 

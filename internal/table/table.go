@@ -532,7 +532,7 @@ type scan struct {
 	t      *Table
 	sc     *core.Scratch
 	q      core.Object
-	accept core.Accept   // nil = every id
+	accept core.Filter   // nil = every id
 	h      *core.KNNHeap // kNN: the collector, whose radius tightens; nil for range
 	r      float64       // range: the fixed radius
 	res    []uint64      // range: the answer's ids, in the scratch's Keys
@@ -566,14 +566,17 @@ func (t *Table) blocks() (int, int) {
 // survivors, the chunk, a paged table's block columns) and computes the
 // query's distance to every pivot (for EPT, every pooled pivot: the m·l
 // term of its query cost) through the batch kernel.
-func (t *Table) begin(sc *core.Scratch, q core.Object, accept core.Accept) scan {
+func (t *Table) begin(sc *core.Scratch, q core.Object, accept core.Filter) scan {
 	qd := sc.GrowQD(len(t.pivots))
 	nb, rows := t.blocks()
 	sc.Zones.Reserve(nb + (nb+superBlocks-1)/superBlocks)
 	sc.GrowSur(rows)
 	sc.GrowChunk(verifyChunk)
 	t.ds.Space().DistanceMany(q, t.pivots, qd)
-	s := scan{t: t, sc: sc, q: q, accept: accept, chunk: t.gather[0], ids: t.ids, refs: t.refs, cols: t.cols}
+	s := scan{t: t, sc: sc, q: q, chunk: t.gather[0], ids: t.ids, refs: t.refs, cols: t.cols}
+	if !core.NoFilter(accept) {
+		s.accept = accept
+	}
 	if t.file != nil {
 		sc.GrowBlock(t.l, rows)
 		s.ids, s.cols = sc.BlockIDs, sc.BlockCols
@@ -699,7 +702,7 @@ func (s *scan) block(base, end int) error {
 		}
 		// ids[row] is a scattered read, one likely cache miss per survivor:
 		// each stage loads it only once it needs it.
-		if s.accept != nil && !s.accept(int(s.ids[row])) {
+		if s.accept != nil && !s.accept.Match(int(s.ids[row])) {
 			continue
 		}
 		if s.flat {
@@ -835,7 +838,7 @@ const (
 // radius, then its survivors are verified. The ids are collected in the
 // scratch, in table order, and ordered into the answer — the query's one
 // allocation.
-func (t *Table) Range(q core.Object, r float64, accept core.Accept) ([]int, error) {
+func (t *Table) Range(q core.Object, r float64, accept core.Filter) ([]int, error) {
 	sc := t.scratch.Get()
 	s := t.begin(sc, q, accept)
 	s.r, s.res = r, sc.Keys[:0]
@@ -871,7 +874,7 @@ func (t *Table) answer(sc *core.Scratch, ids []uint64) []int {
 // object (§2.1, second method), visiting blocks best-first by their zone
 // bound — the order the tree families traverse nodes in, which tightens
 // the radius sooner, applied to the table's blocks.
-func (t *Table) KNN(q core.Object, k int, accept core.Accept) ([]core.Neighbor, error) {
+func (t *Table) KNN(q core.Object, k int, accept core.Filter) ([]core.Neighbor, error) {
 	if k <= 0 {
 		return nil, nil
 	}
@@ -889,7 +892,7 @@ func (t *Table) KNN(q core.Object, k int, accept core.Accept) ([]core.Neighbor, 
 // ScanKNN is KNN up to the answer assembly: it offers every verified
 // candidate to h and allocates nothing once the scratch pool is warm
 // (the zero-allocation witnesses measure exactly this).
-func (t *Table) ScanKNN(h *core.KNNHeap, q core.Object, accept core.Accept) error {
+func (t *Table) ScanKNN(h *core.KNNHeap, q core.Object, accept core.Filter) error {
 	sc := t.scratch.Get()
 	err := t.scanKNN(sc, h, q, accept)
 	t.scratch.Put(sc)
@@ -898,7 +901,7 @@ func (t *Table) ScanKNN(h *core.KNNHeap, q core.Object, accept core.Accept) erro
 
 // scanKNN runs the kNN scan: the radius stays +Inf until k accepted
 // candidates have been verified, so the first block is swept whole.
-func (t *Table) scanKNN(sc *core.Scratch, h *core.KNNHeap, q core.Object, accept core.Accept) error {
+func (t *Table) scanKNN(sc *core.Scratch, h *core.KNNHeap, q core.Object, accept core.Filter) error {
 	s := t.begin(sc, q, accept)
 	s.h, s.chunk = h, t.gather[1]
 	return s.run()
