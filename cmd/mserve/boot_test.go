@@ -234,9 +234,10 @@ func TestBootRestoresExactState(t *testing.T) {
 
 // TestBootRestoresDiskEPTStar runs the restart leg on a disk family the
 // paper's tables leave out: its table pages and RAF come back from the
-// snapshot. DiskEPT* cannot push a filter down, so it post-filters.
+// snapshot. DiskEPT* takes the filter into its page scan
+// (plan.PushdownScan), so the filtered query probes.
 func TestBootRestoresDiskEPTStar(t *testing.T) {
-	restartLeg(t, "DiskEPT*", "post")
+	restartLeg(t, "DiskEPT*", "probe")
 }
 
 func restartLeg(t *testing.T, index, wantPlan string) {

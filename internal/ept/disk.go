@@ -2,6 +2,7 @@ package ept
 
 import (
 	"metricindex/internal/core"
+	"metricindex/internal/plan"
 	"metricindex/internal/store"
 	"metricindex/internal/table"
 )
@@ -69,6 +70,22 @@ func (d *DiskEPT) RangeSearch(q core.Object, r float64) ([]int, error) {
 func (d *DiskEPT) KNNSearch(q core.Object, k int) ([]core.Neighbor, error) {
 	return d.e.KNNSearch(q, k)
 }
+
+// RangeSearchAccept answers MRQ(q, r) restricted to accepted ids
+// (core.AcceptSearcher): a rejected candidate costs no RAF read and no
+// distance.
+func (d *DiskEPT) RangeSearchAccept(q core.Object, r float64, accept core.Filter) ([]int, error) {
+	return d.e.RangeSearchAccept(q, r, accept)
+}
+
+// KNNSearchAccept answers MkNNQ(q, k) over accepted ids only.
+func (d *DiskEPT) KNNSearchAccept(q core.Object, k int, accept core.Filter) ([]core.Neighbor, error) {
+	return d.e.KNNSearchAccept(q, k, accept)
+}
+
+// Pushdown reports plan.PushdownScan: every query reads every page of
+// the table.
+func (d *DiskEPT) Pushdown() plan.Pushdown { return d.e.Pushdown() }
 
 // Insert appends the RAF record, assigns PSA pivots to the object and
 // appends its row.

@@ -10,6 +10,7 @@ import (
 
 	"metricindex/internal/core"
 	"metricindex/internal/pivot"
+	"metricindex/internal/plan"
 	"metricindex/internal/table"
 )
 
@@ -219,6 +220,11 @@ func (e *EPT) RangeSearchAccept(q core.Object, r float64, accept core.Filter) ([
 func (e *EPT) KNNSearchAccept(q core.Object, k int, accept core.Filter) ([]core.Neighbor, error) {
 	return e.tab.KNN(q, k, accept)
 }
+
+// Pushdown reports plan.PushdownScan: the per-row layout has no zone
+// map, so a probe tests every row Lemma 1 keeps in a pass over all of
+// them (table.Table.Pushdown).
+func (e *EPT) Pushdown() plan.Pushdown { return e.tab.Pushdown() }
 
 // Insert assigns pivots to the new object (group-extreme for EPT, PSA for
 // EPT*) and appends its row. The assignment distances make EPT updates

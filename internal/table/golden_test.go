@@ -45,6 +45,12 @@ type goldenCosts struct {
 // EPT/EPT* vector constant is the one-table parent's. Omni-seq and
 // DiskEPT* were recorded at the parent of the one paged table, whose
 // rows they then moved onto.
+//
+// CPT, Omni-seq and DiskEPT* pinned their accept compdists at -1 until
+// they took the accept test into the table's scan; the re-pin gave them
+// the measured counts and, since the answer hash covers the filtered
+// legs' answers too, the hash every other family holds on the same
+// dataset. No other constant moved.
 var golden = map[string]goldenCosts{
 	"LAESA/vectors": {5824, 234, 4935, 183, 0, 0, 300, 0,
 		"4e90a615f3a2a7913708612301682aedc29463c8bce37722996d62f34c55f6c6",
@@ -64,23 +70,23 @@ var golden = map[string]goldenCosts{
 	"EPT*/words": {12718, 8018, 9591, 5562, 0, 0, 4320, 0,
 		"9d6fa66c4a5dbc29432ff9c9b6d8656038d30a522bd2257c2d94b847ac873ecd",
 		"f58a233ad1bd63c325f284385645048a9e589e6f28cab4d9c0a2dd359a90bacd"},
-	"CPT/vectors": {5824, 234, -1, -1, 5734, 144, 2054, 798,
-		"0fcccafca90262f87b8e4254ae099f71f493ee77357353b924622aa24719d6d1",
+	"CPT/vectors": {5824, 234, 4935, 183, 5734, 144, 2054, 798,
+		"4e90a615f3a2a7913708612301682aedc29463c8bce37722996d62f34c55f6c6",
 		"25b4d0c51c4a4d27dc3b0da4a6756fe4a87062848b57386815e363155a87e482"},
-	"CPT/words": {13484, 9540, -1, -1, 13394, 9450, 1969, 793,
-		"b9bd71690e32dcab5a872466a3e45bd9450ffe7836ed6dc9c15aa693ee44973d",
+	"CPT/words": {13484, 9540, 9521, 6400, 13394, 9450, 1969, 793,
+		"9d6fa66c4a5dbc29432ff9c9b6d8656038d30a522bd2257c2d94b847ac873ecd",
 		"f2828f71de481d8581b23dd1d948c179c1ad6dcb04b94839b556a84263736766"},
-	"Omni-seq/vectors": {5452, 234, -1, -1, 12141, 1516, 300, 798,
-		"0fcccafca90262f87b8e4254ae099f71f493ee77357353b924622aa24719d6d1",
+	"Omni-seq/vectors": {5452, 234, 4517, 183, 12141, 1516, 300, 798,
+		"4e90a615f3a2a7913708612301682aedc29463c8bce37722996d62f34c55f6c6",
 		"bdf98a058c7d8b8419bb1eedd7936b351d77744159ae18b8ffc0853c6b80dddc"},
-	"Omni-seq/words": {13518, 9540, -1, -1, 28264, 20247, 300, 794,
-		"b9bd71690e32dcab5a872466a3e45bd9450ffe7836ed6dc9c15aa693ee44973d",
+	"Omni-seq/words": {13518, 9540, 9854, 6400, 28264, 20247, 300, 794,
+		"9d6fa66c4a5dbc29432ff9c9b6d8656038d30a522bd2257c2d94b847ac873ecd",
 		"30072eb64501b963d1a34952afec59b7a8aae02455bec610d35f8252a08e5a67"},
-	"DiskEPT*/vectors": {4848, 936, -1, -1, 9898, 1938, 4320, 798,
-		"0fcccafca90262f87b8e4254ae099f71f493ee77357353b924622aa24719d6d1",
+	"DiskEPT*/vectors": {4848, 936, 4207, 856, 9898, 1938, 4320, 798,
+		"4e90a615f3a2a7913708612301682aedc29463c8bce37722996d62f34c55f6c6",
 		"fe058354c576e7843fd3f4b064aa9da7d247862b942b56f65a9213c0e0536d71"},
-	"DiskEPT*/words": {12322, 8018, -1, -1, 24870, 16187, 4320, 794,
-		"b9bd71690e32dcab5a872466a3e45bd9450ffe7836ed6dc9c15aa693ee44973d",
+	"DiskEPT*/words": {12322, 8018, 9292, 5562, 24870, 16187, 4320, 794,
+		"9d6fa66c4a5dbc29432ff9c9b6d8656038d30a522bd2257c2d94b847ac873ecd",
 		"6e50fd1b20d46548e703a36960296069453fd3e87eb425c332ba169fa14f36b2"},
 }
 

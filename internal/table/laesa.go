@@ -32,7 +32,9 @@ import (
 //     candidate right after its page.
 //
 // MRQ prunes with the column lower bounds; MkNNQ does the same with a
-// radius tightened by verification (Table.Range, Table.KNN).
+// radius tightened by verification (Table.Range, Table.KNN). All three
+// take an accept test (core.AcceptSearcher) into the same scan, and
+// report how far it reaches as data of their rows (Table.Pushdown).
 type Index struct {
 	tab   *Table
 	kind  string       // "LAESA", "CPT" or "Omni-seq"
@@ -41,19 +43,12 @@ type Index struct {
 	omni  persist.Omni // Omni-seq: its base, whose RAF holds the objects
 }
 
-// LAESA is the in-memory family's handle: Index with the accept
-// pushdown (core.AcceptSearcher) its zone-pruned sweep makes cheap. The
-// disk families do not push down — every candidate they verify is a
-// page read, which the planner's cost model does not price — so the
-// planner post-filters them.
-type LAESA struct{ Index }
-
 // NewLAESA builds the index over all live objects, computing the full
 // distance table through the counted space with GOMAXPROCS workers (the
 // table is identical for every worker count). The pivot object values
 // are snapshotted, so later deletion of a pivot from the dataset does not
 // invalidate the index.
-func NewLAESA(ds *core.Dataset, pivots []int) (*LAESA, error) {
+func NewLAESA(ds *core.Dataset, pivots []int) (*Index, error) {
 	return NewLAESAParallel(ds, pivots, 0)
 }
 
@@ -63,7 +58,7 @@ func NewLAESA(ds *core.Dataset, pivots []int) (*LAESA, error) {
 // each object can be computed in parallel"). The resulting index is
 // byte-for-byte identical to the sequential build; only wall-clock
 // construction time changes. workers <= 0 uses GOMAXPROCS.
-func NewLAESAParallel(ds *core.Dataset, pivots []int, workers int) (*LAESA, error) {
+func NewLAESAParallel(ds *core.Dataset, pivots []int, workers int) (*Index, error) {
 	if workers <= 0 {
 		workers = -1 // ParallelFor: negative means GOMAXPROCS
 	}
@@ -71,7 +66,7 @@ func NewLAESAParallel(ds *core.Dataset, pivots []int, workers int) (*LAESA, erro
 	if err != nil {
 		return nil, err
 	}
-	return &LAESA{Index{tab: tab, kind: "LAESA"}}, nil
+	return &Index{tab: tab, kind: "LAESA"}, nil
 }
 
 // NewCPT builds the CPT over all live objects on pager: the in-memory
@@ -158,23 +153,24 @@ func (t *Index) KNNSearch(q core.Object, k int) ([]core.Neighbor, error) {
 // RangeSearchAccept answers MRQ(q, r) restricted to accepted ids
 // (core.AcceptSearcher): the predicate is applied to every candidate
 // that survives the Lemma 1 column sweep, before its distance is
-// computed. Rejected candidates therefore cost zero compdists — the
-// whole point of the probe-filter strategy — while the geometric pruning
-// is untouched, so the answer is exactly the accepted subset of the
-// unfiltered answer. A nil accept is the unfiltered search.
-func (t *LAESA) RangeSearchAccept(q core.Object, r float64, accept core.Filter) ([]int, error) {
+// computed — and, for CPT and Omni-seq, before its object is read from
+// disk. Rejected candidates therefore cost zero compdists and no page
+// access — the whole point of the probe-filter strategy — while the
+// geometric pruning is untouched, so the answer is exactly the accepted
+// subset of the unfiltered answer. A nil accept is the unfiltered
+// search.
+func (t *Index) RangeSearchAccept(q core.Object, r float64, accept core.Filter) ([]int, error) {
 	return t.tab.Range(q, r, accept)
 }
 
 // KNNSearchAccept answers MkNNQ(q, k) over accepted ids only.
-func (t *LAESA) KNNSearchAccept(q core.Object, k int, accept core.Filter) ([]core.Neighbor, error) {
+func (t *Index) KNNSearchAccept(q core.Object, k int, accept core.Filter) ([]core.Neighbor, error) {
 	return t.tab.KNN(q, k, accept)
 }
 
-// Pushdown reports plan.PushdownPruned: the accept test runs only on
-// the rows that survive the zone-skipping best-first sweep, never on a
-// block the zone map rules out.
-func (t *LAESA) Pushdown() plan.Pushdown { return plan.PushdownPruned }
+// Pushdown reports the table's: plan.PushdownPruned for LAESA's and
+// CPT's zoned in-memory rows, plan.PushdownScan for Omni-seq's pages.
+func (t *Index) Pushdown() plan.Pushdown { return t.tab.Pushdown() }
 
 // Insert adds one object's row, after storing the object where the
 // family keeps it: CPT's M-tree or Omni-seq's RAF.

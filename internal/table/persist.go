@@ -79,8 +79,7 @@ func loadIndex(kind string, ds *core.Dataset, r *persist.Reader) (core.Index, *s
 	if r.Err() == nil && v != 1 && v != tableFormatVersion {
 		return nil, nil, fmt.Errorf("%s: unsupported payload version %d", name, v)
 	}
-	l := &LAESA{Index{kind: kind}}
-	t := &l.Index
+	t := &Index{kind: kind}
 	var load func(id int) (core.Object, error)
 	var err error
 	if kind == "CPT" {
@@ -98,9 +97,6 @@ func loadIndex(kind string, ds *core.Dataset, r *persist.Reader) (core.Index, *s
 	}
 	if t.tab, err = DecodeBlock(name, ds, r, v == 1, load); err != nil {
 		return nil, nil, err
-	}
-	if kind == "LAESA" {
-		return l, nil, nil
 	}
 	return t, t.pager, nil
 }

@@ -39,7 +39,7 @@ func TestLAESALoadsVersion1Payload(t *testing.T) {
 	if err != nil {
 		t.Fatalf("load v1 payload: %v", err)
 	}
-	restored := restoredIdx.(*LAESA)
+	restored := restoredIdx.(*Index)
 	if !reflect.DeepEqual(restored.tab.cols, idx.tab.cols) {
 		t.Fatal("v1 load did not transpose to the original columns")
 	}

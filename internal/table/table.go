@@ -17,6 +17,7 @@ import (
 
 	"metricindex/internal/core"
 	"metricindex/internal/persist"
+	"metricindex/internal/plan"
 	"metricindex/internal/store"
 )
 
@@ -260,6 +261,18 @@ func (t *Table) Cols() [][]float64 { return t.cols }
 
 // Refs returns the pivot-reference columns of the per-row layout.
 func (t *Table) Refs() [][]int32 { return t.refs }
+
+// Pushdown reports how far the table takes an accept test: past the
+// zone map on the shared in-memory layout (LAESA, CPT), whose probe
+// tests only the rows the zones and Lemma 1 leave; through every row on
+// the per-row layout (EPT/EPT*), which has no zones, and on file
+// (Omni-seq, DiskEPT*), whose scan reads every page.
+func (t *Table) Pushdown() plan.Pushdown {
+	if t.file == nil && t.refs == nil {
+		return plan.PushdownPruned
+	}
+	return plan.PushdownScan
+}
 
 // Row returns the row holding object id, or -1.
 func (t *Table) Row(id int) int {

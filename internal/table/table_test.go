@@ -9,7 +9,7 @@ import (
 	"metricindex/internal/testutil"
 )
 
-func newVectorLAESA(t *testing.T, n int) (*LAESA, *core.Dataset) {
+func newVectorLAESA(t *testing.T, n int) (*Index, *core.Dataset) {
 	t.Helper()
 	ds := testutil.VectorDataset(n, 4, 100, core.L2{}, 7)
 	pv, err := pivot.HFI(ds, 4, pivot.Options{Seed: 3})
