@@ -119,7 +119,7 @@ func (l *Live) commit(w Write) (int, uint64, error) {
 			return 0, l.epoch, fmt.Errorf("epoch: journal append: %w", err)
 		}
 	}
-	if err := finish(l.ds, l.stats, w); err != nil {
+	if err := finish(l.ds, l.idx, l.stats, w); err != nil {
 		return 0, l.epoch, err
 	}
 	if l.swapping {
@@ -167,11 +167,12 @@ func unstage(ds *core.Dataset, idx core.Index, w Write) {
 	}
 }
 
-// finish completes a staged write on the dataset and on the estimator
-// st, which counts the rows the index holds: a remove deletes the row,
-// a set replaces its bag. Dataset.Delete and SetAttrs change nothing
-// when they fail, so the estimator re-observes the same row then.
-func finish(ds *core.Dataset, st *plan.Stats, w Write) error {
+// finish completes a staged write on the dataset, on the estimator st,
+// which counts the rows the index holds, and on an index that copies
+// attribute cells (core.AttrRefresher): a remove deletes the row, a set
+// replaces its bag. Dataset.Delete and SetAttrs change nothing when
+// they fail, so the estimator re-observes the same row then.
+func finish(ds *core.Dataset, idx core.Index, st *plan.Stats, w Write) error {
 	var err error
 	switch w.Op {
 	case OpAdd:
@@ -185,6 +186,9 @@ func finish(ds *core.Dataset, st *plan.Stats, w Write) error {
 		st.RemoveRow(ds, w.ID)
 		err = ds.SetAttrs(w.ID, w.Attrs)
 		st.ObserveRow(ds, w.ID)
+		if r, ok := idx.(core.AttrRefresher); ok && err == nil {
+			r.RefreshAttrs(w.ID)
+		}
 	}
 	return err
 }
@@ -209,7 +213,7 @@ func redo(ds *core.Dataset, idx core.Index, st *plan.Stats, w Write) error {
 	if err := stage(ds, idx, w); err != nil {
 		return err
 	}
-	return finish(ds, st, w)
+	return finish(ds, idx, st, w)
 }
 
 // Apply redoes one journaled write onto the live structure without

@@ -5,6 +5,7 @@ import (
 
 	"metricindex/internal/pivot"
 	"metricindex/internal/plan"
+	"metricindex/internal/store"
 	"metricindex/internal/testutil"
 )
 
@@ -26,5 +27,21 @@ func TestEPTFilterEquivalence(t *testing.T) {
 			}
 			testutil.CheckFilterEquivalence(t, ed, idx)
 		}
+	}
+}
+
+// TestDiskEPTFilterEquivalence runs the harness on DiskEPT*: its probe
+// tests the accept test on every row Lemma 1 keeps in its page scan
+// (plan.PushdownScan), before the candidate's RAF read.
+func TestDiskEPTFilterEquivalence(t *testing.T) {
+	for _, ed := range testutil.EquivDatasets(false, 250, 7) {
+		idx, err := NewDisk(ed.DS, store.NewPager(1024), Options{L: 4, Radius: 10, Sel: pivot.Options{Seed: 3, SampleSize: 128}})
+		if err != nil {
+			t.Fatalf("%s: NewDisk: %v", ed.Name, err)
+		}
+		if got := plan.PushdownOf(idx); got != plan.PushdownScan {
+			t.Fatalf("%s: plan.PushdownOf = %d, want PushdownScan", ed.Name, got)
+		}
+		testutil.CheckFilterEquivalence(t, ed, idx)
 	}
 }

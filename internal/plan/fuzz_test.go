@@ -163,8 +163,11 @@ func fuzzColumnDataset(seed int64, n int, sv string, fv float64) *core.Dataset {
 }
 
 // FuzzCompiledPredicate: the compiled matcher is a faithful compilation —
-// for every row, Match and the column-at-a-time Rows agree with the
-// reference Predicate.Eval over the materialised bag.
+// for every row, Match, the column-at-a-time Rows and the word pass
+// agree with the reference Predicate.Eval over the materialised bag.
+// The word pass runs over a row-ordered copy of the cells whose rows
+// are the ids shuffled (an index's row order), in windows of random
+// length and offset.
 func FuzzCompiledPredicate(f *testing.F) {
 	for _, s := range fuzzSeeds {
 		f.Add(s, int64(1), "mid", 41.5)
@@ -192,6 +195,30 @@ func FuzzCompiledPredicate(f *testing.F) {
 			}
 			if rows[id] != want {
 				t.Fatalf("%q row %d %v: Rows %v, Eval %v", p, id, ds.Attrs(id), rows[id], want)
+			}
+		}
+		rng := rand.New(rand.NewSource(seed))
+		ids := make([]int32, ds.Len())
+		for i := range ids {
+			ids[i] = int32(i)
+		}
+		rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
+		var copied core.AttrRows
+		copied.Reset(ds.AttrStore(), ids)
+		for base, end := 0, 0; base < len(ids); base = end {
+			if rng.Intn(4) == 0 {
+				base = rng.Intn(len(ids)) // a window at any offset, besides the tiling
+			}
+			end = min(base+1+rng.Intn(64), len(ids))
+			word := m.Word(&copied, base, end)
+			if word>>(end-base) != 0 {
+				t.Fatalf("%q window [%d, %d): word %#x sets bits past its rows", p, base, end, word)
+			}
+			for row := base; row < end; row++ {
+				id := int(ids[row])
+				if got, want := word>>(row-base)&1 != 0, p.Eval(ds.Attrs(id)); got != want {
+					t.Fatalf("%q row %d (id %d) %v: Word %v, Eval %v", p, row, id, ds.Attrs(id), got, want)
+				}
 			}
 		}
 	})

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"metricindex/internal/core"
+	"metricindex/internal/plan"
 	"metricindex/internal/testutil"
 )
 
@@ -99,6 +100,60 @@ func TestLAESAFlatKNNHotLoopZeroAllocs(t *testing.T) {
 				t.Fatalf("%d-D %T %s: flat kNN hot loop allocated %.1f times per query; want 0", c.dim, c.m, name, allocs)
 			}
 		}
+	}
+}
+
+// TestLAESAFilteredProbeZeroAllocs is the word pass's witness: with the
+// scratch pool warm and the predicate compiled (a plan.Matcher, the
+// probe strategy's accept test), one filtered kNN scan and one filtered
+// range scan over several blocks — the survivors' accept test read from
+// the table's row-ordered attribute copy 64 rows at a time — allocate
+// nothing, for every predicate of the harness's battery. The answers
+// stay outside the measured loop.
+func TestLAESAFilteredProbeZeroAllocs(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("race detector instrumentation allocates; AllocsPerRun is meaningless under -race")
+	}
+	ds := testutil.VectorDataset(4*zoneRows, 4, 100, core.L2{}, 7)
+	testutil.AttachTestAttrs(t, ds, 5)
+	idx, err := NewLAESA(ds, []int{1, 2, 3, 4, 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab := idx.tab
+	var q core.Object = ds.Objects()[42]
+	h := core.NewKNNHeap(10)
+	for _, src := range testutil.FilterPredicates() {
+		p, err := plan.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := p.Compile(ds)
+		if tab.wordsOf(m) == nil {
+			t.Fatalf("%q: the probe does not take the word pass", src)
+		}
+		knn := func() {
+			h.Reset(10)
+			if err := tab.ScanKNN(h, q, m); err != nil {
+				panic(err)
+			}
+		}
+		scanRange := func() {
+			sc := tab.scratch.Get()
+			s := tab.begin(sc, q, m)
+			s.r, s.res = 20, sc.Keys[:0]
+			if err := s.run(); err != nil {
+				panic(err)
+			}
+			sc.Keys = s.res[:0]
+			tab.scratch.Put(sc)
+		}
+		for name, scan := range map[string]func(){"kNN": knn, "range": scanRange} {
+			if allocs := testing.AllocsPerRun(100, scan); allocs != 0 {
+				t.Fatalf("%q: filtered %s probe allocated %.1f times per query; want 0", src, name, allocs)
+			}
+		}
+		m.Release()
 	}
 }
 

@@ -1,6 +1,9 @@
 package table
 
-import "metricindex/internal/store"
+import (
+	"metricindex/internal/core"
+	"metricindex/internal/store"
+)
 
 // ZoneRows and SuperBlocks are the block and super-zone sizes, for the
 // external tests to size tables that span several of them.
@@ -22,3 +25,11 @@ func (t *Table) RecordIDs() []int32 {
 	})
 	return ids
 }
+
+// WordPass reports whether a query handed accept tests its candidates
+// through the attribute copy's 64-row words rather than per id.
+func (t *Table) WordPass(accept core.Filter) bool { return t.wordsOf(accept) != nil }
+
+// AttrCopyInStep reports whether the attribute copy is in step with the
+// dataset's attribute store.
+func (t *Table) AttrCopyInStep() bool { return t.attrs.InStep(t.ds.AttrStore()) }

@@ -172,6 +172,10 @@ func (t *Index) KNNSearchAccept(q core.Object, k int, accept core.Filter) ([]cor
 // CPT's zoned in-memory rows, plan.PushdownScan for Omni-seq's pages.
 func (t *Index) Pushdown() plan.Pushdown { return t.tab.Pushdown() }
 
+// RefreshAttrs copies an object's rewritten attribute cells into its
+// row (core.AttrRefresher).
+func (t *Index) RefreshAttrs(id int) { t.tab.RefreshAttrs(id) }
+
 // Insert adds one object's row, after storing the object where the
 // family keeps it: CPT's M-tree or Omni-seq's RAF.
 func (t *Index) Insert(id int) error {

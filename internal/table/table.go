@@ -66,7 +66,11 @@ type Table struct {
 	zones    zoneMap        // shared layout: per-block and per-super-zone bounds of every column
 	flat     *core.FlatVecs // coordinate mirror; nil off the flat path
 	noMirror bool           // mirror never armed, or dropped for good (mixed objects)
-	kern     core.PreKernel
+	// attrs copies the dataset's attribute cells in row order, so a
+	// compiled filter reads them at unit stride (scan.block); in memory
+	// only, empty while the dataset has no attributes.
+	attrs core.AttrRows
+	kern  core.PreKernel
 	// The per-row layout's referenced-pivot pool: every pivot some row
 	// cites, densely numbered in first-reference order (the values are
 	// pivots). poolIDs maps an index back to the pivot's dataset id, poolOf
@@ -137,6 +141,7 @@ func NewRefs(name string, ds *core.Dataset, l int) *Table {
 	t.cols = make([][]float64, l)
 	t.refs = make([][]int32, l)
 	t.poolOf = make(map[int32]int32)
+	t.attrs.Reset(ds.AttrStore(), nil)
 	return t
 }
 
@@ -213,6 +218,7 @@ func (t *Table) adopt(ids []int32, cols [][]float64, order []int32, workers int)
 		}
 	}
 	t.zones = buildZones(t.cols, workers)
+	t.attrs.Reset(t.ds.AttrStore(), t.ids)
 	return nil
 }
 
@@ -327,7 +333,7 @@ func (t *Table) Insert(id int) error {
 }
 
 // Append is the one way a row enters the table: directory, id, every
-// column, the zones and the mirror move together. The row
+// column, the zones, the mirror and the attribute copy move together. The row
 // goes last — into the last block, whose zone it widens, or into a new
 // block it opens; on a paged table, into the file's next record. dists
 // (and, on the per-row layout, refs) hold one entry per pivot slot; id
@@ -355,11 +361,12 @@ func (t *Table) Append(id int, o core.Object, refs []int32, dists []float64) err
 	}
 	t.zones.add(row, dists)
 	t.mirrorRow(row, o)
+	t.attrs.Append(t.ds.AttrStore(), id)
 	return nil
 }
 
 // Remove is the one way a row leaves: the last row is swapped into its
-// place across every column and the mirror, the zone of the
+// place across every column, the mirror and the attribute copy, the zone of the
 // block it lands in widens to cover it, and a block left empty at the end
 // is dropped. Zones only ever widen here, so they stay conservative — and
 // skipping by them exact — until the next build tightens them. The row is
@@ -397,6 +404,7 @@ func (t *Table) Remove(id int) error {
 	if t.flat != nil {
 		t.flat.SwapDelete(row)
 	}
+	t.attrs.SwapDelete(row)
 	if row < last {
 		for c := range t.zones.lo {
 			t.zones.widen(c, row/zoneRows, t.cols[c][row])
@@ -406,6 +414,15 @@ func (t *Table) Remove(id int) error {
 	t.dir[lastID] = int32(row)
 	t.dir[id] = -1
 	return nil
+}
+
+// RefreshAttrs copies object id's attribute cells into its row again,
+// after Dataset.SetAttrs rewrote them (core.AttrRefresher). A paged
+// table keeps no copy.
+func (t *Table) RefreshAttrs(id int) {
+	if row := t.Row(id); row >= 0 && t.file == nil {
+		t.attrs.Refresh(t.ds.AttrStore(), row, id)
+	}
 }
 
 // Validate checks that the row state is in step, used by the test suite
@@ -422,7 +439,12 @@ func (t *Table) Remove(id int) error {
 //     column, and every row lies inside its block's zone (a NaN distance
 //     inside an infinite one);
 //  5. it has one super-zone per superBlocks blocks in every column, and
-//     every super-zone covers the zone of each of its blocks.
+//     every super-zone covers the zone of each of its blocks;
+//  6. the attribute copy has one entry per row in every column and, while
+//     it is in step with the dataset's attribute store (a write that
+//     bypassed RefreshAttrs puts it out of step, and queries then read
+//     the store), every row's copied cells are the dataset's cells for
+//     the row's id.
 //
 // Checks 2 and 3 skip a row whose object the dataset no longer holds.
 // Distances are recomputed through the raw metric, so compdists do not
@@ -452,6 +474,9 @@ func (t *Table) Validate() error {
 	}
 	if t.flat != nil && t.flat.Rows() != n {
 		return fmt.Errorf("%s: mirror holds %d rows, table %d", t.name, t.flat.Rows(), n)
+	}
+	if err := t.attrs.Check(t.ds.AttrStore(), t.ids); err != nil {
+		return fmt.Errorf("%s: %w", t.name, err)
 	}
 	sc := t.scratch.Get()
 	defer t.scratch.Put(sc)
@@ -520,8 +545,8 @@ func (t *Table) validateZones() error {
 // MemBytes reports the resident size of the table: ids, the directory (4
 // bytes per id of the dataset's span — for a shard's mirror, its parent's
 // span), distance columns, pivot-reference columns (why EPT is larger
-// than LAESA in Table 4), the zone map (both levels) and the coordinate
-// mirror.
+// than LAESA in Table 4), the zone map (both levels), the coordinate
+// mirror and the attribute copy.
 func (t *Table) MemBytes() int64 {
 	n := int64(len(t.ids))*4 + int64(len(t.dir))*4 + int64(len(t.pivotIDs))*8
 	for c := range t.cols {
@@ -536,7 +561,7 @@ func (t *Table) MemBytes() int64 {
 	if t.flat != nil {
 		n += t.flat.MemBytes()
 	}
-	return n
+	return n + t.attrs.MemBytes()
 }
 
 // scan is the state of one query's pass over the table. It lives on the
@@ -545,19 +570,25 @@ type scan struct {
 	t      *Table
 	sc     *core.Scratch
 	q      core.Object
-	accept core.Filter   // nil = every id
-	h      *core.KNNHeap // kNN: the collector, whose radius tightens; nil for range
-	r      float64       // range: the fixed radius
-	res    []uint64      // range: the answer's ids, in the scratch's Keys
-	flat   bool          // verify through the mirror, with q widened into q64/q32
-	narrow bool          // flat on a narrowed mirror: rows are verified by narrowPre
-	filter bool          // narrow, and q64 finite: the mirror's Rejects may run
-	q64    []float64
-	q32    []float32
-	chunk  int     // object path: candidates gathered before they are verified
-	m      int     // object path: candidates gathered and not yet verified
-	ndist  int     // flat path: distances computed, counted once at the end
-	qmax   float64 // largest |d(q, p)| over the pivots, for limit
+	accept core.Filter // nil = every id; tested per candidate id unless words is set
+	// words is accept when it is a compiled predicate the table's
+	// attribute copy can answer: block tests a bit of word, the
+	// predicate's verdicts on the 64 rows from wordBase.
+	words    *plan.Matcher
+	word     uint64
+	wordBase int
+	h        *core.KNNHeap // kNN: the collector, whose radius tightens; nil for range
+	r        float64       // range: the fixed radius
+	res      []uint64      // range: the answer's ids, in the scratch's Keys
+	flat     bool          // verify through the mirror, with q widened into q64/q32
+	narrow   bool          // flat on a narrowed mirror: rows are verified by narrowPre
+	filter   bool          // narrow, and q64 finite: the mirror's Rejects may run
+	q64      []float64
+	q32      []float32
+	chunk    int     // object path: candidates gathered before they are verified
+	m        int     // object path: candidates gathered and not yet verified
+	ndist    int     // flat path: distances computed, counted once at the end
+	qmax     float64 // largest |d(q, p)| over the pivots, for limit
 	// The rows block sweeps: the table's own columns, or on a paged
 	// table the scratch's block columns its page is decoded into. refs is
 	// nil on the shared layout.
@@ -586,9 +617,9 @@ func (t *Table) begin(sc *core.Scratch, q core.Object, accept core.Filter) scan 
 	sc.GrowSur(rows)
 	sc.GrowChunk(verifyChunk)
 	t.ds.Space().DistanceMany(q, t.pivots, qd)
-	s := scan{t: t, sc: sc, q: q, chunk: t.gather[0], ids: t.ids, refs: t.refs, cols: t.cols}
+	s := scan{t: t, sc: sc, q: q, chunk: t.gather[0], ids: t.ids, refs: t.refs, cols: t.cols, wordBase: -1}
 	if !core.NoFilter(accept) {
-		s.accept = accept
+		s.accept, s.words = accept, t.wordsOf(accept)
 	}
 	if t.file != nil {
 		sc.GrowBlock(t.l, rows)
@@ -610,6 +641,20 @@ func (t *Table) begin(sc *core.Scratch, q core.Object, accept core.Filter) scan 
 		s.filter = s.narrow && t.flat.Filters(s.q64)
 	}
 	return s
+}
+
+// wordsOf returns accept when the table's attribute copy can answer it
+// 64 rows at a time: a predicate compiled against the dataset's own
+// attribute store, on an in-memory table whose copy is in step with
+// that store. Anything else — a bare core.Accept, a paged table, a
+// predicate compiled against another dataset (a shard's parent), a copy
+// a write bypassed — gets nil and is called per candidate.
+func (t *Table) wordsOf(accept core.Filter) *plan.Matcher {
+	m, ok := accept.(*plan.Matcher)
+	if !ok || t.file != nil || m.Store() != t.ds.AttrStore() || !t.attrs.InStep(m.Store()) {
+		return nil
+	}
+	return m
 }
 
 //metriclint:noalloc
@@ -675,8 +720,11 @@ func (s *scan) offer(id int, d float64) {
 //  3. the optional accept test on what the recheck keeps — before
 //     anything is spent on the row, so a rejected candidate costs no
 //     distance and no disk read, and a row the recheck prunes costs no
-//     predicate call (the radius cannot change between the two tests,
-//     so the order moves no verified row);
+//     predicate test (the radius cannot change between the two tests,
+//     so the order moves no verified row). A compiled predicate over
+//     the table's own attribute copy (accepts) is one bit of a 64-row
+//     word it evaluates at unit stride; any other accept test is called
+//     with the row's id;
 //  4. verify: through the flat kernel at once, which stops reading the
 //     row once its partial passes the radius's bound in pre-distance
 //     space (exact distance for the rest), the next survivor's mirror
@@ -715,7 +763,7 @@ func (s *scan) block(base, end int) error {
 		}
 		// ids[row] is a scattered read, one likely cache miss per survivor:
 		// each stage loads it only once it needs it.
-		if s.accept != nil && !s.accept.Match(int(s.ids[row])) {
+		if s.accept != nil && !s.accepts(int(row)) {
 			continue
 		}
 		if s.flat {
@@ -751,6 +799,24 @@ func (s *scan) block(base, end int) error {
 		}
 	}
 	return nil
+}
+
+// accepts is block's accept test of a row. With a compiled predicate
+// the table's attribute copy answers, it evaluates the 64-row word
+// holding the row — once per word, as survivors come in ascending row
+// order within a block, and blocks start on a word — and reads the
+// row's bit; otherwise it calls the test with the row's id.
+//
+//metriclint:noalloc
+func (s *scan) accepts(row int) bool {
+	if s.words == nil {
+		return s.accept.Match(int(s.ids[row]))
+	}
+	if base := row &^ 63; base != s.wordBase {
+		s.wordBase = base
+		s.word = s.words.Word(&s.t.attrs, base, min(base+64, len(s.ids)))
+	}
+	return s.word>>(row&63)&1 != 0
 }
 
 // narrowPre is the pre-distance of a row of a narrowed mirror, or +Inf
