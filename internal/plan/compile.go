@@ -317,7 +317,7 @@ func (m *Matcher) fillLeaf(l *leaf, out []uint64) {
 	}
 	for base := 0; base < len(kinds); base += 64 {
 		end := min(base+64, len(kinds))
-		out[base>>6] |= m.leafWord(l, kinds[base:end], vals[base:end])
+		out[base>>6] |= leafWord(m.store, l, kinds[base:end], vals[base:end])
 	}
 }
 
@@ -353,19 +353,23 @@ func (m *Matcher) word(n *cnode, rows *core.AttrRows, base, end int) uint64 {
 	if n.col == nil {
 		return 0
 	}
-	kinds, vals := rows.Column(n.col.ID())
-	return m.leafWord(&n.leaf, kinds[base:end], vals[base:end])
+	kinds, vals32, vals64 := rows.Column(n.col.ID())
+	if vals64 != nil {
+		return leafWord(m.store, &n.leaf, kinds[base:end], vals64[base:end])
+	}
+	return leafWord(m.store, &n.leaf, kinds[base:end], vals32[base:end])
 }
 
 // leafWord tests at most 64 cells of one field — kinds[j] and vals[j]
-// are row j's — into a word whose bit j is the verdict of row j.
-// Numeric intervals and equality leaves get loops of their own
-// (equality reads the leaf's verdict for each string and tag-set code;
-// a numeric interval excludes NaN, as cmpFloat orders it against
-// nothing); string orderings test each cell.
+// are row j's, the payload in 32 bits when it fits (an AttrRows
+// column) — into a word whose bit j is the verdict of row j. Numeric
+// intervals and equality leaves get loops of their own (equality reads
+// the leaf's verdict for each string and tag-set code; a numeric
+// interval excludes NaN, as cmpFloat orders it against nothing); string
+// orderings test each cell.
 //
 //metriclint:noalloc
-func (m *Matcher) leafWord(l *leaf, kinds []core.AttrKind, vals []uint64) uint64 {
+func leafWord[P uint32 | uint64](s *core.AttrStore, l *leaf, kinds []core.AttrKind, vals []P) uint64 {
 	var word uint64
 	vals = vals[:len(kinds)]
 	switch l.class {
@@ -377,7 +381,7 @@ func (m *Matcher) leafWord(l *leaf, kinds []core.AttrKind, vals []uint64) uint64
 			case core.AttrInt:
 				x = float64(int64(vals[j]))
 			case core.AttrFloat:
-				x = math.Float64frombits(vals[j])
+				x = math.Float64frombits(uint64(vals[j]))
 			default:
 				continue
 			}
@@ -399,17 +403,17 @@ func (m *Matcher) leafWord(l *leaf, kinds []core.AttrKind, vals []uint64) uint64
 			case 0:
 				continue
 			case core.AttrString:
-				hit = verdict(l.strHits, vals[j]) ^ neg
+				hit = verdict(l.strHits, uint64(vals[j])) ^ neg
 			case core.AttrTags:
-				hit = verdict(l.tagHits, vals[j]) ^ neg
+				hit = verdict(l.tagHits, uint64(vals[j])) ^ neg
 			default:
-				hit = uint8(bit(l.eq(m.store, k, vals[j]))) ^ neg
+				hit = uint8(bit(l.eq(s, k, uint64(vals[j])))) ^ neg
 			}
 			word |= uint64(hit) << j
 		}
 	default:
 		for j, k := range kinds {
-			word |= bit(l.cell(m.store, k, vals[j])) << j
+			word |= bit(l.cell(s, k, uint64(vals[j]))) << j
 		}
 	}
 	return word
