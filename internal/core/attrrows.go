@@ -179,9 +179,6 @@ func (r *AttrRows) Column(id uint32) (kinds []AttrKind, vals32 []uint32, vals64 
 	return nil, nil, nil
 }
 
-// Len returns the number of rows.
-func (r *AttrRows) Len() int { return r.rows }
-
 // MemBytes reports the copy's resident size: per row and column, the
 // kind byte and a 4- or 8-byte payload.
 func (r *AttrRows) MemBytes() int64 {

@@ -189,15 +189,6 @@ func NoFilter(f Filter) bool {
 	return f == nil || ok && a == nil
 }
 
-// AttrRefresher is the optional method of an index that keeps a copy of
-// the dataset's attribute cells (AttrRows): after Dataset.SetAttrs on
-// an indexed object, RefreshAttrs copies the object's new cells. An
-// epoch.Live write calls it; a write that skips it leaves the copy out
-// of step, and the index falls back to the dataset's columns.
-type AttrRefresher interface {
-	RefreshAttrs(id int)
-}
-
 // PostFilterKNN extracts the k nearest accepted objects from an index
 // without predicate pushdown. Each round probes for the kk nearest
 // objects unfiltered and keeps the accepted ones; because a kNN answer

@@ -167,9 +167,18 @@ func unstage(ds *core.Dataset, idx core.Index, w Write) {
 	}
 }
 
+// attrRefresher is the optional method of an index that keeps a copy
+// of the dataset's attribute cells (core.AttrRows, a pivot table's):
+// after Dataset.SetAttrs on an indexed object, RefreshAttrs copies the
+// object's new cells. A write that skips it leaves the copy out of
+// step, and the index falls back to the dataset's own columns.
+type attrRefresher interface {
+	RefreshAttrs(id int)
+}
+
 // finish completes a staged write on the dataset, on the estimator st,
 // which counts the rows the index holds, and on an index that copies
-// attribute cells (core.AttrRefresher): a remove deletes the row, a set
+// attribute cells (attrRefresher): a remove deletes the row, a set
 // replaces its bag. Dataset.Delete and SetAttrs change nothing when
 // they fail, so the estimator re-observes the same row then.
 func finish(ds *core.Dataset, idx core.Index, st *plan.Stats, w Write) error {
@@ -186,7 +195,7 @@ func finish(ds *core.Dataset, idx core.Index, st *plan.Stats, w Write) error {
 		st.RemoveRow(ds, w.ID)
 		err = ds.SetAttrs(w.ID, w.Attrs)
 		st.ObserveRow(ds, w.ID)
-		if r, ok := idx.(core.AttrRefresher); ok && err == nil {
+		if r, ok := idx.(attrRefresher); ok && err == nil {
 			r.RefreshAttrs(w.ID)
 		}
 	}

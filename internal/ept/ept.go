@@ -248,10 +248,6 @@ func (e *EPT) Insert(id int) error {
 	return e.appendRow(id, pv, dv)
 }
 
-// RefreshAttrs copies an object's rewritten attribute cells into its
-// row (core.AttrRefresher).
-func (e *EPT) RefreshAttrs(id int) { e.tab.RefreshAttrs(id) }
-
 // Delete removes the object's row.
 func (e *EPT) Delete(id int) error { return e.tab.Remove(id) }
 

@@ -173,7 +173,7 @@ func (t *Index) KNNSearchAccept(q core.Object, k int, accept core.Filter) ([]cor
 func (t *Index) Pushdown() plan.Pushdown { return t.tab.Pushdown() }
 
 // RefreshAttrs copies an object's rewritten attribute cells into its
-// row (core.AttrRefresher).
+// row (epoch.Live calls it).
 func (t *Index) RefreshAttrs(id int) { t.tab.RefreshAttrs(id) }
 
 // Insert adds one object's row, after storing the object where the

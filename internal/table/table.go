@@ -66,11 +66,12 @@ type Table struct {
 	zones    zoneMap        // shared layout: per-block and per-super-zone bounds of every column
 	flat     *core.FlatVecs // coordinate mirror; nil off the flat path
 	noMirror bool           // mirror never armed, or dropped for good (mixed objects)
+	kern     core.PreKernel
 	// attrs copies the dataset's attribute cells in row order, so a
-	// compiled filter reads them at unit stride (scan.block); in memory
-	// only, empty while the dataset has no attributes.
+	// compiled filter reads them at unit stride (scan.accepts). Kept on
+	// the shared in-memory layout only, whose curve order scatters ids
+	// (copiesAttrs); empty while the dataset has no attributes.
 	attrs core.AttrRows
-	kern  core.PreKernel
 	// The per-row layout's referenced-pivot pool: every pivot some row
 	// cites, densely numbered in first-reference order (the values are
 	// pivots). poolIDs maps an index back to the pivot's dataset id, poolOf
@@ -141,7 +142,6 @@ func NewRefs(name string, ds *core.Dataset, l int) *Table {
 	t.cols = make([][]float64, l)
 	t.refs = make([][]int32, l)
 	t.poolOf = make(map[int32]int32)
-	t.attrs.Reset(ds.AttrStore(), nil)
 	return t
 }
 
@@ -333,11 +333,11 @@ func (t *Table) Insert(id int) error {
 }
 
 // Append is the one way a row enters the table: directory, id, every
-// column, the zones, the mirror and the attribute copy move together. The row
-// goes last — into the last block, whose zone it widens, or into a new
-// block it opens; on a paged table, into the file's next record. dists
-// (and, on the per-row layout, refs) hold one entry per pivot slot; id
-// must not be negative.
+// column, the zones, the mirror and the attribute copy move together.
+// The row goes last — into the last block, whose zone it widens, or into
+// a new block it opens; on a paged table, into the file's next record.
+// dists (and, on the per-row layout, refs) hold one entry per pivot
+// slot; id must not be negative.
 func (t *Table) Append(id int, o core.Object, refs []int32, dists []float64) error {
 	for id >= len(t.dir) {
 		t.dir = append(t.dir, -1)
@@ -361,14 +361,16 @@ func (t *Table) Append(id int, o core.Object, refs []int32, dists []float64) err
 	}
 	t.zones.add(row, dists)
 	t.mirrorRow(row, o)
-	t.attrs.Append(t.ds.AttrStore(), id)
+	if t.copiesAttrs() {
+		t.attrs.Append(t.ds.AttrStore(), id)
+	}
 	return nil
 }
 
 // Remove is the one way a row leaves: the last row is swapped into its
-// place across every column, the mirror and the attribute copy, the zone of the
-// block it lands in widens to cover it, and a block left empty at the end
-// is dropped. Zones only ever widen here, so they stay conservative — and
+// place across every column, the mirror and the attribute copy, the
+// zone of the block it lands in widens to cover it, and a block left
+// empty at the end is dropped. Zones only ever widen here, so they stay conservative — and
 // skipping by them exact — until the next build tightens them. The row is
 // found through the directory — the paper's §6.3 deletion scans the table
 // for it, which costs no distance and no page access, so its cost model
@@ -404,7 +406,9 @@ func (t *Table) Remove(id int) error {
 	if t.flat != nil {
 		t.flat.SwapDelete(row)
 	}
-	t.attrs.SwapDelete(row)
+	if t.copiesAttrs() {
+		t.attrs.SwapDelete(row)
+	}
 	if row < last {
 		for c := range t.zones.lo {
 			t.zones.widen(c, row/zoneRows, t.cols[c][row])
@@ -416,11 +420,18 @@ func (t *Table) Remove(id int) error {
 	return nil
 }
 
+// copiesAttrs reports whether the table keeps the attribute copy: on
+// the shared in-memory layout, whose curve order scatters ids, so the
+// per-id test of a survivor is a scattered load. The per-row layout's
+// rows lie in near-id order (insertion order, holes filled from the
+// end), where the per-id test reads almost in sequence and 64-row words
+// measured slower, and a paged table's rows are on disk.
+func (t *Table) copiesAttrs() bool { return t.file == nil && t.refs == nil }
+
 // RefreshAttrs copies object id's attribute cells into its row again,
-// after Dataset.SetAttrs rewrote them (core.AttrRefresher). A paged
-// table keeps no copy.
+// after Dataset.SetAttrs rewrote them (epoch.Live calls it).
 func (t *Table) RefreshAttrs(id int) {
-	if row := t.Row(id); row >= 0 && t.file == nil {
+	if row := t.Row(id); row >= 0 && t.copiesAttrs() {
 		t.attrs.Refresh(t.ds.AttrStore(), row, id)
 	}
 }
@@ -440,7 +451,8 @@ func (t *Table) RefreshAttrs(id int) {
 //     inside an infinite one);
 //  5. it has one super-zone per superBlocks blocks in every column, and
 //     every super-zone covers the zone of each of its blocks;
-//  6. the attribute copy has one entry per row in every column and, while
+//  6. on the shared layout, the attribute copy has one entry per row in
+//     every column and, while
 //     it is in step with the dataset's attribute store (a write that
 //     bypassed RefreshAttrs puts it out of step, and queries then read
 //     the store), every row's copied cells are the dataset's cells for
@@ -475,8 +487,10 @@ func (t *Table) Validate() error {
 	if t.flat != nil && t.flat.Rows() != n {
 		return fmt.Errorf("%s: mirror holds %d rows, table %d", t.name, t.flat.Rows(), n)
 	}
-	if err := t.attrs.Check(t.ds.AttrStore(), t.ids); err != nil {
-		return fmt.Errorf("%s: %w", t.name, err)
+	if t.copiesAttrs() {
+		if err := t.attrs.Check(t.ds.AttrStore(), t.ids); err != nil {
+			return fmt.Errorf("%s: %w", t.name, err)
+		}
 	}
 	sc := t.scratch.Get()
 	defer t.scratch.Put(sc)
@@ -570,25 +584,26 @@ type scan struct {
 	t      *Table
 	sc     *core.Scratch
 	q      core.Object
-	accept core.Filter // nil = every id; tested per candidate id unless words is set
+	accept core.Filter   // nil = every id
+	h      *core.KNNHeap // kNN: the collector, whose radius tightens; nil for range
+	r      float64       // range: the fixed radius
+	res    []uint64      // range: the answer's ids, in the scratch's Keys
+	flat   bool          // verify through the mirror, with q widened into q64/q32
+	narrow bool          // flat on a narrowed mirror: rows are verified by narrowPre
+	filter bool          // narrow, and q64 finite: the mirror's Rejects may run
+	q64    []float64
+	q32    []float32
+	chunk  int     // object path: candidates gathered before they are verified
+	m      int     // object path: candidates gathered and not yet verified
+	ndist  int     // flat path: distances computed, counted once at the end
+	qmax   float64 // largest |d(q, p)| over the pivots, for limit
+
 	// words is accept when it is a compiled predicate the table's
-	// attribute copy can answer: block tests a bit of word, the
+	// attribute copy answers (wordsOf): accepts reads a bit of word, the
 	// predicate's verdicts on the 64 rows from wordBase.
 	words    *plan.Matcher
 	word     uint64
 	wordBase int
-	h        *core.KNNHeap // kNN: the collector, whose radius tightens; nil for range
-	r        float64       // range: the fixed radius
-	res      []uint64      // range: the answer's ids, in the scratch's Keys
-	flat     bool          // verify through the mirror, with q widened into q64/q32
-	narrow   bool          // flat on a narrowed mirror: rows are verified by narrowPre
-	filter   bool          // narrow, and q64 finite: the mirror's Rejects may run
-	q64      []float64
-	q32      []float32
-	chunk    int     // object path: candidates gathered before they are verified
-	m        int     // object path: candidates gathered and not yet verified
-	ndist    int     // flat path: distances computed, counted once at the end
-	qmax     float64 // largest |d(q, p)| over the pivots, for limit
 	// The rows block sweeps: the table's own columns, or on a paged
 	// table the scratch's block columns its page is decoded into. refs is
 	// nil on the shared layout.
@@ -645,13 +660,14 @@ func (t *Table) begin(sc *core.Scratch, q core.Object, accept core.Filter) scan 
 
 // wordsOf returns accept when the table's attribute copy can answer it
 // 64 rows at a time: a predicate compiled against the dataset's own
-// attribute store, on an in-memory table whose copy is in step with
-// that store. Anything else — a bare core.Accept, a paged table, a
-// predicate compiled against another dataset (a shard's parent), a copy
-// a write bypassed — gets nil and is called per candidate.
+// attribute store, on a table that keeps a copy (copiesAttrs) in step
+// with that store. Anything else — a bare core.Accept, a per-row or
+// paged table, a predicate compiled against another dataset (a shard's
+// parent), a copy a write bypassed — gets nil and is called per
+// candidate.
 func (t *Table) wordsOf(accept core.Filter) *plan.Matcher {
 	m, ok := accept.(*plan.Matcher)
-	if !ok || t.file != nil || m.Store() != t.ds.AttrStore() || !t.attrs.InStep(m.Store()) {
+	if !ok || !t.copiesAttrs() || m.Store() != t.ds.AttrStore() || !t.attrs.InStep(m.Store()) {
 		return nil
 	}
 	return m
@@ -802,10 +818,10 @@ func (s *scan) block(base, end int) error {
 }
 
 // accepts is block's accept test of a row. With a compiled predicate
-// the table's attribute copy answers, it evaluates the 64-row word
-// holding the row — once per word, as survivors come in ascending row
-// order within a block, and blocks start on a word — and reads the
-// row's bit; otherwise it calls the test with the row's id.
+// the table's attribute copy answers, it reads the row's bit of the
+// 64-row word holding it, evaluated once — survivors come in ascending
+// row order within a block, and blocks start on a word; any other
+// accept test is called with the row's id.
 //
 //metriclint:noalloc
 func (s *scan) accepts(row int) bool {
