@@ -36,7 +36,7 @@ FUZZTIME ?= 10s
 # `make race`.
 RACE_PKGS = ./internal/exec/... ./internal/epoch/... ./internal/server/... \
             ./internal/shard/... ./internal/table/... ./internal/ptree/... \
-            ./internal/ept/... ./internal/cpt/... ./internal/omni/... \
+            ./internal/omni/... \
             ./internal/core/... ./internal/store/... ./internal/bench/... \
             ./internal/cache/... ./internal/fqt/... \
             ./internal/mtree/... ./internal/pmtree/... ./internal/persist/... \

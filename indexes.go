@@ -1,7 +1,6 @@
 package metricindex
 
 import (
-	"metricindex/internal/ept"
 	"metricindex/internal/fqt"
 	"metricindex/internal/mtree"
 	"metricindex/internal/omni"
@@ -96,7 +95,7 @@ type EPTOptions struct {
 
 // NewEPT builds the original Extreme Pivot Table [24] (§3.2).
 func NewEPT(ds *Dataset, opts EPTOptions) (Index, error) {
-	return ept.New(ds, ept.Original, ept.Options{
+	return table.NewEPT(ds, table.EPTOptions{
 		L: opts.L, M: opts.M, Radius: opts.Radius,
 		Sel: pivot.Options{Seed: opts.Seed}, Workers: opts.Workers,
 	})
@@ -105,7 +104,7 @@ func NewEPT(ds *Dataset, opts EPTOptions) (Index, error) {
 // NewEPTStar builds EPT* — EPT with the paper's PSA pivot selection
 // (Algorithm 1), trading construction cost for query compdists (§3.2).
 func NewEPTStar(ds *Dataset, opts EPTOptions) (Index, error) {
-	return ept.New(ds, ept.Star, ept.Options{
+	return table.NewEPTStar(ds, table.EPTOptions{
 		L: opts.L, Sel: pivot.Options{Seed: opts.Seed}, Workers: opts.Workers,
 	})
 }
@@ -116,7 +115,7 @@ func NewEPTStar(ds *Dataset, opts EPTOptions) (Index, error) {
 // removing the in-memory table's dataset-size limit.
 func NewDiskEPTStar(ds *Dataset, opts EPTOptions, disk DiskOptions) (*DiskIndex, error) {
 	return disk.onDisk(func(p *store.Pager) (Index, error) {
-		return ept.NewDisk(ds, p, ept.Options{
+		return table.NewDiskEPTStar(ds, p, table.EPTOptions{
 			L: opts.L, Sel: pivot.Options{Seed: opts.Seed}, Workers: opts.Workers,
 		})
 	})

@@ -21,7 +21,6 @@ import (
 
 	"metricindex/internal/core"
 	"metricindex/internal/dataset"
-	"metricindex/internal/ept"
 	"metricindex/internal/exec"
 	"metricindex/internal/fqt"
 	"metricindex/internal/mtree"
@@ -173,18 +172,18 @@ func Builders() []Builder {
 			return table.NewLAESAParallel(e.Gen.Dataset, e.Pivots, e.Cfg.Workers)
 		}},
 		{Name: "EPT", Paper: true, New: func(e *Env, _ *store.Pager) (core.Index, error) {
-			return ept.New(e.Gen.Dataset, ept.Original, ept.Options{
+			return table.NewEPT(e.Gen.Dataset, table.EPTOptions{
 				L: e.Cfg.Pivots, Radius: e.Radius(0.16),
 				Sel: pivot.Options{Seed: e.Cfg.Seed + 2}, Workers: e.Cfg.Workers,
 			})
 		}},
 		{Name: "EPT*", Paper: true, New: func(e *Env, _ *store.Pager) (core.Index, error) {
-			return ept.New(e.Gen.Dataset, ept.Star, ept.Options{
+			return table.NewEPTStar(e.Gen.Dataset, table.EPTOptions{
 				L: e.Cfg.Pivots, Sel: pivot.Options{Seed: e.Cfg.Seed + 2}, Workers: e.Cfg.Workers,
 			})
 		}},
 		{Name: "DiskEPT*", Pages: SmallPages, New: func(e *Env, p *store.Pager) (core.Index, error) {
-			return ept.NewDisk(e.Gen.Dataset, p, ept.Options{
+			return table.NewDiskEPTStar(e.Gen.Dataset, p, table.EPTOptions{
 				L: e.Cfg.Pivots, Sel: pivot.Options{Seed: e.Cfg.Seed + 2}, Workers: e.Cfg.Workers,
 			})
 		}},

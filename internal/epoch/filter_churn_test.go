@@ -10,9 +10,9 @@ import (
 	"testing"
 
 	"metricindex/internal/core"
-	"metricindex/internal/ept"
 	"metricindex/internal/pivot"
 	"metricindex/internal/plan"
+	"metricindex/internal/table"
 )
 
 // TestFilteredSearchUnderChurn runs filtered kNN and range readers beside
@@ -29,7 +29,7 @@ func TestFilteredSearchUnderChurn(t *testing.T) {
 	builds := map[string]func(ds *core.Dataset) (core.Index, error){
 		"LAESA": builders()["LAESA"],
 		"EPT*": func(ds *core.Dataset) (core.Index, error) {
-			return ept.New(ds, ept.Star, ept.Options{L: 3, Radius: 10, Sel: pivot.Options{Seed: 3, SampleSize: 64}})
+			return table.NewEPTStar(ds, table.EPTOptions{L: 3, Radius: 10, Sel: pivot.Options{Seed: 3, SampleSize: 64}})
 		},
 	}
 	preds := []*plan.Predicate{

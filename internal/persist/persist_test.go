@@ -13,7 +13,6 @@ import (
 
 	"metricindex/internal/core"
 	"metricindex/internal/epoch"
-	"metricindex/internal/ept"
 	"metricindex/internal/fqt"
 	"metricindex/internal/mtree"
 	"metricindex/internal/omni"
@@ -68,8 +67,8 @@ type snapshotKind struct {
 	build    func(ed testutil.EquivDataset, ds *core.Dataset, workers int) (core.Index, error)
 }
 
-func eptOptions(workers int) ept.Options {
-	return ept.Options{L: 4, Radius: 10,
+func eptOptions(workers int) table.EPTOptions {
+	return table.EPTOptions{L: 4, Radius: 10,
 		Sel: pivot.Options{Seed: 3, SampleSize: 128}, Workers: workers}
 }
 
@@ -96,13 +95,13 @@ var snapshotKinds = []snapshotKind{
 		return ptree.NewMVPT(ds, ed.Pivots, ptree.Options{Arity: 5, Workers: workers})
 	}},
 	{"EPT", false, func(_ testutil.EquivDataset, ds *core.Dataset, workers int) (core.Index, error) {
-		return ept.New(ds, ept.Original, eptOptions(workers))
+		return table.NewEPT(ds, eptOptions(workers))
 	}},
 	{"EPT*", false, func(_ testutil.EquivDataset, ds *core.Dataset, workers int) (core.Index, error) {
-		return ept.New(ds, ept.Star, eptOptions(workers))
+		return table.NewEPTStar(ds, eptOptions(workers))
 	}},
 	{"DiskEPT*", false, func(_ testutil.EquivDataset, ds *core.Dataset, workers int) (core.Index, error) {
-		return ept.NewDisk(ds, store.NewPager(512), eptOptions(workers))
+		return table.NewDiskEPTStar(ds, store.NewPager(512), eptOptions(workers))
 	}},
 	{"CPT", false, func(ed testutil.EquivDataset, ds *core.Dataset, workers int) (core.Index, error) {
 		return table.NewCPT(ds, store.NewPager(512), ed.Pivots, 0, workers)

@@ -6,7 +6,6 @@ import (
 
 	"metricindex/internal/core"
 	"metricindex/internal/dataset"
-	"metricindex/internal/ept"
 	"metricindex/internal/pivot"
 	"metricindex/internal/plan"
 	"metricindex/internal/table"
@@ -61,7 +60,7 @@ func BenchmarkFilteredStrategies(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	star, err := ept.New(ds, ept.Star, ept.Options{L: 5, Sel: pivot.Options{Seed: 2}, Workers: -1})
+	star, err := table.NewEPTStar(ds, table.EPTOptions{L: 5, Sel: pivot.Options{Seed: 2}, Workers: -1})
 	if err != nil {
 		b.Fatal(err)
 	}

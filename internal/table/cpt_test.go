@@ -1,4 +1,4 @@
-package cpt
+package table_test
 
 import (
 	"reflect"
@@ -11,7 +11,7 @@ import (
 	"metricindex/internal/testutil"
 )
 
-func build(t *testing.T, ds *core.Dataset) (*table.Index, *store.Pager) {
+func buildCPT(t *testing.T, ds *core.Dataset) (*table.Index, *store.Pager) {
 	t.Helper()
 	p := store.NewPager(1024)
 	pv, err := pivot.HFI(ds, 4, pivot.Options{Seed: 3})
@@ -27,7 +27,7 @@ func build(t *testing.T, ds *core.Dataset) (*table.Index, *store.Pager) {
 
 func TestCPTMatchesBruteForce(t *testing.T) {
 	ds := testutil.VectorDataset(400, 4, 100, core.L2{}, 7)
-	idx, _ := build(t, ds)
+	idx, _ := buildCPT(t, ds)
 	for qs := int64(0); qs < 4; qs++ {
 		q := testutil.RandomQuery(ds, qs)
 		for _, r := range testutil.Radii(ds, q) {
@@ -41,7 +41,7 @@ func TestCPTMatchesBruteForce(t *testing.T) {
 
 func TestCPTWords(t *testing.T) {
 	ds := testutil.WordDataset(250, 11)
-	idx, _ := build(t, ds)
+	idx, _ := buildCPT(t, ds)
 	for qs := int64(0); qs < 3; qs++ {
 		q := testutil.RandomQuery(ds, qs)
 		for _, r := range []float64{0, 1, 2, 4} {
@@ -53,7 +53,7 @@ func TestCPTWords(t *testing.T) {
 
 func TestCPTQueriesCostPageAccesses(t *testing.T) {
 	ds := testutil.VectorDataset(300, 4, 100, core.L2{}, 9)
-	idx, p := build(t, ds)
+	idx, p := buildCPT(t, ds)
 	p.ResetStats()
 	q := testutil.RandomQuery(ds, 1)
 	if _, err := idx.RangeSearch(q, 20); err != nil {
@@ -72,7 +72,7 @@ func TestCPTQueriesCostPageAccesses(t *testing.T) {
 
 func TestCPTInsertDelete(t *testing.T) {
 	ds := testutil.VectorDataset(200, 4, 100, core.L2{}, 13)
-	idx, _ := build(t, ds)
+	idx, _ := buildCPT(t, ds)
 	for id := 0; id < 200; id += 4 {
 		if err := idx.Delete(id); err != nil {
 			t.Fatalf("Delete(%d): %v", id, err)

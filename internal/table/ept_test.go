@@ -1,4 +1,4 @@
-package ept
+package table
 
 import (
 	"math"
@@ -11,23 +11,27 @@ import (
 	"metricindex/internal/testutil"
 )
 
-func build(t *testing.T, ds *core.Dataset, v Variant) *EPT {
+// eptKinds are the in-memory per-row families, in the order of their
+// payload's variant byte.
+var eptKinds = []string{"EPT", "EPT*"}
+
+func buildEPT(t *testing.T, ds *core.Dataset, kind string) *Index {
 	t.Helper()
-	idx, err := New(ds, v, Options{L: 4, Radius: 10, Sel: pivot.Options{Seed: 3, SampleSize: 128}})
+	idx, err := newEPT(kind, ds, nil, EPTOptions{L: 4, Radius: 10, Sel: pivot.Options{Seed: 3, SampleSize: 128}})
 	if err != nil {
-		t.Fatalf("New(%v): %v", v, err)
+		t.Fatalf("build %s: %v", kind, err)
 	}
 	return idx
 }
 
-// TestEPTEquivalence runs the shared metamorphic harness over both EPT
-// variants (parallel == sequential answers, linear-scan correctness,
+// TestEPTEquivalence runs the shared metamorphic harness over EPT and
+// EPT* (parallel == sequential answers, linear-scan correctness,
 // insert-then-delete invariance) on vectors and words.
 func TestEPTEquivalence(t *testing.T) {
-	for _, v := range []Variant{Original, Star} {
+	for _, kind := range eptKinds {
 		for _, ed := range testutil.EquivDatasets(false, 250, 7) {
 			builder := func(ds *core.Dataset, workers int) (testutil.EquivIndex, error) {
-				return New(ds, v, Options{
+				return newEPT(kind, ds, nil, EPTOptions{
 					L: 4, Radius: 10,
 					Sel: pivot.Options{Seed: 3, SampleSize: 128}, Workers: workers,
 				})
@@ -39,18 +43,17 @@ func TestEPTEquivalence(t *testing.T) {
 
 func TestEPTNames(t *testing.T) {
 	ds := testutil.VectorDataset(60, 3, 100, core.L2{}, 7)
-	if got := build(t, ds, Original).Name(); got != "EPT" {
-		t.Fatalf("Name = %q, want EPT", got)
-	}
-	if got := build(t, ds, Star).Name(); got != "EPT*" {
-		t.Fatalf("Name = %q, want EPT*", got)
+	for _, kind := range eptKinds {
+		if got := buildEPT(t, ds, kind).Name(); got != kind {
+			t.Fatalf("Name = %q, want %s", got, kind)
+		}
 	}
 }
 
 func TestEPTInsertDelete(t *testing.T) {
-	for _, v := range []Variant{Original, Star} {
+	for _, kind := range eptKinds {
 		ds := testutil.VectorDataset(150, 4, 100, core.L2{}, 9)
-		idx := build(t, ds, v)
+		idx := buildEPT(t, ds, kind)
 		for id := 0; id < 150; id += 5 {
 			if err := idx.Delete(id); err != nil {
 				t.Fatalf("Delete(%d): %v", id, err)
@@ -74,13 +77,13 @@ func TestEPTInsertDelete(t *testing.T) {
 }
 
 func TestEPTStarBuildCostExceedsEPT(t *testing.T) {
-	mk := func(v Variant) int64 {
+	mk := func(kind string) int64 {
 		ds := testutil.VectorDataset(200, 4, 100, core.L2{}, 7)
 		ds.Space().ResetCompDists()
-		build(t, ds, v)
+		buildEPT(t, ds, kind)
 		return ds.Space().CompDists()
 	}
-	eptCost, starCost := mk(Original), mk(Star)
+	eptCost, starCost := mk("EPT"), mk("EPT*")
 	if starCost <= eptCost {
 		t.Fatalf("EPT* construction (%d compdists) should exceed EPT (%d), per Table 4", starCost, eptCost)
 	}
@@ -88,10 +91,10 @@ func TestEPTStarBuildCostExceedsEPT(t *testing.T) {
 
 func TestEPTErrors(t *testing.T) {
 	ds := testutil.VectorDataset(50, 3, 100, core.L2{}, 7)
-	if _, err := New(ds, Star, Options{L: 0}); err == nil {
+	if _, err := NewEPTStar(ds, EPTOptions{L: 0}); err == nil {
 		t.Fatal("L=0 must fail")
 	}
-	idx := build(t, ds, Star)
+	idx := buildEPT(t, ds, "EPT*")
 	if err := idx.Delete(999); err == nil {
 		t.Fatal("Delete(999) should fail")
 	}
@@ -102,7 +105,7 @@ func TestEPTErrors(t *testing.T) {
 
 func TestEPTWordsDataset(t *testing.T) {
 	ds := testutil.WordDataset(200, 5)
-	idx := build(t, ds, Star)
+	idx := buildEPT(t, ds, "EPT*")
 	q := testutil.RandomQuery(ds, 3)
 	for _, r := range []float64{0, 1, 3} {
 		testutil.CheckRange(t, idx, ds, q, r)
@@ -113,9 +116,9 @@ func TestEPTWordsDataset(t *testing.T) {
 func TestDiskEPTMatchesBruteForce(t *testing.T) {
 	ds := testutil.VectorDataset(300, 4, 100, core.L2{}, 7)
 	p := store.NewPager(512)
-	idx, err := NewDisk(ds, p, Options{L: 4, Sel: pivot.Options{Seed: 3}})
+	idx, err := NewDiskEPTStar(ds, p, EPTOptions{L: 4, Sel: pivot.Options{Seed: 3}})
 	if err != nil {
-		t.Fatalf("NewDisk: %v", err)
+		t.Fatalf("NewDiskEPTStar: %v", err)
 	}
 	for qs := int64(0); qs < 4; qs++ {
 		q := testutil.RandomQuery(ds, qs)
@@ -137,9 +140,9 @@ func TestDiskEPTMatchesBruteForce(t *testing.T) {
 func TestDiskEPTInsertDelete(t *testing.T) {
 	ds := testutil.VectorDataset(180, 4, 100, core.L2{}, 9)
 	p := store.NewPager(512)
-	idx, err := NewDisk(ds, p, Options{L: 3, Sel: pivot.Options{Seed: 5}})
+	idx, err := NewDiskEPTStar(ds, p, EPTOptions{L: 3, Sel: pivot.Options{Seed: 5}})
 	if err != nil {
-		t.Fatalf("NewDisk: %v", err)
+		t.Fatalf("NewDiskEPTStar: %v", err)
 	}
 	for id := 0; id < 180; id += 4 {
 		if err := idx.Delete(id); err != nil {
@@ -170,7 +173,7 @@ func TestDiskEPTFewerCompdistsThanOmniStyleScan(t *testing.T) {
 	// than a shared pivot set of the same size on a disk table.
 	ds := testutil.VectorDataset(500, 8, 100, core.L2{}, 21)
 	p := store.NewPager(1024)
-	idx, err := NewDisk(ds, p, Options{L: 5, Sel: pivot.Options{Seed: 3}})
+	idx, err := NewDiskEPTStar(ds, p, EPTOptions{L: 5, Sel: pivot.Options{Seed: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,37 +189,37 @@ func TestDiskEPTFewerCompdistsThanOmniStyleScan(t *testing.T) {
 }
 
 // TestEPTParallelBuildMatchesSequential checks that a parallel build
-// (Options.Workers) produces a table byte-for-byte identical to the
-// sequential build for both variants.
+// (EPTOptions.Workers) produces a table byte-for-byte identical to the
+// sequential build for EPT and EPT*.
 func TestEPTParallelBuildMatchesSequential(t *testing.T) {
-	for _, v := range []Variant{Original, Star} {
+	for _, v := range eptKinds {
 		seqDS := testutil.VectorDataset(250, 4, 100, core.L2{}, 7)
 		parDS := testutil.VectorDataset(250, 4, 100, core.L2{}, 7)
-		opts := Options{L: 4, Radius: 10, Sel: pivot.Options{Seed: 3, SampleSize: 128}}
-		seq, err := New(seqDS, v, opts)
+		opts := EPTOptions{L: 4, Radius: 10, Sel: pivot.Options{Seed: 3, SampleSize: 128}}
+		seq, err := newEPT(v, seqDS, nil, opts)
 		if err != nil {
-			t.Fatalf("sequential New(%v): %v", v, err)
+			t.Fatalf("sequential build %s: %v", v, err)
 		}
 		opts.Workers = 4
-		par, err := New(parDS, v, opts)
+		par, err := newEPT(v, parDS, nil, opts)
 		if err != nil {
-			t.Fatalf("parallel New(%v): %v", v, err)
+			t.Fatalf("parallel build %s: %v", v, err)
 		}
 		if !reflect.DeepEqual(seq.tab.IDs(), par.tab.IDs()) {
-			t.Fatalf("%v: parallel build ids differ", v)
+			t.Fatalf("%s: parallel build ids differ", v)
 		}
 		if !reflect.DeepEqual(seq.tab.Refs(), par.tab.Refs()) {
-			t.Fatalf("%v: parallel build pivot columns differ", v)
+			t.Fatalf("%s: parallel build pivot columns differ", v)
 		}
 		if !reflect.DeepEqual(seq.tab.PoolIDs(), par.tab.PoolIDs()) {
-			t.Fatalf("%v: parallel build pivot pools differ", v)
+			t.Fatalf("%s: parallel build pivot pools differ", v)
 		}
 		if !reflect.DeepEqual(seq.tab.Cols(), par.tab.Cols()) {
-			t.Fatalf("%v: parallel build distances differ", v)
+			t.Fatalf("%s: parallel build distances differ", v)
 		}
 		for row, id := range seq.tab.IDs() {
 			if seq.tab.Row(int(id)) != row || par.tab.Row(int(id)) != row {
-				t.Fatalf("%v: parallel build row map differs", v)
+				t.Fatalf("%s: parallel build row map differs", v)
 			}
 		}
 	}
@@ -228,15 +231,15 @@ func TestEPTParallelBuildMatchesSequential(t *testing.T) {
 func TestDiskEPTParallelBuildMatchesSequential(t *testing.T) {
 	seqDS := testutil.VectorDataset(250, 4, 100, core.L2{}, 7)
 	parDS := testutil.VectorDataset(250, 4, 100, core.L2{}, 7)
-	opts := Options{L: 4, Sel: pivot.Options{Seed: 3, SampleSize: 128}}
-	seq, err := NewDisk(seqDS, store.NewPager(1024), opts)
+	opts := EPTOptions{L: 4, Sel: pivot.Options{Seed: 3, SampleSize: 128}}
+	seq, err := NewDiskEPTStar(seqDS, store.NewPager(1024), opts)
 	if err != nil {
-		t.Fatalf("sequential NewDisk: %v", err)
+		t.Fatalf("sequential NewDiskEPTStar: %v", err)
 	}
 	opts.Workers = 4
-	par, err := NewDisk(parDS, store.NewPager(1024), opts)
+	par, err := NewDiskEPTStar(parDS, store.NewPager(1024), opts)
 	if err != nil {
-		t.Fatalf("parallel NewDisk: %v", err)
+		t.Fatalf("parallel NewDiskEPTStar: %v", err)
 	}
 	if s, p := seq.DiskBytes(), par.DiskBytes(); s != p {
 		t.Fatalf("disk footprint differs: %d vs %d", s, p)
@@ -266,13 +269,13 @@ func TestDiskEPTParallelBuildMatchesSequential(t *testing.T) {
 func TestEPTStarInfiniteCoordinate(t *testing.T) {
 	ds := testutil.VectorDataset(500, 8, 100, core.L1{}, 5)
 	ds.Object(17).(core.Vector)[3] = math.Inf(1)
-	star, err := New(ds, Star, Options{L: 5})
+	star, err := NewEPTStar(ds, EPTOptions{L: 5})
 	if err != nil {
-		t.Fatalf("New: %v", err)
+		t.Fatalf("NewEPTStar: %v", err)
 	}
-	disk, err := NewDisk(ds, store.NewPager(4096), Options{L: 5})
+	disk, err := NewDiskEPTStar(ds, store.NewPager(4096), EPTOptions{L: 5})
 	if err != nil {
-		t.Fatalf("NewDisk: %v", err)
+		t.Fatalf("NewDiskEPTStar: %v", err)
 	}
 	o := append(core.Vector(nil), ds.Object(40).(core.Vector)...)
 	o[0] = math.Inf(1)

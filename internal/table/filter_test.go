@@ -3,7 +3,7 @@ package table
 import (
 	"testing"
 
-	"metricindex/internal/core"
+	"metricindex/internal/pivot"
 	"metricindex/internal/plan"
 	"metricindex/internal/store"
 	"metricindex/internal/testutil"
@@ -24,6 +24,9 @@ func TestLAESAFilterEquivalence(t *testing.T) {
 			t.Fatalf("%s: plan.PushdownOf = %d, want PushdownPruned", ed.Name, got)
 		}
 		testutil.CheckFilterEquivalence(t, ed, idx)
+		if !idx.Table().AttrCopyInStep() {
+			t.Fatalf("%s: the attribute copy is out of step after the harness", ed.Name)
+		}
 	}
 }
 
@@ -38,7 +41,7 @@ func TestDiskTableFilterEquivalence(t *testing.T) {
 		pd   plan.Pushdown
 	}{{"CPT", plan.PushdownPruned}, {"Omni-seq", plan.PushdownScan}} {
 		for _, ed := range testutil.EquivDatasets(false, 300, 7) {
-			var idx core.Index
+			var idx *Index
 			var err error
 			if c.kind == "CPT" {
 				idx, err = NewCPT(ed.DS, store.NewPager(1024), ed.Pivots, 7, 0)
@@ -52,6 +55,46 @@ func TestDiskTableFilterEquivalence(t *testing.T) {
 				t.Fatalf("%s/%s: plan.PushdownOf = %d, want %d", c.kind, ed.Name, got, c.pd)
 			}
 			testutil.CheckFilterEquivalence(t, ed, idx)
+			if c.kind == "CPT" && !idx.Table().AttrCopyInStep() {
+				t.Fatalf("%s/%s: the attribute copy is out of step after the harness", c.kind, ed.Name)
+			}
 		}
+	}
+}
+
+// TestEPTFilterEquivalence runs the shared filtered-search harness over
+// EPT and EPT*: every strategy (and the planner's pick) must
+// answer exactly the brute-force filter-then-scan. EPT is
+// probe-capable, so the probe leg pushes the predicate into candidate
+// verification for real; its per-row table has no zone map, so the
+// planner prices that probe as a full scan (plan.PushdownScan).
+func TestEPTFilterEquivalence(t *testing.T) {
+	for _, kind := range eptKinds {
+		for _, ed := range testutil.EquivDatasets(false, 250, 7) {
+			idx, err := newEPT(kind, ed.DS, nil, EPTOptions{L: 4, Radius: 10, Sel: pivot.Options{Seed: 3, SampleSize: 128}})
+			if err != nil {
+				t.Fatalf("%s/%s: build: %v", ed.Name, kind, err)
+			}
+			if got := plan.PushdownOf(idx); got != plan.PushdownScan {
+				t.Fatalf("%s/%s: plan.PushdownOf = %d, want PushdownScan", ed.Name, kind, got)
+			}
+			testutil.CheckFilterEquivalence(t, ed, idx)
+		}
+	}
+}
+
+// TestDiskEPTFilterEquivalence runs the harness on DiskEPT*: its probe
+// tests the accept test on every row Lemma 1 keeps in its page scan
+// (plan.PushdownScan), before the candidate's RAF read.
+func TestDiskEPTFilterEquivalence(t *testing.T) {
+	for _, ed := range testutil.EquivDatasets(false, 250, 7) {
+		idx, err := NewDiskEPTStar(ed.DS, store.NewPager(1024), EPTOptions{L: 4, Radius: 10, Sel: pivot.Options{Seed: 3, SampleSize: 128}})
+		if err != nil {
+			t.Fatalf("%s: NewDiskEPTStar: %v", ed.Name, err)
+		}
+		if got := plan.PushdownOf(idx); got != plan.PushdownScan {
+			t.Fatalf("%s: plan.PushdownOf = %d, want PushdownScan", ed.Name, got)
+		}
+		testutil.CheckFilterEquivalence(t, ed, idx)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"metricindex/internal/core"
-	"metricindex/internal/ept"
 	"metricindex/internal/persist"
 	"metricindex/internal/pivot"
 	"metricindex/internal/store"
@@ -35,7 +34,7 @@ func FuzzPagedTablePayload(f *testing.F) {
 			if fi == 0 {
 				idx, err = table.NewOmniSeq(ds, store.NewPager(512), pv, 0)
 			} else {
-				idx, err = ept.NewDisk(ds, store.NewPager(512), ept.Options{L: 3, Sel: pivot.Options{Seed: 3, SampleSize: 32}})
+				idx, err = table.NewDiskEPTStar(ds, store.NewPager(512), table.EPTOptions{L: 3, Sel: pivot.Options{Seed: 3, SampleSize: 32}})
 			}
 			if err != nil {
 				f.Fatal(err)

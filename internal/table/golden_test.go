@@ -9,7 +9,6 @@ import (
 
 	"metricindex/internal/core"
 	"metricindex/internal/dataset"
-	"metricindex/internal/ept"
 	"metricindex/internal/persist"
 	"metricindex/internal/pivot"
 	"metricindex/internal/store"
@@ -126,21 +125,21 @@ func goldenBuildOn(t *testing.T, family string, ds *core.Dataset, pager *store.P
 	if err != nil {
 		t.Fatalf("HFI: %v", err)
 	}
-	eptOpts := ept.Options{L: 4, Radius: 10, Sel: pivot.Options{Seed: 3, SampleSize: 128}}
+	eptOpts := table.EPTOptions{L: 4, Radius: 10, Sel: pivot.Options{Seed: 3, SampleSize: 128}}
 	var idx goldenIndex
 	switch family {
 	case "LAESA":
 		idx, err = table.NewLAESA(ds, pv)
 	case "EPT":
-		idx, err = ept.New(ds, ept.Original, eptOpts)
+		idx, err = table.NewEPT(ds, eptOpts)
 	case "EPT*":
-		idx, err = ept.New(ds, ept.Star, eptOpts)
+		idx, err = table.NewEPTStar(ds, eptOpts)
 	case "CPT":
 		idx, err = table.NewCPT(ds, pager, pv, 7, 0)
 	case "Omni-seq":
 		idx, err = table.NewOmniSeq(ds, pager, pv, 0)
 	case "DiskEPT*":
-		idx, err = ept.NewDisk(ds, pager, eptOpts)
+		idx, err = table.NewDiskEPTStar(ds, pager, eptOpts)
 	}
 	if err != nil {
 		t.Fatalf("build %s: %v", family, err)

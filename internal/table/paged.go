@@ -23,12 +23,12 @@ import (
 // tombstone is the id of a deleted row's record.
 const tombstone = ^uint32(0)
 
-// NewPaged returns an empty table whose rows live in a row file on pager:
+// newPaged returns an empty table whose rows live in a row file on pager:
 // the shared-pivot layout over pivots, or, when pivots is nil, the
 // per-row layout of l slots. Candidates are fetched through load; a range
 // query gathers rangeGather of them before it loads and verifies them, a
 // kNN query one.
-func NewPaged(name string, ds *core.Dataset, pager *store.Pager, pivots []core.Object, l int, load func(id int) (core.Object, error), rangeGather int) (*Table, error) {
+func newPaged(name string, ds *core.Dataset, pager *store.Pager, pivots []core.Object, l int, load func(id int) (core.Object, error), rangeGather int) (*Table, error) {
 	t := newTable(name, ds, load)
 	t.pivots, t.l, t.gather[0] = pivots, l, rangeGather
 	width := 4 + 8*l
@@ -155,20 +155,20 @@ func (t *Table) validateFile() error {
 	return nil
 }
 
-// FileSection is a paged table's snapshot section as read — the file's
+// fileSection is a paged table's snapshot section as read — the file's
 // pages and record count, and the directory's (id, record) pairs — for
-// Open to check against the pages.
-type FileSection struct {
+// openFile to check against the pages.
+type fileSection struct {
 	pages []store.PageID
 	rows  int
 	dir   [][2]uint32
 }
 
-// EncodeFile writes the paged table's snapshot section: the file's
+// encodeFile writes the paged table's snapshot section: the file's
 // pages, its record count, and the directory, every indexed id with its
 // record, ids ascending. The records themselves are in the pager's
 // volume image.
-func (t *Table) EncodeFile(w *persist.Writer) {
+func (t *Table) encodeFile(w *persist.Writer) {
 	w.PageIDs(t.file.PageIDs())
 	w.U32(uint32(t.file.Rows()))
 	dir := t.directory()
@@ -190,10 +190,10 @@ func (t *Table) directory() [][2]uint32 {
 	return dir
 }
 
-// DecodeFile reads the section EncodeFile writes; the reader's error
+// decodeFile reads the section encodeFile writes; the reader's error
 // reports a short one.
-func DecodeFile(r *persist.Reader) FileSection {
-	sec := FileSection{pages: r.PageIDs(), rows: int(r.U32())}
+func decodeFile(r *persist.Reader) fileSection {
+	sec := fileSection{pages: r.PageIDs(), rows: int(r.U32())}
 	n := r.Count(8)
 	for i := 0; i < n && r.Err() == nil; i++ {
 		sec.dir = append(sec.dir, [2]uint32{r.U32(), r.U32()})
@@ -201,7 +201,7 @@ func DecodeFile(r *persist.Reader) FileSection {
 	return sec
 }
 
-// Open restores the empty paged table's rows from its snapshot section,
+// openFile restores the empty paged table's rows from its snapshot section,
 // rebuilding the directory and the per-row layout's pool from the
 // records in storage order — pool(p) is the stored value of pivot p, nil
 // when there is none. It rejects what would panic or corrupt a later
@@ -209,7 +209,7 @@ func DecodeFile(r *persist.Reader) FileSection {
 // (store.RowFile.Restore), live record ids outside the dataset or stored
 // twice, pivots without a stored value, and a directory that disagrees
 // with the records.
-func (t *Table) Open(sec FileSection, pool func(p int32) core.Object) error {
+func (t *Table) openFile(sec fileSection, pool func(p int32) core.Object) error {
 	if err := t.file.Restore(sec.pages, sec.rows); err != nil {
 		return fmt.Errorf("%s: %w", t.name, err)
 	}
@@ -234,7 +234,7 @@ func (t *Table) Open(sec FileSection, pool func(p int32) core.Object) error {
 			if v == nil {
 				return fmt.Errorf("%s: record %d cites pivot %d, which has no stored value", t.name, row, p)
 			}
-			t.PivotRef(p, v)
+			t.pivotRef(p, v)
 		}
 		return nil
 	}); err != nil {

@@ -11,10 +11,11 @@ import (
 )
 
 // Snapshot payload encodings for the table family (spec:
-// docs/PERSISTENCE.md §LAESA, §CPT, §Omni, §AESA). LAESA's and CPT's
-// payloads begin with a u16 family version, then CPT's pager volume
-// image and clustering M-tree handle state; then the shared table block.
-// Omni-seq's is the Omni base section, then the paged table's section.
+// docs/PERSISTENCE.md §LAESA, §CPT, §Omni, §EPT, §AESA). LAESA's and
+// CPT's payloads begin with a u16 family version, then CPT's pager
+// volume image and clustering M-tree handle state; then the shared table
+// block. Omni-seq's is the Omni base section, then the paged table's
+// section. The per-row families' are in ept.go.
 //
 // LAESA and CPT version history:
 //   - 1: distance table row-major (dists[row*l+i]).
@@ -28,7 +29,7 @@ const (
 )
 
 func init() {
-	for _, kind := range []string{"LAESA", "CPT", "Omni-seq"} {
+	for _, kind := range []string{"LAESA", "EPT", "EPT*", "CPT", "Omni-seq", "DiskEPT*"} {
 		persist.Register(kind, func(ds *core.Dataset, r *persist.Reader) (core.Index, *store.Pager, error) {
 			return loadIndex(kind, ds, r)
 		})
@@ -38,9 +39,14 @@ func init() {
 
 // EncodeSnapshot writes the family's payload.
 func (t *Index) EncodeSnapshot(w *persist.Writer) error {
-	if t.omni.RAF != nil {
-		persist.EncodeOmni(w, t.omni)
-		t.tab.EncodeFile(w)
+	switch t.kind {
+	case "EPT", "EPT*":
+		return t.encodeEPT(w)
+	case "DiskEPT*":
+		return t.encodeDiskEPT(w)
+	case "Omni-seq":
+		persist.EncodeOmni(w, persist.Omni{Pager: t.pager, RAF: t.raf, PivotIDs: t.tab.pivotIDs, Pivots: t.tab.pivots})
+		t.tab.encodeFile(w)
 		return nil
 	}
 	w.U16(tableFormatVersion)
@@ -56,18 +62,23 @@ func (t *Index) EncodeSnapshot(w *persist.Writer) error {
 
 // loadIndex reads the payload of kind.
 func loadIndex(kind string, ds *core.Dataset, r *persist.Reader) (core.Index, *store.Pager, error) {
-	if kind == "Omni-seq" {
+	switch kind {
+	case "EPT", "EPT*":
+		return loadEPT(ds, r)
+	case "DiskEPT*":
+		return loadDiskEPT(ds, r)
+	case "Omni-seq":
 		b, err := persist.DecodeOmni(ds, r)
 		if err != nil {
 			return nil, nil, err
 		}
-		sec := DecodeFile(r)
+		sec := decodeFile(r)
 		if err := r.Err(); err != nil {
 			return nil, nil, err
 		}
 		t, err := newOmniSeq(ds, b)
 		if err == nil {
-			err = t.tab.Open(sec, nil)
+			err = t.tab.openFile(sec, nil)
 		}
 		if err != nil {
 			return nil, nil, err

@@ -1,10 +1,9 @@
 // Package table implements the pivot-based table indexes: AESA (the
-// O(n²) theoretical baseline of §3.1); LAESA (§3.1), CPT (§3.3) and the
-// Omni-sequential-file (§5.2), the three shared-pivot families of one
-// handle, Index; and Table, the one pivot table — row state, update
-// path, staged scan and codec — that those three, EPT/EPT*
-// (internal/ept) and, with its rows on disk pages, Omni-seq and
-// DiskEPT* all share.
+// O(n²) theoretical baseline of §3.1); the six families of one handle,
+// Index — LAESA (§3.1), EPT and EPT* (§3.2), CPT (§3.3), the
+// Omni-sequential-file (§5.2) and DiskEPT* (§7); and Table, the one
+// pivot table — row state, update path, staged scan and codec — they
+// all share, Omni-seq and DiskEPT* with its rows on disk pages.
 package table
 
 import (
@@ -134,10 +133,10 @@ func Build(name string, ds *core.Dataset, pivots []int, workers int, load func(i
 	return t, nil
 }
 
-// NewRefs returns an empty table in the per-row layout of EPT: l pivot
-// slots per row, each naming its pivot by index into the pool PivotRef
+// newRefs returns an empty table in the per-row layout of EPT: l pivot
+// slots per row, each naming its pivot by index into the pool pivotRef
 // grows.
-func NewRefs(name string, ds *core.Dataset, l int) *Table {
+func newRefs(name string, ds *core.Dataset, l int) *Table {
 	t := newTable(name, ds, nil)
 	t.cols = make([][]float64, l)
 	t.refs = make([][]int32, l)
@@ -288,10 +287,10 @@ func (t *Table) Row(id int) int {
 	return int(t.dir[id])
 }
 
-// PivotRef returns the index rows refer to pivot p (a dataset id) by,
+// pivotRef returns the index rows refer to pivot p (a dataset id) by,
 // admitting p with its value v to the per-row layout's pool on first
 // reference.
-func (t *Table) PivotRef(p int32, v core.Object) int32 {
+func (t *Table) pivotRef(p int32, v core.Object) int32 {
 	if i, ok := t.poolOf[p]; ok {
 		return i
 	}
@@ -304,9 +303,9 @@ func (t *Table) PivotRef(p int32, v core.Object) int32 {
 // PoolIDs returns the dataset ids of the per-row layout's pool, by index.
 func (t *Table) PoolIDs() []int32 { return t.poolIDs }
 
-// Insertable returns the dataset object a new row for id would index, or
+// insertable returns the dataset object a new row for id would index, or
 // the reason there cannot be one.
-func (t *Table) Insertable(id int) (core.Object, error) {
+func (t *Table) insertable(id int) (core.Object, error) {
 	if t.Row(id) >= 0 {
 		return nil, fmt.Errorf("%s: duplicate insert of %d", t.name, id)
 	}
@@ -315,21 +314,6 @@ func (t *Table) Insertable(id int) (core.Object, error) {
 		return nil, fmt.Errorf("%s: insert of deleted or out-of-range id %d", t.name, id)
 	}
 	return o, nil
-}
-
-// Insert adds a shared-layout row for the dataset object id, computing
-// its pivot distances through the batch kernel (one DistanceMany).
-func (t *Table) Insert(id int) error {
-	o, err := t.Insertable(id)
-	if err != nil {
-		return err
-	}
-	sc := t.scratch.Get()
-	qd := sc.GrowQD(len(t.pivots))
-	t.ds.Space().DistanceMany(o, t.pivots, qd)
-	err = t.Append(id, o, nil, qd)
-	t.scratch.Put(sc)
-	return err
 }
 
 // Append is the one way a row enters the table: directory, id, every

@@ -21,6 +21,16 @@ import (
 // 0..9, a score float in [0, 100), and a sparse "hot" tag (~25%).
 func AttachTestAttrs(tb testing.TB, ds *core.Dataset, seed int64) {
 	tb.Helper()
+	attachTestAttrs(tb, ds, seed, nil)
+}
+
+// attachTestAttrs is AttachTestAttrs on a dataset idx is built over:
+// when idx keeps a copy of the attribute cells (RefreshAttrs), it is
+// shown each write right after it, as epoch.Live does, so the copy
+// stays in step.
+func attachTestAttrs(tb testing.TB, ds *core.Dataset, seed int64, idx core.Index) {
+	tb.Helper()
+	refresher, _ := idx.(interface{ RefreshAttrs(id int) })
 	rng := rand.New(rand.NewSource(seed))
 	for _, id := range ds.LiveIDs() {
 		a := core.Attrs{
@@ -40,6 +50,9 @@ func AttachTestAttrs(tb testing.TB, ds *core.Dataset, seed int64) {
 		}
 		if err := ds.SetAttrs(id, a); err != nil {
 			tb.Fatalf("SetAttrs(%d): %v", id, err)
+		}
+		if refresher != nil {
+			refresher.RefreshAttrs(id)
 		}
 	}
 }
@@ -74,12 +87,15 @@ func FilterPredicates() []string {
 //	(b) the planner's own choice over a histogram fed from the same
 //	    bags agrees too, whatever strategy it picked.
 //
-// The index must already be built over ed.DS; attrs never change the
-// metric, so attaching them after the build is sound.
+// The index must already be built over ed.DS. Attrs never change the
+// metric, so attaching them after the build leaves its rows valid; an
+// index that copies the cells (RefreshAttrs) is refreshed after every
+// write, so its probe reads the copy rather than falling back to the
+// per-id test.
 func CheckFilterEquivalence(t *testing.T, ed EquivDataset, idx core.Index) {
 	t.Helper()
 	ds := ed.DS
-	AttachTestAttrs(t, ds, 42)
+	attachTestAttrs(t, ds, 42, idx)
 	stats := plan.NewStats()
 	for _, id := range ds.LiveIDs() {
 		stats.Observe(ds.Attrs(id))
