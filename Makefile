@@ -50,7 +50,7 @@ RACE_PKGS = ./internal/exec/... ./internal/epoch/... ./internal/server/... \
 EXAMPLES = ./examples/quickstart ./examples/wordsearch ./examples/geosearch \
            ./examples/imagesearch ./examples/cachedsearch
 
-.PHONY: all build cross benchmark-build benchmark-test test race fuzz bench bench-plan bench-sweep bench-spb \
+.PHONY: all build cross benchmark-build benchmark-test test race fuzz bench bench-plan bench-sweep bench-spb bench-color \
         staticcheck govulncheck lint fmt vet examples loc ci
 
 all: build
@@ -123,6 +123,13 @@ bench-sweep:
 bench-spb:
 	$(GO) test -bench=BenchmarkSPBSearch -benchtime=1x -run=^$$ ./internal/spb
 
+# LAESA's kNN and range queries at table-color's shape
+# (BenchmarkLAESAColor: 282-D L1 rows behind the narrowed mirror, with
+# compdists/op), once so it keeps compiling and running; raise
+# -benchtime to measure.
+bench-color:
+	$(GO) test -bench=BenchmarkLAESAColor -benchtime=1x -run=^$$ ./internal/table
+
 staticcheck:
 	$(GO) run honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION) ./...
 
@@ -180,4 +187,4 @@ loc:
 # offline run can cherry-pick the other targets individually — lint
 # itself is pure stdlib). Performance numbers come from benchmark/
 # (BENCHMARK.json), not from this target; `bench` is a does-it-run check.
-ci: build cross benchmark-build vet fmt lint staticcheck govulncheck test benchmark-test race fuzz examples bench bench-plan bench-sweep bench-spb
+ci: build cross benchmark-build vet fmt lint staticcheck govulncheck test benchmark-test race fuzz examples bench bench-plan bench-sweep bench-spb bench-color

@@ -68,9 +68,7 @@ type float interface{ float32 | float64 }
 
 // l1Kernel is the shared Manhattan kernel: 4 independent accumulators so
 // the compiler can keep the adds in flight, over fixed-length windows of
-// the rows so no element access is bounds-checked. The rows share one
-// width, except in the widening kernel (X float64, Y float32) that
-// narrowed mirror rows are filtered with.
+// the rows so no element access is bounds-checked.
 //
 // Every stopStride coordinates it merges the accumulators as the final
 // sum does and returns that partial once it exceeds stop. Every term is
@@ -80,12 +78,11 @@ type float interface{ float32 | float64 }
 // row. A result not above stop is the full sum, bit for bit; stop = +Inf
 // never stops.
 //
-// Float64 rows reach it through l1Kernel64 and the widening kernel
-// through l1Widen, which on amd64 run the SSE2 bodies of kernels_amd64.s
-// instead: the same sums, bit for bit.
+// Float64 rows reach it through l1Kernel64, which on amd64 runs the
+// SSE2 body of kernels_amd64.s instead: the same sums, bit for bit.
 //
 //metriclint:noalloc
-func l1Kernel[X, Y float](x []X, y []Y, stop float64) float64 {
+func l1Kernel[T float](x, y []T, stop float64) float64 {
 	y = y[:len(x)]
 	var s0, s1, s2, s3 float64
 	for len(x) >= stopStride {
@@ -273,6 +270,39 @@ func absInt32(d int32) int32 {
 	return d
 }
 
+// sadGo is the sum of absolute differences of two byte rows, the grid
+// distance of a coded mirror's filter (FlatVecs.Rejects): exact in
+// integers, 4 lanes over fixed-length windows so no element access is
+// bounds-checked. On amd64 sad runs the PSADBW body of kernels_amd64.s
+// over the rows' 16-byte groups and this body over the rest.
+//
+//metriclint:noalloc
+func sadGo(x, y []uint8) uint64 {
+	y = y[:len(x)]
+	var s0, s1, s2, s3 uint64
+	for len(x) >= 4 {
+		xw, yw := x[:4:4], y[:4:4]
+		s0 += absDiff8(xw[0], yw[0])
+		s1 += absDiff8(xw[1], yw[1])
+		s2 += absDiff8(xw[2], yw[2])
+		s3 += absDiff8(xw[3], yw[3])
+		x, y = x[4:], y[4:]
+	}
+	y = y[:len(x)]
+	for i := range x {
+		s0 += absDiff8(x[i], y[i])
+	}
+	return s0 + s1 + s2 + s3
+}
+
+//metriclint:noalloc
+func absDiff8(a, b uint8) uint64 {
+	if a < b {
+		return uint64(b - a)
+	}
+	return uint64(a - b)
+}
+
 // DistanceMany implements BatchMetric for L1: pair by pair through
 // Distance, so float64 rows run l1Kernel64 like every other float64 L1
 // call.
@@ -385,17 +415,9 @@ func vecKernel[T float](m Metric, x, y []T) float64 {
 // Bound(r) as the stop and rejects a pre-distance above it — one
 // threshold decides both where the kernel stops and which candidates are
 // kept — and compares the Finish of the rest with r exactly.
-//
-// Narrow, nil for most metrics, is the widening kernel of a narrowed
-// mirror (FlatVecs): the pre-distance of a float64 query against a row
-// rounded to float32, with Pre64's stop contract. It is set where moving
-// the row's coordinates by e_i moves the pre-distance by at most Σe_i —
-// L1 here — so the float32 row's pre-distance less that sum bounds the
-// float64 row's from below.
 type PreKernel struct {
 	Pre64  func(q, o []float64, stop float64) float64
 	Pre32  func(q, o []float32, stop float64) float64
-	Narrow func(q []float64, o []float32, stop float64) float64
 	Bound  func(r float64) float64
 	Finish func(pre float64) float64
 }
@@ -434,7 +456,7 @@ func finishSqrt(pre float64) float64 { return math.Sqrt(pre) }
 func PreKernelFor(m Metric) (PreKernel, bool) {
 	switch m.(type) {
 	case L1:
-		return PreKernel{Pre64: l1Kernel64, Pre32: l1Kernel[float32, float32], Narrow: l1Widen, Bound: boundIdentity, Finish: finishIdentity}, true
+		return PreKernel{Pre64: l1Kernel64, Pre32: l1Kernel[float32], Bound: boundIdentity, Finish: finishIdentity}, true
 	case L2:
 		return PreKernel{Pre64: l2SqKernel[float64], Pre32: l2SqKernel[float32], Bound: boundSq, Finish: finishSqrt}, true
 	case LInf, IntLInf:

@@ -16,20 +16,27 @@ func l1Kernel64(x, y []float64, stop float64) float64 {
 //go:noescape
 func l1SSE2(x, y []float64, stop float64) float64
 
-// l1Widen is l1Kernel over a float64 query and a float32 row — the
-// narrowed mirror's filter — run by the SSE2 body in kernels_amd64.s
-// (CVTPS2PD, then l1SSE2's arithmetic): bit for bit l1Kernel[float64,
-// float32], stop contract included.
+// sad is sadGo's sum, the PSADBW body in kernels_amd64.s running the
+// rows' 16-byte groups and the Go body the tail of fewer than 16 bytes.
+// A coded mirror's rows and query are padded to 16 bytes, so the tail is
+// empty there.
 //
 //metriclint:noalloc
-func l1Widen(x []float64, y []float32, stop float64) float64 {
-	return l1WidenSSE2(x, y[:len(x)], stop)
+func sad(x, y []uint8) uint64 {
+	y = y[:len(x)]
+	n := len(x) &^ 15
+	s := sadGo(x[n:], y[n:])
+	if n > 0 {
+		s += sadSSE2(x[:n], y[:n])
+	}
+	return s
 }
 
-// l1WidenSSE2 is l1Widen's body; len(y) must be len(x).
+// sadSSE2 is sad's body over a positive multiple of 16 bytes; len(y)
+// must be len(x).
 //
 //go:noescape
-func l1WidenSSE2(x []float64, y []float32, stop float64) float64
+func sadSSE2(x, y []uint8) uint64
 
 // keepMask is one column's Lemma 1 bitmap over at most 64 rows, bit for
 // bit keepMaskGo: the SSE2 body in kernels_amd64.s runs the rows in

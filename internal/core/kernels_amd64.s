@@ -19,34 +19,21 @@
 // too: the accumulator in the 32-wide windows and the tail, the new term
 // in the groups of 4, (s0+s1) in the window's merge and (s2+s3) in the
 // final one. TestL1KernelAsmMatchesGeneric and FuzzWithinKernels hold
-// this body to l1Kernel[float64, float64], and the widening one below to
-// l1Kernel[float64, float32].
+// this body to l1Kernel[float64].
 
-// Both L1 bodies are L1BODY: l1SSE2 over a float64 row y, and
-// l1WidenSSE2 (l1Widen in kernels_amd64.go) over a float32 row y, which
-// LOADY widens exactly, as float64(y[i]) does. Lanes, merges, stop
-// checks and the destination of every add are the same in both; only
-// y's loads and strides differ.
-//
-//   - LOADY loads two of y's coordinates into a float64 lane pair
-//     (MOVUPD, or CVTPS2PD from a float32 row) and LOADY1 one (MOVSD,
-//     or CVTSS2SD);
-//   - YB is the byte width of one y coordinate (8 or 4), so y's offsets
-//     and strides are x's scaled by YB/8.
-
-// L1PAIR adds |x-y| of the two coordinates at x offset off into the
-// lane pair acc, the accumulator taking the sum.
-#define L1PAIR(LOADY, YB, off, acc) \
+// L1PAIR adds |x-y| of the two coordinates at offset off into the lane
+// pair acc, the accumulator taking the sum.
+#define L1PAIR(off, acc) \
 	MOVUPD	off(SI), X2 \
-	LOADY	((off)*YB/8)(DI), X3 \
+	MOVUPD	off(DI), X3 \
 	SUBPD	X3, X2 \
 	ANDPD	X6, X2 \
 	ADDPD	X2, acc
 
 // L1WINDOW4 is one group of 4 coordinates of a 32-wide window.
-#define L1WINDOW4(LOADY, YB, off) \
-	L1PAIR(LOADY, YB, off, X0) \
-	L1PAIR(LOADY, YB, off+16, X1)
+#define L1WINDOW4(off) \
+	L1PAIR(off, X0) \
+	L1PAIR(off+16, X1)
 
 // L1MERGE leaves s0+s1 in X2 and s2+s3 in X4, each sum taking the
 // first-named lane as its destination.
@@ -60,88 +47,136 @@
 	UNPCKHPD	X5, X5 \
 	ADDSD	X5, X4
 
-// L1BODY is a whole L1 body; both functions share its frame layout
-// (x+0, y+24, stop+48, ret+56).
-#define L1BODY(LOADY, LOADY1, YB) \
-	MOVQ	x_base+0(FP), SI \
-	MOVQ	x_len+8(FP), CX \
-	MOVQ	y_base+24(FP), DI \
-	MOVSD	stop+48(FP), X7 \
-	MOVQ	$0x7FFFFFFFFFFFFFFF, AX \
-	MOVQ	AX, X6 \
-	PUNPCKLQDQ	X6, X6 \
-	XORPD	X0, X0 \
-	XORPD	X1, X1 \
-	CMPQ	CX, $32 \
-	JLT	groups \
-window: \
-	L1WINDOW4(LOADY, YB, 0) \
-	L1WINDOW4(LOADY, YB, 32) \
-	L1WINDOW4(LOADY, YB, 64) \
-	L1WINDOW4(LOADY, YB, 96) \
-	L1WINDOW4(LOADY, YB, 128) \
-	L1WINDOW4(LOADY, YB, 160) \
-	L1WINDOW4(LOADY, YB, 192) \
-	L1WINDOW4(LOADY, YB, 224) \
-	ADDQ	$256, SI \
-	ADDQ	$(32*YB), DI \
-	SUBQ	$32, CX \
-	L1MERGE \
-	ADDSD	X4, X2 \
-	UCOMISD	X7, X2 \
-	JHI	stopped \
-	CMPQ	CX, $32 \
-	JGE	window \
-groups: \
-	CMPQ	CX, $4 \
-	JLT	tail \
-group: \
-	MOVUPD	(SI), X2 \
-	LOADY	(DI), X3 \
-	SUBPD	X3, X2 \
-	ANDPD	X6, X2 \
-	ADDPD	X0, X2 \
-	MOVAPD	X2, X0 \
-	MOVUPD	16(SI), X4 \
-	LOADY	(2*YB)(DI), X5 \
-	SUBPD	X5, X4 \
-	ANDPD	X6, X4 \
-	ADDPD	X1, X4 \
-	MOVAPD	X4, X1 \
-	ADDQ	$32, SI \
-	ADDQ	$(4*YB), DI \
-	SUBQ	$4, CX \
-	CMPQ	CX, $4 \
-	JGE	group \
-tail: \
-	TESTQ	CX, CX \
-	JEQ	done \
-tailloop: \
-	MOVSD	(SI), X2 \
-	LOADY1	(DI), X3 \
-	SUBSD	X3, X2 \
-	ANDPD	X6, X2 \
-	ADDSD	X2, X0 \
-	ADDQ	$8, SI \
-	ADDQ	$YB, DI \
-	DECQ	CX \
-	JNZ	tailloop \
-done: \
-	L1MERGE \
-	ADDSD	X2, X4 \
-	MOVSD	X4, ret+56(FP) \
-	RET \
-stopped: \
-	MOVSD	X2, ret+56(FP) \
-	RET
-
 // func l1SSE2(x, y []float64, stop float64) float64
 TEXT ·l1SSE2(SB), NOSPLIT, $0-64
-	L1BODY(MOVUPD, MOVSD, 8)
+	MOVQ	x_base+0(FP), SI
+	MOVQ	x_len+8(FP), CX
+	MOVQ	y_base+24(FP), DI
+	MOVSD	stop+48(FP), X7
+	MOVQ	$0x7FFFFFFFFFFFFFFF, AX
+	MOVQ	AX, X6
+	PUNPCKLQDQ	X6, X6
+	XORPD	X0, X0
+	XORPD	X1, X1
+	CMPQ	CX, $32
+	JLT	groups
 
-// func l1WidenSSE2(x []float64, y []float32, stop float64) float64
-TEXT ·l1WidenSSE2(SB), NOSPLIT, $0-64
-	L1BODY(CVTPS2PD, CVTSS2SD, 4)
+window:
+	L1WINDOW4(0)
+	L1WINDOW4(32)
+	L1WINDOW4(64)
+	L1WINDOW4(96)
+	L1WINDOW4(128)
+	L1WINDOW4(160)
+	L1WINDOW4(192)
+	L1WINDOW4(224)
+	ADDQ	$256, SI
+	ADDQ	$256, DI
+	SUBQ	$32, CX
+	L1MERGE
+	ADDSD	X4, X2
+	UCOMISD	X7, X2
+	JHI	stopped
+	CMPQ	CX, $32
+	JGE	window
+
+groups:
+	CMPQ	CX, $4
+	JLT	tail
+
+group:
+	MOVUPD	(SI), X2
+	MOVUPD	(DI), X3
+	SUBPD	X3, X2
+	ANDPD	X6, X2
+	ADDPD	X0, X2
+	MOVAPD	X2, X0
+	MOVUPD	16(SI), X4
+	MOVUPD	16(DI), X5
+	SUBPD	X5, X4
+	ANDPD	X6, X4
+	ADDPD	X1, X4
+	MOVAPD	X4, X1
+	ADDQ	$32, SI
+	ADDQ	$32, DI
+	SUBQ	$4, CX
+	CMPQ	CX, $4
+	JGE	group
+
+tail:
+	TESTQ	CX, CX
+	JEQ	done
+
+tailloop:
+	MOVSD	(SI), X2
+	MOVSD	(DI), X3
+	SUBSD	X3, X2
+	ANDPD	X6, X2
+	ADDSD	X2, X0
+	ADDQ	$8, SI
+	ADDQ	$8, DI
+	DECQ	CX
+	JNZ	tailloop
+
+done:
+	L1MERGE
+	ADDSD	X2, X4
+	MOVSD	X4, ret+56(FP)
+	RET
+
+stopped:
+	MOVSD	X2, ret+56(FP)
+	RET
+
+// func sadSSE2(x, y []uint8) uint64
+//
+// The sum of |x[i]-y[i]| over bytes, len(x) a positive multiple of 16
+// (docs/KERNELS.md "The coded mirror"). PSADBW sums the absolute
+// differences of each 8-byte half of two registers into the low 16 bits
+// of that half's quadword, exactly; PADDQ adds them into two
+// accumulators (X0 for even groups of 16, X4 for odd ones), whose four
+// quadwords are summed at the end. A sum never exceeds 255 per byte, so
+// no lane can overflow.
+TEXT ·sadSSE2(SB), NOSPLIT, $0-56
+	MOVQ	x_base+0(FP), SI
+	MOVQ	x_len+8(FP), CX
+	MOVQ	y_base+24(FP), DI
+	PXOR	X0, X0
+	PXOR	X4, X4
+	CMPQ	CX, $32
+	JLT	single
+
+pair:
+	MOVOU	(SI), X1
+	MOVOU	(DI), X2
+	PSADBW	X2, X1
+	PADDQ	X1, X0
+	MOVOU	16(SI), X3
+	MOVOU	16(DI), X5
+	PSADBW	X5, X3
+	PADDQ	X3, X4
+	ADDQ	$32, SI
+	ADDQ	$32, DI
+	SUBQ	$32, CX
+	CMPQ	CX, $32
+	JGE	pair
+
+single:
+	TESTQ	CX, CX
+	JEQ	sum
+	MOVOU	(SI), X1
+	MOVOU	(DI), X2
+	PSADBW	X2, X1
+	PADDQ	X1, X0
+
+sum:
+	PADDQ	X4, X0
+	MOVQ	X0, AX
+	PSHUFD	$0x4E, X0, X0
+	MOVQ	X0, BX
+	ADDQ	BX, AX
+	MOVQ	AX, ret+48(FP)
+	RET
 
 // The two column passes of the pivot table's scan, SSE2 too, both exact
 // by the operand rules of the packed instructions (docs/KERNELS.md

@@ -155,13 +155,14 @@ func sinkFloats(b *testing.B, out []float64) {
 // cold (50 000 rows visited in a permuted order, as a table's verified
 // candidates are), at stop = +Inf — a full distance — and at a stop half
 // the mean distance, which a uniform row passes about mid-row; each for
-// the generic body, for l1Kernel64, the body float64 rows run, and for
-// l1Widen, the narrowed mirror's filter over the rows rounded to
-// float32.
+// the generic body and for l1Kernel64, the body float64 rows run. The
+// "sad" body is the narrowed mirror's filter over the same rows coded
+// on their grid: sad over the 288-byte padded codes, which reads the
+// whole row whatever the stop.
 func BenchmarkL1Within(b *testing.B) {
 	const dim = 282
 	rng := rand.New(rand.NewSource(42))
-	q := make([]float64, dim)
+	q := make(Vector, dim)
 	for d := range q {
 		q[d] = rng.Float64() * 100
 	}
@@ -173,10 +174,12 @@ func BenchmarkL1Within(b *testing.B) {
 		for i := range flat {
 			flat[i] = rng.Float64() * 100
 		}
-		flat32 := make([]float32, len(flat))
-		for i, x := range flat {
-			flat32[i] = float32(x)
+		f := NewFlatVecs(L1{}, []Object{q})
+		for row := 0; row < set.rows; row++ {
+			f.Append(Vector(flat[row*dim : (row+1)*dim]))
 		}
+		var sc Scratch
+		qc, _, _ := f.Code(q, &sc)
 		order := rng.Perm(set.rows)
 		var mean float64
 		for row := 0; row < set.rows; row++ {
@@ -192,7 +195,9 @@ func BenchmarkL1Within(b *testing.B) {
 			}{
 				{"generic", func(row int, stop float64) float64 { return l1Kernel(q, flat[row*dim:(row+1)*dim], stop) }},
 				{"l1Kernel64", func(row int, stop float64) float64 { return l1Kernel64(q, flat[row*dim:(row+1)*dim], stop) }},
-				{"l1Widen", func(row int, stop float64) float64 { return l1Widen(q, flat32[row*dim:(row+1)*dim], stop) }},
+				{"sad", func(row int, _ float64) float64 {
+					return float64(sad(qc, f.codes[row*f.rowBytes:(row+1)*f.rowBytes]))
+				}},
 			} {
 				b.Run(set.name+"/"+st.name+"/"+body.name, func(b *testing.B) {
 					var s float64

@@ -12,12 +12,12 @@ func l1Kernel64(x, y []float64, stop float64) float64 {
 	return l1Kernel(x, y, stop)
 }
 
-// l1Widen is l1Kernel over a float64 query and a float32 row; off amd64
-// it is the generic body itself.
+// sad is the sum of absolute differences of two byte rows; off amd64 it
+// is the Go body itself.
 //
 //metriclint:noalloc
-func l1Widen(x []float64, y []float32, stop float64) float64 {
-	return l1Kernel(x, y, stop)
+func sad(x, y []uint8) uint64 {
+	return sadGo(x, y)
 }
 
 // keepMask is one column's Lemma 1 bitmap over at most 64 rows; off

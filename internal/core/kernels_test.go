@@ -292,11 +292,11 @@ func FuzzBatchKernels(f *testing.F) {
 // a full result above stop, or come from a NaN one. The row "L1asm" is
 // l1Kernel64, the float64 L1 body of every float64 L1 call (assembly on
 // amd64; its float32 twin is the L1 row's): besides the contract, each
-// of its results must be l1Kernel[float64, float64]'s bit for bit, up to
-// a NaN's payload (sameValue). The row "L1widen" is l1Widen, the
-// narrowed mirror's filter (assembly on amd64), with the second row
-// rounded to float32: it keeps the contract and matches
-// l1Kernel[float64, float32] the same way.
+// of its results must be l1Kernel[float64]'s bit for bit, up to
+// a NaN's payload (sameValue). The row "SAD" is sad, the narrowed
+// mirror's filter (PSADBW on amd64), over the raw bytes cut into two
+// rows of up to dim bytes each: it must match sadGo and the plain sum
+// of absolute differences.
 func FuzzWithinKernels(f *testing.F) {
 	f.Add([]byte{}, uint8(33), int64(1), math.Float64bits(100))
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0xF8, 0x7F}, uint8(64), int64(2), math.Float64bits(math.Inf(1)))
@@ -308,22 +308,11 @@ func FuzzWithinKernels(f *testing.F) {
 		k32   func(x, y []float32, stop float64) float64
 		ref64 func(x, y []float64, stop float64) float64 // non-nil: k64 must match it
 	}
-	// widened runs a widening kernel on y rounded to float32.
-	widened := func(k func(x []float64, y []float32, stop float64) float64) func(x, y []float64, stop float64) float64 {
-		return func(x, y []float64, stop float64) float64 {
-			y32 := make([]float32, len(y))
-			for i, v := range y {
-				y32[i] = float32(v)
-			}
-			return k(x, y32, stop)
-		}
-	}
 	kernels := []kernel{
-		{"L1", l1Kernel[float64, float64], l1Kernel[float32, float32], nil},
+		{"L1", l1Kernel[float64], l1Kernel[float32], nil},
 		{"L2sq", l2SqKernel[float64], l2SqKernel[float32], nil},
 		{"Linf", linfKernel[float64], linfKernel[float32], nil},
-		{"L1asm", l1Kernel64, l1Kernel[float32, float32], l1Kernel[float64, float64]},
-		{"L1widen", widened(l1Widen), l1Kernel[float32, float32], widened(l1Kernel[float64, float32])},
+		{"L1asm", l1Kernel64, l1Kernel[float32], l1Kernel[float64]},
 	}
 	f.Fuzz(func(t *testing.T, raw []byte, dim uint8, seed int64, stopBits uint64) {
 		n := int(dim) % 101
@@ -375,7 +364,59 @@ func FuzzWithinKernels(f *testing.F) {
 				}
 			}
 		}
+		m := min(2*n, len(raw)) / 2
+		x8, y8 := raw[:m], raw[m:2*m]
+		if got, gen, want := sad(x8, y8), sadGo(x8, y8), sadRef(x8, y8); got != want || gen != want {
+			t.Fatalf("SAD over %d bytes: sad %d, sadGo %d, the plain sum %d", m, got, gen, want)
+		}
 	})
+}
+
+// sadRef is the plain sum of |x[i] − y[i]| over two byte rows.
+func sadRef(x, y []uint8) uint64 {
+	var s uint64
+	for i := range x {
+		s += uint64(max(x[i], y[i]) - min(x[i], y[i]))
+	}
+	return s
+}
+
+// TestSADAsmMatchesGeneric holds sad — the narrowed mirror's filter,
+// the PSADBW body over the 16-byte groups on amd64 — and sadGo to the
+// plain sum at every length 0–300, so each 16- and 32-byte step and
+// every tail is crossed, on rows of uniform random bytes, of 0s against
+// 255s (the largest sum a byte lane holds), and of every byte value
+// against every other: row x holds 0…255 and y each of its 256
+// rotations.
+func TestSADAsmMatchesGeneric(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	check := func(what string, x, y []uint8) {
+		t.Helper()
+		if got, gen, want := sad(x, y), sadGo(x, y), sadRef(x, y); got != want || gen != want {
+			t.Fatalf("%s, %d bytes: sad %d, sadGo %d, the plain sum %d", what, len(x), got, gen, want)
+		}
+	}
+	for n := 0; n <= 300; n++ {
+		x, y := make([]uint8, n), make([]uint8, n)
+		for i := range x {
+			x[i], y[i] = uint8(rng.Intn(256)), uint8(rng.Intn(256))
+		}
+		check("random", x, y)
+		for i := range x {
+			x[i], y[i] = 0, 255
+		}
+		check("0 against 255", x, y)
+		check("255 against 0", y, x)
+	}
+	all := make([]uint8, 256)
+	for i := range all {
+		all[i] = uint8(i)
+	}
+	for r := range all {
+		rot := append(slices.Clone(all[r:]), all[:r]...)
+		check("every byte pair", all, rot)
+		check("every byte pair, at an odd offset", all[1:], rot[:255])
+	}
 }
 
 // specialFloat draws a finite value of either sign, except one draw in
@@ -400,9 +441,7 @@ func specialFloat(rng *rand.Rand, special int) float64 {
 
 // TestL1KernelAsmMatchesGeneric holds l1Kernel64 — the float64 L1 body
 // every float64 L1 call site runs, in assembly on amd64 — to
-// l1Kernel[float64, float64], and l1Widen — the narrowed mirror's
-// filter, a float64 query against y rounded to float32 — to
-// l1Kernel[float64, float32], bit for bit (under -race up to a NaN's
+// l1Kernel[float64], bit for bit (under -race up to a NaN's
 // payload, see sameValue): every dim 0–300, so every 4-wide group
 // and 32-wide window boundary is crossed; coordinates mixing finite
 // values with NaNs of random payload and both signs (quiet and
@@ -425,32 +464,16 @@ func TestL1KernelAsmMatchesGeneric(t *testing.T) {
 			for i := range x {
 				x[i], y[i] = coord(special), coord(special)
 			}
-			y32 := make([]float32, dim)
-			for i, v := range y {
-				y32[i] = float32(v)
+			full := l1Kernel(x, y, math.Inf(1))
+			stops := []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1, 0, full, full / 2}
+			for end := stopStride; end <= dim; end += stopStride {
+				p := l1Kernel(x[:end], y[:end], math.Inf(1))
+				stops = append(stops, p, math.Nextafter(p, math.Inf(-1)), math.Nextafter(p, math.Inf(1)))
 			}
-			for _, body := range []struct {
-				name         string
-				asm, generic func(end int, stop float64) float64
-			}{
-				{"l1Kernel64",
-					func(end int, stop float64) float64 { return l1Kernel64(x[:end], y[:end], stop) },
-					func(end int, stop float64) float64 { return l1Kernel(x[:end], y[:end], stop) }},
-				{"l1Widen",
-					func(end int, stop float64) float64 { return l1Widen(x[:end], y32[:end], stop) },
-					func(end int, stop float64) float64 { return l1Kernel(x[:end], y32[:end], stop) }},
-			} {
-				full := body.generic(dim, math.Inf(1))
-				stops := []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1, 0, full, full / 2}
-				for end := stopStride; end <= dim; end += stopStride {
-					p := body.generic(end, math.Inf(1))
-					stops = append(stops, p, math.Nextafter(p, math.Inf(-1)), math.Nextafter(p, math.Inf(1)))
-				}
-				for _, stop := range stops {
-					if got, want := body.asm(dim, stop), body.generic(dim, stop); !same(got, want) {
-						t.Fatalf("dim %d stop %v (1 in %d special): %s = %x, the generic body = %x",
-							dim, stop, special, body.name, math.Float64bits(got), math.Float64bits(want))
-					}
+			for _, stop := range stops {
+				if got, want := l1Kernel64(x, y, stop), l1Kernel(x, y, stop); !same(got, want) {
+					t.Fatalf("dim %d stop %v (1 in %d special): l1Kernel64 = %x, the generic body = %x",
+						dim, stop, special, math.Float64bits(got), math.Float64bits(want))
 				}
 			}
 		}

@@ -3,54 +3,100 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
 // TestNarrowedMirrorChoice pins which mirrors narrow: float64 Vector rows
-// of any width under a metric with a widening kernel (L1), and nothing
-// else.
+// of any width under L1, and nothing else.
 func TestNarrowedMirrorChoice(t *testing.T) {
-	l1, _ := PreKernelFor(L1{})
-	l2, _ := PreKernelFor(L2{})
 	for _, c := range []struct {
 		name   string
+		m      Metric
 		sample Object
-		k      PreKernel
 		want   bool
 	}{
-		{"L1 2-D", make(Vector, 2), l1, true},
-		{"L1 282-D", make(Vector, 282), l1, true},
-		{"L2 2-D", make(Vector, 2), l2, false},
-		{"L2 282-D", make(Vector, 282), l2, false},
-		{"L1 282-D IntVector", make(IntVector, 282), l1, false},
-		{"L1 282-D Vector32", make(Vector32, 282), l1, false},
+		{"L1 2-D", L1{}, make(Vector, 2), true},
+		{"L1 282-D", L1{}, make(Vector, 282), true},
+		{"L2 2-D", L2{}, make(Vector, 2), false},
+		{"L2 282-D", L2{}, make(Vector, 282), false},
+		{"LInf 282-D", LInf{}, make(Vector, 282), false},
+		{"L1 282-D IntVector", L1{}, make(IntVector, 282), false},
+		{"L1 282-D Vector32", L1{}, make(Vector32, 282), false},
 	} {
-		if got := NewFlatVecs(c.sample, &c.k).Narrowed(); got != c.want {
+		if got := NewFlatVecs(c.m, []Object{c.sample}).Narrowed(); got != c.want {
 			t.Errorf("%s: narrowed = %v, want %v", c.name, got, c.want)
 		}
 	}
-	f := NewFlatVecs(make(Vector, 20), &l1)
-	f.Append(make(Vector, 20))
-	if got, want := f.MemBytes(), int64(20*4+8); got != want {
-		t.Errorf("narrowed MemBytes = %d, want %d: the float32 row and its bound", got, want)
+	if NewFlatVecs(L1{}, nil) != nil || NewFlatVecs(L1{}, []Object{Word("w")}) != nil || NewFlatVecs(L1{}, []Object{Vector{}}) != nil {
+		t.Error("a mirror was built from an empty fill, a Word or a 0-D Vector")
+	}
+	for _, c := range []struct{ dim, stride int }{{1, 16}, {16, 16}, {20, 32}, {282, 288}} {
+		f := NewFlatVecs(L1{}, []Object{make(Vector, c.dim)})
+		f.Append(make(Vector, c.dim))
+		if got, want := f.MemBytes(), int64(c.stride+8); got != want {
+			t.Errorf("%d-D narrowed MemBytes = %d, want %d: the row's codes padded to 16 bytes and its error", c.dim, got, want)
+		}
+	}
+}
+
+// TestNarrowedGrid pins the grid a fill fits: Color's coordinates in
+// [−255, 255] take step 2 from −256, so each is within 1 of its code's
+// value; a constant or a single row fits a grid that codes it; values
+// past gridReach and non-finite ones are left out of the fit.
+func TestNarrowedGrid(t *testing.T) {
+	for _, c := range []struct {
+		name     string
+		fill     []Object
+		lo, step float64
+	}{
+		{"Color range", []Object{Vector{-255, 3}, Vector{255, -1}}, -256, 2},
+		{"unit range", []Object{Vector{0, 1}}, 0, 1.0 / 128},
+		{"constant 0", []Object{Vector{0, 0}, Vector{0, 0}}, 0, 0x1p-1022},
+		{"constant 3", []Object{Vector{3, 3}}, 3, 0x1p-49},
+		{"no finite coordinate", []Object{Vector{math.NaN(), math.Inf(1)}}, 0, 0x1p-1022},
+		{"past the reach", []Object{Vector{-math.MaxFloat64, math.MaxFloat64}}, -0x1p1000, 0x1p994},
+		{"other widths ignored", []Object{Vector{1, 2}, Vector{-1e9}, Vector32{-1e9, 1e9}}, 1, 0x1p-7},
+	} {
+		f := NewFlatVecs(L1{}, c.fill)
+		if f.grid.lo != c.lo || f.grid.step != c.step {
+			t.Errorf("%s: grid (lo %v, step %v), want (%v, %v)", c.name, f.grid.lo, f.grid.step, c.lo, c.step)
+		}
+		// Every value the grid stands for is exact: a multiple of step
+		// below 2⁵³ steps.
+		if m := f.grid.lo / f.grid.step; m != math.Trunc(m) || math.Abs(m)+255 >= 0x1p53 {
+			t.Errorf("%s: lo is %v steps", c.name, m)
+		}
+		for _, o := range c.fill {
+			if v, ok := o.(Vector); ok && len(v) == f.Dim {
+				for _, x := range v {
+					err := math.Abs(x - (f.grid.lo + f.grid.code(x)*f.grid.step))
+					if !math.IsInf(x, 0) && !math.IsNaN(x) && math.Abs(x) <= gridReach && !(err <= f.grid.step/2) {
+						t.Errorf("%s: %v codes with error %v, step %v", c.name, x, err, f.grid.step)
+					}
+				}
+			}
+		}
 	}
 }
 
 // TestNarrowedRejectsOnlyAbove is the narrowed mirror's safety property:
 // Rejects never rejects a row whose exact pre-distance — Pre64 on the
-// float64 coordinates the row was narrowed from — is not above the
-// bound. Rows and queries mix ordinary coordinates with NaN, ±Inf,
-// subnormals, values past math.MaxFloat32 and near math.MaxFloat64; the
-// radii include each pair's exact distance and its float neighbours, a
-// relative hair either side, 0, negative ones, NaN and ±Inf. Queries
-// holding a NaN or an infinity must not pass Filters; the rest are
-// asked about every row.
+// float64 coordinates the row was coded from — is not above the bound.
+// Grids come from ordinary rows, from a single row, from constant rows
+// and from rows holding extreme values, so later rows are clamped far
+// outside the grid. Rows and queries mix ordinary coordinates with NaN,
+// ±Inf, subnormals, values past math.MaxFloat32 and near
+// math.MaxFloat64; the radii include each pair's exact distance and its
+// float neighbours, a relative hair either side, 0, negative ones, NaN
+// and ±Inf. A query holding a NaN or an infinity must not code; the rest
+// that code are asked about every row.
 func TestNarrowedRejectsOnlyAbove(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	k, _ := PreKernelFor(L1{})
 	wild := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 5e-324, -1e-310, 3e-42, 4e38, -1e300,
 		math.MaxFloat32, -math.MaxFloat32 * (1 + 0x1p-30), 1e307}
-	vec := func(dim, special int) Vector {
+	vec := func(dim, special int, scale float64) Vector {
 		v := make(Vector, dim)
 		for i := range v {
 			switch {
@@ -59,65 +105,111 @@ func TestNarrowedRejectsOnlyAbove(t *testing.T) {
 			case rng.Intn(3) == 0:
 				v[i] = math.Float64frombits(rng.Uint64() &^ (1 << 62)) // any finite magnitude below 2
 			default:
-				v[i] = rng.NormFloat64() * 100
+				v[i] = rng.NormFloat64() * scale
 			}
 		}
 		return v
 	}
-	rejected := 0
-	for _, dim := range []int{9, 31, 64, 100, 282} {
-		for _, special := range []int{1 << 30, 200, 20} {
-			var rows []Vector
-			f := NewFlatVecs(make(Vector, dim), &k)
-			for i := 0; i < 40; i++ {
-				v := vec(dim, special)
-				rows = append(rows, v)
-				if !f.Append(v) {
-					t.Fatal("Append refused a Vector row")
+	const ordinary = 1 << 30
+	rejected, queried := 0, 0
+	// One scratch across the widths, a wide one before narrower ones, so
+	// a query's padding is coded over the codes of a wider query.
+	var sc Scratch
+	for _, dim := range []int{9, 282, 31, 100, 64} {
+		// The fits: many ordinary rows, one row, constant rows, a range
+		// much narrower than the rows' (they clamp), and rows with
+		// extremes, which widen the grid past everything else.
+		constant := make(Vector, dim)
+		for i := range constant {
+			constant[i] = 7
+		}
+		fits := [][]Object{
+			{vec(dim, ordinary, 100), vec(dim, ordinary, 100), vec(dim, ordinary, 100)},
+			{vec(dim, ordinary, 100)},
+			{constant, constant},
+			{vec(dim, ordinary, 0.01)},
+			{vec(dim, 5, 100)},
+		}
+		for fi, fit := range fits {
+			for _, special := range []int{ordinary, 200, 20} {
+				var rows []Vector
+				f := NewFlatVecs(L1{}, fit)
+				for i := 0; i < 40; i++ {
+					v := vec(dim, special, 100)
+					if i == 0 {
+						v = constant
+					}
+					rows = append(rows, v)
+					if !f.Append(v) {
+						t.Fatal("Append refused a Vector row")
+					}
 				}
-			}
-			// Queries: fresh vectors, the rows themselves (exact distance 0,
-			// narrowed distance their rounding error) and rows nudged by an
-			// ulp.
-			queries := rows[:10:10]
-			for i := 0; i < 10; i++ {
-				queries = append(queries, vec(dim, special))
-				q := rows[i+10].Clone()
-				for j := range q {
-					q[j] = math.Nextafter(q[j], math.Inf(1-2*(j%2)))
+				// Queries: fresh vectors, the rows themselves (exact distance
+				// 0, the codes' bound their coding errors) and rows nudged by
+				// an ulp.
+				queries := rows[:10:10]
+				for i := 0; i < 10; i++ {
+					queries = append(queries, vec(dim, special, 100))
+					q := rows[i+10].Clone()
+					for j := range q {
+						q[j] = math.Nextafter(q[j], math.Inf(1-2*(j%2)))
+					}
+					queries = append(queries, q)
 				}
-				queries = append(queries, q)
-			}
-			for _, q := range queries {
-				finite := true
-				for _, x := range q {
-					finite = finite && !math.IsNaN(x) && !math.IsInf(x, 0)
-				}
-				if f.Filters(q) != finite {
-					t.Fatalf("dim %d: Filters = %v on a query finite = %v", dim, !finite, finite)
-				}
-				if !finite {
-					continue
-				}
-				for row, x := range rows {
-					d := k.Pre64(q, x, math.Inf(1))
-					radii := []float64{d, math.Nextafter(d, math.Inf(1)), math.Nextafter(d, math.Inf(-1)),
-						d * (1 + 1e-15), d * (1 - 1e-15), 0, -1, -d, math.NaN(), math.Inf(1), math.Inf(-1)}
-					for _, r := range radii {
-						bound := k.Bound(r)
-						if !f.Rejects(&k, q, row, bound) {
-							continue
-						}
-						if rejected++; !(k.Pre64(q, x, bound) > bound) {
-							t.Fatalf("dim %d row %d radius %v: rejected, exact pre-distance %v is within bound %v",
-								dim, row, r, d, bound)
+				for _, q := range queries {
+					finite := true
+					for _, x := range q {
+						finite = finite && !math.IsNaN(x) && !math.IsInf(x, 0)
+					}
+					qc, eq, ok := f.Code(q, &sc)
+					if ok && !finite {
+						t.Fatalf("dim %d fit %d: a query holding a NaN or an infinity coded", dim, fi)
+					}
+					if !ok {
+						continue
+					}
+					if len(qc) != f.rowBytes || slices.ContainsFunc(qc[dim:], func(c uint8) bool { return c != 0 }) {
+						t.Fatalf("dim %d fit %d: query codes %v not padded with zeros to %d", dim, fi, qc, f.rowBytes)
+					}
+					queried++
+					for row, x := range rows {
+						d := k.Pre64(q, x, math.Inf(1))
+						radii := []float64{d, math.Nextafter(d, math.Inf(1)), math.Nextafter(d, math.Inf(-1)),
+							d * (1 + 1e-15), d * (1 - 1e-15), d / 2, 0, -1, -d, math.NaN(), math.Inf(1), math.Inf(-1)}
+						for _, r := range radii {
+							bound := k.Bound(r)
+							if !f.Rejects(qc, eq, row, bound) {
+								continue
+							}
+							if rejected++; !(k.Pre64(q, x, bound) > bound) {
+								t.Fatalf("dim %d fit %d row %d radius %v: rejected, exact pre-distance %v is within bound %v",
+									dim, fi, row, r, d, bound)
+							}
 						}
 					}
 				}
 			}
 		}
 	}
-	if rejected == 0 {
-		t.Fatal("Rejects rejected nothing: the property was never exercised")
+	if rejected == 0 || queried == 0 {
+		t.Fatalf("Rejects rejected %d rows over %d coded queries: the property was never exercised", rejected, queried)
+	}
+}
+
+// TestNarrowedHoldsAndSwapDelete checks that a narrowed row holds what
+// Set coded of its object — codes, zero padding and error — and no
+// other object, through a swap-delete that moves the last row.
+func TestNarrowedHoldsAndSwapDelete(t *testing.T) {
+	rows := []Vector{{1, 2, 3}, {-4, 5.5, math.NaN()}, {1e300, 0, -7}}
+	f := NewFlatVecs(L1{}, []Object{rows[0]})
+	for _, v := range rows {
+		f.Append(v)
+	}
+	if !math.IsInf(f.errs[1], 1) || math.IsInf(f.errs[0], 1) || !(f.errs[2] > 1e299) {
+		t.Fatalf("coding errors %v: want finite, +Inf (a NaN coordinate), and the clamp of 1e300", f.errs)
+	}
+	f.SwapDelete(0)
+	if f.Rows() != 2 || !f.Holds(0, rows[2], nil) || !f.Holds(1, rows[1], nil) || f.Holds(0, rows[0], nil) {
+		t.Fatal("after SwapDelete(0) the rows do not hold rows 2 and 1")
 	}
 }

@@ -39,9 +39,11 @@ type Scratch struct {
 	Digits       []int
 	// Objs gathers candidate objects for a DistanceMany chunk.
 	Objs []Object
-	// Q64 and Q32 hold widened query coordinates for the flat kernels.
+	// Q64 and Q32 hold widened query coordinates for the flat kernels,
+	// and Q8 a query's codes on a narrowed mirror's grid.
 	Q64 []float64
 	Q32 []float32
+	Q8  []uint8
 	// Done marks visited rows for elimination-style scans (AESA).
 	Done []bool
 	// BlockIDs, BlockCols and BlockRefs hold one page of a paged pivot
@@ -179,65 +181,176 @@ func (sp *ScratchPool) Put(s *Scratch) {
 // objects mirror into float64 (int32 widens exactly); Vector32 objects
 // mirror into float32.
 //
-// A narrowed mirror holds Vector rows under a metric with a widening
-// kernel (PreKernel.Narrow) as float32: half the bytes of a float64 copy
-// of rows the dataset already holds. Each row keeps a bound on what the
-// rounding moved it by, so Rejects proves a row's exact pre-distance
-// above a bound from the float32 row alone; a row it cannot reject is
-// verified on its object's float64 coordinates.
+// A narrowed mirror holds Vector rows under L1 as 8-bit codes on one
+// grid: a byte a coordinate of rows the dataset already holds. Each row
+// keeps its exact coding error, so Rejects proves a row's exact
+// pre-distance above a bound from the codes alone; a row it cannot
+// reject is verified on its object's float64 coordinates.
 type FlatVecs struct {
 	// Dim is the common coordinate count of every mirrored row.
 	Dim  int
 	mode mirrorMode
 	f64  []float64 // mode64 rows
-	f32  []float32 // mode32 and modeNarrow rows
-	// errs[row] is a modeNarrow row's error bound, rowErr of the
-	// coordinates it was narrowed from.
-	errs []float64
+	f32  []float32 // mode32 rows
+	// A modeCode row is rowBytes codes: one per coordinate, then zeros
+	// up to a multiple of 16. errs[row] is its coding error.
+	codes []uint8
+	errs  []float64
+	grid  grid
+	// rowBytes is the byte width of one row: Dim·8, Dim·4, or the codes'.
+	rowBytes int
 }
 
 // mirrorMode is what a FlatVecs row holds.
 type mirrorMode uint8
 
 const (
-	mode64     mirrorMode = iota // float64 coordinates of Vector or IntVector objects
-	mode32                       // float32 coordinates of Vector32 objects
-	modeNarrow                   // float32 rounding of Vector objects, with an error bound
+	mode64   mirrorMode = iota // float64 coordinates of Vector or IntVector objects
+	mode32                     // float32 coordinates of Vector32 objects
+	modeCode                   // grid codes of Vector objects, with their coding error
 )
 
-// NewFlatVecs builds an empty mirror shaped like the sample object, or
-// nil when the sample is not a vector type the flat kernels understand
-// (the caller then stays on the Object verification path). A Vector
-// sample under a kernel set with a widening kernel builds a narrowed
-// mirror.
-func NewFlatVecs(sample Object, k *PreKernel) *FlatVecs {
-	switch v := sample.(type) {
+// NewFlatVecs builds an empty mirror shaped like fill[0], or nil when
+// fill is empty or fill[0] is not a vector type the flat kernels
+// understand (the caller then stays on the Object verification path).
+// fill is the objects the mirror is about to be filled with, or a sample
+// of them. Vector objects under L1 build a narrowed mirror, whose grid is
+// fitted to the finite coordinates of fill's Vector objects of the same
+// width; other mirrors read only fill[0].
+func NewFlatVecs(m Metric, fill []Object) *FlatVecs {
+	if len(fill) == 0 {
+		return nil
+	}
+	switch v := fill[0].(type) {
 	case Vector:
 		if len(v) == 0 {
 			return nil
 		}
-		if k.Narrow != nil {
-			return &FlatVecs{Dim: len(v), mode: modeNarrow}
+		if _, l1 := m.(L1); !l1 {
+			return &FlatVecs{Dim: len(v), rowBytes: len(v) * 8}
 		}
-		return &FlatVecs{Dim: len(v)}
+		f := &FlatVecs{Dim: len(v), mode: modeCode, rowBytes: (len(v) + 15) &^ 15}
+		f.grid.fit(fill, f.Dim)
+		return f
 	case IntVector:
 		if len(v) == 0 {
 			return nil
 		}
-		return &FlatVecs{Dim: len(v)}
+		return &FlatVecs{Dim: len(v), rowBytes: len(v) * 8}
 	case Vector32:
 		if len(v) == 0 {
 			return nil
 		}
-		return &FlatVecs{Dim: len(v), mode: mode32}
+		return &FlatVecs{Dim: len(v), mode: mode32, rowBytes: len(v) * 4}
 	}
 	return nil
 }
 
+// grid is a narrowed mirror's code grid: code c stands for lo + c·step.
+// step is a power of two no smaller than the least normal float64 and lo
+// a multiple of it, both fitted so that |lo|/step + 255 < 2⁵³: every
+// value the grid stands for is exact in float64.
+type grid struct {
+	lo, step, inv float64 // inv = 1/step, exact
+}
+
+// gridReach bounds the coordinates a grid is fitted to, so that neither
+// lo nor the grid's last value overflows: a coordinate beyond it is
+// clamped like any other outside the grid.
+const gridReach = 0x1p1000
+
+// fit fits the grid to the finite coordinates of the Vector objects of
+// dim coordinates in fill, lo to hi: the least power of two step whose
+// 256 values, from lo rounded to a multiple of step, reach hi within
+// step/2 — so a coordinate in the range is off its code's value by at
+// most step/2 — raised until the values are exact in float64 (the
+// second term of the max). No finite coordinate fits the grid of the
+// least step at 0.
+func (g *grid) fit(fill []Object, dim int) {
+	lo, hi := math.Inf(1), math.Inf(-1)
+	for _, o := range fill {
+		if v, ok := o.(Vector); ok && len(v) == dim {
+			for _, x := range v {
+				if x < lo && x >= -math.MaxFloat64 {
+					lo = x
+				}
+				if x > hi && x <= math.MaxFloat64 {
+					hi = x
+				}
+			}
+		}
+	}
+	lo, hi = max(lo, -gridReach), min(hi, gridReach)
+	if !(lo <= hi) {
+		lo, hi = 0, 0
+	}
+	// Halves keep hi − lo from overflowing: 255 steps span it.
+	g.step = pow2AtLeast(max((hi/2-lo/2)/127.5, max(-lo, hi)*0x1p-51, 0x1p-1022))
+	g.inv = 1 / g.step
+	g.lo = math.Round(lo*g.inv) * g.step
+}
+
+// pow2AtLeast is the least power of two not below the positive normal x.
+func pow2AtLeast(x float64) float64 {
+	frac, exp := math.Frexp(x) // x = frac·2^exp, frac in [1/2, 1)
+	if frac == 0.5 {
+		return x
+	}
+	return math.Ldexp(1, exp)
+}
+
+// roundMagic rounds a float64 in [0, 2⁵¹] to the nearest integer, ties
+// to even, as (t + roundMagic) − roundMagic.
+const roundMagic = 0x1.8p52
+
+// code is x's code on the grid, as a float64: the nearest of the grid's
+// values, clamping past its ends; 0 for NaN.
+func (g grid) code(x float64) float64 {
+	t := (x - g.lo) * g.inv
+	if t > 255 {
+		t = 255
+	}
+	if !(t > 0) {
+		t = 0
+	}
+	return (t + roundMagic) - roundMagic
+}
+
+// encode writes v's codes into dst, zeroing the padding past them, and
+// returns the coding error: the sum of |x − the value of x's code| over
+// v's coordinates — each term exact but for the one rounding of its
+// subtraction — or +Inf where that sum is not finite (a NaN or infinite
+// coordinate, or errors past math.MaxFloat64). It sums in two lanes, the
+// even and the odd coordinates.
+func (g grid) encode(dst []uint8, v []float64) float64 {
+	var e0, e1 float64
+	i := 0
+	for ; i+1 < len(v); i += 2 {
+		x0, x1 := v[i], v[i+1]
+		c0, c1 := g.code(x0), g.code(x1)
+		dst[i], dst[i+1] = uint8(c0), uint8(c1)
+		e0 += math.Abs(x0 - (g.lo + c0*g.step))
+		e1 += math.Abs(x1 - (g.lo + c1*g.step))
+	}
+	if i < len(v) {
+		c := g.code(v[i])
+		dst[i] = uint8(c)
+		e0 += math.Abs(v[i] - (g.lo + c*g.step))
+	}
+	clear(dst[len(v):])
+	if e := e0 + e1; e <= math.MaxFloat64 {
+		return e
+	}
+	return math.Inf(1)
+}
+
 // Rows returns the number of mirrored rows.
 func (f *FlatVecs) Rows() int {
-	if f.mode != mode64 {
+	switch f.mode {
+	case mode32:
 		return len(f.f32) / f.Dim
+	case modeCode:
+		return len(f.errs)
 	}
 	return len(f.f64) / f.Dim
 }
@@ -248,11 +361,11 @@ func (f *FlatVecs) Resize(rows int) {
 	switch f.mode {
 	case mode64:
 		f.f64 = resize(f.f64, rows*f.Dim)
-	case modeNarrow:
-		f.errs = resize(f.errs, rows)
-		fallthrough
 	case mode32:
 		f.f32 = resize(f.f32, rows*f.Dim)
+	case modeCode:
+		f.codes = resize(f.codes, rows*f.rowBytes)
+		f.errs = resize(f.errs, rows)
 	}
 }
 
@@ -275,12 +388,8 @@ func (f *FlatVecs) Set(row int, o Object) bool {
 		if f.mode == mode32 || len(v) != f.Dim {
 			return false
 		}
-		if f.mode == modeNarrow {
-			dst := f.f32[row*f.Dim : (row+1)*f.Dim]
-			for i, x := range v {
-				dst[i] = float32(x)
-			}
-			f.errs[row] = rowErr(v)
+		if f.mode == modeCode {
+			f.errs[row] = f.grid.encode(f.codes[row*f.rowBytes:(row+1)*f.rowBytes], v)
 			break
 		}
 		copy(f.f64[row*f.Dim:(row+1)*f.Dim], v)
@@ -303,21 +412,6 @@ func (f *FlatVecs) Set(row int, o Object) bool {
 	return true
 }
 
-// rowErr is the error bound of v rounded to float32: the sum of each
-// coordinate's rounding error, each exact, or +Inf where that sum is not
-// finite — a NaN or infinite coordinate (Inf − Inf is NaN), or one past
-// what float32 holds.
-func rowErr(v []float64) float64 {
-	var e float64
-	for _, x := range v {
-		e += math.Abs(x - float64(float32(x)))
-	}
-	if !(e <= math.MaxFloat64) {
-		return math.Inf(1)
-	}
-	return e
-}
-
 // Append mirrors one object as the next row, reporting false — and
 // leaving the mirror as it was — when Set would.
 func (f *FlatVecs) Append(o Object) bool {
@@ -338,13 +432,14 @@ func (f *FlatVecs) SwapDelete(row int) {
 	case mode64:
 		copy(f.f64[row*f.Dim:(row+1)*f.Dim], f.f64[last*f.Dim:(last+1)*f.Dim])
 		f.f64 = f.f64[:last*f.Dim]
-	case modeNarrow:
-		f.errs[row] = f.errs[last]
-		f.errs = f.errs[:last]
-		fallthrough
 	case mode32:
 		copy(f.f32[row*f.Dim:(row+1)*f.Dim], f.f32[last*f.Dim:(last+1)*f.Dim])
 		f.f32 = f.f32[:last*f.Dim]
+	case modeCode:
+		copy(f.codes[row*f.rowBytes:(row+1)*f.rowBytes], f.codes[last*f.rowBytes:(last+1)*f.rowBytes])
+		f.codes = f.codes[:last*f.rowBytes]
+		f.errs[row] = f.errs[last]
+		f.errs = f.errs[:last]
 	}
 }
 
@@ -404,95 +499,88 @@ func (f *FlatVecs) Pre(k *PreKernel, q64 []float64, q32 []float32, row int, stop
 // by Rejects, then on their objects.
 //
 //metriclint:noalloc
-func (f *FlatVecs) Narrowed() bool { return f.mode == modeNarrow }
+func (f *FlatVecs) Narrowed() bool { return f.mode == modeCode }
 
-// Filters reports whether Rejects may be asked about the widened query
-// q64: every coordinate of q64 is finite. A NaN or infinite query
-// coordinate can make a row's exact pre-distance NaN, which no bound
-// rejects, while the narrowed partial passes a stop before it reaches
-// that coordinate.
-func (f *FlatVecs) Filters(q64 []float64) bool {
-	for _, x := range q64 {
-		if math.IsNaN(x) || math.IsInf(x, 0) {
-			return false
-		}
+// Code codes the widened query q64 on a narrowed mirror's grid into the
+// scratch's Q8, padded as a row is, and returns the codes and their
+// coding error eq; ok is false — and Rejects must not be asked — when a
+// coordinate of q64 is NaN or infinite, or eq is not finite. A NaN or
+// infinite query coordinate can make a row's exact pre-distance NaN,
+// which no bound rejects.
+func (f *FlatVecs) Code(q64 []float64, sc *Scratch) (qc []uint8, eq float64, ok bool) {
+	if cap(sc.Q8) < f.rowBytes {
+		sc.Q8 = make([]uint8, f.rowBytes)
 	}
-	return true
+	qc = sc.Q8[:f.rowBytes]
+	eq = f.grid.encode(qc, q64)
+	return qc, eq, eq < math.Inf(1)
 }
 
-// Rejects reports whether the exact pre-distance of q64 against the
-// float64 coordinates narrowed row was built from — k.Pre64 over the
-// row's object — provably exceeds bound, reading only the float32 row of
-// a narrowed mirror; q64 must pass Filters. The widening kernel's
-// pre-distance N of the float32 row and the exact one D differ by at
-// most the row's error bound E (each term |q−y| is within |x−y| of
-// |q−x|), so the kernel runs
-// with the stop e + |e|·rel, e = bound + E: rel = (Dim+1)·2⁻⁵⁰ covers
-// the rounding of N, of D, of E and of e, so a row whose computed D is
-// not above bound never has a partial N above the stop. A row holding a
-// NaN or an infinity has E = +Inf and is never rejected; neither is any
-// row against a NaN or +Inf bound (a kNN scan's until its heap fills),
-// and for those the row is not read.
+// Rejects reports whether the exact pre-distance of the query against
+// the float64 coordinates row was coded from — L1's Pre64 over the
+// row's object — provably exceeds bound, reading only the row's codes;
+// qc and eq are the query's codes and coding error from Code, which
+// reported ok. With step the grid's spacing, E the row's coding error
+// and SAD the byte distance of the codes, the exact distance D is at
+// least step·SAD − E − eq (the triangle inequality per coordinate), so
+// the row is rejected when step·SAD, exact, exceeds e + |e|·rel with
+// e = bound + E + eq: rel = (Dim+1)·2⁻⁵⁰ covers the roundings of the
+// computed D, of E, eq and e, so a row whose computed D is not above
+// bound is never rejected. A row holding a NaN or an infinity has
+// E = +Inf and is never rejected; neither is any row against a NaN or
+// +Inf bound (a kNN scan's until its heap fills), and for those the row
+// is not read.
 //
 //metriclint:noalloc
-func (f *FlatVecs) Rejects(k *PreKernel, q64 []float64, row int, bound float64) bool {
-	e := bound + f.errs[row]
+func (f *FlatVecs) Rejects(qc []uint8, eq float64, row int, bound float64) bool {
+	e := bound + f.errs[row] + eq
 	if !(e < math.Inf(1)) {
 		return false
 	}
 	stop := e + math.Abs(e)*(float64(f.Dim+1)*0x1p-50)
-	return k.Narrow(q64, f.f32[row*f.Dim:(row+1)*f.Dim], stop) > stop
+	return f.grid.step*float64(sad(qc, f.codes[row*f.rowBytes:(row+1)*f.rowBytes])) > stop
 }
 
 // cacheLine is the byte width of a CPU cache line.
 const cacheLine = 64
 
 // Prefetch asks the CPU to start loading row's coordinates (PREFETCHT0
-// per cache line), so a Pre on the row soon after finds them in cache.
-// A row within one cache line skips it: its one miss overlaps little
-// with the work before it, while the call is paid per candidate. Off
-// amd64 it does nothing.
+// per cache line), so a Pre or Rejects on the row soon after finds them
+// in cache. A row within one cache line skips it: its one miss overlaps
+// little with the work before it, while the call is paid per candidate.
+// Off amd64 it does nothing.
 //
 //metriclint:noalloc
 func (f *FlatVecs) Prefetch(row int) {
-	if f.rowBytes() > cacheLine { // inlined: a narrow row costs no call
+	if f.rowBytes > cacheLine { // inlined: a narrow row costs no call
 		f.prefetch(row)
 	}
 }
 
 //metriclint:noalloc
 func (f *FlatVecs) prefetch(row int) {
-	if f.mode != mode64 {
-		prefetchLines(unsafe.Pointer(&f.f32[row*f.Dim]), uintptr(f.rowBytes()))
-		return
+	switch f.mode {
+	case mode32:
+		prefetchLines(unsafe.Pointer(&f.f32[row*f.Dim]), uintptr(f.rowBytes))
+	case modeCode:
+		prefetchLines(unsafe.Pointer(&f.codes[row*f.rowBytes]), uintptr(f.rowBytes))
+	default:
+		prefetchLines(unsafe.Pointer(&f.f64[row*f.Dim]), uintptr(f.rowBytes))
 	}
-	prefetchLines(unsafe.Pointer(&f.f64[row*f.Dim]), uintptr(f.rowBytes()))
-}
-
-// rowBytes is the byte width of one mirror row.
-//
-//metriclint:noalloc
-func (f *FlatVecs) rowBytes() int {
-	if f.mode != mode64 {
-		return f.Dim * 4
-	}
-	return f.Dim * 8
 }
 
 // Holds reports whether row holds, bit for bit, the coordinates
 // QueryCoords widened from an object — what Set mirrors of it. Unlike a
 // self-distance, which is NaN for a row with a NaN coordinate, it holds
 // for every row Set mirrored. Exactly one of q64/q32 is non-nil,
-// matching the mirror width. A narrowed row must hold float32 of each of
-// q64's coordinates, and its error bound must be theirs.
+// matching the mirror width. A narrowed row must hold the codes of
+// q64's coordinates, zero padding, and their coding error.
 func (f *FlatVecs) Holds(row int, q64 []float64, q32 []float32) bool {
-	if f.mode == modeNarrow {
-		for i, y := range f.f32[row*f.Dim : (row+1)*f.Dim] {
-			if math.Float32bits(y) != math.Float32bits(float32(q64[i])) {
-				return false
-			}
-		}
-		return f.errs[row] == rowErr(q64)
+	if f.mode == modeCode {
+		codes := make([]uint8, f.rowBytes)
+		e := f.grid.encode(codes, q64)
+		return slices.Equal(codes, f.codes[row*f.rowBytes:(row+1)*f.rowBytes]) &&
+			math.Float64bits(e) == math.Float64bits(f.errs[row])
 	}
 	if f.mode == mode32 {
 		for i, x := range f.f32[row*f.Dim : (row+1)*f.Dim] {
@@ -511,7 +599,7 @@ func (f *FlatVecs) Holds(row int, q64 []float64, q32 []float32) bool {
 }
 
 // MemBytes reports the resident size of the mirror, a narrowed one's
-// error bounds included.
+// coding errors included.
 func (f *FlatVecs) MemBytes() int64 {
-	return int64(len(f.f64))*8 + int64(len(f.f32))*4 + int64(len(f.errs))*8
+	return int64(len(f.f64))*8 + int64(len(f.f32))*4 + int64(len(f.codes)) + int64(len(f.errs))*8
 }

@@ -43,7 +43,7 @@ func TestLAESAKNNSearchAllocs(t *testing.T) {
 // rows (one cache line each), on 20-D L2 rows (a float64 mirror wide
 // enough that each verification prefetches the next survivor's row) and
 // on 20-D and 282-D L1 rows, whose mirror is narrowed: a candidate is
-// rejected on its float32 row or verified on its object's float64
+// rejected on its 8-bit codes or verified on its object's float64
 // coordinates, and the 282-D case witnesses both. Only assembling the
 // answer slice (Result) allocates, and it stays outside the measured
 // loop. The scan and its callees carry //metriclint:noalloc, so a
@@ -75,17 +75,18 @@ func TestLAESAFlatKNNHotLoopZeroAllocs(t *testing.T) {
 		}
 		if c.dim == 282 {
 			// Every answer was offered by the exact fallback; some row
-			// must be one the float32 rows reject at the final radius.
-			q64 := []float64(q.(core.Vector))
+			// must be one the codes reject at the final radius.
+			var sc core.Scratch
+			qc, eq, ok := idx.tab.flat.Code(q.(core.Vector), &sc)
 			bound := idx.tab.kern.Bound(ns[len(ns)-1].Dist)
 			rejected := 0
 			for row := range idx.tab.Len() {
-				if idx.tab.flat.Rejects(&idx.tab.kern, q64, row, bound) {
+				if ok && idx.tab.flat.Rejects(qc, eq, row, bound) {
 					rejected++
 				}
 			}
 			if rejected == 0 {
-				t.Fatalf("%d-D: no row is rejected on its float32 row", c.dim)
+				t.Fatalf("%d-D: no row is rejected on its codes", c.dim)
 			}
 		}
 		h := core.NewKNNHeap(10)

@@ -328,7 +328,9 @@ func (t *Index) encodeEPT(w *persist.Writer) error {
 	return nil
 }
 
-func loadEPT(ds *core.Dataset, r *persist.Reader) (core.Index, *store.Pager, error) {
+// loadEPT reads the payload of kind, "EPT" or "EPT*", refusing one
+// whose variant byte names the other family.
+func loadEPT(kind string, ds *core.Dataset, r *persist.Reader) (core.Index, *store.Pager, error) {
 	v := r.U16()
 	if r.Err() == nil && v != 1 && v != eptFormatVersion {
 		return nil, nil, fmt.Errorf("ept: unsupported payload version %d", v)
@@ -346,15 +348,13 @@ func loadEPT(ds *core.Dataset, r *persist.Reader) (core.Index, *store.Pager, err
 		return nil, nil, fmt.Errorf("ept: table shape %d ids × %d pivots vs %d/%d entries", len(ids), l, len(pids), len(dists))
 	}
 	a := &assignment{l: l, vals: vals}
-	kind := "EPT"
-	switch variant {
-	case variantEPT:
+	switch {
+	case variant == variantEPT && kind == "EPT":
 		a.groups, err = decodeGroups(r, ds)
-	case variantEPTStar:
-		kind = "EPT*"
+	case variant == variantEPTStar && kind == "EPT*":
 		a.psa, err = decodePSA(r, ds)
 	default:
-		err = fmt.Errorf("ept: unknown variant %d", variant)
+		err = fmt.Errorf("ept: variant %d in a payload of kind %s", variant, kind)
 	}
 	if err == nil {
 		err = a.checkWidth()

@@ -64,7 +64,7 @@ func (t *Index) EncodeSnapshot(w *persist.Writer) error {
 func loadIndex(kind string, ds *core.Dataset, r *persist.Reader) (core.Index, *store.Pager, error) {
 	switch kind {
 	case "EPT", "EPT*":
-		return loadEPT(ds, r)
+		return loadEPT(kind, ds, r)
 	case "DiskEPT*":
 		return loadDiskEPT(ds, r)
 	case "Omni-seq":

@@ -175,7 +175,7 @@ func TestEPTLoadsVersion1Payload(t *testing.T) {
 			encodePSA(w, a.psa)
 		}
 
-		restoredIdx, _, err := loadEPT(ds, persist.NewReader(w.Bytes()))
+		restoredIdx, _, err := loadEPT(kind, ds, persist.NewReader(w.Bytes()))
 		if err != nil {
 			t.Fatalf("load v1 payload (%s): %v", kind, err)
 		}
@@ -260,7 +260,7 @@ func TestLoadRejectsRowWidth(t *testing.T) {
 		if err := e.EncodeSnapshot(w); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := loadEPT(ds, persist.NewReader(w.Bytes())); err == nil {
+		if _, _, err := loadEPT(kind, ds, persist.NewReader(w.Bytes())); err == nil {
 			t.Errorf("%s: the payload loaded", name)
 		}
 	}
@@ -287,8 +287,35 @@ func TestEPTLoadRejectsForeignPivotCandidate(t *testing.T) {
 		if err := e.EncodeSnapshot(w); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := loadEPT(ds, persist.NewReader(w.Bytes())); err == nil {
+		if _, _, err := loadEPT(kind, ds, persist.NewReader(w.Bytes())); err == nil {
 			t.Errorf("%s loaded a payload with a Word pivot candidate over L2 vectors", e.Name())
+		}
+	}
+}
+
+// TestEPTLoadRejectsOtherFamily files an EPT* payload under kind EPT,
+// and an EPT payload under EPT*, and requires each load to fail: the
+// variant byte must agree with the kind the snapshot names, or the
+// restored index would answer as the other family under this one's
+// name. Each payload still loads under its own kind.
+func TestEPTLoadRejectsOtherFamily(t *testing.T) {
+	for i, kind := range eptKinds {
+		other := eptKinds[1-i]
+		ds := testutil.VectorDataset(300, 4, 100, core.L2{}, 7)
+		e, err := newEPT(kind, ds, nil, EPTOptions{L: 3, Radius: 10, Sel: pivot.Options{Seed: 3, SampleSize: 64}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := persist.NewWriter()
+		if err := e.EncodeSnapshot(w); err != nil {
+			t.Fatal(err)
+		}
+		if idx, _, err := loadIndex(other, ds, persist.NewReader(w.Bytes())); err == nil {
+			t.Errorf("a %s payload filed under %s loaded as %s", kind, other, idx.Name())
+		}
+		idx, _, err := loadIndex(kind, ds, persist.NewReader(w.Bytes()))
+		if err != nil || idx.Name() != kind {
+			t.Fatalf("a %s payload under its own kind: %v", kind, err)
 		}
 	}
 }

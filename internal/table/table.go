@@ -24,6 +24,10 @@ import (
 // verification path.
 const verifyChunk = 64
 
+// gridRows is how many rows a bulk-filled narrowed mirror fits its grid
+// to (core.NewFlatVecs).
+const gridRows = 1024
+
 // Table is the pivot table of the paper's table family (§3.1–§3.3): for
 // every indexed object, its distances to l pivots, stored struct-of-
 // arrays — one contiguous column per pivot slot — so Lemma 1 filtering
@@ -37,7 +41,7 @@ const verifyChunk = 64
 //     zones;
 //   - where a candidate's object comes from: a flat coordinate mirror kept
 //     in row lockstep when the dataset is uniform vectors (for L1 rows
-//     a narrowed one, whose float32 rows reject most candidates and
+//     a narrowed one, whose 8-bit grid codes reject most candidates and
 //     the dataset's objects verify the rest), else the dataset's
 //     objects, else (CPT, Omni-seq, DiskEPT*) a loader that reads it
 //     from disk;
@@ -200,7 +204,14 @@ func (t *Table) adopt(ids []int32, cols [][]float64, order []int32, workers int)
 		}
 	}
 	if !t.noMirror && n > 0 {
-		t.flat = core.NewFlatVecs(t.ds.Object(int(ids[0])), &t.kern)
+		// A narrowed mirror's grid is fitted to gridRows rows spread over
+		// the table: a coordinate outside it is clamped, which weakens the
+		// filter on its row only.
+		fill := make([]core.Object, 0, gridRows)
+		for pos := 0; pos < n; pos += (n + gridRows - 1) / gridRows {
+			fill = append(fill, t.ds.Object(int(t.ids[pos])))
+		}
+		t.flat = core.NewFlatVecs(t.ds.Space().Metric(), fill)
 		var misfit atomic.Bool
 		if t.flat != nil {
 			t.flat.Resize(n)
@@ -230,7 +241,7 @@ func (t *Table) mirrorRow(row int, o core.Object) {
 		return
 	}
 	if t.flat == nil && row == 0 {
-		t.flat = core.NewFlatVecs(o, &t.kern)
+		t.flat = core.NewFlatVecs(t.ds.Space().Metric(), []core.Object{o})
 	}
 	if t.flat == nil || !t.flat.Append(o) {
 		t.flat, t.noMirror = nil, true
@@ -428,8 +439,7 @@ func (t *Table) RefreshAttrs(id int) {
 //  2. every stored distance is the distance from the row's object to the
 //     pivot the slot names;
 //  3. the mirror's row holds the coordinates of the row's object (a
-//     narrowed row: their float32 roundings, and the error bound of
-//     that rounding);
+//     narrowed row: their grid codes, and the coding error);
 //  4. the shared layout has one zone per block of zoneRows rows in every
 //     column, and every row lies inside its block's zone (a NaN distance
 //     inside an infinite one);
@@ -574,9 +584,11 @@ type scan struct {
 	res    []uint64      // range: the answer's ids, in the scratch's Keys
 	flat   bool          // verify through the mirror, with q widened into q64/q32
 	narrow bool          // flat on a narrowed mirror: rows are verified by narrowPre
-	filter bool          // narrow, and q64 finite: the mirror's Rejects may run
+	filter bool          // narrow, and q coded (qc, eq): the mirror's Rejects may run
 	q64    []float64
 	q32    []float32
+	qc     []uint8
+	eq     float64
 	chunk  int     // object path: candidates gathered before they are verified
 	m      int     // object path: candidates gathered and not yet verified
 	ndist  int     // flat path: distances computed, counted once at the end
@@ -636,8 +648,9 @@ func (t *Table) begin(sc *core.Scratch, q core.Object, accept core.Filter) scan 
 		// A query whose type or dimension does not fit the mirror stays on
 		// the object path, where the metric decides whether it is legal.
 		s.q64, s.q32, s.flat = t.flat.QueryCoords(q, sc)
-		s.narrow = s.flat && t.flat.Narrowed()
-		s.filter = s.narrow && t.flat.Filters(s.q64)
+		if s.narrow = s.flat && t.flat.Narrowed(); s.narrow {
+			s.qc, s.eq, s.filter = t.flat.Code(s.q64, sc)
+		}
 	}
 	return s
 }
@@ -820,16 +833,16 @@ func (s *scan) accepts(row int) bool {
 }
 
 // narrowPre is the pre-distance of a row of a narrowed mirror, or +Inf
-// for a row the float32 row proves above bound (core.FlatVecs.Rejects):
-// +Inf is above every bound Rejects rejects at, so the caller rejects
-// the same rows a float64 mirror's Pre would. The rest are verified by
-// Pre64 on the row's object — the dataset's float64 coordinates, the
-// ones the row was narrowed from — so every distance offered keeps its
-// bits. Either way it is one distance.
+// for a row its codes prove above bound (core.FlatVecs.Rejects): +Inf is
+// above every bound Rejects rejects at, so the caller rejects the same
+// rows a float64 mirror's Pre would. The rest are verified by Pre64 on
+// the row's object — the dataset's float64 coordinates, the ones the
+// row was coded from — so every distance offered keeps its bits. Either
+// way it is one distance.
 //
 //metriclint:noalloc
 func (s *scan) narrowPre(row int, bound float64) float64 {
-	if s.filter && s.t.flat.Rejects(&s.t.kern, s.q64, row, bound) {
+	if s.filter && s.t.flat.Rejects(s.qc, s.eq, row, bound) {
 		return math.Inf(1)
 	}
 	return s.t.kern.Pre64(s.q64, s.t.ds.Objects()[s.ids[row]].(core.Vector), bound)
