@@ -212,6 +212,50 @@ func TestKNNHeapRadiusTightens(t *testing.T) {
 	}
 }
 
+// TestKNNHeapOrderFree pushes one set of candidates — NaN, ±Inf, ties
+// among them — in many orders at several k: the answer is the same for
+// every order, holds no NaN distance, and equals the sorted candidates'
+// first k that are numbers.
+func TestKNNHeapOrderFree(t *testing.T) {
+	rng := rand.New(rand.NewSource(51))
+	dists := []float64{3, math.NaN(), 1, math.Inf(1), 3, math.NaN(), math.Inf(-1), 3, 0, math.Inf(1), 2, math.NaN(), 1, math.Inf(1)}
+	var want []Neighbor
+	for id, d := range dists {
+		if !math.IsNaN(d) {
+			want = append(want, Neighbor{ID: id, Dist: d})
+		}
+	}
+	SortNeighbors(want)
+	order := make([]int, len(dists))
+	for k := 0; k <= len(dists)+1; k++ {
+		wantK := want[:min(k, len(want))]
+		for perm := 0; perm < 300; perm++ {
+			for i := range order {
+				order[i] = i
+			}
+			if perm > 0 {
+				rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+			}
+			h := NewKNNHeap(k)
+			for _, id := range order {
+				h.Push(id, dists[id])
+				if r := h.Radius(); math.IsNaN(r) {
+					t.Fatalf("k %d order %v: radius NaN", k, order)
+				}
+			}
+			got := h.Result()
+			if len(got) != len(wantK) {
+				t.Fatalf("k %d order %v: %d neighbours, want %d", k, order, len(got), len(wantK))
+			}
+			for i := range got {
+				if got[i].ID != wantK[i].ID || math.Float64bits(got[i].Dist) != math.Float64bits(wantK[i].Dist) {
+					t.Fatalf("k %d order %v: got %v, want %v", k, order, got, wantK)
+				}
+			}
+		}
+	}
+}
+
 // Property: Lemma 1 (PruneObject) never discards a true result, and
 // Lemma 4 (ValidateObject) never admits a false one, for random
 // configurations in a real metric space.

@@ -36,6 +36,11 @@ func SortNeighbors(ns []Neighbor) {
 // nearest neighbor (the search radius that verification tightens), or +Inf
 // while fewer than k candidates have been collected.
 //
+// A NaN distance is never a neighbour: Push drops it, as a range query's
+// d ≤ r drops it. The heap then holds the k least of the candidates'
+// distances under the total order (distance, id), so its Result does
+// not depend on the order the candidates were pushed in.
+//
 // The heap is hand-sifted rather than built on container/heap: Push sits
 // on the per-candidate kNN hot path, and heap.Push boxes each Neighbor
 // into an `any` — one heap allocation per candidate. All storage is
@@ -137,10 +142,11 @@ func (h *KNNHeap) Radius() float64 {
 }
 
 // Push offers a candidate; it is kept only if it improves the answer.
+// A NaN distance orders with nothing and is dropped.
 //
 //metriclint:noalloc
 func (h *KNNHeap) Push(id int, dist float64) {
-	if h.k == 0 {
+	if h.k == 0 || dist != dist {
 		return
 	}
 	if n := len(h.items); n < h.k {
@@ -186,7 +192,9 @@ func BruteForceRange(ds *Dataset, q Object, r float64) []int {
 }
 
 // BruteForceKNN answers MkNNQ(q, k) by exhaustive scan; it is the
-// correctness baseline for every index.
+// correctness baseline for every index. An object at a NaN distance is
+// never among the neighbours (see KNNHeap), so fewer than k neighbours
+// come back when fewer than k objects have a distance that is a number.
 func BruteForceKNN(ds *Dataset, q Object, k int) []Neighbor {
 	h := NewKNNHeap(k)
 	for id, o := range ds.Objects() {
