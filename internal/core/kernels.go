@@ -271,7 +271,7 @@ func absInt32(d int32) int32 {
 }
 
 // sadGo is the sum of absolute differences of two byte rows, the grid
-// distance of a coded mirror's filter (FlatVecs.Rejects): exact in
+// distance of a coded mirror's bounds (FlatVecs.Bounds): exact in
 // integers, 4 lanes over fixed-length windows so no element access is
 // bounds-checked. On amd64 sad runs the PSADBW body of kernels_amd64.s
 // over the rows' 16-byte groups and this body over the rest.

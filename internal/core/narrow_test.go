@@ -81,8 +81,9 @@ func TestNarrowedGrid(t *testing.T) {
 }
 
 // TestNarrowedRejectsOnlyAbove is the narrowed mirror's safety property:
-// Rejects never rejects a row whose exact pre-distance — Pre64 on the
-// float64 coordinates the row was coded from — is not above the bound.
+// the codes' lower test (Bounds, then Above) never rejects a row whose
+// exact pre-distance — Pre64 on the float64 coordinates the row was
+// coded from — is not above the bound.
 // Grids come from ordinary rows, from a single row, from constant rows
 // and from rows holding extreme values, so later rows are clamped far
 // outside the grid. Rows and queries mix ordinary coordinates with NaN,
@@ -178,7 +179,7 @@ func TestNarrowedRejectsOnlyAbove(t *testing.T) {
 							d * (1 + 1e-15), d * (1 - 1e-15), d / 2, 0, -1, -d, math.NaN(), math.Inf(1), math.Inf(-1)}
 						for _, r := range radii {
 							bound := k.Bound(r)
-							if !f.Rejects(qc, eq, row, bound) {
+							if sd, e := f.Bounds(qc, eq, row); !f.Above(sd, e, bound) {
 								continue
 							}
 							if rejected++; !(k.Pre64(q, x, bound) > bound) {
@@ -192,7 +193,7 @@ func TestNarrowedRejectsOnlyAbove(t *testing.T) {
 		}
 	}
 	if rejected == 0 || queried == 0 {
-		t.Fatalf("Rejects rejected %d rows over %d coded queries: the property was never exercised", rejected, queried)
+		t.Fatalf("Above rejected %d rows over %d coded queries: the property was never exercised", rejected, queried)
 	}
 }
 

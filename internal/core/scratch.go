@@ -52,6 +52,12 @@ type Scratch struct {
 	BlockIDs  []int32
 	BlockCols [][]float64
 	BlockRefs [][]int32
+	// Kept holds the rows of one block that a narrowed mirror's codes
+	// kept for a kNN query, verified at the block's end in the order of
+	// their lower bounds; Upper is the k-bounded heap of their upper
+	// bounds, whose k-th is a radius before any row is verified.
+	Kept  []CodeRow
+	Upper KNNHeap
 
 	heap *KNNHeap
 }
@@ -183,9 +189,10 @@ func (sp *ScratchPool) Put(s *Scratch) {
 //
 // A narrowed mirror holds Vector rows under L1 as 8-bit codes on one
 // grid: a byte a coordinate of rows the dataset already holds. Each row
-// keeps its exact coding error, so Rejects proves a row's exact
-// pre-distance above a bound from the codes alone; a row it cannot
-// reject is verified on its object's float64 coordinates.
+// keeps its exact coding error, so its codes bound the row's exact
+// pre-distance from below and from above (Bounds, Above, Upper); a row
+// those bounds cannot decide is verified on its object's float64
+// coordinates.
 type FlatVecs struct {
 	// Dim is the common coordinate count of every mirrored row.
 	Dim  int
@@ -485,7 +492,7 @@ func (f *FlatVecs) QueryCoords(q Object, sc *Scratch) (q64 []float64, q32 []floa
 // row through the resolved kernel (no Object indirection, no interface
 // dispatch), stopping early once it exceeds stop (see PreKernel).
 // Exactly one of q64/q32 is non-nil, matching the mirror width. A
-// narrowed mirror has no exact rows to compute it on: see Rejects.
+// narrowed mirror has no exact rows to compute it on: see Bounds.
 //
 //metriclint:noalloc
 func (f *FlatVecs) Pre(k *PreKernel, q64 []float64, q32 []float32, row int, stop float64) float64 {
@@ -495,15 +502,15 @@ func (f *FlatVecs) Pre(k *PreKernel, q64 []float64, q32 []float32, row int, stop
 	return k.Pre64(q64, f.f64[row*f.Dim:(row+1)*f.Dim], stop)
 }
 
-// Narrowed reports whether the mirror is narrowed: its rows are verified
-// by Rejects, then on their objects.
+// Narrowed reports whether the mirror is narrowed: its rows are bounded
+// by their codes (Bounds), then verified on their objects.
 //
 //metriclint:noalloc
 func (f *FlatVecs) Narrowed() bool { return f.mode == modeCode }
 
 // Code codes the widened query q64 on a narrowed mirror's grid into the
 // scratch's Q8, padded as a row is, and returns the codes and their
-// coding error eq; ok is false — and Rejects must not be asked — when a
+// coding error eq; ok is false — and Bounds must not be asked — when a
 // coordinate of q64 is NaN or infinite, or eq is not finite. A NaN or
 // infinite query coordinate can make a row's exact pre-distance NaN,
 // which no bound rejects.
@@ -516,36 +523,69 @@ func (f *FlatVecs) Code(q64 []float64, sc *Scratch) (qc []uint8, eq float64, ok 
 	return qc, eq, eq < math.Inf(1)
 }
 
-// Rejects reports whether the exact pre-distance of the query against
-// the float64 coordinates row was coded from — L1's Pre64 over the
-// row's object — provably exceeds bound, reading only the row's codes;
-// qc and eq are the query's codes and coding error from Code, which
-// reported ok. With step the grid's spacing, E the row's coding error
-// and SAD the byte distance of the codes, the exact distance D is at
-// least step·SAD − E − eq (the triangle inequality per coordinate), so
-// the row is rejected when step·SAD, exact, exceeds e + |e|·rel with
-// e = bound + E + eq: rel = (Dim+1)·2⁻⁵⁰ covers the roundings of the
-// computed D, of E, eq and e, so a row whose computed D is not above
-// bound is never rejected. A row holding a NaN or an infinity has
-// E = +Inf and is never rejected; neither is any row against a NaN or
-// +Inf bound (a kNN scan's until its heap fills), and for those the row
-// is not read.
+// CodeRow is a row of a narrowed mirror with the two terms of its code
+// bounds against one query (FlatVecs.Bounds): the row's computed
+// pre-distance lies between SD − E and SD + E, up to the roundings Above
+// and Upper cover.
+type CodeRow struct {
+	Row   int32
+	SD, E float64
+}
+
+// Bounds reads row's codes against the query's — qc and eq from Code,
+// which reported ok — and returns the two terms of the row's bounds:
+// sd = step·SAD, exact, with step the grid's spacing and SAD the byte
+// distance of the codes, and e = E + eq, the row's coding error plus the
+// query's. By the triangle inequality per coordinate, the exact L1
+// distance D between the query and the float64 coordinates the row was
+// coded from satisfies sd − e ≤ D ≤ sd + e. A row holding a NaN or an
+// infinity has E = +Inf: its codes are not read and sd is 0, so its
+// lower bound is −Inf and its upper bound +Inf.
 //
 //metriclint:noalloc
-func (f *FlatVecs) Rejects(qc []uint8, eq float64, row int, bound float64) bool {
-	e := bound + f.errs[row] + eq
+func (f *FlatVecs) Bounds(qc []uint8, eq float64, row int) (sd, e float64) {
+	e = f.errs[row] + eq
 	if !(e < math.Inf(1)) {
-		return false
+		return 0, e
 	}
-	stop := e + math.Abs(e)*(float64(f.Dim+1)*0x1p-50)
-	return f.grid.step*float64(sad(qc, f.codes[row*f.rowBytes:(row+1)*f.rowBytes])) > stop
+	return f.grid.step * float64(sad(qc, f.codes[row*f.rowBytes:(row+1)*f.rowBytes])), e
+}
+
+// rel is the relative margin of Above and Upper, (Dim+1)·2⁻⁵⁰: it
+// covers the roundings of the computed D — L1's Pre64 over the row's
+// object — and of E, eq and the sums that use them.
+//
+//metriclint:noalloc
+func (f *FlatVecs) rel() float64 { return float64(f.Dim+1) * 0x1p-50 }
+
+// Above is the codes' lower test: it reports whether a row whose Bounds
+// are sd and e has a computed pre-distance provably above bound, when
+// sd exceeds b + |b|·rel with b = bound + e. A row whose computed D is
+// not above bound is never rejected. Neither is a row with E = +Inf, nor
+// any row against a NaN or +Inf bound (a kNN scan's until its radius is
+// finite).
+//
+//metriclint:noalloc
+func (f *FlatVecs) Above(sd, e, bound float64) bool {
+	b := bound + e
+	return b < math.Inf(1) && sd > b+math.Abs(b)*f.rel()
+}
+
+// Upper is the codes' upper bound on the computed pre-distance of a row
+// whose Bounds are sd and e: u = sd + e raised to u + u·rel, so that it
+// is never below the computed D. It is +Inf for a row with E = +Inf.
+//
+//metriclint:noalloc
+func (f *FlatVecs) Upper(sd, e float64) float64 {
+	u := sd + e
+	return u + u*f.rel()
 }
 
 // cacheLine is the byte width of a CPU cache line.
 const cacheLine = 64
 
 // Prefetch asks the CPU to start loading row's coordinates (PREFETCHT0
-// per cache line), so a Pre or Rejects on the row soon after finds them
+// per cache line), so a Pre or Bounds on the row soon after finds them
 // in cache. A row within one cache line skips it: its one miss overlaps
 // little with the work before it, while the call is paid per candidate.
 // Off amd64 it does nothing.
@@ -566,6 +606,17 @@ func (f *FlatVecs) prefetch(row int) {
 		prefetchLines(unsafe.Pointer(&f.codes[row*f.rowBytes]), uintptr(f.rowBytes))
 	default:
 		prefetchLines(unsafe.Pointer(&f.f64[row*f.Dim]), uintptr(f.rowBytes))
+	}
+}
+
+// PrefetchVector asks the CPU to start loading v's coordinates, as
+// Prefetch does a mirror row's: the narrowed mirror's scan calls it on
+// the object it verifies next. Off amd64 it does nothing.
+//
+//metriclint:noalloc
+func PrefetchVector(v Vector) {
+	if len(v) > 0 {
+		prefetchLines(unsafe.Pointer(&v[0]), uintptr(len(v))*8)
 	}
 }
 

@@ -81,7 +81,10 @@ func TestLAESAFlatKNNHotLoopZeroAllocs(t *testing.T) {
 			bound := idx.tab.kern.Bound(ns[len(ns)-1].Dist)
 			rejected := 0
 			for row := range idx.tab.Len() {
-				if ok && idx.tab.flat.Rejects(qc, eq, row, bound) {
+				if !ok {
+					break
+				}
+				if sd, e := idx.tab.flat.Bounds(qc, eq, row); idx.tab.flat.Above(sd, e, bound) {
 					rejected++
 				}
 			}

@@ -7,6 +7,7 @@
 package table
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -98,6 +99,9 @@ type Table struct {
 	// DiskEPT*) or after the whole file (Omni-seq).
 	gather  [2]int
 	scratch core.ScratchPool
+	// exact counts the rows the scans of a narrowed mirror verified on
+	// their objects (scan.nexact), added once per scan.
+	exact atomic.Int64
 }
 
 func newTable(name string, ds *core.Dataset, load func(id int) (core.Object, error)) *Table {
@@ -580,11 +584,12 @@ type scan struct {
 	q      core.Object
 	accept core.Filter   // nil = every id
 	h      *core.KNNHeap // kNN: the collector, whose radius tightens; nil for range
+	ub     *core.KNNHeap // coded kNN: the kept rows' upper bounds (the scratch's Upper); else nil
 	r      float64       // range: the fixed radius
 	res    []uint64      // range: the answer's ids, in the scratch's Keys
 	flat   bool          // verify through the mirror, with q widened into q64/q32
-	narrow bool          // flat on a narrowed mirror: rows are verified by narrowPre
-	filter bool          // narrow, and q coded (qc, eq): the mirror's Rejects may run
+	narrow bool          // flat on a narrowed mirror: rows are verified on their objects (exact)
+	coded  bool          // narrow, and q coded (qc, eq): rows are bounded by their codes first (bounded)
 	q64    []float64
 	q32    []float32
 	qc     []uint8
@@ -592,6 +597,7 @@ type scan struct {
 	chunk  int     // object path: candidates gathered before they are verified
 	m      int     // object path: candidates gathered and not yet verified
 	ndist  int     // flat path: distances computed, counted once at the end
+	nexact int     // narrowed mirror: rows verified on their objects, counted once at the end
 	qmax   float64 // largest |d(q, p)| over the pivots, for limit
 
 	// words is accept when it is a compiled predicate the table's
@@ -649,7 +655,7 @@ func (t *Table) begin(sc *core.Scratch, q core.Object, accept core.Filter) scan 
 		// the object path, where the metric decides whether it is legal.
 		s.q64, s.q32, s.flat = t.flat.QueryCoords(q, sc)
 		if s.narrow = s.flat && t.flat.Narrowed(); s.narrow {
-			s.qc, s.eq, s.filter = t.flat.Code(s.q64, sc)
+			s.qc, s.eq, s.coded = t.flat.Code(s.q64, sc)
 		}
 	}
 	return s
@@ -670,12 +676,20 @@ func (t *Table) wordsOf(accept core.Filter) *plan.Matcher {
 	return m
 }
 
+// radius is the scan's pruning radius: a range query's r; a kNN query's
+// k-th verified distance, or on a coded scan the lesser of it and the
+// k-th upper bound of the rows its codes kept — k rows lie within
+// either, so no row beyond it is an answer.
+//
 //metriclint:noalloc
 func (s *scan) radius() float64 {
-	if s.h != nil {
-		return s.h.Radius()
+	if s.h == nil {
+		return s.r
 	}
-	return s.r
+	if s.ub != nil {
+		return min(s.h.Radius(), s.ub.Radius())
+	}
+	return s.h.Radius()
 }
 
 // limit is the block bound above which no row of the block survives
@@ -741,10 +755,15 @@ func (s *scan) offer(id int, d float64) {
 //  4. verify: through the flat kernel at once, which stops reading the
 //     row once its partial passes the radius's bound in pre-distance
 //     space (exact distance for the rest), the next survivor's mirror
-//     row prefetched first (core.FlatVecs.Prefetch); or by gathering it
-//     for flush, which fetches the objects and verifies them through
+//     row prefetched first (core.FlatVecs.Prefetch); on a coded scan,
+//     by the row's code bounds first (bounded); or by gathering it for
+//     flush, which fetches the objects and verifies them through
 //     DistanceMany;
 //  5. collect: heap push, or radius compare.
+//
+// A coded kNN scan defers step 4's exact check of the rows its codes
+// keep to the end of the block (settle), so that their upper bounds
+// tighten the radius first.
 //
 // The sweep only pre-filters; step 3 makes the set of verified rows
 // exactly what a row-at-a-time scan in the same row order verifies — a
@@ -788,13 +807,17 @@ func (s *scan) block(base, end int) error {
 			// bound; such a partial is a reject as the full pre-distance
 			// would have been (see core.PreKernel).
 			bound := t.kern.Bound(r)
+			s.ndist++
+			if s.coded {
+				s.bounded(int(row), bound)
+				continue
+			}
 			var pre float64
 			if s.narrow {
-				pre = s.narrowPre(int(row), bound)
+				pre = s.exact(int(row), bound)
 			} else {
 				pre = t.flat.Pre(&t.kern, s.q64, s.q32, int(row), bound)
 			}
-			s.ndist++
 			if !(pre > bound) {
 				s.offer(int(s.ids[row]), t.kern.Finish(pre))
 			}
@@ -810,6 +833,9 @@ func (s *scan) block(base, end int) error {
 				return err
 			}
 		}
+	}
+	if s.ub != nil {
+		s.settle()
 	}
 	return nil
 }
@@ -832,20 +858,92 @@ func (s *scan) accepts(row int) bool {
 	return s.word>>(row&63)&1 != 0
 }
 
-// narrowPre is the pre-distance of a row of a narrowed mirror, or +Inf
-// for a row its codes prove above bound (core.FlatVecs.Rejects): +Inf is
-// above every bound Rejects rejects at, so the caller rejects the same
-// rows a float64 mirror's Pre would. The rest are verified by Pre64 on
-// the row's object — the dataset's float64 coordinates, the ones the
-// row was coded from — so every distance offered keeps its bits. Either
-// way it is one distance.
+// exact is the pre-distance of a row of a narrowed mirror: Pre64 on the
+// row's object — the dataset's float64 coordinates, the ones the row was
+// coded from — at the stop bound, so every distance offered keeps its
+// bits.
 //
 //metriclint:noalloc
-func (s *scan) narrowPre(row int, bound float64) float64 {
-	if s.filter && s.t.flat.Rejects(s.qc, s.eq, row, bound) {
-		return math.Inf(1)
-	}
+func (s *scan) exact(row int, bound float64) float64 {
+	s.nexact++
 	return s.t.kern.Pre64(s.q64, s.t.ds.Objects()[s.ids[row]].(core.Vector), bound)
+}
+
+// bounded decides a row of a coded scan by its codes (core.FlatVecs.Bounds)
+// at bound, the radius's: a row their lower bound puts above bound is
+// rejected, as the exact check would have. A range query takes a row
+// whose upper bound is within r into the answer with no exact check (for
+// L1, Bound(r) is r and the distance the pre-distance) and verifies the
+// rest at once. A kNN query keeps the row for settle, pushing its upper
+// bound into the scan's second heap. The booking is the caller's: one
+// distance, whichever way the row goes.
+//
+//metriclint:noalloc
+func (s *scan) bounded(row int, bound float64) {
+	f := s.t.flat
+	sd, e := f.Bounds(s.qc, s.eq, row)
+	if f.Above(sd, e, bound) {
+		return
+	}
+	if s.h != nil {
+		s.ub.Push(row, f.Upper(sd, e))
+		//metriclint:ignore noalloc grows the scratch's Kept, which keeps the capacity for the next query
+		s.sc.Kept = append(s.sc.Kept, core.CodeRow{Row: int32(row), SD: sd, E: e})
+		return
+	}
+	if f.Upper(sd, e) <= s.r {
+		//metriclint:ignore noalloc grows the scratch's Keys, which keeps the capacity for the next query
+		s.res = append(s.res, uint64(s.ids[row]))
+		return
+	}
+	if pre := s.exact(row, bound); pre <= s.r {
+		//metriclint:ignore noalloc grows the scratch's Keys, which keeps the capacity for the next query
+		s.res = append(s.res, uint64(s.ids[row]))
+	}
+}
+
+// settle verifies the rows a coded kNN scan's codes kept in one block,
+// at the block's end. It drops those whose lower bound the radius now
+// rejects, sorts the rest by ascending lower bound (SD − E; table row on
+// ties) and verifies them in that order on their objects, re-testing
+// each at the radius as the verified distances tighten it and
+// prefetching the next row's object while one is verified. The heap
+// keeps the k least distances under (distance, id) whatever order they
+// come in, so the order moves no answer — only how many rows reach the
+// exact check.
+//
+//metriclint:noalloc
+func (s *scan) settle() {
+	f, kept := s.t.flat, s.sc.Kept
+	bound := s.t.kern.Bound(s.radius())
+	n := 0
+	for _, c := range kept {
+		if !f.Above(c.SD, c.E, bound) {
+			kept[n] = c
+			n++
+		}
+	}
+	kept = kept[:n]
+	slices.SortFunc(kept, func(a, b core.CodeRow) int {
+		if c := cmp.Compare(a.SD-a.E, b.SD-b.E); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Row, b.Row)
+	})
+	objs := s.t.ds.Objects()
+	for i, c := range kept {
+		if i+1 < len(kept) {
+			core.PrefetchVector(objs[s.ids[kept[i+1].Row]].(core.Vector))
+		}
+		bound := s.t.kern.Bound(s.radius())
+		if f.Above(c.SD, c.E, bound) {
+			continue
+		}
+		if pre := s.exact(int(c.Row), bound); !(pre > bound) {
+			s.h.Push(int(s.ids[c.Row]), s.t.kern.Finish(pre))
+		}
+	}
+	s.sc.Kept = kept[:0]
 }
 
 // flush verifies the gathered candidates, verifyChunk at a time: it
@@ -881,6 +979,9 @@ func (s *scan) flush() error {
 func (s *scan) finish() error {
 	err := s.flush()
 	s.t.ds.Space().CountDistances(s.ndist)
+	if s.nexact > 0 {
+		s.t.exact.Add(int64(s.nexact))
+	}
 	return err
 }
 
@@ -996,6 +1097,10 @@ func (t *Table) ScanKNN(h *core.KNNHeap, q core.Object, accept core.Filter) erro
 func (t *Table) scanKNN(sc *core.Scratch, h *core.KNNHeap, q core.Object, accept core.Filter) error {
 	s := t.begin(sc, q, accept)
 	s.h, s.chunk = h, t.gather[1]
+	if s.coded {
+		s.ub = &sc.Upper
+		s.ub.Reset(h.K())
+	}
 	return s.run()
 }
 
