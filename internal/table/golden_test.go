@@ -441,9 +441,13 @@ type wideCosts struct {
 // TestTableGoldenCostsWide, keyed by family/dataset. Recorded before the
 // flat kernels learned to stop early: a candidate's verification may
 // read less of its row since, but never moves a count or an answer bit.
+// The Color kNN counts moved once, 15 231 → 15 679 and 16 384 → 17 062,
+// when the codes' upper bounds began to set the radius before any row
+// of a block is verified: the scan then books the rows it sees while
+// that radius tightens (docs/KERNELS.md "The narrowed mirror").
 var goldenWide = map[string]wideCosts{
-	"LAESA/color": {15231, 9338, "226862cad2430878bbae9feb883251e773a145f03dfd3fdded85a8eb85ee1165"},
-	"EPT*/color":  {16384, 7864, "226862cad2430878bbae9feb883251e773a145f03dfd3fdded85a8eb85ee1165"},
+	"LAESA/color": {15679, 9338, "226862cad2430878bbae9feb883251e773a145f03dfd3fdded85a8eb85ee1165"},
+	"EPT*/color":  {17062, 7864, "226862cad2430878bbae9feb883251e773a145f03dfd3fdded85a8eb85ee1165"},
 	"LAESA/l2":    {63414, 59456, "b0a77c3e92546301c52870ac5e62269a650f3bff0af9f90ab1ed22a558903201"},
 	"EPT*/l2":     {63790, 53485, "b0a77c3e92546301c52870ac5e62269a650f3bff0af9f90ab1ed22a558903201"},
 	"LAESA/linf":  {66914, 66100, "d9520dad8f0630bae6bb336230ec24a6a762e0893b4af17e354a736ef8da13d9"},
@@ -577,8 +581,8 @@ type wideChurnCosts struct {
 // goldenWideChurn pins the churn leg of TestTableGoldenCostsWide, keyed
 // like goldenWide.
 var goldenWideChurn = map[string]wideChurnCosts{
-	"LAESA/color": {350, 104293, 24463, "da396289738acb205e21e5ce70d026f433282008f73682decf720fc0440310d1"},
-	"EPT*/color":  {5040, 102135, 23392, "da396289738acb205e21e5ce70d026f433282008f73682decf720fc0440310d1"},
+	"LAESA/color": {350, 105260, 24463, "da396289738acb205e21e5ce70d026f433282008f73682decf720fc0440310d1"},
+	"EPT*/color":  {5040, 103368, 23392, "da396289738acb205e21e5ce70d026f433282008f73682decf720fc0440310d1"},
 }
 
 // wideSpecial returns a copy of v holding, by i, a coordinate the
