@@ -20,9 +20,9 @@ GOVULNCHECK_VERSION ?= v1.1.4
 # (nilness, shadow) that plain `go vet` does not run.
 XTOOLS_VERSION ?= v0.30.0
 
-# Seconds each native fuzz target runs in the `make fuzz` smoke (sixteen
-# targets: FuzzLevenshtein, FuzzBatchKernels, FuzzWithinKernels,
-# FuzzSurviveColumns, FuzzDecodeQuery,
+# Seconds each native fuzz target runs in the `make fuzz` smoke
+# (seventeen targets: FuzzLevenshtein, FuzzBatchKernels, FuzzWithinKernels,
+# FuzzSurviveColumns, FuzzCodeBounds, FuzzDecodeQuery,
 # FuzzSnapshotHeader, FuzzWALRecord, FuzzTreePayload, FuzzRegionTreePayload,
 # FuzzBPlusPayload, FuzzPagedTablePayload, FuzzPredicateParse,
 # FuzzPredicateEval, FuzzCompiledPredicate, FuzzHilbertDecode,
@@ -90,6 +90,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzBatchKernels -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzWithinKernels -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzSurviveColumns -fuzztime=$(FUZZTIME) ./internal/core
+	$(GO) test -run='^$$' -fuzz=FuzzCodeBounds -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeQuery -fuzztime=$(FUZZTIME) ./internal/server
 	$(GO) test -run='^$$' -fuzz=FuzzSnapshotHeader -fuzztime=$(FUZZTIME) ./internal/persist
 	$(GO) test -run='^$$' -fuzz=FuzzWALRecord -fuzztime=$(FUZZTIME) ./internal/persist

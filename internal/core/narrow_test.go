@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"slices"
@@ -213,4 +214,145 @@ func TestNarrowedHoldsAndSwapDelete(t *testing.T) {
 	if f.Rows() != 2 || !f.Holds(0, rows[2], nil) || !f.Holds(1, rows[1], nil) || f.Holds(0, rows[0], nil) {
 		t.Fatal("after SwapDelete(0) the rows do not hold rows 2 and 1")
 	}
+}
+
+// TestNarrowedMarginWitnesses builds rows on which each margin of the
+// codes' bounds is load-bearing. On a coarse grid (fitted to ±2⁶⁰, step
+// 2⁵⁴), a 282-D query and row are placed so that the triangle
+// inequality of every coordinate is an equality — q̂ ≤ q ≤ x ≤ x̂ for
+// the lower bound, q ≤ q̂ ≤ x̂ ≤ x for the upper, with q̂ and x̂ the
+// values of their codes — so the exact D is exactly sd − e or sd + e,
+// and only roundings separate the computed D from it. Where they put
+// the bound on the wrong side of the computed D, only the margin keeps
+// Above from rejecting the row at bound D, and Upper from falling below
+// D. The test fails unless both kinds of witness occur, so removing
+// either margin fails it.
+func TestNarrowedMarginWitnesses(t *testing.T) {
+	const dim, rows = 282, 400
+	rng := rand.New(rand.NewSource(24))
+	k, _ := PreKernelFor(L1{})
+	fit := make(Vector, dim)
+	fit[0], fit[1] = -0x1p60, 0x1p60
+	f := NewFlatVecs(L1{}, []Object{fit})
+	if f.grid.lo != -0x1p60 || f.grid.step != 0x1p54 {
+		t.Fatalf("grid (lo %v, step %v), want (-2⁶⁰, 2⁵⁴)", f.grid.lo, f.grid.step)
+	}
+	value := func(c int) float64 { return f.grid.lo + float64(c)*f.grid.step }
+	var sc Scratch
+	lowerWitnesses, upperWitnesses := 0, 0
+	for i := 0; i < 2*rows; i++ {
+		upper := i%2 == 1
+		q, x := make(Vector, dim), make(Vector, dim)
+		for j := range q {
+			cq := 1 + rng.Intn(200)
+			cx := cq + 1 + rng.Intn(254-cq)
+			a, b := rng.Float64()*0.49*f.grid.step, rng.Float64()*0.49*f.grid.step
+			if upper {
+				q[j], x[j] = value(cq)-a, value(cx)+b
+			} else {
+				q[j], x[j] = value(cq)+a, value(cx)-b
+			}
+		}
+		if !f.Append(x) {
+			t.Fatal("Append refused a Vector row")
+		}
+		qc, eq, ok := f.Code(q, &sc)
+		if !ok {
+			t.Fatal("a finite query did not code")
+		}
+		sd, e := f.Bounds(qc, eq, i)
+		d := k.Pre64(q, x, math.Inf(1))
+		if upper {
+			if d > sd+e {
+				upperWitnesses++
+			}
+			if u := f.Upper(sd, e); !(u >= d) {
+				t.Fatalf("row %d: upper bound %v below the computed distance %v", i, u, d)
+			}
+			continue
+		}
+		if sd > d+e {
+			lowerWitnesses++
+		}
+		if f.Above(sd, e, d) {
+			t.Fatalf("row %d: rejected at bound %v, its computed distance (sd %v, e %v)", i, d, sd, e)
+		}
+	}
+	t.Logf("%d lower and %d upper witnesses of %d rows each", lowerWitnesses, upperWitnesses, rows)
+	if lowerWitnesses == 0 || upperWitnesses == 0 {
+		t.Fatalf("%d lower and %d upper witnesses: a margin is not load-bearing here", lowerWitnesses, upperWitnesses)
+	}
+}
+
+// FuzzCodeBounds is the two-sided property of the codes' bounds on
+// random rows and queries: the lower test (Above) never rejects a row
+// whose computed L1 distance — Pre64 over the float64 coordinates the
+// row was coded from — is within the bound, and the upper bound (Upper)
+// is never below the computed distance. Coordinates come from the raw
+// input's float64 bits (so NaN, ±Inf, subnormals and any magnitude)
+// and from normals at a scale the seed picks; the grid is fitted to the
+// first row or to a narrower copy of it, so other rows and the query
+// clamp far outside it. A query that does not code is skipped; a row at
+// a NaN distance must have E = +Inf.
+func FuzzCodeBounds(f *testing.F) {
+	f.Add([]byte{}, uint8(33), int64(1), math.Float64bits(100))
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0xF8, 0x7F, 1, 0, 0, 0, 0, 0, 0, 0}, uint8(64), int64(2), math.Float64bits(0))
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xEF, 0x7F, 0, 0, 0, 0, 0, 0, 0xF0, 0xFF}, uint8(97), int64(3), math.Float64bits(-1))
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0xB0, 0x43, 0, 0, 0, 0, 0, 0, 0xB0, 0xC3}, uint8(200), int64(4), math.Float64bits(1e18))
+	k, _ := PreKernelFor(L1{})
+	f.Fuzz(func(t *testing.T, raw []byte, dimByte uint8, seed int64, boundBits uint64) {
+		const nrows = 6
+		dim := 1 + int(dimByte)%300
+		rng := rand.New(rand.NewSource(seed))
+		scale := math.Ldexp(1, rng.Intn(2098)-1075) // subnormal to 2¹⁰²²
+		vecs := make([]Vector, nrows+1)             // the rows, then the query
+		at := 0
+		for i := range vecs {
+			vecs[i] = make(Vector, dim)
+			for j := range vecs[i] {
+				if at+8 <= len(raw) {
+					vecs[i][j] = math.Float64frombits(binary.LittleEndian.Uint64(raw[at:]))
+					at += 8
+				} else {
+					vecs[i][j] = rng.NormFloat64() * scale
+				}
+			}
+		}
+		fit := vecs[0]
+		if seed%2 == 0 {
+			fit = fit.Clone()
+			for j := range fit {
+				fit[j] /= 1 << 20
+			}
+		}
+		m := NewFlatVecs(L1{}, []Object{fit})
+		for _, v := range vecs[:nrows] {
+			if !m.Append(v) {
+				t.Fatal("Append refused a Vector row")
+			}
+		}
+		q := vecs[nrows]
+		var sc Scratch
+		qc, eq, ok := m.Code(q, &sc)
+		if !ok {
+			return
+		}
+		for row, x := range vecs[:nrows] {
+			sd, e := m.Bounds(qc, eq, row)
+			d := k.Pre64(q, x, math.Inf(1))
+			if math.IsNaN(d) {
+				if !math.IsInf(e, 1) {
+					t.Fatalf("dim %d row %d: distance NaN with finite error sum %v", dim, row, e)
+				}
+			} else if u := m.Upper(sd, e); !(u >= d) {
+				t.Fatalf("dim %d row %d: upper bound %v below the computed distance %v (sd %v, e %v)", dim, row, u, d, sd, e)
+			}
+			for _, bound := range []float64{d, math.Nextafter(d, math.Inf(-1)), math.Nextafter(d, math.Inf(1)),
+				d * (1 - 0x1p-40), d / 2, 0, math.Float64frombits(boundBits), math.Inf(1), math.NaN()} {
+				if m.Above(sd, e, bound) && !(d > bound) {
+					t.Fatalf("dim %d row %d: rejected at bound %v, computed distance %v (sd %v, e %v)", dim, row, bound, d, sd, e)
+				}
+			}
+		}
+	})
 }
