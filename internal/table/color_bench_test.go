@@ -12,10 +12,11 @@ import (
 // (282-D, L1), five HFI pivots, k = 10 and a range radius calibrated to
 // a selectivity of 0.001. Each op is one query of a 64-query pool. The
 // table's mirror is narrowed, so most of an op is the per-candidate
-// check of the codes (docs/KERNELS.md "The narrowed mirror");
-// compdists/op is the paper's cost, which a change to that check must
-// leave as it is. `make bench-color` runs it once so it keeps compiling
-// and running; raise -benchtime to measure.
+// check of the codes and the exact check of the rows they keep
+// (docs/KERNELS.md "The narrowed mirror"); compdists/op is the paper's
+// cost, and exact/op the rows verified on their 2 256-byte objects.
+// `make bench-color` runs it once so it keeps compiling and running;
+// raise -benchtime to measure.
 func BenchmarkLAESAColor(b *testing.B) {
 	gen, err := dataset.Generate(dataset.Color, dataset.Config{N: 50000, Queries: 64, Seed: 42})
 	if err != nil {
@@ -42,7 +43,7 @@ func BenchmarkLAESAColor(b *testing.B) {
 		{"range", func(i int) error { _, err := idx.RangeSearch(gen.Queries[i%len(gen.Queries)], r); return err }},
 	} {
 		b.Run(leg.name, func(b *testing.B) {
-			cd0 := ds.Space().CompDists()
+			cd0, exact0 := ds.Space().CompDists(), idx.tab.exact.Load()
 			b.ResetTimer()
 			for i := range b.N {
 				if err := leg.query(i); err != nil {
@@ -51,6 +52,7 @@ func BenchmarkLAESAColor(b *testing.B) {
 			}
 			b.StopTimer()
 			b.ReportMetric(float64(ds.Space().CompDists()-cd0)/float64(b.N), "compdists/op")
+			b.ReportMetric(float64(idx.tab.exact.Load()-exact0)/float64(b.N), "exact/op")
 		})
 	}
 }

@@ -33,3 +33,7 @@ func (t *Table) WordPass(accept core.Filter) bool { return t.wordsOf(accept) != 
 // AttrCopyInStep reports whether the attribute copy is in step with the
 // dataset's attribute store.
 func (t *Table) AttrCopyInStep() bool { return t.attrs.InStep(t.ds.AttrStore()) }
+
+// Exact returns how many rows the table's scans of a narrowed mirror have
+// verified on their objects (scan.nexact) since it was built.
+func (t *Table) Exact() int64 { return t.exact.Load() }

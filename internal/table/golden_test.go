@@ -430,11 +430,13 @@ func TestTableFamilyGoldenCosts(t *testing.T) {
 
 // wideCosts is what one flat-path family spent and answered on a
 // dataset wide enough to cross the distance kernels' 32-coordinate
-// checkpoints: compdists of the kNN and range legs, and the SHA-256 of
-// every answer id and every kNN distance's bits.
+// checkpoints: compdists of the kNN and range legs, the rows of each leg
+// a narrowed mirror verified on their objects (0 off one), and the
+// SHA-256 of every answer id and every kNN distance's bits.
 type wideCosts struct {
-	knnCD, rangeCD int64
-	answers        string
+	knnCD, rangeCD       int64
+	knnExact, rangeExact int64
+	answers              string
 }
 
 // goldenWide pins LAESA and EPT* on the wide datasets of
@@ -446,14 +448,14 @@ type wideCosts struct {
 // of a block is verified: the scan then books the rows it sees while
 // that radius tightens (docs/KERNELS.md "The narrowed mirror").
 var goldenWide = map[string]wideCosts{
-	"LAESA/color": {15679, 9338, "226862cad2430878bbae9feb883251e773a145f03dfd3fdded85a8eb85ee1165"},
-	"EPT*/color":  {17062, 7864, "226862cad2430878bbae9feb883251e773a145f03dfd3fdded85a8eb85ee1165"},
-	"LAESA/l2":    {63414, 59456, "b0a77c3e92546301c52870ac5e62269a650f3bff0af9f90ab1ed22a558903201"},
-	"EPT*/l2":     {63790, 53485, "b0a77c3e92546301c52870ac5e62269a650f3bff0af9f90ab1ed22a558903201"},
-	"LAESA/linf":  {66914, 66100, "d9520dad8f0630bae6bb336230ec24a6a762e0893b4af17e354a736ef8da13d9"},
-	"EPT*/linf":   {67518, 61131, "d9520dad8f0630bae6bb336230ec24a6a762e0893b4af17e354a736ef8da13d9"},
-	"LAESA/l1f32": {58414, 50800, "3c96386ee7b4712b691e2ae588640b91728080d00b1b80e07e8928df5252cd91"},
-	"EPT*/l1f32":  {62464, 48820, "3c96386ee7b4712b691e2ae588640b91728080d00b1b80e07e8928df5252cd91"},
+	"LAESA/color": {15679, 9338, 1991, 286, "226862cad2430878bbae9feb883251e773a145f03dfd3fdded85a8eb85ee1165"},
+	"EPT*/color":  {17062, 7864, 4636, 528, "226862cad2430878bbae9feb883251e773a145f03dfd3fdded85a8eb85ee1165"},
+	"LAESA/l2":    {63414, 59456, 0, 0, "b0a77c3e92546301c52870ac5e62269a650f3bff0af9f90ab1ed22a558903201"},
+	"EPT*/l2":     {63790, 53485, 0, 0, "b0a77c3e92546301c52870ac5e62269a650f3bff0af9f90ab1ed22a558903201"},
+	"LAESA/linf":  {66914, 66100, 0, 0, "d9520dad8f0630bae6bb336230ec24a6a762e0893b4af17e354a736ef8da13d9"},
+	"EPT*/linf":   {67518, 61131, 0, 0, "d9520dad8f0630bae6bb336230ec24a6a762e0893b4af17e354a736ef8da13d9"},
+	"LAESA/l1f32": {58414, 50800, 0, 0, "3c96386ee7b4712b691e2ae588640b91728080d00b1b80e07e8928df5252cd91"},
+	"EPT*/l1f32":  {62464, 48820, 0, 0, "3c96386ee7b4712b691e2ae588640b91728080d00b1b80e07e8928df5252cd91"},
 }
 
 // wideDataset returns one of the wide golden datasets and its range
@@ -512,18 +514,20 @@ func TestTableGoldenCostsWide(t *testing.T) {
 			if !idx.(interface{ Table() *table.Table }).Table().FlatArmed() {
 				t.Fatalf("%s: the flat path is not armed", key)
 			}
+			tab := idx.(interface{ Table() *table.Table }).Table()
 			answers := sha256.New()
-			measure := func(leg func(q core.Object) error) int64 {
+			measure := func(leg func(q core.Object) error) (int64, int64) {
 				ds.Space().ResetCompDists()
+				exact := tab.Exact()
 				for _, q := range queries {
 					if err := leg(q); err != nil {
 						t.Fatalf("%s: %v", key, err)
 					}
 				}
-				return ds.Space().CompDists()
+				return ds.Space().CompDists(), tab.Exact() - exact
 			}
 			var got wideCosts
-			got.knnCD = measure(func(q core.Object) error {
+			got.knnCD, got.knnExact = measure(func(q core.Object) error {
 				for _, k := range []int{1, 10, 100} {
 					ns, err := idx.KNNSearch(q, k)
 					if err != nil {
@@ -537,7 +541,7 @@ func TestTableGoldenCostsWide(t *testing.T) {
 				}
 				return nil
 			})
-			got.rangeCD = measure(func(q core.Object) error {
+			got.rangeCD, got.rangeExact = measure(func(q core.Object) error {
 				for _, r := range radii {
 					ids, err := idx.RangeSearch(q, r)
 					if err != nil {
@@ -552,14 +556,14 @@ func TestTableGoldenCostsWide(t *testing.T) {
 			})
 			got.answers = fmt.Sprintf("%x", answers.Sum(nil))
 			if want, ok := goldenWide[key]; !ok || got != want {
-				t.Errorf("%s: costs moved\n got  %q: {%d, %d,\n\t%q},\n want %+v",
-					key, key, got.knnCD, got.rangeCD, got.answers, want)
+				t.Errorf("%s: costs moved\n got  %q: {%d, %d, %d, %d,\n\t%q},\n want %+v",
+					key, key, got.knnCD, got.rangeCD, got.knnExact, got.rangeExact, got.answers, want)
 			}
 			if name == "color" {
 				got := wideChurn(t, key, idx, ds, queries, radii)
 				if want, ok := goldenWideChurn[key]; !ok || got != want {
-					t.Errorf("%s: churn costs moved\n got  %q: {%d, %d, %d,\n\t%q},\n want %+v",
-						key, key, got.churnCD, got.knnCD, got.rangeCD, got.answers, want)
+					t.Errorf("%s: churn costs moved\n got  %q: {%d, %d, %d, %d, %d,\n\t%q},\n want %+v",
+						key, key, got.churnCD, got.knnCD, got.rangeCD, got.knnExact, got.rangeExact, got.answers, want)
 				}
 			}
 		}
@@ -568,21 +572,23 @@ func TestTableGoldenCostsWide(t *testing.T) {
 
 // wideChurnCosts is what the Color tables spent and answered after the
 // churn leg of TestTableGoldenCostsWide: compdists of its inserts and of
-// the kNN and range legs that follow, and the SHA-256 of every answer id
-// and every kNN distance's bits. Rows and queries holding a NaN or an
+// the kNN and range legs that follow, the rows of each leg verified on
+// their objects, and the SHA-256 of every answer id and every kNN
+// distance's bits. Rows and queries holding a NaN or an
 // infinity put NaN distances in play; none is ever a neighbour (see
 // core.KNNHeap), so the answers do not depend on the order a scan
 // verifies its rows in.
 type wideChurnCosts struct {
 	churnCD, knnCD, rangeCD int64
+	knnExact, rangeExact    int64
 	answers                 string
 }
 
 // goldenWideChurn pins the churn leg of TestTableGoldenCostsWide, keyed
 // like goldenWide.
 var goldenWideChurn = map[string]wideChurnCosts{
-	"LAESA/color": {350, 105260, 24463, "da396289738acb205e21e5ce70d026f433282008f73682decf720fc0440310d1"},
-	"EPT*/color":  {5040, 103368, 23392, "da396289738acb205e21e5ce70d026f433282008f73682decf720fc0440310d1"},
+	"LAESA/color": {350, 105260, 24463, 86732, 12956, "da396289738acb205e21e5ce70d026f433282008f73682decf720fc0440310d1"},
+	"EPT*/color":  {5040, 103368, 23392, 87442, 13296, "da396289738acb205e21e5ce70d026f433282008f73682decf720fc0440310d1"},
 }
 
 // wideSpecial returns a copy of v holding, by i, a coordinate the
@@ -659,17 +665,19 @@ func wideChurn(t *testing.T, key string, idx goldenIndex, ds *core.Dataset, quer
 		queries = append(queries, wideSpecial(queries[i].(core.Vector), i))
 	}
 	queries = append(queries, ds.Object(special[len(special)-2]), ds.Object(special[len(special)-3]))
+	tab := idx.(interface{ Table() *table.Table }).Table()
 	answers := sha256.New()
-	measure := func(leg func(q core.Object) error) int64 {
+	measure := func(leg func(q core.Object) error) (int64, int64) {
 		ds.Space().ResetCompDists()
+		exact := tab.Exact()
 		for _, q := range queries {
 			if err := leg(q); err != nil {
 				t.Fatalf("%s: %v", key, err)
 			}
 		}
-		return ds.Space().CompDists()
+		return ds.Space().CompDists(), tab.Exact() - exact
 	}
-	got.knnCD = measure(func(q core.Object) error {
+	got.knnCD, got.knnExact = measure(func(q core.Object) error {
 		for _, k := range []int{1, 10, 100} {
 			ns, err := idx.KNNSearch(q, k)
 			if err != nil {
@@ -686,7 +694,7 @@ func wideChurn(t *testing.T, key string, idx goldenIndex, ds *core.Dataset, quer
 		}
 		return nil
 	})
-	got.rangeCD = measure(func(q core.Object) error {
+	got.rangeCD, got.rangeExact = measure(func(q core.Object) error {
 		for _, r := range radii {
 			ids, err := idx.RangeSearch(q, r)
 			if err != nil {
