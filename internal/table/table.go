@@ -924,12 +924,7 @@ func (s *scan) settle() {
 		}
 	}
 	kept = kept[:n]
-	slices.SortFunc(kept, func(a, b core.CodeRow) int {
-		if c := cmp.Compare(a.SD-a.E, b.SD-b.E); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.Row, b.Row)
-	})
+	slices.SortFunc(kept, byLower)
 	objs := s.t.ds.Objects()
 	for i, c := range kept {
 		if i+1 < len(kept) {
@@ -944,6 +939,17 @@ func (s *scan) settle() {
 		}
 	}
 	s.sc.Kept = kept[:0]
+}
+
+// byLower orders kept rows by ascending lower bound, SD − E, and table
+// row on ties.
+//
+//metriclint:noalloc
+func byLower(a, b core.CodeRow) int {
+	if c := cmp.Compare(a.SD-a.E, b.SD-b.E); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Row, b.Row)
 }
 
 // flush verifies the gathered candidates, verifyChunk at a time: it
