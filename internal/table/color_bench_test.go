@@ -43,7 +43,7 @@ func BenchmarkLAESAColor(b *testing.B) {
 		{"range", func(i int) error { _, err := idx.RangeSearch(gen.Queries[i%len(gen.Queries)], r); return err }},
 	} {
 		b.Run(leg.name, func(b *testing.B) {
-			cd0, exact0 := ds.Space().CompDists(), idx.tab.exact.Load()
+			cd0, exact0 := ds.Space().CompDists(), idx.tab.nexact.Load()
 			b.ResetTimer()
 			for i := range b.N {
 				if err := leg.query(i); err != nil {
@@ -52,7 +52,7 @@ func BenchmarkLAESAColor(b *testing.B) {
 			}
 			b.StopTimer()
 			b.ReportMetric(float64(ds.Space().CompDists()-cd0)/float64(b.N), "compdists/op")
-			b.ReportMetric(float64(idx.tab.exact.Load()-exact0)/float64(b.N), "exact/op")
+			b.ReportMetric(float64(idx.tab.nexact.Load()-exact0)/float64(b.N), "exact/op")
 		})
 	}
 }

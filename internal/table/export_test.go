@@ -36,4 +36,4 @@ func (t *Table) AttrCopyInStep() bool { return t.attrs.InStep(t.ds.AttrStore()) 
 
 // Exact returns how many rows the table's scans of a narrowed mirror have
 // verified on their objects (scan.nexact) since it was built.
-func (t *Table) Exact() int64 { return t.exact.Load() }
+func (t *Table) Exact() int64 { return t.nexact.Load() }

@@ -99,9 +99,9 @@ type Table struct {
 	// DiskEPT*) or after the whole file (Omni-seq).
 	gather  [2]int
 	scratch core.ScratchPool
-	// exact counts the rows the scans of a narrowed mirror verified on
+	// nexact counts the rows the scans of a narrowed mirror verified on
 	// their objects (scan.nexact), added once per scan.
-	exact atomic.Int64
+	nexact atomic.Int64
 }
 
 func newTable(name string, ds *core.Dataset, load func(id int) (core.Object, error)) *Table {
@@ -871,12 +871,12 @@ func (s *scan) exact(row int, bound float64) float64 {
 
 // bounded decides a row of a coded scan by its codes (core.FlatVecs.Bounds)
 // at bound, the radius's: a row their lower bound puts above bound is
-// rejected, as the exact check would have. A range query takes a row
-// whose upper bound is within r into the answer with no exact check (for
-// L1, Bound(r) is r and the distance the pre-distance) and verifies the
-// rest at once. A kNN query keeps the row for settle, pushing its upper
-// bound into the scan's second heap. The booking is the caller's: one
-// distance, whichever way the row goes.
+// rejected, as the exact check would have. A kNN query keeps the rest
+// for settle, pushing each one's upper bound into the scan's second
+// heap. A range query offers a row whose upper bound is within r with
+// that bound — it decides as the distance would, for L1's Bound(r) is r
+// and its distance the pre-distance — and verifies the rest at once.
+// The booking is the caller's: one distance, whichever way the row goes.
 //
 //metriclint:noalloc
 func (s *scan) bounded(row int, bound float64) {
@@ -885,21 +885,17 @@ func (s *scan) bounded(row int, bound float64) {
 	if f.Above(sd, e, bound) {
 		return
 	}
+	d := f.Upper(sd, e)
 	if s.h != nil {
-		s.ub.Push(row, f.Upper(sd, e))
+		s.ub.Push(row, d)
 		//metriclint:ignore noalloc grows the scratch's Kept, which keeps the capacity for the next query
 		s.sc.Kept = append(s.sc.Kept, core.CodeRow{Row: int32(row), SD: sd, E: e})
 		return
 	}
-	if f.Upper(sd, e) <= s.r {
-		//metriclint:ignore noalloc grows the scratch's Keys, which keeps the capacity for the next query
-		s.res = append(s.res, uint64(s.ids[row]))
-		return
+	if d > s.r {
+		d = s.t.kern.Finish(s.exact(row, bound))
 	}
-	if pre := s.exact(row, bound); pre <= s.r {
-		//metriclint:ignore noalloc grows the scratch's Keys, which keeps the capacity for the next query
-		s.res = append(s.res, uint64(s.ids[row]))
-	}
+	s.offer(int(s.ids[row]), d)
 }
 
 // settle verifies the rows a coded kNN scan's codes kept in one block,
@@ -986,7 +982,7 @@ func (s *scan) finish() error {
 	err := s.flush()
 	s.t.ds.Space().CountDistances(s.ndist)
 	if s.nexact > 0 {
-		s.t.exact.Add(int64(s.nexact))
+		s.t.nexact.Add(int64(s.nexact))
 	}
 	return err
 }
