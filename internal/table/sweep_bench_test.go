@@ -25,6 +25,7 @@ func recordSweeps(t *Table, q core.Object, k int, r float64) []tableSweep {
 	s := t.begin(sc, q, nil)
 	if k > 0 {
 		s.h, s.chunk = sc.Heap(k), t.gather[1]
+		s.r = s.h.Radius()
 	} else {
 		s.r, s.res = r, sc.Keys[:0]
 	}
@@ -33,7 +34,7 @@ func recordSweeps(t *Table, q core.Object, k int, r float64) []tableSweep {
 	v := t.zones.visit(&sc.Zones, sc.QD, nb, s.limit())
 	for b := v.next(s.limit()); b >= 0; b = v.next(s.limit()) {
 		base, end := b*zoneRows, min((b+1)*zoneRows, len(s.ids))
-		sweeps = append(sweeps, tableSweep{slices.Clone(sc.QD), base, end, s.radius()})
+		sweeps = append(sweeps, tableSweep{slices.Clone(sc.QD), base, end, s.r})
 		if err := s.block(base, end); err != nil {
 			panic(err)
 		}

@@ -585,7 +585,8 @@ type scan struct {
 	accept core.Filter   // nil = every id
 	h      *core.KNNHeap // kNN: the collector, whose radius tightens; nil for range
 	ub     *core.KNNHeap // coded kNN: the kept rows' upper bounds (the scratch's Upper); else nil
-	r      float64       // range: the fixed radius
+	ceil   float64       // kNN: ub's k-th, +Inf until it holds k (and on a scan without ub)
+	r      float64       // the radius: range's fixed one; kNN's k-th distance, or ceil if less (push)
 	res    []uint64      // range: the answer's ids, in the scratch's Keys
 	flat   bool          // verify through the mirror, with q widened into q64/q32
 	narrow bool          // flat on a narrowed mirror: rows are verified on their objects (exact)
@@ -634,7 +635,7 @@ func (t *Table) begin(sc *core.Scratch, q core.Object, accept core.Filter) scan 
 	sc.GrowSur(rows)
 	sc.GrowChunk(verifyChunk)
 	t.ds.Space().DistanceMany(q, t.pivots, qd)
-	s := scan{t: t, sc: sc, q: q, chunk: t.gather[0], ids: t.ids, refs: t.refs, cols: t.cols, wordBase: -1}
+	s := scan{t: t, sc: sc, q: q, chunk: t.gather[0], ids: t.ids, refs: t.refs, cols: t.cols, wordBase: -1, ceil: math.Inf(1)}
 	if !core.NoFilter(accept) {
 		s.accept, s.words = accept, t.wordsOf(accept)
 	}
@@ -676,22 +677,6 @@ func (t *Table) wordsOf(accept core.Filter) *plan.Matcher {
 	return m
 }
 
-// radius is the scan's pruning radius: a range query's r; a kNN query's
-// k-th verified distance, or on a coded scan the lesser of it and the
-// k-th upper bound of the rows its codes kept — k rows lie within
-// either, so no row beyond it is an answer.
-//
-//metriclint:noalloc
-func (s *scan) radius() float64 {
-	if s.h == nil {
-		return s.r
-	}
-	if s.ub != nil {
-		return min(s.h.Radius(), s.ub.Radius())
-	}
-	return s.h.Radius()
-}
-
 // limit is the block bound above which no row of the block survives
 // Lemma 1 at the current radius. A zone gap is the rounded lo − q while
 // the row test is d > q + r with q + r rounded; the relative margin of
@@ -702,7 +687,7 @@ func (s *scan) radius() float64 {
 //
 //metriclint:noalloc
 func (s *scan) limit() float64 {
-	r := max(s.radius(), 0)
+	r := max(s.r, 0)
 	return r + (r+s.qmax)*0x1p-50
 }
 
@@ -731,11 +716,22 @@ func (s *scan) object(id int) (core.Object, error) {
 //metriclint:noalloc
 func (s *scan) offer(id int, d float64) {
 	if s.h != nil {
-		s.h.Push(id, d)
+		s.push(id, d)
 	} else if d <= s.r {
 		//metriclint:ignore noalloc grows the scratch's Keys, which keeps the capacity for the next query
 		s.res = append(s.res, uint64(id))
 	}
+}
+
+// push offers a kNN candidate to the heap and brings the radius up to
+// date: the lesser of the heap's k-th distance and ceil, as k rows lie
+// within either, so no row beyond it is an answer. Keeping it in r
+// makes the block loop's per-survivor read a load, not a call.
+//
+//metriclint:noalloc
+func (s *scan) push(id int, d float64) {
+	s.h.Push(id, d)
+	s.r = min(s.h.Radius(), s.ceil)
 }
 
 // block is the staged pass over one admitted block, rows [base, end):
@@ -776,9 +772,9 @@ func (s *scan) offer(id int, d float64) {
 //metriclint:noalloc
 func (s *scan) block(base, end int) error {
 	t, sc := s.t, s.sc
-	sur := s.sweep(base, end, s.radius())
+	sur := s.sweep(base, end, s.r)
 	for i, row := range sur {
-		r := s.radius()
+		r := s.r
 		if s.h != nil {
 			// The layout's recheck, written out rather than behind a helper:
 			// each inlines here, a helper holding both would not, and this
@@ -888,6 +884,8 @@ func (s *scan) bounded(row int, bound float64) {
 	d := f.Upper(sd, e)
 	if s.h != nil {
 		s.ub.Push(row, d)
+		s.ceil = s.ub.Radius()
+		s.r = min(s.r, s.ceil)
 		//metriclint:ignore noalloc grows the scratch's Kept, which keeps the capacity for the next query
 		s.sc.Kept = append(s.sc.Kept, core.CodeRow{Row: int32(row), SD: sd, E: e})
 		return
@@ -911,7 +909,7 @@ func (s *scan) bounded(row int, bound float64) {
 //metriclint:noalloc
 func (s *scan) settle() {
 	f, kept := s.t.flat, s.sc.Kept
-	bound := s.t.kern.Bound(s.radius())
+	bound := s.t.kern.Bound(s.r)
 	n := 0
 	for _, c := range kept {
 		if !f.Above(c.SD, c.E, bound) {
@@ -926,12 +924,12 @@ func (s *scan) settle() {
 		if i+1 < len(kept) {
 			core.PrefetchVector(objs[s.ids[kept[i+1].Row]].(core.Vector))
 		}
-		bound := s.t.kern.Bound(s.radius())
+		bound := s.t.kern.Bound(s.r)
 		if f.Above(c.SD, c.E, bound) {
 			continue
 		}
 		if pre := s.exact(int(c.Row), bound); !(pre > bound) {
-			s.h.Push(int(s.ids[c.Row]), s.t.kern.Finish(pre))
+			s.push(int(s.ids[c.Row]), s.t.kern.Finish(pre))
 		}
 	}
 	s.sc.Kept = kept[:0]
@@ -1098,7 +1096,7 @@ func (t *Table) ScanKNN(h *core.KNNHeap, q core.Object, accept core.Filter) erro
 // candidates have been verified, so the first block is swept whole.
 func (t *Table) scanKNN(sc *core.Scratch, h *core.KNNHeap, q core.Object, accept core.Filter) error {
 	s := t.begin(sc, q, accept)
-	s.h, s.chunk = h, t.gather[1]
+	s.h, s.r, s.chunk = h, h.Radius(), t.gather[1]
 	if s.coded {
 		s.ub = &sc.Upper
 		s.ub.Reset(h.K())
