@@ -11,16 +11,16 @@ import (
 
 	"metricindex/internal/core"
 	"metricindex/internal/dataset"
-	"metricindex/internal/persist"
 	"metricindex/internal/pivot"
 	"metricindex/internal/ptree"
+	"metricindex/internal/store"
 	"metricindex/internal/testutil"
 )
 
 // snapshotTree is a pivot tree that writes a snapshot payload.
 type snapshotTree interface {
 	core.Index
-	EncodeSnapshot(w *persist.Writer) error
+	EncodeSnapshot(w *store.Writer) error
 }
 
 // pivotTreeFamily builds one of the pivot trees — BKT, FQT, VPT, MVPT —
@@ -97,7 +97,7 @@ var treeArityGolden = map[int]int64{2: 77, 3: 78, 5: 57, 8: 63, 16: 85}
 
 func payloadHash(t *testing.T, idx snapshotTree) string {
 	t.Helper()
-	w := persist.NewWriter()
+	w := store.NewWriter()
 	if err := idx.EncodeSnapshot(w); err != nil {
 		t.Fatalf("%s: EncodeSnapshot: %v", idx.Name(), err)
 	}

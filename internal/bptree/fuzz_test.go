@@ -29,7 +29,7 @@ func newBPlus(t testing.TB, kind string, n int) bplus {
 	pv := testutil.SpreadPivots(ds, 3)
 	p := store.NewPager(256)
 	var idx interface {
-		EncodeSnapshot(w *persist.Writer) error
+		EncodeSnapshot(w *store.Writer) error
 	}
 	var err error
 	switch kind {
@@ -43,7 +43,7 @@ func newBPlus(t testing.TB, kind string, n int) bplus {
 	if err != nil {
 		t.Fatalf("%s: build: %v", kind, err)
 	}
-	w := persist.NewWriter()
+	w := store.NewWriter()
 	if err := idx.EncodeSnapshot(w); err != nil {
 		t.Fatalf("%s: EncodeSnapshot: %v", kind, err)
 	}
@@ -54,7 +54,7 @@ func newBPlus(t testing.TB, kind string, n int) bplus {
 // one kNN query, which must not panic.
 func (b bplus) query(payload []byte) {
 	load, _ := persist.LoaderFor(b.kind)
-	idx, _, err := load(b.ds, persist.NewReader(payload))
+	idx, _, err := load(b.ds, store.NewReader(payload))
 	if err != nil {
 		return
 	}
@@ -74,7 +74,7 @@ func FuzzBPlusPayload(f *testing.F) {
 	for i, kind := range []string{"SPB-tree", "OmniB+-tree", "M-index", "M-index*"} {
 		b := newBPlus(f, kind, 300)
 		trees = append(trees, b)
-		r := persist.NewReader(b.payload)
+		r := store.NewReader(b.payload)
 		r.U16()
 		vol, err := store.LoadPager(r.Blob())
 		if err != nil {
@@ -92,7 +92,7 @@ func FuzzBPlusPayload(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, kind uint8, pid uint16, page, state []byte) {
 		b := trees[int(kind)%len(trees)]
-		r := persist.NewReader(b.payload)
+		r := store.NewReader(b.payload)
 		version := r.U16()
 		vol, err := store.LoadPager(r.Blob())
 		if err != nil {
@@ -103,7 +103,7 @@ func FuzzBPlusPayload(f *testing.F) {
 				t.Fatal(err)
 			}
 		}
-		w := persist.NewWriter()
+		w := store.NewWriter()
 		w.U16(version)
 		w.Blob(vol.Serialize())
 		b.query(append(w.Bytes(), state...))

@@ -4,9 +4,9 @@ import (
 	"testing"
 
 	"metricindex/internal/core"
-	"metricindex/internal/persist"
 	"metricindex/internal/pivot"
 	"metricindex/internal/ptree"
+	"metricindex/internal/store"
 	"metricindex/internal/testutil"
 )
 
@@ -127,11 +127,11 @@ func TestFQASnapshotRejectsForeignPivot(t *testing.T) {
 		t.Fatal(err)
 	}
 	idx.pivotVals[0] = core.Word("foreign")
-	w := persist.NewWriter()
+	w := store.NewWriter()
 	if err := idx.EncodeSnapshot(w); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := loadFQA(ds, persist.NewReader(w.Bytes())); err == nil {
+	if _, _, err := loadFQA(ds, store.NewReader(w.Bytes())); err == nil {
 		t.Fatal("FQA loaded a payload whose first pivot is a Word over integer vectors")
 	}
 }

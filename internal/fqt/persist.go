@@ -18,7 +18,7 @@ func init() {
 
 // EncodeSnapshot writes the FQA payload: pivots, row ids and the
 // discrete distance vectors, row by row.
-func (t *FQA) EncodeSnapshot(w *persist.Writer) error {
+func (t *FQA) EncodeSnapshot(w *store.Writer) error {
 	w.U16(fqaFormatVersion)
 	w.Pivots(t.pivotIDs, t.pivotVals)
 	w.Int32s(t.ids)
@@ -28,7 +28,7 @@ func (t *FQA) EncodeSnapshot(w *persist.Writer) error {
 	return nil
 }
 
-func loadFQA(ds *core.Dataset, r *persist.Reader) (core.Index, *store.Pager, error) {
+func loadFQA(ds *core.Dataset, r *store.Reader) (core.Index, *store.Pager, error) {
 	if v := r.U16(); r.Err() == nil && v != fqaFormatVersion {
 		return nil, nil, fmt.Errorf("fqa: unsupported payload version %d", v)
 	}

@@ -15,7 +15,7 @@ import (
 // snapshotIndex is a region-tree index that writes a snapshot payload.
 type snapshotIndex interface {
 	core.Index
-	EncodeSnapshot(w *persist.Writer) error
+	EncodeSnapshot(w *store.Writer) error
 }
 
 // region is one region-tree index over a small integer-vector dataset,
@@ -53,7 +53,7 @@ func newRegion(t testing.TB, kind string, n int) region {
 // payload encodes the index's snapshot payload.
 func (g region) payload(t testing.TB) []byte {
 	t.Helper()
-	w := persist.NewWriter()
+	w := store.NewWriter()
 	if err := g.idx.EncodeSnapshot(w); err != nil {
 		t.Fatalf("%s: EncodeSnapshot: %v", g.kind, err)
 	}
@@ -64,7 +64,7 @@ func (g region) payload(t testing.TB) []byte {
 // the volume, the M-tree state's header, or the Omni base.
 func (g region) root(t testing.TB) store.PageID {
 	t.Helper()
-	r := persist.NewReader(g.payload(t))
+	r := store.NewReader(g.payload(t))
 	r.U16()
 	r.Blob()
 	if g.kind == "OmniR-tree" {
@@ -104,7 +104,7 @@ func (g region) craft(t testing.TB, edit func(page []byte)) []byte {
 // one kNN query, which must not panic; it reports whether the load took.
 func (g region) query(payload []byte) bool {
 	load, _ := persist.LoaderFor(g.kind)
-	idx, _, err := load(g.ds, persist.NewReader(payload))
+	idx, _, err := load(g.ds, store.NewReader(payload))
 	if err != nil {
 		return false
 	}
@@ -173,7 +173,7 @@ func FuzzRegionTreePayload(f *testing.F) {
 		g := newRegion(f, kind, 120)
 		payload := g.payload(f)
 		regions, payloads = append(regions, g), append(payloads, payload)
-		r := persist.NewReader(payload)
+		r := store.NewReader(payload)
 		r.U16()
 		r.Blob()
 		state := payload[len(payload)-r.Remaining():]
@@ -187,7 +187,7 @@ func FuzzRegionTreePayload(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, kind uint8, pid uint16, page, state []byte) {
 		i := int(kind) % len(regions)
-		r := persist.NewReader(payloads[i])
+		r := store.NewReader(payloads[i])
 		version := r.U16()
 		vol, err := store.LoadPager(r.Blob())
 		if err != nil {
@@ -198,7 +198,7 @@ func FuzzRegionTreePayload(f *testing.F) {
 				t.Fatal(err)
 			}
 		}
-		w := persist.NewWriter()
+		w := store.NewWriter()
 		w.U16(version)
 		w.Blob(vol.Serialize())
 		regions[i].query(append(w.Bytes(), state...))

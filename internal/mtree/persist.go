@@ -31,14 +31,14 @@ const pmtreeFormatVersion = 1
 
 func init() {
 	for _, kind := range []string{"PM-tree", "OmniR-tree"} {
-		persist.Register(kind, func(ds *core.Dataset, r *persist.Reader) (core.Index, *store.Pager, error) {
+		persist.Register(kind, func(ds *core.Dataset, r *store.Reader) (core.Index, *store.Pager, error) {
 			return loadTree(kind, ds, r)
 		})
 	}
 }
 
 // EncodeSnapshot writes the PM-tree's or the OmniR-tree's payload.
-func (t *Tree) EncodeSnapshot(w *persist.Writer) error {
+func (t *Tree) EncodeSnapshot(w *store.Writer) error {
 	if t.fam.ball {
 		w.U16(pmtreeFormatVersion)
 		w.Blob(t.pager.Serialize())
@@ -50,7 +50,7 @@ func (t *Tree) EncodeSnapshot(w *persist.Writer) error {
 
 // loadTree reads the payload of kind. A PM-tree payload must hold rings:
 // a plain M-tree is no index of its own.
-func loadTree(kind string, ds *core.Dataset, r *persist.Reader) (core.Index, *store.Pager, error) {
+func loadTree(kind string, ds *core.Dataset, r *store.Reader) (core.Index, *store.Pager, error) {
 	var b persist.Omni
 	var err error
 	if kind == "PM-tree" {
@@ -79,7 +79,7 @@ func loadTree(kind string, ds *core.Dataset, r *persist.Reader) (core.Index, *st
 }
 
 // EncodeState writes the handle state.
-func (t *Tree) EncodeState(w *persist.Writer) error {
+func (t *Tree) EncodeState(w *store.Writer) error {
 	if t.fam.ball {
 		w.U16(mtreeFormatVersion)
 		w.U32(uint32(len(t.pivots)))
@@ -91,7 +91,7 @@ func (t *Tree) EncodeState(w *persist.Writer) error {
 }
 
 // encodeTable writes the root page, the size and the per-object table.
-func (t *Tree) encodeTable(w *persist.Writer) {
+func (t *Tree) encodeTable(w *store.Writer) {
 	w.U32(uint32(t.root))
 	w.U32(uint32(t.size))
 	if !t.fam.ball {
@@ -116,7 +116,7 @@ func (t *Tree) encodeTable(w *persist.Writer) {
 // M-tree's when raf is nil (its pivots come from the state), otherwise an
 // R-tree's over pivots, whose objects are in raf. It checks the state
 // against the pages (check).
-func RestoreState(ds *core.Dataset, pager *store.Pager, raf *store.RAF, pivots []core.Object, r *persist.Reader) (*Tree, error) {
+func RestoreState(ds *core.Dataset, pager *store.Pager, raf *store.RAF, pivots []core.Object, r *store.Reader) (*Tree, error) {
 	fam, seed := rFamily, int64(0)
 	if raf == nil {
 		if v := r.U16(); r.Err() == nil && v != mtreeFormatVersion {
@@ -134,7 +134,7 @@ func RestoreState(ds *core.Dataset, pager *store.Pager, raf *store.RAF, pivots [
 }
 
 // decodeTable reads what encodeTable wrote and checks the tree against it.
-func (t *Tree) decodeTable(r *persist.Reader) error {
+func (t *Tree) decodeTable(r *store.Reader) error {
 	t.root = store.PageID(r.U32())
 	t.size = int(r.U32())
 	if !t.fam.ball {

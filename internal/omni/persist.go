@@ -20,7 +20,7 @@ func init() {
 }
 
 // EncodeSnapshot writes the OmniB+-tree payload.
-func (t *BPlus) EncodeSnapshot(w *persist.Writer) error {
+func (t *BPlus) EncodeSnapshot(w *store.Writer) error {
 	persist.EncodeOmni(w, t.base)
 	w.U32(uint32(t.size))
 	ids := make([]int, 0, len(t.ids))
@@ -37,7 +37,7 @@ func (t *BPlus) EncodeSnapshot(w *persist.Writer) error {
 	return nil
 }
 
-func loadBPlus(ds *core.Dataset, r *persist.Reader) (core.Index, *store.Pager, error) {
+func loadBPlus(ds *core.Dataset, r *store.Reader) (core.Index, *store.Pager, error) {
 	b, err := persist.DecodeOmni(ds, r)
 	if err != nil {
 		return nil, nil, err

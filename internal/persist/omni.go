@@ -43,7 +43,7 @@ func NewOmni(ds *core.Dataset, pager *store.Pager, pivots []int) (Omni, error) {
 
 // EncodeOmni writes the family version and the base: the pager's volume
 // image, the RAF state, and the pivots. The member's own state follows.
-func EncodeOmni(w *Writer, b Omni) {
+func EncodeOmni(w *store.Writer, b Omni) {
 	w.U16(omniFormatVersion)
 	w.Blob(b.Pager.Serialize())
 	w.Blob(b.RAF.Serialize())
@@ -51,7 +51,7 @@ func EncodeOmni(w *Writer, b Omni) {
 }
 
 // DecodeOmni reads what EncodeOmni writes and reopens the volume.
-func DecodeOmni(ds *core.Dataset, r *Reader) (Omni, error) {
+func DecodeOmni(ds *core.Dataset, r *store.Reader) (Omni, error) {
 	if v := r.U16(); r.Err() == nil && v != omniFormatVersion {
 		return Omni{}, fmt.Errorf("omni: unsupported payload version %d", v)
 	}

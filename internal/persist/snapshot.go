@@ -42,22 +42,17 @@ const (
 	slotAttrs  = 1 << 1
 )
 
-// maxSectionBytes caps a section length before allocation; a corrupt
-// header cannot demand more memory than the file actually holds, and
-// this guards the int64→int conversions besides.
-const maxSectionBytes = int64(1) << 40
-
 // Snapshotter is implemented by every index structure that can serialize
 // itself into a snapshot's index section. The encoded payload must be
 // decodable by the loader the index's package registered for its Name().
 type Snapshotter interface {
-	EncodeSnapshot(w *Writer) error
+	EncodeSnapshot(w *store.Writer) error
 }
 
 // Loader decodes one index payload over the restored dataset, returning
 // the index and, for disk-resident structures, the reopened pager (nil
 // for in-memory families).
-type Loader func(ds *core.Dataset, r *Reader) (core.Index, *store.Pager, error)
+type Loader func(ds *core.Dataset, r *store.Reader) (core.Index, *store.Pager, error)
 
 var (
 	regMu   sync.RWMutex
@@ -156,62 +151,55 @@ func Encode(ds *core.Dataset, idx core.Index, epoch uint64) ([]byte, error) {
 		return nil, fmt.Errorf("persist: no loader registered for index %s", kind)
 	}
 
-	h := NewWriter()
-	h.buf = append(h.buf, snapshotMagic...)
-	h.U16(snapshotVersion)
-	h.U8(snapshotClean)
-	h.String(kind)
-	h.String(ds.Space().Metric().Name())
-	h.U64(epoch)
+	w := store.NewWriter()
+	w.Raw([]byte(snapshotMagic))
+	w.U16(snapshotVersion)
+	w.U8(snapshotClean)
+	w.String(kind)
+	w.String(ds.Space().Metric().Name())
+	w.U64(epoch)
 
-	dw := NewWriter()
+	dw := store.NewWriter()
 	encodeDataset(dw, ds)
 
-	iw := NewWriter()
+	iw := store.NewWriter()
 	if err := snap.EncodeSnapshot(iw); err != nil {
 		return nil, fmt.Errorf("persist: encode %s: %w", kind, err)
 	}
 
-	out := h.Bytes()
-	out = appendSection(out, dw.Bytes())
-	out = appendSection(out, iw.Bytes())
-	return out, nil
+	writeSection(w, dw.Bytes())
+	writeSection(w, iw.Bytes())
+	return w.Bytes(), nil
 }
 
-func appendSection(dst, payload []byte) []byte {
-	w := &Writer{buf: dst}
+func writeSection(w *store.Writer, payload []byte) {
 	w.U64(uint64(len(payload)))
 	w.U32(crc32.ChecksumIEEE(payload))
-	w.buf = append(w.buf, payload...)
-	return w.buf
+	w.Raw(payload)
 }
 
-func readSection(r *Reader) []byte {
-	n := r.U64()
-	crc := r.U32()
-	if r.err != nil {
-		return nil
+// readSection reads one section, refusing a length beyond the bytes left
+// before it allocates or slices anything.
+func readSection(r *store.Reader) ([]byte, error) {
+	n, crc := r.U64(), r.U32()
+	if r.Err() == nil && n > uint64(r.Remaining()) {
+		return nil, fmt.Errorf("persist: section of %d bytes exceeds %d remaining", n, r.Remaining())
 	}
-	if n > uint64(maxSectionBytes) || int(n) > r.Remaining() {
-		r.fail("section of %d bytes exceeds %d remaining", n, r.Remaining())
-		return nil
-	}
-	payload := r.take(int(n))
-	if r.err != nil {
-		return nil
+	payload := r.Raw(int(n))
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
 	if crc32.ChecksumIEEE(payload) != crc {
-		r.fail("section checksum mismatch")
-		return nil
+		return nil, fmt.Errorf("persist: section checksum mismatch")
 	}
-	return payload
+	return payload, nil
 }
 
 // encodeDataset writes every id slot: u32 slot count, then per slot a
 // flags byte followed by the object (store codec) and, when the slot
 // carries attributes, its row in the attrs codec. Encoding empty slots
 // keeps identifiers stable across restore.
-func encodeDataset(w *Writer, ds *core.Dataset) {
+func encodeDataset(w *store.Writer, ds *core.Dataset) {
 	objs := ds.Objects()
 	w.U32(uint32(len(objs)))
 	for id, o := range objs {
@@ -235,10 +223,10 @@ func encodeDataset(w *Writer, ds *core.Dataset) {
 // straight into its row's columns: the dataset must exist (with its
 // objects) before a row can take fields.
 func decodeDataset(payload []byte, metric core.Metric) (*core.Dataset, error) {
-	r := NewReader(payload)
+	r := store.NewReader(payload)
 	n := r.Count(1)
-	if r.err != nil {
-		return nil, r.err
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
 	objs := make([]core.Object, n)
 	type span struct {
@@ -249,27 +237,27 @@ func decodeDataset(payload []byte, metric core.Metric) (*core.Dataset, error) {
 	var ref core.Object // the first stored object, every other one's kind
 	for i := range objs {
 		flags := r.U8()
-		if r.err == nil && (flags&slotObject == 0 && flags != 0 || flags&^uint8(slotObject|slotAttrs) != 0) {
+		if r.Err() == nil && (flags&slotObject == 0 && flags != 0 || flags&^uint8(slotObject|slotAttrs) != 0) {
 			return nil, fmt.Errorf("persist: dataset slot %d has invalid flags %#x", i, flags)
 		}
 		if flags&slotObject != 0 {
 			objs[i] = r.Object()
 			if ref == nil {
 				ref = objs[i]
-			} else if r.err == nil && !core.SameKind(ref, objs[i]) {
+			} else if r.Err() == nil && !core.SameKind(ref, objs[i]) {
 				return nil, fmt.Errorf("persist: dataset slot %d holds an object of another kind than the first stored one", i)
 			}
 		}
 		if flags&slotAttrs != 0 {
 			spans = append(spans, span{i, r.AttrsSpan()})
 		}
-		if r.err != nil {
-			return nil, r.err
+		if err := r.Err(); err != nil {
+			return nil, err
 		}
 	}
 	r.ExpectEOF()
-	if r.err != nil {
-		return nil, r.err
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
 	ds := core.NewDataset(core.NewSpace(metric), objs)
 	dec := store.NewAttrDecoder()
@@ -285,29 +273,33 @@ func decodeDataset(payload []byte, metric core.Metric) (*core.Dataset, error) {
 // and the index payload via the registered loader. Corrupt input of any
 // shape returns an error; Decode never panics.
 func Decode(data []byte) (*Snapshot, error) {
-	r := NewReader(data)
-	magic := r.take(len(snapshotMagic))
-	if r.err != nil || string(magic) != snapshotMagic {
+	r := store.NewReader(data)
+	magic := r.Raw(len(snapshotMagic))
+	if r.Err() != nil || string(magic) != snapshotMagic {
 		return nil, fmt.Errorf("persist: not a snapshot (bad magic)")
 	}
 	ver := r.U16()
-	if r.err == nil && (ver < snapshotVersionMin || ver > snapshotVersion) {
+	if r.Err() == nil && (ver < snapshotVersionMin || ver > snapshotVersion) {
 		return nil, fmt.Errorf("persist: unsupported snapshot version %d (want %d..%d)", ver, snapshotVersionMin, snapshotVersion)
 	}
 	flags := r.U8()
-	if r.err == nil && flags&snapshotClean == 0 {
+	if r.Err() == nil && flags&snapshotClean == 0 {
 		return nil, fmt.Errorf("persist: snapshot marked dirty; refusing to load")
 	}
 	kind := r.String()
 	metricName := r.String()
 	epoch := r.U64()
-	dsPayload := readSection(r)
-	idxPayload := readSection(r)
-	if r.err == nil {
-		r.ExpectEOF()
+	dsPayload, err := readSection(r)
+	if err != nil {
+		return nil, err
 	}
-	if r.err != nil {
-		return nil, r.err
+	idxPayload, err := readSection(r)
+	if err != nil {
+		return nil, err
+	}
+	r.ExpectEOF()
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
 
 	metric, ok := metricByName(metricName)
@@ -322,7 +314,7 @@ func Decode(data []byte) (*Snapshot, error) {
 	if err != nil {
 		return nil, fmt.Errorf("persist: dataset section: %w", err)
 	}
-	ir := NewReader(idxPayload)
+	ir := store.NewReader(idxPayload)
 	idx, pager, err := loader(ds, ir)
 	if err != nil {
 		return nil, fmt.Errorf("persist: %s payload: %w", kind, err)

@@ -13,6 +13,7 @@ import (
 	"metricindex/internal/core"
 	"metricindex/internal/epoch"
 	"metricindex/internal/obs"
+	"metricindex/internal/store"
 )
 
 // WAL file format, version 1 (normative spec in docs/PERSISTENCE.md):
@@ -165,8 +166,7 @@ func OpenWAL(path string, mode SyncMode) (w *WAL, recs []Record, truncated bool,
 		return nil, nil, false, err
 	}
 	if len(data) == 0 {
-		hdr := append([]byte(walMagic), 0, 0)
-		binary.LittleEndian.PutUint16(hdr[len(walMagic):], walVersion)
+		hdr := encodeWALHeader()
 		if _, err := f.Write(hdr); err != nil {
 			_ = f.Close()
 			return nil, nil, false, err
@@ -177,13 +177,9 @@ func OpenWAL(path string, mode SyncMode) (w *WAL, recs []Record, truncated bool,
 		}
 		w.size = int64(len(hdr))
 	} else {
-		if len(data) < walHeader || string(data[:len(walMagic)]) != walMagic {
+		if err := decodeWALHeader(data); err != nil {
 			_ = f.Close()
-			return nil, nil, false, fmt.Errorf("persist: %s is not a WAL (bad magic)", path)
-		}
-		if ver := binary.LittleEndian.Uint16(data[len(walMagic):]); ver != walVersion {
-			_ = f.Close()
-			return nil, nil, false, fmt.Errorf("persist: unsupported WAL version %d (want %d)", ver, walVersion)
+			return nil, nil, false, fmt.Errorf("persist: %s: %w", path, err)
 		}
 		var end int64
 		recs, end = scanWAL(data)
@@ -209,6 +205,27 @@ func OpenWAL(path string, mode SyncMode) (w *WAL, recs []Record, truncated bool,
 		w.startSyncLoop()
 	}
 	return w, recs, truncated, nil
+}
+
+// encodeWALHeader returns the log's header: its magic and version.
+func encodeWALHeader() []byte {
+	w := store.NewWriter()
+	w.Raw([]byte(walMagic))
+	w.U16(walVersion)
+	return w.Bytes()
+}
+
+// decodeWALHeader checks the header a log's bytes begin with.
+func decodeWALHeader(data []byte) error {
+	r := store.NewReader(data)
+	magic, ver := r.Raw(len(walMagic)), r.U16()
+	if r.Err() != nil || string(magic) != walMagic {
+		return fmt.Errorf("not a WAL (bad magic)")
+	}
+	if ver != walVersion {
+		return fmt.Errorf("unsupported WAL version %d (want %d)", ver, walVersion)
+	}
+	return nil
 }
 
 // scanWAL walks the records after the header, returning the decoded
@@ -239,7 +256,7 @@ func scanWAL(data []byte) ([]Record, int64) {
 }
 
 func decodeWALRecord(payload []byte) (Record, bool) {
-	r := NewReader(payload)
+	r := store.NewReader(payload)
 	var rec Record
 	rec.Op = epoch.Op(r.U8())
 	rec.Epoch = r.U64()
@@ -259,7 +276,7 @@ func decodeWALRecord(payload []byte) (Record, bool) {
 }
 
 func encodeWALRecord(op epoch.Op, ep uint64, id int, obj core.Object, attrs core.AttrSource) []byte {
-	p := NewWriter()
+	p := store.NewWriter()
 	p.U8(uint8(op))
 	p.U64(ep)
 	p.U64(uint64(id))
@@ -270,10 +287,10 @@ func encodeWALRecord(op epoch.Op, ep uint64, id int, obj core.Object, attrs core
 		p.Attrs(attrs)
 	}
 	payload := p.Bytes()
-	f := NewWriter()
+	f := store.NewWriter()
 	f.U32(uint32(len(payload)))
 	f.U32(crc32.ChecksumIEEE(payload))
-	f.buf = append(f.buf, payload...)
+	f.Raw(payload)
 	return f.Bytes()
 }
 
@@ -326,8 +343,7 @@ func (w *WAL) TruncateThrough(ep uint64) error {
 		return err
 	}
 	recs, _ := scanWAL(data)
-	out := append([]byte(walMagic), 0, 0)
-	binary.LittleEndian.PutUint16(out[len(walMagic):], walVersion)
+	out := encodeWALHeader()
 	kept := int64(0)
 	for _, rec := range recs {
 		if rec.Epoch <= ep {

@@ -58,7 +58,7 @@ func init() {
 // EncodeSnapshot writes the family's payload: its header fields (the
 // defaulted build options, FQT/MVPT's level pivots, FQT's bucket width),
 // the object count and the tree.
-func (t *Tree) EncodeSnapshot(w *persist.Writer) error {
+func (t *Tree) EncodeSnapshot(w *store.Writer) error {
 	w.U16(formatVersion)
 	for _, f := range t.fam.header {
 		switch f {
@@ -88,7 +88,7 @@ func (t *Tree) EncodeSnapshot(w *persist.Writer) error {
 // encodeNode writes a leaf's ids, or an internal node: BKT's pivot (id,
 // value, live flag, bucket width), MVPT's band bounds, then the children
 // — each behind its bucket key for BKT/FQT, keys ascending.
-func (t *Tree) encodeNode(w *persist.Writer, n *node) {
+func (t *Tree) encodeNode(w *store.Writer, n *node) {
 	if n.leaf() {
 		w.U8(tagLeaf)
 		w.Int32s(n.ids)
@@ -124,7 +124,7 @@ func (t *Tree) encodeNode(w *persist.Writer, n *node) {
 // crafted payload: a header that sizes no bucket or band, pivot values
 // the dataset's metric cannot compare, and every node-level defect
 // decodeNode names.
-func (f *family) loadTree(ds *core.Dataset, r *persist.Reader) (core.Index, *store.Pager, error) {
+func (f *family) loadTree(ds *core.Dataset, r *store.Reader) (core.Index, *store.Pager, error) {
 	if v := r.U16(); r.Err() == nil && v != formatVersion {
 		return nil, nil, fmt.Errorf("%s: unsupported payload version %d", f.tag(), v)
 	}
@@ -207,7 +207,7 @@ func (t *Tree) checkID(what string, id int) error {
 // dataset and pivot values of another kind, a BKT width other than the
 // tree's, internal nodes without children, bucket keys that do not
 // strictly ascend, and bands whose lo > hi or that hold NaN.
-func (t *Tree) decodeNode(r *persist.Reader, ref core.Object, depth int) (*node, error) {
+func (t *Tree) decodeNode(r *store.Reader, ref core.Object, depth int) (*node, error) {
 	tag := t.fam.tag()
 	if depth > maxTreeDepth {
 		return nil, fmt.Errorf("%s: tree deeper than %d", tag, maxTreeDepth)

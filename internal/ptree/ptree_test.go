@@ -8,6 +8,7 @@ import (
 	"metricindex/internal/core"
 	"metricindex/internal/persist"
 	"metricindex/internal/pivot"
+	"metricindex/internal/store"
 	"metricindex/internal/testutil"
 )
 
@@ -212,7 +213,7 @@ func TestDuplicateInsertsStayShallow(t *testing.T) {
 
 // payload encodes t's snapshot payload.
 func payload(t *Tree) []byte {
-	w := persist.NewWriter()
+	w := store.NewWriter()
 	if err := t.EncodeSnapshot(w); err != nil {
 		panic(err)
 	}
@@ -266,7 +267,7 @@ func TestLoadRejectsCraftedPayloads(t *testing.T) {
 		return idx
 	}
 	nilChild := func() []byte {
-		w := persist.NewWriter()
+		w := store.NewWriter()
 		w.U16(formatVersion)
 		w.U32(5)  // arity
 		w.U32(16) // leaf capacity
@@ -359,7 +360,7 @@ func TestLoadRejectsCraftedPayloads(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			_, _, err := c.fam.loadTree(c.ds, persist.NewReader(c.data()))
+			_, _, err := c.fam.loadTree(c.ds, store.NewReader(c.data()))
 			if err == nil {
 				t.Fatal("crafted payload loaded")
 			}
@@ -367,7 +368,7 @@ func TestLoadRejectsCraftedPayloads(t *testing.T) {
 		})
 	}
 	for _, idx := range []*Tree{bktOf(), fqtOf(), mvptOf()} {
-		if _, _, err := idx.fam.loadTree(idx.ds, persist.NewReader(payload(idx))); err != nil {
+		if _, _, err := idx.fam.loadTree(idx.ds, store.NewReader(payload(idx))); err != nil {
 			t.Errorf("%s: a valid payload failed to load: %v", idx.Name(), err)
 		}
 	}
@@ -381,7 +382,7 @@ var fuzzKinds = []struct {
 }{{"BKT", bkt}, {"FQT", fqt}, {"VPT", mvpt}, {"MVPT", mvpt}}
 
 // FuzzTreePayload feeds arbitrary bytes to the registered tree loaders
-// through persist.NewReader and runs a range and a kNN query on whatever
+// through store.NewReader and runs a range and a kNN query on whatever
 // loads: a payload must fail to load or answer, never panic. The first
 // input byte picks the kind, the second the dataset: integer vectors or
 // words, the generators and options the payload goldens of
@@ -419,7 +420,7 @@ func FuzzTreePayload(f *testing.F) {
 		}
 		fam := fuzzKinds[int(data[0])%len(fuzzKinds)].fam
 		ds := shapes[int(data[1])%len(shapes)]
-		idx, _, err := fam.loadTree(ds, persist.NewReader(data[2:]))
+		idx, _, err := fam.loadTree(ds, store.NewReader(data[2:]))
 		if err != nil {
 			return
 		}

@@ -7,7 +7,6 @@ import (
 
 	"metricindex/internal/bptree"
 	"metricindex/internal/core"
-	"metricindex/internal/persist"
 	"metricindex/internal/store"
 )
 
@@ -383,7 +382,7 @@ func (b *band) lb(key uint64) float64 {
 
 // section writes the cluster tree: the slot count, then the root (see
 // writeNode).
-func (f *clusters) section(w *persist.Writer) {
+func (f *clusters) section(w *store.Writer) {
 	w.U32(uint32(len(f.leaves)))
 	f.writeNode(w, f.root)
 }
@@ -391,7 +390,7 @@ func (f *clusters) section(w *persist.Writer) {
 // writeNode writes an internal cluster's child table: its width, then
 // per pivot a tag (0 no child, 1 leaf, 2 internal) and the child — a
 // leaf as its slot, count, minD, maxD and MBB.
-func (f *clusters) writeNode(w *persist.Writer, c *cluster) {
+func (f *clusters) writeNode(w *store.Writer, c *cluster) {
 	w.U32(uint32(len(c.children)))
 	for _, ch := range c.children {
 		switch {
@@ -419,7 +418,7 @@ func (f *clusters) writeNode(w *persist.Writer, c *cluster) {
 // a slot out of range or reached twice, a leaf whose distance range is
 // not 0 ≤ minD ≤ maxD < +Inf (or, empty and never filled, +Inf and
 // −Inf), and counts that do not add up to the B+-tree's records.
-func readSection(r *persist.Reader, l int, maxDist float64, maxNum int, star bool, records int) (*clusters, error) {
+func readSection(r *store.Reader, l int, maxDist float64, maxNum int, star bool, records int) (*clusters, error) {
 	f := &clusters{l: l, maxDist: maxDist, maxNum: maxNum, star: star, root: &cluster{pivotIdx: -1}}
 	slots := int(r.U32())
 	if r.Err() == nil && slots > r.Remaining() {
@@ -435,7 +434,7 @@ func readSection(r *persist.Reader, l int, maxDist float64, maxNum int, star boo
 
 // readNode decodes the child table of c, whose path from the root chose
 // the pivots in path, and returns the objects its leaves count.
-func (f *clusters) readNode(r *persist.Reader, c *cluster, path []int) (int, error) {
+func (f *clusters) readNode(r *store.Reader, c *cluster, path []int) (int, error) {
 	if width := int(r.U32()); r.Err() == nil && width != f.l {
 		return 0, fmt.Errorf("spb: a cluster child table is %d wide, not %d", width, f.l)
 	}

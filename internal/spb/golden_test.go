@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"metricindex/internal/core"
-	"metricindex/internal/persist"
 	"metricindex/internal/pivot"
 	"metricindex/internal/store"
 	"metricindex/internal/testutil"
@@ -226,7 +225,7 @@ func goldenSnapshot(t *testing.T, sh goldenShape, idx *Index, pages string) {
 	if !bytes.Equal(idx.raf.Serialize(), idx.raf.Serialize()) {
 		t.Errorf("%s: two RAF.Serialize calls differ", sh.name)
 	}
-	w := persist.NewWriter()
+	w := store.NewWriter()
 	if err := idx.EncodeSnapshot(w); err != nil {
 		t.Fatalf("%s: EncodeSnapshot: %v", sh.name, err)
 	}
@@ -250,7 +249,7 @@ func goldenSnapshot(t *testing.T, sh goldenShape, idx *Index, pages string) {
 		copy(dir[j:], e[:])
 	}
 	for name, payload := range map[string][]byte{"id-ordered": w.Bytes(), "reordered": old} {
-		loaded, pager, err := loadIndex("SPB-tree", idx.ds, persist.NewReader(payload))
+		loaded, pager, err := loadIndex("SPB-tree", idx.ds, store.NewReader(payload))
 		if err != nil {
 			t.Fatalf("%s: load %s payload: %v", sh.name, name, err)
 		}

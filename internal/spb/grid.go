@@ -8,7 +8,6 @@ import (
 
 	"metricindex/internal/bptree"
 	"metricindex/internal/core"
-	"metricindex/internal/persist"
 	"metricindex/internal/sfc"
 	"metricindex/internal/store"
 )
@@ -111,7 +110,7 @@ func (g *grid) aug() bptree.Augmenter {
 
 func (g *grid) prepare(sc *scratch) { sc.cur.Reset(g.curve) }
 
-func (g *grid) section(*persist.Writer) {}
+func (g *grid) section(*store.Writer) {}
 
 func (g *grid) memBytes() int64 { return g.curve.TableBytes() + int64(len(g.bounds))*8 }
 

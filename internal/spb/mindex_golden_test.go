@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"metricindex/internal/core"
-	"metricindex/internal/persist"
 	"metricindex/internal/store"
 	"metricindex/internal/testutil"
 )
@@ -96,14 +95,14 @@ var mindexGoldenSnapshots = map[string]string{
 // same cluster tree footprint and the answers of a linear scan.
 func mindexSnapshot(t *testing.T, name string, idx *Index, pages string) {
 	t.Helper()
-	w := persist.NewWriter()
+	w := store.NewWriter()
 	if err := idx.EncodeSnapshot(w); err != nil {
 		t.Fatalf("%s: EncodeSnapshot: %v", name, err)
 	}
 	if got := fmt.Sprintf("%x", sha256.Sum256(w.Bytes())); got != mindexGoldenSnapshots[name] {
 		t.Errorf("%s: snapshot payload hashes to %q, want %q", name, got, mindexGoldenSnapshots[name])
 	}
-	loaded, pager, err := loadIndex(idx.Name(), idx.ds, persist.NewReader(w.Bytes()))
+	loaded, pager, err := loadIndex(idx.Name(), idx.ds, store.NewReader(w.Bytes()))
 	if err != nil {
 		t.Fatalf("%s: load: %v", name, err)
 	}

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"metricindex/internal/core"
-	"metricindex/internal/persist"
 	"metricindex/internal/pivot"
 	"metricindex/internal/store"
 	"metricindex/internal/testutil"
@@ -234,11 +233,11 @@ func TestMIndexSnapshotRejectsCrafted(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := idx.fam.(*clusters)
-	w := persist.NewWriter()
+	w := store.NewWriter()
 	if err := idx.EncodeSnapshot(w); err != nil {
 		t.Fatal(err)
 	}
-	sec := persist.NewWriter()
+	sec := store.NewWriter()
 	f.section(sec)
 	handle := w.Bytes()[:len(w.Bytes())-len(sec.Bytes())]
 
@@ -254,7 +253,7 @@ func TestMIndexSnapshotRejectsCrafted(t *testing.T) {
 		leaves = append(leaves, leaf{1, 0, c.slot, c.count, c.minD, c.maxD, c.mbb.Lo, c.mbb.Hi})
 	}
 	section := func(width int, leaves []leaf) []byte {
-		w := persist.NewWriter()
+		w := store.NewWriter()
 		put := func(c leaf) {
 			w.U8(1)
 			w.U32(uint32(c.slot))
@@ -295,7 +294,7 @@ func TestMIndexSnapshotRejectsCrafted(t *testing.T) {
 		"as written":       section(3, leaves),
 		"one level deeper": section(3, with(0, func(c *leaf) { c.tag, c.sub = 2, 1 })),
 	} {
-		if _, _, err := loadIndex("M-index", ds, persist.NewReader(payload)); err != nil {
+		if _, _, err := loadIndex("M-index", ds, store.NewReader(payload)); err != nil {
 			t.Fatalf("%s: the section fails to load: %v", name, err)
 		}
 	}
@@ -312,7 +311,7 @@ func TestMIndexSnapshotRejectsCrafted(t *testing.T) {
 		"MBB 2 wide":             section(3, with(1, func(c *leaf) { c.lo = c.lo[:2] })),
 		"internal child counted": section(3, with(0, func(c *leaf) { c.tag, c.sub = 2, 1; c.count++ })),
 	} {
-		if _, _, err := loadIndex("M-index", ds, persist.NewReader(payload)); err == nil {
+		if _, _, err := loadIndex("M-index", ds, store.NewReader(payload)); err == nil {
 			t.Errorf("%s: the crafted section loaded", name)
 		}
 	}

@@ -21,14 +21,14 @@ const formatVersion = 1
 
 func init() {
 	for _, kind := range []string{"SPB-tree", "M-index", "M-index*"} {
-		persist.Register(kind, func(ds *core.Dataset, r *persist.Reader) (core.Index, *store.Pager, error) {
+		persist.Register(kind, func(ds *core.Dataset, r *store.Reader) (core.Index, *store.Pager, error) {
 			return loadIndex(kind, ds, r)
 		})
 	}
 }
 
 // EncodeSnapshot writes the payload.
-func (s *Index) EncodeSnapshot(w *persist.Writer) error {
+func (s *Index) EncodeSnapshot(w *store.Writer) error {
 	w.U16(formatVersion)
 	w.Blob(s.pager.Serialize())
 	w.Blob(s.raf.Serialize())
@@ -43,7 +43,7 @@ func (s *Index) EncodeSnapshot(w *persist.Writer) error {
 }
 
 // loadIndex decodes the payload of kind.
-func loadIndex(kind string, ds *core.Dataset, r *persist.Reader) (core.Index, *store.Pager, error) {
+func loadIndex(kind string, ds *core.Dataset, r *store.Reader) (core.Index, *store.Pager, error) {
 	if v := r.U16(); r.Err() == nil && v != formatVersion {
 		return nil, nil, fmt.Errorf("spb: unsupported payload version %d", v)
 	}

@@ -22,7 +22,6 @@ import (
 
 	"metricindex/internal/bptree"
 	"metricindex/internal/core"
-	"metricindex/internal/persist"
 	"metricindex/internal/sfc"
 	"metricindex/internal/store"
 )
@@ -81,7 +80,7 @@ type family interface {
 	memBytes() int64
 	// section writes the family's own state after the handle's (see
 	// docs/PERSISTENCE.md).
-	section(w *persist.Writer)
+	section(w *store.Writer)
 }
 
 // scratch is the working memory of one query, pooled per index so a

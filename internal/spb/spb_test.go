@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"metricindex/internal/core"
-	"metricindex/internal/persist"
 	"metricindex/internal/pivot"
 	"metricindex/internal/store"
 	"metricindex/internal/testutil"
@@ -242,11 +241,11 @@ func TestSPBSnapshotRejectsForeignPivot(t *testing.T) {
 	ds := testutil.VectorDataset(200, 4, 100, core.L2{}, 7)
 	idx, _ := build(t, ds, 300)
 	idx.pivotVals[0] = core.Word("foreign")
-	w := persist.NewWriter()
+	w := store.NewWriter()
 	if err := idx.EncodeSnapshot(w); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := loadIndex("SPB-tree", ds, persist.NewReader(w.Bytes())); err == nil {
+	if _, _, err := loadIndex("SPB-tree", ds, store.NewReader(w.Bytes())); err == nil {
 		t.Fatal("SPB-tree loaded a payload whose first pivot is a Word over L2 vectors")
 	}
 }

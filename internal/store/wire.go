@@ -1,4 +1,4 @@
-package persist
+package store
 
 import (
 	"encoding/binary"
@@ -6,12 +6,13 @@ import (
 	"math"
 
 	"metricindex/internal/core"
-	"metricindex/internal/store"
 )
 
-// Writer accumulates a snapshot payload. All integers are little-endian;
-// variable-length fields carry a u32 length (or count) prefix. Objects
-// use the store object codec — the same bytes the RAF stores.
+// Writer accumulates a payload of the one byte codec every cold format
+// shares: snapshot payloads, volume images, RAF state and dataset files.
+// All integers are little-endian; variable-length fields carry a u32
+// length (or count) prefix, and only Raw writes bytes unprefixed. Objects
+// use the object codec — the same bytes the RAF stores.
 type Writer struct {
 	buf []byte
 }
@@ -49,6 +50,10 @@ func (w *Writer) I64(v int64) { w.U64(uint64(v)) }
 // F64 appends a float64 as its IEEE-754 bit image.
 func (w *Writer) F64(v float64) { w.U64(math.Float64bits(v)) }
 
+// Raw appends bytes with no length prefix (a magic, a page image): the
+// reader must know their length.
+func (w *Writer) Raw(b []byte) { w.buf = append(w.buf, b...) }
+
 // Blob appends a u32 length followed by the raw bytes.
 func (w *Writer) Blob(b []byte) {
 	w.U32(uint32(len(b)))
@@ -62,15 +67,15 @@ func (w *Writer) String(s string) {
 }
 
 // Object appends one object in the store codec (self-delimiting).
-func (w *Writer) Object(o core.Object) { w.buf = store.EncodeObject(w.buf, o) }
+func (w *Writer) Object(o core.Object) { w.buf = EncodeObject(w.buf, o) }
 
 // Attrs appends one attribute bag in the store attrs codec
 // (self-delimiting; an empty bag encodes as zero fields).
-func (w *Writer) Attrs(a core.AttrSource) { w.buf = store.EncodeAttrs(w.buf, a) }
+func (w *Writer) Attrs(a core.AttrSource) { w.buf = EncodeAttrs(w.buf, a) }
 
 // RowAttrs appends the attribute fields of one dataset row, encoded as
 // Attrs encodes the equal bag.
-func (w *Writer) RowAttrs(ds *core.Dataset, id int) { w.buf = store.EncodeAttrs(w.buf, ds.AttrRow(id)) }
+func (w *Writer) RowAttrs(ds *core.Dataset, id int) { w.buf = EncodeAttrs(w.buf, ds.AttrRow(id)) }
 
 // Objects appends a u32 count followed by each object.
 func (w *Writer) Objects(os []core.Object) {
@@ -105,7 +110,7 @@ func (w *Writer) Pivots(ids []int, vals []core.Object) {
 }
 
 // PageIDs appends a u32 count followed by each page id as u32.
-func (w *Writer) PageIDs(xs []store.PageID) {
+func (w *Writer) PageIDs(xs []PageID) {
 	w.U32(uint32(len(xs)))
 	for _, x := range xs {
 		w.U32(uint32(x))
@@ -149,7 +154,7 @@ func (r *Reader) ExpectEOF() {
 
 func (r *Reader) fail(format string, args ...any) {
 	if r.err == nil {
-		r.err = fmt.Errorf("persist: malformed payload at offset %d: %s", r.off, fmt.Sprintf(format, args...))
+		r.err = fmt.Errorf("store: malformed payload at offset %d: %s", r.off, fmt.Sprintf(format, args...))
 	}
 }
 
@@ -234,12 +239,13 @@ func (r *Reader) Count(minElemBytes int) int {
 	return n
 }
 
+// Raw returns the next n bytes, written by Writer.Raw (aliasing the
+// input buffer).
+func (r *Reader) Raw(n int) []byte { return r.take(n) }
+
 // Blob reads a u32 length and returns that many bytes (aliasing the
 // input buffer).
-func (r *Reader) Blob() []byte {
-	n := r.Count(1)
-	return r.take(n)
-}
+func (r *Reader) Blob() []byte { return r.take(r.Count(1)) }
 
 // String reads a u32 length and the string bytes.
 func (r *Reader) String() string { return string(r.Blob()) }
@@ -249,7 +255,7 @@ func (r *Reader) Object() core.Object {
 	if r.err != nil {
 		return nil
 	}
-	o, n, err := store.DecodeObject(r.data[r.off:])
+	o, n, err := DecodeObject(r.data[r.off:])
 	if err != nil {
 		r.fail("object: %v", err)
 		return nil
@@ -263,7 +269,7 @@ func (r *Reader) Attrs() core.Attrs {
 	if r.err != nil {
 		return nil
 	}
-	a, n, err := store.DecodeAttrs(r.data[r.off:])
+	a, n, err := DecodeAttrs(r.data[r.off:])
 	if err != nil {
 		r.fail("attrs: %v", err)
 		return nil
@@ -279,7 +285,7 @@ func (r *Reader) AttrsSpan() []byte {
 	if r.err != nil {
 		return nil
 	}
-	n, err := store.AttrsLen(r.data[r.off:])
+	n, err := AttrsLen(r.data[r.off:])
 	if err != nil {
 		r.fail("attrs: %v", err)
 		return nil
@@ -289,8 +295,9 @@ func (r *Reader) AttrsSpan() []byte {
 
 // Objects reads a u32 count followed by that many objects, each of which
 // must be of ref's kind (core.SameKind; ref is a stored object of the
-// dataset, nil for an empty one) or the reader is poisoned: every list a
-// payload stores (pivots, pivot candidates, probes) is measured against
+// dataset, nil for an empty one, when the list's first object sets the
+// kind) or the reader is poisoned: every list a payload stores (pivots,
+// pivot candidates, probes, a dataset file's objects) is measured against
 // the dataset's objects, and a metric cannot take another kind.
 func (r *Reader) Objects(ref core.Object) []core.Object {
 	n := r.Count(5) // smallest object is tag + u32 length
@@ -300,6 +307,9 @@ func (r *Reader) Objects(ref core.Object) []core.Object {
 	os := make([]core.Object, n)
 	for i := range os {
 		os[i] = r.Object()
+		if ref == nil {
+			ref = os[i]
+		}
 		if r.err == nil && !core.SameKind(ref, os[i]) {
 			r.fail("object %d of %d is not of the dataset's kind", i, n)
 		}
@@ -351,14 +361,14 @@ func (r *Reader) Pivots(ref core.Object) ([]int, []core.Object) {
 }
 
 // PageIDs reads a u32 count followed by that many page ids.
-func (r *Reader) PageIDs() []store.PageID {
+func (r *Reader) PageIDs() []PageID {
 	n := r.Count(4)
 	if r.err != nil {
 		return nil
 	}
-	xs := make([]store.PageID, n)
+	xs := make([]PageID, n)
 	for i := range xs {
-		xs[i] = store.PageID(r.U32())
+		xs[i] = PageID(r.U32())
 	}
 	return xs
 }

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"metricindex/internal/core"
-	"metricindex/internal/persist"
 	"metricindex/internal/pivot"
 	"metricindex/internal/store"
 )
@@ -196,7 +195,7 @@ const (
 	variantEPTStar = 1
 )
 
-func encodePivotVals(w *persist.Writer, m map[int32]core.Object) {
+func encodePivotVals(w *store.Writer, m map[int32]core.Object) {
 	keys := make([]int32, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
@@ -209,7 +208,7 @@ func encodePivotVals(w *persist.Writer, m map[int32]core.Object) {
 	}
 }
 
-func decodePivotVals(r *persist.Reader, ds *core.Dataset) (map[int32]core.Object, error) {
+func decodePivotVals(r *store.Reader, ds *core.Dataset) (map[int32]core.Object, error) {
 	n := r.Count(6) // key + smallest object per entry
 	m := make(map[int32]core.Object, n)
 	for i := 0; i < n && r.Err() == nil; i++ {
@@ -222,7 +221,7 @@ func decodePivotVals(r *persist.Reader, ds *core.Dataset) (map[int32]core.Object
 	return m, r.Err()
 }
 
-func encodeGroups(w *persist.Writer, g *pivot.Groups) {
+func encodeGroups(w *store.Writer, g *pivot.Groups) {
 	w.U32(uint32(g.M))
 	w.U32(uint32(g.L))
 	w.U32(uint32(len(g.IDs)))
@@ -233,7 +232,7 @@ func encodeGroups(w *persist.Writer, g *pivot.Groups) {
 	}
 }
 
-func decodeGroups(r *persist.Reader, ds *core.Dataset) (*pivot.Groups, error) {
+func decodeGroups(r *store.Reader, ds *core.Dataset) (*pivot.Groups, error) {
 	g := &pivot.Groups{M: int(r.U32()), L: int(r.U32())}
 	n := r.Count(12) // three u32 counts per group at minimum
 	if r.Err() != nil {
@@ -256,7 +255,7 @@ func decodeGroups(r *persist.Reader, ds *core.Dataset) (*pivot.Groups, error) {
 	return g, nil
 }
 
-func encodePSA(w *persist.Writer, st *pivot.PSAState) {
+func encodePSA(w *store.Writer, st *pivot.PSAState) {
 	w.Int32s(st.CandIDs)
 	w.Objects(st.CandVals)
 	w.Objects(st.ProbeVals)
@@ -266,7 +265,7 @@ func encodePSA(w *persist.Writer, st *pivot.PSAState) {
 	}
 }
 
-func decodePSA(r *persist.Reader, ds *core.Dataset) (*pivot.PSAState, error) {
+func decodePSA(r *store.Reader, ds *core.Dataset) (*pivot.PSAState, error) {
 	st := &pivot.PSAState{
 		CandIDs:   r.Int32s(),
 		CandVals:  r.Objects(ds.Sample()),
@@ -298,7 +297,7 @@ func decodePSA(r *persist.Reader, ds *core.Dataset) (*pivot.PSAState, error) {
 // encodeEPT writes the in-memory EPT/EPT* payload: variant, row width,
 // the flat table (column-major, dense pool indices mapped back to
 // dataset pivot ids), the pivot-value pool and the assignment state.
-func (t *Index) encodeEPT(w *persist.Writer) error {
+func (t *Index) encodeEPT(w *store.Writer) error {
 	a := t.assign
 	variant := uint8(variantEPTStar)
 	if a.groups != nil {
@@ -330,7 +329,7 @@ func (t *Index) encodeEPT(w *persist.Writer) error {
 
 // loadEPT reads the payload of kind, "EPT" or "EPT*", refusing one
 // whose variant byte names the other family.
-func loadEPT(kind string, ds *core.Dataset, r *persist.Reader) (core.Index, *store.Pager, error) {
+func loadEPT(kind string, ds *core.Dataset, r *store.Reader) (core.Index, *store.Pager, error) {
 	v := r.U16()
 	if r.Err() == nil && v != 1 && v != eptFormatVersion {
 		return nil, nil, fmt.Errorf("ept: unsupported payload version %d", v)
@@ -394,7 +393,7 @@ func loadEPT(kind string, ds *core.Dataset, r *persist.Reader) (core.Index, *sto
 // encodeDiskEPT writes the DiskEPT* payload: the row width, the pager
 // volume image, the RAF state, the paged table's section
 // (Table.encodeFile), the pivot pool and the PSA state.
-func (t *Index) encodeDiskEPT(w *persist.Writer) error {
+func (t *Index) encodeDiskEPT(w *store.Writer) error {
 	w.U16(diskEPTFormatVersion)
 	w.U32(uint32(t.assign.l))
 	w.Blob(t.pager.Serialize())
@@ -405,7 +404,7 @@ func (t *Index) encodeDiskEPT(w *persist.Writer) error {
 	return nil
 }
 
-func loadDiskEPT(ds *core.Dataset, r *persist.Reader) (core.Index, *store.Pager, error) {
+func loadDiskEPT(ds *core.Dataset, r *store.Reader) (core.Index, *store.Pager, error) {
 	if v := r.U16(); r.Err() == nil && v != diskEPTFormatVersion {
 		return nil, nil, fmt.Errorf("ept: unsupported payload version %d", v)
 	}

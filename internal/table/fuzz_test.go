@@ -47,7 +47,7 @@ func FuzzPagedTablePayload(f *testing.F) {
 			if err := idx.Insert(20); err != nil {
 				f.Fatal(err)
 			}
-			w := persist.NewWriter()
+			w := store.NewWriter()
 			if err := idx.EncodeSnapshot(w); err != nil {
 				f.Fatal(err)
 			}
@@ -61,7 +61,7 @@ func FuzzPagedTablePayload(f *testing.F) {
 		}
 		load, _ := persist.LoaderFor(families[int(data[0])%len(families)])
 		ds := datasets[int(data[1])%len(datasets)]
-		idx, _, err := load(ds, persist.NewReader(data[2:]))
+		idx, _, err := load(ds, store.NewReader(data[2:]))
 		if err != nil {
 			return
 		}

@@ -274,7 +274,7 @@ func goldenRun(t *testing.T, family string, words bool) (goldenCosts, [2]int64) 
 	}
 	g.answers = fmt.Sprintf("%x", answers.Sum(nil))
 
-	w := persist.NewWriter()
+	w := store.NewWriter()
 	if err := idx.EncodeSnapshot(w); err != nil {
 		t.Fatalf("%s: EncodeSnapshot: %v", family, err)
 	}

@@ -7,7 +7,6 @@ import (
 	"slices"
 
 	"metricindex/internal/core"
-	"metricindex/internal/persist"
 	"metricindex/internal/store"
 )
 
@@ -168,7 +167,7 @@ type fileSection struct {
 // pages, its record count, and the directory, every indexed id with its
 // record, ids ascending. The records themselves are in the pager's
 // volume image.
-func (t *Table) encodeFile(w *persist.Writer) {
+func (t *Table) encodeFile(w *store.Writer) {
 	w.PageIDs(t.file.PageIDs())
 	w.U32(uint32(t.file.Rows()))
 	dir := t.directory()
@@ -192,7 +191,7 @@ func (t *Table) directory() [][2]uint32 {
 
 // decodeFile reads the section encodeFile writes; the reader's error
 // reports a short one.
-func decodeFile(r *persist.Reader) fileSection {
+func decodeFile(r *store.Reader) fileSection {
 	sec := fileSection{pages: r.PageIDs(), rows: int(r.U32())}
 	n := r.Count(8)
 	for i := 0; i < n && r.Err() == nil; i++ {

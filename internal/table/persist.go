@@ -30,7 +30,7 @@ const (
 
 func init() {
 	for _, kind := range []string{"LAESA", "EPT", "EPT*", "CPT", "Omni-seq", "DiskEPT*"} {
-		persist.Register(kind, func(ds *core.Dataset, r *persist.Reader) (core.Index, *store.Pager, error) {
+		persist.Register(kind, func(ds *core.Dataset, r *store.Reader) (core.Index, *store.Pager, error) {
 			return loadIndex(kind, ds, r)
 		})
 	}
@@ -38,7 +38,7 @@ func init() {
 }
 
 // EncodeSnapshot writes the family's payload.
-func (t *Index) EncodeSnapshot(w *persist.Writer) error {
+func (t *Index) EncodeSnapshot(w *store.Writer) error {
 	switch t.kind {
 	case "EPT", "EPT*":
 		return t.encodeEPT(w)
@@ -61,7 +61,7 @@ func (t *Index) EncodeSnapshot(w *persist.Writer) error {
 }
 
 // loadIndex reads the payload of kind.
-func loadIndex(kind string, ds *core.Dataset, r *persist.Reader) (core.Index, *store.Pager, error) {
+func loadIndex(kind string, ds *core.Dataset, r *store.Reader) (core.Index, *store.Pager, error) {
 	switch kind {
 	case "EPT", "EPT*":
 		return loadEPT(kind, ds, r)
@@ -114,7 +114,7 @@ func loadIndex(kind string, ds *core.Dataset, r *persist.Reader) (core.Index, *s
 
 // EncodeSnapshot writes the AESA payload: the row ids and the full n×n
 // distance matrix, row by row.
-func (a *AESA) EncodeSnapshot(w *persist.Writer) error {
+func (a *AESA) EncodeSnapshot(w *store.Writer) error {
 	w.U16(aesaFormatVersion)
 	w.Int32s(a.ids)
 	for _, row := range a.dist {
@@ -123,7 +123,7 @@ func (a *AESA) EncodeSnapshot(w *persist.Writer) error {
 	return nil
 }
 
-func loadAESA(ds *core.Dataset, r *persist.Reader) (core.Index, *store.Pager, error) {
+func loadAESA(ds *core.Dataset, r *store.Reader) (core.Index, *store.Pager, error) {
 	if v := r.U16(); r.Err() == nil && v != aesaFormatVersion {
 		return nil, nil, fmt.Errorf("aesa: unsupported payload version %d", v)
 	}

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"metricindex/internal/core"
-	"metricindex/internal/persist"
 	"metricindex/internal/pivot"
 	"metricindex/internal/store"
 	"metricindex/internal/testutil"
@@ -21,7 +20,7 @@ func TestLAESALoadsVersion1Payload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := persist.NewWriter()
+	w := store.NewWriter()
 	w.U16(1)
 	w.Ints(idx.tab.pivotIDs)
 	w.Objects(idx.tab.pivots)
@@ -35,7 +34,7 @@ func TestLAESALoadsVersion1Payload(t *testing.T) {
 	}
 	w.Floats(dists)
 
-	restoredIdx, _, err := loadIndex("LAESA", ds, persist.NewReader(w.Bytes()))
+	restoredIdx, _, err := loadIndex("LAESA", ds, store.NewReader(w.Bytes()))
 	if err != nil {
 		t.Fatalf("load v1 payload: %v", err)
 	}
@@ -86,7 +85,7 @@ func TestCPTLoadsVersion1Payload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := persist.NewWriter()
+	w := store.NewWriter()
 	w.U16(1)
 	w.Blob(idx.pager.Serialize())
 	if err := idx.tree.EncodeState(w); err != nil {
@@ -104,7 +103,7 @@ func TestCPTLoadsVersion1Payload(t *testing.T) {
 	}
 	w.Floats(dists)
 
-	restoredIdx, _, err := loadIndex("CPT", ds, persist.NewReader(w.Bytes()))
+	restoredIdx, _, err := loadIndex("CPT", ds, store.NewReader(w.Bytes()))
 	if err != nil {
 		t.Fatalf("load v1 payload: %v", err)
 	}
@@ -151,7 +150,7 @@ func TestEPTLoadsVersion1Payload(t *testing.T) {
 			t.Fatalf("build %s: %v", kind, err)
 		}
 		a := idx.assign
-		w := persist.NewWriter()
+		w := store.NewWriter()
 		w.U16(1)
 		w.U8(uint8(variant))
 		w.U32(uint32(a.l))
@@ -175,7 +174,7 @@ func TestEPTLoadsVersion1Payload(t *testing.T) {
 			encodePSA(w, a.psa)
 		}
 
-		restoredIdx, _, err := loadEPT(kind, ds, persist.NewReader(w.Bytes()))
+		restoredIdx, _, err := loadEPT(kind, ds, store.NewReader(w.Bytes()))
 		if err != nil {
 			t.Fatalf("load v1 payload (%s): %v", kind, err)
 		}
@@ -256,11 +255,11 @@ func TestLoadRejectsRowWidth(t *testing.T) {
 			t.Fatal(err)
 		}
 		craft(e.assign)
-		w := persist.NewWriter()
+		w := store.NewWriter()
 		if err := e.EncodeSnapshot(w); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := loadEPT(kind, ds, persist.NewReader(w.Bytes())); err == nil {
+		if _, _, err := loadEPT(kind, ds, store.NewReader(w.Bytes())); err == nil {
 			t.Errorf("%s: the payload loaded", name)
 		}
 	}
@@ -283,11 +282,11 @@ func TestEPTLoadRejectsForeignPivotCandidate(t *testing.T) {
 		} else {
 			a.psa.CandVals[0] = core.Word("foreign")
 		}
-		w := persist.NewWriter()
+		w := store.NewWriter()
 		if err := e.EncodeSnapshot(w); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := loadEPT(kind, ds, persist.NewReader(w.Bytes())); err == nil {
+		if _, _, err := loadEPT(kind, ds, store.NewReader(w.Bytes())); err == nil {
 			t.Errorf("%s loaded a payload with a Word pivot candidate over L2 vectors", e.Name())
 		}
 	}
@@ -306,14 +305,14 @@ func TestEPTLoadRejectsOtherFamily(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		w := persist.NewWriter()
+		w := store.NewWriter()
 		if err := e.EncodeSnapshot(w); err != nil {
 			t.Fatal(err)
 		}
-		if idx, _, err := loadIndex(other, ds, persist.NewReader(w.Bytes())); err == nil {
+		if idx, _, err := loadIndex(other, ds, store.NewReader(w.Bytes())); err == nil {
 			t.Errorf("a %s payload filed under %s loaded as %s", kind, other, idx.Name())
 		}
-		idx, _, err := loadIndex(kind, ds, persist.NewReader(w.Bytes()))
+		idx, _, err := loadIndex(kind, ds, store.NewReader(w.Bytes()))
 		if err != nil || idx.Name() != kind {
 			t.Fatalf("a %s payload under its own kind: %v", kind, err)
 		}

@@ -29,7 +29,7 @@ func TestTableSnapshotRejectsCorruptRowIDs(t *testing.T) {
 		if _, err := persist.Decode(image); err != nil {
 			t.Fatalf("%s: the intact snapshot does not load: %v", family, err)
 		}
-		w := persist.NewWriter()
+		w := store.NewWriter()
 		if err := idx.EncodeSnapshot(w); err != nil {
 			t.Fatal(err)
 		}
@@ -132,7 +132,7 @@ func TestPagedTableRejectsCraftedPayloads(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				w := persist.NewWriter()
+				w := store.NewWriter()
 				if err := idx.EncodeSnapshot(w); err != nil {
 					t.Fatal(err)
 				}
@@ -141,7 +141,7 @@ func TestPagedTableRejectsCraftedPayloads(t *testing.T) {
 					tc.payload(payload)
 				}
 				load, _ := persist.LoaderFor(family)
-				if _, _, err := load(ds, persist.NewReader(payload)); err == nil {
+				if _, _, err := load(ds, store.NewReader(payload)); err == nil {
 					t.Fatalf("the crafted payload loaded")
 				}
 			})
@@ -157,12 +157,12 @@ func TestTableSnapshotRejectsForeignPivot(t *testing.T) {
 	ds := testutil.VectorDataset(200, 4, 100, core.L2{}, 7)
 	idx := goldenBuild(t, "LAESA", ds)
 	idx.(interface{ Table() *table.Table }).Table().Pivots()[0] = core.Word("foreign")
-	w := persist.NewWriter()
+	w := store.NewWriter()
 	if err := idx.EncodeSnapshot(w); err != nil {
 		t.Fatal(err)
 	}
 	load, _ := persist.LoaderFor("LAESA")
-	if _, _, err := load(ds, persist.NewReader(w.Bytes())); err == nil {
+	if _, _, err := load(ds, store.NewReader(w.Bytes())); err == nil {
 		t.Fatal("LAESA loaded a payload whose first pivot is a Word over L2 vectors")
 	}
 }

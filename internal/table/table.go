@@ -16,7 +16,6 @@ import (
 	"sync/atomic"
 
 	"metricindex/internal/core"
-	"metricindex/internal/persist"
 	"metricindex/internal/plan"
 	"metricindex/internal/store"
 )
@@ -1108,7 +1107,7 @@ func (t *Table) scanKNN(sc *core.Scratch, h *core.KNNHeap, q core.Object, accept
 // pivots (ids and snapshotted values), the row ids, and the distance
 // table as one flat column-major block. The row directory and the
 // coordinate mirror are derivable and not stored.
-func (t *Table) EncodeBlock(w *persist.Writer) {
+func (t *Table) EncodeBlock(w *store.Writer) {
 	w.Pivots(t.pivotIDs, t.pivots)
 	w.Int32s(t.ids)
 	flat := make([]float64, 0, len(t.ids)*len(t.cols))
@@ -1124,7 +1123,7 @@ func (t *Table) EncodeBlock(w *persist.Writer) {
 // a table Build made; an older snapshot keeps its order, and its zones
 // are exact but loose until the index is rebuilt. Row ids outside the
 // dataset or stored twice are rejected.
-func DecodeBlock(name string, ds *core.Dataset, r *persist.Reader, rowMajor bool, load func(id int) (core.Object, error)) (*Table, error) {
+func DecodeBlock(name string, ds *core.Dataset, r *store.Reader, rowMajor bool, load func(id int) (core.Object, error)) (*Table, error) {
 	t := newTable(name, ds, load)
 	t.pivotIDs, t.pivots = r.Pivots(ds.Sample())
 	ids := r.Int32s()
