@@ -1,5 +1,6 @@
 // Package stickyerr enforces error consumption in the durability
-// packages (persist, store, epoch). The wire codec is sticky-error by
+// packages (persist, store, epoch) and in dataset, whose files decode
+// through the same codec. The wire codec is sticky-error by
 // design — a dropped error there is silent corruption — so inside these
 // packages:
 //
@@ -23,17 +24,18 @@ import (
 // Analyzer is the stickyerr pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "stickyerr",
-	Doc: "in persist/store/epoch, error results must be consumed and " +
+	Doc: "in persist/store/epoch/dataset, error results must be consumed and " +
 		"sticky Reader errors must be checked before decoded values are trusted",
 	Run: run,
 }
 
 // checkedPackages are the package names (not paths) the analyzer
-// applies to — the durability layer.
+// applies to — the durability layer and the dataset file codec.
 var checkedPackages = map[string]bool{
 	"persist": true,
 	"store":   true,
 	"epoch":   true,
+	"dataset": true,
 }
 
 func run(pass *analysis.Pass) error {

@@ -114,6 +114,29 @@ func loadTree(r *Reader) (*Tree, error) {
 	return &Tree{h: h}, r.Err()
 }
 
+// A bare verb pairs by receiver: Serialize on Volume with LoadVolume.
+type Volume struct{ pages [][]byte }
+
+func (v *Volume) Serialize() []byte {
+	w := &Writer{}
+	w.Raw([]byte("VOL"))
+	w.Count(len(v.pages))
+	for _, pg := range v.pages {
+		w.Raw(pg)
+	}
+	return w.Bytes()
+}
+
+func LoadVolume(data []byte) (*Volume, error) {
+	r := &Reader{}
+	_ = r.Raw(3)
+	v := &Volume{pages: make([][]byte, r.Count())}
+	for i := range v.pages {
+		v.pages[i] = r.Raw(4)
+	}
+	return v, r.Err()
+}
+
 // Multi-stream assemblers are skipped, and their counterparts stay
 // silent under the same key.
 func encodeFrame(hw, pw *Writer, h header) {
@@ -176,4 +199,21 @@ func decodeRuns(r *Reader) [][]int {
 	n := int(r.U32())
 	_ = n
 	return [][]int{r.Ints()}
+}
+
+// A bare package-level verb pairs under the package's own format: Save
+// with Load.
+func Save(kind string) []byte {
+	w := &Writer{}
+	w.Raw([]byte("MAGIC")) // want `wire drift between Save and Load: encoder writes Raw .* where decoder reads U8`
+	w.U8(uint8(len(kind)))
+	w.Raw([]byte(kind))
+	return w.Bytes()
+}
+
+func Load(data []byte) (string, error) {
+	r := &Reader{}
+	n := r.U8() // the magic is never read
+	kind := string(r.Raw(int(n)))
+	return kind, r.Err()
 }

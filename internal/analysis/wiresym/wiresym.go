@@ -1,5 +1,6 @@
-// Package wiresym verifies wire-codec symmetry: each persist encoder
-// (Snapshot/state writers) must have a decoder counterpart whose
+// Package wiresym verifies wire-codec symmetry: each encoder on the
+// store.Writer codec (snapshot payloads, volume images, RAF state,
+// dataset files) must have a decoder counterpart whose
 // Reader calls mirror the Writer calls in type and order. Today that
 // drift is only caught at runtime by round-trip tests; this pass
 // catches it at lint time, including in branches (node-tag switches)
@@ -13,18 +14,22 @@
 //
 // A function is a codec half when it drives exactly one Writer or
 // exactly one Reader value (named types Writer/Reader). Halves pair by
-// a normalized name key: encodeX/decodeX/loadX/readX/appendX/
-// restoreX/saveX map to "x", EncodeSnapshot maps to its receiver type
-// name (EncodeSnapshot on BKT pairs with loadBKT). Functions driving
-// several streams at once (the snapshot container assembler, the WAL
-// framer) are skipped along with their counterparts — their symmetry
-// is covered by the section/record codecs they delegate to.
+// a normalized name key: encodeX/decodeX/serializeX/loadX/readX/
+// appendX/restoreX/saveX map to "x", EncodeSnapshot maps to its
+// receiver type name (EncodeSnapshot on BKT pairs with loadBKT), and so
+// does a bare verb on a method (Serialize on Pager pairs with
+// LoadPager); package-level bare verbs (Save, Load) pair with each
+// other. Functions driving several streams at once (the snapshot
+// container assembler, the WAL framer) are skipped along with their
+// counterparts — their symmetry is covered by the section/record codecs
+// they delegate to.
 //
 // # What is compared
 //
 // The wire-op sequence, structurally: Writer.U32 must meet Reader.U32
-// (Count counts as U32, Bool as U8), a call forwarding the stream to
-// encodeChild must meet a call to decodeChild, loops must meet loops.
+// (Count counts as U32, Bool as U8, the three attrs calls as one op),
+// a call forwarding the stream to encodeChild must meet a call to
+// decodeChild, loops must meet loops.
 // Error-guard branches and value-validation code are invisible. A
 // branch whose arms each write the same leading tag matches a decoder
 // that reads the tag once and switches on it.
@@ -80,7 +85,8 @@ var opNames = map[string]string{
 	"U16": "U16",
 	"U32": "U32", "Count": "U32",
 	"U64": "U64", "I64": "I64", "F64": "F64",
-	"Blob": "Blob", "String": "String",
+	"Blob": "Blob", "String": "String", "Raw": "Raw",
+	"Attrs": "Attrs", "RowAttrs": "Attrs", "AttrsSpan": "Attrs",
 	"Object": "Object", "Objects": "Objects",
 	"Ints": "Ints", "Int32s": "Int32s", "Pivots": "Pivots",
 	"PageIDs": "PageIDs", "Floats": "Floats",
@@ -291,11 +297,12 @@ func recvTypeName(fn *ast.FuncDecl) string {
 
 // nameKey strips the direction prefix off a codec function name:
 // encodeGroups and decodeGroups both become "groups", loadMemEPT
-// becomes "ept".
+// becomes "ept". A bare verb (Save, Load, Serialize) leaves "": the
+// package's own format, or the receiver's for a method (pairKey).
 func nameKey(name string) string {
 	l := strings.ToLower(name)
-	for _, p := range []string{"encode", "decode", "restore", "append", "write", "read", "load", "save"} {
-		if rest, ok := strings.CutPrefix(l, p); ok && rest != "" {
+	for _, p := range []string{"encode", "decode", "serialize", "restore", "append", "write", "read", "load", "save"} {
+		if rest, ok := strings.CutPrefix(l, p); ok {
 			l = rest
 			break
 		}

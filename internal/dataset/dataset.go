@@ -13,7 +13,6 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"strings"
 
 	"metricindex/internal/core"
 )
@@ -122,31 +121,25 @@ func genWords(cfg Config, rng *rand.Rand) *Generated {
 		// words, a tail of long compounds (lengths 1..34) — which gives
 		// the edit-distance distribution the high variance (and hence
 		// the very low intrinsic dimensionality ≈1.2) of Table 2.
-		var b strings.Builder
+		var b []byte
+		n := 0
 		switch r := rng.Float64(); {
 		case r < 0.06:
-			b.WriteByte(byte('a' + rng.Intn(26)))
+			b = append(b, byte('a'+rng.Intn(26)))
 		case r < 0.40:
-			n := 1 + rng.Intn(2)
-			for i := 0; i < n; i++ {
-				b.WriteString(syllables[skewIndex(rng, len(syllables))])
-			}
+			n = 1 + rng.Intn(2)
 		case r < 0.85:
-			n := 2 + rng.Intn(4)
-			for i := 0; i < n; i++ {
-				b.WriteString(syllables[skewIndex(rng, len(syllables))])
-			}
+			n = 2 + rng.Intn(4)
 		default:
-			n := 6 + rng.Intn(10)
-			for i := 0; i < n; i++ {
-				b.WriteString(syllables[skewIndex(rng, len(syllables))])
-			}
+			n = 6 + rng.Intn(10)
 		}
-		w := b.String()
-		if len(w) > 34 {
-			w = w[:34]
+		for range n {
+			b = append(b, syllables[skewIndex(rng, len(syllables))]...)
 		}
-		return core.Word(w)
+		if len(b) > 34 {
+			b = b[:34]
+		}
+		return core.Word(b)
 	}
 	return assemble(Words, cfg, core.Edit{}, sample)
 }
@@ -353,11 +346,4 @@ func clamp(x, lo, hi float64) float64 {
 		return hi
 	}
 	return x
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

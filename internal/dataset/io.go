@@ -1,11 +1,7 @@
 package dataset
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
-	"io"
-	"math"
 	"os"
 
 	"metricindex/internal/core"
@@ -35,16 +31,13 @@ const (
 
 // Save writes a generated dataset (objects + query workload) to a file.
 func Save(path string, g *Generated) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
 	ids := g.Dataset.LiveIDs()
+	objs := make([]core.Object, len(ids))
 	// Positions (= post-Load identifiers) of objects carrying attrs; a
 	// non-empty list upgrades the file to MIDX2.
 	var withAttrs []int
 	for pos, id := range ids {
+		objs[pos] = g.Dataset.Object(id)
 		if g.Dataset.AttrRow(id).AttrLen() > 0 {
 			withAttrs = append(withAttrs, pos)
 		}
@@ -53,37 +46,21 @@ func Save(path string, g *Generated) error {
 	if len(withAttrs) > 0 {
 		mag = magicV2
 	}
-	w := bufio.NewWriter(f)
-	if _, err := w.WriteString(mag); err != nil {
-		return err
-	}
-	if err := w.WriteByte(byte(len(g.Kind))); err != nil {
-		return err
-	}
-	if _, err := w.WriteString(string(g.Kind)); err != nil {
-		return err
-	}
-	var buf []byte
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(g.MaxDistance))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(g.Dataset.Count()))
-	for _, id := range ids {
-		buf = store.EncodeObject(buf, g.Dataset.Object(id))
-	}
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(g.Queries)))
-	for _, q := range g.Queries {
-		buf = store.EncodeObject(buf, q)
-	}
+	w := store.NewWriter()
+	w.Raw([]byte(mag))
+	w.U8(uint8(len(g.Kind)))
+	w.Raw([]byte(g.Kind))
+	w.F64(g.MaxDistance)
+	w.Objects(objs)
+	w.Objects(g.Queries)
 	if len(withAttrs) > 0 {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(withAttrs)))
+		w.U32(uint32(len(withAttrs)))
 		for _, pos := range withAttrs {
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(pos))
-			buf = store.EncodeAttrs(buf, g.Dataset.AttrRow(ids[pos]))
+			w.U32(uint32(pos))
+			w.RowAttrs(g.Dataset, ids[pos])
 		}
 	}
-	if _, err := w.Write(buf); err != nil {
-		return err
-	}
-	return w.Flush()
+	return os.WriteFile(path, w.Bytes(), 0o666)
 }
 
 // MetricFor returns the distance function of a dataset kind (Table 2).
@@ -102,79 +79,53 @@ func MetricFor(kind Kind) (core.Metric, error) {
 	}
 }
 
-// Load reads a dataset written by Save.
+// Load reads a dataset written by Save. Every count is checked against
+// the bytes left before anything is allocated, and the objects and queries
+// must all be of the first object's kind.
 func Load(path string) (*Generated, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	if len(raw) < len(magic)+1 {
-		return nil, fmt.Errorf("dataset: %s is not a %s file", path, magic)
-	}
-	mag := string(raw[:len(magic)])
+	r := store.NewReader(raw)
+	mag := string(r.Raw(len(magic)))
 	if mag != magic && mag != magicV2 {
 		return nil, fmt.Errorf("dataset: %s is not a %s file", path, magic)
 	}
-	raw = raw[len(magic):]
-	kindLen := int(raw[0])
-	if len(raw) < 1+kindLen+12 {
-		return nil, io.ErrUnexpectedEOF
+	kindLen := int(r.U8())
+	kind := Kind(r.Raw(kindLen))
+	maxD := r.F64()
+	objs := r.Objects(nil)
+	var ref core.Object
+	if len(objs) > 0 {
+		ref = objs[0]
 	}
-	kind := Kind(raw[1 : 1+kindLen])
-	raw = raw[1+kindLen:]
+	qs := r.Objects(ref)
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("dataset: %s: %w", path, err)
+	}
 	m, err := MetricFor(kind)
 	if err != nil {
 		return nil, err
 	}
-	maxD := math.Float64frombits(binary.LittleEndian.Uint64(raw))
-	n := int(binary.LittleEndian.Uint32(raw[8:]))
-	raw = raw[12:]
-	objs := make([]core.Object, 0, n)
-	for i := 0; i < n; i++ {
-		o, used, err := store.DecodeObject(raw)
-		if err != nil {
-			return nil, fmt.Errorf("dataset: object %d: %w", i, err)
-		}
-		objs = append(objs, o)
-		raw = raw[used:]
-	}
-	if len(raw) < 4 {
-		return nil, io.ErrUnexpectedEOF
-	}
-	nq := int(binary.LittleEndian.Uint32(raw))
-	raw = raw[4:]
-	qs := make([]core.Object, 0, nq)
-	for i := 0; i < nq; i++ {
-		q, used, err := store.DecodeObject(raw)
-		if err != nil {
-			return nil, fmt.Errorf("dataset: query %d: %w", i, err)
-		}
-		qs = append(qs, q)
-		raw = raw[used:]
-	}
 	ds := core.NewDataset(core.NewSpace(m), objs)
 	if mag == magicV2 {
-		if len(raw) < 4 {
-			return nil, io.ErrUnexpectedEOF
-		}
-		na := int(binary.LittleEndian.Uint32(raw))
-		raw = raw[4:]
 		dec := store.NewAttrDecoder()
+		na := r.Count(6) // id u32 + the empty bag's u16
 		for i := 0; i < na; i++ {
-			if len(raw) < 4 {
-				return nil, io.ErrUnexpectedEOF
+			id := int(r.U32())
+			span := r.AttrsSpan()
+			if r.Err() != nil {
+				break
 			}
-			id := int(binary.LittleEndian.Uint32(raw))
-			raw = raw[4:]
-			used, err := store.AttrsLen(raw)
-			if err == nil {
-				err = dec.DecodeInto(raw[:used], ds, id)
-			}
-			if err != nil {
+			if err := dec.DecodeInto(span, ds, id); err != nil {
 				return nil, fmt.Errorf("dataset: attrs %d: %w", i, err)
 			}
-			raw = raw[used:]
 		}
+	}
+	r.ExpectEOF()
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("dataset: %s: %w", path, err)
 	}
 	return &Generated{
 		Kind:        kind,

@@ -1,7 +1,7 @@
 package store
 
 import (
-	"encoding/binary"
+	"bytes"
 	"fmt"
 	"hash/crc32"
 	"math"
@@ -38,88 +38,68 @@ const (
 func (p *Pager) Serialize() []byte {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	buf := make([]byte, 0, len(volumeMagic)+17+4*len(p.freeList)+len(p.pages)*p.pageSize)
-	buf = append(buf, volumeMagic...)
-	buf = binary.LittleEndian.AppendUint16(buf, volumeVersion)
-	buf = append(buf, volumeClean)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(p.pageSize))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(p.pages)))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(p.freeList)))
-	for _, id := range p.freeList {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(id))
-	}
 	crc := crc32.NewIEEE()
 	for _, pg := range p.pages {
 		_, _ = crc.Write(pg)
 	}
-	buf = binary.LittleEndian.AppendUint32(buf, crc.Sum32())
+	w := NewWriter()
+	w.Raw([]byte(volumeMagic))
+	w.U16(volumeVersion)
+	w.U8(volumeClean)
+	w.U32(uint32(p.pageSize))
+	w.U32(uint32(len(p.pages)))
+	w.PageIDs(p.freeList)
+	w.U32(crc.Sum32())
 	for _, pg := range p.pages {
-		buf = append(buf, pg...)
+		w.Raw(pg)
 	}
-	return buf
+	return w.Bytes()
 }
 
 // LoadPager reopens a volume image produced by Serialize. It validates
-// the magic, format version, clean flag and page checksum, and returns a
-// pager with fresh access counters and the cache disabled.
+// the magic, format version, clean flag, page checksum and free list, and
+// returns a pager with fresh access counters and the cache disabled.
 func LoadPager(data []byte) (*Pager, error) {
-	hdr := len(volumeMagic) + 2 + 1 + 4 + 4 + 4
-	if len(data) < hdr {
-		return nil, fmt.Errorf("store: volume truncated (%d bytes)", len(data))
-	}
-	if string(data[:len(volumeMagic)]) != volumeMagic {
-		return nil, fmt.Errorf("store: bad volume magic %q", data[:len(volumeMagic)])
-	}
-	off := len(volumeMagic)
-	ver := binary.LittleEndian.Uint16(data[off:])
-	if ver != volumeVersion {
+	r := NewReader(data)
+	magic, ver, flags := r.Raw(len(volumeMagic)), r.U16(), r.U8()
+	pageSize := int(r.U32())
+	nPages := r.Count(pageSize)
+	free := r.PageIDs()
+	wantCRC := r.U32()
+	switch {
+	case r.Err() != nil:
+		return nil, r.Err()
+	case string(magic) != volumeMagic:
+		return nil, fmt.Errorf("store: bad volume magic %q", magic)
+	case ver != volumeVersion:
 		return nil, fmt.Errorf("store: unsupported volume version %d (want %d)", ver, volumeVersion)
-	}
-	flags := data[off+2]
-	if flags&volumeClean == 0 {
+	case flags&volumeClean == 0:
 		return nil, fmt.Errorf("store: volume marked dirty; refusing to open")
-	}
-	pageSize := int(binary.LittleEndian.Uint32(data[off+3:]))
-	nPages := int(binary.LittleEndian.Uint32(data[off+7:]))
-	nFree := int(binary.LittleEndian.Uint32(data[off+11:]))
-	off += 15
-	if pageSize <= 0 || pageSize > 1<<24 {
+	case pageSize <= 0 || pageSize > 1<<24:
 		return nil, fmt.Errorf("store: implausible page size %d", pageSize)
+	case r.Remaining() != nPages*pageSize:
+		return nil, fmt.Errorf("store: volume has %d page bytes, want %d×%d", r.Remaining(), nPages, pageSize)
 	}
-	if rem := len(data) - off; nFree < 0 || nFree > rem/4 {
-		return nil, fmt.Errorf("store: free list of %d entries exceeds volume", nFree)
-	}
-	free := make([]PageID, nFree)
-	for i := range free {
-		free[i] = PageID(binary.LittleEndian.Uint32(data[off:]))
-		off += 4
-	}
-	if len(data)-off < 4 {
-		return nil, fmt.Errorf("store: volume truncated before checksum")
-	}
-	wantCRC := binary.LittleEndian.Uint32(data[off:])
-	off += 4
-	if len(data)-off != nPages*pageSize {
-		return nil, fmt.Errorf("store: volume has %d page bytes, want %d×%d", len(data)-off, nPages, pageSize)
-	}
-	if crc32.ChecksumIEEE(data[off:]) != wantCRC {
-		return nil, fmt.Errorf("store: volume page checksum mismatch")
+	freed := make([]bool, nPages)
+	for _, id := range free {
+		if uint64(id) >= uint64(nPages) || freed[id] {
+			return nil, fmt.Errorf("store: free page %d beyond volume of %d pages or listed twice", id, nPages)
+		}
+		freed[id] = true
 	}
 	p := NewPager(pageSize)
 	p.pages = make([][]byte, nPages)
 	p.slotOf = make([]int32, nPages)
-	for i := range p.pages {
-		pg := make([]byte, pageSize)
-		copy(pg, data[off:off+pageSize])
-		p.pages[i] = pg
-		off += pageSize
-	}
-	for _, id := range free {
-		if int(id) >= nPages {
-			return nil, fmt.Errorf("store: free page %d beyond volume of %d pages", id, nPages)
-		}
-	}
 	p.freeList = free
+	crc := crc32.NewIEEE()
+	for i := range p.pages {
+		pg := r.Raw(pageSize)
+		_, _ = crc.Write(pg)
+		p.pages[i] = bytes.Clone(pg)
+	}
+	if crc.Sum32() != wantCRC {
+		return nil, fmt.Errorf("store: volume page checksum mismatch")
+	}
 	return p, nil
 }
 
@@ -133,23 +113,20 @@ func LoadPager(data []byte) (*Pager, error) {
 func (r *RAF) Serialize() []byte {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	buf := make([]byte, 0, 24+4*len(r.pages)+16*r.count)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(r.pages)))
-	for _, id := range r.pages {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(id))
-	}
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(r.size))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(r.live))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(r.count))
+	w := NewWriter()
+	w.PageIDs(r.pages)
+	w.I64(r.size)
+	w.I64(r.live)
+	w.U32(uint32(r.count))
 	for id, rec := range r.dir {
 		if !rec.live {
 			continue
 		}
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(id))
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(rec.off))
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(rec.n))
+		w.U32(uint32(id))
+		w.I64(rec.off)
+		w.U32(uint32(rec.n))
 	}
-	return buf
+	return w.Bytes()
 }
 
 // LoadVolume reopens a pager volume image (LoadPager) and the RAF state
@@ -173,52 +150,38 @@ func LoadVolume(pagerImage, rafState []byte, idLimit int) (*Pager, *RAF, error) 
 // the id range of the dataset the RAF indexes — so a corrupt entry
 // cannot size the directory.
 func LoadRAF(p *Pager, data []byte, idLimit int) (*RAF, error) {
-	if len(data) < 4 {
-		return nil, fmt.Errorf("store: RAF state truncated")
+	rd := NewReader(data)
+	pages := rd.PageIDs()
+	size, live := rd.I64(), rd.I64()
+	nDir := rd.Count(16)
+	if err := rd.Err(); err != nil {
+		return nil, err
 	}
-	nPages := int(binary.LittleEndian.Uint32(data))
-	off := 4
-	if nPages < 0 || nPages > (len(data)-off)/4 {
-		return nil, fmt.Errorf("store: RAF page list of %d exceeds state", nPages)
-	}
-	pages := make([]PageID, nPages)
-	for i := range pages {
-		pid := PageID(binary.LittleEndian.Uint32(data[off:]))
-		if int(pid) >= p.Pages() {
+	for _, pid := range pages {
+		if uint64(pid) >= uint64(p.Pages()) {
 			return nil, fmt.Errorf("store: RAF page %d beyond volume of %d pages", pid, p.Pages())
 		}
-		pages[i] = pid
-		off += 4
 	}
-	if len(data)-off < 20 {
-		return nil, fmt.Errorf("store: RAF state truncated before directory")
-	}
-	size := int64(binary.LittleEndian.Uint64(data[off:]))
-	live := int64(binary.LittleEndian.Uint64(data[off+8:]))
-	nDir := int(binary.LittleEndian.Uint32(data[off+16:]))
-	off += 20
-	if nDir < 0 || nDir > (len(data)-off)/16 {
-		return nil, fmt.Errorf("store: RAF directory of %d exceeds state", nDir)
-	}
-	if size < 0 || size > int64(nPages)*int64(p.PageSize()) {
-		return nil, fmt.Errorf("store: RAF size %d exceeds its %d pages", size, nPages)
+	if size < 0 || size > int64(len(pages))*int64(p.PageSize()) {
+		return nil, fmt.Errorf("store: RAF size %d exceeds its %d pages", size, len(pages))
 	}
 	r := &RAF{pager: p, pages: pages, size: size, live: live}
 	for i := 0; i < nDir; i++ {
-		id := int(binary.LittleEndian.Uint32(data[off:]))
-		recOff := int64(binary.LittleEndian.Uint64(data[off+4:]))
-		n := int64(binary.LittleEndian.Uint32(data[off+12:]))
-		if id >= idLimit {
+		id, recOff, n := int64(rd.U32()), rd.I64(), int64(rd.U32())
+		if id >= int64(idLimit) {
 			return nil, fmt.Errorf("store: RAF record for id %d beyond the dataset's %d ids", id, idLimit)
 		}
-		if recOff < 0 || n > math.MaxInt32 || recOff+rafHeaderLen+n > size {
+		if recOff < 0 || n > math.MaxInt32 || recOff > size-rafHeaderLen-n {
 			return nil, fmt.Errorf("store: RAF record for %d at [%d,+%d) beyond size %d", id, recOff, n, size)
 		}
-		if _, dup := r.lookup(id); dup {
+		if _, dup := r.lookup(int(id)); dup {
 			return nil, fmt.Errorf("store: RAF directory lists id %d twice", id)
 		}
-		r.setRecord(id, rafRecord{off: recOff, n: int32(n), live: true})
-		off += 16
+		r.setRecord(int(id), rafRecord{off: recOff, n: int32(n), live: true})
+	}
+	rd.ExpectEOF()
+	if err := rd.Err(); err != nil {
+		return nil, err
 	}
 	return r, nil
 }

@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"slices"
 	"testing"
 )
@@ -70,6 +71,20 @@ func TestLoadPagerRejectsCorruption(t *testing.T) {
 		if _, err := LoadPager(img2); err == nil {
 			t.Errorf("%s: corrupt volume loaded without error", name)
 		}
+	}
+}
+
+// TestLoadPagerRejectsDuplicateFreePage: a free list naming one page
+// twice would let two Allocs hand out the same page.
+func TestLoadPagerRejectsDuplicateFreePage(t *testing.T) {
+	p := NewPager(64)
+	a, b := p.Alloc(), p.Alloc()
+	p.Free(a)
+	p.Free(b)
+	img := p.Serialize()
+	copy(img[25:29], img[21:25]) // free list: magic 6, version 2, flags 1, three u32s
+	if _, err := LoadPager(img); err == nil {
+		t.Fatal("a volume whose free list names a page twice loaded")
 	}
 }
 
@@ -159,6 +174,16 @@ func TestLoadRAFRejectsCorruption(t *testing.T) {
 	if _, err := LoadRAF(p, dup, 2); err == nil {
 		t.Error("RAF state listing an id twice loaded")
 	}
+	// An offset whose end overflows int64 once passed the size check
+	// and made the first Read index a page past the list.
+	bad = append([]byte(nil), st...)
+	binary.LittleEndian.PutUint64(bad[len(bad)-12:], math.MaxInt64-4)
+	if _, err := LoadRAF(p, bad, 2); err == nil {
+		t.Error("RAF state with a record offset near 2^63 loaded")
+	}
+	if _, err := LoadRAF(p, append(st, 0), 2); err == nil {
+		t.Error("RAF state with a trailing byte loaded")
+	}
 }
 
 // TestRAFSerializeDeterministic: the directory is written in id order,
@@ -199,4 +224,69 @@ func TestRAFSerializeDeterministic(t *testing.T) {
 	if !bytes.Equal(r2.Serialize(), st) {
 		t.Fatal("reloaded RAF serializes differently")
 	}
+}
+
+// FuzzVolume throws crafted bytes at LoadPager and at LoadRAF (over the
+// crafted volume when it loads, else over a valid one): neither may
+// panic, nor may reading every record of a RAF that loads, and a volume
+// or RAF state that loads must round-trip — serializing it and loading
+// that again gives the same bytes — and hand out each free page once.
+func FuzzVolume(f *testing.F) {
+	const idLimit = 16
+	base := NewPager(64)
+	raf := NewRAF(base)
+	for id := range 6 {
+		if _, err := raf.Append(id, bytes.Repeat([]byte{byte(id)}, 10+30*id)); err != nil {
+			f.Fatal(err)
+		}
+	}
+	if err := raf.Delete(3); err != nil {
+		f.Fatal(err)
+	}
+	a, b := base.Alloc(), base.Alloc()
+	base.Free(a)
+	base.Free(b)
+	img, state := base.Serialize(), raf.Serialize()
+	f.Add(img, state)
+	f.Add(img[:len(img)/2], state[:len(state)/2])
+	f.Add([]byte(volumeMagic), []byte{})
+
+	f.Fuzz(func(t *testing.T, img, state []byte) {
+		p, err := LoadPager(img)
+		if err == nil {
+			once := p.Serialize()
+			q, err := LoadPager(once)
+			if err != nil {
+				t.Fatalf("a serialized volume does not load: %v", err)
+			}
+			if !bytes.Equal(q.Serialize(), once) {
+				t.Fatal("volume round trip changed the image")
+			}
+			handed := make(map[PageID]bool)
+			for range len(q.freeList) {
+				if id := q.Alloc(); handed[id] {
+					t.Fatalf("free page %d handed out twice", id)
+				} else {
+					handed[id] = true
+				}
+			}
+		} else if p, err = LoadPager(base.Serialize()); err != nil {
+			t.Fatal(err)
+		}
+		r, err := LoadRAF(p, state, idLimit)
+		if err != nil {
+			return
+		}
+		for id := range idLimit {
+			_, _ = r.Read(id)
+		}
+		once := r.Serialize()
+		again, err := LoadRAF(p, once, idLimit)
+		if err != nil {
+			t.Fatalf("a serialized RAF state does not load: %v", err)
+		}
+		if !bytes.Equal(again.Serialize(), once) {
+			t.Fatal("RAF state round trip changed the bytes")
+		}
+	})
 }
