@@ -19,15 +19,18 @@ func l1SSE2(x, y []float64, stop float64) float64
 // sad is sadGo's sum, the PSADBW body in kernels_amd64.s running the
 // rows' 16-byte groups and the Go body the tail of fewer than 16 bytes.
 // A coded mirror's rows and query are padded to 16 bytes, so the tail is
-// empty there.
+// empty there and its call is skipped.
 //
 //metriclint:noalloc
 func sad(x, y []uint8) uint64 {
 	y = y[:len(x)]
 	n := len(x) &^ 15
-	s := sadGo(x[n:], y[n:])
+	var s uint64
 	if n > 0 {
-		s += sadSSE2(x[:n], y[:n])
+		s = sadSSE2(x[:n], y[:n])
+	}
+	if n < len(x) {
+		s += sadGo(x[n:], y[n:])
 	}
 	return s
 }

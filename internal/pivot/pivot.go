@@ -245,10 +245,3 @@ func Random(ds *core.Dataset, k int, seed int64) []int {
 	}
 	return live[:k]
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
