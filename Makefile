@@ -21,12 +21,12 @@ GOVULNCHECK_VERSION ?= v1.1.4
 XTOOLS_VERSION ?= v0.30.0
 
 # Seconds each native fuzz target runs in the `make fuzz` smoke
-# (seventeen targets: FuzzLevenshtein, FuzzBatchKernels, FuzzWithinKernels,
+# (nineteen targets: FuzzLevenshtein, FuzzBatchKernels, FuzzWithinKernels,
 # FuzzSurviveColumns, FuzzCodeBounds, FuzzDecodeQuery,
 # FuzzSnapshotHeader, FuzzWALRecord, FuzzTreePayload, FuzzRegionTreePayload,
 # FuzzBPlusPayload, FuzzPagedTablePayload, FuzzPredicateParse,
 # FuzzPredicateEval, FuzzCompiledPredicate, FuzzHilbertDecode,
-# FuzzWritePaths).
+# FuzzWritePaths, FuzzVolume, FuzzDatasetFile).
 FUZZTIME ?= 10s
 
 # Packages with a parallel build, the concurrent query engine, the
@@ -103,6 +103,8 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzCompiledPredicate -fuzztime=$(FUZZTIME) ./internal/plan
 	$(GO) test -run='^$$' -fuzz=FuzzHilbertDecode -fuzztime=$(FUZZTIME) ./internal/sfc
 	$(GO) test -run='^$$' -fuzz=FuzzWritePaths -fuzztime=$(FUZZTIME) ./internal/epoch
+	$(GO) test -run='^$$' -fuzz=FuzzVolume -fuzztime=$(FUZZTIME) ./internal/store
+	$(GO) test -run='^$$' -fuzz=FuzzDatasetFile -fuzztime=$(FUZZTIME) ./internal/dataset
 
 bench:
 	$(GO) test -bench='$(BENCH)' -benchtime=$(BENCHTIME) -run=^$$ .
