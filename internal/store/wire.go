@@ -245,7 +245,10 @@ func (r *Reader) Raw(n int) []byte { return r.take(n) }
 
 // Blob reads a u32 length and returns that many bytes (aliasing the
 // input buffer).
-func (r *Reader) Blob() []byte { return r.take(r.Count(1)) }
+func (r *Reader) Blob() []byte {
+	n := r.Count(1)
+	return r.take(n)
+}
 
 // String reads a u32 length and the string bytes.
 func (r *Reader) String() string { return string(r.Blob()) }
@@ -295,10 +298,10 @@ func (r *Reader) AttrsSpan() []byte {
 
 // Objects reads a u32 count followed by that many objects, each of which
 // must be of ref's kind (core.SameKind; ref is a stored object of the
-// dataset, nil for an empty one, when the list's first object sets the
-// kind) or the reader is poisoned: every list a payload stores (pivots,
-// pivot candidates, probes, a dataset file's objects) is measured against
-// the dataset's objects, and a metric cannot take another kind.
+// dataset, or nil, and then the list's first object sets the kind) or the
+// reader is poisoned: every list a payload stores (pivots, pivot
+// candidates, probes, a dataset file's objects) is measured against the
+// dataset's objects, and a metric cannot take another kind.
 func (r *Reader) Objects(ref core.Object) []core.Object {
 	n := r.Count(5) // smallest object is tag + u32 length
 	if r.err != nil {
